@@ -10,7 +10,7 @@ import (
 )
 
 // TestSteadyStateZeroAllocs is the allocation-budget gate: once the
-// freelists (batch arena, inflight pool, event pool, mbuf pool) are warm,
+// freelists (batch arena, inflight pool, event heap, mbuf pool) are warm,
 // a full Packer -> DMA -> Dispatcher -> module -> DMA -> Distributor burst
 // must not touch the heap at all. A regression here means some hot-path
 // object escaped its pool.
@@ -87,5 +87,65 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	}
 	if n := r.pool.InUse(); n != 0 {
 		t.Errorf("%d mbufs leaked between bursts", n)
+	}
+}
+
+// TestEventBudgetPipeline64B drives BenchmarkPipeline64B's closed loop the
+// hard way for the event engine — the clock stepped 1 us at a time, the
+// OBQ polled between steps, so every step starts with both transfer cores
+// unsure what changed — and checks it stays allocation-free and costs the
+// simulator under ten events per packet. Two cores polling every 28.57 ns
+// through a 23 us round trip used to make that about a hundred.
+func TestEventBudgetPipeline64B(t *testing.T) {
+	r := newRig(t, Config{FlushTimeout: 5 * eventsim.Microsecond},
+		moduleSpec("rev", func() fpga.Module { return reverseModule{} }))
+	nf, err := r.rt.Register("budget", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acc, err := r.rt.SearchByName("rev", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.settle()
+
+	const nPkts = 32
+	payload := bytes.Repeat([]byte{0xAB}, 64)
+	pkts := make([]*mbuf.Mbuf, nPkts)
+	out := make([]*mbuf.Mbuf, 2*nPkts)
+	cycle := func() {
+		for i := range pkts {
+			pkts[i] = r.packet(t, nf, acc, payload)
+		}
+		if n, serr := r.rt.SendPackets(nf, pkts); serr != nil || n != nPkts {
+			t.Fatalf("sent %d of %d: %v", n, nPkts, serr)
+		}
+		deadline := r.sim.Now() + 300*eventsim.Microsecond
+		for got := 0; got < nPkts; {
+			if r.sim.Now() >= deadline {
+				t.Fatalf("%d of %d packets returned", got, nPkts)
+			}
+			r.sim.Run(r.sim.Now() + eventsim.Microsecond)
+			n, _ := r.rt.ReceivePackets(nf, out)
+			for _, m := range out[:n] {
+				_ = r.pool.Free(m)
+			}
+			got += n
+		}
+	}
+	for i := 0; i < 50; i++ {
+		cycle()
+	}
+	const runs = 100
+	events, skipped := r.sim.Processed(), r.sim.PollsSkipped()
+	if avg := testing.AllocsPerRun(runs, cycle); avg != 0 {
+		t.Errorf("closed loop allocates %.1f objects per burst, want 0", avg)
+	}
+	// AllocsPerRun calls cycle once more than it counts, to warm up.
+	perPkt := float64(r.sim.Processed()-events) / ((runs + 1) * nPkts)
+	t.Logf("%.2f events per packet, %.1f idle polls skipped per packet",
+		perPkt, float64(r.sim.PollsSkipped()-skipped)/((runs+1)*nPkts))
+	if perPkt >= 10 {
+		t.Errorf("%.2f events per packet, want < 10", perPkt)
 	}
 }

@@ -343,14 +343,23 @@ func (t *txEngine) body() (float64, func()) {
 
 	// Deadline pass: force out batches that have waited past their
 	// accelerator's flush timeout (the per-acc override, or the global
-	// FlushTimeout).
+	// FlushTimeout). A staged batch makes an idle result of this iteration
+	// expire by itself, so the poll loop is told when: at the batch's
+	// deadline, or at once for a due batch that flush is holding back
+	// while a partial reconfiguration is pending.
 	for _, acc := range t.order {
 		st := t.staging[acc]
-		if len(st.mbufs) > 0 && now-st.firstAt >= st.flushAfter(t.r.cfg.FlushTimeout) {
-			if ib := t.flush(acc, st, false); ib != nil {
-				t.sends = append(t.sends, ib)
-				cycles += perf.RuntimeTxCyclesPerBatch
-			}
+		if len(st.mbufs) == 0 {
+			continue
+		}
+		after := st.flushAfter(t.r.cfg.FlushTimeout)
+		if now-st.firstAt < after {
+			t.loop.WakeBy(st.firstAt + after)
+		} else if ib := t.flush(acc, st, false); ib != nil {
+			t.sends = append(t.sends, ib)
+			cycles += perf.RuntimeTxCyclesPerBatch
+		} else {
+			t.loop.WakeBy(now)
 		}
 	}
 

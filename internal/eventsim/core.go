@@ -82,17 +82,34 @@ func (c *Core) String() string {
 // TX, DMA posts) belong in commit so that pipeline latency includes the
 // stage's processing time. Inputs may be consumed at iteration start
 // (matching when rx_burst/ring dequeue returns).
+//
+// The idle contract. Returning (0, nil) asserts: this iteration found
+// nothing to do, changed nothing a poll body reads to decide whether it is
+// idle, and would return the same again until some other event executes —
+// or until a deadline the body declared with PollLoop.WakeBy during this
+// iteration. The simulator relies on it: it does not run the body of an
+// idle loop again until something has executed or the deadline has come,
+// and accounts for the polls in between arithmetically. A body whose idle
+// result can expire with time alone (a timeout on state it holds) must
+// say when; a body that turns busy by counting its own idle calls breaks
+// the contract.
 type PollBody func() (cycles float64, commit func())
 
 // PollLoop runs a poll-mode body on a core forever (until the simulation
 // horizon). If the body reports 0 cycles the loop charges idleCycles
 // instead, modelling the cost of a wasted poll. This mirrors a DPDK
 // while(1) { rx_burst(); ... } core.
+//
+// Every poll is accounted for — virtual time, the core's busy time,
+// Iterations — but the body only runs when it could see something new
+// (see PollBody). Iterations, Core.FreeAt and Core.Utilization read after
+// Run(until) returns include every idle poll up to until.
 type PollLoop struct {
 	sim        *Sim
 	core       *Core
 	body       PollBody
 	idleCycles float64
+	period     Time // idleCycles on core: the spacing of idle polls
 	stopped    bool
 	iterations uint64
 
@@ -101,11 +118,20 @@ type PollLoop struct {
 	// turn without materializing a fresh closure each iteration.
 	step          func()
 	pendingCommit func()
+
+	// After an idle iteration the loop is parked in its Sim instead of on
+	// the event heap; (nextAt, seq) is the pending poll, as the heap would
+	// have held it.
+	parked bool
+	nextAt Time
+	seq    uint64 // order among events at nextAt
+	stamp  uint64 // Sim.executed when the body last ran
+	wakeBy Time   // the last iteration's declared deadline, or never
 }
 
 // NewPollLoop creates (but does not start) a poll loop on core.
 func NewPollLoop(sim *Sim, core *Core, idleCycles float64, body PollBody) *PollLoop {
-	p := &PollLoop{sim: sim, core: core, body: body, idleCycles: idleCycles}
+	p := &PollLoop{sim: sim, core: core, body: body, idleCycles: idleCycles, period: core.CycleTime(idleCycles)}
 	p.step = p.finish
 	return p
 }
@@ -116,10 +142,28 @@ func (p *PollLoop) Start() {
 }
 
 // Stop halts the loop after the current iteration.
-func (p *PollLoop) Stop() { p.stopped = true }
+func (p *PollLoop) Stop() {
+	p.stopped = true
+	if p.parked {
+		p.sim.unpark(p)
+	}
+}
 
 // Iterations reports how many poll iterations have run.
 func (p *PollLoop) Iterations() uint64 { return p.iterations }
+
+// WakeBy is called by the body during an iteration it is about to report
+// idle, to declare that the idle result expires by itself at time t: the
+// body runs again at the first poll at or after t even if nothing else
+// has executed. Several calls in one iteration keep the earliest; a time
+// that is not in the future means "poll again next period".
+//
+//dhl:hotpath
+func (p *PollLoop) WakeBy(t Time) {
+	if t < p.wakeBy {
+		p.wakeBy = t
+	}
+}
 
 //dhl:hotpath
 func (p *PollLoop) iterate() {
@@ -127,10 +171,18 @@ func (p *PollLoop) iterate() {
 		return
 	}
 	p.iterations++
+	p.wakeBy = never
 	cycles, commit := p.body()
 	if cycles <= 0 {
+		if commit == nil && p.sim.park(p) {
+			return
+		}
 		cycles = p.idleCycles
 	}
+	if p.parked {
+		p.sim.unpark(p)
+	}
+	p.sim.executed++
 	p.pendingCommit = commit
 	p.core.Exec(cycles, p.step)
 }
@@ -143,4 +195,41 @@ func (p *PollLoop) finish() {
 		c()
 	}
 	p.iterate()
+}
+
+// clean reports whether parked loop p's next poll is a no-op: nothing has
+// executed since its body last ran and its deadline is not due.
+func (p *PollLoop) clean() bool {
+	return p.stamp == p.sim.executed && p.nextAt < p.wakeBy
+}
+
+// nextReal reports the instant at which parked loop p next runs its body
+// if nothing else executes first: its next poll unless that is a no-op,
+// else the first poll at or after its deadline.
+func (p *PollLoop) nextReal() Time {
+	if !p.clean() {
+		return p.nextAt
+	}
+	if p.wakeBy > never-p.period {
+		return never
+	}
+	return p.nextAt + (p.wakeBy-p.nextAt+p.period-1)/p.period*p.period
+}
+
+// beforeLoop orders two parked loops' pending polls. At equal instants the
+// poll whose predecessor ran earlier — the longer period — goes first, as
+// its seq would have been drawn earlier; a skip draws seq ahead of that
+// time, so periods are compared before seq.
+func (p *PollLoop) beforeLoop(q *PollLoop) bool {
+	if p.nextAt != q.nextAt {
+		return p.nextAt < q.nextAt
+	}
+	if p.period != q.period {
+		return p.period > q.period
+	}
+	return p.seq < q.seq
+}
+
+func (p *PollLoop) beforeEvent(e *event) bool {
+	return p.nextAt < e.at || p.nextAt == e.at && p.seq < e.seq
 }

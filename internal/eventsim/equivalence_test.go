@@ -1,0 +1,342 @@
+package eventsim
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+)
+
+// naiveLoop is the reference PollLoop is checked against: the poll loop as
+// it was before idle polls became lazy. Every iteration, idle or not, runs
+// the body and reschedules itself through the event heap.
+type naiveLoop struct {
+	sim        *Sim
+	core       *Core
+	idleCycles float64
+	body       PollBody
+	stopped    bool
+	iterations uint64
+}
+
+func (l *naiveLoop) Start()             { l.sim.After(0, l.iterate) }
+func (l *naiveLoop) Stop()              { l.stopped = true }
+func (l *naiveLoop) Iterations() uint64 { return l.iterations }
+func (l *naiveLoop) WakeBy(Time)        {}
+
+func (l *naiveLoop) iterate() {
+	if l.stopped {
+		return
+	}
+	l.iterations++
+	cycles, commit := l.body()
+	if cycles <= 0 {
+		cycles = l.idleCycles
+	}
+	l.core.Exec(cycles, func() {
+		if commit != nil {
+			commit()
+		}
+		l.iterate()
+	})
+}
+
+// poller is what a scenario needs of either loop.
+type poller interface {
+	Start()
+	Stop()
+	Iterations() uint64
+	WakeBy(Time)
+}
+
+// rec is one observable step of a scenario. Two runs are equivalent when
+// their rec sequences are equal: same things, same virtual times, same
+// order — also among things at one picosecond-equal instant.
+type rec struct {
+	at    Time
+	what  string
+	actor int
+	a, b  int64
+}
+
+func (r rec) String() string {
+	return fmt.Sprintf("%d ps %s[%d] %d %d", int64(r.at), r.what, r.actor, r.a, r.b)
+}
+
+// stage is one polling actor of a scenario: an inbox standing in for a
+// ring, optionally a staging area flushed by size or by timeout (the
+// Packer), optionally held back while "blocked" (a pending PR).
+type stage struct {
+	sc   *scenario
+	id   int
+	core *Core
+	loop poller
+
+	inbox   int
+	next    int     // stage fed by this one's commits, -1 for none
+	burst   int     // items taken per iteration
+	cost    float64 // cycles per busy iteration; 0 exercises (0, commit)
+	stages  bool    // keeps items until timeout or cap
+	held    int
+	heldAt  Time
+	timeout Time
+	cap     int
+	blocked bool
+	direct  bool // hands its output on from the body, not from commit
+	posts   bool // its commit also Posts an item back to itself
+}
+
+func (st *stage) body() (float64, func()) {
+	sc := st.sc
+	now := sc.sim.Now()
+	out := 0
+	cycles := 0.0
+	if st.held > 0 {
+		switch {
+		case now-st.heldAt < st.timeout:
+			st.loop.WakeBy(st.heldAt + st.timeout)
+		case st.blocked:
+			st.loop.WakeBy(now)
+		default:
+			out, st.held = st.held, 0
+			cycles += st.cost + 3
+		}
+	}
+	take := min(st.inbox, st.burst)
+	if take == 0 && out == 0 {
+		return 0, nil
+	}
+	st.inbox -= take
+	if take > 0 {
+		cycles += st.cost
+		if st.stages {
+			if st.held == 0 {
+				st.heldAt = now
+			}
+			st.held += take
+			if st.held >= st.cap && !st.blocked {
+				out += st.held
+				st.held = 0
+			}
+		} else {
+			out += take
+		}
+	}
+	sc.log(rec{now, "busy", st.id, int64(cycles), int64(take)})
+	if st.direct && st.next >= 0 && cycles > 0 {
+		sc.stages[st.next].inbox += out
+		out = 0
+	}
+	if out == 0 {
+		return cycles, nil
+	}
+	return cycles, func() {
+		sc.log(rec{sc.sim.Now(), "commit", st.id, int64(out), 0})
+		if st.next >= 0 {
+			sc.stages[st.next].inbox += out
+		}
+		if st.posts && out%2 == 1 {
+			sc.sim.Post(func() {
+				sc.log(rec{sc.sim.Now(), "post-commit", st.id, 1, 0})
+				st.inbox++
+			})
+		}
+	}
+}
+
+type scenario struct {
+	sim    *Sim
+	stages []*stage
+	trace  []rec
+}
+
+func (sc *scenario) log(r rec) { sc.trace = append(sc.trace, r) }
+
+// probe records what a reader of the loops' accounting sees right now.
+func (sc *scenario) probe(tag string) {
+	for _, st := range sc.stages {
+		sc.log(rec{sc.sim.Now(), tag, st.id, int64(st.loop.Iterations()), int64(st.core.busy)})
+		sc.log(rec{sc.sim.Now(), tag + "-free", st.id, int64(st.core.FreeAt()), int64(st.inbox)})
+	}
+}
+
+// runScenario plays the scenario drawn from seed with real PollLoops
+// (lazy) or naive ones and returns its trace. Every random choice is made
+// from seed alone, in an order that does not depend on which loop is used.
+func runScenario(seed uint64, lazy bool) []rec {
+	rng := rand.New(rand.NewSource(int64(seed)))
+	sim := New()
+	sc := &scenario{sim: sim}
+
+	// Clocks whose periods share instants (1 ns, 0.5 ns per cycle) and one
+	// that does not (476.19 ps): order at shared instants is the hard part.
+	clocks := []float64{1e9, 1e9, 2e9, 2.1e9}
+	idles := []float64{60, 60, 10, 28, 7}
+	n := 1 + rng.Intn(6)
+	if rng.Intn(16) == 0 {
+		n += maxParked // more loops than the parked set holds
+	}
+	hz, idle := clocks[rng.Intn(len(clocks))], idles[rng.Intn(len(idles))]
+	for i := 0; i < n; i++ {
+		if rng.Intn(3) == 0 { // else same clock as the previous loop
+			hz, idle = clocks[rng.Intn(len(clocks))], idles[rng.Intn(len(idles))]
+		}
+		st := &stage{sc: sc, id: i, next: rng.Intn(n+1) - 1, burst: 1 + rng.Intn(4),
+			direct: rng.Intn(5) == 0, posts: rng.Intn(5) == 0}
+		if i > 0 && rng.Intn(12) == 0 {
+			st.core = sc.stages[i-1].core // two loops on one core
+			hz = st.core.Hz()
+		} else {
+			st.core = NewCore(sim, i, 0, hz)
+		}
+		// Busy iterations shorter than, equal to and longer than an idle one.
+		st.cost = []float64{idle - 4, idle, idle + 4, 2*idle + 1, 3, 0}[rng.Intn(6)]
+		if rng.Intn(3) == 0 {
+			st.stages = true
+			st.timeout = Time(50+rng.Intn(2000)) * Nanosecond
+			st.cap = 2 + rng.Intn(8)
+			st.cost++ // staging commits nothing, so it has to cost something
+		}
+		if lazy {
+			st.loop = NewPollLoop(sim, st.core, idle, st.body)
+		} else {
+			st.loop = &naiveLoop{sim: sim, core: st.core, idleCycles: idle, body: st.body}
+		}
+		sc.stages = append(sc.stages, st)
+		if rng.Intn(4) == 0 { // off-phase start
+			at := Time(rng.Intn(500)) * Nanosecond / 2
+			sim.At(at, st.loop.Start)
+		} else {
+			st.loop.Start()
+		}
+	}
+
+	horizon := Time(5+rng.Intn(40)) * Microsecond
+	// when draws event times: mostly on the half-nanosecond grid the idle
+	// polls of the 1 and 2 GHz cores sit on, sometimes anywhere.
+	when := func() Time {
+		if rng.Intn(5) == 0 {
+			return Time(rng.Int63n(int64(horizon)))
+		}
+		return Time(rng.Int63n(int64(horizon/Nanosecond*2))) * Nanosecond / 2
+	}
+	produce := func(tag string, target, k int) func() {
+		return func() {
+			sc.log(rec{sim.Now(), tag, target, int64(k), 0})
+			sc.stages[target].inbox += k
+		}
+	}
+	timer := sim.NewTimer(produce("timer", rng.Intn(n), 1))
+	for e := 5 + rng.Intn(120); e > 0; e-- {
+		target := rng.Intn(n)
+		st := sc.stages[target]
+		switch rng.Intn(20) {
+		default:
+			sim.At(when(), produce("produce", target, 1+rng.Intn(6)))
+		case 8, 9, 10:
+			// Work for every loop at once: they all turn busy at their next
+			// poll, and where those coincide the trace shows their order.
+			sim.At(when(), func() {
+				for i := range sc.stages {
+					produce("produce-all", i, 1)()
+				}
+			})
+		case 0:
+			sim.At(when(), func() {
+				sc.log(rec{sim.Now(), "block", target, 0, 0})
+				st.blocked = !st.blocked
+			})
+		case 1:
+			if rng.Intn(4) == 0 {
+				sim.At(when(), func() {
+					sc.log(rec{sim.Now(), "stop", target, int64(st.loop.Iterations()), 0})
+					st.loop.Stop()
+				})
+			}
+		case 2, 3:
+			// Re-arming leaves stale fires behind; they must not matter.
+			d := Time(rng.Intn(400)) * Nanosecond
+			sim.At(when(), func() { timer.Reset(d) })
+		case 4:
+			sim.At(when(), func() { timer.Stop() })
+		case 5:
+			sim.At(when(), func() { sim.Post(produce("post", target, 2)) })
+		case 6:
+			sim.At(when(), func() { sc.probe("probe") })
+		case 7:
+			if rng.Intn(3) == 0 {
+				sim.At(when(), sim.Stop)
+			}
+		case 11:
+			// Somebody else borrows the loop's core.
+			cycles := float64(1 + rng.Intn(200))
+			sim.At(when(), func() {
+				sc.log(rec{sim.Now(), "exec", target, int64(st.core.Exec(cycles, nil)), 0})
+			})
+		}
+	}
+
+	// Run in uneven slices, changing state between them the way callers of
+	// SendPackets, serve.go's paced loop and tests do.
+	for sim.Now() < horizon {
+		until := sim.Now() + Time(1+rng.Int63n(int64(horizon/4)))
+		sim.Run(until)
+		sc.probe("slice")
+		target := rng.Intn(n)
+		switch rng.Intn(6) {
+		case 0:
+			produce("between", target, 1+rng.Intn(3))()
+		case 1:
+			posted := make(chan struct{})
+			go func() {
+				sim.Post(produce("post-goroutine", target, 1))
+				close(posted)
+			}()
+			<-posted
+		case 2:
+			if rng.Intn(4) == 0 {
+				sc.stages[target].loop.Stop()
+			}
+		}
+	}
+	sc.log(rec{sim.Now(), "end", 0, 0, 0})
+	return sc.trace
+}
+
+func checkEquivalent(t *testing.T, seed uint64) {
+	t.Helper()
+	want, got := runScenario(seed, false), runScenario(seed, true)
+	for i := 0; i < len(want) || i < len(got); i++ {
+		if i >= len(want) || i >= len(got) || want[i] != got[i] {
+			w, g := "<end of trace>", "<end of trace>"
+			if i < len(want) {
+				w = want[i].String()
+			}
+			if i < len(got) {
+				g = got[i].String()
+			}
+			t.Fatalf("seed %d: traces diverge at step %d of %d/%d:\n  naive: %s\n  lazy:  %s", seed, i, len(want), len(got), w, g)
+		}
+	}
+}
+
+// FuzzPollLoopEquivalence checks PollLoop against naiveLoop on random
+// scenarios: same busy iterations and commits at the same times in the
+// same order, and the same Iterations, core busy time and FreeAt wherever
+// they are read.
+func FuzzPollLoopEquivalence(f *testing.F) {
+	for seed := uint64(0); seed < 64; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(checkEquivalent)
+}
+
+// TestPollLoopEquivalence runs a wider fixed sweep than the fuzz corpus.
+func TestPollLoopEquivalence(t *testing.T) {
+	n := uint64(1000)
+	if testing.Short() {
+		n = 300
+	}
+	for seed := uint64(1000); seed < 1000+n; seed++ {
+		checkEquivalent(t, seed)
+	}
+}

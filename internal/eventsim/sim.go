@@ -9,7 +9,6 @@
 package eventsim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sync"
@@ -57,49 +56,32 @@ func (t Time) String() string {
 
 // FromSeconds converts floating-point seconds into simulator Time.
 func FromSeconds(s float64) Time {
-	if math.IsInf(s, 1) || s > float64(math.MaxInt64)/float64(Second) {
-		return Time(math.MaxInt64)
+	if math.IsInf(s, 1) || s > float64(never)/float64(Second) {
+		return never
 	}
 	return Time(s * float64(Second))
 }
 
-// event is a single scheduled callback.
+// never is the time no event is ever scheduled at: the "no deadline" value.
+const never = Time(math.MaxInt64)
+
+// event is a single scheduled callback. Events are ordered by (at, seq):
+// seq is drawn when the event is scheduled, so events at equal times run
+// in the order they were scheduled.
 type event struct {
 	at  Time
-	seq uint64 // tie-breaker for deterministic FIFO ordering at equal times
+	seq uint64
 	fn  func()
 }
 
-// eventHeap orders events by (time, insertion sequence).
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
+func (e *event) before(o *event) bool {
+	return e.at < o.at || e.at == o.at && e.seq < o.seq
 }
 
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-
-func (h *eventHeap) Push(x any) {
-	ev, ok := x.(*event)
-	if !ok {
-		return
-	}
-	*h = append(*h, ev)
-}
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
-}
+// maxParked bounds the idle poll loops a Sim keeps out of the heap. The
+// set is a fixed array so that parking a loop never allocates; a loop
+// that finds it full keeps polling through the heap.
+const maxParked = 32
 
 // Sim is a single-threaded discrete-event simulation.
 //
@@ -112,15 +94,17 @@ func (h *eventHeap) Pop() any {
 type Sim struct {
 	now     Time
 	seq     uint64
-	events  eventHeap
+	events  []event // binary min-heap on (at, seq)
 	stopped bool
 	nEvents uint64
 
-	// evFree recycles event objects so steady-state scheduling does not
-	// heap-allocate: the poll loops and DMA engines schedule one event per
-	// iteration/transfer, which would otherwise dominate the data path's
-	// allocation profile.
-	evFree []*event
+	// Idle poll loops (see PollLoop). executed counts everything that may
+	// have changed what a poll body sees: a parked loop that last polled
+	// at the current value has nothing new to look at.
+	parked   [maxParked]*PollLoop
+	nParked  int
+	executed uint64
+	skipped  uint64
 
 	// External mailbox (Post). postPending lets Run's inner loop check for
 	// posted work with a single atomic load per event, so the data path
@@ -139,8 +123,14 @@ func New() *Sim {
 // Now reports the current virtual time.
 func (s *Sim) Now() Time { return s.now }
 
-// Processed reports the number of events executed so far.
+// Processed reports the number of events executed so far: scheduled
+// callbacks run plus poll iterations whose body ran. Iterations of idle
+// poll loops that were skipped are counted by PollsSkipped instead.
 func (s *Sim) Processed() uint64 { return s.nEvents }
+
+// PollsSkipped reports how many idle poll iterations were accounted for
+// (time, core utilization, PollLoop.Iterations) without running the body.
+func (s *Sim) PollsSkipped() uint64 { return s.skipped }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // is clamped to "now": the event runs before any later-scheduled work.
@@ -154,24 +144,51 @@ func (s *Sim) At(t Time, fn func()) {
 		t = s.now
 	}
 	s.seq++
-	var ev *event
-	if n := len(s.evFree); n > 0 {
-		ev = s.evFree[n-1]
-		s.evFree[n-1] = nil
-		s.evFree = s.evFree[:n-1]
-		ev.at, ev.seq, ev.fn = t, s.seq, fn
-	} else {
-		ev = newEvent(t, s.seq, fn)
+	ev := event{at: t, seq: s.seq, fn: fn}
+	h := append(s.events, ev)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(&h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
 	}
-	heap.Push(&s.events, ev)
+	h[i] = ev
+	s.events = h
 }
 
-// newEvent is the cold freelist-miss constructor; //go:noinline keeps its
-// allocation out of At's //dhl:hotpath body under escape analysis.
+// pop removes and returns the earliest event.
 //
-//go:noinline
-func newEvent(at Time, seq uint64, fn func()) *event {
-	return &event{at: at, seq: seq, fn: fn}
+//dhl:hotpath
+func (s *Sim) pop() event {
+	h := s.events
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = event{} // drop the callback reference
+	h = h[:n]
+	s.events = h
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && h[c+1].before(&h[c]) {
+			c++
+		}
+		if !h[c].before(&last) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	if n > 0 {
+		h[i] = last
+	}
+	return top
 }
 
 // After schedules fn to run d picoseconds from now.
@@ -214,6 +231,7 @@ func (s *Sim) PostedPending() bool { return s.postPending.Load() }
 // the mutex window to a slice exchange; functions posted while draining
 // are picked up by the next check.
 func (s *Sim) drainPosted() {
+	s.executed++
 	s.postMu.Lock()
 	batch := s.posted
 	s.posted = s.postScratch[:0]
@@ -226,34 +244,46 @@ func (s *Sim) drainPosted() {
 	s.postScratch = batch
 }
 
-// Run executes events in timestamp order until the queue is empty or the
-// clock would pass "until". It returns the number of events processed.
+// Run executes events in timestamp order until nothing is left to do or
+// the clock would pass "until". It returns the number of events executed
+// (see Processed).
 //
 // Between events (and once on entry) Run drains the external mailbox, so
 // functions handed to Post from other goroutines execute here, on the
 // driving goroutine, serialized against the actors.
+//
+// Idle poll loops do not keep Run going: once the heap is empty and every
+// poll loop is idle with no deadline, nothing can ever happen again, and
+// RunAll returns.
 func (s *Sim) Run(until Time) uint64 {
 	s.stopped = false
+	// Whoever ran between two Run calls may have filled a ring.
+	s.executed++
 	var n uint64
 	if s.postPending.Load() {
 		s.drainPosted()
 	}
-	for len(s.events) > 0 && !s.stopped {
-		next := s.events[0]
-		if next.at > until {
+	for !s.stopped {
+		if p := s.firstParked(); p != nil && (len(s.events) == 0 || p.beforeEvent(&s.events[0])) {
+			if p.nextAt > until {
+				break
+			}
+			if p.clean() {
+				if !s.skip(p, until) {
+					break
+				}
+				continue
+			}
+			s.now = p.nextAt
+			p.iterate()
+		} else if len(s.events) > 0 && s.events[0].at <= until {
+			ev := s.pop()
+			s.now = ev.at
+			s.executed++
+			ev.fn()
+		} else {
 			break
 		}
-		ev, ok := heap.Pop(&s.events).(*event)
-		if !ok {
-			break
-		}
-		s.now = ev.at
-		fn := ev.fn
-		// Recycle before running fn: the event is off the heap and fn may
-		// schedule new work, which then reuses the hottest object first.
-		ev.fn = nil
-		s.evFree = append(s.evFree, ev)
-		fn()
 		n++
 		s.nEvents++
 		if s.postPending.Load() {
@@ -262,16 +292,115 @@ func (s *Sim) Run(until Time) uint64 {
 	}
 	// Advance the clock to the horizon even if the queue drained early so
 	// that rate computations over [0, until] are well-defined.
-	if !s.stopped && s.now < until && until != Time(math.MaxInt64) {
+	if !s.stopped && s.now < until && until != never {
 		s.now = until
 	}
 	return n
 }
 
-// RunAll executes events until the queue is empty.
+// RunAll executes events until nothing is left to do.
 func (s *Sim) RunAll() uint64 {
-	return s.Run(Time(math.MaxInt64))
+	return s.Run(never)
 }
 
-// Pending reports the number of scheduled-but-unexecuted events.
-func (s *Sim) Pending() int { return len(s.events) }
+// Pending reports the number of scheduled-but-unexecuted events. A parked
+// idle poll loop counts as one: its next poll.
+func (s *Sim) Pending() int { return len(s.events) + s.nParked }
+
+// --- Idle poll loops ------------------------------------------------------
+//
+// A PollLoop whose body returned idle does not schedule its next poll on
+// the heap: it parks here as a pending (nextAt, seq) pair, merged with the
+// heap by Run. While nothing has executed since it last polled, its polls
+// are no-ops by the PollBody contract, and skip accounts for a whole run
+// of them in one step.
+
+// park books p's idle iteration on its core and keeps its next poll in the
+// parked set. It reports false when p has to go through the heap instead;
+// that includes a core with other work queued, so that a parked loop's
+// polls are always exactly one period apart.
+func (s *Sim) park(p *PollLoop) bool {
+	if p.core.freeAt > s.now || p.period <= 0 || p.stopped {
+		return false
+	}
+	if !p.parked {
+		if s.nParked == maxParked {
+			return false
+		}
+		s.parked[s.nParked] = p
+		s.nParked++
+		p.parked = true
+	}
+	s.seq++
+	p.nextAt, p.seq, p.stamp = p.core.Exec(p.idleCycles, nil), s.seq, s.executed
+	return true
+}
+
+func (s *Sim) unpark(p *PollLoop) {
+	for i, q := range s.parked[:s.nParked] {
+		if q == p {
+			s.nParked--
+			s.parked[i] = s.parked[s.nParked]
+			s.parked[s.nParked] = nil
+			break
+		}
+	}
+	p.parked = false
+}
+
+// firstParked returns the parked loop whose poll is due first, or nil.
+func (s *Sim) firstParked() *PollLoop {
+	var first *PollLoop
+	for _, q := range s.parked[:s.nParked] {
+		if first == nil || q.beforeLoop(first) {
+			first = q
+		}
+	}
+	return first
+}
+
+// skip moves clean parked loop p, the earliest pending item of the whole
+// simulation, forward over every poll that cannot see anything new, and
+// accounts for them as if each had run. It reports false when nothing
+// bounds the skip: nothing will ever happen again.
+//
+// p stops at its first poll instant at or after the horizon: the earliest
+// time at which anything else executes. Two ordering rules keep the
+// execution order at every instant what it would be had every poll run:
+// see DESIGN.md, "Lazy idle polls".
+func (s *Sim) skip(p *PollLoop, until Time) bool {
+	horizon := p.wakeBy
+	if until < never {
+		horizon = min(horizon, until+1)
+	}
+	if len(s.events) > 0 {
+		horizon = min(horizon, s.events[0].at)
+	}
+	// A peer polling the same instants keeps its place in the order there
+	// from poll to poll: p may catch up with one that is ahead, not pass it.
+	land := never
+	for _, q := range s.parked[:s.nParked] {
+		if q == p {
+			continue
+		}
+		horizon = min(horizon, q.nextReal())
+		if q.period == p.period && q.nextAt > p.nextAt && (q.nextAt-p.nextAt)%p.period == 0 {
+			land = min(land, q.nextAt)
+		}
+	}
+	d := p.period
+	if horizon <= never-d {
+		land = min(land, p.nextAt+max((horizon-p.nextAt+d-1)/d, 1)*d)
+	}
+	if land == never {
+		return false
+	}
+	k := (land - p.nextAt) / d
+	p.iterations += uint64(k)
+	p.core.busy += k * d
+	p.core.freeAt = land
+	s.skipped += uint64(k)
+	s.seq++
+	p.nextAt, p.seq = land, s.seq
+	return true
+}

@@ -212,30 +212,131 @@ func TestCoreCycleTimeRoundTrip(t *testing.T) {
 func TestPollLoopIdleChargesAndCommitOrder(t *testing.T) {
 	s := New()
 	c := NewCore(s, 0, 0, 1e9)
-	iterations := 0
+	work := false
 	commits := 0
 	var loop *PollLoop
 	loop = NewPollLoop(s, c, 10, func() (float64, func()) {
-		iterations++
-		if iterations == 5 {
-			return 100, func() {
-				commits++
-				// 4 idle iterations at 10 cycles + 100 busy cycles @1GHz.
-				if s.Now() != Time(4*10+100)*Nanosecond {
-					t.Errorf("commit at %v", s.Now())
-				}
-				loop.Stop()
-			}
+		if !work {
+			return 0, nil // idle
 		}
-		return 0, nil // idle
+		work = false
+		return 100, func() {
+			commits++
+			// 4 idle iterations at 10 cycles + 100 busy cycles @1GHz.
+			if s.Now() != Time(4*10+100)*Nanosecond {
+				t.Errorf("commit at %v", s.Now())
+			}
+			loop.Stop()
+		}
 	})
 	loop.Start()
+	// Work arrives during the fourth idle poll; the fifth finds it.
+	s.At(35*Nanosecond, func() { work = true })
 	s.RunAll()
 	if commits != 1 {
 		t.Errorf("commits = %d", commits)
 	}
 	if loop.Iterations() != 5 {
 		t.Errorf("iterations = %d", loop.Iterations())
+	}
+	if s.PollsSkipped() != 3 {
+		t.Errorf("skipped %d polls, want 3 (the first and the fifth run the body)", s.PollsSkipped())
+	}
+}
+
+// An idle loop's accounting must be complete whenever it can be read, and
+// an idle system must not keep RunAll busy.
+func TestPollLoopSkippedPollsAreAccounted(t *testing.T) {
+	s := New()
+	c := NewCore(s, 0, 0, 1e9)
+	loop := NewPollLoop(s, c, 10, func() (float64, func()) { return 0, nil })
+	loop.Start()
+	if s.Pending() != 1 {
+		t.Errorf("pending %d before the first poll", s.Pending())
+	}
+	for _, until := range []Time{95 * Nanosecond, 100 * Nanosecond, 1 * Millisecond} {
+		s.Run(until)
+		// Polls at 0, 10, ... ns: every one at or before until has run.
+		polls := uint64(until/(10*Nanosecond)) + 1
+		if loop.Iterations() != polls {
+			t.Errorf("at %v: %d iterations, want %d", until, loop.Iterations(), polls)
+		}
+		if want := Time(polls) * 10 * Nanosecond; c.FreeAt() != want {
+			t.Errorf("at %v: core free at %v, want %v", until, c.FreeAt(), want)
+		}
+		if u := c.Utilization(c.FreeAt()); u != 1 {
+			t.Errorf("at %v: utilization %v, want 1", until, u)
+		}
+	}
+	if s.Processed() != 3 { // Start's event, then the first poll of each later slice
+		t.Errorf("executed %d events for %d polls", s.Processed(), loop.Iterations())
+	}
+	if s.Pending() != 1 {
+		t.Errorf("pending %d with one parked loop", s.Pending())
+	}
+
+	// Nothing but idle loops left: RunAll returns rather than poll forever.
+	before := loop.Iterations()
+	if n := s.RunAll(); n != 1 {
+		t.Errorf("RunAll executed %d events on an idle system, want the one dirty poll", n)
+	}
+	if loop.Iterations() != before+1 {
+		t.Errorf("RunAll polled %d times", loop.Iterations()-before)
+	}
+	// A horizon too close to the end of time to land a poll behind it ends
+	// the run the same way instead of overflowing.
+	s.Run(never - 1)
+	if loop.Iterations() > before+2 || c.FreeAt() < 0 {
+		t.Errorf("Run(never-1): %d iterations, free at %d", loop.Iterations(), c.FreeAt())
+	}
+
+	loop.Stop()
+	if s.Pending() != 0 {
+		t.Errorf("pending %d after stopping the parked loop", s.Pending())
+	}
+}
+
+// A deadline declared with WakeBy brings the body back without any event.
+func TestPollLoopWakeBy(t *testing.T) {
+	s := New()
+	c := NewCore(s, 0, 0, 1e9)
+	var ran []Time
+	var loop *PollLoop
+	loop = NewPollLoop(s, c, 10, func() (float64, func()) {
+		ran = append(ran, s.Now())
+		if s.Now() < 95*Nanosecond {
+			loop.WakeBy(200 * Nanosecond)
+			loop.WakeBy(95 * Nanosecond) // the earliest counts
+		}
+		return 0, nil
+	})
+	loop.Start()
+	s.Run(300 * Nanosecond)
+	if len(ran) != 2 || ran[0] != 0 || ran[1] != 100*Nanosecond {
+		t.Errorf("body ran at %v, want at 0 and at the first poll past 95ns", ran)
+	}
+	if loop.Iterations() != 31 {
+		t.Errorf("iterations = %d", loop.Iterations())
+	}
+}
+
+// More idle loops than the parked set holds: the rest poll through the
+// heap, and all of them stay exact.
+func TestPollLoopParkedSetOverflow(t *testing.T) {
+	s := New()
+	loops := make([]*PollLoop, maxParked+3)
+	for i := range loops {
+		loops[i] = NewPollLoop(s, NewCore(s, i, 0, 1e9), 10, func() (float64, func()) { return 0, nil })
+		loops[i].Start()
+	}
+	s.Run(1 * Microsecond)
+	for i, l := range loops {
+		if l.Iterations() != 101 {
+			t.Errorf("loop %d: %d iterations, want 101", i, l.Iterations())
+		}
+	}
+	if s.Pending() != len(loops) {
+		t.Errorf("pending %d, want %d", s.Pending(), len(loops))
 	}
 }
 

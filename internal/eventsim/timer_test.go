@@ -106,3 +106,34 @@ func TestTimerNegativeDelayFiresNow(t *testing.T) {
 		t.Errorf("fired at %v, want now (3us)", firedAt)
 	}
 }
+
+// Stale fires of a timer that is re-armed over and over change nothing, so
+// they must not make idle poll loops run their bodies.
+func TestTimerStaleFiresDoNotWakePollLoops(t *testing.T) {
+	sim := New()
+	polls := 0
+	loop := NewPollLoop(sim, NewCore(sim, 0, 0, 1e9), 10, func() (float64, func()) {
+		polls++
+		return 0, nil
+	})
+	loop.Start()
+	fired := 0
+	tm := sim.NewTimer(func() { fired++ })
+	// Pushed out 1 us at a time, once per slice, without ever firing;
+	// every Reset leaves a stale event behind.
+	for i := 0; i < 1000; i++ {
+		tm.Reset(2 * Microsecond)
+		sim.Run(sim.Now() + Microsecond)
+	}
+	if fired != 0 {
+		t.Fatalf("timer fired %d times", fired)
+	}
+	if loop.Iterations() != 100*1000+1 {
+		t.Errorf("iterations = %d", loop.Iterations())
+	}
+	// One poll per Run entry (the caller may have changed something); none
+	// for the 999 stale fires.
+	if polls > 1001 {
+		t.Errorf("body ran %d times over 1000 slices", polls)
+	}
+}

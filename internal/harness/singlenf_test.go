@@ -103,3 +103,25 @@ func TestSingleNFLatencyAtOperatingPoint(t *testing.T) {
 		t.Errorf("cpu-only ipsec 1500B latency %.2fus implausibly below DHL envelope", cpuLat.Latency.MeanUs)
 	}
 }
+
+// TestEventBudgetSingleNFSetup pins what bringing a DHL testbed up costs
+// the simulator: the 60 ms partial-reconfiguration settle and a 2 ms
+// warm-up are almost all idle polling, which the event engine accounts for
+// without executing. The count is deterministic; before idle polls were
+// lazy it was 8.5 million.
+func TestEventBudgetSingleNFSetup(t *testing.T) {
+	res, err := RunSingleNF(SingleNFConfig{
+		Kind: IPsecGateway, Mode: DHL, FrameSize: 64,
+		Warmup: 2 * eventsim.Millisecond, Window: eventsim.Microsecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d events executed, %d idle polls skipped", res.SimEvents, res.SimPollsSkipped)
+	if res.SimEvents >= 300_000 {
+		t.Errorf("set-up pass executed %d events, want < 300000", res.SimEvents)
+	}
+	if res.SimPollsSkipped < 8_000_000 {
+		t.Errorf("only %d idle polls skipped: four cores idle through 60 ms should give over 8 million", res.SimPollsSkipped)
+	}
+}

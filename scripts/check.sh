@@ -64,6 +64,10 @@ echo "==> autotuner smoke (control law, backpressure edges, zero-alloc with tune
 go test -short -run 'Tuner|AutoTune|Pressure|CopySince' -count=1 \
     ./internal/tuner ./internal/core ./internal/telemetry .
 
+echo "==> event-engine equivalence (lazy idle polls vs a naive poll loop, event budgets, 10 s fuzz)"
+go test -run 'PollLoopEquivalence|EventBudget' -count=1 ./internal/eventsim ./internal/harness ./internal/core
+go test -run '^$' -fuzz FuzzPollLoopEquivalence -fuzztime 10s ./internal/eventsim
+
 echo "==> telemetry smoke (stage clock, zero-alloc budget, exporter golden)"
 go test -run 'Telemetry|ServeMetricsGolden|WritePrometheus' -count=1 \
     ./internal/core ./internal/telemetry .
