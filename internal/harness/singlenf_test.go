@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"runtime"
 	"testing"
 
 	"github.com/opencloudnext/dhl-go/internal/eventsim"
@@ -123,5 +124,36 @@ func TestEventBudgetSingleNFSetup(t *testing.T) {
 	}
 	if res.SimPollsSkipped < 8_000_000 {
 		t.Errorf("only %d idle polls skipped: four cores idle through 60 ms should give over 8 million", res.SimPollsSkipped)
+	}
+}
+
+// TestAllocBudgetIPsec64 pins the heap cost of the paper's headline
+// point, measured as the bench's ipsec64 rep measures it: every
+// allocation of one RunSingleNF call at 40 G and 64 B, system
+// construction included, over the packets delivered in its 10 ms window.
+// It was 13.05 per packet while Engine.Seal rebuilt its HMAC and CTR
+// objects and the generator made a closure per frame; what is left is
+// set-up and the per-poll slices of the harness's own cores.
+func TestAllocBudgetIPsec64(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a 10 ms saturation window; skipped in -short CI gate")
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := RunSingleNF(SingleNFConfig{
+		Kind: IPsecGateway, Mode: DHL, FrameSize: 64,
+		Warmup: 2 * eventsim.Millisecond, Window: 10 * eventsim.Millisecond,
+	})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Throughput.Pkts == 0 {
+		t.Fatal("no packets delivered")
+	}
+	perPkt := float64(after.Mallocs-before.Mallocs) / float64(res.Throughput.Pkts)
+	t.Logf("%d allocations over %d packets: %.3f per packet", after.Mallocs-before.Mallocs, res.Throughput.Pkts, perPkt)
+	if perPkt >= 0.25 {
+		t.Errorf("%.3f allocations per delivered packet, want < 0.25", perPkt)
 	}
 }

@@ -317,3 +317,36 @@ func TestQuickIPsecRoundTrip(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestIPsecCryptoZeroAllocBatch pins the module's per-batch work at no
+// allocation: a 6 KB batch of 64 B frames, as the ipsec64 workload sends
+// it, into a response buffer the caller already owns.
+func TestIPsecCryptoZeroAllocBatch(t *testing.T) {
+	key, auth := testKeys()
+	m := &IPsecCrypto{}
+	blob, _ := EncodeIPsecCryptoConfig(key, auth, 0x5A17)
+	if err := m.Configure(blob); err != nil {
+		t.Fatal(err)
+	}
+	frame := make([]byte, 64)
+	req, err := EncodeIPsecRequest(nil, frame, 34)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var batch []byte
+	records := 0
+	for len(batch)+dhlproto.RecordOverhead+len(req) <= 6*1024 {
+		if batch, err = dhlproto.AppendRecord(batch, 1, 1, req); err != nil {
+			t.Fatal(err)
+		}
+		records++
+	}
+	dst := make([]byte, 0, len(batch)+records*IPsecGrowth)
+	if got := testing.AllocsPerRun(100, func() {
+		if _, err := m.ProcessBatch(dst, batch); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("ProcessBatch over %d records of 64 B: %v allocs/op, want 0", records, got)
+	}
+}

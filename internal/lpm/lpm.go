@@ -108,21 +108,24 @@ func (t *Table) install(prefix uint32, depth uint8, nextHop uint16) error {
 	if depth <= 24 {
 		start := prefix >> 8
 		count := uint32(1) << (24 - uint32(depth))
-		for i := uint32(0); i < count; i++ {
-			idx := start + i
-			e := t.tbl24[idx]
+		route := encode(nextHop, depth, false)
+		span := t.tbl24[start : start+count]
+		for i, e := range span {
 			switch {
+			case e == 0:
+				// Empty, the common case: a /1 covers 8 M of these.
+				span[i] = route
 			case e&flagTbl8 != 0:
 				// Update entries in the tbl8 group covered by shorter or
 				// equal-depth routes.
 				g := t.tbl8[e&valueMask]
 				for j := range g {
 					if g[j]&flagValid == 0 || depthOf(g[j]) <= depth {
-						g[j] = encode(nextHop, depth, false)
+						g[j] = route
 					}
 				}
 			case e&flagValid == 0 || depthOf(e) <= depth:
-				t.tbl24[idx] = encode(nextHop, depth, false)
+				span[i] = route
 			}
 		}
 		return nil

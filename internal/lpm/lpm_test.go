@@ -191,6 +191,12 @@ func TestQuickVsNaive(t *testing.T) {
 		var routes []naiveRoute
 		for i := 0; i < 40; i++ {
 			depth := uint8(1 + r.Intn(32))
+			if i%5 == 0 {
+				// Every run lays /1../8 routes under and over longer
+				// ones: the spans install writes millions of tbl24
+				// entries for.
+				depth = uint8(1 + r.Intn(8))
+			}
 			prefix := r.Uint32() & mask(depth)
 			hop := uint16(r.Intn(1000))
 			if err := tbl.Add(prefix, depth, hop); err != nil {

@@ -86,6 +86,19 @@ type Generator struct {
 	interBurst eventsim.Time
 	template   []byte
 
+	// Frames scheduled for delivery and not yet delivered, oldest at
+	// pend[head]. One generator's delivery events fire in the order they
+	// were scheduled (burst keeps their due times non-decreasing, and
+	// the simulator breaks ties by scheduling order), so this FIFO and
+	// the three funcs bound once below stand in for a closure per frame
+	// and a method value per burst.
+	pend      []rxFrame
+	head      int
+	lastDue   eventsim.Time
+	burstFn   func()
+	deliverFn func()
+	churnFn   func()
+
 	// Flow mixing state. zipf is nil for uniform traffic; flowIDs is
 	// nil without churn (slot i then holds flow id i implicitly).
 	zipf       *rand.Zipf
@@ -94,6 +107,12 @@ type Generator struct {
 	interChurn eventsim.Time
 	births     uint64
 	deaths     uint64
+}
+
+// rxFrame is one generated frame on the wire towards RX queue q.
+type rxFrame struct {
+	q int
+	m *mbuf.Mbuf
 }
 
 // FlowSrc encodes a flow id injectively into the source (address,
@@ -140,6 +159,7 @@ func NewGenerator(sim *eventsim.Sim, cfg GeneratorConfig) (*Generator, error) {
 		cfg.OfferedWireBps = cfg.Port.RateBps()
 	}
 	g := &Generator{sim: sim, cfg: cfg, rng: 0x9E3779B97F4A7C15}
+	g.burstFn, g.deliverFn, g.churnFn = g.burst, g.deliver, g.churn
 	if cfg.ZipfSkew > 1 {
 		// Seeded for run-to-run determinism, like every other source of
 		// randomness in the simulation.
@@ -191,9 +211,9 @@ func NewGenerator(sim *eventsim.Sim, cfg GeneratorConfig) (*Generator, error) {
 // ChurnPerSec set, the flow birth/death process alongside).
 func (g *Generator) Start() {
 	g.stop = false
-	g.sim.After(0, g.burst)
+	g.sim.After(0, g.burstFn)
 	if g.interChurn > 0 {
-		g.sim.After(g.interChurn, g.churn)
+		g.sim.After(g.interChurn, g.churnFn)
 	}
 }
 
@@ -288,7 +308,7 @@ func (g *Generator) churn() {
 	if g.cfg.OnFlowDeath != nil {
 		g.cfg.OnFlowDeath(dead)
 	}
-	g.sim.After(g.interChurn, g.churn)
+	g.sim.After(g.interChurn, g.churnFn)
 }
 
 func (g *Generator) burst() {
@@ -299,6 +319,7 @@ func (g *Generator) burst() {
 	// wire serializes them even when the average offered load is lower),
 	// so each frame arrives at its own serialization boundary.
 	frameWire := eventsim.Time(float64(g.cfg.FrameSize+eth.WireOverhead) * 8 / g.cfg.Port.RateBps() * 1e12)
+	now := g.sim.Now()
 	for i := 0; i < g.cfg.Burst; i++ {
 		m, err := g.cfg.Pool.Alloc()
 		if err != nil {
@@ -323,13 +344,34 @@ func (g *Generator) burst() {
 		m.RxTimestamp = 0 // stamped by the I/O core at rx_burst (§V-C)
 		// RSS: queue by flow hash, like a NIC's Toeplitz over the tuple.
 		q := int(mix64(flow) % uint64(g.cfg.Port.Queues()))
-		mm := m
-		g.sim.After(eventsim.Time(i)*frameWire, func() {
-			g.cfg.Port.DeliverRx(q, mm, g.cfg.Pool)
-		})
+		// The wire is serial: no frame lands before one scheduled
+		// earlier. Paced at or below line rate that already holds; a
+		// Start while an earlier burst is still in flight is held back
+		// to it, which is what keeps pend in firing order.
+		due := now + eventsim.Time(i)*frameWire
+		if due < g.lastDue {
+			due = g.lastDue
+		}
+		g.lastDue = due
+		if g.head > 0 && len(g.pend) == cap(g.pend) {
+			g.pend = g.pend[:copy(g.pend, g.pend[g.head:])]
+			g.head = 0
+		}
+		g.pend = append(g.pend, rxFrame{q: q, m: m})
+		g.sim.After(due-now, g.deliverFn)
 		g.sent++
 	}
-	g.sim.After(g.interBurst, g.burst)
+	g.sim.After(g.interBurst, g.burstFn)
+}
+
+// deliver hands the oldest scheduled frame to the port.
+func (g *Generator) deliver() {
+	f := g.pend[g.head]
+	g.head++
+	if g.head == len(g.pend) {
+		g.pend, g.head = g.pend[:0], 0
+	}
+	g.cfg.Port.DeliverRx(f.q, f.m, g.cfg.Pool)
 }
 
 func setSrcPort(f eth.Frame, port uint16) {

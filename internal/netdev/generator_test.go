@@ -2,6 +2,7 @@ package netdev
 
 import (
 	"errors"
+	"sort"
 	"testing"
 
 	"github.com/opencloudnext/dhl-go/internal/eth"
@@ -307,5 +308,130 @@ func TestSetOfferedWireBps(t *testing.T) {
 	ratio := float64(atPeak) / float64(atTrough)
 	if ratio < 3 || ratio > 5 {
 		t.Fatalf("peak/trough frame ratio %.2f, want ~4 after a 8->2 Gbps retarget", ratio)
+	}
+}
+
+// TestGeneratorDeliversInScheduleOrder checks the premise the pending-
+// frame FIFO rests on: the k-th frame a generator schedules is the k-th
+// it delivers, on the queue its own flow hashes to and at the instant it
+// was due — at line rate, where the next burst starts the moment the
+// last one ends, across retargets in both directions, and across a
+// Stop/Start that lands in the middle of a burst.
+func TestGeneratorDeliversInScheduleOrder(t *testing.T) {
+	const queues, frameSize, burst = 4, 64, 8
+	sim, pool, p := newRig(t, 10e9, queues)
+	frameWire := p.wireTime(frameSize)
+
+	// due[i] is when frame i should land: one frame time after the one
+	// before it in its burst, and never before a frame scheduled earlier
+	// (the wire is serial). Payload runs inside burst, at the burst's
+	// instant, once per frame in scheduling order.
+	var due []eventsim.Time
+	var burstAt, lastDue eventsim.Time
+	inBurst := 0
+	g, err := NewGenerator(sim, GeneratorConfig{
+		Port: p, Pool: pool, FrameSize: frameSize, OfferedWireBps: 10e9, Burst: burst,
+		Payload: func(i uint64, payload []byte) {
+			if int(i) != len(due) {
+				t.Fatalf("frame %d built after %d others", i, len(due))
+			}
+			if now := sim.Now(); now != burstAt || inBurst == burst {
+				burstAt, inBurst = now, 0
+			}
+			lastDue = max(lastDue, burstAt+eventsim.Time(inBurst)*frameWire)
+			due = append(due, lastDue)
+			inBurst++
+			payload[0], payload[1], payload[2] = byte(i>>16), byte(i>>8), byte(i)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Step well under one frame time, so that frames due at different
+	// instants land in different steps. What lands within one step must
+	// be the next frames in scheduling order, in order on each queue.
+	step := frameWire / 4
+	next := 0
+	buf := make([]*mbuf.Mbuf, 2*burst)
+	var landed []int
+	run := func(d eventsim.Time) {
+		t.Helper()
+		for end := sim.Now() + d; sim.Now() < end; {
+			from := sim.Now()
+			sim.Run(from + step)
+			landed = landed[:0]
+			for q := 0; q < queues; q++ {
+				last := -1
+				n := p.RxBurst(q, buf)
+				for _, m := range buf[:n] {
+					frame, perr := eth.Parse(m.Data())
+					if perr != nil {
+						t.Fatal(perr)
+					}
+					pl := frame.Payload()
+					i := int(pl[0])<<16 | int(pl[1])<<8 | int(pl[2])
+					if i <= last {
+						t.Fatalf("queue %d: frame %d landed after frame %d", q, i, last)
+					}
+					last = i
+					ip := frame.SrcIP()
+					flow := uint64(ip[1])<<16 | uint64(ip[2])<<8 | uint64(ip[3])
+					if want := int(mix64(flow) % queues); q != want {
+						t.Fatalf("frame %d (flow %d) landed on queue %d, want %d", i, flow, q, want)
+					}
+					if at := due[i]; at < from || at > sim.Now() {
+						t.Fatalf("frame %d due at %d landed in [%d, %d]", i, at, from, sim.Now())
+					}
+					landed = append(landed, i)
+					if err := pool.Free(m); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			sort.Ints(landed)
+			for _, i := range landed {
+				if i != next {
+					t.Fatalf("delivery %d carried frame %d", next, i)
+				}
+				next++
+			}
+		}
+	}
+
+	g.Start()
+	run(20 * eventsim.Microsecond) // line rate: bursts back to back
+	if err := g.SetOfferedWireBps(3e9); err != nil {
+		t.Fatal(err)
+	}
+	run(20 * eventsim.Microsecond)
+	if err := g.SetOfferedWireBps(10e9); err != nil {
+		t.Fatal(err)
+	}
+	run(20 * eventsim.Microsecond)
+
+	// Stop and Start again with most of a burst still on the wire: the
+	// new burst queues behind it instead of overtaking it.
+	g.Stop()
+	run(eventsim.Microsecond)
+	if err := g.SetOfferedWireBps(1e9); err != nil {
+		t.Fatal(err)
+	}
+	g.Start()
+	run(2 * frameWire)
+	if len(g.pend)-g.head < burst/2 {
+		t.Fatalf("only %d frames in flight; the restart below would not overlap a burst", len(g.pend)-g.head)
+	}
+	g.Stop()
+	g.Start()
+	run(20 * eventsim.Microsecond)
+
+	g.Stop()
+	run(eventsim.Microsecond)
+	if next == 0 || next != int(g.Sent()) || len(g.pend) != 0 || g.head != 0 {
+		t.Fatalf("delivered %d of %d frames, %d still pending", next, g.Sent(), len(g.pend)-g.head)
+	}
+	if dropped := p.Stats().RxDropped; dropped != 0 {
+		t.Fatalf("%d frames dropped on full queues; the order check needs them all", dropped)
 	}
 }

@@ -68,6 +68,10 @@ echo "==> event-engine equivalence (lazy idle polls vs a naive poll loop, event 
 go test -run 'PollLoopEquivalence|EventBudget' -count=1 ./internal/eventsim ./internal/harness ./internal/core
 go test -run '^$' -fuzz FuzzPollLoopEquivalence -fuzztime 10s ./internal/eventsim
 
+echo "==> ipsec crypto kernel (reference equivalence, 0-alloc gates, 10 s fuzz)"
+go test -run 'MatchesReference|ZeroAlloc|AllocBudget' -count=1 ./internal/swcrypto ./internal/hwfunc ./internal/harness
+go test -run '^$' -fuzz FuzzSealMatchesReference -fuzztime 10s ./internal/swcrypto
+
 echo "==> telemetry smoke (stage clock, zero-alloc budget, exporter golden)"
 go test -run 'Telemetry|ServeMetricsGolden|WritePrometheus' -count=1 \
     ./internal/core ./internal/telemetry .
