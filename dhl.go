@@ -222,7 +222,7 @@ const (
 	StatusUnprocessed = mbuf.StatusUnprocessed
 )
 
-// SystemConfig parameterizes NewSystem.
+// SystemConfig parameterizes Open.
 type SystemConfig struct {
 	// Nodes is the NUMA node count. Zero selects 1.
 	Nodes int
@@ -345,13 +345,6 @@ func WithoutSettle() Option {
 	return func(o *openConfig) { o.settle = false }
 }
 
-// NewSystem builds a System without settling it.
-//
-// Deprecated: use Open with WithoutSettle.
-func NewSystem(cfg SystemConfig) (*System, error) {
-	return Open(cfg, WithoutSettle())
-}
-
 // buildSystem wires a System with the full accelerator module catalogue
 // (ipsec-crypto, pattern-matching, loopback, ipsec-decrypt, md5-auth,
 // regex-classifier, data-compression) pre-registered in the database.
@@ -472,7 +465,7 @@ func buildSystem(cfg SystemConfig) (*System, error) {
 // initial partial reconfigurations are done and the data path is ready
 // for traffic. It is the one entry point — WithFaultPlan and WithClock
 // mirror config fields, WithControlPlane arms the runtime management
-// API, WithoutSettle recovers the old NewSystem behavior.
+// API, WithoutSettle returns with the boot reconfigurations in flight.
 func Open(cfg SystemConfig, opts ...Option) (*System, error) {
 	oc := openConfig{cfg: cfg, settle: true}
 	for _, opt := range opts {
@@ -515,14 +508,6 @@ func (s *System) Snapshot() *TelemetrySnapshot {
 		return nil
 	}
 	return s.tel.Snapshot()
-}
-
-// ServeMetrics starts the HTTP metrics endpoint on addr.
-//
-// Deprecated: use Serve, which serves the same mux and additionally
-// mounts the management API when the system was opened WithControlPlane.
-func (s *System) ServeMetrics(addr string) (*MetricsExporter, error) {
-	return s.Serve(addr)
 }
 
 // Pool exposes the system's packet-buffer pool.

@@ -12,7 +12,7 @@ import (
 )
 
 func TestNewSystemDefaults(t *testing.T) {
-	sys, err := dhl.NewSystem(dhl.SystemConfig{})
+	sys, err := dhl.Open(dhl.SystemConfig{}, dhl.WithoutSettle())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestNewSystemDefaults(t *testing.T) {
 }
 
 func TestSystemMultiNodeMultiFPGA(t *testing.T) {
-	sys, err := dhl.NewSystem(dhl.SystemConfig{Nodes: 2, FPGAsPerNode: 2})
+	sys, err := dhl.Open(dhl.SystemConfig{Nodes: 2, FPGAsPerNode: 2}, dhl.WithoutSettle())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestSystemMultiNodeMultiFPGA(t *testing.T) {
 }
 
 func TestSystemTableIIRoundTrip(t *testing.T) {
-	sys, err := dhl.NewSystem(dhl.SystemConfig{})
+	sys, err := dhl.Open(dhl.SystemConfig{}, dhl.WithoutSettle())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestSystemTableIIRoundTrip(t *testing.T) {
 }
 
 func TestSystemCustomModule(t *testing.T) {
-	sys, err := dhl.NewSystem(dhl.SystemConfig{})
+	sys, err := dhl.Open(dhl.SystemConfig{}, dhl.WithoutSettle())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func (x *xorModule) ProcessBatch(dst, in []byte) ([]byte, error) {
 }
 
 func TestSystemHFTable(t *testing.T) {
-	sys, err := dhl.NewSystem(dhl.SystemConfig{})
+	sys, err := dhl.Open(dhl.SystemConfig{}, dhl.WithoutSettle())
 	if err != nil {
 		t.Fatal(err)
 	}

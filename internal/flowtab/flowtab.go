@@ -114,9 +114,9 @@ type Stats struct {
 	FullDrops       uint64 `json:"full_drops"`       // inserts refused with ErrTableFull
 }
 
-// Table is an open-addressing flow table. Not safe for concurrent use;
-// shard with Sharded or confine to one core, per the DHL threading
-// model (one NF thread owns its flow state).
+// Table is an open-addressing flow table. Not safe for concurrent use:
+// confine it to one core, per the DHL threading model (one NF thread
+// owns its flow state).
 type Table[K comparable, V any] struct {
 	name    string
 	hash    func(K) uint64

@@ -294,53 +294,6 @@ func TestRange(t *testing.T) {
 	}
 }
 
-func TestSharded(t *testing.T) {
-	clk := &fakeClock{}
-	s, err := NewSharded(4, Config[uint64, uint64]{
-		Name:           "test",
-		Hash:           Mix64,
-		InitialEntries: 64,
-		TTL:            eventsim.Second,
-		Clock:          clk.Now,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Shards() != 4 {
-		t.Fatalf("Shards = %d, want 4", s.Shards())
-	}
-	const n = 10000
-	for k := uint64(0); k < n; k++ {
-		v, _, err := s.Insert(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		*v = k
-	}
-	if s.Len() != n {
-		t.Fatalf("Len = %d, want %d", s.Len(), n)
-	}
-	// All shards should hold a reasonable fraction (hash spreads).
-	for i := 0; i < 4; i++ {
-		if got := s.Shard(i).Len(); got < n/8 {
-			t.Fatalf("shard %d holds only %d entries", i, got)
-		}
-	}
-	for k := uint64(0); k < n; k++ {
-		if v, ok := s.Lookup(k); !ok || *v != k {
-			t.Fatalf("sharded Lookup(%d) broken", k)
-		}
-	}
-	clk.now = 2 * eventsim.Second
-	if evicted := s.Tick(); evicted != n {
-		t.Fatalf("sharded Tick evicted %d, want %d", evicted, n)
-	}
-	st := s.TabStats()
-	if st.EvictedIdle != n || st.Entries != 0 {
-		t.Fatalf("aggregate stats wrong: %+v", st)
-	}
-}
-
 func TestHashFiveTupleSpreads(t *testing.T) {
 	seen := map[uint64]bool{}
 	for i := 0; i < 1000; i++ {

@@ -6,8 +6,8 @@ import (
 	"github.com/opencloudnext/dhl-go/internal/telemetry"
 )
 
-// Source is the telemetry-facing face of a flow table; *Table and
-// *Sharded both implement it.
+// Source is the telemetry-facing face of a flow table; *Table
+// implements it.
 type Source interface {
 	Name() string
 	TabStats() Stats

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"github.com/opencloudnext/dhl-go/internal/core"
@@ -9,9 +8,7 @@ import (
 	"github.com/opencloudnext/dhl-go/internal/faultinject"
 	"github.com/opencloudnext/dhl-go/internal/fpga"
 	"github.com/opencloudnext/dhl-go/internal/hwfunc"
-	"github.com/opencloudnext/dhl-go/internal/mbuf"
 	"github.com/opencloudnext/dhl-go/internal/pcie"
-	"github.com/opencloudnext/dhl-go/internal/stats"
 )
 
 // The board-failover experiment measures the blast radius of losing a
@@ -188,146 +185,17 @@ func runBoardFailoverOnce(cfg BoardFailoverConfig, mode boardFailoverMode, label
 	if err != nil {
 		return run, err
 	}
-	if err := rt.AttachCores(0, tb.core(), tb.core(), tb.pool); err != nil {
-		return run, err
-	}
-	nfID, err := rt.Register("fleet-gen", 0)
+	nfID, acc, err := tb.openIPsecCrypto(rt, "fleet-gen", false)
 	if err != nil {
 		return run, err
 	}
-	acc, err := rt.SearchByName(hwfunc.IPsecCryptoName, 0)
-	if err != nil {
-		return run, err
-	}
-	var key [32]byte
-	var authKey [20]byte
-	for i := range key {
-		key[i] = byte(i + 1)
-	}
-	for i := range authKey {
-		authKey[i] = byte(0xa0 + i)
-	}
-	blob, err := hwfunc.EncodeIPsecCryptoConfig(key[:], authKey[:], 0x01020304)
-	if err != nil {
-		return run, err
-	}
-	if err := rt.AccConfigure(acc, blob); err != nil {
-		return run, err
-	}
-	tb.settle(40 * eventsim.Millisecond) // initial ICAP load of the 5.6 MB bitstream
 	if mode == bfReplica {
 		if _, err := rt.Replicate(acc, -1); err != nil {
 			return run, err
 		}
 		tb.settle(40 * eventsim.Millisecond) // warm the replica's PR + config replay
 	}
-
-	nBursts := (cfg.Packets + failoverBurst - 1) / failoverBurst
-	duration := eventsim.Time(nBursts) * failoverIntervalPs
-	t0 := tb.sim.Now()
-	ts := stats.NewTimeSeries(duration.Seconds(), cfg.Buckets)
-
-	req := make([]byte, 0, hwfunc.IPsecReqPrefix+cfg.FrameSize)
-	req = binary.BigEndian.AppendUint16(req, 0)
-	for i := 0; i < cfg.FrameSize; i++ {
-		req = append(req, byte(i))
-	}
-
-	var firstErr error
-	fail := func(err error) {
-		if firstErr == nil && err != nil {
-			firstErr = err
-		}
-	}
-	scratch := make([]*mbuf.Mbuf, 64)
-	drain := func() {
-		for firstErr == nil {
-			n, err := rt.ReceivePackets(nfID, scratch)
-			if err != nil {
-				fail(err)
-				return
-			}
-			if n == 0 {
-				return
-			}
-			at := (tb.sim.Now() - t0).Seconds()
-			for _, m := range scratch[:n] {
-				switch m.Status {
-				case mbuf.StatusUnprocessed:
-					run.DeliveredUnprocessed++
-				case mbuf.StatusFallback:
-					run.DeliveredFallback++
-					ts.Add(at, float64(m.Len()*8))
-				default:
-					run.DeliveredOK++
-					ts.Add(at, float64(m.Len()*8))
-				}
-				fail(tb.pool.Free(m))
-			}
-		}
-	}
-
-	sent := 0
-	batch := make([]*mbuf.Mbuf, 0, failoverBurst)
-	var tick func()
-	tick = func() {
-		drain()
-		if firstErr != nil {
-			return
-		}
-		batch = batch[:0]
-		for b := 0; b < failoverBurst && sent < cfg.Packets; b++ {
-			sent++
-			m, err := tb.pool.Alloc()
-			if err != nil {
-				run.SourceDrops++
-				continue
-			}
-			if err := m.AppendBytes(req); err != nil {
-				fail(err)
-				fail(tb.pool.Free(m))
-				return
-			}
-			m.AccID = uint16(acc)
-			batch = append(batch, m)
-		}
-		n, err := rt.SendPackets(nfID, batch)
-		if err != nil {
-			fail(err)
-			n = 0
-		}
-		for _, m := range batch[n:] {
-			run.SourceDrops++
-			fail(tb.pool.Free(m))
-		}
-		if sent < cfg.Packets {
-			tb.sim.After(failoverIntervalPs, tick)
-		}
-	}
-	tb.sim.After(0, tick)
-	tb.sim.Run(t0 + duration)
-
-	// Drain the tail: a re-place PR still in flight gets another 60 ms.
-	deadline := tb.sim.Now() + 60*eventsim.Millisecond
-	for tb.sim.Now() < deadline && tb.pool.InUse() > 0 && firstErr == nil {
-		tb.sim.Run(tb.sim.Now() + eventsim.Millisecond)
-		drain()
-	}
-	drain()
-	if firstErr != nil {
-		return run, firstErr
-	}
-
-	run.BucketUs = ts.BucketWidth() * 1e6
-	run.Curve = make([]float64, cfg.Buckets)
-	for i := range run.Curve {
-		run.Curve[i] = ts.Rate(i)
-	}
-	run.Leaked = tb.pool.InUse()
-	if run.Stats, err = rt.Stats(0); err != nil {
-		return run, err
-	}
-	if run.Health, err = rt.AccHealth(acc); err != nil {
+	if err := tb.paceFailover(rt, nfID, acc, cfg.Packets, cfg.FrameSize, cfg.Buckets, &run.FailoverRun); err != nil {
 		return run, err
 	}
 	if info, err := rt.AccInfoFor(acc); err == nil {

@@ -132,21 +132,39 @@ type ingressState struct {
 // rings as visible imissed counts instead of anonymous frees.
 func wireDHLIngressPressured(tb *testbed, rt *core.Runtime, app dhlNF, rxPort *netdev.Port, st *ingressState) {
 	ingressCore := tb.core()
-	rxBuf := make([]*mbuf.Mbuf, 64)
+	pull := tb.fromNIC(rxPort)
+	rxBuf := make([]*mbuf.Mbuf, 2*burstSize)
+	// Bound once: the loop commits on every busy iteration.
+	commit := func() {
+		acc, _, serr := rt.TrySendPackets(app.ID(), st.held)
+		if serr != nil {
+			// Hard send error (not back-pressure): the packets cannot be
+			// retried; free them and account the loss.
+			for _, m := range st.held {
+				st.silentDrops++
+				_ = tb.pool.Free(m)
+			}
+			st.held = st.held[:0]
+			return
+		}
+		if acc > 0 {
+			n := copy(st.held, st.held[acc:])
+			st.held = st.held[:n]
+		}
+		if len(st.held) > 0 {
+			st.retries++
+		}
+	}
 	eventsim.NewPollLoop(tb.sim, ingressCore, perf.PollIdleCycles, func() (float64, func()) {
 		got := 0
-		if len(st.held) < 32 { // back-pressured: let the NIC rings absorb
-			for q := 0; q < rxPort.Queues() && got+32 <= len(rxBuf); q++ {
-				got += rxPort.RxBurst(q, rxBuf[got:got+32])
-			}
+		if len(st.held) < burstSize { // back-pressured: let the NIC rings absorb
+			got = pull(rxBuf)
 		}
 		if got == 0 && len(st.held) == 0 {
 			return 0, nil
 		}
 		cycles := 0.0
-		now := int64(tb.sim.Now())
 		for _, m := range rxBuf[:got] {
-			m.RxTimestamp = now
 			verdict, c := app.PreProcess(m)
 			cycles += perf.IORxCycles + c
 			if verdict != nf.VerdictForward {
@@ -159,26 +177,7 @@ func wireDHLIngressPressured(tb *testbed, rt *core.Runtime, app dhlNF, rxPort *n
 		if len(st.held) == 0 {
 			return cycles, nil
 		}
-		return cycles, func() {
-			acc, _, serr := rt.TrySendPackets(app.ID(), st.held)
-			if serr != nil {
-				// Hard send error (not back-pressure): the packets cannot be
-				// retried; free them and account the loss.
-				for _, m := range st.held {
-					st.silentDrops++
-					_ = tb.pool.Free(m)
-				}
-				st.held = st.held[:0]
-				return
-			}
-			if acc > 0 {
-				n := copy(st.held, st.held[acc:])
-				st.held = st.held[:n]
-			}
-			if len(st.held) > 0 {
-				st.retries++
-			}
-		}
+		return cycles, commit
 	}).Start()
 }
 
@@ -224,7 +223,7 @@ func RunDiurnal(cfg DiurnalConfig) (DiurnalResult, error) {
 		return res, err
 	}
 	wireDHLIngressPressured(tb, rt, app, rxPort, st)
-	wireDHLEgressCounted(tb, rt, app, txPort, &st.nfDropped)
+	tb.run(tb.core(), tb.dhlEgress(rt, app, txPort, &st.nfDropped))
 	tb.settle(60 * eventsim.Millisecond) // partial reconfiguration
 
 	var tun *tuner.Tuner

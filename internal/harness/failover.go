@@ -176,16 +176,30 @@ func runFailoverOnce(cfg FailoverConfig, plan *faultinject.Plan, withFallback bo
 	if err != nil {
 		return run, err
 	}
-	if err := rt.AttachCores(0, tb.core(), tb.core(), tb.pool); err != nil {
-		return run, err
-	}
-	nfID, err := rt.Register("failover-gen", 0)
+	nfID, acc, err := tb.openIPsecCrypto(rt, "failover-gen", withFallback)
 	if err != nil {
 		return run, err
+	}
+	return run, tb.paceFailover(rt, nfID, acc, cfg.Packets, cfg.FrameSize, cfg.Buckets, &run)
+}
+
+// openIPsecCrypto brings the keyed ipsec-crypto accelerator up for an NF
+// that sends it raw request records, with no gateway NF in front: attach
+// the transfer cores, register the NF, load the module, configure the
+// fixed test keys, optionally register the software module as the
+// quarantine fallback, and settle across the initial ICAP load of the
+// 5.6 MB bitstream.
+func (tb *testbed) openIPsecCrypto(rt *core.Runtime, name string, withFallback bool) (core.NFID, core.AccID, error) {
+	if err := rt.AttachCores(0, tb.core(), tb.core(), tb.pool); err != nil {
+		return 0, 0, err
+	}
+	nfID, err := rt.Register(name, 0)
+	if err != nil {
+		return 0, 0, err
 	}
 	acc, err := rt.SearchByName(hwfunc.IPsecCryptoName, 0)
 	if err != nil {
-		return run, err
+		return 0, 0, err
 	}
 	var key [32]byte
 	var authKey [20]byte
@@ -197,32 +211,39 @@ func runFailoverOnce(cfg FailoverConfig, plan *faultinject.Plan, withFallback bo
 	}
 	blob, err := hwfunc.EncodeIPsecCryptoConfig(key[:], authKey[:], 0x01020304)
 	if err != nil {
-		return run, err
+		return 0, 0, err
 	}
 	if err := rt.AccConfigure(acc, blob); err != nil {
-		return run, err
+		return 0, 0, err
 	}
 	if withFallback {
 		spec := hwfunc.Specs()[hwfunc.IPsecCryptoName]
 		if err := rt.RegisterFallback(hwfunc.IPsecCryptoName, 0, spec.New); err != nil {
-			return run, err
+			return 0, 0, err
 		}
 	}
-	tb.settle(40 * eventsim.Millisecond) // initial ICAP load of the 5.6 MB bitstream
+	tb.settle(40 * eventsim.Millisecond)
+	return nfID, acc, nil
+}
 
-	nBursts := (cfg.Packets + failoverBurst - 1) / failoverBurst
-	duration := eventsim.Time(nBursts) * failoverIntervalPs
-	t0 := tb.sim.Now()
-	ts := stats.NewTimeSeries(duration.Seconds(), cfg.Buckets)
+// pacedDuration is how long pace offers packets for.
+func pacedDuration(packets int) eventsim.Time {
+	nBursts := (packets + failoverBurst - 1) / failoverBurst
+	return eventsim.Time(nBursts) * failoverIntervalPs
+}
 
-	// The ipsec request record: 2-byte encryption offset (0: encrypt the
-	// whole frame) followed by the plaintext frame.
-	req := make([]byte, 0, hwfunc.IPsecReqPrefix+cfg.FrameSize)
-	req = binary.BigEndian.AppendUint16(req, 0)
-	for i := 0; i < cfg.FrameSize; i++ {
-		req = append(req, byte(i))
-	}
-
+// pace is the closed-loop driver of the failure experiments. Every
+// failoverIntervalPs it drains the NF's OBQ, then offers acc a burst of
+// failoverBurst fresh records; after pacedDuration it keeps draining until
+// every mbuf is home or 60 ms have passed (a pending ICAP reload or
+// re-place PR gets that long to complete and deliver). fill writes record
+// seq into a fresh mbuf, or reports false to leave that one out; delivered,
+// when set, sees every packet that comes back before it is freed. The
+// ledger lands in run: deliveries by mbuf.Status, source drops (pool
+// empty, left out by fill, refused by the IBQ), leaked mbufs, and the
+// runtime's transfer stats and accelerator health at the end.
+func (tb *testbed) pace(rt *core.Runtime, nfID core.NFID, acc core.AccID, packets int,
+	fill func(seq int, m *mbuf.Mbuf) (bool, error), delivered func(*mbuf.Mbuf), run *FailoverRun) error {
 	var firstErr error
 	fail := func(err error) {
 		if firstErr == nil && err != nil {
@@ -240,17 +261,17 @@ func runFailoverOnce(cfg FailoverConfig, plan *faultinject.Plan, withFallback bo
 			if n == 0 {
 				return
 			}
-			at := (tb.sim.Now() - t0).Seconds()
 			for _, m := range scratch[:n] {
 				switch m.Status {
 				case mbuf.StatusUnprocessed:
 					run.DeliveredUnprocessed++
 				case mbuf.StatusFallback:
 					run.DeliveredFallback++
-					ts.Add(at, float64(m.Len()*8))
 				default:
 					run.DeliveredOK++
-					ts.Add(at, float64(m.Len()*8))
+				}
+				if delivered != nil {
+					delivered(m)
 				}
 				fail(tb.pool.Free(m))
 			}
@@ -266,17 +287,24 @@ func runFailoverOnce(cfg FailoverConfig, plan *faultinject.Plan, withFallback bo
 			return
 		}
 		batch = batch[:0]
-		for b := 0; b < failoverBurst && sent < cfg.Packets; b++ {
+		for b := 0; b < failoverBurst && sent < packets; b++ {
+			seq := sent
 			sent++
 			m, err := tb.pool.Alloc()
 			if err != nil {
-				run.SourceDrops++
+				run.SourceDrops++ // the pool refills from drains
 				continue
 			}
-			if err := m.AppendBytes(req); err != nil {
+			ok, err := fill(seq, m)
+			if err != nil {
 				fail(err)
 				fail(tb.pool.Free(m))
 				return
+			}
+			if !ok {
+				run.SourceDrops++
+				fail(tb.pool.Free(m))
+				continue
 			}
 			m.AccID = uint16(acc)
 			batch = append(batch, m)
@@ -290,15 +318,13 @@ func runFailoverOnce(cfg FailoverConfig, plan *faultinject.Plan, withFallback bo
 			run.SourceDrops++
 			fail(tb.pool.Free(m))
 		}
-		if sent < cfg.Packets {
+		if sent < packets {
 			tb.sim.After(failoverIntervalPs, tick)
 		}
 	}
 	tb.sim.After(0, tick)
-	tb.sim.Run(t0 + duration)
+	tb.sim.Run(tb.sim.Now() + pacedDuration(packets))
 
-	// Drain the tail: whatever is still in flight (including a pending
-	// ICAP reload) gets another 60 ms to complete and deliver.
 	deadline := tb.sim.Now() + 60*eventsim.Millisecond
 	for tb.sim.Now() < deadline && tb.pool.InUse() > 0 && firstErr == nil {
 		tb.sim.Run(tb.sim.Now() + eventsim.Millisecond)
@@ -306,22 +332,46 @@ func runFailoverOnce(cfg FailoverConfig, plan *faultinject.Plan, withFallback bo
 	}
 	drain()
 	if firstErr != nil {
-		return run, firstErr
+		return firstErr
 	}
+	run.Leaked = tb.pool.InUse()
+	var err error
+	if run.Stats, err = rt.Stats(0); err != nil {
+		return err
+	}
+	run.Health, err = rt.AccHealth(acc)
+	return err
+}
 
+// paceFailover paces packets copies of one fixed ipsec request record —
+// the 2-byte encryption offset (0: encrypt the whole frame), then a
+// frameSize-byte plaintext — and buckets the bytes the pipeline actually
+// processed into run's goodput curve: unprocessed passthrough deliveries
+// do not count.
+func (tb *testbed) paceFailover(rt *core.Runtime, nfID core.NFID, acc core.AccID, packets, frameSize, buckets int, run *FailoverRun) error {
+	req := make([]byte, 0, hwfunc.IPsecReqPrefix+frameSize)
+	req = binary.BigEndian.AppendUint16(req, 0)
+	for i := 0; i < frameSize; i++ {
+		req = append(req, byte(i))
+	}
+	t0 := tb.sim.Now()
+	ts := stats.NewTimeSeries(pacedDuration(packets).Seconds(), buckets)
+	err := tb.pace(rt, nfID, acc, packets,
+		func(_ int, m *mbuf.Mbuf) (bool, error) { return true, m.AppendBytes(req) },
+		func(m *mbuf.Mbuf) {
+			if m.Status != mbuf.StatusUnprocessed {
+				ts.Add((tb.sim.Now() - t0).Seconds(), float64(m.Len()*8))
+			}
+		}, run)
+	if err != nil {
+		return err
+	}
 	run.BucketUs = ts.BucketWidth() * 1e6
-	run.Curve = make([]float64, cfg.Buckets)
+	run.Curve = make([]float64, buckets)
 	for i := range run.Curve {
 		run.Curve[i] = ts.Rate(i)
 	}
-	run.Leaked = tb.pool.InUse()
-	if run.Stats, err = rt.Stats(0); err != nil {
-		return run, err
-	}
-	if run.Health, err = rt.AccHealth(acc); err != nil {
-		return run, err
-	}
-	return run, nil
+	return nil
 }
 
 // interiorMean averages a curve's interior buckets; the first and last

@@ -377,37 +377,10 @@ func RunFlowStateFailover(cfg FlowStateFailoverConfig) (*FlowStateFailoverResult
 	if err != nil {
 		return nil, err
 	}
-	if err := rt.AttachCores(0, tb.core(), tb.core(), tb.pool); err != nil {
-		return nil, err
-	}
-	nfID, err := rt.Register("flowstate-gw", 0)
+	nfID, acc, err := tb.openIPsecCrypto(rt, "flowstate-gw", true)
 	if err != nil {
 		return nil, err
 	}
-	acc, err := rt.SearchByName(hwfunc.IPsecCryptoName, 0)
-	if err != nil {
-		return nil, err
-	}
-	var key [32]byte
-	var authKey [20]byte
-	for i := range key {
-		key[i] = byte(i + 1)
-	}
-	for i := range authKey {
-		authKey[i] = byte(0xa0 + i)
-	}
-	blob, err := hwfunc.EncodeIPsecCryptoConfig(key[:], authKey[:], 0x01020304)
-	if err != nil {
-		return nil, err
-	}
-	if err := rt.AccConfigure(acc, blob); err != nil {
-		return nil, err
-	}
-	spec := hwfunc.Specs()[hwfunc.IPsecCryptoName]
-	if err := rt.RegisterFallback(hwfunc.IPsecCryptoName, 0, spec.New); err != nil {
-		return nil, err
-	}
-	tb.settle(40 * eventsim.Millisecond)
 
 	// The NAT under audit: TTL armed but longer than the whole run, so
 	// idle expiry never fires and the shadow model must match exactly.
@@ -434,121 +407,49 @@ func RunFlowStateFailover(cfg FlowStateFailoverConfig) (*FlowStateFailoverResult
 		return frameBuf[:n], nil
 	}
 
-	var firstErr error
-	fail := func(err error) {
-		if firstErr == nil && err != nil {
-			firstErr = err
+	// fill is the host-side stateful stage: translate, audit against the
+	// shadow model — a remapped flow is an immediate fail — and wrap the
+	// translated frame as an ipsec request record (2-byte encryption
+	// offset, 0 = whole frame, then the frame).
+	fill := func(seq int, m *mbuf.Mbuf) (bool, error) {
+		flow := uint64(seq % cfg.Flows)
+		frame, err := buildFlowFrame(flow)
+		if err != nil {
+			return false, err
 		}
+		if err := m.AppendBytes(frame); err != nil {
+			return false, err
+		}
+		if v, _ := nat.ProcessOutbound(m); v != nf.VerdictForward {
+			return false, nil
+		}
+		f, err := eth.Parse(m.Data())
+		if err != nil {
+			return false, err
+		}
+		ext := f.SrcPort()
+		if prev, ok := shadow[flow]; !ok {
+			shadow[flow] = ext
+		} else if prev != ext {
+			return false, fmt.Errorf("harness: flow %d remapped %d -> %d mid-run", flow, prev, ext)
+		}
+		hdr, err := m.Prepend(hwfunc.IPsecReqPrefix)
+		if err != nil {
+			return false, err
+		}
+		binary.BigEndian.PutUint16(hdr, 0)
+		return true, nil
 	}
-	scratch := make([]*mbuf.Mbuf, 64)
-	drain := func() {
-		for firstErr == nil {
-			n, derr := rt.ReceivePackets(nfID, scratch)
-			if derr != nil {
-				fail(derr)
-				return
-			}
-			if n == 0 {
-				return
-			}
-			for _, m := range scratch[:n] {
-				switch m.Status {
-				case mbuf.StatusUnprocessed:
-					res.DeliveredUnprocessed++
-				case mbuf.StatusFallback:
-					res.DeliveredFallback++
-				default:
-					res.DeliveredOK++
-				}
-				fail(tb.pool.Free(m))
-			}
-		}
+	var run FailoverRun
+	if err := tb.pace(rt, nfID, acc, cfg.Packets, fill, nil, &run); err != nil {
+		return nil, err
 	}
-
-	sent := 0
-	batch := make([]*mbuf.Mbuf, 0, failoverBurst)
-	var tick func()
-	tick = func() {
-		drain()
-		if firstErr != nil {
-			return
-		}
-		batch = batch[:0]
-		for b := 0; b < failoverBurst && sent < cfg.Packets; b++ {
-			flow := uint64(sent % cfg.Flows)
-			sent++
-			frame, ferr := buildFlowFrame(flow)
-			if ferr != nil {
-				fail(ferr)
-				return
-			}
-			m, aerr := tb.pool.Alloc()
-			if aerr != nil {
-				continue // source drop; the pool refills from drains
-			}
-			if err := m.AppendBytes(frame); err != nil {
-				fail(err)
-				fail(tb.pool.Free(m))
-				return
-			}
-			// Host-side stateful stage: translate, then audit against
-			// the shadow model — a remapped flow is an immediate fail.
-			if v, _ := nat.ProcessOutbound(m); v != nf.VerdictForward {
-				fail(tb.pool.Free(m))
-				continue
-			}
-			f, perr := eth.Parse(m.Data())
-			if perr != nil {
-				fail(perr)
-				fail(tb.pool.Free(m))
-				return
-			}
-			ext := f.SrcPort()
-			if prev, ok := shadow[flow]; ok {
-				if prev != ext {
-					fail(fmt.Errorf("harness: flow %d remapped %d -> %d mid-run", flow, prev, ext))
-					fail(tb.pool.Free(m))
-					return
-				}
-			} else {
-				shadow[flow] = ext
-			}
-			// Wrap the translated frame as an ipsec request record:
-			// 2-byte encryption offset (0 = whole frame) + frame.
-			hdr, herr := m.Prepend(hwfunc.IPsecReqPrefix)
-			if herr != nil {
-				fail(herr)
-				fail(tb.pool.Free(m))
-				return
-			}
-			binary.BigEndian.PutUint16(hdr, 0)
-			m.AccID = uint16(acc)
-			batch = append(batch, m)
-		}
-		n, serr := rt.SendPackets(nfID, batch)
-		if serr != nil {
-			fail(serr)
-			n = 0
-		}
-		for _, m := range batch[n:] {
-			fail(tb.pool.Free(m))
-		}
-		if sent < cfg.Packets {
-			tb.sim.After(failoverIntervalPs, tick)
-		}
-	}
-	tb.sim.After(0, tick)
-	tb.sim.Run(tb.sim.Now() + eventsim.Time(cfg.Packets/failoverBurst+1)*failoverIntervalPs)
-
-	deadline := tb.sim.Now() + 60*eventsim.Millisecond
-	for tb.sim.Now() < deadline && tb.pool.InUse() > 0 && firstErr == nil {
-		tb.sim.Run(tb.sim.Now() + eventsim.Millisecond)
-		drain()
-	}
-	drain()
-	if firstErr != nil {
-		return nil, firstErr
-	}
+	res.DeliveredOK = run.DeliveredOK
+	res.DeliveredFallback = run.DeliveredFallback
+	res.DeliveredUnprocessed = run.DeliveredUnprocessed
+	res.Quarantines = run.Health.Quarantines
+	res.Reloads = run.Health.Reloads
+	res.Stats = run.Stats
 
 	// The audit: bijection invariants, then shadow-model equivalence.
 	if err := nat.CheckConsistency(); err != nil {
@@ -578,15 +479,6 @@ func RunFlowStateFailover(cfg FlowStateFailoverConfig) (*FlowStateFailoverResult
 		}
 	}
 
-	health, err := rt.AccHealth(acc)
-	if err != nil {
-		return nil, err
-	}
-	res.Quarantines = health.Quarantines
-	res.Reloads = health.Reloads
-	if res.Stats, err = rt.Stats(0); err != nil {
-		return nil, err
-	}
 	res.Leaked = tb.pool.InUse()
 	return res, nil
 }

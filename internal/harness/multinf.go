@@ -5,7 +5,6 @@ import (
 
 	"github.com/opencloudnext/dhl-go/internal/core"
 	"github.com/opencloudnext/dhl-go/internal/eventsim"
-	"github.com/opencloudnext/dhl-go/internal/mbuf"
 	"github.com/opencloudnext/dhl-go/internal/netdev"
 	"github.com/opencloudnext/dhl-go/internal/nf"
 	"github.com/opencloudnext/dhl-go/internal/pcie"
@@ -125,7 +124,7 @@ func RunMultiNF(cfg MultiNFConfig) (MultiNFResult, error) {
 			return res, gerr
 		}
 		rigs[p] = portRig{rx: rxPort, tx: txPort, gen: gen}
-		wireMultiNFPortCore(tb, rt, apps[nfIdx], rxPort, txPort)
+		tb.run(tb.core(), tb.dhlIngress(rt, apps[nfIdx], rxPort, nil), tb.dhlEgress(rt, apps[nfIdx], txPort, nil))
 	}
 
 	start := tb.sim.Now()
@@ -153,64 +152,6 @@ func RunMultiNF(cfg MultiNFConfig) (MultiNFResult, error) {
 		res.NFIDMismatches = ts.NFIDMismatches
 	}
 	return res, nil
-}
-
-// wireMultiNFPortCore builds the per-port I/O core of the multi-NF test.
-func wireMultiNFPortCore(tb *testbed, rt *core.Runtime, app dhlNF, rxPort, txPort *netdev.Port) {
-	ioCore := tb.core()
-	rxBuf := make([]*mbuf.Mbuf, 32)
-	obqBuf := make([]*mbuf.Mbuf, 32)
-	eventsim.NewPollLoop(tb.sim, ioCore, perf.PollIdleCycles, func() (float64, func()) {
-		cycles := 0.0
-		// Ingress half: RX -> shallow processing -> IBQ.
-		n := rxPort.RxBurst(0, rxBuf)
-		var send []*mbuf.Mbuf
-		if n > 0 {
-			now := int64(tb.sim.Now())
-			send = make([]*mbuf.Mbuf, 0, n)
-			for _, m := range rxBuf[:n] {
-				m.RxTimestamp = now
-				verdict, c := app.PreProcess(m)
-				cycles += perf.IORxCycles + c
-				if verdict != nf.VerdictForward {
-					_ = tb.pool.Free(m)
-					continue
-				}
-				send = append(send, m)
-			}
-		}
-		// Egress half: OBQ -> post processing -> TX.
-		var txBatch []*mbuf.Mbuf
-		if o, rerr := rt.ReceivePackets(app.ID(), obqBuf); rerr == nil && o > 0 {
-			txBatch = make([]*mbuf.Mbuf, 0, o)
-			for _, m := range obqBuf[:o] {
-				verdict, c := app.PostProcess(m)
-				cycles += perf.OBQPollCycles + c + perf.IOTxCycles
-				if verdict != nf.VerdictForward {
-					_ = tb.pool.Free(m)
-					continue
-				}
-				txBatch = append(txBatch, m)
-			}
-		}
-		if cycles == 0 {
-			return 0, nil
-		}
-		return cycles, func() {
-			if len(send) > 0 {
-				acc, serr := rt.SendPackets(app.ID(), send)
-				if serr != nil {
-					acc = 0
-				}
-				for _, m := range send[acc:] {
-					_ = tb.pool.Free(m)
-				}
-			}
-			if len(txBatch) > 0 {
-				txPort.TxBurst(txBatch, tb.pool)
-			}
-		}
-	}).Start()
 }
 
 // RunFigure7 produces both Figure 7 sub-figures over the frame-size sweep.

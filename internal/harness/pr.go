@@ -91,7 +91,8 @@ func runPRCase(runningModule, newModule string) (PRResult, error) {
 		}
 		app = nidsDHLAdapter{ids}
 	}
-	wireDHLSimple(tb, rt, app, rxPort, txPort)
+	tb.run(tb.core(), tb.dhlIngress(rt, app, rxPort, nil))
+	tb.run(tb.core(), tb.dhlEgress(rt, app, txPort, nil))
 	tb.settle(60 * eventsim.Millisecond)
 
 	gen, err := netdev.NewGenerator(tb.sim, netdev.GeneratorConfig{
@@ -135,13 +136,6 @@ func runPRCase(runningModule, newModule string) (PRResult, error) {
 	res.RunningNFBeforeBps = before
 	res.RunningNFDuringBps = during
 	return res, nil
-}
-
-// wireDHLSimple wires a single-NF DHL pipeline with one ingress and one
-// egress core (shared helper for PR and ablation runs).
-func wireDHLSimple(tb *testbed, rt *core.Runtime, app dhlNF, rxPort, txPort *netdev.Port) {
-	wireDHLIngress(tb, rt, app, rxPort)
-	wireDHLEgress(tb, rt, app, txPort)
 }
 
 // Table6Row is one Table VI row.

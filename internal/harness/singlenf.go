@@ -258,48 +258,8 @@ func buildSWNF(kind NFKind) (swProcessor, error) {
 // core, no computation.
 func wireIOOnly(tb *testbed, rxPort, txPort *netdev.Port, dropped *uint64) {
 	hand := ring.MustNew[*mbuf.Mbuf]("io-hand", 512, ring.SingleProducerConsumer)
-	rxCore := tb.core()
-	txCore := tb.core()
-
-	rxBuf := make([]*mbuf.Mbuf, 64)
-	eventsim.NewPollLoop(tb.sim, rxCore, perf.PollIdleCycles, func() (float64, func()) {
-		cycles := 0.0
-		got := 0
-		for q := 0; q < rxPort.Queues() && got+32 <= len(rxBuf); q++ {
-			n := rxPort.RxBurst(q, rxBuf[got:got+32])
-			got += n
-		}
-		if got == 0 {
-			return 0, nil
-		}
-		now := int64(tb.sim.Now())
-		for _, m := range rxBuf[:got] {
-			m.RxTimestamp = now
-		}
-		cycles = float64(got) * (perf.IORxCycles + perf.RingOpCycles)
-		batch := make([]*mbuf.Mbuf, got)
-		copy(batch, rxBuf[:got])
-		return cycles, func() {
-			acc := hand.EnqueueBurst(batch)
-			for _, m := range batch[acc:] {
-				*dropped++
-				_ = tb.pool.Free(m)
-			}
-		}
-	}).Start()
-
-	txBuf := make([]*mbuf.Mbuf, 32)
-	eventsim.NewPollLoop(tb.sim, txCore, perf.PollIdleCycles, func() (float64, func()) {
-		n := hand.DequeueBurst(txBuf)
-		if n == 0 {
-			return 0, nil
-		}
-		batch := make([]*mbuf.Mbuf, n)
-		copy(batch, txBuf[:n])
-		return float64(n) * (perf.RingOpCycles + perf.IOTxCycles), func() {
-			txPort.TxBurst(batch, tb.pool)
-		}
-	}).Start()
+	tb.run(tb.core(), tb.nicToRing(rxPort, hand, dropped))
+	tb.run(tb.core(), tb.ringToNIC(hand, txPort))
 }
 
 // wireCPUOnly builds the DPDK pipeline-mode CPU-only variant (§V-B):
@@ -314,75 +274,18 @@ func wireCPUOnly(tb *testbed, rxPort, txPort *netdev.Port, proc swProcessor, dro
 		return err
 	}
 
+	// Cores are numbered rx, tx, workers and started rx, workers, tx:
+	// actors that act at the same instant run in start order.
 	rxCore := tb.core()
 	txCore := tb.core()
-
-	rxBuf := make([]*mbuf.Mbuf, 64)
-	eventsim.NewPollLoop(tb.sim, rxCore, perf.PollIdleCycles, func() (float64, func()) {
-		got := 0
-		for q := 0; q < rxPort.Queues() && got+32 <= len(rxBuf); q++ {
-			got += rxPort.RxBurst(q, rxBuf[got:got+32])
-		}
-		if got == 0 {
-			return 0, nil
-		}
-		now := int64(tb.sim.Now())
-		for _, m := range rxBuf[:got] {
-			m.RxTimestamp = now
-		}
-		batch := make([]*mbuf.Mbuf, got)
-		copy(batch, rxBuf[:got])
-		return float64(got) * (perf.IORxCycles + perf.RingOpCycles), func() {
-			acc := workerIn.EnqueueBurst(batch)
-			for _, m := range batch[acc:] {
-				*dropped++
-				_ = tb.pool.Free(m)
-			}
-		}
-	}).Start()
-
+	tb.run(rxCore, tb.nicToRing(rxPort, workerIn, dropped))
 	for w := 0; w < 2; w++ {
-		workerCore := tb.core()
-		buf := make([]*mbuf.Mbuf, 32)
-		eventsim.NewPollLoop(tb.sim, workerCore, perf.PollIdleCycles, func() (float64, func()) {
-			n := workerIn.DequeueBurst(buf)
-			if n == 0 {
-				return 0, nil
-			}
-			cycles := float64(n) * 2 * perf.RingOpCycles
-			fwd := make([]*mbuf.Mbuf, 0, n)
-			for _, m := range buf[:n] {
-				verdict, c := proc.Process(m)
-				cycles += c
-				if verdict != nf.VerdictForward {
-					*dropped++
-					_ = tb.pool.Free(m)
-					continue
-				}
-				fwd = append(fwd, m)
-			}
-			return cycles, func() {
-				acc := txRing.EnqueueBurst(fwd)
-				for _, m := range fwd[acc:] {
-					*dropped++
-					_ = tb.pool.Free(m)
-				}
-			}
-		}).Start()
+		tb.run(tb.core(), &stage{
+			pull: fromRing(workerIn), proc: proc.Process, perPkt: 2 * perf.RingOpCycles,
+			push: txRing.EnqueueBurst, dropped: dropped,
+		})
 	}
-
-	txBuf := make([]*mbuf.Mbuf, 32)
-	eventsim.NewPollLoop(tb.sim, txCore, perf.PollIdleCycles, func() (float64, func()) {
-		n := txRing.DequeueBurst(txBuf)
-		if n == 0 {
-			return 0, nil
-		}
-		batch := make([]*mbuf.Mbuf, n)
-		copy(batch, txBuf[:n])
-		return float64(n) * (perf.RingOpCycles + perf.IOTxCycles), func() {
-			txPort.TxBurst(batch, tb.pool)
-		}
-	}).Start()
+	tb.run(txCore, tb.ringToNIC(txRing, txPort))
 	return nil
 }
 
@@ -406,8 +309,8 @@ func wireDHL(tb *testbed, rxPort, txPort *netdev.Port, cfg SingleNFConfig, dropp
 		return nil, aerr
 	}
 
-	wireDHLIngressCounted(tb, rt, app, rxPort, dropped)
-	wireDHLEgressCounted(tb, rt, app, txPort, dropped)
+	tb.run(tb.core(), tb.dhlIngress(rt, app, rxPort, dropped))
+	tb.run(tb.core(), tb.dhlEgress(rt, app, txPort, dropped))
 	return rt, nil
 }
 
@@ -438,81 +341,4 @@ func buildDHLApp(rt *core.Runtime, kind NFKind) (dhlNF, error) {
 	default:
 		return nil, fmt.Errorf("harness: unknown NF kind %v", kind)
 	}
-}
-
-var discardCounter uint64
-
-// wireDHLIngress starts an I/O core on the RX + shallow-processing + IBQ
-// path of a DHL NF.
-func wireDHLIngress(tb *testbed, rt *core.Runtime, app dhlNF, rxPort *netdev.Port) {
-	wireDHLIngressCounted(tb, rt, app, rxPort, &discardCounter)
-}
-
-// wireDHLEgress starts an I/O core on the OBQ + post-processing + TX path.
-func wireDHLEgress(tb *testbed, rt *core.Runtime, app dhlNF, txPort *netdev.Port) {
-	wireDHLEgressCounted(tb, rt, app, txPort, &discardCounter)
-}
-
-func wireDHLIngressCounted(tb *testbed, rt *core.Runtime, app dhlNF, rxPort *netdev.Port, dropped *uint64) {
-	ingressCore := tb.core()
-	rxBuf := make([]*mbuf.Mbuf, 64)
-	eventsim.NewPollLoop(tb.sim, ingressCore, perf.PollIdleCycles, func() (float64, func()) {
-		got := 0
-		for q := 0; q < rxPort.Queues() && got+32 <= len(rxBuf); q++ {
-			got += rxPort.RxBurst(q, rxBuf[got:got+32])
-		}
-		if got == 0 {
-			return 0, nil
-		}
-		cycles := 0.0
-		now := int64(tb.sim.Now())
-		send := make([]*mbuf.Mbuf, 0, got)
-		for _, m := range rxBuf[:got] {
-			m.RxTimestamp = now
-			verdict, c := app.PreProcess(m)
-			cycles += perf.IORxCycles + c
-			if verdict != nf.VerdictForward {
-				*dropped++
-				_ = tb.pool.Free(m)
-				continue
-			}
-			send = append(send, m)
-		}
-		return cycles, func() {
-			acc, serr := rt.SendPackets(app.ID(), send)
-			if serr != nil {
-				acc = 0
-			}
-			for _, m := range send[acc:] {
-				*dropped++
-				_ = tb.pool.Free(m)
-			}
-		}
-	}).Start()
-}
-
-func wireDHLEgressCounted(tb *testbed, rt *core.Runtime, app dhlNF, txPort *netdev.Port, dropped *uint64) {
-	egressCore := tb.core()
-	obqBuf := make([]*mbuf.Mbuf, 32)
-	eventsim.NewPollLoop(tb.sim, egressCore, perf.PollIdleCycles, func() (float64, func()) {
-		n, rerr := rt.ReceivePackets(app.ID(), obqBuf)
-		if rerr != nil || n == 0 {
-			return 0, nil
-		}
-		cycles := 0.0
-		txBatch := make([]*mbuf.Mbuf, 0, n)
-		for _, m := range obqBuf[:n] {
-			verdict, c := app.PostProcess(m)
-			cycles += perf.OBQPollCycles + c + perf.IOTxCycles
-			if verdict != nf.VerdictForward {
-				*dropped++
-				_ = tb.pool.Free(m)
-				continue
-			}
-			txBatch = append(txBatch, m)
-		}
-		return cycles, func() {
-			txPort.TxBurst(txBatch, tb.pool)
-		}
-	}).Start()
 }

@@ -67,16 +67,15 @@ func RunTable1() ([]Table1Result, error) {
 
 func runTable1Row(row Table1NF) (Table1Result, error) {
 	res := Table1Result{NF: NFName(row.String())}
-	sim := eventsim.New()
-	pool, err := mbuf.NewPool(mbuf.PoolConfig{Name: "table1", Capacity: 8192})
+	tb, err := newTestbed(8192)
 	if err != nil {
 		return res, err
 	}
-	rxPort, err := netdev.NewPort(sim, netdev.PortConfig{ID: 0, RateBps: perf.NIC10GBps})
+	rxPort, err := netdev.NewPort(tb.sim, netdev.PortConfig{ID: 0, RateBps: perf.NIC10GBps})
 	if err != nil {
 		return res, err
 	}
-	txPort, err := netdev.NewPort(sim, netdev.PortConfig{ID: 1, RateBps: perf.NIC10GBps})
+	txPort, err := netdev.NewPort(tb.sim, netdev.PortConfig{ID: 1, RateBps: perf.NIC10GBps})
 	if err != nil {
 		return res, err
 	}
@@ -116,37 +115,21 @@ func runTable1Row(row Table1NF) (Table1Result, error) {
 	}
 
 	// One run-to-completion core at the Table I clock.
-	coreT1 := eventsim.NewCore(sim, 0, 0, perf.TableICoreHz)
-	rxBuf := make([]*mbuf.Mbuf, 32)
 	var totalCycles float64
 	var totalPkts uint64
-	eventsim.NewPollLoop(sim, coreT1, perf.PollIdleCycles, func() (float64, func()) {
-		n := rxPort.RxBurst(0, rxBuf)
-		if n == 0 {
-			return 0, nil
-		}
-		now := int64(sim.Now())
-		cycles := 0.0
-		fwd := make([]*mbuf.Mbuf, 0, n)
-		for _, m := range rxBuf[:n] {
-			m.RxTimestamp = now
+	tb.run(eventsim.NewCore(tb.sim, 0, 0, perf.TableICoreHz), &stage{
+		pull: tb.fromNIC(rxPort),
+		proc: func(m *mbuf.Mbuf) (nf.Verdict, float64) {
 			verdict, c := procTable1(proc, row, m)
-			cycles += c
 			totalCycles += c
 			totalPkts++
-			if verdict != nf.VerdictForward {
-				_ = pool.Free(m)
-				continue
-			}
-			fwd = append(fwd, m)
-		}
-		return cycles, func() {
-			txPort.TxBurst(fwd, pool)
-		}
-	}).Start()
+			return verdict, c
+		},
+		push: tb.toNIC(txPort),
+	})
 
-	gen, err := netdev.NewGenerator(sim, netdev.GeneratorConfig{
-		Port: rxPort, Pool: pool, FrameSize: 64, OfferedWireBps: perf.NIC10GBps,
+	gen, err := netdev.NewGenerator(tb.sim, netdev.GeneratorConfig{
+		Port: rxPort, Pool: tb.pool, FrameSize: 64, OfferedWireBps: perf.NIC10GBps,
 	})
 	if err != nil {
 		return res, err
@@ -155,7 +138,7 @@ func runTable1Row(row Table1NF) (Table1Result, error) {
 	window := 10 * eventsim.Millisecond
 	txPort.SetMeasureWindow(warm, warm+window)
 	gen.Start()
-	sim.Run(warm + window)
+	tb.sim.Run(warm + window)
 
 	good, wire, pkts, _ := txPort.Measured(warm + window)
 	res.Throughput = Throughput{

@@ -3,12 +3,12 @@
 # committed copy, byte for byte.
 #
 # Every number in that file is virtual time, so it may only change when a
-# PR changes the model on purpose. This is the pre-merge step for any
-# change to internal/eventsim: the order in which actors run at one
-# picosecond-equal instant is invisible to most tests and visible here
+# PR changes the model on purpose. This is the gate for any change to
+# internal/eventsim or to a poll body: the order in which actors run at
+# one picosecond-equal instant is invisible to most tests and visible here
 # (Figure 7's per-port goodput moved in the second decimal when a
 # prototype of the lazy idle polls let one port core overtake another).
-# About 100 s of CPU, which is why check.sh does not run it.
+# About a minute of CPU, so CI runs it as its own job beside check.sh.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

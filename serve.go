@@ -92,7 +92,7 @@ func (s *System) Serve(addr string, opts ...ServeOption) (*MetricsExporter, erro
 		// with the loop: route /metrics and /debug/vars rendering through
 		// the same post-and-wait dispatch the management API uses. Without
 		// the control plane the exporter reads directly, which is safe for
-		// the scrape-while-quiescent usage ServeMetrics always had.
+		// the scrape-while-quiescent usage a metrics-only Serve has.
 		timeout := sc.callTimeout
 		if timeout <= 0 {
 			timeout = 5 * time.Second

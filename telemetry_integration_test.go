@@ -84,7 +84,7 @@ func telemetryWorkload(t *testing.T) *dhl.System {
 // included. Regenerate with: go test . -run ServeMetricsGolden -update
 func TestServeMetricsGolden(t *testing.T) {
 	sys := telemetryWorkload(t)
-	exp, err := sys.ServeMetrics("127.0.0.1:0")
+	exp, err := sys.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestSystemSnapshotDelta(t *testing.T) {
 	if off.Telemetry() != nil || off.Snapshot() != nil {
 		t.Error("telemetry-off system exposes a registry")
 	}
-	if _, err := off.ServeMetrics("127.0.0.1:0"); err == nil {
-		t.Error("ServeMetrics succeeded with telemetry off")
+	if _, err := off.Serve("127.0.0.1:0"); err == nil {
+		t.Error("Serve succeeded with telemetry off")
 	}
 }
