@@ -52,15 +52,16 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
-	"sort"
 	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
 	dhl "github.com/opencloudnext/dhl-go"
+	"github.com/opencloudnext/dhl-go/internal/ctlplane"
 	"github.com/opencloudnext/dhl-go/internal/eventsim"
 	"github.com/opencloudnext/dhl-go/internal/hwfunc"
 )
@@ -101,65 +102,27 @@ func main() {
 
 // --- connect mode -------------------------------------------------------
 
-// cmdSpec maps one management RPC's positional -args onto its JSON
-// parameter object. Fields suffixed "?" are optional; kind "bytes"
-// passes the argument through as base64 (the wire form of []byte).
-type cmdSpec struct {
-	params []string // "name:kind" with kind in string|int|bytes, "?" suffix when optional
-	doc    string
-}
-
-var cmdSpecs = map[string]cmdSpec{
-	"sys.ping":        {nil, "liveness probe"},
-	"sys.info":        {nil, "system overview"},
-	"sys.shutdown":    {nil, "trigger the serving process's shutdown hook"},
-	"nf.register":     {[]string{"name:string", "node:int?"}, "register an NF instance"},
-	"nf.unregister":   {[]string{"nf_id:int"}, "drain and remove an NF instance"},
-	"acc.load":        {[]string{"hf:string", "node:int?"}, "load a module onto a PR region"},
-	"acc.evict":       {[]string{"acc_id:int"}, "unload an accelerator, free its region"},
-	"acc.configure":   {[]string{"acc_id:int", "params:bytes"}, "send a configuration blob (base64)"},
-	"fallback.set":    {[]string{"hf:string", "node:int?"}, "install the module DB software fallback"},
-	"fallback.clear":  {[]string{"hf:string", "node:int?"}, "remove an installed software fallback"},
-	"tune.batch":      {[]string{"bytes:int"}, "retarget the max transfer batch size"},
-	"tune.watchdog":   {[]string{"timeout_us:int"}, "retune (0: disarm) the per-batch watchdog"},
-	"tune.auto":       {[]string{"state:string?"}, "adaptive batching autotuner: on|off|status (default status)"},
-	"health.get":      {[]string{"acc_id:int?"}, "health FSM state, one or all accelerators"},
-	"stats.get":       {[]string{"node:int?"}, "one node's transfer conservation ledger"},
-	"telemetry.delta": {[]string{"stream:string", "wait_ms:int?"}, "long-poll activity since the stream's last call"},
-
-	"placement.get":       {nil, "fleet snapshot: boards, resources, routed endpoints"},
-	"placement.rebalance": {nil, "move accelerators off lost/draining boards"},
-	"acc.migrate":         {[]string{"acc_id:int", "board:int?"}, "live-migrate an accelerator (board omitted: scheduler picks)"},
-	"acc.replicate":       {[]string{"acc_id:int", "board:int?"}, "warm a load-sharing replica on another board"},
-	"board.drain":         {[]string{"board:int"}, "stop placements on a board and migrate its accelerators away"},
-	"board.undrain":       {[]string{"board:int"}, "return a draining board to service"},
-	"board.offline":       {[]string{"board:int"}, "hard-kill a board and rebalance off it"},
-}
-
-func printCommandTable(w *os.File) {
-	names := make([]string, 0, len(cmdSpecs))
-	for name := range cmdSpecs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+// printCommandTable lists the management API's verbs — the same table
+// the server dispatches on — with "?" on the optional parameters.
+func printCommandTable(w io.Writer) {
 	fmt.Fprintln(w, "management commands (dhl-inspect -addr HOST:PORT -cmd NAME -args A,B,...):")
-	for _, name := range names {
-		spec := cmdSpecs[name]
-		params := make([]string, len(spec.params))
-		for i, p := range spec.params {
-			params[i] = strings.SplitN(p, ":", 2)[0]
-			if strings.HasSuffix(p, "?") {
+	for _, v := range ctlplane.Verbs() {
+		params := make([]string, len(v.Params))
+		for i, p := range v.Params {
+			params[i] = p.Name
+			if !p.Required {
 				params[i] += "?"
 			}
 		}
-		fmt.Fprintf(w, "  %-16s %-28s %s\n", name, strings.Join(params, ","), spec.doc)
+		fmt.Fprintf(w, "  %-20s %-18s %s\n", v.Name, strings.Join(params, ","), v.Doc)
 	}
 }
 
-// buildParams turns the comma-separated positional -args into the RPC's
-// parameter object according to its spec.
+// buildParams turns the comma-separated positional -args into the verb's
+// parameter object: arguments fill its parameters in declaration order,
+// and an optional tail may be left off.
 func buildParams(name, raw string) (map[string]any, error) {
-	spec, ok := cmdSpecs[name]
+	verb, ok := ctlplane.Lookup(name)
 	if !ok {
 		return nil, fmt.Errorf("unknown command %q (run -cmd help)", name)
 	}
@@ -167,34 +130,28 @@ func buildParams(name, raw string) (map[string]any, error) {
 	if raw != "" {
 		vals = strings.Split(raw, ",")
 	}
-	if len(vals) > len(spec.params) {
-		return nil, fmt.Errorf("%s takes at most %d argument(s)", name, len(spec.params))
+	if len(vals) > len(verb.Params) {
+		return nil, fmt.Errorf("%s takes at most %d argument(s)", name, len(verb.Params))
 	}
 	params := map[string]any{}
-	for i, p := range spec.params {
-		optional := strings.HasSuffix(p, "?")
-		p = strings.TrimSuffix(p, "?")
-		field, kind, _ := strings.Cut(p, ":")
+	for i, p := range verb.Params {
 		if i >= len(vals) {
-			if optional {
+			if !p.Required {
 				break
 			}
-			return nil, fmt.Errorf("%s needs %q (run -cmd help)", name, field)
+			return nil, fmt.Errorf("%s needs %q (run -cmd help)", name, p.Name)
 		}
 		val := strings.TrimSpace(vals[i])
-		switch kind {
-		case "int":
-			n, err := strconv.Atoi(val)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %q must be an integer: %v", name, field, err)
-			}
-			params[field] = n
-		case "bytes":
-			// Pass base64 through verbatim; the server decodes it as []byte.
-			params[field] = val
-		default:
-			params[field] = val
+		if p.Kind != ctlplane.KindInt {
+			// Strings as they are; bytes are already base64, their wire form.
+			params[p.Name] = val
+			continue
 		}
+		n, err := strconv.Atoi(val)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %q must be an integer: %v", name, p.Name, err)
+		}
+		params[p.Name] = n
 	}
 	return params, nil
 }
@@ -223,82 +180,20 @@ func runConnected(addr, cmd, args string, watch int, jsonOut bool) error {
 // overviewRemote prints the connect-mode default view: sys.info plus
 // per-accelerator health.
 func overviewRemote(c *dhl.ControlClient, jsonOut bool) error {
-	var info struct {
-		Nodes        int      `json:"nodes"`
-		BatchBytes   int      `json:"batch_bytes"`
-		WatchdogUs   int      `json:"watchdog_timeout_us"`
-		HFTable      []string `json:"hf_table"`
-		ModuleDB     []string `json:"module_db"`
-		Accelerators []struct {
-			AccID  dhl.AccID `json:"acc_id"`
-			HF     string    `json:"hf"`
-			Node   int       `json:"node"`
-			FPGA   int       `json:"fpga"`
-			Region int       `json:"region"`
-			Ready  bool      `json:"ready"`
-		} `json:"accelerators"`
-	}
+	var (
+		info   ctlplane.InfoResult
+		health ctlplane.HealthResult
+		fleet  ctlplane.PlacementResult
+		tune   dhl.TunerStatus
+	)
 	if err := c.Call("sys.info", nil, &info); err != nil {
 		return err
-	}
-	var health struct {
-		Accs []struct {
-			AccID          dhl.AccID `json:"acc_id"`
-			Health         string    `json:"health"`
-			Faults         uint64    `json:"faults"`
-			Quarantines    uint64    `json:"quarantines"`
-			Reloads        uint64    `json:"reloads"`
-			FallbackActive bool      `json:"fallback_active"`
-		} `json:"accs"`
 	}
 	if err := c.Call("health.get", nil, &health); err != nil {
 		return err
 	}
-	var fleet struct {
-		Boards []struct {
-			Board       int    `json:"board"`
-			Node        int    `json:"node"`
-			State       string `json:"state"`
-			FreeLUTs    int    `json:"free_luts"`
-			FreeBRAM    int    `json:"free_bram"`
-			FreeRegions int    `json:"free_regions"`
-			MigratedIn  uint64 `json:"migrated_in"`
-			MigratedOut uint64 `json:"migrated_out"`
-			Endpoints   []struct {
-				AccID    dhl.AccID `json:"acc_id"`
-				HF       string    `json:"hf"`
-				Region   int       `json:"region"`
-				Weight   uint32    `json:"weight"`
-				Ready    bool      `json:"ready"`
-				Disabled bool      `json:"disabled"`
-				Primary  bool      `json:"primary"`
-			} `json:"endpoints"`
-		} `json:"boards"`
-	}
 	if err := c.Call("placement.get", nil, &fleet); err != nil {
 		return err
-	}
-	var tune struct {
-		Enabled         bool    `json:"enabled"`
-		IntervalUs      float64 `json:"interval_us"`
-		Windows         uint64  `json:"windows"`
-		GrowDecisions   uint64  `json:"grow_decisions"`
-		ShrinkDecisions uint64  `json:"shrink_decisions"`
-		Accs            []struct {
-			AccID          dhl.AccID `json:"acc_id"`
-			HF             string    `json:"hf"`
-			Node           int       `json:"node"`
-			BatchTarget    int       `json:"batch_target"`
-			FlushTimeoutUs float64   `json:"flush_timeout_us"`
-			Fill           float64   `json:"fill"`
-			BatchLatencyUs float64   `json:"batch_latency_us"`
-		} `json:"accs"`
-		Nodes []struct {
-			Node     int    `json:"node"`
-			Burst    int    `json:"burst"`
-			Rejected uint64 `json:"ibq_rejected"`
-			Hot      bool   `json:"ibq_pressured"`
-		} `json:"nodes"`
 	}
 	if err := c.Call("tune.auto", nil, &tune); err != nil {
 		return err
@@ -328,7 +223,7 @@ func overviewRemote(c *dhl.ControlClient, jsonOut bool) error {
 	}
 	for _, a := range info.Accelerators {
 		fmt.Printf("  acc_id %d: %s node %d fpga %d region %d ready=%v — %s\n",
-			a.AccID, a.HF, a.Node, a.FPGA, a.Region, a.Ready, healthByID[a.AccID])
+			a.AccID, a.Name, a.Node, a.FPGA, a.Region, a.Ready, healthByID[a.AccID])
 	}
 	fmt.Println("\nFleet placement:")
 	for _, b := range fleet.Boards {
@@ -340,7 +235,7 @@ func overviewRemote(c *dhl.ControlClient, jsonOut bool) error {
 				role = "primary"
 			}
 			fmt.Printf("    acc_id %d (%s) region %d: %s, weight %d, ready=%v disabled=%v\n",
-				ep.AccID, ep.HF, ep.Region, role, ep.Weight, ep.Ready, ep.Disabled)
+				ep.Acc, ep.HF, ep.Region, role, ep.Weight, ep.Ready, ep.Disabled)
 		}
 	}
 	fmt.Println("\nAdaptive batching:")
@@ -352,7 +247,7 @@ func overviewRemote(c *dhl.ControlClient, jsonOut bool) error {
 		tune.IntervalUs, tune.Windows, tune.GrowDecisions, tune.ShrinkDecisions)
 	for _, a := range tune.Accs {
 		fmt.Printf("  acc_id %d (%s) node %d: batch target %d B, flush %.1f us, fill %.2f, batch latency %.1f us\n",
-			a.AccID, a.HF, a.Node, a.BatchTarget, a.FlushTimeoutUs, a.Fill, a.BatchLatencyUs)
+			a.AccID, a.Name, a.Node, a.BatchTarget, a.FlushTimeoutUs, a.Fill, a.BatchLatencyUs)
 	}
 	for _, n := range tune.Nodes {
 		fmt.Printf("  node %d: burst %d, IBQ rejected %d, pressured=%v\n",
@@ -367,10 +262,7 @@ func overviewRemote(c *dhl.ControlClient, jsonOut bool) error {
 func watchRemote(c *dhl.ControlClient, rounds int, jsonOut bool) error {
 	fmt.Printf("watch: %d telemetry.delta long-polls against %s\n", rounds, c.URL())
 	for round := 1; round <= rounds; round++ {
-		var d struct {
-			Active bool                   `json:"active"`
-			Delta  *dhl.TelemetrySnapshot `json:"delta"`
-		}
+		var d ctlplane.DeltaResult
 		if err := c.Call("telemetry.delta",
 			map[string]any{"stream": "dhl-inspect", "wait_ms": 2000}, &d); err != nil {
 			return err

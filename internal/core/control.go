@@ -58,14 +58,15 @@ func (r *Runtime) AccIDs() []AccID {
 }
 
 // AccInfo describes one hardware function table row for the management
-// API: identity, placement and readiness.
+// API: identity, placement and readiness. The JSON tags are the wire
+// shape of sys.info and health.get.
 type AccInfo struct {
-	AccID  AccID
-	Name   string
-	Node   int
-	FPGA   int
-	Region int
-	Ready  bool
+	AccID  AccID  `json:"acc_id"`
+	Name   string `json:"hf"`
+	Node   int    `json:"node"`
+	FPGA   int    `json:"fpga"`
+	Region int    `json:"region"`
+	Ready  bool   `json:"ready"`
 }
 
 // AccInfoFor reports one accelerator's table row.

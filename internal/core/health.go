@@ -48,22 +48,38 @@ func (h Health) String() string {
 	}
 }
 
-// HealthReport is an accelerator's health snapshot for AccHealth.
+// MarshalText renders the state by name, so it travels as "healthy" in
+// JSON rather than as the FSM's integer.
+func (h Health) MarshalText() ([]byte, error) { return []byte(h.String()), nil }
+
+// UnmarshalText is MarshalText's inverse.
+func (h *Health) UnmarshalText(text []byte) error {
+	for s := HealthHealthy; s <= HealthQuarantined; s++ {
+		if s.String() == string(text) {
+			*h = s
+			return nil
+		}
+	}
+	return fmt.Errorf("core: unknown health state %q", text)
+}
+
+// HealthReport is an accelerator's health snapshot for AccHealth; the
+// JSON tags are health.get's wire shape.
 type HealthReport struct {
-	Health           Health
-	ConsecutiveFails int
+	Health           Health `json:"health"`
+	ConsecutiveFails int    `json:"consecutive_fails"`
 	// Faults is the lifetime count of batch failures attributed to this
 	// accelerator (DMA give-ups, dispatch/module errors, corrupt
 	// responses, watchdog timeouts).
-	Faults      uint64
-	Quarantines uint64
+	Faults      uint64 `json:"faults"`
+	Quarantines uint64 `json:"quarantines"`
 	// Reloads counts completed recovery PR re-programs.
-	Reloads uint64
+	Reloads uint64 `json:"reloads"`
 	// Reloading reports a recovery PR currently in flight.
-	Reloading bool
+	Reloading bool `json:"reloading"`
 	// FallbackActive reports a registered software fallback currently
 	// carrying the accelerator's traffic.
-	FallbackActive bool
+	FallbackActive bool `json:"fallback_active"`
 }
 
 // RegisterFallback installs a software implementation for the hardware

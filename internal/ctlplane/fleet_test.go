@@ -20,9 +20,7 @@ func TestFleetMethods(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var pl struct {
-		Boards []boardJSON `json:"boards"`
-	}
+	var pl PlacementResult
 	if err := c.Call("placement.get", nil, &pl); err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"sort"
+	"strings"
 	"time"
 
 	"github.com/opencloudnext/dhl-go/internal/core"
@@ -14,559 +16,276 @@ import (
 	"github.com/opencloudnext/dhl-go/internal/tuner"
 )
 
-// method is one management API entry: a short doc line for the GET
-// directory and the handler. Handlers run on HTTP goroutines; anything
-// touching the Backend goes through Server.dispatch.
-type method struct {
-	doc    string
+// Verb is one management API entry, defined once: the server dispatches
+// on Name and enforces Params, the GET directory and dhl-inspect's help
+// print Name, Params and Doc, dhl-inspect fills Params from positional
+// arguments, and DESIGN.md §11's table is tested against all of it.
+type Verb struct {
+	Name   string
+	Doc    string
+	Params []Param
+	// handle runs on an HTTP goroutine; anything touching the Backend
+	// goes through Server.Dispatch.
 	handle func(s *Server, raw json.RawMessage) (any, *Error)
 }
 
-// methods is the /api/v1 method table. Names are namespaced by subsystem
-// and never reused with different semantics; breaking a method's shape
-// means a new endpoint version, not a silent change here.
-var methods = map[string]method{
-	"sys.ping":        {"liveness probe; answered by the HTTP layer without touching the event loop", handlePing},
-	"sys.info":        {"system overview: nodes, knobs, module DB, loaded accelerators", handleInfo},
-	"sys.shutdown":    {"acknowledge, then trigger the serving process's shutdown hook", handleShutdown},
-	"nf.register":     {"register an NF instance: {name, node} -> {nf_id}", handleNFRegister},
-	"nf.unregister":   {"drain and remove an NF instance: {nf_id}", handleNFUnregister},
-	"acc.load":        {"load a module from the DB onto a PR region: {hf, node} -> {acc_id}", handleAccLoad},
-	"acc.evict":       {"unload an accelerator and free its region: {acc_id}", handleAccEvict},
-	"acc.configure":   {"send a configuration blob: {acc_id, params (base64)}", handleAccConfigure},
-	"fallback.set":    {"install the module DB's software implementation as fallback: {hf, node}", handleFallbackSet},
-	"fallback.clear":  {"remove an installed software fallback: {hf, node}", handleFallbackClear},
-	"tune.batch":      {"retarget the Packer's max batch size: {bytes} -> {batch_bytes}", handleTuneBatch},
-	"tune.watchdog":   {"retune or disarm the per-batch watchdog: {timeout_us} -> {timeout_us}", handleTuneWatchdog},
-	"tune.auto":       {"adaptive batching autotuner: {state: on|off|status} -> controller status", handleTuneAuto},
-	"health.get":      {"health FSM state for one or all accelerators: {acc_id?} -> {accs}", handleHealthGet},
-	"stats.get":       {"one node's transfer-core conservation ledger plus NF flow-table stats: {node} -> stats", handleStatsGet},
-	"telemetry.delta": {"long-poll telemetry activity since the stream's last call: {stream, wait_ms}", handleTelemetryDelta},
-
-	"placement.get":       {"fleet snapshot: every board's state, free resources and routed endpoints -> {boards}", handlePlacementGet},
-	"placement.rebalance": {"move accelerators off lost/draining boards: -> {moved}", handlePlacementRebalance},
-	"acc.migrate":         {"live-migrate an accelerator's primary to another board: {acc_id, board?} -> {board}", handleAccMigrate},
-	"acc.replicate":       {"load a warm replica on another board and add it to the rotation: {acc_id, board?} -> {board}", handleAccReplicate},
-	"board.drain":         {"refuse new placements on a board and migrate its accelerators away: {board} -> {moved}", handleBoardDrain},
-	"board.undrain":       {"return a draining board to service: {board}", handleBoardUndrain},
-	"board.offline":       {"hard-kill a board and rebalance off it: {board} -> {moved}", handleBoardOffline},
+// Param is one field of a verb's parameter object.
+type Param struct {
+	Name     string // the JSON field name
+	Kind     Kind
+	Required bool
 }
 
-// methodNames lists the table's methods sorted for the GET directory.
-func methodNames() []string {
-	names := make([]string, 0, len(methods))
-	for name, m := range methods {
-		names = append(names, name+" — "+m.doc)
+// Kind is how a parameter's value is written on the wire.
+type Kind string
+
+// Parameter kinds. Bytes ride as base64, encoding/json's []byte
+// convention.
+const (
+	KindString Kind = "string"
+	KindInt    Kind = "int"
+	KindBytes  Kind = "bytes"
+)
+
+// verb builds the entry of a verb that is one Backend operation: decode
+// and check P as decoded does, run once on the event loop, a rejection
+// mapped by opError, R as the result.
+func verb[P, R any](name, doc string, run func(Backend, P) (R, error)) Verb {
+	return decoded(name, doc, func(s *Server, p P) (any, *Error) {
+		var (
+			res R
+			err error
+		)
+		if derr := s.Dispatch(func() { res, err = run(s.cfg.Backend, p) }); derr != nil {
+			return nil, derr
+		}
+		if err != nil {
+			return nil, opError(err)
+		}
+		return res, nil
+	})
+}
+
+// decoded builds the entry of a verb whose parameter object is P: P's
+// fields are the verb's Params, declared nowhere else, and handle sees
+// them strictly decoded with every required one present.
+func decoded[P any](name, doc string, handle func(*Server, P) (any, *Error)) Verb {
+	params := paramsOf(reflect.TypeFor[P]())
+	return Verb{Name: name, Doc: doc, Params: params, handle: func(s *Server, raw json.RawMessage) (any, *Error) {
+		var p P
+		if rerr := decodeParams(raw, &p, params); rerr != nil {
+			return nil, rerr
+		}
+		return handle(s, p)
+	}}
+}
+
+// paramsOf reads a parameter struct's fields: the JSON name from the
+// json tag, the kind from the Go type (a pointer marks a field whose
+// absence the verb tells apart from its zero value), `ctl:"required"`
+// for a field the caller must send.
+func paramsOf(t reflect.Type) []Param {
+	var params []Param
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		p := Param{Name: name, Required: f.Tag.Get("ctl") == "required"}
+		ft := f.Type
+		if ft.Kind() == reflect.Pointer {
+			ft = ft.Elem()
+		}
+		switch {
+		case ft.Kind() == reflect.String:
+			p.Kind = KindString
+		case ft.Kind() == reflect.Slice && ft.Elem().Kind() == reflect.Uint8:
+			p.Kind = KindBytes
+		case reflect.Int <= ft.Kind() && ft.Kind() <= reflect.Uint64:
+			p.Kind = KindInt
+		default:
+			panic(fmt.Sprintf("ctlplane: parameter %s of %s has no wire kind", f.Name, t))
+		}
+		params = append(params, p)
 	}
-	sort.Strings(names)
-	return names
+	return params
 }
 
-// decodeParams strictly decodes raw into dst; unknown fields are
+// decodeParams strictly decodes raw into dst — unknown fields are
 // rejected so operator typos ("time_us" for "timeout_us") fail loudly
-// instead of silently applying defaults.
-func decodeParams(raw json.RawMessage, dst any) *Error {
-	if len(raw) == 0 || string(raw) == "null" {
+// instead of silently applying defaults — and then refuses when a
+// required parameter was not sent. The check is on presence, not on the
+// decoded value: zero is a real request (board 0, timeout 0) and must
+// not be what a forgotten field turns into. An empty required string
+// counts as absent. A verb without parameters ignores whatever it is
+// sent, as sys.ping always has.
+func decodeParams(raw json.RawMessage, dst any, params []Param) *Error {
+	if len(params) == 0 {
 		return nil
 	}
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		return &Error{Code: CodeInvalidParams, Message: err.Error()}
+	var sent map[string]json.RawMessage
+	if len(raw) > 0 && string(raw) != "null" {
+		dec := json.NewDecoder(bytes.NewReader(raw))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(dst); err != nil {
+			return &Error{Code: CodeInvalidParams, Message: err.Error()}
+		}
+		if err := json.Unmarshal(raw, &sent); err != nil {
+			return &Error{Code: CodeInvalidParams, Message: err.Error()}
+		}
+	}
+	for _, p := range params {
+		v := string(sent[p.Name])
+		if p.Required && (v == "" || v == "null" || p.Kind == KindString && v == `""`) {
+			return &Error{Code: CodeInvalidParams, Message: p.Name + " is required"}
+		}
 	}
 	return nil
 }
 
-type okResult struct {
-	OK bool `json:"ok"`
+// verbs is the /api/v1 method table, sorted by name at init. Names are
+// namespaced by subsystem and never reused with different semantics;
+// breaking a verb's shape means a new endpoint version, not a silent
+// change here. sys.ping and sys.shutdown never reach the event loop and
+// telemetry.delta reaches it once per poll, so they are not verb(...)
+// entries.
+var verbs = []Verb{
+	{Name: "sys.ping", Doc: "liveness probe; answered by the HTTP layer without touching the event loop",
+		handle: func(*Server, json.RawMessage) (any, *Error) { return okReply, nil }},
+	verb("sys.info", "system overview: nodes, knobs, module DB, loaded accelerators", sysInfo),
+	{Name: "sys.shutdown", Doc: "acknowledge, then trigger the serving process's shutdown hook", handle: handleShutdown},
+	verb("nf.register", "register an NF instance: {name, node} -> {nf_id}",
+		func(b Backend, p struct {
+			Name string `json:"name" ctl:"required"`
+			Node int    `json:"node"`
+		}) (res struct {
+			NFID core.NFID `json:"nf_id"`
+		}, err error) {
+			res.NFID, err = b.Register(p.Name, p.Node)
+			return res, err
+		}),
+	verb("nf.unregister", "drain and remove an NF instance: {nf_id}",
+		func(b Backend, p struct {
+			NFID core.NFID `json:"nf_id" ctl:"required"`
+		}) (okResult, error) {
+			return okReply, b.Unregister(p.NFID)
+		}),
+	verb("acc.load", "load a module from the DB onto a PR region: {hf, node} -> {acc_id}",
+		func(b Backend, p hfParams) (res struct {
+			AccID core.AccID `json:"acc_id"`
+		}, err error) {
+			res.AccID, err = b.LoadPR(p.HF, p.Node)
+			return res, err
+		}),
+	verb("acc.evict", "unload an accelerator and free its region: {acc_id}",
+		func(b Backend, p struct {
+			AccID core.AccID `json:"acc_id" ctl:"required"`
+		}) (okResult, error) {
+			return okReply, b.Evict(p.AccID)
+		}),
+	verb("acc.configure", "send a configuration blob: {acc_id, params (base64)}",
+		func(b Backend, p struct {
+			AccID  core.AccID `json:"acc_id" ctl:"required"`
+			Params []byte     `json:"params" ctl:"required"`
+		}) (okResult, error) {
+			return okReply, b.AccConfigure(p.AccID, p.Params)
+		}),
+	verb("fallback.set", "install the module DB's software implementation as fallback: {hf, node}",
+		func(b Backend, p hfParams) (okResult, error) { return okReply, b.InstallFallback(p.HF, p.Node) }),
+	verb("fallback.clear", "remove an installed software fallback: {hf, node}",
+		func(b Backend, p hfParams) (okResult, error) { return okReply, b.ClearFallback(p.HF, p.Node) }),
+	verb("tune.batch", "retarget the Packer's max batch size: {bytes} -> {batch_bytes}",
+		func(b Backend, p struct {
+			Bytes int `json:"bytes" ctl:"required"`
+		}) (res struct {
+			BatchBytes int `json:"batch_bytes"`
+		}, err error) {
+			err = b.SetBatchBytes(p.Bytes)
+			res.BatchBytes = b.BatchBytes()
+			return res, err
+		}),
+	verb("tune.watchdog", "retune or disarm the per-batch watchdog: {timeout_us} -> {timeout_us}",
+		func(b Backend, p struct {
+			TimeoutUs int `json:"timeout_us" ctl:"required"`
+		}) (res struct {
+			TimeoutUs int `json:"timeout_us"`
+		}, err error) {
+			err = b.SetWatchdogTimeout(p.TimeoutUs)
+			res.TimeoutUs = b.WatchdogTimeoutUs()
+			return res, err
+		}),
+	verb("tune.auto", "adaptive batching autotuner: {state: on|off|status} -> controller status", tuneAuto),
+	verb("health.get", "health FSM state for one or all accelerators: {acc_id?} -> {accs}", healthGet),
+	verb("stats.get", "one node's transfer-core conservation ledger plus NF flow-table stats: {node} -> stats", statsGet),
+	decoded("telemetry.delta", "long-poll telemetry activity since the stream's last call: {stream, wait_ms}", telemetryDelta),
+
+	verb("placement.get", "fleet snapshot: every board's state, free resources and routed endpoints -> {boards}",
+		func(b Backend, _ struct{}) (PlacementResult, error) {
+			// A copy onto a non-nil slice: an empty fleet is [], not null.
+			return PlacementResult{Boards: append([]placement.BoardInfo{}, b.PlacementTable()...)}, nil
+		}),
+	verb("placement.rebalance", "move accelerators off lost/draining boards: -> {moved}",
+		func(b Backend, _ struct{}) (res movedResult, err error) {
+			res.Moved, err = b.Rebalance()
+			return res, err
+		}),
+	verb("acc.migrate", "live-migrate an accelerator's primary to another board: {acc_id, board?} -> {board}",
+		func(b Backend, p accBoardParams) (res boardResult, err error) {
+			res.Board, err = b.Migrate(p.AccID, p.board())
+			return res, err
+		}),
+	verb("acc.replicate", "load a warm replica on another board and add it to the rotation: {acc_id, board?} -> {board}",
+		func(b Backend, p accBoardParams) (res boardResult, err error) {
+			res.Board, err = b.Replicate(p.AccID, p.board())
+			return res, err
+		}),
+	verb("board.drain", "refuse new placements on a board and migrate its accelerators away: {board} -> {moved}",
+		func(b Backend, p boardParams) (res movedResult, err error) {
+			res.Moved, err = b.DrainBoard(p.Board)
+			return res, err
+		}),
+	verb("board.undrain", "return a draining board to service: {board}",
+		func(b Backend, p boardParams) (okResult, error) { return okReply, b.UndrainBoard(p.Board) }),
+	verb("board.offline", "hard-kill a board and rebalance off it: {board} -> {moved}",
+		func(b Backend, p boardParams) (res movedResult, err error) {
+			res.Moved, err = b.OfflineBoard(p.Board)
+			return res, err
+		}),
 }
 
-func handlePing(s *Server, raw json.RawMessage) (any, *Error) {
-	return okResult{OK: true}, nil
+func init() {
+	sort.Slice(verbs, func(i, j int) bool { return verbs[i].Name < verbs[j].Name })
 }
 
-// accInfoJSON is core.AccInfo plus health, rendered for the wire.
-type accInfoJSON struct {
-	AccID  core.AccID `json:"acc_id"`
-	HF     string     `json:"hf"`
-	Node   int        `json:"node"`
-	FPGA   int        `json:"fpga"`
-	Region int        `json:"region"`
-	Ready  bool       `json:"ready"`
-}
+// Verbs returns the method table in name order.
+func Verbs() []Verb { return append([]Verb(nil), verbs...) }
 
-type infoResult struct {
-	Nodes        int           `json:"nodes"`
-	BatchBytes   int           `json:"batch_bytes"`
-	WatchdogUs   int           `json:"watchdog_timeout_us"`
-	HFTable      []string      `json:"hf_table"`
-	ModuleDB     []string      `json:"module_db"`
-	Accelerators []accInfoJSON `json:"accelerators"`
-}
-
-func handleInfo(s *Server, raw json.RawMessage) (any, *Error) {
-	var res infoResult
-	if derr := s.dispatch(func() {
-		b := s.cfg.Backend
-		res.Nodes = b.Nodes()
-		res.BatchBytes = b.BatchBytes()
-		res.WatchdogUs = b.WatchdogTimeoutUs()
-		res.HFTable = b.HFTable()
-		res.ModuleDB = b.ModuleDB()
-		for _, acc := range b.AccIDs() {
-			info, err := b.AccInfo(acc)
-			if err != nil {
-				continue
-			}
-			res.Accelerators = append(res.Accelerators, accInfoJSON{
-				AccID: info.AccID, HF: info.Name, Node: info.Node,
-				FPGA: info.FPGA, Region: info.Region, Ready: info.Ready})
+// Lookup finds a verb by name.
+func Lookup(name string) (Verb, bool) {
+	for _, v := range verbs {
+		if v.Name == name {
+			return v, true
 		}
-	}); derr != nil {
-		return nil, derr
 	}
-	sort.Strings(res.HFTable)
-	sort.Strings(res.ModuleDB)
-	if res.HFTable == nil {
-		res.HFTable = []string{}
-	}
-	if res.ModuleDB == nil {
-		res.ModuleDB = []string{}
-	}
-	if res.Accelerators == nil {
-		res.Accelerators = []accInfoJSON{}
-	}
-	return res, nil
+	return Verb{}, false
 }
 
-func handleShutdown(s *Server, raw json.RawMessage) (any, *Error) {
-	if s.cfg.OnShutdown == nil {
-		return nil, &Error{Code: CodeOpFailed, Message: "this server has no shutdown hook"}
-	}
-	s.shutdownOnce.Do(func() {
-		// After the response is on the wire; the hook tears the listener
-		// down, so it must not run on this handler's stack.
-		go s.cfg.OnShutdown()
-	})
-	return okResult{OK: true}, nil
-}
-
-func handleNFRegister(s *Server, raw json.RawMessage) (any, *Error) {
-	var p struct {
-		Name string `json:"name"`
+// Parameter shapes more than one verb takes. hfParams and boardParams
+// are aliases, not defined types: encoding/json quotes the destination
+// type's name in its decode errors, those reach the wire, and clients
+// have only ever seen the anonymous form.
+type (
+	hfParams = struct {
+		HF   string `json:"hf" ctl:"required"`
 		Node int    `json:"node"`
 	}
-	if derr := decodeParams(raw, &p); derr != nil {
-		return nil, derr
+	boardParams = struct {
+		Board int `json:"board" ctl:"required"`
 	}
-	if p.Name == "" {
-		return nil, &Error{Code: CodeInvalidParams, Message: "name is required"}
+	// accBoardParams: a missing board lets the placement scheduler choose.
+	accBoardParams struct {
+		AccID core.AccID `json:"acc_id" ctl:"required"`
+		Board *int       `json:"board"`
 	}
-	var (
-		id  core.NFID
-		err error
-	)
-	if derr := s.dispatch(func() { id, err = s.cfg.Backend.Register(p.Name, p.Node) }); derr != nil {
-		return nil, derr
-	}
-	if err != nil {
-		return nil, opError(err)
-	}
-	return struct {
-		NFID core.NFID `json:"nf_id"`
-	}{id}, nil
-}
-
-func handleNFUnregister(s *Server, raw json.RawMessage) (any, *Error) {
-	var p struct {
-		NFID core.NFID `json:"nf_id"`
-	}
-	if derr := decodeParams(raw, &p); derr != nil {
-		return nil, derr
-	}
-	var err error
-	if derr := s.dispatch(func() { err = s.cfg.Backend.Unregister(p.NFID) }); derr != nil {
-		return nil, derr
-	}
-	if err != nil {
-		return nil, opError(err)
-	}
-	return okResult{OK: true}, nil
-}
-
-func handleAccLoad(s *Server, raw json.RawMessage) (any, *Error) {
-	var p struct {
-		HF   string `json:"hf"`
-		Node int    `json:"node"`
-	}
-	if derr := decodeParams(raw, &p); derr != nil {
-		return nil, derr
-	}
-	if p.HF == "" {
-		return nil, &Error{Code: CodeInvalidParams, Message: "hf is required"}
-	}
-	var (
-		acc core.AccID
-		err error
-	)
-	if derr := s.dispatch(func() { acc, err = s.cfg.Backend.LoadPR(p.HF, p.Node) }); derr != nil {
-		return nil, derr
-	}
-	if err != nil {
-		return nil, opError(err)
-	}
-	return struct {
-		AccID core.AccID `json:"acc_id"`
-	}{acc}, nil
-}
-
-func handleAccEvict(s *Server, raw json.RawMessage) (any, *Error) {
-	var p struct {
-		AccID core.AccID `json:"acc_id"`
-	}
-	if derr := decodeParams(raw, &p); derr != nil {
-		return nil, derr
-	}
-	var err error
-	if derr := s.dispatch(func() { err = s.cfg.Backend.Evict(p.AccID) }); derr != nil {
-		return nil, derr
-	}
-	if err != nil {
-		return nil, opError(err)
-	}
-	return okResult{OK: true}, nil
-}
-
-func handleAccConfigure(s *Server, raw json.RawMessage) (any, *Error) {
-	var p struct {
-		AccID core.AccID `json:"acc_id"`
-		// Params rides as base64 (encoding/json's []byte convention).
-		Params []byte `json:"params"`
-	}
-	if derr := decodeParams(raw, &p); derr != nil {
-		return nil, derr
-	}
-	var err error
-	if derr := s.dispatch(func() { err = s.cfg.Backend.AccConfigure(p.AccID, p.Params) }); derr != nil {
-		return nil, derr
-	}
-	if err != nil {
-		return nil, opError(err)
-	}
-	return okResult{OK: true}, nil
-}
-
-func handleFallbackSet(s *Server, raw json.RawMessage) (any, *Error) {
-	var p struct {
-		HF   string `json:"hf"`
-		Node int    `json:"node"`
-	}
-	if derr := decodeParams(raw, &p); derr != nil {
-		return nil, derr
-	}
-	if p.HF == "" {
-		return nil, &Error{Code: CodeInvalidParams, Message: "hf is required"}
-	}
-	var err error
-	if derr := s.dispatch(func() { err = s.cfg.Backend.InstallFallback(p.HF, p.Node) }); derr != nil {
-		return nil, derr
-	}
-	if err != nil {
-		return nil, opError(err)
-	}
-	return okResult{OK: true}, nil
-}
-
-func handleFallbackClear(s *Server, raw json.RawMessage) (any, *Error) {
-	var p struct {
-		HF   string `json:"hf"`
-		Node int    `json:"node"`
-	}
-	if derr := decodeParams(raw, &p); derr != nil {
-		return nil, derr
-	}
-	if p.HF == "" {
-		return nil, &Error{Code: CodeInvalidParams, Message: "hf is required"}
-	}
-	var err error
-	if derr := s.dispatch(func() { err = s.cfg.Backend.ClearFallback(p.HF, p.Node) }); derr != nil {
-		return nil, derr
-	}
-	if err != nil {
-		return nil, opError(err)
-	}
-	return okResult{OK: true}, nil
-}
-
-func handleTuneBatch(s *Server, raw json.RawMessage) (any, *Error) {
-	var p struct {
-		Bytes int `json:"bytes"`
-	}
-	if derr := decodeParams(raw, &p); derr != nil {
-		return nil, derr
-	}
-	var (
-		err error
-		cur int
-	)
-	if derr := s.dispatch(func() {
-		err = s.cfg.Backend.SetBatchBytes(p.Bytes)
-		cur = s.cfg.Backend.BatchBytes()
-	}); derr != nil {
-		return nil, derr
-	}
-	if err != nil {
-		return nil, opError(err)
-	}
-	return struct {
-		BatchBytes int `json:"batch_bytes"`
-	}{cur}, nil
-}
-
-func handleTuneWatchdog(s *Server, raw json.RawMessage) (any, *Error) {
-	var p struct {
-		TimeoutUs int `json:"timeout_us"`
-	}
-	if derr := decodeParams(raw, &p); derr != nil {
-		return nil, derr
-	}
-	var (
-		err error
-		cur int
-	)
-	if derr := s.dispatch(func() {
-		err = s.cfg.Backend.SetWatchdogTimeout(p.TimeoutUs)
-		cur = s.cfg.Backend.WatchdogTimeoutUs()
-	}); derr != nil {
-		return nil, derr
-	}
-	if err != nil {
-		return nil, opError(err)
-	}
-	return struct {
-		TimeoutUs int `json:"timeout_us"`
-	}{cur}, nil
-}
-
-func handleTuneAuto(s *Server, raw json.RawMessage) (any, *Error) {
-	var p struct {
-		// State selects the action: "on" enables the controller, "off"
-		// disables it (rolling its overrides back), and "" or "status"
-		// only reads. Every variant returns the controller's status.
-		State string `json:"state,omitempty"`
-	}
-	if derr := decodeParams(raw, &p); derr != nil {
-		return nil, derr
-	}
-	switch p.State {
-	case "on", "off", "", "status":
-	default:
-		return nil, &Error{Code: CodeInvalidParams,
-			Message: fmt.Sprintf("ctlplane: tune.auto state %q (want on, off or status)", p.State)}
-	}
-	var (
-		err    error
-		status tuner.Status
-	)
-	if derr := s.dispatch(func() {
-		switch p.State {
-		case "on":
-			err = s.cfg.Backend.AutoTuneEnable()
-		case "off":
-			err = s.cfg.Backend.AutoTuneDisable()
-		}
-		status = s.cfg.Backend.AutoTuneStatus()
-	}); derr != nil {
-		return nil, derr
-	}
-	if err != nil {
-		return nil, opError(err)
-	}
-	return status, nil
-}
-
-// healthJSON is one accelerator's identity plus health FSM report.
-type healthJSON struct {
-	accInfoJSON
-	Health           string `json:"health"`
-	ConsecutiveFails int    `json:"consecutive_fails"`
-	Faults           uint64 `json:"faults"`
-	Quarantines      uint64 `json:"quarantines"`
-	Reloads          uint64 `json:"reloads"`
-	Reloading        bool   `json:"reloading"`
-	FallbackActive   bool   `json:"fallback_active"`
-}
-
-func handleHealthGet(s *Server, raw json.RawMessage) (any, *Error) {
-	var p struct {
-		AccID *core.AccID `json:"acc_id"`
-	}
-	if derr := decodeParams(raw, &p); derr != nil {
-		return nil, derr
-	}
-	var (
-		accs []healthJSON
-		err  error
-	)
-	if derr := s.dispatch(func() {
-		b := s.cfg.Backend
-		ids := b.AccIDs()
-		if p.AccID != nil {
-			ids = []core.AccID{*p.AccID}
-		}
-		for _, acc := range ids {
-			info, ierr := b.AccInfo(acc)
-			if ierr != nil {
-				err = ierr
-				return
-			}
-			rep, herr := b.AccHealth(acc)
-			if herr != nil {
-				err = herr
-				return
-			}
-			accs = append(accs, healthJSON{
-				accInfoJSON: accInfoJSON{AccID: info.AccID, HF: info.Name, Node: info.Node,
-					FPGA: info.FPGA, Region: info.Region, Ready: info.Ready},
-				Health:           rep.Health.String(),
-				ConsecutiveFails: rep.ConsecutiveFails,
-				Faults:           rep.Faults,
-				Quarantines:      rep.Quarantines,
-				Reloads:          rep.Reloads,
-				Reloading:        rep.Reloading,
-				FallbackActive:   rep.FallbackActive,
-			})
-		}
-	}); derr != nil {
-		return nil, derr
-	}
-	if err != nil {
-		return nil, opError(err)
-	}
-	if accs == nil {
-		accs = []healthJSON{}
-	}
-	return struct {
-		Accs []healthJSON `json:"accs"`
-	}{accs}, nil
-}
-
-// statsResult is the stats.get answer: the node's transfer-core
-// conservation ledger (flattened, the shape the endpoint always had)
-// plus the registered NF flow tables' counters — additive, so clients
-// decoding into core.TransferStats keep working.
-type statsResult struct {
-	core.TransferStats
-	Flowtabs []flowtab.Info `json:"flowtabs"`
-}
-
-func handleStatsGet(s *Server, raw json.RawMessage) (any, *Error) {
-	var p struct {
-		Node int `json:"node"`
-	}
-	if derr := decodeParams(raw, &p); derr != nil {
-		return nil, derr
-	}
-	var (
-		res statsResult
-		err error
-	)
-	if derr := s.dispatch(func() {
-		res.TransferStats, err = s.cfg.Backend.Stats(p.Node)
-		res.Flowtabs = s.cfg.Backend.FlowTables()
-	}); derr != nil {
-		return nil, derr
-	}
-	if err != nil {
-		return nil, opError(err)
-	}
-	if res.Flowtabs == nil {
-		res.Flowtabs = []flowtab.Info{}
-	}
-	return res, nil
-}
-
-// endpointJSON is one routed module instance in a placement snapshot.
-type endpointJSON struct {
-	AccID    uint16 `json:"acc_id"`
-	HF       string `json:"hf"`
-	Region   int    `json:"region"`
-	Weight   uint32 `json:"weight"`
-	Ready    bool   `json:"ready"`
-	Disabled bool   `json:"disabled"`
-	Primary  bool   `json:"primary"`
-}
-
-// boardJSON is one board in a placement snapshot.
-type boardJSON struct {
-	Board       int            `json:"board"`
-	DeviceID    int            `json:"device_id"`
-	Node        int            `json:"node"`
-	State       string         `json:"state"`
-	FreeLUTs    int            `json:"free_luts"`
-	FreeBRAM    int            `json:"free_bram"`
-	FreeRegions int            `json:"free_regions"`
-	MigratedIn  uint64         `json:"migrated_in"`
-	MigratedOut uint64         `json:"migrated_out"`
-	Endpoints   []endpointJSON `json:"endpoints"`
-}
-
-func boardsJSON(infos []placement.BoardInfo) []boardJSON {
-	boards := make([]boardJSON, 0, len(infos))
-	for _, b := range infos {
-		eps := make([]endpointJSON, 0, len(b.Endpoints))
-		for _, ep := range b.Endpoints {
-			eps = append(eps, endpointJSON{
-				AccID: ep.Acc, HF: ep.HF, Region: ep.Region,
-				Weight: ep.Weight, Ready: ep.Ready,
-				Disabled: ep.Disabled, Primary: ep.Primary,
-			})
-		}
-		boards = append(boards, boardJSON{
-			Board: b.Board, DeviceID: b.DeviceID, Node: b.Node, State: b.State,
-			FreeLUTs: b.FreeLUTs, FreeBRAM: b.FreeBRAM, FreeRegions: b.FreeRegions,
-			MigratedIn: b.MigratedIn, MigratedOut: b.MigratedOut, Endpoints: eps,
-		})
-	}
-	return boards
-}
-
-func handlePlacementGet(s *Server, raw json.RawMessage) (any, *Error) {
-	var boards []boardJSON
-	if derr := s.dispatch(func() { boards = boardsJSON(s.cfg.Backend.PlacementTable()) }); derr != nil {
-		return nil, derr
-	}
-	if boards == nil {
-		boards = []boardJSON{}
-	}
-	return struct {
-		Boards []boardJSON `json:"boards"`
-	}{boards}, nil
-}
-
-func handlePlacementRebalance(s *Server, raw json.RawMessage) (any, *Error) {
-	var (
-		moved int
-		err   error
-	)
-	if derr := s.dispatch(func() { moved, err = s.cfg.Backend.Rebalance() }); derr != nil {
-		return nil, derr
-	}
-	if err != nil {
-		return nil, opError(err)
-	}
-	return struct {
-		Moved int `json:"moved"`
-	}{moved}, nil
-}
-
-// accBoardParams are the shared {acc_id, board?} parameters of
-// acc.migrate and acc.replicate; a missing board lets the placement
-// scheduler choose.
-type accBoardParams struct {
-	AccID core.AccID `json:"acc_id"`
-	Board *int       `json:"board"`
-}
+)
 
 func (p accBoardParams) board() int {
 	if p.Board == nil {
@@ -575,105 +294,147 @@ func (p accBoardParams) board() int {
 	return *p.Board
 }
 
-func handleAccMigrate(s *Server, raw json.RawMessage) (any, *Error) {
-	var p accBoardParams
-	if derr := decodeParams(raw, &p); derr != nil {
-		return nil, derr
+// Result shapes. The exported ones are what dhl-inspect decodes; the
+// rest only ever meet a JSON encoder.
+type (
+	okResult struct {
+		OK bool `json:"ok"`
 	}
-	var (
-		board int
-		err   error
-	)
-	if derr := s.dispatch(func() { board, err = s.cfg.Backend.Migrate(p.AccID, p.board()) }); derr != nil {
-		return nil, derr
-	}
-	if err != nil {
-		return nil, opError(err)
-	}
-	return struct {
-		Board int `json:"board"`
-	}{board}, nil
-}
-
-func handleAccReplicate(s *Server, raw json.RawMessage) (any, *Error) {
-	var p accBoardParams
-	if derr := decodeParams(raw, &p); derr != nil {
-		return nil, derr
-	}
-	var (
-		board int
-		err   error
-	)
-	if derr := s.dispatch(func() { board, err = s.cfg.Backend.Replicate(p.AccID, p.board()) }); derr != nil {
-		return nil, derr
-	}
-	if err != nil {
-		return nil, opError(err)
-	}
-	return struct {
-		Board int `json:"board"`
-	}{board}, nil
-}
-
-func handleBoardDrain(s *Server, raw json.RawMessage) (any, *Error) {
-	var p struct {
-		Board int `json:"board"`
-	}
-	if derr := decodeParams(raw, &p); derr != nil {
-		return nil, derr
-	}
-	var (
-		moved int
-		err   error
-	)
-	if derr := s.dispatch(func() { moved, err = s.cfg.Backend.DrainBoard(p.Board) }); derr != nil {
-		return nil, derr
-	}
-	if err != nil {
-		return nil, opError(err)
-	}
-	return struct {
+	movedResult struct {
 		Moved int `json:"moved"`
-	}{moved}, nil
-}
-
-func handleBoardUndrain(s *Server, raw json.RawMessage) (any, *Error) {
-	var p struct {
+	}
+	boardResult struct {
 		Board int `json:"board"`
 	}
-	if derr := decodeParams(raw, &p); derr != nil {
-		return nil, derr
+
+	// InfoResult is the sys.info answer.
+	InfoResult struct {
+		Nodes        int            `json:"nodes"`
+		BatchBytes   int            `json:"batch_bytes"`
+		WatchdogUs   int            `json:"watchdog_timeout_us"`
+		HFTable      []string       `json:"hf_table"`
+		ModuleDB     []string       `json:"module_db"`
+		Accelerators []core.AccInfo `json:"accelerators"`
 	}
+
+	// AccHealth is one health.get row: the accelerator's table row and
+	// its health FSM report, flattened into one object.
+	AccHealth struct {
+		core.AccInfo
+		core.HealthReport
+	}
+
+	// HealthResult is the health.get answer.
+	HealthResult struct {
+		Accs []AccHealth `json:"accs"`
+	}
+
+	// PlacementResult is the placement.get answer.
+	PlacementResult struct {
+		Boards []placement.BoardInfo `json:"boards"`
+	}
+
+	// statsResult is the stats.get answer: the node's transfer-core
+	// conservation ledger (flattened, the shape the endpoint always had)
+	// plus the registered NF flow tables' counters — additive, so clients
+	// decoding into core.TransferStats keep working.
+	statsResult struct {
+		core.TransferStats
+		Flowtabs []flowtab.Info `json:"flowtabs"`
+	}
+
+	// DeltaResult is one telemetry.delta answer: the activity since the
+	// stream's previous call (Delta semantics from the telemetry package:
+	// counter/histogram differences, current gauges, only new spans), and
+	// whether the long poll returned because of activity or deadline.
+	DeltaResult struct {
+		Stream string              `json:"stream"`
+		Active bool                `json:"active"`
+		Delta  *telemetry.Snapshot `json:"delta"`
+	}
+)
+
+var okReply = okResult{OK: true}
+
+// sysInfo answers sys.info. Every list is present even when empty, and
+// the name lists are sorted copies: the Backend's own slices stay as
+// they are.
+func sysInfo(b Backend, _ struct{}) (InfoResult, error) {
+	res := InfoResult{
+		Nodes: b.Nodes(), BatchBytes: b.BatchBytes(), WatchdogUs: b.WatchdogTimeoutUs(),
+		HFTable:      append([]string{}, b.HFTable()...),
+		ModuleDB:     append([]string{}, b.ModuleDB()...),
+		Accelerators: []core.AccInfo{},
+	}
+	sort.Strings(res.HFTable)
+	sort.Strings(res.ModuleDB)
+	for _, acc := range b.AccIDs() {
+		if info, err := b.AccInfo(acc); err == nil {
+			res.Accelerators = append(res.Accelerators, info)
+		}
+	}
+	return res, nil
+}
+
+func handleShutdown(s *Server, _ json.RawMessage) (any, *Error) {
+	if s.cfg.OnShutdown == nil {
+		return nil, &Error{Code: CodeOpFailed, Message: "this server has no shutdown hook"}
+	}
+	s.shutdownOnce.Do(func() {
+		// After the response is on the wire; the hook tears the listener
+		// down, so it must not run on this handler's stack.
+		go s.cfg.OnShutdown()
+	})
+	return okReply, nil
+}
+
+// tuneAuto answers tune.auto. State selects the action: "on" enables the
+// controller, "off" disables it (rolling its overrides back), and "" or
+// "status" only reads. Every variant returns the controller's status.
+func tuneAuto(b Backend, p struct {
+	State string `json:"state,omitempty"`
+}) (tuner.Status, error) {
 	var err error
-	if derr := s.dispatch(func() { err = s.cfg.Backend.UndrainBoard(p.Board) }); derr != nil {
-		return nil, derr
+	switch p.State {
+	case "on":
+		err = b.AutoTuneEnable()
+	case "off":
+		err = b.AutoTuneDisable()
+	case "", "status":
+	default:
+		return tuner.Status{}, &Error{Code: CodeInvalidParams,
+			Message: fmt.Sprintf("ctlplane: tune.auto state %q (want on, off or status)", p.State)}
 	}
-	if err != nil {
-		return nil, opError(err)
-	}
-	return okResult{OK: true}, nil
+	return b.AutoTuneStatus(), err
 }
 
-func handleBoardOffline(s *Server, raw json.RawMessage) (any, *Error) {
-	var p struct {
-		Board int `json:"board"`
+func healthGet(b Backend, p struct {
+	AccID *core.AccID `json:"acc_id"`
+}) (HealthResult, error) {
+	ids := b.AccIDs()
+	if p.AccID != nil {
+		ids = []core.AccID{*p.AccID}
 	}
-	if derr := decodeParams(raw, &p); derr != nil {
-		return nil, derr
+	res := HealthResult{Accs: []AccHealth{}}
+	for _, acc := range ids {
+		info, err := b.AccInfo(acc)
+		if err != nil {
+			return res, err
+		}
+		rep, err := b.AccHealth(acc)
+		if err != nil {
+			return res, err
+		}
+		res.Accs = append(res.Accs, AccHealth{info, rep})
 	}
-	var (
-		moved int
-		err   error
-	)
-	if derr := s.dispatch(func() { moved, err = s.cfg.Backend.OfflineBoard(p.Board) }); derr != nil {
-		return nil, derr
-	}
-	if err != nil {
-		return nil, opError(err)
-	}
-	return struct {
-		Moved int `json:"moved"`
-	}{moved}, nil
+	return res, nil
+}
+
+func statsGet(b Backend, p struct {
+	Node int `json:"node"`
+}) (statsResult, error) {
+	st, err := b.Stats(p.Node)
+	return statsResult{st, append([]flowtab.Info{}, b.FlowTables()...)}, err
 }
 
 // telemetry.delta long-poll parameters.
@@ -687,27 +448,12 @@ const (
 	streamIdleEvict = 5 * time.Minute
 )
 
-// deltaResult is one telemetry.delta answer: the activity since the
-// stream's previous call (Delta semantics from the telemetry package:
-// counter/histogram differences, current gauges, only new spans), and
-// whether the long poll returned because of activity or deadline.
-type deltaResult struct {
-	Stream string              `json:"stream"`
-	Active bool                `json:"active"`
-	Delta  *telemetry.Snapshot `json:"delta"`
-}
-
-func handleTelemetryDelta(s *Server, raw json.RawMessage) (any, *Error) {
-	var p struct {
-		Stream string `json:"stream"`
-		WaitMs int    `json:"wait_ms"`
-	}
-	if derr := decodeParams(raw, &p); derr != nil {
-		return nil, derr
-	}
-	if p.Stream == "" {
-		return nil, &Error{Code: CodeInvalidParams, Message: "stream is required (a client-chosen baseline name)"}
-	}
+// telemetryDelta answers telemetry.delta; Stream is a client-chosen
+// baseline name.
+func telemetryDelta(s *Server, p struct {
+	Stream string `json:"stream" ctl:"required"`
+	WaitMs int    `json:"wait_ms"`
+}) (any, *Error) {
 	if p.WaitMs < 0 {
 		return nil, &Error{Code: CodeInvalidParams, Message: "wait_ms must be >= 0"}
 	}
@@ -720,7 +466,7 @@ func handleTelemetryDelta(s *Server, raw json.RawMessage) (any, *Error) {
 		// Snapshots evaluate pull gauges that read simulation-owned state,
 		// so they must run on the event loop like every other operation.
 		var snap *telemetry.Snapshot
-		if derr := s.dispatch(func() { snap = s.cfg.Backend.Snapshot() }); derr != nil {
+		if derr := s.Dispatch(func() { snap = s.cfg.Backend.Snapshot() }); derr != nil {
 			return nil, derr
 		}
 		if snap == nil {
@@ -734,7 +480,7 @@ func handleTelemetryDelta(s *Server, raw json.RawMessage) (any, *Error) {
 		remaining := time.Until(deadline)
 		if active || remaining <= 0 {
 			s.setStreamBaseline(p.Stream, snap)
-			return deltaResult{Stream: p.Stream, Active: active, Delta: delta}, nil
+			return DeltaResult{Stream: p.Stream, Active: active, Delta: delta}, nil
 		}
 		if remaining < deltaPollEvery {
 			time.Sleep(remaining)

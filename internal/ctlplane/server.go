@@ -34,6 +34,7 @@ package ctlplane
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -135,7 +136,7 @@ type Server struct {
 	shutdownOnce sync.Once
 
 	// Telemetry long-poll stream baselines, keyed by client-chosen stream
-	// name; see telemetry.delta in methods.go.
+	// name; see telemetryDelta in methods.go.
 	streamMu sync.Mutex
 	streams  map[string]*streamState
 }
@@ -214,7 +215,10 @@ func (s *Server) serveDirectory(w http.ResponseWriter) {
 		Service string   `json:"service"`
 		Proto   string   `json:"protocol"`
 		Methods []string `json:"methods"`
-	}{Service: "dhl control plane", Proto: "JSON-RPC 2.0 over POST", Methods: methodNames()}
+	}{Service: "dhl control plane", Proto: "JSON-RPC 2.0 over POST"}
+	for _, v := range verbs {
+		dir.Methods = append(dir.Methods, v.Name+" — "+v.Doc)
+	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	// The connection is the only place this error could go.
@@ -244,12 +248,12 @@ func (s *Server) serveCall(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, req.ID, &Error{Code: CodeInvalidRequest, Message: "method is required"})
 		return
 	}
-	m, ok := methods[req.Method]
+	v, ok := Lookup(req.Method)
 	if !ok {
 		s.writeError(w, req.ID, &Error{Code: CodeMethodNotFound, Message: fmt.Sprintf("unknown method %q", req.Method)})
 		return
 	}
-	result, rerr := m.handle(s, req.Params)
+	result, rerr := v.handle(s, req.Params)
 	if len(req.ID) == 0 || string(req.ID) == "null" {
 		// Notification: executed, not answered.
 		w.WriteHeader(http.StatusNoContent)
@@ -275,11 +279,12 @@ func (s *Server) writeError(w http.ResponseWriter, id json.RawMessage, rerr *Err
 	_ = json.NewEncoder(w).Encode(rpcResponse{JSONRPC: "2.0", ID: id, Error: rerr})
 }
 
-// dispatch posts fn onto the event loop and waits for it to run. It
+// Dispatch posts fn onto the event loop and waits for it to run. It
 // fails with CodeLoopIdle when nothing drives the simulation within
 // CallTimeout; the posted closure may still run later, which is safe —
-// its captured results are simply never read.
-func (s *Server) dispatch(fn func()) *Error {
+// its captured results are simply never read. Every verb goes through
+// it, and so does the /metrics scrape of the system that serves them.
+func (s *Server) Dispatch(fn func()) *Error {
 	done := make(chan struct{})
 	s.cfg.Post(func() {
 		fn()
@@ -294,7 +299,12 @@ func (s *Server) dispatch(fn func()) *Error {
 	}
 }
 
-// opError wraps a runtime rejection into the CodeOpFailed space.
+// opError wraps a runtime rejection into the CodeOpFailed space; a verb
+// that refuses with an *Error of its own keeps its code.
 func opError(err error) *Error {
+	var rerr *Error
+	if errors.As(err, &rerr) {
+		return rerr
+	}
 	return &Error{Code: CodeOpFailed, Message: err.Error()}
 }

@@ -330,7 +330,7 @@ func TestRoundTripMethods(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var info infoResult
+	var info InfoResult
 	if err := c.Call("sys.info", nil, &info); err != nil {
 		t.Fatal(err)
 	}
@@ -351,13 +351,11 @@ func TestRoundTripMethods(t *testing.T) {
 		t.Errorf("batch_bytes %d / backend %d", tuned.BatchBytes, fb.batchBytes)
 	}
 
-	var health struct {
-		Accs []healthJSON `json:"accs"`
-	}
+	var health HealthResult
 	if err := c.Call("health.get", nil, &health); err != nil {
 		t.Fatal(err)
 	}
-	if len(health.Accs) != 1 || health.Accs[0].Health != "healthy" {
+	if len(health.Accs) != 1 || health.Accs[0].Health != core.HealthHealthy {
 		t.Errorf("health %+v", health)
 	}
 
@@ -428,7 +426,7 @@ func TestProtocolErrors(t *testing.T) {
 	}
 
 	// Raw-wire cases the client cannot produce.
-	post := func(body string) rpcResponse {
+	postTo := func(srv *Server, body string) rpcResponse {
 		t.Helper()
 		req := httptest.NewRequest(http.MethodPost, "/api/v1", strings.NewReader(body))
 		w := httptest.NewRecorder()
@@ -439,6 +437,7 @@ func TestProtocolErrors(t *testing.T) {
 		}
 		return resp
 	}
+	post := func(body string) rpcResponse { t.Helper(); return postTo(srv, body) }
 	if resp := post("{"); resp.Error == nil || resp.Error.Code != CodeParse {
 		t.Errorf("truncated JSON: %+v", resp.Error)
 	}
@@ -450,6 +449,56 @@ func TestProtocolErrors(t *testing.T) {
 	}
 	if resp := post(`{"jsonrpc":"2.0","id":1}`); resp.Error == nil || resp.Error.Code != CodeInvalidRequest {
 		t.Errorf("missing method: %+v", resp.Error)
+	}
+
+	// A required parameter left out is refused by presence, before
+	// anything reaches the event loop: a forgotten field must not decode
+	// to zero and hard-kill board 0 or disarm the watchdog. One row per
+	// required field of the table; zero values sent explicitly stay legal.
+	posted := 0
+	counted, err := New(Config{Backend: fb, Post: func(fn func()) { posted++; fn() }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := []struct{ method, params, field string }{
+		{"nf.register", `{"node":0}`, "name"},
+		{"nf.unregister", `{}`, "nf_id"},
+		{"acc.load", `{"node":0}`, "hf"},
+		{"acc.evict", `null`, "acc_id"},
+		{"acc.configure", `{"params":"AQID"}`, "acc_id"},
+		{"acc.configure", `{"acc_id":1}`, "params"},
+		{"fallback.set", `{}`, "hf"},
+		{"fallback.clear", `{"node":0}`, "hf"},
+		{"tune.batch", `{}`, "bytes"},
+		{"tune.watchdog", `{}`, "timeout_us"},
+		{"telemetry.delta", `{"wait_ms":5}`, "stream"},
+		{"acc.migrate", `{"board":1}`, "acc_id"},
+		{"acc.replicate", `{}`, "acc_id"},
+		{"board.drain", `{}`, "board"},
+		{"board.undrain", `{}`, "board"},
+		{"board.offline", `{"board":null}`, "board"},
+	}
+	covered := map[string]bool{}
+	for _, row := range rows {
+		covered[row.method+"."+row.field] = true
+		resp := postTo(counted, `{"jsonrpc":"2.0","id":1,"method":"`+row.method+`","params":`+row.params+`}`)
+		if resp.Error == nil || resp.Error.Code != CodeInvalidParams || resp.Error.Message != row.field+" is required" {
+			t.Errorf("%s %s: %+v, want %d %q", row.method, row.params, resp.Error, CodeInvalidParams, row.field+" is required")
+		}
+	}
+	if posted != 0 || len(fb.lost)+len(fb.drained)+len(fb.nfs)+len(fb.accs) != 0 {
+		t.Errorf("refused calls reached the backend: %d posted, state %+v", posted, fb)
+	}
+	for _, v := range Verbs() {
+		for _, p := range v.Params {
+			if p.Required && !covered[v.Name+"."+p.Name] {
+				t.Errorf("%s: required parameter %q has no refusal row above", v.Name, p.Name)
+			}
+		}
+	}
+	// The zero value itself is a request like any other.
+	if err := c.Call("tune.watchdog", map[string]any{"timeout_us": 0}, nil); err != nil {
+		t.Errorf("explicit zero refused: %v", err)
 	}
 
 	// Notifications (no id) execute but get 204.
@@ -537,7 +586,7 @@ func TestTelemetryDeltaLongPoll(t *testing.T) {
 
 	// First call with no activity and no wait: inactive, establishes the
 	// stream baseline.
-	var d deltaResult
+	var d DeltaResult
 	if err := c.Call("telemetry.delta", map[string]any{"stream": "t"}, &d); err != nil {
 		t.Fatal(err)
 	}

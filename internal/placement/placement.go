@@ -481,29 +481,30 @@ func (s *Scheduler) EndpointsOn(board int) int {
 	return n
 }
 
-// EndpointInfo is one route endpoint in a fleet snapshot.
+// EndpointInfo is one route endpoint in a fleet snapshot. Its JSON
+// tags, and BoardInfo's, are placement.get's wire shape.
 type EndpointInfo struct {
-	Acc      uint16
-	HF       string
-	Region   int
-	Weight   uint32
-	Ready    bool
-	Disabled bool
-	Primary  bool
+	Acc      uint16 `json:"acc_id"`
+	HF       string `json:"hf"`
+	Region   int    `json:"region"`
+	Weight   uint32 `json:"weight"`
+	Ready    bool   `json:"ready"`
+	Disabled bool   `json:"disabled"`
+	Primary  bool   `json:"primary"`
 }
 
 // BoardInfo is one board in a fleet snapshot.
 type BoardInfo struct {
-	Board       int
-	DeviceID    int
-	Node        int
-	State       string
-	FreeLUTs    int
-	FreeBRAM    int
-	FreeRegions int
-	MigratedIn  uint64
-	MigratedOut uint64
-	Endpoints   []EndpointInfo
+	Board       int            `json:"board"`
+	DeviceID    int            `json:"device_id"`
+	Node        int            `json:"node"`
+	State       string         `json:"state"`
+	FreeLUTs    int            `json:"free_luts"`
+	FreeBRAM    int            `json:"free_bram"`
+	FreeRegions int            `json:"free_regions"`
+	MigratedIn  uint64         `json:"migrated_in"`
+	MigratedOut uint64         `json:"migrated_out"`
+	Endpoints   []EndpointInfo `json:"endpoints"`
 }
 
 // Snapshot renders the fleet for the control plane: per-board state,

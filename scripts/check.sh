@@ -147,6 +147,22 @@ if command -v curl >/dev/null; then
         echo "/metrics scrape lost the stage histograms" >&2
         exit 1
     }
+    # A required parameter left out must be refused, not decoded to zero:
+    # board.offline without params used to hard-kill board 0. dhl-inspect
+    # would stop this client-side, so go to the wire.
+    curl -fsS -X POST "http://127.0.0.1:$port/api/v1" \
+        -d '{"jsonrpc":"2.0","id":1,"method":"board.offline"}' > "$smoke_dir/offline.txt"
+    grep -q -- '"code":-32602' "$smoke_dir/offline.txt" || {
+        echo "board.offline without params was not refused with -32602" >&2
+        cat "$smoke_dir/offline.txt" >&2
+        exit 1
+    }
+    "$smoke_dir/dhl-inspect" -addr "127.0.0.1:$port" -json -cmd placement.get > "$smoke_dir/placement.txt"
+    if [[ $(grep -o '"state":"alive"' "$smoke_dir/placement.txt" | wc -l) -ne 2 ]]; then
+        echo "a refused board.offline changed the fleet:" >&2
+        cat "$smoke_dir/placement.txt" >&2
+        exit 1
+    fi
 else
     echo "(curl not found; skipping the /metrics scrape)"
 fi

@@ -93,19 +93,13 @@ func (s *System) Serve(addr string, opts ...ServeOption) (*MetricsExporter, erro
 		// the same post-and-wait dispatch the management API uses. Without
 		// the control plane the exporter reads directly, which is safe for
 		// the scrape-while-quiescent usage a metrics-only Serve has.
-		timeout := sc.callTimeout
-		if timeout <= 0 {
-			timeout = 5 * time.Second
-		}
 		e.SetDispatch(func(fn func()) error {
-			done := make(chan struct{})
-			s.sim.Post(func() { fn(); close(done) })
-			select {
-			case <-done:
-				return nil
-			case <-time.After(timeout):
-				return fmt.Errorf("no Sim().Run drained the request within %v", timeout)
+			// Not `return srv.Dispatch(fn)`: a nil *Error in an error
+			// interface is not nil.
+			if derr := srv.Dispatch(fn); derr != nil {
+				return derr
 			}
+			return nil
 		})
 	}
 	if _, err := e.Start(addr); err != nil {

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	dhl "github.com/opencloudnext/dhl-go"
 	"github.com/opencloudnext/dhl-go/internal/eventsim"
@@ -138,6 +139,33 @@ func TestServeMetricsGolden(t *testing.T) {
 	} {
 		if !strings.Contains(string(body), probe) {
 			t.Errorf("scrape missing %q", probe)
+		}
+	}
+}
+
+// TestServeMetricsIdleLoop503: on a control-plane system a scrape rides
+// the management API's dispatch, so with nobody pumping the loop it
+// answers 503 after the call timeout instead of hanging or reading
+// simulation state off the loop.
+func TestServeMetricsIdleLoop503(t *testing.T) {
+	sys, err := dhl.Open(dhl.SystemConfig{}, dhl.WithControlPlane())
+	if err != nil {
+		t.Fatal(err)
+	}
+	exp, err := sys.Serve("127.0.0.1:0", dhl.WithCallTimeout(50*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = exp.Close() }()
+	for _, path := range []string{"/metrics", "/debug/vars"} {
+		resp, err := http.Get("http://" + exp.Addr() + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		_ = resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(string(body), "50ms") {
+			t.Errorf("%s with an idle loop: %d %q", path, resp.StatusCode, body)
 		}
 	}
 }
