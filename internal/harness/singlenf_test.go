@@ -165,6 +165,28 @@ func TestAllocBudgetIPsec64(t *testing.T) {
 	}
 }
 
+// TestSetupBytesIPsec pins the heap a testbed takes before its first
+// packet: one RunSingleNF with a 1 us window is the bench's set-up pass.
+// It was 104.8 MB while every SADB cleared a flat 64 MB LPM table to hold
+// two /1 routes; what is left is mostly the mbuf pool.
+func TestSetupBytesIPsec(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := RunSingleNF(SingleNFConfig{
+		Kind: IPsecGateway, Mode: DHL, FrameSize: 64,
+		Warmup: 2 * eventsim.Millisecond, Window: eventsim.Microsecond,
+	})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("set-up pass allocated %.1f MB", float64(got)/1e6)
+	if got >= 50e6 {
+		t.Errorf("set-up pass allocated %.1f MB, want < 50 MB", float64(got)/1e6)
+	}
+}
+
 // TestAllocBudgetCPUOnly64 is the same gate on the CPU-only pipeline,
 // whose four cores are all harness stages: 0.51 per packet while each
 // busy poll made its own burst and commit closure, set-up only now.

@@ -2,9 +2,7 @@ package lpm
 
 import (
 	"errors"
-	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func ip(a, b, c, d byte) uint32 {
@@ -158,89 +156,52 @@ func TestLookupBulk(t *testing.T) {
 	}
 }
 
-// naiveLPM is the reference implementation for property testing.
-type naiveRoute struct {
-	prefix uint32
-	depth  uint8
-	hop    uint16
+// TestTbl8GroupLimit pins New's refusal of more groups than a tbl24 entry
+// can name: group 65536 would alias group 0 on Lookup.
+func TestTbl8GroupLimit(t *testing.T) {
+	if tbl := New(1 << 16); len(tbl.free8) != 1<<16 {
+		t.Errorf("New(65536): %d free groups", len(tbl.free8))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("New(65537) did not panic")
+		}
+	}()
+	New(1<<16 + 1)
 }
 
-func naiveLookup(routes []naiveRoute, addr uint32) (uint16, bool) {
-	best := -1
-	var hop uint16
-	for _, r := range routes {
-		m := mask(r.depth)
-		if addr&m == r.prefix&m && int(r.depth) > best {
-			best = int(r.depth)
-			hop = r.hop
+// TestShortRoutesHoldNoChunks is the table's cost model at its cheap end:
+// routes of depth <= 8 live in the root, whatever they cover.
+func TestShortRoutesHoldNoChunks(t *testing.T) {
+	tbl := New(0)
+	holds := func(want string) {
+		t.Helper()
+		if got := tbl.String(); got != want {
+			t.Errorf("%s, want %s", got, want)
 		}
 	}
-	return hop, best >= 0
-}
-
-// TestQuickVsNaive property-checks the DIR-24-8 table against a linear
-// scan over random route sets and random probes.
-func TestQuickVsNaive(t *testing.T) {
-	if testing.Short() {
-		t.Skip("long simulation; skipped in -short CI gate")
-	}
-	rng := rand.New(rand.NewSource(42))
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		tbl := New(64)
-		var routes []naiveRoute
-		for i := 0; i < 40; i++ {
-			depth := uint8(1 + r.Intn(32))
-			if i%5 == 0 {
-				// Every run lays /1../8 routes under and over longer
-				// ones: the spans install writes millions of tbl24
-				// entries for.
-				depth = uint8(1 + r.Intn(8))
-			}
-			prefix := r.Uint32() & mask(depth)
-			hop := uint16(r.Intn(1000))
-			if err := tbl.Add(prefix, depth, hop); err != nil {
-				if errors.Is(err, ErrTbl8Space) {
-					continue
-				}
-				return false
-			}
-			// Later adds of the same prefix/depth overwrite; mirror that.
-			replaced := false
-			for j := range routes {
-				if routes[j].prefix == prefix&mask(depth) && routes[j].depth == depth {
-					routes[j].hop = hop
-					replaced = true
-					break
-				}
-			}
-			if !replaced {
-				routes = append(routes, naiveRoute{prefix, depth, hop})
-			}
+	for depth := uint8(1); depth <= 8; depth++ {
+		if err := tbl.Add(0x80000000, depth, uint16(depth)); err != nil {
+			t.Fatal(err)
 		}
-		for i := 0; i < 200; i++ {
-			addr := r.Uint32()
-			if i%3 == 0 && len(routes) > 0 {
-				// Bias probes into covered space.
-				rt := routes[r.Intn(len(routes))]
-				addr = rt.prefix | (r.Uint32() &^ mask(rt.depth))
-			}
-			wantHop, wantOK := naiveLookup(routes, addr)
-			gotHop, err := tbl.Lookup(addr)
-			gotOK := err == nil
-			if wantOK != gotOK {
-				t.Logf("addr %08x: ok mismatch want %v got %v", addr, wantOK, gotOK)
-				return false
-			}
-			if wantOK && wantHop != gotHop {
-				t.Logf("addr %08x: hop mismatch want %d got %d", addr, wantHop, gotHop)
-				return false
-			}
+	}
+	if err := tbl.Add(0, 1, 9); err != nil {
+		t.Fatal(err)
+	}
+	holds("lpm.Table{routes=9 chunks=0 tbl8Used=0}")
+	for addr, want := range map[uint32]uint16{ip(128, 9, 9, 9): 8, ip(129, 0, 0, 0): 7, ip(255, 255, 255, 255): 1, ip(1, 2, 3, 4): 9} {
+		if hop, err := tbl.Lookup(addr); err != nil || hop != want {
+			t.Errorf("lookup %08x: got %d/%v want %d", addr, hop, err, want)
 		}
-		return true
 	}
-	cfg := &quick.Config{MaxCount: 20, Values: nil, Rand: rng}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
+	// One route deeper than /8 costs its /8 a chunk; deleting it gives
+	// the chunk back.
+	if err := tbl.Add(ip(128, 1, 0, 0), 16, 10); err != nil {
+		t.Fatal(err)
 	}
+	holds("lpm.Table{routes=10 chunks=1 tbl8Used=0}")
+	if err := tbl.Delete(ip(128, 1, 0, 0), 16); err != nil {
+		t.Fatal(err)
+	}
+	holds("lpm.Table{routes=9 chunks=0 tbl8Used=0}")
 }

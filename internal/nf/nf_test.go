@@ -3,6 +3,7 @@ package nf
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 
 	"github.com/opencloudnext/dhl-go/internal/eth"
@@ -167,6 +168,60 @@ func TestL3Fwd(t *testing.T) {
 	m3.Data()[eth.EtherLen+8] = 1
 	if v, _ := l3.Process(m3); v != VerdictDrop {
 		t.Errorf("ttl verdict %v", v)
+	}
+}
+
+// allocatedBytes is what fn takes from the heap, freed or not.
+func allocatedBytes(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestSADBSetupBytes pins what every IPsec testbed pays for its SA
+// matching: the default SA's two /1 selectors live in the LPM table's root.
+// It was 64 MB while the table's first level was one flat array.
+func TestSADBSetupBytes(t *testing.T) {
+	var db *SADB
+	got := allocatedBytes(func() {
+		db = NewSADB()
+		if err := db.AddDefaultSA(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("NewSADB + AddDefaultSA allocated %d bytes", got)
+	if got >= 64<<10 {
+		t.Errorf("NewSADB + AddDefaultSA allocated %d bytes, want < 64 KB", got)
+	}
+	for dst, spi := range map[eth.IPv4]uint32{{10, 0, 0, 1}: 0x1001, {192, 168, 0, 1}: 0x1002} {
+		if sa, err := db.Match(dst); err != nil || sa.SPI != spi {
+			t.Errorf("match %v: %+v, %v, want SPI %#x", dst, sa, err, spi)
+		}
+	}
+}
+
+// TestL3FwdTableBytes is the same gate on Table I's L3fwd-lpm route set
+// (harness/table1.go): a /16, a /8 and 64 /24s in one /8 are two 256 KB
+// chunks of the table, not 64 MB.
+func TestL3FwdTableBytes(t *testing.T) {
+	got := allocatedBytes(func() {
+		l3 := NewL3Fwd(eth.MAC{2, 0, 0, 0, 0, 0x10})
+		add := func(prefix uint32, depth uint8) {
+			if err := l3.AddRoute(prefix, depth, 1, eth.MAC{2, 0, 0, 0, 0, 0x20}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		add(0xC0A80000, 16)
+		add(0x0A000000, 8)
+		for i := uint32(0); i < 64; i++ {
+			add(0x20000000+i<<16, 24)
+		}
+	})
+	t.Logf("Table I route set allocated %d bytes", got)
+	if got >= 1<<20 {
+		t.Errorf("Table I route set allocated %d bytes, want < 1 MB", got)
 	}
 }
 

@@ -23,6 +23,11 @@ type Series struct {
 	max     float64
 	samples []float64
 	stride  uint64
+
+	// sorted is samples in order as of sortedAt observations: callers ask
+	// for several percentiles of one finished run.
+	sorted   []float64
+	sortedAt uint64
 }
 
 // NewSeries creates a Series keeping at most ~2*cap percentile samples.
@@ -94,9 +99,12 @@ func (s *Series) Percentile(p float64) float64 {
 	if len(s.samples) == 0 {
 		return 0
 	}
-	sorted := make([]float64, len(s.samples))
-	copy(sorted, s.samples)
-	sort.Float64s(sorted)
+	if s.sortedAt != s.count {
+		s.sorted = append(s.sorted[:0], s.samples...)
+		sort.Float64s(s.sorted)
+		s.sortedAt = s.count
+	}
+	sorted := s.sorted
 	if p <= 0 {
 		return sorted[0]
 	}

@@ -51,6 +51,23 @@ func TestPercentileInterpolation(t *testing.T) {
 	}
 }
 
+// TestPercentileSeesLaterAdds pins the sorted copy Percentile keeps between
+// calls to the state of the series: an Add in between is seen, decimation
+// included, and asking twice changes nothing.
+func TestPercentileSeesLaterAdds(t *testing.T) {
+	s := NewSeries(4) // decimates at 8 samples
+	for i := 0; i < 20; i++ {
+		s.Add(float64(20 - i))
+		want := append([]float64(nil), s.samples...)
+		sort.Float64s(want)
+		for range 2 {
+			if s.Percentile(0) != want[0] || s.Percentile(100) != want[len(want)-1] || s.Percentile(50) != (want[(len(want)-1)/2]+want[len(want)/2])/2 {
+				t.Fatalf("after %d adds: p0/p50/p100 %v/%v/%v over %v", i+1, s.Percentile(0), s.Percentile(50), s.Percentile(100), want)
+			}
+		}
+	}
+}
+
 func TestDecimationKeepsEstimatesSane(t *testing.T) {
 	s := NewSeries(512) // reservoir decimates after 1024 samples
 	n := 100000

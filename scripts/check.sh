@@ -72,6 +72,12 @@ echo "==> ipsec crypto kernel (reference equivalence, 0-alloc gates, 10 s fuzz)"
 go test -run 'MatchesReference|ZeroAlloc|AllocBudget' -count=1 ./internal/swcrypto ./internal/hwfunc ./internal/harness
 go test -run '^$' -fuzz FuzzSealMatchesReference -fuzztime 10s ./internal/swcrypto
 
+echo "==> lpm (reference equivalence, set-up byte budgets, 10 s fuzz)"
+go test -run 'QuickVsNaive|SetupBytes|TableBytes' -count=1 ./internal/lpm ./internal/nf ./internal/harness
+# Uncapped, the fuzzer stops generating after ~3 s and spends the rest
+# minimising each 8-bytes-a-step program that reached new coverage.
+go test -run '^$' -fuzz FuzzLPMVsNaive -fuzztime 10s -fuzzminimizetime 10x ./internal/lpm
+
 echo "==> telemetry smoke (stage clock, zero-alloc budget, exporter golden)"
 go test -run 'Telemetry|ServeMetricsGolden|WritePrometheus' -count=1 \
     ./internal/core ./internal/telemetry .
