@@ -79,25 +79,25 @@ func TestDuplicatePatterns(t *testing.T) {
 
 func TestCaseFold(t *testing.T) {
 	m := mustMatcher(t, []string{"CmD.ExE"}, Config{CaseFold: true})
-	if !m.Contains([]byte("run CMD.EXE now")) {
-		t.Error("case-folded match missed")
+	if n := m.Scan([]byte("run CMD.EXE now"), nil); n != 1 {
+		t.Errorf("case-folded text matched %d times, want 1", n)
 	}
-	if !m.Contains([]byte("cmd.exe")) {
-		t.Error("lower-case match missed")
+	if n := m.Scan([]byte("cmd.exe"), nil); n != 1 {
+		t.Errorf("lower-case text matched %d times, want 1", n)
 	}
 	ms := mustMatcher(t, []string{"CmD.ExE"}, Config{})
-	if ms.Contains([]byte("cmd.exe")) {
-		t.Error("case-sensitive matcher matched folded text")
+	if n := ms.Scan([]byte("cmd.exe"), nil); n != 0 {
+		t.Errorf("case-sensitive matcher matched folded text %d times", n)
 	}
 }
 
-func TestContainsEarlyExit(t *testing.T) {
+func TestScanHitAndMiss(t *testing.T) {
 	m := mustMatcher(t, []string{"needle"}, Config{})
-	if m.Contains([]byte("haystack without it")) {
-		t.Error("false positive")
+	if n := m.Scan([]byte("haystack without it"), nil); n != 0 {
+		t.Errorf("false positive: %d matches", n)
 	}
-	if !m.Contains([]byte("xxneedlexx")) {
-		t.Error("false negative")
+	if n := m.Scan([]byte("xxneedlexx"), nil); n != 1 {
+		t.Errorf("%d matches, want 1", n)
 	}
 }
 
@@ -108,8 +108,8 @@ func TestBinaryPatterns(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := append(append([]byte("prefix"), nop...), 0x00, 0xFF)
-	if !m.Contains(payload) {
-		t.Error("NOP sled not detected")
+	if n := m.Scan(payload, nil); n != 1 {
+		t.Errorf("NOP sled matched %d times, want 1", n)
 	}
 }
 
@@ -122,25 +122,6 @@ func TestStatesAndPatterns(t *testing.T) {
 	if m.States() != 5 {
 		t.Errorf("states %d, want 5", m.States())
 	}
-}
-
-// naiveScan counts matches with strings.Index, the reference oracle.
-func naiveScan(patterns []string, text string, fold bool) int {
-	if fold {
-		text = strings.ToLower(text)
-	}
-	count := 0
-	for _, p := range patterns {
-		if fold {
-			p = strings.ToLower(p)
-		}
-		for i := 0; i+len(p) <= len(text); i++ {
-			if text[i:i+len(p)] == p {
-				count++
-			}
-		}
-	}
-	return count
 }
 
 // TestQuickVsNaive property-checks the DFA against naive substring search
@@ -168,7 +149,7 @@ func TestQuickVsNaive(t *testing.T) {
 			return false
 		}
 		text := gen(r, r.Intn(80))
-		return m.Scan([]byte(text), nil) == naiveScan(pats, text, false)
+		return m.Scan([]byte(text), nil) == len(naiveScan(bb, false, []byte(text)))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rng}); err != nil {
 		t.Error(err)

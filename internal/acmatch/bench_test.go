@@ -6,7 +6,9 @@ import (
 )
 
 // BenchmarkScan measures the software AC-DFA scan rate (the CPU-only NIDS
-// bottleneck, §V-B2) across packet sizes.
+// bottleneck, §V-B2) across packet sizes, and under lanes the rate of the
+// same table walked Lanes records at a time over what a 6 KB DMA batch of
+// 512 B packets holds (11 records: two full groups and a short one).
 func BenchmarkScan(b *testing.B) {
 	patterns := [][]byte{
 		[]byte("/etc/passwd"), []byte("cmd.exe"), []byte("SELECT * FROM"),
@@ -29,6 +31,21 @@ func BenchmarkScan(b *testing.B) {
 			}
 		})
 	}
+	b.Run("lanes/11x512B", func(b *testing.B) {
+		recs := make([][]byte, 11)
+		for r := range recs {
+			recs[r] = make([]byte, 512)
+			for i := range recs[r] {
+				recs[r][i] = byte('a' + (i+r)%26)
+			}
+		}
+		out := make([]Tally, len(recs))
+		b.SetBytes(int64(len(recs) * 512))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			m.ScanLanes(recs, out)
+		}
+	})
 }
 
 func BenchmarkBuild(b *testing.B) {

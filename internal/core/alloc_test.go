@@ -60,7 +60,7 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 		}
 	}
 
-	// Warm every freelist on the path: staging maps, arena segments,
+	// Warm every freelist on the path: staging tables, arena segments,
 	// inflight objects, simulator events, poll-loop scratch.
 	for i := 0; i < 50; i++ {
 		cycle()

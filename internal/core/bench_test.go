@@ -100,7 +100,7 @@ func benchPipelineCfg(b *testing.B, nPkts, payloadLen int, cfg Config) {
 	payload := bytes.Repeat([]byte{0xAB}, payloadLen)
 	pkts := make([]*mbuf.Mbuf, nPkts)
 	out := make([]*mbuf.Mbuf, 2*nPkts)
-	// Warm the freelists, rings and staging maps before measuring.
+	// Warm the freelists, rings and staging tables before measuring.
 	for i := 0; i < 16; i++ {
 		if got := r.cycle(b, pkts, out, payload); got != nPkts {
 			b.Fatalf("warmup: %d of %d packets returned", got, nPkts)

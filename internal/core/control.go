@@ -133,8 +133,8 @@ func (r *Runtime) EvictPR(acc AccID) error {
 		if tx == nil {
 			continue
 		}
-		st, ok := tx.staging[acc]
-		if !ok {
+		st := tx.state(acc)
+		if st == nil {
 			continue
 		}
 		for i, m := range st.mbufs {
@@ -194,7 +194,8 @@ func (r *Runtime) SetBatchBytes(bytes int) error {
 		if tx == nil {
 			continue
 		}
-		for _, st := range tx.staging {
+		for _, acc := range tx.order {
+			st := tx.staging[acc]
 			if r.cfg.Batching == AdaptiveBatching {
 				// Preserve the controller's position, clamped to the new
 				// window; it keeps adapting from there.
@@ -252,8 +253,8 @@ func (r *Runtime) SetAccBatchBytes(acc AccID, bytes int) error {
 		if tx == nil {
 			continue
 		}
-		st, ok := tx.staging[acc]
-		if !ok {
+		st := tx.state(acc)
+		if st == nil {
 			continue
 		}
 		st.batchCap = bytes
@@ -284,7 +285,7 @@ func (r *Runtime) SetAccFlushTimeout(acc AccID, d eventsim.Time) error {
 		if tx == nil {
 			continue
 		}
-		if st, ok := tx.staging[acc]; ok {
+		if st := tx.state(acc); st != nil {
 			st.flushTimeout = d
 		}
 	}

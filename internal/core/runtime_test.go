@@ -452,7 +452,7 @@ func TestAdaptiveBatchingShrinksUnderLightLoad(t *testing.T) {
 		}
 		r.sim.Run(r.sim.Now() + 50*eventsim.Microsecond)
 	}
-	st := r.rt.nodeTx[0].staging[acc]
+	st := r.rt.nodeTx[0].state(acc)
 	if st == nil {
 		t.Fatal("no staging state")
 	}
@@ -502,6 +502,45 @@ func TestSendToUnknownAccDropsSafely(t *testing.T) {
 	r.sim.Run(r.sim.Now() + eventsim.Millisecond)
 	if r.pool.InUse() != 0 {
 		t.Errorf("unroutable packets leaked: %d", r.pool.InUse())
+	}
+}
+
+// TestStagingUnknownAccID sends the largest id an mbuf can carry: the
+// staging table grows to hold it, the packet stages and is flushed like any
+// other, and the flush finds no route. A routed accelerator staged beside
+// it in the same table is not disturbed.
+func TestStagingUnknownAccID(t *testing.T) {
+	r := newRig(t, Config{FlushTimeout: 5 * eventsim.Microsecond},
+		moduleSpec("rev", func() fpga.Module { return reverseModule{} }))
+	nf, _ := r.rt.Register("nf", 0)
+	acc, _ := r.rt.SearchByName("rev", 0)
+	r.settle()
+	pkts := []*mbuf.Mbuf{
+		r.packet(t, nf, acc, []byte("routed")),
+		r.packet(t, nf, AccID(0xffff), []byte("to nowhere")),
+	}
+	if _, err := r.rt.SendPackets(nf, pkts); err != nil {
+		t.Fatal(err)
+	}
+	r.sim.Run(r.sim.Now() + eventsim.Microsecond)
+	tx := r.rt.nodeTx[0]
+	if st := tx.state(0xffff); st == nil || len(st.mbufs) != 1 {
+		t.Fatalf("acc_id 0xffff not staged: %+v", st)
+	}
+	r.sim.Run(r.sim.Now() + eventsim.Millisecond)
+	s, _ := r.rt.Stats(0)
+	if s.PktsPacked != 2 || s.DropNoRoute != 1 || s.StagingDrops != 0 || s.PktsDistributed != 1 {
+		t.Errorf("packed %d, no-route %d, staging drops %d, distributed %d; want 2, 1, 0, 1",
+			s.PktsPacked, s.DropNoRoute, s.StagingDrops, s.PktsDistributed)
+	}
+	out := make([]*mbuf.Mbuf, 4)
+	n, _ := r.rt.ReceivePackets(nf, out)
+	if n != 1 || string(out[0].Data()) != "detuor" {
+		t.Fatalf("received %d packets, want the routed one reversed", n)
+	}
+	_ = r.pool.Free(out[0])
+	if r.pool.InUse() != 0 {
+		t.Errorf("pool unbalanced: %d in use", r.pool.InUse())
 	}
 }
 

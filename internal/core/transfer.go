@@ -132,8 +132,8 @@ type txEngine struct {
 	pool    *mbuf.Pool
 	arena   *batchArena
 	loop    *eventsim.PollLoop
-	staging map[AccID]*accState
-	order   []AccID // deterministic staging iteration order
+	staging []*accState // indexed by acc_id, grown to the largest seen; nil where none was
+	order   []AccID     // the ids staging holds, first seen first: deterministic iteration order
 	stats   TransferStats
 	scratch []*mbuf.Mbuf
 
@@ -218,7 +218,6 @@ func (r *Runtime) AttachCores(node int, txCore, rxCore *eventsim.Core, pool *mbu
 		node:    node,
 		pool:    pool,
 		arena:   newBatchArena(r.cfg.BatchBytes),
-		staging: make(map[AccID]*accState),
 		scratch: make([]*mbuf.Mbuf, r.cfg.Burst),
 	}
 	tx.commitFn = tx.commit
@@ -392,11 +391,9 @@ func (t *txEngine) body() (float64, func()) {
 	}
 	for _, m := range t.scratch[:n] {
 		acc := AccID(m.AccID)
-		st, ok := t.staging[acc]
-		if !ok {
+		st := t.state(acc)
+		if st == nil {
 			st = t.newAccState(acc)
-			t.staging[acc] = st
-			t.order = append(t.order, acc)
 		}
 		recLen := dhlproto.RecordOverhead + m.Len()
 		if len(st.buf)+recLen > st.effBatch && len(st.mbufs) > 0 {
@@ -433,16 +430,34 @@ func (t *txEngine) body() (float64, func()) {
 	return cycles, t.pendingCommit()
 }
 
+// state returns acc's staging area, nil when no packet has carried acc on
+// this node.
+//
+//dhl:hotpath
+func (t *txEngine) state(acc AccID) *accState {
+	if int(acc) < len(t.staging) {
+		return t.staging[acc]
+	}
+	return nil
+}
+
 // newAccState is the cold constructor for a first-seen acc_id's staging
-// area; //go:noinline keeps its allocation out of body's //dhl:hotpath
-// range under escape analysis. Per-acc tuning set before the first
-// packet arrived (SetAccBatchBytes / SetAccFlushTimeout record into
-// Runtime.accTune) is picked up here, so overrides survive staging
-// teardown and re-creation.
+// area, entered into the table; //go:noinline keeps its allocations out of
+// body's //dhl:hotpath range under escape analysis. The id is whatever the
+// NF wrote into the mbuf — an unrouted one stages like any other and is
+// dropped at flush — so the table can reach 65 536 pointers, no further.
+// Per-acc tuning set before the first packet arrived (SetAccBatchBytes /
+// SetAccFlushTimeout record into Runtime.accTune) is picked up here, so
+// overrides survive staging teardown and re-creation.
 //
 //go:noinline
 func (t *txEngine) newAccState(acc AccID) *accState {
 	st := &accState{effBatch: t.r.cfg.BatchBytes}
+	if grow := int(acc) + 1 - len(t.staging); grow > 0 {
+		t.staging = append(t.staging, make([]*accState, grow)...)
+	}
+	t.staging[acc] = st
+	t.order = append(t.order, acc)
 	if tune, ok := t.r.accTune[acc]; ok {
 		if tune.BatchBytes != 0 {
 			st.effBatch = tune.BatchBytes

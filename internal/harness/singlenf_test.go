@@ -165,6 +165,25 @@ func TestAllocBudgetIPsec64(t *testing.T) {
 	}
 }
 
+// TestAllocBudgetNIDS512 is the same gate on the pattern-matching path,
+// 512 B frames as mixed512 sends them: the module scans each batch through
+// fixed-size lane scratch, so what is counted is set-up here too. Offered
+// 30 G, which the 32.4 G module sustains; at line rate it is the
+// bottleneck, and the inflight, arena and dispatch freelists grow with its
+// backlog all through the window (0.29 per packet over 10 ms, overload's
+// cost and not the scan's). Set-up compiles the rule set twice, for the NF
+// and for the module, about 770 objects in all: 20 ms of 512 B packets
+// bring that under the line.
+func TestAllocBudgetNIDS512(t *testing.T) {
+	perPkt := allocsPerPkt(t, SingleNFConfig{
+		Kind: NIDS, Mode: DHL, FrameSize: 512, OfferedWireBps: 30e9,
+		Warmup: 2 * eventsim.Millisecond, Window: 20 * eventsim.Millisecond,
+	})
+	if perPkt >= 0.01 {
+		t.Errorf("%.4f allocations per delivered packet, want < 0.01", perPkt)
+	}
+}
+
 // TestSetupBytesIPsec pins the heap a testbed takes before its first
 // packet: one RunSingleNF with a 1 us window is the bench's set-up pass.
 // It was 104.8 MB while every SADB cleared a flat 64 MB LPM table to hold

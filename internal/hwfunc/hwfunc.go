@@ -201,19 +201,6 @@ func (m *IPsecCrypto) ProcessBatch(dst, in []byte) ([]byte, error) {
 // firstPatternID is 0xffff when nothing matched.
 type PatternMatching struct {
 	matcher *acmatch.Matcher
-
-	// Per-scan accumulator state plus the bound callback, so ProcessBatch
-	// does not materialize a capturing closure per record.
-	count     int
-	first     uint16
-	onMatchFn func(acmatch.Match)
-}
-
-func (m *PatternMatching) onMatch(match acmatch.Match) {
-	if m.count == 0 {
-		m.first = uint16(match.PatternID)
-	}
-	m.count++
 }
 
 var _ fpga.Module = (*PatternMatching)(nil)
@@ -241,26 +228,44 @@ func EncodePatternConfig(patterns [][]byte, caseFold bool) ([]byte, error) {
 	return blob, nil
 }
 
-// Configure compiles the rule set into the module's AC-DFA.
-func (m *PatternMatching) Configure(params []byte) error {
+// decodePatternConfig is EncodePatternConfig's inverse. The blob comes from
+// an NF, so it accepts exactly what the encoder produces: a 0/1 flag, the
+// declared number of patterns, and nothing after the last of them. The
+// patterns alias params.
+func decodePatternConfig(params []byte) (patterns [][]byte, caseFold bool, err error) {
 	if len(params) < 3 {
-		return fmt.Errorf("%w: %d bytes", ErrBadConfig, len(params))
+		return nil, false, fmt.Errorf("%w: %d bytes", ErrBadConfig, len(params))
 	}
-	caseFold := params[0] == 1
+	if params[0] > 1 {
+		return nil, false, fmt.Errorf("%w: case-fold flag %d", ErrBadConfig, params[0])
+	}
 	count := int(binary.BigEndian.Uint16(params[1:3]))
 	off := 3
-	patterns := make([][]byte, 0, count)
+	// Sized by what the blob can hold, not by what it declares.
+	patterns = make([][]byte, 0, min(count, len(params)/3))
 	for i := 0; i < count; i++ {
 		if len(params)-off < 2 {
-			return fmt.Errorf("%w: truncated pattern %d", ErrBadConfig, i)
+			return nil, false, fmt.Errorf("%w: truncated pattern %d", ErrBadConfig, i)
 		}
 		n := int(binary.BigEndian.Uint16(params[off : off+2]))
 		off += 2
 		if len(params)-off < n {
-			return fmt.Errorf("%w: truncated pattern %d body", ErrBadConfig, i)
+			return nil, false, fmt.Errorf("%w: truncated pattern %d body", ErrBadConfig, i)
 		}
 		patterns = append(patterns, params[off:off+n])
 		off += n
+	}
+	if off != len(params) {
+		return nil, false, fmt.Errorf("%w: %d bytes after the last of %d patterns", ErrBadConfig, len(params)-off, count)
+	}
+	return patterns, params[0] == 1, nil
+}
+
+// Configure compiles the rule set into the module's AC-DFA.
+func (m *PatternMatching) Configure(params []byte) error {
+	patterns, caseFold, err := decodePatternConfig(params)
+	if err != nil {
+		return err
 	}
 	matcher, err := acmatch.NewMatcher(patterns, acmatch.Config{CaseFold: caseFold})
 	if err != nil {
@@ -278,39 +283,49 @@ func (m *PatternMatching) Configure(params []byte) error {
 }
 
 // ProcessBatch scans every record and appends it to dst with the match
-// trailer.
+// trailer. Like the module's pipelines it takes the batch several records
+// at a time: acmatch.Lanes of them go through the automaton together and
+// their responses follow in record order.
 func (m *PatternMatching) ProcessBatch(dst, in []byte) ([]byte, error) {
 	if m.matcher == nil {
 		return nil, ErrNotConfigured
 	}
-	if m.onMatchFn == nil {
-		m.onMatchFn = m.onMatch
-	}
-	var cur dhlproto.Cursor
+	var (
+		cur      dhlproto.Cursor
+		recs     [acmatch.Lanes]dhlproto.Record
+		payloads [acmatch.Lanes][]byte
+		tallies  [acmatch.Lanes]acmatch.Tally
+	)
 	cur.SetBatch(in)
-	var rec dhlproto.Record
-	for {
-		ok, err := cur.Next(&rec)
-		if err != nil {
-			return nil, err
+	for more := true; more; {
+		n := 0
+		for n < len(recs) {
+			ok, err := cur.Next(&recs[n])
+			if err != nil {
+				return nil, err
+			}
+			if !ok {
+				more = false
+				break
+			}
+			payloads[n] = recs[n].Payload
+			n++
 		}
-		if !ok {
-			break
+		m.matcher.ScanLanes(payloads[:n], tallies[:n])
+		for i, rec := range recs[:n] {
+			count, first := min(tallies[i].Count, 0xffff), uint16(0xffff)
+			if count > 0 {
+				first = uint16(tallies[i].First)
+			}
+			var aerr error
+			dst, aerr = dhlproto.AppendRecordHeader(dst, rec.NFID, rec.AccID, len(rec.Payload)+PatternMatchTrailer)
+			if aerr != nil {
+				return nil, aerr
+			}
+			dst = append(dst, rec.Payload...)
+			dst = binary.BigEndian.AppendUint16(dst, uint16(count))
+			dst = binary.BigEndian.AppendUint16(dst, first)
 		}
-		m.count, m.first = 0, 0xffff
-		m.matcher.Scan(rec.Payload, m.onMatchFn)
-		count := m.count
-		if count > 0xffff {
-			count = 0xffff
-		}
-		var aerr error
-		dst, aerr = dhlproto.AppendRecordHeader(dst, rec.NFID, rec.AccID, len(rec.Payload)+PatternMatchTrailer)
-		if aerr != nil {
-			return nil, aerr
-		}
-		dst = append(dst, rec.Payload...)
-		dst = binary.BigEndian.AppendUint16(dst, uint16(count))
-		dst = binary.BigEndian.AppendUint16(dst, m.first)
 	}
 	return dst, nil
 }

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"github.com/opencloudnext/dhl-go/internal/acmatch"
 	"github.com/opencloudnext/dhl-go/internal/dhlproto"
 	"github.com/opencloudnext/dhl-go/internal/swcrypto"
 )
@@ -230,6 +232,23 @@ func TestPatternConfigValidation(t *testing.T) {
 	if err := m.Configure([]byte{0, 0, 2, 0, 5, 'a'}); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("truncated pattern: %v", err)
 	}
+	good, _ := EncodePatternConfig([][]byte{[]byte("ab"), []byte("c")}, true)
+	if err := m.Configure(append(bytes.Clone(good), 0, 1, 'x')); !errors.Is(err, ErrBadConfig) {
+		t.Errorf("bytes after the last pattern: %v", err)
+	}
+	short := bytes.Clone(good)
+	short[2] = 1 // declares one pattern, carries two
+	if err := m.Configure(short); !errors.Is(err, ErrBadConfig) {
+		t.Errorf("truncated count: %v", err)
+	}
+	flag := bytes.Clone(good)
+	flag[0] = 2
+	if err := m.Configure(flag); !errors.Is(err, ErrBadConfig) {
+		t.Errorf("case-fold flag 2: %v", err)
+	}
+	if err := m.Configure(good); err != nil {
+		t.Errorf("well-formed blob: %v", err)
+	}
 	if _, _, _, err := DecodePatternTrailer([]byte{1}); !errors.Is(err, ErrBadRecord) {
 		t.Errorf("short trailer: %v", err)
 	}
@@ -348,5 +367,164 @@ func TestIPsecCryptoZeroAllocBatch(t *testing.T) {
 		}
 	}); got != 0 {
 		t.Errorf("ProcessBatch over %d records of 64 B: %v allocs/op, want 0", records, got)
+	}
+}
+
+// FuzzPatternConfig feeds Configure arbitrary blobs: it must not panic, and
+// whatever it accepts is exactly what EncodePatternConfig writes for the
+// rule set it decoded.
+func FuzzPatternConfig(f *testing.F) {
+	for _, seed := range []struct {
+		patterns [][]byte
+		fold     bool
+	}{
+		{[][]byte{[]byte("attack"), []byte("evil")}, false},
+		{[][]byte{[]byte("CmD.ExE")}, true},
+		{[][]byte{{0x90, 0x90, 0x90, 0x90}, {0}, []byte("a")}, false},
+	} {
+		blob, err := EncodePatternConfig(seed.patterns, seed.fold)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(blob)
+		f.Add(blob[:len(blob)-1])
+		f.Add(append(bytes.Clone(blob), 0))
+	}
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 0})
+	f.Add([]byte{2, 0, 1, 0, 1, 'a'})
+	f.Add([]byte{0, 0xff, 0xff, 0, 1, 'a'})
+	f.Add([]byte{0, 0, 1, 0, 0})
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		m := &PatternMatching{}
+		if err := m.Configure(blob); err != nil {
+			if !errors.Is(err, ErrBadConfig) {
+				t.Fatalf("Configure(%x): %v, want ErrBadConfig", blob, err)
+			}
+			return
+		}
+		patterns, fold, err := decodePatternConfig(blob)
+		if err != nil {
+			t.Fatalf("Configure accepted %x, the decoder says %v", blob, err)
+		}
+		again, err := EncodePatternConfig(patterns, fold)
+		if err != nil || !bytes.Equal(again, blob) {
+			t.Fatalf("accepted %x\nre-encodes to %x (%v)", blob, again, err)
+		}
+	})
+}
+
+// patternReference is the module's response to one request record, built
+// the slow way: one Scan with a callback, one record at a time.
+func patternReference(t *testing.T, dst []byte, matcher *acmatch.Matcher, rec dhlproto.Record) []byte {
+	t.Helper()
+	count, first := 0, uint16(0xffff)
+	matcher.Scan(rec.Payload, func(mt acmatch.Match) {
+		if count == 0 {
+			first = uint16(mt.PatternID)
+		}
+		count++
+	})
+	resp := append([]byte(nil), rec.Payload...)
+	resp = binary.BigEndian.AppendUint16(resp, uint16(min(count, 0xffff)))
+	resp = binary.BigEndian.AppendUint16(resp, first)
+	dst, err := dhlproto.AppendRecord(dst, rec.NFID, rec.AccID, resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dst
+}
+
+// TestPatternMatchingBatchMatchesPerRecord runs batches of 1..13 records
+// of mixed sizes — every count of records left over after the last full
+// group of lanes, and groups whose records end at different bytes — and
+// wants the response batch byte for byte what a per-record scan builds.
+func TestPatternMatchingBatchMatchesPerRecord(t *testing.T) {
+	patterns := [][]byte{[]byte("attack"), []byte("tack"), []byte("evil"), []byte("k"), {0x90, 0x90}}
+	for _, fold := range []bool{false, true} {
+		blob, err := EncodePatternConfig(patterns, fold)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := &PatternMatching{}
+		if err := m.Configure(blob); err != nil {
+			t.Fatal(err)
+		}
+		matcher, err := acmatch.NewMatcher(patterns, acmatch.Config{CaseFold: fold})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(18))
+		words := [][]byte{[]byte("attack"), []byte("ATTACK"), []byte("evil"), []byte("Evil tack"), {0x90, 0x90, 0x90}, []byte("k")}
+		for records := 1; records <= 13; records++ {
+			for round := 0; round < 8; round++ {
+				var in, want []byte
+				for r := 0; r < records; r++ {
+					size := []int{0, 1, 7, 64, 64, 200, 512}[rng.Intn(7)]
+					payload := make([]byte, size)
+					for i := range payload {
+						payload[i] = "abck "[rng.Intn(5)]
+					}
+					for n := rng.Intn(4); n > 0 && size > 0; n-- {
+						w := words[rng.Intn(len(words))]
+						copy(payload[rng.Intn(size):], w)
+					}
+					if size > 0 && rng.Intn(3) == 0 {
+						w := words[rng.Intn(len(words))]
+						copy(payload[max(size-len(w), 0):], w[max(len(w)-size, 0):])
+					}
+					rec := dhlproto.Record{NFID: uint16(1 + r), AccID: uint16(3 + r%2), Payload: payload}
+					if in, err = dhlproto.AppendRecord(in, rec.NFID, rec.AccID, rec.Payload); err != nil {
+						t.Fatal(err)
+					}
+					want = patternReference(t, want, matcher, rec)
+				}
+				got, err := m.ProcessBatch(nil, in)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("fold=%v, %d records, round %d: response batch differs from the per-record reference\n got  %x\n want %x", fold, records, round, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestPatternMatchingZeroAllocBatch pins the module's per-batch work at no
+// allocation: a 6 KB batch of 512 B frames, as the mixed512 workload sends
+// it (11 records: two groups of lanes and a short one), one frame carrying
+// a pattern, into a response buffer the caller already owns.
+func TestPatternMatchingZeroAllocBatch(t *testing.T) {
+	m := &PatternMatching{}
+	blob, _ := EncodePatternConfig([][]byte{[]byte("/etc/passwd"), []byte("cmd.exe"), []byte("wget http")}, true)
+	if err := m.Configure(blob); err != nil {
+		t.Fatal(err)
+	}
+	frame := make([]byte, 512)
+	for i := range frame {
+		frame[i] = byte('a' + i%26)
+	}
+	var batch []byte
+	var err error
+	records := 0
+	for len(batch)+dhlproto.RecordOverhead+len(frame) <= 6*1024 {
+		if batch, err = dhlproto.AppendRecord(batch, 1, 1, frame); err != nil {
+			t.Fatal(err)
+		}
+		records++
+	}
+	copy(batch[len(batch)-100:], "WGET HTTP")
+	dst := make([]byte, 0, len(batch)+records*PatternMatchTrailer)
+	var out []byte
+	if got := testing.AllocsPerRun(100, func() {
+		if out, err = m.ProcessBatch(dst, batch); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("ProcessBatch over %d records of 512 B: %v allocs/op, want 0", records, got)
+	}
+	if _, count, first, _ := DecodePatternTrailer(out[len(out)-len(frame)-PatternMatchTrailer:]); count != 1 || first != 2 {
+		t.Errorf("last record: count %d first %d, want the planted pattern 2 once", count, first)
 	}
 }

@@ -78,6 +78,12 @@ go test -run 'QuickVsNaive|SetupBytes|TableBytes' -count=1 ./internal/lpm ./inte
 # minimising each 8-bytes-a-step program that reached new coverage.
 go test -run '^$' -fuzz FuzzLPMVsNaive -fuzztime 10s -fuzzminimizetime 10x ./internal/lpm
 
+echo "==> pattern-matching kernel (reference equivalence, 0-alloc gates, 10 s fuzz)"
+go test -run 'VsNaive|MatchesPerRecord|PatternMatchingZeroAlloc|AllocBudgetNIDS|FuzzPatternConfig' -count=1 \
+    ./internal/acmatch ./internal/hwfunc ./internal/harness
+# -fuzzminimizetime for the reason above: 33 k executions in 10 s without it, 165 k with.
+go test -run '^$' -fuzz FuzzLanesVsNaive -fuzztime 10s -fuzzminimizetime 10x ./internal/acmatch
+
 echo "==> telemetry smoke (stage clock, zero-alloc budget, exporter golden)"
 go test -run 'Telemetry|ServeMetricsGolden|WritePrometheus' -count=1 \
     ./internal/core ./internal/telemetry .
