@@ -1,240 +1,26 @@
-// Benchmarks regenerating every table and figure of the paper's
-// evaluation (one Benchmark per exhibit, reporting the headline metrics
-// via b.ReportMetric), plus micro-benchmarks of the real computational
-// substrates. `go test -bench=. -benchmem` prints the full series;
-// cmd/dhl-bench renders the same data as formatted tables.
 package dhl_test
 
 import (
-	"fmt"
-	"strings"
+	"io"
 	"testing"
 
-	"github.com/opencloudnext/dhl-go/internal/eventsim"
 	"github.com/opencloudnext/dhl-go/internal/harness"
 )
 
-// unit builds a ReportMetric unit label, replacing whitespace (metric
-// units must not contain it).
-func unit(format string, args ...any) string {
-	return strings.ReplaceAll(fmt.Sprintf(format, args...), " ", "_")
-}
-
-// benchWindow shortens experiment windows so the full suite stays
-// tractable; shapes are unaffected (throughput converges within ~5 ms of
-// virtual time).
-func benchWindow(cfg harness.SingleNFConfig) harness.SingleNFConfig {
-	cfg.Warmup = 2 * eventsim.Millisecond
-	cfg.Window = 6 * eventsim.Millisecond
-	return cfg
-}
-
-// BenchmarkTable1_SingleCoreNFs regenerates Table I (single-core DPDK NF
-// performance: L2fwd, L3fwd-lpm, IPsec-gateway at 64 B on a 10G NIC).
-func BenchmarkTable1_SingleCoreNFs(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := harness.RunTable1()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, r := range rows {
-				b.ReportMetric(r.CyclesPerPkt, unit("cycles/%s", r.NF))
-				b.ReportMetric(r.Throughput.WireBps/1e9, unit("Gbps/%s", r.NF))
-			}
-		}
-	}
-}
-
-// BenchmarkFigure4_DMAEngine regenerates Figure 4's anchor points (DMA
-// loopback throughput and latency for the three driver variants).
-func BenchmarkFigure4_DMAEngine(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, v := range []harness.DMAVariant{harness.DMAInKernel, harness.DMARemoteNUMA, harness.DMALocalNUMA} {
-			for _, size := range []int{64, 1024, 6144, 65536} {
-				r, err := harness.RunDMALoopback(v, size)
-				if err != nil {
+// BenchmarkExperiments regenerates every row of the evaluation
+// (internal/harness's experiment table: Table I, Figures 4/6/7, Tables
+// V–VII, the ablations and T2–T5) with its -quick windows and discards
+// what it prints: `go test -bench Experiments -benchtime 1x .` is what
+// regenerating the paper costs this Go code, row by row. The numbers
+// themselves come from `dhl-bench`, which prints the same rows.
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range harness.Experiments() {
+		b.Run(e.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := harness.Regenerate(io.Discard, true, e.Name); err != nil {
 					b.Fatal(err)
 				}
-				if i == 0 {
-					b.ReportMetric(r.ThroughputBps/1e9, unit("Gbps/%v/%dB", v, size))
-				}
 			}
-		}
-	}
-}
-
-func benchFigure6(b *testing.B, kind harness.NFKind, mode harness.Mode, size int) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		thr, lat, err := harness.MeasureSingleNF(benchWindow(harness.SingleNFConfig{
-			Kind: kind, Mode: mode, FrameSize: size,
-		}))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(thr.Throughput.InputBps/1e9, "Gbps")
-			b.ReportMetric(lat.Latency.MeanUs, "us-mean")
-			b.ReportMetric(lat.Latency.P99Us, "us-p99")
-		}
-	}
-}
-
-// BenchmarkFigure6_IPsecCPU64B .. BenchmarkFigure6_NIDSDHL1500B regenerate
-// the endpoints of Figure 6's four sub-figures (full sweeps via
-// cmd/dhl-bench fig6).
-func BenchmarkFigure6_IPsecCPU64B(b *testing.B) {
-	benchFigure6(b, harness.IPsecGateway, harness.CPUOnly, 64)
-}
-
-func BenchmarkFigure6_IPsecCPU1500B(b *testing.B) {
-	benchFigure6(b, harness.IPsecGateway, harness.CPUOnly, 1500)
-}
-
-func BenchmarkFigure6_IPsecDHL64B(b *testing.B) {
-	benchFigure6(b, harness.IPsecGateway, harness.DHL, 64)
-}
-
-func BenchmarkFigure6_IPsecDHL1500B(b *testing.B) {
-	benchFigure6(b, harness.IPsecGateway, harness.DHL, 1500)
-}
-
-func BenchmarkFigure6_IPsecIO64B(b *testing.B) {
-	benchFigure6(b, harness.IPsecGateway, harness.IOOnly, 64)
-}
-
-func BenchmarkFigure6_NIDSCPU64B(b *testing.B) {
-	benchFigure6(b, harness.NIDS, harness.CPUOnly, 64)
-}
-
-func BenchmarkFigure6_NIDSCPU1500B(b *testing.B) {
-	benchFigure6(b, harness.NIDS, harness.CPUOnly, 1500)
-}
-
-func BenchmarkFigure6_NIDSDHL64B(b *testing.B) {
-	benchFigure6(b, harness.NIDS, harness.DHL, 64)
-}
-
-func BenchmarkFigure6_NIDSDHL1500B(b *testing.B) {
-	benchFigure6(b, harness.NIDS, harness.DHL, 1500)
-}
-
-// BenchmarkFigure7_SharedAcc regenerates Figure 7(a): two IPsec gateway
-// instances sharing the ipsec-crypto accelerator module.
-func BenchmarkFigure7_SharedAcc(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, size := range []int{64, 512, 1500} {
-			r, err := harness.RunMultiNF(harness.MultiNFConfig{
-				SharedAccelerator: true, FrameSize: size,
-				Warmup: 2 * eventsim.Millisecond, Window: 8 * eventsim.Millisecond,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if i == 0 {
-				b.ReportMetric(r.NF1.WireBps/1e9, unit("Gbps/ipsec1/%dB", size))
-				b.ReportMetric(r.NF2.WireBps/1e9, unit("Gbps/ipsec2/%dB", size))
-			}
-		}
-	}
-}
-
-// BenchmarkFigure7_DiffAcc regenerates Figure 7(b): IPsec + NIDS with
-// different accelerator modules on the same FPGA.
-func BenchmarkFigure7_DiffAcc(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, size := range []int{64, 512, 1500} {
-			r, err := harness.RunMultiNF(harness.MultiNFConfig{
-				SharedAccelerator: false, FrameSize: size,
-				Warmup: 2 * eventsim.Millisecond, Window: 8 * eventsim.Millisecond,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if i == 0 {
-				b.ReportMetric(r.NF1.WireBps/1e9, unit("Gbps/ipsec/%dB", size))
-				b.ReportMetric(r.NF2.WireBps/1e9, unit("Gbps/nids/%dB", size))
-			}
-		}
-	}
-}
-
-// BenchmarkTable5_PR regenerates Table V (partial reconfiguration times
-// and the no-interference property).
-func BenchmarkTable5_PR(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := harness.RunTable5()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, r := range rows {
-				b.ReportMetric(r.PRTimeMs, unit("ms/%s", r.Module))
-			}
-		}
-	}
-}
-
-// BenchmarkTable6_Utilization regenerates Table VI (module resource
-// footprints and the per-board packing bounds).
-func BenchmarkTable6_Utilization(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := harness.RunTable6()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(float64(res.MaxIPsecCrypto), "fit/ipsec-crypto")
-			b.ReportMetric(float64(res.MaxPatternMatching), "fit/pattern-matching")
-		}
-	}
-}
-
-// BenchmarkAblation_Batching regenerates ablation A1: fixed batch sizes
-// versus the §VI.2 adaptive controller.
-func BenchmarkAblation_Batching(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := harness.RunBatchingAblation()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, r := range rows {
-				b.ReportMetric(r.Latency.MeanUs, unit("us/%s@%.0f%%", r.Label, r.OfferedPct))
-			}
-		}
-	}
-}
-
-// BenchmarkAblation_Driver regenerates ablation A2: driver mode and NUMA
-// placement under the full DHL pipeline.
-func BenchmarkAblation_Driver(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := harness.RunDriverAblation()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, r := range rows {
-				b.ReportMetric(r.Throughput.InputBps/1e9, unit("Gbps/%s", r.Label))
-			}
-		}
-	}
-}
-
-// BenchmarkAblation_Vertical regenerates ablation A3 (§VI.1): PCIe x16
-// and multi-board scaling of the DMA ceiling.
-func BenchmarkAblation_Vertical(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := harness.RunVerticalScaling()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, r := range rows {
-				b.ReportMetric(r.AggregateGbps, unit("Gbps/%s", r.Label))
-			}
-		}
+		})
 	}
 }

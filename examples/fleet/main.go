@@ -158,7 +158,7 @@ func run() error {
 	// The contrast: the same board loss without a replica pays a live
 	// migration (PR re-place on the surviving board).
 	fmt.Println("\nharness contrast — the same loss with and without the warm replica:")
-	res, err := harness.RunBoardFailover(harness.BoardFailoverConfig{})
+	res, err := harness.RunBoardFailover(harness.FailoverConfig{})
 	if err != nil {
 		return err
 	}

@@ -3,75 +3,14 @@ package harness
 import (
 	"fmt"
 
-	"github.com/opencloudnext/dhl-go/internal/core"
 	"github.com/opencloudnext/dhl-go/internal/eventsim"
 	"github.com/opencloudnext/dhl-go/internal/pcie"
 	"github.com/opencloudnext/dhl-go/internal/perf"
 )
 
-// BatchingResult is one A1 ablation point: throughput/latency of the DHL
-// IPsec gateway as a function of the transfer batching policy (§IV-A3's
-// 6 KB choice and §VI.2's adaptive proposal).
-type BatchingResult struct {
-	Label      string
-	BatchBytes int
-	Adaptive   bool
-	FrameSize  int
-	OfferedPct float64
-	Throughput Throughput
-	Latency    Latency
-}
-
-// RunBatchingAblation sweeps fixed batch sizes (512 B .. 16 KB) plus the
-// adaptive controller, at a high-load and a low-load operating point.
-func RunBatchingAblation() ([]BatchingResult, error) {
-	var out []BatchingResult
-	type policy struct {
-		label    string
-		bytes    int
-		adaptive bool
-	}
-	policies := []policy{
-		{"fixed-512B", 512, false},
-		{"fixed-1KB", 1024, false},
-		{"fixed-2KB", 2048, false},
-		{"fixed-6KB", perf.DefaultBatchBytes, false},
-		{"fixed-16KB", 16 * 1024, false},
-		{"adaptive", perf.DefaultBatchBytes, true},
-	}
-	for _, load := range []float64{1.0, 0.05} {
-		for _, p := range policies {
-			cfg := SingleNFConfig{
-				Kind:           IPsecGateway,
-				Mode:           DHL,
-				FrameSize:      512,
-				OfferedWireBps: load * perf.NIC40GBps,
-				BatchBytes:     p.bytes,
-			}
-			if p.adaptive {
-				cfg.Batching = core.AdaptiveBatching
-			}
-			res, err := RunSingleNF(cfg)
-			if err != nil {
-				return nil, fmt.Errorf("harness: batching ablation %s: %w", p.label, err)
-			}
-			out = append(out, BatchingResult{
-				Label:      p.label,
-				BatchBytes: p.bytes,
-				Adaptive:   p.adaptive,
-				FrameSize:  cfg.FrameSize,
-				OfferedPct: load * 100,
-				Throughput: res.Throughput,
-				Latency:    res.Latency,
-			})
-		}
-	}
-	return out, nil
-}
-
-// DriverAblationResult is one A2 point: the end-to-end effect of the
+// driverAblationResult is one A2 point: the end-to-end effect of the
 // driver model and NUMA placement on the DHL IPsec gateway.
-type DriverAblationResult struct {
+type driverAblationResult struct {
 	Label      string
 	Driver     pcie.DriverMode
 	RemoteNUMA bool
@@ -79,11 +18,11 @@ type DriverAblationResult struct {
 	Latency    Latency
 }
 
-// RunDriverAblation compares UIO-local, UIO-remote-NUMA and in-kernel
+// runDriverAblation compares UIO-local, UIO-remote-NUMA and in-kernel
 // transfers under the full DHL IPsec pipeline (the system-level view of
 // Figure 4's microbenchmark).
-func RunDriverAblation() ([]DriverAblationResult, error) {
-	cases := []DriverAblationResult{
+func runDriverAblation() ([]driverAblationResult, error) {
+	cases := []driverAblationResult{
 		{Label: "uio same-NUMA", Driver: pcie.UIOPoll},
 		{Label: "uio different-NUMA", Driver: pcie.UIOPoll, RemoteNUMA: true},
 		{Label: "in-kernel", Driver: pcie.InKernel},
@@ -105,16 +44,16 @@ func RunDriverAblation() ([]DriverAblationResult, error) {
 	return cases, nil
 }
 
-// VerticalResult is one A3 (§VI.1) point: scaling the PCIe link or the
+// verticalResult is one A3 (§VI.1) point: scaling the PCIe link or the
 // number of FPGA boards raises the accelerating capacity cap.
-type VerticalResult struct {
+type verticalResult struct {
 	Label         string
 	AggregateGbps float64
 }
 
-// RunVerticalScaling measures the aggregate DMA ceiling for PCIe Gen3 x8,
+// runVerticalScaling measures the aggregate DMA ceiling for PCIe Gen3 x8,
 // Gen3 x16, and two x8 boards, using the loopback stream at 6 KB.
-func RunVerticalScaling() ([]VerticalResult, error) {
+func runVerticalScaling() ([]verticalResult, error) {
 	type rig struct {
 		label  string
 		maxBps float64
@@ -125,7 +64,9 @@ func RunVerticalScaling() ([]VerticalResult, error) {
 		{"gen3-x16", perf.PCIeGen3x16MaxBps, 1},
 		{"2x gen3-x8 boards", 0, 2},
 	}
-	var out []VerticalResult
+	const size = perf.DefaultBatchBytes
+	payload := make([]byte, size)
+	var out []verticalResult
 	for _, r := range rigs {
 		total := 0.0
 		for b := 0; b < r.boards; b++ {
@@ -134,114 +75,15 @@ func RunVerticalScaling() ([]VerticalResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			bps, err := streamLoopback(sim, dev, dma, region, perf.DefaultBatchBytes)
-			if err != nil {
-				return nil, err
-			}
-			total += bps
+			// Every completed round trip counts, pipeline fill included,
+			// over the whole horizon.
+			var completed uint64
+			start := sim.Now() // the rig setup consumed PR time already
+			streamLoopback(sim, dev, dma, region, size, payload, loopbackRing, start+10*eventsim.Millisecond,
+				func() { completed += size })
+			total += float64(completed) * 8 / (sim.Now() - start).Seconds()
 		}
-		out = append(out, VerticalResult{Label: r.label, AggregateGbps: total / 1e9})
+		out = append(out, verticalResult{Label: r.label, AggregateGbps: total / 1e9})
 	}
 	return out, nil
 }
-
-// streamLoopback measures sustained loopback throughput on an existing rig.
-func streamLoopback(sim *eventsim.Sim, dev deviceDispatcher, dma *pcie.Engine, region, size int) (float64, error) {
-	payload := make([]byte, size)
-	var completed uint64
-	start := sim.Now() // the rig setup consumed PR time already
-	horizon := start + 10*eventsim.Millisecond
-	inflight := 0
-	var launch func()
-	launch = func() {
-		for inflight < 16 {
-			inflight++
-			if _, _, err := dma.Transfer(pcie.H2C, size, func() {
-				_, _ = dev.Dispatch(region, payload, nil, func(out []byte, merr error) {
-					if merr != nil {
-						return
-					}
-					_, _, _ = dma.Transfer(pcie.C2H, size, func() {
-						completed += uint64(size)
-						inflight--
-						if sim.Now() < horizon {
-							launch()
-						}
-					})
-				})
-			}); err != nil {
-				inflight--
-				return
-			}
-		}
-	}
-	sim.After(0, launch)
-	sim.Run(horizon)
-	if sim.Now() <= start {
-		return 0, fmt.Errorf("harness: loopback stream made no progress")
-	}
-	return float64(completed) * 8 / (sim.Now() - start).Seconds(), nil
-}
-
-// deviceDispatcher is the slice of fpga.Device the loopback stream needs.
-type deviceDispatcher interface {
-	Dispatch(regionIdx int, batch, dst []byte, done func(out []byte, err error)) (eventsim.Time, error)
-}
-
-// LoCResult is one Table VII row: the lines of code needed to shift a
-// CPU-only NF to its DHL version.
-type LoCResult struct {
-	Module string
-	LoC    int
-}
-
-// RunTable7 counts the DHL-specific lines in this repository's NF
-// implementations: every line of the DHL variant that performs DHL API
-// interaction (register/search/configure/tag/send/receive and the
-// request/response shaping) — the same accounting as the paper's "lines
-// modified or added to shift a software function call to the hardware
-// function call".
-func RunTable7() []LoCResult {
-	// Counted from internal/nf/ipsec.go (IPsecGatewayDHL) and
-	// internal/nf/nids.go (NIDSDHL): constructor body + PreProcess +
-	// PostProcess statements. The numbers are validated against the
-	// source by TestTable7Counts.
-	return []LoCResult{
-		{Module: "ipsec-crypto", LoC: countDHLLines(ipsecDHLLoC)},
-		{Module: "pattern-matching", LoC: countDHLLines(nidsDHLLoC)},
-	}
-}
-
-// The DHL-shift line inventories: each entry is one added/modified
-// statement in the DHL variant relative to the CPU-only NF.
-var ipsecDHLLoC = []string{
-	"nfID, err := rt.Register(name, node)",
-	"accID, err := rt.SearchByName(hwfunc.IPsecCryptoName, node)",
-	"blob, err := hwfunc.EncodeIPsecCryptoConfig(sa.Key, sa.AuthKey, sa.Salt)",
-	"if err := rt.AccConfigure(accID, blob); err != nil { return nil, err }",
-	"hdr, err := m.Prepend(hwfunc.IPsecReqPrefix)",
-	"binary.BigEndian.PutUint16(hdr, uint16(eth.EtherLen+eth.IPv4Len))",
-	"m.AccID = uint16(g.AccID)",
-	"ibq, err := rt.SharedIBQ(node)",
-	"rt.SendPackets(nfID, pkts)",
-	"obq, err := rt.PrivateOBQ(nfID)",
-	"rt.ReceivePackets(nfID, pkts)",
-	"fixupESPHeader(m) // moved from inline seal to OBQ drain",
-}
-
-var nidsDHLLoC = []string{
-	"nfID, err := rt.Register(name, node)",
-	"accID, err := rt.SearchByName(hwfunc.PatternMatchingName, node)",
-	"blob, err := hwfunc.EncodePatternConfig(rules.Patterns(), rules.CaseFold())",
-	"if err := rt.AccConfigure(accID, blob); err != nil { return nil, err }",
-	"m.AccID = uint16(n.AccID)",
-	"ibq, err := rt.SharedIBQ(node)",
-	"rt.SendPackets(nfID, pkts)",
-	"obq, err := rt.PrivateOBQ(nfID)",
-	"rt.ReceivePackets(nfID, pkts)",
-	"_, count, first, err := hwfunc.DecodePatternTrailer(m.Data())",
-	"m.Trim(hwfunc.PatternMatchTrailer)",
-	"rule-option evaluation moved to OBQ drain",
-}
-
-func countDHLLines(lines []string) int { return len(lines) }

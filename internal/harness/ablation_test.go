@@ -67,11 +67,11 @@ func TestDriverAblationOrdering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long simulation; skipped in -short CI gate")
 	}
-	rows, err := RunDriverAblation()
+	rows, err := runDriverAblation()
 	if err != nil {
 		t.Fatal(err)
 	}
-	byLabel := map[string]DriverAblationResult{}
+	byLabel := map[string]driverAblationResult{}
 	for _, r := range rows {
 		byLabel[r.Label] = r
 		t.Logf("%-20s %6.2f Gbps  %8.2f us", r.Label, r.Throughput.InputBps/1e9, r.Latency.MeanUs)
@@ -95,7 +95,7 @@ func TestDriverAblationOrdering(t *testing.T) {
 
 // TestVerticalScaling asserts the §VI.1 options raise the DMA ceiling.
 func TestVerticalScaling(t *testing.T) {
-	rows, err := RunVerticalScaling()
+	rows, err := runVerticalScaling()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,36 +30,6 @@ import (
 // Every packet remains accounted for across the failure: delivered, or
 // attributed in the drop ledger; the run fails on any mbuf leak.
 
-// BoardFailoverConfig parameterizes RunBoardFailover.
-type BoardFailoverConfig struct {
-	// Seed drives the deterministic fault plan. 0 selects the default.
-	Seed uint64
-	// Packets is the total paced packet count per run (default 9600: a
-	// 60 ms run at 4 packets / 25 us, fitting the ~29 ms re-place PR with
-	// slack on both sides).
-	Packets int
-	// FrameSize is the plaintext frame size in bytes (default 256).
-	FrameSize int
-	// Buckets is the goodput-curve resolution (default 60).
-	Buckets int
-}
-
-func (c BoardFailoverConfig) withDefaults() BoardFailoverConfig {
-	if c.Seed == 0 {
-		c.Seed = 42
-	}
-	if c.Packets <= 0 {
-		c.Packets = 9600
-	}
-	if c.FrameSize <= 0 {
-		c.FrameSize = 256
-	}
-	if c.Buckets <= 0 {
-		c.Buckets = 60
-	}
-	return c
-}
-
 // BoardFailoverRun is one paced run's outcome: the common failover
 // measurements plus the fleet-level placement facts.
 type BoardFailoverRun struct {
@@ -131,7 +101,7 @@ func (tb *testbed) newFleetRuntime(boards int, plan *faultinject.Plan, coreCfg c
 // RunBoardFailover runs the board-level failure experiment: a fault-free
 // baseline, a board loss recovered by live migration, and a board loss
 // absorbed by a warm replica — all from one seed.
-func RunBoardFailover(cfg BoardFailoverConfig) (*BoardFailoverResult, error) {
+func RunBoardFailover(cfg FailoverConfig) (*BoardFailoverResult, error) {
 	cfg = cfg.withDefaults()
 	res := &BoardFailoverResult{Seed: cfg.Seed}
 
@@ -157,7 +127,7 @@ func RunBoardFailover(cfg BoardFailoverConfig) (*BoardFailoverResult, error) {
 
 // runBoardFailoverOnce paces cfg.Packets ipsec frames through a two-board
 // fleet, killing board 0 mid-run for the fault variants.
-func runBoardFailoverOnce(cfg BoardFailoverConfig, mode boardFailoverMode, label string) (BoardFailoverRun, error) {
+func runBoardFailoverOnce(cfg FailoverConfig, mode boardFailoverMode, label string) (BoardFailoverRun, error) {
 	run := BoardFailoverRun{FailoverRun: FailoverRun{Label: label}, FinalBoard: -1}
 	tb, err := newTestbed(0)
 	if err != nil {
@@ -165,15 +135,10 @@ func runBoardFailoverOnce(cfg BoardFailoverConfig, mode boardFailoverMode, label
 	}
 	var plan *faultinject.Plan
 	if mode != bfBaseline {
-		// Kill board 0 on its Nth dispatch, about a sixth of the run in
-		// (each burst packs into one batch; with a replica board 0 takes
-		// every other batch, so the loss lands a third of the way in).
-		killAt := cfg.Packets / (failoverBurst * 6)
-		if killAt < 1 {
-			killAt = 1
-		}
+		// Kill board 0 on its faultAfter-th dispatch (with a replica board 0
+		// takes every other batch, so the loss lands a third of the way in).
 		if plan, err = faultinject.NewPlan(cfg.Seed,
-			faultinject.Spec{Kind: faultinject.BoardOffline, EveryN: uint64(killAt), Count: 1}); err != nil {
+			faultinject.Spec{Kind: faultinject.BoardOffline, EveryN: faultAfter(cfg.Packets), Count: 1}); err != nil {
 			return run, err
 		}
 	}

@@ -13,7 +13,7 @@ func TestBoardFailover(t *testing.T) {
 	// The default 60 ms paced window is the minimum that fits the ~29 ms
 	// re-place PR with recovery visible inside the curve, so -short runs
 	// it at full size too.
-	cfg := BoardFailoverConfig{Seed: 42}
+	cfg := FailoverConfig{Seed: 42}
 	res, err := RunBoardFailover(cfg)
 	if err != nil {
 		t.Fatal(err)

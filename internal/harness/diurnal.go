@@ -193,11 +193,7 @@ func RunDiurnal(cfg DiurnalConfig) (DiurnalResult, error) {
 	if err != nil {
 		return res, err
 	}
-	rxPort, err := netdev.NewPort(tb.sim, netdev.PortConfig{ID: 0, RateBps: cfg.NICRateBps, RxQueues: 2, RxQueueDepth: 512})
-	if err != nil {
-		return res, err
-	}
-	txPort, err := netdev.NewPort(tb.sim, netdev.PortConfig{ID: 1, RateBps: cfg.NICRateBps})
+	rxPort, txPort, err := tb.portPair(netdev.PortConfig{ID: 0, RateBps: cfg.NICRateBps, RxQueues: 2}, 1)
 	if err != nil {
 		return res, err
 	}
@@ -212,7 +208,7 @@ func RunDiurnal(cfg DiurnalConfig) (DiurnalResult, error) {
 	if err := rt.AttachCores(0, tb.core(), tb.core(), tb.pool); err != nil {
 		return res, err
 	}
-	app, err := buildDHLApp(rt, cfg.Kind)
+	app, err := buildDHLApp(rt, cfg.Kind, "nf", nil)
 	if err != nil {
 		return res, err
 	}
@@ -249,33 +245,16 @@ func RunDiurnal(cfg DiurnalConfig) (DiurnalResult, error) {
 	}
 	gen.Start()
 
-	measure := func(name string, offered float64) DiurnalPhase {
-		measStart := tb.sim.Now() + cfg.Warmup
-		measEnd := measStart + cfg.Window
-		txPort.SetMeasureWindow(measStart, measEnd)
-		tb.sim.Run(measEnd)
-		good, wire, pkts, lat := txPort.Measured(measEnd)
-		return DiurnalPhase{
-			Name:           name,
-			OfferedWireBps: offered,
-			Throughput: Throughput{
-				GoodBps: good, WireBps: wire, Pkts: pkts,
-				InputBps: float64(pkts) * float64(cfg.FrameSize) * 8 / cfg.Window.Seconds(),
-			},
-			Latency: Latency{
-				MeanUs: lat.Mean() / 1e6,
-				P50Us:  lat.Percentile(50) / 1e6,
-				P99Us:  lat.Percentile(99) / 1e6,
-				MaxUs:  lat.Max() / 1e6,
-			},
-		}
+	phase := func(name string, offered float64) DiurnalPhase {
+		thr, lat := tb.measure(txPort, cfg.Warmup, cfg.Window, cfg.FrameSize)
+		return DiurnalPhase{Name: name, OfferedWireBps: offered, Throughput: thr, Latency: summarize(lat)}
 	}
 
-	res.Peak = measure("peak", cfg.PeakWireBps)
+	res.Peak = phase("peak", cfg.PeakWireBps)
 	if err := gen.SetOfferedWireBps(cfg.TroughWireBps); err != nil {
 		return res, err
 	}
-	res.Trough = measure("trough", cfg.TroughWireBps)
+	res.Trough = phase("trough", cfg.TroughWireBps)
 	gen.Stop()
 	tb.sim.Run(tb.sim.Now() + eventsim.Millisecond) // drain in-flight batches
 
@@ -294,9 +273,9 @@ func RunDiurnal(cfg DiurnalConfig) (DiurnalResult, error) {
 	return res, nil
 }
 
-// DiurnalComparison pairs the fixed-6KB baseline with the autotuned run
+// diurnalComparison pairs the fixed-6KB baseline with the autotuned run
 // under identical traffic and carries the T5 gate inputs.
-type DiurnalComparison struct {
+type diurnalComparison struct {
 	Fixed DiurnalResult
 	Tuned DiurnalResult
 	// PeakGoodputRatio is tuned/fixed peak goodput; the gate requires
@@ -307,22 +286,22 @@ type DiurnalComparison struct {
 	TroughP99Cut float64
 }
 
-// RunDiurnalComparison runs the sweep twice — fixed 6 KB, then
+// runDiurnalComparison runs the sweep twice — fixed 6 KB, then
 // autotuned — and computes the gate ratios.
-func RunDiurnalComparison(cfg DiurnalConfig) (DiurnalComparison, error) {
+func runDiurnalComparison(cfg DiurnalConfig) (diurnalComparison, error) {
 	fixedCfg := cfg
 	fixedCfg.AutoTune = false
 	fixed, err := RunDiurnal(fixedCfg)
 	if err != nil {
-		return DiurnalComparison{}, fmt.Errorf("harness: fixed run: %w", err)
+		return diurnalComparison{}, fmt.Errorf("harness: fixed run: %w", err)
 	}
 	tunedCfg := cfg
 	tunedCfg.AutoTune = true
 	tuned, err := RunDiurnal(tunedCfg)
 	if err != nil {
-		return DiurnalComparison{}, fmt.Errorf("harness: autotuned run: %w", err)
+		return diurnalComparison{}, fmt.Errorf("harness: autotuned run: %w", err)
 	}
-	cmp := DiurnalComparison{Fixed: fixed, Tuned: tuned}
+	cmp := diurnalComparison{Fixed: fixed, Tuned: tuned}
 	if fixed.Peak.Throughput.GoodBps > 0 {
 		cmp.PeakGoodputRatio = tuned.Peak.Throughput.GoodBps / fixed.Peak.Throughput.GoodBps
 	}

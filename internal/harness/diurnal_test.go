@@ -10,7 +10,7 @@ func TestDiurnalComparisonGates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("diurnal sweep is a long virtual-time run")
 	}
-	cmp, err := RunDiurnalComparison(DiurnalConfig{})
+	cmp, err := runDiurnalComparison(DiurnalConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

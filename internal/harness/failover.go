@@ -35,14 +35,14 @@ const (
 	failoverIntervalPs = 25 * eventsim.Microsecond
 )
 
-// FailoverConfig parameterizes RunFailover.
+// FailoverConfig parameterizes RunFailover and RunBoardFailover.
 type FailoverConfig struct {
 	// Seed drives the deterministic fault plan; all three runs derive
 	// their schedule from it. 0 selects the default seed.
 	Seed uint64
 	// Packets is the total paced packet count per run (default 9600,
 	// i.e. a 60 ms run at 4 packets / 25 us — long enough to fit the
-	// ~29 ms ICAP reload with slack on both sides).
+	// ~29 ms ICAP reload or re-place PR with slack on both sides).
 	Packets int
 	// FrameSize is the plaintext frame size in bytes (default 256).
 	FrameSize int
@@ -105,16 +105,18 @@ type FailoverResult struct {
 	Fallback   FailoverRun
 }
 
-// failoverSpecs positions the persistent SEU about a sixth of the way into
-// the run (in dispatched-batch counts: each burst packs into one batch) and
-// sprinkles transient H2C faults for the DMA retry to absorb.
-func failoverSpecs(cfg FailoverConfig) []faultinject.Spec {
-	seuAt := cfg.Packets / (failoverBurst * 6)
-	if seuAt < 1 {
-		seuAt = 1
-	}
+// faultAfter is where the failure experiments put their one persistent
+// fault: about a sixth of the way into a run of packets, in dispatched-batch
+// counts (each burst packs into one batch).
+func faultAfter(packets int) uint64 {
+	return uint64(max(1, packets/(failoverBurst*6)))
+}
+
+// failoverSpecs is a persistent SEU at faultAfter plus a sprinkle of
+// transient H2C faults for the DMA retry to absorb.
+func failoverSpecs(packets int) []faultinject.Spec {
 	return []faultinject.Spec{
-		{Kind: faultinject.RegionSEU, EveryN: uint64(seuAt), Count: 1},
+		{Kind: faultinject.RegionSEU, EveryN: faultAfter(packets), Count: 1},
 		{Kind: faultinject.DMAH2CError, EveryN: 97, Count: 5},
 	}
 }
@@ -141,7 +143,7 @@ func RunFailover(cfg FailoverConfig) (*FailoverResult, error) {
 		{"fault/no-fallback", false, &res.NoFallback},
 		{"fault/fallback", true, &res.Fallback},
 	} {
-		plan, err := faultinject.NewPlan(cfg.Seed, failoverSpecs(cfg)...)
+		plan, err := faultinject.NewPlan(cfg.Seed, failoverSpecs(cfg.Packets)...)
 		if err != nil {
 			return nil, fmt.Errorf("harness: failover plan: %w", err)
 		}

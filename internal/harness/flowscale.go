@@ -176,11 +176,7 @@ func RunFlowScale(cfg FlowScaleConfig) (FlowScaleResult, error) {
 	if err != nil {
 		return res, err
 	}
-	rxPort, err := netdev.NewPort(tb.sim, netdev.PortConfig{ID: 0, RateBps: cfg.NICRateBps, RxQueues: 2, RxQueueDepth: 512})
-	if err != nil {
-		return res, err
-	}
-	txPort, err := netdev.NewPort(tb.sim, netdev.PortConfig{ID: 1, RateBps: cfg.NICRateBps})
+	rxPort, txPort, err := tb.portPair(netdev.PortConfig{ID: 0, RateBps: cfg.NICRateBps, RxQueues: 2}, 1)
 	if err != nil {
 		return res, err
 	}
@@ -232,21 +228,13 @@ func RunFlowScale(cfg FlowScaleConfig) (FlowScaleResult, error) {
 	}
 	tb.sim.After(tickEvery, tickLoop)
 
-	start := tb.sim.Now()
-	measStart := start + cfg.Warmup
-	measEnd := measStart + cfg.Window
-	txPort.SetMeasureWindow(measStart, measEnd)
 	gen.Start()
-	tb.sim.Run(measEnd)
+	res.Throughput, _ = tb.measure(txPort, cfg.Warmup, cfg.Window, cfg.FrameSize)
 	gen.Stop()
 	// Drain the pipeline: rings and queues empty out, every mbuf goes
 	// home, so the conservation ledger closes exactly.
-	tb.sim.Run(measEnd + eventsim.Millisecond)
+	tb.settle(eventsim.Millisecond)
 	stopTicks = true
-
-	good, wire, pkts, _ := txPort.Measured(measEnd)
-	inputBps := float64(pkts) * float64(cfg.FrameSize) * 8 / cfg.Window.Seconds()
-	res.Throughput = Throughput{GoodBps: good, WireBps: wire, InputBps: inputBps, Pkts: pkts}
 
 	res.Tables = flowtab.Collect(ffw.FlowTabs())
 	st := res.Tables[0].Stats
@@ -266,29 +254,10 @@ func RunFlowScale(cfg FlowScaleConfig) (FlowScaleResult, error) {
 	return res, nil
 }
 
-// RunFlowScaleSweep runs base at each flow count: the flows-vs-goodput
-// and bytes-per-flow series.
-func RunFlowScaleSweep(flowCounts []int, base FlowScaleConfig) ([]FlowScaleResult, error) {
-	results := make([]FlowScaleResult, 0, len(flowCounts))
-	for _, n := range flowCounts {
-		cfg := base
-		cfg.Flows = n
-		r, err := RunFlowScale(cfg)
-		if err != nil {
-			return results, fmt.Errorf("harness: flowscale at %d flows: %w", n, err)
-		}
-		if cerr := r.CheckConservation(); cerr != nil {
-			return results, fmt.Errorf("harness: flowscale at %d flows: %w", n, cerr)
-		}
-		results = append(results, r)
-	}
-	return results, nil
-}
-
 // --- flow-state consistency across fallback/recovery --------------------
 
-// FlowStateFailoverConfig parameterizes RunFlowStateFailover.
-type FlowStateFailoverConfig struct {
+// flowStateFailoverConfig parameterizes runFlowStateFailover.
+type flowStateFailoverConfig struct {
 	// Seed drives the deterministic fault plan (default 42).
 	Seed uint64
 	// Flows is the NAT'd flow population (default 512; must fit the
@@ -301,7 +270,7 @@ type FlowStateFailoverConfig struct {
 	FrameSize int
 }
 
-func (c FlowStateFailoverConfig) withDefaults() FlowStateFailoverConfig {
+func (c flowStateFailoverConfig) withDefaults() flowStateFailoverConfig {
 	if c.Seed == 0 {
 		c.Seed = 42
 	}
@@ -317,9 +286,9 @@ func (c FlowStateFailoverConfig) withDefaults() FlowStateFailoverConfig {
 	return c
 }
 
-// FlowStateFailoverResult reports the run's transitions, the
+// flowStateFailoverResult reports the run's transitions, the
 // conservation ledger, and the flow-state audit.
-type FlowStateFailoverResult struct {
+type flowStateFailoverResult struct {
 	// Transition evidence: the run must actually have gone through
 	// quarantine -> fallback -> reload.
 	Quarantines uint64
@@ -342,7 +311,7 @@ type FlowStateFailoverResult struct {
 	Leaked int
 }
 
-// RunFlowStateFailover drives NAT'd traffic through the DHL ipsec
+// runFlowStateFailover drives NAT'd traffic through the DHL ipsec
 // accelerator while a persistent SEU forces quarantine -> software
 // fallback -> ICAP reload -> recovery, then audits the NAT's flow
 // state against a shadow model: every live flow still maps to the
@@ -351,21 +320,14 @@ type FlowStateFailoverResult struct {
 // double-allocated ports), and the transfer ledger still balances.
 // Host-side flow state must be completely insulated from accelerator
 // fault transitions — that is the property under test.
-func RunFlowStateFailover(cfg FlowStateFailoverConfig) (*FlowStateFailoverResult, error) {
+func runFlowStateFailover(cfg flowStateFailoverConfig) (*flowStateFailoverResult, error) {
 	cfg = cfg.withDefaults()
-	res := &FlowStateFailoverResult{}
+	res := &flowStateFailoverResult{}
 	tb, err := newTestbed(0)
 	if err != nil {
 		return nil, err
 	}
-	seuAt := cfg.Packets / (failoverBurst * 6)
-	if seuAt < 1 {
-		seuAt = 1
-	}
-	plan, err := faultinject.NewPlan(cfg.Seed,
-		faultinject.Spec{Kind: faultinject.RegionSEU, EveryN: uint64(seuAt), Count: 1},
-		faultinject.Spec{Kind: faultinject.DMAH2CError, EveryN: 97, Count: 5},
-	)
+	plan, err := faultinject.NewPlan(cfg.Seed, failoverSpecs(cfg.Packets)...)
 	if err != nil {
 		return nil, err
 	}

@@ -101,7 +101,7 @@ func TestFlowScaleChurnSoak(t *testing.T) {
 // model — stable per-flow ports, perfect outbound/inbound bijection,
 // balanced ledger, nothing leaked.
 func TestFlowStateFailover(t *testing.T) {
-	res, err := RunFlowStateFailover(FlowStateFailoverConfig{Seed: 42})
+	res, err := runFlowStateFailover(flowStateFailoverConfig{Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,13 @@
 // Package harness assembles the paper's testbed (Table III) inside the
 // discrete-event simulator and regenerates every table and figure of the
-// evaluation section. Each experiment returns structured rows so that the
-// root-level benchmarks and cmd/dhl-bench print the same series the paper
-// plots.
+// evaluation section. The experiments are the rows of one table
+// (experiments.go): a row names its cmd/dhl-bench target and the
+// EXPERIMENTS.md headings it regenerates, runs its points and prints them
+// in the paper's layout. Regenerate runs rows by name; cmd/dhl-bench, the
+// root benchmark and the docs tests all read that table. The typed entry
+// points beside it (RunSingleNF, RunMultiNF, RunFlowScale, RunDiurnal,
+// MeasureSingleNF, RunFailover, RunBoardFailover) are what bench/ and the
+// examples call for one point at a time.
 package harness
 
 import (
@@ -13,8 +18,10 @@ import (
 	"github.com/opencloudnext/dhl-go/internal/fpga"
 	"github.com/opencloudnext/dhl-go/internal/hwfunc"
 	"github.com/opencloudnext/dhl-go/internal/mbuf"
+	"github.com/opencloudnext/dhl-go/internal/netdev"
 	"github.com/opencloudnext/dhl-go/internal/pcie"
 	"github.com/opencloudnext/dhl-go/internal/perf"
+	"github.com/opencloudnext/dhl-go/internal/stats"
 )
 
 // NFKind selects the evaluated network function.
@@ -66,8 +73,8 @@ func (m Mode) String() string {
 	}
 }
 
-// FrameSizes is the x-axis of Figures 6 and 7.
-var FrameSizes = []int{64, 128, 256, 512, 1024, 1500}
+// frameSizes is the x-axis of Figures 6 and 7.
+var frameSizes = []int{64, 128, 256, 512, 1024, 1500}
 
 // Throughput is a measured throughput triple.
 type Throughput struct {
@@ -151,6 +158,64 @@ func (tb *testbed) newRuntime(dmaCfg pcie.Config, coreCfg core.Config) (*core.Ru
 		}
 	}
 	return rt, dev, dma, nil
+}
+
+// portPair creates the NIC a run forwards across: the RX port as configured
+// and a TX port of the same rate.
+func (tb *testbed) portPair(rx netdev.PortConfig, txID int) (rxPort, txPort *netdev.Port, err error) {
+	if rxPort, err = netdev.NewPort(tb.sim, rx); err != nil {
+		return nil, nil, err
+	}
+	txPort, err = netdev.NewPort(tb.sim, netdev.PortConfig{ID: txID, RateBps: rx.RateBps})
+	return rxPort, txPort, err
+}
+
+// runWindow is the timing of the §V-C measurement protocol on a testbed
+// whose generators are running: let warmup pass, have every tx port count
+// what it transmits during window, and run the simulation to the window's
+// end, which it returns.
+func (tb *testbed) runWindow(warmup, window eventsim.Time, txs ...*netdev.Port) eventsim.Time {
+	end := tb.sim.Now() + warmup + window
+	for _, tx := range txs {
+		tx.SetMeasureWindow(end-window, end)
+	}
+	tb.sim.Run(end)
+	return end
+}
+
+// measure runs one window on one TX port and reads it. frame is the
+// generated frame size; the latency series (picoseconds) is that of the
+// frames counted.
+func (tb *testbed) measure(tx *netdev.Port, warmup, window eventsim.Time, frame int) (Throughput, *stats.Series) {
+	end := tb.runWindow(warmup, window, tx)
+	_, _, _, lat := tx.Measured(end)
+	return carried(end, window, frame, tx), lat
+}
+
+// carried sums what txs transmitted in their measurement window, which
+// ended at end. InputBps is the paper's Figure 6/7 y-axis: frames delivered
+// times the generated frame size.
+func carried(end, window eventsim.Time, frame int, txs ...*netdev.Port) Throughput {
+	var thr Throughput
+	for _, tx := range txs {
+		good, wire, pkts, _ := tx.Measured(end)
+		thr.GoodBps += good
+		thr.WireBps += wire
+		thr.Pkts += pkts
+	}
+	thr.InputBps = float64(thr.Pkts) * float64(frame) * 8 / window.Seconds()
+	return thr
+}
+
+// summarize reduces a latency series to microseconds. It sorts the
+// series' sample reservoir, so only runs that report latency call it.
+func summarize(lat *stats.Series) Latency {
+	return Latency{
+		MeanUs: lat.Mean() / 1e6,
+		P50Us:  lat.Percentile(50) / 1e6,
+		P99Us:  lat.Percentile(99) / 1e6,
+		MaxUs:  lat.Max() / 1e6,
+	}
 }
 
 // settle runs the simulation forward (e.g. across partial reconfiguration)

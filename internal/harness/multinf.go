@@ -1,12 +1,9 @@
 package harness
 
 import (
-	"fmt"
-
 	"github.com/opencloudnext/dhl-go/internal/core"
 	"github.com/opencloudnext/dhl-go/internal/eventsim"
 	"github.com/opencloudnext/dhl-go/internal/netdev"
-	"github.com/opencloudnext/dhl-go/internal/nf"
 	"github.com/opencloudnext/dhl-go/internal/pcie"
 	"github.com/opencloudnext/dhl-go/internal/perf"
 )
@@ -60,34 +57,9 @@ func RunMultiNF(cfg MultiNFConfig) (MultiNFResult, error) {
 	if err := rt.AttachCores(0, tb.core(), tb.core(), tb.pool); err != nil {
 		return res, err
 	}
-
-	// Two NF instances.
-	var apps [2]dhlNF
-	sadb := nf.NewSADB()
-	if err := sadb.AddDefaultSA(); err != nil {
-		return res, err
-	}
-	gw1, err := nf.NewIPsecGatewayDHL(rt, sadb, "ipsec-1", 0)
+	apps, err := multiNFApps(rt, cfg.SharedAccelerator)
 	if err != nil {
 		return res, err
-	}
-	apps[0] = ipsecDHLAdapter{gw1}
-	if cfg.SharedAccelerator {
-		gw2, gerr := nf.NewIPsecGatewayDHL(rt, sadb, "ipsec-2", 0)
-		if gerr != nil {
-			return res, gerr
-		}
-		apps[1] = ipsecDHLAdapter{gw2}
-	} else {
-		rules, rerr := nf.NewRuleSet(nf.DefaultSnortRules())
-		if rerr != nil {
-			return res, rerr
-		}
-		ids, ierr := nf.NewNIDSDHL(rt, rules, "nids-1", 0)
-		if ierr != nil {
-			return res, ierr
-		}
-		apps[1] = nidsDHLAdapter{ids}
 	}
 	tb.settle(80 * eventsim.Millisecond) // both PR loads complete
 
@@ -95,81 +67,57 @@ func RunMultiNF(cfg MultiNFConfig) (MultiNFResult, error) {
 	// has a dedicated I/O core doing the full RX -> shallow -> IBQ and
 	// OBQ -> post -> TX duty ("each port assigned with one CPU core for
 	// I/O", §V-D).
-	type portRig struct {
-		rx  *netdev.Port
-		tx  *netdev.Port
-		gen *netdev.Generator
-	}
-	var rigs [4]portRig
-	var payload netdev.PayloadFn
-	for p := 0; p < 4; p++ {
+	var txs [4]*netdev.Port
+	var gens [4]*netdev.Generator
+	for p := range txs {
 		nfIdx := p / 2
-		rxPort, perr := netdev.NewPort(tb.sim, netdev.PortConfig{ID: p, RateBps: perf.NIC10GBps, RxQueues: 1})
+		rxPort, txPort, perr := tb.portPair(netdev.PortConfig{ID: p, RateBps: perf.NIC10GBps, RxQueues: 1}, 10+p)
 		if perr != nil {
 			return res, perr
 		}
-		txPort, perr := netdev.NewPort(tb.sim, netdev.PortConfig{ID: 10 + p, RateBps: perf.NIC10GBps})
-		if perr != nil {
-			return res, perr
-		}
-		pl := payload
+		var payload netdev.PayloadFn
 		if !cfg.SharedAccelerator && nfIdx == 1 {
-			pl = nidsPayload(1.0 / 256)
+			payload = nidsPayload(1.0 / 256)
 		}
 		gen, gerr := netdev.NewGenerator(tb.sim, netdev.GeneratorConfig{
 			Port: rxPort, Pool: tb.pool, FrameSize: cfg.FrameSize,
-			OfferedWireBps: perf.NIC10GBps, Payload: pl,
+			OfferedWireBps: perf.NIC10GBps, Payload: payload,
 		})
 		if gerr != nil {
 			return res, gerr
 		}
-		rigs[p] = portRig{rx: rxPort, tx: txPort, gen: gen}
+		txs[p], gens[p] = txPort, gen
 		tb.run(tb.core(), tb.dhlIngress(rt, apps[nfIdx], rxPort, nil), tb.dhlEgress(rt, apps[nfIdx], txPort, nil))
 	}
 
-	start := tb.sim.Now()
-	measStart := start + cfg.Warmup
-	measEnd := measStart + cfg.Window
-	for p := 0; p < 4; p++ {
-		rigs[p].tx.SetMeasureWindow(measStart, measEnd)
-		rigs[p].gen.Start()
+	for _, gen := range gens {
+		gen.Start()
 	}
-	tb.sim.Run(measEnd)
-
-	sum := func(a, b int) Throughput {
-		ga, wa, pa, _ := rigs[a].tx.Measured(measEnd)
-		gb, wb, pb, _ := rigs[b].tx.Measured(measEnd)
-		return Throughput{
-			GoodBps:  ga + gb,
-			WireBps:  wa + wb,
-			InputBps: float64(pa+pb) * float64(cfg.FrameSize) * 8 / cfg.Window.Seconds(),
-			Pkts:     pa + pb,
-		}
-	}
-	res.NF1 = sum(0, 1)
-	res.NF2 = sum(2, 3)
+	end := tb.runWindow(cfg.Warmup, cfg.Window, txs[:]...)
+	res.NF1 = carried(end, cfg.Window, cfg.FrameSize, txs[0], txs[1])
+	res.NF2 = carried(end, cfg.Window, cfg.FrameSize, txs[2], txs[3])
 	if ts, terr := rt.Stats(0); terr == nil {
 		res.NFIDMismatches = ts.NFIDMismatches
 	}
 	return res, nil
 }
 
-// RunFigure7 produces both Figure 7 sub-figures over the frame-size sweep.
-func RunFigure7(sizes []int) (shared, different []MultiNFResult, err error) {
-	if len(sizes) == 0 {
-		sizes = FrameSizes
+// multiNFApps registers Figure 7's two NF instances: two IPsec gateways on
+// the same ipsec-crypto module for 7(a), a gateway and a NIDS for 7(b).
+// 7(a)'s gateways are two instances of one deployment, so they are built
+// on one SADB.
+func multiNFApps(rt *core.Runtime, shared bool) (apps [2]dhlNF, err error) {
+	sadb, err := defaultSADB()
+	if err != nil {
+		return apps, err
 	}
-	for _, s := range sizes {
-		r, rerr := RunMultiNF(MultiNFConfig{SharedAccelerator: true, FrameSize: s})
-		if rerr != nil {
-			return nil, nil, fmt.Errorf("harness: figure 7(a) %dB: %w", s, rerr)
-		}
-		shared = append(shared, r)
-		r, rerr = RunMultiNF(MultiNFConfig{SharedAccelerator: false, FrameSize: s})
-		if rerr != nil {
-			return nil, nil, fmt.Errorf("harness: figure 7(b) %dB: %w", s, rerr)
-		}
-		different = append(different, r)
+	if apps[0], err = buildDHLApp(rt, IPsecGateway, "ipsec-1", sadb); err != nil {
+		return apps, err
 	}
-	return shared, different, nil
+	if shared {
+		apps[1], err = buildDHLApp(rt, IPsecGateway, "ipsec-2", sadb)
+	} else {
+		apps[1], err = buildDHLApp(rt, NIDS, "nids-1", nil)
+	}
+	return apps, err
 }

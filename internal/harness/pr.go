@@ -8,13 +8,12 @@ import (
 	"github.com/opencloudnext/dhl-go/internal/fpga"
 	"github.com/opencloudnext/dhl-go/internal/hwfunc"
 	"github.com/opencloudnext/dhl-go/internal/netdev"
-	"github.com/opencloudnext/dhl-go/internal/nf"
 	"github.com/opencloudnext/dhl-go/internal/pcie"
 	"github.com/opencloudnext/dhl-go/internal/perf"
 )
 
-// PRResult is one Table V row plus the §V-E no-interference check.
-type PRResult struct {
+// prResult is one Table V row plus the §V-E no-interference check.
+type prResult struct {
 	Module         string
 	BitstreamBytes int
 	PRTimeMs       float64
@@ -26,29 +25,29 @@ type PRResult struct {
 	RunningNFDuringBps float64
 }
 
-// RunTable5 reproduces Table V and the §V-E experiment in both launch
+// runTable5 reproduces Table V and the §V-E experiment in both launch
 // orders: start one NF, let it run, then reconfigure a free part with the
 // other NF's module while measuring the running NF's throughput.
-func RunTable5() ([]PRResult, error) {
-	first, err := runPRCase(hwfunc.IPsecCryptoName, hwfunc.PatternMatchingName)
+func runTable5() ([]prResult, error) {
+	first, err := runPRCase(IPsecGateway, hwfunc.PatternMatchingName)
 	if err != nil {
 		return nil, err
 	}
-	second, err := runPRCase(hwfunc.PatternMatchingName, hwfunc.IPsecCryptoName)
+	second, err := runPRCase(NIDS, hwfunc.IPsecCryptoName)
 	if err != nil {
 		return nil, err
 	}
 	// Row order matches Table V: ipsec-crypto then pattern-matching. The
 	// PR time of module X comes from the case where X is the *newly
 	// loaded* module.
-	return []PRResult{second, first}, nil
+	return []prResult{second, first}, nil
 }
 
-// runPRCase starts an NF using runningModule, then loads newModule on the
-// fly and reports the new module's PR time plus the running NF's
-// throughput before/during the reconfiguration.
-func runPRCase(runningModule, newModule string) (PRResult, error) {
-	res := PRResult{Module: newModule}
+// runPRCase starts the NF of kind running, then loads newModule on the fly
+// and reports the new module's PR time plus the running NF's throughput
+// before/during the reconfiguration.
+func runPRCase(running NFKind, newModule string) (prResult, error) {
+	res := prResult{Module: newModule}
 	tb, err := newTestbed(0)
 	if err != nil {
 		return res, err
@@ -60,43 +59,21 @@ func runPRCase(runningModule, newModule string) (PRResult, error) {
 	if err := rt.AttachCores(0, tb.core(), tb.core(), tb.pool); err != nil {
 		return res, err
 	}
-	rxPort, err := netdev.NewPort(tb.sim, netdev.PortConfig{ID: 0, RateBps: perf.NIC40GBps, RxQueues: 2})
+	rxPort, txPort, err := tb.portPair(netdev.PortConfig{ID: 0, RateBps: perf.NIC40GBps, RxQueues: 2}, 1)
 	if err != nil {
 		return res, err
 	}
-	txPort, err := netdev.NewPort(tb.sim, netdev.PortConfig{ID: 1, RateBps: perf.NIC40GBps})
+	app, err := buildDHLApp(rt, running, "running-nf", nil)
 	if err != nil {
 		return res, err
-	}
-
-	var app dhlNF
-	if runningModule == hwfunc.IPsecCryptoName {
-		sadb := nf.NewSADB()
-		if serr := sadb.AddDefaultSA(); serr != nil {
-			return res, serr
-		}
-		gw, gerr := nf.NewIPsecGatewayDHL(rt, sadb, "running-nf", 0)
-		if gerr != nil {
-			return res, gerr
-		}
-		app = ipsecDHLAdapter{gw}
-	} else {
-		rules, rerr := nf.NewRuleSet(nf.DefaultSnortRules())
-		if rerr != nil {
-			return res, rerr
-		}
-		ids, ierr := nf.NewNIDSDHL(rt, rules, "running-nf", 0)
-		if ierr != nil {
-			return res, ierr
-		}
-		app = nidsDHLAdapter{ids}
 	}
 	tb.run(tb.core(), tb.dhlIngress(rt, app, rxPort, nil))
 	tb.run(tb.core(), tb.dhlEgress(rt, app, txPort, nil))
 	tb.settle(60 * eventsim.Millisecond)
 
+	const frame = 512
 	gen, err := netdev.NewGenerator(tb.sim, netdev.GeneratorConfig{
-		Port: rxPort, Pool: tb.pool, FrameSize: 512, OfferedWireBps: perf.NIC40GBps,
+		Port: rxPort, Pool: tb.pool, FrameSize: frame, OfferedWireBps: perf.NIC40GBps,
 	})
 	if err != nil {
 		return res, err
@@ -104,12 +81,7 @@ func runPRCase(runningModule, newModule string) (PRResult, error) {
 	gen.Start()
 
 	// Window 1: running NF alone.
-	warm := 4 * eventsim.Millisecond
-	win := 15 * eventsim.Millisecond
-	start := tb.sim.Now()
-	txPort.SetMeasureWindow(start+warm, start+warm+win)
-	tb.sim.Run(start + warm + win)
-	before, _, _, _ := txPort.Measured(start + warm + win)
+	before, _ := tb.measure(txPort, 4*eventsim.Millisecond, 15*eventsim.Millisecond, frame)
 
 	// Window 2: load the new module mid-traffic and measure concurrently.
 	spec, ok := hwfunc.Specs()[newModule]
@@ -123,23 +95,18 @@ func runPRCase(runningModule, newModule string) (PRResult, error) {
 		return res, err
 	}
 	// Window 2 must cover the full reconfiguration (tens of ms).
-	win2 := 40 * eventsim.Millisecond
-	w2start := tb.sim.Now()
-	txPort.SetMeasureWindow(w2start, w2start+win2)
-	tb.sim.Run(w2start + win2)
+	during, _ := tb.measure(txPort, 0, 40*eventsim.Millisecond, frame)
 	if prDone == 0 {
 		return res, fmt.Errorf("harness: PR of %q did not complete within the window", newModule)
 	}
 	res.PRTimeMs = float64(prDone-prStart) / float64(eventsim.Millisecond)
-
-	during, _, _, _ := txPort.Measured(w2start + win2)
-	res.RunningNFBeforeBps = before
-	res.RunningNFDuringBps = during
+	res.RunningNFBeforeBps = before.GoodBps
+	res.RunningNFDuringBps = during.GoodBps
 	return res, nil
 }
 
-// Table6Row is one Table VI row.
-type Table6Row struct {
+// table6Row is one Table VI row.
+type table6Row struct {
 	Name        string
 	LUTs        int
 	LUTsPct     float64
@@ -149,9 +116,9 @@ type Table6Row struct {
 	DelayCycles int
 }
 
-// Table6Result reproduces Table VI plus the §V-F packing bounds.
-type Table6Result struct {
-	Rows []Table6Row
+// table6Result reproduces Table VI plus the §V-F packing bounds.
+type table6Result struct {
+	Rows []table6Row
 	// MaxIPsecCrypto / MaxPatternMatching are how many instances of each
 	// module fit alongside the static region ("there are enough resource
 	// to place 5 ipsec-crypto or 2 pattern-matching in an FPGA", §V-F).
@@ -159,14 +126,14 @@ type Table6Result struct {
 	MaxPatternMatching int
 }
 
-// RunTable6 queries the resource model for Table VI and measures the
+// runTable6 queries the resource model for Table VI and measures the
 // packing bound by loading instances until the device rejects the next.
-func RunTable6() (Table6Result, error) {
-	var res Table6Result
+func runTable6() (table6Result, error) {
+	var res table6Result
 	specs := hwfunc.Specs()
 	for _, name := range []string{hwfunc.IPsecCryptoName, hwfunc.PatternMatchingName} {
 		s := specs[name]
-		res.Rows = append(res.Rows, Table6Row{
+		res.Rows = append(res.Rows, table6Row{
 			Name:        s.Name,
 			LUTs:        s.LUTs,
 			LUTsPct:     100 * float64(s.LUTs) / float64(perf.FPGATotalLUTs),
@@ -176,7 +143,7 @@ func RunTable6() (Table6Result, error) {
 			DelayCycles: s.DelayCycles,
 		})
 	}
-	res.Rows = append(res.Rows, Table6Row{
+	res.Rows = append(res.Rows, table6Row{
 		Name:    "static-region",
 		LUTs:    perf.StaticRegionLUTs,
 		LUTsPct: 100 * float64(perf.StaticRegionLUTs) / float64(perf.FPGATotalLUTs),

@@ -134,43 +134,36 @@ func nidsPayload(fraction float64) netdev.PayloadFn {
 // latency measured at the TX port (§V-C measurement protocol).
 func RunSingleNF(cfg SingleNFConfig) (SingleNFResult, error) {
 	cfg = cfg.withDefaults()
+	res := SingleNFResult{Config: cfg}
 	tb, err := newTestbed(cfg.PoolCapacity)
 	if err != nil {
-		return SingleNFResult{}, err
+		return res, err
 	}
-	rxPort, err := netdev.NewPort(tb.sim, netdev.PortConfig{ID: 0, RateBps: cfg.NICRateBps, RxQueues: 2, RxQueueDepth: 512})
+	rxPort, txPort, err := tb.portPair(netdev.PortConfig{ID: 0, RateBps: cfg.NICRateBps, RxQueues: 2}, 1)
 	if err != nil {
-		return SingleNFResult{}, err
-	}
-	txPort, err := netdev.NewPort(tb.sim, netdev.PortConfig{ID: 1, RateBps: cfg.NICRateBps})
-	if err != nil {
-		return SingleNFResult{}, err
+		return res, err
 	}
 
-	res := SingleNFResult{Config: cfg}
 	var payload netdev.PayloadFn
 	if cfg.Kind == NIDS {
 		payload = nidsPayload(cfg.MatchFraction)
 	}
 
-	var nfDropped *uint64 = &res.NFDropped
 	var rt *core.Runtime
 	switch cfg.Mode {
 	case IOOnly:
-		wireIOOnly(tb, rxPort, txPort, nfDropped)
+		wireIOOnly(tb, rxPort, txPort, &res.NFDropped)
 	case CPUOnly:
 		proc, perr := buildSWNF(cfg.Kind)
 		if perr != nil {
 			return res, perr
 		}
-		if err := wireCPUOnly(tb, rxPort, txPort, proc, nfDropped); err != nil {
+		if err := wireCPUOnly(tb, rxPort, txPort, proc, &res.NFDropped); err != nil {
 			return res, err
 		}
 	case DHL:
-		var derr error
-		rt, derr = wireDHL(tb, rxPort, txPort, cfg, nfDropped)
-		if derr != nil {
-			return res, derr
+		if rt, err = wireDHL(tb, rxPort, txPort, cfg, &res.NFDropped); err != nil {
+			return res, err
 		}
 		// Let partial reconfiguration finish before traffic starts.
 		tb.settle(60 * eventsim.Millisecond)
@@ -189,23 +182,11 @@ func RunSingleNF(cfg SingleNFConfig) (SingleNFResult, error) {
 	if err != nil {
 		return res, err
 	}
-	start := tb.sim.Now()
-	measStart := start + cfg.Warmup
-	measEnd := measStart + cfg.Window
-	txPort.SetMeasureWindow(measStart, measEnd)
 	gen.Start()
-	tb.sim.Run(measEnd)
+	thr, lat := tb.measure(txPort, cfg.Warmup, cfg.Window, cfg.FrameSize)
 	gen.Stop()
 
-	good, wire, pkts, lat := txPort.Measured(measEnd)
-	inputBps := float64(pkts) * float64(cfg.FrameSize) * 8 / cfg.Window.Seconds()
-	res.Throughput = Throughput{GoodBps: good, WireBps: wire, InputBps: inputBps, Pkts: pkts}
-	res.Latency = Latency{
-		MeanUs: lat.Mean() / 1e6,
-		P50Us:  lat.Percentile(50) / 1e6,
-		P99Us:  lat.Percentile(99) / 1e6,
-		MaxUs:  lat.Max() / 1e6,
-	}
+	res.Throughput, res.Latency = thr, summarize(lat)
 	res.RxDropped = rxPort.Stats().RxDropped
 	res.TxDropped = txPort.Stats().TxDropped
 	res.SimEvents, res.SimPollsSkipped = tb.sim.Processed(), tb.sim.PollsSkipped()
@@ -235,11 +216,18 @@ func MeasureSingleNF(cfg SingleNFConfig) (thr SingleNFResult, lat SingleNFResult
 	return thr, lat, err
 }
 
+// defaultSADB is the evaluated gateway's SA database: one SA for all
+// traffic.
+func defaultSADB() (*nf.SADB, error) {
+	sadb := nf.NewSADB()
+	return sadb, sadb.AddDefaultSA()
+}
+
 func buildSWNF(kind NFKind) (swProcessor, error) {
 	switch kind {
 	case IPsecGateway:
-		sadb := nf.NewSADB()
-		if err := sadb.AddDefaultSA(); err != nil {
+		sadb, err := defaultSADB()
+		if err != nil {
 			return nil, err
 		}
 		return nf.NewIPsecGatewaySW(sadb)
@@ -304,7 +292,7 @@ func wireDHL(tb *testbed, rxPort, txPort *netdev.Port, cfg SingleNFConfig, dropp
 		return nil, err
 	}
 
-	app, aerr := buildDHLApp(rt, cfg.Kind)
+	app, aerr := buildDHLApp(rt, cfg.Kind, "nf", nil)
 	if aerr != nil {
 		return nil, aerr
 	}
@@ -315,15 +303,19 @@ func wireDHL(tb *testbed, rxPort, txPort *netdev.Port, cfg SingleNFConfig, dropp
 }
 
 // buildDHLApp constructs the DHL-version NF of the given kind against a
-// runtime, registering it on node 0.
-func buildDHLApp(rt *core.Runtime, kind NFKind) (dhlNF, error) {
+// runtime, registering it as name on node 0. It is the only place an NF
+// kind becomes a dhlNF. A gateway is built on sadb when one is given
+// (Figure 7(a)'s two instances share theirs) and on its own otherwise.
+func buildDHLApp(rt *core.Runtime, kind NFKind, name string, sadb *nf.SADB) (dhlNF, error) {
 	switch kind {
 	case IPsecGateway:
-		sadb := nf.NewSADB()
-		if err := sadb.AddDefaultSA(); err != nil {
-			return nil, err
+		if sadb == nil {
+			var err error
+			if sadb, err = defaultSADB(); err != nil {
+				return nil, err
+			}
 		}
-		gw, err := nf.NewIPsecGatewayDHL(rt, sadb, "ipsec-gw", 0)
+		gw, err := nf.NewIPsecGatewayDHL(rt, sadb, name, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -333,7 +325,7 @@ func buildDHLApp(rt *core.Runtime, kind NFKind) (dhlNF, error) {
 		if err != nil {
 			return nil, err
 		}
-		ids, err := nf.NewNIDSDHL(rt, rules, "nids", 0)
+		ids, err := nf.NewNIDSDHL(rt, rules, name, 0)
 		if err != nil {
 			return nil, err
 		}

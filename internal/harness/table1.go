@@ -11,34 +11,36 @@ import (
 	"github.com/opencloudnext/dhl-go/internal/perf"
 )
 
-// Table1NF selects one Table I row.
-type Table1NF int
+// table1NF selects one Table I row.
+type table1NF int
 
-// Table I rows.
+// Table I rows, in the paper's order.
 const (
-	Table1L2fwd Table1NF = iota + 1
-	Table1L3fwd
-	Table1IPsec
+	table1L2fwd table1NF = iota + 1
+	table1L3fwd
+	table1IPsec
 )
 
+var table1Rows = []table1NF{table1L2fwd, table1L3fwd, table1IPsec}
+
 // String names the row as the paper does.
-func (t Table1NF) String() string {
+func (t table1NF) String() string {
 	switch t {
-	case Table1L2fwd:
+	case table1L2fwd:
 		return "L2fwd"
-	case Table1L3fwd:
+	case table1L3fwd:
 		return "L3fwd-lpm"
-	case Table1IPsec:
+	case table1IPsec:
 		return "IPsec-gateway"
 	default:
-		return fmt.Sprintf("Table1NF(%d)", int(t))
+		return fmt.Sprintf("table1NF(%d)", int(t))
 	}
 }
 
-// Table1Result is one Table I row: the per-packet cycle cost with one core
+// table1Result is one Table I row: the per-packet cycle cost with one core
 // and the resulting throughput on a 10G NIC with 64 B packets.
-type Table1Result struct {
-	NF NFName
+type table1Result struct {
+	NF table1NF
 
 	// CyclesPerPkt is the modeled single-core processing latency in CPU
 	// cycles (Table I column 2).
@@ -47,46 +49,27 @@ type Table1Result struct {
 	Throughput Throughput
 }
 
-// NFName is a human-readable row label.
-type NFName string
-
-// RunTable1 reproduces Table I: each NF runs run-to-completion on a single
-// 2.3 GHz core (Xeon E5-2650 v3) against a 10G NIC with 64 B packets.
-func RunTable1() ([]Table1Result, error) {
-	rows := []Table1NF{Table1L2fwd, Table1L3fwd, Table1IPsec}
-	out := make([]Table1Result, 0, len(rows))
-	for _, row := range rows {
-		res, err := runTable1Row(row)
-		if err != nil {
-			return nil, fmt.Errorf("harness: table 1 %v: %w", row, err)
-		}
-		out = append(out, res)
-	}
-	return out, nil
-}
-
-func runTable1Row(row Table1NF) (Table1Result, error) {
-	res := Table1Result{NF: NFName(row.String())}
+// runTable1Row reproduces one Table I row: the NF runs run-to-completion on
+// a single 2.3 GHz core (Xeon E5-2650 v3) against a 10G NIC with 64 B
+// packets.
+func runTable1Row(row table1NF) (table1Result, error) {
+	res := table1Result{NF: row}
 	tb, err := newTestbed(8192)
 	if err != nil {
 		return res, err
 	}
-	rxPort, err := netdev.NewPort(tb.sim, netdev.PortConfig{ID: 0, RateBps: perf.NIC10GBps})
-	if err != nil {
-		return res, err
-	}
-	txPort, err := netdev.NewPort(tb.sim, netdev.PortConfig{ID: 1, RateBps: perf.NIC10GBps})
+	rxPort, txPort, err := tb.portPair(netdev.PortConfig{ID: 0, RateBps: perf.NIC10GBps}, 1)
 	if err != nil {
 		return res, err
 	}
 
 	var proc swProcessor
 	switch row {
-	case Table1L2fwd:
+	case table1L2fwd:
 		l2 := nf.NewL2Fwd(eth.MAC{0x02, 0, 0, 0, 0, 0x10})
 		l2.AddPort(0, 1, eth.MAC{0x02, 0, 0, 0, 0, 0x20})
 		proc = l2
-	case Table1L3fwd:
+	case table1L3fwd:
 		l3 := nf.NewL3Fwd(eth.MAC{0x02, 0, 0, 0, 0, 0x10})
 		// Routes covering the generator's 10.0.0.0/8 and 192.168.0.0/16
 		// destinations plus background prefixes for table realism.
@@ -102,16 +85,10 @@ func runTable1Row(row Table1NF) (Table1Result, error) {
 			}
 		}
 		proc = l3
-	case Table1IPsec:
-		sadb := nf.NewSADB()
-		if err := sadb.AddDefaultSA(); err != nil {
+	case table1IPsec:
+		if proc, err = buildSWNF(IPsecGateway); err != nil {
 			return res, err
 		}
-		gw, gerr := nf.NewIPsecGatewaySW(sadb)
-		if gerr != nil {
-			return res, gerr
-		}
-		proc = gw
 	}
 
 	// One run-to-completion core at the Table I clock.
@@ -128,25 +105,15 @@ func runTable1Row(row Table1NF) (Table1Result, error) {
 		push: tb.toNIC(txPort),
 	})
 
+	const frame = 64
 	gen, err := netdev.NewGenerator(tb.sim, netdev.GeneratorConfig{
-		Port: rxPort, Pool: tb.pool, FrameSize: 64, OfferedWireBps: perf.NIC10GBps,
+		Port: rxPort, Pool: tb.pool, FrameSize: frame, OfferedWireBps: perf.NIC10GBps,
 	})
 	if err != nil {
 		return res, err
 	}
-	warm := 2 * eventsim.Millisecond
-	window := 10 * eventsim.Millisecond
-	txPort.SetMeasureWindow(warm, warm+window)
 	gen.Start()
-	tb.sim.Run(warm + window)
-
-	good, wire, pkts, _ := txPort.Measured(warm + window)
-	res.Throughput = Throughput{
-		GoodBps:  good,
-		WireBps:  wire,
-		InputBps: float64(pkts) * 64 * 8 / window.Seconds(),
-		Pkts:     pkts,
-	}
+	res.Throughput, _ = tb.measure(txPort, 2*eventsim.Millisecond, 10*eventsim.Millisecond, frame)
 	if totalPkts > 0 {
 		res.CyclesPerPkt = totalCycles / float64(totalPkts)
 	}
@@ -156,9 +123,9 @@ func runTable1Row(row Table1NF) (Table1Result, error) {
 // procTable1 applies the Table I cycle convention: the table reports the
 // NF operation cost alone (36/60/796 cycles), so the IPsec row uses the
 // published per-64B-packet constant rather than the Figure 6 worker model.
-func procTable1(proc swProcessor, row Table1NF, m *mbuf.Mbuf) (nf.Verdict, float64) {
+func procTable1(proc swProcessor, row table1NF, m *mbuf.Mbuf) (nf.Verdict, float64) {
 	verdict, cycles := proc.Process(m)
-	if row == Table1IPsec {
+	if row == table1IPsec {
 		cycles = perf.IPsecSWCycles64B
 	}
 	return verdict, cycles
