@@ -193,8 +193,8 @@ type (
 	// RegisterPressure callback: refusal counts and the node's
 	// high-water state.
 	PressureInfo = core.PressureInfo
-	// AccTuning is a per-accelerator override of the batching knobs
-	// (zero fields inherit the global config).
+	// AccTuning is one member of the batching-knob family: an accelerator's
+	// own values, or for acc_id 0 the defaults their zero fields inherit.
 	AccTuning = core.AccTuning
 )
 
@@ -300,12 +300,6 @@ type openConfig struct {
 // setting SystemConfig.Faults.
 func WithFaultPlan(p *FaultPlan) Option {
 	return func(o *openConfig) { o.cfg.Faults = p }
-}
-
-// WithClock sets the simulated CPU clock in Hz, equivalent to setting
-// SystemConfig.CoreHz.
-func WithClock(hz float64) Option {
-	return func(o *openConfig) { o.cfg.CoreHz = hz }
 }
 
 // WithControlPlane arms the runtime management API: Serve additionally
@@ -427,7 +421,7 @@ func buildSystem(cfg SystemConfig) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, spec := range hwfunc.AllSpecs() {
+	for _, spec := range hwfunc.Specs() {
 		if rerr := rt.RegisterModule(spec); rerr != nil {
 			return nil, rerr
 		}
@@ -463,9 +457,9 @@ func buildSystem(cfg SystemConfig) (*System, error) {
 // Open builds a System with cfg, applies the options, and (unless
 // WithoutSettle) settles it: virtual time advances far enough that the
 // initial partial reconfigurations are done and the data path is ready
-// for traffic. It is the one entry point — WithFaultPlan and WithClock
-// mirror config fields, WithControlPlane arms the runtime management
-// API, WithoutSettle returns with the boot reconfigurations in flight.
+// for traffic. It is the one entry point — WithFaultPlan mirrors a config
+// field, WithControlPlane arms the runtime management API, WithoutSettle
+// returns with the boot reconfigurations in flight.
 func Open(cfg SystemConfig, opts ...Option) (*System, error) {
 	oc := openConfig{cfg: cfg, settle: true}
 	for _, opt := range opts {

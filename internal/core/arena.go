@@ -218,6 +218,17 @@ func (ib *inflight) noteFault() {
 	}
 }
 
+// The DMA retry budget: a transfer failed with pcie.ErrTransferFault is
+// re-posted at most maxDMARetries times, the first after retryBackoff and
+// each further one after twice the last delay. Two retries wait 2 + 4 us
+// in all — a few 6 KB transfer times, and far inside the 250 us default
+// watchdog deadline, so a batch that retries its way through is never
+// also counted overdue.
+const (
+	maxDMARetries = 2
+	retryBackoff  = 2 * eventsim.Microsecond
+)
+
 // retryDMA handles a failed DMA post: injected transfer faults are
 // transient by definition, so they are re-posted with exponential backoff
 // through the bound thunk until the retry budget runs out. Any other
@@ -230,7 +241,7 @@ func (ib *inflight) retryDMA(err error, again func()) bool {
 	if !errors.Is(err, pcie.ErrTransferFault) {
 		return false
 	}
-	if ib.retries >= t.r.cfg.MaxDMARetries {
+	if ib.retries >= maxDMARetries {
 		t.stats.DMARetryGiveUps++
 		return false
 	}
@@ -239,7 +250,7 @@ func (ib *inflight) retryDMA(err error, again func()) bool {
 	if t.tel != nil {
 		t.telC.Inc(telemetry.CounterDMARetries)
 	}
-	t.r.sim.After(t.r.cfg.RetryBackoff<<(ib.retries-1), again)
+	t.r.sim.After(retryBackoff<<(ib.retries-1), again)
 	return true
 }
 
@@ -365,16 +376,10 @@ func (ib *inflight) c2hDone() {
 		t.r.sim.After(f.StallFor(faultinject.CompletionStall), ib.c2hDoneFn)
 		return
 	}
-	rx := t.r.nodeRx[t.node]
-	if t.stopped {
-		// The RX loop is gone; nothing will ever drain the ring. Count
-		// the completion as dropped and reclaim the buffers now.
-		rx.stats.CompletionDrops++
-		ib.fail()
-		return
-	}
-	if !rx.completions.Enqueue(ib) {
-		rx.stats.CompletionDrops++
+	if t.stopped || !t.r.nodeRx[t.node].completions.Enqueue(ib) {
+		// The RX loop is gone (nothing will ever drain the ring) or the ring
+		// is full: count the completion dropped and reclaim the buffers now.
+		t.stats.CompletionDrops++
 		ib.fail()
 	}
 }

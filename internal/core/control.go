@@ -26,14 +26,14 @@ var (
 // Nodes reports the runtime's NUMA node count.
 func (r *Runtime) Nodes() int { return r.cfg.Nodes }
 
-// BatchBytes reports the current maximum DMA batch size.
-func (r *Runtime) BatchBytes() int { return r.cfg.BatchBytes }
+// BatchBytes reports the current default maximum DMA batch size.
+func (r *Runtime) BatchBytes() int { return r.tune[0].BatchBytes }
 
 // MinBatchBytes reports the adaptive-batching floor.
 func (r *Runtime) MinBatchBytes() int { return r.cfg.MinBatchBytes }
 
-// FlushTimeout reports the global partial-batch flush deadline.
-func (r *Runtime) FlushTimeout() eventsim.Time { return r.cfg.FlushTimeout }
+// FlushTimeout reports the default partial-batch flush deadline.
+func (r *Runtime) FlushTimeout() eventsim.Time { return r.tune[0].FlushTimeout }
 
 // WatchdogTimeout reports the current per-batch watchdog deadline (zero
 // when the watchdog is disarmed).
@@ -90,8 +90,9 @@ func (r *Runtime) AccInfoFor(acc AccID) (AccInfo, error) {
 //   - batches already posted to the DMA engine complete against the
 //     now-empty region, take the dispatch-failure edge and are attributed
 //     DropFault — buffers return, nothing is stranded;
-//   - a region mid-reconfiguration (initial load or recovery reload)
-//     cannot be unloaded; callers retry once it settles.
+//   - a region mid-reconfiguration on a live board (initial load or
+//     recovery reload) cannot be unloaded; callers retry once it settles
+//     (see settled).
 //
 // Traffic that keeps arriving for the evicted acc_id is dropped
 // DropNoRoute by the Packer, the same as any unknown acc_id.
@@ -100,30 +101,20 @@ func (r *Runtime) EvictPR(acc AccID) error {
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrUnknownAcc, acc)
 	}
-	if e.reloading {
-		return fmt.Errorf("%w (acc_id %d)", ErrAccReloading, acc)
-	}
-	if e.migrating {
-		return fmt.Errorf("%w: acc_id %d", ErrMigrating, acc)
-	}
-	if !e.ready && !r.cfg.FPGAs[e.fpgaIdx].Device.IsShutdown() {
-		// Initial PR still streaming through ICAP; the region cannot be
-		// reclaimed mid-bitstream.
-		return fmt.Errorf("%w (acc_id %d)", ErrAccReloading, acc)
+	if err := r.settled(e); err != nil {
+		return err
 	}
 	// Unload every endpoint in the acc's rotation — primary and replicas —
 	// whose board is still alive. A replica still warming (PR in flight)
 	// finishes its write and sits idle; its region is reclaimed when the
 	// board is next reloaded.
-	if e.route != nil {
-		for _, ep := range e.route.Endpoints() {
-			dev := r.cfg.FPGAs[ep.FPGA].Device
-			if !ep.Ready || dev.IsShutdown() {
-				continue
-			}
-			if err := dev.Unload(ep.Region); err != nil {
-				return fmt.Errorf("core: evict acc_id %d: %w", acc, err)
-			}
+	for _, ep := range e.route.Endpoints() {
+		dev := r.cfg.FPGAs[ep.FPGA].Device
+		if !ep.Ready || dev.IsShutdown() {
+			continue
+		}
+		if err := dev.Unload(ep.Region); err != nil {
+			return fmt.Errorf("core: evict acc_id %d: %w", acc, err)
 		}
 	}
 	r.sched.Unbind(uint16(acc))
@@ -133,19 +124,8 @@ func (r *Runtime) EvictPR(acc AccID) error {
 		if tx == nil {
 			continue
 		}
-		st := tx.state(acc)
-		if st == nil {
-			continue
-		}
-		for i, m := range st.mbufs {
-			tx.stats.DropNoRoute++
-			_ = tx.pool.Free(m)
-			st.mbufs[i] = nil
-		}
-		st.mbufs = st.mbufs[:0]
-		if st.buf != nil {
-			tx.arena.ret(st.buf)
-			st.buf = nil
+		if st := tx.state(acc); st != nil {
+			tx.dropStaged(st)
 		}
 	}
 	// A later LoadPR of the same (name, node) overwrites the table key, so
@@ -173,66 +153,42 @@ func (r *Runtime) ClearFallback(hfName string, node int) error {
 	return nil
 }
 
-// SetBatchBytes retargets the Packer's maximum batch size on a running
-// system. The new size applies to every node and every accelerator's
-// staging area from the next packet on; a batch already staged past the
-// new target flushes on its next arrival or deadline. Bounded below by
-// MinBatchBytes and above by the batch arena's segment capacity (fixed
-// at Open — segments are sized 2x the opening BatchBytes and are never
-// reallocated, which is what keeps the hot path at zero allocations).
-func (r *Runtime) SetBatchBytes(bytes int) error {
-	if bytes < r.cfg.MinBatchBytes {
-		return fmt.Errorf("%w: %d < min %d", ErrBadBatchConfig, bytes, r.cfg.MinBatchBytes)
-	}
-	for _, tx := range r.nodeTx {
-		if tx != nil && bytes > tx.arena.segSize/2 {
-			return fmt.Errorf("%w: %d > %d", ErrBatchTooBig, bytes, tx.arena.segSize/2)
-		}
-	}
-	r.cfg.BatchBytes = bytes
-	for _, tx := range r.nodeTx {
-		if tx == nil {
-			continue
-		}
-		for _, acc := range tx.order {
-			st := tx.staging[acc]
-			if r.cfg.Batching == AdaptiveBatching {
-				// Preserve the controller's position, clamped to the new
-				// window; it keeps adapting from there.
-				st.effBatch = min(max(st.effBatch, r.cfg.MinBatchBytes), bytes)
-			} else {
-				st.effBatch = bytes
-			}
-		}
-	}
-	return nil
-}
-
-// AccTuning is a per-accelerator override of the global batching knobs.
-// Zero fields mean "inherit the global config"; the autotuner (and an
-// operator via `tune.acc`) sets them per accelerator so a lightly loaded
-// module can run small, quick batches while a saturated one keeps the
-// paper's 6 KB target.
+// AccTuning is one member of the batching-knob family. The family is
+// keyed by acc_id: 0 — an id LoadPR never assigns — names the defaults
+// every accelerator inherits, and a loaded accelerator's own entry layers
+// on top, zero fields meaning "inherit the default". The autotuner sets
+// per-accelerator values so a lightly loaded module can run small, quick
+// batches while a saturated one keeps the paper's 6 KB target; the
+// operator's `tune.batch` moves the default underneath them.
 type AccTuning struct {
 	// BatchBytes caps the accelerator's staging target (and, under
 	// adaptive batching, the controller's growth ceiling).
 	BatchBytes int
-	// FlushTimeout overrides how long this accelerator's partial batch
-	// may wait before being forced out.
+	// FlushTimeout is how long the accelerator's partial batch may wait
+	// before being forced out.
 	FlushTimeout eventsim.Time
 }
 
-// SetAccBatchBytes overrides one accelerator's batch-size target on a
-// running system, bounded like SetBatchBytes (at least MinBatchBytes, at
-// most the arena segment capacity). Zero clears the override, returning
-// the accelerator to the global BatchBytes. The override survives
-// staging-area teardown (quiet periods, StopCores) and applies to every
-// node's staging for the accelerator.
+// SetBatchBytes retargets the default maximum batch size on a running
+// system: SetAccBatchBytes for acc_id 0.
+func (r *Runtime) SetBatchBytes(bytes int) error { return r.SetAccBatchBytes(0, bytes) }
+
+// SetAccBatchBytes retargets a batch-size target on a running system: an
+// accelerator's own, or for acc_id 0 the default every accelerator
+// without one inherits. The target applies to every node's staging from
+// the next packet on; a batch already staged past it flushes on its next
+// arrival or deadline. Bounded below by MinBatchBytes and above by the
+// batch arena's segment capacity (fixed at Open — segments are sized 2x
+// the opening BatchBytes and are never reallocated, which is what keeps
+// the hot path at zero allocations). Zero clears an accelerator's own
+// target, returning it to the current default; the default itself cannot
+// be cleared. An accelerator's target survives a move of the default.
 func (r *Runtime) SetAccBatchBytes(acc AccID, bytes int) error {
-	if _, ok := r.hfByAcc[acc]; !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownAcc, acc)
+	tune, err := r.AccTuningFor(acc)
+	if err != nil {
+		return err
 	}
-	if bytes != 0 {
+	if bytes != 0 || acc == 0 {
 		if bytes < r.cfg.MinBatchBytes {
 			return fmt.Errorf("%w: %d < min %d", ErrBadBatchConfig, bytes, r.cfg.MinBatchBytes)
 		}
@@ -242,73 +198,58 @@ func (r *Runtime) SetAccBatchBytes(acc AccID, bytes int) error {
 			}
 		}
 	}
-	tune := r.accTune[acc]
 	tune.BatchBytes = bytes
-	r.setAccTune(acc, tune)
-	target := bytes
-	if target == 0 {
-		target = r.cfg.BatchBytes
-	}
-	for _, tx := range r.nodeTx {
-		if tx == nil {
-			continue
-		}
-		st := tx.state(acc)
-		if st == nil {
-			continue
-		}
-		st.batchCap = bytes
-		if r.cfg.Batching == AdaptiveBatching {
-			st.effBatch = min(max(st.effBatch, r.cfg.MinBatchBytes), target)
-		} else {
-			st.effBatch = target
-		}
-	}
+	r.setTuning(acc, tune)
 	return nil
 }
 
-// SetAccFlushTimeout overrides one accelerator's partial-batch flush
-// deadline on a running system. Zero clears the override (back to the
-// global FlushTimeout); a batch already waiting is re-judged against the
-// new deadline on the TX core's next poll.
+// SetAccFlushTimeout retunes a partial-batch flush deadline on a running
+// system: an accelerator's own, or for acc_id 0 the default. Zero clears
+// an accelerator's own deadline (back to the current default; the default
+// itself cannot be cleared); a batch already waiting is re-judged against
+// the new deadline on the TX core's next poll.
 func (r *Runtime) SetAccFlushTimeout(acc AccID, d eventsim.Time) error {
-	if _, ok := r.hfByAcc[acc]; !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownAcc, acc)
+	tune, err := r.AccTuningFor(acc)
+	if err != nil {
+		return err
 	}
-	if d < 0 {
-		return fmt.Errorf("%w: negative flush timeout %d", ErrBadBatchConfig, d)
+	if d < 0 || (d == 0 && acc == 0) {
+		return fmt.Errorf("%w: flush timeout %d (acc_id %d)", ErrBadBatchConfig, d, acc)
 	}
-	tune := r.accTune[acc]
 	tune.FlushTimeout = d
-	r.setAccTune(acc, tune)
-	for _, tx := range r.nodeTx {
-		if tx == nil {
-			continue
-		}
-		if st := tx.state(acc); st != nil {
-			st.flushTimeout = d
-		}
-	}
+	r.setTuning(acc, tune)
 	return nil
 }
 
-// setAccTune stores (or, when fully cleared, deletes) an accelerator's
-// tuning override so AccTuningFor and fresh staging areas see it.
-func (r *Runtime) setAccTune(acc AccID, tune AccTuning) {
-	if tune == (AccTuning{}) {
-		delete(r.accTune, acc)
-		return
-	}
-	r.accTune[acc] = tune
-}
-
-// AccTuningFor reports an accelerator's current tuning override (zero
-// fields inherit the global config).
+// AccTuningFor reports one member of the knob family: an accelerator's
+// own values (zero fields inherit the default), or for acc_id 0 the
+// defaults themselves.
 func (r *Runtime) AccTuningFor(acc AccID) (AccTuning, error) {
-	if _, ok := r.hfByAcc[acc]; !ok {
+	if _, ok := r.hfByAcc[acc]; !ok && acc != 0 {
 		return AccTuning{}, fmt.Errorf("%w: %d", ErrUnknownAcc, acc)
 	}
-	return r.accTune[acc], nil
+	if int(acc) < len(r.tune) {
+		return r.tune[acc], nil
+	}
+	return AccTuning{}, nil
+}
+
+// setTuning stores one member of the knob family and re-derives every
+// staging area from it: a move of the default reaches every accelerator
+// without a value of its own, and leaves the rest where they are.
+func (r *Runtime) setTuning(acc AccID, tune AccTuning) {
+	if grow := int(acc) + 1 - len(r.tune); grow > 0 {
+		r.tune = append(r.tune, make([]AccTuning, grow)...)
+	}
+	r.tune[acc] = tune
+	for _, tx := range r.nodeTx {
+		if tx == nil {
+			continue
+		}
+		for _, id := range tx.order {
+			tx.retune(id, tx.staging[id])
+		}
+	}
 }
 
 // SetBurst retunes one node's poll-core dequeue burst on a running
@@ -361,26 +302,31 @@ func (r *Runtime) SetWatchdogTimeout(d eventsim.Time) error {
 	if d > 0 {
 		r.armed = true
 	}
-	for node := range r.nodeTx {
-		tx, rx := r.nodeTx[node], r.nodeRx[node]
-		if tx == nil || rx == nil {
-			continue
-		}
-		tx.watchdog = d
-		rx.timeout = d
-		if d == 0 {
-			if rx.wdTimer != nil {
-				rx.wdTimer.Stop()
-			}
-			continue
-		}
-		rx.wdPeriod = max(d/2, eventsim.Microsecond)
-		if rx.wdTimer == nil {
-			rx.wdTimer = r.sim.NewTimer(rx.watchdogFire)
-		}
-		if len(rx.watch) > 0 && !rx.wdTimer.Armed() {
-			rx.wdTimer.Reset(rx.wdPeriod)
+	for node, tx := range r.nodeTx {
+		if rx := r.nodeRx[node]; tx != nil && rx != nil {
+			rx.setWatchdog(tx, d)
 		}
 	}
 	return nil
+}
+
+// setWatchdog applies the watchdog deadline to the node's engine pair, at
+// AttachCores and at every retune: batches committed from now on are
+// watched against d (zero: not at all), and the sweep timer exists, and
+// is armed, only while there is something to sweep.
+func (x *rxEngine) setWatchdog(tx *txEngine, d eventsim.Time) {
+	tx.watchdog, x.timeout = d, d
+	if d <= 0 {
+		if x.wdTimer != nil {
+			x.wdTimer.Stop()
+		}
+		return
+	}
+	x.wdPeriod = max(d/2, eventsim.Microsecond)
+	if x.wdTimer == nil {
+		x.wdTimer = x.r.sim.NewTimer(x.watchdogFire)
+	}
+	if len(x.watch) > 0 && !x.wdTimer.Armed() {
+		x.wdTimer.Reset(x.wdPeriod)
+	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"github.com/opencloudnext/dhl-go/internal/eventsim"
@@ -162,6 +163,36 @@ func TestSetBatchBytesLive(t *testing.T) {
 	}
 	if r.pool.InUse() != 0 {
 		t.Errorf("pool leak: %d", r.pool.InUse())
+	}
+}
+
+// TestStatsReadsWholeLedger sets every counter of the node's one ledger
+// and reads each back through Stats, so a counter added later cannot be
+// dropped on the way out.
+func TestStatsReadsWholeLedger(t *testing.T) {
+	r := newRig(t, Config{}, moduleSpec("rev", func() fpga.Module { return reverseModule{} }))
+	tx, rx := r.rt.nodeTx[0], r.rt.nodeRx[0]
+	if rx.stats != &tx.stats {
+		t.Fatal("the RX engine writes a ledger of its own")
+	}
+	ledger := reflect.ValueOf(&tx.stats).Elem()
+	for i := 0; i < ledger.NumField(); i++ {
+		ledger.Field(i).SetUint(uint64(100 + i))
+	}
+	r.rt.ibqRejects[0] = 7 // counted at the send calls, outside the ledger
+	st, err := r.rt.Stats(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := reflect.ValueOf(st)
+	for i := 0; i < got.NumField(); i++ {
+		name, want := got.Type().Field(i).Name, uint64(100+i)
+		if name == "IBQRejected" {
+			want = 7
+		}
+		if v := got.Field(i).Uint(); v != want {
+			t.Errorf("Stats().%s = %d, want %d", name, v, want)
+		}
 	}
 }
 

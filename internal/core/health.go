@@ -10,7 +10,7 @@ import (
 // Health is the per-accelerator health state, driven by a
 // consecutive-failure policy over batch outcomes:
 //
-//	Healthy --DegradeAfter fails--> Degraded --QuarantineAfter fails--> Quarantined
+//	Healthy --degradeAfter fails--> Degraded --quarantineAfter fails--> Quarantined
 //	   ^___________any success___________/                                  |
 //	   \________________PR reload completes + config replayed______________/
 //
@@ -26,12 +26,22 @@ type Health int
 const (
 	// HealthHealthy: batches flow to the accelerator normally.
 	HealthHealthy Health = iota + 1
-	// HealthDegraded: consecutive failures crossed DegradeAfter; traffic
+	// HealthDegraded: consecutive failures crossed degradeAfter; traffic
 	// still flows but one more streak quarantines.
 	HealthDegraded
 	// HealthQuarantined: traffic is rerouted and a background PR reload
 	// is (or has been) attempted.
 	HealthQuarantined
+)
+
+// The FSM's thresholds, in consecutive failed batches. degradeAfter is 2
+// so a single failed batch — what one injected transient looks like —
+// sheds no load; quarantineAfter is 5 so a degraded accelerator gets
+// three more batches to heal by a clean one (which costs nothing) before
+// its region is reloaded (which costs milliseconds of ICAP time).
+const (
+	degradeAfter    = 2
+	quarantineAfter = 5
 )
 
 // String names the health state.
@@ -116,12 +126,8 @@ func (r *Runtime) AccHealth(acc AccID) (HealthReport, error) {
 	if !ok {
 		return HealthReport{}, fmt.Errorf("%w: %d", ErrUnknownAcc, acc)
 	}
-	h := e.health
-	if h == 0 {
-		h = HealthHealthy
-	}
 	return HealthReport{
-		Health:           h,
+		Health:           e.health,
 		ConsecutiveFails: e.consecFails,
 		Faults:           e.faults,
 		Quarantines:      e.quarantines,
@@ -147,9 +153,9 @@ func (r *Runtime) noteFault(e *hfEntry) {
 		return
 	}
 	e.consecFails++
-	if e.consecFails >= r.cfg.QuarantineAfter {
+	if e.consecFails >= quarantineAfter {
 		r.quarantine(e)
-	} else if e.consecFails >= r.cfg.DegradeAfter {
+	} else if e.consecFails >= degradeAfter {
 		if r.tel != nil && e.health != HealthDegraded {
 			r.tel.Health.Degraded.Inc()
 		}
@@ -157,7 +163,7 @@ func (r *Runtime) noteFault(e *hfEntry) {
 		// Shed load: when replicas exist, shrink the struggling primary's
 		// share of the weighted round-robin instead of waiting for
 		// quarantine to take it out entirely.
-		if e.route != nil && e.route.Live() > 1 {
+		if e.route.Live() > 1 {
 			e.route.SetWeight(e.fpgaIdx, e.regionIdx, placement.ShedWeight)
 		}
 	}
@@ -171,14 +177,23 @@ func (r *Runtime) noteSuccess(e *hfEntry) {
 	if !r.armed || e == nil || e.health == HealthQuarantined {
 		return
 	}
+	r.heal(e)
+}
+
+// heal returns the accelerator to Healthy with a clean streak and its
+// primary endpoint to its full share of the rotation: what a clean batch,
+// a completed reload and a cutover to fresh silicon all end in (the
+// faults that condemned an old placement say nothing about the new one,
+// whose endpoint already has DefaultWeight).
+//
+//dhl:hotpath
+func (r *Runtime) heal(e *hfEntry) {
 	if r.tel != nil && e.health != HealthHealthy {
 		r.tel.Health.Recovered.Inc()
 	}
 	e.consecFails = 0
 	e.health = HealthHealthy
-	if e.route != nil {
-		e.route.SetWeight(e.fpgaIdx, e.regionIdx, placement.DefaultWeight)
-	}
+	e.route.SetWeight(e.fpgaIdx, e.regionIdx, placement.DefaultWeight)
 }
 
 // quarantine moves the accelerator to Quarantined and starts the
@@ -193,9 +208,7 @@ func (r *Runtime) quarantine(e *hfEntry) {
 	// Take the primary endpoint out of the rotation; replicas (if any)
 	// absorb its share, otherwise Pick returns nil and the Packer falls
 	// back to software or unprocessed delivery.
-	if e.route != nil {
-		e.route.Disable(e.fpgaIdx, e.regionIdx)
-	}
+	e.route.Disable(e.fpgaIdx, e.regionIdx)
 	if e.reloading {
 		return
 	}
@@ -208,7 +221,7 @@ func (r *Runtime) quarantine(e *hfEntry) {
 		// for good; the fallback (or unprocessed delivery) carries the
 		// traffic. Reload flushed nothing, so there is nothing to leak.
 		e.reloading = false
-		r.migrateOff(e)
+		_ = r.migrateOff(e)
 	}
 }
 
@@ -217,22 +230,9 @@ func (r *Runtime) quarantine(e *hfEntry) {
 func (r *Runtime) reloaded(e *hfEntry) {
 	e.reloading = false
 	e.reloads++
-	dev := r.cfg.FPGAs[e.fpgaIdx].Device
-	for _, blob := range e.cfgBlobs {
-		// A blob the module accepted once and rejects now would be a
-		// module bug; traffic failures would re-quarantine, so recovery
-		// stays safe either way.
-		_ = dev.Configure(e.regionIdx, blob)
-	}
-	if r.tel != nil && e.health != HealthHealthy {
-		r.tel.Health.Recovered.Inc()
-	}
-	e.consecFails = 0
-	e.health = HealthHealthy
-	if e.route != nil {
-		e.route.Enable(e.fpgaIdx, e.regionIdx)
-		e.route.SetWeight(e.fpgaIdx, e.regionIdx, placement.DefaultWeight)
-	}
+	e.replay(r.cfg.FPGAs[e.fpgaIdx].Device, e.regionIdx)
+	r.heal(e)
+	e.route.Enable(e.fpgaIdx, e.regionIdx)
 }
 
 // forceRecover is the watchdog's hard-deadline action against an

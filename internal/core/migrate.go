@@ -22,43 +22,42 @@ var (
 	ErrMigrating = errors.New("core: migration already in flight for accelerator")
 )
 
-// primaryBoardLost is the data path's escape hatch: flush calls it when it
-// observes the primary endpoint's board shut down. //go:noinline keeps its
-// cold body (closures, map traffic) out of flush's zero-allocation budget.
+// boardLost is the data path's escape hatch: flush calls it when it
+// observes one of the accelerator's boards shut down. Every endpoint on
+// the board leaves the rotation, and a lost primary is moved off it.
+// //go:noinline keeps the cold body (closures, map traffic) out of flush's
+// zero-allocation budget.
 //
 //go:noinline
-func (r *Runtime) primaryBoardLost(e *hfEntry) {
-	r.migrateOff(e)
+func (r *Runtime) boardLost(e *hfEntry, board int) {
+	e.route.DisableBoard(board)
+	if board == e.fpgaIdx {
+		// Nowhere to go (no capacity, every board excluded) is not an error
+		// on the data path: with its endpoints disabled the Packer degrades
+		// to the software fallback (or unprocessed delivery) from this
+		// flush on, until an operator frees capacity.
+		_ = r.migrateOff(e)
+	}
 }
 
 // migrateOff moves an accelerator off its current primary: a warm replica
 // is promoted instantly; otherwise a live migration re-places it on a
-// healthy board. If neither is possible the accelerator stays where it is
-// — disabled endpoints mean the Packer degrades to the software fallback
-// (or unprocessed delivery) from the next flush.
-func (r *Runtime) migrateOff(e *hfEntry) {
-	if e.migrating {
-		return
+// healthy board. A move already under way is left to finish. If neither
+// is possible the accelerator stays where it is and the refusal is
+// returned.
+func (r *Runtime) migrateOff(e *hfEntry) error {
+	if e.migrating || r.promoteReplica(e) {
+		return nil
 	}
-	if r.promoteReplica(e) {
-		return
-	}
-	if _, err := r.Migrate(e.accID, -1); err != nil {
-		// Nowhere to go (no capacity, every board excluded): the fallback
-		// carries the traffic until an operator frees capacity.
-		return
-	}
+	_, err := r.Migrate(e.accID, -1)
+	return err
 }
 
 // promoteReplica cuts the accelerator over to a warm replica: the first
-// ready, enabled endpoint on a live board becomes the primary, the old
-// primary endpoint leaves the rotation, and the health FSM is reset for
-// the fresh instance. Instant — no ICAP write, no config replay (replicas
-// are configured as they warm up). Reports whether a replica was found.
+// ready, enabled endpoint on a live board becomes the primary. Instant —
+// no ICAP write, no config replay (replicas are configured as they warm
+// up). Reports whether a replica was found.
 func (r *Runtime) promoteReplica(e *hfEntry) bool {
-	if e.route == nil {
-		return false
-	}
 	for _, ep := range e.route.Endpoints() {
 		if ep.Primary || !ep.Ready || ep.Disabled {
 			continue
@@ -66,45 +65,90 @@ func (r *Runtime) promoteReplica(e *hfEntry) bool {
 		if r.cfg.FPGAs[ep.FPGA].Device.IsShutdown() {
 			continue
 		}
-		oldBoard, oldRegion := e.fpgaIdx, e.regionIdx
-		e.fpgaIdx, e.regionIdx = ep.FPGA, ep.Region
-		e.epoch++
-		e.route.MarkPrimary(ep.FPGA, ep.Region)
-		e.route.Remove(oldBoard, oldRegion)
-		if old := r.cfg.FPGAs[oldBoard].Device; !old.IsShutdown() {
-			// Reclaim the abandoned region when the board survives (drain,
-			// quarantine-without-reload); a lost board has nothing to free.
-			_ = old.Unload(oldRegion)
-		}
-		r.sched.NoteMigration(oldBoard, ep.FPGA)
-		r.healAfterCutover(e)
-		e.ready = true
-		e.pendingCf = nil
-		e.reloading = false
+		r.cutover(e, ep.FPGA, ep.Region)
 		return true
 	}
 	return false
 }
 
-// healAfterCutover resets the health FSM for a freshly placed instance:
-// the faults that condemned the old placement say nothing about the new
-// silicon.
-func (r *Runtime) healAfterCutover(e *hfEntry) {
-	if r.tel != nil && e.health != HealthHealthy {
-		r.tel.Health.Recovered.Inc()
+// cutover makes the configured instance at (board, region) the
+// accelerator's primary, atomically (between simulation events): the end
+// of a migration and of a replica promotion alike. The hardware function
+// table row moves, the epoch advances so stragglers from the old
+// placement cannot poison the fresh instance's health accounting, the old
+// primary endpoint leaves the rotation, and the health FSM starts clean.
+func (r *Runtime) cutover(e *hfEntry, board, region int) {
+	oldBoard, oldRegion := e.fpgaIdx, e.regionIdx
+	e.fpgaIdx, e.regionIdx = board, region
+	e.epoch++
+	e.route.SetReady(board, region, true)
+	e.route.MarkPrimary(board, region)
+	e.route.Remove(oldBoard, oldRegion)
+	if old := r.cfg.FPGAs[oldBoard].Device; !old.IsShutdown() {
+		// Reclaim the abandoned region when the board survives (drain,
+		// quarantine-without-reload); a lost board has nothing to free.
+		_ = old.Unload(oldRegion)
 	}
-	e.consecFails = 0
-	e.health = HealthHealthy
+	r.sched.NoteMigration(oldBoard, board)
+	r.heal(e)
+	e.ready = true
+	e.reloading = false
+	e.migrating = false
+}
+
+// settled reports whether the accelerator can be moved or evicted now,
+// and the refusal when it cannot: another move is in flight, or a region
+// is mid-bitstream — an initial PR or a recovery reload — on live
+// hardware, where abandoning it gains nothing and racing it with a
+// cutover or an unload is unsafe. On a board that has died the write's
+// completion will never run, so its marker is stale and holds nobody.
+func (r *Runtime) settled(e *hfEntry) error {
+	if e.migrating {
+		return fmt.Errorf("%w: acc_id %d", ErrMigrating, e.accID)
+	}
+	if (e.reloading || !e.ready) && !r.cfg.FPGAs[e.fpgaIdx].Device.IsShutdown() {
+		return fmt.Errorf("%w (acc_id %d)", ErrAccReloading, e.accID)
+	}
+	return nil
+}
+
+// warm starts a fresh instance of the accelerator on another board —
+// target, or for -1 the placement scheduler's choice — and enters it into
+// the rotation as pending: the PR write streams in the background, then
+// every recorded configuration blob is replayed into the instance, then
+// up runs. Returns the chosen board index.
+func (r *Runtime) warm(e *hfEntry, target int, up func(board, region int)) (int, error) {
+	if target >= len(r.cfg.FPGAs) {
+		return -1, fmt.Errorf("%w: %d of %d", placement.ErrUnknownBoard, target, len(r.cfg.FPGAs))
+	}
+	if target < 0 {
+		exclude := make([]int, 0, len(e.route.Endpoints()))
+		for _, ep := range e.route.Endpoints() {
+			exclude = append(exclude, ep.FPGA)
+		}
+		var err error
+		if target, err = r.sched.Place(e.spec, e.node, exclude); err != nil {
+			return -1, err
+		}
+	}
+	dev := r.cfg.FPGAs[target].Device
+	region, err := dev.LoadPR(e.spec, func(ri int) {
+		e.replay(dev, ri)
+		up(target, ri)
+	})
+	if err != nil {
+		return -1, err
+	}
+	e.route.Add(target, region, placement.DefaultWeight, false)
+	return target, nil
 }
 
 // Migrate live-migrates the accelerator's primary instance to another
-// board: stream the PR bitstream to the target, replay every recorded
-// configuration blob, then cut the hardware-function-table row over
-// atomically (between simulation events). Batches staged while no endpoint
-// serves are held by the Packer exactly as during an initial load; batches
-// already in flight against the old placement drain normally, and the
-// entry's epoch guard keeps their outcomes from poisoning the fresh
-// instance's health accounting.
+// board: a fresh instance is warmed there (PR write, then a replay of
+// every recorded configuration blob), then the hardware-function-table
+// row is cut over to it. Batches staged while no endpoint serves are held
+// by the Packer exactly as during an initial load; batches already in
+// flight against the old placement drain normally.
 //
 // target -1 asks the placement scheduler for a board (NUMA-preferring
 // first-fit, excluding boards already hosting one of the acc's endpoints).
@@ -114,116 +158,28 @@ func (r *Runtime) Migrate(acc AccID, target int) (int, error) {
 	if !ok {
 		return -1, fmt.Errorf("%w: %d", ErrUnknownAcc, acc)
 	}
-	if e.migrating {
-		return -1, fmt.Errorf("%w: acc_id %d", ErrMigrating, acc)
-	}
-	oldDev := r.cfg.FPGAs[e.fpgaIdx].Device
-	if e.reloading {
-		if !oldDev.IsShutdown() {
-			// A recovery reload is live on healthy hardware; let it finish
-			// rather than racing it with a cutover.
-			return -1, fmt.Errorf("%w (acc_id %d)", ErrAccReloading, acc)
-		}
-		// The reload died with its board mid-ICAP: its completion will
-		// never run, so the in-flight marker is stale. Clear it and move.
-		e.reloading = false
-	}
-	if !e.ready && !oldDev.IsShutdown() {
-		// Initial PR still streaming on live hardware; migrating now would
-		// abandon a region mid-bitstream for no benefit.
-		return -1, fmt.Errorf("%w (acc_id %d)", ErrAccReloading, acc)
-	}
-	if target < 0 {
-		exclude := make([]int, 0, len(e.route.Endpoints()))
-		for _, ep := range e.route.Endpoints() {
-			exclude = append(exclude, ep.FPGA)
-		}
-		idx, err := r.sched.Place(e.spec, e.node, exclude)
-		if err != nil {
-			return -1, err
-		}
-		target = idx
-	} else if target >= len(r.cfg.FPGAs) {
-		return -1, fmt.Errorf("%w: %d of %d", placement.ErrUnknownBoard, target, len(r.cfg.FPGAs))
-	}
-	dev := r.cfg.FPGAs[target].Device
-	e.migrating = true
-	tgt := target
-	regionIdx, err := dev.LoadPR(e.spec, func(ri int) {
-		r.migrationArrived(e, tgt, ri)
-	})
-	if err != nil {
-		e.migrating = false
+	if err := r.settled(e); err != nil {
 		return -1, err
 	}
-	e.route.Add(target, regionIdx, placement.DefaultWeight, false)
-	return target, nil
-}
-
-// migrationArrived completes a migration: the target region's PR write has
-// finished, so replay the recorded configuration and cut over.
-func (r *Runtime) migrationArrived(e *hfEntry, board, region int) {
-	dev := r.cfg.FPGAs[board].Device
-	for _, blob := range e.cfgBlobs {
-		// A blob the module accepted once and rejects now would be a module
-		// bug; traffic failures would surface it through the health FSM.
-		_ = dev.Configure(region, blob)
-	}
-	oldBoard, oldRegion := e.fpgaIdx, e.regionIdx
-	e.fpgaIdx, e.regionIdx = board, region
-	e.epoch++
-	e.route.SetReady(board, region, true)
-	e.route.MarkPrimary(board, region)
-	e.route.Remove(oldBoard, oldRegion)
-	if old := r.cfg.FPGAs[oldBoard].Device; !old.IsShutdown() {
-		_ = old.Unload(oldRegion)
-	}
-	r.sched.NoteMigration(oldBoard, board)
-	r.healAfterCutover(e)
-	e.ready = true
-	e.pendingCf = nil
+	// A reload marker that got past settled died with its board.
 	e.reloading = false
-	e.migrating = false
+	board, err := r.warm(e, target, func(board, region int) { r.cutover(e, board, region) })
+	e.migrating = err == nil
+	return board, err
 }
 
 // Replicate loads a second (third, ...) instance of the accelerator on
 // another board and adds it to the acc's weighted rotation at
 // DefaultWeight. The replica warms in the background — PR write, then a
 // replay of every recorded configuration blob — and joins the rotation
-// only when ready, so goodput never dips. target -1 lets the scheduler
-// pick (excluding boards already hosting an endpoint of this acc).
+// only when ready, so goodput never dips. target is as for Migrate.
 // Returns the chosen board index.
 func (r *Runtime) Replicate(acc AccID, target int) (int, error) {
 	e, ok := r.hfByAcc[acc]
 	if !ok {
 		return -1, fmt.Errorf("%w: %d", ErrUnknownAcc, acc)
 	}
-	if target < 0 {
-		exclude := make([]int, 0, len(e.route.Endpoints()))
-		for _, ep := range e.route.Endpoints() {
-			exclude = append(exclude, ep.FPGA)
-		}
-		idx, err := r.sched.Place(e.spec, e.node, exclude)
-		if err != nil {
-			return -1, err
-		}
-		target = idx
-	} else if target >= len(r.cfg.FPGAs) {
-		return -1, fmt.Errorf("%w: %d of %d", placement.ErrUnknownBoard, target, len(r.cfg.FPGAs))
-	}
-	dev := r.cfg.FPGAs[target].Device
-	tgt := target
-	regionIdx, err := dev.LoadPR(e.spec, func(ri int) {
-		for _, blob := range e.cfgBlobs {
-			_ = dev.Configure(ri, blob)
-		}
-		e.route.SetReady(tgt, ri, true)
-	})
-	if err != nil {
-		return -1, err
-	}
-	e.route.Add(target, regionIdx, placement.DefaultWeight, false)
-	return target, nil
+	return r.warm(e, target, func(board, region int) { e.route.SetReady(board, region, true) })
 }
 
 // Rebalance sweeps the hardware function table and moves every
@@ -236,19 +192,12 @@ func (r *Runtime) Replicate(acc AccID, target int) (int, error) {
 func (r *Runtime) Rebalance() (int, error) {
 	moved := 0
 	var firstErr error
-	for acc := AccID(1); acc <= r.nextAcc; acc++ {
-		e, ok := r.hfByAcc[acc]
-		if !ok || e.migrating {
+	for _, acc := range r.AccIDs() {
+		e := r.hfByAcc[acc]
+		if e.migrating || r.sched.BoardHealthOf(e.fpgaIdx) == placement.BoardAlive {
 			continue
 		}
-		if r.sched.BoardHealthOf(e.fpgaIdx) == placement.BoardAlive {
-			continue
-		}
-		if r.promoteReplica(e) {
-			moved++
-			continue
-		}
-		if _, err := r.Migrate(acc, -1); err != nil {
+		if err := r.migrateOff(e); err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}

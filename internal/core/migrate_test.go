@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -514,3 +515,104 @@ func TestFleetCapacityErrorNamesEveryBoard(t *testing.T) {
 }
 
 var _ = fmt.Sprintf // keep fmt for future debugging aids
+
+// TestBringUpReplaysOnceInOrder drives one accelerator through every way
+// an instance comes into service — initial load with blobs queued mid-PR,
+// recovery reload, migration, replica warm-up, promotion — and holds each
+// fresh instance to exactly the blobs sent, once, in order.
+func TestBringUpReplaysOnceInOrder(t *testing.T) {
+	var instances []*[]string // per module instance, the blobs it was configured with
+	spec := moduleSpec("rec", func() fpga.Module {
+		seen := new([]string)
+		instances = append(instances, seen)
+		return &captureModule{onConfigure: func(b []byte) { *seen = append(*seen, string(b)) }}
+	})
+	r, _ := newFleetRig(t, Config{WatchdogTimeout: 250 * eventsim.Microsecond}, 3, spec)
+	acc, err := r.rt.SearchByName("rec", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := r.rt.hfByAcc[acc]
+	check := func(step string, n int, board int) {
+		t.Helper()
+		if len(instances) != n {
+			t.Fatalf("%s: %d instances built, want %d", step, len(instances), n)
+		}
+		if got := fmt.Sprint(*instances[n-1]); got != "[a b c]" {
+			t.Errorf("%s: newest instance configured with %s, want [a b c]", step, got)
+		}
+		if e.fpgaIdx != board || !e.ready || e.health != HealthHealthy || e.reloading || e.migrating {
+			t.Errorf("%s: entry on board %d ready=%v health=%v reloading=%v migrating=%v, want settled on board %d",
+				step, e.fpgaIdx, e.ready, e.health, e.reloading, e.migrating, board)
+		}
+	}
+	for _, blob := range []string{"a", "b", "c"} { // the PR is still streaming
+		if err := r.rt.AccConfigure(acc, []byte(blob)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.settle()
+	check("initial load", 1, 0)
+
+	r.rt.quarantine(e)
+	if !e.reloading {
+		t.Fatal("quarantine started no reload")
+	}
+	r.settle()
+	check("reload", 2, 0)
+
+	if _, err := r.rt.Migrate(acc, 1); err != nil {
+		t.Fatal(err)
+	}
+	r.settle()
+	check("migration", 3, 1)
+
+	if _, err := r.rt.Replicate(acc, 2); err != nil {
+		t.Fatal(err)
+	}
+	r.settle()
+	check("replica warm-up", 4, 1)
+
+	epoch := e.epoch
+	if moved, err := r.rt.OfflineBoard(1); err != nil || moved != 1 {
+		t.Fatalf("offline: moved %d, %v", moved, err)
+	}
+	check("promotion", 4, 2) // instant: no new instance, nothing replayed twice
+	if e.epoch != epoch+1 {
+		t.Errorf("promotion moved the epoch %d -> %d, want one step", epoch, e.epoch)
+	}
+	for i, seen := range instances {
+		if got := fmt.Sprint(*seen); got != "[a b c]" {
+			t.Errorf("instance %d saw %s, want [a b c]", i, got)
+		}
+	}
+}
+
+// TestEvictAfterReloadDiedWithBoard: a recovery reload that dies with its
+// board never completes, so its in-flight marker must not hold an evict
+// off for good.
+func TestEvictAfterReloadDiedWithBoard(t *testing.T) {
+	r := newRig(t, Config{WatchdogTimeout: 250 * eventsim.Microsecond}, revSpec())
+	acc, err := r.rt.SearchByName("rev", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.settle()
+	e := r.rt.hfByAcc[acc]
+	r.rt.quarantine(e)
+	if err := r.rt.EvictPR(acc); !errors.Is(err, ErrAccReloading) {
+		t.Fatalf("evict during a live reload: %v", err)
+	}
+	r.dev.Shutdown() // mid-ICAP: the reload's completion will never run
+	r.settle()
+	if !e.reloading {
+		t.Fatal("precondition: the dead reload's marker is still set")
+	}
+	if err := r.rt.EvictPR(acc); err != nil {
+		t.Fatalf("evict after the reload died with its board: %v", err)
+	}
+	if ids := r.rt.AccIDs(); len(ids) != 0 {
+		t.Errorf("AccIDs after evict: %v", ids)
+	}
+	checkNoLeaks(t, r)
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"github.com/opencloudnext/dhl-go/internal/eventsim"
@@ -202,6 +203,99 @@ func TestPerAccTuningOverrides(t *testing.T) {
 	}
 	if tune, _ := r.rt.AccTuningFor(acc); tune != (AccTuning{}) {
 		t.Fatalf("cleared override still reads %+v", tune)
+	}
+
+	// acc_id 0 names the defaults: same setters, same bounds, and no
+	// clearing — there is nothing underneath a default to inherit.
+	for _, bytes := range []int{0, 64} {
+		if err := r.rt.SetAccBatchBytes(0, bytes); !errors.Is(err, ErrBadBatchConfig) {
+			t.Errorf("default batch of %d accepted: %v", bytes, err)
+		}
+	}
+	if err := r.rt.SetAccBatchBytes(0, 1<<20); !errors.Is(err, ErrBatchTooBig) {
+		t.Errorf("over-arena default batch accepted: %v", err)
+	}
+	for _, d := range []eventsim.Time{0, -1} {
+		if err := r.rt.SetAccFlushTimeout(0, d); !errors.Is(err, ErrBadBatchConfig) {
+			t.Errorf("default flush timeout of %d accepted: %v", d, err)
+		}
+	}
+	if err := r.rt.SetAccBatchBytes(0, 2048); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.rt.SetAccFlushTimeout(0, 7*eventsim.Microsecond); err != nil {
+		t.Fatal(err)
+	}
+	want := AccTuning{BatchBytes: 2048, FlushTimeout: 7 * eventsim.Microsecond}
+	if def, err := r.rt.AccTuningFor(0); err != nil || def != want {
+		t.Errorf("defaults read %+v (%v), want %+v", def, err, want)
+	}
+	if r.rt.BatchBytes() != want.BatchBytes || r.rt.FlushTimeout() != want.FlushTimeout {
+		t.Errorf("BatchBytes/FlushTimeout = %d/%d, want %+v", r.rt.BatchBytes(), r.rt.FlushTimeout(), want)
+	}
+}
+
+// TestAccBatchTargetSurvivesDefaultMove pins DESIGN.md §14's "per-acc
+// overrides layer on top": moving the default (the operator's tune.batch)
+// under an accelerator with a target of its own leaves that accelerator
+// where it is, reaches every accelerator without one, and is what a
+// cleared target returns to.
+func TestAccBatchTargetSurvivesDefaultMove(t *testing.T) {
+	for _, tc := range []struct {
+		mode            BatchingMode
+		own, newDefault int
+	}{
+		{FixedBatching, 1024, 2048},
+		{FixedBatching, 4096, 1024},
+		{AdaptiveBatching, 1024, 2048},
+		{AdaptiveBatching, 4096, 1024},
+	} {
+		t.Run(fmt.Sprintf("%v/own%d/default%d", tc.mode, tc.own, tc.newDefault), func(t *testing.T) {
+			r := newRig(t, Config{Batching: tc.mode, FlushTimeout: 5 * eventsim.Microsecond},
+				moduleSpec("rev", func() fpga.Module { return reverseModule{} }))
+			nf, _ := r.rt.Register("nf", 0)
+			tuned, _ := r.rt.LoadPR("rev", 0)
+			plain, _ := r.rt.LoadPR("rev", 0)
+			r.settle()
+			// One packet each brings both staging areas into being.
+			sendBurst(t, r, nf, tuned, 1)
+			sendBurst(t, r, nf, plain, 1)
+			if got := drainOBQ(t, r, nf, nil); got != 2 {
+				t.Fatalf("received %d, want 2", got)
+			}
+			tx := r.rt.nodeTx[0]
+			if err := r.rt.SetAccBatchBytes(tuned, tc.own); err != nil {
+				t.Fatal(err)
+			}
+			before := tx.state(tuned).effBatch
+			if before > tc.own || (tc.mode == FixedBatching && before != tc.own) {
+				t.Fatalf("own target %d gave effBatch %d", tc.own, before)
+			}
+			if err := r.rt.SetBatchBytes(tc.newDefault); err != nil {
+				t.Fatal(err)
+			}
+			if got := tx.state(tuned).effBatch; got != before {
+				t.Errorf("moving the default to %d moved the tuned accelerator %d -> %d", tc.newDefault, before, got)
+			}
+			if tune, _ := r.rt.AccTuningFor(tuned); tune.BatchBytes != tc.own {
+				t.Errorf("own target reads %d, want %d", tune.BatchBytes, tc.own)
+			}
+			got := tx.state(plain).effBatch
+			if got > tc.newDefault || (tc.mode == FixedBatching && got != tc.newDefault) {
+				t.Errorf("accelerator without a target sits at %d under a default of %d", got, tc.newDefault)
+			}
+			// Clearing returns to the default as it is now, not as it was.
+			if err := r.rt.SetAccBatchBytes(tuned, 0); err != nil {
+				t.Fatal(err)
+			}
+			want := tc.newDefault
+			if tc.mode == AdaptiveBatching {
+				want = min(before, tc.newDefault) // the controller's position, clamped
+			}
+			if got := tx.state(tuned).effBatch; got != want {
+				t.Errorf("cleared target left effBatch %d under a default of %d, want %d", got, tc.newDefault, want)
+			}
+		})
 	}
 }
 

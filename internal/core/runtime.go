@@ -98,9 +98,6 @@ type Config struct {
 	// OBQSize is each private output buffer queue's capacity. Zero
 	// selects 1024.
 	OBQSize int
-	// DMABacklogCap is how much H2C backlog the TX core tolerates before
-	// pausing IBQ dequeue (back-pressure). Zero selects 15us.
-	DMABacklogCap eventsim.Time
 	// Burst is the TX/RX poll cores' per-iteration dequeue burst: how many
 	// IBQ packets (TX) or DMA completions (RX) one poll claims. Zero
 	// selects 64, the rte_eth_rx_burst convention.
@@ -122,17 +119,6 @@ type Config struct {
 	// 250us — an order of magnitude above the perf model's worst
 	// DMA+module round trip at 6 KB batches.
 	WatchdogTimeout eventsim.Time
-	// MaxDMARetries bounds re-posts of a transfer failed with
-	// pcie.ErrTransferFault. Zero selects 2.
-	MaxDMARetries int
-	// RetryBackoff is the first retry's delay; each further retry doubles
-	// it. Zero selects 2us.
-	RetryBackoff eventsim.Time
-	// DegradeAfter and QuarantineAfter are the health FSM thresholds:
-	// consecutive batch failures to move an accelerator Healthy→Degraded
-	// and →Quarantined. Zero selects 2 and 5.
-	DegradeAfter    int
-	QuarantineAfter int
 
 	// Telemetry, when set, arms the zero-allocation telemetry layer: the
 	// per-batch stage clock (IBQ wait → pack → H2C → accelerator → C2H →
@@ -173,9 +159,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.OBQSize == 0 {
 		c.OBQSize = 1024
 	}
-	if c.DMABacklogCap == 0 {
-		c.DMABacklogCap = 15 * eventsim.Microsecond
-	}
 	if c.Burst == 0 {
 		c.Burst = 64
 	}
@@ -184,18 +167,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.WatchdogTimeout == 0 && c.Faults != nil {
 		c.WatchdogTimeout = 250 * eventsim.Microsecond
-	}
-	if c.MaxDMARetries == 0 {
-		c.MaxDMARetries = 2
-	}
-	if c.RetryBackoff == 0 {
-		c.RetryBackoff = 2 * eventsim.Microsecond
-	}
-	if c.DegradeAfter == 0 {
-		c.DegradeAfter = 2
-	}
-	if c.QuarantineAfter == 0 {
-		c.QuarantineAfter = 5
 	}
 	return c, nil
 }
@@ -210,17 +181,20 @@ type hfEntry struct {
 	regionIdx int
 	ready     bool
 	spec      fpga.ModuleSpec
-	pendingCf [][]byte // AccConfigure blobs queued while PR is in flight
 
-	// cfgBlobs records every applied AccConfigure blob so recovery can
-	// replay them: into the fresh module after a PR reload, and into a
-	// software fallback at registration so it is functionally equivalent.
+	// cfgBlobs records every AccConfigure blob in arrival order — applied
+	// ones, and ones sent while no instance was up to take them — so every
+	// fresh instance is brought up by the same replay: the initial load, a
+	// PR reload, a migration target, a warming replica, and a software
+	// fallback at registration so it is functionally equivalent.
 	cfgBlobs [][]byte
 
 	// route is the acc's live routing state (primary + replicas with
 	// weights), owned by the placement scheduler; the Packer consults it
 	// directly on every flush. fpgaIdx/regionIdx above mirror the primary
-	// endpoint — the one the health FSM tracks.
+	// endpoint — the one the health FSM tracks. LoadPR binds it before the
+	// entry enters the table (and before any PR completes), so it is
+	// never nil.
 	route *placement.Route
 	// epoch increments at every cutover (migration, replica promotion) so
 	// stragglers from a previous placement cannot poison the fresh
@@ -277,15 +251,18 @@ type Runtime struct {
 	ibqs   []*ring.Ring[*mbuf.Mbuf]
 	nodeTx []*txEngine
 	nodeRx []*rxEngine
-	pools  []*mbuf.Pool // per-node pool recorded by AttachCores
 
 	// Back-pressure state per node: lifetime IBQ refusal count and the
 	// hysteresis latch for the high-water pressure signal (see
-	// notePressure). accTune records per-accelerator tuning overrides so
-	// they survive staging-area teardown (EvictPR, StopCores).
+	// notePressure).
 	ibqRejects []uint64
 	ibqHot     []bool
-	accTune    map[AccID]AccTuning
+
+	// tune is the one store of the batching knobs, indexed by acc_id and
+	// grown to the largest id ever tuned. Entry 0 — an id LoadPR never
+	// assigns — holds the defaults every accelerator inherits; entry N
+	// holds accelerator N's own values, zero fields inheriting.
+	tune []AccTuning
 
 	// armed caches whether the fault detection/recovery machinery is on
 	// (Config.Faults set or WatchdogTimeout > 0).
@@ -301,8 +278,8 @@ type hfKey struct {
 }
 
 // NewRuntime builds a Runtime with the stock accelerator module database
-// empty; call RegisterModule (or install hwfunc.Specs()) before NFs search
-// for hardware functions.
+// empty; call RegisterModule (hwfunc.Specs() is the whole stock catalogue)
+// before NFs search for hardware functions.
 func NewRuntime(cfg Config) (*Runtime, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -316,13 +293,12 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		hfByAcc: make(map[AccID]*hfEntry),
 		nodeTx:  make([]*txEngine, cfg.Nodes),
 		nodeRx:  make([]*rxEngine, cfg.Nodes),
-		pools:   make([]*mbuf.Pool, cfg.Nodes),
 		armed:   cfg.Faults != nil || cfg.WatchdogTimeout > 0,
 		tel:     cfg.Telemetry,
 
 		ibqRejects: make([]uint64, cfg.Nodes),
 		ibqHot:     make([]bool, cfg.Nodes),
-		accTune:    make(map[AccID]AccTuning),
+		tune:       []AccTuning{{BatchBytes: cfg.BatchBytes, FlushTimeout: cfg.FlushTimeout}},
 	}
 	devices := make([]*fpga.Device, len(cfg.FPGAs))
 	for i := range cfg.FPGAs {
@@ -435,7 +411,7 @@ func (r *Runtime) Unregister(id NFID) error {
 		// removes the series for all — acceptable for a diagnostic gauge.)
 		r.tel.UnregisterGauge("dhl_ring_occupancy", fmt.Sprintf("ring=%q", nf.obq.Name()))
 	}
-	if pool := r.pools[nf.node]; pool != nil {
+	if tx := r.nodeTx[nf.node]; tx != nil {
 		var burst [64]*mbuf.Mbuf
 		for {
 			n := nf.obq.DequeueBurst(burst[:])
@@ -443,7 +419,7 @@ func (r *Runtime) Unregister(id NFID) error {
 				break
 			}
 			for i := 0; i < n; i++ {
-				_ = pool.Free(burst[i])
+				_ = tx.pool.Free(burst[i])
 				burst[i] = nil
 			}
 		}
@@ -533,20 +509,24 @@ func accHealthLabels(acc AccID, name string) string {
 	return fmt.Sprintf("acc_id=\"%d\",hf=%q", acc, name)
 }
 
+// replay brings a fresh module instance up to the accelerator's recorded
+// configuration: every blob, once, in the order AccConfigure took them.
+// A blob the instance rejects is the NF's own configuration error (or,
+// for one accepted before, a module bug); traffic through the instance
+// then fails visibly and the health FSM takes it from there.
+func (e *hfEntry) replay(dev *fpga.Device, region int) {
+	for _, blob := range e.cfgBlobs {
+		_ = dev.Configure(region, blob)
+	}
+}
+
 func (r *Runtime) tryLoad(fpgaIdx int, spec fpga.ModuleSpec) (*hfEntry, error) {
 	e := &hfEntry{fpgaIdx: fpgaIdx, spec: spec, health: HealthHealthy}
 	dev := r.cfg.FPGAs[fpgaIdx].Device
 	regionIdx, err := dev.LoadPR(spec, func(int) {
 		e.ready = true
-		if e.route != nil {
-			e.route.SetReady(fpgaIdx, e.regionIdx, true)
-		}
-		for _, blob := range e.pendingCf {
-			// A bad blob is the NF's own configuration error; the module
-			// rejects it and later traffic fails visibly in its stats.
-			_ = dev.Configure(e.regionIdx, blob)
-		}
-		e.pendingCf = nil
+		e.route.SetReady(fpgaIdx, e.regionIdx, true)
+		e.replay(dev, e.regionIdx)
 	})
 	if err != nil {
 		return nil, err
@@ -564,19 +544,16 @@ func (r *Runtime) AccConfigure(acc AccID, params []byte) error {
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrUnknownAcc, acc)
 	}
-	cp := make([]byte, len(params))
-	copy(cp, params)
-	if !e.ready {
-		e.pendingCf = append(e.pendingCf, cp)
-		e.cfgBlobs = append(e.cfgBlobs, cp)
-		return nil
+	if e.ready {
+		if err := r.cfg.FPGAs[e.fpgaIdx].Device.Configure(e.regionIdx, params); err != nil {
+			return err
+		}
 	}
-	if err := r.cfg.FPGAs[e.fpgaIdx].Device.Configure(e.regionIdx, params); err != nil {
-		return err
-	}
-	// Record for recovery replay (PR reload, fallback) only once the
-	// module has accepted the blob, and mirror it into a registered
-	// fallback so both implementations stay configured identically.
+	// Record for replay only what the module has accepted, or what it has
+	// yet to see (the instance that comes up replays it), and mirror it
+	// into a registered fallback so both implementations stay configured
+	// identically.
+	cp := append([]byte(nil), params...)
 	e.cfgBlobs = append(e.cfgBlobs, cp)
 	if e.fallback != nil {
 		if err := e.fallback.Configure(cp); err != nil {
@@ -659,11 +636,8 @@ func (r *Runtime) NFStats(id NFID) (sent, returned, obqDrops uint64, err error) 
 // HFTable renders the hardware function table (Figure 2) for inspection.
 func (r *Runtime) HFTable() []string {
 	rows := make([]string, 0, len(r.hfByAcc))
-	for acc := AccID(1); acc <= r.nextAcc; acc++ {
-		e, ok := r.hfByAcc[acc]
-		if !ok {
-			continue
-		}
+	for _, acc := range r.AccIDs() {
+		e := r.hfByAcc[acc]
 		state := "loading"
 		if e.ready {
 			state = "ready"

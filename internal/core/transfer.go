@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/opencloudnext/dhl-go/internal/dhlproto"
 	"github.com/opencloudnext/dhl-go/internal/eventsim"
@@ -13,7 +14,8 @@ import (
 )
 
 // TransferStats are the data transfer layer's lifetime counters for one
-// NUMA node's TX/RX core pair.
+// NUMA node's TX/RX core pair: one ledger per node, which both engines
+// write (the event loop serializes them) and Stats copies out.
 //
 // The Drop* fields break packet drops down by attributable reason; their
 // sum plus PktsDistributed accounts for every packet the Packer accepted,
@@ -94,34 +96,14 @@ type accState struct {
 	firstAt  eventsim.Time
 	effBatch int
 
-	// Per-accelerator tuning overrides (SetAccBatchBytes /
-	// SetAccFlushTimeout — the autotuner's actuators). batchCap bounds
-	// the adaptive controller's growth for this accelerator; zero means
-	// Config.BatchBytes. flushTimeout overrides the deadline pass's
-	// forced-flush age for this accelerator; zero means
-	// Config.FlushTimeout.
+	// The accelerator's resolved batching knobs, derived by retune from
+	// the knob family (Runtime.tune): its own value where it has one, the
+	// default where not. batchCap is the batch-size target — effBatch
+	// itself under fixed batching, the adaptive controller's growth
+	// ceiling otherwise; flushTimeout is the deadline pass's forced-flush
+	// age.
 	batchCap     int
 	flushTimeout eventsim.Time
-}
-
-// flushAfter is the staging area's effective forced-flush age.
-//
-//dhl:hotpath
-func (st *accState) flushAfter(def eventsim.Time) eventsim.Time {
-	if st.flushTimeout != 0 {
-		return st.flushTimeout
-	}
-	return def
-}
-
-// growCap is the adaptive controller's effective growth ceiling.
-//
-//dhl:hotpath
-func (st *accState) growCap(def int) int {
-	if st.batchCap != 0 {
-		return st.batchCap
-	}
-	return def
 }
 
 // txEngine is one node's TX poll core: shared-IBQ dequeue + Packer + DMA
@@ -167,7 +149,7 @@ type rxEngine struct {
 	node        int
 	completions *ring.Ring[*inflight]
 	loop        *eventsim.PollLoop
-	stats       TransferStats
+	stats       *TransferStats // the node's one ledger, held by the TX engine
 	scratch     []*inflight
 
 	// pending holds the completions claimed by the current iteration,
@@ -205,29 +187,25 @@ func (r *Runtime) AttachCores(node int, txCore, rxCore *eventsim.Core, pool *mbu
 	if err != nil {
 		return err
 	}
-	rx := &rxEngine{
-		r:           r,
-		node:        node,
-		completions: completions,
-		scratch:     make([]*inflight, r.cfg.Burst),
-	}
-	rx.commitFn = rx.commit
-	rx.loop = eventsim.NewPollLoop(r.sim, rxCore, perf.PollIdleCycles, rx.body)
 	tx := &txEngine{
 		r:       r,
 		node:    node,
 		pool:    pool,
-		arena:   newBatchArena(r.cfg.BatchBytes),
+		arena:   newBatchArena(r.BatchBytes()),
 		scratch: make([]*mbuf.Mbuf, r.cfg.Burst),
 	}
+	rx := &rxEngine{
+		r:           r,
+		node:        node,
+		completions: completions,
+		stats:       &tx.stats,
+		scratch:     make([]*inflight, r.cfg.Burst),
+	}
+	rx.commitFn = rx.commit
+	rx.loop = eventsim.NewPollLoop(r.sim, rxCore, perf.PollIdleCycles, rx.body)
 	tx.commitFn = tx.commit
 	tx.loop = eventsim.NewPollLoop(r.sim, txCore, perf.PollIdleCycles, tx.body)
-	if r.armed && r.cfg.WatchdogTimeout > 0 {
-		tx.watchdog = r.cfg.WatchdogTimeout
-		rx.timeout = r.cfg.WatchdogTimeout
-		rx.wdPeriod = max(r.cfg.WatchdogTimeout/2, eventsim.Microsecond)
-		rx.wdTimer = r.sim.NewTimer(rx.watchdogFire)
-	}
+	rx.setWatchdog(tx, r.cfg.WatchdogTimeout)
 	if tel := r.tel; tel != nil {
 		tx.tel, rx.tel = tel, tel
 		tx.telC = tel.RegisterCore("tx", node)
@@ -248,33 +226,20 @@ func (r *Runtime) AttachCores(node int, txCore, rxCore *eventsim.Core, pool *mbu
 	}
 	r.nodeTx[node] = tx
 	r.nodeRx[node] = rx
-	r.pools[node] = pool
 	tx.loop.Start()
 	rx.loop.Start()
 	return nil
 }
 
-// Stats aggregates the transfer-layer counters of one node.
+// Stats reports the transfer-layer counters of one node: a copy of the
+// node's ledger, plus the IBQ refusals, which are counted at the send
+// calls — before, and whether or not, a core pair is attached.
 func (r *Runtime) Stats(node int) (TransferStats, error) {
 	if node < 0 || node >= r.cfg.Nodes || r.nodeTx[node] == nil {
 		return TransferStats{}, ErrNoCores
 	}
 	s := r.nodeTx[node].stats
 	s.IBQRejected = r.ibqRejects[node]
-	rxs := r.nodeRx[node].stats
-	s.PktsDistributed = rxs.PktsDistributed
-	s.NFIDMismatches = rxs.NFIDMismatches
-	s.CompletionDrops = rxs.CompletionDrops
-	s.WatchdogTimeouts = rxs.WatchdogTimeouts
-	s.ForcedQuarantines = rxs.ForcedQuarantines
-	s.CorruptBatches = rxs.CorruptBatches
-	s.PktsFallback = rxs.PktsFallback
-	s.PktsUnprocessed = rxs.PktsUnprocessed
-	s.DropCorrupt = rxs.DropCorrupt
-	s.DropMismatch = rxs.DropMismatch
-	s.DropUnknownNF = rxs.DropUnknownNF
-	s.DropNFClosed = rxs.DropNFClosed
-	s.DropOBQFull = rxs.DropOBQFull
 	return s, nil
 }
 
@@ -287,52 +252,41 @@ func (r *Runtime) Stats(node int) (TransferStats, error) {
 // still owned by the producers' flow-control loop, and a restarted
 // transfer layer (tests re-wire testbeds) would drain them.
 func (r *Runtime) StopCores(node int) {
-	if node < 0 || node >= r.cfg.Nodes {
+	if node < 0 || node >= r.cfg.Nodes || r.nodeTx[node] == nil {
 		return
 	}
-	tx := r.nodeTx[node]
-	rx := r.nodeRx[node]
-	if rx != nil {
-		rx.loop.Stop()
-		if rx.wdTimer != nil {
-			rx.wdTimer.Stop()
-		}
-	}
-	if tx == nil {
-		return
+	tx, rx := r.nodeTx[node], r.nodeRx[node] // AttachCores sets both or neither
+	rx.loop.Stop()
+	if rx.wdTimer != nil {
+		rx.wdTimer.Stop()
 	}
 	tx.loop.Stop()
 	tx.stopped = true
 	for _, acc := range tx.order {
-		st := tx.staging[acc]
-		for i, m := range st.mbufs {
-			tx.stats.DropNoRoute++
-			_ = tx.pool.Free(m)
-			st.mbufs[i] = nil
-		}
-		st.mbufs = st.mbufs[:0]
-		if st.buf != nil {
-			tx.arena.ret(st.buf)
-			st.buf = nil
-		}
+		tx.dropStaged(tx.staging[acc])
 	}
-	if rx != nil {
-		var burst [64]*inflight
-		for {
-			n := rx.completions.DequeueBurst(burst[:])
-			if n == 0 {
-				break
-			}
-			for i := 0; i < n; i++ {
-				rx.stats.CompletionDrops++
-				burst[i].fail()
-				burst[i] = nil
-			}
+	var burst [64]*inflight
+	for {
+		n := rx.completions.DequeueBurst(burst[:])
+		if n == 0 {
+			break
+		}
+		for i := 0; i < n; i++ {
+			tx.stats.CompletionDrops++
+			burst[i].fail()
+			burst[i] = nil
 		}
 	}
 }
 
 // --- TX path -----------------------------------------------------------
+
+// dmaBacklogCap is how far ahead the H2C channel may be booked before the
+// TX core stops dequeuing the IBQ and lets producers see it fill: 15 us is
+// about a dozen 6 KB transfers (1.2 us each at the DMA model's 42 Gbps),
+// and below the 20 us default flush timeout, so back-pressure reaches the
+// NFs before a batch staged now could miss its deadline behind the queue.
+const dmaBacklogCap = 15 * eventsim.Microsecond
 
 //dhl:hotpath
 func (t *txEngine) body() (float64, func()) {
@@ -341,19 +295,17 @@ func (t *txEngine) body() (float64, func()) {
 	t.sends = t.sends[:0]
 
 	// Deadline pass: force out batches that have waited past their
-	// accelerator's flush timeout (the per-acc override, or the global
-	// FlushTimeout). A staged batch makes an idle result of this iteration
-	// expire by itself, so the poll loop is told when: at the batch's
-	// deadline, or at once for a due batch that flush is holding back
-	// while a partial reconfiguration is pending.
+	// accelerator's flush timeout. A staged batch makes an idle result of
+	// this iteration expire by itself, so the poll loop is told when: at
+	// the batch's deadline, or at once for a due batch that flush is
+	// holding back while a partial reconfiguration is pending.
 	for _, acc := range t.order {
 		st := t.staging[acc]
 		if len(st.mbufs) == 0 {
 			continue
 		}
-		after := st.flushAfter(t.r.cfg.FlushTimeout)
-		if now-st.firstAt < after {
-			t.loop.WakeBy(st.firstAt + after)
+		if now-st.firstAt < st.flushTimeout {
+			t.loop.WakeBy(st.firstAt + st.flushTimeout)
 		} else if ib := t.flush(acc, st, false); ib != nil {
 			t.sends = append(t.sends, ib)
 			cycles += perf.RuntimeTxCyclesPerBatch
@@ -366,7 +318,7 @@ func (t *txEngine) body() (float64, func()) {
 	// leave packets in the IBQ so producers see the queue fill up.
 	congested := false
 	for i := range t.r.cfg.FPGAs {
-		if t.r.cfg.FPGAs[i].DMA.Backlog(pcie.H2C) > t.r.cfg.DMABacklogCap {
+		if t.r.cfg.FPGAs[i].DMA.Backlog(pcie.H2C) > dmaBacklogCap {
 			congested = true
 			break
 		}
@@ -446,26 +398,62 @@ func (t *txEngine) state(acc AccID) *accState {
 // body's //dhl:hotpath range under escape analysis. The id is whatever the
 // NF wrote into the mbuf — an unrouted one stages like any other and is
 // dropped at flush — so the table can reach 65 536 pointers, no further.
-// Per-acc tuning set before the first packet arrived (SetAccBatchBytes /
-// SetAccFlushTimeout record into Runtime.accTune) is picked up here, so
-// overrides survive staging teardown and re-creation.
+// The knob family lives outside the staging areas, so values set before
+// the first packet arrived, or across a teardown, are picked up here.
 //
 //go:noinline
 func (t *txEngine) newAccState(acc AccID) *accState {
-	st := &accState{effBatch: t.r.cfg.BatchBytes}
+	// A fresh adaptive controller starts at its ceiling; retune clamps it
+	// there.
+	st := &accState{effBatch: math.MaxInt}
 	if grow := int(acc) + 1 - len(t.staging); grow > 0 {
 		t.staging = append(t.staging, make([]*accState, grow)...)
 	}
 	t.staging[acc] = st
 	t.order = append(t.order, acc)
-	if tune, ok := t.r.accTune[acc]; ok {
-		if tune.BatchBytes != 0 {
-			st.effBatch = tune.BatchBytes
-			st.batchCap = tune.BatchBytes
-		}
-		st.flushTimeout = tune.FlushTimeout
-	}
+	t.retune(acc, st)
 	return st
+}
+
+// retune derives a staging area's batching knobs from the one knob family:
+// the accelerator's own value where it has one, the default (acc_id 0)
+// where not. Under fixed batching the target takes effect at once; under
+// adaptive batching the controller keeps its position, clamped to the new
+// window, and goes on adapting from there.
+func (t *txEngine) retune(acc AccID, st *accState) {
+	tune := t.r.tune[0]
+	if int(acc) < len(t.r.tune) {
+		own := t.r.tune[acc]
+		if own.BatchBytes != 0 {
+			tune.BatchBytes = own.BatchBytes
+		}
+		if own.FlushTimeout != 0 {
+			tune.FlushTimeout = own.FlushTimeout
+		}
+	}
+	st.batchCap, st.flushTimeout = tune.BatchBytes, tune.FlushTimeout
+	if t.r.cfg.Batching == AdaptiveBatching {
+		st.effBatch = min(max(st.effBatch, t.r.cfg.MinBatchBytes), st.batchCap)
+	} else {
+		st.effBatch = st.batchCap
+	}
+}
+
+// dropStaged frees everything staged in st back to the pool, attributed
+// DropNoRoute, and returns its segment: the teardown of staged work that
+// has, or has lost, no route — an unknown acc_id at flush, an evicted
+// accelerator, a stopped core pair.
+//
+//dhl:hotpath
+func (t *txEngine) dropStaged(st *accState) {
+	t.stats.DropNoRoute += uint64(len(st.mbufs))
+	for i, m := range st.mbufs {
+		_ = t.pool.Free(m)
+		st.mbufs[i] = nil
+	}
+	st.mbufs = st.mbufs[:0]
+	t.arena.ret(st.buf)
+	st.buf = nil
 }
 
 // pendingCommit returns the bound commit callback when this iteration
@@ -510,16 +498,8 @@ func (t *txEngine) commit() {
 func (t *txEngine) flush(acc AccID, st *accState, bySize bool) *inflight {
 	e, ok := t.r.hfByAcc[acc]
 	if !ok || len(st.mbufs) == 0 {
-		// Unknown acc_id: nothing routable; drop the staged packets and
-		// return the segment.
-		t.stats.DropNoRoute += uint64(len(st.mbufs))
-		for i, m := range st.mbufs {
-			_ = t.pool.Free(m)
-			st.mbufs[i] = nil
-		}
-		st.mbufs = st.mbufs[:0]
-		t.arena.ret(st.buf)
-		st.buf = nil
+		// Unknown acc_id: nothing routable.
+		t.dropStaged(st)
 		return nil
 	}
 	// Routing: the placement layer owns which board/region serves this
@@ -540,10 +520,7 @@ func (t *txEngine) flush(acc AccID, st *accState, bySize bool) *inflight {
 		}
 		a := &t.r.cfg.FPGAs[ep.FPGA]
 		if a.Device.IsShutdown() {
-			e.route.DisableBoard(ep.FPGA)
-			if ep.FPGA == e.fpgaIdx {
-				t.r.primaryBoardLost(e)
-			}
+			t.r.boardLost(e, ep.FPGA)
 			continue
 		}
 		att = a
@@ -561,10 +538,7 @@ func (t *txEngine) flush(acc AccID, st *accState, bySize bool) *inflight {
 			if ep.Ready || ep.Disabled || !t.r.cfg.FPGAs[ep.FPGA].Device.IsShutdown() {
 				continue
 			}
-			e.route.DisableBoard(ep.FPGA)
-			if ep.FPGA == e.fpgaIdx {
-				t.r.primaryBoardLost(e)
-			}
+			t.r.boardLost(e, ep.FPGA)
 		}
 		if e.route.HasPending() {
 			return nil // hold until a PR (initial load or migration) completes
@@ -576,7 +550,7 @@ func (t *txEngine) flush(acc AccID, st *accState, bySize bool) *inflight {
 	// flushes, shrink on timeout-triggered ones.
 	if t.r.cfg.Batching == AdaptiveBatching {
 		if bySize {
-			st.effBatch = min(st.effBatch*2, st.growCap(t.r.cfg.BatchBytes))
+			st.effBatch = min(st.effBatch*2, st.batchCap)
 		} else {
 			st.effBatch = max(st.effBatch/2, t.r.cfg.MinBatchBytes)
 		}

@@ -12,6 +12,7 @@ import (
 
 	"github.com/opencloudnext/dhl-go/internal/core"
 	"github.com/opencloudnext/dhl-go/internal/hwfunc"
+	"github.com/opencloudnext/dhl-go/internal/nf"
 	"github.com/opencloudnext/dhl-go/internal/pcie"
 )
 
@@ -345,11 +346,11 @@ func benchmarkFuncs(t *testing.T, root string) []string {
 // move a virtual number; it would be paid for in every run's set-up.
 func TestRunMultiNFSharesSADB(t *testing.T) {
 	sadbOf := func(app dhlNF) uintptr {
-		gw, ok := app.(ipsecDHLAdapter)
+		gw, ok := app.(*nf.IPsecGatewayDHL)
 		if !ok {
 			t.Fatalf("%T is not an IPsec gateway", app)
 		}
-		f := reflect.ValueOf(gw.IPsecGatewayDHL).Elem().FieldByName("sadb")
+		f := reflect.ValueOf(gw).Elem().FieldByName("sadb")
 		if !f.IsValid() {
 			t.Fatal("nf.IPsecGatewayDHL has no sadb field to compare")
 		}
@@ -369,7 +370,7 @@ func TestRunMultiNFSharesSADB(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !shared {
-			if _, ok := apps[1].(nidsDHLAdapter); !ok {
+			if _, ok := apps[1].(*nf.NIDSDHL); !ok {
 				t.Errorf("Figure 7(b)'s second NF is a %T, want the NIDS", apps[1])
 			}
 			continue

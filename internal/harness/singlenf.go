@@ -97,20 +97,12 @@ type swProcessor interface {
 	Process(*mbuf.Mbuf) (nf.Verdict, float64)
 }
 
-// dhlNF adapts the two DHL-version NFs to a common pre/post shape.
+// dhlNF is the pre/post shape the DHL-version NFs share.
 type dhlNF interface {
 	PreProcess(*mbuf.Mbuf) (nf.Verdict, float64)
 	PostProcess(*mbuf.Mbuf) (nf.Verdict, float64)
 	ID() core.NFID
 }
-
-type ipsecDHLAdapter struct{ *nf.IPsecGatewayDHL }
-
-func (a ipsecDHLAdapter) ID() core.NFID { return a.NFID }
-
-type nidsDHLAdapter struct{ *nf.NIDSDHL }
-
-func (a nidsDHLAdapter) ID() core.NFID { return a.NFID }
 
 // nidsPayload returns a PayloadFn embedding an alert-rule pattern in every
 // 1/fraction-th packet.
@@ -319,7 +311,7 @@ func buildDHLApp(rt *core.Runtime, kind NFKind, name string, sadb *nf.SADB) (dhl
 		if err != nil {
 			return nil, err
 		}
-		return ipsecDHLAdapter{gw}, nil
+		return gw, nil
 	case NIDS:
 		rules, err := nf.NewRuleSet(nf.DefaultSnortRules())
 		if err != nil {
@@ -329,7 +321,7 @@ func buildDHLApp(rt *core.Runtime, kind NFKind, name string, sadb *nf.SADB) (dhl
 		if err != nil {
 			return nil, err
 		}
-		return nidsDHLAdapter{ids}, nil
+		return ids, nil
 	default:
 		return nil, fmt.Errorf("harness: unknown NF kind %v", kind)
 	}

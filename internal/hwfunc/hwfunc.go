@@ -51,7 +51,8 @@ const (
 const PatternMatchTrailer = 4
 
 // Specs returns the stock accelerator module database contents, keyed by
-// hardware function name (paper Table VI + Table V).
+// hardware function name: the whole §IV-C catalogue, the three modules the
+// paper evaluates (Table VI + Table V) first, then those of modules_ext.go.
 func Specs() map[string]fpga.ModuleSpec {
 	return map[string]fpga.ModuleSpec{
 		IPsecCryptoName: {
@@ -83,6 +84,43 @@ func Specs() map[string]fpga.ModuleSpec {
 			DelayCycles:    4,
 			BitstreamBytes: 1 * 1024 * 1024,
 			New:            func() fpga.Module { return &Loopback{} },
+		},
+		IPsecDecryptName: {
+			Name: IPsecDecryptName,
+			// The decrypt direction mirrors ipsec-crypto's pipeline.
+			LUTs:           perf.IPsecCryptoLUTs,
+			BRAM:           perf.IPsecCryptoBRAM,
+			ThroughputBps:  perf.IPsecCryptoGbps * 1e9,
+			DelayCycles:    perf.IPsecCryptoDelayCycles,
+			BitstreamBytes: perf.IPsecCryptoBitstreamBytes,
+			New:            func() fpga.Module { return &IPsecDecrypt{} },
+		},
+		MD5AuthName: {
+			Name:           MD5AuthName,
+			LUTs:           5200,
+			BRAM:           48,
+			ThroughputBps:  40e9,
+			DelayCycles:    66,
+			BitstreamBytes: 3 * 1024 * 1024,
+			New:            func() fpga.Module { return &MD5Auth{} },
+		},
+		RegexClassifierName: {
+			Name:           RegexClassifierName,
+			LUTs:           11300,
+			BRAM:           380,
+			ThroughputBps:  20e9,
+			DelayCycles:    70,
+			BitstreamBytes: 6 * 1024 * 1024,
+			New:            func() fpga.Module { return &RegexClassifier{} },
+		},
+		DataCompressionName: {
+			Name:           DataCompressionName,
+			LUTs:           14200,
+			BRAM:           96,
+			ThroughputBps:  25e9,
+			DelayCycles:    180,
+			BitstreamBytes: 4 * 1024 * 1024,
+			New:            func() fpga.Module { return &DataCompression{} },
 		},
 	}
 }
@@ -217,48 +255,61 @@ func EncodePatternConfig(patterns [][]byte, caseFold bool) ([]byte, error) {
 	} else {
 		blob = append(blob, 0)
 	}
-	blob = binary.BigEndian.AppendUint16(blob, uint16(len(patterns)))
-	for i, p := range patterns {
-		if len(p) == 0 || len(p) > 0xffff {
-			return nil, fmt.Errorf("%w: pattern %d has %d bytes", ErrBadConfig, i, len(p))
+	return appendList(blob, patterns)
+}
+
+// appendList appends the item list the rule-set blobs of pattern-matching
+// and regex-classifier both end in: [count:2], then per item
+// [len:2][bytes], no item empty. The callers have bounded the count.
+func appendList[T string | []byte](blob []byte, items []T) ([]byte, error) {
+	blob = binary.BigEndian.AppendUint16(blob, uint16(len(items)))
+	for i, it := range items {
+		if len(it) == 0 || len(it) > 0xffff {
+			return nil, fmt.Errorf("%w: item %d has %d bytes", ErrBadConfig, i, len(it))
 		}
-		blob = binary.BigEndian.AppendUint16(blob, uint16(len(p)))
-		blob = append(blob, p...)
+		blob = binary.BigEndian.AppendUint16(blob, uint16(len(it)))
+		blob = append(blob, it...)
 	}
 	return blob, nil
 }
 
-// decodePatternConfig is EncodePatternConfig's inverse. The blob comes from
-// an NF, so it accepts exactly what the encoder produces: a 0/1 flag, the
-// declared number of patterns, and nothing after the last of them. The
-// patterns alias params.
-func decodePatternConfig(params []byte) (patterns [][]byte, caseFold bool, err error) {
-	if len(params) < 3 {
-		return nil, false, fmt.Errorf("%w: %d bytes", ErrBadConfig, len(params))
+// decodeList is appendList's inverse. The blob comes from an NF, so it
+// accepts exactly what the encoders produce: the declared number of items
+// and nothing after the last of them. The items alias list.
+func decodeList(list []byte) ([][]byte, error) {
+	if len(list) < 2 {
+		return nil, fmt.Errorf("%w: %d-byte item list", ErrBadConfig, len(list))
 	}
-	if params[0] > 1 {
-		return nil, false, fmt.Errorf("%w: case-fold flag %d", ErrBadConfig, params[0])
-	}
-	count := int(binary.BigEndian.Uint16(params[1:3]))
-	off := 3
+	count := int(binary.BigEndian.Uint16(list[:2]))
+	off := 2
 	// Sized by what the blob can hold, not by what it declares.
-	patterns = make([][]byte, 0, min(count, len(params)/3))
+	items := make([][]byte, 0, min(count, len(list)/2))
 	for i := 0; i < count; i++ {
-		if len(params)-off < 2 {
-			return nil, false, fmt.Errorf("%w: truncated pattern %d", ErrBadConfig, i)
+		if len(list)-off < 2 {
+			return nil, fmt.Errorf("%w: truncated item %d", ErrBadConfig, i)
 		}
-		n := int(binary.BigEndian.Uint16(params[off : off+2]))
+		n := int(binary.BigEndian.Uint16(list[off : off+2]))
 		off += 2
-		if len(params)-off < n {
-			return nil, false, fmt.Errorf("%w: truncated pattern %d body", ErrBadConfig, i)
+		if len(list)-off < n {
+			return nil, fmt.Errorf("%w: truncated item %d body", ErrBadConfig, i)
 		}
-		patterns = append(patterns, params[off:off+n])
+		items = append(items, list[off:off+n])
 		off += n
 	}
-	if off != len(params) {
-		return nil, false, fmt.Errorf("%w: %d bytes after the last of %d patterns", ErrBadConfig, len(params)-off, count)
+	if off != len(list) {
+		return nil, fmt.Errorf("%w: %d bytes after the last of %d items", ErrBadConfig, len(list)-off, count)
 	}
-	return patterns, params[0] == 1, nil
+	return items, nil
+}
+
+// decodePatternConfig is EncodePatternConfig's inverse, as strict as
+// decodeList: the flag is 0 or 1. The patterns alias params.
+func decodePatternConfig(params []byte) (patterns [][]byte, caseFold bool, err error) {
+	if len(params) == 0 || params[0] > 1 {
+		return nil, false, fmt.Errorf("%w: case-fold flag missing or not 0/1 in %d bytes", ErrBadConfig, len(params))
+	}
+	patterns, err = decodeList(params[1:])
+	return patterns, params[0] == 1, err
 }
 
 // Configure compiles the rule set into the module's AC-DFA.

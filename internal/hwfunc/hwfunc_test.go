@@ -41,9 +41,22 @@ func TestSpecsMatchTableVI(t *testing.T) {
 	if pm.ThroughputBps != 32.40e9 {
 		t.Errorf("pattern-matching throughput %v", pm.ThroughputBps)
 	}
+	// The one catalogue is the whole of §IV-C's, every entry loadable.
+	want := []string{
+		IPsecCryptoName, PatternMatchingName, LoopbackName,
+		IPsecDecryptName, MD5AuthName, RegexClassifierName, DataCompressionName,
+	}
+	for _, name := range want {
+		if _, ok := specs[name]; !ok {
+			t.Errorf("catalogue missing %q", name)
+		}
+	}
+	if len(specs) != len(want) {
+		t.Errorf("catalogue has %d entries, want %d", len(specs), len(want))
+	}
 	for name, s := range specs {
-		if s.New == nil {
-			t.Errorf("%s has no factory", name)
+		if s.New == nil || s.LUTs <= 0 || s.ThroughputBps <= 0 || s.BitstreamBytes <= 0 {
+			t.Errorf("%q has an incomplete spec: %+v", name, s)
 		}
 		if s.Name != name {
 			t.Errorf("spec key %q != name %q", name, s.Name)

@@ -48,59 +48,6 @@ const PatternMatchingMaxStates = perf.PatternMatchingBRAM * (36 * 1024 / 8) / (2
 // regex-classifier module's state memory.
 const RegexClassifierMaxStates = 2048
 
-// ExtendedSpecs returns the catalogue of additional accelerator modules.
-// Merge with Specs() for the full database.
-func ExtendedSpecs() map[string]fpga.ModuleSpec {
-	return map[string]fpga.ModuleSpec{
-		IPsecDecryptName: {
-			Name: IPsecDecryptName,
-			// The decrypt direction mirrors ipsec-crypto's pipeline.
-			LUTs:           perf.IPsecCryptoLUTs,
-			BRAM:           perf.IPsecCryptoBRAM,
-			ThroughputBps:  perf.IPsecCryptoGbps * 1e9,
-			DelayCycles:    perf.IPsecCryptoDelayCycles,
-			BitstreamBytes: perf.IPsecCryptoBitstreamBytes,
-			New:            func() fpga.Module { return &IPsecDecrypt{} },
-		},
-		MD5AuthName: {
-			Name:           MD5AuthName,
-			LUTs:           5200,
-			BRAM:           48,
-			ThroughputBps:  40e9,
-			DelayCycles:    66,
-			BitstreamBytes: 3 * 1024 * 1024,
-			New:            func() fpga.Module { return &MD5Auth{} },
-		},
-		RegexClassifierName: {
-			Name:           RegexClassifierName,
-			LUTs:           11300,
-			BRAM:           380,
-			ThroughputBps:  20e9,
-			DelayCycles:    70,
-			BitstreamBytes: 6 * 1024 * 1024,
-			New:            func() fpga.Module { return &RegexClassifier{} },
-		},
-		DataCompressionName: {
-			Name:           DataCompressionName,
-			LUTs:           14200,
-			BRAM:           96,
-			ThroughputBps:  25e9,
-			DelayCycles:    180,
-			BitstreamBytes: 4 * 1024 * 1024,
-			New:            func() fpga.Module { return &DataCompression{} },
-		},
-	}
-}
-
-// AllSpecs merges the stock and extended catalogues.
-func AllSpecs() map[string]fpga.ModuleSpec {
-	all := Specs()
-	for k, v := range ExtendedSpecs() {
-		all[k] = v
-	}
-	return all
-}
-
 // --- ipsec-decrypt -------------------------------------------------------
 
 // IPsecDecrypt reverses IPsecCrypto: request records carry a 2-byte offset
@@ -257,44 +204,26 @@ func EncodeRegexConfig(patterns []string) ([]byte, error) {
 	if len(patterns) == 0 || len(patterns) > 16 {
 		return nil, fmt.Errorf("%w: regex-classifier takes 1..16 rules, got %d", ErrBadConfig, len(patterns))
 	}
-	blob := binary.BigEndian.AppendUint16(nil, uint16(len(patterns)))
-	for i, p := range patterns {
-		if len(p) == 0 || len(p) > 0xffff {
-			return nil, fmt.Errorf("%w: rule %d has %d bytes", ErrBadConfig, i, len(p))
-		}
-		blob = binary.BigEndian.AppendUint16(blob, uint16(len(p)))
-		blob = append(blob, p...)
-	}
-	return blob, nil
+	return appendList(nil, patterns)
 }
 
 // Configure compiles the rules, enforcing the module's aggregate DFA
 // state budget (its BRAM-backed state memory).
 func (m *RegexClassifier) Configure(params []byte) error {
-	if len(params) < 2 {
-		return fmt.Errorf("%w: %d bytes", ErrBadConfig, len(params))
+	patterns, err := decodeList(params)
+	if err != nil {
+		return err
 	}
-	count := int(binary.BigEndian.Uint16(params[:2]))
-	if count == 0 || count > 16 {
-		return fmt.Errorf("%w: %d rules", ErrBadConfig, count)
+	if len(patterns) == 0 || len(patterns) > 16 {
+		return fmt.Errorf("%w: %d rules", ErrBadConfig, len(patterns))
 	}
-	off := 2
-	rules := make([]*redfa.DFA, 0, count)
+	rules := make([]*redfa.DFA, 0, len(patterns))
 	totalStates := 0
-	for i := 0; i < count; i++ {
-		if len(params)-off < 2 {
-			return fmt.Errorf("%w: truncated rule %d", ErrBadConfig, i)
-		}
-		n := int(binary.BigEndian.Uint16(params[off : off+2]))
-		off += 2
-		if len(params)-off < n {
-			return fmt.Errorf("%w: truncated rule %d body", ErrBadConfig, i)
-		}
-		d, err := redfa.Compile(string(params[off:off+n]), redfa.CompileConfig{MaxStates: RegexClassifierMaxStates})
+	for i, p := range patterns {
+		d, err := redfa.Compile(string(p), redfa.CompileConfig{MaxStates: RegexClassifierMaxStates})
 		if err != nil {
 			return fmt.Errorf("%w: rule %d: %v", ErrBadConfig, i, err)
 		}
-		off += n
 		totalStates += d.States()
 		if totalStates > RegexClassifierMaxStates {
 			return fmt.Errorf("%w: rule set needs %d DFA states, state memory holds %d",

@@ -10,27 +10,6 @@ import (
 	"github.com/opencloudnext/dhl-go/internal/swcrypto"
 )
 
-func TestAllSpecsDisjointAndComplete(t *testing.T) {
-	all := AllSpecs()
-	want := []string{
-		IPsecCryptoName, PatternMatchingName, LoopbackName,
-		IPsecDecryptName, MD5AuthName, RegexClassifierName, DataCompressionName,
-	}
-	for _, name := range want {
-		s, ok := all[name]
-		if !ok {
-			t.Errorf("catalogue missing %q", name)
-			continue
-		}
-		if s.New == nil || s.LUTs <= 0 || s.ThroughputBps <= 0 || s.BitstreamBytes <= 0 {
-			t.Errorf("%q has an incomplete spec: %+v", name, s)
-		}
-	}
-	if len(all) != len(want) {
-		t.Errorf("catalogue has %d entries, want %d", len(all), len(want))
-	}
-}
-
 func TestIPsecDecryptRoundTrip(t *testing.T) {
 	key, auth := testKeys()
 	blob, _ := EncodeIPsecCryptoConfig(key, auth, 0xBEEF)
@@ -205,6 +184,23 @@ func TestRegexClassifierConfigErrors(t *testing.T) {
 	blob, _ = EncodeRegexConfig([]string{explosive})
 	if err := m.Configure(blob); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("state explosion: %v", err)
+	}
+	// The blob comes from an NF: exactly what the encoder produces, or
+	// nothing.
+	good, _ := EncodeRegexConfig([]string{"ab+", "c"})
+	if err := m.Configure(good); err != nil {
+		t.Fatalf("well-formed blob: %v", err)
+	}
+	if err := m.Configure(append(bytes.Clone(good), 0xde, 0xad)); !errors.Is(err, ErrBadConfig) {
+		t.Errorf("bytes after the last rule: %v", err)
+	}
+	short := bytes.Clone(good)
+	short[1] = 1 // declares one rule, carries two
+	if err := m.Configure(short); !errors.Is(err, ErrBadConfig) {
+		t.Errorf("truncated count: %v", err)
+	}
+	if err := m.Configure(good[:len(good)-1]); !errors.Is(err, ErrBadConfig) {
+		t.Errorf("truncated rule: %v", err)
 	}
 }
 

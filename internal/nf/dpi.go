@@ -71,10 +71,7 @@ func (c *DPIClassifierSW) Process(m *mbuf.Mbuf) (Verdict, float64) {
 // hardware function; rule-to-class mapping stays in software.
 type DPIClassifierDHL struct {
 	rules []DPIRule
-	rt    *core.Runtime
-
-	NFID  core.NFID
-	AccID core.AccID
+	offload
 
 	ClassCounts map[string]uint64
 	Dropped     uint64
@@ -86,14 +83,6 @@ func NewDPIClassifierDHL(rt *core.Runtime, rules []DPIRule, name string, node in
 	if len(rules) == 0 || len(rules) > 16 {
 		return nil, fmt.Errorf("nf: dpi takes 1..16 rules, got %d", len(rules))
 	}
-	nfID, err := rt.Register(name, node)
-	if err != nil {
-		return nil, fmt.Errorf("nf: DHL_register: %w", err)
-	}
-	accID, err := rt.SearchByName(hwfunc.RegexClassifierName, node)
-	if err != nil {
-		return nil, fmt.Errorf("nf: DHL_search_by_name: %w", err)
-	}
 	patterns := make([]string, len(rules))
 	for i, r := range rules {
 		patterns[i] = r.Pattern
@@ -102,13 +91,11 @@ func NewDPIClassifierDHL(rt *core.Runtime, rules []DPIRule, name string, node in
 	if err != nil {
 		return nil, err
 	}
-	if err := rt.AccConfigure(accID, blob); err != nil {
-		return nil, fmt.Errorf("nf: DHL_acc_configure: %w", err)
+	off, err := openOffload(rt, name, node, hwfunc.RegexClassifierName, blob)
+	if err != nil {
+		return nil, err
 	}
-	return &DPIClassifierDHL{
-		rules: rules, rt: rt, NFID: nfID, AccID: accID,
-		ClassCounts: make(map[string]uint64),
-	}, nil
+	return &DPIClassifierDHL{rules: rules, offload: off, ClassCounts: make(map[string]uint64)}, nil
 }
 
 // PreProcess tags the packet for the hardware function.

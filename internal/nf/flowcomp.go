@@ -174,10 +174,7 @@ func fixupLengthsAfterResize(m *mbuf.Mbuf) {
 // the mbuf and sends whole frames. For simplicity and symmetry with the
 // hardware interface, this implementation compresses whole frames.
 type FlowCompressorDHL struct {
-	rt *core.Runtime
-
-	NFID  core.NFID
-	AccID core.AccID
+	offload
 
 	Sent    uint64
 	Dropped uint64
@@ -189,18 +186,11 @@ func NewFlowCompressorDHL(rt *core.Runtime, level int, name string, node int) (*
 	if level < 1 || level > 9 {
 		return nil, fmt.Errorf("nf: compression level %d out of range", level)
 	}
-	nfID, err := rt.Register(name, node)
+	off, err := openOffload(rt, name, node, hwfunc.DataCompressionName, []byte{0, byte(level)})
 	if err != nil {
-		return nil, fmt.Errorf("nf: DHL_register: %w", err)
+		return nil, err
 	}
-	accID, err := rt.SearchByName(hwfunc.DataCompressionName, node)
-	if err != nil {
-		return nil, fmt.Errorf("nf: DHL_search_by_name: %w", err)
-	}
-	if err := rt.AccConfigure(accID, []byte{0, byte(level)}); err != nil {
-		return nil, fmt.Errorf("nf: DHL_acc_configure: %w", err)
-	}
-	return &FlowCompressorDHL{rt: rt, NFID: nfID, AccID: accID}, nil
+	return &FlowCompressorDHL{offload: off}, nil
 }
 
 // PreProcess tags the frame for the data-compression module.

@@ -156,12 +156,7 @@ func VerifyESP(frameBytes []byte, sa SA) ([]byte, error) {
 // function.
 type IPsecGatewayDHL struct {
 	sadb *SADB
-	rt   *core.Runtime
-
-	// NFID and AccID are the identifiers obtained from DHL_register() and
-	// DHL_search_by_name().
-	NFID  core.NFID
-	AccID core.AccID
+	offload
 
 	Tagged  uint64
 	Dropped uint64
@@ -172,26 +167,25 @@ type IPsecGatewayDHL struct {
 // ipsec-crypto hardware function on the NF's NUMA node and configures it
 // with the gateway's (single) SA — the Listing 2 setup sequence.
 func NewIPsecGatewayDHL(rt *core.Runtime, sadb *SADB, name string, node int) (*IPsecGatewayDHL, error) {
+	off, err := openIPsecOffload(rt, sadb, name, node, hwfunc.IPsecCryptoName)
+	if err != nil {
+		return nil, err
+	}
+	return &IPsecGatewayDHL{sadb: sadb, offload: off}, nil
+}
+
+// openIPsecOffload is openOffload for a gateway of either direction: hf,
+// the crypto module of that direction, is configured with the (single) SA.
+func openIPsecOffload(rt *core.Runtime, sadb *SADB, name string, node int, hf string) (offload, error) {
 	if sadb.Len() == 0 {
-		return nil, ErrNoSA
-	}
-	nfID, err := rt.Register(name, node)
-	if err != nil {
-		return nil, fmt.Errorf("nf: DHL_register: %w", err)
-	}
-	accID, err := rt.SearchByName(hwfunc.IPsecCryptoName, node)
-	if err != nil {
-		return nil, fmt.Errorf("nf: DHL_search_by_name: %w", err)
+		return offload{}, ErrNoSA
 	}
 	sa := &sadb.sas[0]
 	blob, err := hwfunc.EncodeIPsecCryptoConfig(sa.Key, sa.AuthKey, sa.Salt)
 	if err != nil {
-		return nil, err
+		return offload{}, err
 	}
-	if err := rt.AccConfigure(accID, blob); err != nil {
-		return nil, fmt.Errorf("nf: DHL_acc_configure: %w", err)
-	}
-	return &IPsecGatewayDHL{sadb: sadb, rt: rt, NFID: nfID, AccID: accID}, nil
+	return openOffload(rt, name, node, hf, blob)
 }
 
 // PreProcess performs the shallow ingress work on the I/O core: header

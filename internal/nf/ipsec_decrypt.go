@@ -2,7 +2,6 @@ package nf
 
 import (
 	"encoding/binary"
-	"fmt"
 
 	"github.com/opencloudnext/dhl-go/internal/core"
 	"github.com/opencloudnext/dhl-go/internal/eth"
@@ -18,10 +17,7 @@ import (
 // ("Decryption" in the §IV-C module catalogue).
 type IPsecGatewayInboundDHL struct {
 	sadb *SADB
-	rt   *core.Runtime
-
-	NFID  core.NFID
-	AccID core.AccID
+	offload
 
 	Decrypted    uint64
 	AuthFailures uint64
@@ -31,26 +27,11 @@ type IPsecGatewayInboundDHL struct {
 // NewIPsecGatewayInboundDHL registers the inbound gateway and configures
 // the decrypt module with the (single) SA.
 func NewIPsecGatewayInboundDHL(rt *core.Runtime, sadb *SADB, name string, node int) (*IPsecGatewayInboundDHL, error) {
-	if sadb.Len() == 0 {
-		return nil, ErrNoSA
-	}
-	nfID, err := rt.Register(name, node)
-	if err != nil {
-		return nil, fmt.Errorf("nf: DHL_register: %w", err)
-	}
-	accID, err := rt.SearchByName(hwfunc.IPsecDecryptName, node)
-	if err != nil {
-		return nil, fmt.Errorf("nf: DHL_search_by_name: %w", err)
-	}
-	sa := &sadb.sas[0]
-	blob, err := hwfunc.EncodeIPsecCryptoConfig(sa.Key, sa.AuthKey, sa.Salt)
+	off, err := openIPsecOffload(rt, sadb, name, node, hwfunc.IPsecDecryptName)
 	if err != nil {
 		return nil, err
 	}
-	if err := rt.AccConfigure(accID, blob); err != nil {
-		return nil, fmt.Errorf("nf: DHL_acc_configure: %w", err)
-	}
-	return &IPsecGatewayInboundDHL{sadb: sadb, rt: rt, NFID: nfID, AccID: accID}, nil
+	return &IPsecGatewayInboundDHL{sadb: sadb, offload: off}, nil
 }
 
 // PreProcess validates the ESP framing, matches the SA and shapes the

@@ -38,7 +38,7 @@ func newDHLRig(t *testing.T) *dhlRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, spec := range hwfunc.AllSpecs() {
+	for _, spec := range hwfunc.Specs() {
 		if err := rt.RegisterModule(spec); err != nil {
 			t.Fatal(err)
 		}

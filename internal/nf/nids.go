@@ -1,8 +1,6 @@
 package nf
 
 import (
-	"fmt"
-
 	"github.com/opencloudnext/dhl-go/internal/acmatch"
 	"github.com/opencloudnext/dhl-go/internal/core"
 	"github.com/opencloudnext/dhl-go/internal/hwfunc"
@@ -61,32 +59,23 @@ func (n *NIDSSW) Process(m *mbuf.Mbuf) (Verdict, float64) {
 // software.
 type NIDSDHL struct {
 	rules *RuleSet
-	rt    *core.Runtime
+	offload
 
-	NFID  core.NFID
-	AccID core.AccID
 	Stats NIDSStats
 }
 
 // NewNIDSDHL registers with the runtime, resolves pattern-matching and
 // pushes the compiled rule set's patterns as the module configuration.
 func NewNIDSDHL(rt *core.Runtime, rules *RuleSet, name string, node int) (*NIDSDHL, error) {
-	nfID, err := rt.Register(name, node)
-	if err != nil {
-		return nil, fmt.Errorf("nf: DHL_register: %w", err)
-	}
-	accID, err := rt.SearchByName(hwfunc.PatternMatchingName, node)
-	if err != nil {
-		return nil, fmt.Errorf("nf: DHL_search_by_name: %w", err)
-	}
 	blob, err := hwfunc.EncodePatternConfig(rules.Patterns(), rules.CaseFold())
 	if err != nil {
 		return nil, err
 	}
-	if err := rt.AccConfigure(accID, blob); err != nil {
-		return nil, fmt.Errorf("nf: DHL_acc_configure: %w", err)
+	off, err := openOffload(rt, name, node, hwfunc.PatternMatchingName, blob)
+	if err != nil {
+		return nil, err
 	}
-	return &NIDSDHL{rules: rules, rt: rt, NFID: nfID, AccID: accID}, nil
+	return &NIDSDHL{rules: rules, offload: off}, nil
 }
 
 // PreProcess tags the raw frame for the pattern-matching module.

@@ -55,13 +55,13 @@ echo "==> board-failover smoke (whole-board loss: replica promotion + live migra
 go test -race -short -run 'BoardFailover' -count=1 ./internal/harness
 
 echo "==> migration zero-leak gate (live migration under traffic: ledger balanced, 0 mbufs leaked)"
-go test -race -run 'MigrationZeroLeak|MigrateLive|ReplicaPromotion' -count=1 ./internal/core
+go test -race -run 'MigrationZeroLeak|MigrateLive|ReplicaPromotion|BringUpReplays|EvictAfterReloadDied' -count=1 ./internal/core
 
 echo "==> flow-table zero-alloc gate (hit path, churn, NAT translate: 0 allocs/op)"
 go test -run 'ZeroAlloc' -count=1 ./internal/flowtab ./internal/nf
 
 echo "==> autotuner smoke (control law, backpressure edges, zero-alloc with tuner armed)"
-go test -short -run 'Tuner|AutoTune|Pressure|CopySince' -count=1 \
+go test -short -run 'Tuner|AutoTune|Pressure|CopySince|PerAccTuning|AccBatch' -count=1 \
     ./internal/tuner ./internal/core ./internal/telemetry .
 
 echo "==> event-engine equivalence (lazy idle polls vs a naive poll loop, event budgets, 10 s fuzz)"
