@@ -3,6 +3,7 @@ package dhl_test
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -33,6 +34,32 @@ func TestNewSystemDefaults(t *testing.T) {
 		if _, err := sys.SearchByName(name, 0); err != nil {
 			t.Errorf("stock module %q: %v", name, err)
 		}
+	}
+}
+
+// TestSetupBytesOpen pins the heap a system takes before its first packet,
+// the way an NF developer brings one up: Open, Register, SearchByName,
+// Settle. It was 37.5 MB while the default pool cleared all 16 384 buffers
+// up front; a pool now backs its first 1 024 and the rest on first overflow.
+func TestSetupBytesOpen(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sys, err := dhl.Open(dhl.SystemConfig{}, dhl.WithoutSettle())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Register("setup", 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.SearchByName(dhl.Loopback, 0); err != nil {
+		t.Fatal(err)
+	}
+	sys.Settle()
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("Open to Settle allocated %.1f MB", float64(got)/1e6)
+	if got >= 6e6 {
+		t.Errorf("Open to Settle allocated %.1f MB, want < 6 MB", float64(got)/1e6)
 	}
 }
 

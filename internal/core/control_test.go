@@ -99,6 +99,58 @@ func TestEvictPRDrainsStagedPackets(t *testing.T) {
 	}
 }
 
+// TestFlushTimeoutPokeMovesStagedDeadline shortens a flush timeout under a
+// batch that is already staged, between two Run calls. The TX core is
+// asleep until the old deadline and no ring is touched, so only retune's
+// poke makes it read the timeout again; the batch has to leave at the new
+// deadline, at the instants an every-poll TX core gives.
+func TestFlushTimeoutPokeMovesStagedDeadline(t *testing.T) {
+	r := newRig(t, Config{FlushTimeout: 20 * eventsim.Microsecond},
+		moduleSpec("rev", func() fpga.Module { return reverseModule{} }))
+	nf, _ := r.rt.Register("nf", 0)
+	acc, _ := r.rt.SearchByName("rev", 0)
+	r.settle()
+
+	pkts := make([]*mbuf.Mbuf, 4)
+	for i := range pkts {
+		pkts[i] = r.packet(t, nf, acc, []byte("staged"))
+	}
+	start := r.sim.Now()
+	if n, err := r.rt.SendPackets(nf, pkts); err != nil || n != len(pkts) {
+		t.Fatalf("sent %d: %v", n, err)
+	}
+	r.sim.Run(start + 2*eventsim.Microsecond)
+	if st, _ := r.rt.Stats(0); st.PktsPacked != 4 || st.BatchesSent != 0 {
+		t.Fatalf("precondition: %d packed, %d sent", st.PktsPacked, st.BatchesSent)
+	}
+	if err := r.rt.SetAccFlushTimeout(acc, 5*eventsim.Microsecond); err != nil {
+		t.Fatal(err)
+	}
+	// 1 ns steps read both instants to the nanosecond they fall in; the
+	// values are the ones the commit before Watch existed gives, where every
+	// Run entry woke the TX core.
+	const wantSentAt, wantBackAt = 5049 * eventsim.Nanosecond, 7866 * eventsim.Nanosecond
+	var sentAt, backAt eventsim.Time
+	for backAt == 0 && r.sim.Now() < start+40*eventsim.Microsecond {
+		r.sim.Run(r.sim.Now() + eventsim.Nanosecond)
+		if st, _ := r.rt.Stats(0); sentAt == 0 && st.BatchesSent == 1 {
+			sentAt = r.sim.Now() - start
+		}
+		if n, _ := r.rt.ReceivePackets(nf, pkts); n > 0 {
+			backAt = r.sim.Now() - start
+			for _, m := range pkts[:n] {
+				_ = r.pool.Free(m)
+			}
+		}
+	}
+	if st, _ := r.rt.Stats(0); st.FlushByTimeout != 1 {
+		t.Errorf("FlushByTimeout = %d, want 1", st.FlushByTimeout)
+	}
+	if sentAt != wantSentAt || backAt != wantBackAt {
+		t.Errorf("batch left %v and was back %v after the send, want %v and %v", sentAt, backAt, wantSentAt, wantBackAt)
+	}
+}
+
 func TestSetBatchBytesLive(t *testing.T) {
 	r := newRig(t, Config{BatchBytes: 4096},
 		moduleSpec("rev", func() fpga.Module { return reverseModule{} }))

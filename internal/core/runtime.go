@@ -10,6 +10,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strconv"
 
 	"github.com/opencloudnext/dhl-go/internal/eventsim"
 	"github.com/opencloudnext/dhl-go/internal/faultinject"
@@ -306,7 +307,7 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 	}
 	r.sched = placement.New(devices)
 	for node := 0; node < cfg.Nodes; node++ {
-		ibq, rerr := ring.New[*mbuf.Mbuf](fmt.Sprintf("ibq-node%d", node),
+		ibq, rerr := ring.New[*mbuf.Mbuf]("ibq-node"+strconv.Itoa(node),
 			nextPow2(cfg.IBQSize), ring.SingleConsumer)
 		if rerr != nil {
 			return nil, rerr
@@ -379,7 +380,7 @@ func (r *Runtime) Register(name string, node int) (NFID, error) {
 	}
 	// Single producer (the Distributor); multiple consumers are allowed so
 	// an NF may drain its OBQ from one core per port (§V-D's wiring).
-	obq, err := ring.New[*mbuf.Mbuf](fmt.Sprintf("obq-%s", name),
+	obq, err := ring.New[*mbuf.Mbuf]("obq-"+name,
 		nextPow2(r.cfg.OBQSize), ring.SingleProducer)
 	if err != nil {
 		return 0, err

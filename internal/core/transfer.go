@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"github.com/opencloudnext/dhl-go/internal/dhlproto"
 	"github.com/opencloudnext/dhl-go/internal/eventsim"
@@ -182,7 +183,7 @@ func (r *Runtime) AttachCores(node int, txCore, rxCore *eventsim.Core, pool *mbu
 	if node < 0 || node >= r.cfg.Nodes {
 		return fmt.Errorf("core: node %d out of range [0,%d)", node, r.cfg.Nodes)
 	}
-	completions, err := ring.New[*inflight](fmt.Sprintf("dma-cq-node%d", node),
+	completions, err := ring.New[*inflight]("dma-cq-node"+strconv.Itoa(node),
 		1024, ring.SingleProducerConsumer)
 	if err != nil {
 		return err
@@ -205,6 +206,10 @@ func (r *Runtime) AttachCores(node int, txCore, rxCore *eventsim.Core, pool *mbu
 	rx.loop = eventsim.NewPollLoop(r.sim, rxCore, perf.PollIdleCycles, rx.body)
 	tx.commitFn = tx.commit
 	tx.loop = eventsim.NewPollLoop(r.sim, txCore, perf.PollIdleCycles, tx.body)
+	// Each core sleeps on the one ring it reads; what tx.body reads besides
+	// reaches it as a WakeBy deadline or as retune's poke.
+	tx.loop.Watch(r.ibqs[node])
+	rx.loop.Watch(completions)
 	rx.setWatchdog(tx, r.cfg.WatchdogTimeout)
 	if tel := r.tel; tel != nil {
 		tx.tel, rx.tel = tel, tel
@@ -419,7 +424,9 @@ func (t *txEngine) newAccState(acc AccID) *accState {
 // the accelerator's own value where it has one, the default (acc_id 0)
 // where not. Under fixed batching the target takes effect at once; under
 // adaptive batching the controller keeps its position, clamped to the new
-// window, and goes on adapting from there.
+// window, and goes on adapting from there. A shortened flush timeout moves a
+// staged batch's deadline without touching a ring, so the TX loop is poked
+// to read it again.
 func (t *txEngine) retune(acc AccID, st *accState) {
 	tune := t.r.tune[0]
 	if int(acc) < len(t.r.tune) {
@@ -437,6 +444,7 @@ func (t *txEngine) retune(acc AccID, st *accState) {
 	} else {
 		st.effBatch = st.batchCap
 	}
+	t.loop.Poke()
 }
 
 // dropStaged frees everything staged in st back to the pool, attributed

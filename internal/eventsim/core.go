@@ -93,7 +93,22 @@ func (c *Core) String() string {
 // result can expire with time alone (a timeout on state it holds) must
 // say when; a body that turns busy by counting its own idle calls breaks
 // the contract.
+//
+// For a loop that declared what it reads (PollLoop.Watch) the assertion is
+// narrower and the simulator holds it to that: the body would return the
+// same until a declared input is produced into, the loop is poked
+// (PollLoop.Poke), or a WakeBy deadline comes. What else executes in the
+// meantime does not run it.
 type PollBody func() (cycles float64, commit func())
+
+// Input is something a poll body reads to decide whether it is idle, as
+// PollLoop.Watch takes it: Produced counts everything ever put into it and
+// only grows. ring.Ring's producer tail is one.
+type Input interface{ Produced() uint64 }
+
+// maxWatched bounds a loop's declared inputs; they live in the PollLoop so
+// that Watch allocates nothing.
+const maxWatched = 2
 
 // PollLoop runs a poll-mode body on a core forever (until the simulation
 // horizon). If the body reports 0 cycles the loop charges idleCycles
@@ -125,8 +140,16 @@ type PollLoop struct {
 	parked bool
 	nextAt Time
 	seq    uint64 // order among events at nextAt
-	stamp  uint64 // Sim.executed when the body last ran
+	stamp  uint64 // Sim.executed when the body last ran, or was last found unconcerned
 	wakeBy Time   // the last iteration's declared deadline, or never
+
+	// What the loop declared with Watch, each input's count as read just
+	// before the body last ran, and whether it was poked since. nWatched
+	// sits before the arrays, beside what Sim reads at every event.
+	nWatched int
+	poked    bool
+	watched  [maxWatched]Input
+	seen     [maxWatched]uint64
 }
 
 // NewPollLoop creates (but does not start) a poll loop on core.
@@ -152,6 +175,35 @@ func (p *PollLoop) Stop() {
 // Iterations reports how many poll iterations have run.
 func (p *PollLoop) Iterations() uint64 { return p.iterations }
 
+// Watch declares what the body reads: from now on an idle result stands
+// until one of inputs (and of those declared before) has been produced
+// into, the loop is poked, or a WakeBy deadline comes — see PollBody. The
+// loop reads the inputs' own counts, so whoever produces into one, inside
+// Run or between two Run calls, needs to know nothing about the loop. A
+// loop that never calls Watch is woken by anything that executes.
+func (p *PollLoop) Watch(inputs ...Input) {
+	if p.nWatched+len(inputs) > maxWatched {
+		panic(fmt.Sprintf("eventsim: PollLoop.Watch: more than %d inputs", maxWatched))
+	}
+	if p.nWatched == 0 && len(inputs) > 0 {
+		p.sim.watching++
+	}
+	for _, in := range inputs {
+		p.watched[p.nWatched] = in
+		p.nWatched++
+	}
+	p.poked = true // the last body run recorded nothing of these
+}
+
+// Poke ends the loop's idle result: the body runs at the next poll. It is
+// for the dependency a loop with declared inputs has besides them — state
+// the body reads that somebody else changed without producing into
+// anything, such as a timeout the body had turned into a WakeBy deadline.
+// Like producing into an input it is something only code that executes
+// does — an event, a commit, a busy iteration, code between two Run calls
+// — which is when Sim.settle looks.
+func (p *PollLoop) Poke() { p.poked = true }
+
 // WakeBy is called by the body during an iteration it is about to report
 // idle, to declare that the idle result expires by itself at time t: the
 // body runs again at the first poll at or after t even if nothing else
@@ -172,6 +224,10 @@ func (p *PollLoop) iterate() {
 	}
 	p.iterations++
 	p.wakeBy = never
+	p.poked = false
+	for i, in := range p.watched[:p.nWatched] {
+		p.seen[i] = in.Produced()
+	}
 	cycles, commit := p.body()
 	if cycles <= 0 {
 		if commit == nil && p.sim.park(p) {
@@ -197,10 +253,31 @@ func (p *PollLoop) finish() {
 	p.iterate()
 }
 
-// clean reports whether parked loop p's next poll is a no-op: nothing has
-// executed since its body last ran and its deadline is not due.
+// clean reports whether parked loop p's next poll is a no-op: its stamp is
+// current and its deadline is not due. For a loop that declared nothing the
+// stamp is current while nothing at all has executed since its body last
+// ran; a declared loop's stamp is carried forward by Sim.settle for as long
+// as nothing has been produced into what it watches. Either way this is one
+// inlined comparison, which every core of a testbed pays at every event.
 func (p *PollLoop) clean() bool {
 	return p.stamp == p.sim.executed && p.nextAt < p.wakeBy
+}
+
+// unproduced reports whether a parked loop with declared inputs may keep
+// its idle result: it has not been poked, its core is booked to its next
+// poll and no further (somebody else's work queued there would move the
+// poll), and every input still reads the count recorded just before the
+// body last ran.
+func (p *PollLoop) unproduced() bool {
+	if p.poked || p.core.freeAt != p.nextAt {
+		return false
+	}
+	for i, in := range p.watched[:p.nWatched] {
+		if in.Produced() != p.seen[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // nextReal reports the instant at which parked loop p next runs its body

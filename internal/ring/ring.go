@@ -105,6 +105,11 @@ func (r *Ring[T]) Free() int { return r.Capacity() - r.Len() }
 // Empty reports whether the ring is empty (racy under concurrency).
 func (r *Ring[T]) Empty() bool { return r.Len() == 0 }
 
+// Produced reports how many elements have ever been enqueued: the producer
+// tail, which only grows. A consumer that remembers the value can tell
+// later, without dequeuing, whether anything has been put in since.
+func (r *Ring[T]) Produced() uint64 { return r.prod.tail.Load() }
+
 // singleProducer reports whether enqueue may skip CAS.
 func (r *Ring[T]) singleProducer() bool {
 	return r.mode == SingleProducer || r.mode == SingleProducerConsumer

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"sync"
+	"time"
 )
 
 // ErrNotServing is returned by Close when the exporter never started.
@@ -102,15 +103,39 @@ func (e *Exporter) buildHandler(mounts []mount) http.Handler {
 	return mux
 }
 
+// How long the listener waits for a client to finish sending a request: its
+// header, and all of it (the largest body is a JSON-RPC call of a few
+// hundred bytes). Without them one client that opens a connection and never
+// finishes its request line holds a goroutine and a descriptor for the life
+// of the process. Both end when the request has been read, so a handler may
+// run as long as it likes — and there is no write timeout, because
+// /debug/pprof/profile legitimately writes for 30 s and telemetry.delta
+// long-polls for 60. With no IdleTimeout set, readTimeout is also how long
+// net/http keeps an idle keep-alive connection.
+const (
+	readHeaderTimeout = 3 * time.Second
+	readTimeout       = 10 * time.Second
+)
+
+// server returns the exporter's http.Server, built on first use. Callers
+// hold e.mu.
+func (e *Exporter) server() *http.Server {
+	if e.srv == nil {
+		e.srv = &http.Server{
+			Handler:           e.buildHandler(append([]mount(nil), e.mounts...)),
+			ReadHeaderTimeout: readHeaderTimeout,
+			ReadTimeout:       readTimeout,
+		}
+	}
+	return e.srv
+}
+
 // Serve accepts connections on ln until Close (which returns
 // http.ErrServerClosed here) or a listener error. It blocks; use Start
 // for the common background case.
 func (e *Exporter) Serve(ln net.Listener) error {
 	e.mu.Lock()
-	if e.srv == nil {
-		e.srv = &http.Server{Handler: e.buildHandler(append([]mount(nil), e.mounts...))}
-	}
-	srv := e.srv
+	srv := e.server()
 	e.ln = ln
 	e.mu.Unlock()
 	return srv.Serve(ln)
@@ -126,9 +151,7 @@ func (e *Exporter) Start(addr string) (string, error) {
 	// Register the listener here, not in the goroutine, so Addr and Close
 	// see the server as soon as Start returns.
 	e.mu.Lock()
-	if e.srv == nil {
-		e.srv = &http.Server{Handler: e.buildHandler(append([]mount(nil), e.mounts...))}
-	}
+	e.server()
 	e.ln = ln
 	e.mu.Unlock()
 	go func() {

@@ -6,11 +6,13 @@ import (
 	"errors"
 	"flag"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/opencloudnext/dhl-go/internal/eventsim"
 )
@@ -177,5 +179,62 @@ func TestExporterCloseWithoutStart(t *testing.T) {
 	}
 	if e.Addr() != "" {
 		t.Errorf("Addr before Start = %q", e.Addr())
+	}
+}
+
+// TestExporterHalfRequestTimesOut holds the listener to its read deadline:
+// a client that sends half a request line and goes quiet is cut off, both
+// when the exporter binds the socket itself and when it is handed one.
+// Without a deadline the read below runs into its own.
+func TestExporterHalfRequestTimesOut(t *testing.T) {
+	const bound = 5 * time.Second // above readHeaderTimeout, far below forever
+	for _, site := range []string{"Start", "Serve"} {
+		t.Run(site, func(t *testing.T) {
+			t.Parallel() // each site waits out the deadline in real time
+			e := NewExporter(New(0))
+			var addr string
+			if site == "Start" {
+				var err error
+				if addr, err = e.Start("127.0.0.1:0"); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				ln, err := net.Listen("tcp", "127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				addr = ln.Addr().String()
+				served := make(chan error, 1)
+				go func() { served <- e.Serve(ln) }()
+				defer func() {
+					if serr := <-served; !errors.Is(serr, http.ErrServerClosed) {
+						t.Errorf("Serve returned %v", serr)
+					}
+				}()
+			}
+			defer func() {
+				if cerr := e.Close(); cerr != nil {
+					t.Errorf("Close: %v", cerr)
+				}
+			}()
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if _, err := conn.Write([]byte("GET /metr")); err != nil {
+				t.Fatal(err)
+			}
+			if err := conn.SetReadDeadline(time.Now().Add(bound)); err != nil {
+				t.Fatal(err)
+			}
+			start := time.Now()
+			// net/http hangs up, with or without a 400 first; either way the
+			// copy ends at EOF, not at the deadline above.
+			if _, rerr := io.Copy(io.Discard, conn); rerr != nil {
+				t.Errorf("%v after %v; want the server to close the connection within %v",
+					rerr, time.Since(start).Round(time.Millisecond), bound)
+			}
+		})
 	}
 }

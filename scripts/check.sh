@@ -65,7 +65,8 @@ go test -short -run 'Tuner|AutoTune|Pressure|CopySince|PerAccTuning|AccBatch' -c
     ./internal/tuner ./internal/core ./internal/telemetry .
 
 echo "==> event-engine equivalence (lazy idle polls vs a naive poll loop, event budgets, 10 s fuzz)"
-go test -run 'PollLoopEquivalence|EventBudget' -count=1 ./internal/eventsim ./internal/harness ./internal/core
+go test -run 'PollLoopEquivalence|EventBudget|FlushTimeoutPoke|PoolHotSlab|SetupBytesOpen' -count=1 \
+    ./internal/eventsim ./internal/harness ./internal/core ./internal/mbuf .
 go test -run '^$' -fuzz FuzzPollLoopEquivalence -fuzztime 10s ./internal/eventsim
 
 echo "==> ipsec crypto kernel (reference equivalence, 0-alloc gates, 10 s fuzz)"
@@ -73,7 +74,7 @@ go test -run 'MatchesReference|ZeroAlloc|AllocBudget' -count=1 ./internal/swcryp
 go test -run '^$' -fuzz FuzzSealMatchesReference -fuzztime 10s ./internal/swcrypto
 
 echo "==> lpm (reference equivalence, set-up byte budgets, 10 s fuzz)"
-go test -run 'QuickVsNaive|SetupBytes|TableBytes' -count=1 ./internal/lpm ./internal/nf ./internal/harness
+go test -run 'QuickVsNaive|SetupBytes|SetupObjects|TableBytes' -count=1 ./internal/lpm ./internal/nf ./internal/harness
 # Uncapped, the fuzzer stops generating after ~3 s and spends the rest
 # minimising each 8-bytes-a-step program that reached new coverage.
 go test -run '^$' -fuzz FuzzLPMVsNaive -fuzztime 10s -fuzzminimizetime 10x ./internal/lpm
@@ -85,7 +86,7 @@ go test -run 'VsNaive|MatchesPerRecord|PatternMatchingZeroAlloc|AllocBudgetNIDS|
 go test -run '^$' -fuzz FuzzLanesVsNaive -fuzztime 10s -fuzzminimizetime 10x ./internal/acmatch
 
 echo "==> telemetry smoke (stage clock, zero-alloc budget, exporter golden)"
-go test -run 'Telemetry|ServeMetricsGolden|WritePrometheus' -count=1 \
+go test -run 'Telemetry|ServeMetricsGolden|WritePrometheus|ExporterHalfRequest' -count=1 \
     ./internal/core ./internal/telemetry .
 
 echo "==> control-plane smoke (serve, manage via dhl-inspect, scrape, shutdown)"
