@@ -60,14 +60,8 @@ const (
 	PatternMatching = hwfunc.PatternMatchingName
 	// Loopback is the DMA benchmarking module (§IV-A3).
 	Loopback = hwfunc.LoopbackName
-	// IPsecDecrypt is the decryption-direction module (§IV-C catalogue).
+	// IPsecDecrypt is the decryption-direction module (§IV-C).
 	IPsecDecrypt = hwfunc.IPsecDecryptName
-	// MD5Auth is the MD5 authentication module (§IV-C catalogue).
-	MD5Auth = hwfunc.MD5AuthName
-	// RegexClassifier is the regex DPI module (§IV-C catalogue).
-	RegexClassifier = hwfunc.RegexClassifierName
-	// DataCompression is the flow-compression module (§IV-C catalogue).
-	DataCompression = hwfunc.DataCompressionName
 )
 
 // Fault-injection types for chaos runs (see internal/faultinject): a
@@ -339,9 +333,9 @@ func WithoutSettle() Option {
 	return func(o *openConfig) { o.settle = false }
 }
 
-// buildSystem wires a System with the full accelerator module catalogue
-// (ipsec-crypto, pattern-matching, loopback, ipsec-decrypt, md5-auth,
-// regex-classifier, data-compression) pre-registered in the database.
+// buildSystem wires a System with the stock accelerator modules
+// (hwfunc.Specs: ipsec-crypto, pattern-matching, loopback, ipsec-decrypt)
+// pre-registered in the database; RegisterModule adds any other.
 func buildSystem(cfg SystemConfig) (*System, error) {
 	if cfg.Nodes == 0 {
 		cfg.Nodes = 1

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -33,6 +34,21 @@ func TestNewSystemDefaults(t *testing.T) {
 	for _, name := range []string{dhl.IPsecCrypto, dhl.PatternMatching, dhl.Loopback} {
 		if _, err := sys.SearchByName(name, 0); err != nil {
 			t.Errorf("stock module %q: %v", name, err)
+		}
+	}
+}
+
+// TestModuleDBOrder: the database is a map, and what System.ModuleDB hands
+// out must not show it: the four stock names, sorted, on every call.
+func TestModuleDBOrder(t *testing.T) {
+	sys, err := dhl.Open(dhl.SystemConfig{}, dhl.WithoutSettle())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{dhl.IPsecCrypto, dhl.IPsecDecrypt, dhl.Loopback, dhl.PatternMatching}
+	for i := 0; i < 32; i++ {
+		if got := sys.ModuleDB(); !slices.Equal(got, want) {
+			t.Fatalf("call %d: ModuleDB() = %v, want %v", i, got, want)
 		}
 	}
 }

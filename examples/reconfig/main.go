@@ -6,8 +6,8 @@
 // second accelerator module (pattern-matching) into a free
 // reconfigurable part through ICAP. The example measures the running
 // NF's throughput before and during the reconfiguration and reports the
-// PR time observed from the management API, then retunes the transfer
-// batch size live for good measure.
+// PR time on the simulation clock, then retunes the transfer batch size
+// live for good measure.
 //
 // Run with: go run ./examples/reconfig
 package main
@@ -16,6 +16,7 @@ import (
 	"bytes"
 	"fmt"
 	"log"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,16 +34,31 @@ func main() {
 
 // gateway owns all simulation interaction: it pumps the event loop
 // (which also executes posted management operations) and drives a
-// saturating IPsec workload, publishing cumulative progress as atomics
-// so the operator side can compute throughput over any window.
+// saturating IPsec workload, publishing cumulative progress so the
+// operator side can compute throughput over any window. Everything the
+// example prints is read off the simulation clock on this side: what the
+// operator goroutine could time from outside moves with the host's
+// scheduling.
 type gateway struct {
-	sys   *dhl.System
-	nf    dhl.NFID
-	acc   dhl.AccID
-	stop  chan struct{}
-	wg    sync.WaitGroup
-	simNs atomic.Int64 // simulation clock, nanoseconds
-	bytes atomic.Int64 // payload bytes delivered back to the NF
+	sys  *dhl.System
+	nf   dhl.NFID
+	acc  dhl.AccID
+	stop chan struct{}
+	wg   sync.WaitGroup
+
+	mu    sync.Mutex // simNs and bytes are one snapshot
+	simNs int64      // simulation clock, nanoseconds
+	bytes int64      // payload bytes delivered back to the NF
+
+	// prNs is how long the second accelerator's region took from entering
+	// the hardware function table to coming ready; 0 until it has.
+	prNs atomic.Int64
+}
+
+func (g *gateway) progress() (simNs, bytes int64) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.simNs, g.bytes
 }
 
 func (g *gateway) pump() {
@@ -52,6 +68,7 @@ func (g *gateway) pump() {
 	const burst = 32
 	pkts := make([]*dhl.Packet, 0, burst)
 	out := make([]*dhl.Packet, 2*burst)
+	var loadedAt eventsim.Time
 	for {
 		select {
 		case <-g.stop:
@@ -88,11 +105,26 @@ func (g *gateway) pump() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		delivered := 0
 		for i := 0; i < got; i++ {
-			g.bytes.Add(int64(out[i].Len()))
+			delivered += out[i].Len()
 			_ = pool.Free(out[i])
 		}
-		g.simNs.Store(int64(sim.Now() / eventsim.Nanosecond))
+		g.mu.Lock()
+		g.simNs = int64(sim.Now() / eventsim.Nanosecond)
+		g.bytes += int64(delivered)
+		g.mu.Unlock()
+		if g.prNs.Load() == 0 {
+			// The second accelerator is the operator's acc.load.
+			if ids := sys.AccIDs(); len(ids) > 1 {
+				if loadedAt == 0 {
+					loadedAt = sim.Now()
+				}
+				if info, err := sys.AccInfo(ids[1]); err == nil && info.Ready {
+					g.prNs.Store(int64((sim.Now() - loadedAt) / eventsim.Nanosecond))
+				}
+			}
+		}
 		// Yield so the operator goroutine's RPCs interleave promptly.
 		time.Sleep(50 * time.Microsecond)
 	}
@@ -101,14 +133,13 @@ func (g *gateway) pump() {
 // throughput measures the gateway's delivered Gbps over roughly window
 // of simulated time.
 func (g *gateway) throughput(window time.Duration) float64 {
-	startNs, startBytes := g.simNs.Load(), g.bytes.Load()
-	target := startNs + window.Nanoseconds()
-	for g.simNs.Load() < target {
+	startNs, startBytes := g.progress()
+	endNs, endBytes := startNs, startBytes
+	for endNs < startNs+window.Nanoseconds() {
 		time.Sleep(200 * time.Microsecond)
+		endNs, endBytes = g.progress()
 	}
-	elapsedNs := g.simNs.Load() - startNs
-	moved := g.bytes.Load() - startBytes
-	return float64(moved) * 8 / float64(elapsedNs) // bits per simulated ns == Gbps
+	return float64(endBytes-startBytes) * 8 / float64(endNs-startNs) // bits per simulated ns == Gbps
 }
 
 func run() error {
@@ -125,7 +156,9 @@ func run() error {
 			log.Printf("close exporter: %v", cerr)
 		}
 	}()
-	fmt.Printf("operator surface at http://%s (api: /api/v1)\n", exp.Addr())
+	// The bound port is the host's choice, so not for stdout, which
+	// examples/golden_test.go pins.
+	fmt.Fprintf(os.Stderr, "operator surface at http://%s (api: /api/v1)\n", exp.Addr())
 
 	// Stand the IPsec gateway up in-process, then hand the event loop to
 	// the pump goroutine; from here on every change goes over the API.
@@ -146,10 +179,12 @@ func run() error {
 		return err
 	}
 	sys.Settle()
-	g := &gateway{sys: sys, nf: nf, acc: acc, stop: make(chan struct{})}
+	g := &gateway{sys: sys, nf: nf, acc: acc, stop: make(chan struct{}),
+		simNs: int64(sys.Sim().Now() / eventsim.Nanosecond)}
 	g.wg.Add(1)
 	go g.pump()
 	defer func() { close(g.stop); g.wg.Wait() }()
+	g.throughput(time.Millisecond) // ramp-up: the first bursts are still in flight
 
 	c := dhl.DialControl(exp.Addr())
 	defer func() { _ = c.Close() }()
@@ -162,7 +197,6 @@ func run() error {
 	// Load pattern-matching into a free PR region while the gateway keeps
 	// forwarding, and watch sys.info for the region to come ready — the
 	// ICAP transfer runs concurrently with live traffic (§V-E).
-	prStart := time.Duration(g.simNs.Load())
 	var load struct {
 		AccID dhl.AccID `json:"acc_id"`
 	}
@@ -171,7 +205,6 @@ func run() error {
 	}
 	during := g.throughput(2 * time.Millisecond)
 	ready := false
-	var prTime time.Duration
 	for !ready {
 		var info struct {
 			Accelerators []struct {
@@ -185,7 +218,6 @@ func run() error {
 		for _, a := range info.Accelerators {
 			if a.AccID == load.AccID && a.Ready {
 				ready = true
-				prTime = time.Duration(g.simNs.Load()) - prStart
 			}
 		}
 		if !ready {
@@ -193,12 +225,14 @@ func run() error {
 		}
 	}
 	after := g.throughput(2 * time.Millisecond)
+	// Set by now: the pump has run whole steps since sys.info said ready.
+	prTime := time.Duration(g.prNs.Load())
 
 	degradation := 0.0
 	if before > 0 {
 		degradation = 100 * (1 - during/before)
 	}
-	fmt.Println("\npartial reconfiguration while the IPsec gateway keeps running:")
+	fmt.Println("partial reconfiguration while the IPsec gateway keeps running:")
 	fmt.Printf("%-20s %-12s %s\n", "new module", "PR time", "running NF throughput")
 	fmt.Printf("%-20s %-12s %.2f -> %.2f Gbps during PR, %.2f after (degradation %.2f%%)\n",
 		dhl.PatternMatching, fmt.Sprintf("%.0f ms", prTime.Seconds()*1e3),

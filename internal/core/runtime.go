@@ -10,6 +10,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"strconv"
 
 	"github.com/opencloudnext/dhl-go/internal/eventsim"
@@ -363,12 +364,14 @@ func (r *Runtime) RegisterModule(spec fpga.ModuleSpec) error {
 	return nil
 }
 
-// ModuleDB lists the registered hardware function names.
+// ModuleDB lists the registered hardware function names, sorted: the
+// database is a map, and two calls must not disagree on its order.
 func (r *Runtime) ModuleDB() []string {
 	names := make([]string, 0, len(r.db))
 	for n := range r.db {
 		names = append(names, n)
 	}
+	sort.Strings(names)
 	return names
 }
 

@@ -3,7 +3,7 @@
 // power-of-two growth under a hard memory budget, and a clock-wheel
 // expiry driven off eventsim time for bounded-memory eviction.
 //
-// The stateful NFs (NAT, flow-aware firewall, flowcomp, SADB) keep
+// The stateful NFs (NAT, flow-aware firewall, SADB) keep
 // per-flow state here instead of in Go maps, for three reasons the
 // built-in map cannot deliver together:
 //

@@ -1,7 +1,9 @@
 // Package hwfunc implements the accelerator modules DHL ships in its
 // accelerator module database: ipsec-crypto (AES-256-CTR + HMAC-SHA1,
-// paper §V-B1), pattern-matching (multi-pipeline AC-DFA, §V-B2) and the
-// loopback module used to benchmark the DMA engine (§IV-A3).
+// paper §V-B1), pattern-matching (multi-pipeline AC-DFA, §V-B2), the
+// loopback module used to benchmark the DMA engine (§IV-A3) and
+// ipsec-decrypt, ipsec-crypto's inverse, which the tests use to open what
+// the gateway sealed.
 //
 // Modules are functionally real — they transform the bytes of every record
 // — while their temporal behaviour (throughput cap, pipeline delay,
@@ -27,6 +29,7 @@ const (
 	IPsecCryptoName     = "ipsec-crypto"
 	PatternMatchingName = "pattern-matching"
 	LoopbackName        = "loopback"
+	IPsecDecryptName    = "ipsec-decrypt"
 )
 
 // Errors returned by the modules.
@@ -51,8 +54,11 @@ const (
 const PatternMatchTrailer = 4
 
 // Specs returns the stock accelerator module database contents, keyed by
-// hardware function name: the whole §IV-C catalogue, the three modules the
-// paper evaluates (Table VI + Table V) first, then those of modules_ext.go.
+// hardware function name: the three modules the paper evaluates (Table VI +
+// Table V) and ipsec-decrypt. A module is here iff an experiment row, a
+// bench workload, an example or a test oracle loads it; §IV-C's other
+// families (MD5 authentication, regex classifier, data compression) are
+// added by the NF that needs one, through Runtime.RegisterModule.
 func Specs() map[string]fpga.ModuleSpec {
 	return map[string]fpga.ModuleSpec{
 		IPsecCryptoName: {
@@ -94,33 +100,6 @@ func Specs() map[string]fpga.ModuleSpec {
 			DelayCycles:    perf.IPsecCryptoDelayCycles,
 			BitstreamBytes: perf.IPsecCryptoBitstreamBytes,
 			New:            func() fpga.Module { return &IPsecDecrypt{} },
-		},
-		MD5AuthName: {
-			Name:           MD5AuthName,
-			LUTs:           5200,
-			BRAM:           48,
-			ThroughputBps:  40e9,
-			DelayCycles:    66,
-			BitstreamBytes: 3 * 1024 * 1024,
-			New:            func() fpga.Module { return &MD5Auth{} },
-		},
-		RegexClassifierName: {
-			Name:           RegexClassifierName,
-			LUTs:           11300,
-			BRAM:           380,
-			ThroughputBps:  20e9,
-			DelayCycles:    70,
-			BitstreamBytes: 6 * 1024 * 1024,
-			New:            func() fpga.Module { return &RegexClassifier{} },
-		},
-		DataCompressionName: {
-			Name:           DataCompressionName,
-			LUTs:           14200,
-			BRAM:           96,
-			ThroughputBps:  25e9,
-			DelayCycles:    180,
-			BitstreamBytes: 4 * 1024 * 1024,
-			New:            func() fpga.Module { return &DataCompression{} },
 		},
 	}
 }
@@ -228,6 +207,75 @@ func (m *IPsecCrypto) ProcessBatch(dst, in []byte) ([]byte, error) {
 	return dst, nil
 }
 
+// --- ipsec-decrypt -------------------------------------------------------
+
+// IPsecDecrypt reverses IPsecCrypto: request records carry a 2-byte offset
+// prefix plus an encrypted frame ([hdr][iv:8][ct][icv:12]); the response
+// is the decrypted frame ([hdr][plaintext]). Records failing
+// authentication are returned with an empty payload after the offset so
+// the NF can count and drop them (hardware signals the ICV failure
+// in-band).
+type IPsecDecrypt struct {
+	inner IPsecCrypto
+}
+
+var _ fpga.Module = (*IPsecDecrypt)(nil)
+
+// Configure installs keys from an EncodeIPsecCryptoConfig blob.
+func (m *IPsecDecrypt) Configure(params []byte) error { return m.inner.Configure(params) }
+
+// ProcessBatch authenticates and decrypts every record, producing the
+// plaintext in place in dst.
+func (m *IPsecDecrypt) ProcessBatch(dst, in []byte) ([]byte, error) {
+	if m.inner.engine == nil {
+		return nil, ErrNotConfigured
+	}
+	var cur dhlproto.Cursor
+	cur.SetBatch(in)
+	var rec dhlproto.Record
+	for {
+		ok, err := cur.Next(&rec)
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			break
+		}
+		if len(rec.Payload) < IPsecReqPrefix {
+			return nil, fmt.Errorf("%w: %d-byte decrypt record", ErrBadRecord, len(rec.Payload))
+		}
+		off := int(binary.BigEndian.Uint16(rec.Payload[:2]))
+		frame := rec.Payload[IPsecReqPrefix:]
+		if off > len(frame) || len(frame)-off < IPsecGrowth {
+			return nil, fmt.Errorf("%w: %d-byte encrypted body at offset %d", ErrBadRecord, len(frame), off)
+		}
+		body := frame[off:]
+		iv := binary.BigEndian.Uint64(body[:8])
+		var tag [12]byte
+		copy(tag[:], body[len(body)-12:])
+		hdrStart := len(dst)
+		var aerr error
+		dst, aerr = dhlproto.AppendRecordHeader(dst, rec.NFID, rec.AccID, len(frame)-IPsecGrowth)
+		if aerr != nil {
+			return nil, aerr
+		}
+		dst = append(dst, frame[:off]...)
+		ctStart := len(dst)
+		dst = append(dst, body[8:len(body)-12]...)
+		if derr := m.inner.engine.Open(dst[ctStart:], iv, tag); derr != nil {
+			// On auth failure the response carries only the cleartext
+			// header: the NF sees a truncated packet and drops it.
+			dst = dst[:hdrStart]
+			dst, aerr = dhlproto.AppendRecordHeader(dst, rec.NFID, rec.AccID, off)
+			if aerr != nil {
+				return nil, aerr
+			}
+			dst = append(dst, frame[:off]...)
+		}
+	}
+	return dst, nil
+}
+
 // --- pattern-matching --------------------------------------------------
 
 // PatternMatching is the multi-pattern string-matching accelerator module
@@ -258,10 +306,10 @@ func EncodePatternConfig(patterns [][]byte, caseFold bool) ([]byte, error) {
 	return appendList(blob, patterns)
 }
 
-// appendList appends the item list the rule-set blobs of pattern-matching
-// and regex-classifier both end in: [count:2], then per item
-// [len:2][bytes], no item empty. The callers have bounded the count.
-func appendList[T string | []byte](blob []byte, items []T) ([]byte, error) {
+// appendList appends the item list the pattern-matching rule-set blob ends
+// in: [count:2], then per item [len:2][bytes], no item empty. The caller
+// has bounded the count.
+func appendList(blob []byte, items [][]byte) ([]byte, error) {
 	blob = binary.BigEndian.AppendUint16(blob, uint16(len(items)))
 	for i, it := range items {
 		if len(it) == 0 || len(it) > 0xffff {
@@ -311,6 +359,13 @@ func decodePatternConfig(params []byte) (patterns [][]byte, caseFold bool, err e
 	patterns, err = decodeList(params[1:])
 	return patterns, params[0] == 1, err
 }
+
+// PatternMatchingMaxStates is the AC-DFA state budget implied by the
+// module's BRAM allocation (Table VI: 524 x 36Kb blocks; each state needs
+// a 256-entry next-state row of 4 B in the multi-pipeline AC-DFA [35]).
+// §V-F: "If we decrease the size of the AC-DFA pipeline, it can put more
+// pattern-matching accelerator modules."
+const PatternMatchingMaxStates = perf.PatternMatchingBRAM * (36 * 1024 / 8) / (256 * 4)
 
 // Configure compiles the rule set into the module's AC-DFA.
 func (m *PatternMatching) Configure(params []byte) error {

@@ -41,11 +41,8 @@ func TestSpecsMatchTableVI(t *testing.T) {
 	if pm.ThroughputBps != 32.40e9 {
 		t.Errorf("pattern-matching throughput %v", pm.ThroughputBps)
 	}
-	// The one catalogue is the whole of §IV-C's, every entry loadable.
-	want := []string{
-		IPsecCryptoName, PatternMatchingName, LoopbackName,
-		IPsecDecryptName, MD5AuthName, RegexClassifierName, DataCompressionName,
-	}
+	// The database is these four, every entry loadable.
+	want := []string{IPsecCryptoName, PatternMatchingName, LoopbackName, IPsecDecryptName}
 	for _, name := range want {
 		if _, ok := specs[name]; !ok {
 			t.Errorf("catalogue missing %q", name)
@@ -184,6 +181,71 @@ func TestIPsecCryptoBadRecords(t *testing.T) {
 	}
 }
 
+func TestIPsecDecryptRoundTrip(t *testing.T) {
+	key, auth := testKeys()
+	blob, _ := EncodeIPsecCryptoConfig(key, auth, 0xBEEF)
+
+	enc := &IPsecCrypto{}
+	if err := enc.Configure(blob); err != nil {
+		t.Fatal(err)
+	}
+	dec := &IPsecDecrypt{}
+	if _, err := dec.ProcessBatch(nil, nil); !errors.Is(err, ErrNotConfigured) {
+		t.Errorf("unconfigured decrypt: %v", err)
+	}
+	if err := dec.Configure(blob); err != nil {
+		t.Fatal(err)
+	}
+
+	frame := []byte("IPHDRIPHDR--plaintext payload to protect--")
+	const off = 10
+	req, _ := EncodeIPsecRequest(nil, frame, off)
+	batch, _ := dhlproto.AppendRecord(nil, 4, 1, req)
+	encOut, err := enc.ProcessBatch(nil, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Feed the encrypted frame back through the decrypt module.
+	var decIn []byte
+	_ = dhlproto.Walk(encOut, func(r dhlproto.Record) error {
+		req2, _ := EncodeIPsecRequest(nil, r.Payload, off)
+		decIn, _ = dhlproto.AppendRecord(decIn, r.NFID, r.AccID, req2)
+		return nil
+	})
+	decOut, err := dec.ProcessBatch(nil, decIn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = dhlproto.Walk(decOut, func(r dhlproto.Record) error {
+		if !bytes.Equal(r.Payload, frame) {
+			t.Errorf("decrypt round trip: %q", r.Payload)
+		}
+		return nil
+	})
+}
+
+func TestIPsecDecryptAuthFailureSignalled(t *testing.T) {
+	key, auth := testKeys()
+	blob, _ := EncodeIPsecCryptoConfig(key, auth, 0xBEEF)
+	dec := &IPsecDecrypt{}
+	_ = dec.Configure(blob)
+
+	// A frame that was never sealed: garbage IV/ct/tag.
+	fake := append([]byte("HDR"), make([]byte, swcrypto.IVSize+10+swcrypto.TagSize)...)
+	req, _ := EncodeIPsecRequest(nil, fake, 3)
+	batch, _ := dhlproto.AppendRecord(nil, 1, 1, req)
+	out, err := dec.ProcessBatch(nil, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = dhlproto.Walk(out, func(r dhlproto.Record) error {
+		if len(r.Payload) != 3 { // header only: payload stripped on auth failure
+			t.Errorf("auth failure response %d bytes", len(r.Payload))
+		}
+		return nil
+	})
+}
+
 func TestPatternMatchingConfigureAndMatch(t *testing.T) {
 	m := &PatternMatching{}
 	batch, _ := dhlproto.AppendRecord(nil, 1, 1, []byte("x"))
@@ -264,6 +326,35 @@ func TestPatternConfigValidation(t *testing.T) {
 	}
 	if _, _, _, err := DecodePatternTrailer([]byte{1}); !errors.Is(err, ErrBadRecord) {
 		t.Errorf("short trailer: %v", err)
+	}
+}
+
+func TestPatternMatchingStateBudget(t *testing.T) {
+	if PatternMatchingMaxStates < 1000 {
+		t.Fatalf("implausible state budget %d", PatternMatchingMaxStates)
+	}
+	// A rule set that compiles to more states than the BRAM holds: many
+	// long patterns with no shared prefixes.
+	var patterns [][]byte
+	for i := 0; i < 40; i++ {
+		p := make([]byte, 80)
+		for j := range p {
+			p[j] = byte((i*131 + j*17 + i*j) % 251)
+		}
+		patterns = append(patterns, p)
+	}
+	m := &PatternMatching{}
+	blob, err := EncodePatternConfig(patterns, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Configure(blob); !errors.Is(err, ErrBadConfig) {
+		t.Errorf("oversized AC-DFA accepted: %v", err)
+	}
+	// The default Snort-ish set fits comfortably.
+	small, _ := EncodePatternConfig([][]byte{[]byte("cmd.exe"), []byte("/etc/passwd")}, true)
+	if err := m.Configure(small); err != nil {
+		t.Errorf("small set rejected: %v", err)
 	}
 }
 

@@ -321,45 +321,6 @@ func TestSADBBySPI(t *testing.T) {
 	}
 }
 
-func TestFlowCompTrackFlows(t *testing.T) {
-	p := pool(t)
-	c, err := NewFlowCompressorSW(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.FlowTabs() != nil {
-		t.Error("FlowTabs non-nil before TrackFlows")
-	}
-	if err := c.TrackFlows(1024, 0, nil); err != nil {
-		t.Fatal(err)
-	}
-	payload := []byte(strings.Repeat("compressible compressible ", 20))
-	m := newPacket(t, p, payload, eth.IPv4{192, 168, 0, 1})
-	f, _ := eth.Parse(m.Data())
-	tuple := f.Tuple()
-	for i := 0; i < 3; i++ {
-		m2 := newPacket(t, p, payload, eth.IPv4{192, 168, 0, 1})
-		if v, _ := c.Process(m2); v != VerdictForward {
-			t.Fatalf("pass %d: verdict %v", i, v)
-		}
-		_ = p.Free(m2)
-	}
-	_ = p.Free(m)
-	st, ok := c.FlowStats(tuple)
-	if !ok {
-		t.Fatal("flow untracked")
-	}
-	if st.Packets != 3 {
-		t.Errorf("Packets = %d, want 3", st.Packets)
-	}
-	if st.BytesIn != 3*uint64(len(payload)) {
-		t.Errorf("BytesIn = %d, want %d", st.BytesIn, 3*len(payload))
-	}
-	if st.BytesOut == 0 || st.BytesOut >= st.BytesIn {
-		t.Errorf("BytesOut = %d not in (0, %d)", st.BytesOut, st.BytesIn)
-	}
-}
-
 // TestNATZeroAllocHitPath pins the rebase's point: established-flow
 // translation allocates nothing.
 func TestNATZeroAllocHitPath(t *testing.T) {

@@ -9,6 +9,21 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# targeted is `go test "$@"` for the steps below that pick tests by name. A
+# package in which the pattern matches nothing prints "[no tests to run]"
+# and passes, and deleting or renaming a test is how a gate comes to guard
+# nothing; here that fails the step.
+targeted() {
+    local out status=0
+    out=$(go test "$@" 2>&1) || status=$?
+    printf '%s\n' "$out"
+    if [[ "$status" -eq 0 ]] && grep -qF '[no tests to run]' <<<"$out"; then
+        echo "check.sh: go test $*: the pattern matches no test in a package above" >&2
+        status=1
+    fi
+    return "$status"
+}
+
 echo "==> gofmt"
 unformatted=$(gofmt -l .)
 if [[ -n "$unformatted" ]]; then
@@ -46,47 +61,47 @@ echo "==> bench smoke (1 iteration, -benchmem)"
 go test -run '^$' -bench 'Pipeline|Distributor' -benchmem -benchtime=1x -count=1 ./internal/core
 
 echo "==> chaos smoke (seeded fault-injection soak, -short)"
-go test -run Chaos -short -count=1 ./internal/core ./internal/harness
+targeted -run Chaos -short -count=1 ./internal/core ./internal/harness
 
 echo "==> flow-scale smoke (100k-flow Zipf churn soak + failover flow-state audit, -short, -race)"
-go test -race -short -run 'FlowScale|FlowState' -count=1 ./internal/harness
+targeted -race -short -run 'FlowScale|FlowState' -count=1 ./internal/harness
 
 echo "==> board-failover smoke (whole-board loss: replica promotion + live migration, -race)"
-go test -race -short -run 'BoardFailover' -count=1 ./internal/harness
+targeted -race -short -run 'BoardFailover' -count=1 ./internal/harness
 
 echo "==> migration zero-leak gate (live migration under traffic: ledger balanced, 0 mbufs leaked)"
-go test -race -run 'MigrationZeroLeak|MigrateLive|ReplicaPromotion|BringUpReplays|EvictAfterReloadDied' -count=1 ./internal/core
+targeted -race -run 'MigrationZeroLeak|MigrateLive|ReplicaPromotion|BringUpReplays|EvictAfterReloadDied' -count=1 ./internal/core
 
 echo "==> flow-table zero-alloc gate (hit path, churn, NAT translate: 0 allocs/op)"
-go test -run 'ZeroAlloc' -count=1 ./internal/flowtab ./internal/nf
+targeted -run 'ZeroAlloc' -count=1 ./internal/flowtab ./internal/nf
 
 echo "==> autotuner smoke (control law, backpressure edges, zero-alloc with tuner armed)"
-go test -short -run 'Tuner|AutoTune|Pressure|CopySince|PerAccTuning|AccBatch' -count=1 \
+targeted -short -run 'Tuner|AutoTune|Pressure|CopySince|PerAccTuning|AccBatch' -count=1 \
     ./internal/tuner ./internal/core ./internal/telemetry .
 
 echo "==> event-engine equivalence (lazy idle polls vs a naive poll loop, event budgets, 10 s fuzz)"
-go test -run 'PollLoopEquivalence|EventBudget|FlushTimeoutPoke|PoolHotSlab|SetupBytesOpen' -count=1 \
+targeted -run 'PollLoopEquivalence|EventBudget|FlushTimeoutPoke|PoolHotSlab|SetupBytesOpen' -count=1 \
     ./internal/eventsim ./internal/harness ./internal/core ./internal/mbuf .
 go test -run '^$' -fuzz FuzzPollLoopEquivalence -fuzztime 10s ./internal/eventsim
 
 echo "==> ipsec crypto kernel (reference equivalence, 0-alloc gates, 10 s fuzz)"
-go test -run 'MatchesReference|ZeroAlloc|AllocBudget' -count=1 ./internal/swcrypto ./internal/hwfunc ./internal/harness
+targeted -run 'MatchesReference|ZeroAlloc|AllocBudget' -count=1 ./internal/swcrypto ./internal/hwfunc ./internal/harness
 go test -run '^$' -fuzz FuzzSealMatchesReference -fuzztime 10s ./internal/swcrypto
 
 echo "==> lpm (reference equivalence, set-up byte budgets, 10 s fuzz)"
-go test -run 'QuickVsNaive|SetupBytes|SetupObjects|TableBytes' -count=1 ./internal/lpm ./internal/nf ./internal/harness
+targeted -run 'QuickVsNaive|SetupBytes|SetupObjects|TableBytes' -count=1 ./internal/lpm ./internal/nf ./internal/harness
 # Uncapped, the fuzzer stops generating after ~3 s and spends the rest
 # minimising each 8-bytes-a-step program that reached new coverage.
 go test -run '^$' -fuzz FuzzLPMVsNaive -fuzztime 10s -fuzzminimizetime 10x ./internal/lpm
 
 echo "==> pattern-matching kernel (reference equivalence, 0-alloc gates, 10 s fuzz)"
-go test -run 'VsNaive|MatchesPerRecord|PatternMatchingZeroAlloc|AllocBudgetNIDS|FuzzPatternConfig' -count=1 \
+targeted -run 'VsNaive|MatchesPerRecord|PatternMatchingZeroAlloc|AllocBudgetNIDS|FuzzPatternConfig' -count=1 \
     ./internal/acmatch ./internal/hwfunc ./internal/harness
 # -fuzzminimizetime for the reason above: 33 k executions in 10 s without it, 165 k with.
 go test -run '^$' -fuzz FuzzLanesVsNaive -fuzztime 10s -fuzzminimizetime 10x ./internal/acmatch
 
 echo "==> telemetry smoke (stage clock, zero-alloc budget, exporter golden)"
-go test -run 'Telemetry|ServeMetricsGolden|WritePrometheus|ExporterHalfRequest' -count=1 \
+targeted -run 'Telemetry|ServeMetricsGolden|WritePrometheus|ExporterHalfRequest' -count=1 \
     ./internal/core ./internal/telemetry .
 
 echo "==> control-plane smoke (serve, manage via dhl-inspect, scrape, shutdown)"
