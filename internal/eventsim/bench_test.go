@@ -19,6 +19,24 @@ func BenchmarkEventLoop(b *testing.B) {
 	s.RunAll()
 }
 
+// BenchmarkQuietStep measures a 1 us Run step with nothing due, the step a
+// Table II caller takes while a burst is out: two declared loops on empty
+// inputs, as a runtime's transfer cores.
+func BenchmarkQuietStep(b *testing.B) {
+	s := New()
+	for i := 0; i < 2; i++ {
+		loop := NewPollLoop(s, NewCore(s, i, 0, 2.1e9), 60, func() (float64, func()) { return 0, nil })
+		loop.Watch(nothing{})
+		loop.Start()
+	}
+	s.Run(Microsecond)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Run(s.Now() + Microsecond)
+	}
+}
+
 // BenchmarkPollLoop measures the poll-loop actor overhead.
 func BenchmarkPollLoop(b *testing.B) {
 	s := New()

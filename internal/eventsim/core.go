@@ -44,20 +44,35 @@ func (c *Core) Cycles(d Time) float64 {
 	return float64(d) * c.hz / 1e12
 }
 
-// FreeAt reports when the core finishes all currently queued work.
-func (c *Core) FreeAt() Time { return c.freeAt }
+// FreeAt reports when the core finishes all currently queued work. Read
+// after Run(until) returns, that includes the idle polls up to until of a
+// loop parked on the core.
+func (c *Core) FreeAt() Time {
+	c.sim.landOn(c)
+	return c.freeAt
+}
 
-// Utilization reports the fraction of [0, horizon] this core spent busy.
+// Utilization reports the fraction of [0, horizon] this core spent busy,
+// idle polls included as FreeAt has them.
 func (c *Core) Utilization(horizon Time) float64 {
 	if horizon <= 0 {
 		return 0
 	}
-	return float64(c.busy) / float64(horizon)
+	return float64(c.busyTime()) / float64(horizon)
+}
+
+// busyTime is the core's busy time as Utilization reads it.
+func (c *Core) busyTime() Time {
+	c.sim.landOn(c)
+	return c.busy
 }
 
 // Exec occupies the core for "cycles" cycles starting no earlier than now,
 // then invokes done (which may be nil). It returns the completion time.
 func (c *Core) Exec(cycles float64, done func()) Time {
+	if c.sim.deferTo != 0 {
+		c.sim.landOn(c)
+	}
 	start := c.sim.Now()
 	if c.freeAt > start {
 		start = c.freeAt
@@ -117,8 +132,10 @@ const maxWatched = 2
 //
 // Every poll is accounted for — virtual time, the core's busy time,
 // Iterations — but the body only runs when it could see something new
-// (see PollBody). Iterations, Core.FreeAt and Core.Utilization read after
-// Run(until) returns include every idle poll up to until.
+// (see PollBody). Iterations, Core.FreeAt, Core.Utilization and
+// Sim.PollsSkipped read after Run(until) returns include every idle poll up
+// to until; after a Run with nothing due they are what bring that
+// accounting up to date, so reading them costs a division the Run did not.
 type PollLoop struct {
 	sim        *Sim
 	core       *Core
@@ -168,12 +185,24 @@ func (p *PollLoop) Start() {
 func (p *PollLoop) Stop() {
 	p.stopped = true
 	if p.parked {
+		p.land()
 		p.sim.unpark(p)
 	}
 }
 
-// Iterations reports how many poll iterations have run.
-func (p *PollLoop) Iterations() uint64 { return p.iterations }
+// Iterations reports how many poll iterations have run; read after
+// Run(until) returns, every idle poll up to until.
+func (p *PollLoop) Iterations() uint64 {
+	p.land()
+	return p.iterations
+}
+
+// land brings a loop a quiet Run left behind to where it is (Sim.hush).
+func (p *PollLoop) land() {
+	if p.parked && p.nextAt < p.sim.deferTo {
+		p.sim.land(p)
+	}
+}
 
 // Watch declares what the body reads: from now on an idle result stands
 // until one of inputs (and of those declared before) has been produced

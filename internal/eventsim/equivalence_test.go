@@ -2,6 +2,7 @@ package eventsim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -177,10 +178,40 @@ func (sc *scenario) log(r rec) { sc.trace = append(sc.trace, r) }
 // probe records what a reader of the loops' accounting sees right now.
 func (sc *scenario) probe(tag string) {
 	for _, st := range sc.stages {
-		sc.log(rec{sc.sim.Now(), tag, st.id, int64(st.loop.Iterations()), int64(st.core.busy)})
+		// busyTime lands the core's loop itself: Go leaves the order of a
+		// bare field read and a call in one composite literal unspecified.
+		sc.log(rec{sc.sim.Now(), tag, st.id, int64(st.loop.Iterations()), int64(st.core.busyTime())})
 		sc.log(rec{sc.sim.Now(), tag + "-free", st.id, int64(st.core.FreeAt()), int64(st.inbox)})
 	}
 }
+
+// read is one reader of a loop's accounting, issued between two Run calls,
+// in a posted function or in an event; after a quiet Run each has to land
+// the loops it reads (Sim.hush).
+func (sc *scenario) read(st *stage, what int) {
+	now := sc.sim.Now()
+	switch what {
+	case 0:
+		sc.log(rec{now, "iterations", st.id, int64(st.loop.Iterations()), 0})
+	case 1:
+		sc.log(rec{now, "free-at", st.id, int64(st.core.FreeAt()), 0})
+	case 2:
+		u := st.core.Utilization(now + Microsecond)
+		sc.log(rec{now, "utilization", st.id, int64(math.Float64bits(u)), 0})
+	case 3:
+		// Only the lazy loop skips, so the count itself differs; what it
+		// lands shows in the raw fields read after it.
+		sc.sim.PollsSkipped()
+		sc.log(rec{now, "skipped", st.id, int64(st.core.busy), int64(st.core.freeAt)})
+	default:
+		// Somebody else borrows the loop's core.
+		sc.log(rec{now, "exec", st.id, int64(st.core.Exec(float64(1+st.id%7), nil)), 0})
+	}
+}
+
+// numReads is how many kinds of read there are. Stop, which lands a loop
+// too, has cases of its own.
+const numReads = 5
 
 // A scenario's kind is the top two bits of its seed; every random choice
 // is drawn from the whole seed. In each kind a random two thirds of the
@@ -196,6 +227,10 @@ const (
 	// kindRetuned: every stage stages, and timeouts are shortened from
 	// outside under held items, in events and between slices.
 	kindRetuned
+	// kindQuiet: long runs of back-to-back 1 us steps with nothing between
+	// them, as an NF developer waits for a burst, so that most steps find
+	// nothing due; now and then something happens between two of them.
+	kindQuiet
 	numKinds
 )
 
@@ -273,7 +308,7 @@ func runScenario(seed uint64, lazy bool) []rec {
 	}
 	timer := sim.NewTimer(produce("timer", rng.Intn(n), 1))
 	events := 5 + rng.Intn(120)
-	if kind == kindStepped {
+	if kind == kindStepped || kind == kindQuiet {
 		events /= 8
 	}
 	for ; events > 0; events-- {
@@ -330,22 +365,49 @@ func runScenario(seed uint64, lazy bool) []rec {
 			if st.stages {
 				sim.At(when(), st.retune)
 			}
+		case 13:
+			what := rng.Intn(numReads)
+			sim.At(when(), func() { sc.read(st, what) })
 		}
 	}
 
+	// soon draws the time of an event scheduled from outside Run: mostly on
+	// the half-nanosecond grid within a few steps, where the loops a quiet
+	// step left behind land.
+	soon := func() Time {
+		if rng.Intn(5) == 0 {
+			return sim.Now() + Time(rng.Int63n(int64(4*Microsecond)))
+		}
+		return sim.Now() + Time(rng.Intn(8000))*Nanosecond/2
+	}
 	// Run in uneven slices, changing state between them the way callers of
-	// SendPackets, serve.go's paced loop and tests do.
+	// SendPackets, serve.go's paced loop and tests do. A reader of the
+	// loops' accounting lands them, so the probe reads after only some
+	// slices: after every one, nothing but the probe would ever land a loop
+	// a quiet step left behind.
 	span := horizon / 4
 	if kind == kindStepped {
 		span = 2 * Microsecond
 	}
 	for sim.Now() < horizon {
 		until := sim.Now() + Time(1+rng.Int63n(int64(span)))
+		if kind == kindQuiet {
+			until = sim.Now() + Microsecond
+			if rng.Intn(16) == 0 { // a horizon already passed: nothing moves
+				until = sim.Now() - Time(rng.Intn(4000))*Nanosecond/2
+			}
+		}
 		sim.Run(until)
-		sc.probe("slice")
+		if rng.Intn(3) == 0 {
+			sc.probe("slice")
+		}
+		if kind == kindQuiet && rng.Intn(8) != 0 {
+			continue
+		}
 		target := rng.Intn(n)
-		c := rng.Intn(6)
-		if kind == kindStepped && c >= 3 {
+		st := sc.stages[target]
+		c := rng.Intn(10)
+		if kind == kindStepped && c >= 3 && c < 6 {
 			c = 0
 		}
 		switch c {
@@ -360,12 +422,22 @@ func runScenario(seed uint64, lazy bool) []rec {
 			<-posted
 		case 2:
 			if rng.Intn(4) == 0 {
-				sc.stages[target].loop.Stop()
+				st.loop.Stop()
 			}
 		case 3:
-			if st := sc.stages[target]; st.stages {
+			if st.stages {
 				st.retune()
 			}
+		case 4:
+			sim.At(soon(), produce("outside", target, 1))
+		case 5:
+			at := soon()
+			sim.Post(func() { sim.At(at, produce("posted-at", target, 1)) })
+		case 6, 7:
+			sc.read(st, rng.Intn(numReads))
+		case 8:
+			what := rng.Intn(numReads)
+			sim.Post(func() { sc.read(st, what) })
 		}
 	}
 	sc.log(rec{sim.Now(), "end", 0, 0, 0})

@@ -108,6 +108,14 @@ type Sim struct {
 	settled  uint64 // executed when settle last looked at them
 	skipped  uint64
 
+	// Quiet stretches (see hush). A parked loop short of deferTo, when that
+	// is not zero, is at its first poll at or after it, and its nextAt,
+	// iterations and core have yet to follow; its seq already is that
+	// poll's. The last quiet pass that drew seqs drew (hushFrom, hushTo].
+	deferTo  Time
+	hushFrom uint64
+	hushTo   uint64
+
 	// External mailbox (Post). postPending lets Run's inner loop check for
 	// posted work with a single atomic load per event, so the data path
 	// never takes the mutex unless someone actually posted.
@@ -132,7 +140,11 @@ func (s *Sim) Processed() uint64 { return s.nEvents }
 
 // PollsSkipped reports how many idle poll iterations were accounted for
 // (time, core utilization, PollLoop.Iterations) without running the body.
-func (s *Sim) PollsSkipped() uint64 { return s.skipped }
+// Read after Run(until) returns, it includes every idle poll up to until.
+func (s *Sim) PollsSkipped() uint64 {
+	s.landAll()
+	return s.skipped
+}
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // is clamped to "now": the event runs before any later-scheduled work.
@@ -273,6 +285,14 @@ func (s *Sim) Run(until Time) uint64 {
 			if s.watching != 0 && s.settled != s.executed {
 				s.settle()
 			}
+			if s.quiet(until) {
+				s.hush(until)
+				break
+			}
+			if s.deferTo != 0 {
+				s.landAll()
+				continue
+			}
 			if p.clean() {
 				if !s.skip(p, until) {
 					break
@@ -282,6 +302,9 @@ func (s *Sim) Run(until Time) uint64 {
 			s.now = p.nextAt
 			p.iterate()
 		} else if len(s.events) > 0 && s.events[0].at <= until {
+			if s.deferTo != 0 {
+				s.landAll()
+			}
 			ev := s.pop()
 			s.now = ev.at
 			s.executed++
@@ -436,4 +459,119 @@ func (s *Sim) skip(p *PollLoop, until Time) bool {
 	s.seq++
 	p.nextAt, p.seq = land, s.seq
 	return true
+}
+
+// --- Quiet stretches ------------------------------------------------------
+//
+// When nothing is due at or before until, skip would move every parked loop
+// that is due to its first poll after until, one fresh seq each. hush draws
+// those seqs in the order the skips would, but leaves where the loops land
+// (and the divisions that says) for whoever needs it: Sim.deferTo becomes
+// until+1, and a parked loop short of it lands later, on its first poll at
+// or after it, with the same accounting. See DESIGN.md, "Lazy idle polls".
+
+// quiet reports whether nothing is due at or before until: no heap event,
+// and every parked loop due by then clean with its deadline after until. A
+// loop short of deferTo counts as due (where it lands is not looked at);
+// its deadline and stamp are its own either way. Work posted since Run last
+// drained the mailbox waits for the next Run, as it would behind skips.
+func (s *Sim) quiet(until Time) bool {
+	if len(s.events) > 0 && s.events[0].at <= until {
+		return false
+	}
+	for _, q := range s.parked[:s.nParked] {
+		if q.nextAt <= until && (q.stamp != s.executed || q.wakeBy <= until || until >= never-q.period) {
+			return false
+		}
+	}
+	return true
+}
+
+// hush ends a quiet Run: it gives every parked loop due by until the seq
+// skip would leave it with and defers its landing to until+1. A horizon
+// already passed keeps the later deferTo, which every loop due by until is
+// short of.
+//
+// The skips would move a same-phase peer that is ahead first, then go in
+// seq order (rule 2), and draw above every pending event. If the last pass
+// drew the seqs of all the loops due now and nothing has drawn one since,
+// they already are in that order and above every pending event, and hush
+// draws nothing.
+func (s *Sim) hush(until Time) {
+	if !s.stillHushed(until) {
+		s.redraw(until)
+	}
+	s.deferTo = max(s.deferTo, until+1)
+}
+
+// stillHushed reports whether the last pass that drew seqs drew those of
+// every loop due by until, and nothing has drawn one since.
+func (s *Sim) stillHushed(until Time) bool {
+	if s.seq != s.hushTo {
+		return false
+	}
+	for _, q := range s.parked[:s.nParked] {
+		if q.nextAt <= until && q.seq <= s.hushFrom {
+			return false
+		}
+	}
+	return true
+}
+
+// redraw lands every loop and draws a fresh seq for each loop due by
+// until: the one furthest ahead first, equal instants in seq order.
+// Across loops that never share an instant the order does not matter, so
+// one order serves every group of same-phase peers at once.
+func (s *Sim) redraw(until Time) {
+	s.landAll()
+	s.hushFrom = s.seq
+	for {
+		var next *PollLoop
+		for _, q := range s.parked[:s.nParked] {
+			if q.nextAt <= until && q.seq <= s.hushFrom &&
+				(next == nil || q.nextAt > next.nextAt || q.nextAt == next.nextAt && q.seq < next.seq) {
+				next = q
+			}
+		}
+		if next == nil {
+			break
+		}
+		s.seq++
+		next.seq = s.seq
+	}
+	s.hushTo = s.seq
+}
+
+// land moves parked loop p, short of deferTo, to its first poll at or after
+// it and accounts for the polls it passes, as skip does.
+func (s *Sim) land(p *PollLoop) {
+	d := p.period
+	k := (s.deferTo - p.nextAt + d - 1) / d
+	p.iterations += uint64(k)
+	p.core.busy += k * d
+	p.nextAt += k * d
+	p.core.freeAt = p.nextAt
+	s.skipped += uint64(k)
+}
+
+// landAll lands every parked loop and ends the deferral.
+func (s *Sim) landAll() {
+	if s.deferTo == 0 {
+		return
+	}
+	for _, q := range s.parked[:s.nParked] {
+		if q.nextAt < s.deferTo {
+			s.land(q)
+		}
+	}
+	s.deferTo = 0
+}
+
+// landOn lands the loops parked on c.
+func (s *Sim) landOn(c *Core) {
+	for _, q := range s.parked[:s.nParked] {
+		if q.core == c && q.nextAt < s.deferTo {
+			s.land(q)
+		}
+	}
 }

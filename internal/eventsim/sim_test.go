@@ -296,6 +296,151 @@ func TestPollLoopSkippedPollsAreAccounted(t *testing.T) {
 	}
 }
 
+// nothing is an Input nobody ever produces into.
+type nothing struct{}
+
+func (nothing) Produced() uint64 { return 0 }
+
+// A Run with nothing due leaves the idle loops' accounting where it was
+// (Sim.hush). Read only after 1 000 such steps, and again after somebody
+// borrowed a core, it must still be every poll up to until.
+func TestPollLoopQuietStepsAreAccounted(t *testing.T) {
+	s := New()
+	cores := []*Core{NewCore(s, 0, 0, 1e9), NewCore(s, 1, 0, 1e9)}
+	idle := func() (float64, func()) { return 0, nil }
+	declared, undeclared := NewPollLoop(s, cores[0], 10, idle), NewPollLoop(s, cores[1], 10, idle)
+	declared.Watch(nothing{})
+	declared.Start()
+	undeclared.Start()
+	steps := func() {
+		for i := 0; i < 1000; i++ {
+			s.Run(s.Now() + Microsecond)
+		}
+	}
+	check := func(when string, l *PollLoop, c *Core, iterations uint64, freeAt Time) {
+		t.Helper()
+		if got := l.Iterations(); got != iterations {
+			t.Errorf("%s: core %d: %d iterations, want %d", when, c.ID(), got, iterations)
+		}
+		if got := c.FreeAt(); got != freeAt {
+			t.Errorf("%s: core %d free at %v, want %v", when, c.ID(), got, freeAt)
+		}
+		if u := c.Utilization(freeAt); u != 1 {
+			t.Errorf("%s: core %d: utilization %v, want 1", when, c.ID(), u)
+		}
+	}
+
+	// Polls at 0, 10, ... ns on both cores, every one up to 1 000 us: the
+	// declared loop's body ran at the first, the undeclared loop's at the
+	// first poll of every Run.
+	steps()
+	if got, want := s.PollsSkipped(), uint64(2*100001-1-1000); got != want {
+		t.Errorf("after 1 000 steps: %d polls skipped, want %d", got, want)
+	}
+	check("after 1 000 steps", declared, cores[0], 100001, 1000010*Nanosecond)
+	check("after 1 000 steps", undeclared, cores[1], 100001, 1000010*Nanosecond)
+	if s.Processed() != 1001 {
+		t.Errorf("after 1 000 steps: %d events, want 1 001 body runs", s.Processed())
+	}
+
+	// One more quiet step, then somebody borrows core 0 for 5 ns behind its
+	// poll at 1 001.010 us. That poll runs the body, finds the core busy and
+	// polls again through the heap at 1 001.025 us (an event, which runs
+	// the undeclared loop's body once more); from there on 10 ns apart, so
+	// by 2 001 us core 0 has polled 100 101 + 1 + 99 998 times and is free
+	// at 2 001.005 us, busy for all of it.
+	s.Run(s.Now() + Microsecond)
+	if got := cores[0].Exec(5, nil); got != 1001015*Nanosecond {
+		t.Errorf("borrowing core 0 after a quiet step: done at %v, want 1001.015us", got)
+	}
+	steps()
+	// PollsSkipped first this time: it lands both loops itself. Bodies run:
+	// the declared loop's 3, the undeclared loop's 1 per Run and 1 more.
+	if got, want := s.PollsSkipped(), uint64(200100+200101-(3+2002)); got != want {
+		t.Errorf("after the borrow: %d polls skipped, want %d", got, want)
+	}
+	check("after the borrow", declared, cores[0], 200100, 2001005*Nanosecond)
+	check("after the borrow", undeclared, cores[1], 200101, 2001010*Nanosecond)
+
+	// With the undeclared loop stopped every step is quiet: one whose polls
+	// land next to the end of time, then horizons too close to it to land a
+	// poll behind. Nothing overflows.
+	undeclared.Stop()
+	s.Run(never - 20*Nanosecond)
+	if f := cores[0].FreeAt(); f < never-20*Nanosecond || f > never-10*Nanosecond {
+		t.Errorf("Run(never-20ns): core 0 free at %d", f)
+	}
+	before := declared.Iterations()
+	s.Run(never - 1)
+	s.RunAll()
+	if declared.Iterations() > before+1 || cores[0].FreeAt() < 0 {
+		t.Errorf("Run(never-1), RunAll: %d iterations, free at %d", declared.Iterations(), cores[0].FreeAt())
+	}
+}
+
+// inbox is what a declared loop in the tests below watches: put grows it,
+// and its loop's body takes everything and notes when.
+type inbox struct {
+	n, produced uint64
+	seen        []Time
+	loop        *PollLoop
+}
+
+func newInbox(s *Sim, core *Core) *inbox {
+	in := &inbox{}
+	in.loop = NewPollLoop(s, core, 10, func() (float64, func()) {
+		if in.n == 0 {
+			return 0, nil
+		}
+		in.n = 0
+		in.seen = append(in.seen, s.Now())
+		return 1, nil
+	})
+	in.loop.Watch(in)
+	return in
+}
+
+func (in *inbox) Produced() uint64 { return in.produced }
+func (in *inbox) put()             { in.n++; in.produced++ }
+
+// A quiet step draws nothing only if the last one drew the seqs of every
+// loop due now and nobody has drawn one since. Each half of that has a
+// counter-example: a loop at a poll instant an event was scheduled for
+// after the loop's seq was drawn must poll after the event, as the poll
+// that scheduled it ran after the event was scheduled.
+func TestQuietStepOrdersLoopsBehindLaterEvents(t *testing.T) {
+	// An event scheduled between two Run calls for where a deferred loop
+	// lands: polls at 0, 10, ... ns, the event at 120 ns, Run(100ns) and
+	// Run(110ns) both quiet.
+	s := New()
+	in := newInbox(s, NewCore(s, 0, 0, 1e9))
+	in.loop.Start()
+	s.Run(100 * Nanosecond)
+	s.At(120*Nanosecond, in.put)
+	s.Run(110 * Nanosecond)
+	s.Run(200 * Nanosecond)
+	if len(in.seen) != 1 || in.seen[0] != 120*Nanosecond {
+		t.Errorf("event scheduled between steps: the loop found it at %v, want at 120ns", in.seen)
+	}
+
+	// A loop the last quiet pass did not move, because it was not due yet,
+	// behind an event scheduled after its seq was drawn: polls at 5, 15,
+	// ... ns, the event scheduled at 97 ns for 115 ns, Run(100ns) quiet
+	// from 100 ns on (the loop is at 105 ns) and Run(110ns) quiet.
+	s = New()
+	ahead := newInbox(s, NewCore(s, 0, 0, 1e9))
+	late := newInbox(s, NewCore(s, 1, 0, 1e9))
+	ahead.loop.Start()
+	s.At(5*Nanosecond, late.loop.Start)
+	s.At(97*Nanosecond, func() { s.At(115*Nanosecond, late.put) })
+	s.Run(100 * Nanosecond)
+	s.Run(110 * Nanosecond)
+	s.Run(200 * Nanosecond)
+	if len(late.seen) != 1 || late.seen[0] != 115*Nanosecond {
+		t.Errorf("loop not moved by the last quiet step: it found the event's item at %v, want at 115ns", late.seen)
+	}
+}
+
 // A deadline declared with WakeBy brings the body back without any event.
 func TestPollLoopWakeBy(t *testing.T) {
 	s := New()

@@ -42,6 +42,27 @@ func TestAllocFreeZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestAllocFreeBulkZeroAllocs is the same gate for the batch calls.
+func TestAllocFreeBulkZeroAllocs(t *testing.T) {
+	p := newPool(t, 256)
+	bufs := make([]*Mbuf, 64)
+	cycle := func() {
+		if err := p.AllocBulk(bufs); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.FreeBulk(bufs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle()
+	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+		t.Errorf("bulk alloc/free churn allocates %.1f objects per cycle, want 0", avg)
+	}
+	if p.InUse() != 0 {
+		t.Errorf("%d mbufs leaked", p.InUse())
+	}
+}
+
 // heapDelta runs f and reports the heap objects and bytes it allocated,
 // with the collector off and one P, as testing.AllocsPerRun has it: a
 // collection that starts inside f adds objects of the runtime's own.

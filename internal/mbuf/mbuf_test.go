@@ -133,6 +133,48 @@ func TestAllocBulkAllOrNothing(t *testing.T) {
 	}
 }
 
+// FreeBulk stops at the first error and keeps what it freed before it: a
+// repeat in the batch is a double free, and everything ahead of it is back
+// in the pool.
+func TestFreeBulkStopsAtDoubleFree(t *testing.T) {
+	p := newPool(t, 3)
+	a, _ := p.Alloc()
+	b, _ := p.Alloc()
+	if _, err := p.Alloc(); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.FreeBulk([]*Mbuf{nil, a, b, a}); !errors.Is(err, ErrDoubleFree) {
+		t.Errorf("FreeBulk([a, b, a]) = %v, want ErrDoubleFree", err)
+	}
+	if p.Available() != 2 {
+		t.Errorf("available %d after FreeBulk([a, b, a]), want 2: a and b", p.Available())
+	}
+	if _, frees, _ := p.Stats(); frees != 2 {
+		t.Errorf("%d frees counted, want 2", frees)
+	}
+}
+
+func TestFreeBulkStopsAtForeign(t *testing.T) {
+	p := newPool(t, 3)
+	other := newPool(t, 1)
+	batch := make([]*Mbuf, 4)
+	if err := p.AllocBulk(batch[:2]); err != nil {
+		t.Fatal(err)
+	}
+	batch[2], _ = other.Alloc()
+	batch[3], _ = p.Alloc()
+	if err := p.FreeBulk(batch); !errors.Is(err, ErrForeignMbuf) {
+		t.Errorf("FreeBulk with a foreign mbuf at index 2 = %v, want ErrForeignMbuf", err)
+	}
+	if p.Available() != 2 || batch[0].RefCnt() != 0 || batch[1].RefCnt() != 0 || batch[3].RefCnt() != 1 {
+		t.Errorf("available %d, refcounts %d %d _ %d: want exactly indexes 0 and 1 freed",
+			p.Available(), batch[0].RefCnt(), batch[1].RefCnt(), batch[3].RefCnt())
+	}
+	if batch[2].RefCnt() != 1 || other.Available() != 0 {
+		t.Error("FreeBulk touched the foreign mbuf")
+	}
+}
+
 func TestAppendPrependTrimAdj(t *testing.T) {
 	p := newPool(t, 1)
 	m, _ := p.Alloc()
@@ -227,6 +269,23 @@ func TestConcurrentAllocFree(t *testing.T) {
 				}
 				_ = m.AppendBytes([]byte{1, 2, 3})
 				if err := p.Free(m); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	// Half as many again take and return theirs in batches.
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			batch := make([]*Mbuf, 8)
+			for i := 0; i < 1000; i++ {
+				if err := p.AllocBulk(batch); err != nil {
+					continue
+				}
+				if err := p.FreeBulk(batch); err != nil {
 					t.Error(err)
 					return
 				}

@@ -180,6 +180,13 @@ func (p *Pool) Free(m *Mbuf) error {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	return p.freeLocked(m)
+}
+
+// freeLocked is Free's body for a non-nil m, with p.mu held.
+//
+//dhl:hotpath
+func (p *Pool) freeLocked(m *Mbuf) error {
 	if m.pool != p {
 		return ErrForeignMbuf
 	}
@@ -206,12 +213,18 @@ func (p *Pool) cacheReturn(m *Mbuf) {
 	p.frees++
 }
 
-// FreeBulk frees a batch, stopping at the first error.
+// FreeBulk frees a batch under one lock, skipping nil entries and stopping
+// at the first error: what came before it stays freed.
 //
 //dhl:hotpath
 func (p *Pool) FreeBulk(ms []*Mbuf) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	for _, m := range ms {
-		if err := p.Free(m); err != nil {
+		if m == nil {
+			continue
+		}
+		if err := p.freeLocked(m); err != nil {
 			return err
 		}
 	}

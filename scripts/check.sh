@@ -80,9 +80,28 @@ targeted -short -run 'Tuner|AutoTune|Pressure|CopySince|PerAccTuning|AccBatch' -
     ./internal/tuner ./internal/core ./internal/telemetry .
 
 echo "==> event-engine equivalence (lazy idle polls vs a naive poll loop, event budgets, 10 s fuzz)"
-targeted -run 'PollLoopEquivalence|EventBudget|FlushTimeoutPoke|PoolHotSlab|SetupBytesOpen' -count=1 \
+targeted -run 'PollLoopEquivalence|QuietStep|EventBudget|FlushTimeoutPoke|PoolHotSlab|FreeBulk|SetupBytesOpen' -count=1 \
     ./internal/eventsim ./internal/harness ./internal/core ./internal/mbuf .
 go test -run '^$' -fuzz FuzzPollLoopEquivalence -fuzztime 10s ./internal/eventsim
+
+echo "==> equivalence coverage floor (every function of the quiet-step path at 100 %)"
+# The sweep checks the quiet path (Sim.hush) only where its scenarios leave
+# loops deferred between two reads; with a probe after every slice it
+# passed while landAll never found a loop to land.
+cover_out=$(mktemp)
+go test -short -count=1 -run '^TestPollLoopEquivalence$' -coverprofile "$cover_out" ./internal/eventsim
+cover_func=$(go tool cover -func "$cover_out")
+rm -f "$cover_out"
+floor_failed=""
+for fn in sim.go:quiet sim.go:hush sim.go:stillHushed sim.go:redraw \
+    sim.go:land sim.go:landAll sim.go:landOn core.go:land; do
+    pct=$(awk -v file="/${fn%%:*}:" -v name="${fn#*:}" 'index($1, file) && $2 == name { print $3 }' <<<"$cover_func")
+    if [[ "$pct" != "100.0%" ]]; then
+        echo "check.sh: TestPollLoopEquivalence -short covers ${pct:-nothing} of $fn, want 100.0%" >&2
+        floor_failed=1
+    fi
+done
+[[ -z "$floor_failed" ]] || exit 1
 
 echo "==> ipsec crypto kernel (reference equivalence, 0-alloc gates, 10 s fuzz)"
 targeted -run 'MatchesReference|ZeroAlloc|AllocBudget' -count=1 ./internal/swcrypto ./internal/hwfunc ./internal/harness
