@@ -8,7 +8,7 @@
 // built-in map cannot deliver together:
 //
 //   - Zero-allocation hit paths. Lookup and Insert of an existing flow
-//     touch only preallocated parallel arrays; they are `//dhl:hotpath`
+//     touch only the preallocated slab and index; they are `//dhl:hotpath`
 //     annotated and the escapecheck gate proves nothing escapes.
 //   - Bounded memory. The table refuses to grow past MemBudgetBytes;
 //     at capacity it evicts the entry closest to expiry (pressure
@@ -19,9 +19,10 @@
 //     per packet instead of a multi-millisecond stop-the-world rehash
 //     in the middle of a line-rate burst.
 //
-// Layout: entries live in a slab of parallel arrays (keys, vals,
-// hashes, deadlines, intrusive wheel links) indexed by a stable int32
-// entry index; the hash index is a flat []int32 of entry indexes with
+// Layout: entries live in one slab of slots (key, value, deadline and
+// the two intrusive wheel links; no stored hash) indexed by a stable
+// int32 entry index, so a firewall verdict or a NAT binding is one
+// 32-byte slot. The hash index is a flat []int32 of entry indexes with
 // linear probing, sized 2x the slab so load never exceeds 50%. Expiry
 // is a timer wheel of WheelSlots buckets of granularity TTL/slots; each
 // entry sits in the doubly-linked list of the slot holding its
@@ -48,7 +49,7 @@ var (
 const (
 	emptySlot = int32(-1) // index bucket: no entry
 	deadSlot  = int32(-2) // index bucket: tombstone (draining old index only)
-	freeMark  = int32(-3) // prev[] sentinel: entry is on the freelist
+	freeMark  = int32(-3) // entry.prev sentinel: entry is on the freelist
 
 	// migrateStep bounds the per-insert incremental rehash work.
 	migrateStep = 32
@@ -114,6 +115,17 @@ type Stats struct {
 	FullDrops       uint64 `json:"full_drops"`       // inserts refused with ErrTableFull
 }
 
+// entry is one slab slot. The hash is not stored: the few paths that
+// need it without the key in hand (erase, backshift, migration)
+// recompute it.
+type entry[K comparable, V any] struct {
+	key      K
+	val      V
+	deadline eventsim.Time
+	next     int32 // wheel forward link, or freelist link when free
+	prev     int32 // wheel back link, or freeMark when free
+}
+
 // Table is an open-addressing flow table. Not safe for concurrent use:
 // confine it to one core, per the DHL threading model (one NF thread
 // owns its flow state).
@@ -123,15 +135,10 @@ type Table[K comparable, V any] struct {
 	clock   func() eventsim.Time
 	onEvict func(K, *V)
 
-	// Entry slab: parallel arrays indexed by a stable int32 entry
-	// index. Growth copies eagerly so indexes (and wheel links) stay
-	// valid; only the hash index rehashes incrementally.
-	keys     []K
-	vals     []V
-	hashes   []uint64
-	deadline []eventsim.Time
-	next     []int32 // wheel forward link, or freelist link when free
-	prev     []int32 // wheel back link, or freeMark when free
+	// Entry slab indexed by a stable int32 entry index. Growth copies
+	// eagerly so indexes (and wheel links) stay valid; only the hash
+	// index rehashes incrementally.
+	slab     []entry[K, V]
 	freeHead int32
 	live     int
 
@@ -157,7 +164,7 @@ type Table[K comparable, V any] struct {
 
 	maxEntries int
 	budget     int
-	entryBytes int // slab bytes per entry (for budget math)
+	entryBytes int // slab bytes per entry, unsafe.Sizeof(entry[K, V]{})
 
 	stats Stats
 }
@@ -185,10 +192,7 @@ func New[K comparable, V any](cfg Config[K, V]) (*Table[K, V], error) {
 		ttl:      cfg.TTL,
 		freeHead: emptySlot,
 	}
-	var k K
-	var v V
-	// Per-entry slab bytes: key + value + hash + deadline + two links.
-	t.entryBytes = int(unsafe.Sizeof(k)) + int(unsafe.Sizeof(v)) + 8 + 8 + 4 + 4
+	t.entryBytes = int(unsafe.Sizeof(entry[K, V]{}))
 	if cfg.MaxEntries > 0 {
 		t.maxEntries = floorPow2(cfg.MaxEntries)
 	}
@@ -233,26 +237,14 @@ func New[K comparable, V any](cfg Config[K, V]) (*Table[K, V], error) {
 //
 //go:noinline
 func (t *Table[K, V]) allocSlab(capacity int) {
-	old := len(t.keys)
-	keys := make([]K, capacity)
-	copy(keys, t.keys)
-	vals := make([]V, capacity)
-	copy(vals, t.vals)
-	hashes := make([]uint64, capacity)
-	copy(hashes, t.hashes)
-	deadline := make([]eventsim.Time, capacity)
-	copy(deadline, t.deadline)
-	next := make([]int32, capacity)
-	copy(next, t.next)
-	prev := make([]int32, capacity)
-	copy(prev, t.prev)
+	slab := make([]entry[K, V], capacity)
+	old := copy(slab, t.slab)
 	for i := capacity - 1; i >= old; i-- {
-		next[i] = t.freeHead
-		prev[i] = freeMark
+		slab[i].next = t.freeHead
+		slab[i].prev = freeMark
 		t.freeHead = int32(i)
 	}
-	t.keys, t.vals, t.hashes, t.deadline, t.next, t.prev =
-		keys, vals, hashes, deadline, next, prev
+	t.slab = slab
 }
 
 // newIndex allocates an index of n buckets, all empty.
@@ -273,12 +265,12 @@ func (t *Table[K, V]) Name() string { return t.name }
 func (t *Table[K, V]) Len() int { return t.live }
 
 // Cap reports the current slab capacity.
-func (t *Table[K, V]) Cap() int { return len(t.keys) }
+func (t *Table[K, V]) Cap() int { return len(t.slab) }
 
 // MemBytes reports the bytes currently allocated by the table: slab,
 // hash index(es), and wheel. This is what the memory budget bounds.
 func (t *Table[K, V]) MemBytes() int {
-	return t.memAt(len(t.keys), len(t.idx), len(t.oldIdx), len(t.wheel))
+	return t.memAt(len(t.slab), len(t.idx), len(t.oldIdx), len(t.wheel))
 }
 
 func (t *Table[K, V]) memAt(slab, idx, oldIdx, wheel int) int {
@@ -289,7 +281,7 @@ func (t *Table[K, V]) memAt(slab, idx, oldIdx, wheel int) int {
 func (t *Table[K, V]) TabStats() Stats {
 	s := t.stats
 	s.Entries = uint64(t.live)
-	s.Capacity = uint64(len(t.keys))
+	s.Capacity = uint64(len(t.slab))
 	s.MemBytes = uint64(t.MemBytes())
 	return s
 }
@@ -307,7 +299,7 @@ func (t *Table[K, V]) Lookup(k K) (*V, bool) {
 	}
 	t.stats.Hits++
 	t.touch(e)
-	return &t.vals[e], true
+	return &t.slab[e].val, true
 }
 
 // Peek finds the entry for k without refreshing its deadline — for
@@ -321,22 +313,21 @@ func (t *Table[K, V]) Peek(k K) (*V, bool) {
 		return nil, false
 	}
 	t.stats.Hits++
-	return &t.vals[e], true
+	return &t.slab[e].val, true
 }
 
 // Insert finds or creates the entry for k. found reports whether the
-// flow already existed; when false the value is freshly zeroed. At the
-// memory budget the table pressure-evicts the entry closest to expiry;
-// with no wheel it refuses with ErrTableFull. The pointer is valid
-// until the next Insert.
+// flow already existed (counted in neither Lookups nor Hits); when false
+// the value is freshly zeroed. At the memory budget the table
+// pressure-evicts the entry closest to expiry; with no wheel it refuses
+// with ErrTableFull. The pointer is valid until the next Insert.
 //
 //dhl:hotpath
 func (t *Table[K, V]) Insert(k K) (v *V, found bool, err error) {
 	h := t.hash(k)
 	if e := t.find(h, k); e >= 0 {
-		t.stats.Hits++
 		t.touch(e)
-		return &t.vals[e], true, nil
+		return &t.slab[e].val, true, nil
 	}
 	t.migrateSome()
 	if t.freeHead == emptySlot {
@@ -346,22 +337,18 @@ func (t *Table[K, V]) Insert(k K) (v *V, found bool, err error) {
 		}
 	}
 	e := t.freeHead
-	t.freeHead = t.next[e]
-	t.keys[e] = k
-	var zero V
-	t.vals[e] = zero
-	t.hashes[e] = h
-	t.prev[e] = emptySlot
-	t.next[e] = emptySlot
+	en := &t.slab[e]
+	t.freeHead = en.next
+	*en = entry[K, V]{key: k, next: emptySlot, prev: emptySlot}
 	t.live++
 	t.stats.Inserts++
 	if t.wheel != nil {
 		d := t.clock() + t.ttl
-		t.deadline[e] = d
+		en.deadline = d
 		t.wheelLink(e, t.slotOf(d))
 	}
 	t.idxPut(e, h)
-	return &t.vals[e], false, nil
+	return &en.val, false, nil
 }
 
 // Delete removes the entry for k (no OnEvict callback — the caller
@@ -417,7 +404,7 @@ func (t *Table[K, V]) find(h uint64, k K) int32 {
 		if e == emptySlot {
 			break
 		}
-		if e >= 0 && t.hashes[e] == h && t.keys[e] == k {
+		if e >= 0 && t.slab[e].key == k {
 			return e
 		}
 		i = (i + 1) & t.mask
@@ -429,7 +416,7 @@ func (t *Table[K, V]) find(h uint64, k K) int32 {
 			if e == emptySlot {
 				break
 			}
-			if e >= 0 && t.hashes[e] == h && t.keys[e] == k {
+			if e >= 0 && t.slab[e].key == k {
 				return e
 			}
 			i = (i + 1) & t.oldMask
@@ -447,8 +434,8 @@ func (t *Table[K, V]) touch(e int32) {
 		return
 	}
 	d := t.clock() + t.ttl
-	old := t.deadline[e]
-	t.deadline[e] = d
+	old := t.slab[e].deadline
+	t.slab[e].deadline = d
 	if int64(old)/int64(t.gran) == int64(d)/int64(t.gran) {
 		return
 	}
@@ -464,24 +451,24 @@ func (t *Table[K, V]) slotOf(d eventsim.Time) int {
 //dhl:hotpath
 func (t *Table[K, V]) wheelLink(e int32, slot int) {
 	head := t.wheel[slot]
-	t.prev[e] = emptySlot
-	t.next[e] = head
+	t.slab[e].prev = emptySlot
+	t.slab[e].next = head
 	if head != emptySlot {
-		t.prev[head] = e
+		t.slab[head].prev = e
 	}
 	t.wheel[slot] = e
 }
 
 //dhl:hotpath
 func (t *Table[K, V]) wheelUnlink(e int32, slot int) {
-	p, n := t.prev[e], t.next[e]
+	p, n := t.slab[e].prev, t.slab[e].next
 	if p != emptySlot {
-		t.next[p] = n
+		t.slab[p].next = n
 	} else {
 		t.wheel[slot] = n
 	}
 	if n != emptySlot {
-		t.prev[n] = p
+		t.slab[n].prev = p
 	}
 }
 
@@ -497,7 +484,10 @@ func (t *Table[K, V]) idxPut(e int32, h uint64) {
 }
 
 // migrateSome drains up to migrateStep buckets of the old index into
-// the current one, releasing the old index when done.
+// the current one, releasing the old index when done. A moved bucket
+// becomes a tombstone, so every entry is in exactly one index (a stale
+// bucket would lead find to the entry after it is freed), and probe
+// chains through it still reach the buckets not yet moved.
 //
 //dhl:hotpath
 func (t *Table[K, V]) migrateSome() {
@@ -512,10 +502,11 @@ func (t *Table[K, V]) migrateSome() {
 			return
 		}
 		e := t.oldIdx[t.migrate]
-		t.migrate++
 		if e >= 0 {
-			t.idxPut(e, t.hashes[e])
+			t.idxPut(e, t.hash(t.slab[e].key))
+			t.oldIdx[t.migrate] = deadSlot
 		}
+		t.migrate++
 	}
 }
 
@@ -526,8 +517,8 @@ func (t *Table[K, V]) expireSlot(slot int, now eventsim.Time) int {
 	n := 0
 	e := t.wheel[slot]
 	for e != emptySlot {
-		nx := t.next[e]
-		if t.deadline[e] <= now {
+		nx := t.slab[e].next
+		if t.slab[e].deadline <= now {
 			t.evict(e, &t.stats.EvictedIdle)
 			n++
 		}
@@ -541,7 +532,7 @@ func (t *Table[K, V]) expireSlot(slot int, now eventsim.Time) int {
 //dhl:hotpath
 func (t *Table[K, V]) evict(e int32, counter *uint64) {
 	if t.onEvict != nil {
-		t.onEvict(t.keys[e], &t.vals[e])
+		t.onEvict(t.slab[e].key, &t.slab[e].val)
 	}
 	*counter++
 	t.removeEntry(e)
@@ -554,14 +545,9 @@ func (t *Table[K, V]) evict(e int32, counter *uint64) {
 func (t *Table[K, V]) removeEntry(e int32) {
 	t.idxErase(e)
 	if t.wheel != nil {
-		t.wheelUnlink(e, t.slotOf(t.deadline[e]))
+		t.wheelUnlink(e, t.slotOf(t.slab[e].deadline))
 	}
-	var zk K
-	var zv V
-	t.keys[e] = zk
-	t.vals[e] = zv
-	t.next[e] = t.freeHead
-	t.prev[e] = freeMark
+	t.slab[e] = entry[K, V]{next: t.freeHead, prev: freeMark}
 	t.freeHead = e
 	t.live--
 }
@@ -572,7 +558,7 @@ func (t *Table[K, V]) removeEntry(e int32) {
 //
 //dhl:hotpath
 func (t *Table[K, V]) idxErase(e int32) {
-	h := t.hashes[e]
+	h := t.hash(t.slab[e].key)
 	i := h & t.mask
 	for {
 		s := t.idx[i]
@@ -616,7 +602,7 @@ func (t *Table[K, V]) backshift(i uint64) {
 			if s == emptySlot {
 				return
 			}
-			home := t.hashes[s] & t.mask
+			home := t.hash(t.slab[s].key) & t.mask
 			if ((j - home) & t.mask) >= ((j - i) & t.mask) {
 				t.idx[j] = emptySlot
 				t.idx[i] = s
@@ -646,7 +632,7 @@ func (t *Table[K, V]) makeRoom() error {
 }
 
 func (t *Table[K, V]) canGrow() bool {
-	newCap := 2 * len(t.keys)
+	newCap := 2 * len(t.slab)
 	if newCap > maxSlabEntries {
 		return false
 	}
@@ -673,7 +659,7 @@ func (t *Table[K, V]) grow() {
 	for t.oldIdx != nil {
 		t.migrateSome()
 	}
-	newCap := 2 * len(t.keys)
+	newCap := 2 * len(t.slab)
 	t.allocSlab(newCap)
 	t.oldIdx = t.idx
 	t.oldMask = t.mask
@@ -702,11 +688,12 @@ func (t *Table[K, V]) oldestEntry() int32 {
 // (iterates the slab); mutation other than through the *V is not safe
 // during iteration.
 func (t *Table[K, V]) Range(fn func(K, *V) bool) {
-	for e := range t.keys {
-		if t.prev[e] == freeMark {
+	for e := range t.slab {
+		en := &t.slab[e]
+		if en.prev == freeMark {
 			continue
 		}
-		if !fn(t.keys[e], &t.vals[e]) {
+		if !fn(en.key, &en.val) {
 			return
 		}
 	}

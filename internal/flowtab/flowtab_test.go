@@ -147,6 +147,30 @@ func TestDeleteDuringMigration(t *testing.T) {
 	}
 }
 
+// TestDeletedKeyStaysGoneWhileIndexDrains: a bucket the migration cursor
+// has moved must not still lead to its entry. Key 0 is the case a freed
+// slot matches, its key being zeroed.
+func TestDeletedKeyStaysGoneWhileIndexDrains(t *testing.T) {
+	clk := &fakeClock{}
+	tab := newTable(t, Config[uint64, uint64]{InitialEntries: 16, TTL: eventsim.Second, Clock: clk.Now})
+	// The 17th insert doubles the table; the 18th moves all 32 buckets of
+	// the old index, which stays until the next insert releases it.
+	for k := uint64(0); k < 18; k++ {
+		if _, _, err := tab.Insert(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tab.oldIdx == nil {
+		t.Fatal("no index left draining")
+	}
+	if !tab.Delete(0) {
+		t.Fatal("Delete(0) missed")
+	}
+	if _, ok := tab.Lookup(0); ok {
+		t.Fatal("deleted key 0 found through the draining index")
+	}
+}
+
 func TestTTLExpiry(t *testing.T) {
 	clk := &fakeClock{}
 	var evicted []uint64

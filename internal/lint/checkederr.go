@@ -15,8 +15,8 @@ type CheckedErr struct{}
 // apiMethods are the DHL API methods whose results must not be dropped.
 // The list covers the Table II surface (Register/LoadPR/SearchByName/
 // AccConfigure/Unregister/SendPackets/ReceivePackets), the mempool
-// contract entry points (Pool.Free/FreeBulk/Retain/AllocBulk, Cache.Free/
-// Flush), the recovery surface (Device.Reload/ResetRegion,
+// contract entry points (Pool.Free/FreeBulk/Retain/AllocBulk), the
+// recovery surface (Device.Reload/ResetRegion,
 // Runtime.RegisterFallback), the fleet placement surface
 // (Migrate/Replicate/Rebalance/Place — a dropped migration error leaves
 // the accelerator stranded on a board the caller believes it left), the
@@ -45,7 +45,6 @@ var apiMethods = map[string]bool{
 	"FreeBulk":         true,
 	"Retain":           true,
 	"AllocBulk":        true,
-	"Flush":            true,
 	"Reload":           true,
 	"ResetRegion":      true,
 	"RegisterFallback": true,

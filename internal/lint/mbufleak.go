@@ -7,11 +7,10 @@ import (
 )
 
 // MbufLeak enforces the DPDK mempool contract on mbuf ownership: a
-// function that obtains buffers from mbuf.Pool.Alloc/AllocBulk/Retain (or
-// Cache.Alloc) must, on every path out, either release them (Pool.Free/
-// FreeBulk) or hand ownership elsewhere — enqueue onto a ring, pass to
-// SendPackets or any helper, store into a field/slice, or return them to
-// the caller.
+// function that obtains buffers from mbuf.Pool.Alloc/AllocBulk/Retain
+// must, on every path out, either release them (Pool.Free/FreeBulk) or
+// hand ownership elsewhere — enqueue onto a ring, pass to SendPackets or
+// any helper, store into a field/slice, or return them to the caller.
 //
 // The path-sensitive machinery lives in ownership.go (shared with
 // arenalease and stagepair); this file only describes what acquires an
@@ -45,7 +44,7 @@ func (m *MbufLeak) Check(pkg *Package) []Finding {
 func mbufAcquire(info *types.Info, call *ast.CallExpr) (acqSpec, bool) {
 	f := calleeOf(info, call)
 	switch {
-	case methodOn(f, mbufPkgPath, "Pool", "Alloc") || methodOn(f, mbufPkgPath, "Cache", "Alloc"):
+	case methodOn(f, mbufPkgPath, "Pool", "Alloc"):
 		return acqSpec{kind: "Alloc"}, true
 	case methodOn(f, mbufPkgPath, "Pool", "AllocBulk"):
 		return acqSpec{kind: "AllocBulk", argBind: true}, true

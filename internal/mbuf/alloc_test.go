@@ -10,7 +10,7 @@ import (
 // TestAllocFreeZeroAllocs is the pool's allocation-budget gate: after the
 // pool is built, alloc/free churn must never touch the heap — the data
 // path's mbuf traffic rides entirely on the preallocated slots and the
-// per-core cache.
+// free list.
 func TestAllocFreeZeroAllocs(t *testing.T) {
 	p := newPool(t, 256)
 	bufs := make([]*Mbuf, 64)
@@ -33,7 +33,7 @@ func TestAllocFreeZeroAllocs(t *testing.T) {
 			bufs[i] = nil
 		}
 	}
-	cycle() // warm the cache
+	cycle() // warm the free list
 	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
 		t.Errorf("alloc/free churn allocates %.1f objects per cycle, want 0", avg)
 	}

@@ -201,18 +201,6 @@ func (p *Pool) freeLocked(m *Mbuf) error {
 	return nil
 }
 
-// cacheReturn puts a cache-stashed mbuf (refcnt already 0) straight back
-// on the free list. Only Cache uses this.
-func (p *Pool) cacheReturn(m *Mbuf) {
-	if m == nil || m.pool != p || m.refcnt != 0 {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.free = append(p.free, m.index)
-	p.frees++
-}
-
 // FreeBulk frees a batch under one lock, skipping nil entries and stopping
 // at the first error: what came before it stays freed.
 //

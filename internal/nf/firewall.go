@@ -16,8 +16,9 @@ const firewallCyclesPerRule = 2.0
 // ErrBadFirewallRule reports an invalid ACL entry.
 var ErrBadFirewallRule = errors.New("nf: invalid firewall rule")
 
-// FirewallAction is a rule disposition.
-type FirewallAction int
+// FirewallAction is a rule disposition. One byte: it is the value of
+// every cached verdict in FlowFirewall's flow table.
+type FirewallAction uint8
 
 // Firewall actions.
 const (

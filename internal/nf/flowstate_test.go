@@ -7,6 +7,7 @@ import (
 
 	"github.com/opencloudnext/dhl-go/internal/eth"
 	"github.com/opencloudnext/dhl-go/internal/eventsim"
+	"github.com/opencloudnext/dhl-go/internal/flowtab"
 	"github.com/opencloudnext/dhl-go/internal/mbuf"
 )
 
@@ -318,6 +319,28 @@ func TestSADBBySPI(t *testing.T) {
 	}
 	if len(db.FlowTabs()) != 1 {
 		t.Error("SPI index not exposed for telemetry")
+	}
+}
+
+// TestFlowTableSlotBytes pins what one flow costs in each NF's table: a
+// 32-byte slab slot, plus two 4-byte index buckets. Built without a TTL,
+// a fresh table holds no wheel and no draining index, so MemBytes is
+// exactly capacity × (slot + 8).
+func TestFlowTableSlotBytes(t *testing.T) {
+	ffw, err := NewFlowFirewall(NewFirewall(FirewallAllow), FlowFirewallConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var srcs []flowtab.Source
+	srcs = append(srcs, ffw.FlowTabs()...)
+	srcs = append(srcs, NewNAT(NATConfig{External: eth.IPv4{203, 0, 113, 1}}).FlowTabs()...)
+	srcs = append(srcs, NewSADB().FlowTabs()...)
+	for _, src := range srcs {
+		st := src.TabStats()
+		if st.MemBytes != st.Capacity*(32+8) {
+			t.Errorf("%s: %d B over %d entries, want %d (a 32 B slot each)",
+				src.Name(), st.MemBytes, st.Capacity, st.Capacity*(32+8))
+		}
 	}
 }
 

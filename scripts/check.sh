@@ -72,9 +72,6 @@ targeted -race -short -run 'BoardFailover' -count=1 ./internal/harness
 echo "==> migration zero-leak gate (live migration under traffic: ledger balanced, 0 mbufs leaked)"
 targeted -race -run 'MigrationZeroLeak|MigrateLive|ReplicaPromotion|BringUpReplays|EvictAfterReloadDied' -count=1 ./internal/core
 
-echo "==> flow-table zero-alloc gate (hit path, churn, NAT translate: 0 allocs/op)"
-targeted -run 'ZeroAlloc' -count=1 ./internal/flowtab ./internal/nf
-
 echo "==> autotuner smoke (control law, backpressure edges, zero-alloc with tuner armed)"
 targeted -short -run 'Tuner|AutoTune|Pressure|CopySince|PerAccTuning|AccBatch' -count=1 \
     ./internal/tuner ./internal/core ./internal/telemetry .
@@ -112,6 +109,10 @@ targeted -run 'QuickVsNaive|SetupBytes|SetupObjects|TableBytes' -count=1 ./inter
 # Uncapped, the fuzzer stops generating after ~3 s and spends the rest
 # minimising each 8-bytes-a-step program that reached new coverage.
 go test -run '^$' -fuzz FuzzLPMVsNaive -fuzztime 10s -fuzzminimizetime 10x ./internal/lpm
+
+echo "==> flowtab (model equivalence, 0-alloc gates: hit path, churn, NAT translate, 10 s fuzz)"
+targeted -run 'VsModel|ZeroAlloc' -count=1 ./internal/flowtab ./internal/nf
+go test -run '^$' -fuzz FuzzFlowtabVsModel -fuzztime 10s -fuzzminimizetime 10x ./internal/flowtab
 
 echo "==> pattern-matching kernel (reference equivalence, 0-alloc gates, 10 s fuzz)"
 targeted -run 'VsNaive|MatchesPerRecord|PatternMatchingZeroAlloc|AllocBudgetNIDS|FuzzPatternConfig' -count=1 \
