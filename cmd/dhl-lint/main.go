@@ -1,13 +1,13 @@
 // Command dhl-lint runs the DHL domain-specific static analyzers over the
-// module. The suite covers the PR 1 contracts — mbufleak (mempool
-// balance), ringmode (SyncMode vs. goroutine usage), hotpathalloc
-// (//dhl:hotpath allocation heuristics) and checkederr (dropped DHL API
-// errors) — and the PR 3–5 invariants: arenalease (batchArena lease/ret
-// balance), atomicfield (module-wide sync/atomic access consistency),
-// stagepair (telemetry Span Start/telFinalize pairing), faultattr
-// (faultinject Kind ledger exhaustiveness and Fire-site attribution) and
-// escapecheck (compiler-verified zero heap escapes in //dhl:hotpath
-// functions, via `go build -gcflags=-m`). Everything except escapecheck's
+// module: mbufleak (mempool balance), ringmode (SyncMode vs. goroutine
+// usage), checkederr (dropped DHL API errors), arenalease (batchArena
+// lease/ret balance), atomicfield (module-wide sync/atomic access
+// consistency), stagepair (telemetry Span Start/telFinalize pairing),
+// faultattr (faultinject Kind ledger exhaustiveness and Fire-site
+// attribution), escapecheck (compiler-verified zero heap escapes and no
+// fmt/log/time.Now in //dhl:hotpath functions, via `go build
+// -gcflags=-m`) and unreferenced (internal/ code no command, example,
+// facade or initializer reaches). Everything except escapecheck's
 // compiler probe is built only on the standard library's go/ast,
 // go/parser and go/types, so the suite runs offline in any environment
 // that can build the module itself; when the toolchain cannot run the
@@ -18,9 +18,11 @@
 //
 //	dhl-lint [-format text|json] [-run name[,name...]] [packages...]
 //
-// Each packages argument is either a directory inside the module or the
-// conventional "./..." to analyze every package; with no argument the
-// whole module containing the working directory is analyzed. Findings
+// Each packages argument is either a directory inside the module or a
+// "dir/..." pattern for every package at or below dir ("./..." for the
+// module); with no argument the whole module containing the working
+// directory is analyzed. unreferenced always judges reachability over the
+// whole module (or lint fixture tree), whatever the arguments. Findings
 // are printed as file:line:col diagnostics (or, with -format json, a
 // JSON array suitable as a CI artifact) and the exit status is 1 when
 // any finding is reported, 2 on operational errors.
@@ -112,7 +114,9 @@ func run() int {
 	seen := map[string]bool{}
 	for _, target := range targets {
 		var batch []*lint.Package
-		if strings.HasSuffix(target, "...") || target == root {
+		if dir, ok := strings.CutSuffix(target, "..."); ok {
+			batch, err = loader.LoadTree(dir)
+		} else if target == root {
 			batch, err = loader.LoadAll()
 		} else {
 			var pkg *lint.Package

@@ -646,15 +646,17 @@ func TestFlowTableObservability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nat := nf.NewNAT(nf.NATConfig{
-		External: eth.IPv4{203, 0, 113, 1},
-		FlowTTL:  eventsim.Second,
-		Clock:    sys.Sim().Now,
+	ffw, err := nf.NewFlowFirewall(nf.NewFirewall(nf.FirewallAllow), nf.FlowFirewallConfig{
+		FlowTTL: eventsim.Second,
+		Clock:   sys.Sim().Now,
 	})
-	if err := sys.RegisterFlowTables(nat.FlowTabs()...); err != nil {
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.RegisterFlowTables(nat.FlowTabs()[0]); err == nil {
+	if err := sys.RegisterFlowTables(ffw.FlowTabs()...); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.RegisterFlowTables(ffw.FlowTabs()...); err == nil {
 		t.Error("duplicate flow-table registration accepted")
 	}
 	exp, err := sys.Serve("127.0.0.1:0", dhl.WithCallTimeout(15*time.Second))
@@ -665,7 +667,7 @@ func TestFlowTableObservability(t *testing.T) {
 	p := startPumper(sys)
 	defer p.shutdown()
 
-	// Push three flows through the NAT on the simulation goroutine.
+	// Push three flows through the firewall on the simulation goroutine.
 	p.do(func() {
 		buf := make([]byte, 2048)
 		for i := 0; i < 3; i++ {
@@ -687,8 +689,8 @@ func TestFlowTableObservability(t *testing.T) {
 				t.Error(aerr)
 				return
 			}
-			if v, _ := nat.ProcessOutbound(m); v != nf.VerdictForward {
-				t.Error("NAT dropped the setup flow")
+			if v, _ := ffw.Process(m); v != nf.VerdictForward {
+				t.Error("firewall dropped the setup flow")
 			}
 			_ = sys.Pool().Free(m)
 		}
@@ -703,15 +705,8 @@ func TestFlowTableObservability(t *testing.T) {
 	if err := c.Call("stats.get", map[string]any{"node": 0}, &st); err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Flowtabs) != 2 {
-		t.Fatalf("flowtabs %+v, want nat-outbound and nat-inbound", st.Flowtabs)
-	}
-	byName := map[string]dhl.FlowTableInfo{}
-	for _, ft := range st.Flowtabs {
-		byName[ft.Name] = ft
-	}
-	if byName["nat-outbound"].Entries != 3 || byName["nat-inbound"].Entries != 3 {
-		t.Errorf("flowtab occupancy %+v, want 3 entries each", st.Flowtabs)
+	if len(st.Flowtabs) != 1 || st.Flowtabs[0].Name != "fw-flows" || st.Flowtabs[0].Entries != 3 {
+		t.Fatalf("flowtabs %+v, want fw-flows with 3 entries", st.Flowtabs)
 	}
 
 	// /metrics carries the gauge family with per-table labels.
@@ -726,10 +721,9 @@ func TestFlowTableObservability(t *testing.T) {
 	}
 	text := string(body)
 	for _, want := range []string{
-		`dhl_flowtab_entries{table="nat-outbound"} 3`,
-		`dhl_flowtab_entries{table="nat-inbound"} 3`,
-		`dhl_flowtab_evictions{table="nat-outbound",reason="idle"}`,
-		`dhl_flowtab_capacity{table="nat-outbound"}`,
+		`dhl_flowtab_entries{table="fw-flows"} 3`,
+		`dhl_flowtab_evictions{table="fw-flows",reason="idle"}`,
+		`dhl_flowtab_capacity{table="fw-flows"}`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics lacks %q", want)
@@ -738,14 +732,15 @@ func TestFlowTableObservability(t *testing.T) {
 
 	// Unregistering removes the gauges and the stats.get rows.
 	p.do(func() {
-		if uerr := sys.UnregisterFlowTable("nat-inbound"); uerr != nil {
+		if uerr := sys.UnregisterFlowTable("fw-flows"); uerr != nil {
 			t.Error(uerr)
 		}
 	})
+	st.Flowtabs = nil
 	if err := c.Call("stats.get", map[string]any{"node": 0}, &st); err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Flowtabs) != 1 || st.Flowtabs[0].Name != "nat-outbound" {
+	if len(st.Flowtabs) != 0 {
 		t.Errorf("flowtabs after unregister: %+v", st.Flowtabs)
 	}
 }

@@ -161,7 +161,8 @@ const (
 // can register their NFs' flow state for observability.
 type (
 	// FlowTableSource is the telemetry-facing face of a flow table;
-	// stateful NFs expose their tables through it (e.g. NAT.FlowTabs).
+	// stateful NFs expose their tables through it (e.g.
+	// FlowFirewall.FlowTabs).
 	FlowTableSource = flowtab.Source
 	// FlowTableStats is one flow table's counter snapshot: occupancy,
 	// memory, hit/miss, eviction and rehash counters.

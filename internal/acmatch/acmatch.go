@@ -112,15 +112,6 @@ func NewMatcher(patterns [][]byte, cfg Config) (*Matcher, error) {
 	return m, nil
 }
 
-// MustNewMatcher is NewMatcher but panics on error, for static rule sets.
-func MustNewMatcher(patterns [][]byte, cfg Config) *Matcher {
-	m, err := NewMatcher(patterns, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 func fold(b byte) byte {
 	if 'A' <= b && b <= 'Z' {
 		return b + 'a' - 'A'
@@ -232,9 +223,6 @@ func (m *Matcher) build(caseFold bool) error {
 // States reports the automaton's state count (drives the BRAM estimate of
 // the hardware AC-DFA pipeline).
 func (m *Matcher) States() int { return len(m.next) >> 8 }
-
-// Patterns reports the number of compiled patterns.
-func (m *Matcher) Patterns() int { return len(m.patterns) }
 
 // Scan runs the DFA over data and calls emit for every match, by end
 // offset and then in match-list order. It returns the total number of

@@ -115,8 +115,8 @@ func TestBinaryPatterns(t *testing.T) {
 
 func TestStatesAndPatterns(t *testing.T) {
 	m := mustMatcher(t, []string{"abc", "abd"}, Config{})
-	if m.Patterns() != 2 {
-		t.Errorf("patterns %d", m.Patterns())
+	if len(m.patterns) != 2 {
+		t.Errorf("patterns %d", len(m.patterns))
 	}
 	// root + a + ab + abc + abd = 5
 	if m.States() != 5 {

@@ -85,7 +85,7 @@ func (r *Runtime) AccInfoFor(acc AccID) (AccInfo, error) {
 // running system:
 //
 //   - packets staged for the accelerator are freed and attributed
-//     DropNoRoute, exactly like StopCores' teardown, so the conservation
+//     DropNoRoute, as a core pair's teardown does, so the conservation
 //     ledger keeps balancing;
 //   - batches already posted to the DMA engine complete against the
 //     now-empty region, take the dispatch-failure edge and are attributed

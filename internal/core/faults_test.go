@@ -79,7 +79,7 @@ func (r *rig) stats(t *testing.T) TransferStats {
 func TestDMARetryRecoversTransientFault(t *testing.T) {
 	// One H2C and one C2H post fail; both are within the retry budget, so
 	// every packet still arrives.
-	plan := faultinject.MustPlan(*chaosSeed,
+	plan := mustPlan(t, *chaosSeed,
 		faultinject.Spec{Kind: faultinject.DMAH2CError, EveryN: 1, Count: 1},
 		faultinject.Spec{Kind: faultinject.DMAC2HError, EveryN: 1, Count: 1})
 	r := newFaultRig(t, Config{FlushTimeout: 5 * eventsim.Microsecond}, plan, 0, revSpec())
@@ -111,7 +111,7 @@ func TestDMARetryRecoversTransientFault(t *testing.T) {
 func TestDMARetryGivesUpAndAttributes(t *testing.T) {
 	// Every H2C post fails: the first batch burns the full retry budget,
 	// gives up, and its packets are dropped with an attributed reason.
-	plan := faultinject.MustPlan(*chaosSeed,
+	plan := mustPlan(t, *chaosSeed,
 		faultinject.Spec{Kind: faultinject.DMAH2CError, EveryN: 1})
 	r := newFaultRig(t, Config{FlushTimeout: 5 * eventsim.Microsecond}, plan, 0, revSpec())
 	nf, _ := r.rt.Register("giveup", 0)
@@ -140,7 +140,7 @@ func TestDMARetryGivesUpAndAttributes(t *testing.T) {
 // --- Corruption & completion stalls -------------------------------------
 
 func TestCorruptResponseDropsBatchAttributed(t *testing.T) {
-	plan := faultinject.MustPlan(*chaosSeed,
+	plan := mustPlan(t, *chaosSeed,
 		faultinject.Spec{Kind: faultinject.DMAC2HCorrupt, EveryN: 1, Count: 1})
 	r := newFaultRig(t, Config{FlushTimeout: 5 * eventsim.Microsecond}, plan, 0, revSpec())
 	nf, _ := r.rt.Register("corrupt", 0)
@@ -164,7 +164,7 @@ func TestCorruptResponseDropsBatchAttributed(t *testing.T) {
 }
 
 func TestCompletionStallDelaysButDelivers(t *testing.T) {
-	plan := faultinject.MustPlan(*chaosSeed,
+	plan := mustPlan(t, *chaosSeed,
 		faultinject.Spec{Kind: faultinject.CompletionStall, EveryN: 1, Count: 1,
 			Stall: 40 * eventsim.Microsecond})
 	r := newFaultRig(t, Config{FlushTimeout: 5 * eventsim.Microsecond}, plan, 0, revSpec())
@@ -193,7 +193,7 @@ func TestCompletionStallDelaysButDelivers(t *testing.T) {
 // --- Watchdog, quarantine, recovery -------------------------------------
 
 func TestWatchdogQuarantinesHungModuleAndRecovers(t *testing.T) {
-	plan := faultinject.MustPlan(*chaosSeed,
+	plan := mustPlan(t, *chaosSeed,
 		faultinject.Spec{Kind: faultinject.ModuleHang, EveryN: 1, Count: 1})
 	r := newFaultRig(t, Config{FlushTimeout: 5 * eventsim.Microsecond}, plan, 0, revSpec())
 	nf, _ := r.rt.Register("hang", 0)
@@ -252,7 +252,7 @@ func TestQuarantineRoutesToFallback(t *testing.T) {
 	// Every dispatch fails: consecutive module errors degrade then
 	// quarantine the accelerator; from then on the registered software
 	// fallback carries the traffic with StatusFallback.
-	plan := faultinject.MustPlan(*chaosSeed,
+	plan := mustPlan(t, *chaosSeed,
 		faultinject.Spec{Kind: faultinject.ModuleError, EveryN: 1})
 	r := newFaultRig(t, Config{FlushTimeout: 5 * eventsim.Microsecond}, plan, 0, revSpec())
 	nf, _ := r.rt.Register("deg", 0)
@@ -303,7 +303,7 @@ func TestQuarantineRoutesToFallback(t *testing.T) {
 }
 
 func TestQuarantineWithoutFallbackDeliversUnprocessed(t *testing.T) {
-	plan := faultinject.MustPlan(*chaosSeed,
+	plan := mustPlan(t, *chaosSeed,
 		faultinject.Spec{Kind: faultinject.ModuleError, EveryN: 1})
 	r := newFaultRig(t, Config{FlushTimeout: 5 * eventsim.Microsecond}, plan, 0, revSpec())
 	nf, _ := r.rt.Register("raw", 0)
@@ -538,7 +538,7 @@ func TestOBQOverflowChurnLeakFree(t *testing.T) {
 	if s.DropOBQFull == 0 {
 		t.Error("no OBQ-full drop recorded")
 	}
-	_, _, obqDrops, _ := r.rt.NFStats(nf)
+	obqDrops := r.rt.nfs[nf-1].obqDrops
 	if obqDrops != s.DropOBQFull {
 		t.Errorf("NF obqDrops=%d != transfer DropOBQFull=%d", obqDrops, s.DropOBQFull)
 	}
@@ -577,7 +577,7 @@ func TestChaosStorm(t *testing.T) {
 		{Kind: faultinject.RegionSEU, EveryN: 151, Count: 1},
 		{Kind: faultinject.CompletionStall, EveryN: 37, Count: 10, Stall: 20 * us},
 	}
-	plan := faultinject.MustPlan(*chaosSeed, specs...)
+	plan := mustPlan(t, *chaosSeed, specs...)
 	// Small batches make many of them, so every fault kind gets draws
 	// even in -short mode.
 	r := newFaultRig(t, Config{FlushTimeout: 5 * us, BatchBytes: 1024}, plan, 2048, revSpec())
@@ -766,3 +766,13 @@ func TestChaosStorm(t *testing.T) {
 
 // rigDMA digs the rig's DMA engine back out of the runtime config.
 func rigDMA(r *rig) *pcie.Engine { return r.rt.cfg.FPGAs[0].DMA }
+
+// mustPlan builds a fault plan from known-good specs.
+func mustPlan(t testing.TB, seed uint64, specs ...faultinject.Spec) *faultinject.Plan {
+	t.Helper()
+	p, err := faultinject.NewPlan(seed, specs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}

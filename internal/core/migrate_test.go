@@ -149,7 +149,7 @@ func TestMigrateLive(t *testing.T) {
 	if got := len(e.route.Endpoints()); got != 1 {
 		t.Errorf("route has %d endpoints after cutover, want 1", got)
 	}
-	if ep := e.route.Primary(); ep == nil || ep.FPGA != 1 || !ep.Ready {
+	if ep := primaryOf(e.route); ep == nil || ep.FPGA != 1 || !ep.Ready {
 		t.Errorf("primary endpoint %+v", ep)
 	}
 	if free := devs[0].AvailableLUTs(); free != lutsFree+1000 {
@@ -379,7 +379,7 @@ func TestDrainBoardMovesPrimaries(t *testing.T) {
 func TestLoadPRRetriesPastWedgedICAP(t *testing.T) {
 	// Board 0's ICAP wedges on the first write; placement excludes it and
 	// the module lands on board 1.
-	plan := faultinject.MustPlan(7, faultinject.Spec{Kind: faultinject.ICAPWedge, EveryN: 1, Count: 1})
+	plan := mustPlan(t, 7, faultinject.Spec{Kind: faultinject.ICAPWedge, EveryN: 1, Count: 1})
 	r, _ := newFleetRig(t, Config{FlushTimeout: 5 * eventsim.Microsecond, Faults: plan}, 2, revSpec())
 	acc, err := r.rt.SearchByName("rev", 0)
 	if err != nil {
@@ -482,9 +482,6 @@ func TestEvictUnloadsReplicas(t *testing.T) {
 	}
 	if got := devs[1].AvailableLUTs(); got != free1+1000 {
 		t.Errorf("board 1 LUTs %d, want %d", got, free1+1000)
-	}
-	if r.rt.sched.Route(uint16(acc)) != nil {
-		t.Error("route survives eviction")
 	}
 	if n := r.rt.sched.EndpointsOn(0) + r.rt.sched.EndpointsOn(1); n != 0 {
 		t.Errorf("%d endpoints survive eviction", n)
@@ -615,4 +612,15 @@ func TestEvictAfterReloadDiedWithBoard(t *testing.T) {
 		t.Errorf("AccIDs after evict: %v", ids)
 	}
 	checkNoLeaks(t, r)
+}
+
+// primaryOf returns the route's primary endpoint, or nil.
+func primaryOf(r *placement.Route) *placement.Endpoint {
+	eps := r.Endpoints()
+	for i := range eps {
+		if eps[i].Primary {
+			return &eps[i]
+		}
+	}
+	return nil
 }

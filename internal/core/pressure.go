@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"github.com/opencloudnext/dhl-go/internal/mbuf"
 )
 
@@ -11,7 +9,7 @@ import (
 // accepted and the caller owns the rest — but refusals used to be
 // invisible to the runtime: the producer freed the overflow into its own
 // private counter and the conservation ledger never saw it. Now every
-// refusal is attributed (TransferStats.IBQRejected, NFStats) and signaled
+// refusal is attributed (TransferStats.IBQRejected) and signaled
 // to the producing NF through a registered pressure callback, and a
 // hysteresis high-water latch warns NFs *before* refusals start so they
 // can shed or hold load deliberately instead of discovering the full
@@ -130,13 +128,4 @@ func (r *Runtime) IBQPressure(node int) (rejected uint64, hot bool, qlen, qcap i
 	}
 	q := r.ibqs[node]
 	return r.ibqRejects[node], r.ibqHot[node], q.Len(), q.Capacity()
-}
-
-// NFPressureStats reports an NF's producer-side refusal count: packets
-// the shared IBQ refused from its sends (the NF kept ownership of them).
-func (r *Runtime) NFPressureStats(id NFID) (rejected uint64, err error) {
-	if id == 0 || int(id) > len(r.nfs) {
-		return 0, fmt.Errorf("%w: %d", ErrUnknownNF, id)
-	}
-	return r.nfs[id-1].rejected, nil
 }

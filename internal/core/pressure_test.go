@@ -43,8 +43,8 @@ func TestSendPacketsAttributesRefusals(t *testing.T) {
 	if st.IBQRejected != 9 {
 		t.Fatalf("Stats.IBQRejected = %d, want 9", st.IBQRejected)
 	}
-	if got, _ := r.rt.NFPressureStats(id); got != 9 {
-		t.Fatalf("NFPressureStats = %d, want 9", got)
+	if got := r.rt.nfs[id-1].rejected; got != 9 {
+		t.Fatalf("rejected = %d, want 9", got)
 	}
 	rejected, hot, qlen, qcap := r.rt.IBQPressure(0)
 	if rejected != 9 || !hot || qlen != 7 || qcap != 7 {
@@ -77,11 +77,8 @@ func TestSendPacketsAttributesRefusals(t *testing.T) {
 	for _, m := range more {
 		_ = r.pool.Free(m)
 	}
-	if got, _ := r.rt.NFPressureStats(id); got != 11 {
-		t.Fatalf("NFPressureStats after second refusal = %d, want 11", got)
-	}
-	if _, err := r.rt.NFPressureStats(42); !errors.Is(err, ErrUnknownNF) {
-		t.Fatalf("unknown NF: %v", err)
+	if got := r.rt.nfs[id-1].rejected; got != 11 {
+		t.Fatalf("rejected after second refusal = %d, want 11", got)
 	}
 	if err := r.rt.RegisterPressure(42, nil); !errors.Is(err, ErrUnknownNF) {
 		t.Fatalf("RegisterPressure unknown NF: %v", err)

@@ -341,9 +341,6 @@ func nextPow2(n int) int {
 	return p
 }
 
-// Sim exposes the runtime's simulation (for NF actors).
-func (r *Runtime) Sim() *eventsim.Sim { return r.sim }
-
 // Placement exposes the fleet scheduler for inspection (control plane,
 // gauges). Mutation goes through the runtime's own methods — Migrate,
 // Replicate, Rebalance, DrainBoard, OfflineBoard — which actuate what the
@@ -624,17 +621,6 @@ func (r *Runtime) ReceivePackets(id NFID, dst []*mbuf.Mbuf) (int, error) {
 		return 0, err
 	}
 	return nf.obq.DequeueBurst(dst), nil
-}
-
-// NFStats reports a registered NF's counters: packets accepted into the
-// IBQ, packets returned to its OBQ, and packets dropped because its OBQ
-// was full.
-func (r *Runtime) NFStats(id NFID) (sent, returned, obqDrops uint64, err error) {
-	if id == 0 || int(id) > len(r.nfs) {
-		return 0, 0, 0, fmt.Errorf("%w: %d", ErrUnknownNF, id)
-	}
-	nf := r.nfs[id-1]
-	return nf.sent, nf.returned, nf.obqDrops, nil
 }
 
 // HFTable renders the hardware function table (Figure 2) for inspection.

@@ -263,7 +263,8 @@ func TestEndToEndDataPath(t *testing.T) {
 		_ = r.pool.Free(out[i])
 	}
 	// In-order delivery within one NF/acc pair.
-	sent, returned, drops, _ := r.rt.NFStats(nf)
+	st := r.rt.nfs[nf-1]
+	sent, returned, drops := st.sent, st.returned, st.obqDrops
 	if sent != 10 || returned != 10 || drops != 0 {
 		t.Errorf("nf stats %d/%d/%d", sent, returned, drops)
 	}
@@ -549,9 +550,6 @@ func TestStatsErrors(t *testing.T) {
 	if _, err := r.rt.Stats(7); !errors.Is(err, ErrNoCores) {
 		t.Errorf("bad node stats: %v", err)
 	}
-	if _, _, _, err := r.rt.NFStats(9); !errors.Is(err, ErrUnknownNF) {
-		t.Errorf("bad nf stats: %v", err)
-	}
 }
 
 func TestStopCoresHaltsTransferLayer(t *testing.T) {
@@ -577,8 +575,9 @@ func TestStopCoresHaltsTransferLayer(t *testing.T) {
 		t.Errorf("packet not left in IBQ: len %d", ibq.Len())
 	}
 	// Clean up the stranded packet.
-	m, _ := ibq.Dequeue()
-	_ = r.pool.Free(m)
+	var stranded [1]*mbuf.Mbuf
+	ibq.DequeueBurst(stranded[:])
+	_ = r.pool.Free(stranded[0])
 }
 
 // TestQuickEndToEndIntegrity property-checks the full transfer layer:
@@ -659,7 +658,7 @@ func TestOBQOverflowDropsAndCounts(t *testing.T) {
 	}
 	r.sim.Run(r.sim.Now() + eventsim.Millisecond)
 
-	_, returned, obqDrops, _ := r.rt.NFStats(nf)
+	returned, obqDrops := r.rt.nfs[nf-1].returned, r.rt.nfs[nf-1].obqDrops
 	if obqDrops == 0 {
 		t.Error("no OBQ drops recorded")
 	}

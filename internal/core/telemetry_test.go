@@ -185,7 +185,7 @@ func TestTelemetrySteadyStateZeroAllocs(t *testing.T) {
 // and checks failure paths land in the failed counters and span outcomes.
 func TestTelemetryFailureOutcome(t *testing.T) {
 	tel := telemetry.New(64)
-	plan := faultinject.MustPlan(7,
+	plan := mustPlan(t, 7,
 		faultinject.Spec{Kind: faultinject.ModuleError, EveryN: 1})
 	r := newFaultRig(t, Config{
 		FlushTimeout: 5 * eventsim.Microsecond,

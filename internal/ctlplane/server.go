@@ -59,8 +59,6 @@ const (
 	CodeMethodNotFound = -32601
 	// CodeInvalidParams: the params did not decode or failed validation.
 	CodeInvalidParams = -32602
-	// CodeInternal: the handler itself failed.
-	CodeInternal = -32603
 	// CodeLoopIdle: the operation was posted but no goroutine drove the
 	// simulation within CallTimeout — the system is not being pumped.
 	CodeLoopIdle = -32000

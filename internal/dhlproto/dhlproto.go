@@ -38,16 +38,6 @@ type Record struct {
 	Payload []byte
 }
 
-// EncodedLen reports the batch bytes record payloads of the given sizes
-// will occupy.
-func EncodedLen(payloadLens ...int) int {
-	total := 0
-	for _, n := range payloadLens {
-		total += RecordOverhead + n
-	}
-	return total
-}
-
 // AppendRecord appends one encoded record to batch and returns the
 // extended slice.
 func AppendRecord(batch []byte, nfID, accID uint16, payload []byte) ([]byte, error) {
@@ -133,9 +123,6 @@ func (c *Cursor) SetBatch(batch []byte) {
 	c.off = 0
 }
 
-// Offset reports the byte offset of the next record.
-func (c *Cursor) Offset() int { return c.off }
-
 // Next decodes the next record into rec, reporting false at the end of
 // the batch. Framing violations return the bare ErrCorrupt sentinel so
 // the decoder stays allocation-free; callers needing detail can report
@@ -159,11 +146,4 @@ func (c *Cursor) Next(rec *Record) (bool, error) {
 	rec.Payload = c.batch[c.off : c.off+plen]
 	c.off += plen
 	return true, nil
-}
-
-// Count reports the number of records in a batch, validating framing.
-func Count(batch []byte) (int, error) {
-	n := 0
-	err := Walk(batch, func(Record) error { n++; return nil })
-	return n, err
 }

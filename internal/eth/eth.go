@@ -57,13 +57,6 @@ func (ip IPv4) String() string {
 // Uint32 returns the address as a big-endian integer (for LPM lookups).
 func (ip IPv4) Uint32() uint32 { return binary.BigEndian.Uint32(ip[:]) }
 
-// IPv4FromUint32 converts a big-endian integer into an address.
-func IPv4FromUint32(v uint32) IPv4 {
-	var ip IPv4
-	binary.BigEndian.PutUint32(ip[:], v)
-	return ip
-}
-
 // FiveTuple identifies a flow; IPsec SA matching and NIDS rules key on it.
 type FiveTuple struct {
 	Src     IPv4
@@ -100,15 +93,6 @@ func Parse(raw []byte) (Frame, error) {
 	return f, nil
 }
 
-// Raw returns the underlying buffer.
-func (f Frame) Raw() []byte { return f.raw }
-
-// DstMAC returns the destination MAC address.
-func (f Frame) DstMAC() MAC { var m MAC; copy(m[:], f.raw[0:6]); return m }
-
-// SrcMAC returns the source MAC address.
-func (f Frame) SrcMAC() MAC { var m MAC; copy(m[:], f.raw[6:12]); return m }
-
 // SetDstMAC rewrites the destination MAC (L2fwd's per-packet work).
 func (f Frame) SetDstMAC(m MAC) { copy(f.raw[0:6], m[:]) }
 
@@ -143,17 +127,6 @@ func (f Frame) DstIP() IPv4 { var ip IPv4; copy(ip[:], f.raw[EtherLen+16:EtherLe
 
 // SetSrcIP rewrites the source address (NAT-style).
 func (f Frame) SetSrcIP(ip IPv4) { copy(f.raw[EtherLen+12:EtherLen+16], ip[:]) }
-
-// SetDstIP rewrites the destination address.
-func (f Frame) SetDstIP(ip IPv4) { copy(f.raw[EtherLen+16:EtherLen+20], ip[:]) }
-
-// TotalLen returns the IPv4 total length field.
-func (f Frame) TotalLen() int { return int(binary.BigEndian.Uint16(f.raw[EtherLen+2 : EtherLen+4])) }
-
-// IPChecksum returns the stored IPv4 header checksum.
-func (f Frame) IPChecksum() uint16 {
-	return binary.BigEndian.Uint16(f.raw[EtherLen+10 : EtherLen+12])
-}
 
 // SetIPChecksum stores a header checksum value.
 func (f Frame) SetIPChecksum(sum uint16) {

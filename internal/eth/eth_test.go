@@ -2,6 +2,7 @@ package eth
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 )
@@ -36,8 +37,8 @@ func TestBuildParseRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.SrcMAC() != cfg.SrcMAC || f.DstMAC() != cfg.DstMAC {
-		t.Errorf("MACs: %v %v", f.SrcMAC(), f.DstMAC())
+	if MAC(f.raw[6:12]) != cfg.SrcMAC || MAC(f.raw[0:6]) != cfg.DstMAC {
+		t.Errorf("MACs: %v %v", f.raw[6:12], f.raw[0:6])
 	}
 	if f.SrcIP() != cfg.SrcIP || f.DstIP() != cfg.DstIP {
 		t.Errorf("IPs: %v %v", f.SrcIP(), f.DstIP())
@@ -51,8 +52,8 @@ func TestBuildParseRoundTrip(t *testing.T) {
 	if !bytes.Equal(f.Payload(), cfg.Payload) {
 		t.Errorf("payload %q", f.Payload())
 	}
-	if f.TotalLen() != len(raw)-EtherLen {
-		t.Errorf("total len %d vs frame %d", f.TotalLen(), len(raw))
+	if ipTotalLen(f) != len(raw)-EtherLen {
+		t.Errorf("total len %d vs frame %d", ipTotalLen(f), len(raw))
 	}
 	if f.EtherType() != EtherTypeIPv4 {
 		t.Errorf("ethertype %#x", f.EtherType())
@@ -81,11 +82,11 @@ func TestBuildTCP(t *testing.T) {
 func TestChecksumValidAndUpdates(t *testing.T) {
 	raw := buildFrame(t, defaultCfg())
 	f, _ := Parse(raw)
-	if got, want := f.IPChecksum(), f.ComputeIPChecksum(); got != want {
+	if got, want := ipChecksum(f), f.ComputeIPChecksum(); got != want {
 		t.Errorf("built checksum %#x, recomputed %#x", got, want)
 	}
-	before := f.IPChecksum()
-	f.SetDstIP(IPv4{1, 2, 3, 4})
+	before := ipChecksum(f)
+	copy(f.raw[EtherLen+16:EtherLen+20], []byte{1, 2, 3, 4})
 	if f.ComputeIPChecksum() == before {
 		t.Error("checksum unchanged after header mutation")
 	}
@@ -99,7 +100,7 @@ func TestDecTTL(t *testing.T) {
 	if f.TTL() != ttl-1 {
 		t.Errorf("TTL %d after DecTTL from %d", f.TTL(), ttl)
 	}
-	if f.IPChecksum() != f.ComputeIPChecksum() {
+	if ipChecksum(f) != f.ComputeIPChecksum() {
 		t.Error("checksum stale after DecTTL")
 	}
 }
@@ -136,7 +137,9 @@ func TestTuple(t *testing.T) {
 
 func TestIPv4Uint32RoundTrip(t *testing.T) {
 	err := quick.Check(func(v uint32) bool {
-		return IPv4FromUint32(v).Uint32() == v
+		var ip IPv4
+		binary.BigEndian.PutUint32(ip[:], v)
+		return ip.Uint32() == v
 	}, nil)
 	if err != nil {
 		t.Error(err)
@@ -181,7 +184,7 @@ func TestQuickBuildParse(t *testing.T) {
 			fr.SrcPort() == sport &&
 			fr.DstPort() == dport &&
 			bytes.Equal(fr.Payload(), payload) &&
-			fr.IPChecksum() == fr.ComputeIPChecksum()
+			ipChecksum(fr) == fr.ComputeIPChecksum()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

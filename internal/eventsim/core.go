@@ -25,12 +25,6 @@ func NewCore(sim *Sim, id, node int, hz float64) *Core {
 // ID reports the core's identifier.
 func (c *Core) ID() int { return c.id }
 
-// Node reports the core's NUMA node.
-func (c *Core) Node() int { return c.node }
-
-// Hz reports the core's clock frequency.
-func (c *Core) Hz() float64 { return c.hz }
-
 // CycleTime converts a cycle count into virtual time at this core's clock.
 func (c *Core) CycleTime(cycles float64) Time {
 	if cycles <= 0 {
@@ -39,14 +33,11 @@ func (c *Core) CycleTime(cycles float64) Time {
 	return Time(cycles * 1e12 / c.hz)
 }
 
-// Cycles converts a virtual-time span into cycles at this core's clock.
-func (c *Core) Cycles(d Time) float64 {
-	return float64(d) * c.hz / 1e12
-}
-
 // FreeAt reports when the core finishes all currently queued work. Read
 // after Run(until) returns, that includes the idle polls up to until of a
 // loop parked on the core.
+//
+//dhl:allow unreferenced the poll-loop equivalence oracle compares it between engines
 func (c *Core) FreeAt() Time {
 	c.sim.landOn(c)
 	return c.freeAt
@@ -54,6 +45,8 @@ func (c *Core) FreeAt() Time {
 
 // Utilization reports the fraction of [0, horizon] this core spent busy,
 // idle polls included as FreeAt has them.
+//
+//dhl:allow unreferenced the poll-loop equivalence oracle compares it between engines
 func (c *Core) Utilization(horizon Time) float64 {
 	if horizon <= 0 {
 		return 0
@@ -192,6 +185,8 @@ func (p *PollLoop) Stop() {
 
 // Iterations reports how many poll iterations have run; read after
 // Run(until) returns, every idle poll up to until.
+//
+//dhl:allow unreferenced the poll-loop equivalence oracle compares it between engines
 func (p *PollLoop) Iterations() uint64 {
 	p.land()
 	return p.iterations

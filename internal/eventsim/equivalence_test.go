@@ -262,7 +262,7 @@ func runScenario(seed uint64, lazy bool) []rec {
 			direct: rng.Intn(5) == 0, posts: rng.Intn(5) == 0}
 		if i > 0 && rng.Intn(12) == 0 {
 			st.core = sc.stages[i-1].core // two loops on one core
-			hz = st.core.Hz()
+			hz = st.core.hz
 		} else {
 			st.core = NewCore(sim, i, 0, hz)
 		}
@@ -353,7 +353,7 @@ func runScenario(seed uint64, lazy bool) []rec {
 			sim.At(when(), func() { sc.probe("probe") })
 		case 7:
 			if rng.Intn(3) == 0 {
-				sim.At(when(), sim.Stop)
+				sim.At(when(), func() { sim.stopped = true })
 			}
 		case 11:
 			// Somebody else borrows the loop's core.

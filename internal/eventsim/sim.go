@@ -13,7 +13,6 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Time is a virtual timestamp in picoseconds since simulation start.
@@ -27,17 +26,6 @@ const (
 	Millisecond Time = 1000 * Microsecond
 	Second      Time = 1000 * Millisecond
 )
-
-// FromDuration converts a time.Duration into simulator Time.
-func FromDuration(d time.Duration) Time {
-	return Time(d.Nanoseconds()) * Nanosecond
-}
-
-// Duration converts a simulator Time span back into a time.Duration,
-// truncating to nanosecond resolution.
-func (t Time) Duration() time.Duration {
-	return time.Duration(int64(t)/int64(Nanosecond)) * time.Nanosecond
-}
 
 // Seconds reports the time span in floating-point seconds.
 func (t Time) Seconds() float64 {
@@ -213,9 +201,6 @@ func (s *Sim) After(d Time, fn func()) {
 	s.At(s.now+d, fn)
 }
 
-// Stop makes Run return after the currently executing event completes.
-func (s *Sim) Stop() { s.stopped = true }
-
 // Post schedules fn to run on the event-loop goroutine at the next safe
 // point inside Run: before the next event executes, at the current
 // virtual time. Unlike every other Sim method, Post is safe to call from
@@ -234,10 +219,6 @@ func (s *Sim) Post(fn func()) {
 	s.postMu.Unlock()
 	s.postPending.Store(true)
 }
-
-// PostedPending reports whether external work is waiting for the next
-// Run safe point. Safe from any goroutine.
-func (s *Sim) PostedPending() bool { return s.postPending.Load() }
 
 // drainPosted runs every function waiting in the external mailbox. Only
 // the event-loop goroutine calls it (from Run), so posted functions see
@@ -330,10 +311,6 @@ func (s *Sim) Run(until Time) uint64 {
 func (s *Sim) RunAll() uint64 {
 	return s.Run(never)
 }
-
-// Pending reports the number of scheduled-but-unexecuted events. A parked
-// idle poll loop counts as one: its next poll.
-func (s *Sim) Pending() int { return len(s.events) + s.nParked }
 
 // --- Idle poll loops ------------------------------------------------------
 //

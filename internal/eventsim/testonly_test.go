@@ -1,0 +1,23 @@
+package eventsim
+
+import (
+	"time"
+)
+
+// Only this package's tests read what follows; the rest of the module
+// has no use for it.
+
+// Pending reports the number of scheduled-but-unexecuted events. A parked
+// idle poll loop counts as one: its next poll.
+func (s *Sim) Pending() int { return len(s.events) + s.nParked }
+
+// Duration converts a simulator Time span back into a time.Duration,
+// truncating to nanosecond resolution.
+func (t Time) Duration() time.Duration {
+	return time.Duration(int64(t)/int64(Nanosecond)) * time.Nanosecond
+}
+
+// FromDuration converts a time.Duration into simulator Time.
+func FromDuration(d time.Duration) Time {
+	return Time(d.Nanoseconds()) * Nanosecond
+}

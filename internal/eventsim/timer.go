@@ -28,14 +28,6 @@ func (s *Sim) NewTimer(fn func()) *Timer {
 // Armed reports whether the timer has a pending deadline.
 func (t *Timer) Armed() bool { return t.armed }
 
-// When returns the armed deadline, or zero when stopped.
-func (t *Timer) When() Time {
-	if !t.armed {
-		return 0
-	}
-	return t.at
-}
-
 // Reset arms the timer to fire d from now, replacing any earlier
 // deadline. Resetting an armed timer is cheap but not free — it books
 // one event per call — so periodic users should re-arm from the

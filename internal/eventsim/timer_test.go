@@ -6,12 +6,12 @@ func TestTimerFiresOnce(t *testing.T) {
 	sim := New()
 	fired := 0
 	tm := sim.NewTimer(func() { fired++ })
-	if tm.Armed() || tm.When() != 0 {
+	if tm.Armed() {
 		t.Error("new timer should be stopped")
 	}
 	tm.Reset(10 * Microsecond)
-	if !tm.Armed() || tm.When() != 10*Microsecond {
-		t.Errorf("armed=%v when=%v", tm.Armed(), tm.When())
+	if !tm.Armed() || tm.at != 10*Microsecond {
+		t.Errorf("armed=%v at=%v", tm.Armed(), tm.at)
 	}
 	sim.RunAll()
 	if fired != 1 {

@@ -15,7 +15,7 @@ func TestNilPlanNeverFires(t *testing.T) {
 		if p.Fire(k) {
 			t.Fatalf("nil plan fired %s", k)
 		}
-		if p.Injected(k) != 0 || p.StallFor(k) != 0 || p.Armed(k) {
+		if p.Injected(k) != 0 || p.StallFor(k) != 0 {
 			t.Fatalf("nil plan leaked state for %s", k)
 		}
 	}
@@ -64,8 +64,8 @@ func TestEveryNAndCount(t *testing.T) {
 	if p.Injected(ModuleError) != 2 {
 		t.Errorf("injected %d", p.Injected(ModuleError))
 	}
-	if p.Draws(ModuleError) != 6 {
-		t.Errorf("draws %d, want 6 (draws stop counting once exhausted)", p.Draws(ModuleError))
+	if p.specs[ModuleError].draws != 6 {
+		t.Errorf("draws %d, want 6 (draws stop counting once exhausted)", p.specs[ModuleError].draws)
 	}
 	if !p.Exhausted() {
 		t.Error("count-bounded plan should exhaust")

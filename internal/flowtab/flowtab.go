@@ -264,9 +264,6 @@ func (t *Table[K, V]) Name() string { return t.name }
 // Len reports the number of live entries.
 func (t *Table[K, V]) Len() int { return t.live }
 
-// Cap reports the current slab capacity.
-func (t *Table[K, V]) Cap() int { return len(t.slab) }
-
 // MemBytes reports the bytes currently allocated by the table: slab,
 // hash index(es), and wheel. This is what the memory budget bounds.
 func (t *Table[K, V]) MemBytes() int {

@@ -260,8 +260,8 @@ func TestMemoryBudgetPressureEviction(t *testing.T) {
 	if st.EvictedPressure == 0 {
 		t.Fatal("no pressure evictions under a tight budget")
 	}
-	if st.Entries == 0 || st.Entries > uint64(tab.Cap()) {
-		t.Fatalf("implausible live count %d (cap %d)", st.Entries, tab.Cap())
+	if st.Entries == 0 || st.Entries > uint64(len(tab.slab)) {
+		t.Fatalf("implausible live count %d (cap %d)", st.Entries, len(tab.slab))
 	}
 	// The most recent key must have survived (oldest-first victims).
 	if _, ok := tab.Lookup(99999); !ok {

@@ -314,8 +314,8 @@ func runProgram(cfg Config[uint64, uint64], capacity int, ops []op) error {
 		}
 		wantSt := m.stats
 		wantSt.Entries, wantSt.Capacity, wantSt.MemBytes = uint64(len(m.vals)), uint64(m.capacity), st.MemBytes
-		if st != wantSt || tab.Cap() != m.capacity {
-			return fail("stats %+v (Cap %d), want %+v", st, tab.Cap(), wantSt)
+		if st != wantSt || len(tab.slab) != m.capacity {
+			return fail("stats %+v (Cap %d), want %+v", st, len(tab.slab), wantSt)
 		}
 		if st.Hits > st.Lookups {
 			return fail("%d hits from %d lookups", st.Hits, st.Lookups)

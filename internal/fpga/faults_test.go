@@ -26,7 +26,7 @@ func faultRig(t *testing.T, plan *faultinject.Plan) (*eventsim.Sim, *Device, int
 }
 
 func TestDispatchInjectedModuleError(t *testing.T) {
-	plan := faultinject.MustPlan(3, faultinject.Spec{Kind: faultinject.ModuleError, EveryN: 2})
+	plan := mustPlan(t, 3, faultinject.Spec{Kind: faultinject.ModuleError, EveryN: 2})
 	sim, d, idx := faultRig(t, plan)
 	var errs []error
 	for i := 0; i < 4; i++ {
@@ -50,7 +50,7 @@ func TestDispatchInjectedModuleError(t *testing.T) {
 }
 
 func TestDispatchInjectedGarbage(t *testing.T) {
-	plan := faultinject.MustPlan(3, faultinject.Spec{Kind: faultinject.ModuleGarbage, EveryN: 1, Count: 1})
+	plan := mustPlan(t, 3, faultinject.Spec{Kind: faultinject.ModuleGarbage, EveryN: 1, Count: 1})
 	sim, d, idx := faultRig(t, plan)
 	batch, _ := dhlproto.AppendRecord(nil, 1, 1, []byte("payload"))
 	var out []byte
@@ -70,7 +70,7 @@ func TestDispatchInjectedGarbage(t *testing.T) {
 }
 
 func TestDispatchHangParksUntilReset(t *testing.T) {
-	plan := faultinject.MustPlan(3, faultinject.Spec{Kind: faultinject.ModuleHang, EveryN: 1, Count: 1})
+	plan := mustPlan(t, 3, faultinject.Spec{Kind: faultinject.ModuleHang, EveryN: 1, Count: 1})
 	sim, d, idx := faultRig(t, plan)
 	var hangErr error
 	completions := 0
@@ -82,8 +82,8 @@ func TestDispatchHangParksUntilReset(t *testing.T) {
 		t.Fatal("hung batch completed without a reset")
 	}
 	r, _ := d.Region(idx)
-	if r.Hung() != 1 {
-		t.Fatalf("hung %d", r.Hung())
+	if len(r.hung) != 1 {
+		t.Fatalf("hung %d", len(r.hung))
 	}
 	if err := d.ResetRegion(idx); err != nil {
 		t.Fatal(err)
@@ -106,7 +106,7 @@ func TestDispatchHangParksUntilReset(t *testing.T) {
 }
 
 func TestRegionSEUGarblesUntilReload(t *testing.T) {
-	plan := faultinject.MustPlan(3, faultinject.Spec{Kind: faultinject.RegionSEU, EveryN: 1, Count: 1})
+	plan := mustPlan(t, 3, faultinject.Spec{Kind: faultinject.RegionSEU, EveryN: 1, Count: 1})
 	sim, d, idx := faultRig(t, plan)
 	garbled := func() bool {
 		batch, _ := dhlproto.AppendRecord(nil, 1, 1, []byte("payload"))
@@ -127,7 +127,7 @@ func TestRegionSEUGarblesUntilReload(t *testing.T) {
 		t.Fatal("SEU did not garble output")
 	}
 	r, _ := d.Region(idx)
-	if !r.SEU() {
+	if !r.seu {
 		t.Fatal("SEU flag not set")
 	}
 	reloaded := false
@@ -142,7 +142,7 @@ func TestRegionSEUGarblesUntilReload(t *testing.T) {
 	if !reloaded {
 		t.Fatal("reload never completed")
 	}
-	if r.SEU() {
+	if r.seu {
 		t.Error("reload did not clear the SEU")
 	}
 	if garbled() {
@@ -169,7 +169,7 @@ func TestReloadStateChecks(t *testing.T) {
 }
 
 func TestShutdownRefusesWorkAndFlushesHung(t *testing.T) {
-	plan := faultinject.MustPlan(3, faultinject.Spec{Kind: faultinject.ModuleHang, EveryN: 1, Count: 1})
+	plan := mustPlan(t, 3, faultinject.Spec{Kind: faultinject.ModuleHang, EveryN: 1, Count: 1})
 	sim, d, idx := faultRig(t, plan)
 	var hangErr error
 	if _, err := d.Dispatch(idx, []byte("x"), nil, func(_ []byte, e error) { hangErr = e }); err != nil {
@@ -234,4 +234,14 @@ func TestShutdownMidReloadAbandonsPR(t *testing.T) {
 	if called {
 		t.Error("reload completion ran on a dead device")
 	}
+}
+
+// mustPlan builds a fault plan from known-good specs.
+func mustPlan(t testing.TB, seed uint64, specs ...faultinject.Spec) *faultinject.Plan {
+	t.Helper()
+	p, err := faultinject.NewPlan(seed, specs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }

@@ -26,7 +26,6 @@ import (
 var (
 	ErrNoFreeRegion   = errors.New("fpga: no free reconfigurable part")
 	ErrInsufficient   = errors.New("fpga: insufficient LUT/BRAM resources")
-	ErrRegionBusy     = errors.New("fpga: reconfigurable part is busy")
 	ErrUnknownAcc     = errors.New("fpga: unknown accelerator (no module at acc slot)")
 	ErrNotLoaded      = errors.New("fpga: module not loaded")
 	ErrBadSpec        = errors.New("fpga: invalid module spec")
@@ -174,21 +173,8 @@ type Region struct {
 	busyPs  eventsim.Time
 }
 
-// SEU reports whether the region's configuration memory carries an
-// un-repaired injected upset.
-func (r *Region) SEU() bool { return r.seu }
-
-// Hung reports the number of batches parked by injected module hangs.
-func (r *Region) Hung() int { return len(r.hung) }
-
-// Index reports the region's floorplan slot.
-func (r *Region) Index() int { return r.idx }
-
 // State reports the region's lifecycle state.
 func (r *Region) State() RegionState { return r.state }
-
-// Spec reports the loaded module's spec (zero value when empty).
-func (r *Region) Spec() ModuleSpec { return r.spec }
 
 // Config parameterizes a Device.
 type Config struct {
@@ -708,6 +694,8 @@ func (d *Device) Dispatch(regionIdx int, batch, dst []byte, done func(out []byte
 }
 
 // RegionStats reports a region's lifetime counters.
+//
+//dhl:allow unreferenced core's migration and NUMA tests check which board ran each batch
 func (d *Device) RegionStats(regionIdx int) (batches, bytes uint64, busy eventsim.Time, err error) {
 	r, rerr := d.Region(regionIdx)
 	if rerr != nil {

@@ -40,6 +40,26 @@ func TestFlowScaleConservation(t *testing.T) {
 	}
 }
 
+// TestFlowScaleConservationSeesDryPool starves the generator: a frame
+// the pool cannot back never reaches GenSent, so the ledger balances
+// anyway, and only the carried AllocFailures count shows the loss.
+func TestFlowScaleConservationSeesDryPool(t *testing.T) {
+	res, err := RunFlowScale(FlowScaleConfig{
+		Flows:        1_000,
+		Window:       2 * eventsim.Millisecond,
+		PoolCapacity: 8,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.AllocFailures == 0 {
+		t.Fatal("an 8-mbuf pool at line rate never ran dry; the test needs a smaller pool")
+	}
+	if err := res.CheckConservation(); err == nil {
+		t.Fatalf("CheckConservation accepted %d frames lost to a dry pool", res.AllocFailures)
+	}
+}
+
 // TestFlowScaleChurnSoak is the bounded-memory churn soak: a large
 // Zipf-skewed flow population with continuous flow birth/death, a hard
 // table memory budget, and exact drop attribution. Short mode runs the
@@ -73,8 +93,10 @@ func TestFlowScaleChurnSoak(t *testing.T) {
 	if err := res.CheckConservation(); err != nil {
 		t.Fatal(err)
 	}
-	if err := res.CheckMemBudget(); err != nil {
-		t.Fatal(err)
+	for _, tab := range res.Tables {
+		if tab.MemBytes > uint64(cfg.MemBudgetBytes) {
+			t.Fatalf("table %s at %d bytes exceeds the %d budget", tab.Name, tab.MemBytes, cfg.MemBudgetBytes)
+		}
 	}
 	if res.Births < wantChurn || res.Deaths < wantChurn {
 		t.Errorf("churn soak too shallow: births=%d deaths=%d, want >= %d each",

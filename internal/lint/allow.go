@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"go/ast"
 	"strings"
 )
 
@@ -95,23 +94,4 @@ func filterAllowed(all []Finding, idx allowIndex) []Finding {
 		}
 	}
 	return kept
-}
-
-// hasAllowComment reports whether any comment attached to n's line range
-// in file suppresses the named analyzer. Analyzers that position findings
-// away from the directive line (none currently) can use this directly.
-func hasAllowComment(pkg *Package, file *ast.File, line int, analyzer string) bool {
-	for _, cg := range file.Comments {
-		for _, c := range cg.List {
-			name, ok := parseAllow(c.Text)
-			if !ok || name != analyzer {
-				continue
-			}
-			cl := pkg.Position(c.Pos()).Line
-			if cl == line || cl == line-1 {
-				return true
-			}
-		}
-	}
-	return false
 }

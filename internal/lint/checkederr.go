@@ -15,7 +15,7 @@ type CheckedErr struct{}
 // apiMethods are the DHL API methods whose results must not be dropped.
 // The list covers the Table II surface (Register/LoadPR/SearchByName/
 // AccConfigure/Unregister/SendPackets/ReceivePackets), the mempool
-// contract entry points (Pool.Free/FreeBulk/Retain/AllocBulk), the
+// contract entry points (Pool.Free/FreeBulk/AllocBulk), the
 // recovery surface (Device.Reload/ResetRegion,
 // Runtime.RegisterFallback), the fleet placement surface
 // (Migrate/Replicate/Rebalance/Place — a dropped migration error leaves
@@ -43,7 +43,6 @@ var apiMethods = map[string]bool{
 	"AttachCores":      true,
 	"Free":             true,
 	"FreeBulk":         true,
-	"Retain":           true,
 	"AllocBulk":        true,
 	"Reload":           true,
 	"ResetRegion":      true,

@@ -3,7 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
-	"os"
+	"go/types"
 	"os/exec"
 	"path/filepath"
 	"sort"
@@ -11,35 +11,48 @@ import (
 	"strings"
 )
 
-// EscapeCheck is the compiler-backed complement to HotPathAlloc: instead
-// of recognising allocation syntax in the AST, it runs the real escape
-// analysis (`go build -gcflags=-m`) over every package containing a
-// //dhl:hotpath function and flags any "escapes to heap" / "moved to
-// heap" diagnostic landing inside such a function's body. That catches
-// what AST heuristics cannot — closures capturing by reference, interface
-// boxing through generic instantiation, address-taken locals the
-// compiler cannot keep on the stack — and, symmetrically, stays quiet
-// about syntax that looks like an allocation but is proven stack-bound.
+// EscapeCheck enforces the `//dhl:hotpath` directive: functions so
+// annotated form the per-packet data path (Packer staging, Distributor
+// demultiplexing, ring push/pop, mbuf alloc/free) and must not allocate.
+// Whether something allocates is the compiler's call, not a guess from
+// syntax: the analyzer runs the real escape analysis (`go build
+// -gcflags=-m`) over every package containing a //dhl:hotpath function
+// and flags any "escapes to heap" / "moved to heap" diagnostic landing
+// inside such a function's body. That catches closures capturing by
+// reference, boxing through generic instantiation and address-taken
+// locals, and stays quiet about a map literal, a make or an interface
+// conversion the compiler keeps on the stack.
 //
-// The analyzer shells out to the go tool; when the toolchain cannot run
-// the probe (no go binary, a compiler without -gcflags=-m) it records
-// Unsupported and returns no findings, so the CLI can degrade the step
-// to a warning instead of failing the gate on an exotic toolchain.
+// What the compiler cannot see is cost that is not an allocation in the
+// function itself, so an AST pass over the same bodies also forbids calls
+// into fmt and log (which format via reflection and lock) and
+// time.Now/time.Since (which syscall; the data path uses the simulated
+// clock). Amortized per-batch work belongs in unannotated helpers; the
+// directive is per-function so the hot loop can call out to cold code.
+//
+// The compiler probe shells out to the go tool; when the toolchain cannot
+// run it (no go binary, a compiler without -gcflags=-m) the analyzer
+// records Unsupported and reports only the AST findings, so the CLI can
+// degrade the step to a warning instead of failing the gate on an exotic
+// toolchain.
 type EscapeCheck struct {
 	// Unsupported is set when the toolchain cannot run `go build
-	// -gcflags=-m`; the analyzer then reports nothing.
+	// -gcflags=-m`; the compiler findings are then missing.
 	Unsupported bool
 	// RunErr records a compiler invocation failure other than an
 	// unsupported toolchain (e.g. the target packages do not build).
 	RunErr error
 }
 
+// Directive is the comment that marks a function as hot-path.
+const Directive = "dhl:hotpath"
+
 // Name implements Analyzer.
 func (*EscapeCheck) Name() string { return "escapecheck" }
 
 // Doc implements Analyzer.
 func (*EscapeCheck) Doc() string {
-	return "flags compiler-proven heap escapes (go build -gcflags=-m) inside //dhl:hotpath functions"
+	return "flags compiler-proven heap escapes (go build -gcflags=-m) and fmt/log/time.Now calls inside //dhl:hotpath functions"
 }
 
 // Check implements Analyzer; per-package operation delegates to the
@@ -58,9 +71,11 @@ type hotRange struct {
 func (e *EscapeCheck) CheckModule(pkgs []*Package) []Finding {
 	e.Unsupported = false
 	e.RunErr = nil
-	// Collect hotpath body ranges per file and the package dirs to build.
+	// Collect hotpath body ranges per file and the package dirs to build;
+	// denied calls need no compiler.
+	var findings []Finding
 	ranges := make(map[string][]hotRange)
-	dirSet := make(map[string]bool)
+	dirOf := make(map[string]string) // import path -> directory
 	for _, pkg := range pkgs {
 		for _, file := range pkg.Files {
 			for _, decl := range file.Decls {
@@ -72,23 +87,20 @@ func (e *EscapeCheck) CheckModule(pkgs []*Package) []Finding {
 				p1 := pkg.Position(fd.Body.Rbrace)
 				ranges[p0.Filename] = append(ranges[p0.Filename],
 					hotRange{fn: fd.Name.Name, start: p0.Line, end: p1.Line})
-				dirSet[pkg.Dir] = true
+				dirOf[pkg.ImportPath] = pkg.Dir
+				findings = append(findings, e.deniedCalls(pkg, fd)...)
 			}
 		}
 	}
-	if len(dirSet) == 0 {
+	if len(dirOf) == 0 {
 		return nil
 	}
 	var dirs []string
-	for d := range dirSet {
+	for _, d := range dirOf {
 		dirs = append(dirs, d)
 	}
 	sort.Strings(dirs)
-	root, err := moduleRootOf(dirs[0])
-	if err != nil {
-		e.RunErr = err
-		return nil
-	}
+	root := pkgs[0].loader.Root
 	out, err := runEscapeBuild(root, dirs)
 	if err != nil {
 		if isUnsupportedToolchain(err, out) {
@@ -96,27 +108,48 @@ func (e *EscapeCheck) CheckModule(pkgs []*Package) []Finding {
 		} else {
 			e.RunErr = fmt.Errorf("escapecheck: go build -gcflags=-m: %w\n%s", err, out)
 		}
-		return nil
+		return findings
 	}
-	return e.parseEscapes(root, out, ranges)
+	return append(findings, e.parseEscapes(root, out, ranges, dirOf)...)
 }
 
-// moduleRootOf walks up from dir to the directory containing go.mod.
-func moduleRootOf(dir string) (string, error) {
-	d, err := filepath.Abs(dir)
-	if err != nil {
-		return "", err
-	}
-	for {
-		if _, err := os.Stat(filepath.Join(d, "go.mod")); err == nil {
-			return d, nil
+// deniedCalls flags the calls in a hot body that cost more than their
+// allocations show: fmt, log, time.Now and time.Since.
+func (e *EscapeCheck) deniedCalls(pkg *Package, fd *ast.FuncDecl) []Finding {
+	var out []Finding
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
 		}
-		parent := filepath.Dir(d)
-		if parent == d {
-			return "", fmt.Errorf("escapecheck: no go.mod above %s", dir)
+		if f := calleeOf(pkg.Info, call); f != nil {
+			if reason, bad := deniedCall(f); bad {
+				out = append(out, finding(e.Name(), pkg.Position(call.Pos()),
+					"%s: call to %s on the hot path (%s)", fd.Name.Name, f.FullName(), reason))
+			}
 		}
-		d = parent
+		return true
+	})
+	return out
+}
+
+// deniedCall reports whether a resolved callee is on the hot-path
+// denylist, with a reason.
+func deniedCall(f *types.Func) (string, bool) {
+	if f.Pkg() == nil {
+		return "", false
 	}
+	switch f.Pkg().Path() {
+	case "fmt":
+		return "fmt." + f.Name() + " allocates and formats via reflection", true
+	case "log":
+		return "log." + f.Name() + " allocates and locks", true
+	case "time":
+		if f.Name() == "Now" || f.Name() == "Since" {
+			return "time." + f.Name() + " syscalls; use the simulation clock", true
+		}
+	}
+	return "", false
 }
 
 // runEscapeBuild invokes the compiler with escape-analysis diagnostics on
@@ -160,11 +193,21 @@ func isUnsupportedToolchain(err error, out string) bool {
 }
 
 // parseEscapes extracts the heap-escape diagnostics that land inside a
-// hotpath body. Compiler paths are relative to the module root.
-func (e *EscapeCheck) parseEscapes(root, out string, ranges map[string][]hotRange) []Finding {
+// hotpath body. Compiler paths are relative to the module root, or, in
+// diagnostics the go tool replays from its cache, to the directory of the
+// package named by the preceding "# import/path" line.
+func (e *EscapeCheck) parseEscapes(root, out string, ranges map[string][]hotRange, dirOf map[string]string) []Finding {
 	var findings []Finding
+	pkgDir := root
 	for _, line := range strings.Split(out, "\n") {
 		line = strings.TrimSpace(line)
+		if path, ok := strings.CutPrefix(line, "# "); ok {
+			pkgDir = root
+			if d, ok := dirOf[path]; ok {
+				pkgDir = d
+			}
+			continue
+		}
 		if !strings.Contains(line, "escapes to heap") && !strings.Contains(line, "moved to heap") {
 			continue
 		}
@@ -172,7 +215,10 @@ func (e *EscapeCheck) parseEscapes(root, out string, ranges map[string][]hotRang
 		if !ok {
 			continue
 		}
-		if !filepath.IsAbs(file) {
+		switch {
+		case strings.HasPrefix(file, "./"):
+			file = filepath.Join(pkgDir, file)
+		case !filepath.IsAbs(file):
 			file = filepath.Join(root, file)
 		}
 		for _, r := range ranges[file] {

@@ -2,9 +2,9 @@
 // suite for this module. The Go compiler cannot see DHL's operational
 // invariants — the DPDK mempool contract that every Alloc is balanced by a
 // Free, the rte_ring rule that a SingleProducer ring is only ever pushed
-// from one goroutine, or the requirement that the Packer/Distributor data
-// path stays allocation-free — so these analyzers enforce them at review
-// time instead. Everything here is written against the standard library
+// from one goroutine, the requirement that the Packer/Distributor data
+// path stays allocation-free, or that internal code has a caller outside
+// its tests — so these analyzers enforce them at review time instead. Everything here is written against the standard library
 // only (go/ast, go/parser, go/types); the module stays dependency-free and
 // offline-buildable.
 package lint
@@ -46,7 +46,8 @@ type Analyzer interface {
 
 // ModuleAnalyzer is an analyzer whose invariant spans package boundaries
 // (atomicfield's "atomic everywhere" rule, faultattr's kind/ledger
-// exhaustiveness, escapecheck's whole-build compiler pass). Run invokes
+// exhaustiveness, escapecheck's whole-build compiler pass, unreferenced's
+// reachability). Run invokes
 // CheckModule once with every loaded package instead of Check per
 // package.
 type ModuleAnalyzer interface {
@@ -60,13 +61,13 @@ func Analyzers() []Analyzer {
 	return []Analyzer{
 		&MbufLeak{},
 		&RingMode{},
-		&HotPathAlloc{},
 		&CheckedErr{},
 		&ArenaLease{},
 		&AtomicField{},
 		&StagePair{},
 		&FaultAttr{},
 		&EscapeCheck{},
+		&Unreferenced{},
 	}
 }
 

@@ -21,6 +21,8 @@ type Package struct {
 	Files      []*ast.File
 	Types      *types.Package
 	Info       *types.Info
+
+	loader *Loader // the Loader that built it, for analyzers that judge a whole tree
 }
 
 // Position resolves a node position against the package's file set.
@@ -173,6 +175,7 @@ func (l *Loader) load(path string) (*Package, error) {
 		Files:      files,
 		Types:      tpkg,
 		Info:       info,
+		loader:     l,
 	}
 	l.pkgs[path] = pkg
 	return pkg, nil
@@ -211,23 +214,28 @@ func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 // dhl-lint enforces are production data-path contracts, and tests routinely
 // violate them on purpose (deliberate leaks, stress rings).
 func (l *Loader) LoadAll() ([]*Package, error) {
-	var pkgs []*Package
+	return l.LoadTree(l.Root)
+}
+
+// LoadTree loads every package at or below dir (a "dir/..." pattern),
+// skipping testdata, hidden and underscore directories beneath it.
+func (l *Loader) LoadTree(dir string) ([]*Package, error) {
 	var dirs []string
-	err := filepath.WalkDir(l.Root, func(p string, d os.DirEntry, err error) error {
+	err := filepath.WalkDir(dir, func(p string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		if d.IsDir() {
 			name := d.Name()
-			if p != l.Root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			if p != dir && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 				return filepath.SkipDir
 			}
 			return nil
 		}
 		if strings.HasSuffix(d.Name(), ".go") && !strings.HasSuffix(d.Name(), "_test.go") {
-			dir := filepath.Dir(p)
-			if len(dirs) == 0 || dirs[len(dirs)-1] != dir {
-				dirs = append(dirs, dir)
+			pdir := filepath.Dir(p)
+			if len(dirs) == 0 || dirs[len(dirs)-1] != pdir {
+				dirs = append(dirs, pdir)
 			}
 		}
 		return nil
@@ -236,8 +244,9 @@ func (l *Loader) LoadAll() ([]*Package, error) {
 		return nil, err
 	}
 	sort.Strings(dirs)
-	for _, dir := range dirs {
-		pkg, err := l.LoadDir(dir)
+	var pkgs []*Package
+	for _, d := range dirs {
+		pkg, err := l.LoadDir(d)
 		if err != nil {
 			return nil, err
 		}

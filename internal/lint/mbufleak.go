@@ -7,7 +7,7 @@ import (
 )
 
 // MbufLeak enforces the DPDK mempool contract on mbuf ownership: a
-// function that obtains buffers from mbuf.Pool.Alloc/AllocBulk/Retain
+// function that obtains buffers from mbuf.Pool.Alloc/AllocBulk
 // must, on every path out, either release them (Pool.Free/FreeBulk) or
 // hand ownership elsewhere — enqueue onto a ring, pass to SendPackets or
 // any helper, store into a field/slice, or return them to the caller.
@@ -24,7 +24,7 @@ func (*MbufLeak) Name() string { return "mbufleak" }
 
 // Doc implements Analyzer.
 func (*MbufLeak) Doc() string {
-	return "flags functions that obtain mbufs (Pool.Alloc/AllocBulk/Retain) and can return without freeing or handing them off"
+	return "flags functions that obtain mbufs (Pool.Alloc/AllocBulk) and can return without freeing or handing them off"
 }
 
 // Check implements Analyzer.
@@ -32,7 +32,7 @@ func (m *MbufLeak) Check(pkg *Package) []Finding {
 	return checkOwnership(pkg, &ownPolicy{
 		analyzer:    m.Name(),
 		acquireCall: mbufAcquire,
-		trackBound:  true, // Retain(m)/AllocBulk(dst) on a parameter still acquires
+		trackBound:  true, // AllocBulk(dst) on a parameter still acquires
 		message: func(fn string, o *obligation, exitLine int) string {
 			return fmt.Sprintf("%s: mbuf %q obtained via %s may leak: function can return (line %d) without Free or handing ownership off",
 				fn, o.v.Name(), o.kind, exitLine)
@@ -48,8 +48,6 @@ func mbufAcquire(info *types.Info, call *ast.CallExpr) (acqSpec, bool) {
 		return acqSpec{kind: "Alloc"}, true
 	case methodOn(f, mbufPkgPath, "Pool", "AllocBulk"):
 		return acqSpec{kind: "AllocBulk", argBind: true}, true
-	case methodOn(f, mbufPkgPath, "Pool", "Retain"):
-		return acqSpec{kind: "Retain", argBind: true}, true
 	}
 	return acqSpec{}, false
 }

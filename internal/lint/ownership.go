@@ -43,8 +43,8 @@ type ownPolicy struct {
 	// the receiver's root variable (resolved through aliases).
 	finalizers map[string]bool
 	// trackBound lets obligations attach to the function's own receiver,
-	// parameters and named results. mbufleak wants this (Retain(m) on a
-	// parameter creates a new reference the function owns); the
+	// parameters and named results. mbufleak wants this (AllocBulk(dst)
+	// on a parameter fills buffers the function owns); the
 	// object-lifecycle analyzers do not (a parameter's lease belongs to
 	// the caller).
 	trackBound bool
@@ -415,7 +415,7 @@ func (t *ownTracker) trackFromCall(spec acqSpec, call *ast.CallExpr, lhs []ast.E
 	var v *types.Var
 	var errVar types.Object
 	if spec.argBind {
-		// pool.AllocBulk(dst) / pool.Retain(m): the obligation lands on
+		// pool.AllocBulk(dst): the obligation lands on
 		// the argument; the (single) result is the error.
 		if len(call.Args) > 0 {
 			if id, ok := ast.Unparen(call.Args[0]).(*ast.Ident); ok {

@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 )
 
 // Import paths of the DHL packages whose contracts the analyzers enforce.
@@ -58,27 +59,7 @@ func calleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
 // methodOn reports whether f is a method named one of names on the named
 // type typeName defined in package pkgPath (pointer receivers included).
 func methodOn(f *types.Func, pkgPath, typeName string, names ...string) bool {
-	if f == nil || f.Pkg() == nil || f.Pkg().Path() != pkgPath {
-		return false
-	}
-	sig, ok := f.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Name() != typeName {
-		return false
-	}
-	for _, n := range names {
-		if f.Name() == n {
-			return true
-		}
-	}
-	return false
+	return methodOnAnyNamed(f, typeName, names...) && f.Pkg().Path() == pkgPath
 }
 
 // methodOnAnyNamed reports whether f is a method named one of names on a
@@ -99,15 +80,7 @@ func methodOnAnyNamed(f *types.Func, typeName string, names ...string) bool {
 		t = p.Elem()
 	}
 	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Name() != typeName {
-		return false
-	}
-	for _, n := range names {
-		if f.Name() == n {
-			return true
-		}
-	}
-	return false
+	return ok && named.Obj().Name() == typeName && slices.Contains(names, f.Name())
 }
 
 // fieldOfSelector resolves a selector expression to the struct field it

@@ -165,8 +165,8 @@ func (ra *ringAnalysis) walk(cur *fnode, body ast.Node) {
 }
 
 var (
-	producerMethods = []string{"Enqueue", "EnqueueBulk", "EnqueueBurst"}
-	consumerMethods = []string{"Dequeue", "DequeueBulk", "DequeueBurst"}
+	producerMethods = []string{"Enqueue", "EnqueueBurst"}
+	consumerMethods = []string{"DequeueBurst"}
 )
 
 // recordUse captures enqueue/dequeue call sites on identifiable rings.

@@ -24,7 +24,7 @@ func DropBulk(p *mbuf.Pool, dst []*mbuf.Mbuf) {
 
 // DropInGoroutine discards an error on a spawned call.
 func DropInGoroutine(p *mbuf.Pool, m *mbuf.Mbuf) {
-	go p.Retain(m) // dropped error
+	go p.Free(m) // dropped error
 }
 
 // DropRecovery discards the recovery surface's rejections: Reload's

@@ -28,6 +28,24 @@ func StackStruct(n int) int {
 	return q.a + q.b
 }
 
+// StackBound builds a map literal, a slice literal and a fixed-size
+// make, runs a closure that captures a local, and boxes an int into an
+// interface. Each looks like an allocation, but none outlives the frame,
+// so escape analysis keeps all five on the stack: the compiler, not the
+// syntax, decides what allocates.
+//
+//dhl:hotpath
+func StackBound(x int) int {
+	counts := map[int]int{x: 1}
+	ids := []int{x, x}
+	scratch := make([]byte, 16)
+	inc := func() { x++ }
+	inc()
+	var v interface{} = x
+	n, _ := v.(int)
+	return counts[x] + len(ids) + len(scratch) + n
+}
+
 // AllowedEscape is the suppression case: the escape is real, but the
 // function only runs on the arm-once configuration path and the
 // directive documents that.

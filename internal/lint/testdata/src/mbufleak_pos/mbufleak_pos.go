@@ -24,11 +24,3 @@ func LeakBulkAtExit(p *mbuf.Pool, dst []*mbuf.Mbuf) {
 	}
 	// leak: dst's mbufs are never freed or handed off
 }
-
-// LeakRetained takes an extra reference and drops it on the floor.
-func LeakRetained(p *mbuf.Pool, m *mbuf.Mbuf) error {
-	if err := p.Retain(m); err != nil {
-		return err
-	}
-	return nil // leak: the retained reference is never released
-}

@@ -17,12 +17,11 @@ func producer() {
 func RunPaired() int {
 	go producer()
 	n := 0
-	for {
-		if _, ok := spsc.Dequeue(); !ok {
-			return n
-		}
+	var buf [1]int
+	for spsc.DequeueBurst(buf[:]) == 1 {
 		n++
 	}
+	return n
 }
 
 // mpmc is declared for the general mode, so any number of goroutines on
@@ -31,7 +30,7 @@ var mpmc = ring.MustNew[int]("mpmc-ok", 64, ring.MultiProducerConsumer)
 
 func worker() {
 	mpmc.Enqueue(1)
-	mpmc.Dequeue()
+	mpmc.DequeueBurst(make([]int, 1))
 }
 
 // RunCrowd spawns several workers onto the MP/MC ring.

@@ -18,20 +18,19 @@ func RunMisdeclaredProducers() int {
 	go producerA()
 	go producerB()
 	n := 0
-	for {
-		if _, ok := spsc.Dequeue(); !ok {
-			return n
-		}
+	var buf [1]int
+	for spsc.DequeueBurst(buf[:]) == 1 {
 		n++
 	}
+	return n
 }
 
 // sc is declared single-consumer but drained from two goroutines.
 var sc = ring.MustNew[string]("sc", 64, ring.SingleConsumer)
 
-func consumerA() { sc.Dequeue() }
+func consumerA() { sc.DequeueBurst(make([]string, 1)) }
 
-func consumerB() { sc.Dequeue() }
+func consumerB() { sc.DequeueBurst(make([]string, 1)) }
 
 // RunMisdeclaredConsumers spawns two consumer goroutines onto the MP/SC
 // ring: a dequeue-side data race under the declared mode.

@@ -42,8 +42,8 @@ func TestBasicAddLookup(t *testing.T) {
 	if _, err := tbl.Lookup(ip(11, 0, 0, 0)); !errors.Is(err, ErrNoRoute) {
 		t.Errorf("miss: %v", err)
 	}
-	if tbl.Routes() != 4 {
-		t.Errorf("routes %d", tbl.Routes())
+	if len(tbl.routes) != 4 {
+		t.Errorf("routes %d", len(tbl.routes))
 	}
 }
 
@@ -88,8 +88,8 @@ func TestUpdateExistingRoute(t *testing.T) {
 	if hop, _ := tbl.Lookup(ip(10, 5, 5, 5)); hop != 7 {
 		t.Errorf("update not applied: hop %d", hop)
 	}
-	if tbl.Routes() != 1 {
-		t.Errorf("routes %d after update", tbl.Routes())
+	if len(tbl.routes) != 1 {
+		t.Errorf("routes %d after update", len(tbl.routes))
 	}
 }
 

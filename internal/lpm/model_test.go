@@ -177,8 +177,8 @@ func runProgram(tbl *Table, routes []naiveRoute, ops []op) ([]naiveRoute, error)
 		chunks := deeperThan(routes, 8, map[uint32]bool{})
 		groups := deeperThan(routes, 24, map[uint32]bool{})
 		wantStr := fmt.Sprintf("lpm.Table{routes=%d chunks=%d tbl8Used=%d}", len(routes), chunks, groups)
-		if s := tbl.String(); s != wantStr || tbl.Routes() != len(routes) || len(tbl.free8) != modelTbl8-groups {
-			return routes, fail("%s with %d routes and %d free groups, want %s", s, tbl.Routes(), len(tbl.free8), wantStr)
+		if s := tbl.String(); s != wantStr || len(tbl.routes) != len(routes) || len(tbl.free8) != modelTbl8-groups {
+			return routes, fail("%s with %d routes and %d free groups, want %s", s, len(tbl.routes), len(tbl.free8), wantStr)
 		}
 
 		var addrs []uint32

@@ -103,14 +103,8 @@ func (m *Mbuf) Data() []byte { return m.buf[m.dataOff : m.dataOff+m.dataLen] }
 // Len reports the packet data length.
 func (m *Mbuf) Len() int { return m.dataLen }
 
-// Headroom reports bytes available before the packet data.
-func (m *Mbuf) Headroom() int { return m.dataOff }
-
 // Tailroom reports bytes available after the packet data.
 func (m *Mbuf) Tailroom() int { return len(m.buf) - m.dataOff - m.dataLen }
-
-// RefCnt reports the current reference count (0 means free).
-func (m *Mbuf) RefCnt() int { return int(m.refcnt) }
 
 // Reset re-initializes the mbuf to an empty packet with default headroom,
 // preserving pool ownership. Called automatically on allocation.
@@ -164,16 +158,6 @@ func (m *Mbuf) Prepend(n int) ([]byte, error) {
 	m.dataOff -= n
 	m.dataLen += n
 	return m.buf[m.dataOff : m.dataOff+n], nil
-}
-
-// Adj trims n bytes from the packet head (rte_pktmbuf_adj).
-func (m *Mbuf) Adj(n int) error {
-	if n < 0 || n > m.dataLen {
-		return ErrNoHeadroom
-	}
-	m.dataOff += n
-	m.dataLen -= n
-	return nil
 }
 
 // Trim removes n bytes from the packet tail (rte_pktmbuf_trim).

@@ -27,8 +27,8 @@ func TestPoolConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Name() != "n" || p.Node() != 1 || p.Capacity() != 4 {
-		t.Errorf("pool metadata wrong: %q %d %d", p.Name(), p.Node(), p.Capacity())
+	if p.Name() != "n" || p.node != 1 || p.Capacity() != 4 {
+		t.Errorf("pool metadata wrong: %q %d %d", p.Name(), p.node, p.Capacity())
 	}
 }
 
@@ -95,8 +95,8 @@ func TestRefcounting(t *testing.T) {
 	if err := p.Retain(m); err != nil {
 		t.Fatal(err)
 	}
-	if m.RefCnt() != 2 {
-		t.Errorf("refcnt %d", m.RefCnt())
+	if int(m.refcnt) != 2 {
+		t.Errorf("refcnt %d", int(m.refcnt))
 	}
 	if err := p.Free(m); err != nil {
 		t.Fatal(err)
@@ -166,11 +166,11 @@ func TestFreeBulkStopsAtForeign(t *testing.T) {
 	if err := p.FreeBulk(batch); !errors.Is(err, ErrForeignMbuf) {
 		t.Errorf("FreeBulk with a foreign mbuf at index 2 = %v, want ErrForeignMbuf", err)
 	}
-	if p.Available() != 2 || batch[0].RefCnt() != 0 || batch[1].RefCnt() != 0 || batch[3].RefCnt() != 1 {
+	if p.Available() != 2 || int(batch[0].refcnt) != 0 || int(batch[1].refcnt) != 0 || int(batch[3].refcnt) != 1 {
 		t.Errorf("available %d, refcounts %d %d _ %d: want exactly indexes 0 and 1 freed",
-			p.Available(), batch[0].RefCnt(), batch[1].RefCnt(), batch[3].RefCnt())
+			p.Available(), int(batch[0].refcnt), int(batch[1].refcnt), int(batch[3].refcnt))
 	}
-	if batch[2].RefCnt() != 1 || other.Available() != 0 {
+	if int(batch[2].refcnt) != 1 || other.Available() != 0 {
 		t.Error("FreeBulk touched the foreign mbuf")
 	}
 }
@@ -178,8 +178,8 @@ func TestFreeBulkStopsAtForeign(t *testing.T) {
 func TestAppendPrependTrimAdj(t *testing.T) {
 	p := newPool(t, 1)
 	m, _ := p.Alloc()
-	if m.Headroom() != DefaultHeadroom {
-		t.Errorf("headroom %d", m.Headroom())
+	if m.dataOff != DefaultHeadroom {
+		t.Errorf("headroom %d", m.dataOff)
 	}
 	if err := m.AppendBytes([]byte("hello world")); err != nil {
 		t.Fatal(err)

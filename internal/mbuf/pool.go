@@ -91,9 +91,6 @@ func (p *Pool) back(lo, hi int) {
 // Name reports the pool's name.
 func (p *Pool) Name() string { return p.name }
 
-// Node reports the pool's NUMA node.
-func (p *Pool) Node() int { return p.node }
-
 // Capacity reports the total number of mbufs.
 func (p *Pool) Capacity() int { return len(p.slots) }
 
@@ -153,20 +150,6 @@ func (p *Pool) AllocBulk(dst []*Mbuf) error {
 		dst[i] = m
 		p.allocs++
 	}
-	return nil
-}
-
-// Retain increments the mbuf's reference count (rte_mbuf_refcnt_update +1).
-func (p *Pool) Retain(m *Mbuf) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if m.pool != p {
-		return ErrForeignMbuf
-	}
-	if m.refcnt <= 0 {
-		return ErrDoubleFree
-	}
-	m.refcnt++
 	return nil
 }
 

@@ -240,9 +240,6 @@ func (g *Generator) SetOfferedWireBps(bps float64) error {
 	return nil
 }
 
-// OfferedWireBps reports the current offered load in wire bits/s.
-func (g *Generator) OfferedWireBps() float64 { return g.cfg.OfferedWireBps }
-
 // Sent reports frames delivered to the port (including ones the port
 // dropped on full RX queues).
 func (g *Generator) Sent() uint64 { return g.sent }
@@ -256,15 +253,6 @@ func (g *Generator) Births() uint64 { return g.births }
 
 // Deaths reports flows retired by churn.
 func (g *Generator) Deaths() uint64 { return g.deaths }
-
-// LiveFlows calls fn with each currently-live flow id (churn mode
-// only; without churn ids 0..Flows-1 are always live). For shadow-model
-// reconciliation after a soak.
-func (g *Generator) LiveFlows(fn func(id uint64)) {
-	for _, id := range g.flowIDs {
-		fn(id)
-	}
-}
 
 func (g *Generator) next() uint64 {
 	// SplitMix64: deterministic, well-distributed flow variation.

@@ -243,7 +243,7 @@ func TestGeneratorChurn(t *testing.T) {
 		}
 	}
 	live := map[uint64]bool{}
-	gen.LiveFlows(func(id uint64) {
+	for _, id := range gen.flowIDs {
 		if live[id] {
 			t.Fatalf("duplicate live flow %d", id)
 		}
@@ -251,7 +251,7 @@ func TestGeneratorChurn(t *testing.T) {
 			t.Fatalf("retired flow %d still live", id)
 		}
 		live[id] = true
-	})
+	}
 	if len(live) != 128 {
 		t.Errorf("live set %d, want 128", len(live))
 	}
@@ -273,7 +273,7 @@ func TestSetOfferedWireBps(t *testing.T) {
 	if err := g.SetOfferedWireBps(100e9); err != nil {
 		t.Fatal(err)
 	}
-	if got := g.OfferedWireBps(); got != 40e9 {
+	if got := g.cfg.OfferedWireBps; got != 40e9 {
 		t.Errorf("rate not capped at line rate: %g", got)
 	}
 	drain := func() {

@@ -107,9 +107,6 @@ func nextPow2(n int) int {
 // ID reports the port number.
 func (p *Port) ID() int { return p.cfg.ID }
 
-// Node reports the port's NUMA node.
-func (p *Port) Node() int { return p.cfg.Node }
-
 // RateBps reports the line rate.
 func (p *Port) RateBps() float64 { return p.cfg.RateBps }
 
@@ -148,14 +145,6 @@ func (p *Port) RxBurst(q int, dst []*mbuf.Mbuf) int {
 	n := p.rxQueues[q].DequeueBurst(dst)
 	p.stats.RxPolled += uint64(n)
 	return n
-}
-
-// RxQueueLen reports the current depth of queue q.
-func (p *Port) RxQueueLen(q int) int {
-	if q < 0 || q >= len(p.rxQueues) {
-		return 0
-	}
-	return p.rxQueues[q].Len()
 }
 
 // TxBurst transmits a burst: each frame is serialized at line rate, its

@@ -1,6 +1,7 @@
 package netdev
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"github.com/opencloudnext/dhl-go/internal/eth"
@@ -34,7 +35,7 @@ func TestPortValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.ID() != 7 || p.Node() != 1 || p.Queues() != 1 || p.RateBps() != 10e9 {
+	if p.ID() != 7 || p.cfg.Node != 1 || p.Queues() != 1 || p.RateBps() != 10e9 {
 		t.Error("port metadata")
 	}
 }
@@ -216,8 +217,8 @@ func TestGeneratorPayloadAndFlows(t *testing.T) {
 		t.Error("payload fn never invoked")
 	}
 	// Flows spread across both RSS queues.
-	if p.RxQueueLen(0) == 0 || p.RxQueueLen(1) == 0 {
-		t.Errorf("RSS spread: q0=%d q1=%d", p.RxQueueLen(0), p.RxQueueLen(1))
+	if q0, q1 := p.rxQueues[0].Len(), p.rxQueues[1].Len(); q0 == 0 || q1 == 0 {
+		t.Errorf("RSS spread: q0=%d q1=%d", q0, q1)
 	}
 	// Generated frames parse as valid IPv4 with distinct sources.
 	buf := make([]*mbuf.Mbuf, 32)
@@ -228,7 +229,7 @@ func TestGeneratorPayloadAndFlows(t *testing.T) {
 		if perr != nil {
 			t.Fatalf("generated frame invalid: %v", perr)
 		}
-		if f.IPChecksum() != f.ComputeIPChecksum() {
+		if binary.BigEndian.Uint16(buf[i].Data()[eth.EtherLen+10:]) != f.ComputeIPChecksum() {
 			t.Error("generated frame checksum invalid")
 		}
 		srcs[f.SrcIP()] = true

@@ -116,9 +116,6 @@ func (f *Firewall) AddRule(r FirewallRule) error {
 	return nil
 }
 
-// Rules reports the installed rule count.
-func (f *Firewall) Rules() int { return len(f.rules) }
-
 // Process evaluates the ACL for one packet.
 func (f *Firewall) Process(m *mbuf.Mbuf) (Verdict, float64) {
 	cycles := firewallCyclesBase

@@ -15,8 +15,9 @@ const flowFirewallHitCycles = 22.0
 // FlowFirewall wraps a stateless Firewall with a per-flow verdict
 // cache: the first packet of a flow walks the ACL, later packets of
 // the same 5-tuple pay one allocation-free flow-table lookup. With a
-// TTL armed the cache self-bounds under churn; rule changes must call
-// Invalidate.
+// TTL armed the cache self-bounds under churn. Rules are fixed once
+// traffic flows: a cached verdict outlives a rule change until it
+// expires.
 type FlowFirewall struct {
 	fw    *Firewall
 	flows *flowtab.Table[eth.FiveTuple, FirewallAction]
@@ -35,7 +36,7 @@ type FlowFirewallConfig struct {
 	// unbudgeted.
 	MemBudgetBytes int
 	// FlowTTL expires cached verdicts idle for this long. Requires
-	// Clock. Zero keeps them until Invalidate.
+	// Clock. Zero keeps them until evicted.
 	FlowTTL eventsim.Time
 	// Clock supplies virtual time for FlowTTL; wire it to Sim.Now.
 	Clock func() eventsim.Time
@@ -57,32 +58,13 @@ func NewFlowFirewall(fw *Firewall, cfg FlowFirewallConfig) (*FlowFirewall, error
 	return &FlowFirewall{fw: fw, flows: flows}, nil
 }
 
-// Firewall returns the wrapped stateless firewall (rule management,
-// Allowed/Denied/Hits counters for cache-miss traffic).
-func (f *FlowFirewall) Firewall() *Firewall { return f.fw }
-
 // FlowTabs exposes the verdict cache for telemetry registration.
 func (f *FlowFirewall) FlowTabs() []flowtab.Source {
 	return []flowtab.Source{f.flows}
 }
 
-// CachedFlows reports the number of cached verdicts.
-func (f *FlowFirewall) CachedFlows() int { return f.flows.Len() }
-
 // Tick expires idle cached verdicts (no-op without a FlowTTL).
 func (f *FlowFirewall) Tick() int { return f.flows.Tick() }
-
-// Invalidate drops every cached verdict; call it after rule changes.
-func (f *FlowFirewall) Invalidate() {
-	keys := make([]eth.FiveTuple, 0, f.flows.Len())
-	f.flows.Range(func(k eth.FiveTuple, _ *FirewallAction) bool {
-		keys = append(keys, k)
-		return true
-	})
-	for _, k := range keys {
-		f.flows.Delete(k)
-	}
-}
 
 // Process classifies one packet: cached verdict when the flow is known,
 // a full ACL walk (through the wrapped firewall, so its counters still

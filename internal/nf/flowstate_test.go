@@ -160,7 +160,7 @@ func TestNATFlowTTLFreesPorts(t *testing.T) {
 		if _, v := translate(t, nat, p, eth.IPv4{192, 168, 2, 1}, 3000); v != VerdictForward {
 			t.Fatal("live flow dropped")
 		}
-		nat.Tick()
+		nat.outbound.Tick()
 	}
 	if got := nat.Mappings(); got != 1 {
 		t.Fatalf("%d mappings survive idle expiry, want 1", got)
@@ -266,8 +266,8 @@ func TestFlowFirewallCachesVerdicts(t *testing.T) {
 	if ffw.CacheHits != 4 {
 		t.Errorf("CacheHits = %d, want 4", ffw.CacheHits)
 	}
-	if ffw.CachedFlows() != 2 {
-		t.Errorf("CachedFlows = %d, want 2", ffw.CachedFlows())
+	if ffw.flows.Len() != 2 {
+		t.Errorf("CachedFlows = %d, want 2", ffw.flows.Len())
 	}
 	// Totals still conserve packets.
 	if fw.Allowed+fw.Denied != 6 {
@@ -284,16 +284,11 @@ func TestFlowFirewallCachesVerdicts(t *testing.T) {
 	}()); hitCycles >= walkCycles+flowFirewallHitCycles {
 		t.Errorf("cache hit (%v cycles) not cheaper than walk (%v)", hitCycles, walkCycles)
 	}
-	// Invalidate empties the cache; TTL expires idle verdicts.
-	ffw.Invalidate()
-	if ffw.CachedFlows() != 0 {
-		t.Errorf("%d flows survive Invalidate", ffw.CachedFlows())
-	}
-	run(allowed)
+	// TTL expires idle verdicts.
 	now += 2 * eventsim.Second
 	ffw.Tick()
-	if ffw.CachedFlows() != 0 {
-		t.Errorf("%d flows survive TTL expiry", ffw.CachedFlows())
+	if ffw.flows.Len() != 0 {
+		t.Errorf("%d flows survive TTL expiry", ffw.flows.Len())
 	}
 }
 
@@ -366,7 +361,7 @@ func TestNATZeroAllocHitPath(t *testing.T) {
 		if v, _ := nat.ProcessOutbound(m); v != VerdictForward {
 			t.Fatal("hit path dropped")
 		}
-		nat.Tick()
+		nat.outbound.Tick()
 	}); avg != 0 {
 		t.Fatalf("NAT hit path allocates %.1f/op, want 0", avg)
 	}

@@ -1,7 +1,6 @@
 package nf
 
 import (
-	"errors"
 	"fmt"
 
 	"github.com/opencloudnext/dhl-go/internal/eth"
@@ -20,9 +19,6 @@ const (
 	// VerdictDrop discards the packet.
 	VerdictDrop
 )
-
-// ErrNoNextHop reports an L2 table miss.
-var ErrNoNextHop = errors.New("nf: no next hop for port")
 
 // L2Fwd is the Table I L2 forwarding baseline: per-port static MAC rewrite
 // and port swap, exactly DPDK's l2fwd example.

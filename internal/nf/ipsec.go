@@ -15,8 +15,7 @@ import (
 
 // Errors returned by the IPsec gateways.
 var (
-	ErrShortFrame = errors.New("nf: frame too short for ESP encapsulation")
-	ErrBadESP     = errors.New("nf: malformed ESP frame")
+	ErrBadESP = errors.New("nf: malformed ESP frame")
 )
 
 // espOverhead is the per-packet on-wire growth: 8-byte IV + 12-byte ICV.

@@ -18,7 +18,6 @@ const natCycles = 55.0
 var (
 	ErrNATPortsExhausted = errors.New("nf: NAT port pool exhausted")
 	ErrNATFlowsExhausted = errors.New("nf: NAT flow table full")
-	ErrNATNoMapping      = errors.New("nf: no NAT mapping for inbound packet")
 )
 
 // NAT implements source network address and port translation, one of the
@@ -130,15 +129,6 @@ func NewNAT(cfg NATConfig) *NAT {
 // Mappings reports the number of active translations.
 func (n *NAT) Mappings() int { return n.outbound.Len() }
 
-// FlowTabs exposes the NAT's flow tables for telemetry registration.
-func (n *NAT) FlowTabs() []flowtab.Source {
-	return []flowtab.Source{n.outbound, n.inbound}
-}
-
-// Tick expires translations idle past FlowTTL (no-op without one) and
-// reports how many were evicted. Drive it from a paced eventsim timer.
-func (n *NAT) Tick() int { return n.outbound.Tick() }
-
 // ProcessOutbound translates an inside->outside packet in place. It
 // returns the verdict and cycle cost.
 func (n *NAT) ProcessOutbound(m *mbuf.Mbuf) (Verdict, float64) {
@@ -160,29 +150,6 @@ func (n *NAT) ProcessOutbound(m *mbuf.Mbuf) (Verdict, float64) {
 	}
 	frame.SetSrcIP(n.external)
 	setL4SrcPort(frame, ext)
-	frame.SetIPChecksum(frame.ComputeIPChecksum())
-	n.Translated++
-	return VerdictForward, natCycles
-}
-
-// ProcessInbound reverses a translation for an outside->inside packet.
-func (n *NAT) ProcessInbound(m *mbuf.Mbuf) (Verdict, float64) {
-	frame, err := eth.Parse(m.Data())
-	if err != nil || (frame.Proto() != eth.ProtoTCP && frame.Proto() != eth.ProtoUDP) {
-		n.Dropped++
-		return VerdictDrop, natCycles
-	}
-	kp, ok := n.inbound.Lookup(frame.DstPort())
-	if !ok || kp.proto != frame.Proto() {
-		n.Dropped++
-		return VerdictDrop, natCycles
-	}
-	key := *kp
-	// Inbound traffic keeps the translation alive: refresh the outbound
-	// entry, which owns the idle deadline.
-	n.outbound.Lookup(key)
-	frame.SetDstIP(key.ip)
-	setL4DstPort(frame, key.port)
 	frame.SetIPChecksum(frame.ComputeIPChecksum())
 	n.Translated++
 	return VerdictForward, natCycles
@@ -225,22 +192,12 @@ func (n *NAT) advance() {
 	n.nextPort++
 }
 
-// Release drops the translation for an internal endpoint (flow expiry).
-func (n *NAT) Release(ip eth.IPv4, port uint16, proto uint8) error {
-	key := natKey{ip: ip, port: port, proto: proto}
-	ext, ok := n.outbound.Peek(key)
-	if !ok {
-		return ErrNATNoMapping
-	}
-	n.inbound.Delete(*ext)
-	n.outbound.Delete(key)
-	return nil
-}
-
 // CheckConsistency verifies the outbound and inbound tables form an
 // exact bijection: every translation has its reverse entry, no inbound
 // entry is orphaned, and no external port is double-allocated. Cold —
 // the fallback/recovery harness runs it after soaks and transitions.
+//
+//dhl:allow unreferenced the flow-state failover audit checks the NAT bijection with it
 func (n *NAT) CheckConsistency() error {
 	if o, i := n.outbound.Len(), n.inbound.Len(); o != i {
 		return fmt.Errorf("nf: NAT tables out of sync: %d outbound, %d inbound", o, i)
@@ -284,13 +241,5 @@ func setL4SrcPort(f eth.Frame, port uint16) {
 	if len(l4) >= 2 {
 		l4[0] = byte(port >> 8)
 		l4[1] = byte(port)
-	}
-}
-
-func setL4DstPort(f eth.Frame, port uint16) {
-	l4 := f.L4()
-	if len(l4) >= 4 {
-		l4[2] = byte(port >> 8)
-		l4[3] = byte(port)
 	}
 }

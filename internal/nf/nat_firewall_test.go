@@ -27,7 +27,7 @@ func TestNATOutboundInboundRoundTrip(t *testing.T) {
 	if extPort < 20000 {
 		t.Errorf("external port %d outside pool", extPort)
 	}
-	if f.IPChecksum() != f.ComputeIPChecksum() {
+	if ipChecksum(out.Data()) != f.ComputeIPChecksum() {
 		t.Error("checksum stale after translation")
 	}
 	if nat.Mappings() != 1 {
@@ -163,8 +163,7 @@ func TestFirewallFirstMatchWins(t *testing.T) {
 	}
 	// No rule matches: default deny.
 	other := newPacket(t, p, []byte("x"), eth.IPv4{8, 8, 8, 8})
-	fo, _ := eth.Parse(other.Data())
-	fo.SetDstIP(eth.IPv4{8, 8, 8, 8})
+	setDstIP(other.Data(), eth.IPv4{8, 8, 8, 8})
 	// dst port 80 is set by newPacket; change dst net so rule 2 misses.
 	if v, _ := fw.Process(other); v != VerdictDrop {
 		t.Error("default deny not applied")

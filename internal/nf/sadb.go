@@ -103,21 +103,6 @@ func (db *SADB) Match(dst eth.IPv4) (*SA, error) {
 	return &db.sas[idx], nil
 }
 
-// BySPI resolves an SA by its security parameter index, the inbound
-// (ESP header) direction of Match.
-func (db *SADB) BySPI(spi uint32) (*SA, error) {
-	idx, ok := db.bySPI.Peek(spi)
-	if !ok {
-		return nil, ErrNoSA
-	}
-	return &db.sas[*idx], nil
-}
-
-// FlowTabs exposes the SPI index for telemetry registration.
-func (db *SADB) FlowTabs() []flowtab.Source {
-	return []flowtab.Source{db.bySPI}
-}
-
 // Len reports the number of installed SAs.
 func (db *SADB) Len() int { return len(db.sas) }
 

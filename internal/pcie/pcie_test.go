@@ -168,7 +168,7 @@ func TestMeasuredThroughputMatchesCurve(t *testing.T) {
 
 func TestTransferInjectedError(t *testing.T) {
 	sim := eventsim.New()
-	plan := faultinject.MustPlan(1, faultinject.Spec{Kind: faultinject.DMAH2CError, EveryN: 2})
+	plan := mustPlan(t, 1, faultinject.Spec{Kind: faultinject.DMAH2CError, EveryN: 2})
 	e := NewEngine(sim, Config{Faults: plan})
 	if _, _, err := e.Transfer(H2C, 1024, nil); err != nil {
 		t.Fatalf("first transfer: %v", err)
@@ -192,7 +192,7 @@ func TestTransferInjectedError(t *testing.T) {
 func TestTransferInjectedCorruptAndStall(t *testing.T) {
 	sim := eventsim.New()
 	const stall = 25 * eventsim.Microsecond
-	plan := faultinject.MustPlan(1,
+	plan := mustPlan(t, 1,
 		faultinject.Spec{Kind: faultinject.DMAC2HCorrupt, EveryN: 1, Count: 1},
 		faultinject.Spec{Kind: faultinject.DMAC2HStall, EveryN: 1, Count: 1, Stall: stall},
 	)
@@ -226,4 +226,14 @@ func TestTransferInjectedCorruptAndStall(t *testing.T) {
 	if next != nextClean {
 		t.Errorf("stall leaked into channel occupancy: %v vs %v", next, nextClean)
 	}
+}
+
+// mustPlan builds a fault plan from known-good specs.
+func mustPlan(t testing.TB, seed uint64, specs ...faultinject.Spec) *faultinject.Plan {
+	t.Helper()
+	p, err := faultinject.NewPlan(seed, specs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }

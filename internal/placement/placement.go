@@ -36,8 +36,6 @@ var (
 	ErrNoFit = errors.New("placement: module fits on no board")
 	// ErrUnknownBoard reports a board index outside the fleet.
 	ErrUnknownBoard = errors.New("placement: unknown board")
-	// ErrUnknownRoute reports an acc_id with no routing state.
-	ErrUnknownRoute = errors.New("placement: unknown acc_id")
 )
 
 // Default per-replica routing weights. A healthy endpoint takes
@@ -114,12 +112,6 @@ type Route struct {
 	cursor int
 	credit uint32
 }
-
-// Acc reports the acc_id the route serves.
-func (r *Route) Acc() uint16 { return r.acc }
-
-// HF reports the hardware function name the route serves.
-func (r *Route) HF() string { return r.hf }
 
 // Endpoints exposes the route's endpoint slice for cold-path iteration
 // (eviction, snapshots). Callers must not grow it.
@@ -269,16 +261,6 @@ func (r *Route) MarkPrimary(board, region int) {
 	}
 }
 
-// Primary returns the primary endpoint, or nil.
-func (r *Route) Primary() *Endpoint {
-	for i := range r.eps {
-		if r.eps[i].Primary {
-			return &r.eps[i]
-		}
-	}
-	return nil
-}
-
 // boardState is the scheduler's per-board bookkeeping.
 type boardState struct {
 	dev      *fpga.Device
@@ -310,9 +292,6 @@ func New(devices []*fpga.Device) *Scheduler {
 	}
 	return s
 }
-
-// Boards reports the fleet size.
-func (s *Scheduler) Boards() int { return len(s.boards) }
 
 // BoardHealthOf reports the board's lifecycle state (shutdown wins over
 // draining: a lost board is lost).
@@ -443,9 +422,6 @@ func (s *Scheduler) Bind(acc uint16, hf string, board, region int) *Route {
 func (s *Scheduler) Unbind(acc uint16) {
 	delete(s.routes, acc)
 }
-
-// Route returns the acc_id's routing state, or nil.
-func (s *Scheduler) Route(acc uint16) *Route { return s.routes[acc] }
 
 // NoteMigration records a completed cutover for the per-board counters.
 func (s *Scheduler) NoteMigration(from, to int) {

@@ -250,7 +250,7 @@ func TestPlaceSkipsFullBoards(t *testing.T) {
 func TestBindRouteSnapshot(t *testing.T) {
 	_, devs, s := fleet(t, 2, 0, 1)
 	r := s.Bind(1, "ipsec", 0, 0)
-	if s.Route(1) != r {
+	if s.routes[1] != r {
 		t.Fatal("route not registered")
 	}
 	if ep := r.Primary(); ep == nil || ep.Ready || ep.FPGA != 0 || ep.Weight != DefaultWeight {
@@ -300,7 +300,7 @@ func TestBindRouteSnapshot(t *testing.T) {
 	}
 
 	s.Unbind(1)
-	if s.Route(1) != nil {
+	if s.routes[1] != nil {
 		t.Error("route survives unbind")
 	}
 	if n := s.EndpointsOn(0); n != 0 {

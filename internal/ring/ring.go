@@ -99,12 +99,6 @@ func (r *Ring[T]) Len() int {
 	return int(pt - ct)
 }
 
-// Free reports available space (racy under concurrency).
-func (r *Ring[T]) Free() int { return r.Capacity() - r.Len() }
-
-// Empty reports whether the ring is empty (racy under concurrency).
-func (r *Ring[T]) Empty() bool { return r.Len() == 0 }
-
 // Produced reports how many elements have ever been enqueued: the producer
 // tail, which only grows. A consumer that remembers the value can tell
 // later, without dequeuing, whether anything has been put in since.
@@ -191,14 +185,6 @@ func updateTail(ht *headTail, oldVal, newVal uint64, single bool) {
 	ht.tail.Store(newVal)
 }
 
-// EnqueueBulk enqueues all of objs or nothing. It reports whether the
-// enqueue happened.
-//
-//dhl:hotpath
-func (r *Ring[T]) EnqueueBulk(objs []T) bool {
-	return r.enqueue(objs, true) == len(objs) && len(objs) > 0
-}
-
 // EnqueueBurst enqueues as many of objs as fit and returns the count.
 //
 //dhl:hotpath
@@ -231,31 +217,11 @@ func (r *Ring[T]) enqueue(objs []T, fixed bool) int {
 	return int(n)
 }
 
-// DequeueBulk fills dst completely or not at all, reporting whether the
-// dequeue happened.
-//
-//dhl:hotpath
-func (r *Ring[T]) DequeueBulk(dst []T) bool {
-	return r.dequeue(dst, true) == len(dst) && len(dst) > 0
-}
-
 // DequeueBurst fills up to len(dst) elements and returns the count.
 //
 //dhl:hotpath
 func (r *Ring[T]) DequeueBurst(dst []T) int {
 	return r.dequeue(dst, false)
-}
-
-// Dequeue removes a single element.
-//
-//dhl:hotpath
-func (r *Ring[T]) Dequeue() (T, bool) {
-	var one [1]T
-	if r.dequeue(one[:], true) == 1 {
-		return one[0], true
-	}
-	var zero T
-	return zero, false
 }
 
 //dhl:hotpath

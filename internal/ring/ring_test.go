@@ -51,7 +51,7 @@ func TestFIFOSingle(t *testing.T) {
 			t.Fatalf("dequeue %d: got %d ok=%v", i, v, ok)
 		}
 	}
-	if !r.Empty() {
+	if r.Len() != 0 {
 		t.Error("ring not empty")
 	}
 	if _, ok := r.Dequeue(); ok {
@@ -69,8 +69,8 @@ func TestFullRingRejectsEnqueue(t *testing.T) {
 	if r.Enqueue(99) {
 		t.Error("enqueue into full ring succeeded")
 	}
-	if r.Free() != 0 {
-		t.Errorf("free %d", r.Free())
+	if free := r.Capacity() - r.Len(); free != 0 {
+		t.Errorf("free %d", free)
 	}
 }
 
@@ -177,7 +177,7 @@ func TestConcurrentMPMC(t *testing.T) {
 				if n == 0 {
 					select {
 					case <-done:
-						if r.Empty() {
+						if r.Len() == 0 {
 							return
 						}
 					default:

@@ -63,9 +63,6 @@ func (s *Series) Add(v float64) {
 	}
 }
 
-// Count reports the number of observations.
-func (s *Series) Count() uint64 { return s.count }
-
 // Sum reports the sum of all observations.
 func (s *Series) Sum() float64 { return s.sum }
 
@@ -75,14 +72,6 @@ func (s *Series) Mean() float64 {
 		return 0
 	}
 	return s.sum / float64(s.count)
-}
-
-// Min reports the smallest observation, or 0 with no observations.
-func (s *Series) Min() float64 {
-	if s.count == 0 {
-		return 0
-	}
-	return s.min
 }
 
 // Max reports the largest observation, or 0 with no observations.

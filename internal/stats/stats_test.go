@@ -9,7 +9,7 @@ import (
 
 func TestEmptySeries(t *testing.T) {
 	s := NewSeries(0)
-	if s.Count() != 0 || s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 || s.Percentile(50) != 0 {
+	if s.count != 0 || s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 || s.Percentile(50) != 0 {
 		t.Error("empty series should report zeros")
 	}
 }
@@ -19,8 +19,8 @@ func TestBasicStats(t *testing.T) {
 	for _, v := range []float64{5, 1, 9, 3, 7} {
 		s.Add(v)
 	}
-	if s.Count() != 5 {
-		t.Errorf("count %d", s.Count())
+	if s.count != 5 {
+		t.Errorf("count %d", s.count)
 	}
 	if s.Sum() != 25 {
 		t.Errorf("sum %v", s.Sum())
@@ -74,8 +74,8 @@ func TestDecimationKeepsEstimatesSane(t *testing.T) {
 	for i := 0; i < n; i++ {
 		s.Add(float64(i))
 	}
-	if s.Count() != uint64(n) {
-		t.Errorf("count %d", s.Count())
+	if s.count != uint64(n) {
+		t.Errorf("count %d", s.count)
 	}
 	if s.Mean() != float64(n-1)/2 {
 		t.Errorf("mean %v", s.Mean())

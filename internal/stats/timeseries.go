@@ -49,15 +49,8 @@ func (ts *TimeSeries) Add(t, w float64) {
 	ts.buckets[i] += w
 }
 
-// Buckets returns the per-bucket accumulated weights (aliased, not
-// copied).
-func (ts *TimeSeries) Buckets() []float64 { return ts.buckets }
-
 // BucketWidth reports the bucket width in seconds.
 func (ts *TimeSeries) BucketWidth() float64 { return ts.width }
-
-// Spilled reports observations that fell outside [0, horizon).
-func (ts *TimeSeries) Spilled() uint64 { return ts.spilled }
 
 // Rate reports bucket i's accumulated weight divided by the bucket
 // width — bytes in, bytes-per-second out.
@@ -66,22 +59,4 @@ func (ts *TimeSeries) Rate(i int) float64 {
 		return 0
 	}
 	return ts.buckets[i] / ts.width
-}
-
-// MeanRate reports the average rate over buckets [lo, hi).
-func (ts *TimeSeries) MeanRate(lo, hi int) float64 {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > len(ts.buckets) {
-		hi = len(ts.buckets)
-	}
-	if lo >= hi {
-		return 0
-	}
-	var sum float64
-	for _, w := range ts.buckets[lo:hi] {
-		sum += w
-	}
-	return sum / (float64(hi-lo) * ts.width)
 }

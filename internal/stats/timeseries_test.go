@@ -11,17 +11,17 @@ func TestTimeSeriesBucketing(t *testing.T) {
 	ts.Add(0.5, 100)
 	ts.Add(1.0, 50)
 	ts.Add(9.999, 25)
-	if got := ts.Buckets()[0]; got != 200 {
+	if got := ts.buckets[0]; got != 200 {
 		t.Errorf("bucket 0 = %v, want 200", got)
 	}
-	if got := ts.Buckets()[1]; got != 50 {
+	if got := ts.buckets[1]; got != 50 {
 		t.Errorf("bucket 1 = %v, want 50", got)
 	}
-	if got := ts.Buckets()[9]; got != 25 {
+	if got := ts.buckets[9]; got != 25 {
 		t.Errorf("bucket 9 = %v, want 25", got)
 	}
-	if ts.Spilled() != 0 {
-		t.Errorf("spilled %d", ts.Spilled())
+	if ts.spilled != 0 {
+		t.Errorf("spilled %d", ts.spilled)
 	}
 }
 
@@ -30,10 +30,10 @@ func TestTimeSeriesSpill(t *testing.T) {
 	ts.Add(-0.1, 1)
 	ts.Add(1.0, 1) // horizon is exclusive
 	ts.Add(5, 1)
-	if ts.Spilled() != 3 {
-		t.Errorf("spilled %d, want 3", ts.Spilled())
+	if ts.spilled != 3 {
+		t.Errorf("spilled %d, want 3", ts.spilled)
 	}
-	for i, w := range ts.Buckets() {
+	for i, w := range ts.buckets {
 		if w != 0 {
 			t.Errorf("bucket %d = %v, want 0", i, w)
 		}
@@ -77,10 +77,10 @@ func TestTimeSeriesHorizonWrap(t *testing.T) {
 	for _, tt := range []float64{1e300, math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN(), -1e300} {
 		ts.Add(tt, 1) // must not panic
 	}
-	if got := ts.Spilled(); got != 6 {
+	if got := ts.spilled; got != 6 {
 		t.Errorf("spilled = %d, want 6", got)
 	}
-	for i, w := range ts.Buckets() {
+	for i, w := range ts.buckets {
 		if w != 0 {
 			t.Errorf("bucket %d = %v, want 0", i, w)
 		}
@@ -97,15 +97,15 @@ func TestTimeSeriesBoundaryRounding(t *testing.T) {
 	horizon := ts.BucketWidth() * 7
 	under := math.Nextafter(horizon, 0)
 	ts.Add(under, 3)
-	if ts.Spilled() != 0 {
-		t.Fatalf("spilled = %d, want 0 (t=%v < horizon=%v)", ts.Spilled(), under, horizon)
+	if ts.spilled != 0 {
+		t.Fatalf("spilled = %d, want 0 (t=%v < horizon=%v)", ts.spilled, under, horizon)
 	}
-	if got := ts.Buckets()[6]; got != 3 {
+	if got := ts.buckets[6]; got != 3 {
 		t.Errorf("last bucket = %v, want 3", got)
 	}
 	ts.Add(horizon, 1) // exactly at the horizon: spilled
-	if ts.Spilled() != 1 {
-		t.Errorf("spilled = %d, want 1", ts.Spilled())
+	if ts.spilled != 1 {
+		t.Errorf("spilled = %d, want 1", ts.spilled)
 	}
 }
 
@@ -117,10 +117,10 @@ func TestTimeSeriesSpilledAndMeanRateEdges(t *testing.T) {
 	ts.Add(-0.0001, 1)
 	ts.Add(4, 1)
 	ts.Add(math.NaN(), 1)
-	if got := ts.Spilled(); got != 3 {
+	if got := ts.spilled; got != 3 {
 		t.Errorf("spilled = %d, want 3", got)
 	}
-	if got := ts.Buckets()[0]; got != 10 {
+	if got := ts.buckets[0]; got != 10 {
 		t.Errorf("bucket 0 = %v, want 10", got)
 	}
 	// Empty and inverted windows report zero rather than dividing by zero.

@@ -51,18 +51,3 @@ func BenchmarkOpen(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkSealBatch(b *testing.B) {
-	key := make([]byte, KeySize)
-	auth := make([]byte, AuthKeySize)
-	e, _ := NewEngine(Config{Key: key, AuthKey: auth})
-	jobs := make([]Job, 32)
-	for i := range jobs {
-		jobs[i] = Job{Payload: make([]byte, 1024), IV: uint64(i)}
-	}
-	b.SetBytes(32 * 1024)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.SealBatch(jobs)
-	}
-}

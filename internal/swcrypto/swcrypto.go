@@ -37,7 +37,6 @@ const (
 var (
 	ErrBadKey     = errors.New("swcrypto: cipher key must be 32 bytes")
 	ErrBadAuthKey = errors.New("swcrypto: auth key must be 20 bytes")
-	ErrShort      = errors.New("swcrypto: buffer too short")
 	ErrAuth       = errors.New("swcrypto: authentication failed")
 )
 
@@ -165,35 +164,3 @@ func (e *Engine) tag(ciphertext []byte, iv uint64) [TagSize]byte {
 	copy(out[:], e.mac.Sum(e.sum[:0]))
 	return out
 }
-
-// Job is one multi-buffer work item (Intel-ipsec-mb's JOB_AES_HMAC).
-type Job struct {
-	// Payload is encrypted or decrypted in place.
-	Payload []byte
-	// IV is the per-packet CTR nonce.
-	IV uint64
-	// Tag receives (Seal) or supplies (Open) the ICV.
-	Tag [TagSize]byte
-	// Err reports per-job verification failures on Open.
-	Err error
-}
-
-// SealBatch processes a burst of jobs, filling each job's Tag. This is the
-// multi-buffer entry point the CPU-only IPsec worker calls per RX burst.
-func (e *Engine) SealBatch(jobs []Job) {
-	for i := range jobs {
-		jobs[i].Tag = e.Seal(jobs[i].Payload, jobs[i].IV)
-		jobs[i].Err = nil
-	}
-}
-
-// OpenBatch verifies and decrypts a burst of jobs, setting Err per job.
-func (e *Engine) OpenBatch(jobs []Job) {
-	for i := range jobs {
-		jobs[i].Err = e.Open(jobs[i].Payload, jobs[i].IV, jobs[i].Tag)
-	}
-}
-
-// SealedLen reports the on-wire payload growth of Seal: IV + tag trailer as
-// used by the reproduced IPsec gateway's ESP-style encapsulation.
-func SealedLen(plaintextLen int) int { return plaintextLen + IVSize + TagSize }

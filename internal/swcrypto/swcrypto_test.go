@@ -108,55 +108,6 @@ func TestCTRMatchesReference(t *testing.T) {
 	}
 }
 
-func TestBatchAPIs(t *testing.T) {
-	e := testEngine(t)
-	jobs := make([]Job, 5)
-	plains := make([][]byte, 5)
-	for i := range jobs {
-		plains[i] = bytes.Repeat([]byte{byte(i + 1)}, 10+i*7)
-		jobs[i] = Job{Payload: append([]byte(nil), plains[i]...), IV: uint64(i + 100)}
-	}
-	e.SealBatch(jobs)
-	for i := range jobs {
-		if bytes.Equal(jobs[i].Payload, plains[i]) {
-			t.Errorf("job %d not encrypted", i)
-		}
-		if jobs[i].Err != nil {
-			t.Errorf("job %d: %v", i, jobs[i].Err)
-		}
-	}
-	e.OpenBatch(jobs)
-	for i := range jobs {
-		if jobs[i].Err != nil {
-			t.Errorf("open job %d: %v", i, jobs[i].Err)
-		}
-		if !bytes.Equal(jobs[i].Payload, plains[i]) {
-			t.Errorf("job %d round trip mismatch", i)
-		}
-	}
-	// One corrupted job must not poison the batch.
-	e.SealBatch(jobs)
-	jobs[2].Tag[0] ^= 0xFF
-	e.OpenBatch(jobs)
-	for i := range jobs {
-		if i == 2 {
-			if !errors.Is(jobs[i].Err, ErrAuth) {
-				t.Errorf("corrupted job err: %v", jobs[i].Err)
-			}
-			continue
-		}
-		if jobs[i].Err != nil {
-			t.Errorf("clean job %d: %v", i, jobs[i].Err)
-		}
-	}
-}
-
-func TestSealedLen(t *testing.T) {
-	if SealedLen(100) != 100+IVSize+TagSize {
-		t.Errorf("SealedLen(100) = %d", SealedLen(100))
-	}
-}
-
 func TestEmptyPayload(t *testing.T) {
 	e := testEngine(t)
 	var empty []byte

@@ -77,15 +77,6 @@ func (e *Exporter) dispatcher() func(func()) error {
 	return e.dispatch
 }
 
-// Handler returns the exporter's HTTP mux (metrics + expvar JSON +
-// pprof, plus anything Mounted), for embedding into an existing server.
-func (e *Exporter) Handler() http.Handler {
-	e.mu.Lock()
-	mounts := append([]mount(nil), e.mounts...)
-	e.mu.Unlock()
-	return e.buildHandler(mounts)
-}
-
 // buildHandler assembles the mux; callers already holding e.mu pass the
 // mounts explicitly (Handler would re-lock).
 func (e *Exporter) buildHandler(mounts []mount) http.Handler {

@@ -54,9 +54,6 @@ func (h *Histogram) Observe(d eventsim.Time) {
 	h.sumNs.Add(ns)
 }
 
-// Count reports how many observations have been recorded.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
 // Snapshot copies the histogram's current state for cold-path analysis.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	var s HistogramSnapshot

@@ -91,9 +91,6 @@ type Counter struct {
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
 // Load reads the current count.
 func (c *Counter) Load() uint64 { return c.v.Load() }
 

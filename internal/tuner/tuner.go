@@ -272,9 +272,6 @@ func (t *Tuner) Disable() error {
 	return nil
 }
 
-// Enabled reports whether the control loop is armed.
-func (t *Tuner) Enabled() bool { return t.enabled }
-
 // tick is one control window: sample, decide, actuate, re-arm.
 // Allocation-free in steady state — see the package comment.
 func (t *Tuner) tick() {
@@ -544,10 +541,6 @@ type Status struct {
 	Accs            []AccStatus  `json:"accs,omitempty"`
 	Nodes           []NodeStatus `json:"nodes,omitempty"`
 }
-
-// Decisions reports how many reconfigurations the controller has
-// applied, by direction.
-func (t *Tuner) Decisions() (grow, shrink uint64) { return t.growDecs, t.shrinkDecs }
 
 // Status reports the controller's current state. Cold path: the result
 // is freshly allocated.

@@ -215,7 +215,7 @@ func TestTunerDisableRollsBack(t *testing.T) {
 	if act.burst[0] != 64 {
 		t.Fatalf("burst not restored: %d", act.burst[0])
 	}
-	if tun.Enabled() {
+	if tun.enabled {
 		t.Fatal("still enabled")
 	}
 	// The stopped timer must not keep deciding.

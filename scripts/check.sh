@@ -45,9 +45,6 @@ go run ./cmd/dhl-lint -format json ./... > lint-report.json || {
     exit "$status"
 }
 
-echo "==> dhl-lint self-lint (internal/lint + cmd/dhl-lint)"
-go run ./cmd/dhl-lint ./internal/lint ./cmd/dhl-lint
-
 echo "==> go build"
 go build ./...
 
