@@ -63,7 +63,6 @@ import (
 	dhl "github.com/opencloudnext/dhl-go"
 	"github.com/opencloudnext/dhl-go/internal/ctlplane"
 	"github.com/opencloudnext/dhl-go/internal/eventsim"
-	"github.com/opencloudnext/dhl-go/internal/hwfunc"
 )
 
 func main() {
@@ -396,13 +395,13 @@ func runSpawned(modules string, boards int, fill bool, chaosSeed uint64, watch i
 	}
 
 	fmt.Println("\nHardware function table:")
-	for _, row := range sys.HFTable() {
+	for _, row := range sys.Control().HFTable() {
 		fmt.Println(" ", row)
 	}
 	if chaosSeed != 0 {
 		fmt.Println("\nAccelerator health:")
 		for _, acc := range loaded {
-			rep, herr := sys.AccHealth(acc)
+			rep, herr := sys.Control().AccHealth(acc)
 			if herr != nil {
 				return herr
 			}
@@ -411,7 +410,7 @@ func runSpawned(modules string, boards int, fill bool, chaosSeed uint64, watch i
 		}
 	}
 	fmt.Println()
-	dev, err := sys.Device(0)
+	dev, err := sys.Control().Device(0)
 	if err != nil {
 		return err
 	}
@@ -504,8 +503,7 @@ func chaosBurst(sys *dhl.System, seed uint64) (dhl.AccID, error) {
 	if err != nil {
 		return acc, err
 	}
-	spec := hwfunc.Specs()[hwfunc.LoopbackName]
-	if err := sys.RegisterFallback(dhl.Loopback, 0, spec.New); err != nil {
+	if err := sys.Control().InstallFallback(dhl.Loopback, 0); err != nil {
 		return acc, err
 	}
 	sys.Settle() // the loopback bitstream loads over ICAP

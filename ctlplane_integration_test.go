@@ -15,6 +15,7 @@ import (
 	"github.com/opencloudnext/dhl-go/internal/ctlplane"
 	"github.com/opencloudnext/dhl-go/internal/eth"
 	"github.com/opencloudnext/dhl-go/internal/eventsim"
+	"github.com/opencloudnext/dhl-go/internal/flowtab"
 	"github.com/opencloudnext/dhl-go/internal/hwfunc"
 	"github.com/opencloudnext/dhl-go/internal/nf"
 )
@@ -326,7 +327,7 @@ func TestControlPlaneConcurrentChaos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := dhl.Open(dhl.SystemConfig{WatchdogTimeoutUs: 250}, dhl.WithControlPlane(), dhl.WithFaultPlan(plan))
+	sys, err := dhl.Open(dhl.SystemConfig{}, dhl.WithControlPlane(), dhl.WithFaultPlan(plan))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -638,9 +639,11 @@ func TestControlPlaneZeroAllocHotPath(t *testing.T) {
 	}
 }
 
-// TestFlowTableObservability wires a stateful NF's flow tables into the
-// system: RegisterFlowTables must surface them as dhl_flowtab_* gauges
-// on /metrics and as the additive flowtabs field of stats.get.
+// TestFlowTableObservability wires a stateful NF's flow table and a
+// second table into the system: RegisterFlowTables must surface each as
+// its own dhl_flowtab_* gauges on /metrics and its own row of stats.get's
+// additive flowtabs field, and UnregisterFlowTable must take exactly the
+// named table's row and gauges away.
 func TestFlowTableObservability(t *testing.T) {
 	sys, err := dhl.Open(dhl.SystemConfig{}, dhl.WithControlPlane())
 	if err != nil {
@@ -653,10 +656,19 @@ func TestFlowTableObservability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.RegisterFlowTables(ffw.FlowTabs()...); err != nil {
+	aux, err := flowtab.New(flowtab.Config[uint64, struct{}]{Name: "aux-flows", Hash: flowtab.Mix64})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.RegisterFlowTables(ffw.FlowTabs()...); err == nil {
+	for k := uint64(1); k <= 2; k++ {
+		if _, _, ierr := aux.Insert(k); ierr != nil {
+			t.Fatal(ierr)
+		}
+	}
+	if err := sys.Control().RegisterFlowTables(append(ffw.FlowTabs(), aux)...); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Control().RegisterFlowTables(ffw.FlowTabs()...); err == nil {
 		t.Error("duplicate flow-table registration accepted")
 	}
 	exp, err := sys.Serve("127.0.0.1:0", dhl.WithCallTimeout(15*time.Second))
@@ -705,34 +717,47 @@ func TestFlowTableObservability(t *testing.T) {
 	if err := c.Call("stats.get", map[string]any{"node": 0}, &st); err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Flowtabs) != 1 || st.Flowtabs[0].Name != "fw-flows" || st.Flowtabs[0].Entries != 3 {
-		t.Fatalf("flowtabs %+v, want fw-flows with 3 entries", st.Flowtabs)
+	if len(st.Flowtabs) != 2 ||
+		st.Flowtabs[0].Name != "fw-flows" || st.Flowtabs[0].Entries != 3 ||
+		st.Flowtabs[1].Name != "aux-flows" || st.Flowtabs[1].Entries != 2 {
+		t.Fatalf("flowtabs %+v, want fw-flows with 3 entries and aux-flows with 2", st.Flowtabs)
 	}
 
 	// /metrics carries the gauge family with per-table labels.
-	resp, err := http.Get("http://" + exp.Addr() + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+	metrics := func() string {
+		t.Helper()
+		resp, err := http.Get("http://" + exp.Addr() + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		_ = resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(body)
 	}
-	body, err := io.ReadAll(resp.Body)
-	_ = resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	text := string(body)
-	for _, want := range []string{
+	fwGauges := []string{
 		`dhl_flowtab_entries{table="fw-flows"} 3`,
 		`dhl_flowtab_evictions{table="fw-flows",reason="idle"}`,
 		`dhl_flowtab_capacity{table="fw-flows"}`,
-	} {
+	}
+	auxGauges := []string{
+		`dhl_flowtab_entries{table="aux-flows"} 2`,
+		`dhl_flowtab_evictions{table="aux-flows",reason="idle"}`,
+		`dhl_flowtab_capacity{table="aux-flows"}`,
+	}
+	text := metrics()
+	for _, want := range append(fwGauges, auxGauges...) {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics lacks %q", want)
 		}
 	}
 
-	// Unregistering removes the gauges and the stats.get rows.
+	// Unregistering one table removes its gauges and its stats.get row,
+	// and leaves the other's.
 	p.do(func() {
-		if uerr := sys.UnregisterFlowTable("fw-flows"); uerr != nil {
+		if uerr := sys.Control().UnregisterFlowTable("fw-flows"); uerr != nil {
 			t.Error(uerr)
 		}
 	})
@@ -740,8 +765,17 @@ func TestFlowTableObservability(t *testing.T) {
 	if err := c.Call("stats.get", map[string]any{"node": 0}, &st); err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Flowtabs) != 0 {
-		t.Errorf("flowtabs after unregister: %+v", st.Flowtabs)
+	if len(st.Flowtabs) != 1 || st.Flowtabs[0].Name != "aux-flows" || st.Flowtabs[0].Entries != 2 {
+		t.Errorf("flowtabs after unregister: %+v, want aux-flows alone", st.Flowtabs)
+	}
+	text = metrics()
+	if strings.Contains(text, `table="fw-flows"`) {
+		t.Error("/metrics still carries fw-flows gauges after unregister")
+	}
+	for _, want := range auxGauges {
+		if !strings.Contains(text, want) {
+			t.Errorf("/metrics lost %q after the other table's unregister", want)
+		}
 	}
 }
 

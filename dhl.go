@@ -42,15 +42,6 @@ type Module = fpga.Module
 // ModuleSpec describes an accelerator module for the database.
 type ModuleSpec = fpga.ModuleSpec
 
-// BatchingMode selects fixed or adaptive transfer batching.
-type BatchingMode = core.BatchingMode
-
-// Batching policies.
-const (
-	FixedBatching    = core.FixedBatching
-	AdaptiveBatching = core.AdaptiveBatching
-)
-
 // Stock hardware function names shipped in the accelerator module
 // database.
 const (
@@ -224,26 +215,6 @@ type SystemConfig struct {
 	// FPGAsPerNode is the number of VC709-class boards per node. Zero
 	// selects 1.
 	FPGAsPerNode int
-	// PoolCapacity is the shared mbuf pool size. Zero selects 16384.
-	PoolCapacity int
-	// Batching selects the Packer policy (default FixedBatching at 6 KB).
-	Batching BatchingMode
-	// BatchBytes overrides the 6 KB transfer batching size.
-	BatchBytes int
-	// InKernelDriver swaps the UIO poll-mode driver for the in-kernel
-	// baseline (only useful for comparison runs).
-	InKernelDriver bool
-	// CoreHz is the simulated CPU clock. Zero selects the testbed's
-	// 2.1 GHz.
-	CoreHz float64
-	// Faults arms deterministic fault injection: the plan is shared by
-	// every DMA engine, FPGA device and the transfer cores, so one seed
-	// reproduces a whole chaos run. Also enables the batch watchdog and
-	// the accelerator health FSM.
-	Faults *FaultPlan
-	// WatchdogTimeoutUs overrides the per-batch watchdog deadline
-	// (microseconds; default 250 when Faults is set).
-	WatchdogTimeoutUs int
 	// Telemetry arms the zero-allocation telemetry subsystem: per-stage
 	// latency histograms, per-core counters, occupancy gauges and the
 	// batch span ring. Off (the default) leaves the hot path exactly as
@@ -254,29 +225,24 @@ type SystemConfig struct {
 	TelemetrySpanCap int
 }
 
+// poolCapacity is the shared mbuf pool's size.
+const poolCapacity = 16384
+
 // System bundles a complete simulated DHL deployment: the discrete-event
 // simulation, an mbuf pool, one or more FPGAs with DMA engines, and the
-// DHL Runtime with its transfer cores attached.
+// DHL Runtime with its transfer cores attached. Its methods are the
+// paper's Table II API and what drives the simulation; management goes
+// through Control.
 type System struct {
 	sim     *eventsim.Sim
 	pool    *mbuf.Pool
 	rt      *core.Runtime
 	devices []*fpga.Device
-	engines []*pcie.Engine
 	tel     *telemetry.Registry
-	coreHz  float64
-	coreID  int
-	// flowSrcs are the flow tables registered for observability, in
-	// registration order; FlowTables and stats.get report them.
-	flowSrcs []flowtab.Source
-	// ctl records that WithControlPlane armed the management API; Serve
+	control Control
+	// api records that WithControlPlane armed the management API; Serve
 	// mounts /api/v1 only then.
-	ctl bool
-	// tun is the adaptive batching controller, constructed by WithAutoTune
-	// or lazily by the first AutoTuneEnable; nil until then.
-	tun *tuner.Tuner
-	// tunCfg is the controller configuration WithAutoTune captured.
-	tunCfg AutoTuneConfig
+	api bool
 }
 
 // Option customizes Open beyond the plain SystemConfig fields. Options
@@ -285,16 +251,19 @@ type Option func(*openConfig)
 
 type openConfig struct {
 	cfg      SystemConfig
+	faults   *FaultPlan
 	settle   bool
-	ctl      bool
+	api      bool
 	autotune bool
 	tunCfg   AutoTuneConfig
 }
 
-// WithFaultPlan arms deterministic fault injection, equivalent to
-// setting SystemConfig.Faults.
+// WithFaultPlan arms deterministic fault injection: the plan is shared
+// by every DMA engine, FPGA device and the transfer cores, so one seed
+// reproduces a whole chaos run. Also arms the batch watchdog (250 µs) and
+// the accelerator health FSM.
 func WithFaultPlan(p *FaultPlan) Option {
-	return func(o *openConfig) { o.cfg.Faults = p }
+	return func(o *openConfig) { o.faults = p }
 }
 
 // WithControlPlane arms the runtime management API: Serve additionally
@@ -303,7 +272,7 @@ func WithFaultPlan(p *FaultPlan) Option {
 // also enables telemetry.
 func WithControlPlane() Option {
 	return func(o *openConfig) {
-		o.ctl = true
+		o.api = true
 		o.cfg.Telemetry = true
 	}
 }
@@ -314,7 +283,7 @@ func WithControlPlane() Option {
 // through the live-management surface (see internal/tuner). The
 // controller's signals come from telemetry, so this option also enables
 // it. The system opens with the controller already enabled; flip it at
-// runtime with AutoTuneEnable/AutoTuneDisable or the `tune.auto`
+// runtime with Control().AutoTuneEnable/AutoTuneDisable or the `tune.auto`
 // management call. At most one AutoTuneConfig may be given; its zero
 // fields select the documented defaults.
 func WithAutoTune(cfg ...AutoTuneConfig) Option {
@@ -336,26 +305,20 @@ func WithoutSettle() Option {
 
 // buildSystem wires a System with the stock accelerator modules
 // (hwfunc.Specs: ipsec-crypto, pattern-matching, loopback, ipsec-decrypt)
-// pre-registered in the database; RegisterModule adds any other.
-func buildSystem(cfg SystemConfig) (*System, error) {
+// pre-registered in the database; Control().RegisterModule adds any other.
+func buildSystem(cfg SystemConfig, faults *FaultPlan) (*System, error) {
 	if cfg.Nodes == 0 {
 		cfg.Nodes = 1
 	}
 	if cfg.FPGAsPerNode == 0 {
 		cfg.FPGAsPerNode = 1
 	}
-	if cfg.PoolCapacity == 0 {
-		cfg.PoolCapacity = 16384
-	}
-	if cfg.CoreHz == 0 {
-		cfg.CoreHz = perf.TestbedCoreHz
-	}
 	sim := eventsim.New()
-	pool, err := mbuf.NewPool(mbuf.PoolConfig{Name: "dhl-system", Capacity: cfg.PoolCapacity})
+	pool, err := mbuf.NewPool(mbuf.PoolConfig{Name: "dhl-system", Capacity: poolCapacity})
 	if err != nil {
 		return nil, err
 	}
-	sys := &System{sim: sim, pool: pool, coreHz: cfg.CoreHz}
+	sys := &System{sim: sim, pool: pool}
 	if cfg.Telemetry {
 		sys.tel = telemetry.New(cfg.TelemetrySpanCap)
 		p := pool
@@ -369,15 +332,11 @@ func buildSystem(cfg SystemConfig) (*System, error) {
 	id := 0
 	for node := 0; node < cfg.Nodes; node++ {
 		for i := 0; i < cfg.FPGAsPerNode; i++ {
-			dev, derr := fpga.NewDevice(sim, fpga.Config{ID: id, Node: node, Faults: cfg.Faults, Telemetry: sys.tel})
+			dev, derr := fpga.NewDevice(sim, fpga.Config{ID: id, Node: node, Faults: faults, Telemetry: sys.tel})
 			if derr != nil {
 				return nil, derr
 			}
-			mode := pcie.UIOPoll
-			if cfg.InKernelDriver {
-				mode = pcie.InKernel
-			}
-			dma := pcie.NewEngine(sim, pcie.Config{Mode: mode, Faults: cfg.Faults, Telemetry: sys.tel})
+			dma := pcie.NewEngine(sim, pcie.Config{Faults: faults, Telemetry: sys.tel})
 			if sys.tel != nil {
 				fpgaLabel := fmt.Sprintf("fpga=%q", fmt.Sprint(id))
 				d, e := dev, dma
@@ -398,20 +357,16 @@ func buildSystem(cfg SystemConfig) (*System, error) {
 					func() float64 { return float64(e.Backlog(pcie.C2H)) })
 			}
 			sys.devices = append(sys.devices, dev)
-			sys.engines = append(sys.engines, dma)
 			attachments = append(attachments, core.FPGAAttachment{Device: dev, DMA: dma})
 			id++
 		}
 	}
 	rt, err := core.NewRuntime(core.Config{
-		Sim:             sim,
-		Nodes:           cfg.Nodes,
-		FPGAs:           attachments,
-		Batching:        cfg.Batching,
-		BatchBytes:      cfg.BatchBytes,
-		Faults:          cfg.Faults,
-		WatchdogTimeout: eventsim.Time(cfg.WatchdogTimeoutUs) * eventsim.Microsecond,
-		Telemetry:       sys.tel,
+		Sim:       sim,
+		Nodes:     cfg.Nodes,
+		FPGAs:     attachments,
+		Faults:    faults,
+		Telemetry: sys.tel,
 	})
 	if err != nil {
 		return nil, err
@@ -422,6 +377,7 @@ func buildSystem(cfg SystemConfig) (*System, error) {
 		}
 	}
 	sys.rt = rt
+	sys.control = Control{Runtime: rt, sys: sys}
 	if sys.tel != nil {
 		sched := rt.Placement()
 		for b := range attachments {
@@ -442,7 +398,9 @@ func buildSystem(cfg SystemConfig) (*System, error) {
 		}
 	}
 	for node := 0; node < cfg.Nodes; node++ {
-		if aerr := rt.AttachCores(node, sys.NewCore(node), sys.NewCore(node), pool); aerr != nil {
+		tx := eventsim.NewCore(sim, 2*node, node, perf.TestbedCoreHz)
+		rx := eventsim.NewCore(sim, 2*node+1, node, perf.TestbedCoreHz)
+		if aerr := rt.AttachCores(node, tx, rx, pool); aerr != nil {
 			return nil, aerr
 		}
 	}
@@ -452,22 +410,22 @@ func buildSystem(cfg SystemConfig) (*System, error) {
 // Open builds a System with cfg, applies the options, and (unless
 // WithoutSettle) settles it: virtual time advances far enough that the
 // initial partial reconfigurations are done and the data path is ready
-// for traffic. It is the one entry point — WithFaultPlan mirrors a config
-// field, WithControlPlane arms the runtime management API, WithoutSettle
+// for traffic. It is the one entry point — WithFaultPlan arms fault
+// injection, WithControlPlane the runtime management API, WithoutSettle
 // returns with the boot reconfigurations in flight.
 func Open(cfg SystemConfig, opts ...Option) (*System, error) {
 	oc := openConfig{cfg: cfg, settle: true}
 	for _, opt := range opts {
 		opt(&oc)
 	}
-	sys, err := buildSystem(oc.cfg)
+	sys, err := buildSystem(oc.cfg, oc.faults)
 	if err != nil {
 		return nil, err
 	}
-	sys.ctl = oc.ctl
-	sys.tunCfg = oc.tunCfg
+	sys.api = oc.api
+	sys.control.tunCfg = oc.tunCfg
 	if oc.autotune {
-		if err := sys.AutoTuneEnable(); err != nil {
+		if err := sys.control.AutoTuneEnable(); err != nil {
 			return nil, err
 		}
 	}
@@ -480,12 +438,6 @@ func Open(cfg SystemConfig, opts ...Option) (*System, error) {
 // Sim exposes the simulation clock/event loop so applications can build
 // their own actors (I/O cores, generators) and advance virtual time.
 func (s *System) Sim() *eventsim.Sim { return s.sim }
-
-// Telemetry exposes the system's metric registry, or nil when
-// SystemConfig.Telemetry was off. Counter and histogram reads are atomic;
-// pull gauges read simulation-owned state and must be evaluated between
-// Sim().Run calls (Snapshot and the HTTP exporter evaluate them).
-func (s *System) Telemetry() *TelemetryRegistry { return s.tel }
 
 // Snapshot copies every telemetry metric at this instant: per-stage and
 // DMA/dispatch histograms, per-core counters, health-FSM transition
@@ -502,26 +454,10 @@ func (s *System) Snapshot() *TelemetrySnapshot {
 // Pool exposes the system's packet-buffer pool.
 func (s *System) Pool() *mbuf.Pool { return s.pool }
 
-// Runtime exposes the underlying DHL runtime for advanced wiring.
+// Runtime exposes the underlying DHL runtime, for wiring that takes a
+// *core.Runtime directly: the internal/nf constructors and the
+// per-layer benchmarks.
 func (s *System) Runtime() *core.Runtime { return s.rt }
-
-// Device returns FPGA board i for inspection (floorplans, stats).
-func (s *System) Device(i int) (*fpga.Device, error) {
-	if i < 0 || i >= len(s.devices) {
-		return nil, fmt.Errorf("dhl: device %d out of range [0,%d)", i, len(s.devices))
-	}
-	return s.devices[i], nil
-}
-
-// Devices reports the number of attached boards.
-func (s *System) Devices() int { return len(s.devices) }
-
-// NewCore allocates a simulated CPU core on a NUMA node.
-func (s *System) NewCore(node int) *eventsim.Core {
-	c := eventsim.NewCore(s.sim, s.coreID, node, s.coreHz)
-	s.coreID++
-	return c
-}
 
 // Settle advances virtual time by 100 ms so outstanding partial
 // reconfigurations complete before the data path starts.
@@ -535,9 +471,6 @@ func (s *System) Settle() {
 func (s *System) Register(name string, node int) (NFID, error) {
 	return s.rt.Register(name, node)
 }
-
-// Unregister withdraws an NF; in-flight data destined for it is discarded.
-func (s *System) Unregister(id NFID) error { return s.rt.Unregister(id) }
 
 // SearchByName implements DHL_search_by_name(), loading the module's PR
 // bitstream on a miss.
@@ -564,27 +497,10 @@ func (s *System) PrivateOBQ(id NFID) (*Queue, error) { return s.rt.PrivateOBQ(id
 // SendPackets implements DHL_send_packets(); it returns how many packets
 // the shared IBQ accepted. The caller keeps ownership of the rest;
 // refusals are attributed (TransferStats.IBQRejected) and signaled to a
-// registered pressure callback, never silently dropped.
+// registered pressure callback (Control().RegisterPressure), never
+// silently dropped.
 func (s *System) SendPackets(id NFID, pkts []*Packet) (int, error) {
 	return s.rt.SendPackets(id, pkts)
-}
-
-// TrySendPackets is the back-pressure-aware send: same queue semantics as
-// SendPackets, plus pressured — true when the node's shared IBQ refused
-// part of this burst or sits above its high-water mark — so the NF can
-// hold unaccepted packets and retry instead of dropping them.
-func (s *System) TrySendPackets(id NFID, pkts []*Packet) (accepted int, pressured bool, err error) {
-	return s.rt.TrySendPackets(id, pkts)
-}
-
-// RegisterPressure installs an NF's IBQ back-pressure callback. The
-// callback contract: it fires synchronously on the event-loop goroutine —
-// from the send whose packets were refused, and on every high-water rise
-// and low-water fall of the NF's node IBQ — so it must return quickly,
-// must not block, and must not re-enter the send path. A nil fn removes
-// the registration.
-func (s *System) RegisterPressure(id NFID, fn func(PressureInfo)) error {
-	return s.rt.RegisterPressure(id, fn)
 }
 
 // ReceivePackets implements DHL_receive_packets().
@@ -592,121 +508,8 @@ func (s *System) ReceivePackets(id NFID, dst []*Packet) (int, error) {
 	return s.rt.ReceivePackets(id, dst)
 }
 
-// RegisterModule adds a self-built accelerator module to the database.
-func (s *System) RegisterModule(spec ModuleSpec) error {
-	return s.rt.RegisterModule(spec)
-}
-
-// RegisterFallback installs a software implementation for a loaded
-// hardware function; while the accelerator is quarantined, its traffic is
-// processed by the fallback (delivered with StatusFallback) instead of
-// passing through unprocessed.
-func (s *System) RegisterFallback(hfName string, node int, factory func() Module) error {
-	return s.rt.RegisterFallback(hfName, node, factory)
-}
-
-// AccHealth reports an accelerator's health FSM state and fault/recovery
-// counters.
-func (s *System) AccHealth(acc AccID) (HealthReport, error) {
-	return s.rt.AccHealth(acc)
-}
-
 // Stats snapshots a node's transfer-layer counters, including the
 // fault-attribution and drop ledger.
 func (s *System) Stats(node int) (TransferStats, error) {
 	return s.rt.Stats(node)
-}
-
-// HFTable renders the hardware function table for inspection.
-func (s *System) HFTable() []string { return s.rt.HFTable() }
-
-// RegisterFlowTables attaches NF flow tables to the system's
-// observability surface: their occupancy/eviction/rehash counters show
-// up in FlowTables, in the stats.get management call, and (when
-// telemetry is armed) as dhl_flowtab_* gauges on /metrics. Registering
-// the same table name twice is refused. Like the rest of the System
-// surface, call it from the goroutine driving Sim().Run.
-func (s *System) RegisterFlowTables(srcs ...FlowTableSource) error {
-	for _, src := range srcs {
-		for _, have := range s.flowSrcs {
-			if have.Name() == src.Name() {
-				return fmt.Errorf("dhl: flow table %q already registered", src.Name())
-			}
-		}
-		s.flowSrcs = append(s.flowSrcs, src)
-		if s.tel != nil {
-			flowtab.RegisterGauges(s.tel, src)
-		}
-	}
-	return nil
-}
-
-// UnregisterFlowTable detaches a registered flow table (and its gauges)
-// by name, for NF teardown.
-func (s *System) UnregisterFlowTable(name string) error {
-	for i, src := range s.flowSrcs {
-		if src.Name() == name {
-			s.flowSrcs = append(s.flowSrcs[:i], s.flowSrcs[i+1:]...)
-			if s.tel != nil {
-				flowtab.UnregisterGauges(s.tel, name)
-			}
-			return nil
-		}
-	}
-	return fmt.Errorf("dhl: flow table %q is not registered", name)
-}
-
-// FlowTables snapshots every registered flow table's stats in
-// registration order (never nil).
-func (s *System) FlowTables() []FlowTableInfo { return flowtab.Collect(s.flowSrcs) }
-
-// ensureTuner lazily constructs the autotuner (first AutoTuneEnable on a
-// system opened without WithAutoTune). Requires telemetry: the
-// controller's signals are the span ring and the IBQ pressure gauges.
-func (s *System) ensureTuner() error {
-	if s.tun != nil {
-		return nil
-	}
-	if s.tel == nil {
-		return fmt.Errorf("dhl: autotuner requires telemetry (open with WithAutoTune, WithControlPlane, or SystemConfig.Telemetry)")
-	}
-	t, err := tuner.New(s.sim, s.rt, s.tel, s.tunCfg)
-	if err != nil {
-		return err
-	}
-	s.tun = t
-	return nil
-}
-
-// AutoTuneEnable arms the adaptive batching controller (constructing it
-// on first use). Idempotent while enabled. Like the rest of the System
-// surface, call it from the goroutine driving Sim().Run; the control
-// plane's `tune.auto` call routes here through the event loop.
-func (s *System) AutoTuneEnable() error {
-	if err := s.ensureTuner(); err != nil {
-		return err
-	}
-	return s.tun.Enable()
-}
-
-// AutoTuneDisable stops the controller and rolls back its interventions:
-// per-accelerator overrides clear to the global configuration and poll
-// bursts return to their enable-time baselines. Idempotent; a no-op on a
-// system whose tuner was never constructed.
-func (s *System) AutoTuneDisable() error {
-	if s.tun == nil {
-		return nil
-	}
-	return s.tun.Disable()
-}
-
-// AutoTuneStatus reports the controller's state — windows closed,
-// grow/shrink decisions applied, current per-accelerator batch/flush
-// targets and per-node bursts. A zero Status when the tuner was never
-// constructed.
-func (s *System) AutoTuneStatus() TunerStatus {
-	if s.tun == nil {
-		return TunerStatus{}
-	}
-	return s.tun.Status()
 }

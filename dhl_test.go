@@ -3,6 +3,7 @@ package dhl_test
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -13,18 +14,52 @@ import (
 	"github.com/opencloudnext/dhl-go/internal/eventsim"
 )
 
+// TestFacadeSurface pins the public surface so it cannot grow back: a
+// System is the paper's eight Table II calls, what drives and observes
+// the simulation, Serve and Control; everything else is Control's. The
+// config is the four settings a caller sets.
+func TestFacadeSurface(t *testing.T) {
+	sysT := reflect.TypeFor[*dhl.System]()
+	var methods []string
+	for i := 0; i < sysT.NumMethod(); i++ {
+		methods = append(methods, sysT.Method(i).Name)
+	}
+	wantMethods := []string{
+		// Table II.
+		"Register", "SearchByName", "LoadPR", "AccConfigure",
+		"SharedIBQ", "PrivateOBQ", "SendPackets", "ReceivePackets",
+		// Driving and observing the simulation.
+		"Sim", "Pool", "Runtime", "Settle", "Snapshot", "Stats",
+		// Operations.
+		"Serve", "Control",
+	}
+	slices.Sort(wantMethods)
+	if !slices.Equal(methods, wantMethods) {
+		t.Errorf("*System methods = %v, want %v", methods, wantMethods)
+	}
+
+	cfgT := reflect.TypeFor[dhl.SystemConfig]()
+	var fields []string
+	for i := 0; i < cfgT.NumField(); i++ {
+		fields = append(fields, cfgT.Field(i).Name)
+	}
+	if want := []string{"Nodes", "FPGAsPerNode", "Telemetry", "TelemetrySpanCap"}; !slices.Equal(fields, want) {
+		t.Errorf("SystemConfig fields = %v, want %v", fields, want)
+	}
+}
+
 func TestNewSystemDefaults(t *testing.T) {
 	sys, err := dhl.Open(dhl.SystemConfig{}, dhl.WithoutSettle())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sys.Devices() != 1 {
-		t.Errorf("devices %d", sys.Devices())
+	if n := len(sys.Control().PlacementTable()); n != 1 {
+		t.Errorf("boards %d", n)
 	}
-	if _, err := sys.Device(0); err != nil {
+	if _, err := sys.Control().Device(0); err != nil {
 		t.Errorf("device 0: %v", err)
 	}
-	if _, err := sys.Device(5); err == nil {
+	if _, err := sys.Control().Device(5); err == nil {
 		t.Error("bad device index accepted")
 	}
 	if sys.Sim() == nil || sys.Pool() == nil || sys.Runtime() == nil {
@@ -38,7 +73,7 @@ func TestNewSystemDefaults(t *testing.T) {
 	}
 }
 
-// TestModuleDBOrder: the database is a map, and what System.ModuleDB hands
+// TestModuleDBOrder: the database is a map, and what Control().ModuleDB hands
 // out must not show it: the four stock names, sorted, on every call.
 func TestModuleDBOrder(t *testing.T) {
 	sys, err := dhl.Open(dhl.SystemConfig{}, dhl.WithoutSettle())
@@ -47,7 +82,7 @@ func TestModuleDBOrder(t *testing.T) {
 	}
 	want := []string{dhl.IPsecCrypto, dhl.IPsecDecrypt, dhl.Loopback, dhl.PatternMatching}
 	for i := 0; i < 32; i++ {
-		if got := sys.ModuleDB(); !slices.Equal(got, want) {
+		if got := sys.Control().ModuleDB(); !slices.Equal(got, want) {
 			t.Fatalf("call %d: ModuleDB() = %v, want %v", i, got, want)
 		}
 	}
@@ -84,8 +119,8 @@ func TestSystemMultiNodeMultiFPGA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sys.Devices() != 4 {
-		t.Errorf("devices %d", sys.Devices())
+	if n := len(sys.Control().PlacementTable()); n != 4 {
+		t.Errorf("boards %d", n)
 	}
 	// Each node resolves its own accelerator instance.
 	a0, err := sys.SearchByName(dhl.IPsecCrypto, 0)
@@ -157,7 +192,7 @@ func TestSystemTableIIRoundTrip(t *testing.T) {
 		}
 		_ = sys.Pool().Free(out[i])
 	}
-	if err := sys.Unregister(nfID); err != nil {
+	if err := sys.Control().Unregister(nfID); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sys.SendPackets(nfID, nil); err == nil {
@@ -175,10 +210,10 @@ func TestSystemCustomModule(t *testing.T) {
 		DelayCycles: 8, BitstreamBytes: 1 << 20,
 		New: func() dhl.Module { return &xorModule{} },
 	}
-	if err := sys.RegisterModule(spec); err != nil {
+	if err := sys.Control().RegisterModule(spec); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.RegisterModule(spec); err == nil {
+	if err := sys.Control().RegisterModule(spec); err == nil {
 		t.Error("duplicate module registration accepted")
 	}
 	nfID, _ := sys.Register("xor-nf", 0)
@@ -236,13 +271,13 @@ func TestSystemHFTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sys.HFTable()) != 0 {
+	if len(sys.Control().HFTable()) != 0 {
 		t.Error("hf table not empty before loads")
 	}
 	if _, err := sys.LoadPR(dhl.PatternMatching, 0); err != nil {
 		t.Fatal(err)
 	}
-	rows := sys.HFTable()
+	rows := sys.Control().HFTable()
 	if len(rows) != 1 || !strings.Contains(rows[0], dhl.PatternMatching) {
 		t.Errorf("hf table %v", rows)
 	}
@@ -290,7 +325,7 @@ func TestAutoTuneZeroAllocHotPath(t *testing.T) {
 			m.AccID = uint16(acc)
 			pkts[i] = m
 		}
-		sent, _, serr := sys.TrySendPackets(nf, pkts)
+		sent, _, serr := sys.Control().TrySendPackets(nf, pkts)
 		if serr != nil || sent != nPkts {
 			t.Fatalf("send %d %v", sent, serr)
 		}
@@ -314,7 +349,7 @@ func TestAutoTuneZeroAllocHotPath(t *testing.T) {
 		t.Errorf("steady-state burst with autotuner armed allocates %.1f objects/run, want 0", avg)
 	}
 
-	st := sys.AutoTuneStatus()
+	st := sys.Control().AutoTuneStatus()
 	if !st.Enabled || st.Windows == 0 {
 		t.Fatalf("tuner not running: %+v", st)
 	}
@@ -323,10 +358,10 @@ func TestAutoTuneZeroAllocHotPath(t *testing.T) {
 	if st.GrowDecisions+st.ShrinkDecisions == 0 {
 		t.Error("autotuner made no decisions under sustained low-fill load")
 	}
-	if err := sys.AutoTuneDisable(); err != nil {
+	if err := sys.Control().AutoTuneDisable(); err != nil {
 		t.Fatal(err)
 	}
-	if sys.AutoTuneStatus().Enabled {
+	if sys.Control().AutoTuneStatus().Enabled {
 		t.Error("still enabled after AutoTuneDisable")
 	}
 }
@@ -345,7 +380,7 @@ func TestBackpressureFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	var infos []dhl.PressureInfo
-	if err := sys.RegisterPressure(nf, func(pi dhl.PressureInfo) { infos = append(infos, pi) }); err != nil {
+	if err := sys.Control().RegisterPressure(nf, func(pi dhl.PressureInfo) { infos = append(infos, pi) }); err != nil {
 		t.Fatal(err)
 	}
 	pkts := make([]*dhl.Packet, 300)
@@ -359,7 +394,7 @@ func TestBackpressureFacade(t *testing.T) {
 		}
 		pkts[i] = m
 	}
-	acc, pressured, err := sys.TrySendPackets(nf, pkts)
+	acc, pressured, err := sys.Control().TrySendPackets(nf, pkts)
 	if err != nil {
 		t.Fatal(err)
 	}

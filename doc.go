@@ -27,9 +27,15 @@
 //	sys.SendPackets(nfID, pkts)                          // DHL_send_packets()
 //	n, _ := sys.ReceivePackets(nfID, out)                // DHL_receive_packets()
 //
-// Custom accelerator modules can be added to the accelerator module
-// database with RegisterModule, exactly as §IV-C allows for self-built
-// modules that follow the base design's interface specification.
+// Those eight calls, plus Sim, Pool, Settle, Stats and Snapshot to drive
+// and observe the simulation, are all of System. Everything else an
+// operator does to a running system is on System.Control: the runtime's
+// management calls (RegisterModule, Evict, InstallFallback,
+// SetBatchBytes, Migrate, OfflineBoard, ...) plus the flow-table registry
+// and the autotuner. Custom accelerator modules are added to the
+// accelerator module database with Control().RegisterModule, exactly as
+// §IV-C allows for self-built modules that follow the base design's
+// interface specification.
 //
 // # Operations
 //
@@ -39,26 +45,27 @@
 // /api/v1 that reconfigures the running system — register NFs, load and
 // evict accelerator modules, install software fallbacks, retune the
 // batcher and watchdog — without stopping the data path (see DESIGN.md
-// §11 and cmd/dhl-inspect).
+// §11 and cmd/dhl-inspect). Each verb is one Control call.
 //
 // # Adaptive batching and backpressure
 //
 // The paper fixes the DMA batch size at 6 KB, the PCIe saturation point;
 // off-peak that batch never fills and every packet pays the flush
 // deadline in latency. Opening with WithAutoTune (or calling
-// AutoTuneEnable on a live system, or the control plane's tune.auto op)
-// arms a closed-loop controller that samples per-accelerator batch fill
-// and per-node IBQ pressure in fixed windows on the event loop and
-// retunes batch size, flush timeout and poll burst within
-// operator-configured bounds — observable via AutoTuneStatus,
+// Control().AutoTuneEnable on a live system, or the control plane's
+// tune.auto op) arms a closed-loop controller that samples
+// per-accelerator batch fill and per-node IBQ pressure in fixed windows
+// on the event loop and retunes batch size, flush timeout and poll burst
+// within operator-configured bounds — observable via AutoTuneStatus,
 // dhl-inspect and the dhl_tuner_* metrics, reversible via
 // AutoTuneDisable, and allocation-free in steady state (DESIGN.md §14).
 //
-// Overload is reported rather than silently dropped: TrySendPackets is
-// the non-blocking send returning (accepted, pressured, err) with the
-// caller keeping ownership of the refused tail, and RegisterPressure
-// subscribes an NF to its node's IBQ high-water edges and per-refusal
-// counts so producers can shed or hold instead of guessing.
+// Overload is reported rather than silently dropped: Control's
+// TrySendPackets is the non-blocking send returning (accepted,
+// pressured, err) with the caller keeping ownership of the refused tail,
+// and RegisterPressure subscribes an NF to its node's IBQ high-water
+// edges and per-refusal counts so producers can shed or hold instead of
+// guessing.
 //
 // The runnable examples under examples/ and the experiment harness
 // (internal/harness, driven by cmd/dhl-bench and the root benchmarks)

@@ -90,7 +90,7 @@ func run() error {
 		BitstreamBytes: 4 * 1024 * 1024,
 		New:            func() dhl.Module { return &compressModule{} },
 	}
-	if err := sys.RegisterModule(spec); err != nil {
+	if err := sys.Control().RegisterModule(spec); err != nil {
 		return err
 	}
 
@@ -107,7 +107,7 @@ func run() error {
 	}
 	sys.Settle()
 	fmt.Println("hardware function table:")
-	for _, row := range sys.HFTable() {
+	for _, row := range sys.Control().HFTable() {
 		fmt.Println(" ", row)
 	}
 

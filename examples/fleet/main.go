@@ -60,7 +60,7 @@ func run() error {
 
 	// Warm a replica on the second board: same bitstream, same config
 	// replay, then it joins the weighted round-robin rotation.
-	board, err := sys.Replicate(acc, -1)
+	board, err := sys.Control().Replicate(acc, -1)
 	if err != nil {
 		return err
 	}
@@ -105,7 +105,7 @@ func run() error {
 	const rounds = 40
 	for round := 0; round < rounds; round++ {
 		if round == rounds/2 {
-			moved, oerr := sys.OfflineBoard(0)
+			moved, oerr := sys.Control().OfflineBoard(0)
 			if oerr != nil {
 				return oerr
 			}
@@ -182,7 +182,7 @@ func run() error {
 // printPlacement renders the fleet placement table.
 func printPlacement(sys *dhl.System) {
 	fmt.Println("fleet placement:")
-	for _, b := range sys.PlacementTable() {
+	for _, b := range sys.Control().PlacementTable() {
 		fmt.Printf("  board %d (node %d, %s): free %d LUTs, %d BRAM, %d region(s)\n",
 			b.Board, b.Node, b.State, b.FreeLUTs, b.FreeBRAM, b.FreeRegions)
 		for _, ep := range b.Endpoints {

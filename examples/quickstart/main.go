@@ -57,7 +57,7 @@ func run() error {
 	}
 	sys.Settle() // partial reconfiguration completes (~29 ms of virtual time)
 	fmt.Println("hardware function table after setup:")
-	for _, row := range sys.HFTable() {
+	for _, row := range sys.Control().HFTable() {
 		fmt.Println(" ", row)
 	}
 

@@ -116,11 +116,11 @@ func (g *gateway) pump() {
 		g.mu.Unlock()
 		if g.prNs.Load() == 0 {
 			// The second accelerator is the operator's acc.load.
-			if ids := sys.AccIDs(); len(ids) > 1 {
+			if ids := sys.Control().AccIDs(); len(ids) > 1 {
 				if loadedAt == 0 {
 					loadedAt = sim.Now()
 				}
-				if info, err := sys.AccInfo(ids[1]); err == nil && info.Ready {
+				if info, err := sys.Control().AccInfo(ids[1]); err == nil && info.Ready {
 					g.prNs.Store(int64((sim.Now() - loadedAt) / eventsim.Nanosecond))
 				}
 			}

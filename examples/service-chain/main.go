@@ -69,7 +69,7 @@ func run(flows int) error {
 	if err != nil {
 		return err
 	}
-	if err := sys.RegisterFlowTables(ffw.FlowTabs()...); err != nil {
+	if err := sys.Control().RegisterFlowTables(ffw.FlowTabs()...); err != nil {
 		return err
 	}
 
@@ -229,7 +229,7 @@ func floodFlows(sys *dhl.System, ffw *nf.FlowFirewall, flows int) error {
 	}
 	fmt.Printf("flow-scale: allowed=%d denied=%d cache hits=%d misses=%d\n",
 		allowed, denied, ffw.CacheHits, ffw.CacheMisses)
-	for _, info := range sys.FlowTables() {
+	for _, info := range sys.Control().FlowTables() {
 		perFlow := 0.0
 		if info.Entries > 0 {
 			perFlow = float64(info.MemBytes) / float64(info.Entries)

@@ -376,9 +376,9 @@ func (ib *inflight) c2hDone() {
 		t.r.sim.After(f.StallFor(faultinject.CompletionStall), ib.c2hDoneFn)
 		return
 	}
-	if t.stopped || !t.r.nodeRx[t.node].completions.Enqueue(ib) {
-		// The RX loop is gone (nothing will ever drain the ring) or the ring
-		// is full: count the completion dropped and reclaim the buffers now.
+	if !t.r.nodeRx[t.node].completions.Enqueue(ib) {
+		// The ring is full: count the completion dropped and reclaim the
+		// buffers now.
 		t.stats.CompletionDrops++
 		ib.fail()
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"github.com/opencloudnext/dhl-go/internal/eventsim"
-	"github.com/opencloudnext/dhl-go/internal/fpga"
 	"github.com/opencloudnext/dhl-go/internal/mbuf"
 )
 
@@ -39,13 +38,6 @@ func (r *Runtime) FlushTimeout() eventsim.Time { return r.tune[0].FlushTimeout }
 // when the watchdog is disarmed).
 func (r *Runtime) WatchdogTimeout() eventsim.Time { return r.cfg.WatchdogTimeout }
 
-// ModuleSpecFor looks a hardware function up in the accelerator module
-// database.
-func (r *Runtime) ModuleSpecFor(name string) (fpga.ModuleSpec, bool) {
-	spec, ok := r.db[name]
-	return spec, ok
-}
-
 // AccIDs lists the loaded accelerator instances in acc_id order.
 func (r *Runtime) AccIDs() []AccID {
 	ids := make([]AccID, 0, len(r.hfByAcc))
@@ -69,8 +61,8 @@ type AccInfo struct {
 	Ready  bool   `json:"ready"`
 }
 
-// AccInfoFor reports one accelerator's table row.
-func (r *Runtime) AccInfoFor(acc AccID) (AccInfo, error) {
+// AccInfo reports one accelerator's table row.
+func (r *Runtime) AccInfo(acc AccID) (AccInfo, error) {
 	e, ok := r.hfByAcc[acc]
 	if !ok {
 		return AccInfo{}, fmt.Errorf("%w: %d", ErrUnknownAcc, acc)
@@ -79,14 +71,13 @@ func (r *Runtime) AccInfoFor(acc AccID) (AccInfo, error) {
 		FPGA: e.fpgaIdx, Region: e.regionIdx, Ready: e.ready}, nil
 }
 
-// EvictPR removes a loaded accelerator module from the hardware function
+// Evict removes a loaded accelerator module from the hardware function
 // table and unloads its reconfigurable part, returning the region's
 // LUT/BRAM resources to the board. The inverse of LoadPR, safe on a
 // running system:
 //
 //   - packets staged for the accelerator are freed and attributed
-//     DropNoRoute, as a core pair's teardown does, so the conservation
-//     ledger keeps balancing;
+//     DropNoRoute, so the conservation ledger keeps balancing;
 //   - batches already posted to the DMA engine complete against the
 //     now-empty region, take the dispatch-failure edge and are attributed
 //     DropFault — buffers return, nothing is stranded;
@@ -96,7 +87,7 @@ func (r *Runtime) AccInfoFor(acc AccID) (AccInfo, error) {
 //
 // Traffic that keeps arriving for the evicted acc_id is dropped
 // DropNoRoute by the Packer, the same as any unknown acc_id.
-func (r *Runtime) EvictPR(acc AccID) error {
+func (r *Runtime) Evict(acc AccID) error {
 	e, ok := r.hfByAcc[acc]
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrUnknownAcc, acc)
@@ -138,6 +129,19 @@ func (r *Runtime) EvictPR(acc AccID) error {
 		r.tel.UnregisterGauge("dhl_acc_health", accHealthLabels(acc, e.name))
 	}
 	return nil
+}
+
+// InstallFallback registers the module database's functional engine as
+// the software fallback for a loaded hardware function — RegisterFallback
+// without writing a factory. While the accelerator is quarantined its
+// traffic runs through the fallback on the TX core (delivered
+// StatusFallback) instead of passing through unprocessed.
+func (r *Runtime) InstallFallback(hfName string, node int) error {
+	spec, ok := r.db[hfName]
+	if !ok {
+		return fmt.Errorf("dhl: no module %q in the database to use as a software fallback", hfName)
+	}
+	return r.RegisterFallback(hfName, node, spec.New)
 }
 
 // ClearFallback removes the registered software fallback for a hardware

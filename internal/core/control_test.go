@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/opencloudnext/dhl-go/internal/eventsim"
@@ -17,12 +18,12 @@ func TestEvictPRRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The region is still reconfiguring: eviction must refuse.
-	if err := r.rt.EvictPR(acc); !errors.Is(err, ErrAccReloading) {
+	if err := r.rt.Evict(acc); !errors.Is(err, ErrAccReloading) {
 		t.Fatalf("evict mid-ICAP: %v", err)
 	}
 	r.settle()
 	luts := r.dev.AvailableLUTs()
-	if err := r.rt.EvictPR(acc); err != nil {
+	if err := r.rt.Evict(acc); err != nil {
 		t.Fatal(err)
 	}
 	if got := r.dev.AvailableLUTs(); got != luts+1000 {
@@ -34,7 +35,7 @@ func TestEvictPRRoundTrip(t *testing.T) {
 	if len(r.rt.HFTable()) != 0 {
 		t.Errorf("hf table after evict: %v", r.rt.HFTable())
 	}
-	if err := r.rt.EvictPR(acc); !errors.Is(err, ErrUnknownAcc) {
+	if err := r.rt.Evict(acc); !errors.Is(err, ErrUnknownAcc) {
 		t.Errorf("double evict: %v", err)
 	}
 	// The name reloads onto a fresh acc_id / region.
@@ -45,7 +46,7 @@ func TestEvictPRRoundTrip(t *testing.T) {
 	if acc2 == acc {
 		t.Errorf("evicted acc_id %d reused", acc)
 	}
-	info, err := r.rt.AccInfoFor(acc2)
+	info, err := r.rt.AccInfo(acc2)
 	if err != nil || info.Name != "rev" || info.Ready {
 		t.Errorf("info %+v err %v", info, err)
 	}
@@ -71,7 +72,7 @@ func TestEvictPRDrainsStagedPackets(t *testing.T) {
 	if st, _ := r.rt.Stats(0); st.PktsPacked != 2 || st.BatchesSent != 0 {
 		t.Fatalf("precondition: %d packed, %d sent", st.PktsPacked, st.BatchesSent)
 	}
-	if err := r.rt.EvictPR(acc); err != nil {
+	if err := r.rt.Evict(acc); err != nil {
 		t.Fatal(err)
 	}
 	st, _ := r.rt.Stats(0)
@@ -308,7 +309,7 @@ func TestClearFallbackLive(t *testing.T) {
 	if err := r.rt.ClearFallback("rev", 1); !errors.Is(err, ErrUnknownHF) {
 		t.Errorf("wrong node accepted: %v", err)
 	}
-	if err := r.rt.RegisterFallback("rev", 0, func() fpga.Module { return reverseModule{} }); err != nil {
+	if err := r.rt.InstallFallback("rev", 0); err != nil {
 		t.Fatal(err)
 	}
 	e := r.rt.hfByKey[hfKey{"rev", 0}]
@@ -328,14 +329,14 @@ func TestAccessors(t *testing.T) {
 	if r.rt.Nodes() != 1 {
 		t.Errorf("Nodes = %d", r.rt.Nodes())
 	}
-	if _, ok := r.rt.ModuleSpecFor("rev"); !ok {
-		t.Error("ModuleSpecFor miss for registered module")
+	if err := r.rt.InstallFallback("rev", 0); !errors.Is(err, ErrUnknownHF) {
+		t.Errorf("InstallFallback before load: %v", err)
 	}
-	if _, ok := r.rt.ModuleSpecFor("nope"); ok {
-		t.Error("ModuleSpecFor hit for unknown module")
+	if err := r.rt.InstallFallback("nope", 0); err == nil || !strings.Contains(err.Error(), "no module") {
+		t.Errorf("InstallFallback of a module not in the database: %v", err)
 	}
-	if _, err := r.rt.AccInfoFor(99); !errors.Is(err, ErrUnknownAcc) {
-		t.Errorf("AccInfoFor unknown: %v", err)
+	if _, err := r.rt.AccInfo(99); !errors.Is(err, ErrUnknownAcc) {
+		t.Errorf("AccInfo unknown: %v", err)
 	}
 	var accs []AccID
 	for i := 0; i < 3; i++ {
@@ -349,7 +350,7 @@ func TestAccessors(t *testing.T) {
 	// Repeated LoadPR calls overwrite the (name, node) table key; evicting
 	// an instance the key no longer resolves to must not tear the key away
 	// from the survivor.
-	if err := r.rt.EvictPR(accs[1]); err != nil {
+	if err := r.rt.Evict(accs[1]); err != nil {
 		t.Fatal(err)
 	}
 	if ids := r.rt.AccIDs(); len(ids) != 2 || ids[0] != accs[0] || ids[1] != accs[2] {

@@ -432,50 +432,6 @@ func TestDeviceShutdownMidReconfigurationDeliversUnprocessed(t *testing.T) {
 	checkNoLeaks(t, r)
 }
 
-func TestStopCoresRacesInflightCompletions(t *testing.T) {
-	// Batches are mid-flight (posted, completions pending in the event
-	// queue) when the transfer layer stops. Completions that fire
-	// afterwards must be counted and reclaimed, not enqueued onto a dead
-	// ring or leaked.
-	r := newRig(t, Config{FlushTimeout: 5 * eventsim.Microsecond}, revSpec())
-	nf, _ := r.rt.Register("race", 0)
-	acc, err := r.rt.SearchByName("rev", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.settle()
-	pkts := make([]*mbuf.Mbuf, 64)
-	for i := range pkts {
-		pkts[i] = r.packet(t, nf, acc, bytes.Repeat([]byte{0x22}, 128))
-	}
-	if n, _ := r.rt.SendPackets(nf, pkts); n != 64 {
-		t.Fatal("send failed")
-	}
-	// Step the clock just until the first batch has been posted to the
-	// DMA engine, then stop the cores with its completion still pending.
-	for i := 0; i < 1000 && r.rt.nodeTx[0].stats.BatchesSent == 0; i++ {
-		r.sim.Run(r.sim.Now() + eventsim.Microsecond)
-	}
-	if r.rt.nodeTx[0].stats.BatchesSent == 0 {
-		t.Fatal("no batch ever posted")
-	}
-	r.rt.StopCores(0)
-	r.settle()
-	out := make([]*mbuf.Mbuf, 64)
-	got, _ := r.rt.ReceivePackets(nf, out)
-	for i := 0; i < got; i++ {
-		_ = r.pool.Free(out[i])
-	}
-	s := r.stats(t)
-	if s.CompletionDrops == 0 {
-		t.Error("no completion drop counted for the raced batches")
-	}
-	if s.PktsPacked != s.PktsDistributed+s.DropFault+s.DropCorrupt+s.DropMismatch+s.DropNoRoute {
-		t.Errorf("packet conservation violated: %+v", s)
-	}
-	checkNoLeaks(t, r)
-}
-
 // --- Unregister in-flight drain (satellite a) ----------------------------
 
 func TestUnregisterDrainsInFlightPackets(t *testing.T) {

@@ -37,7 +37,7 @@ func TestHealthFSMReentry(t *testing.T) {
 		if e.health != HealthQuarantined {
 			t.Fatalf("lap %d: health %v after 5 faults, want quarantined", n, e.health)
 		}
-		if ep := primaryOf(e.route); ep == nil || !ep.Disabled {
+		if ep := e.route.Primary(); ep == nil || !ep.Disabled {
 			t.Fatalf("lap %d: quarantine left the primary in rotation: %+v", n, ep)
 		}
 		// Extra faults while quarantined must not re-count transitions.
@@ -50,7 +50,7 @@ func TestHealthFSMReentry(t *testing.T) {
 		if e.reloading {
 			t.Fatalf("lap %d: reloading flag stuck", n)
 		}
-		if ep := primaryOf(e.route); ep == nil || ep.Disabled || ep.Weight != placement.DefaultWeight {
+		if ep := e.route.Primary(); ep == nil || ep.Disabled || ep.Weight != placement.DefaultWeight {
 			t.Fatalf("lap %d: reload did not restore the primary endpoint: %+v", n, ep)
 		}
 		snap := tel.Snapshot()

@@ -149,7 +149,7 @@ func TestMigrateLive(t *testing.T) {
 	if got := len(e.route.Endpoints()); got != 1 {
 		t.Errorf("route has %d endpoints after cutover, want 1", got)
 	}
-	if ep := primaryOf(e.route); ep == nil || ep.FPGA != 1 || !ep.Ready {
+	if ep := e.route.Primary(); ep == nil || ep.FPGA != 1 || !ep.Ready {
 		t.Errorf("primary endpoint %+v", ep)
 	}
 	if free := devs[0].AvailableLUTs(); free != lutsFree+1000 {
@@ -474,7 +474,7 @@ func TestEvictUnloadsReplicas(t *testing.T) {
 	}
 	r.settle()
 	free0, free1 := devs[0].AvailableLUTs(), devs[1].AvailableLUTs()
-	if err := r.rt.EvictPR(acc); err != nil {
+	if err := r.rt.Evict(acc); err != nil {
 		t.Fatal(err)
 	}
 	if got := devs[0].AvailableLUTs(); got != free0+1000 {
@@ -597,7 +597,7 @@ func TestEvictAfterReloadDiedWithBoard(t *testing.T) {
 	r.settle()
 	e := r.rt.hfByAcc[acc]
 	r.rt.quarantine(e)
-	if err := r.rt.EvictPR(acc); !errors.Is(err, ErrAccReloading) {
+	if err := r.rt.Evict(acc); !errors.Is(err, ErrAccReloading) {
 		t.Fatalf("evict during a live reload: %v", err)
 	}
 	r.dev.Shutdown() // mid-ICAP: the reload's completion will never run
@@ -605,22 +605,11 @@ func TestEvictAfterReloadDiedWithBoard(t *testing.T) {
 	if !e.reloading {
 		t.Fatal("precondition: the dead reload's marker is still set")
 	}
-	if err := r.rt.EvictPR(acc); err != nil {
+	if err := r.rt.Evict(acc); err != nil {
 		t.Fatalf("evict after the reload died with its board: %v", err)
 	}
 	if ids := r.rt.AccIDs(); len(ids) != 0 {
 		t.Errorf("AccIDs after evict: %v", ids)
 	}
 	checkNoLeaks(t, r)
-}
-
-// primaryOf returns the route's primary endpoint, or nil.
-func primaryOf(r *placement.Route) *placement.Endpoint {
-	eps := r.Endpoints()
-	for i := range eps {
-		if eps[i].Primary {
-			return &eps[i]
-		}
-	}
-	return nil
 }

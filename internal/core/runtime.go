@@ -347,6 +347,10 @@ func nextPow2(n int) int {
 // scheduler decides.
 func (r *Runtime) Placement() *placement.Scheduler { return r.sched }
 
+// PlacementTable snapshots the fleet: every board's state, remaining
+// resources and routed endpoints, in board order.
+func (r *Runtime) PlacementTable() []placement.BoardInfo { return r.sched.Snapshot() }
+
 // RegisterModule adds a module spec to the accelerator module database.
 // Per §IV-C, software developers may add self-built accelerator modules as
 // long as they follow the design specification.
@@ -504,7 +508,7 @@ func (r *Runtime) LoadPR(name string, node int) (AccID, error) {
 }
 
 // accHealthLabels renders the dhl_acc_health label list for one
-// accelerator; LoadPR registers the gauge with it and EvictPR removes the
+// accelerator; LoadPR registers the gauge with it and Evict removes the
 // gauge by the same string.
 func accHealthLabels(acc AccID, name string) string {
 	return fmt.Sprintf("acc_id=\"%d\",hf=%q", acc, name)

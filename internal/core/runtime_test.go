@@ -552,34 +552,6 @@ func TestStatsErrors(t *testing.T) {
 	}
 }
 
-func TestStopCoresHaltsTransferLayer(t *testing.T) {
-	r := newRig(t, Config{FlushTimeout: 5 * eventsim.Microsecond},
-		moduleSpec("rev", func() fpga.Module { return reverseModule{} }))
-	nf, _ := r.rt.Register("nf", 0)
-	acc, _ := r.rt.SearchByName("rev", 0)
-	r.settle()
-
-	r.rt.StopCores(0)
-	r.rt.StopCores(5) // out of range: no-op
-	pkts := []*mbuf.Mbuf{r.packet(t, nf, acc, []byte("stranded"))}
-	if _, err := r.rt.SendPackets(nf, pkts); err != nil {
-		t.Fatal(err)
-	}
-	r.sim.Run(r.sim.Now() + eventsim.Millisecond)
-	// With the TX core stopped nothing may come back.
-	if n, _ := r.rt.ReceivePackets(nf, make([]*mbuf.Mbuf, 4)); n != 0 {
-		t.Errorf("stopped runtime still delivered %d packets", n)
-	}
-	ibq, _ := r.rt.SharedIBQ(0)
-	if ibq.Len() != 1 {
-		t.Errorf("packet not left in IBQ: len %d", ibq.Len())
-	}
-	// Clean up the stranded packet.
-	var stranded [1]*mbuf.Mbuf
-	ibq.DequeueBurst(stranded[:])
-	_ = r.pool.Free(stranded[0])
-}
-
 // TestQuickEndToEndIntegrity property-checks the full transfer layer:
 // arbitrary payload batches come back intact, in order, and exactly once.
 func TestQuickEndToEndIntegrity(t *testing.T) {

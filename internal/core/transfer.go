@@ -73,7 +73,7 @@ type TransferStats struct {
 
 	// Packet drops by reason. DropFault: the batch's DMA/dispatch chain
 	// failed. DropNoRoute: no routable accelerator (unknown acc_id, or
-	// staged work torn down by StopCores). DropCorrupt: record lost to a
+	// staged work of an evicted one). DropCorrupt: record lost to a
 	// corrupt response batch. DropMismatch: record withheld because its
 	// nf_id did not match the original (isolation). DropUnknownNF /
 	// DropNFClosed / DropOBQFull: delivery-side drops at the OBQ.
@@ -128,12 +128,9 @@ type txEngine struct {
 	ibFree   []*inflight
 	commitFn func()
 
-	// stopped flips when StopCores tears the pair down: completions that
-	// arrive afterwards are counted and failed instead of enqueued onto a
-	// ring nobody drains. watchdog caches Config.WatchdogTimeout (zero
-	// when the runtime is unarmed) so commit can skip the watch-list
-	// bookkeeping entirely on the fault-free path.
-	stopped  bool
+	// watchdog caches Config.WatchdogTimeout (zero when the runtime is
+	// unarmed) so commit can skip the watch-list bookkeeping entirely on
+	// the fault-free path.
 	watchdog eventsim.Time
 
 	// tel/telC are the telemetry registry and this core's padded counter
@@ -413,8 +410,8 @@ func (t *txEngine) retune(acc AccID, st *accState) {
 
 // dropStaged frees everything staged in st back to the pool, attributed
 // DropNoRoute, and returns its segment: the teardown of staged work that
-// has, or has lost, no route — an unknown acc_id at flush, an evicted
-// accelerator, a stopped core pair.
+// has, or has lost, no route — an unknown acc_id at flush or an evicted
+// accelerator.
 //
 //dhl:hotpath
 func (t *txEngine) dropStaged(st *accState) {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/opencloudnext/dhl-go/internal/core"
+	"github.com/opencloudnext/dhl-go/internal/eventsim"
 	"github.com/opencloudnext/dhl-go/internal/flowtab"
 	"github.com/opencloudnext/dhl-go/internal/placement"
 	"github.com/opencloudnext/dhl-go/internal/telemetry"
@@ -208,8 +209,8 @@ var verbs = []Verb{
 		}) (res struct {
 			TimeoutUs int `json:"timeout_us"`
 		}, err error) {
-			err = b.SetWatchdogTimeout(p.TimeoutUs)
-			res.TimeoutUs = b.WatchdogTimeoutUs()
+			err = b.SetWatchdogTimeout(eventsim.Time(p.TimeoutUs) * eventsim.Microsecond)
+			res.TimeoutUs = watchdogUs(b)
 			return res, err
 		}),
 	verb("tune.auto", "adaptive batching autotuner: {state: on|off|status} -> controller status", tuneAuto),
@@ -361,7 +362,7 @@ var okReply = okResult{OK: true}
 // they are.
 func sysInfo(b Backend, _ struct{}) (InfoResult, error) {
 	res := InfoResult{
-		Nodes: b.Nodes(), BatchBytes: b.BatchBytes(), WatchdogUs: b.WatchdogTimeoutUs(),
+		Nodes: b.Nodes(), BatchBytes: b.BatchBytes(), WatchdogUs: watchdogUs(b),
 		HFTable:      append([]string{}, b.HFTable()...),
 		ModuleDB:     append([]string{}, b.ModuleDB()...),
 		Accelerators: []core.AccInfo{},
@@ -375,6 +376,10 @@ func sysInfo(b Backend, _ struct{}) (InfoResult, error) {
 	}
 	return res, nil
 }
+
+// watchdogUs is the backend's watchdog deadline in the wire's
+// microseconds, zero when disarmed.
+func watchdogUs(b Backend) int { return int(b.WatchdogTimeout() / eventsim.Microsecond) }
 
 func handleShutdown(s *Server, _ json.RawMessage) (any, *Error) {
 	if s.cfg.OnShutdown == nil {

@@ -42,6 +42,7 @@ import (
 	"time"
 
 	"github.com/opencloudnext/dhl-go/internal/core"
+	"github.com/opencloudnext/dhl-go/internal/eventsim"
 	"github.com/opencloudnext/dhl-go/internal/flowtab"
 	"github.com/opencloudnext/dhl-go/internal/placement"
 	"github.com/opencloudnext/dhl-go/internal/telemetry"
@@ -71,7 +72,9 @@ const (
 // Backend is the management surface the control plane drives. Methods
 // are invoked only from the simulation's event-loop goroutine (the
 // server posts them through Config.Post); implementations need no
-// internal locking. dhl.System implements it.
+// internal locking. dhl.Control implements it: core.Runtime's methods
+// plus the flow-table registry, the telemetry snapshot and the tuner the
+// system owns.
 type Backend interface {
 	Register(name string, node int) (core.NFID, error)
 	Unregister(id core.NFID) error
@@ -81,9 +84,9 @@ type Backend interface {
 	InstallFallback(hfName string, node int) error
 	ClearFallback(hfName string, node int) error
 	SetBatchBytes(bytes int) error
-	SetWatchdogTimeout(us int) error
+	SetWatchdogTimeout(d eventsim.Time) error
 	BatchBytes() int
-	WatchdogTimeoutUs() int
+	WatchdogTimeout() eventsim.Time
 	AccIDs() []core.AccID
 	AccInfo(acc core.AccID) (core.AccInfo, error)
 	AccHealth(acc core.AccID) (core.HealthReport, error)

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/opencloudnext/dhl-go/internal/core"
+	"github.com/opencloudnext/dhl-go/internal/eventsim"
 	"github.com/opencloudnext/dhl-go/internal/flowtab"
 	"github.com/opencloudnext/dhl-go/internal/placement"
 	"github.com/opencloudnext/dhl-go/internal/telemetry"
@@ -26,7 +27,7 @@ type fakeBackend struct {
 	accs       map[core.AccID]core.AccInfo
 	fallbacks  map[string]bool
 	batchBytes int
-	watchdogUs int
+	watchdog   eventsim.Time
 	tel        *telemetry.Registry
 	statsErr   error
 
@@ -103,16 +104,16 @@ func (f *fakeBackend) SetBatchBytes(b int) error {
 	return nil
 }
 
-func (f *fakeBackend) SetWatchdogTimeout(us int) error {
-	if us < 0 {
+func (f *fakeBackend) SetWatchdogTimeout(d eventsim.Time) error {
+	if d < 0 {
 		return errors.New("negative")
 	}
-	f.watchdogUs = us
+	f.watchdog = d
 	return nil
 }
 
-func (f *fakeBackend) BatchBytes() int        { return f.batchBytes }
-func (f *fakeBackend) WatchdogTimeoutUs() int { return f.watchdogUs }
+func (f *fakeBackend) BatchBytes() int                { return f.batchBytes }
+func (f *fakeBackend) WatchdogTimeout() eventsim.Time { return f.watchdog }
 
 func (f *fakeBackend) AccIDs() []core.AccID {
 	var ids []core.AccID

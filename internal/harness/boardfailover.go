@@ -163,7 +163,7 @@ func runBoardFailoverOnce(cfg FailoverConfig, mode boardFailoverMode, label stri
 	if err := tb.paceFailover(rt, nfID, acc, cfg.Packets, cfg.FrameSize, cfg.Buckets, &run.FailoverRun); err != nil {
 		return run, err
 	}
-	if info, err := rt.AccInfoFor(acc); err == nil {
+	if info, err := rt.AccInfo(acc); err == nil {
 		run.FinalBoard = info.FPGA
 	}
 	in, _ := rt.Placement().Migrations(1)

@@ -12,30 +12,29 @@ import (
 // policy of classic errcheck without -blank.
 type CheckedErr struct{}
 
-// apiMethods are the DHL API methods whose results must not be dropped.
-// The list covers the Table II surface (Register/LoadPR/SearchByName/
-// AccConfigure/Unregister/SendPackets/ReceivePackets), the mempool
-// contract entry points (Pool.Free/FreeBulk/AllocBulk), the
-// recovery surface (Device.Reload/ResetRegion,
-// Runtime.RegisterFallback), the fleet placement surface
-// (Migrate/Replicate/Rebalance/Place — a dropped migration error leaves
-// the accelerator stranded on a board the caller believes it left), the
-// operational surface lifecycle
-// (System.Serve, Exporter.Serve/Close — a dropped Serve error is an
-// operator endpoint that silently never came up), the management
-// client (ControlClient.Call — a dropped Call error is a management
-// operation that silently did not happen), and the adaptive-batching
-// surface (TrySendPackets/RegisterPressure/AutoTuneEnable/
-// AutoTuneDisable/SetAccBatchBytes/SetAccFlushTimeout/SetBurst — a
-// dropped TrySendPackets error leaks the refused tail of the burst,
-// and a dropped AutoTuneEnable error is a controller the operator
-// believes is running but is not) on any type in this module that
-// defines them.
+// apiMethods are the DHL API methods whose results must not be dropped,
+// on any type in this module that defines them:
+//
+//   - the Table II surface (Register/LoadPR/SearchByName/AccConfigure/
+//     SendPackets/ReceivePackets) and the mempool contract (Pool.Free/
+//     FreeBulk/AllocBulk);
+//   - the recovery surface (Device.Reload/ResetRegion,
+//     Runtime.RegisterFallback);
+//   - the operational surface's lifecycle (System.Serve, Exporter.Serve/
+//     Close) and the management client (ControlClient.Call): a dropped
+//     error there is an endpoint that never came up or an operation that
+//     silently did not happen;
+//   - the adaptive-batching surface (TrySendPackets, RegisterPressure and
+//     the SetAcc*/SetBurst setters): a dropped TrySendPackets error leaks
+//     the refused tail of the burst;
+//   - every error-returning method of the management surface,
+//     ctlplane.Backend (TestCheckedErrCoversBackend holds the list to
+//     it): a dropped OfflineBoard or Migrate error strands accelerators
+//     on a board the caller believes they left.
 var apiMethods = map[string]bool{
 	"SendPackets":      true,
 	"ReceivePackets":   true,
 	"Register":         true,
-	"Unregister":       true,
 	"LoadPR":           true,
 	"SearchByName":     true,
 	"AccConfigure":     true,
@@ -47,22 +46,35 @@ var apiMethods = map[string]bool{
 	"Reload":           true,
 	"ResetRegion":      true,
 	"RegisterFallback": true,
-	"Migrate":          true,
-	"Replicate":        true,
-	"Rebalance":        true,
 	"Place":            true,
 	"Serve":            true,
 	"Close":            true,
 	"Call":             true,
 
-	// PR10 adaptive batching & backpressure surface.
 	"TrySendPackets":     true,
 	"RegisterPressure":   true,
-	"AutoTuneEnable":     true,
-	"AutoTuneDisable":    true,
 	"SetAccBatchBytes":   true,
 	"SetAccFlushTimeout": true,
 	"SetBurst":           true,
+
+	// ctlplane.Backend.
+	"Unregister":         true,
+	"Evict":              true,
+	"InstallFallback":    true,
+	"ClearFallback":      true,
+	"SetBatchBytes":      true,
+	"SetWatchdogTimeout": true,
+	"AccInfo":            true,
+	"AccHealth":          true,
+	"Stats":              true,
+	"Migrate":            true,
+	"Replicate":          true,
+	"Rebalance":          true,
+	"DrainBoard":         true,
+	"UndrainBoard":       true,
+	"OfflineBoard":       true,
+	"AutoTuneEnable":     true,
+	"AutoTuneDisable":    true,
 }
 
 // Name implements Analyzer.

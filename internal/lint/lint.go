@@ -4,8 +4,9 @@
 // Free, the rte_ring rule that a SingleProducer ring is only ever pushed
 // from one goroutine, the requirement that the Packer/Distributor data
 // path stays allocation-free, or that internal code has a caller outside
-// its tests — so these analyzers enforce them at review time instead. Everything here is written against the standard library
-// only (go/ast, go/parser, go/types); the module stays dependency-free and
+// its tests — so these analyzers enforce them at review time instead.
+// Everything here is written against the standard library only (go/ast,
+// go/parser, go/types); the module stays dependency-free and
 // offline-buildable.
 package lint
 

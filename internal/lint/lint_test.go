@@ -3,8 +3,11 @@ package lint
 import (
 	"go/types"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"github.com/opencloudnext/dhl-go/internal/ctlplane"
 )
 
 // sharedLoader memoizes one Loader across the golden tests so the
@@ -96,6 +99,8 @@ func TestGoldenPositives(t *testing.T) {
 				"result of RegisterPressure",
 				"result of SetAccBatchBytes",
 				"result of SetBurst",
+				"result of OfflineBoard",
+				"result of Evict",
 			},
 		},
 		{
@@ -295,6 +300,21 @@ func TestCheckedErrNamesResolve(t *testing.T) {
 	for name := range apiMethods {
 		if !defined[name] {
 			t.Errorf("apiMethods lists %s, but no function or method of the module by that name returns an error", name)
+		}
+	}
+}
+
+// TestCheckedErrCoversBackend keeps checkederr in step with the
+// management surface: every error-returning ctlplane.Backend method is an
+// operation whose dropped error leaves the system other than the caller
+// believes, so each must be in apiMethods.
+func TestCheckedErrCoversBackend(t *testing.T) {
+	errType := reflect.TypeFor[error]()
+	b := reflect.TypeFor[ctlplane.Backend]()
+	for i := 0; i < b.NumMethod(); i++ {
+		m := b.Method(i)
+		if n := m.Type.NumOut(); n > 0 && m.Type.Out(n-1) == errType && !apiMethods[m.Name] {
+			t.Errorf("ctlplane.Backend.%s returns an error, but apiMethods does not list it", m.Name)
 		}
 	}
 }

@@ -5,6 +5,7 @@ package checkederr_neg
 import (
 	"net"
 
+	dhl "github.com/opencloudnext/dhl-go"
 	"github.com/opencloudnext/dhl-go/internal/core"
 	"github.com/opencloudnext/dhl-go/internal/fpga"
 	"github.com/opencloudnext/dhl-go/internal/mbuf"
@@ -67,4 +68,13 @@ func PressureHandled(rt *core.Runtime, id core.NFID, p *mbuf.Pool, pkts []*mbuf.
 		return err
 	}
 	return rt.SetBurst(0, 32)
+}
+
+// ManagementHandled checks the management surface's verdicts through
+// Control.
+func ManagementHandled(sys *dhl.System, acc core.AccID) error {
+	if _, err := sys.Control().OfflineBoard(0); err != nil {
+		return err
+	}
+	return sys.Control().Evict(acc)
 }

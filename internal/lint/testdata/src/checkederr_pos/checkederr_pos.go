@@ -5,6 +5,7 @@ package checkederr_pos
 import (
 	"net"
 
+	dhl "github.com/opencloudnext/dhl-go"
 	"github.com/opencloudnext/dhl-go/internal/core"
 	"github.com/opencloudnext/dhl-go/internal/fpga"
 	"github.com/opencloudnext/dhl-go/internal/mbuf"
@@ -51,4 +52,13 @@ func DropPressure(rt *core.Runtime, id core.NFID, pkts []*mbuf.Mbuf) {
 	rt.RegisterPressure(id, nil) // dropped error
 	rt.SetAccBatchBytes(0, 1024) // dropped error
 	rt.SetBurst(0, 32)           // dropped error
+}
+
+// DropManagement discards the management surface's verdicts: a dropped
+// OfflineBoard strands the board's accelerators exactly as a dropped
+// Migrate does, and a dropped Evict leaves the caller believing a region
+// was freed.
+func DropManagement(sys *dhl.System, acc core.AccID) {
+	sys.Control().OfflineBoard(0) // dropped error (and moved count)
+	sys.Control().Evict(acc)      // dropped error
 }

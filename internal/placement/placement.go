@@ -251,6 +251,18 @@ func (r *Route) DisableBoard(board int) {
 	}
 }
 
+// Primary returns the primary endpoint, or nil.
+//
+//dhl:allow unreferenced core's migration and health tests check where the primary sits
+func (r *Route) Primary() *Endpoint {
+	for i := range r.eps {
+		if r.eps[i].Primary {
+			return &r.eps[i]
+		}
+	}
+	return nil
+}
+
 // MarkPrimary makes (board, region) the route's primary endpoint,
 // clearing the flag elsewhere — the cutover edge of a migration or a
 // replica promotion.

@@ -77,8 +77,8 @@ func (e *Exporter) dispatcher() func(func()) error {
 	return e.dispatch
 }
 
-// buildHandler assembles the mux; callers already holding e.mu pass the
-// mounts explicitly (Handler would re-lock).
+// buildHandler assembles the mux from the given mounts; the caller holds
+// e.mu and passes a copy of e.mounts.
 func (e *Exporter) buildHandler(mounts []mount) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", e.metricsHandler)

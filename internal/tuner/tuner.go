@@ -57,7 +57,7 @@ type Actuator interface {
 	BatchBytes() int
 	MinBatchBytes() int
 	FlushTimeout() eventsim.Time
-	AccInfoFor(core.AccID) (core.AccInfo, error)
+	AccInfo(core.AccID) (core.AccInfo, error)
 	SetAccBatchBytes(core.AccID, int) error
 	SetAccFlushTimeout(core.AccID, eventsim.Time) error
 	Burst(node int) int
@@ -353,7 +353,7 @@ func spanLatency(sp *telemetry.Span) eventsim.Time {
 // its gauges. This is a reconfiguration boundary — the one place the
 // steady-state tick allocates.
 func (t *Tuner) adoptAcc(acc core.AccID) *accCtl {
-	info, err := t.act.AccInfoFor(acc)
+	info, err := t.act.AccInfo(acc)
 	if err != nil {
 		return nil
 	}

@@ -37,7 +37,7 @@ func (f *fakeAct) BatchBytes() int             { return 6 * 1024 }
 func (f *fakeAct) MinBatchBytes() int          { return 512 }
 func (f *fakeAct) FlushTimeout() eventsim.Time { return 20 * eventsim.Microsecond }
 func (f *fakeAct) Burst(node int) int          { return f.burst[node] }
-func (f *fakeAct) AccInfoFor(acc core.AccID) (core.AccInfo, error) {
+func (f *fakeAct) AccInfo(acc core.AccID) (core.AccInfo, error) {
 	return core.AccInfo{AccID: acc, Name: "loopback", Node: 0, Ready: true}, nil
 }
 

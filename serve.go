@@ -6,16 +6,19 @@ import (
 
 	"github.com/opencloudnext/dhl-go/internal/core"
 	"github.com/opencloudnext/dhl-go/internal/ctlplane"
-	"github.com/opencloudnext/dhl-go/internal/eventsim"
+	"github.com/opencloudnext/dhl-go/internal/flowtab"
+	"github.com/opencloudnext/dhl-go/internal/fpga"
 	"github.com/opencloudnext/dhl-go/internal/placement"
 	"github.com/opencloudnext/dhl-go/internal/telemetry"
+	"github.com/opencloudnext/dhl-go/internal/tuner"
 )
 
 // This file is the System's operational surface: the single HTTP
-// listener (metrics + debug + management API) and the live-management
-// methods the control plane drives. The management methods mutate a
-// running system; when called directly (not through /api/v1) the caller
-// must be on the goroutine driving Sim().Run, exactly like SendPackets.
+// listener (metrics + debug + management API) and Control, the
+// live-management surface the control plane drives. Control's methods
+// mutate a running system; when called directly (not through /api/v1)
+// the caller must be on the goroutine driving Sim().Run, exactly like
+// SendPackets.
 
 // AccInfo is one hardware function table row: identity, placement and
 // readiness.
@@ -76,9 +79,9 @@ func (s *System) Serve(addr string, opts ...ServeOption) (*MetricsExporter, erro
 		opt(&sc)
 	}
 	e := telemetry.NewExporter(s.tel)
-	if s.ctl {
+	if s.api {
 		srv, err := ctlplane.New(ctlplane.Config{
-			Backend:     s,
+			Backend:     s.Control(),
 			Post:        s.sim.Post,
 			CallTimeout: sc.callTimeout,
 			OnShutdown:  sc.onShutdown,
@@ -108,72 +111,6 @@ func (s *System) Serve(addr string, opts ...ServeOption) (*MetricsExporter, erro
 	return e, nil
 }
 
-// The System is the control plane's backend.
-var _ ctlplane.Backend = (*System)(nil)
-
-// Evict unloads an accelerator and frees its PR region, the inverse of
-// LoadPR on a running system: staged packets drop DropNoRoute (the
-// conservation ledger keeps balancing), in-flight batches complete and
-// fail cleanly, later traffic for the acc_id drops as unroutable. A
-// region mid-reconfiguration refuses with an ErrAccReloading-wrapped
-// error; retry once it settles.
-func (s *System) Evict(acc AccID) error { return s.rt.EvictPR(acc) }
-
-// InstallFallback registers the module database's functional engine as
-// the software fallback for a loaded hardware function — the software-
-// equivalent path of RegisterFallback without writing a factory. While
-// the accelerator is quarantined its traffic runs through the fallback
-// on the TX core (delivered StatusFallback) instead of passing through
-// unprocessed.
-func (s *System) InstallFallback(hfName string, node int) error {
-	spec, ok := s.rt.ModuleSpecFor(hfName)
-	if !ok {
-		return fmt.Errorf("dhl: no module %q in the database to use as a software fallback", hfName)
-	}
-	return s.rt.RegisterFallback(hfName, node, spec.New)
-}
-
-// ClearFallback removes an installed software fallback. Traffic for a
-// healthy accelerator is unaffected; a quarantined one delivers
-// unprocessed from the next flush on.
-func (s *System) ClearFallback(hfName string, node int) error {
-	return s.rt.ClearFallback(hfName, node)
-}
-
-// SetBatchBytes retargets the Packer's maximum transfer batch size live.
-// Bounded below by the runtime's minimum and above by the batch arena's
-// segment capacity fixed at Open (2x the opening BatchBytes) — the
-// bound is what keeps the hot path at zero allocations.
-func (s *System) SetBatchBytes(bytes int) error { return s.rt.SetBatchBytes(bytes) }
-
-// SetWatchdogTimeout retunes (or arms, or with 0 disarms) the per-batch
-// watchdog live. Microseconds, matching SystemConfig.WatchdogTimeoutUs.
-func (s *System) SetWatchdogTimeout(us int) error {
-	return s.rt.SetWatchdogTimeout(eventsim.Time(us) * eventsim.Microsecond)
-}
-
-// BatchBytes reports the current maximum transfer batch size.
-func (s *System) BatchBytes() int { return s.rt.BatchBytes() }
-
-// WatchdogTimeoutUs reports the current per-batch watchdog deadline in
-// microseconds, zero when disarmed.
-func (s *System) WatchdogTimeoutUs() int {
-	return int(s.rt.WatchdogTimeout() / eventsim.Microsecond)
-}
-
-// AccIDs lists the loaded accelerator instances in acc_id order.
-func (s *System) AccIDs() []AccID { return s.rt.AccIDs() }
-
-// AccInfo reports one accelerator's hardware function table row.
-func (s *System) AccInfo(acc AccID) (AccInfo, error) { return s.rt.AccInfoFor(acc) }
-
-// Nodes reports the system's NUMA node count.
-func (s *System) Nodes() int { return s.rt.Nodes() }
-
-// ModuleDB lists the accelerator module database's hardware function
-// names.
-func (s *System) ModuleDB() []string { return s.rt.ModuleDB() }
-
 // PlacementBoard is one board in a fleet placement snapshot: lifecycle
 // state, free LUT/BRAM/region resources, migration counters, and every
 // module endpoint routed to the board.
@@ -183,39 +120,126 @@ type PlacementBoard = placement.BoardInfo
 // PlacementBoard: its acc_id, region, round-robin weight and flags.
 type PlacementEndpoint = placement.EndpointInfo
 
-// PlacementTable snapshots the fleet: every board's state, remaining
-// resources and routed endpoints, in board order.
-func (s *System) PlacementTable() []PlacementBoard { return s.rt.Placement().Snapshot() }
+// Control is the system's management surface: every core.Runtime method
+// (module database, load/evict, fallbacks, batching and watchdog knobs,
+// health, the fleet verbs) promoted as it is, plus what the system
+// itself owns — the flow-table registry, the autotuner, the boards and
+// the telemetry snapshot. It is the control plane's backend: each
+// /api/v1 verb is one call here.
+type Control struct {
+	*core.Runtime
+	sys *System
+	// flowSrcs are the flow tables registered for observability, in
+	// registration order; FlowTables and stats.get report them.
+	flowSrcs []flowtab.Source
+	// tun is the adaptive batching controller, constructed by WithAutoTune
+	// or lazily by the first AutoTuneEnable; nil until then.
+	tun *tuner.Tuner
+	// tunCfg is the controller configuration WithAutoTune captured.
+	tunCfg AutoTuneConfig
+}
 
-// Migrate live-migrates an accelerator's primary instance to another
-// board: PR load on the target, configuration replay, then an atomic
-// hardware-function-table cutover. Held traffic waits (exactly like an
-// initial load); nothing is dropped or leaked. board -1 lets the
-// placement scheduler choose. Returns the chosen board.
-func (s *System) Migrate(acc AccID, board int) (int, error) { return s.rt.Migrate(acc, board) }
+var _ ctlplane.Backend = (*Control)(nil)
 
-// Replicate warms a replica of the accelerator on another board and adds
-// it to the acc's weighted round-robin rotation once ready. With a warm
-// replica in place, losing the primary's board costs no measurable
-// goodput: the replica is promoted instantly. board -1 lets the
-// scheduler choose. Returns the chosen board.
-func (s *System) Replicate(acc AccID, board int) (int, error) { return s.rt.Replicate(acc, board) }
+// Control returns the system's management surface.
+func (s *System) Control() *Control { return &s.control }
 
-// Rebalance moves every accelerator whose primary sits on a lost or
-// draining board: replica promotion when possible, live migration
-// otherwise. Returns how many were moved.
-func (s *System) Rebalance() (int, error) { return s.rt.Rebalance() }
+// Snapshot is System.Snapshot, for the control plane's telemetry.delta.
+func (c *Control) Snapshot() *TelemetrySnapshot { return c.sys.Snapshot() }
 
-// DrainBoard stops new placements on the board and rebalances its
-// accelerators away; the board keeps serving until they are gone.
-// Returns how many were moved.
-func (s *System) DrainBoard(board int) (int, error) { return s.rt.DrainBoard(board) }
+// Device returns FPGA board i for inspection (floorplans, stats).
+func (c *Control) Device(i int) (*fpga.Device, error) {
+	if i < 0 || i >= len(c.sys.devices) {
+		return nil, fmt.Errorf("dhl: device %d out of range [0,%d)", i, len(c.sys.devices))
+	}
+	return c.sys.devices[i], nil
+}
 
-// UndrainBoard returns a draining board to service.
-func (s *System) UndrainBoard(board int) error { return s.rt.UndrainBoard(board) }
+// RegisterFlowTables attaches NF flow tables to the system's
+// observability surface: their occupancy/eviction/rehash counters show
+// up in FlowTables, in the stats.get management call, and (when
+// telemetry is armed) as dhl_flowtab_* gauges on /metrics. Registering
+// the same table name twice is refused.
+func (c *Control) RegisterFlowTables(srcs ...FlowTableSource) error {
+	for _, src := range srcs {
+		for _, have := range c.flowSrcs {
+			if have.Name() == src.Name() {
+				return fmt.Errorf("dhl: flow table %q already registered", src.Name())
+			}
+		}
+		c.flowSrcs = append(c.flowSrcs, src)
+		if c.sys.tel != nil {
+			flowtab.RegisterGauges(c.sys.tel, src)
+		}
+	}
+	return nil
+}
 
-// OfflineBoard hard-kills a board — the simulation's stand-in for
-// pulling the card — and rebalances off it. In-flight batches fail
-// cleanly and are attributed in the drop ledger. Returns how many
-// accelerators were moved.
-func (s *System) OfflineBoard(board int) (int, error) { return s.rt.OfflineBoard(board) }
+// UnregisterFlowTable detaches a registered flow table (and its gauges)
+// by name, for NF teardown.
+func (c *Control) UnregisterFlowTable(name string) error {
+	for i, src := range c.flowSrcs {
+		if src.Name() == name {
+			c.flowSrcs = append(c.flowSrcs[:i], c.flowSrcs[i+1:]...)
+			if c.sys.tel != nil {
+				flowtab.UnregisterGauges(c.sys.tel, name)
+			}
+			return nil
+		}
+	}
+	return fmt.Errorf("dhl: flow table %q is not registered", name)
+}
+
+// FlowTables snapshots every registered flow table's stats in
+// registration order (never nil).
+func (c *Control) FlowTables() []FlowTableInfo { return flowtab.Collect(c.flowSrcs) }
+
+// ensureTuner lazily constructs the autotuner (first AutoTuneEnable on a
+// system opened without WithAutoTune). Requires telemetry: the
+// controller's signals are the span ring and the IBQ pressure gauges.
+func (c *Control) ensureTuner() error {
+	if c.tun != nil {
+		return nil
+	}
+	if c.sys.tel == nil {
+		return fmt.Errorf("dhl: autotuner requires telemetry (open with WithAutoTune, WithControlPlane, or SystemConfig.Telemetry)")
+	}
+	t, err := tuner.New(c.sys.sim, c.Runtime, c.sys.tel, c.tunCfg)
+	if err != nil {
+		return err
+	}
+	c.tun = t
+	return nil
+}
+
+// AutoTuneEnable arms the adaptive batching controller (constructing it
+// on first use). Idempotent while enabled; the control plane's
+// `tune.auto` call routes here through the event loop.
+func (c *Control) AutoTuneEnable() error {
+	if err := c.ensureTuner(); err != nil {
+		return err
+	}
+	return c.tun.Enable()
+}
+
+// AutoTuneDisable stops the controller and rolls back its interventions:
+// per-accelerator overrides clear to the global configuration and poll
+// bursts return to their enable-time baselines. Idempotent; a no-op on a
+// system whose tuner was never constructed.
+func (c *Control) AutoTuneDisable() error {
+	if c.tun == nil {
+		return nil
+	}
+	return c.tun.Disable()
+}
+
+// AutoTuneStatus reports the controller's state — windows closed,
+// grow/shrink decisions applied, current per-accelerator batch/flush
+// targets and per-node bursts. A zero Status when the tuner was never
+// constructed.
+func (c *Control) AutoTuneStatus() TunerStatus {
+	if c.tun == nil {
+		return TunerStatus{}
+	}
+	return c.tun.Status()
+}
