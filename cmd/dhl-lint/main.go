@@ -1,13 +1,9 @@
 // Command dhl-lint runs the DHL domain-specific static analyzers over the
-// module: mbufleak (mempool balance), ringmode (SyncMode vs. goroutine
-// usage), checkederr (dropped DHL API errors), arenalease (batchArena
-// lease/ret balance), atomicfield (module-wide sync/atomic access
-// consistency), stagepair (telemetry Span Start/telFinalize pairing),
-// faultattr (faultinject Kind ledger exhaustiveness and Fire-site
-// attribution), escapecheck (compiler-verified zero heap escapes and no
-// fmt/log/time.Now in //dhl:hotpath functions, via `go build
-// -gcflags=-m`) and unreferenced (internal/ code no command, example,
-// facade or initializer reaches). Everything except escapecheck's
+// module: mbufleak (mempool balance), checkederr (dropped DHL API errors),
+// escapecheck (compiler-verified zero heap escapes and no fmt/log/time.Now
+// in //dhl:hotpath functions, via `go build -gcflags=-m`) and
+// unreferenced (internal/ code no command, example, facade or initializer
+// reaches). Everything except escapecheck's
 // compiler probe is built only on the standard library's go/ast,
 // go/parser and go/types, so the suite runs offline in any environment
 // that can build the module itself; when the toolchain cannot run the

@@ -10,6 +10,7 @@ import (
 	"github.com/opencloudnext/dhl-go/internal/fpga"
 	"github.com/opencloudnext/dhl-go/internal/mbuf"
 	"github.com/opencloudnext/dhl-go/internal/pcie"
+	"github.com/opencloudnext/dhl-go/internal/telemetry"
 )
 
 // chaosSeed reseeds the chaos tests: go test -run Chaos -seed=12345.
@@ -506,12 +507,13 @@ func TestOBQOverflowChurnLeakFree(t *testing.T) {
 
 // --- Chaos soak (tentpole acceptance) ------------------------------------
 
-// TestChaosStorm drives a seeded storm of every fault kind through the
-// full pipeline and asserts the robustness acceptance criteria: zero
-// buffer leaks/double returns, every injected fault detected and
-// attributed, exact packet conservation across the drop-reason ledger,
-// at least one quarantine + recovery, and goodput back above 90% once
-// the storm passes. Reproduce a failure with:
+// TestChaosStorm drives a seeded storm of every fault kind that strikes
+// one board's data path through the full pipeline and asserts the
+// robustness acceptance criteria: zero buffer leaks/double returns, every
+// injected fault detected and attributed, exact packet conservation
+// across the drop-reason ledger, one trace span per flushed batch, at
+// least one quarantine + recovery, and goodput back above 90% once the
+// storm passes. Reproduce a failure with:
 //
 //	go test -run Chaos -seed=<seed> ./internal/core
 func TestChaosStorm(t *testing.T) {
@@ -532,11 +534,13 @@ func TestChaosStorm(t *testing.T) {
 		{Kind: faultinject.ModuleHang, EveryN: 101, Count: 2},
 		{Kind: faultinject.RegionSEU, EveryN: 151, Count: 1},
 		{Kind: faultinject.CompletionStall, EveryN: 37, Count: 10, Stall: 20 * us},
+		{Kind: faultinject.PCIeLinkFlap, EveryN: 47, Count: 10},
 	}
 	plan := mustPlan(t, *chaosSeed, specs...)
+	tel := telemetry.New(64)
 	// Small batches make many of them, so every fault kind gets draws
 	// even in -short mode.
-	r := newFaultRig(t, Config{FlushTimeout: 5 * us, BatchBytes: 1024}, plan, 2048, revSpec())
+	r := newFaultRig(t, Config{FlushTimeout: 5 * us, BatchBytes: 1024, Telemetry: tel}, plan, 2048, revSpec())
 	nf, _ := r.rt.Register("storm", 0)
 	acc, err := r.rt.SearchByName("rev", 0)
 	if err != nil {
@@ -653,9 +657,11 @@ func TestChaosStorm(t *testing.T) {
 	if s.CompletionStalls != plan.Injected(faultinject.CompletionStall) {
 		t.Errorf("completionStalls=%d injected=%d", s.CompletionStalls, plan.Injected(faultinject.CompletionStall))
 	}
-	if got := s.DMARetries + s.DMARetryGiveUps; got != h2c.Faults+c2h.Faults {
-		t.Errorf("retries+giveups=%d != injected DMA errors %d", got, h2c.Faults+c2h.Faults)
+	if h2c.LinkFlaps+c2h.LinkFlaps != plan.Injected(faultinject.PCIeLinkFlap) {
+		t.Errorf("link flaps %d+%d, injected=%d", h2c.LinkFlaps, c2h.LinkFlaps, plan.Injected(faultinject.PCIeLinkFlap))
 	}
+	checkRetryLedger(t, s, h2c, c2h)
+	checkSpansConserved(t, tel, s)
 
 	// 3. Exact packet conservation across the drop-reason ledger.
 	if s.IBQDrained != s.PktsPacked+s.StagingDrops {
@@ -718,6 +724,119 @@ func TestChaosStorm(t *testing.T) {
 	checkNoLeaks(t, r)
 	t.Logf("chaos seed=%d: sent=%d delivered=%d statuses=%v\nstats=%+v\nplan=%s",
 		*chaosSeed, sent, delivered, statuses, s, plan)
+}
+
+// TestChaosEachFaultKind arms each fault kind alone on a fresh two-board
+// rig, runs traffic until the plan is spent, and checks that the counter
+// attributing the kind saw every injection, that nothing leaked, and that
+// every flushed batch closed its trace span. The rows go in Kind order,
+// one per kind, so a kind added to faultinject without a row here fails.
+func TestChaosEachFaultKind(t *testing.T) {
+	us := eventsim.Microsecond
+	type observed struct {
+		h2c, c2h pcie.Stats // summed over both boards
+		fpga     fpga.FaultStats
+		stats    TransferStats
+	}
+	rows := []struct {
+		spec    faultinject.Spec
+		counter func(o *observed) uint64
+	}{
+		{faultinject.Spec{Kind: faultinject.DMAH2CError, EveryN: 2, Count: 3}, func(o *observed) uint64 { return o.h2c.Faults }},
+		{faultinject.Spec{Kind: faultinject.DMAH2CCorrupt, EveryN: 2, Count: 3}, func(o *observed) uint64 { return o.h2c.Corrupted }},
+		{faultinject.Spec{Kind: faultinject.DMAH2CStall, EveryN: 2, Count: 3, Stall: 30 * us}, func(o *observed) uint64 { return o.h2c.Stalled }},
+		{faultinject.Spec{Kind: faultinject.DMAC2HError, EveryN: 2, Count: 3}, func(o *observed) uint64 { return o.c2h.Faults }},
+		{faultinject.Spec{Kind: faultinject.DMAC2HCorrupt, EveryN: 2, Count: 3}, func(o *observed) uint64 { return o.c2h.Corrupted }},
+		{faultinject.Spec{Kind: faultinject.DMAC2HStall, EveryN: 2, Count: 3, Stall: 30 * us}, func(o *observed) uint64 { return o.c2h.Stalled }},
+		{faultinject.Spec{Kind: faultinject.ModuleError, EveryN: 2, Count: 3}, func(o *observed) uint64 { return o.fpga.ModuleErrors }},
+		{faultinject.Spec{Kind: faultinject.ModuleGarbage, EveryN: 2, Count: 3}, func(o *observed) uint64 { return o.fpga.GarbageBatches }},
+		{faultinject.Spec{Kind: faultinject.ModuleHang, EveryN: 2, Count: 1}, func(o *observed) uint64 { return o.fpga.Hangs }},
+		{faultinject.Spec{Kind: faultinject.RegionSEU, EveryN: 2, Count: 1}, func(o *observed) uint64 { return o.fpga.SEUs }},
+		{faultinject.Spec{Kind: faultinject.CompletionStall, EveryN: 2, Count: 3, Stall: 20 * us}, func(o *observed) uint64 { return o.stats.CompletionStalls }},
+		{faultinject.Spec{Kind: faultinject.BoardOffline, EveryN: 2, Count: 1}, func(o *observed) uint64 { return o.fpga.BoardLosses }},
+		{faultinject.Spec{Kind: faultinject.ICAPWedge, EveryN: 1, Count: 1}, func(o *observed) uint64 { return o.fpga.ICAPWedges }},
+		{faultinject.Spec{Kind: faultinject.PCIeLinkFlap, EveryN: 2, Count: 3}, func(o *observed) uint64 { return o.h2c.LinkFlaps + o.c2h.LinkFlaps }},
+	}
+	if len(rows) != int(faultinject.NumKinds) {
+		t.Fatalf("%d rows for %d fault kinds", len(rows), faultinject.NumKinds)
+	}
+	for i, row := range rows {
+		k := row.spec.Kind
+		if k != faultinject.Kind(i) {
+			t.Fatalf("row %d arms %s, want %s", i, k, faultinject.Kind(i))
+		}
+		t.Run(k.String(), func(t *testing.T) {
+			plan := mustPlan(t, *chaosSeed, row.spec)
+			tel := telemetry.New(16)
+			r, devs := newFleetRig(t, Config{FlushTimeout: 5 * us, BatchBytes: 1024, Faults: plan, Telemetry: tel}, 2, revSpec())
+			nf, err := r.rt.Register("kind", 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			acc, err := r.rt.SearchByName("rev", 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.settle()
+			for round := 0; round < 32 && !plan.Exhausted(); round++ {
+				sendBurst(t, r, nf, acc, 32)
+				drainOBQ(t, r, nf, nil)
+			}
+			r.settle()
+			drainOBQ(t, r, nf, nil)
+			checkNoLeaks(t, r)
+
+			var o observed
+			for i, dev := range devs {
+				dma := r.rt.cfg.FPGAs[i].DMA
+				h2c, c2h := dma.DirStats(pcie.H2C), dma.DirStats(pcie.C2H)
+				o.h2c.Faults += h2c.Faults
+				o.h2c.Corrupted += h2c.Corrupted
+				o.h2c.Stalled += h2c.Stalled
+				o.h2c.LinkFlaps += h2c.LinkFlaps
+				o.c2h.Faults += c2h.Faults
+				o.c2h.Corrupted += c2h.Corrupted
+				o.c2h.Stalled += c2h.Stalled
+				o.c2h.LinkFlaps += c2h.LinkFlaps
+				fc := dev.FaultCounters()
+				o.fpga.ModuleErrors += fc.ModuleErrors
+				o.fpga.GarbageBatches += fc.GarbageBatches
+				o.fpga.Hangs += fc.Hangs
+				o.fpga.SEUs += fc.SEUs
+				o.fpga.BoardLosses += fc.BoardLosses
+				o.fpga.ICAPWedges += fc.ICAPWedges
+			}
+			o.stats = r.stats(t)
+			injected := plan.Injected(k)
+			if got := row.counter(&o); injected == 0 || got != injected {
+				t.Errorf("observed %d, injected %d: want equal and non-zero", got, injected)
+			}
+			checkRetryLedger(t, o.stats, o.h2c, o.c2h)
+			checkSpansConserved(t, tel, o.stats)
+		})
+	}
+}
+
+// checkRetryLedger asserts every failed DMA post, whether an injected
+// DMA error or a link flap, either scheduled a retry or gave up.
+func checkRetryLedger(t *testing.T, s TransferStats, h2c, c2h pcie.Stats) {
+	t.Helper()
+	failed := h2c.Faults + c2h.Faults + h2c.LinkFlaps + c2h.LinkFlaps
+	if got := s.DMARetries + s.DMARetryGiveUps; got != failed {
+		t.Errorf("retries+giveups=%d != failed DMA posts %d", got, failed)
+	}
+}
+
+// checkSpansConserved asserts, at quiescence, one trace span per batch the
+// packer flushed, whatever became of it: a fault path that releases a
+// batch without telFinalize (or finalizes it twice) breaks the count.
+func checkSpansConserved(t *testing.T, tel *telemetry.Registry, s TransferStats) {
+	t.Helper()
+	flushed := s.BatchesSent + s.FallbackBatches + s.UnprocessedBatches
+	if got := tel.Spans.Count(); got != flushed {
+		t.Errorf("%d spans pushed for %d flushed batches (sent %d, fallback %d, unprocessed %d)",
+			got, flushed, s.BatchesSent, s.FallbackBatches, s.UnprocessedBatches)
+	}
 }
 
 // rigDMA digs the rig's DMA engine back out of the runtime config.

@@ -227,7 +227,7 @@ func New[K comparable, V any](cfg Config[K, V]) (*Table[K, V], error) {
 		t.wheel = newIndex(wheelSlots)
 		t.wheelMask = int64(wheelSlots - 1)
 		t.gran = cfg.TTL/eventsim.Time(wheelSlots) + 1
-		t.tickDone = int64(t.clock()) / int64(t.gran)
+		t.tickDone = int64(t.clock())/int64(t.gran) - 1
 	}
 	return t, nil
 }
@@ -362,31 +362,31 @@ func (t *Table[K, V]) Delete(k K) bool {
 	return true
 }
 
-// Tick advances the expiry wheel to the clock's current time, evicting
-// entries whose idle deadline has passed, and reports how many. Call it
-// periodically (a paced eventsim timer); cost is proportional to slots
-// crossed since the last call, capped at one full lap.
+// Tick advances the expiry wheel over every granule that has fully
+// elapsed, evicting the entries whose idle deadline lies in one, and
+// reports how many. The granule the clock is in is left for a later Tick:
+// sweeping it would move the cursor past its deadlines still ahead, and
+// those would wait a whole lap. Call it periodically (a paced eventsim
+// timer); cost is proportional to slots crossed since the last call,
+// capped at one full lap.
 //
 //dhl:hotpath
 func (t *Table[K, V]) Tick() int {
 	if t.wheel == nil {
 		return 0
 	}
-	now := t.clock()
-	nowTick := int64(now) / int64(t.gran)
-	if nowTick <= t.tickDone {
+	done := int64(t.clock())/int64(t.gran) - 1
+	if done <= t.tickDone {
 		return 0
 	}
-	span := nowTick - t.tickDone
-	if span > int64(len(t.wheel)) {
-		span = int64(len(t.wheel))
-	}
+	span := min(done-t.tickDone, int64(len(t.wheel)))
+	cutoff := eventsim.Time((done+1)*int64(t.gran) - 1) // last instant of granule done
 	evicted := 0
 	for i := int64(1); i <= span; i++ {
 		slot := int((t.tickDone + i) & t.wheelMask)
-		evicted += t.expireSlot(slot, now)
+		evicted += t.expireSlot(slot, cutoff)
 	}
-	t.tickDone = nowTick
+	t.tickDone = done
 	return evicted
 }
 
@@ -507,15 +507,16 @@ func (t *Table[K, V]) migrateSome() {
 	}
 }
 
-// expireSlot evicts every entry in slot whose deadline has passed.
+// expireSlot evicts every entry in slot whose deadline is at or before
+// cutoff.
 //
 //dhl:hotpath
-func (t *Table[K, V]) expireSlot(slot int, now eventsim.Time) int {
+func (t *Table[K, V]) expireSlot(slot int, cutoff eventsim.Time) int {
 	n := 0
 	e := t.wheel[slot]
 	for e != emptySlot {
 		nx := t.slab[e].next
-		if t.slab[e].deadline <= now {
+		if t.slab[e].deadline <= cutoff {
 			t.evict(e, &t.stats.EvictedIdle)
 			n++
 		}

@@ -94,7 +94,7 @@ type model struct {
 	vals     map[uint64]uint64
 	deadline map[uint64]eventsim.Time
 	capacity int
-	tickDone int64 // last swept granule
+	tickDone int64 // last swept granule: the last that has fully elapsed
 	stats    Stats
 }
 
@@ -129,23 +129,20 @@ func (m *model) canGrow() bool {
 	return m.cfg.MemBudgetBytes == 0 || n*slotBytes+(2*n+2*m.capacity+wheel)*4 <= m.cfg.MemBudgetBytes
 }
 
-// expire is Tick's rule: every slot the cursor crosses (at most one lap) is
-// swept, and an entry in a swept slot goes if its deadline has passed. An
-// entry whose deadline is still ahead in the granule the cursor stops on
-// waits for the next lap.
+// expire is Tick's rule: every passed deadline in a fully elapsed granule
+// goes; the granule the clock is in waits for a later Tick.
 func (m *model) expire() []kv {
-	nowTick := int64(m.now) / m.gran()
-	if m.cfg.TTL == 0 || nowTick <= m.tickDone {
+	done := int64(m.now)/m.gran() - 1
+	if m.cfg.TTL == 0 || done <= m.tickDone {
 		return nil
 	}
-	span := min(nowTick-m.tickDone, modelSlots)
 	var gone []kv
 	for k, d := range m.deadline {
-		if d <= m.now && m.afterCursor(m.slot(d)) < span {
+		if d <= m.now && int64(d)/m.gran() <= done {
 			gone = append(gone, kv{k, m.vals[k]})
 		}
 	}
-	m.tickDone = nowTick
+	m.tickDone = done
 	m.stats.EvictedIdle += uint64(len(gone))
 	return gone
 }
@@ -180,7 +177,7 @@ type kv struct{ k, v uint64 }
 // OnEvict saw, every live key and value (through Range, which moves no
 // counter), Len, Cap and the exact Stats, and MemBytes against the budget.
 func runProgram(cfg Config[uint64, uint64], capacity int, ops []op) error {
-	m := &model{cfg: cfg, vals: map[uint64]uint64{}, deadline: map[uint64]eventsim.Time{}, capacity: capacity}
+	m := &model{cfg: cfg, vals: map[uint64]uint64{}, deadline: map[uint64]eventsim.Time{}, capacity: capacity, tickDone: -1}
 	var evicted []kv
 	cfg.Hash = modelHash
 	cfg.Clock = func() eventsim.Time { return m.now }

@@ -11,11 +11,11 @@ import (
 //
 // or, on the line directly above the finding:
 //
-//	//dhl:allow arenalease handed to the watchdog, returned on expiry
-//	b := t.arena.lease()
+//	//dhl:allow unreferenced the flow-state failover audit checks the NAT bijection with it
+//	func (n *NAT) CheckConsistency() error {
 //
 // A directive must name the analyzer it silences and carry a non-empty
-// justification; a bare `//dhl:allow arenalease` is ignored (and so still
+// justification; a bare `//dhl:allow unreferenced` is ignored (and so still
 // fails the gate), which keeps every suppression self-documenting.
 const AllowDirective = "dhl:allow"
 

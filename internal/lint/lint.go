@@ -1,10 +1,10 @@
 // Package lint implements dhl-lint, a domain-specific static-analysis
 // suite for this module. The Go compiler cannot see DHL's operational
 // invariants — the DPDK mempool contract that every Alloc is balanced by a
-// Free, the rte_ring rule that a SingleProducer ring is only ever pushed
-// from one goroutine, the requirement that the Packer/Distributor data
-// path stays allocation-free, or that internal code has a caller outside
-// its tests — so these analyzers enforce them at review time instead.
+// Free, that a dropped DHL API error leaves the system other than the
+// caller believes, the requirement that the Packer/Distributor data path
+// stays allocation-free, or that internal code has a caller outside its
+// tests — so these analyzers enforce them at review time instead.
 // Everything here is written against the standard library only (go/ast,
 // go/parser, go/types); the module stays dependency-free and
 // offline-buildable.
@@ -46,11 +46,9 @@ type Analyzer interface {
 }
 
 // ModuleAnalyzer is an analyzer whose invariant spans package boundaries
-// (atomicfield's "atomic everywhere" rule, faultattr's kind/ledger
-// exhaustiveness, escapecheck's whole-build compiler pass, unreferenced's
-// reachability). Run invokes
-// CheckModule once with every loaded package instead of Check per
-// package.
+// (escapecheck's whole-build compiler pass, unreferenced's reachability).
+// Run invokes CheckModule once with every loaded package instead of Check
+// per package.
 type ModuleAnalyzer interface {
 	Analyzer
 	// CheckModule inspects the whole package set at once.
@@ -61,12 +59,7 @@ type ModuleAnalyzer interface {
 func Analyzers() []Analyzer {
 	return []Analyzer{
 		&MbufLeak{},
-		&RingMode{},
 		&CheckedErr{},
-		&ArenaLease{},
-		&AtomicField{},
-		&StagePair{},
-		&FaultAttr{},
 		&EscapeCheck{},
 		&Unreferenced{},
 	}

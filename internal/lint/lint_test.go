@@ -76,14 +76,6 @@ func TestGoldenPositives(t *testing.T) {
 			},
 		},
 		{
-			dir:      "ringmode_pos",
-			analyzer: "ringmode",
-			want: []string{
-				`ring "spsc" is declared ring.SingleProducerConsumer`,
-				`ring "sc" is declared ring.SingleConsumer`,
-			},
-		},
-		{
 			dir:      "checkederr_pos",
 			analyzer: "checkederr",
 			want: []string{
@@ -101,46 +93,6 @@ func TestGoldenPositives(t *testing.T) {
 				"result of SetBurst",
 				"result of OfflineBoard",
 				"result of Evict",
-			},
-		},
-		{
-			dir:      "arenalease_pos",
-			analyzer: "arenalease",
-			want: []string{
-				`LeakAtExit: arena segment "b"`,
-				`LeakOnBranch: arena segment "b"`,
-			},
-		},
-		{
-			dir:      "stagepair_pos",
-			analyzer: "stagepair",
-			want: []string{
-				`DroppedSpan: span of "ib"`,
-				`DroppedOnBranch: span of "ib"`,
-			},
-		},
-		{
-			dir:      "atomicfield_pos",
-			analyzer: "atomicfield",
-			want: []string{
-				"field atomicfield_pos.hits is accessed via sync/atomic",
-				"field atomicfield_pos.misses is accessed via sync/atomic",
-				"field atomicfield_pos.hits is accessed via sync/atomic",
-				"field atomicfield_pos.misses is accessed via sync/atomic",
-			},
-		},
-		{
-			dir:      "faultattr_pos",
-			analyzer: "faultattr",
-			want: []string{
-				"Plan.Fire result does not guard a counter increment",
-				"Plan.Fire result does not guard a counter increment",
-				"fault kind OrphanKind has no attribution site",
-			},
-			files: []string{
-				"faultattr_pos.go",
-				"faultattr_pos.go",
-				"faultinject.go",
 			},
 		},
 		{
@@ -217,9 +169,8 @@ func TestGoldenPositives(t *testing.T) {
 // fixture; correct code must produce zero findings from any analyzer.
 func TestGoldenNegatives(t *testing.T) {
 	for _, dir := range []string{
-		"mbufleak_neg", "ringmode_neg", "checkederr_neg", "arenalease_neg",
-		"stagepair_neg", "atomicfield_neg", "faultattr_neg", "escapecheck_neg",
-		"hotpathalloc_neg", "unreferenced_neg",
+		"mbufleak_neg", "checkederr_neg", "escapecheck_neg", "hotpathalloc_neg",
+		"unreferenced_neg",
 	} {
 		t.Run(dir, func(t *testing.T) {
 			got := Run(fixtureTree(t, dir), Analyzers())
@@ -239,10 +190,6 @@ func TestAllowDirective(t *testing.T) {
 		analyzer string
 		want     string // substring of the one raw finding
 	}{
-		{"arenalease_neg", "arenalease", `AllowedLeak: arena segment "b"`},
-		{"stagepair_neg", "stagepair", `AllowedDrop: span of "ib"`},
-		{"atomicfield_neg", "atomicfield", "field atomicfield_neg.hits"},
-		{"faultattr_neg", "faultattr", "Plan.Fire result does not guard"},
 		{"escapecheck_neg", "escapecheck", "AllowedEscape: compiler-proven heap escape"},
 		{filepath.Join("unreferenced_neg", "internal", "lib"), "unreferenced", "lib.Oracle is not reached"},
 	}
@@ -269,9 +216,8 @@ func TestAllowDirective(t *testing.T) {
 // least one finding, i.e. a non-zero exit.
 func TestPositivesTripFullSuite(t *testing.T) {
 	for _, dir := range []string{
-		"mbufleak_pos", "ringmode_pos", "checkederr_pos", "arenalease_pos",
-		"stagepair_pos", "atomicfield_pos", "faultattr_pos", "escapecheck_pos",
-		"hotpathalloc_pos", "unreferenced_pos",
+		"mbufleak_pos", "checkederr_pos", "escapecheck_pos", "hotpathalloc_pos",
+		"unreferenced_pos",
 	} {
 		t.Run(dir, func(t *testing.T) {
 			if got := Run(fixtureTree(t, dir), Analyzers()); len(got) == 0 {

@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/types"
 )
@@ -12,15 +11,16 @@ import (
 // hand ownership elsewhere — enqueue onto a ring, pass to SendPackets or
 // any helper, store into a field/slice, or return them to the caller.
 //
-// The path-sensitive machinery lives in ownership.go (shared with
-// arenalease and stagepair); this file only describes what acquires an
-// mbuf and how to word the leak. Error-check branches guarding the
+// The path-sensitive machinery lives in ownership.go; this file only
+// describes what acquires an mbuf. Error-check branches guarding the
 // acquisition's own error variable are recognised and exempt (the mbuf
 // was never allocated on those paths).
 type MbufLeak struct{}
 
+const mbufLeakName = "mbufleak"
+
 // Name implements Analyzer.
-func (*MbufLeak) Name() string { return "mbufleak" }
+func (*MbufLeak) Name() string { return mbufLeakName }
 
 // Doc implements Analyzer.
 func (*MbufLeak) Doc() string {
@@ -28,17 +28,7 @@ func (*MbufLeak) Doc() string {
 }
 
 // Check implements Analyzer.
-func (m *MbufLeak) Check(pkg *Package) []Finding {
-	return checkOwnership(pkg, &ownPolicy{
-		analyzer:    m.Name(),
-		acquireCall: mbufAcquire,
-		trackBound:  true, // AllocBulk(dst) on a parameter still acquires
-		message: func(fn string, o *obligation, exitLine int) string {
-			return fmt.Sprintf("%s: mbuf %q obtained via %s may leak: function can return (line %d) without Free or handing ownership off",
-				fn, o.v.Name(), o.kind, exitLine)
-		},
-	})
-}
+func (*MbufLeak) Check(pkg *Package) []Finding { return checkOwnership(pkg) }
 
 // mbufAcquire classifies an mbuf-acquiring call.
 func mbufAcquire(info *types.Info, call *ast.CallExpr) (acqSpec, bool) {

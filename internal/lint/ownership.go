@@ -6,14 +6,10 @@ import (
 	"go/types"
 )
 
-// This file is the shared intra-procedural ownership/CFG walker behind the
-// leak-shaped analyzers (mbufleak, arenalease, stagepair). Each of those
-// invariants has the same skeleton — an acquisition creates an obligation
-// bound to a variable, control flow is walked path-sensitively, and any
-// path to a return on which the obligation was neither released nor
-// handed off is a finding — so the skeleton lives here once and the
-// analyzers supply an ownPolicy describing what acquires, what finalizes
-// and how to word the diagnostic.
+// This file is mbufleak's intra-procedural ownership/CFG walker: an
+// acquisition (mbufAcquire) creates an obligation bound to a variable,
+// control flow is walked path-sensitively, and any path to a return on
+// which the obligation was neither released nor handed off is a finding.
 //
 // The analysis is deliberately generous about what counts as a transfer
 // (any use of the tracked variable as a call argument, return value,
@@ -23,33 +19,11 @@ import (
 
 // acqSpec classifies one acquiring call.
 type acqSpec struct {
-	// kind names the acquisition in diagnostics (Alloc, AllocBulk, lease).
+	// kind names the acquisition in diagnostics (Alloc, AllocBulk).
 	kind string
 	// argBind binds the obligation to the call's first argument instead of
 	// the assignment's first result (mbuf.Pool.AllocBulk(dst) style).
 	argBind bool
-}
-
-// ownPolicy parameterizes the tracker for one analyzer.
-type ownPolicy struct {
-	// analyzer is the owning analyzer's name, used on findings.
-	analyzer string
-	// acquireCall classifies a call expression as an acquisition.
-	acquireCall func(info *types.Info, call *ast.CallExpr) (acqSpec, bool)
-	// stampAssign, optional, inspects every assignment for non-call
-	// acquisitions and alias registrations (stagepair's span stamps).
-	stampAssign func(t *ownTracker, s *ast.AssignStmt)
-	// finalizers are method names whose call discharges the obligation on
-	// the receiver's root variable (resolved through aliases).
-	finalizers map[string]bool
-	// trackBound lets obligations attach to the function's own receiver,
-	// parameters and named results. mbufleak wants this (AllocBulk(dst)
-	// on a parameter fills buffers the function owns); the
-	// object-lifecycle analyzers do not (a parameter's lease belongs to
-	// the caller).
-	trackBound bool
-	// message renders one finding. exitLine is the offending return's line.
-	message func(fn string, o *obligation, exitLine int) string
 }
 
 // obligation is one pending acquisition inside a function.
@@ -63,17 +37,16 @@ type obligation struct {
 	suppress int // >0 while inside a branch guarded by errVar
 }
 
-// checkOwnership runs the policy over every function declaration and
+// checkOwnership runs the walker over every function declaration and
 // literal of the package.
-func checkOwnership(pkg *Package, p *ownPolicy) []Finding {
+func checkOwnership(pkg *Package) []Finding {
 	var out []Finding
 	for _, file := range pkg.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.FuncDecl:
 				if n.Body != nil {
-					t := newOwnTracker(pkg, p)
-					t.bindParams(n.Recv, n.Type)
+					t := newOwnTracker(pkg)
 					t.checkFunc(n.Name.Name, n.Body)
 					out = append(out, t.out...)
 				}
@@ -81,8 +54,7 @@ func checkOwnership(pkg *Package, p *ownPolicy) []Finding {
 				// Each literal is analyzed as its own function; the
 				// statement walk never descends into literal bodies for
 				// acquisition purposes.
-				t := newOwnTracker(pkg, p)
-				t.bindParams(nil, n.Type)
+				t := newOwnTracker(pkg)
 				t.checkFunc("func literal", n.Body)
 				out = append(out, t.out...)
 			}
@@ -94,49 +66,20 @@ func checkOwnership(pkg *Package, p *ownPolicy) []Finding {
 
 // ownTracker runs the per-function analysis.
 type ownTracker struct {
-	p   *ownPolicy
 	pkg *Package
 	out []Finding
 	fn  string
-	// obls maps each tracked root variable to its obligation.
+	// obls maps each tracked variable to its obligation. A parameter is
+	// tracked like a local: AllocBulk(dst) on a parameter fills buffers
+	// the function owns.
 	obls map[*types.Var]*obligation
-	// aliases maps a local pointer variable to the root variable whose
-	// state it aliases (sp := &ib.span makes sp an alias of ib), so a
-	// transfer or finalize through either name discharges the obligation.
-	aliases map[*types.Var]*types.Var
-	// bound holds the function's receiver, parameters and named results:
-	// obligations never attach to them (their owner is the caller).
-	bound map[*types.Var]bool
 }
 
-func newOwnTracker(pkg *Package, p *ownPolicy) *ownTracker {
-	return &ownTracker{
-		p:       p,
-		pkg:     pkg,
-		obls:    make(map[*types.Var]*obligation),
-		aliases: make(map[*types.Var]*types.Var),
-		bound:   make(map[*types.Var]bool),
-	}
+func newOwnTracker(pkg *Package) *ownTracker {
+	return &ownTracker{pkg: pkg, obls: make(map[*types.Var]*obligation)}
 }
 
 func (t *ownTracker) info() *types.Info { return t.pkg.Info }
-
-// bindParams records the receiver, parameters and named results as bound.
-func (t *ownTracker) bindParams(recv *ast.FieldList, ft *ast.FuncType) {
-	lists := []*ast.FieldList{recv, ft.Params, ft.Results}
-	for _, l := range lists {
-		if l == nil {
-			continue
-		}
-		for _, f := range l.List {
-			for _, name := range f.Names {
-				if v, ok := objOf(t.info(), name).(*types.Var); ok {
-					t.bound[v] = true
-				}
-			}
-		}
-	}
-}
 
 func (t *ownTracker) checkFunc(name string, body *ast.BlockStmt) {
 	t.fn = name
@@ -172,72 +115,37 @@ func (t *ownTracker) reportPending(at token.Pos) {
 			continue
 		}
 		o.reported = true
-		exit := t.pkg.Position(at)
-		t.out = append(t.out, finding(t.p.analyzer, t.pkg.Position(o.pos),
-			"%s", t.p.message(t.fn, o, exit.Line)))
+		t.out = append(t.out, finding(mbufLeakName, t.pkg.Position(o.pos),
+			"%s: mbuf %q obtained via %s may leak: function can return (line %d) without Free or handing ownership off",
+			t.fn, o.v.Name(), o.kind, t.pkg.Position(at).Line))
 	}
 }
 
-// track registers a new obligation for v unless v is bound to the caller.
+// track registers a new obligation for v.
 func (t *ownTracker) track(v *types.Var, errVar types.Object, kind string, pos token.Pos) {
-	if v == nil || (t.bound[v] && !t.p.trackBound) {
+	if v == nil {
 		return
 	}
 	t.obls[v] = &obligation{v: v, errVar: errVar, kind: kind, pos: pos}
 }
 
-// resolveAlias follows the alias chain from v to its root.
-func (t *ownTracker) resolveAlias(v *types.Var) *types.Var {
-	for i := 0; i < 8; i++ { // alias chains are short; bound cycles
-		next, ok := t.aliases[v]
-		if !ok {
-			return v
-		}
-		v = next
-	}
-	return v
-}
-
-// release discharges the obligation on v (and on its alias root).
+// release discharges the obligation on v.
 func (t *ownTracker) release(v *types.Var) {
 	if o, ok := t.obls[v]; ok {
 		o.released = true
-	}
-	if root := t.resolveAlias(v); root != v {
-		if o, ok := t.obls[root]; ok {
-			o.released = true
-		}
-	}
-}
-
-// finalizeCall discharges the receiver root of a policy finalizer call
-// (ib.telFinalize(...) releases ib's obligation).
-func (t *ownTracker) finalizeCall(call *ast.CallExpr) {
-	if len(t.p.finalizers) == 0 {
-		return
-	}
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || !t.p.finalizers[sel.Sel.Name] {
-		return
-	}
-	if root := rootVar(t.info(), sel.X); root != nil {
-		t.release(root)
 	}
 }
 
 // scanTransfer walks an expression in ownership-transfer position and
 // releases every tracked variable it mentions directly. Selector
 // expressions are skipped entirely: `m.SetLen(5)` and `copy(m.Data(), p)`
-// are uses of the resource, not transfers of its ownership — except for
-// policy finalizer methods, which discharge their receiver.
+// are uses of the resource, not transfers of its ownership.
 func (t *ownTracker) scanTransfer(n ast.Node) {
 	if n == nil {
 		return
 	}
 	ast.Inspect(n, func(n ast.Node) bool {
 		switch n := n.(type) {
-		case *ast.CallExpr:
-			t.finalizeCall(n)
 		case *ast.SelectorExpr:
 			return false
 		case *ast.Ident:
@@ -258,7 +166,6 @@ func (t *ownTracker) scanCalls(n ast.Node) {
 	}
 	ast.Inspect(n, func(n ast.Node) bool {
 		if call, ok := n.(*ast.CallExpr); ok {
-			t.finalizeCall(call)
 			for _, a := range call.Args {
 				t.scanTransfer(a)
 			}
@@ -304,21 +211,18 @@ func (t *ownTracker) walkStmt(s ast.Stmt) {
 	case *ast.AssignStmt:
 		if len(s.Rhs) == 1 {
 			if call, ok := ast.Unparen(s.Rhs[0]).(*ast.CallExpr); ok {
-				if spec, ok := t.p.acquireCall(t.info(), call); ok {
+				if spec, ok := mbufAcquire(t.info(), call); ok {
 					t.trackFromCall(spec, call, s.Lhs)
 					return
 				}
 			}
-		}
-		if t.p.stampAssign != nil {
-			t.p.stampAssign(t, s)
 		}
 		for _, rhs := range s.Rhs {
 			t.scanTransfer(rhs)
 		}
 	case *ast.ExprStmt:
 		if call, ok := ast.Unparen(s.X).(*ast.CallExpr); ok {
-			if spec, ok := t.p.acquireCall(t.info(), call); ok {
+			if spec, ok := mbufAcquire(t.info(), call); ok {
 				t.trackFromCall(spec, call, nil)
 				return
 			}
@@ -442,30 +346,4 @@ func (t *ownTracker) trackFromCall(spec acqSpec, call *ast.CallExpr, lhs []ast.E
 		}
 	}
 	t.track(v, errVar, spec.kind, call.Pos())
-}
-
-// rootVar resolves the base variable of a selector/index/deref chain:
-// rootVar(ib.span.StageEnd[k]) is ib's variable. Expressions without a
-// stable base identifier yield nil.
-func rootVar(info *types.Info, e ast.Expr) *types.Var {
-	for {
-		switch x := ast.Unparen(e).(type) {
-		case *ast.Ident:
-			v, _ := objOf(info, x).(*types.Var)
-			return v
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.UnaryExpr:
-			if x.Op != token.AND {
-				return nil
-			}
-			e = x.X
-		default:
-			return nil
-		}
-	}
 }

@@ -6,11 +6,9 @@ import (
 	"slices"
 )
 
-// Import paths of the DHL packages whose contracts the analyzers enforce.
-const (
-	mbufPkgPath = ModulePath + "/internal/mbuf"
-	ringPkgPath = ModulePath + "/internal/ring"
-)
+// mbufPkgPath is the import path of the package whose contract mbufleak
+// enforces.
+const mbufPkgPath = ModulePath + "/internal/mbuf"
 
 // objOf resolves an identifier to its object, in either use or def
 // position.
@@ -59,16 +57,7 @@ func calleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
 // methodOn reports whether f is a method named one of names on the named
 // type typeName defined in package pkgPath (pointer receivers included).
 func methodOn(f *types.Func, pkgPath, typeName string, names ...string) bool {
-	return methodOnAnyNamed(f, typeName, names...) && f.Pkg().Path() == pkgPath
-}
-
-// methodOnAnyNamed reports whether f is a method named one of names on a
-// type named typeName declared anywhere inside this module. Analyzers use
-// it for contracts on unexported types (core's batchArena, faultinject's
-// Plan as mirrored by fixtures), where the import path varies between the
-// real package and its testdata mirror but the type name is the contract.
-func methodOnAnyNamed(f *types.Func, typeName string, names ...string) bool {
-	if f == nil || f.Pkg() == nil || !inModule(f.Pkg().Path()) {
+	if f == nil || f.Pkg() == nil || f.Pkg().Path() != pkgPath {
 		return false
 	}
 	sig, ok := f.Type().(*types.Signature)
@@ -81,18 +70,6 @@ func methodOnAnyNamed(f *types.Func, typeName string, names ...string) bool {
 	}
 	named, ok := t.(*types.Named)
 	return ok && named.Obj().Name() == typeName && slices.Contains(names, f.Name())
-}
-
-// fieldOfSelector resolves a selector expression to the struct field it
-// denotes, or nil when it denotes anything else (a method, a package
-// member, a qualified identifier).
-func fieldOfSelector(info *types.Info, sel *ast.SelectorExpr) *types.Var {
-	if s, ok := info.Selections[sel]; ok && s.Kind() == types.FieldVal {
-		if v, ok := s.Obj().(*types.Var); ok && v.IsField() {
-			return v
-		}
-	}
-	return nil
 }
 
 // namedOf unwraps pointers and aliases down to the named type behind t,
@@ -110,37 +87,6 @@ func namedOf(t types.Type) *types.Named {
 			return nil
 		}
 	}
-}
-
-// funcIn reports whether f is a package-level function named one of names
-// in package pkgPath.
-func funcIn(f *types.Func, pkgPath string, names ...string) bool {
-	if f == nil || f.Pkg() == nil || f.Pkg().Path() != pkgPath {
-		return false
-	}
-	if sig, ok := f.Type().(*types.Signature); !ok || sig.Recv() != nil {
-		return false
-	}
-	for _, n := range names {
-		if f.Name() == n {
-			return true
-		}
-	}
-	return false
-}
-
-// baseObj resolves the stable identity behind an expression used as a
-// method receiver or call argument: a plain identifier's variable, or the
-// field object of a selector chain's final field. Expressions without a
-// stable identity (call results, index expressions) yield nil.
-func baseObj(info *types.Info, e ast.Expr) types.Object {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		return objOf(info, e)
-	case *ast.SelectorExpr:
-		return objOf(info, e.Sel)
-	}
-	return nil
 }
 
 // lastResultIsError reports whether f's final result is the error
