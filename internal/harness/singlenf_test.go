@@ -166,6 +166,21 @@ func TestAllocBudgetIPsec64(t *testing.T) {
 	}
 }
 
+// TestAllocBudgetIPsec1500 is the same gate at 1500 B, where every
+// payload takes the long CTR path. It was 1.114 per packet while that
+// path built a cipher.NewCTR stream per packet. Set-up is about 250
+// objects, and 20 ms of 1500 B packets bring that under the line with
+// room to spare.
+func TestAllocBudgetIPsec1500(t *testing.T) {
+	perPkt := allocsPerPkt(t, SingleNFConfig{
+		Kind: IPsecGateway, Mode: DHL, FrameSize: 1500,
+		Warmup: 2 * eventsim.Millisecond, Window: 20 * eventsim.Millisecond,
+	})
+	if perPkt >= 0.01 {
+		t.Errorf("%.4f allocations per delivered packet, want < 0.01", perPkt)
+	}
+}
+
 // TestAllocBudgetNIDS512 is the same gate on the pattern-matching path,
 // 512 B frames as mixed512 sends them: the module scans each batch through
 // fixed-size lane scratch, so what is counted is set-up here too. Offered

@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -181,7 +182,8 @@ func (l *Loader) load(path string) (*Package, error) {
 	return pkg, nil
 }
 
-// parseDir parses the non-test Go files of one directory.
+// parseDir parses the non-test Go files of one directory that this
+// platform builds.
 func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -193,6 +195,15 @@ func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
 			strings.HasSuffix(name, "_test.go") ||
 			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+			continue
+		}
+		// Only the files the go tool would build here: build constraints
+		// and _GOOS/_GOARCH suffixes, no tags.
+		ok, err := build.Default.MatchFile(dir, name)
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
 			continue
 		}
 		names = append(names, name)

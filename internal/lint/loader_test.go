@@ -112,6 +112,26 @@ func TestLoadDirMemoized(t *testing.T) {
 	}
 }
 
+// TestLoadDirBuildConstraints type-checks only the files the go tool would
+// build on this platform: swcrypto's SHA-NI kernel and its portable stub
+// declare the same names under opposite constraints.
+func TestLoadDirBuildConstraints(t *testing.T) {
+	l := loaderFor(t)
+	pkg, err := l.LoadDir(filepath.Join(l.Root, "internal", "swcrypto"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kernels []string
+	for _, f := range pkg.Files {
+		if name := filepath.Base(pkg.Position(f.Package).Filename); strings.HasPrefix(name, "sha1block_") {
+			kernels = append(kernels, name)
+		}
+	}
+	if len(kernels) != 1 {
+		t.Fatalf("loaded %v, want exactly one of the sha1block_ files", kernels)
+	}
+}
+
 // TestLoadAllSkipsFixtures keeps testdata (deliberately-broken fixtures
 // included) out of whole-module analysis.
 func TestLoadAllSkipsFixtures(t *testing.T) {

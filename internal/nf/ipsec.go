@@ -28,7 +28,6 @@ type IPsecGatewaySW struct {
 	sadb    *SADB
 	engines map[uint32]*swcrypto.Engine // SPI -> engine
 	seq     uint64
-	scratch []byte
 
 	Encrypted uint64
 	Dropped   uint64
@@ -39,7 +38,6 @@ func NewIPsecGatewaySW(sadb *SADB) (*IPsecGatewaySW, error) {
 	g := &IPsecGatewaySW{
 		sadb:    sadb,
 		engines: make(map[uint32]*swcrypto.Engine, sadb.Len()),
-		scratch: make([]byte, mbuf.DefaultDataRoom),
 	}
 	return g, nil
 }
@@ -83,19 +81,17 @@ func (g *IPsecGatewaySW) Process(m *mbuf.Mbuf) (Verdict, float64) {
 		return VerdictDrop, cycles
 	}
 	plainLen := m.Len() - off
-	plain := g.scratch[:plainLen]
-	copy(plain, m.Data()[off:])
-
 	if _, err := m.Append(espOverhead); err != nil {
 		g.Dropped++
 		return VerdictDrop, cycles
 	}
+	// The payload moves up by the IV in one overlapping copy.
 	data := m.Data()
+	ct := data[off+swcrypto.IVSize : off+swcrypto.IVSize+plainLen]
+	copy(ct, data[off:off+plainLen])
 	g.seq++
 	iv := g.seq
 	binary.BigEndian.PutUint64(data[off:off+swcrypto.IVSize], iv)
-	ct := data[off+swcrypto.IVSize : off+swcrypto.IVSize+plainLen]
-	copy(ct, plain)
 	tag := eng.Seal(ct, iv)
 	copy(data[off+swcrypto.IVSize+plainLen:], tag[:])
 

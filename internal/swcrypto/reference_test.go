@@ -36,26 +36,62 @@ func refSeal(key, authKey []byte, salt uint32, payload []byte, iv uint64) [TagSi
 }
 
 // referenceLens straddle every boundary the kernel has: empty, the AES
-// block, the short/long CTR switch, and past a full 8-block CTR stride.
-var referenceLens = []int{0, 1, 15, 16, 17, ctrShortMax - 1, ctrShortMax, ctrShortMax + 1, 2048}
+// block, the short/long CTR switch, past a full 8-block CTR stride, the
+// SHA-1 padding edges (8 + len at 55, 56, 63 and 64 mod 64, where the
+// tail needs a second padding block or none), and 9000 B, which grows the
+// Engine's keystream scratch.
+var referenceLens = []int{0, 1, 15, 16, 17, 47, 48, 55, 56, 111, 112, 119, 120,
+	ctrShortMax - 1, ctrShortMax, ctrShortMax + 1, 2048, 9000}
 
-// checkAgainstReference seals src at every reference length (and at
-// len(src)) with two Engines under different keys, interleaved so that
-// scratch leaking from one packet or one Engine into the next shows,
-// then opens the result and tampers with it one bit at a time.
+// kernels lists the HMAC kernels this CPU and build can run: blockSHANI
+// where it exists, and always the crypto/hmac fallback.
+func kernels() []bool {
+	if useSHANI {
+		return []bool{true, false}
+	}
+	return []bool{false}
+}
+
+// kernelName names a kernels() entry for test output.
+func kernelName(shani bool) string {
+	if shani {
+		return "sha-ni"
+	}
+	return "crypto/hmac"
+}
+
+// newEngineOn builds an Engine on the blockSHANI kernel or on the
+// crypto/hmac fallback, whichever the CPU would pick.
+func newEngineOn(t testing.TB, shani bool, cfg Config) *Engine {
+	t.Helper()
+	defer func(was bool) { useSHANI = was }(useSHANI)
+	useSHANI = shani
+	e, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// checkAgainstReference runs checkKernel on every kernel in kernels().
 func checkAgainstReference(t *testing.T, key, authKey []byte, salt uint32, iv uint64, src []byte) {
+	t.Helper()
+	for _, shani := range kernels() {
+		checkKernel(t, shani, key, authKey, salt, iv, src)
+	}
+}
+
+// checkKernel seals src at every reference length (and at len(src)) with
+// two Engines on one kernel under different keys, interleaved so that
+// scratch leaking from one packet or one Engine into the next shows, then
+// opens the result and tampers with it one bit at a time.
+func checkKernel(t *testing.T, shani bool, key, authKey []byte, salt uint32, iv uint64, src []byte) {
 	t.Helper()
 	otherKey, otherAuth := bytes.Clone(key), bytes.Clone(authKey)
 	otherKey[0] ^= 0xff
 	otherAuth[0] ^= 0xff
-	engA, err := NewEngine(Config{Key: key, AuthKey: authKey, Salt: salt})
-	if err != nil {
-		t.Fatal(err)
-	}
-	engB, err := NewEngine(Config{Key: otherKey, AuthKey: otherAuth, Salt: ^salt})
-	if err != nil {
-		t.Fatal(err)
-	}
+	engA := newEngineOn(t, shani, Config{Key: key, AuthKey: authKey, Salt: salt})
+	engB := newEngineOn(t, shani, Config{Key: otherKey, AuthKey: otherAuth, Salt: ^salt})
 	for _, n := range append([]int{len(src)}, referenceLens...) {
 		plain := make([]byte, n)
 		for i := range plain {
@@ -72,57 +108,60 @@ func checkAgainstReference(t *testing.T, key, authKey []byte, salt uint32, iv ui
 		tagA := engA.Seal(gotA, iv)
 		tagB := engB.Seal(gotB, iv+1)
 		if !bytes.Equal(gotA, wantA) || tagA != wantTagA {
-			t.Fatalf("len %d: Seal diverges from the reference", n)
+			t.Fatalf("%s, len %d: Seal diverges from the reference", kernelName(shani), n)
 		}
 		if !bytes.Equal(gotB, wantB) || tagB != wantTagB {
-			t.Fatalf("len %d: second Engine's Seal diverges from the reference", n)
+			t.Fatalf("%s, len %d: second Engine's Seal diverges from the reference", kernelName(shani), n)
 		}
 
 		// Every single-bit tamper of ciphertext, tag or IV is refused and
 		// leaves the buffer undecrypted. Long payloads flip every 97th
 		// ciphertext bit and the last: the MAC does not depend on the CTR
-		// path, and 16 k Opens of 2 KB would starve the fuzzer.
-		tamper := func(what string, buf []byte, iv uint64, tag [TagSize]byte) {
-			before := bytes.Clone(buf)
-			if err := engA.Open(buf, iv, tag); !errors.Is(err, ErrAuth) {
-				t.Fatalf("len %d: tampered %s accepted: %v", n, what, err)
+		// path, and 16 k Opens of 2 KB would starve the fuzzer. One buffer
+		// takes every flip, undone after each Open, so that it equals the
+		// ciphertext again unless the refused Open wrote to it.
+		buf := bytes.Clone(gotA)
+		tamper := func(what string, bit int, iv uint64, tag [TagSize]byte) {
+			if bit >= 0 {
+				buf[bit/8] ^= 1 << (bit % 8)
 			}
-			if !bytes.Equal(buf, before) {
-				t.Fatalf("len %d: refused Open changed the buffer", n)
+			if err := engA.Open(buf, iv, tag); !errors.Is(err, ErrAuth) {
+				t.Fatalf("%s, len %d: tampered %s accepted: %v", kernelName(shani), n, what, err)
+			}
+			if bit >= 0 {
+				buf[bit/8] ^= 1 << (bit % 8)
+			}
+			if !bytes.Equal(buf, gotA) {
+				t.Fatalf("%s, len %d: refused Open changed the buffer", kernelName(shani), n)
 			}
 		}
 		step := 1
 		if n > ctrShortMax+1 {
 			step = 97
 		}
-		flip := func(bit int) {
-			buf := bytes.Clone(gotA)
-			buf[bit/8] ^= 1 << (bit % 8)
-			tamper("ciphertext", buf, iv, tagA)
-		}
 		for bit := 0; bit < n*8; bit += step {
-			flip(bit)
+			tamper("ciphertext", bit, iv, tagA)
 		}
 		if n > 0 {
-			flip(n*8 - 1)
+			tamper("ciphertext", n*8-1, iv, tagA)
 		}
 		for bit := 0; bit < TagSize*8; bit++ {
 			bad := tagA
 			bad[bit/8] ^= 1 << (bit % 8)
-			tamper("tag", bytes.Clone(gotA), iv, bad)
+			tamper("tag", -1, iv, bad)
 		}
 		for bit := 0; bit < 64; bit++ {
-			tamper("iv", bytes.Clone(gotA), iv^(1<<bit), tagA)
+			tamper("iv", -1, iv^(1<<bit), tagA)
 		}
 
 		if err := engB.Open(gotB, iv+1, tagB); err != nil {
-			t.Fatalf("len %d: second Engine's Open: %v", n, err)
+			t.Fatalf("%s, len %d: second Engine's Open: %v", kernelName(shani), n, err)
 		}
 		if err := engA.Open(gotA, iv, tagA); err != nil {
-			t.Fatalf("len %d: Open: %v", n, err)
+			t.Fatalf("%s, len %d: Open: %v", kernelName(shani), n, err)
 		}
 		if !bytes.Equal(gotA, plain) || !bytes.Equal(gotB, plain) {
-			t.Fatalf("len %d: Open did not restore the plaintext", n)
+			t.Fatalf("%s, len %d: Open did not restore the plaintext", kernelName(shani), n)
 		}
 	}
 }
@@ -143,27 +182,53 @@ func FuzzSealMatchesReference(f *testing.F) {
 	})
 }
 
-// TestZeroAllocShortPacket pins the per-packet path for short payloads at
-// no allocation at all, and records what remains above ctrShortMax: the
-// stdlib CTR stream object.
-func TestZeroAllocShortPacket(t *testing.T) {
-	e := testEngine(t)
-	for _, tc := range []struct {
-		size int
-		want float64
-	}{{64, 0}, {ctrShortMax, 0}, {1500, 1}} {
-		buf := make([]byte, tc.size)
-		var tag [TagSize]byte
-		if got := testing.AllocsPerRun(200, func() { tag = e.Seal(buf, 7) }); got != tc.want {
-			t.Errorf("Seal %d B: %v allocs/op, want %v", tc.size, got, tc.want)
+// TestSHANIBlockMatchesReference holds blockSHANI, framed by
+// Engine.digest from SHA-1's initial state, to crypto/sha1 at every
+// length from 0 to 1024 B: every tail length, both padding shapes, and
+// messages of up to 16 whole blocks compressed in place.
+func TestSHANIBlockMatchesReference(t *testing.T) {
+	if !useSHANI {
+		t.Skip("no SHA-NI kernel on this CPU or in this build")
+	}
+	var e Engine
+	msg := make([]byte, 1024)
+	for i := range msg {
+		msg[i] = byte(i*7 + i>>8)
+	}
+	for n := 0; n <= len(msg); n++ {
+		h := sha1Init
+		e.digest(&h, 0, msg[:n], n)
+		var got [sha1.Size]byte
+		for i, v := range h {
+			binary.BigEndian.PutUint32(got[4*i:], v)
 		}
-		if got := testing.AllocsPerRun(200, func() {
-			if err := e.Open(buf, 7, tag); err != nil {
-				t.Fatal(err)
+		if want := sha1.Sum(msg[:n]); got != want {
+			t.Fatalf("len %d: %x, want %x", n, got, want)
+		}
+	}
+}
+
+// TestZeroAllocShortPacket pins the per-packet path at no allocation at
+// all, on both sides of ctrShortMax and for a jumbo payload, on every
+// kernel. The 9000 B keystream scratch grows in AllocsPerRun's warm-up.
+func TestZeroAllocShortPacket(t *testing.T) {
+	key, auth := make([]byte, KeySize), make([]byte, AuthKeySize)
+	for _, shani := range kernels() {
+		e := newEngineOn(t, shani, Config{Key: key, AuthKey: auth, Salt: 0x01020304})
+		for _, size := range []int{64, ctrShortMax, ctrShortMax + 1, 1500, 9000} {
+			buf := make([]byte, size)
+			var tag [TagSize]byte
+			if got := testing.AllocsPerRun(200, func() { tag = e.Seal(buf, 7) }); got != 0 {
+				t.Errorf("%s, Seal %d B: %v allocs/op, want 0", kernelName(shani), size, got)
 			}
-			tag = e.Seal(buf, 7)
-		}); got != 2*tc.want {
-			t.Errorf("Open+Seal %d B: %v allocs/op, want %v", tc.size, got, 2*tc.want)
+			if got := testing.AllocsPerRun(200, func() {
+				if err := e.Open(buf, 7, tag); err != nil {
+					t.Fatal(err)
+				}
+				tag = e.Seal(buf, 7)
+			}); got != 0 {
+				t.Errorf("%s, Open+Seal %d B: %v allocs/op, want 0", kernelName(shani), size, got)
+			}
 		}
 	}
 }

@@ -102,6 +102,11 @@ done
 echo "==> ipsec crypto kernel (reference equivalence, 0-alloc gates, 10 s fuzz)"
 targeted -run 'MatchesReference|ZeroAlloc|AllocBudget' -count=1 ./internal/swcrypto ./internal/hwfunc ./internal/harness
 go test -run '^$' -fuzz FuzzSealMatchesReference -fuzztime 10s ./internal/swcrypto
+# Both HMAC kernels again on the stdlib's generic AES and GCM code, which
+# the long-payload CTR path runs on where the CPU has no AES-NI and
+# PCLMULQDQ; and the non-amd64 stub kept compiling.
+targeted -tags purego -run 'MatchesReference|ZeroAlloc' -count=1 ./internal/swcrypto
+GOARCH=arm64 go vet ./internal/swcrypto
 
 echo "==> lpm (reference equivalence, set-up byte budgets, 10 s fuzz)"
 targeted -run 'QuickVsNaive|SetupBytes|SetupObjects|TableBytes' -count=1 ./internal/lpm ./internal/nf ./internal/harness
