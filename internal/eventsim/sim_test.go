@@ -544,6 +544,9 @@ func TestPostFromAnotherGoroutine(t *testing.T) {
 		s.After(Microsecond, tick)
 	}
 	s.After(0, tick)
+	// One slice before the goroutine starts: a Post that lands before the
+	// first Run would execute ahead of the queued tick.
+	s.Run(s.Now() + 10*Microsecond)
 
 	done := make(chan int, 1)
 	go func() {

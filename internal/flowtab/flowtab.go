@@ -93,9 +93,9 @@ type Config[K comparable, V any] struct {
 	// Zero selects DefaultWheelSlots. Ignored when TTL is zero.
 	WheelSlots int
 	// OnEvict observes TTL and pressure evictions (not explicit
-	// Deletes) before the entry is recycled — the NAT uses it to drop
-	// the paired inbound mapping. It must not call back into the same
-	// table.
+	// Deletes) before the entry is recycled — the NAT uses it to free
+	// the translation's external port. It must not call back into the
+	// same table.
 	OnEvict func(K, *V)
 }
 
@@ -105,8 +105,8 @@ type Stats struct {
 	Entries         uint64 `json:"entries"`          // live entries
 	Capacity        uint64 `json:"capacity"`         // slab capacity (entries the table can hold now)
 	MemBytes        uint64 `json:"mem_bytes"`        // bytes currently allocated (slab + indexes + wheel)
-	Lookups         uint64 `json:"lookups"`          // Lookup/Peek calls
-	Hits            uint64 `json:"hits"`             // Lookup/Peek calls that found the key
+	Lookups         uint64 `json:"lookups"`          // Lookup calls
+	Hits            uint64 `json:"hits"`             // Lookup calls that found the key
 	Inserts         uint64 `json:"inserts"`          // new entries created
 	Deletes         uint64 `json:"deletes"`          // explicit Delete calls that removed an entry
 	EvictedIdle     uint64 `json:"evicted_idle"`     // entries expired by the wheel (TTL)
@@ -296,20 +296,6 @@ func (t *Table[K, V]) Lookup(k K) (*V, bool) {
 	}
 	t.stats.Hits++
 	t.touch(e)
-	return &t.slab[e].val, true
-}
-
-// Peek finds the entry for k without refreshing its deadline — for
-// probes that must not keep a flow alive (port-in-use checks, stats).
-//
-//dhl:hotpath
-func (t *Table[K, V]) Peek(k K) (*V, bool) {
-	t.stats.Lookups++
-	e := t.find(t.hash(k), k)
-	if e < 0 {
-		return nil, false
-	}
-	t.stats.Hits++
 	return &t.slab[e].val, true
 }
 

@@ -57,7 +57,6 @@ const (
 	opInsert    opKind = iota // Insert, then write the value through the pointer
 	opGetCreate               // Insert, value left as found
 	opLookup
-	opPeek
 	opDelete
 	opAdvance // move the clock x%16 eighths of a TTL, then Tick
 	opRange   // Range, stopping after x%8 entries (0: all of them)
@@ -238,21 +237,15 @@ func runProgram(cfg Config[uint64, uint64], capacity int, ops []op) error {
 				*v = uint64(o.x) + 1
 				m.vals[k] = *v
 			}
-		case opLookup, opPeek:
-			lookup := tab.Lookup
-			if o.kind == opPeek {
-				lookup = tab.Peek
-			}
-			v, ok := lookup(k)
+		case opLookup:
+			v, ok := tab.Lookup(k)
 			m.stats.Lookups++
 			if ok != had || ok && *v != want {
 				return fail("found %v (%v), want %v (%d)", ok, v, had, want)
 			}
 			if had {
 				m.stats.Hits++
-				if o.kind == opLookup {
-					m.touch(k)
-				}
+				m.touch(k)
 			}
 		case opDelete:
 			if ok := tab.Delete(k); ok != had {
@@ -331,10 +324,10 @@ func runProgram(cfg Config[uint64, uint64], capacity int, ops []op) error {
 var forcedOps = func() []op {
 	ops := []op{
 		{opInsert, 0}, {opInsert, 1}, {opInsert, 2},
-		{opDelete, 0}, {opLookup, 1}, {opPeek, 2}, {opGetCreate, 1},
+		{opDelete, 0}, {opLookup, 1}, {opLookup, 2}, {opGetCreate, 1},
 	}
 	for k := uint8(3); k < modelKeys; k++ {
-		ops = append(ops, op{opInsert, k}, op{opLookup, k / 2}, op{opPeek, k - 1})
+		ops = append(ops, op{opInsert, k}, op{opLookup, k / 2}, op{opLookup, k - 1})
 		if k%6 == 0 {
 			ops = append(ops, op{opDelete, k - 4})
 		}
@@ -379,7 +372,7 @@ func FuzzFlowtabVsModel(f *testing.F) {
 	}
 	f.Add(encodeOps(append(drain, op{opDelete, 0}, op{opLookup, 0})))
 	f.Add(encodeOps([]op{{opInsert, 0}, {opInsert, 3}, {opInsert, 6}, {opDelete, 0}, {opLookup, 6}, {opAdvance, 9}, {opInsert, 9}}))
-	f.Add(encodeOps([]op{{opGetCreate, 1}, {opAdvance, 6}, {opLookup, 1}, {opAdvance, 6}, {opPeek, 1}, {opAdvance, 6}, {opRange, 0}}))
+	f.Add(encodeOps([]op{{opGetCreate, 1}, {opAdvance, 6}, {opLookup, 1}, {opAdvance, 6}, {opRange, 0}, {opAdvance, 6}, {opRange, 0}}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ops := decodeOps(data)
 		for _, c := range modelConfigs {

@@ -119,8 +119,8 @@ func TestFlowScaleChurnSoak(t *testing.T) {
 // TestFlowStateFailover is the flow-state consistency audit across the
 // accelerator fault path: NAT'd flows ride the ipsec accelerator
 // through quarantine -> software fallback -> ICAP reload, and the NAT
-// tables must come out the other side exactly matching the shadow
-// model — stable per-flow ports, perfect outbound/inbound bijection,
+// state must come out the other side exactly matching the shadow
+// model — stable per-flow ports, an exact port set,
 // balanced ledger, nothing leaked.
 func TestFlowStateFailover(t *testing.T) {
 	res, err := runFlowStateFailover(flowStateFailoverConfig{Seed: 42})

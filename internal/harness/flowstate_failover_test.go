@@ -77,8 +77,8 @@ type flowStateFailoverResult struct {
 // accelerator while a persistent SEU forces quarantine -> software
 // fallback -> ICAP reload -> recovery, then audits the NAT's flow
 // state against a shadow model: every live flow still maps to the
-// external port recorded at first translation, the outbound/inbound
-// tables are an exact bijection (no orphaned inbound entries, no
+// external port recorded at first translation, the port set is exactly
+// the ports the translations hold (no marked port without an owner, no
 // double-allocated ports), and the transfer ledger still balances.
 // Host-side flow state must be completely insulated from accelerator
 // fault transitions — that is the property under test.

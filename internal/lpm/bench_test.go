@@ -25,23 +25,3 @@ func BenchmarkLookup(b *testing.B) {
 		_, _ = tbl.Lookup(addrs[i&4095])
 	}
 }
-
-func BenchmarkLookupBulk(b *testing.B) {
-	tbl := New(0)
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 1000; i++ {
-		depth := uint8(8 + rng.Intn(17))
-		if err := tbl.Add(rng.Uint32()&mask(depth), depth, uint16(i%1000)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	addrs := make([]uint32, 32)
-	hops := make([]uint16, 32)
-	for i := range addrs {
-		addrs[i] = rng.Uint32()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tbl.LookupBulk(addrs, hops)
-	}
-}

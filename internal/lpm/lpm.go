@@ -72,16 +72,9 @@ type Table struct {
 	chunks [rootEntries]*chunk
 	tbl8   [][]uint32
 	free8  []int
-
-	routes map[routeKey]uint16
 }
 
 type chunk [chunkEntries]uint32
-
-type routeKey struct {
-	prefix uint32
-	depth  uint8
-}
 
 // New creates an empty table with capacity for maxTbl8 second-level groups.
 // maxTbl8 <= 0 selects 256 groups (rte_lpm's default); more than 65536
@@ -94,9 +87,8 @@ func New(maxTbl8 int) *Table {
 		panic(fmt.Sprintf("lpm: %d tbl8 groups, a tbl24 entry can name at most %d", maxTbl8, valueMask+1))
 	}
 	t := &Table{
-		tbl8:   make([][]uint32, maxTbl8),
-		free8:  make([]int, 0, maxTbl8),
-		routes: make(map[routeKey]uint16),
+		tbl8:  make([][]uint32, maxTbl8),
+		free8: make([]int, 0, maxTbl8),
 	}
 	for i := maxTbl8 - 1; i >= 0; i-- {
 		t.free8 = append(t.free8, i)
@@ -118,14 +110,6 @@ func (t *Table) Add(prefix uint32, depth uint8, nextHop uint16) error {
 		return ErrBadNextHop
 	}
 	prefix &= mask(depth)
-	if err := t.install(prefix, depth, nextHop); err != nil {
-		return err
-	}
-	t.routes[routeKey{prefix, depth}] = nextHop
-	return nil
-}
-
-func (t *Table) install(prefix uint32, depth uint8, nextHop uint16) error {
 	route := encode(nextHop, depth, false)
 	hi := prefix >> 24
 	if depth <= 8 {
@@ -259,5 +243,5 @@ func (t *Table) String() string {
 			used++
 		}
 	}
-	return fmt.Sprintf("lpm.Table{routes=%d chunks=%d tbl8Used=%d}", len(t.routes), chunks, used)
+	return fmt.Sprintf("lpm.Table{chunks=%d tbl8Used=%d}", chunks, used)
 }

@@ -42,9 +42,6 @@ func TestBasicAddLookup(t *testing.T) {
 	if _, err := tbl.Lookup(ip(11, 0, 0, 0)); !errors.Is(err, ErrNoRoute) {
 		t.Errorf("miss: %v", err)
 	}
-	if len(tbl.routes) != 4 {
-		t.Errorf("routes %d", len(tbl.routes))
-	}
 }
 
 func TestShorterPrefixDoesNotShadowLonger(t *testing.T) {
@@ -88,28 +85,6 @@ func TestUpdateExistingRoute(t *testing.T) {
 	if hop, _ := tbl.Lookup(ip(10, 5, 5, 5)); hop != 7 {
 		t.Errorf("update not applied: hop %d", hop)
 	}
-	if len(tbl.routes) != 1 {
-		t.Errorf("routes %d after update", len(tbl.routes))
-	}
-}
-
-func TestDeleteRestoresShadowed(t *testing.T) {
-	tbl := New(0)
-	_ = tbl.Add(ip(10, 0, 0, 0), 8, 1)
-	_ = tbl.Add(ip(10, 1, 0, 0), 16, 2)
-	_ = tbl.Add(ip(10, 1, 1, 200), 32, 3)
-	if err := tbl.Delete(ip(10, 1, 0, 0), 16); err != nil {
-		t.Fatal(err)
-	}
-	if hop, _ := tbl.Lookup(ip(10, 1, 5, 5)); hop != 1 {
-		t.Errorf("covering /8 not restored: hop %d", hop)
-	}
-	if hop, _ := tbl.Lookup(ip(10, 1, 1, 200)); hop != 3 {
-		t.Errorf("/32 lost on rebuild: hop %d", hop)
-	}
-	if err := tbl.Delete(ip(99, 0, 0, 0), 8); !errors.Is(err, ErrNoRoute) {
-		t.Errorf("delete missing: %v", err)
-	}
 }
 
 func TestValidation(t *testing.T) {
@@ -122,9 +97,6 @@ func TestValidation(t *testing.T) {
 	}
 	if err := tbl.Add(0, 8, 0xffff); !errors.Is(err, ErrBadNextHop) {
 		t.Errorf("bad hop: %v", err)
-	}
-	if err := tbl.Delete(0, 0); !errors.Is(err, ErrBadDepth) {
-		t.Errorf("delete depth 0: %v", err)
 	}
 }
 
@@ -142,17 +114,6 @@ func TestTbl8Exhaustion(t *testing.T) {
 	// Failed adds must not corrupt the route set.
 	if hop, _ := tbl.Lookup(ip(1, 1, 1, 1)); hop != 1 {
 		t.Errorf("existing route lost: %d", hop)
-	}
-}
-
-func TestLookupBulk(t *testing.T) {
-	tbl := New(0)
-	_ = tbl.Add(ip(10, 0, 0, 0), 8, 5)
-	addrs := []uint32{ip(10, 1, 1, 1), ip(11, 0, 0, 1), ip(10, 255, 0, 1)}
-	hops := make([]uint16, 3)
-	tbl.LookupBulk(addrs, hops)
-	if hops[0] != 5 || hops[1] != 0xffff || hops[2] != 5 {
-		t.Errorf("bulk hops %v", hops)
 	}
 }
 
@@ -188,20 +149,20 @@ func TestShortRoutesHoldNoChunks(t *testing.T) {
 	if err := tbl.Add(0, 1, 9); err != nil {
 		t.Fatal(err)
 	}
-	holds("lpm.Table{routes=9 chunks=0 tbl8Used=0}")
+	holds("lpm.Table{chunks=0 tbl8Used=0}")
 	for addr, want := range map[uint32]uint16{ip(128, 9, 9, 9): 8, ip(129, 0, 0, 0): 7, ip(255, 255, 255, 255): 1, ip(1, 2, 3, 4): 9} {
 		if hop, err := tbl.Lookup(addr); err != nil || hop != want {
 			t.Errorf("lookup %08x: got %d/%v want %d", addr, hop, err, want)
 		}
 	}
-	// One route deeper than /8 costs its /8 a chunk; deleting it gives
-	// the chunk back.
+	// One route deeper than /8 costs its /8 a chunk, and one deeper than
+	// /24 a tbl8 group besides.
 	if err := tbl.Add(ip(128, 1, 0, 0), 16, 10); err != nil {
 		t.Fatal(err)
 	}
-	holds("lpm.Table{routes=10 chunks=1 tbl8Used=0}")
-	if err := tbl.Delete(ip(128, 1, 0, 0), 16); err != nil {
+	holds("lpm.Table{chunks=1 tbl8Used=0}")
+	if err := tbl.Add(ip(128, 1, 2, 3), 32, 11); err != nil {
 		t.Fatal(err)
 	}
-	holds("lpm.Table{routes=9 chunks=0 tbl8Used=0}")
+	holds("lpm.Table{chunks=1 tbl8Used=1}")
 }

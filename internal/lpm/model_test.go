@@ -31,20 +31,19 @@ func naiveLookup(routes []naiveRoute, addr uint32) (uint16, bool) {
 	return hop, best >= 0
 }
 
-// op is one step of a route program: Add or Delete of prefix/depth, or,
-// with pick set, of whichever live route prefix selects at that step (a
-// re-Add with a new hop, a Delete that finds its route).
+// op is one step of a route program: an Add of prefix/depth, or, with pick
+// set, a re-Add with a new hop of whichever live route prefix selects at
+// that step.
 type op struct {
-	del, pick bool
-	prefix    uint32
-	depth     uint8
-	hop       uint16
+	pick   bool
+	prefix uint32
+	depth  uint8
+	hop    uint16
 }
 
 func add(prefix uint32, depth uint8, hop uint16) op {
 	return op{prefix: prefix, depth: depth, hop: hop}
 }
-func del(prefix uint32, depth uint8) op { return op{del: true, prefix: prefix, depth: depth} }
 
 const (
 	opBytes   = 8
@@ -59,15 +58,13 @@ const (
 )
 
 // decodeOps reads a route program out of arbitrary bytes, eight per step:
-// what to do (of eight, four add, one re-adds a live route, two delete
-// one, one deletes a prefix that may not be there), depth, prefix, hop.
+// what to do (of four, three add, one re-adds a live route), depth, prefix,
+// hop.
 func decodeOps(data []byte) []op {
 	var ops []op
 	for ; len(data) >= opBytes && len(ops) < maxOps; data = data[opBytes:] {
-		kind := data[0] % 8
 		ops = append(ops, op{
-			del:    kind >= 5,
-			pick:   kind >= 4 && kind <= 6,
+			pick:   data[0]%4 == 3,
 			depth:  1 + data[1]%32,
 			prefix: binary.BigEndian.Uint32(data[2:6]),
 			hop:    binary.BigEndian.Uint16(data[6:8]),
@@ -82,13 +79,8 @@ func encodeOps(ops []op) []byte {
 	var data []byte
 	for _, o := range ops {
 		kind := byte(0)
-		switch {
-		case o.del && o.pick:
-			kind = 5
-		case o.del:
-			kind = 7
-		case o.pick:
-			kind = 4
+		if o.pick {
+			kind = 3
 		}
 		data = append(data, kind, o.depth-1)
 		data = binary.BigEndian.AppendUint32(data, o.prefix)
@@ -101,9 +93,6 @@ func encodeOps(ops []op) []byte {
 func applyNaive(routes []naiveRoute, o op) []naiveRoute {
 	for i, r := range routes {
 		if r.prefix == o.prefix && r.depth == o.depth {
-			if o.del {
-				return append(routes[:i:i], routes[i+1:]...)
-			}
 			routes[i].hop = o.hop
 			return routes
 		}
@@ -125,15 +114,7 @@ func deeperThan(routes []naiveRoute, depth uint8, within map[uint32]bool) int {
 
 // wantErr is what the step must return, worked out from the model alone.
 func wantErr(routes []naiveRoute, o op) error {
-	has := false
-	for _, r := range routes {
-		has = has || r.prefix == o.prefix && r.depth == o.depth
-	}
 	switch {
-	case o.del && !has:
-		return ErrNoRoute
-	case o.del:
-		return nil
 	case o.hop == 0xffff:
 		return ErrBadNextHop
 	case o.depth <= 24:
@@ -147,9 +128,9 @@ func wantErr(routes []naiveRoute, o op) error {
 }
 
 // runProgram applies ops to tbl and to routes in step, and after each step
-// compares the error, the route count, what the table has allocated, and
-// Lookup and LookupBulk at both edges of every live route and of the
-// step's own prefix, just outside them, and at random addresses.
+// compares the error, what the table has allocated, and Lookup at both
+// edges of every live route and of the step's own prefix, just outside
+// them, and at random addresses.
 func runProgram(tbl *Table, routes []naiveRoute, ops []op) ([]naiveRoute, error) {
 	rng := rand.New(rand.NewSource(1))
 	for step, o := range ops {
@@ -159,12 +140,7 @@ func runProgram(tbl *Table, routes []naiveRoute, ops []op) ([]naiveRoute, error)
 		}
 		o.prefix &= foldMask & mask(o.depth)
 		want := wantErr(routes, o)
-		var got error
-		if o.del {
-			got = tbl.Delete(o.prefix, o.depth)
-		} else {
-			got = tbl.Add(o.prefix, o.depth, o.hop)
-		}
+		got := tbl.Add(o.prefix, o.depth, o.hop)
 		fail := func(format string, args ...any) error {
 			return fmt.Errorf("step %d %+v: %s", step, o, fmt.Sprintf(format, args...))
 		}
@@ -176,9 +152,9 @@ func runProgram(tbl *Table, routes []naiveRoute, ops []op) ([]naiveRoute, error)
 		}
 		chunks := deeperThan(routes, 8, map[uint32]bool{})
 		groups := deeperThan(routes, 24, map[uint32]bool{})
-		wantStr := fmt.Sprintf("lpm.Table{routes=%d chunks=%d tbl8Used=%d}", len(routes), chunks, groups)
-		if s := tbl.String(); s != wantStr || len(tbl.routes) != len(routes) || len(tbl.free8) != modelTbl8-groups {
-			return routes, fail("%s with %d routes and %d free groups, want %s", s, len(tbl.routes), len(tbl.free8), wantStr)
+		wantStr := fmt.Sprintf("lpm.Table{chunks=%d tbl8Used=%d}", chunks, groups)
+		if s := tbl.String(); s != wantStr || len(tbl.free8) != modelTbl8-groups {
+			return routes, fail("%s with %d free groups, want %s", s, len(tbl.free8), wantStr)
 		}
 
 		var addrs []uint32
@@ -189,19 +165,11 @@ func runProgram(tbl *Table, routes []naiveRoute, ops []op) ([]naiveRoute, error)
 		for i := 0; i < 32; i++ {
 			addrs = append(addrs, rng.Uint32(), rng.Uint32()&foldMask)
 		}
-		hops := make([]uint16, len(addrs))
-		tbl.LookupBulk(addrs, hops)
-		for i, addr := range addrs {
+		for _, addr := range addrs {
 			wantHop, ok := naiveLookup(routes, addr)
 			gotHop, err := tbl.Lookup(addr)
 			if ok != (err == nil) || ok && gotHop != wantHop {
 				return routes, fail("lookup %08x: got %d/%v, want %d/%v", addr, gotHop, err, wantHop, ok)
-			}
-			if !ok {
-				wantHop = 0xffff
-			}
-			if hops[i] != wantHop {
-				return routes, fail("bulk lookup %08x: got %d, want %d", addr, hops[i], wantHop)
 			}
 		}
 	}
@@ -211,9 +179,8 @@ func runProgram(tbl *Table, routes []naiveRoute, ops []op) ([]naiveRoute, error)
 // forcedOps are the cases the root level creates, run at the head of every
 // program: chunks seeded from a valid root entry and from an empty one, by
 // routes that stop in tbl24 and by routes that need a tbl8 group; routes of
-// depth <= 8 landing before, over and after those chunks; the last deep
-// route of a /8 and routes in the root deleted; an Add refused for want of
-// a tbl8 group.
+// depth <= 8 landing before, over and after those chunks; an Add refused
+// for want of a tbl8 group.
 var forcedOps = []op{
 	// A /8, then deeper routes in it: each chunk inherits its /8.
 	add(ip(64, 0, 0, 0), 8, 1), add(ip(64, 1, 0, 0), 16, 2),
@@ -224,22 +191,18 @@ var forcedOps = []op{
 	// A /2 after a /8 must leave the /8 in the root for a later chunk.
 	add(ip(192, 0, 0, 0), 8, 9), add(ip(192, 0, 0, 0), 2, 10),
 	add(ip(193, 0, 0, 0), 8, 11), add(ip(193, 128, 0, 0), 9, 12),
-	// The last deep route of a /8 goes: so does the chunk.
-	del(ip(64, 1, 0, 0), 16), del(ip(65, 1, 1, 128), 25),
 	// Re-adds: a new hop for a root route under a chunk, and for a deep one.
 	add(ip(128, 0, 0, 0), 7, 13), add(ip(129, 129, 1, 7), 32, 14),
-	// Three more groups is all there are; the next Add is refused in a /8
-	// that has no chunk and must not leave one behind.
-	add(ip(1, 0, 0, 1), 32, 15), add(ip(1, 0, 1, 1), 32, 16), add(ip(1, 1, 0, 1), 32, 17),
+	// Two more groups is all there are; the next Add is refused in a /8
+	// that has no chunk and must not leave one behind, and one in a group
+	// already held still goes in.
+	add(ip(1, 0, 0, 1), 32, 15), add(ip(1, 0, 1, 1), 32, 16),
 	add(ip(0, 1, 1, 1), 32, 18), add(ip(1, 0, 0, 2), 31, 19),
-	del(ip(1, 0, 1, 1), 32), add(ip(0, 1, 1, 1), 32, 18),
-	// Root routes go, over a chunk and over none: the shorter ones show.
-	del(ip(193, 0, 0, 0), 8), del(ip(192, 0, 0, 0), 8), del(ip(192, 0, 0, 0), 2),
 }
 
 // TestQuickVsNaive checks the table against the linear scan over
-// interleaved Add, re-Add and Delete sequences: forcedOps, then a random
-// program on the same table.
+// interleaved Add and re-Add sequences: forcedOps, then a random program on
+// the same table.
 func TestQuickVsNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for run := 0; run < 20; run++ {
@@ -259,8 +222,8 @@ func TestQuickVsNaive(t *testing.T) {
 // FuzzLPMVsNaive runs decoded route programs against the linear scan.
 func FuzzLPMVsNaive(f *testing.F) {
 	f.Add(encodeOps(forcedOps))
-	f.Add(encodeOps([]op{add(0, 1, 1), add(ip(128, 0, 0, 0), 1, 2), add(ip(1, 1, 1, 1), 32, 3), del(0, 1)}))
-	f.Add(encodeOps([]op{add(ip(64, 1, 1, 0), 24, 1), add(ip(64, 0, 0, 0), 4, 2), {del: true, pick: true}, {pick: true, hop: 3}}))
+	f.Add(encodeOps([]op{add(0, 1, 1), add(ip(128, 0, 0, 0), 1, 2), add(ip(1, 1, 1, 1), 32, 3), {pick: true, hop: 4}}))
+	f.Add(encodeOps([]op{add(ip(64, 1, 1, 0), 24, 1), add(ip(64, 0, 0, 0), 4, 2), {pick: true, hop: 3}}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if _, err := runProgram(New(modelTbl8), nil, decodeOps(data)); err != nil {
 			t.Fatal(err)

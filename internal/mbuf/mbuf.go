@@ -1,6 +1,6 @@
 // Package mbuf reimplements the parts of DPDK's rte_mbuf/rte_mempool that
 // the DHL prototype depends on: fixed-size, pre-allocated packet buffers
-// with headroom, reference counting, and a pooled lifecycle.
+// with headroom and a pooled lifecycle.
 //
 // The DHL paper (§VI.3) notes that DHL deliberately adopts rte_mbuf as its
 // unified packet structure ("highly optimized for networking packets, and
@@ -41,8 +41,8 @@ type Mbuf struct {
 	dataLen int
 
 	pool   *Pool
-	refcnt int32
-	index  int // slot in pool, for ownership checks
+	refcnt int32 // 1 while allocated, 0 in the pool: catches a double free
+	index  int   // slot in pool, for ownership checks
 
 	// NFID identifies the network function that owns the packet (paper: nf_id).
 	NFID uint16

@@ -81,37 +81,31 @@ func TestForeignMbufRejected(t *testing.T) {
 	if err := p2.Free(m); !errors.Is(err, ErrForeignMbuf) {
 		t.Errorf("foreign free: %v", err)
 	}
-	if err := p2.Retain(m); !errors.Is(err, ErrForeignMbuf) {
-		t.Errorf("foreign retain: %v", err)
-	}
 	if err := p1.Free(nil); err != nil {
 		t.Errorf("nil free: %v", err)
 	}
 }
 
+// TestRefcounting pins the count's one job, catching a double free: 1
+// while allocated, 0 in the pool, and a second Free leaves both the count
+// and the free list as they were.
 func TestRefcounting(t *testing.T) {
-	p := newPool(t, 1)
+	p := newPool(t, 2)
 	m, _ := p.Alloc()
-	if err := p.Retain(m); err != nil {
-		t.Fatal(err)
-	}
-	if int(m.refcnt) != 2 {
-		t.Errorf("refcnt %d", int(m.refcnt))
+	if int(m.refcnt) != 1 {
+		t.Errorf("refcnt %d after Alloc, want 1", int(m.refcnt))
 	}
 	if err := p.Free(m); err != nil {
 		t.Fatal(err)
 	}
-	if p.Available() != 0 {
-		t.Error("mbuf returned to pool while referenced")
+	if int(m.refcnt) != 0 || p.Available() != 2 {
+		t.Errorf("refcnt %d, available %d after Free, want 0 and 2", int(m.refcnt), p.Available())
 	}
-	if err := p.Free(m); err != nil {
-		t.Fatal(err)
+	if err := p.Free(m); !errors.Is(err, ErrDoubleFree) {
+		t.Errorf("second Free: %v", err)
 	}
-	if p.Available() != 1 {
-		t.Error("mbuf not returned at refcnt 0")
-	}
-	if err := p.Retain(m); !errors.Is(err, ErrDoubleFree) {
-		t.Errorf("retain of free mbuf: %v", err)
+	if int(m.refcnt) != 0 || p.Available() != 2 {
+		t.Errorf("refcnt %d, available %d after a double free, want 0 and 2", int(m.refcnt), p.Available())
 	}
 }
 
@@ -175,7 +169,7 @@ func TestFreeBulkStopsAtForeign(t *testing.T) {
 	}
 }
 
-func TestAppendPrependTrimAdj(t *testing.T) {
+func TestAppendPrependTrim(t *testing.T) {
 	p := newPool(t, 1)
 	m, _ := p.Alloc()
 	if m.dataOff != DefaultHeadroom {
@@ -192,17 +186,11 @@ func TestAppendPrependTrimAdj(t *testing.T) {
 	if string(m.Data()) != "HDR:hello world" {
 		t.Errorf("data %q", m.Data())
 	}
-	if err := m.Adj(4); err != nil {
-		t.Fatal(err)
-	}
 	if err := m.Trim(6); err != nil {
 		t.Fatal(err)
 	}
-	if string(m.Data()) != "hello" {
-		t.Errorf("after adj+trim: %q", m.Data())
-	}
-	if err := m.Adj(100); !errors.Is(err, ErrNoHeadroom) {
-		t.Errorf("oversized adj: %v", err)
+	if string(m.Data()) != "HDR:hello" {
+		t.Errorf("after trim: %q", m.Data())
 	}
 	if err := m.Trim(100); !errors.Is(err, ErrNoTailroom) {
 		t.Errorf("oversized trim: %v", err)

@@ -153,8 +153,8 @@ func (p *Pool) AllocBulk(dst []*Mbuf) error {
 	return nil
 }
 
-// Free drops one reference; the mbuf returns to the pool when the count
-// reaches zero. Freeing an already-free mbuf returns ErrDoubleFree.
+// Free returns m to the pool. Freeing an already-free mbuf returns
+// ErrDoubleFree.
 //
 //dhl:hotpath
 func (p *Pool) Free(m *Mbuf) error {
@@ -176,11 +176,9 @@ func (p *Pool) freeLocked(m *Mbuf) error {
 	if m.refcnt <= 0 {
 		return ErrDoubleFree
 	}
-	m.refcnt--
-	if m.refcnt == 0 {
-		p.free = append(p.free, m.index)
-		p.frees++
-	}
+	m.refcnt = 0
+	p.free = append(p.free, m.index)
+	p.frees++
 	return nil
 }
 

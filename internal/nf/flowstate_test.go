@@ -7,7 +7,6 @@ import (
 
 	"github.com/opencloudnext/dhl-go/internal/eth"
 	"github.com/opencloudnext/dhl-go/internal/eventsim"
-	"github.com/opencloudnext/dhl-go/internal/flowtab"
 	"github.com/opencloudnext/dhl-go/internal/mbuf"
 )
 
@@ -52,7 +51,12 @@ func translate(t *testing.T, nat *NAT, pool *mbuf.Pool, src eth.IPv4, srcPort ui
 // a range running past 65535 must clamp rather than wrap to low ports.
 func TestNATPortPoolWraparound(t *testing.T) {
 	p := pool(t)
-	nat := NewNAT(NATConfig{External: eth.IPv4{203, 0, 113, 1}, PortBase: 65530, PortCount: 10})
+	var now eventsim.Time
+	nat := NewNAT(NATConfig{
+		External: eth.IPv4{203, 0, 113, 1}, PortBase: 65530, PortCount: 10,
+		FlowTTL: eventsim.Second,
+		Clock:   func() eventsim.Time { return now },
+	})
 	got := map[uint16]bool{}
 	for i := 0; i < 6; i++ { // clamped pool is 65530..65535: 6 ports
 		port, v := translate(t, nat, p, eth.IPv4{192, 168, 1, byte(i + 1)}, 1000)
@@ -70,24 +74,35 @@ func TestNATPortPoolWraparound(t *testing.T) {
 	if _, v := translate(t, nat, p, eth.IPv4{192, 168, 1, 99}, 1000); v != VerdictDrop {
 		t.Fatal("clamped pool did not exhaust at 6 ports")
 	}
-	// Free a mid-pool port; the wrapped cursor must find exactly it.
-	if err := nat.Release(eth.IPv4{192, 168, 1, 3}, 1000, eth.ProtoUDP); err != nil {
-		t.Fatal(err)
+	// Free a mid-pool port: every flow but the third stays busy while it
+	// idles out. The wrapped cursor must find exactly its port.
+	now = eventsim.Second / 2
+	for i := 0; i < 6; i++ {
+		if i == 2 {
+			continue
+		}
+		if _, v := translate(t, nat, p, eth.IPv4{192, 168, 1, byte(i + 1)}, 1000); v != VerdictForward {
+			t.Fatalf("live flow %d dropped", i)
+		}
+	}
+	now = eventsim.Second + eventsim.Second/4
+	if n := nat.outbound.Tick(); n != 1 {
+		t.Fatalf("%d translations expired, want 1", n)
 	}
 	port, v := translate(t, nat, p, eth.IPv4{192, 168, 1, 200}, 1000)
 	if v != VerdictForward {
 		t.Fatal("free port not found after wraparound")
 	}
-	if !got[port] {
-		t.Fatalf("reallocated port %d was never in the pool", port)
+	if port != 65532 {
+		t.Fatalf("reallocated port %d, want the expired flow's 65532", port)
 	}
 	if err := nat.CheckConsistency(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestNATExhaustionReportsConsistentCount pins the satellite fix: the
-// exhaustion error checks and reports the same (inbound) counter.
+// TestNATExhaustionReportsConsistentCount pins that the exhaustion error
+// checks and reports the same counter.
 func TestNATExhaustionReportsConsistentCount(t *testing.T) {
 	nat := NewNAT(NATConfig{External: eth.IPv4{203, 0, 113, 1}, PortBase: 40000, PortCount: 3})
 	for i := 0; i < 3; i++ {
@@ -105,21 +120,25 @@ func TestNATExhaustionReportsConsistentCount(t *testing.T) {
 	}
 }
 
-// TestNATReleaseReallocateReuse cycles release -> allocate repeatedly
-// across the whole pool; every released port must become allocatable
-// again and the tables must stay a bijection throughout.
+// TestNATReleaseReallocateReuse cycles expire -> allocate repeatedly
+// across the whole pool; every port an idle translation releases must
+// become allocatable again and the port set must stay exact throughout.
 func TestNATReleaseReallocateReuse(t *testing.T) {
 	p := pool(t)
-	nat := NewNAT(NATConfig{External: eth.IPv4{203, 0, 113, 1}, PortBase: 40000, PortCount: 8})
+	var now eventsim.Time
+	nat := NewNAT(NATConfig{
+		External: eth.IPv4{203, 0, 113, 1}, PortBase: 40000, PortCount: 8,
+		FlowTTL: eventsim.Second,
+		Clock:   func() eventsim.Time { return now },
+	})
 	for round := 0; round < 5; round++ {
-		ports := map[uint16]eth.IPv4{}
+		ports := map[uint16]bool{}
 		for i := 0; i < 8; i++ {
-			src := eth.IPv4{192, 168, byte(round), byte(i + 1)}
-			port, v := translate(t, nat, p, src, 2000)
+			port, v := translate(t, nat, p, eth.IPv4{192, 168, byte(round), byte(i + 1)}, 2000)
 			if v != VerdictForward {
 				t.Fatalf("round %d flow %d rejected", round, i)
 			}
-			ports[port] = src
+			ports[port] = true
 		}
 		if len(ports) != 8 || nat.Mappings() != 8 {
 			t.Fatalf("round %d: %d ports, %d mappings", round, len(ports), nat.Mappings())
@@ -127,20 +146,20 @@ func TestNATReleaseReallocateReuse(t *testing.T) {
 		if err := nat.CheckConsistency(); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		for _, src := range ports {
-			if err := nat.Release(src, 2000, eth.ProtoUDP); err != nil {
-				t.Fatalf("round %d release: %v", round, err)
-			}
-		}
+		now += 2 * eventsim.Second
+		nat.outbound.Tick()
 		if nat.Mappings() != 0 {
-			t.Fatalf("round %d: %d mappings survive full release", round, nat.Mappings())
+			t.Fatalf("round %d: %d mappings survive expiry", round, nat.Mappings())
+		}
+		if err := nat.CheckConsistency(); err != nil {
+			t.Fatalf("round %d after expiry: %v", round, err)
 		}
 	}
 }
 
 // TestNATFlowTTLFreesPorts arms the idle timeout: expired translations
-// must free their external ports and keep the tables consistent, and
-// traffic (either direction) must keep a flow alive.
+// must free their external ports and keep the port set exact, and
+// traffic must keep a flow alive.
 func TestNATFlowTTLFreesPorts(t *testing.T) {
 	p := pool(t)
 	var now eventsim.Time
@@ -181,7 +200,7 @@ func TestNATFlowTTLFreesPorts(t *testing.T) {
 
 // TestNATPressureEvictionBounded: at the MaxFlows cap with a TTL armed,
 // new flows pressure-evict the oldest instead of dropping, and the
-// tables stay a bijection.
+// port set stays exact.
 func TestNATPressureEvictionBounded(t *testing.T) {
 	p := pool(t)
 	var now eventsim.Time
@@ -205,26 +224,42 @@ func TestNATPressureEvictionBounded(t *testing.T) {
 	}
 }
 
+// TestNATCheckConsistencyDetectsOrphan corrupts the NAT's state in each
+// way the port set can disagree with the translations, and expects a
+// diagnosis that names it.
 func TestNATCheckConsistencyDetectsOrphan(t *testing.T) {
 	p := pool(t)
-	nat := NewNAT(NATConfig{External: eth.IPv4{203, 0, 113, 1}})
-	ext, v := translate(t, nat, p, eth.IPv4{192, 168, 9, 1}, 5000)
-	if v != VerdictForward {
-		t.Fatal("setup flow rejected")
+	key := natKey{ip: eth.IPv4{192, 168, 9, 1}, port: 5000, proto: eth.ProtoUDP}
+	for _, c := range []struct {
+		name    string
+		corrupt func(n *NAT, ext uint16)
+		want    string
+	}{
+		// The translation goes but its port stays marked (bypassing
+		// OnEvict).
+		{"out of sync", func(n *NAT, _ uint16) { n.outbound.Delete(key) },
+			"out of sync: 0 outbound, 1 ports marked used; port 20000 has no translation"},
+		{"owner's bit clear", func(n *NAT, ext uint16) { n.setUsed(ext, false) },
+			"192.168.9.1:5000 -> 20000 holds a port marked free"},
+		{"bit without owner", func(n *NAT, ext uint16) { n.setUsed(ext+7, true) },
+			"port 20007 has no translation"},
+	} {
+		nat := NewNAT(NATConfig{External: eth.IPv4{203, 0, 113, 1}})
+		ext, v := translate(t, nat, p, key.ip, key.port)
+		if v != VerdictForward {
+			t.Fatal("setup flow rejected")
+		}
+		if err := nat.CheckConsistency(); err != nil {
+			t.Fatal(err)
+		}
+		c.corrupt(nat, ext)
+		err := nat.CheckConsistency()
+		if err == nil {
+			t.Errorf("%s: undetected", c.name)
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: diagnosis %q, want it to contain %q", c.name, err, c.want)
+		}
 	}
-	if err := nat.CheckConsistency(); err != nil {
-		t.Fatal(err)
-	}
-	// Corrupt: drop the outbound half only (bypassing Release).
-	nat.outbound.Delete(natKey{ip: eth.IPv4{192, 168, 9, 1}, port: 5000, proto: eth.ProtoUDP})
-	err := nat.CheckConsistency()
-	if err == nil {
-		t.Fatal("orphaned inbound entry undetected")
-	}
-	if !strings.Contains(err.Error(), "out of sync") {
-		t.Errorf("unexpected diagnosis: %v", err)
-	}
-	_ = ext
 }
 
 func TestFlowFirewallCachesVerdicts(t *testing.T) {
@@ -292,31 +327,6 @@ func TestFlowFirewallCachesVerdicts(t *testing.T) {
 	}
 }
 
-func TestSADBBySPI(t *testing.T) {
-	db := NewSADB()
-	if err := db.AddDefaultSA(); err != nil {
-		t.Fatal(err)
-	}
-	sa, err := db.BySPI(0x1001)
-	if err != nil || sa.SPI != 0x1001 {
-		t.Fatalf("BySPI(0x1001) = %v, %v", sa, err)
-	}
-	sa2, err := db.BySPI(0x1002)
-	if err != nil || sa2.SPI != 0x1002 {
-		t.Fatalf("BySPI(0x1002) = %v, %v", sa2, err)
-	}
-	if _, err := db.BySPI(0xdead); !errors.Is(err, ErrNoSA) {
-		t.Errorf("unknown SPI: %v", err)
-	}
-	// Duplicate SPIs still refused through the flowtab index.
-	if err := db.AddSA(0xC0000000, 2, DefaultSA()); !errors.Is(err, ErrDupeSPI) {
-		t.Errorf("dup SPI: %v", err)
-	}
-	if len(db.FlowTabs()) != 1 {
-		t.Error("SPI index not exposed for telemetry")
-	}
-}
-
 // TestFlowTableSlotBytes pins what one flow costs in each NF's table: a
 // 32-byte slab slot, plus two 4-byte index buckets. Built without a TTL,
 // a fresh table holds no wheel and no draining index, so MemBytes is
@@ -326,10 +336,7 @@ func TestFlowTableSlotBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var srcs []flowtab.Source
-	srcs = append(srcs, ffw.FlowTabs()...)
-	srcs = append(srcs, NewNAT(NATConfig{External: eth.IPv4{203, 0, 113, 1}}).FlowTabs()...)
-	srcs = append(srcs, NewSADB().FlowTabs()...)
+	srcs := append(ffw.FlowTabs(), NewNAT(NATConfig{External: eth.IPv4{203, 0, 113, 1}}).outbound)
 	for _, src := range srcs {
 		st := src.TabStats()
 		if st.MemBytes != st.Capacity*(32+8) {

@@ -3,6 +3,7 @@ package nf
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"github.com/opencloudnext/dhl-go/internal/eth"
 	"github.com/opencloudnext/dhl-go/internal/eventsim"
@@ -25,14 +26,13 @@ var (
 // the packet header ... such as NAT").
 //
 // Outbound packets (from the inside interface) get their source rewritten
-// to the external address and an allocated external port; inbound packets
-// are matched on destination port and rewritten back.
+// to the external address and an allocated external port.
 //
-// Translation state lives in a pair of flowtab tables (outbound keyed by
-// the internal endpoint, inbound by the external port) so the hit path is
-// allocation-free at millions of flows and, with FlowTTL armed, idle
-// translations expire off the clock wheel — evicting an outbound entry
-// drops its paired inbound entry, so the two stay exactly 1:1.
+// Translation state is one flowtab table keyed by the internal endpoint, so
+// the hit path is allocation-free at millions of flows and, with FlowTTL
+// armed, idle translations expire off the clock wheel. A bitset over the
+// port range records which external ports are taken: a translation sets
+// its port's bit, and its eviction clears it.
 type NAT struct {
 	external eth.IPv4
 	base     uint16
@@ -40,7 +40,8 @@ type NAT struct {
 	maxPort  uint16
 
 	outbound *flowtab.Table[natKey, uint16]
-	inbound  *flowtab.Table[uint16, natKey]
+	// used has bit p-base set while external port p is held.
+	used []uint64
 
 	Translated uint64
 	Dropped    uint64
@@ -56,8 +57,6 @@ func hashNATKey(k natKey) uint64 {
 	return flowtab.Mix64(uint64(k.ip.Uint32())<<24 | uint64(k.port)<<8 | uint64(k.proto))
 }
 
-func hashPort(p uint16) uint64 { return flowtab.Mix64(uint64(p)) }
-
 // NATConfig parameterizes NewNAT.
 type NATConfig struct {
 	// External is the public address translations use.
@@ -70,15 +69,15 @@ type NATConfig struct {
 	// (table capacity stops doubling at this power of two). Zero leaves
 	// the pool as the only bound.
 	MaxFlows int
-	// FlowTTL expires translations idle for this long (both directions
-	// count as activity). Requires Clock. Zero keeps mappings forever,
-	// the pre-flowtab behavior.
+	// FlowTTL expires translations idle for this long; every translated
+	// packet counts as activity. Requires Clock. Zero keeps mappings
+	// forever, the pre-flowtab behavior.
 	FlowTTL eventsim.Time
 	// Clock supplies virtual time for FlowTTL; wire it to Sim.Now.
 	Clock func() eventsim.Time
 }
 
-// NewNAT builds a source NAT. It panics on a config the flow tables
+// NewNAT builds a source NAT. It panics on a config the flow table
 // cannot be built from (FlowTTL without Clock) — a programming error,
 // not a runtime condition.
 func NewNAT(cfg NATConfig) *NAT {
@@ -95,6 +94,7 @@ func NewNAT(cfg NATConfig) *NAT {
 		base:     cfg.PortBase,
 		nextPort: cfg.PortBase,
 		maxPort:  uint16(maxPort),
+		used:     make([]uint64, (maxPort-int(cfg.PortBase))/64+1),
 	}
 	initial := 1024
 	if cfg.MaxFlows > 0 && cfg.MaxFlows < initial {
@@ -110,18 +110,10 @@ func NewNAT(cfg NATConfig) *NAT {
 		TTL:            cfg.FlowTTL,
 		// An idle translation timing out (or being pressure-evicted)
 		// must free its external port.
-		OnEvict: func(_ natKey, ext *uint16) { n.inbound.Delete(*ext) },
+		OnEvict: func(_ natKey, ext *uint16) { n.setUsed(*ext, false) },
 	})
 	if err != nil {
 		panic(fmt.Sprintf("nf: NAT outbound table: %v", err))
-	}
-	n.inbound, err = flowtab.New(flowtab.Config[uint16, natKey]{
-		Name:           "nat-inbound",
-		Hash:           hashPort,
-		InitialEntries: initial,
-	})
-	if err != nil {
-		panic(fmt.Sprintf("nf: NAT inbound table: %v", err))
 	}
 	return n
 }
@@ -157,31 +149,24 @@ func (n *NAT) ProcessOutbound(m *mbuf.Mbuf) (Verdict, float64) {
 
 func (n *NAT) allocate(key natKey) (uint16, error) {
 	capacity := int(n.maxPort-n.base) + 1
-	if n.inbound.Len() >= capacity {
-		return 0, fmt.Errorf("%w (%d mappings)", ErrNATPortsExhausted, n.inbound.Len())
+	if n.outbound.Len() >= capacity {
+		return 0, fmt.Errorf("%w (%d mappings)", ErrNATPortsExhausted, n.outbound.Len())
 	}
-	for {
-		p := n.nextPort
+	for n.isUsed(n.nextPort) {
 		n.advance()
-		if _, used := n.inbound.Peek(p); used {
-			continue
-		}
-		// Outbound first: at the MaxFlows cap with a TTL armed this
-		// pressure-evicts the translation nearest expiry (freeing its
-		// port via OnEvict); without a TTL it reports full.
-		ext, _, err := n.outbound.Insert(key)
-		if err != nil {
-			return 0, fmt.Errorf("%w (%d flows): %v", ErrNATFlowsExhausted, n.outbound.Len(), err)
-		}
-		*ext = p
-		rev, _, err := n.inbound.Insert(p)
-		if err != nil {
-			n.outbound.Delete(key)
-			return 0, fmt.Errorf("%w (%d flows): %v", ErrNATFlowsExhausted, n.inbound.Len(), err)
-		}
-		*rev = key
-		return p, nil
 	}
+	p := n.nextPort
+	n.advance()
+	// At the MaxFlows cap with a TTL armed this pressure-evicts the
+	// translation nearest expiry (freeing its port via OnEvict); without a
+	// TTL it reports full.
+	ext, _, err := n.outbound.Insert(key)
+	if err != nil {
+		return 0, fmt.Errorf("%w (%d flows): %v", ErrNATFlowsExhausted, n.outbound.Len(), err)
+	}
+	*ext = p
+	n.setUsed(p, true)
+	return p, nil
 }
 
 func (n *NAT) advance() {
@@ -192,16 +177,28 @@ func (n *NAT) advance() {
 	n.nextPort++
 }
 
-// CheckConsistency verifies the outbound and inbound tables form an
-// exact bijection: every translation has its reverse entry, no inbound
-// entry is orphaned, and no external port is double-allocated. Cold —
-// the fallback/recovery harness runs it after soaks and transitions.
+func (n *NAT) isUsed(p uint16) bool {
+	i := p - n.base
+	return n.used[i/64]&(1<<(i%64)) != 0
+}
+
+func (n *NAT) setUsed(p uint16, on bool) {
+	i := p - n.base
+	if on {
+		n.used[i/64] |= 1 << (i % 64)
+	} else {
+		n.used[i/64] &^= 1 << (i % 64)
+	}
+}
+
+// CheckConsistency verifies the port bitset is exactly the set of ports the
+// translations hold: no external port is double-allocated, every
+// translation's port bit is set, and no bit is set that no translation
+// owns. Cold — the fallback/recovery harness runs it after soaks and
+// transitions.
 //
 //dhl:allow unreferenced the flow-state failover audit checks the NAT bijection with it
 func (n *NAT) CheckConsistency() error {
-	if o, i := n.outbound.Len(), n.inbound.Len(); o != i {
-		return fmt.Errorf("nf: NAT tables out of sync: %d outbound, %d inbound", o, i)
-	}
 	var err error
 	owners := make(map[uint16]natKey, n.outbound.Len())
 	n.outbound.Range(func(k natKey, ext *uint16) bool {
@@ -211,14 +208,8 @@ func (n *NAT) CheckConsistency() error {
 			return false
 		}
 		owners[*ext] = k
-		rev, ok := n.inbound.Peek(*ext)
-		if !ok {
-			err = fmt.Errorf("nf: NAT translation %v:%d -> %d lacks its inbound entry", k.ip, k.port, *ext)
-			return false
-		}
-		if *rev != k {
-			err = fmt.Errorf("nf: NAT port %d inbound entry points at %v:%d, owner is %v:%d",
-				*ext, rev.ip, rev.port, k.ip, k.port)
+		if !n.isUsed(*ext) {
+			err = fmt.Errorf("nf: NAT translation %v:%d -> %d holds a port marked free", k.ip, k.port, *ext)
 			return false
 		}
 		return true
@@ -226,14 +217,23 @@ func (n *NAT) CheckConsistency() error {
 	if err != nil {
 		return err
 	}
-	n.inbound.Range(func(p uint16, k *natKey) bool {
-		if _, ok := owners[p]; !ok {
-			err = fmt.Errorf("nf: orphaned NAT inbound entry %d -> %v:%d", p, k.ip, k.port)
-			return false
+	set := 0
+	for _, w := range n.used {
+		set += bits.OnesCount64(w)
+	}
+	if set == n.outbound.Len() {
+		return nil
+	}
+	// Every owner's bit is set, so the surplus bits are ports no
+	// translation holds: name the first.
+	p := n.base
+	for ; ; p++ {
+		if _, owned := owners[p]; n.isUsed(p) && !owned {
+			break
 		}
-		return true
-	})
-	return err
+	}
+	return fmt.Errorf("nf: NAT port set out of sync: %d outbound, %d ports marked used; port %d has no translation",
+		n.outbound.Len(), set, p)
 }
 
 func setL4SrcPort(f eth.Frame, port uint16) {

@@ -5,55 +5,8 @@ import (
 	"testing"
 
 	"github.com/opencloudnext/dhl-go/internal/eth"
+	"github.com/opencloudnext/dhl-go/internal/eventsim"
 )
-
-func TestNATOutboundInboundRoundTrip(t *testing.T) {
-	p := pool(t)
-	nat := NewNAT(NATConfig{External: eth.IPv4{203, 0, 113, 1}})
-
-	out := newPacket(t, p, []byte("request"), eth.IPv4{8, 8, 8, 8})
-	f, _ := eth.Parse(out.Data())
-	f.SetSrcIP(eth.IPv4{192, 168, 0, 42})
-	f.SetIPChecksum(f.ComputeIPChecksum())
-
-	if v, cycles := nat.ProcessOutbound(out); v != VerdictForward || cycles != natCycles {
-		t.Fatalf("outbound %v %v", v, cycles)
-	}
-	f, _ = eth.Parse(out.Data())
-	if f.SrcIP() != (eth.IPv4{203, 0, 113, 1}) {
-		t.Errorf("source not translated: %v", f.SrcIP())
-	}
-	extPort := f.SrcPort()
-	if extPort < 20000 {
-		t.Errorf("external port %d outside pool", extPort)
-	}
-	if ipChecksum(out.Data()) != f.ComputeIPChecksum() {
-		t.Error("checksum stale after translation")
-	}
-	if nat.Mappings() != 1 {
-		t.Errorf("mappings %d", nat.Mappings())
-	}
-
-	// Build the reply: swap src/dst, target the external (ip, port).
-	in := newPacket(t, p, []byte("reply"), eth.IPv4{203, 0, 113, 1})
-	fi, _ := eth.Parse(in.Data())
-	fi.SetSrcIP(eth.IPv4{8, 8, 8, 8})
-	l4 := fi.L4()
-	l4[2] = byte(extPort >> 8) // dst port = allocated external port
-	l4[3] = byte(extPort)
-	fi.SetIPChecksum(fi.ComputeIPChecksum())
-
-	if v, _ := nat.ProcessInbound(in); v != VerdictForward {
-		t.Fatalf("inbound verdict %v", v)
-	}
-	fi, _ = eth.Parse(in.Data())
-	if fi.DstIP() != (eth.IPv4{192, 168, 0, 42}) {
-		t.Errorf("inbound dst %v", fi.DstIP())
-	}
-	if fi.DstPort() != 5555 { // newPacket's source port
-		t.Errorf("inbound dst port %d", fi.DstPort())
-	}
-}
 
 func TestNATStableMappingPerFlow(t *testing.T) {
 	p := pool(t)
@@ -63,10 +16,20 @@ func TestNATStableMappingPerFlow(t *testing.T) {
 		m := newPacket(t, p, []byte("x"), eth.IPv4{8, 8, 8, 8})
 		f, _ := eth.Parse(m.Data())
 		f.SetSrcIP(eth.IPv4{192, 168, 0, 42})
-		if v, _ := nat.ProcessOutbound(m); v != VerdictForward {
-			t.Fatal("outbound failed")
+		f.SetIPChecksum(f.ComputeIPChecksum())
+		if v, cycles := nat.ProcessOutbound(m); v != VerdictForward || cycles != natCycles {
+			t.Fatalf("outbound %v %v", v, cycles)
 		}
 		f, _ = eth.Parse(m.Data())
+		if f.SrcIP() != (eth.IPv4{203, 0, 113, 1}) {
+			t.Errorf("source not translated: %v", f.SrcIP())
+		}
+		if f.SrcPort() < 20000 {
+			t.Errorf("external port %d outside pool", f.SrcPort())
+		}
+		if ipChecksum(m.Data()) != f.ComputeIPChecksum() {
+			t.Error("checksum stale after translation")
+		}
 		ports[f.SrcPort()] = true
 	}
 	if len(ports) != 1 {
@@ -79,43 +42,30 @@ func TestNATStableMappingPerFlow(t *testing.T) {
 
 func TestNATPortExhaustion(t *testing.T) {
 	p := pool(t)
-	nat := NewNAT(NATConfig{External: eth.IPv4{203, 0, 113, 1}, PortBase: 40000, PortCount: 2})
+	var now eventsim.Time
+	nat := NewNAT(NATConfig{
+		External: eth.IPv4{203, 0, 113, 1}, PortBase: 40000, PortCount: 2,
+		FlowTTL: eventsim.Second,
+		Clock:   func() eventsim.Time { return now },
+	})
 	for i := 0; i < 2; i++ {
-		m := newPacket(t, p, []byte("x"), eth.IPv4{8, 8, 8, 8})
-		f, _ := eth.Parse(m.Data())
-		f.SetSrcIP(eth.IPv4{192, 168, 0, byte(i + 1)})
-		if v, _ := nat.ProcessOutbound(m); v != VerdictForward {
+		if _, v := translate(t, nat, p, eth.IPv4{192, 168, 0, byte(i + 1)}, 5555); v != VerdictForward {
 			t.Fatalf("flow %d rejected", i)
 		}
-		_ = p.Free(m)
 	}
-	m := newPacket(t, p, []byte("x"), eth.IPv4{8, 8, 8, 8})
-	f, _ := eth.Parse(m.Data())
-	f.SetSrcIP(eth.IPv4{192, 168, 0, 99})
-	if v, _ := nat.ProcessOutbound(m); v != VerdictDrop {
+	late := eth.IPv4{192, 168, 0, 99}
+	if _, v := translate(t, nat, p, late, 5555); v != VerdictDrop {
 		t.Error("exhausted pool still translating")
 	}
-	// Release one mapping and retry.
-	if err := nat.Release(eth.IPv4{192, 168, 0, 1}, 5555, eth.ProtoUDP); err != nil {
-		t.Fatal(err)
+	// Flow 2 stays busy while flow 1 idles out; then retry.
+	now = eventsim.Second / 2
+	if _, v := translate(t, nat, p, eth.IPv4{192, 168, 0, 2}, 5555); v != VerdictForward {
+		t.Fatal("live flow dropped")
 	}
-	if v, _ := nat.ProcessOutbound(m); v != VerdictForward {
-		t.Error("released port not reusable")
-	}
-	if err := nat.Release(eth.IPv4{1, 1, 1, 1}, 1, eth.ProtoUDP); !errors.Is(err, ErrNATNoMapping) {
-		t.Errorf("bogus release: %v", err)
-	}
-}
-
-func TestNATInboundUnknownDrops(t *testing.T) {
-	p := pool(t)
-	nat := NewNAT(NATConfig{External: eth.IPv4{203, 0, 113, 1}})
-	m := newPacket(t, p, []byte("x"), eth.IPv4{203, 0, 113, 1})
-	if v, _ := nat.ProcessInbound(m); v != VerdictDrop {
-		t.Error("unsolicited inbound accepted")
-	}
-	if nat.Dropped != 1 {
-		t.Errorf("dropped %d", nat.Dropped)
+	now = eventsim.Second + eventsim.Second/4
+	nat.outbound.Tick()
+	if _, v := translate(t, nat, p, late, 5555); v != VerdictForward {
+		t.Error("expired port not reusable")
 	}
 }
 
@@ -162,9 +112,9 @@ func TestFirewallFirstMatchWins(t *testing.T) {
 		t.Error("blocklisted source allowed")
 	}
 	// No rule matches: default deny.
+	// dst port 80 is set by newPacket; a dst outside 192.168/16 makes
+	// rule 2 miss.
 	other := newPacket(t, p, []byte("x"), eth.IPv4{8, 8, 8, 8})
-	setDstIP(other.Data(), eth.IPv4{8, 8, 8, 8})
-	// dst port 80 is set by newPacket; change dst net so rule 2 misses.
 	if v, _ := fw.Process(other); v != VerdictDrop {
 		t.Error("default deny not applied")
 	}

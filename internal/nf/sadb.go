@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"github.com/opencloudnext/dhl-go/internal/eth"
-	"github.com/opencloudnext/dhl-go/internal/flowtab"
 	"github.com/opencloudnext/dhl-go/internal/lpm"
 	"github.com/opencloudnext/dhl-go/internal/swcrypto"
 )
@@ -41,28 +40,15 @@ func (sa SA) validate() error {
 
 // SADB maps traffic selectors (destination prefixes) to SAs, the "IPsec SA
 // Matching" stage of Figure 5(a). Selector resolution reuses the DIR-24-8
-// LPM table; the SPI index (inbound SA resolution, ESP header -> SA) is a
-// flowtab table so decrypt-path lookups stay allocation-free at large SA
-// counts.
+// LPM table, whose next hop is the SA's index in sas.
 type SADB struct {
 	table *lpm.Table
 	sas   []SA
-	bySPI *flowtab.Table[uint32, int]
 }
-
-func hashSPI(spi uint32) uint64 { return flowtab.Mix64(uint64(spi)) }
 
 // NewSADB creates an empty database.
 func NewSADB() *SADB {
-	bySPI, err := flowtab.New(flowtab.Config[uint32, int]{
-		Name:           "sadb-spi",
-		Hash:           hashSPI,
-		InitialEntries: 64,
-	})
-	if err != nil {
-		panic(fmt.Sprintf("nf: SADB SPI index: %v", err))
-	}
-	return &SADB{table: lpm.New(64), bySPI: bySPI}
+	return &SADB{table: lpm.New(64)}
 }
 
 // AddSA installs sa for traffic whose destination matches prefix/depth.
@@ -70,8 +56,11 @@ func (db *SADB) AddSA(prefix uint32, depth uint8, sa SA) error {
 	if err := sa.validate(); err != nil {
 		return err
 	}
-	if _, dup := db.bySPI.Peek(sa.SPI); dup {
-		return fmt.Errorf("%w: %d", ErrDupeSPI, sa.SPI)
+	// A control-path scan: an SADB holds at most 0x3fff SAs.
+	for _, have := range db.sas {
+		if have.SPI == sa.SPI {
+			return fmt.Errorf("%w: %d", ErrDupeSPI, sa.SPI)
+		}
 	}
 	idx := len(db.sas)
 	if idx > 0x3ffe {
@@ -86,11 +75,6 @@ func (db *SADB) AddSA(prefix uint32, depth uint8, sa SA) error {
 		AuthKey: append([]byte(nil), sa.AuthKey...),
 		Salt:    sa.Salt,
 	})
-	slot, _, err := db.bySPI.Insert(sa.SPI)
-	if err != nil {
-		return fmt.Errorf("nf: SPI index: %w", err)
-	}
-	*slot = idx
 	return nil
 }
 

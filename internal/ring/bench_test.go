@@ -28,11 +28,14 @@ func BenchmarkMPSCBurst(b *testing.B) {
 	}
 }
 
+// BenchmarkSingleEnqueueDequeue measures one element at a time: Enqueue,
+// then a DequeueBurst of one.
 func BenchmarkSingleEnqueueDequeue(b *testing.B) {
 	r := MustNew[int]("bench", 1024, SingleProducerConsumer)
+	var one [1]int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.Enqueue(i)
-		r.Dequeue()
+		r.DequeueBurst(one[:])
 	}
 }

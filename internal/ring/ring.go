@@ -114,21 +114,15 @@ func (r *Ring[T]) singleConsumer() bool {
 	return r.mode == SingleConsumer || r.mode == SingleProducerConsumer
 }
 
-// moveProdHead claims n (or, if fixed is false, up to n) slots for enqueue.
+// moveProdHead claims up to n slots for enqueue.
 //
 //dhl:hotpath
-func (r *Ring[T]) moveProdHead(n uint64, fixed bool) (oldHead, newHead, claimed uint64) {
+func (r *Ring[T]) moveProdHead(n uint64) (oldHead, newHead, claimed uint64) {
 	for {
 		oldHead = r.prod.head.Load()
 		consTail := r.cons.tail.Load()
 		free := r.size - 1 - (oldHead - consTail)
-		claimed = n
-		if claimed > free {
-			if fixed {
-				return 0, 0, 0
-			}
-			claimed = free
-		}
+		claimed = min(n, free)
 		if claimed == 0 {
 			return 0, 0, 0
 		}
@@ -143,21 +137,14 @@ func (r *Ring[T]) moveProdHead(n uint64, fixed bool) (oldHead, newHead, claimed 
 	}
 }
 
-// moveConsHead claims n (or up to n) elements for dequeue.
+// moveConsHead claims up to n elements for dequeue.
 //
 //dhl:hotpath
-func (r *Ring[T]) moveConsHead(n uint64, fixed bool) (oldHead, newHead, claimed uint64) {
+func (r *Ring[T]) moveConsHead(n uint64) (oldHead, newHead, claimed uint64) {
 	for {
 		oldHead = r.cons.head.Load()
 		prodTail := r.prod.tail.Load()
-		avail := prodTail - oldHead
-		claimed = n
-		if claimed > avail {
-			if fixed {
-				return 0, 0, 0
-			}
-			claimed = avail
-		}
+		claimed = min(n, prodTail-oldHead)
 		if claimed == 0 {
 			return 0, 0, 0
 		}
@@ -185,28 +172,19 @@ func updateTail(ht *headTail, oldVal, newVal uint64, single bool) {
 	ht.tail.Store(newVal)
 }
 
+// Enqueue adds a single element, reporting success: a burst of one.
+//
+//dhl:hotpath
+func (r *Ring[T]) Enqueue(obj T) bool {
+	one := [1]T{obj}
+	return r.EnqueueBurst(one[:]) == 1
+}
+
 // EnqueueBurst enqueues as many of objs as fit and returns the count.
 //
 //dhl:hotpath
 func (r *Ring[T]) EnqueueBurst(objs []T) int {
-	return r.enqueue(objs, false)
-}
-
-// Enqueue adds a single element, reporting success.
-//
-//dhl:hotpath
-func (r *Ring[T]) Enqueue(obj T) bool {
-	var one [1]T
-	one[0] = obj
-	return r.enqueue(one[:], true) == 1
-}
-
-//dhl:hotpath
-func (r *Ring[T]) enqueue(objs []T, fixed bool) int {
-	if len(objs) == 0 {
-		return 0
-	}
-	oldHead, newHead, n := r.moveProdHead(uint64(len(objs)), fixed)
+	oldHead, newHead, n := r.moveProdHead(uint64(len(objs)))
 	if n == 0 {
 		return 0
 	}
@@ -221,15 +199,7 @@ func (r *Ring[T]) enqueue(objs []T, fixed bool) int {
 //
 //dhl:hotpath
 func (r *Ring[T]) DequeueBurst(dst []T) int {
-	return r.dequeue(dst, false)
-}
-
-//dhl:hotpath
-func (r *Ring[T]) dequeue(dst []T, fixed bool) int {
-	if len(dst) == 0 {
-		return 0
-	}
-	oldHead, newHead, n := r.moveConsHead(uint64(len(dst)), fixed)
+	oldHead, newHead, n := r.moveConsHead(uint64(len(dst)))
 	if n == 0 {
 		return 0
 	}

@@ -35,6 +35,13 @@ func TestMustNewPanics(t *testing.T) {
 	MustNew[int]("bad", 3, SingleProducerConsumer)
 }
 
+// dequeueOne is a DequeueBurst of one element.
+func dequeueOne[T any](r *Ring[T]) (T, bool) {
+	var one [1]T
+	ok := r.DequeueBurst(one[:]) == 1
+	return one[0], ok
+}
+
 func TestFIFOSingle(t *testing.T) {
 	r := MustNew[int]("fifo", 16, SingleProducerConsumer)
 	for i := 0; i < 10; i++ {
@@ -46,7 +53,7 @@ func TestFIFOSingle(t *testing.T) {
 		t.Errorf("len %d", r.Len())
 	}
 	for i := 0; i < 10; i++ {
-		v, ok := r.Dequeue()
+		v, ok := dequeueOne(r)
 		if !ok || v != i {
 			t.Fatalf("dequeue %d: got %d ok=%v", i, v, ok)
 		}
@@ -54,7 +61,7 @@ func TestFIFOSingle(t *testing.T) {
 	if r.Len() != 0 {
 		t.Error("ring not empty")
 	}
-	if _, ok := r.Dequeue(); ok {
+	if _, ok := dequeueOne(r); ok {
 		t.Error("dequeue from empty succeeded")
 	}
 }
@@ -71,29 +78,6 @@ func TestFullRingRejectsEnqueue(t *testing.T) {
 	}
 	if free := r.Capacity() - r.Len(); free != 0 {
 		t.Errorf("free %d", free)
-	}
-}
-
-func TestBulkAllOrNothing(t *testing.T) {
-	r := MustNew[int]("bulk", 8, MultiProducerConsumer) // capacity 7
-	if !r.EnqueueBulk([]int{1, 2, 3, 4, 5}) {
-		t.Fatal("bulk enqueue failed")
-	}
-	if r.EnqueueBulk([]int{6, 7, 8}) { // only 2 slots left
-		t.Error("bulk enqueue should be all-or-nothing")
-	}
-	if r.Len() != 5 {
-		t.Errorf("len %d after failed bulk", r.Len())
-	}
-	dst := make([]int, 7)
-	if r.DequeueBulk(dst) { // only 5 available
-		t.Error("bulk dequeue should fail when short")
-	}
-	if !r.DequeueBulk(dst[:5]) {
-		t.Error("exact bulk dequeue failed")
-	}
-	if r.EnqueueBulk(nil) {
-		t.Error("empty bulk enqueue reported success")
 	}
 }
 
@@ -127,7 +111,7 @@ func TestWrapAround(t *testing.T) {
 			}
 		}
 		for i := 0; i < 3; i++ {
-			v, ok := r.Dequeue()
+			v, ok := dequeueOne(r)
 			if !ok || v != next+i {
 				t.Fatalf("round %d: got %d want %d", round, v, next+i)
 			}
@@ -140,7 +124,7 @@ func TestPointersReleasedForGC(t *testing.T) {
 	r := MustNew[*int]("gc", 4, SingleProducerConsumer)
 	v := 42
 	r.Enqueue(&v)
-	r.Dequeue()
+	dequeueOne(r)
 	// After dequeue the slot must not retain the pointer.
 	for _, slot := range r.slots {
 		if slot != nil {
@@ -151,7 +135,8 @@ func TestPointersReleasedForGC(t *testing.T) {
 
 // TestConcurrentMPMC verifies no loss and no duplication under real
 // goroutine concurrency (the substrate property DHL's data isolation
-// rests on).
+// rests on). Half the producers enqueue one element at a time, half in
+// bursts of 1 to 16 that the ring may take only part of.
 func TestConcurrentMPMC(t *testing.T) {
 	const (
 		producers = 4
@@ -192,12 +177,24 @@ func TestConcurrentMPMC(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			base := p * perProd
+			burst := make([]int, 16)
 			for i := 0; i < perProd; {
-				if r.Enqueue(base + i) {
-					i++
+				n := 0
+				if p%2 == 0 {
+					if r.Enqueue(base + i) {
+						n = 1
+					}
 				} else {
+					chunk := burst[:min(1+i%16, perProd-i)]
+					for j := range chunk {
+						chunk[j] = base + i + j
+					}
+					n = r.EnqueueBurst(chunk)
+				}
+				if n == 0 {
 					runtime.Gosched()
 				}
+				i += n
 			}
 		}(p)
 	}
@@ -212,17 +209,22 @@ func TestConcurrentMPMC(t *testing.T) {
 }
 
 // TestConcurrentSPSC stresses the single-producer/single-consumer fast
-// path used by the OBQs.
+// path used by the OBQs, bursts on both sides.
 func TestConcurrentSPSC(t *testing.T) {
 	const total = 50000
 	r := MustNew[int]("spsc", 256, SingleProducerConsumer)
 	go func() {
+		burst := make([]int, 32)
 		for i := 0; i < total; {
-			if r.Enqueue(i) {
-				i++
-			} else {
+			chunk := burst[:min(1+i%32, total-i)]
+			for j := range chunk {
+				chunk[j] = i + j
+			}
+			n := r.EnqueueBurst(chunk)
+			if n == 0 {
 				runtime.Gosched()
 			}
+			i += n
 		}
 	}()
 	next := 0
@@ -242,34 +244,48 @@ func TestConcurrentSPSC(t *testing.T) {
 }
 
 // TestQuickFIFOEquivalence property-checks the ring against a plain slice
-// queue over arbitrary operation sequences.
+// queue over arbitrary operation sequences: each op enqueues or dequeues a
+// burst of 0 to 7 elements (a single Enqueue for one), and the ring must
+// move exactly as many as the queue has room or elements for.
 func TestQuickFIFOEquivalence(t *testing.T) {
 	f := func(ops []uint8) bool {
 		r := MustNew[int]("quick", 16, SingleProducerConsumer)
 		var model []int
 		next := 0
+		buf := make([]int, 8)
 		for _, op := range ops {
+			n := int(op>>1) % 8
 			if op%2 == 0 {
-				okR := r.Enqueue(next)
-				okM := len(model) < r.Capacity()
-				if okR != okM {
+				want := min(n, r.Capacity()-len(model))
+				got := 0
+				if n == 1 {
+					if r.Enqueue(next) {
+						got = 1
+					}
+				} else {
+					for i := range buf[:n] {
+						buf[i] = next + i
+					}
+					got = r.EnqueueBurst(buf[:n])
+				}
+				if got != want {
 					return false
 				}
-				if okM {
-					model = append(model, next)
+				for i := 0; i < got; i++ {
+					model = append(model, next+i)
 				}
-				next++
+				next += got
 			} else {
-				v, ok := r.Dequeue()
-				if ok != (len(model) > 0) {
+				got := r.DequeueBurst(buf[:n])
+				if got != min(n, len(model)) {
 					return false
 				}
-				if ok {
-					if v != model[0] {
+				for i := 0; i < got; i++ {
+					if buf[i] != model[i] {
 						return false
 					}
-					model = model[1:]
 				}
+				model = model[got:]
 			}
 		}
 		return r.Len() == len(model)

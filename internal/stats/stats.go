@@ -1,5 +1,5 @@
 // Package stats provides small streaming-statistics helpers used by the
-// traffic sinks and the experiment harness: mean/min/max accumulation and
+// traffic sinks and the experiment harness: mean/max accumulation and
 // percentile estimation over bounded sample reservoirs.
 package stats
 
@@ -10,7 +10,7 @@ import (
 
 // Series accumulates scalar observations and answers summary queries.
 //
-// All observations feed the running mean/min/max. Percentile queries are
+// All observations feed the running mean and max. Percentile queries are
 // answered from a bounded reservoir: the first Cap observations are kept
 // exactly; afterwards every k-th observation is kept so the reservoir stays
 // within 2*Cap while remaining deterministic (no randomness, so simulation
@@ -19,7 +19,6 @@ type Series struct {
 	cap     int
 	count   uint64
 	sum     float64
-	min     float64
 	max     float64
 	samples []float64
 	stride  uint64
@@ -36,16 +35,13 @@ func NewSeries(cap int) *Series {
 	if cap <= 0 {
 		cap = 65536
 	}
-	return &Series{cap: cap, min: math.Inf(1), max: math.Inf(-1), stride: 1}
+	return &Series{cap: cap, max: math.Inf(-1), stride: 1}
 }
 
 // Add records one observation.
 func (s *Series) Add(v float64) {
 	s.count++
 	s.sum += v
-	if v < s.min {
-		s.min = v
-	}
 	if v > s.max {
 		s.max = v
 	}

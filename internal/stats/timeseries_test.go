@@ -55,16 +55,6 @@ func TestTimeSeriesRates(t *testing.T) {
 	if got := ts.Rate(4); got != 0 {
 		t.Errorf("rate(4) = %v", got)
 	}
-	// Mean over the second half: (200+400)/(2*0.5s).
-	if got := ts.MeanRate(2, 4); math.Abs(got-600) > 1e-9 {
-		t.Errorf("meanRate(2,4) = %v, want 600", got)
-	}
-	if got := ts.MeanRate(3, 3); got != 0 {
-		t.Errorf("empty window rate = %v", got)
-	}
-	if got := ts.MeanRate(-5, 99); math.Abs(got-375) > 1e-9 {
-		t.Errorf("clamped full-window rate = %v, want 375", got)
-	}
 }
 
 // TestTimeSeriesHorizonWrap pins the Add range check to run on the
@@ -109,9 +99,9 @@ func TestTimeSeriesBoundaryRounding(t *testing.T) {
 	}
 }
 
-// TestTimeSeriesSpilledAndMeanRateEdges covers Spilled accounting mixed
-// with in-range adds, and MeanRate on empty/degenerate windows.
-func TestTimeSeriesSpilledAndMeanRateEdges(t *testing.T) {
+// TestTimeSeriesSpilledEdges covers spilled accounting mixed with in-range
+// adds, at both edges of the horizon and for NaN.
+func TestTimeSeriesSpilledEdges(t *testing.T) {
 	ts := NewTimeSeries(4, 4)
 	ts.Add(0.5, 10)
 	ts.Add(-0.0001, 1)
@@ -122,17 +112,6 @@ func TestTimeSeriesSpilledAndMeanRateEdges(t *testing.T) {
 	}
 	if got := ts.buckets[0]; got != 10 {
 		t.Errorf("bucket 0 = %v, want 10", got)
-	}
-	// Empty and inverted windows report zero rather than dividing by zero.
-	if got := ts.MeanRate(2, 2); got != 0 {
-		t.Errorf("empty window = %v, want 0", got)
-	}
-	if got := ts.MeanRate(3, 1); got != 0 {
-		t.Errorf("inverted window = %v, want 0", got)
-	}
-	// A fully-clamped out-of-range window is empty too.
-	if got := ts.MeanRate(17, 99); got != 0 {
-		t.Errorf("out-of-range window = %v, want 0", got)
 	}
 }
 

@@ -5,9 +5,10 @@
 # formatting, then vet, then dhl-lint (the DHL-specific invariants), then
 # the build, then the race-clean short test suite, then a full (un-short)
 # race pass over internal/ring and internal/mbuf. That pass is what guards
-# the rings' sync modes: a single-producer or single-consumer ring used
-# from more goroutines than its mode allows shows up there, and no
-# analyzer checks it statically.
+# the rings' sync modes, on the ops production runs (EnqueueBurst,
+# DequeueBurst and the single Enqueue): a single-producer or
+# single-consumer ring used from more goroutines than its mode allows
+# shows up there, and no analyzer checks it statically.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
