@@ -16,6 +16,7 @@ func benchTable(b *testing.B, entries int) (*Table[uint64, uint64], *fakeClock) 
 	tab, err := New(Config[uint64, uint64]{
 		Hash:           Mix64,
 		InitialEntries: entries,
+		MaxEntries:     entries,
 		TTL:            eventsim.Second,
 		Clock:          clk.Now,
 	})
@@ -55,16 +56,22 @@ func BenchmarkFlowtabInsertHit(b *testing.B) {
 }
 
 func BenchmarkFlowtabChurn(b *testing.B) {
-	// Steady-state churn at fixed capacity: new flow in, old flow out.
+	// Steady-state churn at the capacity cap: a new flow a microsecond,
+	// each pressure-evicting one, a hit on a recent flow beside it, and
+	// the wheel ticked every quarter TTL, so the clock crosses a granule
+	// every few thousand flows.
 	tab, clk := benchTable(b, 1<<16)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		clk.now += eventsim.Nanosecond
+		clk.now += eventsim.Microsecond
 		k := uint64(i) + 1<<16
-		tab.Delete(k - 1<<16)
+		tab.Lookup(k - 7)
 		if _, _, err := tab.Insert(k); err != nil {
 			b.Fatal(err)
+		}
+		if i%250_000 == 0 {
+			tab.Tick()
 		}
 	}
 }

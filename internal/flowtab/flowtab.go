@@ -19,14 +19,17 @@
 //     per packet instead of a multi-millisecond stop-the-world rehash
 //     in the middle of a line-rate burst.
 //
-// Layout: entries live in one slab of slots (key, value, deadline and
-// the two intrusive wheel links; no stored hash) indexed by a stable
-// int32 entry index, so a firewall verdict or a NAT binding is one
-// 32-byte slot. The hash index is a flat []int32 of entry indexes with
-// linear probing, sized 2x the slab so load never exceeds 50%. Expiry
-// is a timer wheel of WheelSlots buckets of granularity TTL/slots; each
-// entry sits in the doubly-linked list of the slot holding its
-// deadline, and Tick sweeps only the slots the clock has crossed.
+// Layout: entries live in one slab of slots (key, value, a 32-bit
+// deadline stamp and one intrusive wheel link; no stored hash) indexed
+// by a stable int32 entry index, so a firewall verdict is one 24-byte
+// slot and a NAT binding one of 20. The hash index is a flat []int32 of
+// entry indexes with linear probing, sized 2x the slab so load never
+// exceeds 50%. Expiry is a timer wheel of WheelSlots buckets of
+// granularity TTL/slots; an entry's stamp is the granule its idle
+// deadline falls in, and it sits on the singly-linked list of a slot no
+// later than that granule. Touching an entry only rewrites its stamp;
+// Tick sweeps the slots the clock has crossed, evicting what has expired
+// and re-filing the rest to the slot their stamp names.
 package flowtab
 
 import (
@@ -47,9 +50,8 @@ var (
 )
 
 const (
-	emptySlot = int32(-1) // index bucket: no entry
+	emptySlot = int32(-1) // index bucket or link: no entry
 	deadSlot  = int32(-2) // index bucket: tombstone (draining old index only)
-	freeMark  = int32(-3) // entry.prev sentinel: entry is on the freelist
 
 	// migrateStep bounds the per-insert incremental rehash work.
 	migrateStep = 32
@@ -64,6 +66,13 @@ const (
 	// maxSlabEntries keeps entry indexes representable in int32 with the
 	// sentinels reserved.
 	maxSlabEntries = 1 << 30
+	// maxWheelSlots leaves rebase whole laps of room below a stamp
+	// stampLead granules past the sweep cursor.
+	maxWheelSlots = 1 << 24
+	// stampLead is how many granules past the sweep cursor a stamp may
+	// be written before rebase moves the cursor up: under 2^32, so every
+	// live stamp decodes against the cursor.
+	stampLead = 1 << 31
 )
 
 // Config parameterizes New.
@@ -73,8 +82,8 @@ type Config[K comparable, V any] struct {
 	// Hash maps a key to a well-distributed 64-bit hash. Required.
 	// Mix64 and HashFiveTuple are suitable building blocks.
 	Hash func(K) uint64
-	// Clock supplies the current virtual time. Required when TTL > 0;
-	// wire it to Sim.Now.
+	// Clock supplies the current virtual time, which must not run
+	// backwards. Required when TTL > 0; wire it to Sim.Now.
 	Clock func() eventsim.Time
 	// InitialEntries is the starting slab capacity (rounded up to a
 	// power of two). Zero selects DefaultInitialEntries.
@@ -89,26 +98,28 @@ type Config[K comparable, V any] struct {
 	// TTL is the idle expiry: an entry untouched for TTL is evicted by
 	// Tick (or by pressure). Zero disables the wheel entirely.
 	TTL eventsim.Time
-	// WheelSlots sizes the expiry wheel (rounded up to a power of two).
-	// Zero selects DefaultWheelSlots. Ignored when TTL is zero.
+	// WheelSlots sizes the expiry wheel (rounded up to a power of two,
+	// at most 2^24). Zero selects DefaultWheelSlots. Ignored when TTL is
+	// zero.
 	WheelSlots int
-	// OnEvict observes TTL and pressure evictions (not explicit
-	// Deletes) before the entry is recycled — the NAT uses it to free
-	// the translation's external port. It must not call back into the
-	// same table.
+	// OnEvict observes TTL and pressure evictions before the entry is
+	// recycled — the NAT uses it to free the translation's external
+	// port. It must not call back into the same table.
 	OnEvict func(K, *V)
 }
 
 // Stats is a point-in-time snapshot of one table's counters, the raw
 // material for the dhl_flowtab_* gauges.
 type Stats struct {
-	Entries         uint64 `json:"entries"`          // live entries
-	Capacity        uint64 `json:"capacity"`         // slab capacity (entries the table can hold now)
-	MemBytes        uint64 `json:"mem_bytes"`        // bytes currently allocated (slab + indexes + wheel)
-	Lookups         uint64 `json:"lookups"`          // Lookup calls
-	Hits            uint64 `json:"hits"`             // Lookup calls that found the key
-	Inserts         uint64 `json:"inserts"`          // new entries created
-	Deletes         uint64 `json:"deletes"`          // explicit Delete calls that removed an entry
+	Entries  uint64 `json:"entries"`   // live entries
+	Capacity uint64 `json:"capacity"`  // slab capacity (entries the table can hold now)
+	MemBytes uint64 `json:"mem_bytes"` // bytes currently allocated (slab + indexes + wheel)
+	Lookups  uint64 `json:"lookups"`   // Lookup calls
+	Hits     uint64 `json:"hits"`      // Lookup calls that found the key
+	Inserts  uint64 `json:"inserts"`   // new entries created
+	// Deletes is always 0, as entries leave only by eviction; stats.get
+	// replies keep the field.
+	Deletes         uint64 `json:"deletes"`
 	EvictedIdle     uint64 `json:"evicted_idle"`     // entries expired by the wheel (TTL)
 	EvictedPressure uint64 `json:"evicted_pressure"` // entries evicted to make room at the budget
 	Rehashes        uint64 `json:"rehashes"`         // growth events (index doublings)
@@ -119,11 +130,10 @@ type Stats struct {
 // need it without the key in hand (erase, backshift, migration)
 // recompute it.
 type entry[K comparable, V any] struct {
-	key      K
-	val      V
-	deadline eventsim.Time
-	next     int32 // wheel forward link, or freelist link when free
-	prev     int32 // wheel back link, or freeMark when free
+	key   K
+	val   V
+	stamp uint32 // granule of the idle deadline, modulo 2^32
+	next  int32  // wheel link, or freelist link when free
 }
 
 // Table is an open-addressing flow table. Not safe for concurrent use:
@@ -154,13 +164,20 @@ type Table[K comparable, V any] struct {
 	oldMask uint64
 	migrate int
 
-	// Expiry wheel (nil when TTL is zero): per-slot list heads of
-	// entries whose deadline falls in that slot's granule.
+	// Expiry wheel (nil when TTL is zero): per-slot list heads. Every
+	// live entry sits in the slot of a granule after tickDone and no
+	// later than its stamp, so it is in a slot Tick sweeps before its
+	// deadline passes (an entry rebase restamped may sit anywhere, but
+	// the next Tick sweeps the whole wheel); its stamp decodes as the
+	// one granule in [tickDone+1, tickDone+1+2^32) it names.
 	wheel     []int32
-	wheelMask int64
+	wheelMask uint32
 	gran      eventsim.Time
 	ttl       eventsim.Time
 	tickDone  int64 // last fully-swept granule number
+	// sortedStamp is no later than any stamp written since every entry
+	// last sat in the slot its stamp names.
+	sortedStamp int64
 
 	maxEntries int
 	budget     int
@@ -182,6 +199,9 @@ func New[K comparable, V any](cfg Config[K, V]) (*Table[K, V], error) {
 	}
 	if cfg.InitialEntries < 0 || cfg.MaxEntries < 0 || cfg.MemBudgetBytes < 0 {
 		return nil, fmt.Errorf("%w: negative size", ErrBadConfig)
+	}
+	if cfg.WheelSlots > maxWheelSlots {
+		return nil, fmt.Errorf("%w: %d wheel slots, at most %d", ErrBadConfig, cfg.WheelSlots, maxWheelSlots)
 	}
 	t := &Table[K, V]{
 		name:     cfg.Name,
@@ -225,9 +245,11 @@ func New[K comparable, V any](cfg Config[K, V]) (*Table[K, V], error) {
 	t.mask = uint64(2*capacity - 1)
 	if cfg.TTL > 0 {
 		t.wheel = newIndex(wheelSlots)
-		t.wheelMask = int64(wheelSlots - 1)
+		t.wheelMask = uint32(wheelSlots - 1)
 		t.gran = cfg.TTL/eventsim.Time(wheelSlots) + 1
-		t.tickDone = int64(t.clock())/int64(t.gran) - 1
+		now := t.clock()
+		t.tickDone = t.granule(now) - 1
+		t.sortedStamp = t.granule(now + t.ttl)
 	}
 	return t, nil
 }
@@ -241,7 +263,6 @@ func (t *Table[K, V]) allocSlab(capacity int) {
 	old := copy(slab, t.slab)
 	for i := capacity - 1; i >= old; i-- {
 		slab[i].next = t.freeHead
-		slab[i].prev = freeMark
 		t.freeHead = int32(i)
 	}
 	t.slab = slab
@@ -322,30 +343,15 @@ func (t *Table[K, V]) Insert(k K) (v *V, found bool, err error) {
 	e := t.freeHead
 	en := &t.slab[e]
 	t.freeHead = en.next
-	*en = entry[K, V]{key: k, next: emptySlot, prev: emptySlot}
+	*en = entry[K, V]{key: k, next: emptySlot}
 	t.live++
 	t.stats.Inserts++
 	if t.wheel != nil {
-		d := t.clock() + t.ttl
-		en.deadline = d
-		t.wheelLink(e, t.slotOf(d))
+		en.stamp = t.stampNow()
+		t.push(e, en.stamp)
 	}
 	t.idxPut(e, h)
 	return &en.val, false, nil
-}
-
-// Delete removes the entry for k (no OnEvict callback — the caller
-// decided, it does not need notifying).
-//
-//dhl:hotpath
-func (t *Table[K, V]) Delete(k K) bool {
-	e := t.find(t.hash(k), k)
-	if e < 0 {
-		return false
-	}
-	t.stats.Deletes++
-	t.removeEntry(e)
-	return true
 }
 
 // Tick advances the expiry wheel over every granule that has fully
@@ -354,23 +360,21 @@ func (t *Table[K, V]) Delete(k K) bool {
 // sweeping it would move the cursor past its deadlines still ahead, and
 // those would wait a whole lap. Call it periodically (a paced eventsim
 // timer); cost is proportional to slots crossed since the last call,
-// capped at one full lap.
+// capped at one full lap, and to the entries they hold.
 //
 //dhl:hotpath
 func (t *Table[K, V]) Tick() int {
 	if t.wheel == nil {
 		return 0
 	}
-	done := int64(t.clock())/int64(t.gran) - 1
+	done := t.granule(t.clock()) - 1
 	if done <= t.tickDone {
 		return 0
 	}
 	span := min(done-t.tickDone, int64(len(t.wheel)))
-	cutoff := eventsim.Time((done+1)*int64(t.gran) - 1) // last instant of granule done
 	evicted := 0
 	for i := int64(1); i <= span; i++ {
-		slot := int((t.tickDone + i) & t.wheelMask)
-		evicted += t.expireSlot(slot, cutoff)
+		evicted += t.sweepSlot(int(uint32(t.tickDone+i)&t.wheelMask), done)
 	}
 	t.tickDone = done
 	return evicted
@@ -408,51 +412,47 @@ func (t *Table[K, V]) find(h uint64, k K) int32 {
 	return emptySlot
 }
 
-// touch refreshes e's idle deadline, relinking it on the wheel only
-// when the new deadline lands in a different slot.
+// touch refreshes e's idle deadline. The entry stays where it sits on
+// the wheel, which is still no later than its new stamp: the sweep that
+// reaches it re-files it.
 //
 //dhl:hotpath
 func (t *Table[K, V]) touch(e int32) {
-	if t.wheel == nil {
-		return
+	if t.wheel != nil {
+		t.slab[e].stamp = t.stampNow()
 	}
-	d := t.clock() + t.ttl
-	old := t.slab[e].deadline
-	t.slab[e].deadline = d
-	if int64(old)/int64(t.gran) == int64(d)/int64(t.gran) {
-		return
+}
+
+// stampNow is the stamp of an idle deadline set now: the granule a TTL
+// ahead of the clock.
+//
+//dhl:hotpath
+func (t *Table[K, V]) stampNow() uint32 {
+	s := t.granule(t.clock() + t.ttl)
+	if s-t.tickDone > stampLead {
+		t.rebase(s)
 	}
-	t.wheelUnlink(e, t.slotOf(old))
-	t.wheelLink(e, t.slotOf(d))
+	return uint32(s)
 }
 
 //dhl:hotpath
-func (t *Table[K, V]) slotOf(d eventsim.Time) int {
-	return int((int64(d) / int64(t.gran)) & t.wheelMask)
+func (t *Table[K, V]) granule(d eventsim.Time) int64 { return int64(d / t.gran) }
+
+// stampGranule decodes a live entry's stamp.
+//
+//dhl:hotpath
+func (t *Table[K, V]) stampGranule(stamp uint32) int64 {
+	base := t.tickDone + 1
+	return base + int64(stamp-uint32(base))
 }
 
+// push links e at the head of the slot stamp names.
+//
 //dhl:hotpath
-func (t *Table[K, V]) wheelLink(e int32, slot int) {
-	head := t.wheel[slot]
-	t.slab[e].prev = emptySlot
-	t.slab[e].next = head
-	if head != emptySlot {
-		t.slab[head].prev = e
-	}
+func (t *Table[K, V]) push(e int32, stamp uint32) {
+	slot := stamp & t.wheelMask
+	t.slab[e].next = t.wheel[slot]
 	t.wheel[slot] = e
-}
-
-//dhl:hotpath
-func (t *Table[K, V]) wheelUnlink(e int32, slot int) {
-	p, n := t.slab[e].prev, t.slab[e].next
-	if p != emptySlot {
-		t.slab[p].next = n
-	} else {
-		t.wheel[slot] = n
-	}
-	if n != emptySlot {
-		t.slab[n].prev = p
-	}
 }
 
 // idxPut writes e into the current index (never the draining one).
@@ -493,25 +493,47 @@ func (t *Table[K, V]) migrateSome() {
 	}
 }
 
-// expireSlot evicts every entry in slot whose deadline is at or before
-// cutoff.
+// sweepSlot walks slot's list, evicting every entry whose stamp is at or
+// before granule done and re-filing every other one whose stamp names
+// another slot, and reports the evictions.
 //
 //dhl:hotpath
-func (t *Table[K, V]) expireSlot(slot int, cutoff eventsim.Time) int {
+func (t *Table[K, V]) sweepSlot(slot int, done int64) int {
 	n := 0
-	e := t.wheel[slot]
-	for e != emptySlot {
-		nx := t.slab[e].next
-		if t.slab[e].deadline <= cutoff {
+	prev := emptySlot
+	for e := t.wheel[slot]; e != emptySlot; {
+		stamp, next := t.slab[e].stamp, t.slab[e].next
+		switch {
+		case t.stampGranule(stamp) <= done:
+			t.unlink(slot, prev, next)
 			t.evict(e, &t.stats.EvictedIdle)
 			n++
+		case int(stamp&t.wheelMask) != slot:
+			t.unlink(slot, prev, next)
+			t.push(e, stamp)
+		default:
+			prev = e
 		}
-		e = nx
+		e = next
 	}
 	return n
 }
 
-// evict notifies OnEvict and recycles the entry.
+// unlink removes the entry after prev (the head when prev is emptySlot)
+// from slot's list; next is the removed entry's link.
+//
+//dhl:hotpath
+func (t *Table[K, V]) unlink(slot int, prev, next int32) {
+	if prev == emptySlot {
+		t.wheel[slot] = next
+	} else {
+		t.slab[prev].next = next
+	}
+}
+
+// evict notifies OnEvict, erases e from the index and pushes it onto
+// the freelist, zeroing key and value so held references are released.
+// The caller has already unlinked e from the wheel.
 //
 //dhl:hotpath
 func (t *Table[K, V]) evict(e int32, counter *uint64) {
@@ -519,19 +541,8 @@ func (t *Table[K, V]) evict(e int32, counter *uint64) {
 		t.onEvict(t.slab[e].key, &t.slab[e].val)
 	}
 	*counter++
-	t.removeEntry(e)
-}
-
-// removeEntry erases e from the index and wheel and pushes it onto the
-// freelist, zeroing key and value so held references are released.
-//
-//dhl:hotpath
-func (t *Table[K, V]) removeEntry(e int32) {
 	t.idxErase(e)
-	if t.wheel != nil {
-		t.wheelUnlink(e, t.slotOf(t.slab[e].deadline))
-	}
-	t.slab[e] = entry[K, V]{next: t.freeHead, prev: freeMark}
+	t.slab[e] = entry[K, V]{next: t.freeHead}
 	t.freeHead = e
 	t.live--
 }
@@ -598,7 +609,7 @@ func (t *Table[K, V]) backshift(i uint64) {
 }
 
 // makeRoom frees at least one slab entry: grow if the budget allows,
-// else pressure-evict the live entry closest to expiry.
+// else pressure-evict the head of victimSlot.
 //
 //go:noinline
 func (t *Table[K, V]) makeRoom() error {
@@ -606,13 +617,14 @@ func (t *Table[K, V]) makeRoom() error {
 		t.grow()
 		return nil
 	}
-	if t.wheel != nil {
-		if e := t.oldestEntry(); e >= 0 {
-			t.evict(e, &t.stats.EvictedPressure)
-			return nil
-		}
+	if t.wheel == nil {
+		return ErrTableFull
 	}
-	return ErrTableFull
+	slot := t.victimSlot()
+	e := t.wheel[slot]
+	t.wheel[slot] = t.slab[e].next
+	t.evict(e, &t.stats.EvictedPressure)
+	return nil
 }
 
 func (t *Table[K, V]) canGrow() bool {
@@ -653,32 +665,84 @@ func (t *Table[K, V]) grow() {
 	t.stats.Rehashes++
 }
 
-// oldestEntry finds a victim for pressure eviction: the head of the
-// first populated wheel slot at or after the sweep cursor — the entry
-// nearest its idle deadline, an approximate LRU.
+// victimSlot returns the slot pressure eviction takes its victim from,
+// with that victim at its head: the first slot after the sweep cursor
+// that a live entry's stamp names — the deadlines closest ahead, an
+// approximate LRU. The table must hold an entry.
+//
+// Walking from the cursor, it re-files each head whose stamp names
+// another slot, and stops at the first head in its own slot. That slot
+// is the first one named as long as every entry sits no further from
+// the cursor than the slot its stamp names. A touch that carries a
+// stamp past the cursor's lap breaks this: the stamp's slot wraps round
+// to near the cursor while the entry sits further on. Such an entry was
+// touched since the wheel was last fully re-filed, so its stamp is at
+// least sortedStamp. Unless that rules it out ahead of the slot found,
+// every slot is re-filed and the first populated one is taken.
 //
 //go:noinline
-func (t *Table[K, V]) oldestEntry() int32 {
-	for s := int64(0); s <= t.wheelMask; s++ {
-		slot := int((t.tickDone + 1 + s) & t.wheelMask)
-		if e := t.wheel[slot]; e != emptySlot {
-			return e
+func (t *Table[K, V]) victimSlot() int {
+	base := uint32(t.tickDone + 1)
+	first := len(t.wheel) // slots past the cursor to the first one named
+	for p := 0; p < first; p++ {
+		slot := int((base + uint32(p)) & t.wheelMask)
+		for e := t.wheel[slot]; e != emptySlot; e = t.wheel[slot] {
+			stamp := t.slab[e].stamp
+			if int(stamp&t.wheelMask) == slot {
+				first = min(first, p)
+				break
+			}
+			t.wheel[slot] = t.slab[e].next
+			t.push(e, stamp)
+			first = min(first, int((stamp-base)&t.wheelMask))
 		}
 	}
-	return emptySlot
+	newest := t.granule(t.clock() + t.ttl) // no stamp is later than this
+	lapEnd := t.tickDone + int64(len(t.wheel))
+	if first > 0 && newest > lapEnd && (newest > lapEnd+int64(len(t.wheel)) || int64(first) > t.sortedStamp-lapEnd-1) {
+		for slot := range t.wheel {
+			t.sweepSlot(slot, t.tickDone) // every stamp is after tickDone: re-file only
+		}
+		t.sortedStamp = newest
+		for first = 0; t.wheel[(base+uint32(first))&t.wheelMask] == emptySlot; first++ {
+		}
+	}
+	return int((base + uint32(first)) & t.wheelMask)
+}
+
+// rebase moves the sweep cursor up by whole laps when a stamp is about
+// to be written stampLead granules past it, which only a clock that
+// ran that far without a Tick can do. Every stamp at or before any
+// later Tick's done is moved to the same slot in the lap after the new
+// cursor, still at or before that done: the next Tick sweeps the whole
+// wheel and evicts them, as it would have. Other stamps are within a
+// few laps of the cursor, so every stamp decodes against it again.
+//
+//go:noinline
+func (t *Table[K, V]) rebase(stamp int64) {
+	w := int64(len(t.wheel))
+	gone := stamp - w - 1 // a later Tick's done is at least the clock's granule - 1
+	c := t.tickDone + (gone-w-t.tickDone)/w*w
+	base := uint32(c + 1)
+	for _, head := range t.wheel {
+		for e := head; e != emptySlot; e = t.slab[e].next {
+			if en := &t.slab[e]; t.stampGranule(en.stamp) <= gone {
+				en.stamp = base + (en.stamp-base)&t.wheelMask
+			}
+		}
+	}
+	t.tickDone = c
 }
 
 // Range calls fn for every live entry until fn returns false. Cold
-// (iterates the slab); mutation other than through the *V is not safe
+// (walks the indexes); mutation other than through the *V is not safe
 // during iteration.
 func (t *Table[K, V]) Range(fn func(K, *V) bool) {
-	for e := range t.slab {
-		en := &t.slab[e]
-		if en.prev == freeMark {
-			continue
-		}
-		if !fn(en.key, &en.val) {
-			return
+	for _, idx := range [2][]int32{t.idx, t.oldIdx} {
+		for _, e := range idx {
+			if e >= 0 && !fn(t.slab[e].key, &t.slab[e].val) {
+				return
+			}
 		}
 	}
 }

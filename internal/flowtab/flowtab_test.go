@@ -39,10 +39,15 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config[uint64, uint64]{Hash: Mix64, MemBudgetBytes: 8}); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("absurd budget: got %v, want ErrBadConfig", err)
 	}
+	clk := &fakeClock{}
+	if _, err := New(Config[uint64, uint64]{Hash: Mix64, TTL: eventsim.Second, Clock: clk.Now, WheelSlots: maxWheelSlots + 1}); !errors.Is(err, ErrBadConfig) {
+		t.Errorf("wheel over 2^24 slots: got %v, want ErrBadConfig", err)
+	}
 }
 
-func TestInsertLookupDelete(t *testing.T) {
-	tab := newTable(t, Config[uint64, uint64]{InitialEntries: 8})
+func TestInsertLookupEvict(t *testing.T) {
+	clk := &fakeClock{}
+	tab := newTable(t, Config[uint64, uint64]{InitialEntries: 8, TTL: eventsim.Second, Clock: clk.Now})
 	for k := uint64(0); k < 100; k++ {
 		v, found, err := tab.Insert(k)
 		if err != nil || found {
@@ -67,26 +72,27 @@ func TestInsertLookupDelete(t *testing.T) {
 	if err != nil || !found || *v != 70 {
 		t.Fatalf("re-Insert(7) = %v found=%v err=%v", *v, found, err)
 	}
-	// Delete half, verify the rest still resolve (backshift correctness).
-	for k := uint64(0); k < 100; k += 2 {
-		if !tab.Delete(k) {
-			t.Fatalf("Delete(%d) missed", k)
-		}
+	// Touch the odd half, expire the even half, and verify the rest still
+	// resolve (backshift correctness).
+	clk.now = eventsim.Second / 2
+	for k := uint64(1); k < 100; k += 2 {
+		tab.Lookup(k)
 	}
-	if tab.Delete(2) {
-		t.Fatal("double Delete(2) succeeded")
+	clk.now = eventsim.Second + eventsim.Second/4
+	if n := tab.Tick(); n != 50 {
+		t.Fatalf("Tick evicted %d, want the 50 untouched", n)
 	}
 	if tab.Len() != 50 {
 		t.Fatalf("Len = %d, want 50", tab.Len())
 	}
 	for k := uint64(1); k < 100; k += 2 {
 		if v, ok := tab.Lookup(k); !ok || *v != k*10 {
-			t.Fatalf("post-delete Lookup(%d) broken", k)
+			t.Fatalf("post-expiry Lookup(%d) broken", k)
 		}
 	}
 	for k := uint64(0); k < 100; k += 2 {
 		if _, ok := tab.Lookup(k); ok {
-			t.Fatalf("deleted key %d still resolves", k)
+			t.Fatalf("expired key %d still resolves", k)
 		}
 	}
 }
@@ -122,40 +128,73 @@ func TestGrowthKeepsEntriesAndCountsRehashes(t *testing.T) {
 	}
 }
 
-func TestDeleteDuringMigration(t *testing.T) {
-	// Force an in-progress migration, then delete keys that still live
-	// in the old index: they must tombstone (not backshift) so the
-	// migration cursor cannot orphan survivors.
-	tab := newTable(t, Config[uint64, uint64]{InitialEntries: 4})
-	const n = 512
-	for k := uint64(0); k < n; k++ {
+// TestEvictDuringMigration: keys that expire while they still live in the
+// draining old index must tombstone there (not backshift, which could
+// orphan a bucket behind the migration cursor), and their freed slots must
+// not stay reachable from it once reused.
+func TestEvictDuringMigration(t *testing.T) {
+	clk := &fakeClock{}
+	tab := newTable(t, Config[uint64, uint64]{InitialEntries: 16, TTL: eventsim.Second, Clock: clk.Now})
+	for k := uint64(0); k < 16; k++ {
 		if _, _, err := tab.Insert(k); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// The last growth left oldIdx draining; delete and re-check everything.
-	for k := uint64(0); k < n; k += 3 {
-		if !tab.Delete(k) {
-			t.Fatalf("Delete(%d) missed", k)
+	clk.now = eventsim.Second / 2
+	for k := uint64(1); k < 16; k += 2 {
+		tab.Lookup(k)
+	}
+	// The 17th insert doubles the table; every other key is left in the
+	// old index, which nothing drains until the next insert.
+	if _, _, err := tab.Insert(16); err != nil {
+		t.Fatal(err)
+	}
+	if tab.oldIdx == nil {
+		t.Fatal("no index left draining")
+	}
+	clk.now = eventsim.Second + eventsim.Second/4
+	if n := tab.Tick(); n != 8 {
+		t.Fatalf("Tick evicted %d, want the 8 untouched", n)
+	}
+	for k := uint64(0); k < 17; k++ {
+		if _, ok := tab.Lookup(k); ok != (k%2 == 1 || k == 16) {
+			t.Fatalf("Lookup(%d) = %v after the even keys below 16 expired", k, ok)
 		}
 	}
-	for k := uint64(0); k < n; k++ {
-		_, ok := tab.Lookup(k)
-		if want := k%3 != 0; ok != want {
-			t.Fatalf("Lookup(%d) = %v, want %v", k, ok, want)
+	// New keys take the freed slots while the old index drains.
+	for k := uint64(100); k < 108; k++ {
+		if _, _, err := tab.Insert(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seen := map[uint64]int{}
+	tab.Range(func(k uint64, _ *uint64) bool {
+		seen[k]++
+		return true
+	})
+	if len(seen) != tab.Len() || tab.Len() != 17 {
+		t.Fatalf("Range saw %v, Len %d; want 17 keys once each", seen, tab.Len())
+	}
+	for k, n := range seen {
+		if _, ok := tab.Lookup(k); !ok || n != 1 {
+			t.Fatalf("key %d: Range saw it %d times, Lookup found it %v", k, n, ok)
 		}
 	}
 }
 
-// TestDeletedKeyStaysGoneWhileIndexDrains: a bucket the migration cursor
+// TestEvictedKeyStaysGoneWhileIndexDrains: a bucket the migration cursor
 // has moved must not still lead to its entry. Key 0 is the case a freed
 // slot matches, its key being zeroed.
-func TestDeletedKeyStaysGoneWhileIndexDrains(t *testing.T) {
+func TestEvictedKeyStaysGoneWhileIndexDrains(t *testing.T) {
 	clk := &fakeClock{}
 	tab := newTable(t, Config[uint64, uint64]{InitialEntries: 16, TTL: eventsim.Second, Clock: clk.Now})
+	if _, _, err := tab.Insert(0); err != nil {
+		t.Fatal(err)
+	}
 	// The 17th insert doubles the table; the 18th moves all 32 buckets of
 	// the old index, which stays until the next insert releases it.
-	for k := uint64(0); k < 18; k++ {
+	clk.now = eventsim.Second / 2
+	for k := uint64(1); k < 18; k++ {
 		if _, _, err := tab.Insert(k); err != nil {
 			t.Fatal(err)
 		}
@@ -163,11 +202,12 @@ func TestDeletedKeyStaysGoneWhileIndexDrains(t *testing.T) {
 	if tab.oldIdx == nil {
 		t.Fatal("no index left draining")
 	}
-	if !tab.Delete(0) {
-		t.Fatal("Delete(0) missed")
+	clk.now = eventsim.Second + eventsim.Second/4
+	if n := tab.Tick(); n != 1 {
+		t.Fatalf("Tick evicted %d, want key 0 alone", n)
 	}
 	if _, ok := tab.Lookup(0); ok {
-		t.Fatal("deleted key 0 found through the draining index")
+		t.Fatal("expired key 0 found through the draining index")
 	}
 }
 
@@ -236,6 +276,37 @@ func TestTickAfterLongIdleIsBounded(t *testing.T) {
 	if n := tab.Tick(); n != 5 {
 		t.Fatalf("Tick after long idle evicted %d, want 5", n)
 	}
+	// A gap of more than 2^32 granules wraps every 32-bit stamp. Flows
+	// touched and born on its far side, before any Tick, must outlive the
+	// ones left behind.
+	for k := uint64(0); k < 5; k++ {
+		if _, _, err := tab.Insert(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clk.now += eventsim.Time(1<<32+3) * tab.gran
+	if _, ok := tab.Lookup(4); !ok {
+		t.Fatal("flow 4 gone before a Tick")
+	}
+	for k := uint64(5); k < 7; k++ {
+		if _, _, err := tab.Insert(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clk.now += eventsim.Millisecond / 2
+	if n := tab.Tick(); n != 4 {
+		t.Fatalf("Tick after a 2^32-granule gap evicted %d, want the 4 untouched", n)
+	}
+	for k := uint64(4); k < 7; k++ {
+		if _, ok := tab.Lookup(k); !ok {
+			t.Fatalf("flow %d touched after the gap was evicted", k)
+		}
+	}
+	// Twice as far again with nothing written: a Tick expires them all.
+	clk.now += eventsim.Time(1<<33) * tab.gran
+	if n := tab.Tick(); n != 3 {
+		t.Fatalf("Tick after a 2^33-granule gap evicted %d, want 3", n)
+	}
 }
 
 func TestMemoryBudgetPressureEviction(t *testing.T) {
@@ -288,22 +359,28 @@ func TestTableFullWithoutWheel(t *testing.T) {
 	if st := tab.TabStats(); st.FullDrops != 12 {
 		t.Fatalf("FullDrops = %d, want 12", st.FullDrops)
 	}
-	// Deleting makes room again.
-	tab.Delete(0)
-	if _, _, err := tab.Insert(100); err != nil {
-		t.Fatalf("Insert after Delete: %v", err)
-	}
 }
 
 func TestRange(t *testing.T) {
-	tab := newTable(t, Config[uint64, uint64]{InitialEntries: 8})
+	clk := &fakeClock{}
+	tab := newTable(t, Config[uint64, uint64]{InitialEntries: 8, TTL: eventsim.Second, Clock: clk.Now})
 	want := map[uint64]uint64{}
 	for k := uint64(0); k < 50; k++ {
 		v, _, _ := tab.Insert(k)
 		*v = k + 1
 		want[k] = k + 1
 	}
-	tab.Delete(10)
+	// Every key but 10 is touched, so 10 alone expires.
+	clk.now = eventsim.Second / 2
+	for k := range want {
+		if k != 10 {
+			tab.Lookup(k)
+		}
+	}
+	clk.now = eventsim.Second + eventsim.Second/4
+	if n := tab.Tick(); n != 1 {
+		t.Fatalf("Tick evicted %d, want 1", n)
+	}
 	delete(want, 10)
 	got := map[uint64]uint64{}
 	tab.Range(func(k uint64, v *uint64) bool {
@@ -397,18 +474,29 @@ func TestFlowtabZeroAllocHitPath(t *testing.T) {
 	}
 }
 
-// TestFlowtabZeroAllocChurn pins the miss path too: insert-new +
-// delete (no growth, capacity preallocated) stays allocation-free.
+// TestFlowtabZeroAllocChurn pins the miss path too: at its MaxEntries
+// cap the table makes room for each new flow by pressure eviction, and
+// neither allocates.
 func TestFlowtabZeroAllocChurn(t *testing.T) {
-	tab := newTable(t, Config[uint64, uint64]{InitialEntries: 1 << 12})
+	clk := &fakeClock{}
+	const n = 1 << 12
+	tab := newTable(t, Config[uint64, uint64]{InitialEntries: n, MaxEntries: n, TTL: eventsim.Second, Clock: clk.Now})
 	var k uint64
-	if avg := testing.AllocsPerRun(1000, func() {
+	for ; k < n; k++ {
 		if _, _, err := tab.Insert(k); err != nil {
 			t.Fatal(err)
 		}
-		tab.Delete(k)
+	}
+	if avg := testing.AllocsPerRun(1000, func() {
+		clk.now += eventsim.Microsecond
+		if _, _, err := tab.Insert(k); err != nil {
+			t.Fatal(err)
+		}
 		k++
 	}); avg != 0 {
 		t.Fatalf("churn path allocates %.1f/op, want 0", avg)
+	}
+	if st := tab.TabStats(); st.EvictedPressure < 1000 || tab.Len() != n {
+		t.Fatalf("%d pressure evictions, %d live; want every insert past the cap to evict one", st.EvictedPressure, tab.Len())
 	}
 }

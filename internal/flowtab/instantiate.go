@@ -14,7 +14,6 @@ func pinInstantiation(t *Table[uint64, uint64], k uint64) uint64 {
 		return 0
 	}
 	t.Tick()
-	t.Delete(k)
 	if v == nil {
 		return 0
 	}

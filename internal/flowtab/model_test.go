@@ -22,9 +22,9 @@ const (
 	maxOps    = 96
 	modelKeys = 48 // few enough that programs revisit keys, enough to fill every config
 
-	// slotBytes is one entry[uint64, uint64]: key, value and deadline at
-	// 8 B each, two int32 wheel links.
-	slotBytes = 32
+	// slotBytes is one entry[uint64, uint64]: key and value at 8 B each,
+	// a uint32 stamp and an int32 wheel link.
+	slotBytes = 24
 
 	modelTTL   = eventsim.Time(800)
 	modelSlots = 8
@@ -46,8 +46,8 @@ var modelConfigs = []struct {
 }{
 	{"grow", Config[uint64, uint64]{InitialEntries: 2, TTL: modelTTL, WheelSlots: modelSlots}, 2},
 	// 16 slots with their index, the 8 still draining and the wheel are
-	// 736 B; doubling to 32 would need 1 440.
-	{"budget", Config[uint64, uint64]{InitialEntries: 2, TTL: modelTTL, WheelSlots: modelSlots, MemBudgetBytes: 1400}, 2},
+	// 608 B; doubling to 32 would need 1 184.
+	{"budget", Config[uint64, uint64]{InitialEntries: 2, TTL: modelTTL, WheelSlots: modelSlots, MemBudgetBytes: 1100}, 2},
 	{"nowheel", Config[uint64, uint64]{InitialEntries: 4, MaxEntries: 16}, 4},
 }
 
@@ -57,14 +57,15 @@ const (
 	opInsert    opKind = iota // Insert, then write the value through the pointer
 	opGetCreate               // Insert, value left as found
 	opLookup
-	opDelete
 	opAdvance // move the clock x%16 eighths of a TTL, then Tick
+	opDrift   // move the clock x%16 eighths of a TTL without a Tick
 	opRange   // Range, stopping after x%8 entries (0: all of them)
+	opJump    // move the clock 2^32 + x granules, past every 32-bit stamp, without a Tick
 	numOpKinds
 )
 
 // op is one step of a program; x picks the key (x % modelKeys), the value
-// written, the clock advance or the Range cut-off.
+// written, the clock advance or jump, or the Range cut-off.
 type op struct {
 	kind opKind
 	x    uint8
@@ -247,14 +248,6 @@ func runProgram(cfg Config[uint64, uint64], capacity int, ops []op) error {
 				m.stats.Hits++
 				m.touch(k)
 			}
-		case opDelete:
-			if ok := tab.Delete(k); ok != had {
-				return fail("Delete = %v, want %v", ok, had)
-			}
-			if had {
-				m.remove(k)
-				m.stats.Deletes++
-			}
 		case opAdvance:
 			m.now += eventsim.Time(o.x%16) * modelTTL / 8
 			wantEvicted = m.expire()
@@ -264,6 +257,10 @@ func runProgram(cfg Config[uint64, uint64], capacity int, ops []op) error {
 			for _, e := range wantEvicted {
 				m.remove(e.k)
 			}
+		case opDrift:
+			m.now += eventsim.Time(o.x%16) * modelTTL / 8
+		case opJump:
+			m.now += eventsim.Time(1<<32+int64(o.x)) * eventsim.Time(m.gran())
 		case opRange:
 			stop := int(o.x % 8)
 			seen := map[uint64]bool{}
@@ -315,26 +312,31 @@ func runProgram(cfg Config[uint64, uint64], capacity int, ops []op) error {
 }
 
 // forcedOps is a program every config runs first. Three keys of one hash
-// double the table; while its old index drains, the first is deleted there
-// (a tombstone) and the other two must still be found past it. Then 45 more
-// keys, each followed by probes of earlier ones, so "grow" doubles to 64 and
-// drains an index over several inserts, "budget" pressure-evicts and
-// "nowheel" refuses. Last, time: half a TTL with a touch, expiry of the
-// untouched, a get-or-create hit, a Range cut short, a lap.
+// double the table, the first inserted half a TTL before the others; while
+// the old index drains, the first expires there (a tombstone) and the other
+// two must still be found past it. Then 45 more keys, each followed by
+// probes of earlier ones and, every sixth, an eighth of a TTL, so "grow"
+// doubles to 64 and drains an index over several inserts while entries
+// expire, "budget" pressure-evicts and "nowheel" refuses. Then time: half a
+// TTL with a touch, expiry of the untouched, a get-or-create hit, a Range
+// cut short, a lap. Last, a clock jump past every 32-bit stamp with touches
+// and inserts on the far side before the Tick that expires what was left
+// behind.
 var forcedOps = func() []op {
 	ops := []op{
-		{opInsert, 0}, {opInsert, 1}, {opInsert, 2},
-		{opDelete, 0}, {opLookup, 1}, {opLookup, 2}, {opGetCreate, 1},
+		{opInsert, 0}, {opAdvance, 4}, {opInsert, 1}, {opInsert, 2},
+		{opAdvance, 5}, {opLookup, 0}, {opLookup, 1}, {opLookup, 2}, {opGetCreate, 1},
 	}
 	for k := uint8(3); k < modelKeys; k++ {
 		ops = append(ops, op{opInsert, k}, op{opLookup, k / 2}, op{opLookup, k - 1})
 		if k%6 == 0 {
-			ops = append(ops, op{opDelete, k - 4})
+			ops = append(ops, op{opAdvance, 1})
 		}
 	}
 	return append(ops,
 		op{opAdvance, 4}, op{opLookup, 10}, op{opGetCreate, 11}, op{opAdvance, 5},
-		op{opGetCreate, 10}, op{opRange, 3}, op{opAdvance, 15}, op{opInsert, 22}, op{opRange, 0})
+		op{opGetCreate, 10}, op{opRange, 3}, op{opAdvance, 15}, op{opInsert, 22}, op{opRange, 0},
+		op{opJump, 3}, op{opLookup, 22}, op{opInsert, 5}, op{opInsert, 6}, op{opAdvance, 0}, op{opRange, 0})
 }()
 
 // TestQuickVsModel checks every config against the model: forcedOps, then
@@ -364,15 +366,29 @@ func TestQuickVsModel(t *testing.T) {
 // model.
 func FuzzFlowtabVsModel(f *testing.F) {
 	f.Add(encodeOps(forcedOps))
-	// "grow" has moved all 32 buckets of its old index when key 0 goes;
-	// the lookup after must not find key 0's freed slot through the old index.
-	var drain []op
-	for k := uint8(0); k < 18; k++ {
+	// "grow" has moved all 32 buckets of its old index when key 0 expires;
+	// the lookup after must not find key 0's freed slot through the old
+	// index.
+	drain := []op{{opInsert, 0}, {opAdvance, 4}}
+	for k := uint8(1); k < 18; k++ {
 		drain = append(drain, op{opInsert, k})
 	}
-	f.Add(encodeOps(append(drain, op{opDelete, 0}, op{opLookup, 0})))
-	f.Add(encodeOps([]op{{opInsert, 0}, {opInsert, 3}, {opInsert, 6}, {opDelete, 0}, {opLookup, 6}, {opAdvance, 9}, {opInsert, 9}}))
+	f.Add(encodeOps(append(drain, op{opAdvance, 5}, op{opLookup, 0})))
+	f.Add(encodeOps([]op{{opInsert, 0}, {opAdvance, 4}, {opInsert, 3}, {opInsert, 6}, {opAdvance, 5}, {opLookup, 6}, {opAdvance, 9}, {opInsert, 9}}))
 	f.Add(encodeOps([]op{{opGetCreate, 1}, {opAdvance, 6}, {opLookup, 1}, {opAdvance, 6}, {opRange, 0}, {opAdvance, 6}, {opRange, 0}}))
+	// "budget" holds 16 keys stamped for one slot when a touch carries key 0's
+	// stamp past the cursor's lap: its slot wraps round to the cursor's
+	// first while key 0 still sits in the old one, and the next pressure
+	// victim must be key 0. Key 1 then does the same after the re-file,
+	// and the clock moves on so that new flows land one slot later: once
+	// the slot the re-file filled is empty, key 1 is still the victim.
+	var wrap []op
+	for k := uint8(0); k < 16; k++ {
+		wrap = append(wrap, op{opInsert, k})
+	}
+	f.Add(encodeOps(append(wrap, op{opAdvance, 3}, op{opLookup, 0}, op{opInsert, 16},
+		op{opLookup, 1}, op{opDrift, 1}, op{opInsert, 17}, op{opInsert, 18})))
+	f.Add(encodeOps([]op{{opInsert, 1}, {opInsert, 2}, {opJump, 0}, {opLookup, 2}, {opInsert, 3}, {opAdvance, 0}, {opJump, 9}, {opAdvance, 1}, {opRange, 0}}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ops := decodeOps(data)
 		for _, c := range modelConfigs {

@@ -7,6 +7,7 @@ import (
 
 	"github.com/opencloudnext/dhl-go/internal/eth"
 	"github.com/opencloudnext/dhl-go/internal/eventsim"
+	"github.com/opencloudnext/dhl-go/internal/flowtab"
 	"github.com/opencloudnext/dhl-go/internal/mbuf"
 )
 
@@ -235,9 +236,9 @@ func TestNATCheckConsistencyDetectsOrphan(t *testing.T) {
 		corrupt func(n *NAT, ext uint16)
 		want    string
 	}{
-		// The translation goes but its port stays marked (bypassing
-		// OnEvict).
-		{"out of sync", func(n *NAT, _ uint16) { n.outbound.Delete(key) },
+		// The translation goes but its port stays marked (an empty table
+		// swapped in, bypassing OnEvict).
+		{"out of sync", func(n *NAT, _ uint16) { n.outbound = NewNAT(NATConfig{External: n.external}).outbound },
 			"out of sync: 0 outbound, 1 ports marked used; port 20000 has no translation"},
 		{"owner's bit clear", func(n *NAT, ext uint16) { n.setUsed(ext, false) },
 			"192.168.9.1:5000 -> 20000 holds a port marked free"},
@@ -328,20 +329,26 @@ func TestFlowFirewallCachesVerdicts(t *testing.T) {
 }
 
 // TestFlowTableSlotBytes pins what one flow costs in each NF's table: a
-// 32-byte slab slot, plus two 4-byte index buckets. Built without a TTL,
-// a fresh table holds no wheel and no draining index, so MemBytes is
-// exactly capacity × (slot + 8).
+// slab slot (the key, the value, a 4-byte deadline stamp and a 4-byte
+// wheel link), plus two 4-byte index buckets. Built without a TTL, a fresh
+// table holds no wheel and no draining index, so MemBytes is exactly
+// capacity × (slot + 8).
 func TestFlowTableSlotBytes(t *testing.T) {
 	ffw, err := NewFlowFirewall(NewFirewall(FirewallAllow), FlowFirewallConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srcs := append(ffw.FlowTabs(), NewNAT(NATConfig{External: eth.IPv4{203, 0, 113, 1}}).outbound)
-	for _, src := range srcs {
-		st := src.TabStats()
-		if st.MemBytes != st.Capacity*(32+8) {
-			t.Errorf("%s: %d B over %d entries, want %d (a 32 B slot each)",
-				src.Name(), st.MemBytes, st.Capacity, st.Capacity*(32+8))
+	for _, c := range []struct {
+		src  flowtab.Source
+		slot uint64
+	}{
+		{ffw.FlowTabs()[0], 24}, // 13 B 5-tuple padded to 14, 1 B verdict, padded to the stamp
+		{NewNAT(NATConfig{External: eth.IPv4{203, 0, 113, 1}}).outbound, 20}, // 8 B key, 2 B port, padded
+	} {
+		st := c.src.TabStats()
+		if st.MemBytes != st.Capacity*(c.slot+8) {
+			t.Errorf("%s: %d B over %d entries, want %d (a %d B slot each)",
+				c.src.Name(), st.MemBytes, st.Capacity, st.Capacity*(c.slot+8), c.slot)
 		}
 	}
 }

@@ -115,8 +115,9 @@ targeted -run 'QuickVsNaive|SetupBytes|SetupObjects|TableBytes' -count=1 ./inter
 # minimising each 8-bytes-a-step program that reached new coverage.
 go test -run '^$' -fuzz FuzzLPMVsNaive -fuzztime 10s -fuzzminimizetime 10x ./internal/lpm
 
-echo "==> flowtab (model equivalence, 0-alloc gates: hit path, churn, NAT translate, 10 s fuzz)"
-targeted -run 'VsModel|ZeroAlloc' -count=1 ./internal/flowtab ./internal/nf
+echo "==> flowtab (model equivalence, eviction mid-drain, 2^32-granule gaps, slot bytes, 0-alloc gates: hit path, churn, NAT translate, 10 s fuzz)"
+targeted -run 'VsModel|ZeroAlloc|InsertLookupEvict|EvictDuringMigration|EvictedKeyStaysGoneWhileIndexDrains|TickAfterLongIdle|FlowTableSlotBytes' \
+    -count=1 ./internal/flowtab ./internal/nf
 go test -run '^$' -fuzz FuzzFlowtabVsModel -fuzztime 10s -fuzzminimizetime 10x ./internal/flowtab
 
 echo "==> pattern-matching kernel (reference equivalence, 0-alloc gates, 10 s fuzz)"
