@@ -54,3 +54,26 @@ func BenchmarkPollLoop(b *testing.B) {
 	loop.Start()
 	s.RunAll()
 }
+
+// BenchmarkPollLoopBesideBurst is BenchmarkPollLoop with 32 events pending
+// on the heap the whole time, as a generator's burst sits in flight beside
+// the cores that poll for it.
+func BenchmarkPollLoopBesideBurst(b *testing.B) {
+	s := New()
+	for i := 0; i < 32; i++ {
+		s.At(never/2+Time(i)*Nanosecond, func() {})
+	}
+	c := NewCore(s, 0, 0, 2.1e9)
+	n := 0
+	var loop *PollLoop
+	loop = NewPollLoop(s, c, 60, func() (float64, func()) {
+		n++
+		if n >= b.N {
+			loop.Stop()
+		}
+		return 100, nil
+	})
+	b.ResetTimer()
+	loop.Start()
+	s.RunAll()
+}

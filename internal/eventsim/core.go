@@ -145,9 +145,12 @@ type PollLoop struct {
 	pendingCommit func()
 
 	// After an idle iteration the loop is parked in its Sim instead of on
-	// the event heap; (nextAt, seq) is the pending poll, as the heap would
-	// have held it.
+	// the event heap, and (nextAt, seq) is the pending poll; after a busy
+	// one it is busy there, and (nextAt, seq) is the iteration's finish.
+	// Either way the pair is what the heap would have held. A loop started
+	// twice runs its second chain of iterations through the heap.
 	parked bool
+	busy   bool
 	nextAt Time
 	seq    uint64 // order among events at nextAt
 	stamp  uint64 // Sim.executed when the body last ran, or was last found unconcerned
@@ -259,16 +262,27 @@ func (p *PollLoop) iterate() {
 		}
 		cycles = p.idleCycles
 	}
+	s := p.sim
 	if p.parked {
-		p.sim.unpark(p)
+		s.unpark(p)
 	}
-	p.sim.executed++
+	s.executed++
 	p.pendingCommit = commit
-	p.core.Exec(cycles, p.step)
+	if p.busy || s.nBusy == maxParked {
+		p.core.Exec(cycles, p.step)
+		return
+	}
+	// The finish takes the seq Exec's At would have drawn for it.
+	p.nextAt = p.core.Exec(cycles, nil)
+	s.seq++
+	p.seq = s.seq
+	s.busy[s.nBusy] = p
+	s.nBusy++
+	p.busy = true
 }
 
 // finish runs the iteration's commit callback (after the core has spent
-// its cycles) and schedules the next poll.
+// its cycles) and starts the next poll.
 func (p *PollLoop) finish() {
 	if c := p.pendingCommit; c != nil {
 		p.pendingCommit = nil
@@ -333,4 +347,19 @@ func (p *PollLoop) beforeLoop(q *PollLoop) bool {
 
 func (p *PollLoop) beforeEvent(e *event) bool {
 	return p.nextAt < e.at || p.nextAt == e.at && p.seq < e.seq
+}
+
+// beforeFinish orders p's pending poll or finish before busy loop f's
+// finish as the heap orders two events.
+func (p *PollLoop) beforeFinish(f *PollLoop) bool {
+	return p.nextAt < f.nextAt || p.nextAt == f.nextAt && p.seq < f.seq
+}
+
+// beforeNext reports whether parked loop p's poll goes before busy loop f's
+// finish, or, with f nil, before the earliest event of heap h.
+func (p *PollLoop) beforeNext(f *PollLoop, h []event) bool {
+	if f != nil {
+		return p.beforeFinish(f)
+	}
+	return len(h) == 0 || p.beforeEvent(&h[0])
 }

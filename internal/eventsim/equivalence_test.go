@@ -170,7 +170,63 @@ func (st *stage) body() (float64, func()) {
 type scenario struct {
 	sim    *Sim
 	stages []*stage
+	chain  *chain
 	trace  []rec
+}
+
+// chain is a source of events due at non-decreasing times, drawn in
+// bursts, as netdev.Generator's frame deliveries are. The lazy run keeps
+// only its earliest item on the heap and schedules each next one with the
+// seq drawn for it at burst time (Sim.AtSeq); the naive run books every
+// item with At at burst time.
+type chain struct {
+	sc      *scenario
+	lazy    bool
+	pend    []chained
+	lastDue Time
+	fireFn  func()
+}
+
+// chained is one item of a chain: put one into stage target at at.
+type chained struct {
+	at     Time
+	seq    uint64
+	target int
+}
+
+// burst draws n items, gap apart from the first nanosecond boundary at or
+// after now, none due before an item drawn earlier.
+func (ch *chain) burst(n int, gap Time, target int) {
+	sim := ch.sc.sim
+	base := (sim.Now() + Nanosecond - 1) / Nanosecond * Nanosecond
+	for i := 0; i < n; i++ {
+		ch.lastDue = max(ch.lastDue, base+Time(i)*gap)
+		it := chained{at: ch.lastDue, target: (target + i) % len(ch.sc.stages)}
+		if !ch.lazy {
+			sim.At(it.at, func() { ch.put(it) })
+			continue
+		}
+		it.seq = sim.DrawSeq()
+		ch.pend = append(ch.pend, it)
+		if len(ch.pend) == 1 {
+			sim.AtSeq(it.at, it.seq, ch.fireFn)
+		}
+	}
+}
+
+// fire runs the lazy chain's earliest item and schedules the next.
+func (ch *chain) fire() {
+	it := ch.pend[0]
+	ch.pend = ch.pend[1:]
+	if len(ch.pend) > 0 {
+		ch.sc.sim.AtSeq(ch.pend[0].at, ch.pend[0].seq, ch.fireFn)
+	}
+	ch.put(it)
+}
+
+func (ch *chain) put(it chained) {
+	ch.sc.log(rec{ch.sc.sim.Now(), "chain", it.target, 1, 0})
+	ch.sc.stages[it.target].put(1)
 }
 
 func (sc *scenario) log(r rec) { sc.trace = append(sc.trace, r) }
@@ -213,7 +269,7 @@ func (sc *scenario) read(st *stage, what int) {
 // too, has cases of its own.
 const numReads = 5
 
-// A scenario's kind is the top two bits of its seed; every random choice
+// A scenario's kind is the top three bits of its seed; every random choice
 // is drawn from the whole seed. In each kind a random two thirds of the
 // stages declare their inbox and the rest stay undeclared, so both clean
 // rules meet at the same instants.
@@ -231,23 +287,33 @@ const (
 	// them, as an NF developer waits for a burst, so that most steps find
 	// nothing due; now and then something happens between two of them.
 	kindQuiet
+	// kindChained: a chain feeds the stages in bursts, and its items,
+	// plain events and busy loops' finishes share nanosecond instants.
+	kindChained
 	numKinds
 )
 
-func kindSeed(kind int, seed uint64) uint64 { return uint64(kind)<<62 | seed }
+func kindSeed(kind int, seed uint64) uint64 { return uint64(kind)<<61 | seed }
 
 // runScenario plays the scenario drawn from seed with real PollLoops
 // (lazy) or naive ones and returns its trace. Every random choice is made
 // from seed alone, in an order that does not depend on which loop is used.
 func runScenario(seed uint64, lazy bool) []rec {
 	rng := rand.New(rand.NewSource(int64(seed)))
-	kind := int(seed>>62) % numKinds
+	kind := int(seed>>61) % numKinds
 	sim := New()
 	sc := &scenario{sim: sim}
+	sc.chain = &chain{sc: sc, lazy: lazy}
+	sc.chain.fireFn = sc.chain.fire
 
 	// Clocks whose periods share instants (1 ns, 0.5 ns per cycle) and one
 	// that does not (476.19 ps): order at shared instants is the hard part.
+	// The chained kind keeps every loop on the nanosecond grid's clocks.
 	clocks := []float64{1e9, 1e9, 2e9, 2.1e9}
+	grid := Nanosecond / 2
+	if kind == kindChained {
+		clocks, grid = clocks[:3], Nanosecond
+	}
 	idles := []float64{60, 60, 10, 28, 7}
 	n := 1 + rng.Intn(6)
 	if rng.Intn(16) == 0 {
@@ -293,12 +359,20 @@ func runScenario(seed uint64, lazy bool) []rec {
 
 	horizon := Time(5+rng.Intn(40)) * Microsecond
 	// when draws event times: mostly on the half-nanosecond grid the idle
-	// polls of the 1 and 2 GHz cores sit on, sometimes anywhere.
+	// polls of the 1 and 2 GHz cores sit on (the chained kind: on whole
+	// nanoseconds, where its chain's items fall), sometimes anywhere.
 	when := func() Time {
 		if rng.Intn(5) == 0 {
 			return Time(rng.Int63n(int64(horizon)))
 		}
-		return Time(rng.Int63n(int64(horizon/Nanosecond*2))) * Nanosecond / 2
+		return Time(rng.Int63n(int64(horizon/grid))) * grid
+	}
+	chainBurst := func() func() {
+		items, gap, target := 1+rng.Intn(12), Time(rng.Intn(3))*Nanosecond, rng.Intn(n)
+		return func() {
+			sc.log(rec{sim.Now(), "burst", target, int64(items), int64(gap)})
+			sc.chain.burst(items, gap, target)
+		}
 	}
 	produce := func(tag string, target, k int) func() {
 		return func() {
@@ -308,8 +382,11 @@ func runScenario(seed uint64, lazy bool) []rec {
 	}
 	timer := sim.NewTimer(produce("timer", rng.Intn(n), 1))
 	events := 5 + rng.Intn(120)
-	if kind == kindStepped || kind == kindQuiet {
+	switch kind {
+	case kindStepped, kindQuiet:
 		events /= 8
+	case kindChained:
+		events *= 3 // instants shared by all three are what it is for
 	}
 	for ; events > 0; events-- {
 		target := rng.Intn(n)
@@ -317,6 +394,10 @@ func runScenario(seed uint64, lazy bool) []rec {
 		c := rng.Intn(20)
 		if kind == kindRetuned && c >= 16 {
 			c = 12
+		}
+		if kind == kindChained && c >= 14 && c < 18 {
+			sim.At(when(), chainBurst())
+			continue
 		}
 		switch c {
 		default:
@@ -438,6 +519,10 @@ func runScenario(seed uint64, lazy bool) []rec {
 		case 8:
 			what := rng.Intn(numReads)
 			sim.Post(func() { sc.read(st, what) })
+		case 9:
+			if kind == kindChained {
+				chainBurst()()
+			}
 		}
 	}
 	sc.log(rec{sim.Now(), "end", 0, 0, 0})
@@ -488,5 +573,35 @@ func TestPollLoopEquivalence(t *testing.T) {
 		for seed := uint64(1000); seed < 1000+n; seed++ {
 			checkEquivalent(t, kindSeed(kind, seed))
 		}
+	}
+}
+
+// TestPollLoopEquivalenceChainedCoincide checks that the chained kind
+// reaches what it is there for: instants at which a chain item, a plain
+// event and a busy loop's finish (its commit) all run.
+func TestPollLoopEquivalenceChainedCoincide(t *testing.T) {
+	const seeds = 50
+	hits := 0
+	for seed := uint64(1000); seed < 1000+seeds; seed++ {
+		seen := map[Time]int{}
+		for _, r := range runScenario(kindSeed(kindChained, seed), true) {
+			switch r.what {
+			case "chain":
+				seen[r.at] |= 1
+			case "produce", "produce-all", "burst", "timer", "outside", "posted-at":
+				seen[r.at] |= 2
+			case "commit":
+				seen[r.at] |= 4
+			}
+		}
+		for _, m := range seen {
+			if m == 7 {
+				hits++
+				break
+			}
+		}
+	}
+	if hits < seeds/4 {
+		t.Fatalf("%d of %d chained scenarios put a chain item, an event and a finish on one instant", hits, seeds)
 	}
 }

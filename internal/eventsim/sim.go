@@ -66,9 +66,9 @@ func (e *event) before(o *event) bool {
 	return e.at < o.at || e.at == o.at && e.seq < o.seq
 }
 
-// maxParked bounds the idle poll loops a Sim keeps out of the heap. The
-// set is a fixed array so that parking a loop never allocates; a loop
-// that finds it full keeps polling through the heap.
+// maxParked bounds the idle poll loops a Sim keeps out of the heap, and
+// the busy ones. Each set is a fixed array so that joining it never
+// allocates; a loop that finds its set full goes through the heap.
 const maxParked = 32
 
 // Sim is a single-threaded discrete-event simulation.
@@ -91,6 +91,7 @@ type Sim struct {
 	// at the current value has nothing new to look at.
 	parked   [maxParked]*PollLoop
 	nParked  int
+	nBusy    int // loops in busy
 	executed uint64
 	watching int    // loops that declared inputs (PollLoop.Watch)
 	settled  uint64 // executed when settle last looked at them
@@ -111,6 +112,12 @@ type Sim struct {
 	posted      []func()
 	postScratch []func()
 	postPending atomic.Bool
+
+	// Busy poll loops: each holds the finish of the iteration its core is
+	// spending as its own pending (nextAt, seq), the pair the heap would
+	// have held, merged with the heap by Run. Last, so that what every Run
+	// step reads stays on a few cache lines.
+	busy [maxParked]*PollLoop
 }
 
 // New creates an empty simulation with the clock at zero.
@@ -136,7 +143,10 @@ func (s *Sim) PollsSkipped() uint64 {
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // is clamped to "now": the event runs before any later-scheduled work.
+// //go:noinline keeps At a call of its own: inlined, it makes After too
+// large to inline into its callers.
 //
+//go:noinline
 //dhl:hotpath
 func (s *Sim) At(t Time, fn func()) {
 	if fn == nil {
@@ -146,7 +156,33 @@ func (s *Sim) At(t Time, fn func()) {
 		t = s.now
 	}
 	s.seq++
-	ev := event{at: t, seq: s.seq, fn: fn}
+	s.push(t, s.seq, fn)
+}
+
+// DrawSeq draws the place among events at one instant that an event
+// scheduled now would take, for one scheduled later with AtSeq.
+func (s *Sim) DrawSeq() uint64 {
+	s.seq++
+	return s.seq
+}
+
+// AtSeq schedules fn, which must not be nil, at t, which must not be in
+// the past, in the place seq, drawn earlier by DrawSeq, gives it: it runs
+// as it would have, had At scheduled it when seq was drawn. A source whose
+// events fall due at non-decreasing times with increasing seqs may so keep
+// only its earliest one scheduled, and schedule the next when that one
+// runs.
+//
+//dhl:hotpath
+func (s *Sim) AtSeq(t Time, seq uint64, fn func()) {
+	s.push(t, seq, fn)
+}
+
+// push adds an event to the heap.
+//
+//dhl:hotpath
+func (s *Sim) push(t Time, seq uint64, fn func()) {
+	ev := event{at: t, seq: seq, fn: fn}
 	h := append(s.events, ev)
 	i := len(h) - 1
 	for i > 0 {
@@ -259,7 +295,17 @@ func (s *Sim) Run(until Time) uint64 {
 		s.drainPosted()
 	}
 	for !s.stopped {
-		if p := s.firstParked(); p != nil && (len(s.events) == 0 || p.beforeEvent(&s.events[0])) {
+		// f is the busy loop whose finish is due first, if that goes
+		// before the heap top; the first parked poll is compared with
+		// whichever of the two goes first.
+		f, fi := (*PollLoop)(nil), -1
+		if s.nBusy != 0 {
+			fi = s.firstBusy()
+			if f = s.busy[fi]; len(s.events) != 0 && !f.beforeEvent(&s.events[0]) {
+				f = nil
+			}
+		}
+		if p := s.firstParked(); p != nil && p.beforeNext(f, s.events) {
 			if p.nextAt > until {
 				break
 			}
@@ -282,6 +328,20 @@ func (s *Sim) Run(until Time) uint64 {
 			}
 			s.now = p.nextAt
 			p.iterate()
+		} else if f != nil {
+			if f.nextAt > until {
+				break
+			}
+			if s.deferTo != 0 {
+				s.landAll()
+			}
+			s.nBusy--
+			s.busy[fi] = s.busy[s.nBusy]
+			s.busy[s.nBusy] = nil
+			f.busy = false
+			s.now = f.nextAt
+			s.executed++
+			f.finish()
 		} else if len(s.events) > 0 && s.events[0].at <= until {
 			if s.deferTo != 0 {
 				s.landAll()
@@ -325,7 +385,7 @@ func (s *Sim) RunAll() uint64 {
 // that includes a core with other work queued, so that a parked loop's
 // polls are always exactly one period apart.
 func (s *Sim) park(p *PollLoop) bool {
-	if p.core.freeAt > s.now || p.period <= 0 || p.stopped {
+	if p.core.freeAt > s.now || p.period <= 0 || p.stopped || p.busy {
 		return false
 	}
 	if !p.parked {
@@ -370,6 +430,18 @@ func (s *Sim) settle() {
 	s.settled = s.executed
 }
 
+// firstBusy returns the index of the busy loop whose finish is due first;
+// there is one.
+func (s *Sim) firstBusy() int {
+	first := 0
+	for i := 1; i < s.nBusy; i++ {
+		if s.busy[i].beforeFinish(s.busy[first]) {
+			first = i
+		}
+	}
+	return first
+}
+
 // firstParked returns the parked loop whose poll is due first, or nil.
 func (s *Sim) firstParked() *PollLoop {
 	var first *PollLoop
@@ -397,6 +469,9 @@ func (s *Sim) skip(p *PollLoop, until Time) bool {
 	}
 	if len(s.events) > 0 {
 		horizon = min(horizon, s.events[0].at)
+	}
+	for _, q := range s.busy[:s.nBusy] {
+		horizon = min(horizon, q.nextAt)
 	}
 	// A peer polling the same instants keeps its place in the order there
 	// from poll to poll: p may catch up with one that is ahead, not pass it.
@@ -447,14 +522,20 @@ func (s *Sim) skip(p *PollLoop, until Time) bool {
 // until+1, and a parked loop short of it lands later, on its first poll at
 // or after it, with the same accounting. See DESIGN.md, "Lazy idle polls".
 
-// quiet reports whether nothing is due at or before until: no heap event,
-// and every parked loop due by then clean with its deadline after until. A
-// loop short of deferTo counts as due (where it lands is not looked at);
-// its deadline and stamp are its own either way. Work posted since Run last
-// drained the mailbox waits for the next Run, as it would behind skips.
+// quiet reports whether nothing is due at or before until: no heap event
+// or busy loop's finish, and every parked loop due by then clean with its
+// deadline after until. A loop short of deferTo counts as due (where it
+// lands is not looked at); its deadline and stamp are its own either way.
+// Work posted since Run last drained the mailbox waits for the next Run,
+// as it would behind skips.
 func (s *Sim) quiet(until Time) bool {
 	if len(s.events) > 0 && s.events[0].at <= until {
 		return false
+	}
+	for _, q := range s.busy[:s.nBusy] {
+		if q.nextAt <= until {
+			return false
+		}
 	}
 	for _, q := range s.parked[:s.nParked] {
 		if q.nextAt <= until && (q.stamp != s.executed || q.wakeBy <= until || until >= never-q.period) {

@@ -485,6 +485,48 @@ func TestPollLoopParkedSetOverflow(t *testing.T) {
 	}
 }
 
+// More busy loops than the busy set holds: the rest book their finishes on
+// the heap, and every loop's busy iterations and commits run where and in
+// the order naiveLoop has them.
+func TestPollLoopBusySetOverflow(t *testing.T) {
+	run := func(lazy bool) (trace []rec, pending int) {
+		s := New()
+		for i := 0; i < maxParked+3; i++ {
+			// Two clocks whose finishes share instants, and costs that
+			// keep the loops in step on some of them and not on others.
+			c := NewCore(s, i, 0, []float64{1e9, 2e9}[i%2])
+			cycles := float64(10 + 10*(i%3))
+			body := func() (float64, func()) {
+				trace = append(trace, rec{s.Now(), "busy", i, 0, 0})
+				return cycles, func() { trace = append(trace, rec{s.Now(), "commit", i, 0, 0}) }
+			}
+			var l poller = &naiveLoop{sim: s, core: c, idleCycles: 10, body: body}
+			if lazy {
+				l = NewPollLoop(s, c, 10, body)
+			}
+			l.Start()
+		}
+		s.Run(1 * Microsecond)
+		if lazy && s.nBusy != maxParked {
+			t.Errorf("%d loops in the busy set, want %d", s.nBusy, maxParked)
+		}
+		return trace, s.Pending()
+	}
+	want, _ := run(false)
+	got, pending := run(true)
+	if len(got) != len(want) {
+		t.Fatalf("%d busy iterations and commits, naiveLoop has %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("step %d: %v, naiveLoop has %v", i, got[i], want[i])
+		}
+	}
+	if pending != maxParked+3 {
+		t.Errorf("pending %d, want %d", pending, maxParked+3)
+	}
+}
+
 func TestPollLoopStop(t *testing.T) {
 	s := New()
 	c := NewCore(s, 0, 0, 1e9)

@@ -8,8 +8,9 @@ import (
 // has no use for it.
 
 // Pending reports the number of scheduled-but-unexecuted events. A parked
-// idle poll loop counts as one: its next poll.
-func (s *Sim) Pending() int { return len(s.events) + s.nParked }
+// idle poll loop counts as one, its next poll, and a busy one as one, its
+// iteration's finish.
+func (s *Sim) Pending() int { return len(s.events) + s.nParked + s.nBusy }
 
 // Duration converts a simulator Time span back into a time.Duration,
 // truncating to nanosecond resolution.

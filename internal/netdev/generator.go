@@ -86,12 +86,14 @@ type Generator struct {
 	interBurst eventsim.Time
 	template   []byte
 
-	// Frames scheduled for delivery and not yet delivered, oldest at
-	// pend[head]. One generator's delivery events fire in the order they
-	// were scheduled (burst keeps their due times non-decreasing, and
-	// the simulator breaks ties by scheduling order), so this FIFO and
-	// the three funcs bound once below stand in for a closure per frame
-	// and a method value per burst.
+	// Frames on the wire and not yet delivered, oldest at pend[head],
+	// each with the (due, seq) pair burst drew for its delivery. Due
+	// times never decrease along pend and seqs increase, so the frames
+	// fall due in pend order, and only pend[head]'s delivery is on the
+	// event heap: deliver schedules the next one's with its stored pair
+	// (Sim.AtSeq), which is where it would have run had burst scheduled
+	// every frame. This FIFO and the three funcs bound once below stand
+	// in for a closure per frame and a method value per burst.
 	pend      []rxFrame
 	head      int
 	lastDue   eventsim.Time
@@ -109,10 +111,13 @@ type Generator struct {
 	deaths     uint64
 }
 
-// rxFrame is one generated frame on the wire towards RX queue q.
+// rxFrame is one generated frame on the wire towards RX queue q, due
+// at due in the place seq gives it among events at that instant.
 type rxFrame struct {
-	q int
-	m *mbuf.Mbuf
+	q   int
+	m   *mbuf.Mbuf
+	due eventsim.Time
+	seq uint64
 }
 
 // FlowSrc encodes a flow id injectively into the source (address,
@@ -345,19 +350,25 @@ func (g *Generator) burst() {
 			g.pend = g.pend[:copy(g.pend, g.pend[g.head:])]
 			g.head = 0
 		}
-		g.pend = append(g.pend, rxFrame{q: q, m: m})
-		g.sim.After(due-now, g.deliverFn)
+		g.pend = append(g.pend, rxFrame{q: q, m: m, due: due, seq: g.sim.DrawSeq()})
+		if len(g.pend)-g.head == 1 {
+			g.sim.AtSeq(due, g.pend[g.head].seq, g.deliverFn)
+		}
 		g.sent++
 	}
 	g.sim.After(g.interBurst, g.burstFn)
 }
 
-// deliver hands the oldest scheduled frame to the port.
+// deliver hands the oldest frame on the wire to the port and schedules
+// the next one's delivery.
 func (g *Generator) deliver() {
 	f := g.pend[g.head]
 	g.head++
 	if g.head == len(g.pend) {
 		g.pend, g.head = g.pend[:0], 0
+	} else {
+		next := &g.pend[g.head]
+		g.sim.AtSeq(next.due, next.seq, g.deliverFn)
 	}
 	g.cfg.Port.DeliverRx(f.q, f.m, g.cfg.Pool)
 }

@@ -2,6 +2,7 @@ package netdev
 
 import (
 	"errors"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -434,4 +435,147 @@ func TestGeneratorDeliversInScheduleOrder(t *testing.T) {
 	if dropped := p.Stats().RxDropped; dropped != 0 {
 		t.Fatalf("%d frames dropped on full queues; the order check needs them all", dropped)
 	}
+}
+
+// TestGeneratorsShareInstantsInReferenceOrder runs two generators on one
+// port whose frames fall due at shared instants, through a Stop/Start that
+// runs one of them on two burst chains. The reference books every frame
+// with At at burst time: Payload books a check on the frame's due instant
+// there, with the seq drawn just before the frame's own, so that in the
+// reference the check runs immediately before the delivery. Each check
+// finds every frame checked before it delivered and its own not yet, and
+// a second check one picosecond later finds it delivered; the port's one
+// queue gives the deliveries' order. The event heap holds one delivery per
+// generator with frames on the wire, never more.
+func TestGeneratorsShareInstantsInReferenceOrder(t *testing.T) {
+	const frameSize = 64
+	sim, pool, p := newRig(t, 10e9, 1)
+	frameWire := p.wireTime(frameSize)
+
+	var gens [2]*Generator
+	var order []uint32 // frames in the order the reference delivers them: gen<<16 | ordinal
+	checked := 0
+	dueBy := map[eventsim.Time]int{} // which generators have a frame due at an instant, as bits
+	heapOK := func() {
+		t.Helper()
+		want := 0
+		for _, g := range gens {
+			if len(g.pend) > g.head {
+				want++
+			}
+		}
+		if got := heapDeliveries(sim, gens[0].deliverFn); got != want {
+			t.Fatalf("at %d: %d deliveries on the heap for %d generators with frames on the wire", sim.Now(), got, want)
+		}
+	}
+	payload := func(gen, burst int) PayloadFn {
+		var burstAt, lastDue eventsim.Time
+		inBurst := 0
+		return func(i uint64, payload []byte) {
+			if now := sim.Now(); now != burstAt || inBurst == burst {
+				burstAt, inBurst = now, 0
+			}
+			lastDue = max(lastDue, burstAt+eventsim.Time(inBurst)*frameWire)
+			inBurst++
+			id := uint32(gen)<<16 | uint32(i)
+			payload[0], payload[1], payload[2] = byte(id>>16), byte(id>>8), byte(id)
+			due := lastDue
+			dueBy[due] |= 1 << gen
+			idx := -1
+			sim.At(due, func() {
+				if sim.Now() != due {
+					t.Fatalf("check of frame %#x ran at %d, due %d", id, sim.Now(), due)
+				}
+				if got := p.Stats().RxDelivered; got != uint64(checked) {
+					t.Fatalf("at %d, before frame %#x: %d frames delivered, want %d", due, id, got, checked)
+				}
+				heapOK()
+				idx = checked
+				order = append(order, id)
+				checked++
+			})
+			sim.At(due+1, func() {
+				if idx < 0 || p.Stats().RxDelivered <= uint64(idx) {
+					t.Fatalf("at %d: frame %#x due at %d not delivered", sim.Now(), id, due)
+				}
+				heapOK()
+			})
+		}
+	}
+	for i, cfg := range []struct {
+		bps   float64
+		burst int
+	}{{10e9, 8}, {5e9, 12}} {
+		g, err := NewGenerator(sim, GeneratorConfig{
+			Port: p, Pool: pool, FrameSize: frameSize, OfferedWireBps: cfg.bps, Burst: cfg.burst,
+			Payload: payload(i, cfg.burst),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gens[i] = g
+	}
+
+	// Generator 1 starts three frame times in: its 12-frame bursts overlap
+	// two of generator 0's 8-frame ones, drawn before the second of them.
+	gens[0].Start()
+	sim.At(3*frameWire, gens[1].Start)
+	// Halfway through a burst, generator 0 stops and starts again: the new
+	// burst queues behind the frames still on the wire, and the old burst
+	// chain keeps running beside the new one.
+	sim.At(20*frameWire+frameWire/2, func() {
+		gens[0].Stop()
+		gens[0].Start()
+	})
+	sim.At(60*frameWire, func() { gens[0].Stop(); gens[1].Stop() })
+	sim.Run(100 * frameWire)
+
+	if checked == 0 || uint64(checked) != gens[0].Sent()+gens[1].Sent() {
+		t.Fatalf("checked %d frames, %d sent", checked, gens[0].Sent()+gens[1].Sent())
+	}
+	if st := p.Stats(); st.RxDelivered != uint64(checked) || st.RxDropped != 0 {
+		t.Fatalf("port delivered %d, dropped %d of %d frames", st.RxDelivered, st.RxDropped, checked)
+	}
+	shared := 0
+	for _, bits := range dueBy {
+		if bits == 3 {
+			shared++
+		}
+	}
+	if shared < 10 {
+		t.Fatalf("the generators share %d due instants; the test needs them to share many", shared)
+	}
+	buf := make([]*mbuf.Mbuf, 32)
+	for j := 0; j < checked; {
+		n := p.RxBurst(0, buf)
+		if n == 0 {
+			t.Fatalf("queue empty after %d of %d frames", j, checked)
+		}
+		for _, m := range buf[:n] {
+			pl := m.Data()[eth.EtherLen+eth.IPv4Len+eth.UDPLen:]
+			if id := uint32(pl[0])<<16 | uint32(pl[1])<<8 | uint32(pl[2]); id != order[j] {
+				t.Fatalf("delivery %d carried frame %#x, the reference delivers %#x", j, id, order[j])
+			}
+			j++
+			if err := pool.Free(m); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// heapDeliveries counts the events on sim's heap that run deliver's
+// method, of any generator. eventsim exports no view of its heap, so it
+// reads the unexported one (Sim.events, event.fn) by reflection; a method
+// value's code pointer is the same for every receiver.
+func heapDeliveries(sim *eventsim.Sim, deliver func()) int {
+	want := reflect.ValueOf(deliver).Pointer()
+	h := reflect.ValueOf(sim).Elem().FieldByName("events")
+	n := 0
+	for i := 0; i < h.Len(); i++ {
+		if h.Index(i).FieldByName("fn").Pointer() == want {
+			n++
+		}
+	}
+	return n
 }

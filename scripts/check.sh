@@ -76,12 +76,12 @@ echo "==> autotuner smoke (control law, backpressure edges, zero-alloc with tune
 targeted -short -run 'Tuner|AutoTune|Pressure|CopySince|PerAccTuning|AccBatch' -count=1 \
     ./internal/tuner ./internal/core ./internal/telemetry .
 
-echo "==> event-engine equivalence (lazy idle polls vs a naive poll loop, event budgets, 10 s fuzz)"
-targeted -run 'PollLoopEquivalence|QuietStep|EventBudget|FlushTimeoutPoke|PoolHotSlab|FreeBulk|SetupBytesOpen' -count=1 \
-    ./internal/eventsim ./internal/harness ./internal/core ./internal/mbuf .
+echo "==> event-engine equivalence (lazy idle polls vs a naive poll loop, busy set overflow, chained deliveries, event budgets, 10 s fuzz)"
+targeted -run 'PollLoopEquivalence|BusySetOverflow|ShareInstantsInReferenceOrder|QuietStep|EventBudget|FlushTimeoutPoke|PoolHotSlab|FreeBulk|SetupBytesOpen' -count=1 \
+    ./internal/eventsim ./internal/netdev ./internal/harness ./internal/core ./internal/mbuf .
 go test -run '^$' -fuzz FuzzPollLoopEquivalence -fuzztime 10s ./internal/eventsim
 
-echo "==> equivalence coverage floor (every function of the quiet-step path at 100 %)"
+echo "==> equivalence coverage floor (every function of the quiet-step path, the busy set and chained events at 100 %)"
 # The sweep checks the quiet path (Sim.hush) only where its scenarios leave
 # loops deferred between two reads; with a probe after every slice it
 # passed while landAll never found a loop to land.
@@ -91,7 +91,8 @@ cover_func=$(go tool cover -func "$cover_out")
 rm -f "$cover_out"
 floor_failed=""
 for fn in sim.go:quiet sim.go:hush sim.go:stillHushed sim.go:redraw \
-    sim.go:land sim.go:landAll sim.go:landOn core.go:land; do
+    sim.go:land sim.go:landAll sim.go:landOn core.go:land \
+    sim.go:firstBusy core.go:beforeFinish core.go:beforeNext sim.go:DrawSeq sim.go:AtSeq sim.go:push; do
     pct=$(awk -v file="/${fn%%:*}:" -v name="${fn#*:}" 'index($1, file) && $2 == name { print $3 }' <<<"$cover_func")
     if [[ "$pct" != "100.0%" ]]; then
         echo "check.sh: TestPollLoopEquivalence -short covers ${pct:-nothing} of $fn, want 100.0%" >&2
