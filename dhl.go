@@ -166,11 +166,6 @@ type (
 // Adaptive-batching autotuner types from internal/tuner and the
 // back-pressure surface from internal/core, re-exported for the facade.
 type (
-	// AutoTuneConfig parameterizes the adaptive batching controller
-	// (sampling interval, hysteresis, fill guard bands, and the
-	// batch/flush/burst envelopes). The zero value selects the documented
-	// defaults, bounded by the system's own global configuration.
-	AutoTuneConfig = tuner.Config
 	// TunerStatus is the controller's operator-facing state: windows
 	// closed, decisions applied, and the current per-accelerator and
 	// per-node targets. Also the `tune.auto` RPC's result shape.
@@ -255,7 +250,6 @@ type openConfig struct {
 	settle   bool
 	api      bool
 	autotune bool
-	tunCfg   AutoTuneConfig
 }
 
 // WithFaultPlan arms deterministic fault injection: the plan is shared
@@ -284,15 +278,11 @@ func WithControlPlane() Option {
 // controller's signals come from telemetry, so this option also enables
 // it. The system opens with the controller already enabled; flip it at
 // runtime with Control().AutoTuneEnable/AutoTuneDisable or the `tune.auto`
-// management call. At most one AutoTuneConfig may be given; its zero
-// fields select the documented defaults.
-func WithAutoTune(cfg ...AutoTuneConfig) Option {
+// management call.
+func WithAutoTune() Option {
 	return func(o *openConfig) {
 		o.autotune = true
 		o.cfg.Telemetry = true
-		if len(cfg) > 0 {
-			o.tunCfg = cfg[0]
-		}
 	}
 }
 
@@ -423,7 +413,6 @@ func Open(cfg SystemConfig, opts ...Option) (*System, error) {
 		return nil, err
 	}
 	sys.api = oc.api
-	sys.control.tunCfg = oc.tunCfg
 	if oc.autotune {
 		if err := sys.control.AutoTuneEnable(); err != nil {
 			return nil, err

@@ -92,22 +92,28 @@ func TestModuleDBOrder(t *testing.T) {
 // the way an NF developer brings one up: Open, Register, SearchByName,
 // Settle. It was 37.5 MB while the default pool cleared all 16 384 buffers
 // up front; a pool now backs its first 1 024 and the rest on first overflow.
+// TotalAlloc is the process's, so the gate reads the least of a few
+// bring-ups: each does the same work, and another goroutine's allocations
+// can only add to one.
 func TestSetupBytesOpen(t *testing.T) {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	sys, err := dhl.Open(dhl.SystemConfig{}, dhl.WithoutSettle())
-	if err != nil {
-		t.Fatal(err)
+	got := ^uint64(0)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		sys, err := dhl.Open(dhl.SystemConfig{}, dhl.WithoutSettle())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.Register("setup", 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.SearchByName(dhl.Loopback, 0); err != nil {
+			t.Fatal(err)
+		}
+		sys.Settle()
+		runtime.ReadMemStats(&after)
+		got = min(got, after.TotalAlloc-before.TotalAlloc)
 	}
-	if _, err := sys.Register("setup", 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.SearchByName(dhl.Loopback, 0); err != nil {
-		t.Fatal(err)
-	}
-	sys.Settle()
-	runtime.ReadMemStats(&after)
-	got := after.TotalAlloc - before.TotalAlloc
 	t.Logf("Open to Settle allocated %.1f MB", float64(got)/1e6)
 	if got >= 6e6 {
 		t.Errorf("Open to Settle allocated %.1f MB, want < 6 MB", float64(got)/1e6)
@@ -289,10 +295,7 @@ func TestSystemHFTable(t *testing.T) {
 // allocations happen at reconfiguration boundaries (first sight of an
 // accelerator, an actual target change), which the warmup absorbs.
 func TestAutoTuneZeroAllocHotPath(t *testing.T) {
-	// One sampling window per traffic cycle below, so every window sees
-	// the cycle's (low-fill) batch and the shrink streak can build.
-	sys, err := dhl.Open(dhl.SystemConfig{},
-		dhl.WithAutoTune(dhl.AutoTuneConfig{Interval: 2 * eventsim.Millisecond}))
+	sys, err := dhl.Open(dhl.SystemConfig{}, dhl.WithAutoTune())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +332,9 @@ func TestAutoTuneZeroAllocHotPath(t *testing.T) {
 		if serr != nil || sent != nPkts {
 			t.Fatalf("send %d %v", sent, serr)
 		}
-		sys.Sim().Run(sys.Sim().Now() + 2*eventsim.Millisecond)
+		// One cycle per 200 µs sampling window, so every window sees the
+		// cycle's (low-fill) batch and the shrink streak can build.
+		sys.Sim().Run(sys.Sim().Now() + 200*eventsim.Microsecond)
 		got, rerr := sys.ReceivePackets(nf, out)
 		if rerr != nil || got != nPkts {
 			t.Fatalf("receive %d %v", got, rerr)

@@ -56,9 +56,10 @@
 // tune.auto op) arms a closed-loop controller that samples
 // per-accelerator batch fill and per-node IBQ pressure in fixed windows
 // on the event loop and retunes batch size, flush timeout and poll burst
-// within operator-configured bounds — observable via AutoTuneStatus,
-// dhl-inspect and the dhl_tuner_* metrics, reversible via
-// AutoTuneDisable, and allocation-free in steady state (DESIGN.md §14).
+// within fixed bounds, never above the system's configured batch size and
+// flush timeout — observable via AutoTuneStatus, dhl-inspect and the
+// dhl_tuner_* metrics, reversible via AutoTuneDisable, and
+// allocation-free in steady state (DESIGN.md §14).
 //
 // Overload is reported rather than silently dropped: Control's
 // TrySendPackets is the non-blocking send returning (accepted,

@@ -28,9 +28,6 @@ func (r *Runtime) Nodes() int { return r.cfg.Nodes }
 // BatchBytes reports the current default maximum DMA batch size.
 func (r *Runtime) BatchBytes() int { return r.tune[0].BatchBytes }
 
-// MinBatchBytes reports the adaptive-batching floor.
-func (r *Runtime) MinBatchBytes() int { return r.cfg.MinBatchBytes }
-
 // FlushTimeout reports the default partial-batch flush deadline.
 func (r *Runtime) FlushTimeout() eventsim.Time { return r.tune[0].FlushTimeout }
 
@@ -41,9 +38,9 @@ func (r *Runtime) WatchdogTimeout() eventsim.Time { return r.cfg.WatchdogTimeout
 // AccIDs lists the loaded accelerator instances in acc_id order.
 func (r *Runtime) AccIDs() []AccID {
 	ids := make([]AccID, 0, len(r.hfByAcc))
-	for acc := AccID(1); acc <= r.nextAcc; acc++ {
-		if _, ok := r.hfByAcc[acc]; ok {
-			ids = append(ids, acc)
+	for acc := 1; acc <= int(r.nextAcc); acc++ {
+		if _, ok := r.hfByAcc[AccID(acc)]; ok {
+			ids = append(ids, AccID(acc))
 		}
 	}
 	return ids
@@ -165,8 +162,8 @@ func (r *Runtime) ClearFallback(hfName string, node int) error {
 // batches while a saturated one keeps the paper's 6 KB target; the
 // operator's `tune.batch` moves the default underneath them.
 type AccTuning struct {
-	// BatchBytes caps the accelerator's staging target (and, under
-	// adaptive batching, the controller's growth ceiling).
+	// BatchBytes is the accelerator's staging target: a batch flushes
+	// once it would pass it.
 	BatchBytes int
 	// FlushTimeout is how long the accelerator's partial batch may wait
 	// before being forced out.
@@ -193,8 +190,8 @@ func (r *Runtime) SetAccBatchBytes(acc AccID, bytes int) error {
 		return err
 	}
 	if bytes != 0 || acc == 0 {
-		if bytes < r.cfg.MinBatchBytes {
-			return fmt.Errorf("%w: %d < min %d", ErrBadBatchConfig, bytes, r.cfg.MinBatchBytes)
+		if bytes < MinBatchBytes {
+			return fmt.Errorf("%w: %d < min %d", ErrBadBatchConfig, bytes, MinBatchBytes)
 		}
 		for _, tx := range r.nodeTx {
 			if tx != nil && bytes > tx.arena.segSize/2 {
@@ -286,7 +283,7 @@ func (r *Runtime) SetBurst(node, burst int) error {
 // Burst reports one node's current poll-core dequeue burst.
 func (r *Runtime) Burst(node int) int {
 	if node < 0 || node >= r.cfg.Nodes || r.nodeTx[node] == nil {
-		return r.cfg.Burst
+		return defaultBurst
 	}
 	return len(r.nodeTx[node].scratch)
 }

@@ -52,6 +52,28 @@ func TestEvictPRRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAccIDExhaustionRefusesLoad: acc_ids are never reused, so once the
+// last one is handed out LoadPR refuses, and the readers that walk the id
+// space still return.
+func TestAccIDExhaustionRefusesLoad(t *testing.T) {
+	r := newRig(t, Config{}, moduleSpec("rev", func() fpga.Module { return reverseModule{} }))
+	r.rt.nextAcc = 65534
+	acc, err := r.rt.LoadPR("rev", 0)
+	if err != nil || acc != 65535 {
+		t.Fatalf("last acc_id: %d %v", acc, err)
+	}
+	if _, err := r.rt.LoadPR("rev", 0); !errors.Is(err, ErrCapacity) {
+		t.Fatalf("load past the last acc_id: %v", err)
+	}
+	r.settle()
+	if ids := r.rt.AccIDs(); !reflect.DeepEqual(ids, []AccID{65535}) {
+		t.Errorf("AccIDs = %v, want [65535]", ids)
+	}
+	if rows := r.rt.HFTable(); len(rows) != 1 {
+		t.Errorf("hf table = %v, want one row", rows)
+	}
+}
+
 func TestEvictPRDrainsStagedPackets(t *testing.T) {
 	r := newRig(t, Config{FlushTimeout: 10 * eventsim.Millisecond},
 		moduleSpec("rev", func() fpga.Module { return reverseModule{} }))

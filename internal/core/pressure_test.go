@@ -238,17 +238,12 @@ func TestPerAccTuningOverrides(t *testing.T) {
 // where it is, reaches every accelerator without one, and is what a
 // cleared target returns to.
 func TestAccBatchTargetSurvivesDefaultMove(t *testing.T) {
-	for _, tc := range []struct {
-		mode            BatchingMode
-		own, newDefault int
-	}{
-		{FixedBatching, 1024, 2048},
-		{FixedBatching, 4096, 1024},
-		{AdaptiveBatching, 1024, 2048},
-		{AdaptiveBatching, 4096, 1024},
+	for _, tc := range []struct{ own, newDefault int }{
+		{1024, 2048},
+		{4096, 1024},
 	} {
-		t.Run(fmt.Sprintf("%v/own%d/default%d", tc.mode, tc.own, tc.newDefault), func(t *testing.T) {
-			r := newRig(t, Config{Batching: tc.mode, FlushTimeout: 5 * eventsim.Microsecond},
+		t.Run(fmt.Sprintf("fixed/own%d/default%d", tc.own, tc.newDefault), func(t *testing.T) {
+			r := newRig(t, Config{FlushTimeout: 5 * eventsim.Microsecond},
 				moduleSpec("rev", func() fpga.Module { return reverseModule{} }))
 			nf, _ := r.rt.Register("nf", 0)
 			tuned, _ := r.rt.LoadPR("rev", 0)
@@ -264,33 +259,27 @@ func TestAccBatchTargetSurvivesDefaultMove(t *testing.T) {
 			if err := r.rt.SetAccBatchBytes(tuned, tc.own); err != nil {
 				t.Fatal(err)
 			}
-			before := tx.state(tuned).effBatch
-			if before > tc.own || (tc.mode == FixedBatching && before != tc.own) {
-				t.Fatalf("own target %d gave effBatch %d", tc.own, before)
+			if got := tx.state(tuned).batchCap; got != tc.own {
+				t.Fatalf("own target %d gave batchCap %d", tc.own, got)
 			}
 			if err := r.rt.SetBatchBytes(tc.newDefault); err != nil {
 				t.Fatal(err)
 			}
-			if got := tx.state(tuned).effBatch; got != before {
-				t.Errorf("moving the default to %d moved the tuned accelerator %d -> %d", tc.newDefault, before, got)
+			if got := tx.state(tuned).batchCap; got != tc.own {
+				t.Errorf("moving the default to %d moved the tuned accelerator %d -> %d", tc.newDefault, tc.own, got)
 			}
 			if tune, _ := r.rt.AccTuningFor(tuned); tune.BatchBytes != tc.own {
 				t.Errorf("own target reads %d, want %d", tune.BatchBytes, tc.own)
 			}
-			got := tx.state(plain).effBatch
-			if got > tc.newDefault || (tc.mode == FixedBatching && got != tc.newDefault) {
+			if got := tx.state(plain).batchCap; got != tc.newDefault {
 				t.Errorf("accelerator without a target sits at %d under a default of %d", got, tc.newDefault)
 			}
 			// Clearing returns to the default as it is now, not as it was.
 			if err := r.rt.SetAccBatchBytes(tuned, 0); err != nil {
 				t.Fatal(err)
 			}
-			want := tc.newDefault
-			if tc.mode == AdaptiveBatching {
-				want = min(before, tc.newDefault) // the controller's position, clamped
-			}
-			if got := tx.state(tuned).effBatch; got != want {
-				t.Errorf("cleared target left effBatch %d under a default of %d, want %d", got, tc.newDefault, want)
+			if got := tx.state(tuned).batchCap; got != tc.newDefault {
+				t.Errorf("cleared target left batchCap %d, want the default %d", got, tc.newDefault)
 			}
 		})
 	}

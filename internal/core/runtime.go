@@ -10,6 +10,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 
@@ -43,31 +44,14 @@ var (
 	ErrBadBatchConfig = errors.New("core: invalid batching configuration")
 )
 
-// BatchingMode selects the Packer's batch sizing policy.
-type BatchingMode int
+// MinBatchBytes is the floor of every batch-size target: the default
+// and each accelerator's own, as SetAccBatchBytes and the tuner set them.
+const MinBatchBytes = 512
 
-// Batching policies.
-const (
-	// FixedBatching always aggregates to Config.BatchBytes (the paper's
-	// prototype: "the maximum batching size is limited at 6 KB", §IV-A3).
-	FixedBatching BatchingMode = iota + 1
-	// AdaptiveBatching implements the §VI.2 future-work design: the batch
-	// target shrinks when traffic is light (flushes triggered by timeout)
-	// and grows back toward BatchBytes when traffic is heavy.
-	AdaptiveBatching
-)
-
-// String names the mode.
-func (m BatchingMode) String() string {
-	switch m {
-	case FixedBatching:
-		return "fixed"
-	case AdaptiveBatching:
-		return "adaptive"
-	default:
-		return fmt.Sprintf("BatchingMode(%d)", int(m))
-	}
-}
+// defaultBurst is the TX/RX poll cores' per-iteration dequeue burst at
+// AttachCores: how many IBQ packets (TX) or DMA completions (RX) one poll
+// claims, the rte_eth_rx_burst convention. SetBurst moves it per node.
+const defaultBurst = 64
 
 // FPGAAttachment pairs an FPGA device with its DMA engine.
 type FPGAAttachment struct {
@@ -84,13 +68,9 @@ type Config struct {
 	Nodes int
 	// FPGAs lists the attached boards with their DMA engines.
 	FPGAs []FPGAAttachment
-	// BatchBytes is the maximum DMA batch size. Zero selects the paper's
-	// 6 KB.
+	// BatchBytes is the maximum DMA batch size, at least MinBatchBytes.
+	// Zero selects the paper's 6 KB.
 	BatchBytes int
-	// MinBatchBytes is the adaptive-batching floor. Zero selects 512.
-	MinBatchBytes int
-	// Batching selects fixed (default) or adaptive batch sizing.
-	Batching BatchingMode
 	// FlushTimeout bounds how long a partially filled batch may wait
 	// before being forced out. Zero selects 20us.
 	FlushTimeout eventsim.Time
@@ -100,10 +80,6 @@ type Config struct {
 	// OBQSize is each private output buffer queue's capacity. Zero
 	// selects 1024.
 	OBQSize int
-	// Burst is the TX/RX poll cores' per-iteration dequeue burst: how many
-	// IBQ packets (TX) or DMA completions (RX) one poll claims. Zero
-	// selects 64, the rte_eth_rx_burst convention.
-	Burst int
 
 	// Faults is the shared fault-injection plan. Setting it (or a nonzero
 	// WatchdogTimeout) arms the detection/recovery machinery: the batch
@@ -143,14 +119,8 @@ func (c Config) withDefaults() (Config, error) {
 	if c.BatchBytes == 0 {
 		c.BatchBytes = perf.DefaultBatchBytes
 	}
-	if c.MinBatchBytes == 0 {
-		c.MinBatchBytes = 512
-	}
-	if c.MinBatchBytes > c.BatchBytes {
-		return c, fmt.Errorf("%w: min %d > max %d", ErrBadBatchConfig, c.MinBatchBytes, c.BatchBytes)
-	}
-	if c.Batching == 0 {
-		c.Batching = FixedBatching
+	if c.BatchBytes < MinBatchBytes {
+		return c, fmt.Errorf("%w: %d < min %d", ErrBadBatchConfig, c.BatchBytes, MinBatchBytes)
 	}
 	if c.FlushTimeout == 0 {
 		c.FlushTimeout = 20 * eventsim.Microsecond
@@ -160,12 +130,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.OBQSize == 0 {
 		c.OBQSize = 1024
-	}
-	if c.Burst == 0 {
-		c.Burst = 64
-	}
-	if c.Burst < 0 {
-		return c, fmt.Errorf("%w: burst %d", ErrBadBatchConfig, c.Burst)
 	}
 	if c.WatchdogTimeout == 0 && c.Faults != nil {
 		c.WatchdogTimeout = 250 * eventsim.Microsecond
@@ -465,6 +429,11 @@ func (r *Runtime) LoadPR(name string, node int) (AccID, error) {
 	spec, ok := r.db[name]
 	if !ok {
 		return 0, fmt.Errorf("%w: %q", ErrUnknownHF, name)
+	}
+	if r.nextAcc == math.MaxUint16 {
+		// acc_ids are never reused: a wrapped counter would hand out 0,
+		// the knob family's defaults key, and then ids live entries hold.
+		return 0, fmt.Errorf("%w: acc_id space exhausted", ErrCapacity)
 	}
 	var entry *hfEntry
 	var lastErr error

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 
 	"github.com/opencloudnext/dhl-go/internal/dhlproto"
@@ -86,23 +85,19 @@ type TransferStats struct {
 	DropOBQFull   uint64
 }
 
-// accState is the Packer's per-accelerator staging area plus the adaptive
-// batch-size controller state. buf is an arena-leased segment (nil when
-// nothing is staged); flush moves it into an inflight and the next packet
-// leases a fresh one, so the staging buffer is never reallocated or
-// regrown.
+// accState is the Packer's per-accelerator staging area. buf is an
+// arena-leased segment (nil when nothing is staged); flush moves it into an
+// inflight and the next packet leases a fresh one, so the staging buffer is
+// never reallocated or regrown.
 type accState struct {
-	buf      []byte
-	mbufs    []*mbuf.Mbuf
-	firstAt  eventsim.Time
-	effBatch int
+	buf     []byte
+	mbufs   []*mbuf.Mbuf
+	firstAt eventsim.Time
 
 	// The accelerator's resolved batching knobs, derived by retune from
 	// the knob family (Runtime.tune): its own value where it has one, the
-	// default where not. batchCap is the batch-size target — effBatch
-	// itself under fixed batching, the adaptive controller's growth
-	// ceiling otherwise; flushTimeout is the deadline pass's forced-flush
-	// age.
+	// default where not. batchCap is the batch-size target; flushTimeout
+	// is the deadline pass's forced-flush age.
 	batchCap     int
 	flushTimeout eventsim.Time
 }
@@ -190,14 +185,14 @@ func (r *Runtime) AttachCores(node int, txCore, rxCore *eventsim.Core, pool *mbu
 		node:    node,
 		pool:    pool,
 		arena:   newBatchArena(r.BatchBytes()),
-		scratch: make([]*mbuf.Mbuf, r.cfg.Burst),
+		scratch: make([]*mbuf.Mbuf, defaultBurst),
 	}
 	rx := &rxEngine{
 		r:           r,
 		node:        node,
 		completions: completions,
 		stats:       &tx.stats,
-		scratch:     make([]*inflight, r.cfg.Burst),
+		scratch:     make([]*inflight, defaultBurst),
 	}
 	rx.commitFn = rx.commit
 	rx.loop = eventsim.NewPollLoop(r.sim, rxCore, perf.PollIdleCycles, rx.body)
@@ -314,7 +309,7 @@ func (t *txEngine) body() (float64, func()) {
 			st = t.newAccState(acc)
 		}
 		recLen := dhlproto.RecordOverhead + m.Len()
-		if len(st.buf)+recLen > st.effBatch && len(st.mbufs) > 0 {
+		if len(st.buf)+recLen > st.batchCap && len(st.mbufs) > 0 {
 			if ib := t.flush(acc, st, true); ib != nil {
 				t.sends = append(t.sends, ib)
 				cycles += perf.RuntimeTxCyclesPerBatch
@@ -338,7 +333,7 @@ func (t *txEngine) body() (float64, func()) {
 		st.mbufs = append(st.mbufs, m)
 		t.stats.PktsPacked++
 		cycles += perf.RuntimeTxCyclesPerPkt
-		if len(st.buf) >= st.effBatch {
+		if len(st.buf) >= st.batchCap {
 			if ib := t.flush(acc, st, true); ib != nil {
 				t.sends = append(t.sends, ib)
 				cycles += perf.RuntimeTxCyclesPerBatch
@@ -369,9 +364,7 @@ func (t *txEngine) state(acc AccID) *accState {
 //
 //go:noinline
 func (t *txEngine) newAccState(acc AccID) *accState {
-	// A fresh adaptive controller starts at its ceiling; retune clamps it
-	// there.
-	st := &accState{effBatch: math.MaxInt}
+	st := &accState{}
 	if grow := int(acc) + 1 - len(t.staging); grow > 0 {
 		t.staging = append(t.staging, make([]*accState, grow)...)
 	}
@@ -383,11 +376,9 @@ func (t *txEngine) newAccState(acc AccID) *accState {
 
 // retune derives a staging area's batching knobs from the one knob family:
 // the accelerator's own value where it has one, the default (acc_id 0)
-// where not. Under fixed batching the target takes effect at once; under
-// adaptive batching the controller keeps its position, clamped to the new
-// window, and goes on adapting from there. A shortened flush timeout moves a
-// staged batch's deadline without touching a ring, so the TX loop is poked
-// to read it again.
+// where not; the target takes effect at once. A shortened flush timeout
+// moves a staged batch's deadline without touching a ring, so the TX loop
+// is poked to read it again.
 func (t *txEngine) retune(acc AccID, st *accState) {
 	tune := t.r.tune[0]
 	if int(acc) < len(t.r.tune) {
@@ -400,11 +391,6 @@ func (t *txEngine) retune(acc AccID, st *accState) {
 		}
 	}
 	st.batchCap, st.flushTimeout = tune.BatchBytes, tune.FlushTimeout
-	if t.r.cfg.Batching == AdaptiveBatching {
-		st.effBatch = min(max(st.effBatch, t.r.cfg.MinBatchBytes), st.batchCap)
-	} else {
-		st.effBatch = st.batchCap
-	}
 	t.loop.Poke()
 }
 
@@ -515,15 +501,6 @@ func (t *txEngine) flush(acc AccID, st *accState, bySize bool) *inflight {
 	}
 	quarantined := att == nil
 
-	// Adaptive batching controller (§VI.2): grow on size-triggered
-	// flushes, shrink on timeout-triggered ones.
-	if t.r.cfg.Batching == AdaptiveBatching {
-		if bySize {
-			st.effBatch = min(st.effBatch*2, st.batchCap)
-		} else {
-			st.effBatch = max(st.effBatch/2, t.r.cfg.MinBatchBytes)
-		}
-	}
 	if bySize {
 		t.stats.FlushBySize++
 	} else {

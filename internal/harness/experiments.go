@@ -6,7 +6,6 @@ import (
 	"io"
 	"strings"
 
-	"github.com/opencloudnext/dhl-go/internal/core"
 	"github.com/opencloudnext/dhl-go/internal/eventsim"
 	"github.com/opencloudnext/dhl-go/internal/perf"
 	"github.com/opencloudnext/dhl-go/internal/telemetry"
@@ -261,20 +260,18 @@ func table7(w io.Writer) error {
 }
 
 func ablation(w io.Writer, quick bool) error {
-	// A1 sweeps the transfer batching policy — fixed batch sizes around
-	// §IV-A3's 6 KB choice, plus §VI.2's adaptive proposal — at a high-load
-	// and a low-load operating point.
+	// A1 sweeps fixed batch sizes around §IV-A3's 6 KB choice at a
+	// high-load and a low-load operating point. §VI.2's adaptive batching
+	// is the tuner's, measured by the diurnal sweep (T5).
 	batchingPolicies := []struct {
-		label    string
-		bytes    int
-		adaptive bool
+		label string
+		bytes int
 	}{
-		{"fixed-512B", 512, false},
-		{"fixed-1KB", 1024, false},
-		{"fixed-2KB", 2048, false},
-		{"fixed-6KB", perf.DefaultBatchBytes, false},
-		{"fixed-16KB", 16 * 1024, false},
-		{"adaptive", perf.DefaultBatchBytes, true},
+		{"fixed-512B", 512},
+		{"fixed-1KB", 1024},
+		{"fixed-2KB", 2048},
+		{"fixed-6KB", perf.DefaultBatchBytes},
+		{"fixed-16KB", 16 * 1024},
 	}
 	fmt.Fprintf(w, "%-12s %-8s %-12s %-12s\n", "policy", "load", "Gbps", "lat(us)")
 	for _, load := range []float64{1.0, 0.05} {
@@ -283,9 +280,6 @@ func ablation(w io.Writer, quick bool) error {
 				Kind: IPsecGateway, Mode: DHL, FrameSize: 512,
 				OfferedWireBps: load * perf.NIC40GBps, BatchBytes: p.bytes,
 			})
-			if p.adaptive {
-				cfg.Batching = core.AdaptiveBatching
-			}
 			r, err := RunSingleNF(cfg)
 			if err != nil {
 				return fmt.Errorf("batching ablation %s: %w", p.label, err)

@@ -29,9 +29,8 @@ type SingleNFConfig struct {
 	// virtual time).
 	Warmup eventsim.Time
 	Window eventsim.Time
-	// Batching / BatchBytes / FlushTimeout override the DHL runtime's
-	// transfer batching (ablations A1).
-	Batching     core.BatchingMode
+	// BatchBytes / FlushTimeout override the DHL runtime's transfer
+	// batching (ablation A1).
 	BatchBytes   int
 	FlushTimeout eventsim.Time
 	// Driver / RemoteNUMA select the DMA model variant (ablation A2).
@@ -275,7 +274,7 @@ func wireCPUOnly(tb *testbed, rxPort, txPort *netdev.Port, proc swProcessor, dro
 func wireDHL(tb *testbed, rxPort, txPort *netdev.Port, cfg SingleNFConfig, dropped *uint64) (*core.Runtime, error) {
 	rt, _, _, err := tb.newRuntime(
 		pcie.Config{Mode: cfg.Driver, RemoteNUMA: cfg.RemoteNUMA},
-		core.Config{Batching: cfg.Batching, BatchBytes: cfg.BatchBytes, FlushTimeout: cfg.FlushTimeout, Telemetry: cfg.Telemetry},
+		core.Config{BatchBytes: cfg.BatchBytes, FlushTimeout: cfg.FlushTimeout, Telemetry: cfg.Telemetry},
 	)
 	if err != nil {
 		return nil, err

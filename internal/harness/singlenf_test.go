@@ -203,19 +203,24 @@ func TestAllocBudgetNIDS512(t *testing.T) {
 // TestSetupBytesIPsec pins the heap a testbed takes before its first
 // packet: one RunSingleNF with a 1 us window is the bench's set-up pass.
 // It was 104.8 MB while every SADB cleared a flat 64 MB LPM table to hold
-// two /1 routes; what is left is mostly the mbuf pool.
+// two /1 routes; what is left is mostly the mbuf pool. TotalAlloc is the
+// process's, so the gate reads the least of a few passes: each does the
+// same work, and another goroutine's allocations can only add to one.
 func TestSetupBytesIPsec(t *testing.T) {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, err := RunSingleNF(SingleNFConfig{
-		Kind: IPsecGateway, Mode: DHL, FrameSize: 64,
-		Warmup: 2 * eventsim.Millisecond, Window: eventsim.Microsecond,
-	})
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
+	got := ^uint64(0)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := RunSingleNF(SingleNFConfig{
+			Kind: IPsecGateway, Mode: DHL, FrameSize: 64,
+			Warmup: 2 * eventsim.Millisecond, Window: eventsim.Microsecond,
+		})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = min(got, after.TotalAlloc-before.TotalAlloc)
 	}
-	got := after.TotalAlloc - before.TotalAlloc
 	t.Logf("set-up pass allocated %.1f MB", float64(got)/1e6)
 	if got >= 50e6 {
 		t.Errorf("set-up pass allocated %.1f MB, want < 50 MB", float64(got)/1e6)

@@ -63,17 +63,28 @@ func TestAllocFreeBulkZeroAllocs(t *testing.T) {
 	}
 }
 
-// heapDelta runs f and reports the heap objects and bytes it allocated,
-// with the collector off and one P, as testing.AllocsPerRun has it: a
-// collection that starts inside f adds objects of the runtime's own.
-func heapDelta(f func()) (objects, bytes uint64) {
+// heapDelta reports the heap objects and bytes f allocates, with the
+// collector off and one P, as testing.AllocsPerRun has it: a collection
+// that starts inside f adds objects of the runtime's own. The counters are
+// the process's, so another goroutine's allocations land on them too; f
+// runs five times, each after an unmeasured setup (nil: none) that gives
+// it the same work, and the least of the five is f's own cost.
+func heapDelta(setup, f func()) (objects, bytes uint64) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	f()
-	runtime.ReadMemStats(&after)
-	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+	objects, bytes = ^uint64(0), ^uint64(0)
+	for range 5 {
+		if setup != nil {
+			setup()
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		objects = min(objects, after.Mallocs-before.Mallocs)
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+	}
+	return objects, bytes
 }
 
 // TestPoolHotSlabConstruction pins what a pool costs before it hands
@@ -82,7 +93,7 @@ func heapDelta(f func()) (objects, bytes uint64) {
 func TestPoolHotSlabConstruction(t *testing.T) {
 	var p *Pool
 	var err error
-	objects, bytes := heapDelta(func() { p, err = NewPool(PoolConfig{Name: "test", Capacity: 16384}) })
+	objects, bytes := heapDelta(nil, func() { p, err = NewPool(PoolConfig{Name: "test", Capacity: 16384}) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +115,7 @@ func TestPoolHotSlabConstruction(t *testing.T) {
 func TestPoolHotSlabOverflow(t *testing.T) {
 	const capacity = hotSlots + 64
 	for _, bulk := range []bool{false, true} {
-		p := newPool(t, capacity)
+		var p *Pool
 		all := make([]*Mbuf, capacity)
 		take := func(ms []*Mbuf) {
 			if bulk {
@@ -121,10 +132,12 @@ func TestPoolHotSlabOverflow(t *testing.T) {
 				ms[i] = m
 			}
 		}
-		if objects, _ := heapDelta(func() { take(all[:hotSlots]) }); objects != 0 {
+		// Every measured step runs on a fresh pool brought to the same point.
+		fresh := func() { p = newPool(t, capacity) }
+		if objects, _ := heapDelta(fresh, func() { take(all[:hotSlots]) }); objects != 0 {
 			t.Errorf("bulk=%v: the hot slab's %d slots cost %d heap objects, want 0", bulk, hotSlots, objects)
 		}
-		objects, bytes := heapDelta(func() { take(all[hotSlots:]) })
+		objects, bytes := heapDelta(func() { fresh(); take(all[:hotSlots]) }, func() { take(all[hotSlots:]) })
 		if want := uint64(64 * DefaultDataRoom); objects != 1 || bytes < want || bytes > want+want/8 {
 			t.Errorf("bulk=%v: overflow allocated %d objects, %d bytes, want 1 object of about %d", bulk, objects, bytes, want)
 		}
@@ -149,10 +162,14 @@ func TestPoolHotSlabOverflow(t *testing.T) {
 				}
 			}
 		}
-		if err := p.FreeBulk(all); err != nil {
-			t.Fatal(err)
+		firstPass := func() {
+			fresh()
+			take(all)
+			if err := p.FreeBulk(all); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if objects, _ := heapDelta(func() { take(all) }); objects != 0 {
+		if objects, _ := heapDelta(firstPass, func() { take(all) }); objects != 0 {
 			t.Errorf("bulk=%v: a second pass over the whole pool cost %d heap objects, want 0", bulk, objects)
 		}
 	}

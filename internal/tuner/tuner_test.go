@@ -34,7 +34,6 @@ func newFakeAct(nodes int) *fakeAct {
 
 func (f *fakeAct) Nodes() int                  { return f.nodes }
 func (f *fakeAct) BatchBytes() int             { return 6 * 1024 }
-func (f *fakeAct) MinBatchBytes() int          { return 512 }
 func (f *fakeAct) FlushTimeout() eventsim.Time { return 20 * eventsim.Microsecond }
 func (f *fakeAct) Burst(node int) int          { return f.burst[node] }
 func (f *fakeAct) AccInfo(acc core.AccID) (core.AccInfo, error) {
@@ -78,7 +77,7 @@ func newTestTuner(t *testing.T, act *fakeAct) (*Tuner, *eventsim.Sim, *telemetry
 	t.Helper()
 	sim := eventsim.New()
 	tel := telemetry.New(256)
-	tun, err := New(sim, act, tel, Config{})
+	tun, err := New(sim, act, tel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,8 +86,8 @@ func newTestTuner(t *testing.T, act *fakeAct) (*Tuner, *eventsim.Sim, *telemetry
 
 // window advances virtual time by one sampling interval so the armed
 // timer fires exactly once.
-func window(sim *eventsim.Sim, tun *Tuner) {
-	sim.Run(sim.Now() + tun.cfg.Interval + eventsim.Nanosecond)
+func window(sim *eventsim.Sim) {
+	sim.Run(sim.Now() + interval + eventsim.Nanosecond)
 }
 
 func TestTunerShrinksOnLowFill(t *testing.T) {
@@ -100,7 +99,7 @@ func TestTunerShrinksOnLowFill(t *testing.T) {
 	// Trough traffic: batches flushing at ~1/12 of the 6 KB target.
 	for i := 0; i < 4; i++ {
 		pushSpans(tel, 10, 512)
-		window(sim, tun)
+		window(sim)
 	}
 	st := tun.Status()
 	if !st.Enabled || st.Windows != 4 {
@@ -128,7 +127,7 @@ func TestTunerGrowsBackUnderPressure(t *testing.T) {
 	}
 	for i := 0; i < 4; i++ { // shrink first
 		pushSpans(tel, 10, 512)
-		window(sim, tun)
+		window(sim)
 	}
 	shrunk := tun.Status().Accs[0].BatchTarget
 	if shrunk >= 6*1024 {
@@ -138,7 +137,7 @@ func TestTunerGrowsBackUnderPressure(t *testing.T) {
 	act.hot[0] = true
 	for i := 0; i < 8; i++ {
 		pushSpans(tel, 10, 6*1024)
-		window(sim, tun)
+		window(sim)
 	}
 	st := tun.Status()
 	if st.Accs[0].BatchTarget != 6*1024 {
@@ -166,7 +165,7 @@ func TestTunerHysteresisHoldsOneWindowSignals(t *testing.T) {
 		} else {
 			pushSpans(tel, 10, 3*1024) // fill 0.5: dead zone
 		}
-		window(sim, tun)
+		window(sim)
 	}
 	st := tun.Status()
 	if st.GrowDecisions+st.ShrinkDecisions != 0 {
@@ -184,10 +183,10 @@ func TestTunerQuietWindowResetsStreaks(t *testing.T) {
 		t.Fatal(err)
 	}
 	pushSpans(tel, 10, 512)
-	window(sim, tun) // shrink streak 1
-	window(sim, tun) // quiet window: streak must reset, not act
+	window(sim) // shrink streak 1
+	window(sim) // quiet window: streak must reset, not act
 	pushSpans(tel, 10, 512)
-	window(sim, tun) // shrink streak back to 1
+	window(sim) // shrink streak back to 1
 	if st := tun.Status(); st.ShrinkDecisions != 0 {
 		t.Fatalf("a lull cashed in a stale streak: %+v", st)
 	}
@@ -201,7 +200,7 @@ func TestTunerDisableRollsBack(t *testing.T) {
 	}
 	for i := 0; i < 4; i++ {
 		pushSpans(tel, 10, 512)
-		window(sim, tun)
+		window(sim)
 	}
 	if act.batch[1] == 0 {
 		t.Fatal("precondition: no override applied")
@@ -221,14 +220,14 @@ func TestTunerDisableRollsBack(t *testing.T) {
 	// The stopped timer must not keep deciding.
 	pushSpans(tel, 10, 512)
 	before := tun.Status().Windows
-	window(sim, tun)
+	window(sim)
 	if tun.Status().Windows != before {
 		t.Fatal("windows advanced while disabled")
 	}
 }
 
 func TestTunerRequiresTelemetry(t *testing.T) {
-	if _, err := New(eventsim.New(), newFakeAct(1), nil, Config{}); err == nil {
+	if _, err := New(eventsim.New(), newFakeAct(1), nil); err == nil {
 		t.Fatal("New accepted a nil telemetry registry")
 	}
 }
@@ -242,11 +241,11 @@ func TestTunerTickSteadyStateZeroAllocs(t *testing.T) {
 	// Warm: adopt the accelerator, settle the configuration.
 	for i := 0; i < 10; i++ {
 		pushSpans(tel, 16, 3*1024) // dead zone: no reconfiguration
-		window(sim, tun)
+		window(sim)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		pushSpans(tel, 16, 3*1024)
-		window(sim, tun)
+		window(sim)
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state tuner window allocates %.1f allocs, want 0", allocs)

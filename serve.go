@@ -135,8 +135,6 @@ type Control struct {
 	// tun is the adaptive batching controller, constructed by WithAutoTune
 	// or lazily by the first AutoTuneEnable; nil until then.
 	tun *tuner.Tuner
-	// tunCfg is the controller configuration WithAutoTune captured.
-	tunCfg AutoTuneConfig
 }
 
 var _ ctlplane.Backend = (*Control)(nil)
@@ -204,7 +202,7 @@ func (c *Control) ensureTuner() error {
 	if c.sys.tel == nil {
 		return fmt.Errorf("dhl: autotuner requires telemetry (open with WithAutoTune, WithControlPlane, or SystemConfig.Telemetry)")
 	}
-	t, err := tuner.New(c.sys.sim, c.Runtime, c.sys.tel, c.tunCfg)
+	t, err := tuner.New(c.sys.sim, c.Runtime, c.sys.tel)
 	if err != nil {
 		return err
 	}
