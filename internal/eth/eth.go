@@ -171,29 +171,6 @@ func (f Frame) DstPort() uint16 {
 	return binary.BigEndian.Uint16(l4[2:4])
 }
 
-// Payload returns the application payload (after the L4 header).
-func (f Frame) Payload() []byte {
-	l4 := f.L4()
-	switch f.Proto() {
-	case ProtoUDP:
-		if len(l4) < UDPLen {
-			return nil
-		}
-		return l4[UDPLen:]
-	case ProtoTCP:
-		if len(l4) < TCPLen {
-			return nil
-		}
-		off := int(l4[12]>>4) * 4
-		if off < TCPLen || len(l4) < off {
-			return nil
-		}
-		return l4[off:]
-	default:
-		return l4
-	}
-}
-
 // Tuple extracts the flow 5-tuple.
 func (f Frame) Tuple() FiveTuple {
 	return FiveTuple{

@@ -396,8 +396,16 @@ func (s *Sim) park(p *PollLoop) bool {
 		s.nParked++
 		p.parked = true
 	}
+	// Exec's booking of idleCycles, with the period NewPollLoop already
+	// converted them to.
+	c := p.core
+	if s.deferTo != 0 {
+		s.landOn(c)
+	}
+	c.freeAt = max(c.freeAt, s.now) + p.period
+	c.busy += p.period
 	s.seq++
-	p.nextAt, p.seq, p.stamp = p.core.Exec(p.idleCycles, nil), s.seq, s.executed
+	p.nextAt, p.seq, p.stamp = c.freeAt, s.seq, s.executed
 	return true
 }
 

@@ -2,7 +2,6 @@ package mbuf
 
 import (
 	"errors"
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -240,49 +239,6 @@ func TestBuffersDoNotAlias(t *testing.T) {
 	_ = b.AppendBytes([]byte{0xBB, 0xBB})
 	if a.Data()[0] != 0xAA || b.Data()[0] != 0xBB {
 		t.Error("mbuf buffers alias each other")
-	}
-}
-
-func TestConcurrentAllocFree(t *testing.T) {
-	p := newPool(t, 256)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 5000; i++ {
-				m, err := p.Alloc()
-				if err != nil {
-					continue
-				}
-				_ = m.AppendBytes([]byte{1, 2, 3})
-				if err := p.Free(m); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}()
-	}
-	// Half as many again take and return theirs in batches.
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			batch := make([]*Mbuf, 8)
-			for i := 0; i < 1000; i++ {
-				if err := p.AllocBulk(batch); err != nil {
-					continue
-				}
-				if err := p.FreeBulk(batch); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if p.Available() != 256 {
-		t.Errorf("pool leaked: %d available of 256", p.Available())
 	}
 }
 

@@ -1,9 +1,6 @@
 package mbuf
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Pool is a fixed-capacity packet-buffer pool, the stand-in for
 // rte_pktmbuf_pool. Every mbuf exists from construction and is recycled
@@ -12,11 +9,11 @@ import (
 // keeps reusing) and the rest in one cold slab on first overflow, so a pool
 // costs what it hands out, not what it could.
 //
-// Pool is safe for concurrent use; the simulator itself is single-threaded,
-// but the pool is also exercised by real-goroutine stress tests and by the
-// examples, which run outside the simulator.
+// Pool is not safe for concurrent use. It belongs to the goroutine that
+// drives the simulator (Sim.Run), like the rest of the data path; a reader
+// on another goroutine — the dhl_mbuf_in_use gauge of a served system —
+// goes through that loop (System.Serve renders metrics there).
 type Pool struct {
-	mu      sync.Mutex
 	name    string
 	node    int // NUMA node the pool's memory lives on (paper §IV-A2)
 	bufSize int
@@ -94,12 +91,12 @@ func (p *Pool) Name() string { return p.name }
 // Capacity reports the total number of mbufs.
 func (p *Pool) Capacity() int { return len(p.slots) }
 
+// DataRoom reports how many bytes a freshly allocated mbuf can take: its
+// buffer past the default headroom.
+func (p *Pool) DataRoom() int { return p.bufSize - DefaultHeadroom }
+
 // Available reports how many mbufs are currently free.
-func (p *Pool) Available() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.free)
-}
+func (p *Pool) Available() int { return len(p.free) }
 
 // InUse reports how many mbufs are currently allocated.
 func (p *Pool) InUse() int { return p.Capacity() - p.Available() }
@@ -108,8 +105,6 @@ func (p *Pool) InUse() int { return p.Capacity() - p.Available() }
 //
 //dhl:hotpath
 func (p *Pool) Alloc() (*Mbuf, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if len(p.free) == 0 {
 		p.fails++
 		return nil, ErrPoolExhausted
@@ -132,8 +127,6 @@ func (p *Pool) Alloc() (*Mbuf, error) {
 //
 //dhl:hotpath
 func (p *Pool) AllocBulk(dst []*Mbuf) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if len(p.free) < len(dst) {
 		p.fails++
 		return ErrPoolExhausted
@@ -161,15 +154,6 @@ func (p *Pool) Free(m *Mbuf) error {
 	if m == nil {
 		return nil
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.freeLocked(m)
-}
-
-// freeLocked is Free's body for a non-nil m, with p.mu held.
-//
-//dhl:hotpath
-func (p *Pool) freeLocked(m *Mbuf) error {
 	if m.pool != p {
 		return ErrForeignMbuf
 	}
@@ -182,18 +166,13 @@ func (p *Pool) freeLocked(m *Mbuf) error {
 	return nil
 }
 
-// FreeBulk frees a batch under one lock, skipping nil entries and stopping
-// at the first error: what came before it stays freed.
+// FreeBulk frees a batch, skipping nil entries and stopping at the first
+// error: what came before it stays freed.
 //
 //dhl:hotpath
 func (p *Pool) FreeBulk(ms []*Mbuf) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	for _, m := range ms {
-		if m == nil {
-			continue
-		}
-		if err := p.freeLocked(m); err != nil {
+		if err := p.Free(m); err != nil {
 			return err
 		}
 	}
@@ -202,7 +181,5 @@ func (p *Pool) FreeBulk(ms []*Mbuf) error {
 
 // Stats reports lifetime pool counters.
 func (p *Pool) Stats() (allocs, frees, fails uint64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	return p.allocs, p.frees, p.fails
 }

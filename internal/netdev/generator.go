@@ -1,6 +1,7 @@
 package netdev
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -28,9 +29,12 @@ const MaxFlows = 1 << 40
 // (8 B/flow); 16M flows is 128 MB, past any realistic soak.
 const maxChurnFlows = 1 << 24
 
-// PayloadFn customizes packet payload contents; i is the packet ordinal.
-// The NIDS experiments use it to embed rule-matching content in a fraction
-// of the traffic.
+// PayloadFn customizes packet payload contents; i is the packet ordinal,
+// the count of frames the generator put on the wire before this one. It
+// is called when the NIC takes the frame, in delivery order, and never
+// for a frame dropped at a full RX queue, so what it writes should be a
+// function of i alone. The NIDS experiments use it to embed
+// rule-matching content in a fraction of the traffic.
 type PayloadFn func(i uint64, payload []byte)
 
 // GeneratorConfig parameterizes a Generator.
@@ -85,9 +89,18 @@ type Generator struct {
 
 	interBurst eventsim.Time
 	template   []byte
+	// ipSum is the one's-complement sum of the template's IPv4 header
+	// words without the checksum and the source address, which deliver
+	// adds per frame; payloadOff is where the payload starts.
+	ipSum      uint32
+	payloadOff int
 
 	// Frames on the wire and not yet delivered, oldest at pend[head],
-	// each with the (due, seq) pair burst drew for its delivery. Due
+	// each with the (due, seq) pair burst drew for its delivery. A frame
+	// there holds its mbuf but not yet its bytes: deliver writes them
+	// once the RX queue has room, and a frame the queue drops goes back
+	// to the pool unbuilt, as a NIC without a free descriptor never
+	// writes host memory. Due
 	// times never decrease along pend and seqs increase, so the frames
 	// fall due in pend order, and only pend[head]'s delivery is on the
 	// event heap: deliver schedules the next one's with its stored pair
@@ -112,12 +125,15 @@ type Generator struct {
 }
 
 // rxFrame is one generated frame on the wire towards RX queue q, due
-// at due in the place seq gives it among events at that instant.
+// at due in the place seq gives it among events at that instant: the
+// ord-th frame of the generator, of flow flow.
 type rxFrame struct {
-	q   int
-	m   *mbuf.Mbuf
-	due eventsim.Time
-	seq uint64
+	q    int
+	m    *mbuf.Mbuf
+	due  eventsim.Time
+	seq  uint64
+	flow uint64
+	ord  uint64
 }
 
 // FlowSrc encodes a flow id injectively into the source (address,
@@ -134,6 +150,10 @@ func FlowSrc(id uint64) (eth.IPv4, uint16) {
 func NewGenerator(sim *eventsim.Sim, cfg GeneratorConfig) (*Generator, error) {
 	if cfg.FrameSize < 64 || cfg.FrameSize > 1500 {
 		return nil, fmt.Errorf("%w: %d", ErrBadFrameSize, cfg.FrameSize)
+	}
+	if room := cfg.Pool.DataRoom(); cfg.FrameSize > room {
+		return nil, fmt.Errorf("%w: %d exceeds pool %q's %d-byte data room",
+			ErrBadFrameSize, cfg.FrameSize, cfg.Pool.Name(), room)
 	}
 	if cfg.OfferedWireBps <= 0 {
 		return nil, ErrBadRateCfg
@@ -190,13 +210,11 @@ func NewGenerator(sim *eventsim.Sim, cfg GeneratorConfig) (*Generator, error) {
 		g.interBurst = 1
 	}
 	g.template = make([]byte, cfg.FrameSize)
-	payloadLen := cfg.FrameSize - eth.EtherLen - eth.IPv4Len - eth.UDPLen
+	g.payloadOff = eth.EtherLen + eth.IPv4Len + eth.UDPLen
 	if cfg.Proto == eth.ProtoTCP {
-		payloadLen = cfg.FrameSize - eth.EtherLen - eth.IPv4Len - eth.TCPLen
+		g.payloadOff = eth.EtherLen + eth.IPv4Len + eth.TCPLen
 	}
-	if payloadLen < 0 {
-		payloadLen = 0
-	}
+	payloadLen := cfg.FrameSize - g.payloadOff
 	if _, err := eth.Build(g.template, eth.BuildConfig{
 		SrcMAC:  eth.MAC{0x02, 0, 0, 0, 0, 1},
 		DstMAC:  eth.MAC{0x02, 0, 0, 0, 0, 2},
@@ -209,8 +227,19 @@ func NewGenerator(sim *eventsim.Sim, cfg GeneratorConfig) (*Generator, error) {
 	}); err != nil {
 		return nil, fmt.Errorf("netdev: build template: %w", err)
 	}
+	for off := 0; off < eth.IPv4Len; off += 2 {
+		if off != ipChecksumOff && off != ipSrcOff && off != ipSrcOff+2 {
+			g.ipSum += uint32(g.template[eth.EtherLen+off])<<8 | uint32(g.template[eth.EtherLen+off+1])
+		}
+	}
 	return g, nil
 }
+
+// Offsets within the IPv4 header of the fields deliver writes per frame.
+const (
+	ipChecksumOff = 10
+	ipSrcOff      = 12
+)
 
 // Start begins emitting bursts at the configured pace (and, with
 // ChurnPerSec set, the flow birth/death process alongside).
@@ -245,8 +274,8 @@ func (g *Generator) SetOfferedWireBps(bps float64) error {
 	return nil
 }
 
-// Sent reports frames delivered to the port (including ones the port
-// dropped on full RX queues).
+// Sent reports frames put on the wire towards the port (including ones
+// the port dropped on full RX queues).
 func (g *Generator) Sent() uint64 { return g.sent }
 
 // AllocFailures reports frames skipped because the pool was exhausted.
@@ -314,27 +343,15 @@ func (g *Generator) burst() {
 	frameWire := eventsim.Time(float64(g.cfg.FrameSize+eth.WireOverhead) * 8 / g.cfg.Port.RateBps() * 1e12)
 	now := g.sim.Now()
 	for i := 0; i < g.cfg.Burst; i++ {
+		// A frame holds its mbuf from here until it is delivered or
+		// dropped, so where the pool runs dry does not depend on when
+		// deliver writes the bytes.
 		m, err := g.cfg.Pool.Alloc()
 		if err != nil {
 			g.drop++
 			continue
 		}
-		if err := m.AppendBytes(g.template); err != nil {
-			g.drop++
-			_ = g.cfg.Pool.Free(m)
-			continue
-		}
-		frame, _ := eth.Parse(m.Data())
 		flow := g.pickFlow()
-		srcIP, srcPort := FlowSrc(flow)
-		frame.SetSrcIP(srcIP)
-		setSrcPort(frame, srcPort)
-		frame.SetIPChecksum(frame.ComputeIPChecksum())
-		if g.cfg.Payload != nil {
-			g.cfg.Payload(g.sent, frame.Payload())
-		}
-		m.Port = uint16(g.cfg.Port.ID())
-		m.RxTimestamp = 0 // stamped by the I/O core at rx_burst (§V-C)
 		// RSS: queue by flow hash, like a NIC's Toeplitz over the tuple.
 		q := int(mix64(flow) % uint64(g.cfg.Port.Queues()))
 		// The wire is serial: no frame lands before one scheduled
@@ -350,7 +367,7 @@ func (g *Generator) burst() {
 			g.pend = g.pend[:copy(g.pend, g.pend[g.head:])]
 			g.head = 0
 		}
-		g.pend = append(g.pend, rxFrame{q: q, m: m, due: due, seq: g.sim.DrawSeq()})
+		g.pend = append(g.pend, rxFrame{q: q, m: m, due: due, seq: g.sim.DrawSeq(), flow: flow, ord: g.sent})
 		if len(g.pend)-g.head == 1 {
 			g.sim.AtSeq(due, g.pend[g.head].seq, g.deliverFn)
 		}
@@ -359,8 +376,8 @@ func (g *Generator) burst() {
 	g.sim.After(g.interBurst, g.burstFn)
 }
 
-// deliver hands the oldest frame on the wire to the port and schedules
-// the next one's delivery.
+// deliver hands the oldest frame on the wire to the port, written out
+// if its RX queue has room for it, and schedules the next one's delivery.
 func (g *Generator) deliver() {
 	f := g.pend[g.head]
 	g.head++
@@ -370,13 +387,32 @@ func (g *Generator) deliver() {
 		next := &g.pend[g.head]
 		g.sim.AtSeq(next.due, next.seq, g.deliverFn)
 	}
+	if !g.cfg.Port.rxFull(f.q) {
+		g.build(f)
+	}
 	g.cfg.Port.DeliverRx(f.q, f.m, g.cfg.Pool)
 }
 
-func setSrcPort(f eth.Frame, port uint16) {
-	l4 := f.L4()
-	if len(l4) >= 2 {
-		l4[0] = byte(port >> 8)
-		l4[1] = byte(port)
+// build writes f's frame into its mbuf: the template with the flow's
+// source address and port, the header checksum and the payload.
+// NewGenerator made sure the template fits an empty mbuf.
+func (g *Generator) build(f rxFrame) {
+	m := f.m
+	_ = m.AppendBytes(g.template)
+	d := m.Data()
+	ip, port := FlowSrc(f.flow)
+	src := d[eth.EtherLen+ipSrcOff : eth.EtherLen+ipSrcOff+4]
+	copy(src, ip[:])
+	d[eth.EtherLen+eth.IPv4Len] = byte(port >> 8)
+	d[eth.EtherLen+eth.IPv4Len+1] = byte(port)
+	sum := g.ipSum + (uint32(ip[0])<<8 | uint32(ip[1])) + (uint32(ip[2])<<8 | uint32(ip[3]))
+	for sum > 0xffff {
+		sum = sum&0xffff + sum>>16
 	}
+	binary.BigEndian.PutUint16(d[eth.EtherLen+ipChecksumOff:], ^uint16(sum))
+	if g.cfg.Payload != nil {
+		g.cfg.Payload(f.ord, d[g.payloadOff:])
+	}
+	m.Port = uint16(g.cfg.Port.ID())
+	m.RxTimestamp = 0 // stamped by the I/O core at rx_burst (§V-C)
 }

@@ -1,7 +1,10 @@
 package netdev
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
@@ -325,28 +328,41 @@ func TestGeneratorDeliversInScheduleOrder(t *testing.T) {
 
 	// due[i] is when frame i should land: one frame time after the one
 	// before it in its burst, and never before a frame scheduled earlier
-	// (the wire is serial). Payload runs inside burst, at the burst's
-	// instant, once per frame in scheduling order.
+	// (the wire is serial). The frames of each burst are read off pend
+	// right after it ran; Payload, which runs when the port takes a
+	// frame, tags it with its ordinal.
 	var due []eventsim.Time
-	var burstAt, lastDue eventsim.Time
-	inBurst := 0
+	var lastDue eventsim.Time
 	g, err := NewGenerator(sim, GeneratorConfig{
 		Port: p, Pool: pool, FrameSize: frameSize, OfferedWireBps: 10e9, Burst: burst,
 		Payload: func(i uint64, payload []byte) {
-			if int(i) != len(due) {
-				t.Fatalf("frame %d built after %d others", i, len(due))
+			if i >= uint64(len(due)) || sim.Now() != due[i] {
+				t.Fatalf("frame %d written at %d, not at its due instant", i, sim.Now())
 			}
-			if now := sim.Now(); now != burstAt || inBurst == burst {
-				burstAt, inBurst = now, 0
-			}
-			lastDue = max(lastDue, burstAt+eventsim.Time(inBurst)*frameWire)
-			due = append(due, lastDue)
-			inBurst++
 			payload[0], payload[1], payload[2] = byte(i>>16), byte(i>>8), byte(i)
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	burstFn := g.burstFn
+	g.burstFn = func() {
+		burstFn()
+		inBurst := 0
+		for _, f := range g.pend[g.head:] {
+			if f.ord < uint64(len(due)) {
+				continue
+			}
+			if f.ord != uint64(len(due)) {
+				t.Fatalf("frame %d queued after %d others", f.ord, len(due))
+			}
+			lastDue = max(lastDue, sim.Now()+eventsim.Time(inBurst)*frameWire)
+			if f.due != lastDue {
+				t.Fatalf("frame %d queued due at %d, want %d", f.ord, f.due, lastDue)
+			}
+			due = append(due, lastDue)
+			inBurst++
+		}
 	}
 
 	// Step well under one frame time, so that frames due at different
@@ -370,7 +386,7 @@ func TestGeneratorDeliversInScheduleOrder(t *testing.T) {
 					if perr != nil {
 						t.Fatal(perr)
 					}
-					pl := frame.Payload()
+					pl := m.Data()[eth.EtherLen+eth.IPv4Len+eth.UDPLen:]
 					i := int(pl[0])<<16 | int(pl[1])<<8 | int(pl[2])
 					if i <= last {
 						t.Fatalf("queue %d: frame %d landed after frame %d", q, i, last)
@@ -439,22 +455,30 @@ func TestGeneratorDeliversInScheduleOrder(t *testing.T) {
 
 // TestGeneratorsShareInstantsInReferenceOrder runs two generators on one
 // port whose frames fall due at shared instants, through a Stop/Start that
-// runs one of them on two burst chains. The reference books every frame
-// with At at burst time: Payload books a check on the frame's due instant
-// there, with the seq drawn just before the frame's own, so that in the
-// reference the check runs immediately before the delivery. Each check
-// finds every frame checked before it delivered and its own not yet, and
-// a second check one picosecond later finds it delivered; the port's one
-// queue gives the deliveries' order. The event heap holds one delivery per
-// generator with frames on the wire, never more.
+// runs one of them on two burst chains. The reference books every frame at
+// burst time, as At would have: right after each burst, the frames it put
+// on the wire are read off pend with the (due, seq) pair burst drew, and
+// the reference delivers all frames in (due, seq) order, the event heap's.
+// Payload, which runs as the port takes a frame, finds it at its due
+// instant with every frame it saw before delivered; a check one
+// picosecond later finds it delivered; the port's one queue and the order
+// of Payload's calls give the deliveries' order. The event heap holds one
+// delivery per generator with frames on the wire, never more.
 func TestGeneratorsShareInstantsInReferenceOrder(t *testing.T) {
 	const frameSize = 64
 	sim, pool, p := newRig(t, 10e9, 1)
 	frameWire := p.wireTime(frameSize)
 
+	type booking struct {
+		id  uint32 // gen<<16 | ordinal
+		due eventsim.Time
+		seq uint64
+	}
 	var gens [2]*Generator
-	var order []uint32 // frames in the order the reference delivers them: gen<<16 | ordinal
-	checked := 0
+	var ref []booking         // every frame, in booking order
+	var order []uint32        // frames in the order Payload saw them
+	place := map[uint32]int{} // each frame's index in order
+	dueOf := map[uint32]eventsim.Time{}
 	dueBy := map[eventsim.Time]int{} // which generators have a frame due at an instant, as bits
 	heapOK := func() {
 		t.Helper()
@@ -468,38 +492,43 @@ func TestGeneratorsShareInstantsInReferenceOrder(t *testing.T) {
 			t.Fatalf("at %d: %d deliveries on the heap for %d generators with frames on the wire", sim.Now(), got, want)
 		}
 	}
-	payload := func(gen, burst int) PayloadFn {
-		var burstAt, lastDue eventsim.Time
-		inBurst := 0
+	payload := func(gen int) PayloadFn {
 		return func(i uint64, payload []byte) {
-			if now := sim.Now(); now != burstAt || inBurst == burst {
-				burstAt, inBurst = now, 0
-			}
-			lastDue = max(lastDue, burstAt+eventsim.Time(inBurst)*frameWire)
-			inBurst++
 			id := uint32(gen)<<16 | uint32(i)
+			if due, ok := dueOf[id]; !ok || sim.Now() != due {
+				t.Fatalf("frame %#x written at %d, due %d (booked %v)", id, sim.Now(), due, ok)
+			}
+			if got := p.Stats().RxDelivered; got != uint64(len(order)) {
+				t.Fatalf("at %d, before frame %#x: %d frames delivered, want %d", sim.Now(), id, got, len(order))
+			}
+			heapOK()
+			place[id] = len(order)
+			order = append(order, id)
 			payload[0], payload[1], payload[2] = byte(id>>16), byte(id>>8), byte(id)
-			due := lastDue
-			dueBy[due] |= 1 << gen
-			idx := -1
-			sim.At(due, func() {
-				if sim.Now() != due {
-					t.Fatalf("check of frame %#x ran at %d, due %d", id, sim.Now(), due)
+		}
+	}
+	book := func(gen int, g *Generator) {
+		burstFn := g.burstFn
+		var booked uint64
+		g.burstFn = func() {
+			burstFn()
+			for _, f := range g.pend[g.head:] {
+				if f.ord < booked {
+					continue
 				}
-				if got := p.Stats().RxDelivered; got != uint64(checked) {
-					t.Fatalf("at %d, before frame %#x: %d frames delivered, want %d", due, id, got, checked)
-				}
-				heapOK()
-				idx = checked
-				order = append(order, id)
-				checked++
-			})
-			sim.At(due+1, func() {
-				if idx < 0 || p.Stats().RxDelivered <= uint64(idx) {
-					t.Fatalf("at %d: frame %#x due at %d not delivered", sim.Now(), id, due)
-				}
-				heapOK()
-			})
+				booked = f.ord + 1
+				id := uint32(gen)<<16 | uint32(f.ord)
+				dueOf[id] = f.due
+				dueBy[f.due] |= 1 << gen
+				ref = append(ref, booking{id: id, due: f.due, seq: f.seq})
+				sim.At(f.due+1, func() {
+					if i, ok := place[id]; !ok || p.Stats().RxDelivered <= uint64(i) {
+						t.Fatalf("at %d: frame %#x due at %d not delivered", sim.Now(), id, f.due)
+					}
+					heapOK()
+				})
+			}
+			heapOK()
 		}
 	}
 	for i, cfg := range []struct {
@@ -508,11 +537,12 @@ func TestGeneratorsShareInstantsInReferenceOrder(t *testing.T) {
 	}{{10e9, 8}, {5e9, 12}} {
 		g, err := NewGenerator(sim, GeneratorConfig{
 			Port: p, Pool: pool, FrameSize: frameSize, OfferedWireBps: cfg.bps, Burst: cfg.burst,
-			Payload: payload(i, cfg.burst),
+			Payload: payload(i),
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		book(i, g)
 		gens[i] = g
 	}
 
@@ -530,11 +560,23 @@ func TestGeneratorsShareInstantsInReferenceOrder(t *testing.T) {
 	sim.At(60*frameWire, func() { gens[0].Stop(); gens[1].Stop() })
 	sim.Run(100 * frameWire)
 
-	if checked == 0 || uint64(checked) != gens[0].Sent()+gens[1].Sent() {
-		t.Fatalf("checked %d frames, %d sent", checked, gens[0].Sent()+gens[1].Sent())
+	checked := len(order)
+	if checked == 0 || len(ref) != checked || uint64(checked) != gens[0].Sent()+gens[1].Sent() {
+		t.Fatalf("booked %d frames, wrote %d, %d sent", len(ref), checked, gens[0].Sent()+gens[1].Sent())
 	}
 	if st := p.Stats(); st.RxDelivered != uint64(checked) || st.RxDropped != 0 {
 		t.Fatalf("port delivered %d, dropped %d of %d frames", st.RxDelivered, st.RxDropped, checked)
+	}
+	sort.SliceStable(ref, func(a, b int) bool {
+		if ref[a].due != ref[b].due {
+			return ref[a].due < ref[b].due
+		}
+		return ref[a].seq < ref[b].seq
+	})
+	for j, b := range ref {
+		if order[j] != b.id {
+			t.Fatalf("delivery %d wrote frame %#x, the reference delivers %#x (due %d, seq %d)", j, order[j], b.id, b.due, b.seq)
+		}
 	}
 	shared := 0
 	for _, bits := range dueBy {
@@ -578,4 +620,207 @@ func heapDeliveries(sim *eventsim.Sim, deliver func()) int {
 		}
 	}
 	return n
+}
+
+// fullBuild is the frame the generator delivers as ordinal ord of flow,
+// constructed the way it once was at burst time: the whole template
+// through eth.Build, then the flow's source address and port, the header
+// checksum computed over the finished header, and the payload.
+func fullBuild(t testing.TB, frameSize int, proto uint8, flow, ord uint64, fill PayloadFn) []byte {
+	t.Helper()
+	l4Len := eth.UDPLen
+	if proto == eth.ProtoTCP {
+		l4Len = eth.TCPLen
+	}
+	raw := make([]byte, frameSize)
+	if _, err := eth.Build(raw, eth.BuildConfig{
+		SrcMAC:  eth.MAC{0x02, 0, 0, 0, 0, 1},
+		DstMAC:  eth.MAC{0x02, 0, 0, 0, 0, 2},
+		SrcIP:   eth.IPv4{10, 0, 0, 1},
+		DstIP:   eth.IPv4{192, 168, 0, 1},
+		SrcPort: 1024,
+		DstPort: 80,
+		Proto:   proto,
+		Payload: make([]byte, frameSize-eth.EtherLen-eth.IPv4Len-l4Len),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	frame, err := eth.Parse(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ip, port := FlowSrc(flow)
+	frame.SetSrcIP(ip)
+	l4 := frame.L4()
+	l4[0], l4[1] = byte(port>>8), byte(port)
+	frame.SetIPChecksum(frame.ComputeIPChecksum())
+	fill(ord, raw[eth.EtherLen+eth.IPv4Len+l4Len:])
+	return raw
+}
+
+// ordinalPayload writes the ordinal big-endian into the first eight
+// payload bytes (as many as fit) and a pattern of it after them.
+func ordinalPayload(i uint64, payload []byte) {
+	var be [8]byte
+	binary.BigEndian.PutUint64(be[:], i)
+	n := copy(payload, be[:])
+	for j := range payload[n:] {
+		payload[n+j] = byte(i*31) + byte(j)
+	}
+}
+
+// checkFullBuild runs a generator whose flows are exactly ids until every
+// id has been delivered at least once, and holds every delivered frame to
+// fullBuild of the flow and ordinal burst queued it with.
+func checkFullBuild(t testing.TB, frameSize int, proto uint8, ids []uint64) {
+	t.Helper()
+	sim := eventsim.New()
+	pool, err := mbuf.NewPool(mbuf.PoolConfig{Name: "netdev", Capacity: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewPort(sim, PortConfig{ID: 3, RateBps: 10e9, RxQueues: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := NewGenerator(sim, GeneratorConfig{
+		Port: p, Pool: pool, FrameSize: frameSize, OfferedWireBps: 10e9, Burst: 16,
+		Flows: len(ids), Proto: proto, Payload: ordinalPayload,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Slot i of the live set holds ids[i], as churn would leave it.
+	g.flowIDs = ids
+	flowOf := map[uint64]uint64{}
+	burstFn := g.burstFn
+	g.burstFn = func() {
+		burstFn()
+		for _, f := range g.pend[g.head:] {
+			flowOf[f.ord] = f.flow
+		}
+	}
+	payloadOff := eth.EtherLen + eth.IPv4Len + eth.UDPLen
+	if proto == eth.ProtoTCP {
+		payloadOff = eth.EtherLen + eth.IPv4Len + eth.TCPLen
+	}
+	seen := map[uint64]bool{}
+	buf := make([]*mbuf.Mbuf, 64)
+	g.Start()
+	for steps := 0; len(seen) < len(ids); steps++ {
+		if steps == 1000 {
+			t.Fatalf("%d of %d flows delivered after %d frames", len(seen), len(ids), g.Sent())
+		}
+		sim.Run(sim.Now() + eventsim.Microsecond)
+		for q := 0; q < p.Queues(); q++ {
+			n := p.RxBurst(q, buf)
+			for _, m := range buf[:n] {
+				ord := binary.BigEndian.Uint64(m.Data()[payloadOff:])
+				flow, ok := flowOf[ord]
+				if !ok {
+					t.Fatalf("delivered frame %d was never queued", ord)
+				}
+				if want := fullBuild(t, frameSize, proto, flow, ord, ordinalPayload); !bytes.Equal(m.Data(), want) {
+					t.Fatalf("frame %d of flow %#x:\n got %x\nwant %x", ord, flow, m.Data(), want)
+				}
+				if m.Port != 3 || m.RxTimestamp != 0 {
+					t.Fatalf("frame %d: port %d, rx timestamp %d", ord, m.Port, m.RxTimestamp)
+				}
+				seen[flow] = true
+				if err := pool.Free(m); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	g.Stop()
+	if d := p.Stats().RxDropped; d != 0 {
+		t.Fatalf("%d frames dropped; every frame should have been compared", d)
+	}
+}
+
+// TestGeneratorFrameMatchesFullBuild holds the frame written at delivery,
+// with its header checksum from the template's precomputed sum, to the
+// frame built whole: at the edges of the flow encoding (the address
+// wrapping into the port at 2^24, the last representable flow) and over a
+// seeded sweep, for UDP and TCP, at the smallest and largest frame.
+func TestGeneratorFrameMatchesFullBuild(t *testing.T) {
+	edges := []uint64{0, 1, 1<<24 - 1, 1 << 24, MaxFlows - 1}
+	rng := rand.New(rand.NewSource(7))
+	sweep := make([]uint64, 64)
+	for i := range sweep {
+		sweep[i] = uint64(rng.Int63n(MaxFlows))
+	}
+	for _, proto := range []uint8{eth.ProtoUDP, eth.ProtoTCP} {
+		for _, size := range []int{64, 1500} {
+			checkFullBuild(t, size, proto, edges)
+			checkFullBuild(t, size, proto, sweep)
+		}
+	}
+}
+
+func FuzzGeneratorFrameMatchesFullBuild(f *testing.F) {
+	for _, id := range []uint64{0, 1, 1<<24 - 1, 1 << 24, MaxFlows - 1} {
+		f.Add(id, uint16(64), false)
+	}
+	f.Fuzz(func(t *testing.T, id uint64, size uint16, tcp bool) {
+		proto := uint8(eth.ProtoUDP)
+		if tcp {
+			proto = eth.ProtoTCP
+		}
+		checkFullBuild(t, 64+int(size)%(1500-64+1), proto, []uint64{id % MaxFlows})
+	})
+}
+
+// TestGeneratorDropsUnbuiltOnFullQueue: a frame that finds its RX queue
+// full is dropped as a NIC without a free descriptor drops it, before any
+// of it is written — Payload never sees it — and its mbuf goes back to
+// the pool at the instant of the drop.
+func TestGeneratorDropsUnbuiltOnFullQueue(t *testing.T) {
+	sim := eventsim.New()
+	pool, err := mbuf.NewPool(mbuf.PoolConfig{Name: "netdev", Capacity: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One descriptor, and nobody polls it.
+	p, err := NewPort(sim, PortConfig{ID: 0, RateBps: 10e9, RxQueueDepth: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var written []uint64
+	g, err := NewGenerator(sim, GeneratorConfig{
+		Port: p, Pool: pool, FrameSize: 256, OfferedWireBps: 10e9, Burst: 8,
+		Payload: func(i uint64, payload []byte) { written = append(written, i) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Start()
+	sim.Run(20 * eventsim.Microsecond)
+	g.Stop()
+	sim.RunAll()
+
+	sent, st := g.Sent(), p.Stats()
+	if sent < 2*8 || g.AllocFailures() != 0 {
+		t.Fatalf("%d frames sent, %d allocation failures", sent, g.AllocFailures())
+	}
+	if st.RxDelivered != 1 || st.RxDropped != sent-1 {
+		t.Fatalf("%d delivered, %d dropped of %d sent; want 1 and the rest", st.RxDelivered, st.RxDropped, sent)
+	}
+	if len(written) != 1 || written[0] != 0 {
+		t.Fatalf("Payload ran for frames %v; want only frame 0, the one the queue took", written)
+	}
+	if got := pool.Available(); got != pool.Capacity()-1 {
+		t.Fatalf("%d of %d mbufs free with one frame queued", got, pool.Capacity())
+	}
+	buf := make([]*mbuf.Mbuf, 4)
+	if n := p.RxBurst(0, buf); n != 1 {
+		t.Fatalf("drained %d frames, want 1", n)
+	}
+	if err := pool.Free(buf[0]); err != nil {
+		t.Fatal(err)
+	}
+	if got := pool.Available(); got != pool.Capacity() {
+		t.Fatalf("%d of %d mbufs free after the drain", got, pool.Capacity())
+	}
 }

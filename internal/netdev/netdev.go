@@ -136,6 +136,13 @@ func (p *Port) DeliverRx(q int, m *mbuf.Mbuf, pool *mbuf.Pool) {
 	_ = pool.Free(m)
 }
 
+// rxFull reports whether DeliverRx would drop a frame for queue q, one
+// of [0, Queues()).
+func (p *Port) rxFull(q int) bool {
+	r := p.rxQueues[q]
+	return r.Len() == r.Capacity()
+}
+
 // RxBurst dequeues up to len(dst) frames from queue q, mirroring
 // rte_eth_rx_burst.
 func (p *Port) RxBurst(q int, dst []*mbuf.Mbuf) int {

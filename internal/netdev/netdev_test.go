@@ -2,6 +2,7 @@ package netdev
 
 import (
 	"encoding/binary"
+	"errors"
 	"testing"
 
 	"github.com/opencloudnext/dhl-go/internal/eth"
@@ -156,6 +157,18 @@ func TestGeneratorValidation(t *testing.T) {
 	}
 	if _, err := NewGenerator(sim, GeneratorConfig{Port: p, Pool: pool, FrameSize: 64}); err == nil {
 		t.Error("zero rate accepted")
+	}
+	// A frame the pool's buffers cannot hold is refused up front, not
+	// dropped at delivery after it went on the wire.
+	small, err := mbuf.NewPool(mbuf.PoolConfig{Name: "small", Capacity: 4, BufSize: mbuf.DefaultHeadroom + 127})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewGenerator(sim, GeneratorConfig{Port: p, Pool: small, FrameSize: 128, OfferedWireBps: 1e9}); !errors.Is(err, ErrBadFrameSize) {
+		t.Errorf("128 B frame over a 127 B data room: %v, want ErrBadFrameSize", err)
+	}
+	if _, err := NewGenerator(sim, GeneratorConfig{Port: p, Pool: small, FrameSize: 127, OfferedWireBps: 1e9}); err != nil {
+		t.Errorf("127 B frame over a 127 B data room: %v", err)
 	}
 }
 

@@ -81,6 +81,10 @@ targeted -run 'PollLoopEquivalence|BusySetOverflow|ShareInstantsInReferenceOrder
     ./internal/eventsim ./internal/netdev ./internal/harness ./internal/core ./internal/mbuf .
 go test -run '^$' -fuzz FuzzPollLoopEquivalence -fuzztime 10s ./internal/eventsim
 
+echo "==> traffic generator (frame written at delivery equals the full build, drops go back unbuilt, 5 s fuzz)"
+targeted -run 'FrameMatchesFullBuild|DropsUnbuiltOnFullQueue' -count=1 ./internal/netdev
+go test -run '^$' -fuzz FuzzGeneratorFrameMatchesFullBuild -fuzztime 5s ./internal/netdev
+
 echo "==> equivalence coverage floor (every function of the quiet-step path, the busy set and chained events at 100 %)"
 # The sweep checks the quiet path (Sim.hush) only where its scenarios leave
 # loops deferred between two reads; with a probe after every slice it

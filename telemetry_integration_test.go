@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -167,6 +168,129 @@ func TestServeMetricsIdleLoop503(t *testing.T) {
 		if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(string(body), "50ms") {
 			t.Errorf("%s with an idle loop: %d %q", path, resp.StatusCode, body)
 		}
+	}
+}
+
+// TestServeScrapeDuringTraffic scrapes /metrics from the test goroutine
+// while another goroutine sends traffic and drives Sim().Run. mbuf.Pool
+// has no lock: the dhl_mbuf_in_use gauge it feeds is only safe to read on
+// the goroutine driving the loop, which is where Serve's dispatch renders
+// a control-plane system's scrape. Under -race, a scrape that read the
+// pool from the HTTP handler's goroutine fails here.
+func TestServeScrapeDuringTraffic(t *testing.T) {
+	sys, err := dhl.Open(dhl.SystemConfig{}, dhl.WithControlPlane())
+	if err != nil {
+		t.Fatal(err)
+	}
+	exp, err := sys.Serve("127.0.0.1:0", dhl.WithCallTimeout(15*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = exp.Close() }()
+	nf, err := sys.Register("scrape-test", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acc, err := sys.SearchByName(dhl.IPsecCrypto, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := hwfunc.EncodeIPsecCryptoConfig(
+		bytes.Repeat([]byte{0x42}, 32), bytes.Repeat([]byte{0x24}, 20), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.AccConfigure(acc, blob); err != nil {
+		t.Fatal(err)
+	}
+	sys.Settle()
+	req, err := hwfunc.EncodeIPsecRequest(nil, bytes.Repeat([]byte{0x5A}, 256), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The driver owns the pool: it allocates, sends, runs the loop (which
+	// also serves the scrapes' dispatch), receives and frees.
+	var stop atomic.Bool
+	driven := make(chan error, 1)
+	received := 0
+	go func() {
+		out := make([]*dhl.Packet, 64)
+		for !stop.Load() {
+			pkts := make([]*dhl.Packet, 0, 8)
+			for len(pkts) < cap(pkts) {
+				m, aerr := sys.Pool().Alloc()
+				if aerr != nil {
+					break
+				}
+				if aerr := m.AppendBytes(req); aerr != nil {
+					driven <- aerr
+					return
+				}
+				m.AccID = uint16(acc)
+				pkts = append(pkts, m)
+			}
+			sent, serr := sys.SendPackets(nf, pkts)
+			if serr != nil {
+				sent = 0
+			}
+			for _, m := range pkts[sent:] {
+				_ = sys.Pool().Free(m)
+			}
+			sys.Sim().Run(sys.Sim().Now() + 200*eventsim.Microsecond)
+			got, rerr := sys.ReceivePackets(nf, out)
+			if rerr != nil {
+				driven <- rerr
+				return
+			}
+			for _, m := range out[:got] {
+				_ = sys.Pool().Free(m)
+			}
+			received += got
+			time.Sleep(100 * time.Microsecond)
+		}
+		driven <- nil
+	}()
+
+	scrapes := 20
+	if testing.Short() {
+		scrapes = 8
+	}
+	for i := 0; i < scrapes; i++ {
+		resp, gerr := http.Get("http://" + exp.Addr() + "/metrics")
+		if gerr != nil {
+			stop.Store(true)
+			<-driven
+			t.Fatal(gerr)
+		}
+		body, rerr := io.ReadAll(resp.Body)
+		_ = resp.Body.Close()
+		if rerr != nil || resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "\ndhl_mbuf_in_use ") {
+			stop.Store(true)
+			<-driven
+			t.Fatalf("scrape %d: %d %v, gauge missing:\n%s", i, resp.StatusCode, rerr, body)
+		}
+	}
+	stop.Store(true)
+	if err := <-driven; err != nil {
+		t.Fatal(err)
+	}
+	if received == 0 {
+		t.Fatal("no traffic came back while the scrapes ran")
+	}
+	sys.Sim().Run(sys.Sim().Now() + 10*eventsim.Millisecond)
+	out := make([]*dhl.Packet, 64)
+	for {
+		got, rerr := sys.ReceivePackets(nf, out)
+		if rerr != nil || got == 0 {
+			break
+		}
+		for _, m := range out[:got] {
+			_ = sys.Pool().Free(m)
+		}
+	}
+	if n := sys.Pool().InUse(); n != 0 {
+		t.Errorf("%d mbufs still in use after the drain", n)
 	}
 }
 
