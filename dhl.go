@@ -378,7 +378,7 @@ func buildSystem(cfg SystemConfig, faults *FaultPlan) (*System, error) {
 				func() float64 { return float64(sched.BoardHealthOf(b)) })
 			sys.tel.RegisterGauge("dhl_board_accs", boardLabel,
 				"Route endpoints (primaries and replicas) bound to the board.",
-				func() float64 { return float64(sched.EndpointsOn(b)) })
+				func() float64 { return float64(len(rt.PlacementTable()[b].Endpoints)) })
 			sys.tel.RegisterGauge("dhl_board_migrations", boardLabel+`,dir="in"`,
 				"Completed migration/promotion cutovers, by direction.",
 				func() float64 { in, _ := sched.Migrations(b); return float64(in) })

@@ -76,7 +76,7 @@ func TestArenaDispatchErrorReleasesBuffers(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.settle()
-	if err := r.dev.Unload(r.rt.hfByAcc[acc].regionIdx); err != nil {
+	if err := r.dev.Unload(r.rt.accs[acc].route.Primary().Region); err != nil {
 		t.Fatal(err)
 	}
 

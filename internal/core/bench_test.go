@@ -146,7 +146,7 @@ func BenchmarkDistributor(b *testing.B) {
 	payload := bytes.Repeat([]byte{0xCD}, 256)
 	const nRecs = 16
 	out := make([]*mbuf.Mbuf, 2*nRecs)
-	entry := r.rt.hfByAcc[r.acc]
+	entry := r.rt.accs[r.acc]
 	cycle := func() {
 		ib := tx.getInflight()
 		ib.buf = tx.arena.lease()

@@ -26,10 +26,10 @@ var (
 func (r *Runtime) Nodes() int { return r.cfg.Nodes }
 
 // BatchBytes reports the current default maximum DMA batch size.
-func (r *Runtime) BatchBytes() int { return r.tune[0].BatchBytes }
+func (r *Runtime) BatchBytes() int { return r.defaults.BatchBytes }
 
 // FlushTimeout reports the default partial-batch flush deadline.
-func (r *Runtime) FlushTimeout() eventsim.Time { return r.tune[0].FlushTimeout }
+func (r *Runtime) FlushTimeout() eventsim.Time { return r.defaults.FlushTimeout }
 
 // WatchdogTimeout reports the current per-batch watchdog deadline (zero
 // when the watchdog is disarmed).
@@ -37,10 +37,10 @@ func (r *Runtime) WatchdogTimeout() eventsim.Time { return r.cfg.WatchdogTimeout
 
 // AccIDs lists the loaded accelerator instances in acc_id order.
 func (r *Runtime) AccIDs() []AccID {
-	ids := make([]AccID, 0, len(r.hfByAcc))
-	for acc := 1; acc <= int(r.nextAcc); acc++ {
-		if _, ok := r.hfByAcc[AccID(acc)]; ok {
-			ids = append(ids, AccID(acc))
+	ids := []AccID{}
+	for _, e := range r.accs {
+		if e != nil {
+			ids = append(ids, e.accID)
 		}
 	}
 	return ids
@@ -60,12 +60,13 @@ type AccInfo struct {
 
 // AccInfo reports one accelerator's table row.
 func (r *Runtime) AccInfo(acc AccID) (AccInfo, error) {
-	e, ok := r.hfByAcc[acc]
-	if !ok {
-		return AccInfo{}, fmt.Errorf("%w: %d", ErrUnknownAcc, acc)
+	e, err := r.acc(acc)
+	if err != nil {
+		return AccInfo{}, err
 	}
+	p := e.route.Primary()
 	return AccInfo{AccID: e.accID, Name: e.name, Node: e.node,
-		FPGA: e.fpgaIdx, Region: e.regionIdx, Ready: e.ready}, nil
+		FPGA: p.FPGA, Region: p.Region, Ready: p.Ready}, nil
 }
 
 // Evict removes a loaded accelerator module from the hardware function
@@ -82,12 +83,13 @@ func (r *Runtime) AccInfo(acc AccID) (AccInfo, error) {
 //     recovery reload) cannot be unloaded; callers retry once it settles
 //     (see settled).
 //
-// Traffic that keeps arriving for the evicted acc_id is dropped
-// DropNoRoute by the Packer, the same as any unknown acc_id.
+// Traffic that keeps arriving for the evicted acc_id stages at the
+// default knobs and is dropped DropNoRoute by the Packer, the same as any
+// unknown acc_id.
 func (r *Runtime) Evict(acc AccID) error {
-	e, ok := r.hfByAcc[acc]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownAcc, acc)
+	e, err := r.acc(acc)
+	if err != nil {
+		return err
 	}
 	if err := r.settled(e); err != nil {
 		return err
@@ -105,7 +107,7 @@ func (r *Runtime) Evict(acc AccID) error {
 			return fmt.Errorf("core: evict acc_id %d: %w", acc, err)
 		}
 	}
-	r.sched.Unbind(uint16(acc))
+	r.accs[acc] = nil
 	// Drop staged (never-sent) packets on every node; they have no route
 	// the moment the table row goes away.
 	for _, tx := range r.nodeTx {
@@ -114,14 +116,9 @@ func (r *Runtime) Evict(acc AccID) error {
 		}
 		if st := tx.state(acc); st != nil {
 			tx.dropStaged(st)
+			tx.retune(acc, st)
 		}
 	}
-	// A later LoadPR of the same (name, node) overwrites the table key, so
-	// only remove it when it still resolves to the entry being evicted.
-	if cur, ok := r.hfByKey[hfKey{e.name, e.node}]; ok && cur == e {
-		delete(r.hfByKey, hfKey{e.name, e.node})
-	}
-	delete(r.hfByAcc, acc)
 	if r.tel != nil {
 		r.tel.UnregisterGauge("dhl_acc_health", accHealthLabels(acc, e.name))
 	}
@@ -146,8 +143,8 @@ func (r *Runtime) InstallFallback(hfName string, node int) error {
 // healthy; if it is (or becomes) quarantined, batches are delivered
 // unprocessed from the next flush on.
 func (r *Runtime) ClearFallback(hfName string, node int) error {
-	e, ok := r.hfByKey[hfKey{hfName, node}]
-	if !ok {
+	e := r.byName(hfName, node)
+	if e == nil {
 		return fmt.Errorf("%w: %q on node %d", ErrUnknownHF, hfName, node)
 	}
 	e.fallback = nil
@@ -155,11 +152,12 @@ func (r *Runtime) ClearFallback(hfName string, node int) error {
 }
 
 // AccTuning is one member of the batching-knob family. The family is
-// keyed by acc_id: 0 — an id LoadPR never assigns — names the defaults
-// every accelerator inherits, and a loaded accelerator's own entry layers
-// on top, zero fields meaning "inherit the default". The autotuner sets
-// per-accelerator values so a lightly loaded module can run small, quick
-// batches while a saturated one keeps the paper's 6 KB target; the
+// addressed by acc_id: 0 — an id LoadPR never assigns — names the
+// defaults every accelerator inherits, held on the runtime, and a loaded
+// accelerator's own values, held on its hardware function table row,
+// layer on top, zero fields meaning "inherit the default". The autotuner
+// sets per-accelerator values so a lightly loaded module can run small,
+// quick batches while a saturated one keeps the paper's 6 KB target; the
 // operator's `tune.batch` moves the default underneath them.
 type AccTuning struct {
 	// BatchBytes is the accelerator's staging target: a batch flushes
@@ -226,23 +224,26 @@ func (r *Runtime) SetAccFlushTimeout(acc AccID, d eventsim.Time) error {
 // own values (zero fields inherit the default), or for acc_id 0 the
 // defaults themselves.
 func (r *Runtime) AccTuningFor(acc AccID) (AccTuning, error) {
-	if _, ok := r.hfByAcc[acc]; !ok && acc != 0 {
-		return AccTuning{}, fmt.Errorf("%w: %d", ErrUnknownAcc, acc)
+	if acc == 0 {
+		return r.defaults, nil
 	}
-	if int(acc) < len(r.tune) {
-		return r.tune[acc], nil
+	e, err := r.acc(acc)
+	if err != nil {
+		return AccTuning{}, err
 	}
-	return AccTuning{}, nil
+	return e.tune, nil
 }
 
-// setTuning stores one member of the knob family and re-derives every
-// staging area from it: a move of the default reaches every accelerator
-// without a value of its own, and leaves the rest where they are.
+// setTuning stores one member of the knob family, which AccTuningFor has
+// vetted, and re-derives every staging area from it: a move of the
+// default reaches every accelerator without a value of its own, and
+// leaves the rest where they are.
 func (r *Runtime) setTuning(acc AccID, tune AccTuning) {
-	if grow := int(acc) + 1 - len(r.tune); grow > 0 {
-		r.tune = append(r.tune, make([]AccTuning, grow)...)
+	if acc == 0 {
+		r.defaults = tune
+	} else {
+		r.accs[acc].tune = tune
 	}
-	r.tune[acc] = tune
 	for _, tx := range r.nodeTx {
 		if tx == nil {
 			continue

@@ -334,7 +334,7 @@ func TestClearFallbackLive(t *testing.T) {
 	if err := r.rt.InstallFallback("rev", 0); err != nil {
 		t.Fatal(err)
 	}
-	e := r.rt.hfByKey[hfKey{"rev", 0}]
+	e := r.rt.byName("rev", 0)
 	if e.fallback == nil {
 		t.Fatal("fallback not installed")
 	}
@@ -369,9 +369,8 @@ func TestAccessors(t *testing.T) {
 		accs = append(accs, acc)
 	}
 	r.settle()
-	// Repeated LoadPR calls overwrite the (name, node) table key; evicting
-	// an instance the key no longer resolves to must not tear the key away
-	// from the survivor.
+	// A search answers with the newest of repeated loads; evicting an
+	// older instance must leave the newest answering.
 	if err := r.rt.Evict(accs[1]); err != nil {
 		t.Fatal(err)
 	}
@@ -381,4 +380,47 @@ func TestAccessors(t *testing.T) {
 	if acc, err := r.rt.SearchByName("rev", 0); err != nil || acc != accs[2] {
 		t.Errorf("SearchByName after evict = %d err %v, want %d", acc, err, accs[2])
 	}
+}
+
+// TestSearchByNameFindsLiveRowAfterEvict: with two instances of one hf on
+// a node, evicting the newer leaves the older to answer a search — no
+// fresh load — and the fallback calls act on it.
+func TestSearchByNameFindsLiveRowAfterEvict(t *testing.T) {
+	r := newRig(t, Config{}, revSpec())
+	older, err := r.rt.LoadPR("rev", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newer, err := r.rt.LoadPR("rev", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.settle()
+	if err := r.rt.Evict(newer); err != nil {
+		t.Fatal(err)
+	}
+	luts := r.dev.AvailableLUTs()
+	acc, err := r.rt.SearchByName("rev", 0)
+	if err != nil || acc != older {
+		t.Fatalf("SearchByName after evicting the newer = %d err %v, want %d", acc, err, older)
+	}
+	if got := r.dev.AvailableLUTs(); got != luts {
+		t.Errorf("SearchByName loaded a duplicate: LUTs %d -> %d", luts, got)
+	}
+	if ids := r.rt.AccIDs(); !reflect.DeepEqual(ids, []AccID{older}) {
+		t.Errorf("AccIDs = %v, want [%d]", ids, older)
+	}
+	if err := r.rt.InstallFallback("rev", 0); err != nil {
+		t.Fatal(err)
+	}
+	if r.rt.accs[older].fallback == nil {
+		t.Error("InstallFallback missed the live row")
+	}
+	if err := r.rt.ClearFallback("rev", 0); err != nil {
+		t.Fatal(err)
+	}
+	if r.rt.accs[older].fallback != nil {
+		t.Error("ClearFallback missed the live row")
+	}
+	checkAccTable(t, r)
 }

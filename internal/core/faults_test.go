@@ -722,6 +722,7 @@ func TestChaosStorm(t *testing.T) {
 		t.Error("no FPGA-processed packets after recovery")
 	}
 	checkNoLeaks(t, r)
+	checkAccTable(t, r)
 	t.Logf("chaos seed=%d: sent=%d delivered=%d statuses=%v\nstats=%+v\nplan=%s",
 		*chaosSeed, sent, delivered, statuses, s, plan)
 }
@@ -813,6 +814,7 @@ func TestChaosEachFaultKind(t *testing.T) {
 			}
 			checkRetryLedger(t, o.stats, o.h2c, o.c2h)
 			checkSpansConserved(t, tel, o.stats)
+			checkAccTable(t, r)
 		})
 	}
 }

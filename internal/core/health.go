@@ -100,8 +100,8 @@ type HealthReport struct {
 // so a faithful implementation — swcrypto for ipsec-crypto, acmatch for
 // pattern-matching — is functionally equivalent, not approximate.
 func (r *Runtime) RegisterFallback(hfName string, node int, factory func() fpga.Module) error {
-	e, ok := r.hfByKey[hfKey{hfName, node}]
-	if !ok {
+	e := r.byName(hfName, node)
+	if e == nil {
 		return fmt.Errorf("%w: %q on node %d", ErrUnknownHF, hfName, node)
 	}
 	if factory == nil {
@@ -122,9 +122,9 @@ func (r *Runtime) RegisterFallback(hfName string, node int, factory func() fpga.
 
 // AccHealth reports an accelerator's health state and fault counters.
 func (r *Runtime) AccHealth(acc AccID) (HealthReport, error) {
-	e, ok := r.hfByAcc[acc]
-	if !ok {
-		return HealthReport{}, fmt.Errorf("%w: %d", ErrUnknownAcc, acc)
+	e, err := r.acc(acc)
+	if err != nil {
+		return HealthReport{}, err
 	}
 	return HealthReport{
 		Health:           e.health,
@@ -164,7 +164,8 @@ func (r *Runtime) noteFault(e *hfEntry) {
 		// share of the weighted round-robin instead of waiting for
 		// quarantine to take it out entirely.
 		if e.route.Live() > 1 {
-			e.route.SetWeight(e.fpgaIdx, e.regionIdx, placement.ShedWeight)
+			p := e.route.Primary()
+			e.route.SetWeight(p.FPGA, p.Region, placement.ShedWeight)
 		}
 	}
 }
@@ -193,7 +194,8 @@ func (r *Runtime) heal(e *hfEntry) {
 	}
 	e.consecFails = 0
 	e.health = HealthHealthy
-	e.route.SetWeight(e.fpgaIdx, e.regionIdx, placement.DefaultWeight)
+	p := e.route.Primary()
+	e.route.SetWeight(p.FPGA, p.Region, placement.DefaultWeight)
 }
 
 // quarantine moves the accelerator to Quarantined and starts the
@@ -208,13 +210,13 @@ func (r *Runtime) quarantine(e *hfEntry) {
 	// Take the primary endpoint out of the rotation; replicas (if any)
 	// absorb its share, otherwise Pick returns nil and the Packer falls
 	// back to software or unprocessed delivery.
-	e.route.Disable(e.fpgaIdx, e.regionIdx)
+	p := e.route.Primary()
+	e.route.Disable(p.FPGA, p.Region)
 	if e.reloading {
 		return
 	}
-	dev := r.cfg.FPGAs[e.fpgaIdx].Device
 	e.reloading = true
-	if err := dev.Reload(e.regionIdx, func() { r.reloaded(e) }); err != nil {
+	if err := r.cfg.FPGAs[p.FPGA].Device.Reload(p.Region, func() { r.reloaded(e) }); err != nil {
 		// Device gone or region unusable: the board cannot recover this
 		// placement. Try to move off it — promote a warm replica or
 		// re-place on another board. If neither works, stay quarantined
@@ -230,9 +232,10 @@ func (r *Runtime) quarantine(e *hfEntry) {
 func (r *Runtime) reloaded(e *hfEntry) {
 	e.reloading = false
 	e.reloads++
-	e.replay(r.cfg.FPGAs[e.fpgaIdx].Device, e.regionIdx)
+	p := e.route.Primary()
+	e.replay(r.cfg.FPGAs[p.FPGA].Device, p.Region)
 	r.heal(e)
-	e.route.Enable(e.fpgaIdx, e.regionIdx)
+	e.route.Enable(p.FPGA, p.Region)
 }
 
 // forceRecover is the watchdog's hard-deadline action against an
@@ -250,6 +253,7 @@ func (r *Runtime) forceRecover(e *hfEntry) {
 		return
 	}
 	if !e.reloading {
-		_ = r.cfg.FPGAs[e.fpgaIdx].Device.ResetRegion(e.regionIdx)
+		p := e.route.Primary()
+		_ = r.cfg.FPGAs[p.FPGA].Device.ResetRegion(p.Region)
 	}
 }

@@ -25,7 +25,7 @@ func TestHealthFSMReentry(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.settle()
-	e := r.rt.hfByAcc[acc]
+	e := r.rt.accs[acc]
 
 	lap := func(n int) {
 		t.Helper()

@@ -31,7 +31,7 @@ var (
 //go:noinline
 func (r *Runtime) boardLost(e *hfEntry, board int) {
 	e.route.DisableBoard(board)
-	if board == e.fpgaIdx {
+	if board == e.route.Primary().FPGA {
 		// Nowhere to go (no capacity, every board excluded) is not an error
 		// on the data path: with its endpoints disabled the Packer degrades
 		// to the software fallback (or unprocessed delivery) from this
@@ -73,13 +73,13 @@ func (r *Runtime) promoteReplica(e *hfEntry) bool {
 
 // cutover makes the configured instance at (board, region) the
 // accelerator's primary, atomically (between simulation events): the end
-// of a migration and of a replica promotion alike. The hardware function
-// table row moves, the epoch advances so stragglers from the old
-// placement cannot poison the fresh instance's health accounting, the old
-// primary endpoint leaves the rotation, and the health FSM starts clean.
+// of a migration and of a replica promotion alike. The route's primary
+// moves, the epoch advances so stragglers from the old placement cannot
+// poison the fresh instance's health accounting, the old primary
+// endpoint leaves the rotation, and the health FSM starts clean.
 func (r *Runtime) cutover(e *hfEntry, board, region int) {
-	oldBoard, oldRegion := e.fpgaIdx, e.regionIdx
-	e.fpgaIdx, e.regionIdx = board, region
+	p := e.route.Primary()
+	oldBoard, oldRegion := p.FPGA, p.Region
 	e.epoch++
 	e.route.SetReady(board, region, true)
 	e.route.MarkPrimary(board, region)
@@ -91,7 +91,6 @@ func (r *Runtime) cutover(e *hfEntry, board, region int) {
 	}
 	r.sched.NoteMigration(oldBoard, board)
 	r.heal(e)
-	e.ready = true
 	e.reloading = false
 	e.migrating = false
 }
@@ -106,7 +105,8 @@ func (r *Runtime) settled(e *hfEntry) error {
 	if e.migrating {
 		return fmt.Errorf("%w: acc_id %d", ErrMigrating, e.accID)
 	}
-	if (e.reloading || !e.ready) && !r.cfg.FPGAs[e.fpgaIdx].Device.IsShutdown() {
+	p := e.route.Primary()
+	if (e.reloading || !p.Ready) && !r.cfg.FPGAs[p.FPGA].Device.IsShutdown() {
 		return fmt.Errorf("%w (acc_id %d)", ErrAccReloading, e.accID)
 	}
 	return nil
@@ -154,9 +154,9 @@ func (r *Runtime) warm(e *hfEntry, target int, up func(board, region int)) (int,
 // first-fit, excluding boards already hosting one of the acc's endpoints).
 // Returns the chosen board index.
 func (r *Runtime) Migrate(acc AccID, target int) (int, error) {
-	e, ok := r.hfByAcc[acc]
-	if !ok {
-		return -1, fmt.Errorf("%w: %d", ErrUnknownAcc, acc)
+	e, err := r.acc(acc)
+	if err != nil {
+		return -1, err
 	}
 	if err := r.settled(e); err != nil {
 		return -1, err
@@ -175,9 +175,9 @@ func (r *Runtime) Migrate(acc AccID, target int) (int, error) {
 // only when ready, so goodput never dips. target is as for Migrate.
 // Returns the chosen board index.
 func (r *Runtime) Replicate(acc AccID, target int) (int, error) {
-	e, ok := r.hfByAcc[acc]
-	if !ok {
-		return -1, fmt.Errorf("%w: %d", ErrUnknownAcc, acc)
+	e, err := r.acc(acc)
+	if err != nil {
+		return -1, err
 	}
 	return r.warm(e, target, func(board, region int) { e.route.SetReady(board, region, true) })
 }
@@ -192,9 +192,8 @@ func (r *Runtime) Replicate(acc AccID, target int) (int, error) {
 func (r *Runtime) Rebalance() (int, error) {
 	moved := 0
 	var firstErr error
-	for _, acc := range r.AccIDs() {
-		e := r.hfByAcc[acc]
-		if e.migrating || r.sched.BoardHealthOf(e.fpgaIdx) == placement.BoardAlive {
+	for _, e := range r.accs {
+		if e == nil || e.migrating || r.sched.BoardHealthOf(e.route.Primary().FPGA) == placement.BoardAlive {
 			continue
 		}
 		if err := r.migrateOff(e); err != nil {
@@ -234,6 +233,10 @@ func (r *Runtime) OfflineBoard(board int) (int, error) {
 		return 0, fmt.Errorf("%w: %d of %d", placement.ErrUnknownBoard, board, len(r.cfg.FPGAs))
 	}
 	r.cfg.FPGAs[board].Device.Shutdown()
-	r.sched.BoardLostSweep(board)
+	for _, e := range r.accs {
+		if e != nil {
+			e.route.DisableBoard(board)
+		}
+	}
 	return r.Rebalance()
 }

@@ -107,9 +107,9 @@ func TestMigrateLive(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.settle()
-	e := r.rt.hfByAcc[acc]
-	if e.fpgaIdx != 0 {
-		t.Fatalf("initial placement on board %d, want 0", e.fpgaIdx)
+	e := r.rt.accs[acc]
+	if e.route.Primary().FPGA != 0 {
+		t.Fatalf("initial placement on board %d, want 0", e.route.Primary().FPGA)
 	}
 	payload := bytes.Repeat([]byte{0x11}, 128)
 	sendBurst(t, r, nf, acc, 16)
@@ -135,13 +135,13 @@ func TestMigrateLive(t *testing.T) {
 	if got := drainOBQ(t, r, nf, reversed(payload)); got != 8 {
 		t.Errorf("mid-migration: received %d, want 8", got)
 	}
-	if e.fpgaIdx != 0 {
-		t.Errorf("cutover before PR completed (board %d)", e.fpgaIdx)
+	if e.route.Primary().FPGA != 0 {
+		t.Errorf("cutover before PR completed (board %d)", e.route.Primary().FPGA)
 	}
 
 	r.settle()
-	if e.fpgaIdx != 1 {
-		t.Fatalf("after migration: primary on board %d, want 1", e.fpgaIdx)
+	if e.route.Primary().FPGA != 1 {
+		t.Fatalf("after migration: primary on board %d, want 1", e.route.Primary().FPGA)
 	}
 	if e.epoch == 0 {
 		t.Error("cutover did not bump the entry epoch")
@@ -166,7 +166,7 @@ func TestMigrateLive(t *testing.T) {
 	if got := drainOBQ(t, r, nf, reversed(payload)); got != 16 {
 		t.Errorf("post-migration: received %d, want 16", got)
 	}
-	if batches, _, _, rerr := devs[1].RegionStats(e.regionIdx); rerr != nil || batches == 0 {
+	if batches, _, _, rerr := devs[1].RegionStats(e.route.Primary().Region); rerr != nil || batches == 0 {
 		t.Errorf("target region processed %d batches (%v)", batches, rerr)
 	}
 	checkLedger(t, r.stats(t), 40)
@@ -189,7 +189,7 @@ func TestMigrationZeroLeak(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.settle()
-	e := r.rt.hfByAcc[acc]
+	e := r.rt.accs[acc]
 
 	const bursts = 60
 	const burstSize = 8
@@ -224,8 +224,8 @@ func TestMigrationZeroLeak(t *testing.T) {
 	// 60 bursts x 25us = 1.5ms of traffic; the re-place PR takes ~5ms.
 	r.sim.Run(r.sim.Now() + 20*eventsim.Millisecond)
 
-	if e.fpgaIdx != 1 {
-		t.Fatalf("primary on board %d after board 0 loss, want 1", e.fpgaIdx)
+	if e.route.Primary().FPGA != 1 {
+		t.Fatalf("primary on board %d after board 0 loss, want 1", e.route.Primary().FPGA)
 	}
 	if devs[0].IsShutdown() != true {
 		t.Error("board 0 not shut down")
@@ -244,6 +244,7 @@ func TestMigrationZeroLeak(t *testing.T) {
 	}
 	checkLedger(t, s, uint64(delivered))
 	checkNoLeaks(t, r)
+	checkAccTable(t, r)
 }
 
 func TestReplicaPromotionZeroOutage(t *testing.T) {
@@ -260,7 +261,7 @@ func TestReplicaPromotionZeroOutage(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.settle()
-	e := r.rt.hfByAcc[acc]
+	e := r.rt.accs[acc]
 
 	board, err := r.rt.Replicate(acc, -1)
 	if err != nil {
@@ -282,7 +283,7 @@ func TestReplicaPromotionZeroOutage(t *testing.T) {
 	if got := drainOBQ(t, r, nf, reversed(payload)); got != 64 {
 		t.Fatalf("received %d, want 64", got)
 	}
-	b0, _, _, _ := devs[0].RegionStats(e.regionIdx)
+	b0, _, _, _ := devs[0].RegionStats(e.route.Primary().Region)
 	replicaRegion := -1
 	for _, ep := range e.route.Endpoints() {
 		if ep.FPGA == 1 {
@@ -298,8 +299,8 @@ func TestReplicaPromotionZeroOutage(t *testing.T) {
 	if _, err := r.rt.OfflineBoard(0); err != nil {
 		t.Fatal(err)
 	}
-	if e.fpgaIdx != 1 || e.regionIdx != replicaRegion {
-		t.Fatalf("promotion: primary at board %d region %d, want 1/%d", e.fpgaIdx, e.regionIdx, replicaRegion)
+	if e.route.Primary().FPGA != 1 || e.route.Primary().Region != replicaRegion {
+		t.Fatalf("promotion: primary at board %d region %d, want 1/%d", e.route.Primary().FPGA, e.route.Primary().Region, replicaRegion)
 	}
 	if e.epoch == epochBefore {
 		t.Error("promotion did not bump the epoch")
@@ -321,6 +322,7 @@ func TestReplicaPromotionZeroOutage(t *testing.T) {
 		t.Errorf("promotion dropped packets: staging %d, noroute %d", s.StagingDrops, s.DropNoRoute)
 	}
 	checkNoLeaks(t, r)
+	checkAccTable(t, r)
 }
 
 func TestDrainBoardMovesPrimaries(t *testing.T) {
@@ -337,7 +339,7 @@ func TestDrainBoardMovesPrimaries(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.settle()
-	if r.rt.hfByAcc[accA].fpgaIdx != 0 || r.rt.hfByAcc[accB].fpgaIdx != 0 {
+	if r.rt.accs[accA].route.Primary().FPGA != 0 || r.rt.accs[accB].route.Primary().FPGA != 0 {
 		t.Fatalf("both accs should first-fit onto board 0")
 	}
 
@@ -352,9 +354,9 @@ func TestDrainBoardMovesPrimaries(t *testing.T) {
 		t.Errorf("board 0 health %v, want draining", h)
 	}
 	r.settle()
-	if r.rt.hfByAcc[accA].fpgaIdx != 1 || r.rt.hfByAcc[accB].fpgaIdx != 1 {
+	if r.rt.accs[accA].route.Primary().FPGA != 1 || r.rt.accs[accB].route.Primary().FPGA != 1 {
 		t.Errorf("accs on boards %d/%d after drain, want 1/1",
-			r.rt.hfByAcc[accA].fpgaIdx, r.rt.hfByAcc[accB].fpgaIdx)
+			r.rt.accs[accA].route.Primary().FPGA, r.rt.accs[accB].route.Primary().FPGA)
 	}
 
 	// New placements refuse the draining board.
@@ -365,7 +367,7 @@ func TestDrainBoardMovesPrimaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r.rt.hfByAcc[accC].fpgaIdx; got != 1 {
+	if got := r.rt.accs[accC].route.Primary().FPGA; got != 1 {
 		t.Errorf("new placement on board %d during drain, want 1", got)
 	}
 	if err := r.rt.UndrainBoard(0); err != nil {
@@ -374,6 +376,7 @@ func TestDrainBoardMovesPrimaries(t *testing.T) {
 	if h := r.rt.sched.BoardHealthOf(0); h != placement.BoardAlive {
 		t.Errorf("board 0 health %v after undrain, want alive", h)
 	}
+	checkAccTable(t, r)
 }
 
 func TestLoadPRRetriesPastWedgedICAP(t *testing.T) {
@@ -385,7 +388,7 @@ func TestLoadPRRetriesPastWedgedICAP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r.rt.hfByAcc[acc].fpgaIdx; got != 1 {
+	if got := r.rt.accs[acc].route.Primary().FPGA; got != 1 {
 		t.Errorf("placed on board %d, want 1 (board 0 wedged)", got)
 	}
 	if w := r.dev.FaultCounters().ICAPWedges; w != 1 {
@@ -414,15 +417,15 @@ func TestQuarantineDeadReloadMigratesOff(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.settle()
-	e := r.rt.hfByAcc[acc]
+	e := r.rt.accs[acc]
 
 	// Kill the board directly (no sweep — the data path and health FSM
 	// must discover it), then push traffic at the dead primary.
 	devs[0].Shutdown()
 	sendBurst(t, r, nf, acc, 8)
 	r.settle()
-	if e.fpgaIdx != 1 {
-		t.Fatalf("primary on board %d, want 1 (migrated off dead board)", e.fpgaIdx)
+	if e.route.Primary().FPGA != 1 {
+		t.Fatalf("primary on board %d, want 1 (migrated off dead board)", e.route.Primary().FPGA)
 	}
 	if e.health != HealthHealthy {
 		t.Errorf("health %v after re-place, want healthy", e.health)
@@ -455,7 +458,7 @@ func TestMigrateExplicitTargetValidation(t *testing.T) {
 		t.Errorf("explicit migrate: board %d, %v", b, err)
 	}
 	r.settle()
-	if got := r.rt.hfByAcc[acc].fpgaIdx; got != 1 {
+	if got := r.rt.accs[acc].route.Primary().FPGA; got != 1 {
 		t.Errorf("primary on board %d, want 1", got)
 	}
 }
@@ -483,9 +486,11 @@ func TestEvictUnloadsReplicas(t *testing.T) {
 	if got := devs[1].AvailableLUTs(); got != free1+1000 {
 		t.Errorf("board 1 LUTs %d, want %d", got, free1+1000)
 	}
-	if n := r.rt.sched.EndpointsOn(0) + r.rt.sched.EndpointsOn(1); n != 0 {
+	table := r.rt.PlacementTable()
+	if n := len(table[0].Endpoints) + len(table[1].Endpoints); n != 0 {
 		t.Errorf("%d endpoints survive eviction", n)
 	}
+	checkAccTable(t, r)
 }
 
 // TestFleetCapacityErrorNamesEveryBoard pins the satellite-1 contract at
@@ -529,7 +534,7 @@ func TestBringUpReplaysOnceInOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := r.rt.hfByAcc[acc]
+	e := r.rt.accs[acc]
 	check := func(step string, n int, board int) {
 		t.Helper()
 		if len(instances) != n {
@@ -538,9 +543,9 @@ func TestBringUpReplaysOnceInOrder(t *testing.T) {
 		if got := fmt.Sprint(*instances[n-1]); got != "[a b c]" {
 			t.Errorf("%s: newest instance configured with %s, want [a b c]", step, got)
 		}
-		if e.fpgaIdx != board || !e.ready || e.health != HealthHealthy || e.reloading || e.migrating {
+		if e.route.Primary().FPGA != board || !e.route.Primary().Ready || e.health != HealthHealthy || e.reloading || e.migrating {
 			t.Errorf("%s: entry on board %d ready=%v health=%v reloading=%v migrating=%v, want settled on board %d",
-				step, e.fpgaIdx, e.ready, e.health, e.reloading, e.migrating, board)
+				step, e.route.Primary().FPGA, e.route.Primary().Ready, e.health, e.reloading, e.migrating, board)
 		}
 	}
 	for _, blob := range []string{"a", "b", "c"} { // the PR is still streaming
@@ -595,7 +600,7 @@ func TestEvictAfterReloadDiedWithBoard(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.settle()
-	e := r.rt.hfByAcc[acc]
+	e := r.rt.accs[acc]
 	r.rt.quarantine(e)
 	if err := r.rt.Evict(acc); !errors.Is(err, ErrAccReloading) {
 		t.Fatalf("evict during a live reload: %v", err)
@@ -612,4 +617,5 @@ func TestEvictAfterReloadDiedWithBoard(t *testing.T) {
 		t.Errorf("AccIDs after evict: %v", ids)
 	}
 	checkNoLeaks(t, r)
+	checkAccTable(t, r)
 }

@@ -60,10 +60,10 @@ func TestTwoNodeLocalPlacement(t *testing.T) {
 	if acc0 == acc1 {
 		t.Fatal("both nodes resolved the same accelerator instance")
 	}
-	e0 := r.rt.hfByAcc[acc0]
-	e1 := r.rt.hfByAcc[acc1]
-	if e0.fpgaIdx != 0 || e1.fpgaIdx != 1 {
-		t.Errorf("placement: node0 -> fpga%d, node1 -> fpga%d", e0.fpgaIdx, e1.fpgaIdx)
+	e0 := r.rt.accs[acc0]
+	e1 := r.rt.accs[acc1]
+	if e0.route.Primary().FPGA != 0 || e1.route.Primary().FPGA != 1 {
+		t.Errorf("placement: node0 -> fpga%d, node1 -> fpga%d", e0.route.Primary().FPGA, e1.route.Primary().FPGA)
 	}
 }
 
@@ -143,8 +143,8 @@ func TestTwoNodeFallbackToRemoteBoard(t *testing.T) {
 	if err != nil {
 		t.Fatalf("remote fallback failed: %v", err)
 	}
-	if rt.hfByAcc[acc].fpgaIdx != 0 {
-		t.Errorf("resolved to fpga %d", rt.hfByAcc[acc].fpgaIdx)
+	if rt.accs[acc].route.Primary().FPGA != 0 {
+		t.Errorf("resolved to fpga %d", rt.accs[acc].route.Primary().FPGA)
 	}
 }
 
@@ -161,9 +161,9 @@ func TestTwoNodeMigrationFollowsRoute(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.settle()
-	e := r.rt.hfByAcc[acc]
-	if e.fpgaIdx != 0 {
-		t.Fatalf("initial placement on board %d, want the node-local 0", e.fpgaIdx)
+	e := r.rt.accs[acc]
+	if e.route.Primary().FPGA != 0 {
+		t.Fatalf("initial placement on board %d, want the node-local 0", e.route.Primary().FPGA)
 	}
 
 	mk := func(payload string) *mbuf.Mbuf {
@@ -190,8 +190,8 @@ func TestTwoNodeMigrationFollowsRoute(t *testing.T) {
 		t.Fatalf("migrated to board %d, want 1", board)
 	}
 	r.settle()
-	if e.fpgaIdx != 1 {
-		t.Fatalf("primary on board %d after migration, want 1", e.fpgaIdx)
+	if e.route.Primary().FPGA != 1 {
+		t.Fatalf("primary on board %d after migration, want 1", e.route.Primary().FPGA)
 	}
 
 	if _, err := r.rt.SendPackets(nf, []*mbuf.Mbuf{mk("after-move!")}); err != nil {
@@ -225,7 +225,7 @@ func TestTwoNodeMigrationFollowsRoute(t *testing.T) {
 	// And the batches landed on each board in era order: one batch on
 	// board 0 before the move, one on board 1 after.
 	b0, _, _, _ := r.rt.cfg.FPGAs[0].Device.RegionStats(0)
-	b1, _, _, _ := r.rt.cfg.FPGAs[1].Device.RegionStats(e.regionIdx)
+	b1, _, _, _ := r.rt.cfg.FPGAs[1].Device.RegionStats(e.route.Primary().Region)
 	if b0 != 1 || b1 != 1 {
 		t.Errorf("batches per board = %d/%d, want 1/1", b0, b1)
 	}
@@ -281,7 +281,7 @@ func TestMultiFPGASameNodeSpillover(t *testing.T) {
 	if err != nil {
 		t.Fatalf("second instance should spill to board 2: %v", err)
 	}
-	if rt.hfByAcc[a1].fpgaIdx == rt.hfByAcc[a2].fpgaIdx {
+	if rt.accs[a1].route.Primary().FPGA == rt.accs[a2].route.Primary().FPGA {
 		t.Error("both instances on the same board despite capacity")
 	}
 	if _, err := rt.LoadPR("huge", 0); !errors.Is(err, ErrCapacity) {

@@ -138,15 +138,19 @@ func (c Config) withDefaults() (Config, error) {
 }
 
 // hfEntry is one hardware function table row (Figure 2: hf.name, s.id,
-// a.id, f.id).
+// a.id, f.id), and the one store of anything kept per accelerator: where
+// it runs (route), how its batches are cut (tune), its configuration and
+// its health. f.id and the row's readiness are its route's primary
+// endpoint.
 type hfEntry struct {
-	name      string
-	node      int
-	accID     AccID
-	fpgaIdx   int
-	regionIdx int
-	ready     bool
-	spec      fpga.ModuleSpec
+	name  string
+	node  int
+	accID AccID
+	spec  fpga.ModuleSpec
+
+	// tune holds the accelerator's own batching knobs; zero fields
+	// inherit the runtime's defaults (see AccTuning).
+	tune AccTuning
 
 	// cfgBlobs records every AccConfigure blob in arrival order — applied
 	// ones, and ones sent while no instance was up to take them — so every
@@ -156,11 +160,10 @@ type hfEntry struct {
 	cfgBlobs [][]byte
 
 	// route is the acc's live routing state (primary + replicas with
-	// weights), owned by the placement scheduler; the Packer consults it
-	// directly on every flush. fpgaIdx/regionIdx above mirror the primary
-	// endpoint — the one the health FSM tracks. LoadPR binds it before the
-	// entry enters the table (and before any PR completes), so it is
-	// never nil.
+	// weights); the Packer consults it directly on every flush. Its
+	// primary endpoint is the one the health FSM tracks. LoadPR builds it
+	// before the entry enters the table (and before any PR completes), so
+	// it is never nil.
 	route *placement.Route
 	// epoch increments at every cutover (migration, replica promotion) so
 	// stragglers from a previous placement cannot poison the fresh
@@ -202,15 +205,16 @@ type Runtime struct {
 	sim *eventsim.Sim
 	cfg Config
 
-	db      map[string]fpga.ModuleSpec
-	hfByKey map[hfKey]*hfEntry
-	hfByAcc map[AccID]*hfEntry
+	db map[string]fpga.ModuleSpec
+	// accs is the hardware function table, indexed by acc_id. Entry 0 —
+	// an id LoadPR never assigns — and evicted ids are nil; ids are never
+	// reused, so nextAcc is the highest ever handed out.
+	accs    []*hfEntry
 	nextAcc AccID
 
-	// sched is the fleet placement scheduler: it decides which board
-	// hosts each module and owns the per-acc routing state the data path
-	// consults. The runtime actuates its decisions (ICAP writes, config
-	// replay, cutover).
+	// sched is the fleet placement scheduler: it keeps the board ledgers
+	// and decides which board hosts each module. The runtime actuates its
+	// decisions (ICAP writes, config replay, cutover).
 	sched *placement.Scheduler
 
 	nfs    []*nfEntry // index = NFID-1
@@ -224,11 +228,9 @@ type Runtime struct {
 	ibqRejects []uint64
 	ibqHot     []bool
 
-	// tune is the one store of the batching knobs, indexed by acc_id and
-	// grown to the largest id ever tuned. Entry 0 — an id LoadPR never
-	// assigns — holds the defaults every accelerator inherits; entry N
-	// holds accelerator N's own values, zero fields inheriting.
-	tune []AccTuning
+	// defaults are the batching knobs every accelerator inherits where
+	// its row's own are zero (see AccTuning).
+	defaults AccTuning
 
 	// armed caches whether the fault detection/recovery machinery is on
 	// (Config.Faults set or WatchdogTimeout > 0).
@@ -236,11 +238,6 @@ type Runtime struct {
 	// tel caches Config.Telemetry (nil when telemetry is off) so hot
 	// paths pay one nil check, not a config indirection.
 	tel *telemetry.Registry
-}
-
-type hfKey struct {
-	name string
-	node int
 }
 
 // NewRuntime builds a Runtime with the stock accelerator module database
@@ -252,19 +249,17 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		return nil, err
 	}
 	r := &Runtime{
-		sim:     cfg.Sim,
-		cfg:     cfg,
-		db:      make(map[string]fpga.ModuleSpec),
-		hfByKey: make(map[hfKey]*hfEntry),
-		hfByAcc: make(map[AccID]*hfEntry),
-		nodeTx:  make([]*txEngine, cfg.Nodes),
-		nodeRx:  make([]*rxEngine, cfg.Nodes),
-		armed:   cfg.Faults != nil || cfg.WatchdogTimeout > 0,
-		tel:     cfg.Telemetry,
+		sim:    cfg.Sim,
+		cfg:    cfg,
+		db:     make(map[string]fpga.ModuleSpec),
+		nodeTx: make([]*txEngine, cfg.Nodes),
+		nodeRx: make([]*rxEngine, cfg.Nodes),
+		armed:  cfg.Faults != nil || cfg.WatchdogTimeout > 0,
+		tel:    cfg.Telemetry,
 
 		ibqRejects: make([]uint64, cfg.Nodes),
 		ibqHot:     make([]bool, cfg.Nodes),
-		tune:       []AccTuning{{BatchBytes: cfg.BatchBytes, FlushTimeout: cfg.FlushTimeout}},
+		defaults:   AccTuning{BatchBytes: cfg.BatchBytes, FlushTimeout: cfg.FlushTimeout},
 	}
 	devices := make([]*fpga.Device, len(cfg.FPGAs))
 	for i := range cfg.FPGAs {
@@ -312,8 +307,48 @@ func nextPow2(n int) int {
 func (r *Runtime) Placement() *placement.Scheduler { return r.sched }
 
 // PlacementTable snapshots the fleet: every board's state, remaining
-// resources and routed endpoints, in board order.
-func (r *Runtime) PlacementTable() []placement.BoardInfo { return r.sched.Snapshot() }
+// resources and routed endpoints, in board order, each board's endpoints
+// in acc_id order.
+func (r *Runtime) PlacementTable() []placement.BoardInfo {
+	var routes []*placement.Route
+	for _, e := range r.accs {
+		if e != nil {
+			routes = append(routes, e.route)
+		}
+	}
+	return r.sched.Snapshot(routes)
+}
+
+// row returns the live hardware function table row of an acc_id, or nil.
+// Packets carry any acc_id an NF writes, so the index is bounds-checked.
+//
+//dhl:hotpath
+func (r *Runtime) row(id AccID) *hfEntry {
+	if int(id) < len(r.accs) {
+		return r.accs[id]
+	}
+	return nil
+}
+
+// acc is row for the API: an unknown or evicted acc_id is ErrUnknownAcc.
+func (r *Runtime) acc(id AccID) (*hfEntry, error) {
+	if e := r.row(id); e != nil {
+		return e, nil
+	}
+	return nil, fmt.Errorf("%w: %d", ErrUnknownAcc, id)
+}
+
+// byName returns the newest live row serving (name, node), or nil: the
+// row a load of that name on that node last created and that has not
+// been evicted since.
+func (r *Runtime) byName(name string, node int) *hfEntry {
+	for i := len(r.accs) - 1; i > 0; i-- {
+		if e := r.accs[i]; e != nil && e.name == name && e.node == node {
+			return e
+		}
+	}
+	return nil
+}
 
 // RegisterModule adds a module spec to the accelerator module database.
 // Per §IV-C, software developers may add self-built accelerator modules as
@@ -414,7 +449,7 @@ func (r *Runtime) nf(id NFID) (*nfEntry, error) {
 // destined for a still-reconfiguring region are held by the Packer until
 // the region comes up.
 func (r *Runtime) SearchByName(name string, node int) (AccID, error) {
-	if e, ok := r.hfByKey[hfKey{name, node}]; ok {
+	if e := r.byName(name, node); e != nil {
 		return e.accID, nil
 	}
 	return r.LoadPR(name, node)
@@ -432,13 +467,14 @@ func (r *Runtime) LoadPR(name string, node int) (AccID, error) {
 	}
 	if r.nextAcc == math.MaxUint16 {
 		// acc_ids are never reused: a wrapped counter would hand out 0,
-		// the knob family's defaults key, and then ids live entries hold.
+		// which names the knob family's defaults, and then ids live rows
+		// hold.
 		return 0, fmt.Errorf("%w: acc_id space exhausted", ErrCapacity)
 	}
-	var entry *hfEntry
+	entry := &hfEntry{name: name, node: node, accID: r.nextAcc + 1, spec: spec, health: HealthHealthy}
 	var lastErr error
 	var exclude []int
-	for entry == nil {
+	for entry.route == nil {
 		idx, perr := r.sched.Place(spec, node, exclude)
 		if perr != nil {
 			if lastErr == nil {
@@ -446,32 +482,35 @@ func (r *Runtime) LoadPR(name string, node int) (AccID, error) {
 			}
 			break
 		}
-		e, lerr := r.tryLoad(idx, spec)
-		if lerr == nil {
-			entry = e
-			break
+		// The endpoint turns ready, and is configured, when the PR write
+		// completes.
+		dev := r.cfg.FPGAs[idx].Device
+		region, lerr := dev.LoadPR(spec, func(ri int) {
+			entry.route.SetReady(idx, ri, true)
+			entry.replay(dev, ri)
+		})
+		if lerr != nil {
+			lastErr = lerr
+			exclude = append(exclude, idx)
+			continue
 		}
-		lastErr = lerr
-		exclude = append(exclude, idx)
+		entry.route = placement.NewRoute(uint16(entry.accID), name, idx, region)
 	}
-	if entry == nil {
+	if entry.route == nil {
 		if len(r.cfg.FPGAs) == 0 {
 			return 0, ErrNoFPGA
 		}
 		return 0, fmt.Errorf("%w: %q does not fit on any board: %v", ErrCapacity, name, lastErr)
 	}
-	entry.name = name
-	entry.node = node
-	r.nextAcc++
-	entry.accID = r.nextAcc
-	entry.route = r.sched.Bind(uint16(entry.accID), name, entry.fpgaIdx, entry.regionIdx)
-	r.hfByKey[hfKey{name, node}] = entry
-	r.hfByAcc[entry.accID] = entry
+	r.nextAcc = entry.accID
+	if grow := int(entry.accID) + 1 - len(r.accs); grow > 0 {
+		r.accs = append(r.accs, make([]*hfEntry, grow)...)
+	}
+	r.accs[entry.accID] = entry
 	if r.tel != nil {
-		e := entry
-		r.tel.RegisterGauge("dhl_acc_health", accHealthLabels(e.accID, name),
+		r.tel.RegisterGauge("dhl_acc_health", accHealthLabels(entry.accID, name),
 			"Accelerator health-FSM state: 1 healthy, 2 degraded, 3 quarantined.",
-			func() float64 { return float64(e.health) })
+			func() float64 { return float64(entry.health) })
 	}
 	return entry.accID, nil
 }
@@ -494,32 +533,17 @@ func (e *hfEntry) replay(dev *fpga.Device, region int) {
 	}
 }
 
-func (r *Runtime) tryLoad(fpgaIdx int, spec fpga.ModuleSpec) (*hfEntry, error) {
-	e := &hfEntry{fpgaIdx: fpgaIdx, spec: spec, health: HealthHealthy}
-	dev := r.cfg.FPGAs[fpgaIdx].Device
-	regionIdx, err := dev.LoadPR(spec, func(int) {
-		e.ready = true
-		e.route.SetReady(fpgaIdx, e.regionIdx, true)
-		e.replay(dev, e.regionIdx)
-	})
-	if err != nil {
-		return nil, err
-	}
-	e.regionIdx = regionIdx
-	return e, nil
-}
-
 // AccConfigure implements DHL_acc_configure(): it forwards an NF-supplied
 // parameter blob to the accelerator module (via the FPGA's Config module).
 // Blobs sent while the region is still reconfiguring are applied when the
 // PR completes.
 func (r *Runtime) AccConfigure(acc AccID, params []byte) error {
-	e, ok := r.hfByAcc[acc]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownAcc, acc)
+	e, err := r.acc(acc)
+	if err != nil {
+		return err
 	}
-	if e.ready {
-		if err := r.cfg.FPGAs[e.fpgaIdx].Device.Configure(e.regionIdx, params); err != nil {
+	if p := e.route.Primary(); p.Ready {
+		if err := r.cfg.FPGAs[p.FPGA].Device.Configure(p.Region, params); err != nil {
 			return err
 		}
 	}
@@ -598,18 +622,21 @@ func (r *Runtime) ReceivePackets(id NFID, dst []*mbuf.Mbuf) (int, error) {
 
 // HFTable renders the hardware function table (Figure 2) for inspection.
 func (r *Runtime) HFTable() []string {
-	rows := make([]string, 0, len(r.hfByAcc))
-	for _, acc := range r.AccIDs() {
-		e := r.hfByAcc[acc]
+	rows := []string{}
+	for _, e := range r.accs {
+		if e == nil {
+			continue
+		}
+		p := e.route.Primary()
 		state := "loading"
-		if e.ready {
+		if p.Ready {
 			state = "ready"
 		}
 		if r.armed && e.health != HealthHealthy {
 			state += "/" + e.health.String()
 		}
 		rows = append(rows, fmt.Sprintf("hf=%-18s s.id=%d a.id=%d f.id=%d region=%d (%s)",
-			e.name, e.node, e.accID, e.fpgaIdx, e.regionIdx, state))
+			e.name, e.node, e.accID, p.FPGA, p.Region, state))
 	}
 	return rows
 }

@@ -95,9 +95,9 @@ type accState struct {
 	firstAt eventsim.Time
 
 	// The accelerator's resolved batching knobs, derived by retune from
-	// the knob family (Runtime.tune): its own value where it has one, the
-	// default where not. batchCap is the batch-size target; flushTimeout
-	// is the deadline pass's forced-flush age.
+	// the knob family: its row's own value where it has one, the
+	// runtime's default where not. batchCap is the batch-size target;
+	// flushTimeout is the deadline pass's forced-flush age.
 	batchCap     int
 	flushTimeout eventsim.Time
 }
@@ -359,8 +359,9 @@ func (t *txEngine) state(acc AccID) *accState {
 // body's //dhl:hotpath range under escape analysis. The id is whatever the
 // NF wrote into the mbuf — an unrouted one stages like any other and is
 // dropped at flush — so the table can reach 65 536 pointers, no further.
-// The knob family lives outside the staging areas, so values set before
-// the first packet arrived, or across a teardown, are picked up here.
+// The knob family lives on the table rows and the runtime, outside the
+// staging areas, so values set before the first packet arrived, or across
+// a teardown, are picked up here.
 //
 //go:noinline
 func (t *txEngine) newAccState(acc AccID) *accState {
@@ -375,14 +376,14 @@ func (t *txEngine) newAccState(acc AccID) *accState {
 }
 
 // retune derives a staging area's batching knobs from the one knob family:
-// the accelerator's own value where it has one, the default (acc_id 0)
-// where not; the target takes effect at once. A shortened flush timeout
-// moves a staged batch's deadline without touching a ring, so the TX loop
-// is poked to read it again.
+// the live row's own value where it has one, the runtime's default where
+// not; the target takes effect at once. A shortened flush timeout moves a
+// staged batch's deadline without touching a ring, so the TX loop is
+// poked to read it again.
 func (t *txEngine) retune(acc AccID, st *accState) {
-	tune := t.r.tune[0]
-	if int(acc) < len(t.r.tune) {
-		own := t.r.tune[acc]
+	tune := t.r.defaults
+	if e := t.r.row(acc); e != nil {
+		own := e.tune
 		if own.BatchBytes != 0 {
 			tune.BatchBytes = own.BatchBytes
 		}
@@ -451,8 +452,8 @@ func (t *txEngine) commit() {
 //
 //dhl:hotpath
 func (t *txEngine) flush(acc AccID, st *accState, bySize bool) *inflight {
-	e, ok := t.r.hfByAcc[acc]
-	if !ok || len(st.mbufs) == 0 {
+	e := t.r.row(acc)
+	if e == nil || len(st.mbufs) == 0 {
 		// Unknown acc_id: nothing routable.
 		t.dropStaged(st)
 		return nil

@@ -3,20 +3,21 @@
 // of internal/core into a routing layer.
 //
 // The split of responsibilities is deliberate. The Scheduler makes
-// decisions and holds routing state: which board a new module should land
-// on (NUMA-preferring first-fit over the boards' LUT/BRAM accounting,
-// paper Table VI — 5×ipsec-crypto or 2×pattern-matching per VC709), which
-// replica endpoints serve an accelerator and with what weights, and which
-// boards are alive, draining, or lost. The core runtime *actuates* those
-// decisions — it streams bitstreams, replays configuration, and swaps its
-// hardware-function-table row at cutover — because only it owns the
-// device handles and the event loop.
+// decisions and holds the board ledgers: which board a new module should
+// land on (NUMA-preferring first-fit over the boards' LUT/BRAM
+// accounting, paper Table VI — 5×ipsec-crypto or 2×pattern-matching per
+// VC709), and which boards are alive, draining, or lost. The core runtime
+// *actuates* those decisions — it streams bitstreams, replays
+// configuration, and moves its hardware-function-table row's primary at
+// cutover — because only it owns the device handles and the event loop.
 //
 // A Route is the unit the data path consumes: the set of (board, region)
 // endpoints currently serving one acc_id, with a deterministic
-// weighted-round-robin Pick the Packer calls once per flushed batch. Pick
-// is allocation-free and single-threaded by construction (the simulation
-// event loop), like everything else on the hot path.
+// weighted-round-robin Pick the Packer calls once per flushed batch. Each
+// route lives on its accelerator's hardware-function-table row, which is
+// the one store of per-accelerator state. Pick is allocation-free and
+// single-threaded by construction (the simulation event loop), like
+// everything else on the hot path.
 package placement
 
 import (
@@ -111,6 +112,16 @@ type Route struct {
 
 	cursor int
 	credit uint32
+}
+
+// NewRoute builds the routing state of a freshly placed acc_id: a single
+// not-yet-ready primary endpoint at (board, region). The runtime stores
+// it on the accelerator's hardware-function-table row; the data path
+// consumes it directly.
+func NewRoute(acc uint16, hf string, board, region int) *Route {
+	return &Route{acc: acc, hf: hf, eps: []Endpoint{{
+		FPGA: board, Region: region, Weight: DefaultWeight, Primary: true,
+	}}}
 }
 
 // Endpoints exposes the route's endpoint slice for cold-path iteration
@@ -251,9 +262,12 @@ func (r *Route) DisableBoard(board int) {
 	}
 }
 
-// Primary returns the primary endpoint, or nil.
+// Primary returns the primary endpoint, or nil. The pointer is valid
+// until the route's endpoints next change (Add, Remove). The health FSM
+// reads it on every clean batch; a route holds a handful of endpoints
+// and a cutover removes the old primary, so the scan is a step or two.
 //
-//dhl:allow unreferenced core's migration and health tests check where the primary sits
+//dhl:hotpath
 func (r *Route) Primary() *Endpoint {
 	for i := range r.eps {
 		if r.eps[i].Primary {
@@ -278,27 +292,23 @@ type boardState struct {
 	dev      *fpga.Device
 	draining bool
 
-	placed      uint64
 	migratedIn  uint64
 	migratedOut uint64
 }
 
-// Scheduler owns fleet-wide placement and routing state. It is a pure
-// decision layer: it never touches a device beyond reading its resource
-// counters and shutdown flag, so internal/core can import it without a
-// cycle and actuate its decisions.
+// Scheduler owns the fleet's board ledgers and placement decisions; it
+// holds no per-route state. It is a pure decision layer: it never
+// touches a device beyond reading its resource counters and shutdown
+// flag, so internal/core can import it without a cycle and actuate its
+// decisions.
 type Scheduler struct {
 	boards []boardState
-	routes map[uint16]*Route
 }
 
 // New builds a scheduler over the fleet's devices, in board-index order
 // matching the runtime's attachment list.
 func New(devices []*fpga.Device) *Scheduler {
-	s := &Scheduler{
-		boards: make([]boardState, len(devices)),
-		routes: make(map[uint16]*Route),
-	}
+	s := &Scheduler{boards: make([]boardState, len(devices))}
 	for i, d := range devices {
 		s.boards[i].dev = d
 	}
@@ -330,15 +340,6 @@ func (s *Scheduler) SetDraining(board int, draining bool) error {
 	}
 	s.boards[board].draining = draining
 	return nil
-}
-
-// BoardLostSweep disables every route endpoint on the board — the
-// operator-initiated counterpart of the data path's lazy DisableBoard,
-// run when a board is taken offline deliberately.
-func (s *Scheduler) BoardLostSweep(board int) {
-	for _, r := range s.routes {
-		r.DisableBoard(board)
-	}
 }
 
 // canHost explains whether the board can take the module now: it must be
@@ -414,27 +415,6 @@ func excluded(exclude []int, i int) bool {
 	return false
 }
 
-// Bind creates the routing state for a freshly placed acc_id: a single
-// not-yet-ready primary endpoint at (board, region). The runtime stores
-// the returned *Route on its hardware-function-table row; the data path
-// consumes it directly.
-func (s *Scheduler) Bind(acc uint16, hf string, board, region int) *Route {
-	r := &Route{acc: acc, hf: hf}
-	r.eps = append(r.eps, Endpoint{
-		FPGA: board, Region: region, Weight: DefaultWeight, Primary: true,
-	})
-	s.routes[acc] = r
-	if board >= 0 && board < len(s.boards) {
-		s.boards[board].placed++
-	}
-	return r
-}
-
-// Unbind forgets the acc_id's routing state (eviction).
-func (s *Scheduler) Unbind(acc uint16) {
-	delete(s.routes, acc)
-}
-
 // NoteMigration records a completed cutover for the per-board counters.
 func (s *Scheduler) NoteMigration(from, to int) {
 	if from >= 0 && from < len(s.boards) {
@@ -442,7 +422,6 @@ func (s *Scheduler) NoteMigration(from, to int) {
 	}
 	if to >= 0 && to < len(s.boards) {
 		s.boards[to].migratedIn++
-		s.boards[to].placed++
 	}
 }
 
@@ -452,21 +431,6 @@ func (s *Scheduler) Migrations(board int) (in, out uint64) {
 		return 0, 0
 	}
 	return s.boards[board].migratedIn, s.boards[board].migratedOut
-}
-
-// EndpointsOn counts route endpoints currently bound to the board (for
-// gauges; includes warming and disabled endpoints so an operator sees
-// what is still physically loaded there).
-func (s *Scheduler) EndpointsOn(board int) int {
-	n := 0
-	for _, r := range s.routes {
-		for i := range r.eps {
-			if r.eps[i].FPGA == board {
-				n++
-			}
-		}
-	}
-	return n
 }
 
 // EndpointInfo is one route endpoint in a fleet snapshot. Its JSON
@@ -496,9 +460,10 @@ type BoardInfo struct {
 }
 
 // Snapshot renders the fleet for the control plane: per-board state,
-// free resources, and every endpoint routed there, in deterministic
-// board/acc order. Cold path.
-func (s *Scheduler) Snapshot() []BoardInfo {
+// free resources, and every endpoint of routes routed there. Boards come
+// in board order and each board's endpoints in routes' order (the
+// runtime passes them by acc_id). Cold path.
+func (s *Scheduler) Snapshot(routes []*Route) []BoardInfo {
 	out := make([]BoardInfo, len(s.boards))
 	for i := range s.boards {
 		b := &s.boards[i]
@@ -521,19 +486,7 @@ func (s *Scheduler) Snapshot() []BoardInfo {
 			Endpoints:   []EndpointInfo{},
 		}
 	}
-	// Deterministic order: scan acc ids ascending (the map is small and
-	// this is a cold snapshot).
-	maxAcc := uint16(0)
-	for acc := range s.routes {
-		if acc > maxAcc {
-			maxAcc = acc
-		}
-	}
-	for acc := 1; acc <= int(maxAcc); acc++ {
-		r, ok := s.routes[uint16(acc)]
-		if !ok {
-			continue
-		}
+	for _, r := range routes {
 		for i := range r.eps {
 			ep := &r.eps[i]
 			if ep.FPGA < 0 || ep.FPGA >= len(out) {

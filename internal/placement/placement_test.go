@@ -164,6 +164,13 @@ func TestMarkPrimaryMoves(t *testing.T) {
 	if len(r.Endpoints()) != 1 {
 		t.Errorf("%d endpoints after remove, want 1", len(r.Endpoints()))
 	}
+	if ep := r.Primary(); ep == nil || ep.FPGA != 1 || ep.Region != 2 {
+		t.Errorf("primary after removing the endpoint before it: %+v", ep)
+	}
+	r.Remove(1, 2)
+	if ep := r.Primary(); ep != nil {
+		t.Errorf("primary after removing it: %+v", ep)
+	}
 }
 
 func TestPlaceNUMAPreference(t *testing.T) {
@@ -249,25 +256,25 @@ func TestPlaceSkipsFullBoards(t *testing.T) {
 
 func TestBindRouteSnapshot(t *testing.T) {
 	_, devs, s := fleet(t, 2, 0, 1)
-	r := s.Bind(1, "ipsec", 0, 0)
-	if s.routes[1] != r {
-		t.Fatal("route not registered")
-	}
+	r := NewRoute(1, "ipsec", 0, 0)
 	if ep := r.Primary(); ep == nil || ep.Ready || ep.FPGA != 0 || ep.Weight != DefaultWeight {
-		t.Fatalf("bind endpoint %+v", ep)
+		t.Fatalf("new route endpoint %+v", ep)
+	}
+	if got := len(r.Endpoints()); got != 1 {
+		t.Fatalf("new route has %d endpoints, want 1", got)
 	}
 	r.SetReady(0, 0, true)
 	r.Add(1, 3, DefaultWeight, true)
 	s.NoteMigration(0, 1)
 
-	if n := s.EndpointsOn(1); n != 1 {
+	routes := []*Route{r}
+	snap := s.Snapshot(routes)
+	if n := len(snap[1].Endpoints); n != 1 {
 		t.Errorf("endpoints on board 1 = %d, want 1", n)
 	}
 	if in, out := s.Migrations(1); in != 1 || out != 0 {
 		t.Errorf("board 1 migrations = %d/%d", in, out)
 	}
-
-	snap := s.Snapshot()
 	if len(snap) != 2 {
 		t.Fatalf("snapshot boards = %d", len(snap))
 	}
@@ -289,7 +296,7 @@ func TestBindRouteSnapshot(t *testing.T) {
 	}
 
 	devs[1].Shutdown()
-	s.BoardLostSweep(1)
+	r.DisableBoard(1)
 	for _, ep := range r.Endpoints() {
 		if ep.FPGA == 1 && !ep.Disabled {
 			t.Errorf("sweep left endpoint enabled: %+v", ep)
@@ -299,12 +306,11 @@ func TestBindRouteSnapshot(t *testing.T) {
 		t.Errorf("board 1 health %v, want lost", h)
 	}
 
-	s.Unbind(1)
-	if s.routes[1] != nil {
-		t.Error("route survives unbind")
-	}
-	if n := s.EndpointsOn(0); n != 0 {
-		t.Errorf("endpoints on board 0 after unbind = %d", n)
+	// A route the caller no longer passes (an evicted row) is gone from
+	// the snapshot; the boards stay.
+	snap = s.Snapshot(nil)
+	if len(snap) != 2 || len(snap[0].Endpoints) != 0 || len(snap[1].Endpoints) != 0 {
+		t.Errorf("snapshot without routes = %+v", snap)
 	}
 }
 

@@ -19,9 +19,9 @@
 // allocation-free in steady state — spans are copied into a preallocated
 // buffer (SpanRing.CopySince) and per-accelerator state lives in a map
 // keyed by acc_id; the Tuner allocates only at reconfiguration
-// boundaries (first sight of a new accelerator, a burst resize), never
-// per window, which is what lets the 0 allocs/op gates hold with the
-// tuner armed.
+// boundaries (first sight of a new accelerator, the first quiet window
+// after its eviction, a burst resize), never per window, which is what
+// lets the 0 allocs/op gates hold with the tuner armed.
 //
 // # Control law
 //
@@ -40,6 +40,7 @@
 package tuner
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -284,8 +285,11 @@ func (t *Tuner) tick() {
 		nc.hot = hot
 	}
 
-	// Decide and actuate per accelerator.
+	// Decide and actuate per accelerator; forget the evicted.
 	for _, ctl := range t.accs {
+		if ctl.winBatches == 0 && t.forget(ctl) {
+			continue
+		}
 		t.decide(ctl)
 	}
 
@@ -332,7 +336,7 @@ func (t *Tuner) adoptAcc(acc core.AccID) *accCtl {
 		ctl.node = 0
 	}
 	t.accs[acc] = ctl
-	labels := fmt.Sprintf("acc_id=\"%d\",hf=%q", acc, ctl.name)
+	labels := ctl.labels()
 	t.tel.RegisterGauge("dhl_tuner_batch_target", labels,
 		"Autotuner's current per-accelerator batch-bytes target.",
 		func() float64 { return float64(ctl.target) })
@@ -340,6 +344,27 @@ func (t *Tuner) adoptAcc(acc core.AccID) *accCtl {
 		"Autotuner's current per-accelerator flush deadline in microseconds.",
 		func() float64 { return float64(ctl.flush) / float64(eventsim.Microsecond) })
 	return ctl
+}
+
+// labels renders the label list of the accelerator's dhl_tuner_* gauges;
+// adoptAcc registers them with it and forget removes them by it.
+func (ctl *accCtl) labels() string {
+	return fmt.Sprintf("acc_id=\"%d\",hf=%q", ctl.acc, ctl.name)
+}
+
+// forget drops an accelerator the runtime no longer knows (evicted) from
+// the controller, with its gauges, and reports whether it did. tick asks
+// only about accelerators that had no batch in the window, so a live one
+// costs an AccInfo lookup per idle window and nothing else.
+func (t *Tuner) forget(ctl *accCtl) bool {
+	if _, err := t.act.AccInfo(ctl.acc); !errors.Is(err, core.ErrUnknownAcc) {
+		return false
+	}
+	delete(t.accs, ctl.acc)
+	labels := ctl.labels()
+	t.tel.UnregisterGauge("dhl_tuner_batch_target", labels)
+	t.tel.UnregisterGauge("dhl_tuner_flush_timeout_us", labels)
+	return true
 }
 
 // decide runs the control law for one accelerator over the closed

@@ -1,6 +1,7 @@
 package tuner
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/opencloudnext/dhl-go/internal/core"
@@ -19,6 +20,9 @@ type fakeAct struct {
 	hot       []bool
 	setCalls  int
 	burstSets int
+	// evicted lists acc_ids AccInfo refuses, as the runtime does once an
+	// accelerator is evicted.
+	evicted map[core.AccID]bool
 }
 
 func newFakeAct(nodes int) *fakeAct {
@@ -37,6 +41,9 @@ func (f *fakeAct) BatchBytes() int             { return 6 * 1024 }
 func (f *fakeAct) FlushTimeout() eventsim.Time { return 20 * eventsim.Microsecond }
 func (f *fakeAct) Burst(node int) int          { return f.burst[node] }
 func (f *fakeAct) AccInfo(acc core.AccID) (core.AccInfo, error) {
+	if f.evicted[acc] {
+		return core.AccInfo{}, fmt.Errorf("%w: %d", core.ErrUnknownAcc, acc)
+	}
 	return core.AccInfo{AccID: acc, Name: "loopback", Node: 0, Ready: true}, nil
 }
 
@@ -249,5 +256,46 @@ func TestTunerTickSteadyStateZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state tuner window allocates %.1f allocs, want 0", allocs)
+	}
+}
+
+// TestTunerForgetsEvictedAcc: once the runtime refuses an accelerator it
+// had adopted, the first window without its batches drops it from Status
+// and unregisters its gauges; a live accelerator's quiet window does not.
+func TestTunerForgetsEvictedAcc(t *testing.T) {
+	act := newFakeAct(1)
+	act.evicted = map[core.AccID]bool{}
+	tun, sim, tel := newTestTuner(t, act)
+	if err := tun.Enable(); err != nil {
+		t.Fatal(err)
+	}
+	gauges := func() int {
+		n := 0
+		for _, g := range tel.Snapshot().Gauges {
+			if g.Labels == `acc_id="1",hf="loopback"` {
+				n++
+			}
+		}
+		return n
+	}
+	pushSpans(tel, 10, 3*1024)
+	window(sim)
+	window(sim) // quiet, but still live: kept
+	if st := tun.Status(); len(st.Accs) != 1 || st.Accs[0].AccID != 1 {
+		t.Fatalf("live acc after a quiet window: %+v", st.Accs)
+	}
+	if n := gauges(); n != 2 {
+		t.Fatalf("%d tuner gauges for the live acc, want 2", n)
+	}
+	act.evicted[1] = true
+	window(sim)
+	if st := tun.Status(); len(st.Accs) != 0 {
+		t.Errorf("evicted acc still in Status: %+v", st.Accs)
+	}
+	if n := gauges(); n != 0 {
+		t.Errorf("%d tuner gauges survive the evicted acc", n)
+	}
+	if len(tun.accs) != 0 {
+		t.Errorf("controller still holds %d accs", len(tun.accs))
 	}
 }

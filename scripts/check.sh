@@ -70,7 +70,7 @@ echo "==> board-failover smoke (whole-board loss: replica promotion + live migra
 targeted -race -short -run 'BoardFailover' -count=1 ./internal/harness
 
 echo "==> migration zero-leak gate (live migration under traffic: ledger balanced, 0 mbufs leaked)"
-targeted -race -run 'MigrationZeroLeak|MigrateLive|ReplicaPromotion|BringUpReplays|EvictAfterReloadDied' -count=1 ./internal/core
+targeted -race -run 'MigrationZeroLeak|MigrateLive|ReplicaPromotion|BringUpReplays|EvictAfterReloadDied|DrainBoardMovesPrimaries|EvictUnloadsReplicas|SearchByNameFindsLiveRow' -count=1 ./internal/core
 
 echo "==> autotuner smoke (control law, backpressure edges, zero-alloc with tuner armed)"
 targeted -short -run 'Tuner|AutoTune|Pressure|CopySince|PerAccTuning|AccBatch' -count=1 \
@@ -194,6 +194,39 @@ grep -q '"board": 1' "$smoke_dir/placement.txt" || {
     cat "$smoke_dir/placement.txt" >&2
     exit 1
 }
+# Eviction: acc_id 1 (ipsec-crypto, settled at start) leaves the placement
+# table, its health gauge leaves /metrics, and both boards keep their
+# endpoint-count gauge. The health series must be there before the evict,
+# so the check cannot pass on a scrape that never had it.
+has_curl=""
+command -v curl >/dev/null && has_curl=1
+if [[ -n "$has_curl" ]]; then
+    curl -fsS "http://127.0.0.1:$port/metrics" > "$smoke_dir/metrics-pre-evict.txt"
+fi
+"$smoke_dir/dhl-inspect" -addr "127.0.0.1:$port" -cmd acc.evict -args 1 >/dev/null
+"$smoke_dir/dhl-inspect" -addr "127.0.0.1:$port" -json -cmd placement.get > "$smoke_dir/placement.txt"
+if grep -q '"acc_id":1,' "$smoke_dir/placement.txt"; then
+    echo "placement.get still lists an endpoint of acc_id 1 after acc.evict" >&2
+    cat "$smoke_dir/placement.txt" >&2
+    exit 1
+fi
+if [[ -n "$has_curl" ]]; then
+    curl -fsS "http://127.0.0.1:$port/metrics" > "$smoke_dir/metrics-post-evict.txt"
+    grep -qF 'dhl_acc_health{acc_id="1"' "$smoke_dir/metrics-pre-evict.txt" || {
+        echo "/metrics had no dhl_acc_health series for acc_id 1 before the evict" >&2
+        exit 1
+    }
+    if grep -qF 'dhl_acc_health{acc_id="1"' "$smoke_dir/metrics-post-evict.txt"; then
+        echo "/metrics still reports dhl_acc_health for acc_id 1 after the evict" >&2
+        exit 1
+    fi
+    for b in 0 1; do
+        grep -qF "dhl_board_accs{board=\"$b\"}" "$smoke_dir/metrics-post-evict.txt" || {
+            echo "/metrics lost dhl_board_accs for board $b after the evict" >&2
+            exit 1
+        }
+    done
+fi
 # Capture-then-grep: piping straight into grep -q makes the producer
 # take a SIGPIPE/EPIPE when grep exits at the first match, which
 # pipefail then reports as a failure (curl exit 23).
@@ -203,7 +236,7 @@ grep -q 'loopback' "$smoke_dir/overview.txt" || {
     cat "$smoke_dir/overview.txt" >&2
     exit 1
 }
-if command -v curl >/dev/null; then
+if [[ -n "$has_curl" ]]; then
     curl -fsS "http://127.0.0.1:$port/metrics" > "$smoke_dir/metrics.txt"
     grep -q dhl_stage_latency_ns "$smoke_dir/metrics.txt" || {
         echo "/metrics scrape lost the stage histograms" >&2
