@@ -650,7 +650,10 @@ func (x *rxEngine) watchdogFire() {
 // then releases the inflight — returning both arena segments — once the
 // decode is done. Fallback and unprocessed batches flow through the same
 // decode; their packets are stamped with the matching mbuf.Status so NFs
-// can tell degraded results from accelerator output.
+// can tell degraded results from accelerator output. Consecutive records
+// of one NF are a run, cb.meta[run:i], which reaches the OBQ as one burst
+// (rte_ring_enqueue_burst); a record that is not delivered ends the run
+// before it.
 //
 //dhl:hotpath
 func (x *rxEngine) distribute(cb *inflight) {
@@ -665,7 +668,7 @@ func (x *rxEngine) distribute(cb *inflight) {
 	var cur dhlproto.Cursor
 	cur.SetBatch(cb.out)
 	var rec dhlproto.Record
-	i := 0
+	i, run := 0, 0
 	corrupt := false
 	for {
 		ok, err := cur.Next(&rec)
@@ -683,31 +686,34 @@ func (x *rxEngine) distribute(cb *inflight) {
 			break
 		}
 		m := cb.meta[i]
-		i++
 		if rec.NFID != m.NFID {
 			// Isolation violation: never deliver another NF's data.
+			x.deliver(cb.meta[run:i], status, pool)
 			x.stats.NFIDMismatches++
 			x.stats.DropMismatch++
 			_ = pool.Free(m)
+			i++
+			run = i
 			continue
 		}
 		// Overwrite the original mbuf with the post-processed payload.
 		if err := m.SetLen(len(rec.Payload)); err != nil {
+			x.deliver(cb.meta[run:i], status, pool)
 			x.stats.DropCorrupt++
 			_ = pool.Free(m)
+			i++
+			run = i
 			continue
+		}
+		if m.NFID != cb.meta[run].NFID {
+			x.deliver(cb.meta[run:i], status, pool)
+			run = i
 		}
 		copy(m.Data(), rec.Payload)
 		m.Status = status
-		x.deliver(NFID(rec.NFID), m, pool)
-		x.stats.PktsDistributed++
-		switch status {
-		case mbuf.StatusFallback:
-			x.stats.PktsFallback++
-		case mbuf.StatusUnprocessed:
-			x.stats.PktsUnprocessed++
-		}
+		i++
 	}
+	x.deliver(cb.meta[run:i], status, pool)
 	if corrupt {
 		// Remaining originals cannot be matched; free them.
 		x.stats.CorruptBatches++
@@ -736,24 +742,40 @@ func (x *rxEngine) distribute(cb *inflight) {
 	cb.t.releaseInflight(cb)
 }
 
+// deliver hands run, decoded packets of one NF stamped with status, to
+// that NF's OBQ in one burst. What the OBQ has no room for, and a run for
+// an unknown or closed NF, is dropped and counted.
+//
 //dhl:hotpath
-func (x *rxEngine) deliver(id NFID, m *mbuf.Mbuf, pool *mbuf.Pool) {
+func (x *rxEngine) deliver(run []*mbuf.Mbuf, status mbuf.Status, pool *mbuf.Pool) {
+	if len(run) == 0 {
+		return
+	}
+	n := uint64(len(run))
+	x.stats.PktsDistributed += n
+	switch status {
+	case mbuf.StatusFallback:
+		x.stats.PktsFallback += n
+	case mbuf.StatusUnprocessed:
+		x.stats.PktsUnprocessed += n
+	}
+	id := NFID(run[0].NFID)
 	if id == 0 || int(id) > len(x.r.nfs) {
-		x.stats.DropUnknownNF++
-		_ = pool.Free(m)
+		x.stats.DropUnknownNF += n
+		_ = pool.FreeBulk(run)
 		return
 	}
 	nf := x.r.nfs[id-1]
 	if nf.closed {
-		x.stats.DropNFClosed++
-		_ = pool.Free(m)
+		x.stats.DropNFClosed += n
+		_ = pool.FreeBulk(run)
 		return
 	}
-	if nf.obq.Enqueue(m) {
-		nf.returned++
-		return
+	k := nf.obq.EnqueueBurst(run)
+	nf.returned += uint64(k)
+	if tail := run[k:]; len(tail) != 0 {
+		nf.obqDrops += uint64(len(tail))
+		x.stats.DropOBQFull += uint64(len(tail))
+		_ = pool.FreeBulk(tail)
 	}
-	nf.obqDrops++
-	x.stats.DropOBQFull++
-	_ = pool.Free(m)
 }

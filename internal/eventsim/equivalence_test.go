@@ -175,7 +175,7 @@ type scenario struct {
 }
 
 // chain is a source of events due at non-decreasing times, drawn in
-// bursts, as netdev.Generator's frame deliveries are. The lazy run keeps
+// bursts, as netdev.Generator's frames are. The lazy run keeps
 // only its earliest item on the heap and schedules each next one with the
 // seq drawn for it at burst time (Sim.AtSeq); the naive run books every
 // item with At at burst time.

@@ -82,6 +82,7 @@ const maxParked = 32
 type Sim struct {
 	now     Time
 	seq     uint64
+	cur     uint64  // seq of the step being run; maxSeq outside Run
 	events  []event // binary min-heap on (at, seq)
 	stopped bool
 	nEvents uint64
@@ -113,6 +114,11 @@ type Sim struct {
 	postScratch []func()
 	postPending atomic.Bool
 
+	// State kept behind the clock (see Lazy), brought up to date at the
+	// end of every Run and before posted work runs.
+	lazy  [maxLazy]Lazy
+	nLazy int
+
 	// Busy poll loops: each holds the finish of the iteration its core is
 	// spending as its own pending (nextAt, seq), the pair the heap would
 	// have held, merged with the heap by Run. Last, so that what every Run
@@ -120,13 +126,51 @@ type Sim struct {
 	busy [maxParked]*PollLoop
 }
 
+// maxSeq is the seq Running reports outside Run: every pending event at
+// the current time goes before it.
+const maxSeq = math.MaxUint64
+
+// maxLazy bounds the Lazy registrations of one Sim; they live in a fixed
+// array so that registering allocates nothing.
+const maxLazy = 16
+
 // New creates an empty simulation with the clock at zero.
 func New() *Sim {
-	return &Sim{}
+	return &Sim{cur: maxSeq}
 }
 
 // Now reports the current virtual time.
 func (s *Sim) Now() Time { return s.now }
+
+// Running reports the place of the step being run among all events: its
+// time and seq. An event at the same time with a higher seq has not run
+// yet. Outside Run the seq is the largest there is, so everything due by
+// Now has run; posted work sees the step that ran last.
+func (s *Sim) Running() (Time, uint64) { return s.now, s.cur }
+
+// Lazy is state an actor keeps behind the clock instead of updating it
+// with an event at every instant it changes: it brings itself up to
+// Running whenever it is read. CatchUp does so for readers that do not
+// go through the actor; the Sim calls it at the end of every Run and
+// before posted work runs.
+type Lazy interface{ CatchUp() }
+
+// AddLazy registers l for CatchUp. A Sim takes up to maxLazy of them.
+func (s *Sim) AddLazy(l Lazy) error {
+	if s.nLazy == maxLazy {
+		return fmt.Errorf("eventsim: more than %d lazy registrations", maxLazy)
+	}
+	s.lazy[s.nLazy] = l
+	s.nLazy++
+	return nil
+}
+
+// catchUp brings every Lazy registration up to Running.
+func (s *Sim) catchUp() {
+	for _, l := range s.lazy[:s.nLazy] {
+		l.CatchUp()
+	}
+}
 
 // Processed reports the number of events executed so far: scheduled
 // callbacks run plus poll iterations whose body ran. Iterations of idle
@@ -263,6 +307,7 @@ func (s *Sim) Post(fn func()) {
 // are picked up by the next check.
 func (s *Sim) drainPosted() {
 	s.executed++
+	s.catchUp()
 	s.postMu.Lock()
 	batch := s.posted
 	s.posted = s.postScratch[:0]
@@ -326,7 +371,7 @@ func (s *Sim) Run(until Time) uint64 {
 				}
 				continue
 			}
-			s.now = p.nextAt
+			s.now, s.cur = p.nextAt, p.seq
 			p.iterate()
 		} else if f != nil {
 			if f.nextAt > until {
@@ -339,7 +384,7 @@ func (s *Sim) Run(until Time) uint64 {
 			s.busy[fi] = s.busy[s.nBusy]
 			s.busy[s.nBusy] = nil
 			f.busy = false
-			s.now = f.nextAt
+			s.now, s.cur = f.nextAt, f.seq
 			s.executed++
 			f.finish()
 		} else if len(s.events) > 0 && s.events[0].at <= until {
@@ -347,7 +392,7 @@ func (s *Sim) Run(until Time) uint64 {
 				s.landAll()
 			}
 			ev := s.pop()
-			s.now = ev.at
+			s.now, s.cur = ev.at, ev.seq
 			s.executed++
 			ev.fn()
 		} else {
@@ -361,9 +406,15 @@ func (s *Sim) Run(until Time) uint64 {
 	}
 	// Advance the clock to the horizon even if the queue drained early so
 	// that rate computations over [0, until] are well-defined.
-	if !s.stopped && s.now < until && until != never {
-		s.now = until
+	// A stopped Run resumes where it stopped, so it stays at the step it
+	// ran last.
+	if !s.stopped {
+		if s.now < until && until != never {
+			s.now = until
+		}
+		s.cur = maxSeq
 	}
+	s.catchUp()
 	return n
 }
 

@@ -2,6 +2,7 @@ package mbuf
 
 import (
 	"errors"
+	"math"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -109,11 +110,13 @@ func TestPoolHotSlabConstruction(t *testing.T) {
 	}
 }
 
-// TestPoolHotSlabOverflow takes a pool past its hot slab both ways: the
-// slot that is not backed yet brings in the whole rest as one more heap
-// object, once, and no two buffers share a byte.
+// TestPoolHotSlabOverflow takes a pool past its hot slab both ways, one
+// slot at a time: the first slot that is not backed, idx, brings in
+// [idx, 4·idx) as one more heap object and the slots after it cost
+// nothing until 4·idx; the overflow takes at most ⌈log₄(capacity /
+// hotSlots)⌉ objects, and no two buffers share a byte.
 func TestPoolHotSlabOverflow(t *testing.T) {
-	const capacity = hotSlots + 64
+	const capacity = 4*hotSlots + 64
 	for _, bulk := range []bool{false, true} {
 		var p *Pool
 		all := make([]*Mbuf, capacity)
@@ -133,14 +136,31 @@ func TestPoolHotSlabOverflow(t *testing.T) {
 			}
 		}
 		// Every measured step runs on a fresh pool brought to the same point.
-		fresh := func() { p = newPool(t, capacity) }
-		if objects, _ := heapDelta(fresh, func() { take(all[:hotSlots]) }); objects != 0 {
+		upTo := func(n int) func() {
+			return func() {
+				p = newPool(t, capacity)
+				take(all[:n])
+			}
+		}
+		if objects, _ := heapDelta(upTo(0), func() { take(all[:hotSlots]) }); objects != 0 {
 			t.Errorf("bulk=%v: the hot slab's %d slots cost %d heap objects, want 0", bulk, hotSlots, objects)
 		}
-		objects, bytes := heapDelta(func() { fresh(); take(all[:hotSlots]) }, func() { take(all[hotSlots:]) })
-		if want := uint64(64 * DefaultDataRoom); objects != 1 || bytes < want || bytes > want+want/8 {
-			t.Errorf("bulk=%v: overflow allocated %d objects, %d bytes, want 1 object of about %d", bulk, objects, bytes, want)
+		slabs := 0
+		for idx := hotSlots; idx < capacity; idx = min(4*idx, capacity) {
+			end := min(4*idx, capacity)
+			objects, bytes := heapDelta(upTo(idx), func() { take(all[idx : idx+1]) })
+			if want := uint64((end - idx) * DefaultDataRoom); objects != 1 || bytes < want || bytes > want+want/8 {
+				t.Errorf("bulk=%v: slot %d allocated %d objects, %d bytes, want 1 object of about %d", bulk, idx, objects, bytes, want)
+			}
+			if objects, _ := heapDelta(upTo(idx+1), func() { take(all[idx+1 : end]) }); objects != 0 {
+				t.Errorf("bulk=%v: slots %d to %d cost %d heap objects, want 0", bulk, idx+1, end, objects)
+			}
+			slabs++
 		}
+		if bound := int(math.Ceil(math.Log(float64(capacity)/hotSlots) / math.Log(4))); slabs > bound {
+			t.Errorf("bulk=%v: the overflow took %d slabs, want at most %d", bulk, slabs, bound)
+		}
+		upTo(capacity)()
 		if _, err := p.Alloc(); !errors.Is(err, ErrPoolExhausted) {
 			t.Errorf("bulk=%v: alloc past capacity: %v", bulk, err)
 		}
@@ -163,8 +183,7 @@ func TestPoolHotSlabOverflow(t *testing.T) {
 			}
 		}
 		firstPass := func() {
-			fresh()
-			take(all)
+			upTo(capacity)()
 			if err := p.FreeBulk(all); err != nil {
 				t.Fatal(err)
 			}

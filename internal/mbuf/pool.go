@@ -6,8 +6,10 @@ import "fmt"
 // rte_pktmbuf_pool. Every mbuf exists from construction and is recycled
 // through a LIFO free list; the buffer memory behind them is a hot slab up
 // front (the first hotSlots slots, the ones a closed loop or a latency run
-// keeps reusing) and the rest in one cold slab on first overflow, so a pool
-// costs what it hands out, not what it could.
+// keeps reusing) and then slabs that grow geometrically as the pool first
+// hands out more: the first slot past what is backed, idx, brings in
+// [idx, 4·idx), so a pool costs about what it hands out, not what it
+// could, in at most ⌈log₄(capacity / hotSlots)⌉ more heap objects.
 //
 // Pool is not safe for concurrent use. It belongs to the goroutine that
 // drives the simulator (Sim.Run), like the rest of the data path; a reader
@@ -72,7 +74,7 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 }
 
 // back gives slots [lo, hi) their buffers, out of one slab. It is the cold
-// constructor behind NewPool and the first overflow past the hot slab;
+// constructor behind NewPool and grow;
 // //go:noinline keeps its allocation out of Alloc's and AllocBulk's
 // //dhl:hotpath ranges under escape analysis.
 //
@@ -83,6 +85,13 @@ func (p *Pool) back(lo, hi int) {
 		off := (i - lo) * p.bufSize
 		p.slots[i].buf = slab[off : off+p.bufSize : off+p.bufSize]
 	}
+}
+
+// grow backs the slab that starts at idx, the first slot without a buffer:
+// the free list hands slots out lowest first until they come back, so
+// every slot from idx on is unbacked and every one below it backed.
+func (p *Pool) grow(idx int) {
+	p.back(idx, min(4*idx, len(p.slots)))
 }
 
 // Name reports the pool's name.
@@ -113,7 +122,7 @@ func (p *Pool) Alloc() (*Mbuf, error) {
 	p.free = p.free[:len(p.free)-1]
 	m := &p.slots[idx]
 	if m.buf == nil {
-		p.back(hotSlots, len(p.slots))
+		p.grow(idx)
 	}
 	m.Reset()
 	m.refcnt = 1
@@ -136,7 +145,7 @@ func (p *Pool) AllocBulk(dst []*Mbuf) error {
 		p.free = p.free[:len(p.free)-1]
 		m := &p.slots[idx]
 		if m.buf == nil {
-			p.back(hotSlots, len(p.slots))
+			p.grow(idx)
 		}
 		m.Reset()
 		m.refcnt = 1

@@ -31,10 +31,12 @@ const maxChurnFlows = 1 << 24
 
 // PayloadFn customizes packet payload contents; i is the packet ordinal,
 // the count of frames the generator put on the wire before this one. It
-// is called when the NIC takes the frame, in delivery order, and never
-// for a frame dropped at a full RX queue, so what it writes should be a
-// function of i alone. The NIDS experiments use it to embed
-// rule-matching content in a fraction of the traffic.
+// is called when the port takes the frame off the wire, which is when a
+// reader (or a read of the port's counters) looks and not at the frame's
+// due instant; frames are taken in delivery order, and a frame dropped at
+// a full RX queue is never written. What it writes should be a function
+// of i alone. The NIDS experiments use it to embed rule-matching content
+// in a fraction of the traffic.
 type PayloadFn func(i uint64, payload []byte)
 
 // GeneratorConfig parameterizes a Generator.
@@ -71,7 +73,8 @@ type GeneratorConfig struct {
 	// flow's id (see FlowSrc for its 5-tuple). NAT/flow-table harnesses
 	// use it to drive their shadow models.
 	OnFlowDeath func(id uint64)
-	// Payload optionally fills packet payloads.
+	// Payload optionally fills packet payloads, as each frame is taken
+	// off the wire (see PayloadFn).
 	Payload PayloadFn
 	// Proto selects eth.ProtoUDP (default) or eth.ProtoTCP.
 	Proto uint8
@@ -90,29 +93,26 @@ type Generator struct {
 	interBurst eventsim.Time
 	template   []byte
 	// ipSum is the one's-complement sum of the template's IPv4 header
-	// words without the checksum and the source address, which deliver
+	// words without the checksum and the source address, which build
 	// adds per frame; payloadOff is where the payload starts.
 	ipSum      uint32
 	payloadOff int
 
-	// Frames on the wire and not yet delivered, oldest at pend[head],
-	// each with the (due, seq) pair burst drew for its delivery. A frame
-	// there holds its mbuf but not yet its bytes: deliver writes them
-	// once the RX queue has room, and a frame the queue drops goes back
-	// to the pool unbuilt, as a NIC without a free descriptor never
-	// writes host memory. Due
-	// times never decrease along pend and seqs increase, so the frames
-	// fall due in pend order, and only pend[head]'s delivery is on the
-	// event heap: deliver schedules the next one's with its stored pair
-	// (Sim.AtSeq), which is where it would have run had burst scheduled
-	// every frame. This FIFO and the three funcs bound once below stand
-	// in for a closure per frame and a method value per burst.
-	pend      []rxFrame
-	head      int
-	lastDue   eventsim.Time
-	burstFn   func()
-	deliverFn func()
-	churnFn   func()
+	// Frames on the wire and not yet taken by the port, oldest at
+	// pend[head], each with the (due, seq) pair burst drew for it: the
+	// place an event delivering it would have had. A frame there holds
+	// its mbuf but not yet its bytes: the port writes them when it takes
+	// the frame into an RX queue with room, and a frame the queue drops
+	// goes back to the pool unbuilt, as a NIC without a free descriptor
+	// never writes host memory. Due times never decrease along pend and
+	// seqs increase, so the frames fall due in pend order. nextOnPort
+	// chains the port's generators.
+	pend       []rxFrame
+	head       int
+	lastDue    eventsim.Time
+	nextOnPort *Generator
+	burstFn    func()
+	churnFn    func()
 
 	// Flow mixing state. zipf is nil for uniform traffic; flowIDs is
 	// nil without churn (slot i then holds flow id i implicitly).
@@ -134,6 +134,17 @@ type rxFrame struct {
 	seq  uint64
 	flow uint64
 	ord  uint64
+}
+
+// before orders two frames as the event heap orders events.
+func (f *rxFrame) before(o *rxFrame) bool {
+	return f.due < o.due || f.due == o.due && f.seq < o.seq
+}
+
+// dueBy reports whether f is due at or before the step (at, seq): at it
+// only for a wake-up, the one step that runs at a frame's own pair.
+func (f *rxFrame) dueBy(at eventsim.Time, seq uint64) bool {
+	return f.due < at || f.due == at && f.seq <= seq
 }
 
 // FlowSrc encodes a flow id injectively into the source (address,
@@ -184,7 +195,7 @@ func NewGenerator(sim *eventsim.Sim, cfg GeneratorConfig) (*Generator, error) {
 		cfg.OfferedWireBps = cfg.Port.RateBps()
 	}
 	g := &Generator{sim: sim, cfg: cfg, rng: 0x9E3779B97F4A7C15}
-	g.burstFn, g.deliverFn, g.churnFn = g.burst, g.deliver, g.churn
+	g.burstFn, g.churnFn = g.burst, g.churn
 	if cfg.ZipfSkew > 1 {
 		// Seeded for run-to-run determinism, like every other source of
 		// randomness in the simulation.
@@ -232,10 +243,18 @@ func NewGenerator(sim *eventsim.Sim, cfg GeneratorConfig) (*Generator, error) {
 			g.ipSum += uint32(g.template[eth.EtherLen+off])<<8 | uint32(g.template[eth.EtherLen+off+1])
 		}
 	}
+	p := cfg.Port
+	if p.gens == nil {
+		if err := p.sim.AddLazy(p); err != nil {
+			return nil, fmt.Errorf("netdev: port %d: %w", p.ID(), err)
+		}
+		p.wakeFn = p.wake
+	}
+	g.nextOnPort, p.gens = p.gens, g
 	return g, nil
 }
 
-// Offsets within the IPv4 header of the fields deliver writes per frame.
+// Offsets within the IPv4 header of the fields build writes per frame.
 const (
 	ipChecksumOff = 10
 	ipSrcOff      = 12
@@ -251,7 +270,9 @@ func (g *Generator) Start() {
 	}
 }
 
-// Stop halts emission after the current burst.
+// Stop halts emission after the current burst. The burst that finds it
+// stopped is due after every frame already on the wire, so a run to
+// completion still takes them all.
 func (g *Generator) Stop() { g.stop = true }
 
 // SetOfferedWireBps retargets the offered load on a running generator:
@@ -337,15 +358,18 @@ func (g *Generator) burst() {
 	if g.stop {
 		return
 	}
+	// Drops free their mbufs as they are taken: take them before the
+	// pool is asked, so that it runs dry exactly where it would have.
+	p := g.cfg.Port
+	p.take()
 	// Frames within a burst are emitted back-to-back at *line* rate (the
 	// wire serializes them even when the average offered load is lower),
 	// so each frame arrives at its own serialization boundary.
-	frameWire := eventsim.Time(float64(g.cfg.FrameSize+eth.WireOverhead) * 8 / g.cfg.Port.RateBps() * 1e12)
+	frameWire := eventsim.Time(float64(g.cfg.FrameSize+eth.WireOverhead) * 8 / p.RateBps() * 1e12)
 	now := g.sim.Now()
 	for i := 0; i < g.cfg.Burst; i++ {
-		// A frame holds its mbuf from here until it is delivered or
-		// dropped, so where the pool runs dry does not depend on when
-		// deliver writes the bytes.
+		// A frame holds its mbuf from here until it is taken, so where
+		// the pool runs dry does not depend on when its bytes are written.
 		m, err := g.cfg.Pool.Alloc()
 		if err != nil {
 			g.drop++
@@ -353,11 +377,11 @@ func (g *Generator) burst() {
 		}
 		flow := g.pickFlow()
 		// RSS: queue by flow hash, like a NIC's Toeplitz over the tuple.
-		q := int(mix64(flow) % uint64(g.cfg.Port.Queues()))
+		q := int(mix64(flow) % uint64(p.Queues()))
 		// The wire is serial: no frame lands before one scheduled
 		// earlier. Paced at or below line rate that already holds; a
 		// Start while an earlier burst is still in flight is held back
-		// to it, which is what keeps pend in firing order.
+		// to it, which is what keeps pend in due order.
 		due := now + eventsim.Time(i)*frameWire
 		if due < g.lastDue {
 			due = g.lastDue
@@ -368,35 +392,28 @@ func (g *Generator) burst() {
 			g.head = 0
 		}
 		g.pend = append(g.pend, rxFrame{q: q, m: m, due: due, seq: g.sim.DrawSeq(), flow: flow, ord: g.sent})
-		if len(g.pend)-g.head == 1 {
-			g.sim.AtSeq(due, g.pend[g.head].seq, g.deliverFn)
-		}
 		g.sent++
 	}
+	p.setHead(p.next())
+	p.arm()
 	g.sim.After(g.interBurst, g.burstFn)
 }
 
-// deliver hands the oldest frame on the wire to the port, written out
-// if its RX queue has room for it, and schedules the next one's delivery.
-func (g *Generator) deliver() {
-	f := g.pend[g.head]
+// pop takes the oldest frame off the wire. The slot stays valid until
+// the next burst.
+func (g *Generator) pop() *rxFrame {
+	f := &g.pend[g.head]
 	g.head++
 	if g.head == len(g.pend) {
 		g.pend, g.head = g.pend[:0], 0
-	} else {
-		next := &g.pend[g.head]
-		g.sim.AtSeq(next.due, next.seq, g.deliverFn)
 	}
-	if !g.cfg.Port.rxFull(f.q) {
-		g.build(f)
-	}
-	g.cfg.Port.DeliverRx(f.q, f.m, g.cfg.Pool)
+	return f
 }
 
 // build writes f's frame into its mbuf: the template with the flow's
 // source address and port, the header checksum and the payload.
 // NewGenerator made sure the template fits an empty mbuf.
-func (g *Generator) build(f rxFrame) {
+func (g *Generator) build(f *rxFrame) {
 	m := f.m
 	_ = m.AppendBytes(g.template)
 	d := m.Data()

@@ -5,8 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/rand"
-	"reflect"
-	"sort"
 	"testing"
 
 	"github.com/opencloudnext/dhl-go/internal/eth"
@@ -313,313 +311,6 @@ func TestSetOfferedWireBps(t *testing.T) {
 	if ratio < 3 || ratio > 5 {
 		t.Fatalf("peak/trough frame ratio %.2f, want ~4 after a 8->2 Gbps retarget", ratio)
 	}
-}
-
-// TestGeneratorDeliversInScheduleOrder checks the premise the pending-
-// frame FIFO rests on: the k-th frame a generator schedules is the k-th
-// it delivers, on the queue its own flow hashes to and at the instant it
-// was due — at line rate, where the next burst starts the moment the
-// last one ends, across retargets in both directions, and across a
-// Stop/Start that lands in the middle of a burst.
-func TestGeneratorDeliversInScheduleOrder(t *testing.T) {
-	const queues, frameSize, burst = 4, 64, 8
-	sim, pool, p := newRig(t, 10e9, queues)
-	frameWire := p.wireTime(frameSize)
-
-	// due[i] is when frame i should land: one frame time after the one
-	// before it in its burst, and never before a frame scheduled earlier
-	// (the wire is serial). The frames of each burst are read off pend
-	// right after it ran; Payload, which runs when the port takes a
-	// frame, tags it with its ordinal.
-	var due []eventsim.Time
-	var lastDue eventsim.Time
-	g, err := NewGenerator(sim, GeneratorConfig{
-		Port: p, Pool: pool, FrameSize: frameSize, OfferedWireBps: 10e9, Burst: burst,
-		Payload: func(i uint64, payload []byte) {
-			if i >= uint64(len(due)) || sim.Now() != due[i] {
-				t.Fatalf("frame %d written at %d, not at its due instant", i, sim.Now())
-			}
-			payload[0], payload[1], payload[2] = byte(i>>16), byte(i>>8), byte(i)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	burstFn := g.burstFn
-	g.burstFn = func() {
-		burstFn()
-		inBurst := 0
-		for _, f := range g.pend[g.head:] {
-			if f.ord < uint64(len(due)) {
-				continue
-			}
-			if f.ord != uint64(len(due)) {
-				t.Fatalf("frame %d queued after %d others", f.ord, len(due))
-			}
-			lastDue = max(lastDue, sim.Now()+eventsim.Time(inBurst)*frameWire)
-			if f.due != lastDue {
-				t.Fatalf("frame %d queued due at %d, want %d", f.ord, f.due, lastDue)
-			}
-			due = append(due, lastDue)
-			inBurst++
-		}
-	}
-
-	// Step well under one frame time, so that frames due at different
-	// instants land in different steps. What lands within one step must
-	// be the next frames in scheduling order, in order on each queue.
-	step := frameWire / 4
-	next := 0
-	buf := make([]*mbuf.Mbuf, 2*burst)
-	var landed []int
-	run := func(d eventsim.Time) {
-		t.Helper()
-		for end := sim.Now() + d; sim.Now() < end; {
-			from := sim.Now()
-			sim.Run(from + step)
-			landed = landed[:0]
-			for q := 0; q < queues; q++ {
-				last := -1
-				n := p.RxBurst(q, buf)
-				for _, m := range buf[:n] {
-					frame, perr := eth.Parse(m.Data())
-					if perr != nil {
-						t.Fatal(perr)
-					}
-					pl := m.Data()[eth.EtherLen+eth.IPv4Len+eth.UDPLen:]
-					i := int(pl[0])<<16 | int(pl[1])<<8 | int(pl[2])
-					if i <= last {
-						t.Fatalf("queue %d: frame %d landed after frame %d", q, i, last)
-					}
-					last = i
-					ip := frame.SrcIP()
-					flow := uint64(ip[1])<<16 | uint64(ip[2])<<8 | uint64(ip[3])
-					if want := int(mix64(flow) % queues); q != want {
-						t.Fatalf("frame %d (flow %d) landed on queue %d, want %d", i, flow, q, want)
-					}
-					if at := due[i]; at < from || at > sim.Now() {
-						t.Fatalf("frame %d due at %d landed in [%d, %d]", i, at, from, sim.Now())
-					}
-					landed = append(landed, i)
-					if err := pool.Free(m); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			sort.Ints(landed)
-			for _, i := range landed {
-				if i != next {
-					t.Fatalf("delivery %d carried frame %d", next, i)
-				}
-				next++
-			}
-		}
-	}
-
-	g.Start()
-	run(20 * eventsim.Microsecond) // line rate: bursts back to back
-	if err := g.SetOfferedWireBps(3e9); err != nil {
-		t.Fatal(err)
-	}
-	run(20 * eventsim.Microsecond)
-	if err := g.SetOfferedWireBps(10e9); err != nil {
-		t.Fatal(err)
-	}
-	run(20 * eventsim.Microsecond)
-
-	// Stop and Start again with most of a burst still on the wire: the
-	// new burst queues behind it instead of overtaking it.
-	g.Stop()
-	run(eventsim.Microsecond)
-	if err := g.SetOfferedWireBps(1e9); err != nil {
-		t.Fatal(err)
-	}
-	g.Start()
-	run(2 * frameWire)
-	if len(g.pend)-g.head < burst/2 {
-		t.Fatalf("only %d frames in flight; the restart below would not overlap a burst", len(g.pend)-g.head)
-	}
-	g.Stop()
-	g.Start()
-	run(20 * eventsim.Microsecond)
-
-	g.Stop()
-	run(eventsim.Microsecond)
-	if next == 0 || next != int(g.Sent()) || len(g.pend) != 0 || g.head != 0 {
-		t.Fatalf("delivered %d of %d frames, %d still pending", next, g.Sent(), len(g.pend)-g.head)
-	}
-	if dropped := p.Stats().RxDropped; dropped != 0 {
-		t.Fatalf("%d frames dropped on full queues; the order check needs them all", dropped)
-	}
-}
-
-// TestGeneratorsShareInstantsInReferenceOrder runs two generators on one
-// port whose frames fall due at shared instants, through a Stop/Start that
-// runs one of them on two burst chains. The reference books every frame at
-// burst time, as At would have: right after each burst, the frames it put
-// on the wire are read off pend with the (due, seq) pair burst drew, and
-// the reference delivers all frames in (due, seq) order, the event heap's.
-// Payload, which runs as the port takes a frame, finds it at its due
-// instant with every frame it saw before delivered; a check one
-// picosecond later finds it delivered; the port's one queue and the order
-// of Payload's calls give the deliveries' order. The event heap holds one
-// delivery per generator with frames on the wire, never more.
-func TestGeneratorsShareInstantsInReferenceOrder(t *testing.T) {
-	const frameSize = 64
-	sim, pool, p := newRig(t, 10e9, 1)
-	frameWire := p.wireTime(frameSize)
-
-	type booking struct {
-		id  uint32 // gen<<16 | ordinal
-		due eventsim.Time
-		seq uint64
-	}
-	var gens [2]*Generator
-	var ref []booking         // every frame, in booking order
-	var order []uint32        // frames in the order Payload saw them
-	place := map[uint32]int{} // each frame's index in order
-	dueOf := map[uint32]eventsim.Time{}
-	dueBy := map[eventsim.Time]int{} // which generators have a frame due at an instant, as bits
-	heapOK := func() {
-		t.Helper()
-		want := 0
-		for _, g := range gens {
-			if len(g.pend) > g.head {
-				want++
-			}
-		}
-		if got := heapDeliveries(sim, gens[0].deliverFn); got != want {
-			t.Fatalf("at %d: %d deliveries on the heap for %d generators with frames on the wire", sim.Now(), got, want)
-		}
-	}
-	payload := func(gen int) PayloadFn {
-		return func(i uint64, payload []byte) {
-			id := uint32(gen)<<16 | uint32(i)
-			if due, ok := dueOf[id]; !ok || sim.Now() != due {
-				t.Fatalf("frame %#x written at %d, due %d (booked %v)", id, sim.Now(), due, ok)
-			}
-			if got := p.Stats().RxDelivered; got != uint64(len(order)) {
-				t.Fatalf("at %d, before frame %#x: %d frames delivered, want %d", sim.Now(), id, got, len(order))
-			}
-			heapOK()
-			place[id] = len(order)
-			order = append(order, id)
-			payload[0], payload[1], payload[2] = byte(id>>16), byte(id>>8), byte(id)
-		}
-	}
-	book := func(gen int, g *Generator) {
-		burstFn := g.burstFn
-		var booked uint64
-		g.burstFn = func() {
-			burstFn()
-			for _, f := range g.pend[g.head:] {
-				if f.ord < booked {
-					continue
-				}
-				booked = f.ord + 1
-				id := uint32(gen)<<16 | uint32(f.ord)
-				dueOf[id] = f.due
-				dueBy[f.due] |= 1 << gen
-				ref = append(ref, booking{id: id, due: f.due, seq: f.seq})
-				sim.At(f.due+1, func() {
-					if i, ok := place[id]; !ok || p.Stats().RxDelivered <= uint64(i) {
-						t.Fatalf("at %d: frame %#x due at %d not delivered", sim.Now(), id, f.due)
-					}
-					heapOK()
-				})
-			}
-			heapOK()
-		}
-	}
-	for i, cfg := range []struct {
-		bps   float64
-		burst int
-	}{{10e9, 8}, {5e9, 12}} {
-		g, err := NewGenerator(sim, GeneratorConfig{
-			Port: p, Pool: pool, FrameSize: frameSize, OfferedWireBps: cfg.bps, Burst: cfg.burst,
-			Payload: payload(i),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		book(i, g)
-		gens[i] = g
-	}
-
-	// Generator 1 starts three frame times in: its 12-frame bursts overlap
-	// two of generator 0's 8-frame ones, drawn before the second of them.
-	gens[0].Start()
-	sim.At(3*frameWire, gens[1].Start)
-	// Halfway through a burst, generator 0 stops and starts again: the new
-	// burst queues behind the frames still on the wire, and the old burst
-	// chain keeps running beside the new one.
-	sim.At(20*frameWire+frameWire/2, func() {
-		gens[0].Stop()
-		gens[0].Start()
-	})
-	sim.At(60*frameWire, func() { gens[0].Stop(); gens[1].Stop() })
-	sim.Run(100 * frameWire)
-
-	checked := len(order)
-	if checked == 0 || len(ref) != checked || uint64(checked) != gens[0].Sent()+gens[1].Sent() {
-		t.Fatalf("booked %d frames, wrote %d, %d sent", len(ref), checked, gens[0].Sent()+gens[1].Sent())
-	}
-	if st := p.Stats(); st.RxDelivered != uint64(checked) || st.RxDropped != 0 {
-		t.Fatalf("port delivered %d, dropped %d of %d frames", st.RxDelivered, st.RxDropped, checked)
-	}
-	sort.SliceStable(ref, func(a, b int) bool {
-		if ref[a].due != ref[b].due {
-			return ref[a].due < ref[b].due
-		}
-		return ref[a].seq < ref[b].seq
-	})
-	for j, b := range ref {
-		if order[j] != b.id {
-			t.Fatalf("delivery %d wrote frame %#x, the reference delivers %#x (due %d, seq %d)", j, order[j], b.id, b.due, b.seq)
-		}
-	}
-	shared := 0
-	for _, bits := range dueBy {
-		if bits == 3 {
-			shared++
-		}
-	}
-	if shared < 10 {
-		t.Fatalf("the generators share %d due instants; the test needs them to share many", shared)
-	}
-	buf := make([]*mbuf.Mbuf, 32)
-	for j := 0; j < checked; {
-		n := p.RxBurst(0, buf)
-		if n == 0 {
-			t.Fatalf("queue empty after %d of %d frames", j, checked)
-		}
-		for _, m := range buf[:n] {
-			pl := m.Data()[eth.EtherLen+eth.IPv4Len+eth.UDPLen:]
-			if id := uint32(pl[0])<<16 | uint32(pl[1])<<8 | uint32(pl[2]); id != order[j] {
-				t.Fatalf("delivery %d carried frame %#x, the reference delivers %#x", j, id, order[j])
-			}
-			j++
-			if err := pool.Free(m); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-}
-
-// heapDeliveries counts the events on sim's heap that run deliver's
-// method, of any generator. eventsim exports no view of its heap, so it
-// reads the unexported one (Sim.events, event.fn) by reflection; a method
-// value's code pointer is the same for every receiver.
-func heapDeliveries(sim *eventsim.Sim, deliver func()) int {
-	want := reflect.ValueOf(deliver).Pointer()
-	h := reflect.ValueOf(sim).Elem().FieldByName("events")
-	n := 0
-	for i := 0; i < h.Len(); i++ {
-		if h.Index(i).FieldByName("fn").Pointer() == want {
-			n++
-		}
-	}
-	return n
 }
 
 // fullBuild is the frame the generator delivers as ordinal ord of flow,

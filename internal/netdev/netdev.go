@@ -6,6 +6,7 @@ package netdev
 
 import (
 	"errors"
+	"math"
 	"strconv"
 
 	"github.com/opencloudnext/dhl-go/internal/eth"
@@ -49,13 +50,40 @@ type PortStats struct {
 }
 
 // Port is one simulated Ethernet port.
+//
+// Frames on the wire towards it stay with their generators (see
+// Generator) until something reads what they change: RxBurst, Stats, a
+// generator's next burst (before it allocates) and the Sim's catch-up at
+// the end of every Run take every frame due before the step being run
+// (Sim.Running), in (due, seq) order across the port's generators, with
+// the room, drop and Payload rules an event per frame would have applied.
+// Only the queues' reader and those reads see the queues, and between
+// two reads nothing dequeues, so the frames land as they would have. A
+// frame is an event only while a reader waits for it: an RxBurst that
+// finds its queue empty arms one wake-up at the next frame's own (due,
+// seq), which takes the frames due by then; a busy reader takes its
+// frames when it looks again.
 type Port struct {
 	sim *eventsim.Sim
 	cfg PortConfig
 
-	rxQueues []*ring.Ring[*mbuf.Mbuf]
+	rxQueues []rxQueue
 	txFreeAt eventsim.Time
 	stats    PortStats
+
+	// gens chains the generators feeding the port (Generator.nextOnPort),
+	// and (headAt, headSeq) is the earliest of their frames on the wire,
+	// headAt noFrame when there is none. waiting: a reader found a queue
+	// empty since the last wake-up ran. A wake-up is on the heap at
+	// (armAt, armSeq), armAt noFrame and armSeq 0 when none is. wakeFn is
+	// wake, bound once.
+	gens    *Generator
+	headAt  eventsim.Time
+	headSeq uint64
+	waiting bool
+	armAt   eventsim.Time
+	armSeq  uint64
+	wakeFn  func()
 
 	// Measurement window for throughput/latency series (set by the
 	// harness after warm-up).
@@ -84,16 +112,28 @@ func NewPort(sim *eventsim.Sim, cfg PortConfig) (*Port, error) {
 	if cfg.TxBacklogCap == 0 {
 		cfg.TxBacklogCap = 100 * eventsim.Microsecond
 	}
-	p := &Port{sim: sim, cfg: cfg, latency: stats.NewSeries(0)}
-	for q := 0; q < cfg.RxQueues; q++ {
+	p := &Port{sim: sim, cfg: cfg, latency: stats.NewSeries(0), rxQueues: make([]rxQueue, cfg.RxQueues), headAt: noFrame, armAt: noFrame}
+	for q := range p.rxQueues {
 		r, err := ring.New[*mbuf.Mbuf]("port"+strconv.Itoa(cfg.ID)+"-rxq"+strconv.Itoa(q),
 			nextPow2(cfg.RxQueueDepth), ring.SingleProducerConsumer)
 		if err != nil {
 			return nil, err
 		}
-		p.rxQueues = append(p.rxQueues, r)
+		p.rxQueues[q].r = r
 	}
 	return p, nil
+}
+
+// noFrame is Port.headAt with no frame on the wire, and Port.armAt with
+// no wake-up armed.
+const noFrame = eventsim.Time(math.MaxInt64)
+
+// rxQueue is one RSS queue: its ring, and the frames a take has accepted
+// for it and not yet enqueued, oldest first.
+type rxQueue struct {
+	r  *ring.Ring[*mbuf.Mbuf]
+	n  int
+	in [32]*mbuf.Mbuf
 }
 
 func nextPow2(n int) int {
@@ -126,7 +166,7 @@ func (p *Port) DeliverRx(q int, m *mbuf.Mbuf, pool *mbuf.Pool) {
 	if q < 0 || q >= len(p.rxQueues) {
 		q = 0
 	}
-	if p.rxQueues[q].Enqueue(m) {
+	if p.rxQueues[q].r.Enqueue(m) {
 		p.stats.RxDelivered++
 		return
 	}
@@ -136,22 +176,140 @@ func (p *Port) DeliverRx(q int, m *mbuf.Mbuf, pool *mbuf.Pool) {
 	_ = pool.Free(m)
 }
 
-// rxFull reports whether DeliverRx would drop a frame for queue q, one
-// of [0, Queues()).
-func (p *Port) rxFull(q int) bool {
-	r := p.rxQueues[q]
-	return r.Len() == r.Capacity()
-}
-
 // RxBurst dequeues up to len(dst) frames from queue q, mirroring
 // rte_eth_rx_burst.
+//
+//dhl:hotpath
 func (p *Port) RxBurst(q int, dst []*mbuf.Mbuf) int {
 	if q < 0 || q >= len(p.rxQueues) {
 		return 0
 	}
-	n := p.rxQueues[q].DequeueBurst(dst)
+	p.take()
+	n := p.rxQueues[q].r.DequeueBurst(dst)
 	p.stats.RxPolled += uint64(n)
+	if n == 0 && len(dst) > 0 {
+		p.waiting = true
+		p.arm()
+	}
 	return n
+}
+
+// CatchUp takes every frame due by now off the wire (eventsim.Lazy).
+func (p *Port) CatchUp() { p.take() }
+
+// next returns the generator whose oldest frame on the wire goes first
+// in (due, seq) order, or nil when none has a frame on the wire.
+func (p *Port) next() *Generator {
+	var first *Generator
+	for g := p.gens; g != nil; g = g.nextOnPort {
+		if g.head < len(g.pend) && (first == nil || g.pend[g.head].before(&first.pend[first.head])) {
+			first = g
+		}
+	}
+	return first
+}
+
+// take hands every frame due by the step being run to its RX queue, in
+// (due, seq) order: written and queued if the queue has room for it
+// behind what is already there, else dropped, its mbuf back to the pool
+// unbuilt. It is small enough to inline, for the reads that find nothing
+// due yet.
+func (p *Port) take() {
+	if p.sim.Now() >= p.headAt {
+		p.takeDue()
+	}
+}
+
+// takeDue is take once the earliest frame on the wire is due by now. The
+// frames a queue accepts enter it with one EnqueueBurst; a take of one
+// frame, a waiting reader's usual case, delivers it directly.
+//
+//dhl:hotpath
+func (p *Port) takeDue() {
+	at, seq := p.sim.Running()
+	if at == p.headAt && seq < p.headSeq {
+		return
+	}
+	g := p.next()
+	f := g.pop()
+	h := p.next()
+	if h == nil || !h.pend[h.head].dueBy(at, seq) {
+		r := p.rxQueues[f.q].r
+		if r.Len() < r.Capacity() {
+			g.build(f)
+		}
+		p.DeliverRx(f.q, f.m, g.cfg.Pool)
+		p.setHead(h)
+		return
+	}
+	for {
+		p.accept(g, f)
+		if h == nil || !h.pend[h.head].dueBy(at, seq) {
+			break
+		}
+		g, f = h, h.pop()
+		h = p.next()
+	}
+	for q := range p.rxQueues {
+		p.flush(&p.rxQueues[q])
+	}
+	p.setHead(h)
+}
+
+// setHead records g's oldest frame, the earliest on the wire (g nil: none).
+func (p *Port) setHead(g *Generator) {
+	if g == nil {
+		p.headAt = noFrame
+		return
+	}
+	f := &g.pend[g.head]
+	p.headAt, p.headSeq = f.due, f.seq
+}
+
+// accept hands frame f of generator g to its queue as part of a take.
+func (p *Port) accept(g *Generator, f *rxFrame) {
+	rq := &p.rxQueues[f.q]
+	if rq.r.Len()+rq.n == rq.r.Capacity() {
+		p.stats.RxDropped++
+		_ = g.cfg.Pool.Free(f.m)
+		return
+	}
+	g.build(f)
+	rq.in[rq.n] = f.m
+	rq.n++
+	if rq.n == len(rq.in) {
+		p.flush(rq)
+	}
+}
+
+// flush enqueues what a take accepted for rq; accept made room for it.
+func (p *Port) flush(rq *rxQueue) {
+	if rq.n == 0 {
+		return
+	}
+	rq.r.EnqueueBurst(rq.in[:rq.n])
+	p.stats.RxDelivered += uint64(rq.n)
+	rq.n = 0
+}
+
+// arm schedules a wake-up at the next frame on the wire, if a reader
+// waits and none is armed at or before it. Every frame due before the
+// step being run has been taken, so the frame is not in the past.
+func (p *Port) arm() {
+	if p.waiting && (p.headAt < p.armAt || p.headAt == p.armAt && p.headSeq < p.armSeq) {
+		p.armAt, p.armSeq = p.headAt, p.headSeq
+		p.sim.AtSeq(p.headAt, p.headSeq, p.wakeFn)
+	}
+}
+
+// wake is the wake-up: at a frame's own (due, seq), it takes that frame
+// and every one due before it. What it executes is what wakes the reader.
+func (p *Port) wake() {
+	if at, seq := p.sim.Running(); at == p.armAt && seq == p.armSeq {
+		p.armAt, p.armSeq = noFrame, 0
+	}
+	p.waiting = false
+	p.take()
 }
 
 // TxBurst transmits a burst: each frame is serialized at line rate, its
@@ -222,4 +380,7 @@ func (p *Port) Measured(windowEnd eventsim.Time) (goodBps, wireBps float64, pkts
 }
 
 // Stats reports lifetime counters.
-func (p *Port) Stats() PortStats { return p.stats }
+func (p *Port) Stats() PortStats {
+	p.take()
+	return p.stats
+}

@@ -230,7 +230,7 @@ func TestGeneratorPayloadAndFlows(t *testing.T) {
 		t.Error("payload fn never invoked")
 	}
 	// Flows spread across both RSS queues.
-	if q0, q1 := p.rxQueues[0].Len(), p.rxQueues[1].Len(); q0 == 0 || q1 == 0 {
+	if q0, q1 := p.rxQueues[0].r.Len(), p.rxQueues[1].r.Len(); q0 == 0 || q1 == 0 {
 		t.Errorf("RSS spread: q0=%d q1=%d", q0, q1)
 	}
 	// Generated frames parse as valid IPv4 with distinct sources.

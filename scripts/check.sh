@@ -81,8 +81,9 @@ targeted -run 'PollLoopEquivalence|BusySetOverflow|ShareInstantsInReferenceOrder
     ./internal/eventsim ./internal/netdev ./internal/harness ./internal/core ./internal/mbuf .
 go test -run '^$' -fuzz FuzzPollLoopEquivalence -fuzztime 10s ./internal/eventsim
 
-echo "==> traffic generator (frame written at delivery equals the full build, drops go back unbuilt, 5 s fuzz)"
-targeted -run 'FrameMatchesFullBuild|DropsUnbuiltOnFullQueue' -count=1 ./internal/netdev
+echo "==> traffic generator (lazy arrival against an eager reference, frame written when taken equals the full build, drops go back unbuilt, two 5 s fuzzes)"
+targeted -run 'DeliversInScheduleOrder|ShareInstantsInReferenceOrder|ArrivalMatchesEager|FrameMatchesFullBuild|DropsUnbuiltOnFullQueue' -count=1 ./internal/netdev
+go test -run '^$' -fuzz FuzzArrivalMatchesEager -fuzztime 5s ./internal/netdev
 go test -run '^$' -fuzz FuzzGeneratorFrameMatchesFullBuild -fuzztime 5s ./internal/netdev
 
 echo "==> equivalence coverage floor (every function of the quiet-step path, the busy set and chained events at 100 %)"
