@@ -258,6 +258,48 @@ func TestControlPlaneLiveReconfig(t *testing.T) {
 	}
 }
 
+// TestAccMigrateRefusesUnknownBoard: on a two-board fleet, where the
+// scheduler could place the accelerator, acc.migrate to board -7 is
+// refused over the wire and the accelerator stays where it was.
+func TestAccMigrateRefusesUnknownBoard(t *testing.T) {
+	sys, err := dhl.Open(dhl.SystemConfig{FPGAsPerNode: 2}, dhl.WithControlPlane())
+	if err != nil {
+		t.Fatal(err)
+	}
+	exp, err := sys.Serve("127.0.0.1:0", dhl.WithCallTimeout(10*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = exp.Close() }()
+	p := startPumper(sys)
+	defer p.shutdown()
+	c := dhl.DialControl(exp.Addr())
+	defer func() { _ = c.Close() }()
+
+	var load struct {
+		AccID dhl.AccID `json:"acc_id"`
+	}
+	if err := c.Call("acc.load", map[string]any{"hf": dhl.IPsecCrypto, "node": 0}, &load); err != nil {
+		t.Fatal(err)
+	}
+	p.do(sys.Settle)
+	var rerr *dhl.ControlError
+	if err := c.Call("acc.migrate", map[string]any{"acc_id": load.AccID, "board": -7}, nil); !errors.As(err, &rerr) ||
+		!strings.Contains(rerr.Message, "unknown board") {
+		t.Errorf("acc.migrate to board -7: %v", err)
+	}
+	p.do(sys.Settle)
+	var placed struct {
+		Boards []dhl.PlacementBoard `json:"boards"`
+	}
+	if err := c.Call("placement.get", nil, &placed); err != nil {
+		t.Fatal(err)
+	}
+	if len(placed.Boards) != 2 || len(placed.Boards[0].Endpoints) != 1 || len(placed.Boards[1].Endpoints) != 0 {
+		t.Errorf("placement after the refused migration: %+v", placed.Boards)
+	}
+}
+
 // TestServeControlPlaneGating: /api/v1 exists only on WithControlPlane
 // systems; plain telemetry systems keep the metrics-only surface.
 func TestServeControlPlaneGating(t *testing.T) {

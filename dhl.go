@@ -11,7 +11,6 @@ import (
 	"github.com/opencloudnext/dhl-go/internal/hwfunc"
 	"github.com/opencloudnext/dhl-go/internal/mbuf"
 	"github.com/opencloudnext/dhl-go/internal/pcie"
-	"github.com/opencloudnext/dhl-go/internal/perf"
 	"github.com/opencloudnext/dhl-go/internal/ring"
 	"github.com/opencloudnext/dhl-go/internal/telemetry"
 	"github.com/opencloudnext/dhl-go/internal/tuner"
@@ -232,7 +231,6 @@ type System struct {
 	sim     *eventsim.Sim
 	pool    *mbuf.Pool
 	rt      *core.Runtime
-	devices []*fpga.Device
 	tel     *telemetry.Registry
 	control Control
 	// api records that WithControlPlane armed the management API; Serve
@@ -297,12 +295,6 @@ func WithoutSettle() Option {
 // (hwfunc.Specs: ipsec-crypto, pattern-matching, loopback, ipsec-decrypt)
 // pre-registered in the database; Control().RegisterModule adds any other.
 func buildSystem(cfg SystemConfig, faults *FaultPlan) (*System, error) {
-	if cfg.Nodes == 0 {
-		cfg.Nodes = 1
-	}
-	if cfg.FPGAsPerNode == 0 {
-		cfg.FPGAsPerNode = 1
-	}
 	sim := eventsim.New()
 	pool, err := mbuf.NewPool(mbuf.PoolConfig{Name: "dhl-system", Capacity: poolCapacity})
 	if err != nil {
@@ -318,45 +310,13 @@ func buildSystem(cfg SystemConfig, faults *FaultPlan) (*System, error) {
 			func() float64 { return float64(p.Capacity()) })
 	}
 
-	var attachments []core.FPGAAttachment
-	id := 0
-	for node := 0; node < cfg.Nodes; node++ {
-		for i := 0; i < cfg.FPGAsPerNode; i++ {
-			dev, derr := fpga.NewDevice(sim, fpga.Config{ID: id, Node: node, Faults: faults, Telemetry: sys.tel})
-			if derr != nil {
-				return nil, derr
-			}
-			dma := pcie.NewEngine(sim, pcie.Config{Faults: faults, Telemetry: sys.tel})
-			if sys.tel != nil {
-				fpgaLabel := fmt.Sprintf("fpga=%q", fmt.Sprint(id))
-				d, e := dev, dma
-				sys.tel.RegisterGauge("dhl_fpga_utilization", fpgaLabel+`,res="luts"`,
-					"Fraction of reconfigurable-part resources in use.",
-					func() float64 { return d.UtilizationLUTs() })
-				sys.tel.RegisterGauge("dhl_fpga_utilization", fpgaLabel+`,res="bram"`,
-					"Fraction of reconfigurable-part resources in use.",
-					func() float64 { return d.UtilizationBRAM() })
-				sys.tel.RegisterGauge("dhl_fpga_reloads", fpgaLabel,
-					"Completed recovery partial-reconfiguration reloads.",
-					func() float64 { return float64(d.Reloads()) })
-				sys.tel.RegisterGauge("dhl_dma_backlog_ps", fpgaLabel+`,dir="h2c"`,
-					"How far in the future the DMA channel is booked, in picoseconds.",
-					func() float64 { return float64(e.Backlog(pcie.H2C)) })
-				sys.tel.RegisterGauge("dhl_dma_backlog_ps", fpgaLabel+`,dir="c2h"`,
-					"How far in the future the DMA channel is booked, in picoseconds.",
-					func() float64 { return float64(e.Backlog(pcie.C2H)) })
-			}
-			sys.devices = append(sys.devices, dev)
-			attachments = append(attachments, core.FPGAAttachment{Device: dev, DMA: dma})
-			id++
-		}
-	}
 	rt, err := core.NewRuntime(core.Config{
-		Sim:       sim,
-		Nodes:     cfg.Nodes,
-		FPGAs:     attachments,
-		Faults:    faults,
-		Telemetry: sys.tel,
+		Sim:           sim,
+		Nodes:         cfg.Nodes,
+		BoardsPerNode: cfg.FPGAsPerNode,
+		Pool:          pool,
+		Faults:        faults,
+		Telemetry:     sys.tel,
 	})
 	if err != nil {
 		return nil, err
@@ -369,32 +329,55 @@ func buildSystem(cfg SystemConfig, faults *FaultPlan) (*System, error) {
 	sys.rt = rt
 	sys.control = Control{Runtime: rt, sys: sys}
 	if sys.tel != nil {
-		sched := rt.Placement()
-		for b := range attachments {
-			b := b
-			boardLabel := fmt.Sprintf("board=%q", fmt.Sprint(b))
-			sys.tel.RegisterGauge("dhl_board_state", boardLabel,
-				"Board lifecycle state: 1 alive, 2 draining, 3 lost.",
-				func() float64 { return float64(sched.BoardHealthOf(b)) })
-			sys.tel.RegisterGauge("dhl_board_accs", boardLabel,
-				"Route endpoints (primaries and replicas) bound to the board.",
-				func() float64 { return float64(len(rt.PlacementTable()[b].Endpoints)) })
-			sys.tel.RegisterGauge("dhl_board_migrations", boardLabel+`,dir="in"`,
-				"Completed migration/promotion cutovers, by direction.",
-				func() float64 { in, _ := sched.Migrations(b); return float64(in) })
-			sys.tel.RegisterGauge("dhl_board_migrations", boardLabel+`,dir="out"`,
-				"Completed migration/promotion cutovers, by direction.",
-				func() float64 { _, out := sched.Migrations(b); return float64(out) })
-		}
-	}
-	for node := 0; node < cfg.Nodes; node++ {
-		tx := eventsim.NewCore(sim, 2*node, node, perf.TestbedCoreHz)
-		rx := eventsim.NewCore(sim, 2*node+1, node, perf.TestbedCoreHz)
-		if aerr := rt.AttachCores(node, tx, rx, pool); aerr != nil {
-			return nil, aerr
-		}
+		registerBoardGauges(sys.tel, rt)
 	}
 	return sys, nil
+}
+
+// registerBoardGauges puts each of the runtime's boards on /metrics: its
+// device's resource use and reloads, its DMA engine's backlog, and its
+// placement state.
+func registerBoardGauges(tel *telemetry.Registry, rt *core.Runtime) {
+	sched := rt.Placement()
+	for b := 0; ; b++ {
+		d, err := rt.Device(b)
+		if err != nil {
+			return // past the last board
+		}
+		e, err := rt.DMA(b)
+		if err != nil {
+			return
+		}
+		fpgaLabel := fmt.Sprintf("fpga=%q", fmt.Sprint(b))
+		tel.RegisterGauge("dhl_fpga_utilization", fpgaLabel+`,res="luts"`,
+			"Fraction of reconfigurable-part resources in use.",
+			func() float64 { return d.UtilizationLUTs() })
+		tel.RegisterGauge("dhl_fpga_utilization", fpgaLabel+`,res="bram"`,
+			"Fraction of reconfigurable-part resources in use.",
+			func() float64 { return d.UtilizationBRAM() })
+		tel.RegisterGauge("dhl_fpga_reloads", fpgaLabel,
+			"Completed recovery partial-reconfiguration reloads.",
+			func() float64 { return float64(d.Reloads()) })
+		tel.RegisterGauge("dhl_dma_backlog_ps", fpgaLabel+`,dir="h2c"`,
+			"How far in the future the DMA channel is booked, in picoseconds.",
+			func() float64 { return float64(e.Backlog(pcie.H2C)) })
+		tel.RegisterGauge("dhl_dma_backlog_ps", fpgaLabel+`,dir="c2h"`,
+			"How far in the future the DMA channel is booked, in picoseconds.",
+			func() float64 { return float64(e.Backlog(pcie.C2H)) })
+		boardLabel := fmt.Sprintf("board=%q", fmt.Sprint(b))
+		tel.RegisterGauge("dhl_board_state", boardLabel,
+			"Board lifecycle state: 1 alive, 2 draining, 3 lost.",
+			func() float64 { return float64(sched.BoardHealthOf(b)) })
+		tel.RegisterGauge("dhl_board_accs", boardLabel,
+			"Route endpoints (primaries and replicas) bound to the board.",
+			func() float64 { return float64(len(rt.PlacementTable()[b].Endpoints)) })
+		tel.RegisterGauge("dhl_board_migrations", boardLabel+`,dir="in"`,
+			"Completed migration/promotion cutovers, by direction.",
+			func() float64 { in, _ := sched.Migrations(b); return float64(in) })
+		tel.RegisterGauge("dhl_board_migrations", boardLabel+`,dir="out"`,
+			"Completed migration/promotion cutovers, by direction.",
+			func() float64 { _, out := sched.Migrations(b); return float64(out) })
+	}
 }
 
 // Open builds a System with cfg, applies the options, and (unless

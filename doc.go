@@ -31,8 +31,10 @@
 // and observe the simulation, are all of System. Everything else an
 // operator does to a running system is on System.Control: the runtime's
 // management calls (RegisterModule, Evict, InstallFallback,
-// SetBatchBytes, Migrate, OfflineBoard, ...) plus the flow-table registry
-// and the autotuner. Custom accelerator modules are added to the
+// SetBatchBytes, Migrate, OfflineBoard, Device, ...) plus the flow-table
+// registry and the autotuner. The runtime builds the boards, their DMA
+// engines and its transfer cores itself from SystemConfig's node and
+// board counts; Device(b) returns board b for inspection. Custom accelerator modules are added to the
 // accelerator module database with Control().RegisterModule, exactly as
 // §IV-C allows for self-built modules that follow the base design's
 // interface specification.

@@ -24,7 +24,7 @@ func checkAccTable(t *testing.T, r *rig) {
 	rt := r.rt
 	type slot struct{ board, region int }
 	owner := map[slot]AccID{}
-	perBoard := make([][]placement.EndpointInfo, len(rt.cfg.FPGAs))
+	perBoard := make([][]placement.EndpointInfo, len(rt.boards))
 	var live []AccID
 	for id, e := range rt.accs {
 		if e == nil {
@@ -48,7 +48,7 @@ func checkAccTable(t *testing.T, r *rig) {
 				Acc: uint16(e.accID), HF: e.name, Region: ep.Region, Weight: ep.Weight,
 				Ready: ep.Ready, Disabled: ep.Disabled, Primary: ep.Primary,
 			})
-			dev := rt.cfg.FPGAs[ep.FPGA].Device
+			dev := rt.boards[ep.FPGA].dev
 			if !ep.Ready || ep.Disabled || dev.IsShutdown() {
 				continue
 			}
@@ -76,7 +76,7 @@ func checkAccTable(t *testing.T, r *rig) {
 		if !reflect.DeepEqual(info.Endpoints, want) {
 			t.Errorf("board %d: placement endpoints %+v, rows %+v", b, info.Endpoints, want)
 		}
-		dev := rt.cfg.FPGAs[b].Device
+		dev := rt.boards[b].dev
 		if dev.IsShutdown() {
 			continue
 		}

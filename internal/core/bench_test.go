@@ -8,7 +8,6 @@ import (
 	"github.com/opencloudnext/dhl-go/internal/eventsim"
 	"github.com/opencloudnext/dhl-go/internal/fpga"
 	"github.com/opencloudnext/dhl-go/internal/mbuf"
-	"github.com/opencloudnext/dhl-go/internal/pcie"
 	"github.com/opencloudnext/dhl-go/internal/telemetry"
 )
 
@@ -24,28 +23,8 @@ type benchRigT struct {
 
 func newBenchRig(b *testing.B, cfg Config) *benchRigT {
 	b.Helper()
-	sim := eventsim.New()
-	pool, err := mbuf.NewPool(mbuf.PoolConfig{Name: "bench", Capacity: 2048})
-	if err != nil {
-		b.Fatal(err)
-	}
-	dev, err := fpga.NewDevice(sim, fpga.Config{Telemetry: cfg.Telemetry})
-	if err != nil {
-		b.Fatal(err)
-	}
-	dma := pcie.NewEngine(sim, pcie.Config{Telemetry: cfg.Telemetry})
-	cfg.Sim = sim
-	cfg.FPGAs = []FPGAAttachment{{Device: dev, DMA: dma}}
-	rt, err := NewRuntime(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := rt.RegisterModule(moduleSpec("rev", func() fpga.Module { return reverseModule{} })); err != nil {
-		b.Fatal(err)
-	}
-	if err := rt.AttachCores(0, eventsim.NewCore(sim, 0, 0, 2.1e9), eventsim.NewCore(sim, 1, 0, 2.1e9), pool); err != nil {
-		b.Fatal(err)
-	}
+	r := newPoolRig(b, cfg, 2048, moduleSpec("rev", func() fpga.Module { return reverseModule{} }))
+	sim, pool, rt := r.sim, r.pool, r.rt
 	nf, err := rt.Register("bench", 0)
 	if err != nil {
 		b.Fatal(err)

@@ -99,7 +99,7 @@ func (r *Runtime) Evict(acc AccID) error {
 	// finishes its write and sits idle; its region is reclaimed when the
 	// board is next reloaded.
 	for _, ep := range e.route.Endpoints() {
-		dev := r.cfg.FPGAs[ep.FPGA].Device
+		dev := r.boards[ep.FPGA].dev
 		if !ep.Ready || dev.IsShutdown() {
 			continue
 		}
@@ -111,9 +111,6 @@ func (r *Runtime) Evict(acc AccID) error {
 	// Drop staged (never-sent) packets on every node; they have no route
 	// the moment the table row goes away.
 	for _, tx := range r.nodeTx {
-		if tx == nil {
-			continue
-		}
 		if st := tx.state(acc); st != nil {
 			tx.dropStaged(st)
 			tx.retune(acc, st)
@@ -126,16 +123,33 @@ func (r *Runtime) Evict(acc AccID) error {
 }
 
 // InstallFallback registers the module database's functional engine as
-// the software fallback for a loaded hardware function — RegisterFallback
-// without writing a factory. While the accelerator is quarantined its
-// traffic runs through the fallback on the TX core (delivered
-// StatusFallback) instead of passing through unprocessed.
+// the software fallback for a loaded hardware function on node: while
+// the accelerator is quarantined its traffic runs through the fallback on
+// the TX core (delivered StatusFallback) instead of passing through
+// unprocessed. Every configuration blob the accelerator has accepted is
+// replayed into the fallback here (and mirrored afterwards), so a
+// faithful implementation — swcrypto for ipsec-crypto, acmatch for
+// pattern-matching — is functionally equivalent, not approximate.
 func (r *Runtime) InstallFallback(hfName string, node int) error {
 	spec, ok := r.db[hfName]
 	if !ok {
 		return fmt.Errorf("dhl: no module %q in the database to use as a software fallback", hfName)
 	}
-	return r.RegisterFallback(hfName, node, spec.New)
+	e := r.byName(hfName, node)
+	if e == nil {
+		return fmt.Errorf("%w: %q on node %d", ErrUnknownHF, hfName, node)
+	}
+	m := spec.New()
+	if m == nil {
+		return fmt.Errorf("core: module %q built a nil fallback", hfName)
+	}
+	for _, blob := range e.cfgBlobs {
+		if err := m.Configure(blob); err != nil {
+			return fmt.Errorf("core: fallback for %q rejected recorded config: %w", hfName, err)
+		}
+	}
+	e.fallback = m
+	return nil
 }
 
 // ClearFallback removes the registered software fallback for a hardware
@@ -245,9 +259,6 @@ func (r *Runtime) setTuning(acc AccID, tune AccTuning) {
 		r.accs[acc].tune = tune
 	}
 	for _, tx := range r.nodeTx {
-		if tx == nil {
-			continue
-		}
 		for _, id := range tx.order {
 			tx.retune(id, tx.staging[id])
 		}
@@ -270,9 +281,6 @@ func (r *Runtime) SetBurst(node, burst int) error {
 		return fmt.Errorf("%w: burst %d outside [1,1024]", ErrBadBatchConfig, burst)
 	}
 	tx, rx := r.nodeTx[node], r.nodeRx[node]
-	if tx == nil || rx == nil {
-		return fmt.Errorf("%w: %d", ErrNoCores, node)
-	}
 	if len(tx.scratch) == burst {
 		return nil
 	}
@@ -283,7 +291,7 @@ func (r *Runtime) SetBurst(node, burst int) error {
 
 // Burst reports one node's current poll-core dequeue burst.
 func (r *Runtime) Burst(node int) int {
-	if node < 0 || node >= r.cfg.Nodes || r.nodeTx[node] == nil {
+	if node < 0 || node >= r.cfg.Nodes {
 		return defaultBurst
 	}
 	return len(r.nodeTx[node].scratch)
@@ -305,15 +313,13 @@ func (r *Runtime) SetWatchdogTimeout(d eventsim.Time) error {
 		r.armed = true
 	}
 	for node, tx := range r.nodeTx {
-		if rx := r.nodeRx[node]; tx != nil && rx != nil {
-			rx.setWatchdog(tx, d)
-		}
+		r.nodeRx[node].setWatchdog(tx, d)
 	}
 	return nil
 }
 
 // setWatchdog applies the watchdog deadline to the node's engine pair, at
-// AttachCores and at every retune: batches committed from now on are
+// construction and at every retune: batches committed from now on are
 // watched against d (zero: not at all), and the sweep timer exists, and
 // is armed, only while there is something to sweep.
 func (x *rxEngine) setWatchdog(tx *txEngine, d eventsim.Time) {

@@ -17,40 +17,17 @@ import (
 // Every failing sequence reproduces from its seed alone.
 var chaosSeed = flag.Uint64("seed", 7, "fault-injection seed for the chaos tests")
 
-// newFaultRig is newRig with a fault plan threaded through all three
-// injection layers (DMA engine, FPGA device, runtime) the way dhl.New
-// wires a production System: one plan, one seed, one reproducible run.
+// newFaultRig is newRig with a fault plan on the runtime config, which
+// NewRuntime hands to every injection layer (DMA engine, FPGA device,
+// runtime): one plan, one seed, one reproducible run. poolCap 0 selects
+// 1024 mbufs.
 func newFaultRig(t *testing.T, cfg Config, plan *faultinject.Plan, poolCap int, specs ...fpga.ModuleSpec) *rig {
 	t.Helper()
-	sim := eventsim.New()
 	if poolCap == 0 {
 		poolCap = 1024
 	}
-	pool, err := mbuf.NewPool(mbuf.PoolConfig{Name: "fault-rig", Capacity: poolCap})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dev, err := fpga.NewDevice(sim, fpga.Config{Faults: plan, Telemetry: cfg.Telemetry})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dma := pcie.NewEngine(sim, pcie.Config{Faults: plan, Telemetry: cfg.Telemetry})
-	cfg.Sim = sim
 	cfg.Faults = plan
-	cfg.FPGAs = []FPGAAttachment{{Device: dev, DMA: dma}}
-	rt, err := NewRuntime(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range specs {
-		if err := rt.RegisterModule(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := rt.AttachCores(0, eventsim.NewCore(sim, 0, 0, 2.1e9), eventsim.NewCore(sim, 1, 0, 2.1e9), pool); err != nil {
-		t.Fatal(err)
-	}
-	return &rig{sim: sim, pool: pool, rt: rt, dev: dev}
+	return newPoolRig(t, cfg, poolCap, specs...)
 }
 
 func revSpec() fpga.ModuleSpec {
@@ -261,7 +238,7 @@ func TestQuarantineRoutesToFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.rt.RegisterFallback("rev", 0, func() fpga.Module { return reverseModule{} }); err != nil {
+	if err := r.rt.InstallFallback("rev", 0); err != nil {
 		t.Fatal(err)
 	}
 	r.settle()
@@ -345,8 +322,17 @@ func TestQuarantineWithoutFallbackDeliversUnprocessed(t *testing.T) {
 	checkNoLeaks(t, r)
 }
 
-func TestRegisterFallbackReplaysRecordedConfig(t *testing.T) {
-	r := newRig(t, Config{}, moduleSpec("echo", func() fpga.Module { return reverseModule{} }))
+func TestInstallFallbackReplaysRecordedConfig(t *testing.T) {
+	// echo's instances are reverse modules until capture is set; from the
+	// install on they record every Configure call.
+	var got [][]byte
+	capture := false
+	r := newRig(t, Config{}, moduleSpec("echo", func() fpga.Module {
+		if !capture {
+			return reverseModule{}
+		}
+		return &captureModule{onConfigure: func(b []byte) { got = append(got, append([]byte(nil), b...)) }}
+	}))
 	if _, err := r.rt.SearchByName("echo", 0); err != nil {
 		t.Fatal(err)
 	}
@@ -355,11 +341,8 @@ func TestRegisterFallbackReplaysRecordedConfig(t *testing.T) {
 	if err := r.rt.AccConfigure(acc, []byte("rule-a")); err != nil {
 		t.Fatal(err)
 	}
-	var got [][]byte
-	err := r.rt.RegisterFallback("echo", 0, func() fpga.Module {
-		return &captureModule{onConfigure: func(b []byte) { got = append(got, append([]byte(nil), b...)) }}
-	})
-	if err != nil {
+	capture = true
+	if err := r.rt.InstallFallback("echo", 0); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 1 || !bytes.Equal(got[0], []byte("rule-a")) {
@@ -372,7 +355,7 @@ func TestRegisterFallbackReplaysRecordedConfig(t *testing.T) {
 	if len(got) != 2 || !bytes.Equal(got[1], []byte("rule-b")) {
 		t.Errorf("mirrored blobs %q, want [rule-a rule-b]", got)
 	}
-	if err := r.rt.RegisterFallback("nope", 0, func() fpga.Module { return reverseModule{} }); err == nil {
+	if err := r.rt.InstallFallback("nope", 0); err == nil {
 		t.Error("unknown hf accepted")
 	}
 	if _, err := r.rt.AccHealth(AccID(99)); err == nil {
@@ -546,7 +529,7 @@ func TestChaosStorm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.rt.RegisterFallback("rev", 0, func() fpga.Module { return reverseModule{} }); err != nil {
+	if err := r.rt.InstallFallback("rev", 0); err != nil {
 		t.Fatal(err)
 	}
 	r.settle()
@@ -789,7 +772,7 @@ func TestChaosEachFaultKind(t *testing.T) {
 
 			var o observed
 			for i, dev := range devs {
-				dma := r.rt.cfg.FPGAs[i].DMA
+				dma := r.rt.boards[i].dma
 				h2c, c2h := dma.DirStats(pcie.H2C), dma.DirStats(pcie.C2H)
 				o.h2c.Faults += h2c.Faults
 				o.h2c.Corrupted += h2c.Corrupted
@@ -841,8 +824,8 @@ func checkSpansConserved(t *testing.T, tel *telemetry.Registry, s TransferStats)
 	}
 }
 
-// rigDMA digs the rig's DMA engine back out of the runtime config.
-func rigDMA(r *rig) *pcie.Engine { return r.rt.cfg.FPGAs[0].DMA }
+// rigDMA is the DMA engine in front of the rig's board 0.
+func rigDMA(r *rig) *pcie.Engine { return r.rt.boards[0].dma }
 
 // mustPlan builds a fault plan from known-good specs.
 func mustPlan(t testing.TB, seed uint64, specs ...faultinject.Spec) *faultinject.Plan {

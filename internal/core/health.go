@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"github.com/opencloudnext/dhl-go/internal/fpga"
 	"github.com/opencloudnext/dhl-go/internal/placement"
 )
 
@@ -90,34 +89,6 @@ type HealthReport struct {
 	// FallbackActive reports a registered software fallback currently
 	// carrying the accelerator's traffic.
 	FallbackActive bool `json:"fallback_active"`
-}
-
-// RegisterFallback installs a software implementation for the hardware
-// function hfName on node: when the backing accelerator is quarantined,
-// the transfer layer runs this module on the TX core instead of dropping
-// the traffic. Every configuration blob the accelerator has accepted is
-// replayed into the fallback at registration (and mirrored afterwards),
-// so a faithful implementation — swcrypto for ipsec-crypto, acmatch for
-// pattern-matching — is functionally equivalent, not approximate.
-func (r *Runtime) RegisterFallback(hfName string, node int, factory func() fpga.Module) error {
-	e := r.byName(hfName, node)
-	if e == nil {
-		return fmt.Errorf("%w: %q on node %d", ErrUnknownHF, hfName, node)
-	}
-	if factory == nil {
-		return fmt.Errorf("core: nil fallback factory for %q", hfName)
-	}
-	m := factory()
-	if m == nil {
-		return fmt.Errorf("core: fallback factory for %q returned nil", hfName)
-	}
-	for _, blob := range e.cfgBlobs {
-		if err := m.Configure(blob); err != nil {
-			return fmt.Errorf("core: fallback for %q rejected recorded config: %w", hfName, err)
-		}
-	}
-	e.fallback = m
-	return nil
 }
 
 // AccHealth reports an accelerator's health state and fault counters.
@@ -216,7 +187,7 @@ func (r *Runtime) quarantine(e *hfEntry) {
 		return
 	}
 	e.reloading = true
-	if err := r.cfg.FPGAs[p.FPGA].Device.Reload(p.Region, func() { r.reloaded(e) }); err != nil {
+	if err := r.boards[p.FPGA].dev.Reload(p.Region, func() { r.reloaded(e) }); err != nil {
 		// Device gone or region unusable: the board cannot recover this
 		// placement. Try to move off it — promote a warm replica or
 		// re-place on another board. If neither works, stay quarantined
@@ -233,7 +204,7 @@ func (r *Runtime) reloaded(e *hfEntry) {
 	e.reloading = false
 	e.reloads++
 	p := e.route.Primary()
-	e.replay(r.cfg.FPGAs[p.FPGA].Device, p.Region)
+	e.replay(r.boards[p.FPGA].dev, p.Region)
 	r.heal(e)
 	e.route.Enable(p.FPGA, p.Region)
 }
@@ -254,6 +225,6 @@ func (r *Runtime) forceRecover(e *hfEntry) {
 	}
 	if !e.reloading {
 		p := e.route.Primary()
-		_ = r.cfg.FPGAs[p.FPGA].Device.ResetRegion(p.Region)
+		_ = r.boards[p.FPGA].dev.ResetRegion(p.Region)
 	}
 }

@@ -62,7 +62,7 @@ func (r *Runtime) promoteReplica(e *hfEntry) bool {
 		if ep.Primary || !ep.Ready || ep.Disabled {
 			continue
 		}
-		if r.cfg.FPGAs[ep.FPGA].Device.IsShutdown() {
+		if r.boards[ep.FPGA].dev.IsShutdown() {
 			continue
 		}
 		r.cutover(e, ep.FPGA, ep.Region)
@@ -84,7 +84,7 @@ func (r *Runtime) cutover(e *hfEntry, board, region int) {
 	e.route.SetReady(board, region, true)
 	e.route.MarkPrimary(board, region)
 	e.route.Remove(oldBoard, oldRegion)
-	if old := r.cfg.FPGAs[oldBoard].Device; !old.IsShutdown() {
+	if old := r.boards[oldBoard].dev; !old.IsShutdown() {
 		// Reclaim the abandoned region when the board survives (drain,
 		// quarantine-without-reload); a lost board has nothing to free.
 		_ = old.Unload(oldRegion)
@@ -106,7 +106,7 @@ func (r *Runtime) settled(e *hfEntry) error {
 		return fmt.Errorf("%w: acc_id %d", ErrMigrating, e.accID)
 	}
 	p := e.route.Primary()
-	if (e.reloading || !p.Ready) && !r.cfg.FPGAs[p.FPGA].Device.IsShutdown() {
+	if (e.reloading || !p.Ready) && !r.boards[p.FPGA].dev.IsShutdown() {
 		return fmt.Errorf("%w (acc_id %d)", ErrAccReloading, e.accID)
 	}
 	return nil
@@ -118,8 +118,8 @@ func (r *Runtime) settled(e *hfEntry) error {
 // every recorded configuration blob is replayed into the instance, then
 // up runs. Returns the chosen board index.
 func (r *Runtime) warm(e *hfEntry, target int, up func(board, region int)) (int, error) {
-	if target >= len(r.cfg.FPGAs) {
-		return -1, fmt.Errorf("%w: %d of %d", placement.ErrUnknownBoard, target, len(r.cfg.FPGAs))
+	if target < -1 || target >= len(r.boards) {
+		return -1, fmt.Errorf("%w: %d of %d", placement.ErrUnknownBoard, target, len(r.boards))
 	}
 	if target < 0 {
 		exclude := make([]int, 0, len(e.route.Endpoints()))
@@ -131,7 +131,7 @@ func (r *Runtime) warm(e *hfEntry, target int, up func(board, region int)) (int,
 			return -1, err
 		}
 	}
-	dev := r.cfg.FPGAs[target].Device
+	dev := r.boards[target].dev
 	region, err := dev.LoadPR(e.spec, func(ri int) {
 		e.replay(dev, ri)
 		up(target, ri)
@@ -229,10 +229,11 @@ func (r *Runtime) UndrainBoard(board int) error {
 // DropFault; nothing is stranded. Returns how many accelerators were
 // moved off it.
 func (r *Runtime) OfflineBoard(board int) (int, error) {
-	if board < 0 || board >= len(r.cfg.FPGAs) {
-		return 0, fmt.Errorf("%w: %d of %d", placement.ErrUnknownBoard, board, len(r.cfg.FPGAs))
+	dev, err := r.Device(board)
+	if err != nil {
+		return 0, err
 	}
-	r.cfg.FPGAs[board].Device.Shutdown()
+	dev.Shutdown()
 	for _, e := range r.accs {
 		if e != nil {
 			e.route.DisableBoard(board)

@@ -10,7 +10,6 @@ import (
 	"github.com/opencloudnext/dhl-go/internal/faultinject"
 	"github.com/opencloudnext/dhl-go/internal/fpga"
 	"github.com/opencloudnext/dhl-go/internal/mbuf"
-	"github.com/opencloudnext/dhl-go/internal/pcie"
 	"github.com/opencloudnext/dhl-go/internal/perf"
 	"github.com/opencloudnext/dhl-go/internal/placement"
 )
@@ -20,39 +19,13 @@ import (
 // device in board order.
 func newFleetRig(t *testing.T, cfg Config, boards int, specs ...fpga.ModuleSpec) (*rig, []*fpga.Device) {
 	t.Helper()
-	sim := eventsim.New()
-	pool, err := mbuf.NewPool(mbuf.PoolConfig{Name: "fleet-rig", Capacity: 2048})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg.BoardsPerNode = boards
+	r := newPoolRig(t, cfg, 2048, specs...)
 	devs := make([]*fpga.Device, boards)
-	var atts []FPGAAttachment
-	for i := 0; i < boards; i++ {
-		dev, derr := fpga.NewDevice(sim, fpga.Config{ID: i, Faults: cfg.Faults, Telemetry: cfg.Telemetry})
-		if derr != nil {
-			t.Fatal(derr)
-		}
-		devs[i] = dev
-		atts = append(atts, FPGAAttachment{
-			Device: dev,
-			DMA:    pcie.NewEngine(sim, pcie.Config{Faults: cfg.Faults, Telemetry: cfg.Telemetry}),
-		})
+	for i := range devs {
+		devs[i] = r.rt.boards[i].dev
 	}
-	cfg.Sim = sim
-	cfg.FPGAs = atts
-	rt, err := NewRuntime(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range specs {
-		if err := rt.RegisterModule(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := rt.AttachCores(0, eventsim.NewCore(sim, 0, 0, 2.1e9), eventsim.NewCore(sim, 1, 0, 2.1e9), pool); err != nil {
-		t.Fatal(err)
-	}
-	return &rig{sim: sim, pool: pool, rt: rt, dev: devs[0]}, devs
+	return r, devs
 }
 
 // drainOBQ receives and frees everything parked on the NF's OBQ,
@@ -461,6 +434,29 @@ func TestMigrateExplicitTargetValidation(t *testing.T) {
 	if got := r.rt.accs[acc].route.Primary().FPGA; got != 1 {
 		t.Errorf("primary on board %d, want 1", got)
 	}
+}
+
+func TestMigrateRefusesNegativeBoard(t *testing.T) {
+	// -1 asks the scheduler to choose; any other negative board is no
+	// board at all. On two boards the scheduler would find a home, so a
+	// target read as -1 would show as a move.
+	r, _ := newFleetRig(t, Config{FlushTimeout: 5 * eventsim.Microsecond}, 2, revSpec())
+	acc, err := r.rt.SearchByName("rev", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.settle()
+	if b, err := r.rt.Migrate(acc, -2); !errors.Is(err, placement.ErrUnknownBoard) {
+		t.Errorf("Migrate to board -2: board %d, %v", b, err)
+	}
+	if b, err := r.rt.Replicate(acc, -2); !errors.Is(err, placement.ErrUnknownBoard) {
+		t.Errorf("Replicate to board -2: board %d, %v", b, err)
+	}
+	r.settle()
+	if eps := r.rt.accs[acc].route.Endpoints(); len(eps) != 1 || eps[0].FPGA != 0 {
+		t.Errorf("endpoints after refused moves: %+v, want the one on board 0", eps)
+	}
+	checkAccTable(t, r)
 }
 
 func TestEvictUnloadsReplicas(t *testing.T) {

@@ -8,41 +8,12 @@ import (
 	"github.com/opencloudnext/dhl-go/internal/eventsim"
 	"github.com/opencloudnext/dhl-go/internal/fpga"
 	"github.com/opencloudnext/dhl-go/internal/mbuf"
-	"github.com/opencloudnext/dhl-go/internal/pcie"
 )
 
 // newTwoNodeRig builds the Figure 3 topology: two NUMA nodes, one FPGA on
 // each node's PCIe root, a shared IBQ and a TX/RX core pair per node.
 func newTwoNodeRig(t *testing.T) *rig {
-	t.Helper()
-	sim := eventsim.New()
-	pool, err := mbuf.NewPool(mbuf.PoolConfig{Name: "numa", Capacity: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var atts []FPGAAttachment
-	for node := 0; node < 2; node++ {
-		dev, derr := fpga.NewDevice(sim, fpga.Config{ID: node, Node: node})
-		if derr != nil {
-			t.Fatal(derr)
-		}
-		atts = append(atts, FPGAAttachment{Device: dev, DMA: pcie.NewEngine(sim, pcie.Config{})})
-	}
-	rt, err := NewRuntime(Config{Sim: sim, Nodes: 2, FPGAs: atts, FlushTimeout: 5 * eventsim.Microsecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.RegisterModule(moduleSpec("rev", func() fpga.Module { return reverseModule{} })); err != nil {
-		t.Fatal(err)
-	}
-	for node := 0; node < 2; node++ {
-		if err := rt.AttachCores(node,
-			eventsim.NewCore(sim, node*2, node, 2.1e9),
-			eventsim.NewCore(sim, node*2+1, node, 2.1e9), pool); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return &rig{sim: sim, pool: pool, rt: rt}
+	return newRig(t, Config{Nodes: 2, FlushTimeout: 5 * eventsim.Microsecond}, revSpec())
 }
 
 func TestTwoNodeLocalPlacement(t *testing.T) {
@@ -119,32 +90,29 @@ func TestTwoNodeDataPathsIndependent(t *testing.T) {
 }
 
 func TestTwoNodeFallbackToRemoteBoard(t *testing.T) {
-	// One board only, on node 0; an NF on node 1 must still resolve the
-	// hardware function (remote placement fallback).
-	sim := eventsim.New()
-	pool, _ := mbuf.NewPool(mbuf.PoolConfig{Name: "fallback", Capacity: 64})
-	dev, _ := fpga.NewDevice(sim, fpga.Config{ID: 0, Node: 0})
-	rt, err := NewRuntime(Config{
-		Sim: sim, Nodes: 2,
-		FPGAs: []FPGAAttachment{{Device: dev, DMA: pcie.NewEngine(sim, pcie.Config{RemoteNUMA: true})}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = rt.RegisterModule(moduleSpec("rev", func() fpga.Module { return reverseModule{} }))
-	for node := 0; node < 2; node++ {
-		if err := rt.AttachCores(node,
-			eventsim.NewCore(sim, node*2, node, 2.1e9),
-			eventsim.NewCore(sim, node*2+1, node, 2.1e9), pool); err != nil {
-			t.Fatal(err)
-		}
-	}
-	acc, err := rt.SearchByName("rev", 1)
-	if err != nil {
-		t.Fatalf("remote fallback failed: %v", err)
-	}
-	if rt.accs[acc].route.Primary().FPGA != 0 {
-		t.Errorf("resolved to fpga %d", rt.accs[acc].route.Primary().FPGA)
+	// Node 1's own board is out of service; an NF on node 1 must still
+	// resolve the hardware function, on node 0's board (remote placement
+	// fallback).
+	for _, out := range []struct {
+		name string
+		take func(*Runtime) (int, error)
+	}{
+		{"offline", func(rt *Runtime) (int, error) { return rt.OfflineBoard(1) }},
+		{"drain", func(rt *Runtime) (int, error) { return rt.DrainBoard(1) }},
+	} {
+		t.Run(out.name, func(t *testing.T) {
+			rt := newTwoNodeRig(t).rt
+			if _, err := out.take(rt); err != nil {
+				t.Fatal(err)
+			}
+			acc, err := rt.SearchByName("rev", 1)
+			if err != nil {
+				t.Fatalf("remote fallback failed: %v", err)
+			}
+			if rt.accs[acc].route.Primary().FPGA != 0 {
+				t.Errorf("resolved to fpga %d", rt.accs[acc].route.Primary().FPGA)
+			}
+		})
 	}
 }
 
@@ -224,8 +192,8 @@ func TestTwoNodeMigrationFollowsRoute(t *testing.T) {
 	}
 	// And the batches landed on each board in era order: one batch on
 	// board 0 before the move, one on board 1 after.
-	b0, _, _, _ := r.rt.cfg.FPGAs[0].Device.RegionStats(0)
-	b1, _, _, _ := r.rt.cfg.FPGAs[1].Device.RegionStats(e.route.Primary().Region)
+	b0, _, _, _ := r.rt.boards[0].dev.RegionStats(0)
+	b1, _, _, _ := r.rt.boards[1].dev.RegionStats(e.route.Primary().Region)
 	if b0 != 1 || b1 != 1 {
 		t.Errorf("batches per board = %d/%d, want 1/1", b0, b1)
 	}
@@ -234,45 +202,14 @@ func TestTwoNodeMigrationFollowsRoute(t *testing.T) {
 	}
 }
 
-func TestNoFPGAAtAll(t *testing.T) {
-	sim := eventsim.New()
-	rt, err := NewRuntime(Config{Sim: sim})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = rt.RegisterModule(moduleSpec("rev", func() fpga.Module { return reverseModule{} }))
-	if _, err := rt.SearchByName("rev", 0); !errors.Is(err, ErrNoFPGA) {
-		t.Errorf("no-FPGA search: %v", err)
-	}
-}
-
 func TestMultiFPGASameNodeSpillover(t *testing.T) {
 	// Two boards on node 0; a module too big to fit twice on one board
 	// must spill onto the second board when the first is full.
-	sim := eventsim.New()
-	pool, _ := mbuf.NewPool(mbuf.PoolConfig{Name: "spill", Capacity: 64})
-	var atts []FPGAAttachment
-	for i := 0; i < 2; i++ {
-		dev, err := fpga.NewDevice(sim, fpga.Config{ID: i, Node: 0})
-		if err != nil {
-			t.Fatal(err)
-		}
-		atts = append(atts, FPGAAttachment{Device: dev, DMA: pcie.NewEngine(sim, pcie.Config{})})
-	}
-	rt, err := NewRuntime(Config{Sim: sim, FPGAs: atts})
-	if err != nil {
-		t.Fatal(err)
-	}
 	big := fpga.ModuleSpec{
 		Name: "huge", LUTs: 1000, BRAM: 800, ThroughputBps: 1e9,
 		DelayCycles: 1, BitstreamBytes: 1 << 20, New: func() fpga.Module { return reverseModule{} },
 	}
-	if err := rt.RegisterModule(big); err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.AttachCores(0, eventsim.NewCore(sim, 0, 0, 2.1e9), eventsim.NewCore(sim, 1, 0, 2.1e9), pool); err != nil {
-		t.Fatal(err)
-	}
+	rt := newRig(t, Config{BoardsPerNode: 2}, big).rt
 	a1, err := rt.LoadPR("huge", 0)
 	if err != nil {
 		t.Fatal(err)

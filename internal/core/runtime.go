@@ -36,10 +36,8 @@ var (
 	ErrUnknownHF      = errors.New("core: hardware function not in accelerator module database")
 	ErrUnknownNF      = errors.New("core: unknown nf_id")
 	ErrUnknownAcc     = errors.New("core: unknown acc_id")
-	ErrNoFPGA         = errors.New("core: no FPGA available on the requested NUMA node")
 	ErrNFClosed       = errors.New("core: nf has unregistered")
 	ErrDuplicateHF    = errors.New("core: module already registered in database")
-	ErrNoCores        = errors.New("core: runtime cores not attached for node")
 	ErrCapacity       = errors.New("core: FPGA capacity exhausted")
 	ErrBadBatchConfig = errors.New("core: invalid batching configuration")
 )
@@ -49,25 +47,36 @@ var (
 const MinBatchBytes = 512
 
 // defaultBurst is the TX/RX poll cores' per-iteration dequeue burst at
-// AttachCores: how many IBQ packets (TX) or DMA completions (RX) one poll
+// construction: how many IBQ packets (TX) or DMA completions (RX) one poll
 // claims, the rte_eth_rx_burst convention. SetBurst moves it per node.
 const defaultBurst = 64
 
-// FPGAAttachment pairs an FPGA device with its DMA engine.
-type FPGAAttachment struct {
-	Device *fpga.Device
-	DMA    *pcie.Engine
+// board is one FPGA with the SG-DMA engine in front of it.
+type board struct {
+	dev *fpga.Device
+	dma *pcie.Engine
 }
 
-// Config parameterizes the Runtime.
+// Config parameterizes the Runtime: the platform it builds (nodes, boards
+// per node, the DMA driver) and the knobs of its data path.
 type Config struct {
 	// Sim is the discrete-event simulation the runtime's actors run on.
 	Sim *eventsim.Sim
 	// Nodes is the number of NUMA nodes (Figure 3's topology). Zero
 	// selects 1.
 	Nodes int
-	// FPGAs lists the attached boards with their DMA engines.
-	FPGAs []FPGAAttachment
+	// BoardsPerNode is the number of VC709-class boards on each node's
+	// PCIe root, each behind its own DMA engine. Zero selects 1.
+	BoardsPerNode int
+	// Driver selects the DMA engines' driver model; zero selects UIO
+	// polling (§IV-A2).
+	Driver pcie.DriverMode
+	// RemoteNUMA applies the cross-socket access penalty to every DMA
+	// engine (§IV-A2).
+	RemoteNUMA bool
+	// Pool is the packet-buffer pool the Distributor returns dropped
+	// packets to. Required.
+	Pool *mbuf.Pool
 	// BatchBytes is the maximum DMA batch size, at least MinBatchBytes.
 	// Zero selects the paper's 6 KB.
 	BatchBytes int
@@ -113,6 +122,9 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Sim == nil {
 		return c, errors.New("core: Config.Sim is required")
 	}
+	if c.Nodes < 0 || c.BoardsPerNode < 0 {
+		return c, fmt.Errorf("core: %d nodes of %d boards each", c.Nodes, c.BoardsPerNode)
+	}
 	if c.Nodes == 0 {
 		c.Nodes = 1
 	}
@@ -133,6 +145,12 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.WatchdogTimeout == 0 && c.Faults != nil {
 		c.WatchdogTimeout = 250 * eventsim.Microsecond
+	}
+	if c.BoardsPerNode == 0 {
+		c.BoardsPerNode = 1
+	}
+	if c.Pool == nil {
+		return c, errors.New("core: Config.Pool is required")
 	}
 	return c, nil
 }
@@ -205,6 +223,10 @@ type Runtime struct {
 	sim *eventsim.Sim
 	cfg Config
 
+	// boards are the fleet in board-id order: node-major, so board b sits
+	// on node b / BoardsPerNode.
+	boards []board
+
 	db map[string]fpga.ModuleSpec
 	// accs is the hardware function table, indexed by acc_id. Entry 0 —
 	// an id LoadPR never assigns — and evicted ids are nil; ids are never
@@ -240,9 +262,14 @@ type Runtime struct {
 	tel *telemetry.Registry
 }
 
-// NewRuntime builds a Runtime with the stock accelerator module database
-// empty; call RegisterModule (hwfunc.Specs() is the whole stock catalogue)
-// before NFs search for hardware functions.
+// NewRuntime builds a Runtime and the platform it drives: Nodes ×
+// BoardsPerNode boards in node-major id order, each behind its own DMA
+// engine, and per node a shared IBQ and the TX/RX core pair of Table IV,
+// started. The fault plan and the telemetry registry reach every board,
+// every engine and the runtime, so one seed drives every injection layer.
+// The accelerator module database starts empty; call RegisterModule
+// (hwfunc.Specs() is the whole stock catalogue) before NFs search for
+// hardware functions.
 func NewRuntime(cfg Config) (*Runtime, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -261,9 +288,18 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		ibqHot:     make([]bool, cfg.Nodes),
 		defaults:   AccTuning{BatchBytes: cfg.BatchBytes, FlushTimeout: cfg.FlushTimeout},
 	}
-	devices := make([]*fpga.Device, len(cfg.FPGAs))
-	for i := range cfg.FPGAs {
-		devices[i] = cfg.FPGAs[i].Device
+	devices := make([]*fpga.Device, cfg.Nodes*cfg.BoardsPerNode)
+	r.boards = make([]board, len(devices))
+	for id := range devices {
+		dev, derr := fpga.NewDevice(cfg.Sim, fpga.Config{ID: id, Node: id / cfg.BoardsPerNode, Telemetry: cfg.Telemetry})
+		if derr != nil {
+			return nil, derr
+		}
+		dev.SetFaults(cfg.Faults)
+		dma := pcie.NewEngine(cfg.Sim, pcie.Config{
+			Mode: cfg.Driver, RemoteNUMA: cfg.RemoteNUMA, Faults: cfg.Faults, Telemetry: cfg.Telemetry,
+		})
+		devices[id], r.boards[id] = dev, board{dev: dev, dma: dma}
 	}
 	r.sched = placement.New(devices)
 	for node := 0; node < cfg.Nodes; node++ {
@@ -289,7 +325,29 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 				})
 		}
 	}
+	for node := 0; node < cfg.Nodes; node++ {
+		if err := r.attachCores(node); err != nil {
+			return nil, err
+		}
+	}
 	return r, nil
+}
+
+// Device returns board b, for code that reads a device (floorplans, fault
+// counters, gauges) or drives it by hand.
+func (r *Runtime) Device(b int) (*fpga.Device, error) {
+	if b < 0 || b >= len(r.boards) {
+		return nil, fmt.Errorf("%w: %d of %d", placement.ErrUnknownBoard, b, len(r.boards))
+	}
+	return r.boards[b].dev, nil
+}
+
+// DMA returns the DMA engine in front of board b, for gauges.
+func (r *Runtime) DMA(b int) (*pcie.Engine, error) {
+	if b < 0 || b >= len(r.boards) {
+		return nil, fmt.Errorf("%w: %d of %d", placement.ErrUnknownBoard, b, len(r.boards))
+	}
+	return r.boards[b].dma, nil
 }
 
 func nextPow2(n int) int {
@@ -398,7 +456,7 @@ func (r *Runtime) Register(name string, node int) (NFID, error) {
 }
 
 // Unregister removes an NF. Packets already parked on its OBQ are freed
-// back to the node's pool immediately, and packets still in flight return
+// back to the runtime's pool immediately, and packets still in flight return
 // through the Distributor's closed-NF path (counted DropNFClosed) as each
 // batch completes — nothing is stranded, and the isolation guarantee
 // holds: a departing NF cannot receive another NF's packets, nor leak its
@@ -415,17 +473,15 @@ func (r *Runtime) Unregister(id NFID) error {
 		// removes the series for all — acceptable for a diagnostic gauge.)
 		r.tel.UnregisterGauge("dhl_ring_occupancy", fmt.Sprintf("ring=%q", nf.obq.Name()))
 	}
-	if tx := r.nodeTx[nf.node]; tx != nil {
-		var burst [64]*mbuf.Mbuf
-		for {
-			n := nf.obq.DequeueBurst(burst[:])
-			if n == 0 {
-				break
-			}
-			for i := 0; i < n; i++ {
-				_ = tx.pool.Free(burst[i])
-				burst[i] = nil
-			}
+	var burst [64]*mbuf.Mbuf
+	for {
+		n := nf.obq.DequeueBurst(burst[:])
+		if n == 0 {
+			break
+		}
+		for i := 0; i < n; i++ {
+			_ = r.cfg.Pool.Free(burst[i])
+			burst[i] = nil
 		}
 	}
 	return nil
@@ -484,7 +540,7 @@ func (r *Runtime) LoadPR(name string, node int) (AccID, error) {
 		}
 		// The endpoint turns ready, and is configured, when the PR write
 		// completes.
-		dev := r.cfg.FPGAs[idx].Device
+		dev := r.boards[idx].dev
 		region, lerr := dev.LoadPR(spec, func(ri int) {
 			entry.route.SetReady(idx, ri, true)
 			entry.replay(dev, ri)
@@ -497,9 +553,6 @@ func (r *Runtime) LoadPR(name string, node int) (AccID, error) {
 		entry.route = placement.NewRoute(uint16(entry.accID), name, idx, region)
 	}
 	if entry.route == nil {
-		if len(r.cfg.FPGAs) == 0 {
-			return 0, ErrNoFPGA
-		}
 		return 0, fmt.Errorf("%w: %q does not fit on any board: %v", ErrCapacity, name, lastErr)
 	}
 	r.nextAcc = entry.accID
@@ -543,7 +596,7 @@ func (r *Runtime) AccConfigure(acc AccID, params []byte) error {
 		return err
 	}
 	if p := e.route.Primary(); p.Ready {
-		if err := r.cfg.FPGAs[p.FPGA].Device.Configure(p.Region, params); err != nil {
+		if err := r.boards[p.FPGA].dev.Configure(p.Region, params); err != nil {
 			return err
 		}
 	}

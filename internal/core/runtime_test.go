@@ -11,7 +11,7 @@ import (
 	"github.com/opencloudnext/dhl-go/internal/eventsim"
 	"github.com/opencloudnext/dhl-go/internal/fpga"
 	"github.com/opencloudnext/dhl-go/internal/mbuf"
-	"github.com/opencloudnext/dhl-go/internal/pcie"
+	"github.com/opencloudnext/dhl-go/internal/placement"
 )
 
 // reverseModule reverses each record payload — cheap, observable
@@ -70,20 +70,21 @@ type rig struct {
 	dev  *fpga.Device
 }
 
-func newRig(t *testing.T, cfg Config, specs ...fpga.ModuleSpec) *rig {
+// newRig builds a runtime on cfg's platform (by default one board on one
+// node) over a fresh simulation and a 1024-mbuf pool, with specs in the
+// module database; dev is board 0.
+func newRig(t testing.TB, cfg Config, specs ...fpga.ModuleSpec) *rig {
+	return newPoolRig(t, cfg, 1024, specs...)
+}
+
+func newPoolRig(t testing.TB, cfg Config, poolCap int, specs ...fpga.ModuleSpec) *rig {
 	t.Helper()
 	sim := eventsim.New()
-	pool, err := mbuf.NewPool(mbuf.PoolConfig{Name: "rig", Capacity: 1024})
+	pool, err := mbuf.NewPool(mbuf.PoolConfig{Name: "rig", Capacity: poolCap})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev, err := fpga.NewDevice(sim, fpga.Config{Telemetry: cfg.Telemetry})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dma := pcie.NewEngine(sim, pcie.Config{Telemetry: cfg.Telemetry})
-	cfg.Sim = sim
-	cfg.FPGAs = []FPGAAttachment{{Device: dev, DMA: dma}}
+	cfg.Sim, cfg.Pool = sim, pool
 	rt, err := NewRuntime(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -93,10 +94,7 @@ func newRig(t *testing.T, cfg Config, specs ...fpga.ModuleSpec) *rig {
 			t.Fatal(err)
 		}
 	}
-	if err := rt.AttachCores(0, eventsim.NewCore(sim, 0, 0, 2.1e9), eventsim.NewCore(sim, 1, 0, 2.1e9), pool); err != nil {
-		t.Fatal(err)
-	}
-	return &rig{sim: sim, pool: pool, rt: rt, dev: dev}
+	return &rig{sim: sim, pool: pool, rt: rt, dev: rt.boards[0].dev}
 }
 
 func (r *rig) settle() { r.sim.Run(r.sim.Now() + 50*eventsim.Millisecond) }
@@ -119,8 +117,49 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := NewRuntime(Config{}); err == nil {
 		t.Error("nil sim accepted")
 	}
+	if _, err := NewRuntime(Config{Sim: eventsim.New()}); err == nil {
+		t.Error("nil pool accepted")
+	}
+	pool, err := mbuf.NewPool(mbuf.PoolConfig{Name: "cfg", Capacity: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewRuntime(Config{Sim: eventsim.New(), Pool: pool, BoardsPerNode: -1}); err == nil {
+		t.Error("negative board count accepted")
+	}
 	if _, err := NewRuntime(Config{Sim: eventsim.New(), BatchBytes: MinBatchBytes - 1}); !errors.Is(err, ErrBadBatchConfig) {
 		t.Errorf("BatchBytes below MinBatchBytes: %v", err)
+	}
+}
+
+func TestNewRuntimeBuildsNodeMajorFleet(t *testing.T) {
+	// Nodes 2 × BoardsPerNode 2: board ids run node-major, each board is
+	// its own device on its node, and each node has its transfer cores.
+	r := newRig(t, Config{Nodes: 2, BoardsPerNode: 2})
+	table := r.rt.PlacementTable()
+	if len(table) != 4 {
+		t.Fatalf("%d boards, want 4", len(table))
+	}
+	for b, info := range table {
+		if info.Board != b || info.DeviceID != b || info.Node != b/2 {
+			t.Errorf("board %d: id %d device %d node %d, want %d %d %d",
+				b, info.Board, info.DeviceID, info.Node, b, b, b/2)
+		}
+		dev, err := r.rt.Device(b)
+		if err != nil || dev.ID() != b || dev.Node() != b/2 {
+			t.Errorf("Device(%d) = %v, %v", b, dev, err)
+		}
+	}
+	if _, err := r.rt.Device(4); !errors.Is(err, placement.ErrUnknownBoard) {
+		t.Errorf("Device(4): %v", err)
+	}
+	for node := 0; node < 2; node++ {
+		if _, err := r.rt.Stats(node); err != nil {
+			t.Errorf("Stats(%d): %v", node, err)
+		}
+	}
+	if _, err := r.rt.Stats(2); err == nil {
+		t.Error("Stats(2) on a two-node runtime succeeded")
 	}
 }
 
@@ -511,7 +550,7 @@ func TestStagingUnknownAccID(t *testing.T) {
 
 func TestStatsErrors(t *testing.T) {
 	r := newRig(t, Config{})
-	if _, err := r.rt.Stats(7); !errors.Is(err, ErrNoCores) {
+	if _, err := r.rt.Stats(7); err == nil {
 		t.Errorf("bad node stats: %v", err)
 	}
 }

@@ -166,15 +166,13 @@ type rxEngine struct {
 	telC *telemetry.CoreCounters
 }
 
-// AttachCores binds a TX and an RX poll core to a NUMA node and starts the
-// data transfer layer there (Table IV: "2 cores for DHL Runtime that one
-// for sending data to FPGA, and the other for receiving data from FPGA").
-// pool supplies nothing on the TX path (packets arrive via the IBQ) but is
-// where the Distributor returns dropped packets.
-func (r *Runtime) AttachCores(node int, txCore, rxCore *eventsim.Core, pool *mbuf.Pool) error {
-	if node < 0 || node >= r.cfg.Nodes {
-		return fmt.Errorf("core: node %d out of range [0,%d)", node, r.cfg.Nodes)
-	}
+// attachCores gives a NUMA node its TX and RX poll cores, cores 2·node and
+// 2·node+1 at the testbed clock, and starts the data transfer layer there
+// (Table IV: "2 cores for DHL Runtime that one for sending data to FPGA,
+// and the other for receiving data from FPGA"). The pool supplies nothing
+// on the TX path (packets arrive via the IBQ) but is where the Distributor
+// returns dropped packets.
+func (r *Runtime) attachCores(node int) error {
 	completions, err := ring.New[*inflight]("dma-cq-node"+strconv.Itoa(node),
 		1024, ring.SingleProducerConsumer)
 	if err != nil {
@@ -183,7 +181,7 @@ func (r *Runtime) AttachCores(node int, txCore, rxCore *eventsim.Core, pool *mbu
 	tx := &txEngine{
 		r:       r,
 		node:    node,
-		pool:    pool,
+		pool:    r.cfg.Pool,
 		arena:   newBatchArena(r.BatchBytes()),
 		scratch: make([]*mbuf.Mbuf, defaultBurst),
 	}
@@ -195,9 +193,11 @@ func (r *Runtime) AttachCores(node int, txCore, rxCore *eventsim.Core, pool *mbu
 		scratch:     make([]*inflight, defaultBurst),
 	}
 	rx.commitFn = rx.commit
-	rx.loop = eventsim.NewPollLoop(r.sim, rxCore, perf.PollIdleCycles, rx.body)
+	rx.loop = eventsim.NewPollLoop(r.sim, eventsim.NewCore(r.sim, 2*node+1, node, perf.TestbedCoreHz),
+		perf.PollIdleCycles, rx.body)
 	tx.commitFn = tx.commit
-	tx.loop = eventsim.NewPollLoop(r.sim, txCore, perf.PollIdleCycles, tx.body)
+	tx.loop = eventsim.NewPollLoop(r.sim, eventsim.NewCore(r.sim, 2*node, node, perf.TestbedCoreHz),
+		perf.PollIdleCycles, tx.body)
 	// Each core sleeps on the one ring it reads; what tx.body reads besides
 	// reaches it as a WakeBy deadline or as retune's poke.
 	tx.loop.Watch(r.ibqs[node])
@@ -230,10 +230,10 @@ func (r *Runtime) AttachCores(node int, txCore, rxCore *eventsim.Core, pool *mbu
 
 // Stats reports the transfer-layer counters of one node: a copy of the
 // node's ledger, plus the IBQ refusals, which are counted at the send
-// calls — before, and whether or not, a core pair is attached.
+// calls.
 func (r *Runtime) Stats(node int) (TransferStats, error) {
-	if node < 0 || node >= r.cfg.Nodes || r.nodeTx[node] == nil {
-		return TransferStats{}, ErrNoCores
+	if node < 0 || node >= r.cfg.Nodes {
+		return TransferStats{}, fmt.Errorf("core: node %d out of range [0,%d)", node, r.cfg.Nodes)
 	}
 	s := r.nodeTx[node].stats
 	s.IBQRejected = r.ibqRejects[node]
@@ -278,8 +278,8 @@ func (t *txEngine) body() (float64, func()) {
 	// Back-pressure: when the DMA engines are booked out past the cap,
 	// leave packets in the IBQ so producers see the queue fill up.
 	congested := false
-	for i := range t.r.cfg.FPGAs {
-		if t.r.cfg.FPGAs[i].DMA.Backlog(pcie.H2C) > dmaBacklogCap {
+	for i := range t.r.boards {
+		if t.r.boards[i].dma.Backlog(pcie.H2C) > dmaBacklogCap {
 			congested = true
 			break
 		}
@@ -467,15 +467,15 @@ func (t *txEngine) flush(acc AccID, st *accState, bySize bool) *inflight {
 	// accelerator's primary is disabled by the health FSM, so with no
 	// replicas its batches take the fallback/unprocessed path exactly as
 	// before routes existed.
-	var att *FPGAAttachment
+	var att *board
 	regionIdx := -1
 	for {
 		ep := e.route.Pick()
 		if ep == nil {
 			break
 		}
-		a := &t.r.cfg.FPGAs[ep.FPGA]
-		if a.Device.IsShutdown() {
+		a := &t.r.boards[ep.FPGA]
+		if a.dev.IsShutdown() {
 			t.r.boardLost(e, ep.FPGA)
 			continue
 		}
@@ -491,7 +491,7 @@ func (t *txEngine) flush(acc AccID, st *accState, bySize bool) *inflight {
 		eps := e.route.Endpoints()
 		for i := range eps {
 			ep := &eps[i]
-			if ep.Ready || ep.Disabled || !t.r.cfg.FPGAs[ep.FPGA].Device.IsShutdown() {
+			if ep.Ready || ep.Disabled || !t.r.boards[ep.FPGA].dev.IsShutdown() {
 				continue
 			}
 			t.r.boardLost(e, ep.FPGA)
@@ -515,8 +515,8 @@ func (t *txEngine) flush(acc AccID, st *accState, bySize bool) *inflight {
 	ib.hf = e
 	ib.hfEpoch = e.epoch
 	if att != nil {
-		ib.dma = att.DMA
-		ib.dev = att.Device
+		ib.dma = att.dma
+		ib.dev = att.dev
 		ib.regionIdx = regionIdx
 	}
 	if t.tel != nil {

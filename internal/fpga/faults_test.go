@@ -13,10 +13,11 @@ import (
 func faultRig(t *testing.T, plan *faultinject.Plan) (*eventsim.Sim, *Device, int) {
 	t.Helper()
 	sim := eventsim.New()
-	d, err := NewDevice(sim, Config{Regions: 2, Faults: plan})
+	d, err := NewDevice(sim, Config{Regions: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	d.SetFaults(plan)
 	idx, err := d.LoadPR(testSpec("m", 100, 1), nil)
 	if err != nil {
 		t.Fatal(err)

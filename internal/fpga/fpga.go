@@ -195,10 +195,6 @@ type Config struct {
 	ClockHz float64
 	// ICAPBytesPerSec defaults to the calibrated ICAP bandwidth.
 	ICAPBytesPerSec float64
-	// Faults is the shared fault-injection plan; nil disables injection.
-	// The module kinds (ModuleError/Garbage/Hang, RegionSEU) are drawn in
-	// Dispatch, once per batch, mutually exclusive per draw site.
-	Faults *faultinject.Plan
 	// Telemetry, when set, records every dispatched batch's service time
 	// (queueing + serialization + pipeline delay) into the registry's
 	// Dispatch histogram. Nil records nothing; the probe is atomic and
@@ -245,6 +241,9 @@ type Device struct {
 	reloads    uint64
 	shutdown   bool
 	fstats     FaultStats
+	// faults is the fault-injection plan SetFaults armed; nil injects
+	// nothing.
+	faults *faultinject.Plan
 
 	// ctxFree recycles dispatch contexts so Dispatch schedules module
 	// completion without allocating a closure per batch.
@@ -364,6 +363,12 @@ func NewDevice(sim *eventsim.Sim, cfg Config) (*Device, error) {
 	}
 	return d, nil
 }
+
+// SetFaults arms the device with a fault-injection plan (nil disarms
+// it). The module kinds (ModuleError/Garbage/Hang, RegionSEU) are drawn
+// in Dispatch, once per batch, mutually exclusive per draw site; ICAPWedge
+// at every PR write, BoardOffline at every dispatch.
+func (d *Device) SetFaults(p *faultinject.Plan) { d.faults = p }
 
 // ID reports the board identifier.
 func (d *Device) ID() int { return d.cfg.ID }
@@ -493,7 +498,7 @@ func (d *Device) Reload(regionIdx int, done func()) error {
 	case RegionEmpty:
 		return ErrNotLoaded
 	}
-	if f := d.cfg.Faults; f != nil && f.Fire(faultinject.ICAPWedge) {
+	if f := d.faults; f != nil && f.Fire(faultinject.ICAPWedge) {
 		// The wedge strikes before the write starts: the region keeps its
 		// (faulty) module and parked batches; the caller decides whether to
 		// retry, reset, or migrate the accelerator to another board.
@@ -549,7 +554,7 @@ func (d *Device) LoadPR(spec ModuleSpec, done func(regionIdx int)) (int, error) 
 			HaveLUTs: d.AvailableLUTs(), HaveBRAM: d.AvailableBRAM(),
 		}
 	}
-	if f := d.cfg.Faults; f != nil && f.Fire(faultinject.ICAPWedge) {
+	if f := d.faults; f != nil && f.Fire(faultinject.ICAPWedge) {
 		d.fstats.ICAPWedges++
 		return -1, ErrICAPWedged
 	}
@@ -631,7 +636,7 @@ func (d *Device) Dispatch(regionIdx int, batch, dst []byte, done func(out []byte
 	if d.shutdown {
 		return 0, ErrDeviceShutdown
 	}
-	if f := d.cfg.Faults; f != nil && f.Fire(faultinject.BoardOffline) {
+	if f := d.faults; f != nil && f.Fire(faultinject.BoardOffline) {
 		// Whole-board failure: power loss or fatal link-down. The board
 		// goes dark before this batch reaches the Dispatcher; Shutdown
 		// flushes parked batches so nothing is stranded.
@@ -668,7 +673,7 @@ func (d *Device) Dispatch(regionIdx int, batch, dst []byte, done func(out []byte
 	// Fault draws, mutually exclusive per batch so every injection has
 	// one unambiguous observable: an un-repaired SEU garbles everything
 	// it touches; otherwise at most one of hang/error/garbage strikes.
-	if f := d.cfg.Faults; f != nil {
+	if f := d.faults; f != nil {
 		if r.seu {
 			ctx.garbage = true
 			d.fstats.SEUGarbage++

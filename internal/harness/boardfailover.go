@@ -6,9 +6,6 @@ import (
 	"github.com/opencloudnext/dhl-go/internal/core"
 	"github.com/opencloudnext/dhl-go/internal/eventsim"
 	"github.com/opencloudnext/dhl-go/internal/faultinject"
-	"github.com/opencloudnext/dhl-go/internal/fpga"
-	"github.com/opencloudnext/dhl-go/internal/hwfunc"
-	"github.com/opencloudnext/dhl-go/internal/pcie"
 )
 
 // The board-failover experiment measures the blast radius of losing a
@@ -66,38 +63,6 @@ const (
 	bfReplica
 )
 
-// newFleetRuntime stands up a DHL runtime over several boards on node 0.
-// plan, when non-nil, arms ONLY board 0 — the kill target must be
-// deterministic even when a replica spreads dispatches over the fleet.
-func (tb *testbed) newFleetRuntime(boards int, plan *faultinject.Plan, coreCfg core.Config) (*core.Runtime, []*fpga.Device, error) {
-	devs := make([]*fpga.Device, boards)
-	atts := make([]core.FPGAAttachment, boards)
-	for i := 0; i < boards; i++ {
-		var p *faultinject.Plan
-		if i == 0 {
-			p = plan
-		}
-		dev, err := fpga.NewDevice(tb.sim, fpga.Config{ID: i, Node: 0, Faults: p, Telemetry: coreCfg.Telemetry})
-		if err != nil {
-			return nil, nil, err
-		}
-		devs[i] = dev
-		atts[i] = core.FPGAAttachment{Device: dev, DMA: pcie.NewEngine(tb.sim, pcie.Config{Telemetry: coreCfg.Telemetry})}
-	}
-	coreCfg.Sim = tb.sim
-	coreCfg.FPGAs = atts
-	rt, err := core.NewRuntime(coreCfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	for _, spec := range hwfunc.Specs() {
-		if err := rt.RegisterModule(spec); err != nil {
-			return nil, nil, err
-		}
-	}
-	return rt, devs, nil
-}
-
 // RunBoardFailover runs the board-level failure experiment: a fault-free
 // baseline, a board loss recovered by live migration, and a board loss
 // absorbed by a warm replica — all from one seed.
@@ -142,7 +107,8 @@ func runBoardFailoverOnce(cfg FailoverConfig, mode boardFailoverMode, label stri
 			return run, err
 		}
 	}
-	rt, devs, err := tb.newFleetRuntime(2, plan, core.Config{
+	rt, err := tb.newRuntime(core.Config{
+		BoardsPerNode:   2,
 		BatchBytes:      2048,
 		FlushTimeout:    5 * eventsim.Microsecond,
 		WatchdogTimeout: 250 * eventsim.Microsecond,
@@ -150,6 +116,13 @@ func runBoardFailoverOnce(cfg FailoverConfig, mode boardFailoverMode, label stri
 	if err != nil {
 		return run, err
 	}
+	// The plan arms board 0 alone: the kill target must be deterministic
+	// even when a replica spreads dispatches over the fleet.
+	board0, err := rt.Device(0)
+	if err != nil {
+		return run, err
+	}
+	board0.SetFaults(plan)
 	nfID, acc, err := tb.openIPsecCrypto(rt, "fleet-gen", false)
 	if err != nil {
 		return run, err
@@ -168,6 +141,6 @@ func runBoardFailoverOnce(cfg FailoverConfig, mode boardFailoverMode, label stri
 	}
 	in, _ := rt.Placement().Migrations(1)
 	run.MigratedIn = in
-	run.BoardLosses = devs[0].FaultCounters().BoardLosses
+	run.BoardLosses = board0.FaultCounters().BoardLosses
 	return run, nil
 }

@@ -8,7 +8,6 @@ import (
 	"github.com/opencloudnext/dhl-go/internal/mbuf"
 	"github.com/opencloudnext/dhl-go/internal/netdev"
 	"github.com/opencloudnext/dhl-go/internal/nf"
-	"github.com/opencloudnext/dhl-go/internal/pcie"
 	"github.com/opencloudnext/dhl-go/internal/perf"
 	"github.com/opencloudnext/dhl-go/internal/telemetry"
 	"github.com/opencloudnext/dhl-go/internal/tuner"
@@ -199,11 +198,8 @@ func RunDiurnal(cfg DiurnalConfig) (DiurnalResult, error) {
 	// the fixed baseline must pay the same (zero-alloc) observation cost
 	// for the comparison to be fair.
 	tel := telemetry.New(1024)
-	rt, _, _, err := tb.newRuntime(pcie.Config{}, core.Config{Telemetry: tel})
+	rt, err := tb.newRuntime(core.Config{Telemetry: tel})
 	if err != nil {
-		return res, err
-	}
-	if err := rt.AttachCores(0, tb.core(), tb.core(), tb.pool); err != nil {
 		return res, err
 	}
 	app, err := buildDHLApp(rt, cfg.Kind, "nf", nil)

@@ -13,7 +13,6 @@ import (
 	"github.com/opencloudnext/dhl-go/internal/core"
 	"github.com/opencloudnext/dhl-go/internal/hwfunc"
 	"github.com/opencloudnext/dhl-go/internal/nf"
-	"github.com/opencloudnext/dhl-go/internal/pcie"
 )
 
 func TestFigure4Shape(t *testing.T) {
@@ -361,7 +360,7 @@ func TestRunMultiNFSharesSADB(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rt, _, _, err := tb.newRuntime(pcie.Config{}, core.Config{})
+		rt, err := tb.newRuntime(core.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

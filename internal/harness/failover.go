@@ -10,7 +10,6 @@ import (
 	"github.com/opencloudnext/dhl-go/internal/faultinject"
 	"github.com/opencloudnext/dhl-go/internal/hwfunc"
 	"github.com/opencloudnext/dhl-go/internal/mbuf"
-	"github.com/opencloudnext/dhl-go/internal/pcie"
 	"github.com/opencloudnext/dhl-go/internal/stats"
 )
 
@@ -170,7 +169,7 @@ func runFailoverOnce(cfg FailoverConfig, plan *faultinject.Plan, withFallback bo
 	if err != nil {
 		return run, err
 	}
-	rt, _, _, err := tb.newRuntime(pcie.Config{}, core.Config{
+	rt, err := tb.newRuntime(core.Config{
 		BatchBytes:   2048,
 		FlushTimeout: 5 * eventsim.Microsecond,
 		Faults:       plan,
@@ -186,15 +185,11 @@ func runFailoverOnce(cfg FailoverConfig, plan *faultinject.Plan, withFallback bo
 }
 
 // openIPsecCrypto brings the keyed ipsec-crypto accelerator up for an NF
-// that sends it raw request records, with no gateway NF in front: attach
-// the transfer cores, register the NF, load the module, configure the
-// fixed test keys, optionally register the software module as the
-// quarantine fallback, and settle across the initial ICAP load of the
-// 5.6 MB bitstream.
+// that sends it raw request records, with no gateway NF in front: register
+// the NF, load the module, configure the fixed test keys, optionally
+// install the software module as the quarantine fallback, and settle
+// across the initial ICAP load of the 5.6 MB bitstream.
 func (tb *testbed) openIPsecCrypto(rt *core.Runtime, name string, withFallback bool) (core.NFID, core.AccID, error) {
-	if err := rt.AttachCores(0, tb.core(), tb.core(), tb.pool); err != nil {
-		return 0, 0, err
-	}
 	nfID, err := rt.Register(name, 0)
 	if err != nil {
 		return 0, 0, err
@@ -219,8 +214,7 @@ func (tb *testbed) openIPsecCrypto(rt *core.Runtime, name string, withFallback b
 		return 0, 0, err
 	}
 	if withFallback {
-		spec := hwfunc.Specs()[hwfunc.IPsecCryptoName]
-		if err := rt.RegisterFallback(hwfunc.IPsecCryptoName, 0, spec.New); err != nil {
+		if err := rt.InstallFallback(hwfunc.IPsecCryptoName, 0); err != nil {
 			return 0, 0, err
 		}
 	}

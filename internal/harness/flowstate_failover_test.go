@@ -13,7 +13,6 @@ import (
 	"github.com/opencloudnext/dhl-go/internal/mbuf"
 	"github.com/opencloudnext/dhl-go/internal/netdev"
 	"github.com/opencloudnext/dhl-go/internal/nf"
-	"github.com/opencloudnext/dhl-go/internal/pcie"
 )
 
 // --- flow-state consistency across fallback/recovery --------------------
@@ -93,7 +92,7 @@ func runFlowStateFailover(cfg flowStateFailoverConfig) (*flowStateFailoverResult
 	if err != nil {
 		return nil, err
 	}
-	rt, _, _, err := tb.newRuntime(pcie.Config{}, core.Config{
+	rt, err := tb.newRuntime(core.Config{
 		BatchBytes:   2048,
 		FlushTimeout: 5 * eventsim.Microsecond,
 		Faults:       plan,

@@ -15,11 +15,9 @@ import (
 
 	"github.com/opencloudnext/dhl-go/internal/core"
 	"github.com/opencloudnext/dhl-go/internal/eventsim"
-	"github.com/opencloudnext/dhl-go/internal/fpga"
 	"github.com/opencloudnext/dhl-go/internal/hwfunc"
 	"github.com/opencloudnext/dhl-go/internal/mbuf"
 	"github.com/opencloudnext/dhl-go/internal/netdev"
-	"github.com/opencloudnext/dhl-go/internal/pcie"
 	"github.com/opencloudnext/dhl-go/internal/perf"
 	"github.com/opencloudnext/dhl-go/internal/stats"
 )
@@ -128,36 +126,22 @@ func (tb *testbed) core() *eventsim.Core {
 	return c
 }
 
-// newRuntime stands up a DHL runtime with one FPGA (VC709-class), its DMA
-// engine and the stock accelerator module database.
-func (tb *testbed) newRuntime(dmaCfg pcie.Config, coreCfg core.Config) (*core.Runtime, *fpga.Device, *pcie.Engine, error) {
-	// A fault plan on the runtime config is shared with the DMA engine and
-	// the FPGA device, so one seed drives every injection layer. A
-	// telemetry registry propagates the same way: arming the runtime arms
-	// the DMA service-time and Dispatcher histograms too.
-	if dmaCfg.Faults == nil {
-		dmaCfg.Faults = coreCfg.Faults
-	}
-	if dmaCfg.Telemetry == nil {
-		dmaCfg.Telemetry = coreCfg.Telemetry
-	}
-	dev, err := fpga.NewDevice(tb.sim, fpga.Config{ID: 0, Node: 0, Faults: coreCfg.Faults, Telemetry: coreCfg.Telemetry})
+// newRuntime stands up a DHL runtime on the testbed's simulation and pool,
+// with the stock accelerator module database. core.NewRuntime builds the
+// boards (one by default), their DMA engines and the transfer cores, and
+// hands the config's fault plan and telemetry registry to all of them.
+func (tb *testbed) newRuntime(cfg core.Config) (*core.Runtime, error) {
+	cfg.Sim, cfg.Pool = tb.sim, tb.pool
+	rt, err := core.NewRuntime(cfg)
 	if err != nil {
-		return nil, nil, nil, err
-	}
-	dma := pcie.NewEngine(tb.sim, dmaCfg)
-	coreCfg.Sim = tb.sim
-	coreCfg.FPGAs = []core.FPGAAttachment{{Device: dev, DMA: dma}}
-	rt, err := core.NewRuntime(coreCfg)
-	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	for _, spec := range hwfunc.Specs() {
 		if err := rt.RegisterModule(spec); err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
 	}
-	return rt, dev, dma, nil
+	return rt, nil
 }
 
 // portPair creates the NIC a run forwards across: the RX port as configured

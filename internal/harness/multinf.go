@@ -4,7 +4,6 @@ import (
 	"github.com/opencloudnext/dhl-go/internal/core"
 	"github.com/opencloudnext/dhl-go/internal/eventsim"
 	"github.com/opencloudnext/dhl-go/internal/netdev"
-	"github.com/opencloudnext/dhl-go/internal/pcie"
 	"github.com/opencloudnext/dhl-go/internal/perf"
 )
 
@@ -50,11 +49,8 @@ func RunMultiNF(cfg MultiNFConfig) (MultiNFResult, error) {
 	if err != nil {
 		return res, err
 	}
-	rt, _, _, err := tb.newRuntime(pcie.Config{}, core.Config{})
+	rt, err := tb.newRuntime(core.Config{})
 	if err != nil {
-		return res, err
-	}
-	if err := rt.AttachCores(0, tb.core(), tb.core(), tb.pool); err != nil {
 		return res, err
 	}
 	apps, err := multiNFApps(rt, cfg.SharedAccelerator)

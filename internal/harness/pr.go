@@ -8,7 +8,6 @@ import (
 	"github.com/opencloudnext/dhl-go/internal/fpga"
 	"github.com/opencloudnext/dhl-go/internal/hwfunc"
 	"github.com/opencloudnext/dhl-go/internal/netdev"
-	"github.com/opencloudnext/dhl-go/internal/pcie"
 	"github.com/opencloudnext/dhl-go/internal/perf"
 )
 
@@ -52,11 +51,12 @@ func runPRCase(running NFKind, newModule string) (prResult, error) {
 	if err != nil {
 		return res, err
 	}
-	rt, dev, _, err := tb.newRuntime(pcie.Config{}, core.Config{})
+	rt, err := tb.newRuntime(core.Config{})
 	if err != nil {
 		return res, err
 	}
-	if err := rt.AttachCores(0, tb.core(), tb.core(), tb.pool); err != nil {
+	dev, err := rt.Device(0)
+	if err != nil {
 		return res, err
 	}
 	rxPort, txPort, err := tb.portPair(netdev.PortConfig{ID: 0, RateBps: perf.NIC40GBps, RxQueues: 2}, 1)

@@ -272,14 +272,11 @@ func wireCPUOnly(tb *testbed, rxPort, txPort *netdev.Port, proc swProcessor, dro
 // the RX+shallow path, one on the OBQ+TX path, and the runtime's own
 // TX/RX transfer cores.
 func wireDHL(tb *testbed, rxPort, txPort *netdev.Port, cfg SingleNFConfig, dropped *uint64) (*core.Runtime, error) {
-	rt, _, _, err := tb.newRuntime(
-		pcie.Config{Mode: cfg.Driver, RemoteNUMA: cfg.RemoteNUMA},
-		core.Config{BatchBytes: cfg.BatchBytes, FlushTimeout: cfg.FlushTimeout, Telemetry: cfg.Telemetry},
-	)
+	rt, err := tb.newRuntime(core.Config{
+		Driver: cfg.Driver, RemoteNUMA: cfg.RemoteNUMA,
+		BatchBytes: cfg.BatchBytes, FlushTimeout: cfg.FlushTimeout, Telemetry: cfg.Telemetry,
+	})
 	if err != nil {
-		return nil, err
-	}
-	if err := rt.AttachCores(0, tb.core(), tb.core(), tb.pool); err != nil {
 		return nil, err
 	}
 

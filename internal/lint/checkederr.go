@@ -18,8 +18,7 @@ type CheckedErr struct{}
 //   - the Table II surface (Register/LoadPR/SearchByName/AccConfigure/
 //     SendPackets/ReceivePackets) and the mempool contract (Pool.Free/
 //     FreeBulk/AllocBulk);
-//   - the recovery surface (Device.Reload/ResetRegion,
-//     Runtime.RegisterFallback);
+//   - the recovery surface (Device.Reload/ResetRegion);
 //   - the operational surface's lifecycle (System.Serve, Exporter.Serve/
 //     Close) and the management client (ControlClient.Call): a dropped
 //     error there is an endpoint that never came up or an operation that
@@ -32,24 +31,22 @@ type CheckedErr struct{}
 //     it): a dropped OfflineBoard or Migrate error strands accelerators
 //     on a board the caller believes they left.
 var apiMethods = map[string]bool{
-	"SendPackets":      true,
-	"ReceivePackets":   true,
-	"Register":         true,
-	"LoadPR":           true,
-	"SearchByName":     true,
-	"AccConfigure":     true,
-	"RegisterModule":   true,
-	"AttachCores":      true,
-	"Free":             true,
-	"FreeBulk":         true,
-	"AllocBulk":        true,
-	"Reload":           true,
-	"ResetRegion":      true,
-	"RegisterFallback": true,
-	"Place":            true,
-	"Serve":            true,
-	"Close":            true,
-	"Call":             true,
+	"SendPackets":    true,
+	"ReceivePackets": true,
+	"Register":       true,
+	"LoadPR":         true,
+	"SearchByName":   true,
+	"AccConfigure":   true,
+	"RegisterModule": true,
+	"Free":           true,
+	"FreeBulk":       true,
+	"AllocBulk":      true,
+	"Reload":         true,
+	"ResetRegion":    true,
+	"Place":          true,
+	"Serve":          true,
+	"Close":          true,
+	"Call":           true,
 
 	"TrySendPackets":     true,
 	"RegisterPressure":   true,

@@ -7,10 +7,8 @@ import (
 	"github.com/opencloudnext/dhl-go/internal/core"
 	"github.com/opencloudnext/dhl-go/internal/eth"
 	"github.com/opencloudnext/dhl-go/internal/eventsim"
-	"github.com/opencloudnext/dhl-go/internal/fpga"
 	"github.com/opencloudnext/dhl-go/internal/hwfunc"
 	"github.com/opencloudnext/dhl-go/internal/mbuf"
-	"github.com/opencloudnext/dhl-go/internal/pcie"
 )
 
 type dhlRig struct {
@@ -26,15 +24,7 @@ func newDHLRig(t *testing.T) *dhlRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev, err := fpga.NewDevice(sim, fpga.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt, err := core.NewRuntime(core.Config{
-		Sim:          sim,
-		FPGAs:        []core.FPGAAttachment{{Device: dev, DMA: pcie.NewEngine(sim, pcie.Config{})}},
-		FlushTimeout: 5 * eventsim.Microsecond,
-	})
+	rt, err := core.NewRuntime(core.Config{Sim: sim, Pool: pool, FlushTimeout: 5 * eventsim.Microsecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,9 +32,6 @@ func newDHLRig(t *testing.T) *dhlRig {
 		if err := rt.RegisterModule(spec); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := rt.AttachCores(0, eventsim.NewCore(sim, 0, 0, 2.1e9), eventsim.NewCore(sim, 1, 0, 2.1e9), pool); err != nil {
-		t.Fatal(err)
 	}
 	return &dhlRig{sim: sim, pool: pool, rt: rt}
 }

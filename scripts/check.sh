@@ -72,6 +72,10 @@ targeted -race -short -run 'BoardFailover' -count=1 ./internal/harness
 echo "==> migration zero-leak gate (live migration under traffic: ledger balanced, 0 mbufs leaked)"
 targeted -race -run 'MigrationZeroLeak|MigrateLive|ReplicaPromotion|BringUpReplays|EvictAfterReloadDied|DrainBoardMovesPrimaries|EvictUnloadsReplicas|SearchByNameFindsLiveRow' -count=1 ./internal/core
 
+echo "==> runtime construction gate (one NewRuntime call builds the fleet node-major; a node whose board is out resolves remotely)"
+targeted -race -run '^TestNewRuntimeBuildsNodeMajorFleet$' -count=1 ./internal/core
+targeted -race -run '^TestTwoNodeFallbackToRemoteBoard$' -count=1 ./internal/core
+
 echo "==> autotuner smoke (control law, backpressure edges, zero-alloc with tuner armed)"
 targeted -short -run 'Tuner|AutoTune|Pressure|CopySince|PerAccTuning|AccBatch' -count=1 \
     ./internal/tuner ./internal/core ./internal/telemetry .

@@ -7,7 +7,6 @@ import (
 	"github.com/opencloudnext/dhl-go/internal/core"
 	"github.com/opencloudnext/dhl-go/internal/ctlplane"
 	"github.com/opencloudnext/dhl-go/internal/flowtab"
-	"github.com/opencloudnext/dhl-go/internal/fpga"
 	"github.com/opencloudnext/dhl-go/internal/placement"
 	"github.com/opencloudnext/dhl-go/internal/telemetry"
 	"github.com/opencloudnext/dhl-go/internal/tuner"
@@ -144,14 +143,6 @@ func (s *System) Control() *Control { return &s.control }
 
 // Snapshot is System.Snapshot, for the control plane's telemetry.delta.
 func (c *Control) Snapshot() *TelemetrySnapshot { return c.sys.Snapshot() }
-
-// Device returns FPGA board i for inspection (floorplans, stats).
-func (c *Control) Device(i int) (*fpga.Device, error) {
-	if i < 0 || i >= len(c.sys.devices) {
-		return nil, fmt.Errorf("dhl: device %d out of range [0,%d)", i, len(c.sys.devices))
-	}
-	return c.sys.devices[i], nil
-}
 
 // RegisterFlowTables attaches NF flow tables to the system's
 // observability surface: their occupancy/eviction/rehash counters show
