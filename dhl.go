@@ -212,11 +212,9 @@ type SystemConfig struct {
 	// Telemetry arms the zero-allocation telemetry subsystem: per-stage
 	// latency histograms, per-core counters, occupancy gauges and the
 	// batch span ring. Off (the default) leaves the hot path exactly as
-	// before; on, recording stays allocation-free in steady state.
+	// before; on, recording stays allocation-free in steady state. The
+	// span ring keeps the most recent telemetry.DefaultSpanCap batches.
 	Telemetry bool
-	// TelemetrySpanCap bounds the batch trace-span ring. Zero selects
-	// telemetry.DefaultSpanCap (256); older spans are overwritten.
-	TelemetrySpanCap int
 }
 
 // poolCapacity is the shared mbuf pool's size.
@@ -302,7 +300,7 @@ func buildSystem(cfg SystemConfig, faults *FaultPlan) (*System, error) {
 	}
 	sys := &System{sim: sim, pool: pool}
 	if cfg.Telemetry {
-		sys.tel = telemetry.New(cfg.TelemetrySpanCap)
+		sys.tel = telemetry.New(telemetry.DefaultSpanCap)
 		p := pool
 		sys.tel.RegisterGauge("dhl_mbuf_in_use", "", "Packet buffers currently leased from the shared pool.",
 			func() float64 { return float64(p.InUse()) })

@@ -17,7 +17,7 @@ import (
 // TestFacadeSurface pins the public surface so it cannot grow back: a
 // System is the paper's eight Table II calls, what drives and observes
 // the simulation, Serve and Control; everything else is Control's. The
-// config is the four settings a caller sets.
+// config is the three settings a caller sets.
 func TestFacadeSurface(t *testing.T) {
 	sysT := reflect.TypeFor[*dhl.System]()
 	var methods []string
@@ -43,7 +43,7 @@ func TestFacadeSurface(t *testing.T) {
 	for i := 0; i < cfgT.NumField(); i++ {
 		fields = append(fields, cfgT.Field(i).Name)
 	}
-	if want := []string{"Nodes", "FPGAsPerNode", "Telemetry", "TelemetrySpanCap"}; !slices.Equal(fields, want) {
+	if want := []string{"Nodes", "FPGAsPerNode", "Telemetry"}; !slices.Equal(fields, want) {
 		t.Errorf("SystemConfig fields = %v, want %v", fields, want)
 	}
 }

@@ -16,7 +16,9 @@ import (
 // transfer counters must come out the same. The batches interleave two
 // NFs' records, break a run with an nf_id mismatch, with a record that
 // does not fit its mbuf (SetLen fails) and with an NF whose OBQ fills
-// mid-run, and carry records for a closed NF and for no NF at all.
+// mid-run, and carry records for a closed NF and for no NF at all. Each
+// OBQ starts with all but room of its slots taken by filler packets, so
+// a run of room+1 records fills it.
 func TestDistributorRuns(t *testing.T) {
 	// rec is one record of the batch: the NF whose original it is, the
 	// nf_id the response carries for it (0: the same), and whether its
@@ -26,6 +28,7 @@ func TestDistributorRuns(t *testing.T) {
 		big         bool
 	}
 	const a, b, closed, unknown = 1, 2, 3, 9
+	const room = 7
 	for _, tc := range []struct {
 		name string
 		recs []rec
@@ -39,7 +42,7 @@ func TestDistributorRuns(t *testing.T) {
 		{"one record", []rec{{owner: b}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			r := newRig(t, Config{OBQSize: 8})
+			r := newPoolRig(t, Config{}, 4096)
 			for _, name := range []string{"a", "b", "closed"} {
 				if _, err := r.rt.Register(name, 0); err != nil {
 					t.Fatal(err)
@@ -60,10 +63,12 @@ func TestDistributorRuns(t *testing.T) {
 			want := TransferStats{}
 			wantOBQ := map[int][]string{}
 			wantDrops := map[int]uint64{}
-			obqCap := r.rt.nfs[a-1].obq.Capacity()
+			fill := r.rt.nfs[a-1].obq.Capacity() - room
+			r.fillOBQ(t, a, room)
+			r.fillOBQ(t, b, room)
 			payload := func(i int, big bool) []byte {
 				if big {
-					return bytes.Repeat([]byte{byte(i)}, r.pool.DataRoom()+1)
+					return bytes.Repeat([]byte{byte(i)}, mbuf.DefaultDataRoom-mbuf.DefaultHeadroom+1)
 				}
 				return []byte(fmt.Sprintf("record %d", i))
 			}
@@ -80,7 +85,7 @@ func TestDistributorRuns(t *testing.T) {
 				case rc.owner == closed:
 					want.PktsDistributed++
 					want.DropNFClosed++
-				case len(wantOBQ[rc.owner]) == obqCap:
+				case len(wantOBQ[rc.owner]) == room:
 					want.PktsDistributed++
 					want.DropOBQFull++
 					wantDrops[rc.owner]++
@@ -127,7 +132,7 @@ func TestDistributorRuns(t *testing.T) {
 			if got != want {
 				t.Errorf("counters %+v, per-packet delivery gives %+v", got, want)
 			}
-			out := make([]*mbuf.Mbuf, 2*obqCap)
+			out := make([]*mbuf.Mbuf, fill+2*room)
 			for _, id := range []int{a, b} {
 				nf := r.rt.nfs[id-1]
 				if nf.returned != uint64(len(wantOBQ[id])) || nf.obqDrops != wantDrops[id] {
@@ -139,8 +144,10 @@ func TestDistributorRuns(t *testing.T) {
 					t.Fatal(err)
 				}
 				var gotOBQ []string
-				for _, m := range out[:n] {
-					gotOBQ = append(gotOBQ, string(m.Data()))
+				for i, m := range out[:n] {
+					if i >= fill {
+						gotOBQ = append(gotOBQ, string(m.Data()))
+					}
 					if err := r.pool.Free(m); err != nil {
 						t.Fatal(err)
 					}

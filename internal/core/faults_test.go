@@ -458,16 +458,17 @@ func TestUnregisterDrainsInFlightPackets(t *testing.T) {
 // --- OBQ overflow under churn (satellite b) ------------------------------
 
 func TestOBQOverflowChurnLeakFree(t *testing.T) {
-	r := newRig(t, Config{FlushTimeout: 5 * eventsim.Microsecond, OBQSize: 4}, revSpec())
+	r := newPoolRig(t, Config{FlushTimeout: 5 * eventsim.Microsecond}, 2048, revSpec())
 	nf, _ := r.rt.Register("churn", 0)
 	acc, err := r.rt.SearchByName("rev", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r.settle()
-	out := make([]*mbuf.Mbuf, 64)
+	out := make([]*mbuf.Mbuf, r.rt.nfs[nf-1].obq.Capacity())
 	for round := 0; round < 25; round++ {
-		// Overrun the 4-slot OBQ, then drain what survived.
+		// Overrun an OBQ with 3 free slots, then drain it.
+		r.fillOBQ(t, nf, 3)
 		sendBurst(t, r, nf, acc, 16)
 		got, _ := r.rt.ReceivePackets(nf, out)
 		for i := 0; i < got; i++ {

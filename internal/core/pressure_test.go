@@ -12,9 +12,9 @@ import (
 )
 
 func TestSendPacketsAttributesRefusals(t *testing.T) {
-	// IBQSize 8 -> ring capacity 7. Without advancing virtual time the TX
-	// core never drains, so a 16-packet burst must be refused at 9.
-	r := newRig(t, Config{IBQSize: 8})
+	// Without advancing virtual time the TX core never drains, so a burst
+	// 9 packets longer than the IBQ must be refused at its tail.
+	r := newRig(t, Config{})
 	id, err := r.rt.Register("producer", 0)
 	if err != nil {
 		t.Fatal(err)
@@ -25,7 +25,8 @@ func TestSendPacketsAttributesRefusals(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	pkts := make([]*mbuf.Mbuf, 16)
+	capacity := r.rt.ibqs[0].Capacity()
+	pkts := make([]*mbuf.Mbuf, capacity+9)
 	for i := range pkts {
 		pkts[i] = r.packet(t, id, 1, []byte("x"))
 	}
@@ -33,8 +34,8 @@ func TestSendPacketsAttributesRefusals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 7 {
-		t.Fatalf("accepted %d of 16 into a cap-7 IBQ", n)
+	if n != capacity {
+		t.Fatalf("accepted %d of %d into a cap-%d IBQ", n, len(pkts), capacity)
 	}
 	st, err := r.rt.Stats(0)
 	if err != nil {
@@ -47,8 +48,8 @@ func TestSendPacketsAttributesRefusals(t *testing.T) {
 		t.Fatalf("rejected = %d, want 9", got)
 	}
 	rejected, hot, qlen, qcap := r.rt.IBQPressure(0)
-	if rejected != 9 || !hot || qlen != 7 || qcap != 7 {
-		t.Fatalf("IBQPressure = (%d, %v, %d, %d), want (9, true, 7, 7)", rejected, hot, qlen, qcap)
+	if rejected != 9 || !hot || qlen != capacity || qcap != capacity {
+		t.Fatalf("IBQPressure = (%d, %v, %d, %d), want (9, true, %d, %d)", rejected, hot, qlen, qcap, capacity, capacity)
 	}
 	// The refusing send crossed the high-water mark, so the signal is the
 	// rising-edge broadcast (Rejected 0, Pressured true).
@@ -56,7 +57,7 @@ func TestSendPacketsAttributesRefusals(t *testing.T) {
 		t.Fatalf("events after refusing send = %+v, want one rising edge", events)
 	}
 	// Caller keeps ownership of the refused tail.
-	for _, m := range pkts[7:] {
+	for _, m := range pkts[capacity:] {
 		if ferr := r.pool.Free(m); ferr != nil {
 			t.Fatalf("refused packet not owned by caller: %v", ferr)
 		}
@@ -86,9 +87,8 @@ func TestSendPacketsAttributesRefusals(t *testing.T) {
 }
 
 func TestPressureWatermarkEdges(t *testing.T) {
-	// IBQSize 16 -> capacity 15: rise at qlen >= 12 (3/4), fall at
-	// qlen <= 7 (1/2).
-	r := newRig(t, Config{IBQSize: 16})
+	// The latch rises at 3/4 of the IBQ's capacity and falls at 1/2.
+	r := newRig(t, Config{})
 	id, err := r.rt.Register("producer", 0)
 	if err != nil {
 		t.Fatal(err)
@@ -99,18 +99,25 @@ func TestPressureWatermarkEdges(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	fill := make([]*mbuf.Mbuf, 12)
+	rise := (3*r.rt.ibqs[0].Capacity() + 3) / 4
+	fill := make([]*mbuf.Mbuf, rise)
 	for i := range fill {
 		fill[i] = r.packet(t, id, 0, []byte("p"))
 	}
-	if n, serr := r.rt.SendPackets(id, fill); serr != nil || n != 12 {
+	if n, serr := r.rt.SendPackets(id, fill[:rise-1]); serr != nil || n != rise-1 {
+		t.Fatalf("fill send: n=%d err=%v", n, serr)
+	}
+	if len(events) != 0 {
+		t.Fatalf("edge below the high-water mark: %+v", events)
+	}
+	if n, serr := r.rt.SendPackets(id, fill[rise-1:]); serr != nil || n != 1 {
 		t.Fatalf("fill send: n=%d err=%v", n, serr)
 	}
 	if len(events) != 1 || !events[0].Pressured || events[0].Rejected != 0 {
 		t.Fatalf("rising edge = %+v", events)
 	}
 	if _, hot, _, _ := r.rt.IBQPressure(0); !hot {
-		t.Fatal("latch not set at 12/15 occupancy")
+		t.Fatalf("latch not set at %d occupancy", rise)
 	}
 	// Drain (unknown acc_id 0 -> DropNoRoute, buffers freed), then one calm
 	// send must deliver the falling edge.

@@ -51,6 +51,13 @@ const MinBatchBytes = 512
 // claims, the rte_eth_rx_burst convention. SetBurst moves it per node.
 const defaultBurst = 64
 
+// ibqSize is each node's shared input buffer queue ring size, obqSize
+// each NF's private output buffer queue's; a ring holds one entry fewer.
+const (
+	ibqSize = 256
+	obqSize = 1024
+)
+
 // board is one FPGA with the SG-DMA engine in front of it.
 type board struct {
 	dev *fpga.Device
@@ -83,12 +90,6 @@ type Config struct {
 	// FlushTimeout bounds how long a partially filled batch may wait
 	// before being forced out. Zero selects 20us.
 	FlushTimeout eventsim.Time
-	// IBQSize is the shared input buffer queue capacity per node (power of
-	// two). Zero selects 256.
-	IBQSize int
-	// OBQSize is each private output buffer queue's capacity. Zero
-	// selects 1024.
-	OBQSize int
 
 	// Faults is the shared fault-injection plan. Setting it (or a nonzero
 	// WatchdogTimeout) arms the detection/recovery machinery: the batch
@@ -136,12 +137,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.FlushTimeout == 0 {
 		c.FlushTimeout = 20 * eventsim.Microsecond
-	}
-	if c.IBQSize == 0 {
-		c.IBQSize = 256
-	}
-	if c.OBQSize == 0 {
-		c.OBQSize = 1024
 	}
 	if c.WatchdogTimeout == 0 && c.Faults != nil {
 		c.WatchdogTimeout = 250 * eventsim.Microsecond
@@ -304,7 +299,7 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 	r.sched = placement.New(devices)
 	for node := 0; node < cfg.Nodes; node++ {
 		ibq, rerr := ring.New[*mbuf.Mbuf]("ibq-node"+strconv.Itoa(node),
-			nextPow2(cfg.IBQSize), ring.SingleConsumer)
+			ibqSize, ring.SingleConsumer)
 		if rerr != nil {
 			return nil, rerr
 		}
@@ -348,14 +343,6 @@ func (r *Runtime) DMA(b int) (*pcie.Engine, error) {
 		return nil, fmt.Errorf("%w: %d of %d", placement.ErrUnknownBoard, b, len(r.boards))
 	}
 	return r.boards[b].dma, nil
-}
-
-func nextPow2(n int) int {
-	p := 2
-	for p < n {
-		p <<= 1
-	}
-	return p
 }
 
 // Placement exposes the fleet scheduler for inspection (control plane,
@@ -442,7 +429,7 @@ func (r *Runtime) Register(name string, node int) (NFID, error) {
 	// Single producer (the Distributor); multiple consumers are allowed so
 	// an NF may drain its OBQ from one core per port (§V-D's wiring).
 	obq, err := ring.New[*mbuf.Mbuf]("obq-"+name,
-		nextPow2(r.cfg.OBQSize), ring.SingleProducer)
+		obqSize, ring.SingleProducer)
 	if err != nil {
 		return 0, err
 	}

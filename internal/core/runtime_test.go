@@ -99,6 +99,19 @@ func newPoolRig(t testing.TB, cfg Config, poolCap int, specs ...fpga.ModuleSpec)
 
 func (r *rig) settle() { r.sim.Run(r.sim.Now() + 50*eventsim.Millisecond) }
 
+// fillOBQ tops nf's OBQ up with filler packets until room slots are left
+// free, so a burst of more than room deliveries overruns it. The fillers
+// come out of ReceivePackets ahead of what arrives after them.
+func (r *rig) fillOBQ(t *testing.T, nf NFID, room int) {
+	t.Helper()
+	q := r.rt.nfs[nf-1].obq
+	for q.Len() < q.Capacity()-room {
+		if !q.Enqueue(r.packet(t, nf, 0, []byte("filler"))) {
+			t.Fatalf("NF %d's OBQ refused a filler at %d of %d", nf, q.Len(), q.Capacity())
+		}
+	}
+}
+
 func (r *rig) packet(t *testing.T, nf NFID, acc AccID, payload []byte) *mbuf.Mbuf {
 	t.Helper()
 	m, err := r.pool.Alloc()
@@ -616,13 +629,14 @@ func TestQuickEndToEndIntegrity(t *testing.T) {
 }
 
 func TestOBQOverflowDropsAndCounts(t *testing.T) {
-	// A tiny OBQ plus a never-polling NF: overflow must be counted and the
-	// excess packets returned to the pool, not leaked.
-	r := newRig(t, Config{OBQSize: 4, FlushTimeout: 5 * eventsim.Microsecond},
+	// An OBQ with 3 free slots plus a never-polling NF: overflow must be
+	// counted and the excess packets returned to the pool, not leaked.
+	r := newPoolRig(t, Config{FlushTimeout: 5 * eventsim.Microsecond}, 2048,
 		moduleSpec("rev", func() fpga.Module { return reverseModule{} }))
 	nf, _ := r.rt.Register("slow-consumer", 0)
 	acc, _ := r.rt.SearchByName("rev", 0)
 	r.settle()
+	r.fillOBQ(t, nf, 3)
 
 	pkts := make([]*mbuf.Mbuf, 16)
 	for i := range pkts {
@@ -634,14 +648,11 @@ func TestOBQOverflowDropsAndCounts(t *testing.T) {
 	r.sim.Run(r.sim.Now() + eventsim.Millisecond)
 
 	returned, obqDrops := r.rt.nfs[nf-1].returned, r.rt.nfs[nf-1].obqDrops
-	if obqDrops == 0 {
-		t.Error("no OBQ drops recorded")
-	}
-	if returned+obqDrops != 16 {
-		t.Errorf("returned %d + dropped %d != 16", returned, obqDrops)
+	if returned != 3 || obqDrops != 13 {
+		t.Errorf("returned %d, dropped %d into 3 free slots, want 3 and 13", returned, obqDrops)
 	}
 	// Drain what made it; everything else is already back in the pool.
-	out := make([]*mbuf.Mbuf, 16)
+	out := make([]*mbuf.Mbuf, r.rt.nfs[nf-1].obq.Capacity())
 	n, _ := r.rt.ReceivePackets(nf, out)
 	for i := 0; i < n; i++ {
 		_ = r.pool.Free(out[i])

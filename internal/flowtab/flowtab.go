@@ -101,6 +101,8 @@ type Config[K comparable, V any] struct {
 	// WheelSlots sizes the expiry wheel (rounded up to a power of two,
 	// at most 2^24). Zero selects DefaultWheelSlots. Ignored when TTL is
 	// zero.
+	//
+	//dhl:allow unreferenced the model test's lap-wrap seeds need a small wheel
 	WheelSlots int
 	// OnEvict observes TTL and pressure evictions before the entry is
 	// recycled — the NAT uses it to free the translation's external

@@ -182,19 +182,9 @@ type Config struct {
 	ID int
 	// Node is the NUMA node whose PCIe root the board hangs off.
 	Node int
-	// TotalLUTs/TotalBRAM default to the XC7VX690T values.
-	TotalLUTs int
-	TotalBRAM int
-	// StaticLUTs/StaticBRAM default to the Table VI static region.
-	StaticLUTs int
-	StaticBRAM int
 	// Regions is the number of reconfigurable parts in the base design
 	// floorplan. Zero selects 8.
 	Regions int
-	// ClockHz defaults to the 250 MHz base-design clock.
-	ClockHz float64
-	// ICAPBytesPerSec defaults to the calibrated ICAP bandwidth.
-	ICAPBytesPerSec float64
 	// Telemetry, when set, records every dispatched batch's service time
 	// (queueing + serialization + pipeline delay) into the registry's
 	// Dispatch histogram. Nil records nothing; the probe is atomic and
@@ -203,26 +193,8 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.TotalLUTs == 0 {
-		c.TotalLUTs = perf.FPGATotalLUTs
-	}
-	if c.TotalBRAM == 0 {
-		c.TotalBRAM = perf.FPGATotalBRAM
-	}
-	if c.StaticLUTs == 0 {
-		c.StaticLUTs = perf.StaticRegionLUTs
-	}
-	if c.StaticBRAM == 0 {
-		c.StaticBRAM = perf.StaticRegionBRAM
-	}
 	if c.Regions == 0 {
 		c.Regions = 8
-	}
-	if c.ClockHz == 0 {
-		c.ClockHz = perf.FPGAClockHz
-	}
-	if c.ICAPBytesPerSec == 0 {
-		c.ICAPBytesPerSec = perf.ICAPBytesPerSec
 	}
 	return c
 }
@@ -351,11 +323,8 @@ func (d *Device) newCtx() *dispatchCtx {
 // NewDevice creates a device with an empty floorplan.
 func NewDevice(sim *eventsim.Sim, cfg Config) (*Device, error) {
 	cfg = cfg.withDefaults()
-	if cfg.StaticLUTs > cfg.TotalLUTs || cfg.StaticBRAM > cfg.TotalBRAM {
-		return nil, &InsufficientError{
-			NeedLUTs: cfg.StaticLUTs, NeedBRAM: cfg.StaticBRAM,
-			HaveLUTs: cfg.TotalLUTs, HaveBRAM: cfg.TotalBRAM,
-		}
+	if cfg.Regions < 0 {
+		return nil, fmt.Errorf("fpga: negative region count %d", cfg.Regions)
 	}
 	d := &Device{sim: sim, cfg: cfg, regions: make([]Region, cfg.Regions)}
 	for i := range d.regions {
@@ -390,30 +359,30 @@ func (d *Device) Region(idx int) (*Region, error) {
 // AvailableLUTs reports LUTs not consumed by the static region or loaded
 // modules.
 func (d *Device) AvailableLUTs() int {
-	return d.cfg.TotalLUTs - d.cfg.StaticLUTs - d.usedLUTs
+	return perf.FPGATotalLUTs - perf.StaticRegionLUTs - d.usedLUTs
 }
 
 // AvailableBRAM reports BRAM blocks not consumed by the static region or
 // loaded modules.
 func (d *Device) AvailableBRAM() int {
-	return d.cfg.TotalBRAM - d.cfg.StaticBRAM - d.usedBRAM
+	return perf.FPGATotalBRAM - perf.StaticRegionBRAM - d.usedBRAM
 }
 
 // UtilizationLUTs reports the fraction of device LUTs in use (static +
 // modules), the Table VI percentage.
 func (d *Device) UtilizationLUTs() float64 {
-	return float64(d.cfg.StaticLUTs+d.usedLUTs) / float64(d.cfg.TotalLUTs)
+	return float64(perf.StaticRegionLUTs+d.usedLUTs) / perf.FPGATotalLUTs
 }
 
 // UtilizationBRAM reports the fraction of device BRAM in use.
 func (d *Device) UtilizationBRAM() float64 {
-	return float64(d.cfg.StaticBRAM+d.usedBRAM) / float64(d.cfg.TotalBRAM)
+	return float64(perf.StaticRegionBRAM+d.usedBRAM) / perf.FPGATotalBRAM
 }
 
 // PRTime reports the modeled partial-reconfiguration time for a bitstream
 // of the given size (Table V: proportional to bitstream size).
 func (d *Device) PRTime(bitstreamBytes int) eventsim.Time {
-	return eventsim.Time(float64(bitstreamBytes) / d.cfg.ICAPBytesPerSec * 1e12)
+	return eventsim.Time(float64(bitstreamBytes) / perf.ICAPBytesPerSec * 1e12)
 }
 
 // Shutdown marks the device dead: every subsequent LoadPR, Reload,
@@ -663,7 +632,7 @@ func (d *Device) Dispatch(regionIdx int, batch, dst []byte, done func(out []byte
 	r.bytes += uint64(len(batch))
 	d.dispatched++
 	// Pipeline latency on top of serialization.
-	delay := eventsim.Time(float64(r.spec.DelayCycles) / d.cfg.ClockHz * 1e12)
+	delay := eventsim.Time(float64(r.spec.DelayCycles) / perf.FPGAClockHz * 1e12)
 	complete := r.freeAt + delay
 	if tel := d.cfg.Telemetry; tel != nil {
 		tel.Dispatch.Observe(complete - d.sim.Now())
@@ -713,12 +682,13 @@ func (d *Device) RegionStats(regionIdx int) (batches, bytes uint64, busy eventsi
 func (d *Device) Floorplan() string {
 	s := fmt.Sprintf("FPGA %d (node %d): %d/%d LUTs, %d/%d BRAM in use (%.2f%% / %.2f%%)\n",
 		d.cfg.ID, d.cfg.Node,
-		d.cfg.StaticLUTs+d.usedLUTs, d.cfg.TotalLUTs,
-		d.cfg.StaticBRAM+d.usedBRAM, d.cfg.TotalBRAM,
+		perf.StaticRegionLUTs+d.usedLUTs, perf.FPGATotalLUTs,
+		perf.StaticRegionBRAM+d.usedBRAM, perf.FPGATotalBRAM,
 		100*d.UtilizationLUTs(), 100*d.UtilizationBRAM())
+	staticLUTs, staticBRAM := float64(perf.StaticRegionLUTs), float64(perf.StaticRegionBRAM)
 	s += fmt.Sprintf("  static region: %d LUTs (%.2f%%), %d BRAM (%.2f%%)\n",
-		d.cfg.StaticLUTs, 100*float64(d.cfg.StaticLUTs)/float64(d.cfg.TotalLUTs),
-		d.cfg.StaticBRAM, 100*float64(d.cfg.StaticBRAM)/float64(d.cfg.TotalBRAM))
+		perf.StaticRegionLUTs, 100*staticLUTs/perf.FPGATotalLUTs,
+		perf.StaticRegionBRAM, 100*staticBRAM/perf.FPGATotalBRAM)
 	for i := range d.regions {
 		r := &d.regions[i]
 		if r.state == RegionEmpty {

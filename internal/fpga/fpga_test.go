@@ -62,8 +62,12 @@ func TestDeviceDefaults(t *testing.T) {
 	if d.AvailableBRAM() != perf.FPGATotalBRAM-perf.StaticRegionBRAM {
 		t.Errorf("available BRAM %d", d.AvailableBRAM())
 	}
-	if _, err := NewDevice(eventsim.New(), Config{StaticLUTs: 10, TotalLUTs: 5, TotalBRAM: 10, StaticBRAM: 1}); err == nil {
-		t.Error("static > total accepted")
+}
+
+// A negative floorplan size is refused, not handed to make.
+func TestNewDeviceRefusesNegativeRegions(t *testing.T) {
+	if d, err := NewDevice(eventsim.New(), Config{Regions: -1}); err == nil {
+		t.Errorf("Regions -1 accepted: %d regions", d.Regions())
 	}
 }
 

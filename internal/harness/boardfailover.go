@@ -90,7 +90,7 @@ func RunBoardFailover(cfg FailoverConfig) (*BoardFailoverResult, error) {
 	return res, nil
 }
 
-// runBoardFailoverOnce paces cfg.Packets ipsec frames through a two-board
+// runBoardFailoverOnce paces failoverPackets ipsec frames through a two-board
 // fleet, killing board 0 mid-run for the fault variants.
 func runBoardFailoverOnce(cfg FailoverConfig, mode boardFailoverMode, label string) (BoardFailoverRun, error) {
 	run := BoardFailoverRun{FailoverRun: FailoverRun{Label: label}, FinalBoard: -1}
@@ -103,7 +103,7 @@ func runBoardFailoverOnce(cfg FailoverConfig, mode boardFailoverMode, label stri
 		// Kill board 0 on its faultAfter-th dispatch (with a replica board 0
 		// takes every other batch, so the loss lands a third of the way in).
 		if plan, err = faultinject.NewPlan(cfg.Seed,
-			faultinject.Spec{Kind: faultinject.BoardOffline, EveryN: faultAfter(cfg.Packets), Count: 1}); err != nil {
+			faultinject.Spec{Kind: faultinject.BoardOffline, EveryN: faultAfter(failoverPackets), Count: 1}); err != nil {
 			return run, err
 		}
 	}
@@ -133,7 +133,7 @@ func runBoardFailoverOnce(cfg FailoverConfig, mode boardFailoverMode, label stri
 		}
 		tb.settle(40 * eventsim.Millisecond) // warm the replica's PR + config replay
 	}
-	if err := tb.paceFailover(rt, nfID, acc, cfg.Packets, cfg.FrameSize, cfg.Buckets, &run.FailoverRun); err != nil {
+	if err := tb.paceFailover(rt, nfID, acc, cfg.Buckets, &run.FailoverRun); err != nil {
 		return run, err
 	}
 	if info, err := rt.AccInfo(acc); err == nil {

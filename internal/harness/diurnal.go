@@ -30,12 +30,8 @@ import (
 
 // DiurnalConfig parameterizes one diurnal sweep run.
 type DiurnalConfig struct {
-	// Kind selects the evaluated NF. Default IPsecGateway.
-	Kind NFKind
 	// FrameSize in bytes (64..1500). Default 1024.
 	FrameSize int
-	// NICRateBps defaults to 40G.
-	NICRateBps float64
 	// PeakWireBps is the peak-phase offered load. Default 20 Gbps.
 	PeakWireBps float64
 	// TroughWireBps is the trough-phase offered load. Default 400 Mbps —
@@ -49,19 +45,11 @@ type DiurnalConfig struct {
 	// AutoTune arms the adaptive batching controller; false runs the
 	// fixed-6KB baseline.
 	AutoTune bool
-	// PoolCapacity overrides the testbed mbuf pool size.
-	PoolCapacity int
 }
 
 func (c DiurnalConfig) withDefaults() DiurnalConfig {
-	if c.Kind == 0 {
-		c.Kind = IPsecGateway
-	}
 	if c.FrameSize == 0 {
 		c.FrameSize = 1024
-	}
-	if c.NICRateBps == 0 {
-		c.NICRateBps = perf.NIC40GBps
 	}
 	if c.PeakWireBps == 0 {
 		c.PeakWireBps = 20e9
@@ -186,11 +174,11 @@ func wireDHLIngressPressured(tb *testbed, rt *core.Runtime, app dhlNF, rxPort *n
 func RunDiurnal(cfg DiurnalConfig) (DiurnalResult, error) {
 	cfg = cfg.withDefaults()
 	res := DiurnalResult{Config: cfg}
-	tb, err := newTestbed(cfg.PoolCapacity)
+	tb, err := newTestbed(0)
 	if err != nil {
 		return res, err
 	}
-	rxPort, txPort, err := tb.portPair(netdev.PortConfig{ID: 0, RateBps: cfg.NICRateBps, RxQueues: 2}, 1)
+	rxPort, txPort, err := tb.portPair(netdev.PortConfig{ID: 0, RateBps: perf.NIC40GBps, RxQueues: 2}, 1)
 	if err != nil {
 		return res, err
 	}
@@ -202,7 +190,7 @@ func RunDiurnal(cfg DiurnalConfig) (DiurnalResult, error) {
 	if err != nil {
 		return res, err
 	}
-	app, err := buildDHLApp(rt, cfg.Kind, "nf", nil)
+	app, err := buildDHLApp(rt, IPsecGateway, "nf", nil)
 	if err != nil {
 		return res, err
 	}

@@ -29,9 +29,15 @@ import (
 //
 // Goodput counts only bytes the pipeline actually processed (StatusOK or
 // StatusFallback); unprocessed passthrough deliveries do not count.
+//
+// A run paces failoverPackets frames of failoverFrameSize plaintext
+// bytes: 60 ms at 4 packets / 25 us, long enough to fit the ~29 ms ICAP
+// reload or re-place PR with slack on both sides.
 const (
 	failoverBurst      = 4
 	failoverIntervalPs = 25 * eventsim.Microsecond
+	failoverPackets    = 9600
+	failoverFrameSize  = 256
 )
 
 // FailoverConfig parameterizes RunFailover and RunBoardFailover.
@@ -39,12 +45,6 @@ type FailoverConfig struct {
 	// Seed drives the deterministic fault plan; all three runs derive
 	// their schedule from it. 0 selects the default seed.
 	Seed uint64
-	// Packets is the total paced packet count per run (default 9600,
-	// i.e. a 60 ms run at 4 packets / 25 us — long enough to fit the
-	// ~29 ms ICAP reload or re-place PR with slack on both sides).
-	Packets int
-	// FrameSize is the plaintext frame size in bytes (default 256).
-	FrameSize int
 	// Buckets is the goodput-curve resolution (default 60).
 	Buckets int
 }
@@ -52,12 +52,6 @@ type FailoverConfig struct {
 func (c FailoverConfig) withDefaults() FailoverConfig {
 	if c.Seed == 0 {
 		c.Seed = 42
-	}
-	if c.Packets <= 0 {
-		c.Packets = 9600
-	}
-	if c.FrameSize <= 0 {
-		c.FrameSize = 256
 	}
 	if c.Buckets <= 0 {
 		c.Buckets = 60
@@ -142,7 +136,7 @@ func RunFailover(cfg FailoverConfig) (*FailoverResult, error) {
 		{"fault/no-fallback", false, &res.NoFallback},
 		{"fault/fallback", true, &res.Fallback},
 	} {
-		plan, err := faultinject.NewPlan(cfg.Seed, failoverSpecs(cfg.Packets)...)
+		plan, err := faultinject.NewPlan(cfg.Seed, failoverSpecs(failoverPackets)...)
 		if err != nil {
 			return nil, fmt.Errorf("harness: failover plan: %w", err)
 		}
@@ -161,7 +155,7 @@ func RunFailover(cfg FailoverConfig) (*FailoverResult, error) {
 
 // runFailoverOnce stands up a fresh testbed, wires the ipsec-crypto
 // accelerator (optionally with its software fallback), and paces
-// cfg.Packets frames through it while bucketing delivered-and-processed
+// failoverPackets frames through it while bucketing delivered-and-processed
 // bytes into a goodput time series.
 func runFailoverOnce(cfg FailoverConfig, plan *faultinject.Plan, withFallback bool, label string) (FailoverRun, error) {
 	run := FailoverRun{Label: label}
@@ -181,7 +175,7 @@ func runFailoverOnce(cfg FailoverConfig, plan *faultinject.Plan, withFallback bo
 	if err != nil {
 		return run, err
 	}
-	return run, tb.paceFailover(rt, nfID, acc, cfg.Packets, cfg.FrameSize, cfg.Buckets, &run)
+	return run, tb.paceFailover(rt, nfID, acc, cfg.Buckets, &run)
 }
 
 // openIPsecCrypto brings the keyed ipsec-crypto accelerator up for an NF
@@ -339,20 +333,20 @@ func (tb *testbed) pace(rt *core.Runtime, nfID core.NFID, acc core.AccID, packet
 	return err
 }
 
-// paceFailover paces packets copies of one fixed ipsec request record —
-// the 2-byte encryption offset (0: encrypt the whole frame), then a
-// frameSize-byte plaintext — and buckets the bytes the pipeline actually
-// processed into run's goodput curve: unprocessed passthrough deliveries
-// do not count.
-func (tb *testbed) paceFailover(rt *core.Runtime, nfID core.NFID, acc core.AccID, packets, frameSize, buckets int, run *FailoverRun) error {
-	req := make([]byte, 0, hwfunc.IPsecReqPrefix+frameSize)
+// paceFailover paces failoverPackets copies of one fixed ipsec request
+// record — the 2-byte encryption offset (0: encrypt the whole frame), then
+// a failoverFrameSize-byte plaintext — and buckets the bytes the pipeline
+// actually processed into run's goodput curve: unprocessed passthrough
+// deliveries do not count.
+func (tb *testbed) paceFailover(rt *core.Runtime, nfID core.NFID, acc core.AccID, buckets int, run *FailoverRun) error {
+	req := make([]byte, 0, hwfunc.IPsecReqPrefix+failoverFrameSize)
 	req = binary.BigEndian.AppendUint16(req, 0)
-	for i := 0; i < frameSize; i++ {
+	for i := 0; i < failoverFrameSize; i++ {
 		req = append(req, byte(i))
 	}
 	t0 := tb.sim.Now()
-	ts := stats.NewTimeSeries(pacedDuration(packets).Seconds(), buckets)
-	err := tb.pace(rt, nfID, acc, packets,
+	ts := stats.NewTimeSeries(pacedDuration(failoverPackets).Seconds(), buckets)
+	err := tb.pace(rt, nfID, acc, failoverPackets,
 		func(_ int, m *mbuf.Mbuf) (bool, error) { return true, m.AppendBytes(req) },
 		func(m *mbuf.Mbuf) {
 			if m.Status != mbuf.StatusUnprocessed {

@@ -32,19 +32,19 @@ type FlowScaleConfig struct {
 	// FrameSize defaults to 128 B (small enough to stress per-packet
 	// state costs, large enough to carry the 5-tuple diversity).
 	FrameSize int
-	// NICRateBps defaults to 40G; OfferedWireBps to line rate.
-	NICRateBps     float64
+	// OfferedWireBps defaults to the 40G line rate.
 	OfferedWireBps float64
 	// Warmup and Window bound the measurement (defaults 2 ms and 10 ms).
 	Warmup eventsim.Time
 	Window eventsim.Time
-	// MaxFlows caps the verdict cache (0: unbounded); MemBudgetBytes is
-	// its hard memory budget (0: unbudgeted). FlowTTL expires idle
+	// MemBudgetBytes is the verdict cache's hard memory budget (0:
+	// unbudgeted; no entry cap either way). FlowTTL expires idle
 	// verdicts (default 50 ms so churned-out flows age away).
-	MaxFlows       int
 	MemBudgetBytes int
 	FlowTTL        eventsim.Time
 	// PoolCapacity overrides the testbed mbuf pool size.
+	//
+	//dhl:allow unreferenced TestFlowScaleConservationSeesDryPool starves the pool to reach the AllocFailures ledger
 	PoolCapacity int
 }
 
@@ -58,11 +58,8 @@ func (c FlowScaleConfig) withDefaults() FlowScaleConfig {
 	if c.FrameSize == 0 {
 		c.FrameSize = 128
 	}
-	if c.NICRateBps == 0 {
-		c.NICRateBps = perf.NIC40GBps
-	}
 	if c.OfferedWireBps == 0 {
-		c.OfferedWireBps = c.NICRateBps
+		c.OfferedWireBps = perf.NIC40GBps
 	}
 	if c.Warmup == 0 {
 		c.Warmup = 2 * eventsim.Millisecond
@@ -160,7 +157,7 @@ func RunFlowScale(cfg FlowScaleConfig) (FlowScaleResult, error) {
 	if err != nil {
 		return res, err
 	}
-	rxPort, txPort, err := tb.portPair(netdev.PortConfig{ID: 0, RateBps: cfg.NICRateBps, RxQueues: 2}, 1)
+	rxPort, txPort, err := tb.portPair(netdev.PortConfig{ID: 0, RateBps: perf.NIC40GBps, RxQueues: 2}, 1)
 	if err != nil {
 		return res, err
 	}
@@ -170,7 +167,6 @@ func RunFlowScale(cfg FlowScaleConfig) (FlowScaleResult, error) {
 		return res, err
 	}
 	ffw, err := nf.NewFlowFirewall(fw, nf.FlowFirewallConfig{
-		MaxFlows:       cfg.MaxFlows,
 		MemBudgetBytes: cfg.MemBudgetBytes,
 		FlowTTL:        cfg.FlowTTL,
 		Clock:          tb.sim.Now,

@@ -21,28 +21,24 @@ type SingleNFConfig struct {
 	Mode Mode
 	// FrameSize in bytes (64..1500).
 	FrameSize int
-	// NICRateBps defaults to 40G (Intel XL710-QDA2).
-	NICRateBps float64
-	// OfferedWireBps defaults to line rate.
+	// OfferedWireBps defaults to the 40G line rate (Intel XL710-QDA2).
 	OfferedWireBps float64
 	// Warmup and Window bound the measurement (defaults 4 ms and 20 ms of
 	// virtual time).
 	Warmup eventsim.Time
 	Window eventsim.Time
-	// BatchBytes / FlushTimeout override the DHL runtime's transfer
-	// batching (ablation A1).
-	BatchBytes   int
-	FlushTimeout eventsim.Time
+	// BatchBytes overrides the DHL runtime's batch size (ablation A1).
+	BatchBytes int
 	// Driver / RemoteNUMA select the DMA model variant (ablation A2).
 	Driver     pcie.DriverMode
 	RemoteNUMA bool
 	// MatchFraction is the fraction of NIDS traffic carrying a
 	// rule-matching payload. Default 1/256.
 	MatchFraction float64
-	// Flows is the number of generated 5-tuples.
-	Flows int
 	// PoolCapacity overrides the testbed mbuf pool size (failure
 	// injection runs use a starved pool).
+	//
+	//dhl:allow unreferenced TestPoolExhaustionDegradesGracefully starves the pool to reach the allocation-failure path
 	PoolCapacity int
 	// Telemetry, when set, arms the runtime's per-stage telemetry for DHL
 	// runs (used by the overhead experiment and the per-stage latency
@@ -51,11 +47,8 @@ type SingleNFConfig struct {
 }
 
 func (c SingleNFConfig) withDefaults() SingleNFConfig {
-	if c.NICRateBps == 0 {
-		c.NICRateBps = perf.NIC40GBps
-	}
 	if c.OfferedWireBps == 0 {
-		c.OfferedWireBps = c.NICRateBps
+		c.OfferedWireBps = perf.NIC40GBps
 	}
 	if c.Warmup == 0 {
 		c.Warmup = 4 * eventsim.Millisecond
@@ -130,7 +123,7 @@ func RunSingleNF(cfg SingleNFConfig) (SingleNFResult, error) {
 	if err != nil {
 		return res, err
 	}
-	rxPort, txPort, err := tb.portPair(netdev.PortConfig{ID: 0, RateBps: cfg.NICRateBps, RxQueues: 2}, 1)
+	rxPort, txPort, err := tb.portPair(netdev.PortConfig{ID: 0, RateBps: perf.NIC40GBps, RxQueues: 2}, 1)
 	if err != nil {
 		return res, err
 	}
@@ -167,7 +160,6 @@ func RunSingleNF(cfg SingleNFConfig) (SingleNFResult, error) {
 		Pool:           tb.pool,
 		FrameSize:      cfg.FrameSize,
 		OfferedWireBps: cfg.OfferedWireBps,
-		Flows:          cfg.Flows,
 		Payload:        payload,
 	})
 	if err != nil {
@@ -274,7 +266,7 @@ func wireCPUOnly(tb *testbed, rxPort, txPort *netdev.Port, proc swProcessor, dro
 func wireDHL(tb *testbed, rxPort, txPort *netdev.Port, cfg SingleNFConfig, dropped *uint64) (*core.Runtime, error) {
 	rt, err := tb.newRuntime(core.Config{
 		Driver: cfg.Driver, RemoteNUMA: cfg.RemoteNUMA,
-		BatchBytes: cfg.BatchBytes, FlushTimeout: cfg.FlushTimeout, Telemetry: cfg.Telemetry,
+		BatchBytes: cfg.BatchBytes, Telemetry: cfg.Telemetry,
 	})
 	if err != nil {
 		return nil, err

@@ -129,12 +129,16 @@ func TestGoldenPositives(t *testing.T) {
 			dir:      "unreferenced_pos",
 			analyzer: "unreferenced",
 			want: []string{
+				"lib.Config.Limit has no non-test write",
+				"lib.Config.Label has no non-test write",
+				"lib.Config.Spare has no non-test write",
+				"lib.TableConfig.Hash has no non-test write",
 				"lib.OnlyTestsCall is not reached",
 				"(*lib.Counter).Reset is not reached",
 				"lib.DeadHead is not reached",
 				"lib.deadTail is not reached",
 			},
-			files: []string{"lib.go", "lib.go", "lib.go", "lib.go"},
+			files: []string{"config.go", "config.go", "config.go", "config.go", "lib.go", "lib.go", "lib.go", "lib.go"},
 		},
 	}
 	for _, tc := range cases {
@@ -192,6 +196,7 @@ func TestAllowDirective(t *testing.T) {
 	}{
 		{"escapecheck_neg", "escapecheck", "AllowedEscape: compiler-proven heap escape"},
 		{filepath.Join("unreferenced_neg", "internal", "lib"), "unreferenced", "lib.Oracle is not reached"},
+		{filepath.Join("unreferenced_neg", "internal", "knob"), "unreferenced", "knob.Config.Tuned has no non-test write"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.dir, func(t *testing.T) {

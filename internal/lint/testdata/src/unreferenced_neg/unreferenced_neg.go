@@ -1,10 +1,11 @@
 // Package unreferenced_neg is the root of a fixture tree whose internal
-// package is live in every way the unreferenced analyzer recognises.
+// packages are live in every way the unreferenced analyzer recognises.
 package unreferenced_neg
 
 import (
 	"fmt"
 
+	"github.com/opencloudnext/dhl-go/internal/lint/testdata/src/unreferenced_neg/internal/knob"
 	"github.com/opencloudnext/dhl-go/internal/lint/testdata/src/unreferenced_neg/internal/lib"
 )
 
@@ -13,4 +14,16 @@ func Run() string {
 	var s lib.Shape = lib.NewSquare(2)
 	var lvl lib.Level
 	return fmt.Sprint(lib.Called(), s.Area(), lvl)
+}
+
+// Tune sets every knob of package knob.
+func Tune() int {
+	cfg := knob.Config{Keyed: 1, Defaulted: 2}
+	cfg.Assigned = 2
+	cfg.Bumped++
+	p := &cfg.Pointed
+	*p = 3
+	table := knob.TableConfig[string]{Size: 4, First: "a"}
+	table.Last = "z"
+	return knob.Use(cfg) + knob.Sum(knob.PairConfig{1, 2}) + knob.Size(table)
 }

@@ -9,5 +9,6 @@ import "github.com/opencloudnext/dhl-go/internal/lint/testdata/src/unreferenced_
 func Run() int {
 	c := lib.NewCounter()
 	c.Inc()
-	return lib.Live() + c.N
+	return lib.Live() + c.N + lib.Gauge(lib.Config{Scale: 2}) +
+		lib.TableSize(lib.TableConfig[string]{Size: 4})
 }

@@ -30,6 +30,10 @@ import (
 // reserved roadmap item). An allowed identifier counts as a root, so what
 // it calls is not flagged in turn.
 //
+// The same rule holds for knobs: an exported field of an exported *Config
+// struct of an internal/ package that no non-test file sets is a finding
+// too (see configFields).
+//
 // Reachability needs the whole tree, so the analyzer loads it even when
 // only some of its packages were asked for, and reports only in those.
 type Unreferenced struct{}
@@ -39,7 +43,7 @@ func (*Unreferenced) Name() string { return "unreferenced" }
 
 // Doc implements Analyzer.
 func (*Unreferenced) Doc() string {
-	return "flags identifiers of internal/ packages that no non-internal package, init or initializer reaches"
+	return "flags identifiers of internal/ packages that no non-internal package, init or initializer reaches, and *Config fields no non-test code sets"
 }
 
 // Check implements Analyzer; per-package operation delegates to the
@@ -149,6 +153,10 @@ func (u *Unreferenced) checkTree(dir string, tree []*Package, wanted map[*Packag
 	var roots []declSite
 	var allowed []types.Object
 	treePath, _ := tree[0].loader.pathFor(dir)
+	internal := func(pkg *Package) bool {
+		rel := strings.TrimPrefix(pkg.ImportPath, treePath)
+		return slices.Contains(strings.Split(rel, "/"), "internal")
+	}
 	for _, pkg := range tree {
 		for _, tv := range pkg.Info.Types {
 			if _, ok := tv.Type.(*types.TypeParam); ok {
@@ -160,8 +168,7 @@ func (u *Unreferenced) checkTree(dir string, tree []*Package, wanted map[*Packag
 				}
 			}
 		}
-		rel := strings.TrimPrefix(pkg.ImportPath, treePath)
-		if !slices.Contains(strings.Split(rel, "/"), "internal") {
+		if !internal(pkg) {
 			for _, file := range pkg.Files {
 				roots = append(roots, declSite{pkg, file})
 			}
@@ -219,7 +226,7 @@ func (u *Unreferenced) checkTree(dir string, tree []*Package, wanted map[*Packag
 	}
 	drain()
 
-	var out []Finding
+	out := u.configFields(tree, internal, wanted, reached)
 	for obj, site := range decls {
 		if reached[obj] && !unreached[obj] || !wanted[site.pkg] {
 			continue

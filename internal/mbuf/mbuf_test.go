@@ -19,15 +19,12 @@ func TestPoolConfigValidation(t *testing.T) {
 	if _, err := NewPool(PoolConfig{Capacity: 0}); err == nil {
 		t.Error("zero capacity accepted")
 	}
-	if _, err := NewPool(PoolConfig{Capacity: 4, BufSize: 16}); err == nil {
-		t.Error("buf smaller than headroom accepted")
-	}
-	p, err := NewPool(PoolConfig{Name: "n", Capacity: 4, Node: 1})
+	p, err := NewPool(PoolConfig{Name: "n", Capacity: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Name() != "n" || p.node != 1 || p.Capacity() != 4 {
-		t.Errorf("pool metadata wrong: %q %d %d", p.Name(), p.node, p.Capacity())
+	if p.Name() != "n" || p.Capacity() != 4 {
+		t.Errorf("pool metadata wrong: %q %d", p.Name(), p.Capacity())
 	}
 }
 

@@ -16,11 +16,9 @@ import "fmt"
 // on another goroutine — the dhl_mbuf_in_use gauge of a served system —
 // goes through that loop (System.Serve renders metrics there).
 type Pool struct {
-	name    string
-	node    int // NUMA node the pool's memory lives on (paper §IV-A2)
-	bufSize int
-	slots   []Mbuf
-	free    []int
+	name  string
+	slots []Mbuf
+	free  []int
 
 	allocs uint64
 	frees  uint64
@@ -36,13 +34,9 @@ const hotSlots = 1024
 type PoolConfig struct {
 	// Name identifies the pool in diagnostics.
 	Name string
-	// Capacity is the number of mbufs pre-allocated.
+	// Capacity is the number of mbufs pre-allocated. Every mbuf's buffer
+	// is DefaultDataRoom bytes, headroom included.
 	Capacity int
-	// BufSize is the per-mbuf buffer size including headroom.
-	// Zero selects DefaultDataRoom.
-	BufSize int
-	// Node is the NUMA node of the backing memory.
-	Node int
 }
 
 // NewPool pre-allocates a pool of cfg.Capacity mbufs.
@@ -50,19 +44,10 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 	if cfg.Capacity <= 0 {
 		return nil, fmt.Errorf("mbuf: pool %q: capacity must be positive, got %d", cfg.Name, cfg.Capacity)
 	}
-	bufSize := cfg.BufSize
-	if bufSize == 0 {
-		bufSize = DefaultDataRoom
-	}
-	if bufSize < DefaultHeadroom {
-		return nil, fmt.Errorf("mbuf: pool %q: buf size %d smaller than headroom %d", cfg.Name, bufSize, DefaultHeadroom)
-	}
 	p := &Pool{
-		name:    cfg.Name,
-		node:    cfg.Node,
-		bufSize: bufSize,
-		slots:   make([]Mbuf, cfg.Capacity),
-		free:    make([]int, cfg.Capacity),
+		name:  cfg.Name,
+		slots: make([]Mbuf, cfg.Capacity),
+		free:  make([]int, cfg.Capacity),
 	}
 	for i := range p.slots {
 		p.slots[i] = Mbuf{pool: p, index: i}
@@ -80,10 +65,10 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 //
 //go:noinline
 func (p *Pool) back(lo, hi int) {
-	slab := make([]byte, (hi-lo)*p.bufSize)
+	slab := make([]byte, (hi-lo)*DefaultDataRoom)
 	for i := lo; i < hi; i++ {
-		off := (i - lo) * p.bufSize
-		p.slots[i].buf = slab[off : off+p.bufSize : off+p.bufSize]
+		off := (i - lo) * DefaultDataRoom
+		p.slots[i].buf = slab[off : off+DefaultDataRoom : off+DefaultDataRoom]
 	}
 }
 
@@ -99,10 +84,6 @@ func (p *Pool) Name() string { return p.name }
 
 // Capacity reports the total number of mbufs.
 func (p *Pool) Capacity() int { return len(p.slots) }
-
-// DataRoom reports how many bytes a freshly allocated mbuf can take: its
-// buffer past the default headroom.
-func (p *Pool) DataRoom() int { return p.bufSize - DefaultHeadroom }
 
 // Available reports how many mbufs are currently free.
 func (p *Pool) Available() int { return len(p.free) }

@@ -69,14 +69,12 @@ type GeneratorConfig struct {
 	// disables churn. Requires Flows <= 2^24 (the live-set slot array
 	// is kept in memory).
 	ChurnPerSec float64
-	// OnFlowDeath observes each churn retirement with the retired
-	// flow's id (see FlowSrc for its 5-tuple). NAT/flow-table harnesses
-	// use it to drive their shadow models.
-	OnFlowDeath func(id uint64)
 	// Payload optionally fills packet payloads, as each frame is taken
 	// off the wire (see PayloadFn).
 	Payload PayloadFn
 	// Proto selects eth.ProtoUDP (default) or eth.ProtoTCP.
+	//
+	//dhl:allow unreferenced the frame-build equivalence test and fuzzer cover eth.Build's TCP branch with it
 	Proto uint8
 }
 
@@ -162,12 +160,11 @@ func NewGenerator(sim *eventsim.Sim, cfg GeneratorConfig) (*Generator, error) {
 	if cfg.FrameSize < 64 || cfg.FrameSize > 1500 {
 		return nil, fmt.Errorf("%w: %d", ErrBadFrameSize, cfg.FrameSize)
 	}
-	if room := cfg.Pool.DataRoom(); cfg.FrameSize > room {
-		return nil, fmt.Errorf("%w: %d exceeds pool %q's %d-byte data room",
-			ErrBadFrameSize, cfg.FrameSize, cfg.Pool.Name(), room)
-	}
 	if cfg.OfferedWireBps <= 0 {
 		return nil, ErrBadRateCfg
+	}
+	if cfg.Burst < 0 {
+		return nil, fmt.Errorf("%w: negative burst %d", ErrBadRateCfg, cfg.Burst)
 	}
 	if cfg.Flows < 0 || cfg.Flows > MaxFlows {
 		return nil, fmt.Errorf("%w: %d", ErrBadFlows, cfg.Flows)
@@ -343,14 +340,10 @@ func (g *Generator) churn() {
 		return
 	}
 	slot := g.next() % uint64(len(g.flowIDs))
-	dead := g.flowIDs[slot]
 	g.flowIDs[slot] = g.nextFlowID
 	g.nextFlowID++
 	g.births++
 	g.deaths++
-	if g.cfg.OnFlowDeath != nil {
-		g.cfg.OnFlowDeath(dead)
-	}
 	g.sim.After(g.interChurn, g.churnFn)
 }
 

@@ -28,16 +28,17 @@ type PortConfig struct {
 	ID int
 	// RateBps is the line rate in bits/s (e.g. perf.NIC40GBps).
 	RateBps float64
-	// Node is the NUMA node of the slot the NIC sits in.
-	Node int
 	// RxQueues is the number of RSS receive queues. Zero selects 1.
 	RxQueues int
 	// RxQueueDepth is the per-queue descriptor count. Zero selects 512.
+	//
+	//dhl:allow unreferenced the arrival fuzzer sweeps it against the eager reference
 	RxQueueDepth int
-	// TxBacklogCap bounds the TX serialization backlog; frames offered
-	// beyond it are dropped (TX descriptor exhaustion). Zero selects 100us.
-	TxBacklogCap eventsim.Time
 }
+
+// txBacklogCap bounds a port's TX serialization backlog; frames offered
+// beyond it are dropped (TX descriptor exhaustion).
+const txBacklogCap = 100 * eventsim.Microsecond
 
 // PortStats are lifetime port counters.
 type PortStats struct {
@@ -108,9 +109,6 @@ func NewPort(sim *eventsim.Sim, cfg PortConfig) (*Port, error) {
 	}
 	if cfg.RxQueueDepth == 0 {
 		cfg.RxQueueDepth = 512
-	}
-	if cfg.TxBacklogCap == 0 {
-		cfg.TxBacklogCap = 100 * eventsim.Microsecond
 	}
 	p := &Port{sim: sim, cfg: cfg, latency: stats.NewSeries(0), rxQueues: make([]rxQueue, cfg.RxQueues), headAt: noFrame, armAt: noFrame}
 	for q := range p.rxQueues {
@@ -328,7 +326,7 @@ func (p *Port) TxBurst(pkts []*mbuf.Mbuf, pool *mbuf.Pool) int {
 		if p.txFreeAt > start {
 			start = p.txFreeAt
 		}
-		if start-now > p.cfg.TxBacklogCap {
+		if start-now > txBacklogCap {
 			p.stats.TxDropped++
 			_ = pool.Free(m)
 			continue

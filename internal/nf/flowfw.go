@@ -28,12 +28,8 @@ type FlowFirewall struct {
 
 // FlowFirewallConfig parameterizes NewFlowFirewall.
 type FlowFirewallConfig struct {
-	// MaxFlows caps cached verdicts (table capacity stops doubling at
-	// this power of two); at the cap the entry nearest expiry is
-	// evicted. Zero bounds the cache only by MemBudgetBytes.
-	MaxFlows int
-	// MemBudgetBytes is the hard cache memory budget. Zero is
-	// unbudgeted.
+	// MemBudgetBytes is the hard cache memory budget, the only bound on
+	// the number of cached verdicts. Zero is unbudgeted.
 	MemBudgetBytes int
 	// FlowTTL expires cached verdicts idle for this long. Requires
 	// Clock. Zero keeps them until evicted.
@@ -48,7 +44,6 @@ func NewFlowFirewall(fw *Firewall, cfg FlowFirewallConfig) (*FlowFirewall, error
 		Name:           "fw-flows",
 		Hash:           flowtab.HashFiveTuple,
 		Clock:          cfg.Clock,
-		MaxEntries:     cfg.MaxFlows,
 		MemBudgetBytes: cfg.MemBudgetBytes,
 		TTL:            cfg.FlowTTL,
 	})

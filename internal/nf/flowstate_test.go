@@ -273,8 +273,8 @@ func TestFlowFirewallCachesVerdicts(t *testing.T) {
 	}
 	var now eventsim.Time
 	ffw, err := NewFlowFirewall(fw, FlowFirewallConfig{
-		MaxFlows: 1024, FlowTTL: eventsim.Second,
-		Clock: func() eventsim.Time { return now },
+		FlowTTL: eventsim.Second,
+		Clock:   func() eventsim.Time { return now },
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -63,17 +63,25 @@ type NATConfig struct {
 	External eth.IPv4
 	// PortBase and PortCount bound the external port pool. Zero selects
 	// 20000..60000; a range running past 65535 is clamped to it.
+	//
+	//dhl:allow unreferenced the NAT's port-exhaustion and cursor-wrap tests need a pool of a few ports
 	PortBase  uint16
 	PortCount uint16
 	// MaxFlows caps concurrent translations below the port-pool bound
 	// (table capacity stops doubling at this power of two). Zero leaves
 	// the pool as the only bound.
+	//
+	//dhl:allow unreferenced NAT aging: the flow-state audit and the NAT flow-table tests cap it
 	MaxFlows int
 	// FlowTTL expires translations idle for this long; every translated
 	// packet counts as activity. Requires Clock. Zero keeps mappings
 	// forever, the pre-flowtab behavior.
+	//
+	//dhl:allow unreferenced NAT aging: the flow-state audit arms it
 	FlowTTL eventsim.Time
 	// Clock supplies virtual time for FlowTTL; wire it to Sim.Now.
+	//
+	//dhl:allow unreferenced NAT aging: the flow-state audit wires it to Sim.Now
 	Clock func() eventsim.Time
 }
 

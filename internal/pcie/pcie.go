@@ -81,12 +81,6 @@ type Config struct {
 	// MaxBps is the asymptotic per-direction throughput in bits/s.
 	// Zero selects the calibrated PCIe Gen3 x8 value.
 	MaxBps float64
-	// OverheadBytes is the per-transfer overhead that shapes the
-	// throughput-vs-size curve. Zero selects the calibrated value.
-	OverheadBytes float64
-	// BaseRTTPs is the zero-byte round-trip latency in picoseconds.
-	// Zero selects the calibrated value for Mode.
-	BaseRTTPs float64
 	// RemoteNUMA applies the cross-socket access penalty (§IV-A2).
 	RemoteNUMA bool
 	// Faults is the shared fault-injection plan; nil disables injection.
@@ -104,26 +98,10 @@ func (c Config) withDefaults() Config {
 	if c.Mode == 0 {
 		c.Mode = UIOPoll
 	}
-	switch c.Mode {
-	case InKernel:
-		if c.MaxBps == 0 {
+	if c.MaxBps == 0 {
+		c.MaxBps = perf.DMAMaxBps
+		if c.Mode == InKernel {
 			c.MaxBps = perf.DMAKernelMaxBps
-		}
-		if c.OverheadBytes == 0 {
-			c.OverheadBytes = perf.DMAKernelOverheadBytes
-		}
-		if c.BaseRTTPs == 0 {
-			c.BaseRTTPs = perf.DMAKernelBaseRTTPs
-		}
-	default:
-		if c.MaxBps == 0 {
-			c.MaxBps = perf.DMAMaxBps
-		}
-		if c.OverheadBytes == 0 {
-			c.OverheadBytes = perf.DMAOverheadBytes
-		}
-		if c.BaseRTTPs == 0 {
-			c.BaseRTTPs = perf.DMABaseRTTPs
 		}
 	}
 	return c
@@ -159,13 +137,23 @@ type channel struct {
 type Engine struct {
 	sim *eventsim.Sim
 	cfg Config
-	h2c channel
-	c2h channel
+	// overheadBytes is the per-transfer overhead that shapes the
+	// throughput-vs-size curve, baseRTTPs the zero-byte round trip in
+	// picoseconds: the calibrated values of cfg.Mode.
+	overheadBytes float64
+	baseRTTPs     float64
+	h2c           channel
+	c2h           channel
 }
 
 // NewEngine creates a DMA engine on sim with cfg.
 func NewEngine(sim *eventsim.Sim, cfg Config) *Engine {
-	return &Engine{sim: sim, cfg: cfg.withDefaults()}
+	e := &Engine{sim: sim, cfg: cfg.withDefaults(),
+		overheadBytes: perf.DMAOverheadBytes, baseRTTPs: perf.DMABaseRTTPs}
+	if e.cfg.Mode == InKernel {
+		e.overheadBytes, e.baseRTTPs = perf.DMAKernelOverheadBytes, perf.DMAKernelBaseRTTPs
+	}
+	return e
 }
 
 // Mode reports the driver model in use.
@@ -175,13 +163,13 @@ func (e *Engine) Mode() DriverMode { return e.cfg.Mode }
 // effective wire time of size+overhead bytes. Steady-state throughput then
 // equals SustainedBps by construction.
 func (e *Engine) occupancy(size int) eventsim.Time {
-	return eventsim.Time((float64(size) + e.cfg.OverheadBytes) * 8 / e.cfg.MaxBps * 1e12)
+	return eventsim.Time((float64(size) + e.overheadBytes) * 8 / e.cfg.MaxBps * 1e12)
 }
 
 // oneWayLatency is the extra pipeline latency a transfer sees beyond its
 // serialization (half the base RTT, plus half the NUMA penalty if remote).
 func (e *Engine) oneWayLatency() eventsim.Time {
-	lat := eventsim.Time(e.cfg.BaseRTTPs / 2)
+	lat := eventsim.Time(e.baseRTTPs / 2)
 	if e.cfg.RemoteNUMA {
 		lat += eventsim.Time(perf.DMANUMAPenaltyPs / 2)
 	}

@@ -11,11 +11,11 @@ import (
 // RoundTripPs reports the modeled idle-engine loopback latency for the
 // given size (the Figure 4(b) curve).
 func (e *Engine) RoundTripPs(size int) eventsim.Time {
-	return eventsim.Time(perf.DMARoundTripPs(e.cfg.BaseRTTPs, e.cfg.MaxBps, size, e.cfg.RemoteNUMA))
+	return eventsim.Time(perf.DMARoundTripPs(e.baseRTTPs, e.cfg.MaxBps, size, e.cfg.RemoteNUMA))
 }
 
 // SustainedBps reports the modeled steady-state throughput for transfers
 // of the given size (the Figure 4(a) curve).
 func (e *Engine) SustainedBps(size int) float64 {
-	return perf.DMASustainedBps(e.cfg.MaxBps, e.cfg.OverheadBytes, size)
+	return perf.DMASustainedBps(e.cfg.MaxBps, e.overheadBytes, size)
 }

@@ -228,7 +228,7 @@ func (t *Tuner) Disable() error {
 	}
 	for node := range t.nodes {
 		n := &t.nodes[node]
-		if n.baseBurst > 0 && n.burst != n.baseBurst {
+		if n.burst != n.baseBurst {
 			if err := t.act.SetBurst(node, n.baseBurst); err == nil {
 				n.burst = n.baseBurst
 			}
@@ -436,9 +436,6 @@ func (t *Tuner) apply(ctl *accCtl, target int, flush eventsim.Time, grow bool) {
 // hysteresis consecutive windows before the burst moves.
 func (t *Tuner) decideBurst(node int) {
 	nc := &t.nodes[node]
-	if nc.burst == 0 {
-		return // cores not attached on this node
-	}
 	switch {
 	case nc.hot || nc.winRejects > 0:
 		nc.upStreak++

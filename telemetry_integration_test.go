@@ -24,7 +24,7 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // batch through the whole FPGA chain.
 func telemetryWorkload(t *testing.T) *dhl.System {
 	t.Helper()
-	sys, err := dhl.Open(dhl.SystemConfig{Telemetry: true, TelemetrySpanCap: 8})
+	sys, err := dhl.Open(dhl.SystemConfig{Telemetry: true})
 	if err != nil {
 		t.Fatal(err)
 	}
