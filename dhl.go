@@ -162,17 +162,13 @@ type (
 	FlowTableInfo = flowtab.Info
 )
 
-// Adaptive-batching autotuner types from internal/tuner and the
-// back-pressure surface from internal/core, re-exported for the facade.
+// Adaptive-batching autotuner types from internal/tuner and the batching
+// knobs from internal/core, re-exported for the facade.
 type (
 	// TunerStatus is the controller's operator-facing state: windows
 	// closed, decisions applied, and the current per-accelerator and
 	// per-node targets. Also the `tune.auto` RPC's result shape.
 	TunerStatus = tuner.Status
-	// PressureInfo is one IBQ back-pressure signal delivered to an NF's
-	// RegisterPressure callback: refusal counts and the node's
-	// high-water state.
-	PressureInfo = core.PressureInfo
 	// AccTuning is one member of the batching-knob family: an accelerator's
 	// own values, or for acc_id 0 the defaults their zero fields inherit.
 	AccTuning = core.AccTuning
@@ -465,10 +461,9 @@ func (s *System) SharedIBQ(node int) (*Queue, error) { return s.rt.SharedIBQ(nod
 func (s *System) PrivateOBQ(id NFID) (*Queue, error) { return s.rt.PrivateOBQ(id) }
 
 // SendPackets implements DHL_send_packets(); it returns how many packets
-// the shared IBQ accepted. The caller keeps ownership of the rest;
-// refusals are attributed (TransferStats.IBQRejected) and signaled to a
-// registered pressure callback (Control().RegisterPressure), never
-// silently dropped.
+// the shared IBQ accepted. That count is the NF's one refusal signal: the
+// caller keeps ownership of the rest, and the runtime counts each refusal
+// once, in Stats(node).IBQRejected, never as a silent drop.
 func (s *System) SendPackets(id NFID, pkts []*Packet) (int, error) {
 	return s.rt.SendPackets(id, pkts)
 }

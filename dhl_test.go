@@ -328,7 +328,7 @@ func TestAutoTuneZeroAllocHotPath(t *testing.T) {
 			m.AccID = uint16(acc)
 			pkts[i] = m
 		}
-		sent, _, serr := sys.Control().TrySendPackets(nf, pkts)
+		sent, serr := sys.SendPackets(nf, pkts)
 		if serr != nil || sent != nPkts {
 			t.Fatalf("send %d %v", sent, serr)
 		}
@@ -371,10 +371,10 @@ func TestAutoTuneZeroAllocHotPath(t *testing.T) {
 	}
 }
 
-// TestBackpressureFacade exercises the facade's explicit back-pressure
-// surface: RegisterPressure + TrySendPackets against a system whose IBQ
-// is never drained (no Settle between sends), so a burst larger than
-// the 256-slot default queue must be refused in part.
+// TestBackpressureFacade exercises the facade's one refusal signal:
+// SendPackets against a system whose IBQ is never drained (no Settle
+// between sends), so a burst larger than the 255-slot default queue must
+// be refused in part, and the node's Stats count every refusal.
 func TestBackpressureFacade(t *testing.T) {
 	sys, err := dhl.Open(dhl.SystemConfig{})
 	if err != nil {
@@ -382,10 +382,6 @@ func TestBackpressureFacade(t *testing.T) {
 	}
 	nf, err := sys.Register("bp", 0)
 	if err != nil {
-		t.Fatal(err)
-	}
-	var infos []dhl.PressureInfo
-	if err := sys.Control().RegisterPressure(nf, func(pi dhl.PressureInfo) { infos = append(infos, pi) }); err != nil {
 		t.Fatal(err)
 	}
 	pkts := make([]*dhl.Packet, 300)
@@ -399,15 +395,19 @@ func TestBackpressureFacade(t *testing.T) {
 		}
 		pkts[i] = m
 	}
-	acc, pressured, err := sys.Control().TrySendPackets(nf, pkts)
+	acc, err := sys.SendPackets(nf, pkts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if acc >= len(pkts) || !pressured {
-		t.Fatalf("255-slot IBQ accepted %d of 300, pressured=%v", acc, pressured)
+	if acc >= len(pkts) {
+		t.Fatalf("255-slot IBQ accepted %d of 300", acc)
 	}
-	if len(infos) == 0 {
-		t.Fatal("no pressure callback for a refused burst")
+	st, err := sys.Stats(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.IBQRejected != uint64(len(pkts)-acc) {
+		t.Fatalf("Stats(0).IBQRejected = %d, want the %d refused", st.IBQRejected, len(pkts)-acc)
 	}
 	for _, m := range pkts[acc:] { // caller keeps ownership of the tail
 		if ferr := sys.Pool().Free(m); ferr != nil {

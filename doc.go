@@ -63,12 +63,10 @@
 // dhl_tuner_* metrics, reversible via AutoTuneDisable, and
 // allocation-free in steady state (DESIGN.md §14).
 //
-// Overload is reported rather than silently dropped: Control's
-// TrySendPackets is the non-blocking send returning (accepted,
-// pressured, err) with the caller keeping ownership of the refused tail,
-// and RegisterPressure subscribes an NF to its node's IBQ high-water
-// edges and per-refusal counts so producers can shed or hold instead of
-// guessing.
+// Overload is reported rather than silently dropped: SendPackets never
+// blocks, returns how many packets the shared IBQ accepted, and leaves
+// the refused tail with the caller to hold, retry or free. The runtime
+// counts each refusal once, in Stats(node).IBQRejected.
 //
 // The runnable examples under examples/ and the experiment harness
 // (internal/harness, driven by cmd/dhl-bench and the root benchmarks)

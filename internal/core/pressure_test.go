@@ -19,12 +19,6 @@ func TestSendPacketsAttributesRefusals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var events []PressureInfo
-	if err := r.rt.RegisterPressure(id, func(pi PressureInfo) {
-		events = append(events, pi)
-	}); err != nil {
-		t.Fatal(err)
-	}
 	capacity := r.rt.ibqs[0].Capacity()
 	pkts := make([]*mbuf.Mbuf, capacity+9)
 	for i := range pkts {
@@ -37,24 +31,11 @@ func TestSendPacketsAttributesRefusals(t *testing.T) {
 	if n != capacity {
 		t.Fatalf("accepted %d of %d into a cap-%d IBQ", n, len(pkts), capacity)
 	}
-	st, err := r.rt.Stats(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.IBQRejected != 9 {
+	if st := r.stats(t); st.IBQRejected != 9 {
 		t.Fatalf("Stats.IBQRejected = %d, want 9", st.IBQRejected)
 	}
-	if got := r.rt.nfs[id-1].rejected; got != 9 {
-		t.Fatalf("rejected = %d, want 9", got)
-	}
-	rejected, hot, qlen, qcap := r.rt.IBQPressure(0)
-	if rejected != 9 || !hot || qlen != capacity || qcap != capacity {
-		t.Fatalf("IBQPressure = (%d, %v, %d, %d), want (9, true, %d, %d)", rejected, hot, qlen, qcap, capacity, capacity)
-	}
-	// The refusing send crossed the high-water mark, so the signal is the
-	// rising-edge broadcast (Rejected 0, Pressured true).
-	if len(events) != 1 || events[0].Rejected != 0 || !events[0].Pressured {
-		t.Fatalf("events after refusing send = %+v, want one rising edge", events)
+	if rejected, hot := r.rt.IBQPressure(0); rejected != 9 || !hot {
+		t.Fatalf("IBQPressure = (%d, %v), want (9, true)", rejected, hot)
 	}
 	// Caller keeps ownership of the refused tail.
 	for _, m := range pkts[capacity:] {
@@ -62,101 +43,109 @@ func TestSendPacketsAttributesRefusals(t *testing.T) {
 			t.Fatalf("refused packet not owned by caller: %v", ferr)
 		}
 	}
-	// A further refused send while hot signals the sender directly.
+	// A further send into the full IBQ is refused whole and counted once.
 	more := []*mbuf.Mbuf{r.packet(t, id, 1, []byte("y")), r.packet(t, id, 1, []byte("z"))}
-	acc, pressured, err := r.rt.TrySendPackets(id, more)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc != 0 || !pressured {
-		t.Fatalf("TrySendPackets on a full IBQ = (%d, %v), want (0, true)", acc, pressured)
-	}
-	last := events[len(events)-1]
-	if last.Rejected != 2 || !last.Pressured || last.NF != id {
-		t.Fatalf("per-refusal callback = %+v", last)
+	if acc, err := r.rt.SendPackets(id, more); err != nil || acc != 0 {
+		t.Fatalf("SendPackets on a full IBQ = (%d, %v), want (0, nil)", acc, err)
 	}
 	for _, m := range more {
 		_ = r.pool.Free(m)
 	}
-	if got := r.rt.nfs[id-1].rejected; got != 11 {
-		t.Fatalf("rejected after second refusal = %d, want 11", got)
+	if st := r.stats(t); st.IBQRejected != 11 {
+		t.Fatalf("Stats.IBQRejected after second refusal = %d, want 11", st.IBQRejected)
 	}
-	if err := r.rt.RegisterPressure(42, nil); !errors.Is(err, ErrUnknownNF) {
-		t.Fatalf("RegisterPressure unknown NF: %v", err)
+	if _, err := r.rt.SendPackets(42, nil); !errors.Is(err, ErrUnknownNF) {
+		t.Fatalf("SendPackets unknown NF: %v", err)
 	}
 }
 
+// TestPressureWatermarkEdges pins the node latch the tuner reads through
+// IBQPressure and a scrape through dhl_ibq_pressure: it rises at 3/4
+// occupancy or on a refusal, holds between the marks, and falls at 1/2
+// only on a send that had nothing refused.
 func TestPressureWatermarkEdges(t *testing.T) {
-	// The latch rises at 3/4 of the IBQ's capacity and falls at 1/2.
-	r := newRig(t, Config{})
+	tel := telemetry.New(64)
+	r := newRig(t, Config{Telemetry: tel})
 	id, err := r.rt.Register("producer", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var events []PressureInfo
-	if err := r.rt.RegisterPressure(id, func(pi PressureInfo) {
-		events = append(events, pi)
-	}); err != nil {
-		t.Fatal(err)
+	ibq := r.rt.ibqs[0]
+	capacity := ibq.Capacity()
+	latch := func(want bool, when string) {
+		t.Helper()
+		_, hot := r.rt.IBQPressure(0)
+		gauge := -1.0
+		for _, g := range tel.Snapshot().Gauges {
+			if g.Name == "dhl_ibq_pressure" && g.Labels == `node="0"` {
+				gauge = g.Value
+			}
+		}
+		wantGauge := 0.0
+		if want {
+			wantGauge = 1
+		}
+		if hot != want || gauge != wantGauge {
+			t.Fatalf("%s at %d of %d: IBQPressure hot=%v, dhl_ibq_pressure=%v; want %v",
+				when, ibq.Len(), capacity, hot, gauge, want)
+		}
 	}
-	rise := (3*r.rt.ibqs[0].Capacity() + 3) / 4
-	fill := make([]*mbuf.Mbuf, rise)
-	for i := range fill {
-		fill[i] = r.packet(t, id, 0, []byte("p"))
+	// send offers n packets and frees the refused tail; take plays the TX
+	// core, which never runs while virtual time stands still.
+	send := func(n int) int {
+		t.Helper()
+		pkts := make([]*mbuf.Mbuf, n)
+		for i := range pkts {
+			pkts[i] = r.packet(t, id, 0, []byte("p"))
+		}
+		acc, err := r.rt.SendPackets(id, pkts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range pkts[acc:] {
+			_ = r.pool.Free(m)
+		}
+		return acc
 	}
-	if n, serr := r.rt.SendPackets(id, fill[:rise-1]); serr != nil || n != rise-1 {
-		t.Fatalf("fill send: n=%d err=%v", n, serr)
+	take := func(n int) {
+		t.Helper()
+		out := make([]*mbuf.Mbuf, n)
+		if got := ibq.DequeueBurst(out); got != n {
+			t.Fatalf("IBQ gave %d of %d", got, n)
+		}
+		if err := r.pool.FreeBulk(out); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if len(events) != 0 {
-		t.Fatalf("edge below the high-water mark: %+v", events)
+
+	rise := (3*capacity + 3) / 4
+	send(rise - 1)
+	latch(false, "below 3/4")
+	send(1)
+	latch(true, "at 3/4")
+	take(ibq.Len() - capacity/2 - 1)
+	send(0)
+	latch(true, "a send above 1/2")
+	take(2)
+	latch(true, "drained below 1/2 with no send")
+	send(1)
+	latch(false, "a send at 1/2")
+
+	before, _ := r.rt.IBQPressure(0)
+	accepted := send(capacity)
+	rejected, _ := r.rt.IBQPressure(0)
+	if want := uint64(capacity - accepted); rejected-before != want || want == 0 {
+		t.Fatalf("refusals counted %d, want %d (> 0)", rejected-before, want)
 	}
-	if n, serr := r.rt.SendPackets(id, fill[rise-1:]); serr != nil || n != 1 {
-		t.Fatalf("fill send: n=%d err=%v", n, serr)
-	}
-	if len(events) != 1 || !events[0].Pressured || events[0].Rejected != 0 {
-		t.Fatalf("rising edge = %+v", events)
-	}
-	if _, hot, _, _ := r.rt.IBQPressure(0); !hot {
-		t.Fatalf("latch not set at %d occupancy", rise)
-	}
-	// Drain (unknown acc_id 0 -> DropNoRoute, buffers freed), then one calm
-	// send must deliver the falling edge.
-	r.sim.Run(r.sim.Now() + eventsim.Millisecond)
-	one := []*mbuf.Mbuf{r.packet(t, id, 0, []byte("q"))}
-	if _, serr := r.rt.SendPackets(id, one); serr != nil {
-		t.Fatal(serr)
-	}
-	if len(events) != 2 || events[1].Pressured || events[1].Rejected != 0 {
-		t.Fatalf("falling edge = %+v", events)
-	}
-	if _, hot, _, _ := r.rt.IBQPressure(0); hot {
-		t.Fatal("latch still set after drain")
-	}
-	// Bad node queries are inert.
-	if rej, hot, qlen, qcap := r.rt.IBQPressure(9); rej != 0 || hot || qlen != 0 || qcap != 0 {
+	latch(true, "a refusal")
+	take(ibq.Len())
+
+	// Out-of-range nodes report nothing.
+	if rej, hot := r.rt.IBQPressure(9); rej != 0 || hot {
 		t.Fatal("out-of-range node reported state")
 	}
-}
-
-func TestTrySendPacketsCalmPath(t *testing.T) {
-	r := newRig(t, Config{})
-	id, err := r.rt.Register("producer", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkts := make([]*mbuf.Mbuf, 4)
-	for i := range pkts {
-		pkts[i] = r.packet(t, id, 0, []byte("p"))
-	}
-	n, pressured, err := r.rt.TrySendPackets(id, pkts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 4 || pressured {
-		t.Fatalf("calm TrySendPackets = (%d, %v), want (4, false)", n, pressured)
-	}
-	if _, _, err := r.rt.TrySendPackets(42, nil); !errors.Is(err, ErrUnknownNF) {
-		t.Fatalf("unknown NF: %v", err)
+	if rej, hot := r.rt.IBQPressure(-1); rej != 0 || hot {
+		t.Fatal("negative node reported state")
 	}
 }
 
@@ -367,7 +356,7 @@ func TestSetBurstBoundsAndResize(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.sim.Run(r.sim.Now() + eventsim.Millisecond)
-	if _, hot, qlen, _ := r.rt.IBQPressure(0); hot || qlen != 0 {
-		t.Fatalf("queue did not drain after burst resize: hot=%v qlen=%d", hot, qlen)
+	if _, hot := r.rt.IBQPressure(0); hot || r.rt.ibqs[0].Len() != 0 {
+		t.Fatalf("queue did not drain after burst resize: hot=%v qlen=%d", hot, r.rt.ibqs[0].Len())
 	}
 }

@@ -38,6 +38,7 @@ var (
 	ErrUnknownAcc     = errors.New("core: unknown acc_id")
 	ErrNFClosed       = errors.New("core: nf has unregistered")
 	ErrDuplicateHF    = errors.New("core: module already registered in database")
+	ErrDuplicateNF    = errors.New("core: a live nf already holds that name")
 	ErrCapacity       = errors.New("core: FPGA capacity exhausted")
 	ErrBadBatchConfig = errors.New("core: invalid batching configuration")
 )
@@ -201,16 +202,6 @@ type nfEntry struct {
 	node   int
 	obq    *ring.Ring[*mbuf.Mbuf]
 	closed bool
-
-	sent     uint64
-	returned uint64
-	obqDrops uint64
-
-	// pressure is the NF's registered back-pressure callback
-	// (RegisterPressure); rejected counts packets the shared IBQ refused
-	// from this NF.
-	pressure func(PressureInfo)
-	rejected uint64
 }
 
 // Runtime is the DHL Runtime.
@@ -239,11 +230,9 @@ type Runtime struct {
 	nodeTx []*txEngine
 	nodeRx []*rxEngine
 
-	// Back-pressure state per node: lifetime IBQ refusal count and the
-	// hysteresis latch for the high-water pressure signal (see
+	// ibqHot is each node's high-water latch over its shared IBQ (see
 	// notePressure).
-	ibqRejects []uint64
-	ibqHot     []bool
+	ibqHot []bool
 
 	// defaults are the batching knobs every accelerator inherits where
 	// its row's own are zero (see AccTuning).
@@ -279,9 +268,8 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		armed:  cfg.Faults != nil || cfg.WatchdogTimeout > 0,
 		tel:    cfg.Telemetry,
 
-		ibqRejects: make([]uint64, cfg.Nodes),
-		ibqHot:     make([]bool, cfg.Nodes),
-		defaults:   AccTuning{BatchBytes: cfg.BatchBytes, FlushTimeout: cfg.FlushTimeout},
+		ibqHot:   make([]bool, cfg.Nodes),
+		defaults: AccTuning{BatchBytes: cfg.BatchBytes, FlushTimeout: cfg.FlushTimeout},
 	}
 	devices := make([]*fpga.Device, cfg.Nodes*cfg.BoardsPerNode)
 	r.boards = make([]board, len(devices))
@@ -421,10 +409,16 @@ func (r *Runtime) ModuleDB() []string {
 }
 
 // Register implements DHL_register(): it admits an NF, assigns its nf_id
-// and creates its private OBQ (§III-C).
+// and creates its private OBQ (§III-C). The name is the OBQ's name, so
+// two live NFs cannot share one; an unregistered NF's name is free again.
 func (r *Runtime) Register(name string, node int) (NFID, error) {
 	if node < 0 || node >= r.cfg.Nodes {
 		return 0, fmt.Errorf("core: node %d out of range [0,%d)", node, r.cfg.Nodes)
+	}
+	for _, nf := range r.nfs {
+		if !nf.closed && nf.name == name {
+			return 0, fmt.Errorf("%w: %q", ErrDuplicateNF, name)
+		}
 	}
 	// Single producer (the Distributor); multiple consumers are allowed so
 	// an NF may drain its OBQ from one core per port (§V-D's wiring).
@@ -444,10 +438,10 @@ func (r *Runtime) Register(name string, node int) (NFID, error) {
 
 // Unregister removes an NF. Packets already parked on its OBQ are freed
 // back to the runtime's pool immediately, and packets still in flight return
-// through the Distributor's closed-NF path (counted DropNFClosed) as each
-// batch completes — nothing is stranded, and the isolation guarantee
-// holds: a departing NF cannot receive another NF's packets, nor leak its
-// own to a successor nf_id.
+// through the Distributor's closed-NF path as each batch completes; both
+// are counted DropNFClosed in the node's ledger. Nothing is stranded, and
+// the isolation guarantee holds: a departing NF cannot receive another
+// NF's packets, nor leak its own to a successor nf_id.
 func (r *Runtime) Unregister(id NFID) error {
 	nf, err := r.nf(id)
 	if err != nil {
@@ -456,16 +450,17 @@ func (r *Runtime) Unregister(id NFID) error {
 	nf.closed = true
 	if r.tel != nil {
 		// Drop the OBQ occupancy gauge so scrapes do not accumulate stale
-		// rings. (NFs sharing one name share a ring name; eviction of one
-		// removes the series for all — acceptable for a diagnostic gauge.)
+		// rings. Live NFs have distinct names, so the series is this NF's.
 		r.tel.UnregisterGauge("dhl_ring_occupancy", fmt.Sprintf("ring=%q", nf.obq.Name()))
 	}
+	stats := &r.nodeTx[nf.node].stats
 	var burst [64]*mbuf.Mbuf
 	for {
 		n := nf.obq.DequeueBurst(burst[:])
 		if n == 0 {
 			break
 		}
+		stats.DropNFClosed += uint64(n)
 		for i := 0; i < n; i++ {
 			_ = r.cfg.Pool.Free(burst[i])
 			burst[i] = nil
@@ -623,10 +618,9 @@ func (r *Runtime) PrivateOBQ(id NFID) (*ring.Ring[*mbuf.Mbuf], error) {
 // SendPackets implements DHL_send_packets(): the NF enqueues tagged
 // packets onto its node's shared IBQ. It returns how many were accepted;
 // the caller owns (and typically frees, or retries) the rest, mirroring
-// rte_ring_enqueue_burst semantics. Refused packets are never silent:
-// each refusal is counted in TransferStats.IBQRejected and delivered to
-// the NF's registered pressure callback (see RegisterPressure and
-// TrySendPackets for the back-pressure-aware variant).
+// rte_ring_enqueue_burst semantics. The accepted count is the NF's one
+// refusal signal; the runtime counts each refusal once, in the node's
+// TransferStats.IBQRejected.
 func (r *Runtime) SendPackets(id NFID, pkts []*mbuf.Mbuf) (int, error) {
 	nf, err := r.nf(id)
 	if err != nil {
@@ -645,8 +639,7 @@ func (r *Runtime) SendPackets(id NFID, pkts []*mbuf.Mbuf) (int, error) {
 		m.QueuedAt = stamp
 	}
 	n := r.ibqs[nf.node].EnqueueBurst(pkts)
-	nf.sent += uint64(n)
-	r.notePressure(nf, id, len(pkts)-n)
+	r.notePressure(nf.node, len(pkts)-n)
 	return n, nil
 }
 

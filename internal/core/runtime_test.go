@@ -12,6 +12,7 @@ import (
 	"github.com/opencloudnext/dhl-go/internal/fpga"
 	"github.com/opencloudnext/dhl-go/internal/mbuf"
 	"github.com/opencloudnext/dhl-go/internal/placement"
+	"github.com/opencloudnext/dhl-go/internal/telemetry"
 )
 
 // reverseModule reverses each record payload — cheap, observable
@@ -314,17 +315,11 @@ func TestEndToEndDataPath(t *testing.T) {
 		}
 		_ = r.pool.Free(out[i])
 	}
-	// In-order delivery within one NF/acc pair.
-	st := r.rt.nfs[nf-1]
-	sent, returned, drops := st.sent, st.returned, st.obqDrops
-	if sent != 10 || returned != 10 || drops != 0 {
-		t.Errorf("nf stats %d/%d/%d", sent, returned, drops)
-	}
 	if r.pool.InUse() != 0 {
 		t.Errorf("pool leak: %d in use", r.pool.InUse())
 	}
 	ts, _ := r.rt.Stats(0)
-	if ts.PktsPacked != 10 || ts.PktsDistributed != 10 || ts.NFIDMismatches != 0 {
+	if ts.PktsPacked != 10 || ts.PktsDistributed != 10 || ts.NFIDMismatches != 0 || ts.DropOBQFull != 0 {
 		t.Errorf("transfer stats %+v", ts)
 	}
 }
@@ -425,6 +420,80 @@ func TestUnregisteredNFPacketsDiscarded(t *testing.T) {
 	}
 	if r.pool.InUse() != 0 {
 		t.Errorf("in-flight packets of dead NF leaked: %d", r.pool.InUse())
+	}
+}
+
+// TestUnregisterCountsParkedPackets unregisters an NF whose OBQ still
+// holds delivered packets: they are freed and counted DropNFClosed, so
+// the delivery identity closes from what the NF received.
+func TestUnregisterCountsParkedPackets(t *testing.T) {
+	r := newRig(t, Config{FlushTimeout: 5 * eventsim.Microsecond},
+		moduleSpec("rev", func() fpga.Module { return reverseModule{} }))
+	nf, _ := r.rt.Register("leaver", 0)
+	acc, _ := r.rt.SearchByName("rev", 0)
+	r.settle()
+
+	sendBurst(t, r, nf, acc, 16)
+	out := make([]*mbuf.Mbuf, 5)
+	received, err := r.rt.ReceivePackets(nf, out)
+	if err != nil || received != 5 {
+		t.Fatalf("received %d, %v; want 5 of 16", received, err)
+	}
+	for _, m := range out {
+		_ = r.pool.Free(m)
+	}
+	if err := r.rt.Unregister(nf); err != nil {
+		t.Fatal(err)
+	}
+	s, _ := r.rt.Stats(0)
+	if s.DropNFClosed != 11 {
+		t.Errorf("DropNFClosed = %d, want the 11 parked packets", s.DropNFClosed)
+	}
+	if got := uint64(received) + s.DropUnknownNF + s.DropNFClosed + s.DropOBQFull; s.PktsDistributed != got {
+		t.Errorf("PktsDistributed %d != received + drops %d: %+v", s.PktsDistributed, got, s)
+	}
+	if r.pool.InUse() != 0 {
+		t.Errorf("parked packets leaked: %d in use", r.pool.InUse())
+	}
+}
+
+// TestRegisterRefusesLiveName holds a name to one live NF: the OBQ is
+// named after it, and a second holder would put two identical
+// dhl_ring_occupancy series in one scrape. Unregister frees the name.
+func TestRegisterRefusesLiveName(t *testing.T) {
+	tel := telemetry.New(64)
+	r := newRig(t, Config{Telemetry: tel})
+	series := func() int {
+		n := 0
+		for _, g := range tel.Snapshot().Gauges {
+			if g.Name == "dhl_ring_occupancy" && g.Labels == `ring="obq-fw"` {
+				n++
+			}
+		}
+		return n
+	}
+	first, err := r.rt.Register("fw", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.rt.Register("fw", 0); !errors.Is(err, ErrDuplicateNF) {
+		t.Fatalf("second live \"fw\": %v, want ErrDuplicateNF", err)
+	}
+	if n := series(); n != 1 {
+		t.Fatalf("%d obq-fw series, want 1", n)
+	}
+	if err := r.rt.Unregister(first); err != nil {
+		t.Fatal(err)
+	}
+	if n := series(); n != 0 {
+		t.Fatalf("%d obq-fw series after unregister, want 0", n)
+	}
+	second, err := r.rt.Register("fw", 0)
+	if err != nil || second == first {
+		t.Fatalf("re-register after unregister: id %d (first %d), %v", second, first, err)
+	}
+	if n := series(); n != 1 {
+		t.Fatalf("%d obq-fw series after re-register, want 1", n)
 	}
 }
 
@@ -636,6 +705,7 @@ func TestOBQOverflowDropsAndCounts(t *testing.T) {
 	nf, _ := r.rt.Register("slow-consumer", 0)
 	acc, _ := r.rt.SearchByName("rev", 0)
 	r.settle()
+	fill := r.rt.nfs[nf-1].obq.Capacity() - 3
 	r.fillOBQ(t, nf, 3)
 
 	pkts := make([]*mbuf.Mbuf, 16)
@@ -647,15 +717,14 @@ func TestOBQOverflowDropsAndCounts(t *testing.T) {
 	}
 	r.sim.Run(r.sim.Now() + eventsim.Millisecond)
 
-	returned, obqDrops := r.rt.nfs[nf-1].returned, r.rt.nfs[nf-1].obqDrops
-	if returned != 3 || obqDrops != 13 {
-		t.Errorf("returned %d, dropped %d into 3 free slots, want 3 and 13", returned, obqDrops)
-	}
 	// Drain what made it; everything else is already back in the pool.
 	out := make([]*mbuf.Mbuf, r.rt.nfs[nf-1].obq.Capacity())
 	n, _ := r.rt.ReceivePackets(nf, out)
 	for i := 0; i < n; i++ {
 		_ = r.pool.Free(out[i])
+	}
+	if returned, drops := n-fill, r.stats(t).DropOBQFull; returned != 3 || drops != 13 {
+		t.Errorf("returned %d, dropped %d into 3 free slots, want 3 and 13", returned, drops)
 	}
 	if r.pool.InUse() != 0 {
 		t.Errorf("overflowed packets leaked: %d in use", r.pool.InUse())

@@ -23,7 +23,11 @@ import (
 //
 //	IBQDrained == PktsPacked + StagingDrops
 //	PktsPacked == PktsDistributed + DropFault + DropCorrupt + DropMismatch + DropNoRoute
-//	PktsDistributed == OBQ-delivered + DropUnknownNF + DropNFClosed + DropOBQFull
+//	PktsDistributed == NF-received + OBQ-parked + DropUnknownNF + DropNFClosed + DropOBQFull
+//
+// NF-received counts what ReceivePackets handed out and OBQ-parked what
+// live NFs' OBQs still hold; what an NF's OBQ held when it unregistered
+// is DropNFClosed.
 type TransferStats struct {
 	PktsPacked      uint64
 	BatchesSent     uint64
@@ -39,13 +43,12 @@ type TransferStats struct {
 	// encoded into a batch segment: oversized records, or staging for a
 	// still-reconfiguring region outgrowing its fixed segment.
 	StagingDrops uint64
-	// IBQRejected counts packets the shared IBQ refused at
-	// SendPackets/TrySendPackets because the queue was full. These
-	// packets never entered the transfer layer (the caller keeps
-	// ownership, so they are outside the IBQDrained identity above), but
-	// every refusal is counted here and signaled to the producing NF
-	// through its registered pressure callback — back-pressure is always
-	// attributed, never a silent drop.
+	// IBQRejected counts packets the shared IBQ refused at SendPackets
+	// because the queue was full. These packets never entered the
+	// transfer layer (the caller keeps ownership, so they are outside the
+	// IBQDrained identity above); the sending NF learns of them from
+	// SendPackets' accepted count, and this is the one place the runtime
+	// counts them.
 	IBQRejected uint64
 
 	// DMARetries counts transient transfer-fault re-posts; DMARetryGiveUps
@@ -229,15 +232,12 @@ func (r *Runtime) attachCores(node int) error {
 }
 
 // Stats reports the transfer-layer counters of one node: a copy of the
-// node's ledger, plus the IBQ refusals, which are counted at the send
-// calls.
+// node's ledger.
 func (r *Runtime) Stats(node int) (TransferStats, error) {
 	if node < 0 || node >= r.cfg.Nodes {
 		return TransferStats{}, fmt.Errorf("core: node %d out of range [0,%d)", node, r.cfg.Nodes)
 	}
-	s := r.nodeTx[node].stats
-	s.IBQRejected = r.ibqRejects[node]
-	return s, nil
+	return r.nodeTx[node].stats, nil
 }
 
 // --- TX path -----------------------------------------------------------
@@ -772,9 +772,7 @@ func (x *rxEngine) deliver(run []*mbuf.Mbuf, status mbuf.Status, pool *mbuf.Pool
 		return
 	}
 	k := nf.obq.EnqueueBurst(run)
-	nf.returned += uint64(k)
 	if tail := run[k:]; len(tail) != 0 {
-		nf.obqDrops += uint64(len(tail))
 		x.stats.DropOBQFull += uint64(len(tail))
 		_ = pool.FreeBulk(tail)
 	}

@@ -23,10 +23,9 @@ import (
 // giving up peak goodput; this harness measures both phases against the
 // fixed-6KB baseline under identical traffic.
 //
-// The ingress is pressure-aware: refused IBQ packets are held and
-// re-offered (TrySendPackets), never silently freed, so the IBQ
-// conservation gate (zero silent drops) holds by measurement, not by
-// assumption.
+// The ingress is pressure-aware: IBQ packets SendPackets did not accept
+// are held and re-offered, never silently freed, so the IBQ conservation
+// gate (zero silent drops) holds by measurement, not by assumption.
 
 // DiurnalConfig parameterizes one diurnal sweep run.
 type DiurnalConfig struct {
@@ -85,29 +84,23 @@ type DiurnalResult struct {
 	// attribution. The pressure-aware ingress holds and retries instead,
 	// so the T5 gate requires this to be zero.
 	SilentDrops uint64
-	// IBQRejected is the runtime's refusal ledger (each refusal was
-	// re-offered by the ingress, not lost).
-	IBQRejected uint64
-	// PressureEvents counts callbacks delivered to the NF (refusals and
-	// watermark edges).
-	PressureEvents uint64
 	// Retries counts ingress polls that re-offered held packets.
 	Retries uint64
 	// NFDropped counts packets the NF's own verdict dropped.
 	NFDropped uint64
 	// Tuner is the controller's final status (zero when AutoTune is off).
 	Tuner tuner.Status
-	// Transfer carries the runtime's conservation ledger.
+	// Transfer carries the runtime's conservation ledger; its IBQRejected
+	// counts the refusals, each re-offered by the ingress, not lost.
 	Transfer core.TransferStats
 }
 
 // ingressState is the pressure-aware ingress loop's shared state.
 type ingressState struct {
-	held           []*mbuf.Mbuf
-	silentDrops    uint64
-	retries        uint64
-	pressureEvents uint64
-	nfDropped      uint64
+	held        []*mbuf.Mbuf
+	silentDrops uint64
+	retries     uint64
+	nfDropped   uint64
 }
 
 // wireDHLIngressPressured starts the pressure-aware variant of the DHL
@@ -121,7 +114,7 @@ func wireDHLIngressPressured(tb *testbed, rt *core.Runtime, app dhlNF, rxPort *n
 	rxBuf := make([]*mbuf.Mbuf, 2*burstSize)
 	// Bound once: the loop commits on every busy iteration.
 	commit := func() {
-		acc, _, serr := rt.TrySendPackets(app.ID(), st.held)
+		acc, serr := rt.SendPackets(app.ID(), st.held)
 		if serr != nil {
 			// Hard send error (not back-pressure): the packets cannot be
 			// retried; free them and account the loss.
@@ -195,11 +188,6 @@ func RunDiurnal(cfg DiurnalConfig) (DiurnalResult, error) {
 		return res, err
 	}
 	st := &ingressState{}
-	if err := rt.RegisterPressure(app.ID(), func(core.PressureInfo) {
-		st.pressureEvents++
-	}); err != nil {
-		return res, err
-	}
 	wireDHLIngressPressured(tb, rt, app, rxPort, st)
 	tb.run(tb.core(), tb.dhlEgress(rt, app, txPort, &st.nfDropped))
 	tb.settle(60 * eventsim.Millisecond) // partial reconfiguration
@@ -241,11 +229,8 @@ func RunDiurnal(cfg DiurnalConfig) (DiurnalResult, error) {
 	tb.sim.Run(tb.sim.Now() + eventsim.Millisecond) // drain in-flight batches
 
 	res.SilentDrops = st.silentDrops
-	res.PressureEvents = st.pressureEvents
 	res.Retries = st.retries
 	res.NFDropped = st.nfDropped
-	rejected, _, _, _ := rt.IBQPressure(0)
-	res.IBQRejected = rejected
 	if ts, terr := rt.Stats(0); terr == nil {
 		res.Transfer = ts
 	}

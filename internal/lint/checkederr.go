@@ -23,9 +23,8 @@ type CheckedErr struct{}
 //     Close) and the management client (ControlClient.Call): a dropped
 //     error there is an endpoint that never came up or an operation that
 //     silently did not happen;
-//   - the adaptive-batching surface (TrySendPackets, RegisterPressure and
-//     the SetAcc*/SetBurst setters): a dropped TrySendPackets error leaks
-//     the refused tail of the burst;
+//   - the adaptive-batching setters (SetAcc*/SetBurst): a dropped error
+//     is a retune that silently did not happen;
 //   - every error-returning method of the management surface,
 //     ctlplane.Backend (TestCheckedErrCoversBackend holds the list to
 //     it): a dropped OfflineBoard or Migrate error strands accelerators
@@ -48,8 +47,6 @@ var apiMethods = map[string]bool{
 	"Close":          true,
 	"Call":           true,
 
-	"TrySendPackets":     true,
-	"RegisterPressure":   true,
 	"SetAccBatchBytes":   true,
 	"SetAccFlushTimeout": true,
 	"SetBurst":           true,

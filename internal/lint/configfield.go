@@ -15,7 +15,8 @@ import (
 // non-test file of the tree writes it. A write is a composite-literal
 // element (keyed, or every field of an unkeyed literal), an assignment or
 // increment, or taking the field's address. A write inside an if whose
-// condition tests that same field for zero is the field's own default,
+// condition tests a field of the same config value for zero (the field
+// itself, or a sibling such as a range's base) is that value's default,
 // not a setting. Fields of instantiated generic types count as the
 // generic declaration's field.
 //
@@ -92,15 +93,24 @@ func (w fieldWrites) field(e ast.Expr) *types.Var {
 	return nil
 }
 
-// write marks the field e selects, unless a guard tests it for zero.
-func (w fieldWrites) write(e ast.Expr, guards map[*types.Var]bool) {
-	if v := w.field(e); v != nil && !guards[v] {
+// value names the config value a field selector reads: the source text
+// of the expression left of the field, so cfg.PortBase and cfg.PortCount
+// share one.
+func value(e ast.Expr) string {
+	return types.ExprString(ast.Unparen(e).(*ast.SelectorExpr).X)
+}
+
+// write marks the field e selects, unless a guard tests a field of the
+// same value for zero.
+func (w fieldWrites) write(e ast.Expr, guards map[string]bool) {
+	if v := w.field(e); v != nil && !guards[value(e)] {
 		w.written[v] = true
 	}
 }
 
-// scan walks n, carrying the fields an enclosing if tests for zero.
-func (w fieldWrites) scan(n ast.Node, guards map[*types.Var]bool) {
+// scan walks n, carrying the values an enclosing if tests a field of for
+// zero.
+func (w fieldWrites) scan(n ast.Node, guards map[string]bool) {
 	if n == nil {
 		return
 	}
@@ -111,7 +121,7 @@ func (w fieldWrites) scan(n ast.Node, guards map[*types.Var]bool) {
 			w.scan(n.Cond, guards)
 			inner := guards
 			if zs := w.zeroTested(n.Cond); len(zs) > 0 {
-				inner = make(map[*types.Var]bool, len(guards)+len(zs))
+				inner = make(map[string]bool, len(guards)+len(zs))
 				maps.Copy(inner, guards)
 				for _, v := range zs {
 					inner[v] = true
@@ -150,10 +160,10 @@ func (w fieldWrites) scan(n ast.Node, guards map[*types.Var]bool) {
 	})
 }
 
-// zeroTested returns the fields cond compares with a zero value (==, <=
-// or < against 0, "" or nil), through && and || chains.
-func (w fieldWrites) zeroTested(cond ast.Expr) []*types.Var {
-	var out []*types.Var
+// zeroTested returns the values cond compares a field of with a zero
+// value (==, <= or < against 0, "" or nil), through && and || chains.
+func (w fieldWrites) zeroTested(cond ast.Expr) []string {
+	var out []string
 	ast.Inspect(cond, func(n ast.Node) bool {
 		b, ok := n.(*ast.BinaryExpr)
 		if !ok {
@@ -161,10 +171,10 @@ func (w fieldWrites) zeroTested(cond ast.Expr) []*types.Var {
 		}
 		switch b.Op {
 		case token.EQL, token.LEQ, token.LSS:
-			if v := w.field(b.X); v != nil && w.isZero(b.Y) {
-				out = append(out, v)
-			} else if v := w.field(b.Y); v != nil && w.isZero(b.X) {
-				out = append(out, v)
+			if w.field(b.X) != nil && w.isZero(b.Y) {
+				out = append(out, value(b.X))
+			} else if w.field(b.Y) != nil && w.isZero(b.X) {
+				out = append(out, value(b.Y))
 			}
 		}
 		return true

@@ -87,8 +87,6 @@ func TestGoldenPositives(t *testing.T) {
 				"result of ResetRegion",
 				"result of Serve",
 				"result of Close",
-				"result of TrySendPackets",
-				"result of RegisterPressure",
 				"result of SetAccBatchBytes",
 				"result of SetBurst",
 				"result of OfflineBoard",
@@ -130,6 +128,7 @@ func TestGoldenPositives(t *testing.T) {
 			analyzer: "unreferenced",
 			want: []string{
 				"lib.Config.Limit has no non-test write",
+				"lib.Config.Burst has no non-test write",
 				"lib.Config.Label has no non-test write",
 				"lib.Config.Spare has no non-test write",
 				"lib.TableConfig.Hash has no non-test write",
@@ -138,7 +137,7 @@ func TestGoldenPositives(t *testing.T) {
 				"lib.DeadHead is not reached",
 				"lib.deadTail is not reached",
 			},
-			files: []string{"config.go", "config.go", "config.go", "config.go", "lib.go", "lib.go", "lib.go", "lib.go"},
+			files: []string{"config.go", "config.go", "config.go", "config.go", "config.go", "lib.go", "lib.go", "lib.go", "lib.go"},
 		},
 	}
 	for _, tc := range cases {

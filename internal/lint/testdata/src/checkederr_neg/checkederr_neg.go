@@ -50,14 +50,11 @@ func ExporterHandled(e *telemetry.Exporter, ln net.Listener) error {
 	return e.Serve(ln)
 }
 
-// PressureHandled exercises the adaptive-batching surface correctly:
-// the refusal callback registration is checked, TrySendPackets' refused
-// tail is freed, and the tuning setters propagate their verdicts.
+// PressureHandled exercises the send path and the adaptive-batching
+// setters correctly: SendPackets' refused tail is freed, and the tuning
+// setters propagate their verdicts.
 func PressureHandled(rt *core.Runtime, id core.NFID, p *mbuf.Pool, pkts []*mbuf.Mbuf) error {
-	if err := rt.RegisterPressure(id, func(core.PressureInfo) {}); err != nil {
-		return err
-	}
-	acc, _, err := rt.TrySendPackets(id, pkts)
+	acc, err := rt.SendPackets(id, pkts)
 	if err != nil {
 		return err
 	}

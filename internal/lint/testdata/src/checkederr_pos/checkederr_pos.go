@@ -43,13 +43,9 @@ func DropExporter(e *telemetry.Exporter, ln net.Listener) {
 	e.Close()      // dropped error
 }
 
-// DropPressure discards the adaptive-batching surface's verdicts: a
-// dropped TrySendPackets result leaks the refused tail of the burst, and
-// dropped tuning setters leave the operator believing an override took
-// effect when the runtime rejected it.
-func DropPressure(rt *core.Runtime, id core.NFID, pkts []*mbuf.Mbuf) {
-	rt.TrySendPackets(id, pkts)  // dropped error (and accepted count)
-	rt.RegisterPressure(id, nil) // dropped error
+// DropTuning discards the adaptive-batching setters' verdicts: the
+// operator believes an override took effect when the runtime rejected it.
+func DropTuning(rt *core.Runtime) {
 	rt.SetAccBatchBytes(0, 1024) // dropped error
 	rt.SetBurst(0, 32)           // dropped error
 }

@@ -16,6 +16,9 @@ type Config struct {
 	Pointed int
 	// Defaulted has a default below, and the root sets it as well.
 	Defaulted int
+	// Crossed is set under a zero test of another config value's field,
+	// which is a setting, not this value's default.
+	Crossed int
 	// Tuned is set only by its own default.
 	//
 	//dhl:allow unreferenced the fixture's sweep test varies it
@@ -32,7 +35,7 @@ func Use(cfg Config) int {
 	if cfg.Tuned <= 0 {
 		cfg.Tuned = 8
 	}
-	return cfg.Keyed + cfg.Assigned + cfg.Bumped + cfg.Pointed + cfg.Defaulted + cfg.Tuned + cfg.hidden
+	return cfg.Keyed + cfg.Crossed + cfg.Assigned + cfg.Bumped + cfg.Pointed + cfg.Defaulted + cfg.Tuned + cfg.hidden
 }
 
 // PairConfig is set by an unkeyed composite literal.

@@ -25,5 +25,8 @@ func Tune() int {
 	*p = 3
 	table := knob.TableConfig[string]{Size: 4, First: "a"}
 	table.Last = "z"
+	if table.Size == 0 {
+		cfg.Crossed = 5
+	}
 	return knob.Use(cfg) + knob.Sum(knob.PairConfig{1, 2}) + knob.Size(table)
 }

@@ -7,6 +7,8 @@ type Config struct {
 	Scale int
 	// Limit is set only by its own default.
 	Limit int
+	// Burst is set only beside Limit's default, under Limit's zero test.
+	Burst int
 	// Label is set only by lib_test.go.
 	Label string
 	// Spare is read but never set.
@@ -17,11 +19,12 @@ type Config struct {
 func Gauge(cfg Config) int {
 	if cfg.Limit == 0 {
 		cfg.Limit = 10
+		cfg.Burst = 4
 	}
 	if cfg.Spare {
 		return 0
 	}
-	return cfg.Scale*cfg.Limit + len(cfg.Label)
+	return cfg.Scale*cfg.Limit + cfg.Burst + len(cfg.Label)
 }
 
 // TableConfig is generic: the root's instantiation sets Size, which

@@ -61,12 +61,12 @@ func hashNATKey(k natKey) uint64 {
 type NATConfig struct {
 	// External is the public address translations use.
 	External eth.IPv4
-	// PortBase and PortCount bound the external port pool. Zero selects
-	// 20000..60000; a range running past 65535 is clamped to it.
+	// PortBase and PortCount bound the external port pool. A zero
+	// PortBase selects 20000..60000; a range running past 65535 is
+	// clamped to it.
 	//
 	//dhl:allow unreferenced the NAT's port-exhaustion and cursor-wrap tests need a pool of a few ports
-	PortBase  uint16
-	PortCount uint16
+	PortBase, PortCount uint16
 	// MaxFlows caps concurrent translations below the port-pool bound
 	// (table capacity stops doubling at this power of two). Zero leaves
 	// the pool as the only bound.

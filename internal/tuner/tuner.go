@@ -63,7 +63,7 @@ type Actuator interface {
 	SetAccFlushTimeout(core.AccID, eventsim.Time) error
 	Burst(node int) int
 	SetBurst(node, burst int) error
-	IBQPressure(node int) (rejected uint64, hot bool, qlen, qcap int)
+	IBQPressure(node int) (rejected uint64, hot bool)
 }
 
 var _ Actuator = (*core.Runtime)(nil)
@@ -190,7 +190,7 @@ func (t *Tuner) Enable() error {
 		b := t.act.Burst(node)
 		t.nodes[node].baseBurst = b
 		t.nodes[node].burst = b
-		rejected, _, _, _ := t.act.IBQPressure(node)
+		rejected, _ := t.act.IBQPressure(node)
 		t.nodes[node].prevRejected = rejected
 	}
 	// Start the span cursor at "now" so the first window measures fresh
@@ -279,7 +279,7 @@ func (t *Tuner) tick() {
 	// Sample: per-node IBQ pressure.
 	for node := range t.nodes {
 		nc := &t.nodes[node]
-		rejected, hot, _, _ := t.act.IBQPressure(node)
+		rejected, hot := t.act.IBQPressure(node)
 		nc.winRejects = rejected - nc.prevRejected
 		nc.prevRejected = rejected
 		nc.hot = hot
@@ -551,7 +551,7 @@ func (t *Tuner) Status() Status {
 	}
 	sort.Slice(s.Accs, func(i, j int) bool { return s.Accs[i].AccID < s.Accs[j].AccID })
 	for node := range t.nodes {
-		rejected, hot, _, _ := t.act.IBQPressure(node)
+		rejected, hot := t.act.IBQPressure(node)
 		s.Nodes = append(s.Nodes, NodeStatus{
 			Node:     node,
 			Burst:    t.act.Burst(node),

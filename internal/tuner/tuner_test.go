@@ -65,8 +65,8 @@ func (f *fakeAct) SetBurst(node, burst int) error {
 	return nil
 }
 
-func (f *fakeAct) IBQPressure(node int) (uint64, bool, int, int) {
-	return f.rejected[node], f.hot[node], 0, 256
+func (f *fakeAct) IBQPressure(node int) (uint64, bool) {
+	return f.rejected[node], f.hot[node]
 }
 
 // pushSpans records batches of the given size for acc 1 into the span

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # docscheck.sh — cross-reference gate for the operator docs.
 #
-# The docs use three link-ish conventions that silently rot as the repo
+# The docs use four link-ish conventions that silently rot as the repo
 # grows; this script turns each into a CI failure:
 #
 #   1. `§N` (digits) refers to a `## N.` section heading in DESIGN.md.
@@ -11,6 +11,8 @@
 #      experiment heading in EXPERIMENTS.md.
 #   3. Backtick-quoted repo paths (`internal/...`, `cmd/...`,
 #      `scripts/...`, or anything ending in .md/.go/.sh) must exist.
+#   4. A backticked test name (`TestX`, `BenchmarkX`, `FuzzX`,
+#      `ExampleX`) must name a func declared in some .go file of the tree.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -57,6 +59,19 @@ for doc in "${docs[@]}"; do
             fail=1
         fi
     done < <(grep -noE '`\.?/?(internal|cmd|scripts)/[A-Za-z0-9_/.-]+`|`[A-Za-z0-9_.-]+\.(md|go|sh)`' "$doc" || true)
+done
+
+# --- 4. backticked test names are declared funcs -------------------------
+funcs=$(grep -rhoE --include='*.go' '^func (Test|Benchmark|Fuzz|Example)[A-Za-z0-9_]*\(' . \
+    | sed -E 's/^func //; s/\($//' | sort -u)
+for doc in "${docs[@]}"; do
+    while IFS=: read -r line name; do
+        name=${name//\`/}
+        if ! grep -qx "$name" <<<"$funcs"; then
+            echo "$doc:$line: \`$name\` names no func in the tree" >&2
+            fail=1
+        fi
+    done < <(grep -noE '`(Test|Benchmark|Fuzz|Example)[A-Za-z0-9_]*`' "$doc" || true)
 done
 
 if [[ "$fail" -ne 0 ]]; then
