@@ -31,7 +31,9 @@ type Packet = mbuf.Mbuf
 // Pool is a pre-allocated packet-buffer pool.
 type Pool = mbuf.Pool
 
-// Queue is the lockless ring type backing IBQs and OBQs.
+// Queue is the ring type backing IBQs and OBQs: rte_ring's bounded burst
+// FIFO, owned like the rest of the data path by the goroutine driving
+// Sim().Run and not safe for use from any other.
 type Queue = ring.Ring[*mbuf.Mbuf]
 
 // Module is the functional interface a custom accelerator module

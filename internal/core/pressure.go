@@ -2,20 +2,20 @@ package core
 
 // notePressure runs after every IBQ enqueue attempt: it counts the
 // refusals in the node's one ledger (TransferStats.IBQRejected) and
-// maintains the node's high-water latch: it rises at 3/4 occupancy or on
-// the first refusal, and falls at 1/2 on a send with none. The gap is the
-// hysteresis that keeps the signal from flapping batch to batch.
+// maintains the node's high-water latch: it rises at 3/4 occupancy and
+// falls at 1/2. The gap is the hysteresis that keeps the signal from
+// flapping batch to batch. A refusal needs no term of its own: the IBQ
+// has one owner, so EnqueueBurst fills it before it refuses anything and
+// a refused send leaves it full.
 //
 //dhl:hotpath
 func (r *Runtime) notePressure(node, rejected int) {
-	if rejected > 0 {
-		r.nodeTx[node].stats.IBQRejected += uint64(rejected)
-	}
+	r.nodeTx[node].stats.IBQRejected += uint64(rejected)
 	q := r.ibqs[node]
 	switch qlen, qcap := q.Len(), q.Capacity(); {
-	case !r.ibqHot[node] && (rejected > 0 || qlen*4 >= qcap*3):
+	case !r.ibqHot[node] && qlen*4 >= qcap*3:
 		r.ibqHot[node] = true
-	case r.ibqHot[node] && rejected == 0 && qlen*2 <= qcap:
+	case r.ibqHot[node] && qlen*2 <= qcap:
 		r.ibqHot[node] = false
 	}
 }

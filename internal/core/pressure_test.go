@@ -59,10 +59,43 @@ func TestSendPacketsAttributesRefusals(t *testing.T) {
 	}
 }
 
+// TestRefusedSendLeavesIBQFull pins why the latch reads occupancy alone:
+// a SendPackets that is refused anything has filled the IBQ first, so the
+// latch is hot and IBQPressure counts exactly the refused packets.
+func TestRefusedSendLeavesIBQFull(t *testing.T) {
+	r := newRig(t, Config{})
+	id, err := r.rt.Register("producer", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ibq := r.rt.ibqs[0]
+	capacity := ibq.Capacity()
+	// The first send fills the IBQ to half, below the rise mark; the
+	// second offers 9 more than the rest of it.
+	for _, n := range []int{capacity / 2, capacity - capacity/2 + 9} {
+		pkts := make([]*mbuf.Mbuf, n)
+		for i := range pkts {
+			pkts[i] = r.packet(t, id, 0, []byte("p"))
+		}
+		acc, err := r.rt.SendPackets(id, pkts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.pool.FreeBulk(pkts[acc:]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rejected, hot := r.rt.IBQPressure(0)
+	if ibq.Len() != capacity || !hot || rejected != 9 {
+		t.Fatalf("after a refused send: IBQ %d of %d, IBQPressure = (%d, %v); want full, (9, true)",
+			ibq.Len(), capacity, rejected, hot)
+	}
+}
+
 // TestPressureWatermarkEdges pins the node latch the tuner reads through
 // IBQPressure and a scrape through dhl_ibq_pressure: it rises at 3/4
-// occupancy or on a refusal, holds between the marks, and falls at 1/2
-// only on a send that had nothing refused.
+// occupancy (a refusal leaves the IBQ full), holds between the marks, and
+// falls at 1/2 on the next send.
 func TestPressureWatermarkEdges(t *testing.T) {
 	tel := telemetry.New(64)
 	r := newRig(t, Config{Telemetry: tel})

@@ -286,8 +286,7 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 	}
 	r.sched = placement.New(devices)
 	for node := 0; node < cfg.Nodes; node++ {
-		ibq, rerr := ring.New[*mbuf.Mbuf]("ibq-node"+strconv.Itoa(node),
-			ibqSize, ring.SingleConsumer)
+		ibq, rerr := ring.New[*mbuf.Mbuf]("ibq-node"+strconv.Itoa(node), ibqSize)
 		if rerr != nil {
 			return nil, rerr
 		}
@@ -420,10 +419,9 @@ func (r *Runtime) Register(name string, node int) (NFID, error) {
 			return 0, fmt.Errorf("%w: %q", ErrDuplicateNF, name)
 		}
 	}
-	// Single producer (the Distributor); multiple consumers are allowed so
-	// an NF may drain its OBQ from one core per port (§V-D's wiring).
-	obq, err := ring.New[*mbuf.Mbuf]("obq-"+name,
-		obqSize, ring.SingleProducer)
+	// One producer (the Distributor); an NF may drain its OBQ from one
+	// core per port (§V-D's wiring), all on the simulator's goroutine.
+	obq, err := ring.New[*mbuf.Mbuf]("obq-"+name, obqSize)
 	if err != nil {
 		return 0, err
 	}

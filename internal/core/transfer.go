@@ -176,8 +176,7 @@ type rxEngine struct {
 // on the TX path (packets arrive via the IBQ) but is where the Distributor
 // returns dropped packets.
 func (r *Runtime) attachCores(node int) error {
-	completions, err := ring.New[*inflight]("dma-cq-node"+strconv.Itoa(node),
-		1024, ring.SingleProducerConsumer)
+	completions, err := ring.New[*inflight]("dma-cq-node"+strconv.Itoa(node), 1024)
 	if err != nil {
 		return err
 	}

@@ -84,8 +84,6 @@ type DiurnalResult struct {
 	// attribution. The pressure-aware ingress holds and retries instead,
 	// so the T5 gate requires this to be zero.
 	SilentDrops uint64
-	// Retries counts ingress polls that re-offered held packets.
-	Retries uint64
 	// NFDropped counts packets the NF's own verdict dropped.
 	NFDropped uint64
 	// Tuner is the controller's final status (zero when AutoTune is off).
@@ -99,7 +97,6 @@ type DiurnalResult struct {
 type ingressState struct {
 	held        []*mbuf.Mbuf
 	silentDrops uint64
-	retries     uint64
 	nfDropped   uint64
 }
 
@@ -128,9 +125,6 @@ func wireDHLIngressPressured(tb *testbed, rt *core.Runtime, app dhlNF, rxPort *n
 		if acc > 0 {
 			n := copy(st.held, st.held[acc:])
 			st.held = st.held[:n]
-		}
-		if len(st.held) > 0 {
-			st.retries++
 		}
 	}
 	eventsim.NewPollLoop(tb.sim, ingressCore, perf.PollIdleCycles, func() (float64, func()) {
@@ -229,7 +223,6 @@ func RunDiurnal(cfg DiurnalConfig) (DiurnalResult, error) {
 	tb.sim.Run(tb.sim.Now() + eventsim.Millisecond) // drain in-flight batches
 
 	res.SilentDrops = st.silentDrops
-	res.Retries = st.retries
 	res.NFDropped = st.nfDropped
 	if ts, terr := rt.Stats(0); terr == nil {
 		res.Transfer = ts

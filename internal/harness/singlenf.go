@@ -228,7 +228,7 @@ func buildSWNF(kind NFKind) (swProcessor, error) {
 // wireIOOnly builds the Figure 6 "I/O" baseline: rx core -> ring -> tx
 // core, no computation.
 func wireIOOnly(tb *testbed, rxPort, txPort *netdev.Port, dropped *uint64) {
-	hand := ring.MustNew[*mbuf.Mbuf]("io-hand", 512, ring.SingleProducerConsumer)
+	hand := ring.MustNew[*mbuf.Mbuf]("io-hand", 512)
 	tb.run(tb.core(), tb.nicToRing(rxPort, hand, dropped))
 	tb.run(tb.core(), tb.ringToNIC(hand, txPort))
 }
@@ -236,11 +236,11 @@ func wireIOOnly(tb *testbed, rxPort, txPort *netdev.Port, dropped *uint64) {
 // wireCPUOnly builds the DPDK pipeline-mode CPU-only variant (§V-B):
 // 2 I/O cores (one RX, one TX) and 2 worker cores around rte_rings.
 func wireCPUOnly(tb *testbed, rxPort, txPort *netdev.Port, proc swProcessor, dropped *uint64) error {
-	workerIn, err := ring.New[*mbuf.Mbuf]("worker-in", 128, ring.SingleProducer)
+	workerIn, err := ring.New[*mbuf.Mbuf]("worker-in", 128)
 	if err != nil {
 		return err
 	}
-	txRing, err := ring.New[*mbuf.Mbuf]("tx-ring", 512, ring.SingleConsumer)
+	txRing, err := ring.New[*mbuf.Mbuf]("tx-ring", 512)
 	if err != nil {
 		return err
 	}

@@ -113,7 +113,7 @@ func NewPort(sim *eventsim.Sim, cfg PortConfig) (*Port, error) {
 	p := &Port{sim: sim, cfg: cfg, latency: stats.NewSeries(0), rxQueues: make([]rxQueue, cfg.RxQueues), headAt: noFrame, armAt: noFrame}
 	for q := range p.rxQueues {
 		r, err := ring.New[*mbuf.Mbuf]("port"+strconv.Itoa(cfg.ID)+"-rxq"+strconv.Itoa(q),
-			nextPow2(cfg.RxQueueDepth), ring.SingleProducerConsumer)
+			nextPow2(cfg.RxQueueDepth))
 		if err != nil {
 			return nil, err
 		}

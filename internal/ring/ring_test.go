@@ -1,20 +1,17 @@
 package ring
 
 import (
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
 
 func TestNewValidation(t *testing.T) {
 	for _, bad := range []int{0, 1, 3, 100, -8} {
-		if _, err := New[int]("bad", bad, MultiProducerConsumer); err == nil {
+		if _, err := New[int]("bad", bad); err == nil {
 			t.Errorf("size %d accepted", bad)
 		}
 	}
-	r, err := New[int]("ok", 8, 0) // zero mode defaults to MPMC
+	r, err := New[int]("ok", 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +29,7 @@ func TestMustNewPanics(t *testing.T) {
 			t.Error("MustNew did not panic on bad size")
 		}
 	}()
-	MustNew[int]("bad", 3, SingleProducerConsumer)
+	MustNew[int]("bad", 3)
 }
 
 // dequeueOne is a DequeueBurst of one element.
@@ -43,7 +40,7 @@ func dequeueOne[T any](r *Ring[T]) (T, bool) {
 }
 
 func TestFIFOSingle(t *testing.T) {
-	r := MustNew[int]("fifo", 16, SingleProducerConsumer)
+	r := MustNew[int]("fifo", 16)
 	for i := 0; i < 10; i++ {
 		if !r.Enqueue(i) {
 			t.Fatalf("enqueue %d failed", i)
@@ -67,7 +64,7 @@ func TestFIFOSingle(t *testing.T) {
 }
 
 func TestFullRingRejectsEnqueue(t *testing.T) {
-	r := MustNew[int]("full", 4, SingleProducerConsumer) // capacity 3
+	r := MustNew[int]("full", 4) // capacity 3
 	for i := 0; i < 3; i++ {
 		if !r.Enqueue(i) {
 			t.Fatalf("enqueue %d", i)
@@ -82,7 +79,7 @@ func TestFullRingRejectsEnqueue(t *testing.T) {
 }
 
 func TestBurstPartial(t *testing.T) {
-	r := MustNew[int]("burst", 8, MultiProducerConsumer)
+	r := MustNew[int]("burst", 8)
 	n := r.EnqueueBurst([]int{1, 2, 3, 4, 5, 6, 7, 8, 9})
 	if n != 7 {
 		t.Errorf("burst enqueued %d, want capacity 7", n)
@@ -102,7 +99,7 @@ func TestBurstPartial(t *testing.T) {
 }
 
 func TestWrapAround(t *testing.T) {
-	r := MustNew[int]("wrap", 4, SingleProducerConsumer)
+	r := MustNew[int]("wrap", 4)
 	next := 0
 	for round := 0; round < 100; round++ {
 		for i := 0; i < 3; i++ {
@@ -121,7 +118,7 @@ func TestWrapAround(t *testing.T) {
 }
 
 func TestPointersReleasedForGC(t *testing.T) {
-	r := MustNew[*int]("gc", 4, SingleProducerConsumer)
+	r := MustNew[*int]("gc", 4)
 	v := 42
 	r.Enqueue(&v)
 	dequeueOne(r)
@@ -133,123 +130,13 @@ func TestPointersReleasedForGC(t *testing.T) {
 	}
 }
 
-// TestConcurrentMPMC verifies no loss and no duplication under real
-// goroutine concurrency (the substrate property DHL's data isolation
-// rests on). Half the producers enqueue one element at a time, half in
-// bursts of 1 to 16 that the ring may take only part of.
-func TestConcurrentMPMC(t *testing.T) {
-	const (
-		producers = 4
-		consumers = 4
-		perProd   = 4000
-	)
-	r := MustNew[int]("mpmc", 1024, MultiProducerConsumer)
-	var wg sync.WaitGroup
-	seen := make([]atomic.Int32, producers*perProd)
-	var consumed sync.WaitGroup
-	done := make(chan struct{})
-
-	for c := 0; c < consumers; c++ {
-		consumed.Add(1)
-		go func() {
-			defer consumed.Done()
-			buf := make([]int, 64)
-			for {
-				n := r.DequeueBurst(buf)
-				for i := 0; i < n; i++ {
-					seen[buf[i]].Add(1)
-				}
-				if n == 0 {
-					select {
-					case <-done:
-						if r.Len() == 0 {
-							return
-						}
-					default:
-						runtime.Gosched()
-					}
-				}
-			}
-		}()
-	}
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			base := p * perProd
-			burst := make([]int, 16)
-			for i := 0; i < perProd; {
-				n := 0
-				if p%2 == 0 {
-					if r.Enqueue(base + i) {
-						n = 1
-					}
-				} else {
-					chunk := burst[:min(1+i%16, perProd-i)]
-					for j := range chunk {
-						chunk[j] = base + i + j
-					}
-					n = r.EnqueueBurst(chunk)
-				}
-				if n == 0 {
-					runtime.Gosched()
-				}
-				i += n
-			}
-		}(p)
-	}
-	wg.Wait()
-	close(done)
-	consumed.Wait()
-	for i := range seen {
-		if n := seen[i].Load(); n != 1 {
-			t.Fatalf("value %d seen %d times", i, n)
-		}
-	}
-}
-
-// TestConcurrentSPSC stresses the single-producer/single-consumer fast
-// path used by the OBQs, bursts on both sides.
-func TestConcurrentSPSC(t *testing.T) {
-	const total = 50000
-	r := MustNew[int]("spsc", 256, SingleProducerConsumer)
-	go func() {
-		burst := make([]int, 32)
-		for i := 0; i < total; {
-			chunk := burst[:min(1+i%32, total-i)]
-			for j := range chunk {
-				chunk[j] = i + j
-			}
-			n := r.EnqueueBurst(chunk)
-			if n == 0 {
-				runtime.Gosched()
-			}
-			i += n
-		}
-	}()
-	next := 0
-	buf := make([]int, 32)
-	for next < total {
-		n := r.DequeueBurst(buf)
-		if n == 0 {
-			runtime.Gosched()
-		}
-		for i := 0; i < n; i++ {
-			if buf[i] != next {
-				t.Fatalf("out of order: got %d want %d", buf[i], next)
-			}
-			next++
-		}
-	}
-}
-
 // TestQuickFIFOEquivalence property-checks the ring against a plain slice
 // queue over arbitrary operation sequences: each op enqueues or dequeues a
 // burst of 0 to 7 elements (a single Enqueue for one), and the ring must
 // move exactly as many as the queue has room or elements for.
 func TestQuickFIFOEquivalence(t *testing.T) {
 	f := func(ops []uint8) bool {
-		r := MustNew[int]("quick", 16, SingleProducerConsumer)
+		r := MustNew[int]("quick", 16)
 		var model []int
 		next := 0
 		buf := make([]int, 8)

@@ -4,11 +4,12 @@
 # Order is cheapest-first so the most common failures surface fastest:
 # formatting, then vet, then dhl-lint (the DHL-specific invariants), then
 # the build, then the race-clean short test suite, then a full (un-short)
-# race pass over internal/ring and internal/mbuf. That pass is what guards
-# the rings' sync modes, on the ops production runs (EnqueueBurst,
-# DequeueBurst and the single Enqueue): a single-producer or
-# single-consumer ring used from more goroutines than its mode allows
-# shows up there, and no analyzer checks it statically.
+# race pass over internal/ring and internal/mbuf. That pass guards the
+# single-owner rule: a ring or a pool belongs to the goroutine that drives
+# the simulator and carries no synchronisation, so a touch from a second
+# goroutine is a data race. TestSecondGoroutineIsADataRace provokes one on
+# a ring and fails unless the race detector reports it; no analyzer checks
+# the rule statically.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -54,8 +55,9 @@ go build ./...
 echo "==> go test -race -short"
 go test -race -short -count=1 ./...
 
-echo "==> go test -race (full) internal/ring internal/mbuf"
+echo "==> go test -race (full) internal/ring internal/mbuf (single-owner rule)"
 go test -race -count=1 ./internal/ring ./internal/mbuf
+targeted -race -run '^TestSecondGoroutineIsADataRace$' -count=1 ./internal/ring
 
 echo "==> bench smoke (1 iteration, -benchmem)"
 go test -run '^$' -bench 'Pipeline|Distributor' -benchmem -benchtime=1x -count=1 ./internal/core

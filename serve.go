@@ -17,7 +17,8 @@ import (
 // live-management surface the control plane drives. Control's methods
 // mutate a running system; when called directly (not through /api/v1)
 // the caller must be on the goroutine driving Sim().Run, exactly like
-// SendPackets.
+// SendPackets and every Queue: the rings behind IBQs and OBQs belong to
+// that goroutine and carry no synchronisation.
 
 // AccInfo is one hardware function table row: identity, placement and
 // readiness.
@@ -94,7 +95,10 @@ func (s *System) Serve(addr string, opts ...ServeOption) (*MetricsExporter, erro
 		// with the loop: route /metrics and /debug/vars rendering through
 		// the same post-and-wait dispatch the management API uses. Without
 		// the control plane the exporter reads directly, which is safe for
-		// the scrape-while-quiescent usage a metrics-only Serve has.
+		// the scrape-while-quiescent usage a metrics-only Serve has: the
+		// pull gauges (dhl_mbuf_in_use, every dhl_ring_occupancy) read the
+		// pool's and the rings' plain words, so such a scrape must come
+		// while nothing drives Sim().Run.
 		e.SetDispatch(func(fn func()) error {
 			// Not `return srv.Dispatch(fn)`: a nil *Error in an error
 			// interface is not nil.
