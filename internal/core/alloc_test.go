@@ -142,13 +142,13 @@ func eventBudget(t *testing.T, send func(r *rig, nf NFID, pkts []*mbuf.Mbuf) int
 		cycle()
 	}
 	const runs = 100
-	events, skipped := r.sim.Processed(), r.sim.PollsSkipped()
+	events, skipped := r.sim.Processed(), r.sim.Stats().PollsSkipped
 	if avg := testing.AllocsPerRun(runs, cycle); avg != 0 {
 		t.Errorf("closed loop allocates %.1f objects per burst, want 0", avg)
 	}
 	// AllocsPerRun calls cycle once more than it counts, to warm up.
 	got := r.sim.Processed() - events
-	t.Logf("%d events, %d idle polls skipped in %d bursts", got, r.sim.PollsSkipped()-skipped, runs+1)
+	t.Logf("%d events, %d idle polls skipped in %d bursts", got, r.sim.Stats().PollsSkipped-skipped, runs+1)
 	if want := uint64(9 * (runs + 1)); got != want {
 		t.Errorf("%d events in %d bursts, want %d: nine per burst", got, runs+1, want)
 	}

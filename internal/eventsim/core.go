@@ -95,9 +95,11 @@ func (c *Core) String() string {
 // nothing to do, changed nothing a poll body reads to decide whether it is
 // idle, and would return the same again until some other event executes —
 // or until a deadline the body declared with PollLoop.WakeBy during this
-// iteration. The simulator relies on it: it does not run the body of an
-// idle loop again until something has executed or the deadline has come,
-// and accounts for the polls in between arithmetically. A body whose idle
+// iteration, itself or through something it called (Sim.WakeBy: a port's
+// RxBurst that found its queue empty declares when the next frame is due).
+// The simulator relies on it: it does not run the body of an idle loop
+// again until something has executed or the deadline has come, and
+// accounts for the polls in between arithmetically. A body whose idle
 // result can expire with time alone (a timeout on state it holds) must
 // say when; a body that turns busy by counting its own idle calls breaks
 // the contract.
@@ -126,7 +128,7 @@ const maxWatched = 2
 // Every poll is accounted for — virtual time, the core's busy time,
 // Iterations — but the body only runs when it could see something new
 // (see PollBody). Iterations, Core.FreeAt, Core.Utilization and
-// Sim.PollsSkipped read after Run(until) returns include every idle poll up
+// Sim.Stats read after Run(until) returns include every idle poll up
 // to until; after a Run with nothing due they are what bring that
 // accounting up to date, so reading them costs a division the Run did not.
 type PollLoop struct {
@@ -235,7 +237,8 @@ func (p *PollLoop) Poke() { p.poked = true }
 // idle, to declare that the idle result expires by itself at time t: the
 // body runs again at the first poll at or after t even if nothing else
 // has executed. Several calls in one iteration keep the earliest; a time
-// that is not in the future means "poll again next period".
+// that is not in the future means "poll again next period". Code the body
+// calls that does not know the loop declares through Sim.WakeBy.
 //
 //dhl:hotpath
 func (p *PollLoop) WakeBy(t Time) {
@@ -255,14 +258,19 @@ func (p *PollLoop) iterate() {
 	for i, in := range p.watched[:p.nWatched] {
 		p.seen[i] = in.Produced()
 	}
+	s := p.sim
+	s.polling = p
 	cycles, commit := p.body()
+	s.polling = nil
 	if cycles <= 0 {
-		if commit == nil && p.sim.park(p) {
-			return
+		if commit == nil {
+			s.stats.IdleRuns++
+			if s.park(p) {
+				return
+			}
 		}
 		cycles = p.idleCycles
 	}
-	s := p.sim
 	if p.parked {
 		s.unpark(p)
 	}

@@ -91,6 +91,7 @@ type stage struct {
 	blocked  bool
 	direct   bool // hands its output on from the body, not from commit
 	posts    bool // its commit also Posts an item back to itself
+	simWake  bool // declares its deadlines through Sim.WakeBy
 }
 
 func (st *stage) put(k int) {
@@ -99,6 +100,16 @@ func (st *stage) put(k int) {
 }
 
 func (st *stage) Produced() uint64 { return st.produced }
+
+// wakeBy declares the body's deadline: to its loop, or through the Sim, as
+// code a body calls that does not know the loop does (a port's RxBurst).
+func (st *stage) wakeBy(t Time) {
+	if st.simWake {
+		st.sc.sim.WakeBy(t)
+		return
+	}
+	st.loop.WakeBy(t)
+}
 
 // retune shortens a staging stage's timeout from outside, as
 // SetAccFlushTimeout does under a staged batch: the deadline the body
@@ -117,9 +128,9 @@ func (st *stage) body() (float64, func()) {
 	if st.held > 0 {
 		switch {
 		case now-st.heldAt < st.timeout:
-			st.loop.WakeBy(st.heldAt + st.timeout)
+			st.wakeBy(st.heldAt + st.timeout)
 		case st.blocked:
-			st.loop.WakeBy(now)
+			st.wakeBy(now)
 		default:
 			out, st.held = st.held, 0
 			cycles += st.cost + 3
@@ -175,10 +186,10 @@ type scenario struct {
 }
 
 // chain is a source of events due at non-decreasing times, drawn in
-// bursts, as netdev.Generator's frames are. The lazy run keeps
-// only its earliest item on the heap and schedules each next one with the
-// seq drawn for it at burst time (Sim.AtSeq); the naive run books every
-// item with At at burst time.
+// bursts, each in a place drawn at burst time (Sim.DrawSeq) as
+// netdev.Generator draws its frames'. The lazy run keeps only its earliest
+// item on the heap and schedules each next one in its place (AtSeq); the
+// naive run books every item with At at burst time.
 type chain struct {
 	sc      *scenario
 	lazy    bool
@@ -257,7 +268,7 @@ func (sc *scenario) read(st *stage, what int) {
 	case 3:
 		// Only the lazy loop skips, so the count itself differs; what it
 		// lands shows in the raw fields read after it.
-		sc.sim.PollsSkipped()
+		sc.sim.Stats()
 		sc.log(rec{now, "skipped", st.id, int64(st.core.busy), int64(st.core.freeAt)})
 	default:
 		// Somebody else borrows the loop's core.
@@ -325,7 +336,7 @@ func runScenario(seed uint64, lazy bool) []rec {
 			hz, idle = clocks[rng.Intn(len(clocks))], idles[rng.Intn(len(idles))]
 		}
 		st := &stage{sc: sc, id: i, next: rng.Intn(n+1) - 1, burst: 1 + rng.Intn(4),
-			direct: rng.Intn(5) == 0, posts: rng.Intn(5) == 0}
+			direct: rng.Intn(5) == 0, posts: rng.Intn(5) == 0, simWake: i%2 == 1}
 		if i > 0 && rng.Intn(12) == 0 {
 			st.core = sc.stages[i-1].core // two loops on one core
 			hz = st.core.hz
@@ -549,7 +560,8 @@ func checkEquivalent(t *testing.T, seed uint64) {
 // FuzzPollLoopEquivalence checks PollLoop against naiveLoop on random
 // scenarios: same busy iterations and commits at the same times in the
 // same order, and the same Iterations, core busy time and FreeAt wherever
-// they are read.
+// they are read. Every other stage declares its deadlines through
+// Sim.WakeBy instead of its loop's.
 func FuzzPollLoopEquivalence(f *testing.F) {
 	for seed := uint64(0); seed < 64; seed++ {
 		f.Add(seed)

@@ -85,7 +85,8 @@ type Sim struct {
 	cur     uint64  // seq of the step being run; maxSeq outside Run
 	events  []event // binary min-heap on (at, seq)
 	stopped bool
-	nEvents uint64
+	stats   Stats
+	polling *PollLoop // the loop whose body is running, if any (WakeBy)
 
 	// Idle poll loops (see PollLoop). executed counts everything that may
 	// have changed what a poll body sees: a parked loop that last polled
@@ -96,7 +97,6 @@ type Sim struct {
 	executed uint64
 	watching int    // loops that declared inputs (PollLoop.Watch)
 	settled  uint64 // executed when settle last looked at them
-	skipped  uint64
 
 	// Quiet stretches (see hush). A parked loop short of deferTo, when that
 	// is not zero, is at its first poll at or after it, and its nextAt,
@@ -172,17 +172,52 @@ func (s *Sim) catchUp() {
 	}
 }
 
-// Processed reports the number of events executed so far: scheduled
-// callbacks run plus poll iterations whose body ran. Iterations of idle
-// poll loops that were skipped are counted by PollsSkipped instead.
-func (s *Sim) Processed() uint64 { return s.nEvents }
+// Stats counts the steps a Sim has taken, by kind. Processed is the sum of
+// the first three: the steps Run returns and counts.
+type Stats struct {
+	// HeapEvents counts scheduled callbacks run.
+	HeapEvents uint64
+	// Finishes counts busy poll loops' iterations ended: the commit and
+	// the body's next run.
+	Finishes uint64
+	// ParkedRuns counts parked poll loops' polls whose body ran.
+	ParkedRuns uint64
+	// IdleRuns counts body runs, wherever they ran, that found nothing to
+	// do and returned (0, nil).
+	IdleRuns uint64
+	// Skips counts the steps that accounted for a run of a parked loop's
+	// no-op polls at once.
+	Skips uint64
+	// PollsSkipped counts idle polls accounted for (time, core
+	// utilization, PollLoop.Iterations) without running the body, by
+	// skips and by quiet Runs.
+	PollsSkipped uint64
+}
 
-// PollsSkipped reports how many idle poll iterations were accounted for
-// (time, core utilization, PollLoop.Iterations) without running the body.
-// Read after Run(until) returns, it includes every idle poll up to until.
-func (s *Sim) PollsSkipped() uint64 {
+// Processed reports the number of steps Run has executed: heap events,
+// busy loops' finishes and parked loops' polls whose body ran (Stats has
+// each). Idle polls that were skipped are not counted.
+func (s *Sim) Processed() uint64 {
+	return s.stats.HeapEvents + s.stats.Finishes + s.stats.ParkedRuns
+}
+
+// Stats reports the steps taken so far by kind. Read after Run(until)
+// returns, PollsSkipped includes every idle poll up to until.
+func (s *Sim) Stats() Stats {
 	s.landAll()
-	return s.skipped
+	return s.stats
+}
+
+// WakeBy declares, from inside a poll body, that the body's idle result
+// expires at time t: it is PollLoop.WakeBy of the loop whose body is
+// running, for code the body calls that does not know the loop (a port's
+// RxBurst). Called from anywhere else it does nothing.
+//
+//dhl:hotpath
+func (s *Sim) WakeBy(t Time) {
+	if p := s.polling; p != nil {
+		p.WakeBy(t)
+	}
 }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
@@ -204,22 +239,12 @@ func (s *Sim) At(t Time, fn func()) {
 }
 
 // DrawSeq draws the place among events at one instant that an event
-// scheduled now would take, for one scheduled later with AtSeq.
+// scheduled now would take, for something that is not an event but falls
+// due in that place: a frame on the wire, which a port takes when the
+// step being run (Running) goes after it.
 func (s *Sim) DrawSeq() uint64 {
 	s.seq++
 	return s.seq
-}
-
-// AtSeq schedules fn, which must not be nil, at t, which must not be in
-// the past, in the place seq, drawn earlier by DrawSeq, gives it: it runs
-// as it would have, had At scheduled it when seq was drawn. A source whose
-// events fall due at non-decreasing times with increasing seqs may so keep
-// only its earliest one scheduled, and schedule the next when that one
-// runs.
-//
-//dhl:hotpath
-func (s *Sim) AtSeq(t Time, seq uint64, fn func()) {
-	s.push(t, seq, fn)
 }
 
 // push adds an event to the heap.
@@ -372,6 +397,7 @@ func (s *Sim) Run(until Time) uint64 {
 				continue
 			}
 			s.now, s.cur = p.nextAt, p.seq
+			s.stats.ParkedRuns++
 			p.iterate()
 		} else if f != nil {
 			if f.nextAt > until {
@@ -386,6 +412,7 @@ func (s *Sim) Run(until Time) uint64 {
 			f.busy = false
 			s.now, s.cur = f.nextAt, f.seq
 			s.executed++
+			s.stats.Finishes++
 			f.finish()
 		} else if len(s.events) > 0 && s.events[0].at <= until {
 			if s.deferTo != 0 {
@@ -394,12 +421,12 @@ func (s *Sim) Run(until Time) uint64 {
 			ev := s.pop()
 			s.now, s.cur = ev.at, ev.seq
 			s.executed++
+			s.stats.HeapEvents++
 			ev.fn()
 		} else {
 			break
 		}
 		n++
-		s.nEvents++
 		if s.postPending.Load() {
 			s.drainPosted()
 		}
@@ -566,7 +593,8 @@ func (s *Sim) skip(p *PollLoop, until Time) bool {
 	p.iterations += uint64(k)
 	p.core.busy += k * d
 	p.core.freeAt = land
-	s.skipped += uint64(k)
+	s.stats.Skips++
+	s.stats.PollsSkipped += uint64(k)
 	s.seq++
 	p.nextAt, p.seq = land, s.seq
 	return true
@@ -668,7 +696,7 @@ func (s *Sim) land(p *PollLoop) {
 	p.core.busy += k * d
 	p.nextAt += k * d
 	p.core.freeAt = p.nextAt
-	s.skipped += uint64(k)
+	s.stats.PollsSkipped += uint64(k)
 }
 
 // landAll lands every parked loop and ends the deferral.

@@ -1,6 +1,7 @@
 package eventsim
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
@@ -239,8 +240,8 @@ func TestPollLoopIdleChargesAndCommitOrder(t *testing.T) {
 	if loop.Iterations() != 5 {
 		t.Errorf("iterations = %d", loop.Iterations())
 	}
-	if s.PollsSkipped() != 3 {
-		t.Errorf("skipped %d polls, want 3 (the first and the fifth run the body)", s.PollsSkipped())
+	if s.Stats().PollsSkipped != 3 {
+		t.Errorf("skipped %d polls, want 3 (the first and the fifth run the body)", s.Stats().PollsSkipped)
 	}
 }
 
@@ -334,7 +335,7 @@ func TestPollLoopQuietStepsAreAccounted(t *testing.T) {
 	// declared loop's body ran at the first, the undeclared loop's at the
 	// first poll of every Run.
 	steps()
-	if got, want := s.PollsSkipped(), uint64(2*100001-1-1000); got != want {
+	if got, want := s.Stats().PollsSkipped, uint64(2*100001-1-1000); got != want {
 		t.Errorf("after 1 000 steps: %d polls skipped, want %d", got, want)
 	}
 	check("after 1 000 steps", declared, cores[0], 100001, 1000010*Nanosecond)
@@ -354,9 +355,9 @@ func TestPollLoopQuietStepsAreAccounted(t *testing.T) {
 		t.Errorf("borrowing core 0 after a quiet step: done at %v, want 1001.015us", got)
 	}
 	steps()
-	// PollsSkipped first this time: it lands both loops itself. Bodies run:
+	// Stats first this time: it lands both loops itself. Bodies run:
 	// the declared loop's 3, the undeclared loop's 1 per Run and 1 more.
-	if got, want := s.PollsSkipped(), uint64(200100+200101-(3+2002)); got != want {
+	if got, want := s.Stats().PollsSkipped, uint64(200100+200101-(3+2002)); got != want {
 		t.Errorf("after the borrow: %d polls skipped, want %d", got, want)
 	}
 	check("after the borrow", declared, cores[0], 200100, 2001005*Nanosecond)
@@ -462,6 +463,92 @@ func TestPollLoopWakeBy(t *testing.T) {
 	}
 	if loop.Iterations() != 31 {
 		t.Errorf("iterations = %d", loop.Iterations())
+	}
+}
+
+// counter is an Input whose count a test bumps by hand.
+type counter struct{ n uint64 }
+
+func (c *counter) Produced() uint64 { return c.n }
+
+// Sim.WakeBy declares the deadline of the loop whose body is running, and
+// of nothing else: called from a heap event, from a commit or between two
+// Run calls, it must not wake the loop whose body ran last. Loop a
+// watches an input only the test produces into, so nothing but a deadline
+// runs its body in between; b's one busy iteration commits after a's
+// body ran.
+func TestSimWakeByOnlyInsideABody(t *testing.T) {
+	s := New()
+	var in counter
+	var ran []Time
+	a := NewPollLoop(s, NewCore(s, 0, 0, 1e9), 10, func() (float64, func()) {
+		ran = append(ran, s.Now())
+		if s.Now() == 900*Nanosecond {
+			s.WakeBy(2 * Microsecond) // from the body: this one counts
+		}
+		return 0, nil
+	})
+	a.Watch(&in)
+	work := false
+	var b *PollLoop
+	b = NewPollLoop(s, NewCore(s, 1, 0, 1e9), 10, func() (float64, func()) {
+		if !work {
+			return 0, nil
+		}
+		work = false
+		return 100, func() { // at 150 ns, after a's body at 100 ns
+			s.WakeBy(300 * Nanosecond)
+			b.Stop()
+		}
+	})
+	a.Start()
+	b.Start()
+	produce := func() { in.n++ }
+	s.At(50*Nanosecond, func() { work = true })
+	s.At(100*Nanosecond, produce)
+	s.At(500*Nanosecond, produce)
+	s.At(600*Nanosecond, func() { s.WakeBy(800 * Nanosecond) })
+	s.At(900*Nanosecond, produce)
+	s.Run(Microsecond)
+	s.WakeBy(1200 * Nanosecond)
+	s.Run(3 * Microsecond)
+	want := []Time{0, 100 * Nanosecond, 500 * Nanosecond, 900 * Nanosecond, 2 * Microsecond}
+	if fmt.Sprint(ran) != fmt.Sprint(want) {
+		t.Errorf("a's body ran at %v, want %v: only what was produced and the body's own deadline", ran, want)
+	}
+}
+
+// Stats counts every step by kind, Processed is the sum of the three
+// kinds Run executes, and reading them allocates nothing.
+func TestStatsCountsStepsByKind(t *testing.T) {
+	s := New()
+	c := NewCore(s, 0, 0, 1e9)
+	work := false
+	loop := NewPollLoop(s, c, 10, func() (float64, func()) {
+		if !work {
+			return 0, nil
+		}
+		work = false
+		return 100, func() {}
+	})
+	loop.Start()
+	s.At(35*Nanosecond, func() { work = true })
+	s.RunAll()
+	// Start's event polls at 0 (idle) and parks; one skip accounts for the
+	// polls at 10, 20 and 30 ns; the event at 35 ns; the parked poll at
+	// 40 ns runs the body (busy for 100 ns); its finish at 140 ns runs the
+	// commit and the body again (idle), after which nothing is due.
+	want := Stats{HeapEvents: 2, Finishes: 1, ParkedRuns: 1, IdleRuns: 2, Skips: 1, PollsSkipped: 3}
+	got := s.Stats()
+	if got != want {
+		t.Errorf("Stats = %+v, want %+v", got, want)
+	}
+	if s.Processed() != got.HeapEvents+got.Finishes+got.ParkedRuns {
+		t.Errorf("Processed = %d, want heap events + finishes + parked body runs = %d",
+			s.Processed(), got.HeapEvents+got.Finishes+got.ParkedRuns)
+	}
+	if n := testing.AllocsPerRun(100, func() { got = s.Stats() }); n != 0 {
+		t.Errorf("Stats allocates %v objects", n)
 	}
 }
 

@@ -91,6 +91,9 @@ type DiurnalResult struct {
 	// Transfer carries the runtime's conservation ledger; its IBQRejected
 	// counts the refusals, each re-offered by the ingress, not lost.
 	Transfer core.TransferStats
+	// Sim is what the run cost the simulator, by kind of step
+	// (eventsim.Sim.Stats), read at the end of the run.
+	Sim eventsim.Stats
 }
 
 // ingressState is the pressure-aware ingress loop's shared state.
@@ -224,6 +227,7 @@ func RunDiurnal(cfg DiurnalConfig) (DiurnalResult, error) {
 
 	res.SilentDrops = st.silentDrops
 	res.NFDropped = st.nfDropped
+	res.Sim = tb.sim.Stats()
 	if ts, terr := rt.Stats(0); terr == nil {
 		res.Transfer = ts
 	}

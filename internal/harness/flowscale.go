@@ -108,6 +108,9 @@ type FlowScaleResult struct {
 	AllocFailures uint64
 	// Leaked is pool.InUse after the drain: must be 0.
 	Leaked int
+	// Sim is what the run cost the simulator, by kind of step
+	// (eventsim.Sim.Stats), read at the end of the run.
+	Sim eventsim.Stats
 }
 
 // CheckConservation verifies the drop-attribution ledger balances
@@ -232,5 +235,6 @@ func RunFlowScale(cfg FlowScaleConfig) (FlowScaleResult, error) {
 	res.RxDropped = rxPort.Stats().RxDropped
 	res.TxDropped = txPort.Stats().TxDropped
 	res.Leaked = tb.pool.InUse()
+	res.Sim = tb.sim.Stats()
 	return res, nil
 }

@@ -76,11 +76,9 @@ type SingleNFResult struct {
 	// Transfer carries the DHL runtime's data-transfer-layer counters
 	// (zero value in CPU-only and I/O modes).
 	Transfer core.TransferStats
-	// SimEvents and SimPollsSkipped are what the run cost the simulator:
-	// events executed, and idle poll iterations accounted for without
-	// running them (eventsim.Sim.Processed / PollsSkipped).
-	SimEvents       uint64
-	SimPollsSkipped uint64
+	// Sim is what the run cost the simulator, by kind of step
+	// (eventsim.Sim.Stats), read at the end of the run.
+	Sim eventsim.Stats
 }
 
 // swProcessor is satisfied by the CPU-only NFs (and the Table I
@@ -172,7 +170,7 @@ func RunSingleNF(cfg SingleNFConfig) (SingleNFResult, error) {
 	res.Throughput, res.Latency = thr, summarize(lat)
 	res.RxDropped = rxPort.Stats().RxDropped
 	res.TxDropped = txPort.Stats().TxDropped
-	res.SimEvents, res.SimPollsSkipped = tb.sim.Processed(), tb.sim.PollsSkipped()
+	res.Sim = tb.sim.Stats()
 	if rt != nil {
 		if ts, terr := rt.Stats(0); terr == nil {
 			res.Transfer = ts

@@ -177,7 +177,7 @@ func TestStageLoopIdleAndCommitOrder(t *testing.T) {
 				t.Errorf("commits %q, want %q", log, tc.want)
 			}
 			if tc.want == "" {
-				if tb.sim.PollsSkipped() == 0 {
+				if tb.sim.Stats().PollsSkipped == 0 {
 					t.Error("loop with two empty sources never went idle")
 				}
 				return

@@ -139,10 +139,11 @@ func (f *rxFrame) before(o *rxFrame) bool {
 	return f.due < o.due || f.due == o.due && f.seq < o.seq
 }
 
-// dueBy reports whether f is due at or before the step (at, seq): at it
-// only for a wake-up, the one step that runs at a frame's own pair.
+// dueBy reports whether f goes before the step (at, seq) as the heap
+// orders events. No step runs at a frame's own pair: its seq was drawn
+// for the frame alone.
 func (f *rxFrame) dueBy(at eventsim.Time, seq uint64) bool {
-	return f.due < at || f.due == at && f.seq <= seq
+	return f.due < at || f.due == at && f.seq < seq
 }
 
 // FlowSrc encodes a flow id injectively into the source (address,
@@ -245,7 +246,6 @@ func NewGenerator(sim *eventsim.Sim, cfg GeneratorConfig) (*Generator, error) {
 		if err := p.sim.AddLazy(p); err != nil {
 			return nil, fmt.Errorf("netdev: port %d: %w", p.ID(), err)
 		}
-		p.wakeFn = p.wake
 	}
 	g.nextOnPort, p.gens = p.gens, g
 	return g, nil
@@ -388,7 +388,6 @@ func (g *Generator) burst() {
 		g.sent++
 	}
 	p.setHead(p.next())
-	p.arm()
 	g.sim.After(g.interBurst, g.burstFn)
 }
 

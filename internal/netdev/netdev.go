@@ -60,9 +60,10 @@ type PortStats struct {
 // the room, drop and Payload rules an event per frame would have applied.
 // Only the queues' reader and those reads see the queues, and between
 // two reads nothing dequeues, so the frames land as they would have. A
-// frame is an event only while a reader waits for it: an RxBurst that
-// finds its queue empty arms one wake-up at the next frame's own (due,
-// seq), which takes the frames due by then; a busy reader takes its
+// frame is never an event: an RxBurst that finds its queue empty from a
+// poll body declares the next frame's due instant as the body's deadline
+// (eventsim.Sim.WakeBy), and the reader looks again at its first poll at
+// or after it, as a DPDK rx_burst loop would; a busy reader takes its
 // frames when it looks again.
 type Port struct {
 	sim *eventsim.Sim
@@ -74,17 +75,10 @@ type Port struct {
 
 	// gens chains the generators feeding the port (Generator.nextOnPort),
 	// and (headAt, headSeq) is the earliest of their frames on the wire,
-	// headAt noFrame when there is none. waiting: a reader found a queue
-	// empty since the last wake-up ran. A wake-up is on the heap at
-	// (armAt, armSeq), armAt noFrame and armSeq 0 when none is. wakeFn is
-	// wake, bound once.
+	// headAt noFrame when there is none.
 	gens    *Generator
 	headAt  eventsim.Time
 	headSeq uint64
-	waiting bool
-	armAt   eventsim.Time
-	armSeq  uint64
-	wakeFn  func()
 
 	// Measurement window for throughput/latency series (set by the
 	// harness after warm-up).
@@ -110,7 +104,7 @@ func NewPort(sim *eventsim.Sim, cfg PortConfig) (*Port, error) {
 	if cfg.RxQueueDepth == 0 {
 		cfg.RxQueueDepth = 512
 	}
-	p := &Port{sim: sim, cfg: cfg, latency: stats.NewSeries(0), rxQueues: make([]rxQueue, cfg.RxQueues), headAt: noFrame, armAt: noFrame}
+	p := &Port{sim: sim, cfg: cfg, latency: stats.NewSeries(0), rxQueues: make([]rxQueue, cfg.RxQueues), headAt: noFrame}
 	for q := range p.rxQueues {
 		r, err := ring.New[*mbuf.Mbuf]("port"+strconv.Itoa(cfg.ID)+"-rxq"+strconv.Itoa(q),
 			nextPow2(cfg.RxQueueDepth))
@@ -122,8 +116,7 @@ func NewPort(sim *eventsim.Sim, cfg PortConfig) (*Port, error) {
 	return p, nil
 }
 
-// noFrame is Port.headAt with no frame on the wire, and Port.armAt with
-// no wake-up armed.
+// noFrame is Port.headAt with no frame on the wire: no deadline at all.
 const noFrame = eventsim.Time(math.MaxInt64)
 
 // rxQueue is one RSS queue: its ring, and the frames a take has accepted
@@ -175,7 +168,8 @@ func (p *Port) DeliverRx(q int, m *mbuf.Mbuf, pool *mbuf.Pool) {
 }
 
 // RxBurst dequeues up to len(dst) frames from queue q, mirroring
-// rte_eth_rx_burst.
+// rte_eth_rx_burst. Finding none from a poll body, it declares the next
+// frame's due instant as the body's deadline (eventsim.Sim.WakeBy).
 //
 //dhl:hotpath
 func (p *Port) RxBurst(q int, dst []*mbuf.Mbuf) int {
@@ -186,8 +180,7 @@ func (p *Port) RxBurst(q int, dst []*mbuf.Mbuf) int {
 	n := p.rxQueues[q].r.DequeueBurst(dst)
 	p.stats.RxPolled += uint64(n)
 	if n == 0 && len(dst) > 0 {
-		p.waiting = true
-		p.arm()
+		p.sim.WakeBy(p.headAt)
 	}
 	return n
 }
@@ -288,26 +281,6 @@ func (p *Port) flush(rq *rxQueue) {
 	rq.r.EnqueueBurst(rq.in[:rq.n])
 	p.stats.RxDelivered += uint64(rq.n)
 	rq.n = 0
-}
-
-// arm schedules a wake-up at the next frame on the wire, if a reader
-// waits and none is armed at or before it. Every frame due before the
-// step being run has been taken, so the frame is not in the past.
-func (p *Port) arm() {
-	if p.waiting && (p.headAt < p.armAt || p.headAt == p.armAt && p.headSeq < p.armSeq) {
-		p.armAt, p.armSeq = p.headAt, p.headSeq
-		p.sim.AtSeq(p.headAt, p.headSeq, p.wakeFn)
-	}
-}
-
-// wake is the wake-up: at a frame's own (due, seq), it takes that frame
-// and every one due before it. What it executes is what wakes the reader.
-func (p *Port) wake() {
-	if at, seq := p.sim.Running(); at == p.armAt && seq == p.armSeq {
-		p.armAt, p.armSeq = noFrame, 0
-	}
-	p.waiting = false
-	p.take()
 }
 
 // TxBurst transmits a burst: each frame is serialized at line rate, its

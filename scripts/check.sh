@@ -82,17 +82,24 @@ echo "==> autotuner smoke (control law, backpressure edges, zero-alloc with tune
 targeted -short -run 'Tuner|AutoTune|Pressure|CopySince|PerAccTuning|AccBatch' -count=1 \
     ./internal/tuner ./internal/core ./internal/telemetry .
 
-echo "==> event-engine equivalence (lazy idle polls vs a naive poll loop, busy set overflow, chained deliveries, event budgets, 10 s fuzz)"
+echo "==> event-engine equivalence (lazy idle polls vs a naive poll loop, deadlines declared through the Sim, busy set overflow, chained deliveries, steps counted by kind, event budgets, 10 s fuzz)"
 targeted -run 'PollLoopEquivalence|BusySetOverflow|ShareInstantsInReferenceOrder|QuietStep|EventBudget|FlushTimeoutPoke|PoolHotSlab|FreeBulk|SetupBytesOpen' -count=1 \
     ./internal/eventsim ./internal/netdev ./internal/harness ./internal/core ./internal/mbuf .
+# One ^…$ pattern each, so that deleting or renaming one fails the step.
+targeted -run '^TestSimWakeByOnlyInsideABody$' -count=1 ./internal/eventsim
+targeted -run '^TestStatsCountsStepsByKind$' -count=1 ./internal/eventsim
+targeted -run '^TestEventBudgetFlowScale$' -count=1 ./internal/harness
 go test -run '^$' -fuzz FuzzPollLoopEquivalence -fuzztime 10s ./internal/eventsim
 
-echo "==> traffic generator (lazy arrival against an eager reference, frame written when taken equals the full build, drops go back unbuilt, two 5 s fuzzes)"
-targeted -run 'DeliversInScheduleOrder|ShareInstantsInReferenceOrder|ArrivalMatchesEager|FrameMatchesFullBuild|DropsUnbuiltOnFullQueue' -count=1 ./internal/netdev
+echo "==> traffic generator (lazy arrival against an eager reference, a waiting reader wakes when an event per frame would wake it and costs no event, frame written when taken equals the full build, drops go back unbuilt, three 5 s fuzzes)"
+targeted -run 'DeliversInScheduleOrder|ShareInstantsInReferenceOrder|ArrivalMatchesEager|ReaderWakesAsEager|RxWaitIsNotAnEvent|FrameMatchesFullBuild|DropsUnbuiltOnFullQueue' -count=1 ./internal/netdev
+targeted -run '^TestRxWaitIsNotAnEvent$' -count=1 ./internal/netdev
+targeted -run '^FuzzReaderWakesAsEager$' -count=1 ./internal/netdev
 go test -run '^$' -fuzz FuzzArrivalMatchesEager -fuzztime 5s ./internal/netdev
+go test -run '^$' -fuzz FuzzReaderWakesAsEager -fuzztime 5s ./internal/netdev
 go test -run '^$' -fuzz FuzzGeneratorFrameMatchesFullBuild -fuzztime 5s ./internal/netdev
 
-echo "==> equivalence coverage floor (every function of the quiet-step path, the busy set and chained events at 100 %)"
+echo "==> equivalence coverage floor (every function of the quiet-step path, the busy set, deadlines declared through the Sim and chained events at 100 %)"
 # The sweep checks the quiet path (Sim.hush) only where its scenarios leave
 # loops deferred between two reads; with a probe after every slice it
 # passed while landAll never found a loop to land.
@@ -103,7 +110,7 @@ rm -f "$cover_out"
 floor_failed=""
 for fn in sim.go:quiet sim.go:hush sim.go:stillHushed sim.go:redraw \
     sim.go:land sim.go:landAll sim.go:landOn core.go:land \
-    sim.go:firstBusy core.go:beforeFinish core.go:beforeNext sim.go:DrawSeq sim.go:AtSeq sim.go:push; do
+    sim.go:firstBusy core.go:beforeFinish core.go:beforeNext sim.go:WakeBy sim.go:DrawSeq sim.go:push; do
     pct=$(awk -v file="/${fn%%:*}:" -v name="${fn#*:}" 'index($1, file) && $2 == name { print $3 }' <<<"$cover_func")
     if [[ "$pct" != "100.0%" ]]; then
         echo "check.sh: TestPollLoopEquivalence -short covers ${pct:-nothing} of $fn, want 100.0%" >&2
