@@ -123,6 +123,7 @@ func (st *stage) retune() {
 func (st *stage) body() (float64, func()) {
 	sc := st.sc
 	now := sc.sim.Now()
+	sc.chain.take()
 	out := 0
 	cycles := 0.0
 	if st.held > 0 {
@@ -138,6 +139,7 @@ func (st *stage) body() (float64, func()) {
 	}
 	take := min(st.inbox, st.burst)
 	if take == 0 && out == 0 {
+		sc.chain.wait()
 		return 0, nil
 	}
 	st.inbox -= take
@@ -183,19 +185,24 @@ type scenario struct {
 	stages []*stage
 	chain  *chain
 	trace  []rec
+	fed    []rec // the chain's items, as they reach their stages
 }
 
-// chain is a source of events due at non-decreasing times, drawn in
-// bursts, each in a place drawn at burst time (Sim.DrawSeq) as
-// netdev.Generator draws its frames'. The lazy run keeps only its earliest
-// item on the heap and schedules each next one in its place (AtSeq); the
-// naive run books every item with At at burst time.
+// chain is a source of items due at non-decreasing times, drawn in bursts,
+// each in a place drawn at burst time (Sim.DrawSeq), as netdev.Generator
+// draws its frames'. The naive run books every item with At at burst time.
+// The lazy run books nothing: like a port's frames, its items wait until a
+// stage's body, a probe or the Sim's catch-up (Lazy) takes the due ones,
+// and a body that finds nothing to do declares the next item's instant
+// through Sim.WakeBy, as Port.RxBurst does. The chain is an Input that
+// counts the items drawn, so that a stage that declared its inbox looks
+// again when a burst adds to the chain.
 type chain struct {
 	sc      *scenario
 	lazy    bool
 	pend    []chained
+	drawn   uint64
 	lastDue Time
-	fireFn  func()
 }
 
 // chained is one item of a chain: put one into stage target at at.
@@ -205,38 +212,55 @@ type chained struct {
 	target int
 }
 
-// burst draws n items, gap apart from the first nanosecond boundary at or
-// after now, none due before an item drawn earlier.
-func (ch *chain) burst(n int, gap Time, target int) {
+// burst draws n items, gap apart from lead after the first nanosecond
+// boundary at or after now, none due before an item drawn earlier.
+func (ch *chain) burst(n int, gap, lead Time, target int) {
 	sim := ch.sc.sim
-	base := (sim.Now() + Nanosecond - 1) / Nanosecond * Nanosecond
+	base := (sim.Now()+Nanosecond-1)/Nanosecond*Nanosecond + lead
 	for i := 0; i < n; i++ {
 		ch.lastDue = max(ch.lastDue, base+Time(i)*gap)
 		it := chained{at: ch.lastDue, target: (target + i) % len(ch.sc.stages)}
+		ch.drawn++
 		if !ch.lazy {
 			sim.At(it.at, func() { ch.put(it) })
 			continue
 		}
 		it.seq = sim.DrawSeq()
 		ch.pend = append(ch.pend, it)
-		if len(ch.pend) == 1 {
-			sim.AtSeq(it.at, it.seq, ch.fireFn)
+	}
+}
+
+func (ch *chain) Produced() uint64 { return ch.drawn }
+
+// take puts every lazy item due before the step being run (Sim.Running)
+// into its stage.
+func (ch *chain) take() {
+	at, seq := ch.sc.sim.Running()
+	k := 0
+	for ; k < len(ch.pend); k++ {
+		it := ch.pend[k]
+		if it.at > at || it.at == at && it.seq > seq {
+			break
 		}
+		ch.put(it)
 	}
+	ch.pend = ch.pend[k:]
 }
 
-// fire runs the lazy chain's earliest item and schedules the next.
-func (ch *chain) fire() {
-	it := ch.pend[0]
-	ch.pend = ch.pend[1:]
+// CatchUp takes every item due by now (Lazy).
+func (ch *chain) CatchUp() { ch.take() }
+
+// wait declares, from a body about to report idle, when the lazy chain's
+// next item is due.
+func (ch *chain) wait() {
 	if len(ch.pend) > 0 {
-		ch.sc.sim.AtSeq(ch.pend[0].at, ch.pend[0].seq, ch.fireFn)
+		ch.sc.sim.WakeBy(ch.pend[0].at)
 	}
-	ch.put(it)
 }
 
+// put hands item it to its stage, at its own instant on either run.
 func (ch *chain) put(it chained) {
-	ch.sc.log(rec{ch.sc.sim.Now(), "chain", it.target, 1, 0})
+	ch.sc.fed = append(ch.sc.fed, rec{it.at, "chain", it.target, 1, 0})
 	ch.sc.stages[it.target].put(1)
 }
 
@@ -244,6 +268,7 @@ func (sc *scenario) log(r rec) { sc.trace = append(sc.trace, r) }
 
 // probe records what a reader of the loops' accounting sees right now.
 func (sc *scenario) probe(tag string) {
+	sc.chain.take()
 	for _, st := range sc.stages {
 		// busyTime lands the core's loop itself: Go leaves the order of a
 		// bare field read and a call in one composite literal unspecified.
@@ -307,15 +332,20 @@ const (
 func kindSeed(kind int, seed uint64) uint64 { return uint64(kind)<<61 | seed }
 
 // runScenario plays the scenario drawn from seed with real PollLoops
-// (lazy) or naive ones and returns its trace. Every random choice is made
-// from seed alone, in an order that does not depend on which loop is used.
-func runScenario(seed uint64, lazy bool) []rec {
+// (lazy) or naive ones and returns its trace and the chain's items as
+// they reached their stages. Every random choice is made from seed alone,
+// in an order that does not depend on which loop is used.
+func runScenario(seed uint64, lazy bool) (trace, fed []rec) {
 	rng := rand.New(rand.NewSource(int64(seed)))
 	kind := int(seed>>61) % numKinds
 	sim := New()
 	sc := &scenario{sim: sim}
 	sc.chain = &chain{sc: sc, lazy: lazy}
-	sc.chain.fireFn = sc.chain.fire
+	if lazy {
+		if err := sim.AddLazy(sc.chain); err != nil {
+			panic(err)
+		}
+	}
 
 	// Clocks whose periods share instants (1 ns, 0.5 ns per cycle) and one
 	// that does not (476.19 ps): order at shared instants is the hard part.
@@ -357,7 +387,7 @@ func runScenario(seed uint64, lazy bool) []rec {
 			st.loop = &naiveLoop{sim: sim, core: st.core, idleCycles: idle, body: st.body}
 		}
 		if rng.Intn(3) != 0 {
-			st.loop.Watch(st)
+			st.loop.Watch(st, sc.chain)
 		}
 		sc.stages = append(sc.stages, st)
 		if rng.Intn(4) == 0 { // off-phase start
@@ -380,9 +410,13 @@ func runScenario(seed uint64, lazy bool) []rec {
 	}
 	chainBurst := func() func() {
 		items, gap, target := 1+rng.Intn(12), Time(rng.Intn(3))*Nanosecond, rng.Intn(n)
+		// Half the bursts start a while off, so that a stage polls in
+		// between and then at an item's instant only because its body
+		// declared it.
+		lead := Time(rng.Intn(2)*rng.Intn(64)) * Nanosecond
 		return func() {
 			sc.log(rec{sim.Now(), "burst", target, int64(items), int64(gap)})
-			sc.chain.burst(items, gap, target)
+			sc.chain.burst(items, gap, lead, target)
 		}
 	}
 	produce := func(tag string, target, k int) func() {
@@ -537,12 +571,14 @@ func runScenario(seed uint64, lazy bool) []rec {
 		}
 	}
 	sc.log(rec{sim.Now(), "end", 0, 0, 0})
-	return sc.trace
+	return sc.trace, sc.fed
 }
 
 func checkEquivalent(t *testing.T, seed uint64) {
 	t.Helper()
-	want, got := runScenario(seed, false), runScenario(seed, true)
+	want, wantFed := runScenario(seed, false)
+	got, gotFed := runScenario(seed, true)
+	want, got = append(want, wantFed...), append(got, gotFed...)
 	for i := 0; i < len(want) || i < len(got); i++ {
 		if i >= len(want) || i >= len(got) || want[i] != got[i] {
 			w, g := "<end of trace>", "<end of trace>"
@@ -596,7 +632,8 @@ func TestPollLoopEquivalenceChainedCoincide(t *testing.T) {
 	hits := 0
 	for seed := uint64(1000); seed < 1000+seeds; seed++ {
 		seen := map[Time]int{}
-		for _, r := range runScenario(kindSeed(kindChained, seed), true) {
+		trace, fed := runScenario(kindSeed(kindChained, seed), true)
+		for _, r := range append(trace, fed...) {
 			switch r.what {
 			case "chain":
 				seen[r.at] |= 1

@@ -192,6 +192,10 @@ type Stats struct {
 	// utilization, PollLoop.Iterations) without running the body, by
 	// skips and by quiet Runs.
 	PollsSkipped uint64
+	// StaleFires counts the heap events that were a Timer's stale fire:
+	// the timer had been stopped or re-armed since. HeapEvents counts
+	// them too.
+	StaleFires uint64
 }
 
 // Processed reports the number of steps Run has executed: heap events,

@@ -533,12 +533,18 @@ func TestStatsCountsStepsByKind(t *testing.T) {
 	})
 	loop.Start()
 	s.At(35*Nanosecond, func() { work = true })
+	timer := s.NewTimer(func() {})
+	timer.Reset(5 * Nanosecond)
+	timer.Reset(25 * Nanosecond)
 	s.RunAll()
-	// Start's event polls at 0 (idle) and parks; one skip accounts for the
-	// polls at 10, 20 and 30 ns; the event at 35 ns; the parked poll at
-	// 40 ns runs the body (busy for 100 ns); its finish at 140 ns runs the
-	// commit and the body again (idle), after which nothing is due.
-	want := Stats{HeapEvents: 2, Finishes: 1, ParkedRuns: 1, IdleRuns: 2, Skips: 1, PollsSkipped: 3}
+	// Start's event polls at 0 (idle) and parks; the timer's fire at 5 ns
+	// is stale (it was re-armed), changes nothing and leaves the loop
+	// parked; one skip accounts for the polls at 10 and 20 ns; the timer
+	// fires at 25 ns, so the parked poll at 30 ns runs the body (idle);
+	// the event at 35 ns; the parked poll at 40 ns runs the body (busy for
+	// 100 ns); its finish at 140 ns runs the commit and the body again
+	// (idle), after which nothing is due.
+	want := Stats{HeapEvents: 4, Finishes: 1, ParkedRuns: 2, IdleRuns: 3, Skips: 1, PollsSkipped: 2, StaleFires: 1}
 	got := s.Stats()
 	if got != want {
 		t.Errorf("Stats = %+v, want %+v", got, want)

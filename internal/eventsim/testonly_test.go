@@ -7,14 +7,6 @@ import (
 // Only this package's tests read what follows; the rest of the module
 // has no use for it.
 
-// AtSeq schedules fn, which must not be nil, at t, which must not be in
-// the past, in the place seq, drawn earlier by DrawSeq, gives it: it runs
-// as it would have, had At scheduled it when seq was drawn. The
-// equivalence oracle's chain keeps only its earliest item scheduled so.
-func (s *Sim) AtSeq(t Time, seq uint64, fn func()) {
-	s.push(t, seq, fn)
-}
-
 // Pending reports the number of scheduled-but-unexecuted events. A parked
 // idle poll loop counts as one, its next poll, and a busy one as one, its
 // iteration's finish.

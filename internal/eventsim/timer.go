@@ -53,6 +53,7 @@ func (t *Timer) fire() {
 		// a timer that is re-armed often would keep every idle poll loop
 		// polling.
 		t.sim.executed--
+		t.sim.stats.StaleFires++
 		return
 	}
 	t.armed = false

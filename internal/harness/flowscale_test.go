@@ -181,3 +181,24 @@ func TestFlowStateFailover(t *testing.T) {
 		t.Errorf("%d DMA retry give-ups; transient faults should be masked", res.Stats.DMARetryGiveUps)
 	}
 }
+
+// TestChurnIsNotAnEvent checks that flow churn costs the event heap
+// nothing: at fw_flows1m's rate of a million steps a second the run takes
+// as many heap events as the same run without churn. The generator
+// applies the steps due where it draws flows instead.
+func TestChurnIsNotAnEvent(t *testing.T) {
+	run := func(churn float64) FlowScaleResult {
+		res, err := RunFlowScale(FlowScaleConfig{Window: 2 * eventsim.Millisecond, ChurnPerSec: churn})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	with, without := run(1e6), run(0)
+	if with.Births == 0 {
+		t.Fatal("no churn step ran")
+	}
+	if w, wo := with.Sim.HeapEvents, without.Sim.HeapEvents; w != wo {
+		t.Errorf("%d heap events with %d churn steps, %d without churn", w, with.Births, wo)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 
 	"github.com/opencloudnext/dhl-go/internal/eth"
@@ -67,7 +68,9 @@ type GeneratorConfig struct {
 	// in its place that many times per (virtual) second — the flow
 	// birth/death dynamics stateful NF tables must survive. Zero
 	// disables churn. Requires Flows <= 2^24 (the live-set slot array
-	// is kept in memory).
+	// is kept in memory). A churn step is not an event: the generator
+	// applies the steps due when it next draws flows or is read, in the
+	// order an event per step would have run them (see churnTo).
 	ChurnPerSec float64
 	// Payload optionally fills packet payloads, as each frame is taken
 	// off the wire (see PayloadFn).
@@ -87,6 +90,9 @@ type Generator struct {
 	sent uint64
 	drop uint64
 	stop bool
+	// burstPending is set while a burst event is on the heap: Start then
+	// resumes the chain it heads instead of scheduling a second one.
+	burstPending bool
 
 	interBurst eventsim.Time
 	template   []byte
@@ -102,15 +108,14 @@ type Generator struct {
 	// its mbuf but not yet its bytes: the port writes them when it takes
 	// the frame into an RX queue with room, and a frame the queue drops
 	// goes back to the pool unbuilt, as a NIC without a free descriptor
-	// never writes host memory. Due times never decrease along pend and
-	// seqs increase, so the frames fall due in pend order. nextOnPort
-	// chains the port's generators.
+	// never writes host memory. Due times never decrease along pend (a
+	// burst's frames are due before the next burst, and one chain of
+	// bursts runs at a time) and seqs increase, so the frames fall due in
+	// pend order. nextOnPort chains the port's generators.
 	pend       []rxFrame
 	head       int
-	lastDue    eventsim.Time
 	nextOnPort *Generator
 	burstFn    func()
-	churnFn    func()
 
 	// Flow mixing state. zipf is nil for uniform traffic; flowIDs is
 	// nil without churn (slot i then holds flow id i implicitly).
@@ -118,9 +123,22 @@ type Generator struct {
 	flowIDs    []uint64
 	nextFlowID uint64
 	interChurn eventsim.Time
-	births     uint64
-	deaths     uint64
+	churned    uint64 // churn steps applied: each one birth and one death
+
+	// The churn process keeps no event: churnAt is the instant of its next
+	// step, noChurn when it is not running, and churnTo applies the steps
+	// due. Where a step and a burst fall on one instant, the one armed
+	// first goes first, as the seqs of their events would have had it:
+	// armed counts the bursts and churn steps the generator has armed,
+	// and burstOrd and churnOrd are the pending ones' places in it.
+	churnAt  eventsim.Time
+	churnOrd uint64
+	burstOrd uint64
+	armed    uint64
 }
+
+// noChurn is Generator.churnAt while no churn process runs.
+const noChurn = eventsim.Time(math.MaxInt64)
 
 // rxFrame is one generated frame on the wire towards RX queue q, due
 // at due in the place seq gives it among events at that instant: the
@@ -192,8 +210,8 @@ func NewGenerator(sim *eventsim.Sim, cfg GeneratorConfig) (*Generator, error) {
 	if cfg.OfferedWireBps > cfg.Port.RateBps() {
 		cfg.OfferedWireBps = cfg.Port.RateBps()
 	}
-	g := &Generator{sim: sim, cfg: cfg, rng: 0x9E3779B97F4A7C15}
-	g.burstFn, g.churnFn = g.burst, g.churn
+	g := &Generator{sim: sim, cfg: cfg, rng: 0x9E3779B97F4A7C15, churnAt: noChurn}
+	g.burstFn = g.burst
 	if cfg.ZipfSkew > 1 {
 		// Seeded for run-to-run determinism, like every other source of
 		// randomness in the simulation.
@@ -258,19 +276,34 @@ const (
 )
 
 // Start begins emitting bursts at the configured pace (and, with
-// ChurnPerSec set, the flow birth/death process alongside).
+// ChurnPerSec set, the flow birth/death process alongside, its first step
+// one churn interval from now). On a generator that is running, or that
+// was stopped and whose next burst or churn step has not come yet, it
+// resumes that chain where it is rather than starting a second one. With
+// churn, call it between two Run calls, where every step due by now has
+// run.
 func (g *Generator) Start() {
+	g.churnTo(g.sim.Now(), math.MaxUint64)
 	g.stop = false
-	g.sim.After(0, g.burstFn)
-	if g.interChurn > 0 {
-		g.sim.After(g.interChurn, g.churnFn)
+	if !g.burstPending {
+		g.burstPending = true
+		g.burstOrd = g.arm()
+		g.sim.After(0, g.burstFn)
+	}
+	if g.interChurn > 0 && g.churnAt == noChurn {
+		g.churnAt, g.churnOrd = g.sim.Now()+g.interChurn, g.arm()
 	}
 }
 
-// Stop halts emission after the current burst. The burst that finds it
-// stopped is due after every frame already on the wire, so a run to
-// completion still takes them all.
-func (g *Generator) Stop() { g.stop = true }
+// Stop halts emission after the current burst, and churn after the last
+// step due by now. The burst that finds it stopped is due after every
+// frame already on the wire, so a run to completion still takes them
+// all. With churn, call it between two Run calls, where every step due
+// by now has run.
+func (g *Generator) Stop() {
+	g.churnTo(g.sim.Now(), math.MaxUint64)
+	g.stop = true
+}
 
 // SetOfferedWireBps retargets the offered load on a running generator:
 // the next burst is paced at the new rate (capped at the port line
@@ -300,11 +333,17 @@ func (g *Generator) Sent() uint64 { return g.sent }
 func (g *Generator) AllocFailures() uint64 { return g.drop }
 
 // Births reports flows created by churn (the initial population is not
-// counted).
-func (g *Generator) Births() uint64 { return g.births }
+// counted), every step due by now applied. Read it between two Run calls,
+// where every step due by now has run.
+func (g *Generator) Births() uint64 {
+	g.churnTo(g.sim.Now(), math.MaxUint64)
+	return g.churned
+}
 
-// Deaths reports flows retired by churn.
-func (g *Generator) Deaths() uint64 { return g.deaths }
+// Deaths reports flows retired by churn: one per birth, each taking a
+// retired flow's slot. Read it between two Run calls, where every step
+// due by now has run.
+func (g *Generator) Deaths() uint64 { return g.Births() }
 
 func (g *Generator) next() uint64 {
 	// SplitMix64: deterministic, well-distributed flow variation.
@@ -333,24 +372,40 @@ func (g *Generator) pickFlow() uint64 {
 	return slot
 }
 
-// churn retires one random live flow and births a fresh id in its
-// slot, then re-arms itself.
-func (g *Generator) churn() {
-	if g.stop {
-		return
+// arm returns the next place in the generator's own order of armed
+// bursts and churn steps.
+func (g *Generator) arm() uint64 {
+	g.armed++
+	return g.armed
+}
+
+// churnTo applies every churn step that goes before the generator's step
+// armed ord-th at instant at: each retires one random live flow and births
+// a fresh id in its slot, and arms the next one churn interval later. A
+// step that finds the generator stopped ends the process instead, as its
+// event would have. An event per step would have run them in this order
+// among the bursts, and drawn from g.next in it.
+func (g *Generator) churnTo(at eventsim.Time, ord uint64) {
+	for g.churnAt < at || g.churnAt == at && g.churnOrd < ord {
+		if g.stop {
+			g.churnAt = noChurn
+			return
+		}
+		slot := g.next() % uint64(len(g.flowIDs))
+		g.flowIDs[slot] = g.nextFlowID
+		g.nextFlowID++
+		g.churned++
+		g.churnAt, g.churnOrd = g.churnAt+g.interChurn, g.arm()
 	}
-	slot := g.next() % uint64(len(g.flowIDs))
-	g.flowIDs[slot] = g.nextFlowID
-	g.nextFlowID++
-	g.births++
-	g.deaths++
-	g.sim.After(g.interChurn, g.churnFn)
 }
 
 func (g *Generator) burst() {
 	if g.stop {
+		g.burstPending = false
 		return
 	}
+	now := g.sim.Now()
+	g.churnTo(now, g.burstOrd)
 	// Drops free their mbufs as they are taken: take them before the
 	// pool is asked, so that it runs dry exactly where it would have.
 	p := g.cfg.Port
@@ -359,7 +414,6 @@ func (g *Generator) burst() {
 	// wire serializes them even when the average offered load is lower),
 	// so each frame arrives at its own serialization boundary.
 	frameWire := eventsim.Time(float64(g.cfg.FrameSize+eth.WireOverhead) * 8 / p.RateBps() * 1e12)
-	now := g.sim.Now()
 	for i := 0; i < g.cfg.Burst; i++ {
 		// A frame holds its mbuf from here until it is taken, so where
 		// the pool runs dry does not depend on when its bytes are written.
@@ -371,15 +425,7 @@ func (g *Generator) burst() {
 		flow := g.pickFlow()
 		// RSS: queue by flow hash, like a NIC's Toeplitz over the tuple.
 		q := int(mix64(flow) % uint64(p.Queues()))
-		// The wire is serial: no frame lands before one scheduled
-		// earlier. Paced at or below line rate that already holds; a
-		// Start while an earlier burst is still in flight is held back
-		// to it, which is what keeps pend in due order.
 		due := now + eventsim.Time(i)*frameWire
-		if due < g.lastDue {
-			due = g.lastDue
-		}
-		g.lastDue = due
 		if g.head > 0 && len(g.pend) == cap(g.pend) {
 			g.pend = g.pend[:copy(g.pend, g.pend[g.head:])]
 			g.head = 0
@@ -388,6 +434,7 @@ func (g *Generator) burst() {
 		g.sent++
 	}
 	p.setHead(p.next())
+	g.burstOrd = g.arm()
 	g.sim.After(g.interBurst, g.burstFn)
 }
 

@@ -306,6 +306,46 @@ func TestSetOfferedWireBps(t *testing.T) {
 	}
 }
 
+// TestStartTwiceKeepsOnePace starts a generator a second time while it
+// runs, and stops and starts it before its pending burst fires: either
+// way one chain of bursts runs, and the window sees the frames of a
+// single Start.
+func TestStartTwiceKeepsOnePace(t *testing.T) {
+	const window = 100 * eventsim.Microsecond
+	sent := func(restart func(g *Generator)) uint64 {
+		sim, pool, p := newRig(t, 10e9, 1)
+		g, err := NewGenerator(sim, GeneratorConfig{Port: p, Pool: pool, FrameSize: 64, OfferedWireBps: 1e9, Burst: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]*mbuf.Mbuf, 64)
+		g.Start()
+		sim.Run(window / 3)
+		restart(g)
+		for sim.Now() < window {
+			sim.Run(sim.Now() + eventsim.Microsecond)
+			for n := p.RxBurst(0, buf); n > 0; n = p.RxBurst(0, buf) {
+				for _, m := range buf[:n] {
+					if err := pool.Free(m); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		return g.Sent()
+	}
+	once := sent(func(*Generator) {})
+	if once == 0 {
+		t.Fatal("no frames sent")
+	}
+	if twice := sent((*Generator).Start); twice != once {
+		t.Errorf("started twice: %d frames sent, %d after one Start", twice, once)
+	}
+	if again := sent(func(g *Generator) { g.Stop(); g.Start() }); again != once {
+		t.Errorf("stopped and started before the pending burst: %d frames sent, %d after one Start", again, once)
+	}
+}
+
 // fullBuild is the frame the generator delivers as ordinal ord of flow,
 // constructed the way it once was at burst time: the whole template
 // through eth.Build, then the flow's source address and port, the header

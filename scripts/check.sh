@@ -82,7 +82,7 @@ echo "==> autotuner smoke (control law, backpressure edges, zero-alloc with tune
 targeted -short -run 'Tuner|AutoTune|Pressure|CopySince|PerAccTuning|AccBatch' -count=1 \
     ./internal/tuner ./internal/core ./internal/telemetry .
 
-echo "==> event-engine equivalence (lazy idle polls vs a naive poll loop, deadlines declared through the Sim, busy set overflow, chained deliveries, steps counted by kind, event budgets, 10 s fuzz)"
+echo "==> event-engine equivalence (lazy idle polls vs a naive poll loop, deadlines declared through the Sim, busy set overflow, chained items read lazily, steps counted by kind (stale timer fires too), event budgets, 10 s fuzz)"
 targeted -run 'PollLoopEquivalence|BusySetOverflow|ShareInstantsInReferenceOrder|QuietStep|EventBudget|FlushTimeoutPoke|PoolHotSlab|FreeBulk|SetupBytesOpen' -count=1 \
     ./internal/eventsim ./internal/netdev ./internal/harness ./internal/core ./internal/mbuf .
 # One ^…$ pattern each, so that deleting or renaming one fails the step.
@@ -91,15 +91,20 @@ targeted -run '^TestStatsCountsStepsByKind$' -count=1 ./internal/eventsim
 targeted -run '^TestEventBudgetFlowScale$' -count=1 ./internal/harness
 go test -run '^$' -fuzz FuzzPollLoopEquivalence -fuzztime 10s ./internal/eventsim
 
-echo "==> traffic generator (lazy arrival against an eager reference, a waiting reader wakes when an event per frame would wake it and costs no event, frame written when taken equals the full build, drops go back unbuilt, three 5 s fuzzes)"
-targeted -run 'DeliversInScheduleOrder|ShareInstantsInReferenceOrder|ArrivalMatchesEager|ReaderWakesAsEager|RxWaitIsNotAnEvent|FrameMatchesFullBuild|DropsUnbuiltOnFullQueue' -count=1 ./internal/netdev
+echo "==> traffic generator (lazy arrival against an eager reference, a waiting reader wakes when an event per frame would wake it and costs no event, churn applied where flows are drawn against an event per step and costs no event, one burst chain per generator, frame written when taken equals the full build, drops go back unbuilt, four 5 s fuzzes)"
+targeted -run 'DeliversInScheduleOrder|ShareInstantsInReferenceOrder|ArrivalMatchesEager|ReaderWakesAsEager|RxWaitIsNotAnEvent|ChurnMatchesEager|StartTwiceKeepsOnePace|FrameMatchesFullBuild|DropsUnbuiltOnFullQueue' -count=1 ./internal/netdev
 targeted -run '^TestRxWaitIsNotAnEvent$' -count=1 ./internal/netdev
 targeted -run '^FuzzReaderWakesAsEager$' -count=1 ./internal/netdev
+targeted -run '^TestChurnMatchesEager$' -count=1 ./internal/netdev
+targeted -run '^FuzzChurnMatchesEager$' -count=1 ./internal/netdev
+targeted -run '^TestStartTwiceKeepsOnePace$' -count=1 ./internal/netdev
+targeted -run '^TestChurnIsNotAnEvent$' -count=1 ./internal/harness
 go test -run '^$' -fuzz FuzzArrivalMatchesEager -fuzztime 5s ./internal/netdev
 go test -run '^$' -fuzz FuzzReaderWakesAsEager -fuzztime 5s ./internal/netdev
+go test -run '^$' -fuzz FuzzChurnMatchesEager -fuzztime 5s ./internal/netdev
 go test -run '^$' -fuzz FuzzGeneratorFrameMatchesFullBuild -fuzztime 5s ./internal/netdev
 
-echo "==> equivalence coverage floor (every function of the quiet-step path, the busy set, deadlines declared through the Sim and chained events at 100 %)"
+echo "==> equivalence coverage floor (every function of the quiet-step path, the busy set, deadlines declared through the Sim, the seqs drawn for chained items and the heap push at 100 %)"
 # The sweep checks the quiet path (Sim.hush) only where its scenarios leave
 # loops deferred between two reads; with a probe after every slice it
 # passed while landAll never found a loop to land.
