@@ -125,6 +125,10 @@ const maxWatched = 2
 // instead, modelling the cost of a wasted poll. This mirrors a DPDK
 // while(1) { rx_burst(); ... } core.
 //
+// A loop runs one chain of iterations. Its first iteration is an event
+// (Start); from then on its next poll or its iteration's finish is kept in
+// the Sim's parked or busy set, never on the heap.
+//
 // Every poll is accounted for — virtual time, the core's busy time,
 // Iterations — but the body only runs when it could see something new
 // (see PollBody). Iterations, Core.FreeAt, Core.Utilization and
@@ -137,22 +141,18 @@ type PollLoop struct {
 	body       PollBody
 	idleCycles float64
 	period     Time // idleCycles on core: the spacing of idle polls
+	started    bool
 	stopped    bool
 	iterations uint64
 
-	// step and pendingCommit are bound once at construction so iterate —
-	// which runs once per poll on every transfer core — schedules the next
-	// turn without materializing a fresh closure each iteration.
-	step          func()
+	// pendingCommit is the commit of the iteration the core is spending.
 	pendingCommit func()
 
-	// After an idle iteration the loop is parked in its Sim instead of on
-	// the event heap, and (nextAt, seq) is the pending poll; after a busy
-	// one it is busy there, and (nextAt, seq) is the iteration's finish.
-	// Either way the pair is what the heap would have held. A loop started
-	// twice runs its second chain of iterations through the heap.
+	// After an idle iteration the loop is parked in its Sim, and (nextAt,
+	// seq) is the pending poll; after a busy one it is busy there, and
+	// (nextAt, seq) is the iteration's finish. Either way the pair is what
+	// the heap would have held.
 	parked bool
-	busy   bool
 	nextAt Time
 	seq    uint64 // order among events at nextAt
 	stamp  uint64 // Sim.executed when the body last ran, or was last found unconcerned
@@ -167,15 +167,20 @@ type PollLoop struct {
 	seen     [maxWatched]uint64
 }
 
-// NewPollLoop creates (but does not start) a poll loop on core.
+// NewPollLoop creates (but does not start) a poll loop on core, and keeps
+// room for it in the Sim's parked and busy sets.
 func NewPollLoop(sim *Sim, core *Core, idleCycles float64, body PollBody) *PollLoop {
-	p := &PollLoop{sim: sim, core: core, body: body, idleCycles: idleCycles, period: core.CycleTime(idleCycles)}
-	p.step = p.finish
-	return p
+	sim.addLoop()
+	return &PollLoop{sim: sim, core: core, body: body, idleCycles: idleCycles, period: core.CycleTime(idleCycles)}
 }
 
-// Start schedules the first iteration at the current time.
+// Start schedules the first iteration at the current time. A loop runs one
+// chain of iterations: Start on a started loop does nothing.
 func (p *PollLoop) Start() {
+	if p.started {
+		return
+	}
+	p.started = true
 	p.sim.After(0, p.iterate)
 }
 
@@ -276,17 +281,11 @@ func (p *PollLoop) iterate() {
 	}
 	s.executed++
 	p.pendingCommit = commit
-	if p.busy || s.nBusy == maxParked {
-		p.core.Exec(cycles, p.step)
-		return
-	}
-	// The finish takes the seq Exec's At would have drawn for it.
+	// The finish takes the seq an event booked for it would have drawn.
 	p.nextAt = p.core.Exec(cycles, nil)
 	s.seq++
 	p.seq = s.seq
-	s.busy[s.nBusy] = p
-	s.nBusy++
-	p.busy = true
+	s.busy = append(s.busy, p)
 }
 
 // finish runs the iteration's commit callback (after the core has spent

@@ -342,9 +342,7 @@ func runScenario(seed uint64, lazy bool) (trace, fed []rec) {
 	sc := &scenario{sim: sim}
 	sc.chain = &chain{sc: sc, lazy: lazy}
 	if lazy {
-		if err := sim.AddLazy(sc.chain); err != nil {
-			panic(err)
-		}
+		sim.AddLazy(sc.chain)
 	}
 
 	// Clocks whose periods share instants (1 ns, 0.5 ns per cycle) and one
@@ -358,7 +356,7 @@ func runScenario(seed uint64, lazy bool) (trace, fed []rec) {
 	idles := []float64{60, 60, 10, 28, 7}
 	n := 1 + rng.Intn(6)
 	if rng.Intn(16) == 0 {
-		n += maxParked // more loops than the parked set holds
+		n += inlineSlots // more loops than the sets hold inline
 	}
 	hz, idle := clocks[rng.Intn(len(clocks))], idles[rng.Intn(len(idles))]
 	for i := 0; i < n; i++ {

@@ -11,6 +11,7 @@ package eventsim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -66,10 +67,10 @@ func (e *event) before(o *event) bool {
 	return e.at < o.at || e.at == o.at && e.seq < o.seq
 }
 
-// maxParked bounds the idle poll loops a Sim keeps out of the heap, and
-// the busy ones. Each set is a fixed array so that joining it never
-// allocates; a loop that finds its set full goes through the heap.
-const maxParked = 32
+// inlineSlots is how many poll loops, and Lazy registrations, a Sim keeps
+// in arrays of its own. Past that NewPollLoop and AddLazy grow the sets,
+// at set-up: a loop joining its set never allocates.
+const inlineSlots = 32
 
 // Sim is a single-threaded discrete-event simulation.
 //
@@ -88,12 +89,15 @@ type Sim struct {
 	stats   Stats
 	polling *PollLoop // the loop whose body is running, if any (WakeBy)
 
-	// Idle poll loops (see PollLoop). executed counts everything that may
-	// have changed what a poll body sees: a parked loop that last polled
-	// at the current value has nothing new to look at.
-	parked   [maxParked]*PollLoop
-	nParked  int
-	nBusy    int // loops in busy
+	// Poll loops out of the heap (see PollLoop): each idle one parked with
+	// its next poll as its pending (nextAt, seq), each busy one with its
+	// iteration's finish, the pair the heap would have held; Run merges
+	// both sets with the heap. NewPollLoop keeps room in each for every
+	// loop. executed counts everything that may have changed what a
+	// poll body sees: a parked loop that last polled at the current value
+	// has nothing new to look at.
+	parked   []*PollLoop
+	busy     []*PollLoop
 	executed uint64
 	watching int    // loops that declared inputs (PollLoop.Watch)
 	settled  uint64 // executed when settle last looked at them
@@ -116,27 +120,32 @@ type Sim struct {
 
 	// State kept behind the clock (see Lazy), brought up to date at the
 	// end of every Run and before posted work runs.
-	lazy  [maxLazy]Lazy
-	nLazy int
+	lazy []Lazy
 
-	// Busy poll loops: each holds the finish of the iteration its core is
-	// spending as its own pending (nextAt, seq), the pair the heap would
-	// have held, merged with the heap by Run. Last, so that what every Run
-	// step reads stays on a few cache lines.
-	busy [maxParked]*PollLoop
+	// loops counts the poll loops made; the sets' first inlineSlots slots.
+	// Last, so that what every Run step reads stays on a few cache lines.
+	loops      int
+	parkedBack [inlineSlots]*PollLoop
+	busyBack   [inlineSlots]*PollLoop
+	lazyBack   [inlineSlots]Lazy
 }
 
 // maxSeq is the seq Running reports outside Run: every pending event at
 // the current time goes before it.
 const maxSeq = math.MaxUint64
 
-// maxLazy bounds the Lazy registrations of one Sim; they live in a fixed
-// array so that registering allocates nothing.
-const maxLazy = 16
-
 // New creates an empty simulation with the clock at zero.
 func New() *Sim {
-	return &Sim{cur: maxSeq}
+	s := &Sim{cur: maxSeq}
+	s.parked, s.busy, s.lazy = s.parkedBack[:0], s.busyBack[:0], s.lazyBack[:0]
+	return s
+}
+
+// addLoop keeps room for one more poll loop in the parked and busy sets.
+func (s *Sim) addLoop() {
+	s.loops++
+	s.parked = slices.Grow(s.parked, s.loops-len(s.parked))
+	s.busy = slices.Grow(s.busy, s.loops-len(s.busy))
 }
 
 // Now reports the current virtual time.
@@ -155,19 +164,13 @@ func (s *Sim) Running() (Time, uint64) { return s.now, s.cur }
 // before posted work runs.
 type Lazy interface{ CatchUp() }
 
-// AddLazy registers l for CatchUp. A Sim takes up to maxLazy of them.
-func (s *Sim) AddLazy(l Lazy) error {
-	if s.nLazy == maxLazy {
-		return fmt.Errorf("eventsim: more than %d lazy registrations", maxLazy)
-	}
-	s.lazy[s.nLazy] = l
-	s.nLazy++
-	return nil
-}
+// AddLazy registers l for CatchUp. A Sim takes any number of them; past
+// inlineSlots, registering allocates.
+func (s *Sim) AddLazy(l Lazy) { s.lazy = append(s.lazy, l) }
 
 // catchUp brings every Lazy registration up to Running.
 func (s *Sim) catchUp() {
-	for _, l := range s.lazy[:s.nLazy] {
+	for _, l := range s.lazy {
 		l.CatchUp()
 	}
 }
@@ -373,7 +376,7 @@ func (s *Sim) Run(until Time) uint64 {
 		// before the heap top; the first parked poll is compared with
 		// whichever of the two goes first.
 		f, fi := (*PollLoop)(nil), -1
-		if s.nBusy != 0 {
+		if len(s.busy) != 0 {
 			fi = s.firstBusy()
 			if f = s.busy[fi]; len(s.events) != 0 && !f.beforeEvent(&s.events[0]) {
 				f = nil
@@ -410,10 +413,10 @@ func (s *Sim) Run(until Time) uint64 {
 			if s.deferTo != 0 {
 				s.landAll()
 			}
-			s.nBusy--
-			s.busy[fi] = s.busy[s.nBusy]
-			s.busy[s.nBusy] = nil
-			f.busy = false
+			last := len(s.busy) - 1
+			s.busy[fi] = s.busy[last]
+			s.busy[last] = nil
+			s.busy = s.busy[:last]
 			s.now, s.cur = f.nextAt, f.seq
 			s.executed++
 			s.stats.Finishes++
@@ -463,19 +466,15 @@ func (s *Sim) RunAll() uint64 {
 // of them in one step.
 
 // park books p's idle iteration on its core and keeps its next poll in the
-// parked set. It reports false when p has to go through the heap instead;
-// that includes a core with other work queued, so that a parked loop's
-// polls are always exactly one period apart.
+// parked set. It reports false when p has to spend the iteration busy
+// instead: on a core with other work queued, so that a parked loop's polls
+// are always exactly one period apart, with no period, or stopped.
 func (s *Sim) park(p *PollLoop) bool {
-	if p.core.freeAt > s.now || p.period <= 0 || p.stopped || p.busy {
+	if p.core.freeAt > s.now || p.period <= 0 || p.stopped {
 		return false
 	}
 	if !p.parked {
-		if s.nParked == maxParked {
-			return false
-		}
-		s.parked[s.nParked] = p
-		s.nParked++
+		s.parked = append(s.parked, p)
 		p.parked = true
 	}
 	// Exec's booking of idleCycles, with the period NewPollLoop already
@@ -492,11 +491,12 @@ func (s *Sim) park(p *PollLoop) bool {
 }
 
 func (s *Sim) unpark(p *PollLoop) {
-	for i, q := range s.parked[:s.nParked] {
+	for i, q := range s.parked {
 		if q == p {
-			s.nParked--
-			s.parked[i] = s.parked[s.nParked]
-			s.parked[s.nParked] = nil
+			last := len(s.parked) - 1
+			s.parked[i] = s.parked[last]
+			s.parked[last] = nil
+			s.parked = s.parked[:last]
 			break
 		}
 	}
@@ -512,7 +512,7 @@ func (s *Sim) unpark(p *PollLoop) {
 // — so looking again when the count has moved, and only then, misses
 // nothing; a loop left behind runs its body at its next poll.
 func (s *Sim) settle() {
-	for _, q := range s.parked[:s.nParked] {
+	for _, q := range s.parked {
 		if q.nWatched != 0 && q.stamp != s.executed && q.unproduced() {
 			q.stamp = s.executed
 		}
@@ -524,7 +524,7 @@ func (s *Sim) settle() {
 // there is one.
 func (s *Sim) firstBusy() int {
 	first := 0
-	for i := 1; i < s.nBusy; i++ {
+	for i := 1; i < len(s.busy); i++ {
 		if s.busy[i].beforeFinish(s.busy[first]) {
 			first = i
 		}
@@ -535,7 +535,7 @@ func (s *Sim) firstBusy() int {
 // firstParked returns the parked loop whose poll is due first, or nil.
 func (s *Sim) firstParked() *PollLoop {
 	var first *PollLoop
-	for _, q := range s.parked[:s.nParked] {
+	for _, q := range s.parked {
 		if first == nil || q.beforeLoop(first) {
 			first = q
 		}
@@ -560,13 +560,13 @@ func (s *Sim) skip(p *PollLoop, until Time) bool {
 	if len(s.events) > 0 {
 		horizon = min(horizon, s.events[0].at)
 	}
-	for _, q := range s.busy[:s.nBusy] {
+	for _, q := range s.busy {
 		horizon = min(horizon, q.nextAt)
 	}
 	// A peer polling the same instants keeps its place in the order there
 	// from poll to poll: p may catch up with one that is ahead, not pass it.
 	land, d := never, p.period
-	for _, q := range s.parked[:s.nParked] {
+	for _, q := range s.parked {
 		if horizon <= p.nextAt {
 			break
 		}
@@ -623,12 +623,12 @@ func (s *Sim) quiet(until Time) bool {
 	if len(s.events) > 0 && s.events[0].at <= until {
 		return false
 	}
-	for _, q := range s.busy[:s.nBusy] {
+	for _, q := range s.busy {
 		if q.nextAt <= until {
 			return false
 		}
 	}
-	for _, q := range s.parked[:s.nParked] {
+	for _, q := range s.parked {
 		if q.nextAt <= until && (q.stamp != s.executed || q.wakeBy <= until || until >= never-q.period) {
 			return false
 		}
@@ -659,7 +659,7 @@ func (s *Sim) stillHushed(until Time) bool {
 	if s.seq != s.hushTo {
 		return false
 	}
-	for _, q := range s.parked[:s.nParked] {
+	for _, q := range s.parked {
 		if q.nextAt <= until && q.seq <= s.hushFrom {
 			return false
 		}
@@ -676,7 +676,7 @@ func (s *Sim) redraw(until Time) {
 	s.hushFrom = s.seq
 	for {
 		var next *PollLoop
-		for _, q := range s.parked[:s.nParked] {
+		for _, q := range s.parked {
 			if q.nextAt <= until && q.seq <= s.hushFrom &&
 				(next == nil || q.nextAt > next.nextAt || q.nextAt == next.nextAt && q.seq < next.seq) {
 				next = q
@@ -708,7 +708,7 @@ func (s *Sim) landAll() {
 	if s.deferTo == 0 {
 		return
 	}
-	for _, q := range s.parked[:s.nParked] {
+	for _, q := range s.parked {
 		if q.nextAt < s.deferTo {
 			s.land(q)
 		}
@@ -718,7 +718,7 @@ func (s *Sim) landAll() {
 
 // landOn lands the loops parked on c.
 func (s *Sim) landOn(c *Core) {
-	for _, q := range s.parked[:s.nParked] {
+	for _, q := range s.parked {
 		if q.core == c && q.nextAt < s.deferTo {
 			s.land(q)
 		}

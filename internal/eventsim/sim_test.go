@@ -8,12 +8,6 @@ import (
 )
 
 func TestTimeConversions(t *testing.T) {
-	if FromDuration(time.Microsecond) != Microsecond {
-		t.Errorf("FromDuration(1us) = %d", FromDuration(time.Microsecond))
-	}
-	if d := (3 * Millisecond).Duration(); d != 3*time.Millisecond {
-		t.Errorf("Duration() = %v", d)
-	}
 	if s := Second.Seconds(); s != 1.0 {
 		t.Errorf("Seconds() = %v", s)
 	}
@@ -558,55 +552,59 @@ func TestStatsCountsStepsByKind(t *testing.T) {
 	}
 }
 
-// More idle loops than the parked set holds: the rest poll through the
-// heap, and all of them stay exact.
-func TestPollLoopParkedSetOverflow(t *testing.T) {
+// workLoops starts n poll loops, lazy or naive, each busy while it has
+// work and idle without, on two clocks whose polls and finishes share
+// instants and with costs that keep the loops in step on some of them and
+// not on others. Every loop starts with work; events hand all of them more
+// now and then. With restart, each lazy loop is started twice more: at
+// once, and from an event while it runs. It runs for a microsecond and
+// returns the busy iterations and commits in the order they ran, every
+// loop's Iterations, and the most loops the lazy run had busy at once.
+func workLoops(lazy bool, n int, restart bool) (trace []rec, iters []uint64, maxBusy int) {
 	s := New()
-	loops := make([]*PollLoop, maxParked+3)
+	work := make([]int, n)
+	loops := make([]poller, n)
 	for i := range loops {
-		loops[i] = NewPollLoop(s, NewCore(s, i, 0, 1e9), 10, func() (float64, func()) { return 0, nil })
+		c := NewCore(s, i, 0, []float64{1e9, 2e9}[i%2])
+		cycles := float64(10 + 10*(i%3))
+		work[i] = 3
+		body := func() (float64, func()) {
+			if work[i] == 0 {
+				return 0, nil
+			}
+			work[i]--
+			trace = append(trace, rec{s.Now(), "busy", i, 0, 0})
+			maxBusy = max(maxBusy, len(s.busy)+1)
+			return cycles, func() { trace = append(trace, rec{s.Now(), "commit", i, 0, 0}) }
+		}
+		loops[i] = &naiveLoop{sim: s, core: c, idleCycles: 10, body: body}
+		if lazy {
+			loops[i] = NewPollLoop(s, c, 10, body)
+		}
 		loops[i].Start()
-	}
-	s.Run(1 * Microsecond)
-	for i, l := range loops {
-		if l.Iterations() != 101 {
-			t.Errorf("loop %d: %d iterations, want 101", i, l.Iterations())
+		if lazy && restart {
+			loops[i].Start()
+			s.At(100*Nanosecond, loops[i].Start)
 		}
 	}
-	if s.Pending() != len(loops) {
-		t.Errorf("pending %d, want %d", s.Pending(), len(loops))
+	for _, at := range []Time{150, 300, 310, 600} {
+		s.At(at*Nanosecond, func() {
+			for i := range work {
+				work[i] += 2
+			}
+		})
 	}
+	s.Run(Microsecond)
+	for _, l := range loops {
+		iters = append(iters, l.Iterations())
+	}
+	return trace, iters, maxBusy
 }
 
-// More busy loops than the busy set holds: the rest book their finishes on
-// the heap, and every loop's busy iterations and commits run where and in
-// the order naiveLoop has them.
-func TestPollLoopBusySetOverflow(t *testing.T) {
-	run := func(lazy bool) (trace []rec, pending int) {
-		s := New()
-		for i := 0; i < maxParked+3; i++ {
-			// Two clocks whose finishes share instants, and costs that
-			// keep the loops in step on some of them and not on others.
-			c := NewCore(s, i, 0, []float64{1e9, 2e9}[i%2])
-			cycles := float64(10 + 10*(i%3))
-			body := func() (float64, func()) {
-				trace = append(trace, rec{s.Now(), "busy", i, 0, 0})
-				return cycles, func() { trace = append(trace, rec{s.Now(), "commit", i, 0, 0}) }
-			}
-			var l poller = &naiveLoop{sim: s, core: c, idleCycles: 10, body: body}
-			if lazy {
-				l = NewPollLoop(s, c, 10, body)
-			}
-			l.Start()
-		}
-		s.Run(1 * Microsecond)
-		if lazy && s.nBusy != maxParked {
-			t.Errorf("%d loops in the busy set, want %d", s.nBusy, maxParked)
-		}
-		return trace, s.Pending()
-	}
-	want, _ := run(false)
-	got, pending := run(true)
+// sameWork requires two workLoops runs to have the same trace and the same
+// Iterations of every loop.
+func sameWork(t *testing.T, want, got []rec, wantIters, gotIters []uint64) {
+	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%d busy iterations and commits, naiveLoop has %d", len(got), len(want))
 	}
@@ -615,8 +613,91 @@ func TestPollLoopBusySetOverflow(t *testing.T) {
 			t.Fatalf("step %d: %v, naiveLoop has %v", i, got[i], want[i])
 		}
 	}
-	if pending != maxParked+3 {
-		t.Errorf("pending %d, want %d", pending, maxParked+3)
+	for i := range wantIters {
+		if gotIters[i] != wantIters[i] {
+			t.Errorf("loop %d: %d iterations, naiveLoop has %d", i, gotIters[i], wantIters[i])
+		}
+	}
+}
+
+// More busy loops than the busy set holds inline: every one of them is in
+// the busy set at once, and their busy iterations, commits and Iterations
+// are naiveLoop's.
+func TestPollLoopBusySetOverflow(t *testing.T) {
+	const n = inlineSlots + 3
+	want, wantIters, _ := workLoops(false, n, false)
+	got, gotIters, maxBusy := workLoops(true, n, false)
+	sameWork(t, want, got, wantIters, gotIters)
+	if maxBusy != n {
+		t.Errorf("at most %d loops busy at once, want all %d", maxBusy, n)
+	}
+}
+
+// More idle loops than the parked set holds inline: every one of them is
+// parked, none on the heap, and all of them stay exact.
+func TestPollLoopParkedSetOverflow(t *testing.T) {
+	const n = inlineSlots + 3
+	s := New()
+	loops := make([]*PollLoop, n)
+	for i := range loops {
+		loops[i] = NewPollLoop(s, NewCore(s, i, 0, 1e9), 10, func() (float64, func()) { return 0, nil })
+		loops[i].Start()
+	}
+	s.Run(Microsecond)
+	for i, l := range loops {
+		if l.Iterations() != 101 {
+			t.Errorf("loop %d: %d iterations, want 101", i, l.Iterations())
+		}
+	}
+	if len(s.events) != 0 || len(s.parked) != n {
+		t.Errorf("%d idle loops: %d parked, %d busy, %d heap events", n, len(s.parked), len(s.busy), len(s.events))
+	}
+	if s.Pending() != n {
+		t.Errorf("pending %d, want %d", s.Pending(), n)
+	}
+}
+
+// A loop runs one chain of iterations however often it is started: a
+// second Start, at once or from an event later, changes nothing, and the
+// iterations and commits are those of naiveLoop started once.
+func TestPollLoopStartTwiceRunsOneChain(t *testing.T) {
+	want, wantIters, _ := workLoops(false, 4, false)
+	got, gotIters, _ := workLoops(true, 4, true)
+	sameWork(t, want, got, wantIters, gotIters)
+}
+
+// NewPollLoop allocates the loop and nothing else while the sets' inline
+// room lasts.
+func TestNewPollLoopAllocatesOnlyTheLoop(t *testing.T) {
+	s := New()
+	c := NewCore(s, 0, 0, 1e9)
+	body := func() (float64, func()) { return 0, nil }
+	kept := make([]*PollLoop, 0, inlineSlots)
+	// AllocsPerRun makes one loop more than it counts: inlineSlots-1 in all.
+	if n := testing.AllocsPerRun(inlineSlots-2, func() { kept = append(kept, NewPollLoop(s, c, 10, body)) }); n != 1 {
+		t.Errorf("NewPollLoop allocates %v objects, want 1", n)
+	}
+}
+
+// lazyCount is a Lazy that counts its catch-ups.
+type lazyCount struct{ n int }
+
+func (l *lazyCount) CatchUp() { l.n++ }
+
+// AddLazy takes any number of registrations, and every one is caught up at
+// the end of every Run.
+func TestAddLazyTakesAnyNumber(t *testing.T) {
+	s := New()
+	ls := make([]lazyCount, 2*inlineSlots+1)
+	for i := range ls {
+		s.AddLazy(&ls[i])
+	}
+	s.Run(Microsecond)
+	s.Run(2 * Microsecond)
+	for i, l := range ls {
+		if l.n != 2 {
+			t.Errorf("registration %d caught up %d times over two Runs, want 2", i, l.n)
+		}
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"github.com/opencloudnext/dhl-go/internal/core"
+	"github.com/opencloudnext/dhl-go/internal/eventsim"
 	"github.com/opencloudnext/dhl-go/internal/hwfunc"
 	"github.com/opencloudnext/dhl-go/internal/nf"
 )
@@ -338,6 +339,27 @@ func benchmarkFuncs(t *testing.T, root string) []string {
 		t.Fatal(err)
 	}
 	return names
+}
+
+// TestRunMultiNFReportsSimSteps checks that a multi-NF run reports what
+// it cost the simulator, as the other runs do: four generators, four I/O
+// cores and the runtime's transfer cores take steps of every kind.
+func TestRunMultiNFReportsSimSteps(t *testing.T) {
+	res, err := RunMultiNF(MultiNFConfig{
+		FrameSize: 512, Warmup: 50 * eventsim.Microsecond, Window: 50 * eventsim.Microsecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := res.Sim
+	processed := st.HeapEvents + st.Finishes + st.ParkedRuns
+	t.Logf("%d steps processed (%+v)", processed, st)
+	if st.HeapEvents == 0 || st.Finishes == 0 || st.ParkedRuns == 0 || st.PollsSkipped == 0 {
+		t.Errorf("a step kind is missing from the multi-NF run's Sim: %+v", st)
+	}
+	if res.NF1.Pkts+res.NF2.Pkts == 0 {
+		t.Errorf("no packet carried in the window, yet %d steps processed", processed)
+	}
 }
 
 // TestRunMultiNFSharesSADB pins what Figure 7(a) is a figure of: two

@@ -90,9 +90,9 @@ type FlowScaleResult struct {
 	CacheMisses uint64
 	HitRate     float64
 
-	// Births/Deaths count generator flow churn events.
-	Births uint64
-	Deaths uint64
+	// Churned counts the generator's flow churn steps, each one death
+	// and one birth.
+	Churned uint64
 
 	// Drop attribution: every generated frame lands in exactly one of
 	// TxFrames (delivered), RxDropped (NIC queue overflow), NFDropped
@@ -228,7 +228,7 @@ func RunFlowScale(cfg FlowScaleConfig) (FlowScaleResult, error) {
 	if st.Lookups > 0 {
 		res.HitRate = float64(st.Hits) / float64(st.Lookups)
 	}
-	res.Births, res.Deaths = gen.Births(), gen.Deaths()
+	res.Churned = gen.Churned()
 	res.GenSent = gen.Sent()
 	res.AllocFailures = gen.AllocFailures()
 	res.TxFrames = txPort.Stats().TxFrames

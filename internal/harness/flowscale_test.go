@@ -105,9 +105,9 @@ func TestFlowScaleChurnSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("flows=%d good=%.1f Mbps pkts=%d hits=%d misses=%d births=%d deaths=%d tables=%+v",
+	t.Logf("flows=%d good=%.1f Mbps pkts=%d hits=%d misses=%d churned=%d tables=%+v",
 		cfg.Flows, res.Throughput.GoodBps/1e6, res.Throughput.Pkts,
-		res.CacheHits, res.CacheMisses, res.Births, res.Deaths, res.Tables)
+		res.CacheHits, res.CacheMisses, res.Churned, res.Tables)
 	if err := res.CheckConservation(); err != nil {
 		t.Fatal(err)
 	}
@@ -116,9 +116,9 @@ func TestFlowScaleChurnSoak(t *testing.T) {
 			t.Fatalf("table %s at %d bytes exceeds the %d budget", tab.Name, tab.MemBytes, cfg.MemBudgetBytes)
 		}
 	}
-	if res.Births < wantChurn || res.Deaths < wantChurn {
-		t.Errorf("churn soak too shallow: births=%d deaths=%d, want >= %d each",
-			res.Births, res.Deaths, wantChurn)
+	if res.Churned < wantChurn {
+		t.Errorf("churn soak too shallow: churned=%d, want >= %d",
+			res.Churned, wantChurn)
 	}
 	if res.Throughput.GoodBps <= 0 {
 		t.Fatalf("no goodput under churn: %+v", res.Throughput)
@@ -195,10 +195,10 @@ func TestChurnIsNotAnEvent(t *testing.T) {
 		return res
 	}
 	with, without := run(1e6), run(0)
-	if with.Births == 0 {
+	if with.Churned == 0 {
 		t.Fatal("no churn step ran")
 	}
 	if w, wo := with.Sim.HeapEvents, without.Sim.HeapEvents; w != wo {
-		t.Errorf("%d heap events with %d churn steps, %d without churn", w, with.Births, wo)
+		t.Errorf("%d heap events with %d churn steps, %d without churn", w, with.Churned, wo)
 	}
 }

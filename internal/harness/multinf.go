@@ -39,6 +39,9 @@ type MultiNFResult struct {
 	// Isolation cross-checks: zero means no NF ever received another NF's
 	// packets.
 	NFIDMismatches uint64
+	// Sim is what the run cost the simulator, by kind of step
+	// (eventsim.Sim.Stats), read at the end of the run.
+	Sim eventsim.Stats
 }
 
 // RunMultiNF reproduces one Figure 7 data point.
@@ -95,6 +98,7 @@ func RunMultiNF(cfg MultiNFConfig) (MultiNFResult, error) {
 	if ts, terr := rt.Stats(0); terr == nil {
 		res.NFIDMismatches = ts.NFIDMismatches
 	}
+	res.Sim = tb.sim.Stats()
 	return res, nil
 }
 

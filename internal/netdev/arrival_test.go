@@ -23,7 +23,7 @@ type eager struct {
 	sim  *eventsim.Sim
 	pool *mbuf.Pool
 	p    *Port
-	gens []*Generator
+	g    *Generator
 
 	pending   []booking  // booked and not yet delivered, in booking order
 	queues    [][]uint32 // the ids each queue holds, oldest first
@@ -37,7 +37,7 @@ type eager struct {
 	onFrame func(q int, m *mbuf.Mbuf)
 }
 
-// booking is one frame on the wire: id is its generator<<24 | ordinal.
+// booking is one frame on the wire: id is its ordinal.
 type booking struct {
 	id  uint32
 	q   int
@@ -63,22 +63,20 @@ func newEager(t testing.TB, cfg PortConfig, poolCap int) *eager {
 	return &eager{t: t, sim: sim, pool: pool, p: p, queues: make([][]uint32, p.Queues())}
 }
 
-// addGen builds a generator on the port whose Payload writes the frame's
+// addGen builds the port's generator, whose Payload writes the frame's
 // id and whose bursts the reference books.
 func (e *eager) addGen(cfg GeneratorConfig) *Generator {
 	e.t.Helper()
-	gi := len(e.gens)
 	cfg.Port, cfg.Pool = e.p, e.pool
 	cfg.Payload = func(i uint64, payload []byte) {
-		id := uint32(gi)<<24 | uint32(i)
-		e.written = append(e.written, id)
-		binary.BigEndian.PutUint32(payload, id)
+		e.written = append(e.written, uint32(i))
+		binary.BigEndian.PutUint32(payload, uint32(i))
 	}
 	g, err := NewGenerator(e.sim, cfg)
 	if err != nil {
 		e.t.Fatal(err)
 	}
-	e.gens = append(e.gens, g)
+	e.g = g
 	burstFn := g.burstFn
 	var lastDue eventsim.Time
 	var lastSeq uint64
@@ -93,14 +91,14 @@ func (e *eager) addGen(cfg GeneratorConfig) *Generator {
 		sent := g.Sent()
 		burstFn()
 		if got := int(g.Sent() - sent); got != want {
-			e.t.Fatalf("at %d: generator %d put %d frames on the wire, the reference %d", e.sim.Now(), gi, got, want)
+			e.t.Fatalf("at %d: the generator put %d frames on the wire, the reference %d", e.sim.Now(), got, want)
 		}
 		for _, f := range g.pend[len(g.pend)-want:] {
 			if f.ord < sent || f.due < lastDue || f.seq <= lastSeq || f.due < e.sim.Now() {
-				e.t.Fatalf("generator %d frame %d booked at (%d, %d) after (%d, %d)", gi, f.ord, f.due, f.seq, lastDue, lastSeq)
+				e.t.Fatalf("frame %d booked at (%d, %d) after (%d, %d)", f.ord, f.due, f.seq, lastDue, lastSeq)
 			}
 			lastDue, lastSeq = f.due, f.seq
-			e.pending = append(e.pending, booking{id: uint32(gi)<<24 | uint32(f.ord), q: f.q, due: f.due, seq: f.seq})
+			e.pending = append(e.pending, booking{id: uint32(f.ord), q: f.q, due: f.due, seq: f.seq})
 		}
 		e.inUse += want
 	}
@@ -139,7 +137,7 @@ func (e *eager) read(q int, buf []*mbuf.Mbuf) int {
 		e.t.Fatalf("at (%d, %d): queue %d returned %d frames, the reference holds %d of %d", at, seq, q, n, len(ref), len(buf))
 	}
 	for i, m := range buf[:n] {
-		if id := binary.BigEndian.Uint32(m.Data()[e.gens[0].payloadOff:]); id != ref[i] {
+		if id := binary.BigEndian.Uint32(m.Data()[e.g.payloadOff:]); id != ref[i] {
 			e.t.Fatalf("at (%d, %d): queue %d frame %d is %#x, the reference's %#x", at, seq, q, i, id, ref[i])
 		}
 		if e.onFrame != nil {
@@ -209,21 +207,17 @@ func (e *eager) drain() {
 	}
 }
 
-// finish stops every generator, runs to completion and checks that every
+// finish stops the generator, runs to completion and checks that every
 // frame put on the wire was taken: delivered, or dropped at a full queue.
 func (e *eager) finish() {
 	e.t.Helper()
-	for _, g := range e.gens {
-		g.Stop()
-	}
+	g := e.g
+	g.Stop()
 	e.sim.RunAll()
 	e.check()
-	sent := uint64(0)
-	for _, g := range e.gens {
-		sent += g.Sent()
-		if g.head != len(g.pend) {
-			e.t.Fatalf("generator still has %d frames on the wire after RunAll", len(g.pend)-g.head)
-		}
+	sent := g.Sent()
+	if g.head != len(g.pend) {
+		e.t.Fatalf("generator still has %d frames on the wire after RunAll", len(g.pend)-g.head)
 	}
 	if len(e.pending) != 0 || e.delivered+e.dropped != sent {
 		e.t.Fatalf("%d frames sent, the reference delivered %d and dropped %d, %d pending", sent, e.delivered, e.dropped, len(e.pending))
@@ -318,93 +312,27 @@ func TestGeneratorDeliversInScheduleOrder(t *testing.T) {
 	}
 }
 
-// TestGeneratorsShareInstantsInReferenceOrder runs two generators on one
-// port whose frames fall due at shared instants, through a Stop/Start that
-// runs one of them on two burst chains, read by a poll loop that is busy
-// for some frames and waits for others. Every read, and the counters
-// after every Run slice, match the eager reference, which delivers the
-// two generators' frames merged in (due, seq) order, the event heap's.
-func TestGeneratorsShareInstantsInReferenceOrder(t *testing.T) {
-	const frameSize = 64
-	e := newEager(t, PortConfig{ID: 0, RateBps: 10e9, RxQueues: 2}, 4096)
-	frameWire := e.p.wireTime(frameSize)
-	dueBy := map[eventsim.Time]int{} // which generators have a frame due at an instant, as bits
-	for i, cfg := range []struct {
-		bps   float64
-		burst int
-	}{{10e9, 8}, {5e9, 12}} {
-		g := e.addGen(GeneratorConfig{FrameSize: frameSize, OfferedWireBps: cfg.bps, Burst: cfg.burst})
-		booked := g.burstFn
-		g.burstFn = func() {
-			sent := g.Sent()
-			booked()
-			for _, f := range g.pend[len(g.pend)-int(g.Sent()-sent):] {
-				dueBy[f.due] |= 1 << i
-			}
-		}
-	}
-	gens := e.gens
-	// A read every half frame time, 3/4 of a frame time per frame read:
-	// the reader falls behind in a burst and catches up between bursts.
-	e.reader(frameWire/2, 3*frameWire/4, 8)
-
-	// Generator 1 starts three frame times in: its 12-frame bursts overlap
-	// two of generator 0's 8-frame ones, drawn before the second of them.
-	gens[0].Start()
-	e.sim.At(3*frameWire, gens[1].Start)
-	// Halfway through a burst, generator 0 stops and starts again: the new
-	// burst queues behind the frames still on the wire, and the old burst
-	// chain keeps running beside the new one.
-	e.sim.At(20*frameWire+frameWire/2, func() {
-		gens[0].Stop()
-		gens[0].Start()
-	})
-	e.sim.At(60*frameWire, func() { gens[0].Stop(); gens[1].Stop() })
-	for e.sim.Now() < 100*frameWire {
-		e.sim.Run(e.sim.Now() + 7*frameWire/3)
-		e.check()
-	}
-	e.finish()
-
-	shared := 0
-	for _, bits := range dueBy {
-		if bits == 3 {
-			shared++
-		}
-	}
-	if shared < 10 {
-		t.Fatalf("the generators share %d due instants; the test needs them to share many", shared)
-	}
-	if e.dropped != 0 || e.delivered != gens[0].Sent()+gens[1].Sent() {
-		t.Fatalf("%d delivered, %d dropped of %d sent", e.delivered, e.dropped, gens[0].Sent()+gens[1].Sent())
-	}
-}
-
 // FuzzArrivalMatchesEager holds lazy arrival to the eager reference over
 // drawn traffic: offered rate, burst, frame size, 1-4 queues, queue depth,
-// pool size, one or two generators, a poll-loop reader's period and busy
-// time per frame, and a Stop and a Start of the first generator. The
+// pool size, a poll-loop reader's period and busy time per frame, and a
+// Stop and a Start of the generator. The
 // reader's times, the Stop and the Start sit on a grid of quarter frame
 // times, so reads often fall on a frame's due instant and the seq decides.
 func FuzzArrivalMatchesEager(f *testing.F) {
-	f.Add(uint8(0), uint8(31), uint16(0), uint8(0), uint8(63), uint8(255), false, uint8(3), uint8(1), uint16(200), uint16(210))
-	f.Add(uint8(0), uint8(7), uint16(0), uint8(1), uint8(3), uint8(255), true, uint8(2), uint8(0), uint16(81), uint16(82))
-	f.Add(uint8(1), uint8(11), uint16(200), uint8(3), uint8(1), uint8(4), true, uint8(9), uint8(2), uint16(50), uint16(20))
-	f.Add(uint8(3), uint8(0), uint16(1436), uint8(2), uint8(0), uint8(0), false, uint8(0), uint8(7), uint16(0), uint16(400))
-	f.Fuzz(func(t *testing.T, rate, burst uint8, size uint16, queues, depth, pool uint8, two bool, busy, idle uint8, stopAt, startAt uint16) {
+	f.Add(uint8(0), uint8(31), uint16(0), uint8(0), uint8(63), uint8(255), uint8(3), uint8(1), uint16(200), uint16(210))
+	f.Add(uint8(0), uint8(7), uint16(0), uint8(1), uint8(3), uint8(255), uint8(2), uint8(0), uint16(81), uint16(82))
+	f.Add(uint8(1), uint8(11), uint16(200), uint8(3), uint8(1), uint8(4), uint8(9), uint8(2), uint16(50), uint16(20))
+	f.Add(uint8(3), uint8(0), uint16(1436), uint8(2), uint8(0), uint8(0), uint8(0), uint8(7), uint16(0), uint16(400))
+	f.Fuzz(func(t *testing.T, rate, burst uint8, size uint16, queues, depth, pool uint8, busy, idle uint8, stopAt, startAt uint16) {
 		frameSize := 64 + int(size)%(1500-64+1)
 		e := newEager(t, PortConfig{ID: 0, RateBps: 10e9, RxQueues: 1 + int(queues)%4, RxQueueDepth: 1 + int(depth)%64}, 8+4*int(pool))
 		quarter := e.p.wireTime(frameSize) / 4
 		cfg := GeneratorConfig{FrameSize: frameSize, OfferedWireBps: 10e9 / float64(1+rate%4), Burst: 1 + int(burst)%32}
-		e.addGen(cfg)
-		if two {
-			e.addGen(cfg)
-			e.sim.At(12*quarter, e.gens[1].Start)
-		}
+		g := e.addGen(cfg)
 		e.reader(eventsim.Time(1+idle%8)*quarter, eventsim.Time(1+busy%16)*quarter, 1+int(burst)%16)
-		e.gens[0].Start()
-		e.sim.At(eventsim.Time(stopAt%1024)*quarter, e.gens[0].Stop)
-		e.sim.At(eventsim.Time(startAt%1024)*quarter, e.gens[0].Start)
+		g.Start()
+		e.sim.At(eventsim.Time(stopAt%1024)*quarter, g.Stop)
+		e.sim.At(eventsim.Time(startAt%1024)*quarter, g.Start)
 		for e.sim.Now() < 1200*quarter {
 			e.sim.Run(e.sim.Now() + 37*quarter)
 			e.check()

@@ -147,7 +147,7 @@ func (r *churnRig) ties() int {
 
 // checkChurn drives both sides through c and, after every Run slice,
 // requires the same frames on the wire (flow and due instant), the same
-// Births, Deaths and Sent. It returns the eager side's ties.
+// Churned and Sent. It returns the eager side's ties.
 func checkChurn(t *testing.T, c churnCase) int {
 	t.Helper()
 	lazy, eager := newChurnRig(t, c, false), newChurnRig(t, c, true)
@@ -195,7 +195,7 @@ func checkChurn(t *testing.T, c churnCase) int {
 }
 
 // compareChurnRigs requires the same Sent, the same frames from the
-// from-th on, and the same Births and Deaths of both sides. It reports
+// from-th on, and the same Churned of both sides. It reports
 // the first difference; a check that passes costs no t.Helper call, which
 // every slice would pay.
 func compareChurnRigs(lazy, eager *churnRig, from int) error {
@@ -209,11 +209,8 @@ func compareChurnRigs(lazy, eager *churnRig, from int) error {
 				now, k, l.flow, l.due, e.flow, e.due)
 		}
 	}
-	if lb, eb := lazy.g.Births(), eager.g.Births(); lb != eb {
-		return fmt.Errorf("at %d: %d births on the lazy side, %d on the eager", now, lb, eb)
-	}
-	if ld, ed := lazy.g.Deaths(), eager.g.Deaths(); ld != ed {
-		return fmt.Errorf("at %d: %d deaths on the lazy side, %d on the eager", now, ld, ed)
+	if lc, ec := lazy.g.Churned(), eager.g.Churned(); lc != ec {
+		return fmt.Errorf("at %d: %d churn steps on the lazy side, %d on the eager", now, lc, ec)
 	}
 	return nil
 }

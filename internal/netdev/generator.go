@@ -19,6 +19,8 @@ var (
 	ErrBadFlows     = errors.New("netdev: flow count must be in [1, 2^40]")
 	ErrBadZipfSkew  = errors.New("netdev: Zipf skew must be > 1 (or 0 for uniform)")
 	ErrBadChurnCfg  = errors.New("netdev: bad churn config")
+	ErrNoPortOrPool = errors.New("netdev: a generator needs a port and a pool")
+	ErrPortTaken    = errors.New("netdev: port already has a generator")
 )
 
 // MaxFlows is the most distinct flows the 5-tuple encoding can
@@ -42,7 +44,7 @@ type PayloadFn func(i uint64, payload []byte)
 
 // GeneratorConfig parameterizes a Generator.
 type GeneratorConfig struct {
-	// Port is the target port.
+	// Port is the target port. It takes one generator.
 	Port *Port
 	// Pool supplies mbufs.
 	Pool *mbuf.Pool
@@ -111,11 +113,10 @@ type Generator struct {
 	// never writes host memory. Due times never decrease along pend (a
 	// burst's frames are due before the next burst, and one chain of
 	// bursts runs at a time) and seqs increase, so the frames fall due in
-	// pend order. nextOnPort chains the port's generators.
-	pend       []rxFrame
-	head       int
-	nextOnPort *Generator
-	burstFn    func()
+	// pend order.
+	pend    []rxFrame
+	head    int
+	burstFn func()
 
 	// Flow mixing state. zipf is nil for uniform traffic; flowIDs is
 	// nil without churn (slot i then holds flow id i implicitly).
@@ -152,15 +153,14 @@ type rxFrame struct {
 	ord  uint64
 }
 
-// before orders two frames as the event heap orders events.
-func (f *rxFrame) before(o *rxFrame) bool {
-	return f.due < o.due || f.due == o.due && f.seq < o.seq
-}
-
-// dueBy reports whether f goes before the step (at, seq) as the heap
-// orders events. No step runs at a frame's own pair: its seq was drawn
-// for the frame alone.
-func (f *rxFrame) dueBy(at eventsim.Time, seq uint64) bool {
+// dueBy reports whether the generator's oldest frame on the wire goes
+// before the step (at, seq) as the heap orders events. No step runs at a
+// frame's own pair: its seq was drawn for the frame alone.
+func (g *Generator) dueBy(at eventsim.Time, seq uint64) bool {
+	if g.head == len(g.pend) {
+		return false
+	}
+	f := &g.pend[g.head]
 	return f.due < at || f.due == at && f.seq < seq
 }
 
@@ -174,8 +174,18 @@ func FlowSrc(id uint64) (eth.IPv4, uint16) {
 	return ip, port
 }
 
-// NewGenerator validates cfg and builds a generator.
+// NewGenerator validates cfg and builds a generator, the only one of its
+// port.
 func NewGenerator(sim *eventsim.Sim, cfg GeneratorConfig) (*Generator, error) {
+	if cfg.Port == nil {
+		return nil, fmt.Errorf("%w: no port", ErrNoPortOrPool)
+	}
+	if cfg.Pool == nil {
+		return nil, fmt.Errorf("%w: no pool", ErrNoPortOrPool)
+	}
+	if cfg.Port.gen != nil {
+		return nil, fmt.Errorf("%w: port %d", ErrPortTaken, cfg.Port.ID())
+	}
 	if cfg.FrameSize < 64 || cfg.FrameSize > 1500 {
 		return nil, fmt.Errorf("%w: %d", ErrBadFrameSize, cfg.FrameSize)
 	}
@@ -260,12 +270,8 @@ func NewGenerator(sim *eventsim.Sim, cfg GeneratorConfig) (*Generator, error) {
 		}
 	}
 	p := cfg.Port
-	if p.gens == nil {
-		if err := p.sim.AddLazy(p); err != nil {
-			return nil, fmt.Errorf("netdev: port %d: %w", p.ID(), err)
-		}
-	}
-	g.nextOnPort, p.gens = p.gens, g
+	p.gen = g
+	p.sim.AddLazy(p)
 	return g, nil
 }
 
@@ -332,18 +338,14 @@ func (g *Generator) Sent() uint64 { return g.sent }
 // AllocFailures reports frames skipped because the pool was exhausted.
 func (g *Generator) AllocFailures() uint64 { return g.drop }
 
-// Births reports flows created by churn (the initial population is not
-// counted), every step due by now applied. Read it between two Run calls,
+// Churned reports the churn steps applied, every step due by now among
+// them: each retired one live flow and birthed a fresh one in its slot
+// (the initial population is not counted). Read it between two Run calls,
 // where every step due by now has run.
-func (g *Generator) Births() uint64 {
+func (g *Generator) Churned() uint64 {
 	g.churnTo(g.sim.Now(), math.MaxUint64)
 	return g.churned
 }
-
-// Deaths reports flows retired by churn: one per birth, each taking a
-// retired flow's slot. Read it between two Run calls, where every step
-// due by now has run.
-func (g *Generator) Deaths() uint64 { return g.Births() }
 
 func (g *Generator) next() uint64 {
 	// SplitMix64: deterministic, well-distributed flow variation.
@@ -433,7 +435,7 @@ func (g *Generator) burst() {
 		g.pend = append(g.pend, rxFrame{q: q, m: m, due: due, seq: g.sim.DrawSeq(), flow: flow, ord: g.sent})
 		g.sent++
 	}
-	p.setHead(p.next())
+	p.setHead()
 	g.burstOrd = g.arm()
 	g.sim.After(g.interBurst, g.burstFn)
 }

@@ -44,6 +44,48 @@ func TestGeneratorFlowValidation(t *testing.T) {
 	}
 }
 
+// TestNewGeneratorRefusesMissingPortOrPool checks that a config without a
+// port or without a pool is an error, not a panic now or at the first
+// burst.
+func TestNewGeneratorRefusesMissingPortOrPool(t *testing.T) {
+	sim, pool, p := newRig(t, 10e9, 1)
+	for name, cfg := range map[string]GeneratorConfig{
+		"no port": {Pool: pool, FrameSize: 64, OfferedWireBps: 1e9},
+		"no pool": {Port: p, FrameSize: 64, OfferedWireBps: 1e9},
+	} {
+		if g, err := NewGenerator(sim, cfg); !errors.Is(err, ErrNoPortOrPool) || g != nil {
+			t.Errorf("%s: %v, %v; want nil, ErrNoPortOrPool", name, g, err)
+		}
+	}
+}
+
+// TestSecondGeneratorOnPortRefused checks that a port takes one generator:
+// a second is refused, and a generator the config refused does not take
+// the port.
+func TestSecondGeneratorOnPortRefused(t *testing.T) {
+	sim, pool, p := newRig(t, 10e9, 1)
+	cfg := GeneratorConfig{Port: p, Pool: pool, FrameSize: 64, OfferedWireBps: 1e9}
+	bad := cfg
+	bad.FrameSize = 63
+	if _, err := NewGenerator(sim, bad); !errors.Is(err, ErrBadFrameSize) {
+		t.Fatalf("bad frame size: %v", err)
+	}
+	g, err := NewGenerator(sim, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g2, err := NewGenerator(sim, cfg); !errors.Is(err, ErrPortTaken) || g2 != nil {
+		t.Fatalf("second generator on port 0: %v, %v; want nil, ErrPortTaken", g2, err)
+	}
+	g.Start()
+	sim.Run(10 * eventsim.Microsecond)
+	g.Stop()
+	sim.RunAll()
+	if st := p.Stats(); g.Sent() == 0 || st.RxDelivered+st.RxDropped != g.Sent() {
+		t.Fatalf("port took %d+%d frames of the %d its generator sent", st.RxDelivered, st.RxDropped, g.Sent())
+	}
+}
+
 // TestFlowSrcInjective pins the satellite fix: the flow encoding must
 // not fold ids into 16 bits. Distinct ids anywhere in [0, MaxFlows)
 // produce distinct (SrcIP, SrcPort) pairs, including ids that the old
@@ -225,17 +267,14 @@ func TestGeneratorChurn(t *testing.T) {
 	gen.Stop()
 	sim.RunAll()
 	// 1M churn/s over 1ms of virtual time = ~1000 replacements.
-	if gen.Deaths() < 900 || gen.Deaths() > 1100 {
-		t.Errorf("deaths = %d, want ~1000", gen.Deaths())
-	}
-	if gen.Births() != gen.Deaths() {
-		t.Errorf("births %d != deaths %d", gen.Births(), gen.Deaths())
+	if gen.Churned() < 900 || gen.Churned() > 1100 {
+		t.Errorf("churned = %d, want ~1000", gen.Churned())
 	}
 	// Live set stays at Flows, every live id unique. Ids are handed out
-	// in order and each birth takes a dead flow's slot, so with 128 + births
+	// in order and each birth takes a dead flow's slot, so with 128 + churned
 	// ids issued, the retired ones are exactly those not live: none twice.
-	if gen.nextFlowID != 128+gen.Births() {
-		t.Errorf("%d flow ids issued, want %d", gen.nextFlowID, 128+gen.Births())
+	if gen.nextFlowID != 128+gen.Churned() {
+		t.Errorf("%d flow ids issued, want %d", gen.nextFlowID, 128+gen.Churned())
 	}
 	live := map[uint64]bool{}
 	for _, id := range gen.flowIDs {

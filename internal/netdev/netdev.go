@@ -50,14 +50,15 @@ type PortStats struct {
 	TxDropped   uint64
 }
 
-// Port is one simulated Ethernet port.
+// Port is one simulated Ethernet port, fed by at most one Generator, as a
+// testbed port is by one DPDK-Pktgen stream.
 //
-// Frames on the wire towards it stay with their generators (see
-// Generator) until something reads what they change: RxBurst, Stats, a
-// generator's next burst (before it allocates) and the Sim's catch-up at
-// the end of every Run take every frame due before the step being run
-// (Sim.Running), in (due, seq) order across the port's generators, with
-// the room, drop and Payload rules an event per frame would have applied.
+// Frames on the wire towards it stay with its generator until something
+// reads what they change: RxBurst, Stats, the generator's next burst
+// (before it allocates) and the Sim's catch-up at the end of every Run
+// take every frame due before the step being run (Sim.Running), in the
+// order the generator put them on the wire, with the room, drop and
+// Payload rules an event per frame would have applied.
 // Only the queues' reader and those reads see the queues, and between
 // two reads nothing dequeues, so the frames land as they would have. A
 // frame is never an event: an RxBurst that finds its queue empty from a
@@ -73,10 +74,9 @@ type Port struct {
 	txFreeAt eventsim.Time
 	stats    PortStats
 
-	// gens chains the generators feeding the port (Generator.nextOnPort),
-	// and (headAt, headSeq) is the earliest of their frames on the wire,
-	// headAt noFrame when there is none.
-	gens    *Generator
+	// gen feeds the port, and (headAt, headSeq) is the oldest of its
+	// frames on the wire, headAt noFrame when there is none.
+	gen     *Generator
 	headAt  eventsim.Time
 	headSeq uint64
 
@@ -150,13 +150,9 @@ func (p *Port) wireTime(frameLen int) eventsim.Time {
 	return eventsim.Time(float64(frameLen+eth.WireOverhead) * 8 / p.cfg.RateBps * 1e12)
 }
 
-// DeliverRx places an ingress frame on RSS queue q, dropping it (and
-// freeing the mbuf) when the queue is full. The generator is responsible
-// for pacing deliveries at line rate.
-func (p *Port) DeliverRx(q int, m *mbuf.Mbuf, pool *mbuf.Pool) {
-	if q < 0 || q >= len(p.rxQueues) {
-		q = 0
-	}
+// deliverRx places an ingress frame on RSS queue q, dropping it (and
+// freeing the mbuf) when the queue is full.
+func (p *Port) deliverRx(q int, m *mbuf.Mbuf, pool *mbuf.Pool) {
 	if p.rxQueues[q].r.Enqueue(m) {
 		p.stats.RxDelivered++
 		return
@@ -188,23 +184,11 @@ func (p *Port) RxBurst(q int, dst []*mbuf.Mbuf) int {
 // CatchUp takes every frame due by now off the wire (eventsim.Lazy).
 func (p *Port) CatchUp() { p.take() }
 
-// next returns the generator whose oldest frame on the wire goes first
-// in (due, seq) order, or nil when none has a frame on the wire.
-func (p *Port) next() *Generator {
-	var first *Generator
-	for g := p.gens; g != nil; g = g.nextOnPort {
-		if g.head < len(g.pend) && (first == nil || g.pend[g.head].before(&first.pend[first.head])) {
-			first = g
-		}
-	}
-	return first
-}
-
 // take hands every frame due by the step being run to its RX queue, in
-// (due, seq) order: written and queued if the queue has room for it
-// behind what is already there, else dropped, its mbuf back to the pool
-// unbuilt. It is small enough to inline, for the reads that find nothing
-// due yet.
+// the order they went on the wire: written and queued if the queue has
+// room for it behind what is already there, else dropped, its mbuf back
+// to the pool unbuilt. It is small enough to inline, for the reads that
+// find nothing due yet.
 func (p *Port) take() {
 	if p.sim.Now() >= p.headAt {
 		p.takeDue()
@@ -221,35 +205,34 @@ func (p *Port) takeDue() {
 	if at == p.headAt && seq < p.headSeq {
 		return
 	}
-	g := p.next()
+	g := p.gen
 	f := g.pop()
-	h := p.next()
-	if h == nil || !h.pend[h.head].dueBy(at, seq) {
+	if !g.dueBy(at, seq) {
 		r := p.rxQueues[f.q].r
 		if r.Len() < r.Capacity() {
 			g.build(f)
 		}
-		p.DeliverRx(f.q, f.m, g.cfg.Pool)
-		p.setHead(h)
+		p.deliverRx(f.q, f.m, g.cfg.Pool)
+		p.setHead()
 		return
 	}
 	for {
 		p.accept(g, f)
-		if h == nil || !h.pend[h.head].dueBy(at, seq) {
+		if !g.dueBy(at, seq) {
 			break
 		}
-		g, f = h, h.pop()
-		h = p.next()
+		f = g.pop()
 	}
 	for q := range p.rxQueues {
 		p.flush(&p.rxQueues[q])
 	}
-	p.setHead(h)
+	p.setHead()
 }
 
-// setHead records g's oldest frame, the earliest on the wire (g nil: none).
-func (p *Port) setHead(g *Generator) {
-	if g == nil {
+// setHead records the generator's oldest frame on the wire, if any.
+func (p *Port) setHead() {
+	g := p.gen
+	if g.head == len(g.pend) {
 		p.headAt = noFrame
 		return
 	}

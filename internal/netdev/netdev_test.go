@@ -46,7 +46,7 @@ func TestDeliverAndRxBurst(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		m, _ := pool.Alloc()
 		_ = m.AppendBytes([]byte{byte(i)})
-		p.DeliverRx(i%2, m, pool)
+		p.deliverRx(i%2, m, pool)
 	}
 	buf := make([]*mbuf.Mbuf, 8)
 	n0 := p.RxBurst(0, buf)
@@ -75,7 +75,7 @@ func TestRxQueueOverflowDrops(t *testing.T) {
 	}
 	for i := 0; i < 20; i++ {
 		m, _ := pool.Alloc()
-		p.DeliverRx(0, m, pool)
+		p.deliverRx(0, m, pool)
 	}
 	st := p.Stats()
 	if st.RxDropped == 0 {

@@ -58,14 +58,14 @@ func TestRxWaitIsNotAnEvent(t *testing.T) {
 	}
 }
 
-// wakeRig is one side of FuzzReaderWakesAsEager: a Sim, its generators
+// wakeRig is one side of FuzzReaderWakesAsEager: a Sim, its generator
 // and a poll-loop reader that records the instant it read each frame.
 type wakeRig struct {
 	sim  *eventsim.Sim
 	core *eventsim.Core
 	loop *eventsim.PollLoop
 	port *Port
-	gens []*Generator
+	g    *Generator
 	read map[uint32]eventsim.Time
 
 	// The eager side only: a plain ring per RX queue, which an event per
@@ -76,19 +76,17 @@ type wakeRig struct {
 
 // wakeTraffic is what both sides of FuzzReaderWakesAsEager are built from.
 type wakeTraffic struct {
-	port     PortConfig
-	gen      GeneratorConfig
-	two      bool
-	idle     eventsim.Time // the reader's poll period
-	busy     eventsim.Time // what the reader spends per frame it read
-	burst    int           // the reader's burst per queue
-	stopAt   eventsim.Time // generator 0 stops
-	startAt  eventsim.Time // and starts again
-	secondAt eventsim.Time // generator 1 starts
+	port    PortConfig
+	gen     GeneratorConfig
+	idle    eventsim.Time // the reader's poll period
+	busy    eventsim.Time // what the reader spends per frame it read
+	burst   int           // the reader's burst per queue
+	stopAt  eventsim.Time // the generator stops
+	startAt eventsim.Time // and starts again
 }
 
 // newWakeRig builds one side. The lazy side's reader reads the port; the
-// eager side's reads the rings, and its generators feed a port nobody
+// eager side's reads the rings, and its generator feeds a port nobody
 // reads, each burst booking an event per frame at the frame's due instant
 // into the ring of the frame's queue. Those events draw their seqs right
 // after the burst drew the frames' own, with nothing else drawn in
@@ -116,39 +114,33 @@ func newWakeRig(t *testing.T, tr wakeTraffic, eager bool) *wakeRig {
 			w.rings = append(w.rings, r)
 		}
 	}
-	gens := 1
-	if tr.two {
-		gens = 2
+	cfg := tr.gen
+	cfg.Port, cfg.Pool = p, pool
+	if !eager {
+		cfg.Payload = func(i uint64, payload []byte) {
+			binary.BigEndian.PutUint32(payload, uint32(i))
+		}
 	}
-	for gi := 0; gi < gens; gi++ {
-		cfg := tr.gen
-		cfg.Port, cfg.Pool = p, pool
-		if !eager {
-			cfg.Payload = func(i uint64, payload []byte) {
-				binary.BigEndian.PutUint32(payload, uint32(gi)<<24|uint32(i))
+	g, err := NewGenerator(sim, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eager {
+		burstFn := g.burstFn
+		g.burstFn = func() {
+			sent := g.Sent()
+			burstFn()
+			for _, f := range g.pend[len(g.pend)-int(g.Sent()-sent):] {
+				id, r := uint32(f.ord), w.rings[f.q]
+				sim.At(f.due, func() {
+					if !r.Enqueue(id) {
+						w.dropped++
+					}
+				})
 			}
 		}
-		g, err := NewGenerator(sim, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if eager {
-			burstFn := g.burstFn
-			g.burstFn = func() {
-				sent := g.Sent()
-				burstFn()
-				for _, f := range g.pend[len(g.pend)-int(g.Sent()-sent):] {
-					id, r := uint32(gi)<<24|uint32(f.ord), w.rings[f.q]
-					sim.At(f.due, func() {
-						if !r.Enqueue(id) {
-							w.dropped++
-						}
-					})
-				}
-			}
-		}
-		w.gens = append(w.gens, g)
 	}
+	w.g = g
 
 	w.core = eventsim.NewCore(sim, 0, 0, 1e12) // a cycle a picosecond
 	mbufs := make([]*mbuf.Mbuf, tr.burst)
@@ -162,7 +154,7 @@ func newWakeRig(t *testing.T, tr wakeTraffic, eager bool) *wakeRig {
 			} else {
 				n = p.RxBurst(q, mbufs)
 				for i, m := range mbufs[:n] {
-					ids[i] = binary.BigEndian.Uint32(m.Data()[w.gens[0].payloadOff:])
+					ids[i] = binary.BigEndian.Uint32(m.Data()[g.payloadOff:])
 					if err := pool.Free(m); err != nil {
 						t.Fatal(err)
 					}
@@ -176,12 +168,9 @@ func newWakeRig(t *testing.T, tr wakeTraffic, eager bool) *wakeRig {
 		return float64(tr.busy) * float64(got), nil
 	})
 	w.loop.Start()
-	w.gens[0].Start()
-	if tr.two {
-		sim.At(tr.secondAt, w.gens[1].Start)
-	}
-	sim.At(tr.stopAt, w.gens[0].Stop)
-	sim.At(tr.startAt, w.gens[0].Start)
+	g.Start()
+	sim.At(tr.stopAt, g.Stop)
+	sim.At(tr.startAt, g.Start)
 	return w
 }
 
@@ -195,24 +184,22 @@ func newWakeRig(t *testing.T, tr wakeTraffic, eager bool) *wakeRig {
 // early, shows. Times sit on a grid of quarter frame times, so polls
 // often fall on a frame's due instant and the seq decides.
 func FuzzReaderWakesAsEager(f *testing.F) {
-	f.Add(uint8(0), uint8(0), uint16(0), uint8(0), uint8(63), false, uint8(3), uint8(1), uint8(3), uint16(200), uint16(210))
-	f.Add(uint8(0), uint8(7), uint16(0), uint8(1), uint8(3), true, uint8(2), uint8(0), uint8(0), uint16(81), uint16(82))
-	f.Add(uint8(1), uint8(11), uint16(200), uint8(3), uint8(1), true, uint8(9), uint8(2), uint8(7), uint16(50), uint16(20))
-	f.Add(uint8(3), uint8(31), uint16(1436), uint8(2), uint8(0), false, uint8(0), uint8(7), uint8(1), uint16(0), uint16(400))
-	f.Fuzz(func(t *testing.T, rate, burst uint8, size uint16, queues, depth uint8, two bool, busy, idle, rburst uint8, stopAt, startAt uint16) {
+	f.Add(uint8(0), uint8(0), uint16(0), uint8(0), uint8(63), uint8(3), uint8(1), uint8(3), uint16(200), uint16(210))
+	f.Add(uint8(0), uint8(7), uint16(0), uint8(1), uint8(3), uint8(2), uint8(0), uint8(0), uint16(81), uint16(82))
+	f.Add(uint8(1), uint8(11), uint16(200), uint8(3), uint8(1), uint8(9), uint8(2), uint8(7), uint16(50), uint16(20))
+	f.Add(uint8(3), uint8(31), uint16(1436), uint8(2), uint8(0), uint8(0), uint8(7), uint8(1), uint16(0), uint16(400))
+	f.Fuzz(func(t *testing.T, rate, burst uint8, size uint16, queues, depth uint8, busy, idle, rburst uint8, stopAt, startAt uint16) {
 		frameSize := 64 + int(size)%(1500-64+1)
 		port := PortConfig{ID: 0, RateBps: 10e9, RxQueues: 1 + int(queues)%4, RxQueueDepth: 1 + int(depth)%64}
 		quarter := (&Port{cfg: port}).wireTime(frameSize) / 4
 		tr := wakeTraffic{
-			port:     port,
-			gen:      GeneratorConfig{FrameSize: frameSize, OfferedWireBps: 10e9 / float64(1+rate%4), Burst: 1 + int(burst)%32},
-			two:      two,
-			idle:     eventsim.Time(1+idle%8) * quarter,
-			busy:     eventsim.Time(1+busy%16) * quarter,
-			burst:    1 + int(rburst)%16,
-			stopAt:   eventsim.Time(stopAt%1024) * quarter,
-			startAt:  eventsim.Time(startAt%1024) * quarter,
-			secondAt: 12 * quarter,
+			port:    port,
+			gen:     GeneratorConfig{FrameSize: frameSize, OfferedWireBps: 10e9 / float64(1+rate%4), Burst: 1 + int(burst)%32},
+			idle:    eventsim.Time(1+idle%8) * quarter,
+			busy:    eventsim.Time(1+busy%16) * quarter,
+			burst:   1 + int(rburst)%16,
+			stopAt:  eventsim.Time(stopAt%1024) * quarter,
+			startAt: eventsim.Time(startAt%1024) * quarter,
 		}
 		lazy, eager := newWakeRig(t, tr, false), newWakeRig(t, tr, true)
 		step := func() {
@@ -225,17 +212,11 @@ func FuzzReaderWakesAsEager(f *testing.F) {
 		for lazy.sim.Now() < 1200*quarter {
 			step()
 		}
-		for _, w := range []*wakeRig{lazy, eager} {
-			for _, g := range w.gens {
-				g.Stop()
-			}
-		}
-		sent := uint64(0)
-		for _, g := range lazy.gens {
-			sent += g.Sent()
-			if g.AllocFailures() != 0 {
-				t.Fatalf("the pool ran dry %d times", g.AllocFailures())
-			}
+		lazy.g.Stop()
+		eager.g.Stop()
+		sent := lazy.g.Sent()
+		if lazy.g.AllocFailures() != 0 {
+			t.Fatalf("the pool ran dry %d times", lazy.g.AllocFailures())
 		}
 		// Read what is left: a full queue of every queue at the slowest
 		// reader takes some 200 slices.

@@ -82,17 +82,25 @@ echo "==> autotuner smoke (control law, backpressure edges, zero-alloc with tune
 targeted -short -run 'Tuner|AutoTune|Pressure|CopySince|PerAccTuning|AccBatch' -count=1 \
     ./internal/tuner ./internal/core ./internal/telemetry .
 
-echo "==> event-engine equivalence (lazy idle polls vs a naive poll loop, deadlines declared through the Sim, busy set overflow, chained items read lazily, steps counted by kind (stale timer fires too), event budgets, 10 s fuzz)"
-targeted -run 'PollLoopEquivalence|BusySetOverflow|ShareInstantsInReferenceOrder|QuietStep|EventBudget|FlushTimeoutPoke|PoolHotSlab|FreeBulk|SetupBytesOpen' -count=1 \
-    ./internal/eventsim ./internal/netdev ./internal/harness ./internal/core ./internal/mbuf .
+echo "==> event-engine equivalence (lazy idle polls vs a naive poll loop, deadlines declared through the Sim, more loops than the sets hold inline and none on the heap, one chain per loop however often started, a new loop allocates only itself, any number of lazy registrations, chained items read lazily, steps counted by kind (stale timer fires too, the multi-NF run's too), event budgets, 10 s fuzz)"
+targeted -run 'PollLoopEquivalence|SetOverflow|StartTwiceRunsOneChain|AllocatesOnlyTheLoop|AddLazyTakesAnyNumber|QuietStep|EventBudget|FlushTimeoutPoke|PoolHotSlab|FreeBulk|SetupBytesOpen' -count=1 \
+    ./internal/eventsim ./internal/harness ./internal/core ./internal/mbuf .
 # One ^…$ pattern each, so that deleting or renaming one fails the step.
 targeted -run '^TestSimWakeByOnlyInsideABody$' -count=1 ./internal/eventsim
 targeted -run '^TestStatsCountsStepsByKind$' -count=1 ./internal/eventsim
+targeted -run '^TestPollLoopBusySetOverflow$' -count=1 ./internal/eventsim
+targeted -run '^TestPollLoopParkedSetOverflow$' -count=1 ./internal/eventsim
+targeted -run '^TestPollLoopStartTwiceRunsOneChain$' -count=1 ./internal/eventsim
+targeted -run '^TestNewPollLoopAllocatesOnlyTheLoop$' -count=1 ./internal/eventsim
+targeted -run '^TestAddLazyTakesAnyNumber$' -count=1 ./internal/eventsim
 targeted -run '^TestEventBudgetFlowScale$' -count=1 ./internal/harness
+targeted -run '^TestRunMultiNFReportsSimSteps$' -count=1 ./internal/harness
 go test -run '^$' -fuzz FuzzPollLoopEquivalence -fuzztime 10s ./internal/eventsim
 
-echo "==> traffic generator (lazy arrival against an eager reference, a waiting reader wakes when an event per frame would wake it and costs no event, churn applied where flows are drawn against an event per step and costs no event, one burst chain per generator, frame written when taken equals the full build, drops go back unbuilt, four 5 s fuzzes)"
-targeted -run 'DeliversInScheduleOrder|ShareInstantsInReferenceOrder|ArrivalMatchesEager|ReaderWakesAsEager|RxWaitIsNotAnEvent|ChurnMatchesEager|StartTwiceKeepsOnePace|FrameMatchesFullBuild|DropsUnbuiltOnFullQueue' -count=1 ./internal/netdev
+echo "==> traffic generator (one generator per port and none without a port or a pool, lazy arrival against an eager reference, a waiting reader wakes when an event per frame would wake it and costs no event, churn applied where flows are drawn against an event per step and costs no event, one burst chain per generator, frame written when taken equals the full build, drops go back unbuilt, four 5 s fuzzes)"
+targeted -run 'SecondGeneratorOnPortRefused|RefusesMissingPortOrPool|DeliversInScheduleOrder|ArrivalMatchesEager|ReaderWakesAsEager|RxWaitIsNotAnEvent|ChurnMatchesEager|StartTwiceKeepsOnePace|FrameMatchesFullBuild|DropsUnbuiltOnFullQueue' -count=1 ./internal/netdev
+targeted -run '^TestSecondGeneratorOnPortRefused$' -count=1 ./internal/netdev
+targeted -run '^TestNewGeneratorRefusesMissingPortOrPool$' -count=1 ./internal/netdev
 targeted -run '^TestRxWaitIsNotAnEvent$' -count=1 ./internal/netdev
 targeted -run '^FuzzReaderWakesAsEager$' -count=1 ./internal/netdev
 targeted -run '^TestChurnMatchesEager$' -count=1 ./internal/netdev
