@@ -2,28 +2,25 @@ package eventsim
 
 import "fmt"
 
-// Core models one simulated CPU hardware thread.
+// Core models one simulated CPU hardware thread: a DPDK lcore, which runs
+// the one poll loop launched on it (NewPollLoop) run-to-completion and
+// nothing else.
 //
-// Work is accounted in cycles at the core's clock frequency. A core is a
-// serial resource: tasks queued on it execute back-to-back, mirroring a
-// DPDK-style run-to-completion poll-mode core.
+// Work is accounted in cycles at the core's clock frequency. The core keeps
+// no books of its own: its busy time and the instant it is next free are
+// its loop's.
 type Core struct {
-	sim    *Sim
-	id     int
-	node   int // NUMA node
-	hz     float64
-	freeAt Time
-
-	busy Time // total busy time, for utilization accounting
+	id   int
+	node int // NUMA node
+	hz   float64
+	loop *PollLoop // the one loop that runs on the core (NewPollLoop)
 }
 
 // NewCore creates a simulated core on NUMA node "node" clocked at hz Hz.
-func NewCore(sim *Sim, id, node int, hz float64) *Core {
-	return &Core{sim: sim, id: id, node: node, hz: hz}
+// The core's time is kept by its loop, on the loop's Sim.
+func NewCore(_ *Sim, id, node int, hz float64) *Core {
+	return &Core{id: id, node: node, hz: hz}
 }
-
-// ID reports the core's identifier.
-func (c *Core) ID() int { return c.id }
 
 // CycleTime converts a cycle count into virtual time at this core's clock.
 func (c *Core) CycleTime(cycles float64) Time {
@@ -33,14 +30,14 @@ func (c *Core) CycleTime(cycles float64) Time {
 	return Time(cycles * 1e12 / c.hz)
 }
 
-// FreeAt reports when the core finishes all currently queued work. Read
-// after Run(until) returns, that includes the idle polls up to until of a
-// loop parked on the core.
+// FreeAt reports when the core finishes the iteration or idle poll its loop
+// is spending. Read after Run(until) returns, that includes the idle polls
+// up to until.
 //
 //dhl:allow unreferenced the poll-loop equivalence oracle compares it between engines
 func (c *Core) FreeAt() Time {
-	c.sim.landOn(c)
-	return c.freeAt
+	c.loop.land()
+	return c.loop.nextAt
 }
 
 // Utilization reports the fraction of [0, horizon] this core spent busy,
@@ -56,27 +53,8 @@ func (c *Core) Utilization(horizon Time) float64 {
 
 // busyTime is the core's busy time as Utilization reads it.
 func (c *Core) busyTime() Time {
-	c.sim.landOn(c)
-	return c.busy
-}
-
-// Exec occupies the core for "cycles" cycles starting no earlier than now,
-// then invokes done (which may be nil). It returns the completion time.
-func (c *Core) Exec(cycles float64, done func()) Time {
-	if c.sim.deferTo != 0 {
-		c.sim.landOn(c)
-	}
-	start := c.sim.Now()
-	if c.freeAt > start {
-		start = c.freeAt
-	}
-	d := c.CycleTime(cycles)
-	c.freeAt = start + d
-	c.busy += d
-	if done != nil {
-		c.sim.At(c.freeAt, done)
-	}
-	return c.freeAt
+	c.loop.land()
+	return c.loop.busy
 }
 
 // String identifies the core for diagnostics.
@@ -104,9 +82,9 @@ func (c *Core) String() string {
 // say when; a body that turns busy by counting its own idle calls breaks
 // the contract.
 //
-// For a loop that declared what it reads (PollLoop.Watch) the assertion is
-// narrower and the simulator holds it to that: the body would return the
-// same until a declared input is produced into, the loop is poked
+// For a loop that declared the input it reads (PollLoop.Watch) the
+// assertion is narrower and the simulator holds it to that: the body would
+// return the same until that input is produced into, the loop is poked
 // (PollLoop.Poke), or a WakeBy deadline comes. What else executes in the
 // meantime does not run it.
 type PollBody func() (cycles float64, commit func())
@@ -116,14 +94,11 @@ type PollBody func() (cycles float64, commit func())
 // only grows. ring.Ring's producer tail is one.
 type Input interface{ Produced() uint64 }
 
-// maxWatched bounds a loop's declared inputs; they live in the PollLoop so
-// that Watch allocates nothing.
-const maxWatched = 2
-
-// PollLoop runs a poll-mode body on a core forever (until the simulation
+// PollLoop runs a poll-mode body on its core forever (until the simulation
 // horizon). If the body reports 0 cycles the loop charges idleCycles
 // instead, modelling the cost of a wasted poll. This mirrors a DPDK
-// while(1) { rx_burst(); ... } core.
+// while(1) { rx_burst(); ... } lcore: the core runs the loop and nothing
+// else, so each iteration starts when the last one ends.
 //
 // A loop runs one chain of iterations. Its first iteration is an event
 // (Start); from then on its next poll or its iteration's finish is kept in
@@ -144,6 +119,7 @@ type PollLoop struct {
 	started    bool
 	stopped    bool
 	iterations uint64
+	busy       Time // the core's busy time, idle polls included
 
 	// pendingCommit is the commit of the iteration the core is spending.
 	pendingCommit func()
@@ -151,27 +127,35 @@ type PollLoop struct {
 	// After an idle iteration the loop is parked in its Sim, and (nextAt,
 	// seq) is the pending poll; after a busy one it is busy there, and
 	// (nextAt, seq) is the iteration's finish. Either way the pair is what
-	// the heap would have held.
+	// the heap would have held, and nextAt is when the core is next free.
 	parked bool
 	nextAt Time
 	seq    uint64 // order among events at nextAt
 	stamp  uint64 // Sim.executed when the body last ran, or was last found unconcerned
 	wakeBy Time   // the last iteration's declared deadline, or never
 
-	// What the loop declared with Watch, each input's count as read just
-	// before the body last ran, and whether it was poked since. nWatched
-	// sits before the arrays, beside what Sim reads at every event.
-	nWatched int
-	poked    bool
-	watched  [maxWatched]Input
-	seen     [maxWatched]uint64
+	// What the loop declared with Watch, its count as read just before the
+	// body last ran, and whether the loop was poked since.
+	watched Input
+	seen    uint64
+	poked   bool
 }
 
-// NewPollLoop creates (but does not start) a poll loop on core, and keeps
-// room for it in the Sim's parked and busy sets.
+// NewPollLoop creates (but does not start) the poll loop of core, and keeps
+// room for it in the Sim's parked and busy sets. A core runs one loop, and
+// an idle poll takes time: NewPollLoop panics on a core that has a loop,
+// and on an idle cost that the core's clock turns into no time.
 func NewPollLoop(sim *Sim, core *Core, idleCycles float64, body PollBody) *PollLoop {
+	if core.loop != nil {
+		panic("eventsim: NewPollLoop: the core already runs a loop")
+	}
+	period := core.CycleTime(idleCycles)
+	if period <= 0 {
+		panic("eventsim: NewPollLoop: an idle poll that takes no time")
+	}
 	sim.addLoop()
-	return &PollLoop{sim: sim, core: core, body: body, idleCycles: idleCycles, period: core.CycleTime(idleCycles)}
+	core.loop = &PollLoop{sim: sim, core: core, body: body, idleCycles: idleCycles, period: period}
+	return core.loop
 }
 
 // Start schedules the first iteration at the current time. A loop runs one
@@ -209,28 +193,24 @@ func (p *PollLoop) land() {
 	}
 }
 
-// Watch declares what the body reads: from now on an idle result stands
-// until one of inputs (and of those declared before) has been produced
-// into, the loop is poked, or a WakeBy deadline comes — see PollBody. The
-// loop reads the inputs' own counts, so whoever produces into one, inside
-// Run or between two Run calls, needs to know nothing about the loop. A
-// loop that never calls Watch is woken by anything that executes.
-func (p *PollLoop) Watch(inputs ...Input) {
-	if p.nWatched+len(inputs) > maxWatched {
-		panic(fmt.Sprintf("eventsim: PollLoop.Watch: more than %d inputs", maxWatched))
+// Watch declares the input the body reads: from now on an idle result
+// stands until in has been produced into, the loop is poked, or a WakeBy
+// deadline comes — see PollBody. The loop reads the input's own count, so
+// whoever produces into it, inside Run or between two Run calls, needs to
+// know nothing about the loop. A loop that never calls Watch is woken by
+// anything that executes. A loop watches one input: Watch panics on a nil
+// input and on a loop that watches one already.
+func (p *PollLoop) Watch(in Input) {
+	if in == nil || p.watched != nil {
+		panic("eventsim: PollLoop.Watch: a loop watches one input")
 	}
-	if p.nWatched == 0 && len(inputs) > 0 {
-		p.sim.watching++
-	}
-	for _, in := range inputs {
-		p.watched[p.nWatched] = in
-		p.nWatched++
-	}
-	p.poked = true // the last body run recorded nothing of these
+	p.watched = in
+	p.sim.watching++
+	p.poked = true // the last body run recorded nothing of it
 }
 
 // Poke ends the loop's idle result: the body runs at the next poll. It is
-// for the dependency a loop with declared inputs has besides them — state
+// for the dependency a loop with a declared input has besides it — state
 // the body reads that somebody else changed without producing into
 // anything, such as a timeout the body had turned into a WakeBy deadline.
 // Like producing into an input it is something only code that executes
@@ -260,8 +240,8 @@ func (p *PollLoop) iterate() {
 	p.iterations++
 	p.wakeBy = never
 	p.poked = false
-	for i, in := range p.watched[:p.nWatched] {
-		p.seen[i] = in.Produced()
+	if p.watched != nil {
+		p.seen = p.watched.Produced()
 	}
 	s := p.sim
 	s.polling = p
@@ -281,8 +261,11 @@ func (p *PollLoop) iterate() {
 	}
 	s.executed++
 	p.pendingCommit = commit
-	// The finish takes the seq an event booked for it would have drawn.
-	p.nextAt = p.core.Exec(cycles, nil)
+	// The iteration starts now: the core runs nothing but its loop. The
+	// finish takes the seq an event booked for it would have drawn.
+	d := p.core.CycleTime(cycles)
+	p.busy += d
+	p.nextAt = s.now + d
 	s.seq++
 	p.seq = s.seq
 	s.busy = append(s.busy, p)
@@ -308,21 +291,11 @@ func (p *PollLoop) clean() bool {
 	return p.stamp == p.sim.executed && p.nextAt < p.wakeBy
 }
 
-// unproduced reports whether a parked loop with declared inputs may keep
-// its idle result: it has not been poked, its core is booked to its next
-// poll and no further (somebody else's work queued there would move the
-// poll), and every input still reads the count recorded just before the
-// body last ran.
+// unproduced reports whether a parked loop with a declared input may keep
+// its idle result: it has not been poked, and the input still reads the
+// count recorded just before the body last ran.
 func (p *PollLoop) unproduced() bool {
-	if p.poked || p.core.freeAt != p.nextAt {
-		return false
-	}
-	for i, in := range p.watched[:p.nWatched] {
-		if in.Produced() != p.seen[i] {
-			return false
-		}
-	}
-	return true
+	return !p.poked && p.watched.Produced() == p.seen
 }
 
 // nextReal reports the instant at which parked loop p next runs its body

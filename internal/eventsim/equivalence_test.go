@@ -9,7 +9,8 @@ import (
 
 // naiveLoop is the reference PollLoop is checked against: the poll loop as
 // it was before idle polls became lazy. Every iteration, idle or not, runs
-// the body and reschedules itself through the event heap.
+// the body and reschedules itself through the event heap, and the loop
+// keeps its core's books itself.
 type naiveLoop struct {
 	sim        *Sim
 	core       *Core
@@ -17,13 +18,15 @@ type naiveLoop struct {
 	body       PollBody
 	stopped    bool
 	iterations uint64
+	freeAt     Time // when the iteration being spent ends
+	busy       Time
 }
 
 func (l *naiveLoop) Start()             { l.sim.After(0, l.iterate) }
 func (l *naiveLoop) Stop()              { l.stopped = true }
 func (l *naiveLoop) Iterations() uint64 { return l.iterations }
 func (l *naiveLoop) WakeBy(Time)        {}
-func (l *naiveLoop) Watch(...Input)     {}
+func (l *naiveLoop) Watch(Input)        {}
 func (l *naiveLoop) Poke()              {}
 
 func (l *naiveLoop) iterate() {
@@ -35,7 +38,10 @@ func (l *naiveLoop) iterate() {
 	if cycles <= 0 {
 		cycles = l.idleCycles
 	}
-	l.core.Exec(cycles, func() {
+	d := l.core.CycleTime(cycles)
+	l.freeAt = l.sim.Now() + d
+	l.busy += d
+	l.sim.At(l.freeAt, func() {
 		if commit != nil {
 			commit()
 		}
@@ -43,13 +49,29 @@ func (l *naiveLoop) iterate() {
 	})
 }
 
+// books is what a reader of a loop's accounting reads of its core: the
+// Core for a PollLoop, the loop itself for naiveLoop.
+type books interface {
+	FreeAt() Time
+	Utilization(horizon Time) float64
+	busyTime() Time
+	raw() (busy, freeAt Time) // what FreeAt and busyTime read, landing nothing
+}
+
+func (l *naiveLoop) FreeAt() Time                     { return l.freeAt }
+func (l *naiveLoop) Utilization(horizon Time) float64 { return float64(l.busy) / float64(horizon) }
+func (l *naiveLoop) busyTime() Time                   { return l.busy }
+func (l *naiveLoop) raw() (busy, freeAt Time)         { return l.busy, l.freeAt }
+
+func (c *Core) raw() (busy, freeAt Time) { return c.loop.busy, c.loop.nextAt }
+
 // poller is what a scenario needs of either loop.
 type poller interface {
 	Start()
 	Stop()
 	Iterations() uint64
 	WakeBy(Time)
-	Watch(...Input)
+	Watch(Input)
 	Poke()
 }
 
@@ -70,13 +92,15 @@ func (r rec) String() string {
 // stage is one polling actor of a scenario: an inbox standing in for a
 // ring, optionally a staging area flushed by size or by timeout (the
 // Packer), optionally held back while "blocked" (a pending PR). The inbox
-// is an Input — put is the only way it grows — and a stage that is
-// "declared" has its loop watch it.
+// and the chain together are an Input — put and the chain's bursts are the
+// only ways they grow — and a stage that is "declared" has its loop watch
+// them.
 type stage struct {
-	sc   *scenario
-	id   int
-	core *Core
-	loop poller
+	sc    *scenario
+	id    int
+	core  *Core
+	loop  poller
+	books books
 
 	inbox    int
 	produced uint64  // everything ever put into inbox
@@ -99,7 +123,10 @@ func (st *stage) put(k int) {
 	st.produced += uint64(k)
 }
 
-func (st *stage) Produced() uint64 { return st.produced }
+// Produced counts what was put into the inbox and the items the chain drew,
+// which a burst may aim at any stage: a declared stage looks again when
+// either grows.
+func (st *stage) Produced() uint64 { return st.produced + st.sc.chain.drawn }
 
 // wakeBy declares the body's deadline: to its loop, or through the Sim, as
 // code a body calls that does not know the loop does (a port's RxBurst).
@@ -272,8 +299,8 @@ func (sc *scenario) probe(tag string) {
 	for _, st := range sc.stages {
 		// busyTime lands the core's loop itself: Go leaves the order of a
 		// bare field read and a call in one composite literal unspecified.
-		sc.log(rec{sc.sim.Now(), tag, st.id, int64(st.loop.Iterations()), int64(st.core.busyTime())})
-		sc.log(rec{sc.sim.Now(), tag + "-free", st.id, int64(st.core.FreeAt()), int64(st.inbox)})
+		sc.log(rec{sc.sim.Now(), tag, st.id, int64(st.loop.Iterations()), int64(st.books.busyTime())})
+		sc.log(rec{sc.sim.Now(), tag + "-free", st.id, int64(st.books.FreeAt()), int64(st.inbox)})
 	}
 }
 
@@ -286,24 +313,22 @@ func (sc *scenario) read(st *stage, what int) {
 	case 0:
 		sc.log(rec{now, "iterations", st.id, int64(st.loop.Iterations()), 0})
 	case 1:
-		sc.log(rec{now, "free-at", st.id, int64(st.core.FreeAt()), 0})
+		sc.log(rec{now, "free-at", st.id, int64(st.books.FreeAt()), 0})
 	case 2:
-		u := st.core.Utilization(now + Microsecond)
+		u := st.books.Utilization(now + Microsecond)
 		sc.log(rec{now, "utilization", st.id, int64(math.Float64bits(u)), 0})
-	case 3:
+	default:
 		// Only the lazy loop skips, so the count itself differs; what it
 		// lands shows in the raw fields read after it.
 		sc.sim.Stats()
-		sc.log(rec{now, "skipped", st.id, int64(st.core.busy), int64(st.core.freeAt)})
-	default:
-		// Somebody else borrows the loop's core.
-		sc.log(rec{now, "exec", st.id, int64(st.core.Exec(float64(1+st.id%7), nil)), 0})
+		busy, freeAt := st.books.raw()
+		sc.log(rec{now, "skipped", st.id, int64(busy), int64(freeAt)})
 	}
 }
 
 // numReads is how many kinds of read there are. Stop, which lands a loop
 // too, has cases of its own.
-const numReads = 5
+const numReads = 4
 
 // A scenario's kind is the top three bits of its seed; every random choice
 // is drawn from the whole seed. In each kind a random two thirds of the
@@ -365,12 +390,7 @@ func runScenario(seed uint64, lazy bool) (trace, fed []rec) {
 		}
 		st := &stage{sc: sc, id: i, next: rng.Intn(n+1) - 1, burst: 1 + rng.Intn(4),
 			direct: rng.Intn(5) == 0, posts: rng.Intn(5) == 0, simWake: i%2 == 1}
-		if i > 0 && rng.Intn(12) == 0 {
-			st.core = sc.stages[i-1].core // two loops on one core
-			hz = st.core.hz
-		} else {
-			st.core = NewCore(sim, i, 0, hz)
-		}
+		st.core = NewCore(sim, i, 0, hz)
 		// Busy iterations shorter than, equal to and longer than an idle one.
 		st.cost = []float64{idle - 4, idle, idle + 4, 2*idle + 1, 3, 0}[rng.Intn(6)]
 		if rng.Intn(3) == 0 || kind == kindRetuned {
@@ -380,12 +400,13 @@ func runScenario(seed uint64, lazy bool) (trace, fed []rec) {
 			st.cost++ // staging commits nothing, so it has to cost something
 		}
 		if lazy {
-			st.loop = NewPollLoop(sim, st.core, idle, st.body)
+			st.loop, st.books = NewPollLoop(sim, st.core, idle, st.body), st.core
 		} else {
-			st.loop = &naiveLoop{sim: sim, core: st.core, idleCycles: idle, body: st.body}
+			naive := &naiveLoop{sim: sim, core: st.core, idleCycles: idle, body: st.body}
+			st.loop, st.books = naive, naive
 		}
 		if rng.Intn(3) != 0 {
-			st.loop.Watch(st, sc.chain)
+			st.loop.Watch(st)
 		}
 		sc.stages = append(sc.stages, st)
 		if rng.Intn(4) == 0 { // off-phase start
@@ -475,16 +496,6 @@ func runScenario(seed uint64, lazy bool) (trace, fed []rec) {
 			sim.At(when(), func() { sim.Post(produce("post", target, 2)) })
 		case 6:
 			sim.At(when(), func() { sc.probe("probe") })
-		case 7:
-			if rng.Intn(3) == 0 {
-				sim.At(when(), func() { sim.stopped = true })
-			}
-		case 11:
-			// Somebody else borrows the loop's core.
-			cycles := float64(1 + rng.Intn(200))
-			sim.At(when(), func() {
-				sc.log(rec{sim.Now(), "exec", target, int64(st.core.Exec(cycles, nil)), 0})
-			})
 		case 12:
 			if st.stages {
 				sim.At(when(), st.retune)

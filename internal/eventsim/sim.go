@@ -85,7 +85,6 @@ type Sim struct {
 	seq     uint64
 	cur     uint64  // seq of the step being run; maxSeq outside Run
 	events  []event // binary min-heap on (at, seq)
-	stopped bool
 	stats   Stats
 	polling *PollLoop // the loop whose body is running, if any (WakeBy)
 
@@ -99,12 +98,12 @@ type Sim struct {
 	parked   []*PollLoop
 	busy     []*PollLoop
 	executed uint64
-	watching int    // loops that declared inputs (PollLoop.Watch)
+	watching int    // loops that declared an input (PollLoop.Watch)
 	settled  uint64 // executed when settle last looked at them
 
 	// Quiet stretches (see hush). A parked loop short of deferTo, when that
 	// is not zero, is at its first poll at or after it, and its nextAt,
-	// iterations and core have yet to follow; its seq already is that
+	// iterations and busy time have yet to follow; its seq already is that
 	// poll's. The last quiet pass that drew seqs drew (hushFrom, hushTo].
 	deferTo  Time
 	hushFrom uint64
@@ -176,7 +175,7 @@ func (s *Sim) catchUp() {
 }
 
 // Stats counts the steps a Sim has taken, by kind. Processed is the sum of
-// the first three: the steps Run returns and counts.
+// the first three: the steps Run executes.
 type Stats struct {
 	// HeapEvents counts scheduled callbacks run.
 	HeapEvents uint64
@@ -353,8 +352,7 @@ func (s *Sim) drainPosted() {
 }
 
 // Run executes events in timestamp order until nothing is left to do or
-// the clock would pass "until". It returns the number of events executed
-// (see Processed).
+// the clock would pass "until". Processed counts the steps it executes.
 //
 // Between events (and once on entry) Run drains the external mailbox, so
 // functions handed to Post from other goroutines execute here, on the
@@ -363,15 +361,13 @@ func (s *Sim) drainPosted() {
 // Idle poll loops do not keep Run going: once the heap is empty and every
 // poll loop is idle with no deadline, nothing can ever happen again, and
 // RunAll returns.
-func (s *Sim) Run(until Time) uint64 {
-	s.stopped = false
+func (s *Sim) Run(until Time) {
 	// Whoever ran between two Run calls may have filled a ring.
 	s.executed++
-	var n uint64
 	if s.postPending.Load() {
 		s.drainPosted()
 	}
-	for !s.stopped {
+	for {
 		// f is the busy loop whose finish is due first, if that goes
 		// before the heap top; the first parked poll is compared with
 		// whichever of the two goes first.
@@ -433,29 +429,21 @@ func (s *Sim) Run(until Time) uint64 {
 		} else {
 			break
 		}
-		n++
 		if s.postPending.Load() {
 			s.drainPosted()
 		}
 	}
 	// Advance the clock to the horizon even if the queue drained early so
 	// that rate computations over [0, until] are well-defined.
-	// A stopped Run resumes where it stopped, so it stays at the step it
-	// ran last.
-	if !s.stopped {
-		if s.now < until && until != never {
-			s.now = until
-		}
-		s.cur = maxSeq
+	if s.now < until && until != never {
+		s.now = until
 	}
+	s.cur = maxSeq
 	s.catchUp()
-	return n
 }
 
 // RunAll executes events until nothing is left to do.
-func (s *Sim) RunAll() uint64 {
-	return s.Run(never)
-}
+func (s *Sim) RunAll() { s.Run(never) }
 
 // --- Idle poll loops ------------------------------------------------------
 //
@@ -465,28 +453,20 @@ func (s *Sim) RunAll() uint64 {
 // are no-ops by the PollBody contract, and skip accounts for a whole run
 // of them in one step.
 
-// park books p's idle iteration on its core and keeps its next poll in the
-// parked set. It reports false when p has to spend the iteration busy
-// instead: on a core with other work queued, so that a parked loop's polls
-// are always exactly one period apart, with no period, or stopped.
+// park books p's idle iteration, one period from now, and keeps its next
+// poll in the parked set. It reports false for a stopped loop, which spends
+// the iteration busy instead.
 func (s *Sim) park(p *PollLoop) bool {
-	if p.core.freeAt > s.now || p.period <= 0 || p.stopped {
+	if p.stopped {
 		return false
 	}
 	if !p.parked {
 		s.parked = append(s.parked, p)
 		p.parked = true
 	}
-	// Exec's booking of idleCycles, with the period NewPollLoop already
-	// converted them to.
-	c := p.core
-	if s.deferTo != 0 {
-		s.landOn(c)
-	}
-	c.freeAt = max(c.freeAt, s.now) + p.period
-	c.busy += p.period
+	p.busy += p.period
 	s.seq++
-	p.nextAt, p.seq, p.stamp = c.freeAt, s.seq, s.executed
+	p.nextAt, p.seq, p.stamp = s.now+p.period, s.seq, s.executed
 	return true
 }
 
@@ -503,17 +483,17 @@ func (s *Sim) unpark(p *PollLoop) {
 	p.parked = false
 }
 
-// settle carries the stamp of every parked loop with declared inputs
-// forward to the current count, unless something was produced into one of
-// them (or the loop was poked, or its core borrowed): what executed since
-// the loop last looked is then none of its business, and clean stays the
+// settle carries the stamp of every parked loop with a declared input
+// forward to the current count, unless something was produced into it (or
+// the loop was poked): what executed since the loop last looked is then
+// none of its business, and clean stays the
 // same comparison for both kinds of loop. Whatever produces into an input
 // has executed — also code between two Run calls, which Run's entry counts
 // — so looking again when the count has moved, and only then, misses
 // nothing; a loop left behind runs its body at its next poll.
 func (s *Sim) settle() {
 	for _, q := range s.parked {
-		if q.nWatched != 0 && q.stamp != s.executed && q.unproduced() {
+		if q.watched != nil && q.stamp != s.executed && q.unproduced() {
 			q.stamp = s.executed
 		}
 	}
@@ -581,7 +561,7 @@ func (s *Sim) skip(p *PollLoop, until Time) bool {
 	k := Time(1)
 	if horizon <= p.nextAt {
 		// Something acts at p's own instant — the usual case for a loop
-		// with declared inputs, whose undeclared peers wake at every event
+		// with a declared input, whose undeclared peers wake at every event
 		// it sleeps through: p moves one period, which no peer ahead of it
 		// on the same instants can be short of, and no division is paid.
 		land = p.nextAt + d
@@ -595,8 +575,7 @@ func (s *Sim) skip(p *PollLoop, until Time) bool {
 		k = (land - p.nextAt) / d
 	}
 	p.iterations += uint64(k)
-	p.core.busy += k * d
-	p.core.freeAt = land
+	p.busy += k * d
 	s.stats.Skips++
 	s.stats.PollsSkipped += uint64(k)
 	s.seq++
@@ -697,9 +676,8 @@ func (s *Sim) land(p *PollLoop) {
 	d := p.period
 	k := (s.deferTo - p.nextAt + d - 1) / d
 	p.iterations += uint64(k)
-	p.core.busy += k * d
+	p.busy += k * d
 	p.nextAt += k * d
-	p.core.freeAt = p.nextAt
 	s.stats.PollsSkipped += uint64(k)
 }
 
@@ -714,13 +692,4 @@ func (s *Sim) landAll() {
 		}
 	}
 	s.deferTo = 0
-}
-
-// landOn lands the loops parked on c.
-func (s *Sim) landOn(c *Core) {
-	for _, q := range s.parked {
-		if q.core == c && q.nextAt < s.deferTo {
-			s.land(q)
-		}
-	}
 }

@@ -28,8 +28,8 @@ func TestSimRunsEventsInTimeOrder(t *testing.T) {
 	s.At(30*Nanosecond, func() { got = append(got, 3) })
 	s.At(10*Nanosecond, func() { got = append(got, 1) })
 	s.At(20*Nanosecond, func() { got = append(got, 2) })
-	n := s.RunAll()
-	if n != 3 {
+	s.RunAll()
+	if n := s.Processed(); n != 3 {
 		t.Fatalf("processed %d events, want 3", n)
 	}
 	for i, v := range got {
@@ -105,17 +105,6 @@ func TestSimRunHorizonStopsAndAdvancesClock(t *testing.T) {
 	}
 }
 
-func TestSimStop(t *testing.T) {
-	s := New()
-	ran := 0
-	s.At(1, func() { ran++; s.stopped = true })
-	s.At(2, func() { ran++ })
-	s.RunAll()
-	if ran != 1 {
-		t.Errorf("Stop did not halt the loop: ran %d", ran)
-	}
-}
-
 func TestSimNilAndNegative(t *testing.T) {
 	s := New()
 	s.At(5, nil) // must not panic or enqueue
@@ -165,30 +154,10 @@ func TestSimDeterminism(t *testing.T) {
 	}
 }
 
-func TestCoreExecSerializes(t *testing.T) {
-	s := New()
-	c := NewCore(s, 0, 0, 1e9) // 1 GHz: 1 cycle = 1 ns
-	var done []Time
-	s.After(0, func() {
-		c.Exec(100, func() { done = append(done, s.Now()) })
-		c.Exec(50, func() { done = append(done, s.Now()) })
-	})
-	s.RunAll()
-	if len(done) != 2 {
-		t.Fatalf("completions: %d", len(done))
-	}
-	if done[0] != 100*Nanosecond || done[1] != 150*Nanosecond {
-		t.Errorf("serialized completions at %v", done)
-	}
-	if c.Utilization(150*Nanosecond) != 1.0 {
-		t.Errorf("utilization %v", c.Utilization(150*Nanosecond))
-	}
-}
-
 func TestCoreCycleTimeRoundTrip(t *testing.T) {
 	s := New()
 	c := NewCore(s, 3, 1, 2.1e9)
-	if c.ID() != 3 || c.node != 1 || c.hz != 2.1e9 {
+	if c.id != 3 || c.node != 1 || c.hz != 2.1e9 {
 		t.Errorf("core identity: %v", c)
 	}
 	err := quick.Check(func(n uint16) bool {
@@ -271,8 +240,9 @@ func TestPollLoopSkippedPollsAreAccounted(t *testing.T) {
 	}
 
 	// Nothing but idle loops left: RunAll returns rather than poll forever.
-	before := loop.Iterations()
-	if n := s.RunAll(); n != 1 {
+	before, events := loop.Iterations(), s.Processed()
+	s.RunAll()
+	if n := s.Processed() - events; n != 1 {
 		t.Errorf("RunAll executed %d events on an idle system, want the one dirty poll", n)
 	}
 	if loop.Iterations() != before+1 {
@@ -297,8 +267,8 @@ type nothing struct{}
 func (nothing) Produced() uint64 { return 0 }
 
 // A Run with nothing due leaves the idle loops' accounting where it was
-// (Sim.hush). Read only after 1 000 such steps, and again after somebody
-// borrowed a core, it must still be every poll up to until.
+// (Sim.hush). Read only after 1 000 such steps, and again after an event
+// between two of them, it must still be every poll up to until.
 func TestPollLoopQuietStepsAreAccounted(t *testing.T) {
 	s := New()
 	cores := []*Core{NewCore(s, 0, 0, 1e9), NewCore(s, 1, 0, 1e9)}
@@ -315,13 +285,13 @@ func TestPollLoopQuietStepsAreAccounted(t *testing.T) {
 	check := func(when string, l *PollLoop, c *Core, iterations uint64, freeAt Time) {
 		t.Helper()
 		if got := l.Iterations(); got != iterations {
-			t.Errorf("%s: core %d: %d iterations, want %d", when, c.ID(), got, iterations)
+			t.Errorf("%s: core %d: %d iterations, want %d", when, c.id, got, iterations)
 		}
 		if got := c.FreeAt(); got != freeAt {
-			t.Errorf("%s: core %d free at %v, want %v", when, c.ID(), got, freeAt)
+			t.Errorf("%s: core %d free at %v, want %v", when, c.id, got, freeAt)
 		}
 		if u := c.Utilization(freeAt); u != 1 {
-			t.Errorf("%s: core %d: utilization %v, want 1", when, c.ID(), u)
+			t.Errorf("%s: core %d: utilization %v, want 1", when, c.id, u)
 		}
 	}
 
@@ -338,24 +308,21 @@ func TestPollLoopQuietStepsAreAccounted(t *testing.T) {
 		t.Errorf("after 1 000 steps: %d events, want 1 001 body runs", s.Processed())
 	}
 
-	// One more quiet step, then somebody borrows core 0 for 5 ns behind its
-	// poll at 1 001.010 us. That poll runs the body, finds the core busy and
-	// polls again through the heap at 1 001.025 us (an event, which runs
-	// the undeclared loop's body once more); from there on 10 ns apart, so
-	// by 2 001 us core 0 has polled 100 101 + 1 + 99 998 times and is free
-	// at 2 001.005 us, busy for all of it.
+	// One more quiet step, then an event between two polls, at 1 001.015
+	// us, scheduled after it: it runs the undeclared loop's body once more,
+	// at 1 001.020 us, and not the declared loop's. By 2 001 us both cores
+	// have polled every 10 ns, 200 101 times, and are free at 2 001.010 us,
+	// busy for all of it.
 	s.Run(s.Now() + Microsecond)
-	if got := cores[0].Exec(5, nil); got != 1001015*Nanosecond {
-		t.Errorf("borrowing core 0 after a quiet step: done at %v, want 1001.015us", got)
-	}
+	s.At(1001015*Nanosecond, func() {})
 	steps()
 	// Stats first this time: it lands both loops itself. Bodies run:
-	// the declared loop's 3, the undeclared loop's 1 per Run and 1 more.
-	if got, want := s.Stats().PollsSkipped, uint64(200100+200101-(3+2002)); got != want {
-		t.Errorf("after the borrow: %d polls skipped, want %d", got, want)
+	// the declared loop's 1, the undeclared loop's 1 per Run and 1 more.
+	if got, want := s.Stats().PollsSkipped, uint64(2*200101-(1+2001+1)); got != want {
+		t.Errorf("after the event: %d polls skipped, want %d", got, want)
 	}
-	check("after the borrow", declared, cores[0], 200100, 2001005*Nanosecond)
-	check("after the borrow", undeclared, cores[1], 200101, 2001010*Nanosecond)
+	check("after the event", declared, cores[0], 200101, 2001010*Nanosecond)
+	check("after the event", undeclared, cores[1], 200101, 2001010*Nanosecond)
 
 	// With the undeclared loop stopped every step is quiet: one whose polls
 	// land next to the end of time, then horizons too close to it to land a
@@ -670,12 +637,66 @@ func TestPollLoopStartTwiceRunsOneChain(t *testing.T) {
 // room lasts.
 func TestNewPollLoopAllocatesOnlyTheLoop(t *testing.T) {
 	s := New()
-	c := NewCore(s, 0, 0, 1e9)
+	cores := make([]*Core, inlineSlots)
+	for i := range cores {
+		cores[i] = NewCore(s, i, 0, 1e9)
+	}
 	body := func() (float64, func()) { return 0, nil }
 	kept := make([]*PollLoop, 0, inlineSlots)
-	// AllocsPerRun makes one loop more than it counts: inlineSlots-1 in all.
-	if n := testing.AllocsPerRun(inlineSlots-2, func() { kept = append(kept, NewPollLoop(s, c, 10, body)) }); n != 1 {
+	// AllocsPerRun makes one loop more than it counts: inlineSlots-1 in all,
+	// each on a core of its own.
+	if n := testing.AllocsPerRun(inlineSlots-2, func() { kept = append(kept, NewPollLoop(s, cores[len(kept)], 10, body)) }); n != 1 {
 		t.Errorf("NewPollLoop allocates %v objects, want 1", n)
+	}
+}
+
+// refused reports whether f panics.
+func refused(f func()) (panicked bool) {
+	defer func() { panicked = recover() != nil }()
+	f()
+	return false
+}
+
+// A poll loop whose idle poll takes no time would poll forever at one
+// instant: NewPollLoop refuses a period that is not positive, also one that
+// the core's clock rounds to 0 ps, and Run never meets one.
+func TestNewPollLoopRefusesNoPeriod(t *testing.T) {
+	s := New()
+	idle := func() (float64, func()) { return 0, nil }
+	for _, tc := range []struct {
+		hz, cycles float64
+	}{{1e9, 0}, {1e9, -5}, {3e12, 1}} {
+		c := NewCore(s, 0, 0, tc.hz)
+		if !refused(func() { NewPollLoop(s, c, tc.cycles, idle).Start() }) {
+			t.Errorf("an idle poll of %v cycles at %v Hz (%v ps) was accepted", tc.cycles, tc.hz, int64(c.CycleTime(tc.cycles)))
+		}
+	}
+	done := make(chan struct{})
+	go func() {
+		s.Run(10 * Nanosecond)
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run(10ns) did not return")
+	}
+}
+
+// A core runs one poll loop: NewPollLoop refuses a second one on it, and
+// the first one keeps the core's books.
+func TestSecondLoopOnCoreRefused(t *testing.T) {
+	s := New()
+	c := NewCore(s, 0, 0, 1e9)
+	busy := func() (float64, func()) { return 10, nil }
+	first := NewPollLoop(s, c, 10, busy)
+	if !refused(func() { NewPollLoop(s, c, 10, busy) }) {
+		t.Fatal("a second loop on one core was accepted")
+	}
+	first.Start()
+	s.Run(100 * Nanosecond)
+	if c.FreeAt() != 110*Nanosecond || first.Iterations() != 11 {
+		t.Errorf("core free at %v after %d iterations, want 110ns after 11", c.FreeAt(), first.Iterations())
 	}
 }
 

@@ -156,6 +156,9 @@ type IPsecGatewayDHL struct {
 	Tagged  uint64
 	Dropped uint64
 	Alerts  uint64
+	// Unprocessed counts the frames dropped because the module never
+	// encrypted them (StatusUnprocessed).
+	Unprocessed uint64
 }
 
 // NewIPsecGatewayDHL registers the NF with the DHL runtime, resolves the
@@ -209,8 +212,14 @@ func (g *IPsecGatewayDHL) PreProcess(m *mbuf.Mbuf) (Verdict, float64) {
 }
 
 // PostProcess fixes up the returned encrypted frame (IP length, ESP
-// protocol, checksum) on the OBQ drain path.
+// protocol, checksum) on the OBQ drain path. A frame the module never
+// encrypted (StatusUnprocessed) is plaintext and is dropped, not sent as
+// ESP.
 func (g *IPsecGatewayDHL) PostProcess(m *mbuf.Mbuf) (Verdict, float64) {
+	if m.Status == mbuf.StatusUnprocessed {
+		g.Unprocessed++
+		return VerdictDrop, perf.NFPostIPsecCycles
+	}
 	if m.Len() < eth.EtherLen+eth.IPv4Len+espOverhead {
 		g.Dropped++
 		return VerdictDrop, perf.NFPostIPsecCycles

@@ -22,6 +22,9 @@ type IPsecGatewayInboundDHL struct {
 	Decrypted    uint64
 	AuthFailures uint64
 	Dropped      uint64
+	// Unprocessed counts the frames dropped because the module never
+	// decrypted them (StatusUnprocessed).
+	Unprocessed uint64
 }
 
 // NewIPsecGatewayInboundDHL registers the inbound gateway and configures
@@ -64,8 +67,13 @@ func (g *IPsecGatewayInboundDHL) PreProcess(m *mbuf.Mbuf) (Verdict, float64) {
 
 // PostProcess restores the cleartext IP header fields. The hardware
 // module strips the payload of records that failed authentication; those
-// come back as header-only frames and are dropped here.
+// come back as header-only frames and are dropped here, as are frames the
+// module never decrypted (StatusUnprocessed).
 func (g *IPsecGatewayInboundDHL) PostProcess(m *mbuf.Mbuf) (Verdict, float64) {
+	if m.Status == mbuf.StatusUnprocessed {
+		g.Unprocessed++
+		return VerdictDrop, perf.NFPostIPsecCycles
+	}
 	const hdrLen = eth.EtherLen + eth.IPv4Len
 	if m.Len() <= hdrLen {
 		g.AuthFailures++

@@ -132,6 +132,75 @@ func TestIPsecGatewayDHLRequiresSA(t *testing.T) {
 	}
 }
 
+// A frame the accelerator never processed (StatusUnprocessed: the module
+// is quarantined and has no fallback) leaves no DHL NF: each drops it and
+// counts it apart from its verdict drops. A StatusFallback frame, which a
+// software fallback processed, is forwarded as the module's own output is.
+func TestUnprocessedNeverForwarded(t *testing.T) {
+	r := newDHLRig(t)
+	sadb := NewSADB()
+	if err := sadb.AddDefaultSA(); err != nil {
+		t.Fatal(err)
+	}
+	gw, err := NewIPsecGatewayDHL(r.rt, sadb, "gw", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := NewIPsecGatewayInboundDHL(r.rt, sadb, "in", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rules, err := NewRuleSet(DefaultSnortRules())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids, err := NewNIDSDHL(r.rt, rules, "ids", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	payload := []byte("innocuous browsing traffic")
+	for _, tc := range []struct {
+		name string
+		post func(*mbuf.Mbuf) (Verdict, float64)
+		// processed is what a fallback appends to the frame: IV and ICV
+		// (encrypted), nothing (decrypted) or the no-match trailer (scanned).
+		processed []byte
+		// unprocessed and verdictDrops are the NF's counters.
+		unprocessed, verdictDrops func() uint64
+	}{
+		{"ipsec", gw.PostProcess, make([]byte, hwfunc.IPsecGrowth),
+			func() uint64 { return gw.Unprocessed }, func() uint64 { return gw.Dropped }},
+		{"ipsec-inbound", in.PostProcess, nil,
+			func() uint64 { return in.Unprocessed }, func() uint64 { return in.Dropped + in.AuthFailures }},
+		{"nids", ids.PostProcess, []byte{0, 0, 0xff, 0xff},
+			func() uint64 { return ids.Stats.Unprocessed }, func() uint64 { return ids.Stats.Dropped }},
+	} {
+		m := newPacket(t, r.pool, payload, eth.IPv4{50, 0, 0, 1})
+		m.Status = mbuf.StatusUnprocessed
+		if v, _ := tc.post(m); v != VerdictDrop {
+			t.Errorf("%s: an unprocessed frame got verdict %v, want it dropped", tc.name, v)
+		}
+		if tc.unprocessed() != 1 || tc.verdictDrops() != 0 {
+			t.Errorf("%s: %d unprocessed and %d verdict drops, want 1 and 0", tc.name, tc.unprocessed(), tc.verdictDrops())
+		}
+		_ = r.pool.Free(m)
+
+		m = newPacket(t, r.pool, payload, eth.IPv4{50, 0, 0, 1})
+		if err := m.AppendBytes(tc.processed); err != nil {
+			t.Fatal(err)
+		}
+		m.Status = mbuf.StatusFallback
+		if v, _ := tc.post(m); v != VerdictForward {
+			t.Errorf("%s: a fallback's frame got verdict %v, want it forwarded", tc.name, v)
+		}
+		if tc.unprocessed() != 1 {
+			t.Errorf("%s: a fallback's frame counted as unprocessed", tc.name)
+		}
+		_ = r.pool.Free(m)
+	}
+}
+
 func TestNIDSDHLVerdictsMatchSoftware(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long simulation; skipped in -short CI gate")

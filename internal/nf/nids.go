@@ -8,11 +8,14 @@ import (
 	"github.com/opencloudnext/dhl-go/internal/perf"
 )
 
-// NIDSStats counts signature hits per disposition.
+// NIDSStats counts signature hits per disposition, and apart from them
+// the frames the DHL version dropped because its accelerator never
+// scanned them.
 type NIDSStats struct {
-	Scanned uint64
-	Alerts  uint64
-	Dropped uint64
+	Scanned     uint64
+	Alerts      uint64
+	Dropped     uint64
+	Unprocessed uint64
 }
 
 // NIDSSW is the CPU-only signature NIDS of Figure 6(c): Aho-Corasick
@@ -86,8 +89,14 @@ func (n *NIDSDHL) PreProcess(m *mbuf.Mbuf) (Verdict, float64) {
 }
 
 // PostProcess consumes the match trailer appended by the hardware
-// function and evaluates rule options.
+// function and evaluates rule options. A frame the module never scanned
+// (StatusUnprocessed: quarantined, no fallback) carries no trailer and is
+// dropped: the NIDS fails closed.
 func (n *NIDSDHL) PostProcess(m *mbuf.Mbuf) (Verdict, float64) {
+	if m.Status == mbuf.StatusUnprocessed {
+		n.Stats.Unprocessed++
+		return VerdictDrop, perf.NFPostNIDSCycles
+	}
 	_, count, first, err := hwfunc.DecodePatternTrailer(m.Data())
 	if err != nil {
 		n.Stats.Dropped++

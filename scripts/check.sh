@@ -82,8 +82,8 @@ echo "==> autotuner smoke (control law, backpressure edges, zero-alloc with tune
 targeted -short -run 'Tuner|AutoTune|Pressure|CopySince|PerAccTuning|AccBatch' -count=1 \
     ./internal/tuner ./internal/core ./internal/telemetry .
 
-echo "==> event-engine equivalence (lazy idle polls vs a naive poll loop, deadlines declared through the Sim, more loops than the sets hold inline and none on the heap, one chain per loop however often started, a new loop allocates only itself, any number of lazy registrations, chained items read lazily, steps counted by kind (stale timer fires too, the multi-NF run's too), event budgets, 10 s fuzz)"
-targeted -run 'PollLoopEquivalence|SetOverflow|StartTwiceRunsOneChain|AllocatesOnlyTheLoop|AddLazyTakesAnyNumber|QuietStep|EventBudget|FlushTimeoutPoke|PoolHotSlab|FreeBulk|SetupBytesOpen' -count=1 \
+echo "==> event-engine equivalence (lazy idle polls vs a naive poll loop, deadlines declared through the Sim, more loops than the sets hold inline and none on the heap, one chain per loop however often started, a new loop allocates only itself, one loop per core and none whose idle poll takes no time, any number of lazy registrations, chained items read lazily, steps counted by kind (stale timer fires too, the multi-NF run's too), event budgets, 10 s fuzz)"
+targeted -run 'PollLoopEquivalence|SetOverflow|StartTwiceRunsOneChain|AllocatesOnlyTheLoop|RefusesNoPeriod|SecondLoopOnCoreRefused|AddLazyTakesAnyNumber|QuietStep|EventBudget|FlushTimeoutPoke|PoolHotSlab|FreeBulk|SetupBytesOpen' -count=1 \
     ./internal/eventsim ./internal/harness ./internal/core ./internal/mbuf .
 # One ^…$ pattern each, so that deleting or renaming one fails the step.
 targeted -run '^TestSimWakeByOnlyInsideABody$' -count=1 ./internal/eventsim
@@ -92,6 +92,8 @@ targeted -run '^TestPollLoopBusySetOverflow$' -count=1 ./internal/eventsim
 targeted -run '^TestPollLoopParkedSetOverflow$' -count=1 ./internal/eventsim
 targeted -run '^TestPollLoopStartTwiceRunsOneChain$' -count=1 ./internal/eventsim
 targeted -run '^TestNewPollLoopAllocatesOnlyTheLoop$' -count=1 ./internal/eventsim
+targeted -run '^TestNewPollLoopRefusesNoPeriod$' -count=1 ./internal/eventsim
+targeted -run '^TestSecondLoopOnCoreRefused$' -count=1 ./internal/eventsim
 targeted -run '^TestAddLazyTakesAnyNumber$' -count=1 ./internal/eventsim
 targeted -run '^TestEventBudgetFlowScale$' -count=1 ./internal/harness
 targeted -run '^TestRunMultiNFReportsSimSteps$' -count=1 ./internal/harness
@@ -122,7 +124,7 @@ cover_func=$(go tool cover -func "$cover_out")
 rm -f "$cover_out"
 floor_failed=""
 for fn in sim.go:quiet sim.go:hush sim.go:stillHushed sim.go:redraw \
-    sim.go:land sim.go:landAll sim.go:landOn core.go:land \
+    sim.go:land sim.go:landAll core.go:land \
     sim.go:firstBusy core.go:beforeFinish core.go:beforeNext sim.go:WakeBy sim.go:DrawSeq sim.go:push; do
     pct=$(awk -v file="/${fn%%:*}:" -v name="${fn#*:}" 'index($1, file) && $2 == name { print $3 }' <<<"$cover_func")
     if [[ "$pct" != "100.0%" ]]; then
