@@ -204,8 +204,8 @@ func overviewRemote(c *dhl.ControlClient, jsonOut bool) error {
 		}
 		return printJSON(os.Stdout, raw, false)
 	}
-	fmt.Printf("system at %s: %d node(s), batch %d bytes, watchdog %d us\n",
-		c.URL(), info.Nodes, info.BatchBytes, info.WatchdogUs)
+	fmt.Printf("system at %s: %d node(s), batch %d bytes\n",
+		c.URL(), info.Nodes, info.BatchBytes)
 	fmt.Printf("module DB: %s\n", strings.Join(info.ModuleDB, ", "))
 	fmt.Println("\nHardware function table:")
 	for _, row := range info.HFTable {

@@ -355,7 +355,7 @@ func TestServeControlPlaneGating(t *testing.T) {
 
 // TestControlPlaneConcurrentChaos hammers the management API from
 // several goroutines — register/unregister churn, acc.load/acc.evict
-// cycles, live tune.batch/tune.watchdog flips, fallback set/clear,
+// cycles, live tune.batch flips, fallback set/clear,
 // health and stats reads — while chaos-injected traffic flows, then
 // checks the conservation ledger still balances and nothing leaked.
 // Run under -race this also proves control ops never touch simulation
@@ -515,10 +515,6 @@ func TestControlPlaneConcurrentChaos(t *testing.T) {
 	mutate("tuner", func(c *dhl.ControlClient, i int) error {
 		sizes := []int{1024, 2048, 6144}
 		if err := c.Call("tune.batch", map[string]any{"bytes": sizes[i%len(sizes)]}, nil); err != nil {
-			return err
-		}
-		tmos := []int{100, 250, 0}
-		if err := c.Call("tune.watchdog", map[string]any{"timeout_us": tmos[i%len(tmos)]}, nil); err != nil {
 			return err
 		}
 		if i%2 == 0 {

@@ -248,8 +248,8 @@ type openConfig struct {
 
 // WithFaultPlan arms deterministic fault injection: the plan is shared
 // by every DMA engine, FPGA device and the transfer cores, so one seed
-// reproduces a whole chaos run. Also arms the batch watchdog (250 µs) and
-// the accelerator health FSM.
+// reproduces a whole chaos run. The batch watchdog and the accelerator
+// health FSM that catch what it injects run in every system, plan or not.
 func WithFaultPlan(p *FaultPlan) Option {
 	return func(o *openConfig) { o.faults = p }
 }

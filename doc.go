@@ -46,7 +46,7 @@
 // expvar and pprof under /debug/, and a JSON-RPC 2.0 management API on
 // /api/v1 that reconfigures the running system — register NFs, load and
 // evict accelerator modules, install software fallbacks, retune the
-// batcher and watchdog — without stopping the data path (see DESIGN.md
+// batcher — without stopping the data path (see DESIGN.md
 // §11 and cmd/dhl-inspect). Each verb is one Control call.
 //
 // # Adaptive batching and backpressure

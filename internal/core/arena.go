@@ -134,8 +134,12 @@ type inflight struct {
 	mode     uint8
 	retries  int           // DMA retry budget consumed
 	deadline eventsim.Time // watchdog soft deadline (valid while watched)
-	watchIdx int           // index in the rx watch list, -1 when unwatched
 	overdue  bool          // soft deadline already counted by the watchdog
+
+	// The TX engine's watch list runs through watchPrev/watchNext while
+	// the batch is watched; a sweep chains the batches it acts on through
+	// dueNext.
+	watchPrev, watchNext, dueNext *inflight
 
 	// span is the batch's trace record, assembled in place as the stage
 	// clock crosses each boundary (flush, H2C done, dispatch done, C2H
@@ -167,7 +171,7 @@ func (t *txEngine) getInflight() *inflight {
 //
 //go:noinline
 func (t *txEngine) newInflight() *inflight {
-	ib := &inflight{t: t, watchIdx: -1}
+	ib := &inflight{t: t}
 	ib.h2cDoneFn = ib.h2cDone
 	ib.dispatchDoneFn = ib.dispatchDone
 	ib.c2hDoneFn = ib.c2hDone
@@ -182,9 +186,7 @@ func (t *txEngine) newInflight() *inflight {
 //
 //dhl:hotpath
 func (t *txEngine) releaseInflight(ib *inflight) {
-	if ib.watchIdx >= 0 {
-		t.r.nodeRx[t.node].watchRemove(ib)
-	}
+	t.watchRemove(ib)
 	// Unprocessed pass-through aliases out to buf; never return the same
 	// segment twice.
 	if ib.mode == modeUnprocessed {
@@ -205,6 +207,28 @@ func (t *txEngine) releaseInflight(ib *inflight) {
 	t.ibFree = append(t.ibFree, ib)
 }
 
+// setDeadline makes the batch due one watchdog timeout past promised, the
+// instant the model promised its current leg done, and keeps the TX
+// engine's dueAt no later than that.
+//
+//dhl:hotpath
+func (ib *inflight) setDeadline(promised eventsim.Time) {
+	ib.deadline = promised + watchdogTimeout
+	if t := ib.t; ib.deadline < t.dueAt {
+		t.dueAt = ib.deadline
+	}
+}
+
+// dueAt is the instant the watchdog next acts on the batch: its soft
+// deadline, or once that has been counted, the hard one 3x the timeout
+// later.
+func (ib *inflight) dueAt() eventsim.Time {
+	if ib.overdue {
+		return ib.deadline + 3*watchdogTimeout
+	}
+	return ib.deadline
+}
+
 // noteFault attributes this batch's failure to its accelerator's health
 // FSM — unless the accelerator has been cut over to a new placement since
 // the batch was flushed (migration, replica promotion), in which case the
@@ -221,9 +245,8 @@ func (ib *inflight) noteFault() {
 // The DMA retry budget: a transfer failed with pcie.ErrTransferFault is
 // re-posted at most maxDMARetries times, the first after retryBackoff and
 // each further one after twice the last delay. Two retries wait 2 + 4 us
-// in all — a few 6 KB transfer times, and far inside the 250 us default
-// watchdog deadline, so a batch that retries its way through is never
-// also counted overdue.
+// in all — a few 6 KB transfer times, and far inside watchdogTimeout, so
+// a batch that retries its way through is never also counted overdue.
 const (
 	maxDMARetries = 2
 	retryBackoff  = 2 * eventsim.Microsecond
@@ -273,7 +296,7 @@ func (ib *inflight) send() {
 		ib.c2hDone()
 		return
 	}
-	_, fo, err := ib.dma.Transfer(pcie.H2C, len(ib.buf), ib.h2cDoneFn)
+	done, fo, err := ib.dma.Transfer(pcie.H2C, len(ib.buf), ib.h2cDoneFn)
 	if err != nil {
 		if ib.retryDMA(err, ib.sendFn) {
 			return
@@ -289,6 +312,7 @@ func (ib *inflight) send() {
 		// modules that echo framing) detects it downstream.
 		faultinject.CorruptBatchHeader(ib.buf)
 	}
+	ib.setDeadline(done)
 }
 
 // runFallback processes the batch with the accelerator's registered
@@ -319,11 +343,14 @@ func (ib *inflight) h2cDone() {
 		ib.span.StageEnd[telemetry.StageH2C] = ib.t.r.sim.Now()
 	}
 	ib.outSeg = ib.t.arena.lease()
-	if _, err := ib.dev.Dispatch(ib.regionIdx, ib.buf, ib.outSeg, ib.dispatchDoneFn); err != nil {
+	done, err := ib.dev.Dispatch(ib.regionIdx, ib.buf, ib.outSeg, ib.dispatchDoneFn)
+	if err != nil {
 		ib.t.stats.DispatchErrors++
 		ib.noteFault()
 		ib.fail()
+		return
 	}
+	ib.setDeadline(done)
 }
 
 // dispatchDone runs at module completion time with the encoded response.
@@ -347,7 +374,7 @@ func (ib *inflight) dispatchDone(out []byte, err error) {
 //
 //dhl:hotpath
 func (ib *inflight) postC2H() {
-	_, fo, cerr := ib.dma.Transfer(pcie.C2H, len(ib.out), ib.c2hDoneFn)
+	done, fo, cerr := ib.dma.Transfer(pcie.C2H, len(ib.out), ib.c2hDoneFn)
 	if cerr != nil {
 		if ib.retryDMA(cerr, ib.postC2HFn) {
 			return
@@ -360,6 +387,7 @@ func (ib *inflight) postC2H() {
 	if fo&faultinject.Corrupted != 0 {
 		faultinject.CorruptBatchHeader(ib.out)
 	}
+	ib.setDeadline(done)
 }
 
 // c2hDone runs when the response has landed back in host memory: hand the

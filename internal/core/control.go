@@ -31,10 +31,6 @@ func (r *Runtime) BatchBytes() int { return r.defaults.BatchBytes }
 // FlushTimeout reports the default partial-batch flush deadline.
 func (r *Runtime) FlushTimeout() eventsim.Time { return r.defaults.FlushTimeout }
 
-// WatchdogTimeout reports the current per-batch watchdog deadline (zero
-// when the watchdog is disarmed).
-func (r *Runtime) WatchdogTimeout() eventsim.Time { return r.cfg.WatchdogTimeout }
-
 // AccIDs lists the loaded accelerator instances in acc_id order.
 func (r *Runtime) AccIDs() []AccID {
 	ids := []AccID{}
@@ -295,46 +291,4 @@ func (r *Runtime) Burst(node int) int {
 		return defaultBurst
 	}
 	return len(r.nodeTx[node].scratch)
-}
-
-// SetWatchdogTimeout retunes (or arms) the per-batch watchdog on a
-// running system. A positive d sets the soft completion deadline for
-// batches committed from now on — already-watched batches keep their old
-// deadline — and arms the detection/recovery machinery if the runtime
-// started unarmed. Zero disarms the watchdog: the sweep timer stops and
-// new batches are not watched; the health FSM keeps whatever state it
-// had.
-func (r *Runtime) SetWatchdogTimeout(d eventsim.Time) error {
-	if d < 0 {
-		return fmt.Errorf("%w: negative watchdog timeout %d", ErrBadBatchConfig, d)
-	}
-	r.cfg.WatchdogTimeout = d
-	if d > 0 {
-		r.armed = true
-	}
-	for node, tx := range r.nodeTx {
-		r.nodeRx[node].setWatchdog(tx, d)
-	}
-	return nil
-}
-
-// setWatchdog applies the watchdog deadline to the node's engine pair, at
-// construction and at every retune: batches committed from now on are
-// watched against d (zero: not at all), and the sweep timer exists, and
-// is armed, only while there is something to sweep.
-func (x *rxEngine) setWatchdog(tx *txEngine, d eventsim.Time) {
-	tx.watchdog, x.timeout = d, d
-	if d <= 0 {
-		if x.wdTimer != nil {
-			x.wdTimer.Stop()
-		}
-		return
-	}
-	x.wdPeriod = max(d/2, eventsim.Microsecond)
-	if x.wdTimer == nil {
-		x.wdTimer = x.r.sim.NewTimer(x.watchdogFire)
-	}
-	if len(x.watch) > 0 && !x.wdTimer.Armed() {
-		x.wdTimer.Reset(x.wdPeriod)
-	}
 }

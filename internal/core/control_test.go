@@ -267,58 +267,8 @@ func TestStatsReadsWholeLedger(t *testing.T) {
 	}
 }
 
-func TestSetWatchdogTimeoutArmsLive(t *testing.T) {
-	r := newRig(t, Config{}, moduleSpec("rev", func() fpga.Module { return reverseModule{} }))
-	if r.rt.armed {
-		t.Fatal("runtime armed without faults")
-	}
-	if r.rt.WatchdogTimeout() != 0 {
-		t.Fatalf("timeout = %v", r.rt.WatchdogTimeout())
-	}
-	if err := r.rt.SetWatchdogTimeout(-1); !errors.Is(err, ErrBadBatchConfig) {
-		t.Errorf("negative accepted: %v", err)
-	}
-	if err := r.rt.SetWatchdogTimeout(100 * eventsim.Microsecond); err != nil {
-		t.Fatal(err)
-	}
-	if !r.rt.armed {
-		t.Error("runtime not armed after tune")
-	}
-	tx, rx := r.rt.nodeTx[0], r.rt.nodeRx[0]
-	if tx.watchdog != 100*eventsim.Microsecond || rx.timeout != 100*eventsim.Microsecond {
-		t.Errorf("engine timeouts %v/%v", tx.watchdog, rx.timeout)
-	}
-	if rx.wdTimer == nil {
-		t.Fatal("watchdog timer not created")
-	}
-	// Traffic still flows with the watchdog armed mid-run.
-	nf, _ := r.rt.Register("nf", 0)
-	acc, _ := r.rt.SearchByName("rev", 0)
-	r.settle()
-	pkts := []*mbuf.Mbuf{r.packet(t, nf, acc, []byte("watched"))}
-	if _, err := r.rt.SendPackets(nf, pkts); err != nil {
-		t.Fatal(err)
-	}
-	r.sim.Run(r.sim.Now() + eventsim.Millisecond)
-	out := make([]*mbuf.Mbuf, 4)
-	if got, err := r.rt.ReceivePackets(nf, out); err != nil || got != 1 {
-		t.Fatalf("receive %d err %v", got, err)
-	}
-	_ = r.pool.Free(out[0])
-	if st, _ := r.rt.Stats(0); st.WatchdogTimeouts != 0 {
-		t.Errorf("clean batch counted a timeout: %+v", st)
-	}
-	// Disarm: the timer stops and new batches go unwatched.
-	if err := r.rt.SetWatchdogTimeout(0); err != nil {
-		t.Fatal(err)
-	}
-	if tx.watchdog != 0 || rx.wdTimer.Armed() {
-		t.Error("watchdog still armed after disarm")
-	}
-}
-
 func TestClearFallbackLive(t *testing.T) {
-	r := newRig(t, Config{WatchdogTimeout: 250 * eventsim.Microsecond},
+	r := newRig(t, Config{},
 		moduleSpec("rev", func() fpga.Module { return reverseModule{} }))
 	if _, err := r.rt.SearchByName("rev", 0); err != nil {
 		t.Fatal(err)

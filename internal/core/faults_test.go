@@ -226,6 +226,41 @@ func TestWatchdogQuarantinesHungModuleAndRecovers(t *testing.T) {
 	checkNoLeaks(t, r)
 }
 
+// TestHangRecoveredWithoutRuntimePlan arms the device alone, as the
+// board-failover experiment arms board 0: the runtime has no plan of its
+// own, and its watchdog still catches the hung batch, quarantines and
+// reloads the accelerator, and returns the hung packets to the pool.
+func TestHangRecoveredWithoutRuntimePlan(t *testing.T) {
+	r := newRig(t, Config{FlushTimeout: 5 * eventsim.Microsecond}, revSpec())
+	nf, _ := r.rt.Register("hang", 0)
+	acc, err := r.rt.SearchByName("rev", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.settle()
+	r.dev.SetFaults(mustPlan(t, *chaosSeed,
+		faultinject.Spec{Kind: faultinject.ModuleHang, EveryN: 1, Count: 1}))
+
+	sendBurst(t, r, nf, acc, 8)
+	r.settle()
+	s := r.stats(t)
+	if s.WatchdogTimeouts != 1 || s.ForcedQuarantines == 0 {
+		t.Errorf("watchdog timeouts %d, forced quarantines %d: want 1 and at least 1",
+			s.WatchdogTimeouts, s.ForcedQuarantines)
+	}
+	if s.DropFault != 8 {
+		t.Errorf("dropFault=%d, want the 8 hung packets", s.DropFault)
+	}
+	h, err := r.rt.AccHealth(acc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.Quarantines != 1 || h.Reloads != 1 || h.Health != HealthHealthy {
+		t.Errorf("health after recovery: %+v", h)
+	}
+	checkNoLeaks(t, r)
+}
+
 func TestQuarantineRoutesToFallback(t *testing.T) {
 	// Every dispatch fails: consecutive module errors degrade then
 	// quarantine the accelerator; from then on the registered software

@@ -16,9 +16,8 @@ import (
 // A quarantined accelerator receives no FPGA traffic: the Packer reroutes
 // its batches to the registered software fallback (or delivers them
 // unprocessed), while the runtime re-programs the region through ICAP in
-// the background and replays the recorded configuration. The FSM is
-// active only when the runtime is armed (Config.Faults or
-// WatchdogTimeout); otherwise batch failures behave exactly as before.
+// the background and replays the recorded configuration. Every runtime
+// runs the FSM, fault plan or not.
 type Health int
 
 // Health states.
@@ -109,14 +108,14 @@ func (r *Runtime) AccHealth(acc AccID) (HealthReport, error) {
 }
 
 // noteFault records one failed batch against the accelerator and advances
-// the health FSM. Cheap and allocation-free when unarmed or already
-// quarantined — it sits on the failure edges of the hot chain. The
+// the health FSM. Cheap and allocation-free when already quarantined —
+// it sits on the failure edges of the hot chain. The
 // quarantine guard doubles as the reentrancy break: quarantining flushes
 // hung batches, whose failures land back here without recursing.
 //
 //dhl:hotpath
 func (r *Runtime) noteFault(e *hfEntry) {
-	if !r.armed || e == nil {
+	if e == nil {
 		return
 	}
 	e.faults++
@@ -146,7 +145,7 @@ func (r *Runtime) noteFault(e *hfEntry) {
 //
 //dhl:hotpath
 func (r *Runtime) noteSuccess(e *hfEntry) {
-	if !r.armed || e == nil || e.health == HealthQuarantined {
+	if e == nil || e.health == HealthQuarantined {
 		return
 	}
 	r.heal(e)
@@ -215,7 +214,7 @@ func (r *Runtime) reloaded(e *hfEntry) {
 // completions), or — if quarantine already failed to reload — reset the
 // region directly so parked batches still flush.
 func (r *Runtime) forceRecover(e *hfEntry) {
-	if !r.armed || e == nil {
+	if e == nil {
 		return
 	}
 	if e.health != HealthQuarantined {

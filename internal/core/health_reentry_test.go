@@ -16,9 +16,8 @@ import (
 func TestHealthFSMReentry(t *testing.T) {
 	tel := telemetry.New(16)
 	r := newRig(t, Config{
-		FlushTimeout:    5 * eventsim.Microsecond,
-		WatchdogTimeout: 250 * eventsim.Microsecond,
-		Telemetry:       tel,
+		FlushTimeout: 5 * eventsim.Microsecond,
+		Telemetry:    tel,
 	}, revSpec())
 	acc, err := r.rt.SearchByName("rev", 0)
 	if err != nil {

@@ -153,8 +153,7 @@ func TestMigrationZeroLeak(t *testing.T) {
 	// not an mbuf, not an arena segment — across the failure and the
 	// migration.
 	r, devs := newFleetRig(t, Config{
-		FlushTimeout:    5 * eventsim.Microsecond,
-		WatchdogTimeout: 250 * eventsim.Microsecond,
+		FlushTimeout: 5 * eventsim.Microsecond,
 	}, 2, revSpec())
 	nf, _ := r.rt.Register("zeroleak", 0)
 	acc, err := r.rt.SearchByName("rev", 0)
@@ -225,8 +224,7 @@ func TestReplicaPromotionZeroOutage(t *testing.T) {
 	// promoted instantly (no ICAP write), held batches flow to it on the
 	// very next flush, and the health FSM starts fresh.
 	r, devs := newFleetRig(t, Config{
-		FlushTimeout:    5 * eventsim.Microsecond,
-		WatchdogTimeout: 250 * eventsim.Microsecond,
+		FlushTimeout: 5 * eventsim.Microsecond,
 	}, 2, revSpec())
 	nf, _ := r.rt.Register("promo", 0)
 	acc, err := r.rt.SearchByName("rev", 0)
@@ -381,8 +379,7 @@ func TestQuarantineDeadReloadMigratesOff(t *testing.T) {
 	// of parking on the fallback forever, the runtime re-places the
 	// accelerator on the surviving board.
 	r, devs := newFleetRig(t, Config{
-		FlushTimeout:    5 * eventsim.Microsecond,
-		WatchdogTimeout: 250 * eventsim.Microsecond,
+		FlushTimeout: 5 * eventsim.Microsecond,
 	}, 2, revSpec())
 	nf, _ := r.rt.Register("deadreload", 0)
 	acc, err := r.rt.SearchByName("rev", 0)
@@ -525,7 +522,7 @@ func TestBringUpReplaysOnceInOrder(t *testing.T) {
 		instances = append(instances, seen)
 		return &captureModule{onConfigure: func(b []byte) { *seen = append(*seen, string(b)) }}
 	})
-	r, _ := newFleetRig(t, Config{WatchdogTimeout: 250 * eventsim.Microsecond}, 3, spec)
+	r, _ := newFleetRig(t, Config{}, 3, spec)
 	acc, err := r.rt.SearchByName("rec", 0)
 	if err != nil {
 		t.Fatal(err)
@@ -590,7 +587,7 @@ func TestBringUpReplaysOnceInOrder(t *testing.T) {
 // board never completes, so its in-flight marker must not hold an evict
 // off for good.
 func TestEvictAfterReloadDiedWithBoard(t *testing.T) {
-	r := newRig(t, Config{WatchdogTimeout: 250 * eventsim.Microsecond}, revSpec())
+	r := newRig(t, Config{}, revSpec())
 	acc, err := r.rt.SearchByName("rev", 0)
 	if err != nil {
 		t.Fatal(err)

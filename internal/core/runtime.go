@@ -92,22 +92,14 @@ type Config struct {
 	// before being forced out. Zero selects 20us.
 	FlushTimeout eventsim.Time
 
-	// Faults is the shared fault-injection plan. Setting it (or a nonzero
-	// WatchdogTimeout) arms the detection/recovery machinery: the batch
-	// watchdog, the per-accelerator health state machine, and graceful
-	// degradation to registered software fallbacks. Nil leaves the
-	// fault-free hot path exactly as before — no watch-list bookkeeping,
-	// no health accounting, zero allocations.
+	// Faults is the shared fault-injection plan, handed to every board,
+	// every DMA engine and the transfer layer. Nil injects nothing. The
+	// detection and recovery machinery — the batch watchdog, the
+	// per-accelerator health state machine and graceful degradation to
+	// registered software fallbacks — runs in every runtime, plan or not,
+	// so a fault a board-only plan (fpga.Device.SetFaults) injects is
+	// caught the same way.
 	Faults *faultinject.Plan
-	// WatchdogTimeout is the RX engine's per-batch soft deadline, on the
-	// simulation clock, measured from H2C post to completion-ring
-	// delivery. A batch past its deadline counts one WatchdogTimeout and
-	// one health fault; a batch past deadline + 3x timeout forces the
-	// accelerator's quarantine (and, if already quarantined, a region
-	// reset) so withheld completions flush. Zero with Faults set derives
-	// 250us — an order of magnitude above the perf model's worst
-	// DMA+module round trip at 6 KB batches.
-	WatchdogTimeout eventsim.Time
 
 	// Telemetry, when set, arms the zero-allocation telemetry layer: the
 	// per-batch stage clock (IBQ wait → pack → H2C → accelerator → C2H →
@@ -138,9 +130,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.FlushTimeout == 0 {
 		c.FlushTimeout = 20 * eventsim.Microsecond
-	}
-	if c.WatchdogTimeout == 0 && c.Faults != nil {
-		c.WatchdogTimeout = 250 * eventsim.Microsecond
 	}
 	if c.BoardsPerNode == 0 {
 		c.BoardsPerNode = 1
@@ -186,7 +175,7 @@ type hfEntry struct {
 	// migrating guards against concurrent re-placements of the same acc.
 	migrating bool
 
-	// Health FSM state (active only when the runtime is armed).
+	// Health FSM state.
 	health      Health
 	consecFails int
 	faults      uint64 // lifetime batch failures attributed to this acc
@@ -238,9 +227,6 @@ type Runtime struct {
 	// its row's own are zero (see AccTuning).
 	defaults AccTuning
 
-	// armed caches whether the fault detection/recovery machinery is on
-	// (Config.Faults set or WatchdogTimeout > 0).
-	armed bool
 	// tel caches Config.Telemetry (nil when telemetry is off) so hot
 	// paths pay one nil check, not a config indirection.
 	tel *telemetry.Registry
@@ -265,7 +251,6 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		db:     make(map[string]fpga.ModuleSpec),
 		nodeTx: make([]*txEngine, cfg.Nodes),
 		nodeRx: make([]*rxEngine, cfg.Nodes),
-		armed:  cfg.Faults != nil || cfg.WatchdogTimeout > 0,
 		tel:    cfg.Telemetry,
 
 		ibqHot:   make([]bool, cfg.Nodes),
@@ -663,7 +648,7 @@ func (r *Runtime) HFTable() []string {
 		if p.Ready {
 			state = "ready"
 		}
-		if r.armed && e.health != HealthHealthy {
+		if e.health != HealthHealthy {
 			state += "/" + e.health.String()
 		}
 		rows = append(rows, fmt.Sprintf("hf=%-18s s.id=%d a.id=%d f.id=%d region=%d (%s)",

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 
 	"github.com/opencloudnext/dhl-go/internal/dhlproto"
@@ -126,10 +127,19 @@ type txEngine struct {
 	ibFree   []*inflight
 	commitFn func()
 
-	// watchdog caches Config.WatchdogTimeout (zero when the runtime is
-	// unarmed) so commit can skip the watch-list bookkeeping entirely on
-	// the fault-free path.
-	watchdog eventsim.Time
+	// Batch watchdog: every committed inflight is on the watch list,
+	// linked through its own watchPrev/watchNext, from commit until its
+	// release. Each leg sets the batch's deadline from the instant its
+	// model promised the leg done (see watchdogTimeout); the watchdog pass
+	// at the top of body sweeps the list for misses. dueAt is never later
+	// than the first instant a watched batch falls due, and sweepAt is the
+	// earliest the next sweep may run, one sweep period after the last.
+	// The watchdog only observes and escalates — it never releases an
+	// inflight itself, so a late completion can still arrive safely (no
+	// ABA on recycled objects).
+	watchHead, watchTail *inflight
+	watched              int
+	dueAt, sweepAt       eventsim.Time
 
 	// tel/telC are the telemetry registry and this core's padded counter
 	// block, both nil when telemetry is off. Every probe on the hot path
@@ -152,17 +162,6 @@ type rxEngine struct {
 	// reused across polls; commitFn is bound once like txEngine's.
 	pending  []*inflight
 	commitFn func()
-
-	// Batch watchdog (armed runtimes only): every committed inflight is
-	// watched from DMA post until release; a periodic timer sweeps for
-	// deadline misses. The watchdog only observes and escalates — it
-	// never releases an inflight itself, so a late completion can still
-	// arrive safely (no ABA on recycled objects).
-	watch     []*inflight
-	wdScratch []*inflight
-	wdTimer   *eventsim.Timer
-	wdPeriod  eventsim.Time
-	timeout   eventsim.Time
 
 	// tel/telC mirror txEngine's telemetry handles for the RX side.
 	tel  *telemetry.Registry
@@ -204,7 +203,6 @@ func (r *Runtime) attachCores(node int) error {
 	// reaches it as a WakeBy deadline or as retune's poke.
 	tx.loop.Watch(r.ibqs[node])
 	rx.loop.Watch(completions)
-	rx.setWatchdog(tx, r.cfg.WatchdogTimeout)
 	if tel := r.tel; tel != nil {
 		tx.tel, rx.tel = tel, tel
 		tx.telC = tel.RegisterCore("tx", node)
@@ -221,7 +219,7 @@ func (r *Runtime) attachCores(node int) error {
 			func() float64 { return float64(tx.arena.grown) })
 		tel.RegisterGauge("dhl_watchdog_watched", nodeLabel,
 			"Inflight batches currently under the RX watchdog's deadline watch.",
-			func() float64 { return float64(len(rx.watch)) })
+			func() float64 { return float64(tx.watched) })
 	}
 	r.nodeTx[node] = tx
 	r.nodeRx[node] = rx
@@ -253,6 +251,16 @@ func (t *txEngine) body() (float64, func()) {
 	cycles := 0.0
 	now := t.r.sim.Now()
 	t.sends = t.sends[:0]
+
+	// Watchdog pass: sweep the watch list once a watched batch may be
+	// due, at most once a sweep period, and tell the poll loop when the
+	// next sweep may act.
+	if t.watchHead != nil {
+		if now >= t.dueAt && now >= t.sweepAt {
+			t.sweep(now)
+		}
+		t.loop.WakeBy(max(t.dueAt, t.sweepAt))
+	}
 
 	// Deadline pass: force out batches that have waited past their
 	// accelerator's flush timeout. A staged batch makes an idle result of
@@ -422,16 +430,14 @@ func (t *txEngine) pendingCommit() func() {
 }
 
 // commit posts the iteration's staged batches to the DMA engines,
-// registering each with the RX watchdog first so the watch covers the
-// whole post-to-completion window.
+// putting each on the watch list first so the watch covers the whole
+// post-to-completion window.
 //
 //dhl:hotpath
 func (t *txEngine) commit() {
 	for i, ib := range t.sends {
 		t.sends[i] = nil
-		if t.watchdog > 0 {
-			t.r.nodeRx[t.node].watchAdd(ib)
-		}
+		t.watchAdd(ib)
 		ib.send()
 	}
 	t.sends = t.sends[:0]
@@ -576,71 +582,117 @@ func (x *rxEngine) commit() {
 
 // --- Batch watchdog ----------------------------------------------------
 
-// watchAdd registers a committed inflight with the deadline watchdog.
-// Cold relative to the fault-free path: only armed runtimes call it.
-func (x *rxEngine) watchAdd(ib *inflight) {
-	ib.deadline = x.r.sim.Now() + x.timeout
+// watchdogTimeout is how long a batch may run past the instant the model
+// promised its current leg done (the H2C transfer, the module, the C2H
+// transfer, and for the last leg the RX core's pick-up) before it counts
+// as late: an order of magnitude above the perf model's worst DMA+module
+// round trip at 6 KB batches. An accelerator that is only booked ahead
+// moves the promise, not the lateness. A batch late by the timeout counts
+// one WatchdogTimeout and one health fault; one still outstanding 3x the
+// timeout later forces its accelerator's recovery. The list is swept at
+// most once every sweepPeriod.
+const (
+	watchdogTimeout = 250 * eventsim.Microsecond
+	sweepPeriod     = watchdogTimeout / 2
+)
+
+// watchAdd puts a committed inflight on the watch list, due one timeout
+// from now until its first leg promises an instant of its own.
+//
+//dhl:hotpath
+func (t *txEngine) watchAdd(ib *inflight) {
+	now := t.r.sim.Now()
 	ib.overdue = false
-	ib.watchIdx = len(x.watch)
-	x.watch = append(x.watch, ib)
-	if !x.wdTimer.Armed() {
-		x.wdTimer.Reset(x.wdPeriod)
+	ib.watchPrev, ib.watchNext = t.watchTail, nil
+	if t.watchTail == nil {
+		t.watchHead = ib
+		t.dueAt = math.MaxInt64 // setDeadline lowers it to this batch's
+	} else {
+		t.watchTail.watchNext = ib
 	}
+	t.watchTail = ib
+	t.watched++
+	ib.setDeadline(now)
 }
 
-// watchRemove takes an inflight off the watch list (swap-remove by its
-// stored index). releaseInflight calls it on every exit path, so an
-// entry leaves the list exactly when its buffers are reclaimed.
-func (x *rxEngine) watchRemove(ib *inflight) {
-	i := ib.watchIdx
-	ib.watchIdx = -1
-	if i < 0 || i >= len(x.watch) || x.watch[i] != ib {
+// watchRemove takes an inflight off the watch list. releaseInflight calls
+// it on every exit path, so an entry leaves the list exactly when its
+// buffers are reclaimed.
+//
+//dhl:hotpath
+func (t *txEngine) watchRemove(ib *inflight) {
+	if !t.watching(ib) {
 		return
 	}
-	last := len(x.watch) - 1
-	x.watch[i] = x.watch[last]
-	x.watch[i].watchIdx = i
-	x.watch[last] = nil
-	x.watch = x.watch[:last]
+	if ib.watchPrev == nil {
+		t.watchHead = ib.watchNext
+	} else {
+		ib.watchPrev.watchNext = ib.watchNext
+	}
+	if ib.watchNext == nil {
+		t.watchTail = ib.watchPrev
+	} else {
+		ib.watchNext.watchPrev = ib.watchPrev
+	}
+	ib.watchPrev, ib.watchNext = nil, nil
+	t.watched--
 }
 
-// watchdogFire sweeps the watch list for overdue batches. A soft-deadline
-// miss is counted once per batch and attributed as a health fault; a
-// batch still outstanding at deadline + 3x timeout forces recovery
-// (quarantine + PR reload, or a region reset if quarantine is already in
-// progress), which flushes completions a hung module withheld. The sweep
-// works over a snapshot because fault attribution can release inflights
-// mid-scan — each entry is revalidated by identity before use. The
-// watchdog never releases an inflight itself: the completion path owns
-// the buffers, late completions included.
-func (x *rxEngine) watchdogFire() {
-	now := x.r.sim.Now()
-	x.wdScratch = append(x.wdScratch[:0], x.watch...)
-	for i, ib := range x.wdScratch {
-		x.wdScratch[i] = nil
-		if ib.watchIdx < 0 || ib.watchIdx >= len(x.watch) || x.watch[ib.watchIdx] != ib {
-			continue // released (and possibly recycled) during this sweep
-		}
-		if now < ib.deadline {
+// watching reports whether ib is on the watch list.
+func (t *txEngine) watching(ib *inflight) bool {
+	return ib.watchPrev != nil || t.watchHead == ib
+}
+
+// sweep acts on every watched batch that is due. A soft-deadline miss is
+// counted once per batch and attributed as a health fault; a batch still
+// outstanding at deadline + 3x timeout forces recovery (quarantine + PR
+// reload, or a region reset if quarantine is already in progress), which
+// flushes completions a hung module withheld. Acting can release other
+// watched inflights (a reload fails the region's hung batches), so the due
+// ones are chained through dueNext before any is acted on, and each is
+// checked to still be watched when its turn comes; nothing is recycled
+// until the TX core flushes again. The sweep never releases an inflight
+// itself: the completion path owns the buffers, late completions
+// included. It leaves dueAt at the first instant a batch falls due again.
+func (t *txEngine) sweep(now eventsim.Time) {
+	t.sweepAt = now + sweepPeriod
+	t.dueAt = math.MaxInt64
+	var first, last *inflight
+	for ib := t.watchHead; ib != nil; ib = ib.watchNext {
+		if at := ib.dueAt(); now < at {
+			t.dueAt = min(t.dueAt, at)
 			continue
 		}
-		if !ib.overdue {
-			ib.overdue = true
-			x.stats.WatchdogTimeouts++
-			ib.noteFault()
+		if last == nil {
+			first = ib
+		} else {
+			last.dueNext = ib
 		}
-		if now >= ib.deadline+3*x.timeout {
-			x.stats.ForcedQuarantines++
-			if ib.hf != nil && ib.hfEpoch == ib.hf.epoch {
-				x.r.forceRecover(ib.hf)
-			}
-			// Re-escalate only if the batch is still stuck a full hard
-			// window later.
-			ib.deadline = now
-		}
+		last = ib
 	}
-	if len(x.watch) > 0 {
-		x.wdTimer.Reset(x.wdPeriod)
+	for ib := first; ib != nil; {
+		next := ib.dueNext
+		ib.dueNext = nil
+		if t.watching(ib) {
+			if !ib.overdue {
+				ib.overdue = true
+				t.stats.WatchdogTimeouts++
+				ib.noteFault()
+			}
+			if now >= ib.deadline+3*watchdogTimeout {
+				t.stats.ForcedQuarantines++
+				if ib.hf != nil && ib.hfEpoch == ib.hf.epoch {
+					t.r.forceRecover(ib.hf)
+				}
+				// Re-escalate only if the batch is still stuck a full
+				// hard window later.
+				ib.deadline = now
+			}
+			if t.watching(ib) {
+				t.dueAt = min(t.dueAt, ib.dueAt())
+			}
+		}
+		ib = next
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"github.com/opencloudnext/dhl-go/internal/core"
-	"github.com/opencloudnext/dhl-go/internal/eventsim"
 	"github.com/opencloudnext/dhl-go/internal/flowtab"
 	"github.com/opencloudnext/dhl-go/internal/placement"
 	"github.com/opencloudnext/dhl-go/internal/telemetry"
@@ -203,16 +202,6 @@ var verbs = []Verb{
 			res.BatchBytes = b.BatchBytes()
 			return res, err
 		}),
-	verb("tune.watchdog", "retune or disarm the per-batch watchdog: {timeout_us} -> {timeout_us}",
-		func(b Backend, p struct {
-			TimeoutUs int `json:"timeout_us" ctl:"required"`
-		}) (res struct {
-			TimeoutUs int `json:"timeout_us"`
-		}, err error) {
-			err = b.SetWatchdogTimeout(eventsim.Time(p.TimeoutUs) * eventsim.Microsecond)
-			res.TimeoutUs = watchdogUs(b)
-			return res, err
-		}),
 	verb("tune.auto", "adaptive batching autotuner: {state: on|off|status} -> controller status", tuneAuto),
 	verb("health.get", "health FSM state for one or all accelerators: {acc_id?} -> {accs}", healthGet),
 	verb("stats.get", "one node's transfer-core conservation ledger plus NF flow-table stats: {node} -> stats", statsGet),
@@ -312,7 +301,6 @@ type (
 	InfoResult struct {
 		Nodes        int            `json:"nodes"`
 		BatchBytes   int            `json:"batch_bytes"`
-		WatchdogUs   int            `json:"watchdog_timeout_us"`
 		HFTable      []string       `json:"hf_table"`
 		ModuleDB     []string       `json:"module_db"`
 		Accelerators []core.AccInfo `json:"accelerators"`
@@ -362,7 +350,7 @@ var okReply = okResult{OK: true}
 // they are.
 func sysInfo(b Backend, _ struct{}) (InfoResult, error) {
 	res := InfoResult{
-		Nodes: b.Nodes(), BatchBytes: b.BatchBytes(), WatchdogUs: watchdogUs(b),
+		Nodes: b.Nodes(), BatchBytes: b.BatchBytes(),
 		HFTable:      append([]string{}, b.HFTable()...),
 		ModuleDB:     append([]string{}, b.ModuleDB()...),
 		Accelerators: []core.AccInfo{},
@@ -376,10 +364,6 @@ func sysInfo(b Backend, _ struct{}) (InfoResult, error) {
 	}
 	return res, nil
 }
-
-// watchdogUs is the backend's watchdog deadline in the wire's
-// microseconds, zero when disarmed.
-func watchdogUs(b Backend) int { return int(b.WatchdogTimeout() / eventsim.Microsecond) }
 
 func handleShutdown(s *Server, _ json.RawMessage) (any, *Error) {
 	if s.cfg.OnShutdown == nil {

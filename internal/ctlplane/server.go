@@ -2,7 +2,7 @@
 // JSON-RPC 2.0 management API served over HTTP, driving a *running* DHL
 // system. It is the piece that turns Open()-time wiring into runtime
 // operations — NF registration, accelerator module load/evict/configure,
-// software-fallback flips, watchdog/batch knob tuning, health and stats
+// software-fallback flips, batch knob tuning, health and stats
 // queries, and a long-poll telemetry delta stream.
 //
 // # Why JSON-RPC over the telemetry mux
@@ -42,7 +42,6 @@ import (
 	"time"
 
 	"github.com/opencloudnext/dhl-go/internal/core"
-	"github.com/opencloudnext/dhl-go/internal/eventsim"
 	"github.com/opencloudnext/dhl-go/internal/flowtab"
 	"github.com/opencloudnext/dhl-go/internal/placement"
 	"github.com/opencloudnext/dhl-go/internal/telemetry"
@@ -84,9 +83,7 @@ type Backend interface {
 	InstallFallback(hfName string, node int) error
 	ClearFallback(hfName string, node int) error
 	SetBatchBytes(bytes int) error
-	SetWatchdogTimeout(d eventsim.Time) error
 	BatchBytes() int
-	WatchdogTimeout() eventsim.Time
 	AccIDs() []core.AccID
 	AccInfo(acc core.AccID) (core.AccInfo, error)
 	AccHealth(acc core.AccID) (core.HealthReport, error)

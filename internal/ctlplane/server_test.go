@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"github.com/opencloudnext/dhl-go/internal/core"
-	"github.com/opencloudnext/dhl-go/internal/eventsim"
 	"github.com/opencloudnext/dhl-go/internal/flowtab"
 	"github.com/opencloudnext/dhl-go/internal/placement"
 	"github.com/opencloudnext/dhl-go/internal/telemetry"
@@ -27,7 +26,6 @@ type fakeBackend struct {
 	accs       map[core.AccID]core.AccInfo
 	fallbacks  map[string]bool
 	batchBytes int
-	watchdog   eventsim.Time
 	tel        *telemetry.Registry
 	statsErr   error
 
@@ -104,16 +102,7 @@ func (f *fakeBackend) SetBatchBytes(b int) error {
 	return nil
 }
 
-func (f *fakeBackend) SetWatchdogTimeout(d eventsim.Time) error {
-	if d < 0 {
-		return errors.New("negative")
-	}
-	f.watchdog = d
-	return nil
-}
-
-func (f *fakeBackend) BatchBytes() int                { return f.batchBytes }
-func (f *fakeBackend) WatchdogTimeout() eventsim.Time { return f.watchdog }
+func (f *fakeBackend) BatchBytes() int { return f.batchBytes }
 
 func (f *fakeBackend) AccIDs() []core.AccID {
 	var ids []core.AccID
@@ -454,7 +443,7 @@ func TestProtocolErrors(t *testing.T) {
 
 	// A required parameter left out is refused by presence, before
 	// anything reaches the event loop: a forgotten field must not decode
-	// to zero and hard-kill board 0 or disarm the watchdog. One row per
+	// to zero and hard-kill board 0. One row per
 	// required field of the table; zero values sent explicitly stay legal.
 	posted := 0
 	counted, err := New(Config{Backend: fb, Post: func(fn func()) { posted++; fn() }})
@@ -471,7 +460,6 @@ func TestProtocolErrors(t *testing.T) {
 		{"fallback.set", `{}`, "hf"},
 		{"fallback.clear", `{"node":0}`, "hf"},
 		{"tune.batch", `{}`, "bytes"},
-		{"tune.watchdog", `{}`, "timeout_us"},
 		{"telemetry.delta", `{"wait_ms":5}`, "stream"},
 		{"acc.migrate", `{"board":1}`, "acc_id"},
 		{"acc.replicate", `{}`, "acc_id"},
@@ -498,7 +486,7 @@ func TestProtocolErrors(t *testing.T) {
 		}
 	}
 	// The zero value itself is a request like any other.
-	if err := c.Call("tune.watchdog", map[string]any{"timeout_us": 0}, nil); err != nil {
+	if err := c.Call("board.undrain", map[string]any{"board": 0}, nil); err != nil {
 		t.Errorf("explicit zero refused: %v", err)
 	}
 

@@ -79,8 +79,6 @@ func TestWireShapesGolden(t *testing.T) {
 	call(main, "fallback.set", `{"hf":"rev","node":0}`)
 	call(main, "fallback.clear", `{"hf":"rev"}`)
 	call(main, "tune.batch", `{"bytes":1024}`)
-	call(main, "tune.watchdog", `{"timeout_us":250}`)
-	call(main, "tune.watchdog", `{"timeout_us":0}`)
 	call(main, "tune.auto", "")
 	call(main, "tune.auto", `{"state":"on"}`)
 	call(main, "tune.auto", `{"state":"status"}`)
@@ -111,7 +109,6 @@ func TestWireShapesGolden(t *testing.T) {
 	call(main, "acc.configure", `{"acc_id":99,"params":""}`)
 	call(main, "fallback.clear", `{"hf":"none","node":0}`)
 	call(main, "tune.batch", `{"bytes":1}`)
-	call(main, "tune.watchdog", `{"timeout_us":-1}`)
 	call(main, "health.get", `{"acc_id":99}`)
 	call(main, "acc.migrate", `{"acc_id":99}`)
 	call(main, "acc.replicate", `{"acc_id":1,"board":7}`)

@@ -1,7 +1,7 @@
 package eventsim
 
 // Timer is a reusable, cancellable one-shot deadline on the simulation
-// clock, built for the transfer layer's batch watchdog.
+// clock: the autotuner's sampling tick.
 //
 // The event heap has no removal operation (events are popped in order),
 // so Stop and Reset work by validation at fire time: each
@@ -24,9 +24,6 @@ func (s *Sim) NewTimer(fn func()) *Timer {
 	t.fireFn = t.fire
 	return t
 }
-
-// Armed reports whether the timer has a pending deadline.
-func (t *Timer) Armed() bool { return t.armed }
 
 // Reset arms the timer to fire d from now, replacing any earlier
 // deadline. Resetting an armed timer is cheap but not free — it books

@@ -6,18 +6,18 @@ func TestTimerFiresOnce(t *testing.T) {
 	sim := New()
 	fired := 0
 	tm := sim.NewTimer(func() { fired++ })
-	if tm.Armed() {
+	if tm.armed {
 		t.Error("new timer should be stopped")
 	}
 	tm.Reset(10 * Microsecond)
-	if !tm.Armed() || tm.at != 10*Microsecond {
-		t.Errorf("armed=%v at=%v", tm.Armed(), tm.at)
+	if !tm.armed || tm.at != 10*Microsecond {
+		t.Errorf("armed=%v at=%v", tm.armed, tm.at)
 	}
 	sim.RunAll()
 	if fired != 1 {
 		t.Errorf("fired %d times", fired)
 	}
-	if tm.Armed() {
+	if tm.armed {
 		t.Error("timer still armed after firing")
 	}
 }

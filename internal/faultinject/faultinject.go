@@ -169,14 +169,6 @@ func NewPlan(seed uint64, specs ...Spec) (*Plan, error) {
 	return p, nil
 }
 
-// Seed returns the seed the plan was built from, for reporting.
-func (p *Plan) Seed() uint64 {
-	if p == nil {
-		return 0
-	}
-	return p.seed
-}
-
 // next is splitmix64: tiny, allocation-free, and deterministic.
 func (p *Plan) next() uint64 {
 	p.state += 0x9e3779b97f4a7c15

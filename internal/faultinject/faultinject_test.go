@@ -22,9 +22,6 @@ func TestNilPlanNeverFires(t *testing.T) {
 	if !p.Exhausted() {
 		t.Error("nil plan should report exhausted")
 	}
-	if p.Seed() != 0 {
-		t.Error("nil plan seed")
-	}
 	if p.String() != "faultinject: disabled" {
 		t.Errorf("nil plan string %q", p.String())
 	}

@@ -108,10 +108,9 @@ func runBoardFailoverOnce(cfg FailoverConfig, mode boardFailoverMode, label stri
 		}
 	}
 	rt, err := tb.newRuntime(core.Config{
-		BoardsPerNode:   2,
-		BatchBytes:      2048,
-		FlushTimeout:    5 * eventsim.Microsecond,
-		WatchdogTimeout: 250 * eventsim.Microsecond,
+		BoardsPerNode: 2,
+		BatchBytes:    2048,
+		FlushTimeout:  5 * eventsim.Microsecond,
 	})
 	if err != nil {
 		return run, err

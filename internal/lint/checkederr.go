@@ -52,23 +52,22 @@ var apiMethods = map[string]bool{
 	"SetBurst":           true,
 
 	// ctlplane.Backend.
-	"Unregister":         true,
-	"Evict":              true,
-	"InstallFallback":    true,
-	"ClearFallback":      true,
-	"SetBatchBytes":      true,
-	"SetWatchdogTimeout": true,
-	"AccInfo":            true,
-	"AccHealth":          true,
-	"Stats":              true,
-	"Migrate":            true,
-	"Replicate":          true,
-	"Rebalance":          true,
-	"DrainBoard":         true,
-	"UndrainBoard":       true,
-	"OfflineBoard":       true,
-	"AutoTuneEnable":     true,
-	"AutoTuneDisable":    true,
+	"Unregister":      true,
+	"Evict":           true,
+	"InstallFallback": true,
+	"ClearFallback":   true,
+	"SetBatchBytes":   true,
+	"AccInfo":         true,
+	"AccHealth":       true,
+	"Stats":           true,
+	"Migrate":         true,
+	"Replicate":       true,
+	"Rebalance":       true,
+	"DrainBoard":      true,
+	"UndrainBoard":    true,
+	"OfflineBoard":    true,
+	"AutoTuneEnable":  true,
+	"AutoTuneDisable": true,
 }
 
 // Name implements Analyzer.

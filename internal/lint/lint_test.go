@@ -134,10 +134,11 @@ func TestGoldenPositives(t *testing.T) {
 				"lib.TableConfig.Hash has no non-test write",
 				"lib.OnlyTestsCall is not reached",
 				"(*lib.Counter).Reset is not reached",
+				"(*lib.Counter).ID is not reached",
 				"lib.DeadHead is not reached",
 				"lib.deadTail is not reached",
 			},
-			files: []string{"config.go", "config.go", "config.go", "config.go", "config.go", "lib.go", "lib.go", "lib.go", "lib.go"},
+			files: []string{"config.go", "config.go", "config.go", "config.go", "config.go", "lib.go", "lib.go", "lib.go", "lib.go", "lib.go"},
 		},
 	}
 	for _, tc := range cases {

@@ -18,6 +18,16 @@ func NewSquare(side float64) Square { return Square{side: side} }
 // Area is reached only by dispatch through Shape.
 func (s Square) Area() float64 { return s.side * s.side }
 
+// NFID is what Identified's method returns.
+type NFID int
+
+// Identified is the second interface the root calls through.
+type Identified interface{ ID() NFID }
+
+// ID is reached only by dispatch through Identified, whose method has its
+// name and its signature.
+func (s Square) ID() NFID { return NFID(s.side) }
+
 // Level is named by the root package; fmt and encoding call its methods.
 type Level int
 

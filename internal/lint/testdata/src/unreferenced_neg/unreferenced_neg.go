@@ -12,8 +12,9 @@ import (
 // Run calls into lib directly, through an interface and through fmt.
 func Run() string {
 	var s lib.Shape = lib.NewSquare(2)
+	var id lib.Identified = lib.NewSquare(3)
 	var lvl lib.Level
-	return fmt.Sprint(lib.Called(), s.Area(), lvl)
+	return fmt.Sprint(lib.Called(), s.Area(), id.ID(), lvl)
 }
 
 // Tune sets every knob of package knob.

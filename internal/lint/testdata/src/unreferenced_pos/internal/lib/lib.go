@@ -1,5 +1,6 @@
 // Package lib holds code no root reaches: a function and a method only
-// its test calls, and a dead chain in which only the head is unreferenced
+// its test calls, a method that matches an interface's by name alone, and
+// a dead chain in which only the head is unreferenced
 // yet both links are findings.
 package lib
 
@@ -20,6 +21,16 @@ func (c *Counter) Inc() { c.N++ }
 
 // Reset is a method only lib_test.go calls.
 func (c *Counter) Reset() { c.N = 0 }
+
+// ID shares its name with Identified's method but not its signature, so
+// no call through Identified can reach it.
+func (c *Counter) ID() int { return c.N }
+
+// NFID is what Identified's method returns.
+type NFID int
+
+// Identified is named by the root package.
+type Identified interface{ ID() NFID }
 
 // DeadHead has no caller at all.
 func DeadHead() int { return deadTail() + 1 }

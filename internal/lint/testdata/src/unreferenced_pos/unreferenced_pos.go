@@ -6,9 +6,9 @@ package unreferenced_pos
 import "github.com/opencloudnext/dhl-go/internal/lint/testdata/src/unreferenced_pos/internal/lib"
 
 // Run is what the tree's one root does.
-func Run() int {
+func Run(id lib.Identified) int {
 	c := lib.NewCounter()
 	c.Inc()
-	return lib.Live() + c.N + lib.Gauge(lib.Config{Scale: 2}) +
+	return int(id.ID()) + lib.Live() + c.N + lib.Gauge(lib.Config{Scale: 2}) +
 		lib.TableSize(lib.TableConfig[string]{Size: 4})
 }

@@ -18,11 +18,11 @@ import (
 // nothing returns, a type nothing names.
 //
 // A method is reached by a call or method value, or when its receiver type
-// is reached and its name belongs to an interface the module names, or to
-// one the standard library calls (error and Unwrap, fmt.Stringer, the text
-// and JSON (un)marshalers). A reached type does not make the rest of its
-// method set reachable: a facade accessor returning a *core.Runtime keeps
-// only the methods someone calls.
+// is reached and it has the name and signature of a method of an interface
+// the module names, or the name of one the standard library calls (error
+// and Unwrap, fmt.Stringer, the text and JSON (un)marshalers). A reached
+// type does not make the rest of its method set reachable: a facade
+// accessor returning a *core.Runtime keeps only the methods someone calls.
 //
 // A finding is resolved by deleting the identifier, by moving it into a
 // _test.go file when its package's tests are its only reader, or by a
@@ -123,10 +123,18 @@ func (u *Unreferenced) checkTree(dir string, tree []*Package, wanted map[*Packag
 			return true
 		})
 	}
-	ifaceNames := make(map[string]bool)
+	// A method the standard library calls matches by name; one of an
+	// interface the tree names, by name and signature (ifaceSigs, each
+	// kept once). Identical ignores receivers.
+	stdNames := make(map[string]bool)
 	for _, n := range dispatchedNames {
-		ifaceNames[n] = true
+		stdNames[n] = true
 	}
+	ifaceSigs := make(map[string][]types.Type)
+	hasSig := func(name string, sig types.Type) bool {
+		return slices.ContainsFunc(ifaceSigs[name], func(s types.Type) bool { return types.Identical(s, sig) })
+	}
+	dispatched := func(m types.Object) bool { return stdNames[m.Name()] || hasSig(m.Name(), m.Type()) }
 	// drain walks queued declarations until nothing new is reached,
 	// adding a reached type's methods that dynamic dispatch may call.
 	drain := func() {
@@ -140,7 +148,7 @@ func (u *Unreferenced) checkTree(dir string, tree []*Package, wanted map[*Packag
 				if tn, ok := obj.(*types.TypeName); ok {
 					ms := types.NewMethodSet(types.NewPointer(tn.Type()))
 					for i := 0; i < ms.Len(); i++ {
-						if m := ms.At(i).Obj(); ifaceNames[m.Name()] {
+						if m := ms.At(i).Obj(); dispatched(m) {
 							mark(m)
 						}
 					}
@@ -164,7 +172,9 @@ func (u *Unreferenced) checkTree(dir string, tree []*Package, wanted map[*Packag
 			}
 			if it, ok := tv.Type.Underlying().(*types.Interface); ok {
 				for i := 0; i < it.NumMethods(); i++ {
-					ifaceNames[it.Method(i).Name()] = true
+					if m := it.Method(i); !hasSig(m.Name(), m.Type()) {
+						ifaceSigs[m.Name()] = append(ifaceSigs[m.Name()], m.Type())
+					}
 				}
 			}
 		}

@@ -53,8 +53,7 @@ func TestAllocFreeLifecycle(t *testing.T) {
 	if p.Available() != 2 {
 		t.Errorf("available=%d after frees", p.Available())
 	}
-	allocs, frees, fails := p.Stats()
-	if allocs != 2 || frees != 2 || fails != 1 {
+	if allocs, frees, fails := p.allocs, p.frees, p.fails; allocs != 2 || frees != 2 || fails != 1 {
 		t.Errorf("stats %d/%d/%d", allocs, frees, fails)
 	}
 }
@@ -139,8 +138,8 @@ func TestFreeBulkStopsAtDoubleFree(t *testing.T) {
 	if p.Available() != 2 {
 		t.Errorf("available %d after FreeBulk([a, b, a]), want 2: a and b", p.Available())
 	}
-	if _, frees, _ := p.Stats(); frees != 2 {
-		t.Errorf("%d frees counted, want 2", frees)
+	if p.frees != 2 {
+		t.Errorf("%d frees counted, want 2", p.frees)
 	}
 }
 

@@ -168,8 +168,3 @@ func (p *Pool) FreeBulk(ms []*Mbuf) error {
 	}
 	return nil
 }
-
-// Stats reports lifetime pool counters.
-func (p *Pool) Stats() (allocs, frees, fails uint64) {
-	return p.allocs, p.frees, p.fails
-}

@@ -156,9 +156,6 @@ func NewEngine(sim *eventsim.Sim, cfg Config) *Engine {
 	return e
 }
 
-// Mode reports the driver model in use.
-func (e *Engine) Mode() DriverMode { return e.cfg.Mode }
-
 // occupancy is the channel serialization time of one transfer: the
 // effective wire time of size+overhead bytes. Steady-state throughput then
 // equals SustainedBps by construction.

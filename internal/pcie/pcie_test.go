@@ -13,12 +13,12 @@ import (
 func TestDriverModeDefaults(t *testing.T) {
 	sim := eventsim.New()
 	uio := NewEngine(sim, Config{})
-	if uio.Mode() != UIOPoll {
-		t.Errorf("default mode %v", uio.Mode())
+	if uio.cfg.Mode != UIOPoll {
+		t.Errorf("default mode %v", uio.cfg.Mode)
 	}
 	kern := NewEngine(sim, Config{Mode: InKernel})
-	if kern.Mode() != InKernel {
-		t.Errorf("kernel mode %v", kern.Mode())
+	if kern.cfg.Mode != InKernel {
+		t.Errorf("kernel mode %v", kern.cfg.Mode)
 	}
 	if UIOPoll.String() != "uio-poll" || InKernel.String() != "in-kernel" {
 		t.Error("mode strings")

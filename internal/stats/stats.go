@@ -59,9 +59,6 @@ func (s *Series) Add(v float64) {
 	}
 }
 
-// Sum reports the sum of all observations.
-func (s *Series) Sum() float64 { return s.sum }
-
 // Mean reports the arithmetic mean, or 0 with no observations.
 func (s *Series) Mean() float64 {
 	if s.count == 0 {

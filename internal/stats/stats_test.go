@@ -22,8 +22,8 @@ func TestBasicStats(t *testing.T) {
 	if s.count != 5 {
 		t.Errorf("count %d", s.count)
 	}
-	if s.Sum() != 25 {
-		t.Errorf("sum %v", s.Sum())
+	if s.sum != 25 {
+		t.Errorf("sum %v", s.sum)
 	}
 	if s.Mean() != 5 {
 		t.Errorf("mean %v", s.Mean())

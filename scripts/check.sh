@@ -62,8 +62,14 @@ targeted -race -run '^TestSecondGoroutineIsADataRace$' -count=1 ./internal/ring
 echo "==> bench smoke (1 iteration, -benchmem)"
 go test -run '^$' -bench 'Pipeline|Distributor' -benchmem -benchtime=1x -count=1 ./internal/core
 
-echo "==> chaos smoke (seeded fault-injection soak, -short)"
+echo "==> chaos smoke (seeded fault-injection soak, -short; the watchdog and the health FSM run in every runtime: overload is no fault, a hang on a runtime without a plan is caught)"
 targeted -run Chaos -short -count=1 ./internal/core ./internal/harness
+targeted -run '^TestOverloadIsNotAFault$' -count=1 ./internal/harness
+targeted -run '^TestHangRecoveredWithoutRuntimePlan$' -count=1 ./internal/core
+
+echo "==> wire decoder (the Distributor's Cursor against Walk on any bytes, corrupted batches seeded, 5 s fuzz)"
+targeted -run '^FuzzCursorMatchesWalk$' -count=1 ./internal/dhlproto
+go test -run '^$' -fuzz FuzzCursorMatchesWalk -fuzztime 5s ./internal/dhlproto
 
 echo "==> flow-scale smoke (100k-flow Zipf churn soak + failover flow-state audit, -short, -race)"
 targeted -race -short -run 'FlowScale|FlowState' -count=1 ./internal/harness

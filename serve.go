@@ -124,7 +124,7 @@ type PlacementBoard = placement.BoardInfo
 type PlacementEndpoint = placement.EndpointInfo
 
 // Control is the system's management surface: every core.Runtime method
-// (module database, load/evict, fallbacks, batching and watchdog knobs,
+// (module database, load/evict, fallbacks, batching knobs,
 // health, the fleet verbs) promoted as it is, plus what the system
 // itself owns — the flow-table registry, the autotuner, the boards and
 // the telemetry snapshot. It is the control plane's backend: each
