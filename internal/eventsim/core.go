@@ -82,17 +82,23 @@ func (c *Core) String() string {
 // say when; a body that turns busy by counting its own idle calls breaks
 // the contract.
 //
-// For a loop that declared the input it reads (PollLoop.Watch) the
+// For a loop that declared the inputs it reads (PollLoop.Watch) the
 // assertion is narrower and the simulator holds it to that: the body would
-// return the same until that input is produced into, the loop is poked
-// (PollLoop.Poke), or a WakeBy deadline comes. What else executes in the
-// meantime does not run it.
+// return the same until one of those inputs is produced into, the loop is
+// poked (PollLoop.Poke), or a WakeBy deadline comes. What else executes in
+// the meantime does not run it.
 type PollBody func() (cycles float64, commit func())
 
 // Input is something a poll body reads to decide whether it is idle, as
 // PollLoop.Watch takes it: Produced counts everything ever put into it and
-// only grows. ring.Ring's producer tail is one.
+// only grows. ring.Ring's producer tail is one, and netdev.Port's count of
+// the frames its generator put on the wire another.
 type Input interface{ Produced() uint64 }
+
+// maxWatched is how many inputs a loop declares at most: the two queues
+// Figure 7's per-port core polls, its NIC and its NF's OBQ. They live in
+// the PollLoop, so that Watch allocates nothing.
+const maxWatched = 2
 
 // PollLoop runs a poll-mode body on its core forever (until the simulation
 // horizon). If the body reports 0 cycles the loop charges idleCycles
@@ -133,12 +139,21 @@ type PollLoop struct {
 	seq    uint64 // order among events at nextAt
 	stamp  uint64 // Sim.executed when the body last ran, or was last found unconcerned
 	wakeBy Time   // the last iteration's declared deadline, or never
+	// While parked: nextAt modulo the period (-1 until a skip first asks,
+	// see inPhase), and wakeAt, the first poll at or after wakeBy (never
+	// without a deadline), set by Sim.park. Every skip and landing keeps
+	// both, so the peers a skip scans cost it no division.
+	phase  Time
+	wakeAt Time
 
-	// What the loop declared with Watch, its count as read just before the
-	// body last ran, and whether the loop was poked since.
-	watched Input
-	seen    uint64
-	poked   bool
+	// What the loop declared with Watch, each input's count as read when
+	// the body last returned idle (Sim.park), and whether the loop was
+	// poked since. An idle body changed nothing it reads, so that is the
+	// count it saw; a busy iteration reads none, as it parks no loop.
+	nWatched int
+	poked    bool
+	watched  [maxWatched]Input
+	seen     [maxWatched]uint64
 }
 
 // NewPollLoop creates (but does not start) the poll loop of core, and keeps
@@ -193,29 +208,31 @@ func (p *PollLoop) land() {
 	}
 }
 
-// Watch declares the input the body reads: from now on an idle result
-// stands until in has been produced into, the loop is poked, or a WakeBy
-// deadline comes — see PollBody. The loop reads the input's own count, so
-// whoever produces into it, inside Run or between two Run calls, needs to
-// know nothing about the loop. A loop that never calls Watch is woken by
-// anything that executes. A loop watches one input: Watch panics on a nil
-// input and on a loop that watches one already.
+// Watch declares an input the body reads: from now on an idle result
+// stands until in (or an input declared before it) has been produced into,
+// the loop is poked, or a WakeBy deadline comes — see PollBody. The loop
+// reads the input's own count, so whoever produces into it, inside Run or
+// between two Run calls, needs to know nothing about the loop; a port's
+// RxBurst that finds nothing declares when its next frame on the wire falls
+// due. A loop that never calls Watch is woken by anything that executes. A
+// loop watches at most two inputs, kept in the loop: Watch allocates
+// nothing, and panics on a nil input and on a third.
 func (p *PollLoop) Watch(in Input) {
-	if in == nil || p.watched != nil {
-		panic("eventsim: PollLoop.Watch: a loop watches one input")
+	if in == nil || p.nWatched == maxWatched {
+		panic("eventsim: PollLoop.Watch: a loop watches one or two inputs")
 	}
-	p.watched = in
-	p.sim.watching++
-	p.poked = true // the last body run recorded nothing of it
+	p.watched[p.nWatched] = in
+	p.nWatched++
+	p.poked = true // its last park recorded nothing of it
 }
 
 // Poke ends the loop's idle result: the body runs at the next poll. It is
-// for the dependency a loop with a declared input has besides it — state
+// for the dependency a loop with declared inputs has besides them — state
 // the body reads that somebody else changed without producing into
 // anything, such as a timeout the body had turned into a WakeBy deadline.
 // Like producing into an input it is something only code that executes
 // does — an event, a commit, a busy iteration, code between two Run calls
-// — which is when Sim.settle looks.
+// — after which Sim.settle looks again.
 func (p *PollLoop) Poke() { p.poked = true }
 
 // WakeBy is called by the body during an iteration it is about to report
@@ -240,9 +257,6 @@ func (p *PollLoop) iterate() {
 	p.iterations++
 	p.wakeBy = never
 	p.poked = false
-	if p.watched != nil {
-		p.seen = p.watched.Produced()
-	}
 	s := p.sim
 	s.polling = p
 	cycles, commit := p.body()
@@ -291,11 +305,14 @@ func (p *PollLoop) clean() bool {
 	return p.stamp == p.sim.executed && p.nextAt < p.wakeBy
 }
 
-// unproduced reports whether a parked loop with a declared input may keep
-// its idle result: it has not been poked, and the input still reads the
-// count recorded just before the body last ran.
+// unproduced reports whether a parked loop with declared inputs may keep
+// its idle result: it has not been poked, and every input still reads the
+// count recorded when the loop parked.
 func (p *PollLoop) unproduced() bool {
-	return !p.poked && p.watched.Produced() == p.seen
+	if p.poked || p.watched[0].Produced() != p.seen[0] {
+		return false
+	}
+	return p.nWatched == 1 || p.watched[1].Produced() == p.seen[1]
 }
 
 // nextReal reports the instant at which parked loop p next runs its body
@@ -305,10 +322,17 @@ func (p *PollLoop) nextReal() Time {
 	if !p.clean() {
 		return p.nextAt
 	}
-	if p.wakeBy > never-p.period {
-		return never
+	return p.wakeAt
+}
+
+// inPhase reports parked loop p's phase, working it out the first time it
+// is asked for after p parked: most parks come after a busy iteration and
+// are over before any skip compares phases.
+func (p *PollLoop) inPhase() Time {
+	if p.phase < 0 {
+		p.phase = p.nextAt % p.period
 	}
-	return p.nextAt + (p.wakeBy-p.nextAt+p.period-1)/p.period*p.period
+	return p.phase
 }
 
 // beforeLoop orders two parked loops' pending polls. At equal instants the

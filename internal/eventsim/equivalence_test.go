@@ -92,9 +92,10 @@ func (r rec) String() string {
 // stage is one polling actor of a scenario: an inbox standing in for a
 // ring, optionally a staging area flushed by size or by timeout (the
 // Packer), optionally held back while "blocked" (a pending PR). The inbox
-// and the chain together are an Input — put and the chain's bursts are the
-// only ways they grow — and a stage that is "declared" has its loop watch
-// them.
+// is an Input and so is the chain — put and the chain's bursts are the only
+// ways they grow — and a stage that is "declared" has its loop watch both,
+// as two inputs (a per-port core watching its NIC and its OBQ) or as one
+// that counts both (stageAndChain).
 type stage struct {
 	sc    *scenario
 	id    int
@@ -123,10 +124,15 @@ func (st *stage) put(k int) {
 	st.produced += uint64(k)
 }
 
-// Produced counts what was put into the inbox and the items the chain drew,
-// which a burst may aim at any stage: a declared stage looks again when
-// either grows.
-func (st *stage) Produced() uint64 { return st.produced + st.sc.chain.drawn }
+// Produced counts what was put into the inbox. A declared stage watches the
+// chain too, whose bursts may aim at any stage: it looks again when either
+// grows.
+func (st *stage) Produced() uint64 { return st.produced }
+
+// stageAndChain is a stage's inbox and the chain as one Input.
+type stageAndChain struct{ st *stage }
+
+func (in stageAndChain) Produced() uint64 { return in.st.produced + in.st.sc.chain.drawn }
 
 // wakeBy declares the body's deadline: to its loop, or through the Sim, as
 // code a body calls that does not know the loop does (a port's RxBurst).
@@ -406,7 +412,12 @@ func runScenario(seed uint64, lazy bool) (trace, fed []rec) {
 			st.loop, st.books = naive, naive
 		}
 		if rng.Intn(3) != 0 {
-			st.loop.Watch(st)
+			if i%3 == 0 {
+				st.loop.Watch(stageAndChain{st})
+			} else {
+				st.loop.Watch(st)
+				st.loop.Watch(sc.chain)
+			}
 		}
 		sc.stages = append(sc.stages, st)
 		if rng.Intn(4) == 0 { // off-phase start

@@ -98,8 +98,6 @@ type Sim struct {
 	parked   []*PollLoop
 	busy     []*PollLoop
 	executed uint64
-	watching int    // loops that declared an input (PollLoop.Watch)
-	settled  uint64 // executed when settle last looked at them
 
 	// Quiet stretches (see hush). A parked loop short of deferTo, when that
 	// is not zero, is at its first poll at or after it, and its nextAt,
@@ -382,9 +380,6 @@ func (s *Sim) Run(until Time) {
 			if p.nextAt > until {
 				break
 			}
-			if s.watching != 0 && s.settled != s.executed {
-				s.settle()
-			}
 			if s.quiet(until) {
 				s.hush(until)
 				break
@@ -393,7 +388,7 @@ func (s *Sim) Run(until Time) {
 				s.landAll()
 				continue
 			}
-			if p.clean() {
+			if s.settle(p); p.clean() {
 				if !s.skip(p, until) {
 					break
 				}
@@ -455,7 +450,8 @@ func (s *Sim) RunAll() { s.Run(never) }
 
 // park books p's idle iteration, one period from now, and keeps its next
 // poll in the parked set. It reports false for a stopped loop, which spends
-// the iteration busy instead.
+// the iteration busy instead. A loop that was parked polled at its nextAt,
+// so its phase stays what it was.
 func (s *Sim) park(p *PollLoop) bool {
 	if p.stopped {
 		return false
@@ -463,10 +459,25 @@ func (s *Sim) park(p *PollLoop) bool {
 	if !p.parked {
 		s.parked = append(s.parked, p)
 		p.parked = true
+		p.phase = -1
 	}
 	p.busy += p.period
 	s.seq++
 	p.nextAt, p.seq, p.stamp = s.now+p.period, s.seq, s.executed
+	for i, in := range p.watched[:p.nWatched] {
+		p.seen[i] = in.Produced()
+	}
+	// A deadline not after nextAt leaves the loop unclean until its body
+	// runs again: wakeAt is then never read. One within a period, a port
+	// reader's usual one, costs no division.
+	p.wakeAt = never
+	if p.nextAt < p.wakeBy && p.wakeBy <= never-p.period {
+		if p.wakeBy-p.nextAt <= p.period {
+			p.wakeAt = p.nextAt + p.period
+		} else {
+			p.wakeAt = p.nextAt + (p.wakeBy-p.nextAt+p.period-1)/p.period*p.period
+		}
+	}
 	return true
 }
 
@@ -483,21 +494,20 @@ func (s *Sim) unpark(p *PollLoop) {
 	p.parked = false
 }
 
-// settle carries the stamp of every parked loop with a declared input
-// forward to the current count, unless something was produced into it (or
-// the loop was poked): what executed since the loop last looked is then
-// none of its business, and clean stays the
-// same comparison for both kinds of loop. Whatever produces into an input
-// has executed — also code between two Run calls, which Run's entry counts
-// — so looking again when the count has moved, and only then, misses
-// nothing; a loop left behind runs its body at its next poll.
-func (s *Sim) settle() {
-	for _, q := range s.parked {
-		if q.watched != nil && q.stamp != s.executed && q.unproduced() {
-			q.stamp = s.executed
-		}
+// settle carries the stamp of parked loop q, if it declared its inputs,
+// forward to the current count, unless something was produced into one of
+// them (or the loop was poked): what executed since the loop last looked
+// is then none of its business, and clean stays the same comparison for
+// both kinds of loop. Whatever produces into an input has executed — also
+// code between two Run calls, which Run's entry counts — and the counts
+// only grow, so looking when the count has moved, and only at a loop whose
+// cleanness is about to be read (the first parked poll, the peers a skip
+// scans, the loops a quiet step finds due), misses nothing; a loop left
+// behind runs its body at its next poll.
+func (s *Sim) settle(q *PollLoop) {
+	if q.stamp != s.executed && q.nWatched != 0 && q.unproduced() {
+		q.stamp = s.executed
 	}
-	s.settled = s.executed
 }
 
 // firstBusy returns the index of the busy loop whose finish is due first;
@@ -547,32 +557,38 @@ func (s *Sim) skip(p *PollLoop, until Time) bool {
 	// from poll to poll: p may catch up with one that is ahead, not pass it.
 	land, d := never, p.period
 	for _, q := range s.parked {
-		if horizon <= p.nextAt {
+		if horizon-p.nextAt <= d {
 			break
 		}
 		if q == p {
 			continue
 		}
+		s.settle(q)
 		horizon = min(horizon, q.nextReal())
-		if q.period == d && q.nextAt > p.nextAt && (q.nextAt-p.nextAt)%d == 0 {
+		if q.period == d && q.nextAt > p.nextAt && q.inPhase() == p.inPhase() {
 			land = min(land, q.nextAt)
 		}
 	}
 	k := Time(1)
-	if horizon <= p.nextAt {
-		// Something acts at p's own instant — the usual case for a loop
-		// with a declared input, whose undeclared peers wake at every event
-		// it sleeps through: p moves one period, which no peer ahead of it
-		// on the same instants can be short of, and no division is paid.
+	if horizon-p.nextAt <= d {
+		// Something acts by p's next poll — the usual case for a loop that
+		// sleeps through what its peers act on: p moves one period, which
+		// no peer ahead of it on the same instants can be short of, and no
+		// division is paid.
 		land = p.nextAt + d
 	} else {
+		k = 0 // the polls to land, once known
 		if horizon <= never-d {
-			land = min(land, p.nextAt+(horizon-p.nextAt+d-1)/d*d)
+			if n := (horizon - p.nextAt + d - 1) / d; p.nextAt+n*d <= land {
+				land, k = p.nextAt+n*d, n
+			}
 		}
 		if land == never {
 			return false
 		}
-		k = (land - p.nextAt) / d
+		if k == 0 { // on a same-phase peer ahead, before the horizon
+			k = (land - p.nextAt) / d
+		}
 	}
 	p.iterations += uint64(k)
 	p.busy += k * d
@@ -602,13 +618,25 @@ func (s *Sim) quiet(until Time) bool {
 	if len(s.events) > 0 && s.events[0].at <= until {
 		return false
 	}
+	return s.loopsQuiet(until)
+}
+
+// loopsQuiet is the rest of quiet, once no heap event is due by until, out
+// of line so that the heap test inlines into Run: no busy loop finishes by
+// until, and every parked loop due by then is clean, with its deadline
+// after until.
+func (s *Sim) loopsQuiet(until Time) bool {
 	for _, q := range s.busy {
 		if q.nextAt <= until {
 			return false
 		}
 	}
 	for _, q := range s.parked {
-		if q.nextAt <= until && (q.stamp != s.executed || q.wakeBy <= until || until >= never-q.period) {
+		if q.nextAt > until {
+			continue
+		}
+		s.settle(q)
+		if q.stamp != s.executed || q.wakeBy <= until || until >= never-q.period {
 			return false
 		}
 	}

@@ -479,6 +479,48 @@ func TestSimWakeByOnlyInsideABody(t *testing.T) {
 	}
 }
 
+// A loop watches up to two inputs, as Figure 7's per-port core polls its
+// NIC and its OBQ: producing into either runs its body, other events do
+// not, and declaring them allocates nothing. A third input and a nil one
+// are refused.
+func TestPollLoopWatchesTwoInputs(t *testing.T) {
+	s := New()
+	var nic, obq counter
+	var ran []Time
+	loops := make([]*PollLoop, 3)
+	for i := range loops {
+		loops[i] = NewPollLoop(s, NewCore(s, i, 0, 1e9), 10, func() (float64, func()) {
+			if i == 0 {
+				ran = append(ran, s.Now())
+			}
+			return 0, nil
+		})
+	}
+	next := 0
+	if n := testing.AllocsPerRun(1, func() {
+		loops[next].Watch(&nic)
+		loops[next].Watch(&obq)
+		next++
+	}); n != 0 {
+		t.Errorf("declaring two inputs allocates %v objects, want 0", n)
+	}
+	if !refused(func() { loops[0].Watch(&counter{}) }) {
+		t.Error("a third input was accepted")
+	}
+	if !refused(func() { loops[2].Watch(nil) }) {
+		t.Error("a nil input was accepted")
+	}
+	loops[0].Start()
+	s.At(100*Nanosecond, func() { obq.n++ })
+	s.At(300*Nanosecond, func() {})
+	s.At(500*Nanosecond, func() { nic.n++ })
+	s.Run(Microsecond)
+	want := []Time{0, 100 * Nanosecond, 500 * Nanosecond}
+	if fmt.Sprint(ran) != fmt.Sprint(want) {
+		t.Errorf("the body ran at %v, want %v: at its start and when either input was produced into", ran, want)
+	}
+}
+
 // Stats counts every step by kind, Processed is the sum of the three
 // kinds Run executes, and reading them allocates nothing.
 func TestStatsCountsStepsByKind(t *testing.T) {

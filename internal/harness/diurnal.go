@@ -107,10 +107,11 @@ type ingressState struct {
 // ingress core: IBQ-refused packets are held and re-offered on later
 // polls (zero silent drops), and while the hold-over buffer is deep the
 // loop stops pulling from the NIC so the backlog lands in the port's RX
-// rings as visible imissed counts instead of anonymous frees.
+// rings as visible imissed counts instead of anonymous frees. The loop
+// watches the port: with nothing held it is idle only on an empty NIC.
 func wireDHLIngressPressured(tb *testbed, rt *core.Runtime, app dhlNF, rxPort *netdev.Port, st *ingressState) {
 	ingressCore := tb.core()
-	pull := tb.fromNIC(rxPort)
+	src := tb.fromNIC(rxPort)
 	rxBuf := make([]*mbuf.Mbuf, 2*burstSize)
 	// Bound once: the loop commits on every busy iteration.
 	commit := func() {
@@ -130,10 +131,10 @@ func wireDHLIngressPressured(tb *testbed, rt *core.Runtime, app dhlNF, rxPort *n
 			st.held = st.held[:n]
 		}
 	}
-	eventsim.NewPollLoop(tb.sim, ingressCore, perf.PollIdleCycles, func() (float64, func()) {
+	loop := eventsim.NewPollLoop(tb.sim, ingressCore, perf.PollIdleCycles, func() (float64, func()) {
 		got := 0
 		if len(st.held) < burstSize { // back-pressured: let the NIC rings absorb
-			got = pull(rxBuf)
+			got = src.pull(rxBuf)
 		}
 		if got == 0 && len(st.held) == 0 {
 			return 0, nil
@@ -153,7 +154,9 @@ func wireDHLIngressPressured(tb *testbed, rt *core.Runtime, app dhlNF, rxPort *n
 			return cycles, nil
 		}
 		return cycles, commit
-	}).Start()
+	})
+	loop.Watch(src.in)
+	loop.Start()
 }
 
 // RunDiurnal runs one diurnal sweep: settle, peak phase (warmup then
@@ -185,8 +188,12 @@ func RunDiurnal(cfg DiurnalConfig) (DiurnalResult, error) {
 		return res, err
 	}
 	st := &ingressState{}
+	egress, err := tb.dhlEgress(rt, app, txPort, &st.nfDropped)
+	if err != nil {
+		return res, err
+	}
 	wireDHLIngressPressured(tb, rt, app, rxPort, st)
-	tb.run(tb.core(), tb.dhlEgress(rt, app, txPort, &st.nfDropped))
+	tb.run(tb.core(), egress)
 	tb.settle(60 * eventsim.Millisecond) // partial reconfiguration
 
 	var tun *tuner.Tuner

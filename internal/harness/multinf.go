@@ -86,7 +86,11 @@ func RunMultiNF(cfg MultiNFConfig) (MultiNFResult, error) {
 			return res, gerr
 		}
 		txs[p], gens[p] = txPort, gen
-		tb.run(tb.core(), tb.dhlIngress(rt, apps[nfIdx], rxPort, nil), tb.dhlEgress(rt, apps[nfIdx], txPort, nil))
+		egress, eerr := tb.dhlEgress(rt, apps[nfIdx], txPort, nil)
+		if eerr != nil {
+			return res, eerr
+		}
+		tb.run(tb.core(), tb.dhlIngress(rt, apps[nfIdx], rxPort, nil), egress)
 	}
 
 	for _, gen := range gens {

@@ -67,8 +67,12 @@ func runPRCase(running NFKind, newModule string) (prResult, error) {
 	if err != nil {
 		return res, err
 	}
+	egress, err := tb.dhlEgress(rt, app, txPort, nil)
+	if err != nil {
+		return res, err
+	}
 	tb.run(tb.core(), tb.dhlIngress(rt, app, rxPort, nil))
-	tb.run(tb.core(), tb.dhlEgress(rt, app, txPort, nil))
+	tb.run(tb.core(), egress)
 	tb.settle(60 * eventsim.Millisecond)
 
 	const frame = 512

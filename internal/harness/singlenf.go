@@ -250,7 +250,7 @@ func wireCPUOnly(tb *testbed, rxPort, txPort *netdev.Port, proc swProcessor, dro
 	tb.run(rxCore, tb.nicToRing(rxPort, workerIn, dropped))
 	for w := 0; w < 2; w++ {
 		tb.run(tb.core(), &stage{
-			pull: fromRing(workerIn), proc: proc.Process, perPkt: 2 * perf.RingOpCycles,
+			src: fromRing(workerIn), proc: proc.Process, perPkt: 2 * perf.RingOpCycles,
 			push: txRing.EnqueueBurst, dropped: dropped,
 		})
 	}
@@ -275,8 +275,12 @@ func wireDHL(tb *testbed, rxPort, txPort *netdev.Port, cfg SingleNFConfig, dropp
 		return nil, aerr
 	}
 
+	egress, err := tb.dhlEgress(rt, app, txPort, dropped)
+	if err != nil {
+		return nil, err
+	}
 	tb.run(tb.core(), tb.dhlIngress(rt, app, rxPort, dropped))
-	tb.run(tb.core(), tb.dhlEgress(rt, app, txPort, dropped))
+	tb.run(tb.core(), egress)
 	return rt, nil
 }
 

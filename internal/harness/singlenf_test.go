@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/opencloudnext/dhl-go/internal/eventsim"
+	"github.com/opencloudnext/dhl-go/internal/perf"
 )
 
 // short returns a config with a reduced window so unit tests stay fast;
@@ -111,9 +112,10 @@ func TestSingleNFLatencyAtOperatingPoint(t *testing.T) {
 // the simulator: the 60 ms partial-reconfiguration settle and a 2 ms
 // warm-up are almost all idle polling, which the event engine accounts for
 // without executing, and the 2 ms of 40 G traffic reach a busy ingress
-// core without an event per frame. The count is deterministic: 11 970,
-// where a wake-up event for a waiting reader made it 11 973, an event per
-// frame 126 055 and, before idle polls were lazy, 8.5 million.
+// core without an event per frame. The count is deterministic: 11 906,
+// where I/O cores that watched no queue made it 11 970, a wake-up event
+// for a waiting reader 11 973, an event per frame 126 055 and, before idle
+// polls were lazy, 8.5 million.
 func TestEventBudgetSingleNFSetup(t *testing.T) {
 	res, err := RunSingleNF(SingleNFConfig{
 		Kind: IPsecGateway, Mode: DHL, FrameSize: 64,
@@ -130,6 +132,47 @@ func TestEventBudgetSingleNFSetup(t *testing.T) {
 	if res.Sim.PollsSkipped < 8_000_000 {
 		t.Errorf("only %d idle polls skipped: four cores idle through 60 ms should give over 8 million", res.Sim.PollsSkipped)
 	}
+}
+
+// TestEventBudgetIdleBodyRuns bounds the idle body runs per delivered
+// packet of three bench workloads, on a 2 ms window (each phase of the
+// diurnal sweep) of their rep configurations, set-up and a 1 ms warm-up
+// included. Every testbed core watches the queues it polls, so a core runs
+// its body when one of them is produced into or a frame it waits for falls
+// due, not after every event. The counts are deterministic: 3.37 (IPsec
+// 1500 B), 1.99 (mixed 512 B) and 3.39 (diurnal), where cores that watched
+// nothing ran 12.13, 6.82 and 13.25.
+func TestEventBudgetIdleBodyRuns(t *testing.T) {
+	const ms = eventsim.Millisecond
+	check := func(name string, st eventsim.Stats, pkts uint64, bound float64) {
+		t.Helper()
+		perPkt := float64(st.IdleRuns) / float64(pkts)
+		t.Logf("%s: %.3f idle body runs per delivered packet (%+v, %d packets)", name, perPkt, st, pkts)
+		if pkts == 0 || perPkt > bound {
+			t.Errorf("%s: %.3f idle body runs per delivered packet, want <= %.2f", name, perPkt, bound)
+		}
+	}
+	single, err := RunSingleNF(SingleNFConfig{
+		Kind: IPsecGateway, Mode: DHL, FrameSize: 1500, OfferedWireBps: perf.NIC40GBps,
+		Warmup: ms, Window: 2 * ms,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("ipsec1500", single.Sim, single.Throughput.Pkts, 3.5)
+	multi, err := RunMultiNF(MultiNFConfig{FrameSize: 512, Warmup: ms, Window: 2 * ms})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("mixed512", multi.Sim, multi.NF1.Pkts+multi.NF2.Pkts, 2.1)
+	diurnal, err := RunDiurnal(DiurnalConfig{
+		AutoTune: true, FrameSize: 1024, PeakWireBps: 20e9, TroughWireBps: 0.4e9,
+		Warmup: ms, Window: 2 * ms,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("diurnal", diurnal.Sim, diurnal.Peak.Throughput.Pkts+diurnal.Trough.Throughput.Pkts, 3.6)
 }
 
 // allocsPerPkt is every heap allocation of one RunSingleNF call, system

@@ -20,8 +20,8 @@ const burstSize = 32
 // refused it — goes back to the pool and is counted, so pulled =
 // forwarded + dropped on every iteration.
 type stage struct {
-	// pull fills buf from the source and reports how many packets it got.
-	pull func(buf []*mbuf.Mbuf) int
+	// src is where the stage pulls from.
+	src source
 	// proc, when set, is the NF's shallow or full per-packet function.
 	proc func(*mbuf.Mbuf) (nf.Verdict, float64)
 	// perPkt is the fixed cycle cost of a pulled packet: the I/O and ring
@@ -48,7 +48,7 @@ type stage struct {
 //
 //dhl:hotpath
 func (s *stage) poll() (pulled int, cycles float64) {
-	n := s.pull(s.burst[:])
+	n := s.src.pull(s.burst[:])
 	cycles = float64(n) * s.perPkt
 	if s.proc == nil {
 		s.out = s.burst[:n]
@@ -88,10 +88,21 @@ func (s *stage) drop(m *mbuf.Mbuf) {
 	_ = s.pool.Free(m)
 }
 
+// source is what a stage pulls from: a NIC port, a ring or an NF's OBQ,
+// and the pull that fills buf from it and reports how many packets it got.
+// A pull finds nothing until in is produced into, or, for a port, until
+// the deadline its empty RxBurst declared: the core's loop watches in
+// (eventsim.PollLoop.Watch), as a DPDK lcore polls a fixed set of queues.
+type source struct {
+	in   eventsim.Input
+	pull func(buf []*mbuf.Mbuf) int
+}
+
 // run starts one poll loop on c that serves stages in order: every stage
 // polls each iteration, the loop is idle only when none of them pulled
 // anything, and they commit in the order given (Figure 7's per-port core
-// is ingress then egress on one loop).
+// is ingress then egress on one loop). The loop watches each stage's
+// source, so it sleeps through whatever else executes.
 func (tb *testbed) run(c *eventsim.Core, stages ...*stage) {
 	for _, s := range stages {
 		s.pool = tb.pool
@@ -101,7 +112,7 @@ func (tb *testbed) run(c *eventsim.Core, stages ...*stage) {
 			s.commit()
 		}
 	}
-	eventsim.NewPollLoop(tb.sim, c, perf.PollIdleCycles, func() (float64, func()) {
+	loop := eventsim.NewPollLoop(tb.sim, c, perf.PollIdleCycles, func() (float64, func()) {
 		pulled, cycles := 0, 0.0
 		for _, s := range stages {
 			n, c := s.poll()
@@ -112,13 +123,17 @@ func (tb *testbed) run(c *eventsim.Core, stages ...*stage) {
 			return 0, nil
 		}
 		return cycles, commit
-	}).Start()
+	})
+	for _, s := range stages {
+		loop.Watch(s.src.in)
+	}
+	loop.Start()
 }
 
 // fromNIC pulls one burst from each RX queue of port and stamps the
 // arrival time the TX port measures latency from.
-func (tb *testbed) fromNIC(port *netdev.Port) func([]*mbuf.Mbuf) int {
-	return func(buf []*mbuf.Mbuf) int {
+func (tb *testbed) fromNIC(port *netdev.Port) source {
+	return source{in: port, pull: func(buf []*mbuf.Mbuf) int {
 		got := 0
 		for q := 0; q < port.Queues() && got+burstSize <= len(buf); q++ {
 			got += port.RxBurst(q, buf[got:got+burstSize])
@@ -128,7 +143,7 @@ func (tb *testbed) fromNIC(port *netdev.Port) func([]*mbuf.Mbuf) int {
 			m.RxTimestamp = now
 		}
 		return got
-	}
+	}}
 }
 
 // toNIC transmits on port, which frees (and counts as TxDropped) what its
@@ -144,7 +159,7 @@ func (tb *testbed) toNIC(port *netdev.Port) func([]*mbuf.Mbuf) int {
 // then a ring hand-off; what the ring refuses is dropped.
 func (tb *testbed) nicToRing(rxPort *netdev.Port, r *ring.Ring[*mbuf.Mbuf], dropped *uint64) *stage {
 	return &stage{
-		pull: tb.fromNIC(rxPort), perPkt: perf.IORxCycles + perf.RingOpCycles,
+		src: tb.fromNIC(rxPort), perPkt: perf.IORxCycles + perf.RingOpCycles,
 		push: r.EnqueueBurst, dropped: dropped,
 	}
 }
@@ -152,20 +167,20 @@ func (tb *testbed) nicToRing(rxPort *netdev.Port, r *ring.Ring[*mbuf.Mbuf], drop
 // ringToNIC is their TX I/O core.
 func (tb *testbed) ringToNIC(r *ring.Ring[*mbuf.Mbuf], txPort *netdev.Port) *stage {
 	return &stage{
-		pull: fromRing(r), perPkt: perf.RingOpCycles + perf.IOTxCycles,
+		src: fromRing(r), perPkt: perf.RingOpCycles + perf.IOTxCycles,
 		push: tb.toNIC(txPort),
 	}
 }
 
-func fromRing(r *ring.Ring[*mbuf.Mbuf]) func([]*mbuf.Mbuf) int {
-	return func(buf []*mbuf.Mbuf) int { return r.DequeueBurst(buf[:burstSize]) }
+func fromRing(r *ring.Ring[*mbuf.Mbuf]) source {
+	return source{in: r, pull: func(buf []*mbuf.Mbuf) int { return r.DequeueBurst(buf[:burstSize]) }}
 }
 
 // dhlIngress is the RX + shallow-processing + IBQ duty of a DHL NF's I/O
 // core; an IBQ refusal (or a send error) drops the refused packets.
 func (tb *testbed) dhlIngress(rt *core.Runtime, app dhlNF, rxPort *netdev.Port, dropped *uint64) *stage {
 	return &stage{
-		pull:   tb.fromNIC(rxPort),
+		src:    tb.fromNIC(rxPort),
 		proc:   app.PreProcess,
 		perPkt: perf.IORxCycles,
 		push: func(pkts []*mbuf.Mbuf) int {
@@ -179,19 +194,24 @@ func (tb *testbed) dhlIngress(rt *core.Runtime, app dhlNF, rxPort *netdev.Port, 
 	}
 }
 
-// dhlEgress is the OBQ + post-processing + TX duty.
-func (tb *testbed) dhlEgress(rt *core.Runtime, app dhlNF, txPort *netdev.Port, dropped *uint64) *stage {
+// dhlEgress is the OBQ + post-processing + TX duty. It pulls through
+// ReceivePackets, from the NF's private OBQ.
+func (tb *testbed) dhlEgress(rt *core.Runtime, app dhlNF, txPort *netdev.Port, dropped *uint64) (*stage, error) {
+	obq, err := rt.PrivateOBQ(app.ID())
+	if err != nil {
+		return nil, err
+	}
 	return &stage{
-		pull: func(buf []*mbuf.Mbuf) int {
+		src: source{in: obq, pull: func(buf []*mbuf.Mbuf) int {
 			n, err := rt.ReceivePackets(app.ID(), buf[:burstSize])
 			if err != nil {
 				return 0
 			}
 			return n
-		},
+		}},
 		proc:    app.PostProcess,
 		perPkt:  perf.OBQPollCycles + perf.IOTxCycles,
 		push:    tb.toNIC(txPort),
 		dropped: dropped,
-	}
+	}, nil
 }

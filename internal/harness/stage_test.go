@@ -14,12 +14,13 @@ import (
 // out in bursts of at most burstSize.
 type stageSource struct {
 	pkts  []*mbuf.Mbuf
+	n     int
 	pulls int
 }
 
 func newStageSource(t *testing.T, tb *testbed, n int) *stageSource {
 	t.Helper()
-	src := &stageSource{}
+	src := &stageSource{n: n}
 	for i := 0; i < n; i++ {
 		m, err := tb.pool.Alloc()
 		if err != nil {
@@ -30,6 +31,13 @@ func newStageSource(t *testing.T, tb *testbed, n int) *stageSource {
 	}
 	return src
 }
+
+// Produced counts every packet the source holds: all of them were put in
+// before the stage's loop started (eventsim.Input).
+func (s *stageSource) Produced() uint64 { return uint64(s.n) }
+
+// src is the source a stage under test pulls from.
+func (s *stageSource) src() source { return source{in: s, pull: s.pull} }
 
 func (s *stageSource) pull(buf []*mbuf.Mbuf) int {
 	s.pulls++
@@ -84,7 +92,7 @@ func TestStageConservation(t *testing.T) {
 			src := newStageSource(t, tb, tc.n)
 			sink := &stageSink{room: tc.room, pool: tb.pool}
 			var dropped uint64
-			st := &stage{pull: src.pull, perPkt: 10, push: sink.push, dropped: &dropped}
+			st := &stage{src: src.src(), perPkt: 10, push: sink.push, dropped: &dropped}
 			if tc.dropEvery != 0 {
 				st.proc = func(m *mbuf.Mbuf) (nf.Verdict, float64) {
 					if m.Userdata%tc.dropEvery == 0 {
@@ -124,7 +132,7 @@ func TestStageCycleFormula(t *testing.T) {
 	}
 	src := newStageSource(t, tb, 5)
 	sink := &stageSink{room: 5, pool: tb.pool}
-	st := &stage{pull: src.pull, perPkt: 46, push: sink.push, pool: tb.pool,
+	st := &stage{src: src.src(), perPkt: 46, push: sink.push, pool: tb.pool,
 		proc: func(m *mbuf.Mbuf) (nf.Verdict, float64) {
 			if m.Userdata == 2 {
 				return nf.VerdictDrop, 0.25
@@ -163,7 +171,7 @@ func TestStageLoopIdleAndCommitOrder(t *testing.T) {
 			var committedAt eventsim.Time
 			mk := func(name string, n int) *stage {
 				sink := &stageSink{room: n, pool: tb.pool}
-				return &stage{pull: newStageSource(t, tb, n).pull, perPkt: 100, push: func(pkts []*mbuf.Mbuf) int {
+				return &stage{src: newStageSource(t, tb, n).src(), perPkt: 100, push: func(pkts []*mbuf.Mbuf) int {
 					log += fmt.Sprintf("%s:%d ", name, len(pkts))
 					committedAt = tb.sim.Now()
 					return sink.push(pkts)
@@ -205,7 +213,7 @@ func TestStageScratchNotRefilledBeforeCommit(t *testing.T) {
 	sink := &stageSink{room: burstSize + 8, pool: tb.pool}
 	var pullsAtPush []int
 	c := tb.core()
-	tb.run(c, &stage{pull: src.pull, perPkt: 1000, push: func(pkts []*mbuf.Mbuf) int {
+	tb.run(c, &stage{src: src.src(), perPkt: 1000, push: func(pkts []*mbuf.Mbuf) int {
 		pullsAtPush = append(pullsAtPush, src.pulls)
 		return sink.push(pkts)
 	}})

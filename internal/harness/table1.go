@@ -95,7 +95,7 @@ func runTable1Row(row table1NF) (table1Result, error) {
 	var totalCycles float64
 	var totalPkts uint64
 	tb.run(eventsim.NewCore(tb.sim, 0, 0, perf.TableICoreHz), &stage{
-		pull: tb.fromNIC(rxPort),
+		src: tb.fromNIC(rxPort),
 		proc: func(m *mbuf.Mbuf) (nf.Verdict, float64) {
 			verdict, c := procTable1(proc, row, m)
 			totalCycles += c

@@ -50,11 +50,12 @@ func TestAllocFreeLifecycle(t *testing.T) {
 	if err := p.Free(b); err != nil {
 		t.Fatal(err)
 	}
-	if p.Available() != 2 {
-		t.Errorf("available=%d after frees", p.Available())
+	if p.Available() != 2 || p.InUse() != 0 {
+		t.Errorf("available=%d inuse=%d after frees", p.Available(), p.InUse())
 	}
-	if allocs, frees, fails := p.allocs, p.frees, p.fails; allocs != 2 || frees != 2 || fails != 1 {
-		t.Errorf("stats %d/%d/%d", allocs, frees, fails)
+	// The failed Alloc took nothing, and a freed mbuf is not freed twice.
+	if err := p.Free(a); !errors.Is(err, ErrDoubleFree) || p.InUse() != 0 {
+		t.Errorf("second free: %v, inuse=%d", err, p.InUse())
 	}
 }
 
@@ -135,11 +136,8 @@ func TestFreeBulkStopsAtDoubleFree(t *testing.T) {
 	if err := p.FreeBulk([]*Mbuf{nil, a, b, a}); !errors.Is(err, ErrDoubleFree) {
 		t.Errorf("FreeBulk([a, b, a]) = %v, want ErrDoubleFree", err)
 	}
-	if p.Available() != 2 {
-		t.Errorf("available %d after FreeBulk([a, b, a]), want 2: a and b", p.Available())
-	}
-	if p.frees != 2 {
-		t.Errorf("%d frees counted, want 2", p.frees)
+	if p.Available() != 2 || p.InUse() != 1 {
+		t.Errorf("available %d, in use %d after FreeBulk([a, b, a]), want 2 and 1: a and b freed once", p.Available(), p.InUse())
 	}
 }
 

@@ -19,10 +19,6 @@ type Pool struct {
 	name  string
 	slots []Mbuf
 	free  []int
-
-	allocs uint64
-	frees  uint64
-	fails  uint64
 }
 
 // hotSlots is how many slots are backed at construction. The free list pops
@@ -96,7 +92,6 @@ func (p *Pool) InUse() int { return p.Capacity() - p.Available() }
 //dhl:hotpath
 func (p *Pool) Alloc() (*Mbuf, error) {
 	if len(p.free) == 0 {
-		p.fails++
 		return nil, ErrPoolExhausted
 	}
 	idx := p.free[len(p.free)-1]
@@ -107,7 +102,6 @@ func (p *Pool) Alloc() (*Mbuf, error) {
 	}
 	m.Reset()
 	m.refcnt = 1
-	p.allocs++
 	return m, nil
 }
 
@@ -118,7 +112,6 @@ func (p *Pool) Alloc() (*Mbuf, error) {
 //dhl:hotpath
 func (p *Pool) AllocBulk(dst []*Mbuf) error {
 	if len(p.free) < len(dst) {
-		p.fails++
 		return ErrPoolExhausted
 	}
 	for i := range dst {
@@ -131,7 +124,6 @@ func (p *Pool) AllocBulk(dst []*Mbuf) error {
 		m.Reset()
 		m.refcnt = 1
 		dst[i] = m
-		p.allocs++
 	}
 	return nil
 }
@@ -152,7 +144,6 @@ func (p *Pool) Free(m *Mbuf) error {
 	}
 	m.refcnt = 0
 	p.free = append(p.free, m.index)
-	p.frees++
 	return nil
 }
 

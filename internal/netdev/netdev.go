@@ -66,6 +66,12 @@ type PortStats struct {
 // (eventsim.Sim.WakeBy), and the reader looks again at its first poll at
 // or after it, as a DPDK rx_burst loop would; a busy reader takes its
 // frames when it looks again.
+//
+// A Port is an eventsim.Input: Produced counts the frames its generator
+// has put on the wire, so a reader's poll loop may watch it
+// (eventsim.PollLoop.Watch). Between a burst onto the wire, which produces
+// into the port, and the deadline an empty RxBurst declared, nothing can
+// put a frame in a queue the reader has not been told of.
 type Port struct {
 	sim *eventsim.Sim
 	cfg PortConfig
@@ -183,6 +189,15 @@ func (p *Port) RxBurst(q int, dst []*mbuf.Mbuf) int {
 
 // CatchUp takes every frame due by now off the wire (eventsim.Lazy).
 func (p *Port) CatchUp() { p.take() }
+
+// Produced reports how many frames the port's generator has put on the
+// wire towards it, 0 without one (eventsim.Input).
+func (p *Port) Produced() uint64 {
+	if p.gen == nil {
+		return 0
+	}
+	return p.gen.sent
+}
 
 // take hands every frame due by the step being run to its RX queue, in
 // the order they went on the wire: written and queued if the queue has

@@ -83,6 +83,10 @@ type wakeTraffic struct {
 	burst   int           // the reader's burst per queue
 	stopAt  eventsim.Time // the generator stops
 	startAt eventsim.Time // and starts again
+	// declared: the lazy side's reader watches the port
+	// (eventsim.PollLoop.Watch), so only a burst onto the wire and the
+	// deadlines its empty reads declare run its body.
+	declared bool
 }
 
 // newWakeRig builds one side. The lazy side's reader reads the port; the
@@ -167,6 +171,9 @@ func newWakeRig(t *testing.T, tr wakeTraffic, eager bool) *wakeRig {
 		}
 		return float64(tr.busy) * float64(got), nil
 	})
+	if tr.declared && !eager {
+		w.loop.Watch(p)
+	}
 	w.loop.Start()
 	g.Start()
 	sim.At(tr.stopAt, g.Stop)
@@ -182,24 +189,29 @@ func newWakeRig(t *testing.T, tr wakeTraffic, eager bool) *wakeRig {
 // every frame at the same instant, polled as often and kept the core as
 // busy, and dropped as many at a full queue: a reader that wakes late, or
 // early, shows. Times sit on a grid of quarter frame times, so polls
-// often fall on a frame's due instant and the seq decides.
+// often fall on a frame's due instant and the seq decides. With declared
+// set the lazy reader watches the port, as every testbed I/O core does:
+// nothing but the generator's bursts and its own deadlines wakes it.
 func FuzzReaderWakesAsEager(f *testing.F) {
-	f.Add(uint8(0), uint8(0), uint16(0), uint8(0), uint8(63), uint8(3), uint8(1), uint8(3), uint16(200), uint16(210))
-	f.Add(uint8(0), uint8(7), uint16(0), uint8(1), uint8(3), uint8(2), uint8(0), uint8(0), uint16(81), uint16(82))
-	f.Add(uint8(1), uint8(11), uint16(200), uint8(3), uint8(1), uint8(9), uint8(2), uint8(7), uint16(50), uint16(20))
-	f.Add(uint8(3), uint8(31), uint16(1436), uint8(2), uint8(0), uint8(0), uint8(7), uint8(1), uint16(0), uint16(400))
-	f.Fuzz(func(t *testing.T, rate, burst uint8, size uint16, queues, depth uint8, busy, idle, rburst uint8, stopAt, startAt uint16) {
+	for _, declared := range []bool{false, true} {
+		f.Add(uint8(0), uint8(0), uint16(0), uint8(0), uint8(63), uint8(3), uint8(1), uint8(3), uint16(200), uint16(210), declared)
+		f.Add(uint8(0), uint8(7), uint16(0), uint8(1), uint8(3), uint8(2), uint8(0), uint8(0), uint16(81), uint16(82), declared)
+		f.Add(uint8(1), uint8(11), uint16(200), uint8(3), uint8(1), uint8(9), uint8(2), uint8(7), uint16(50), uint16(20), declared)
+		f.Add(uint8(3), uint8(31), uint16(1436), uint8(2), uint8(0), uint8(0), uint8(7), uint8(1), uint16(0), uint16(400), declared)
+	}
+	f.Fuzz(func(t *testing.T, rate, burst uint8, size uint16, queues, depth uint8, busy, idle, rburst uint8, stopAt, startAt uint16, declared bool) {
 		frameSize := 64 + int(size)%(1500-64+1)
 		port := PortConfig{ID: 0, RateBps: 10e9, RxQueues: 1 + int(queues)%4, RxQueueDepth: 1 + int(depth)%64}
 		quarter := (&Port{cfg: port}).wireTime(frameSize) / 4
 		tr := wakeTraffic{
-			port:    port,
-			gen:     GeneratorConfig{FrameSize: frameSize, OfferedWireBps: 10e9 / float64(1+rate%4), Burst: 1 + int(burst)%32},
-			idle:    eventsim.Time(1+idle%8) * quarter,
-			busy:    eventsim.Time(1+busy%16) * quarter,
-			burst:   1 + int(rburst)%16,
-			stopAt:  eventsim.Time(stopAt%1024) * quarter,
-			startAt: eventsim.Time(startAt%1024) * quarter,
+			port:     port,
+			gen:      GeneratorConfig{FrameSize: frameSize, OfferedWireBps: 10e9 / float64(1+rate%4), Burst: 1 + int(burst)%32},
+			idle:     eventsim.Time(1+idle%8) * quarter,
+			busy:     eventsim.Time(1+busy%16) * quarter,
+			burst:    1 + int(rburst)%16,
+			stopAt:   eventsim.Time(stopAt%1024) * quarter,
+			startAt:  eventsim.Time(startAt%1024) * quarter,
+			declared: declared,
 		}
 		lazy, eager := newWakeRig(t, tr, false), newWakeRig(t, tr, true)
 		step := func() {

@@ -88,8 +88,8 @@ echo "==> autotuner smoke (control law, backpressure edges, zero-alloc with tune
 targeted -short -run 'Tuner|AutoTune|Pressure|CopySince|PerAccTuning|AccBatch' -count=1 \
     ./internal/tuner ./internal/core ./internal/telemetry .
 
-echo "==> event-engine equivalence (lazy idle polls vs a naive poll loop, deadlines declared through the Sim, more loops than the sets hold inline and none on the heap, one chain per loop however often started, a new loop allocates only itself, one loop per core and none whose idle poll takes no time, any number of lazy registrations, chained items read lazily, steps counted by kind (stale timer fires too, the multi-NF run's too), event budgets, 10 s fuzz)"
-targeted -run 'PollLoopEquivalence|SetOverflow|StartTwiceRunsOneChain|AllocatesOnlyTheLoop|RefusesNoPeriod|SecondLoopOnCoreRefused|AddLazyTakesAnyNumber|QuietStep|EventBudget|FlushTimeoutPoke|PoolHotSlab|FreeBulk|SetupBytesOpen' -count=1 \
+echo "==> event-engine equivalence (lazy idle polls vs a naive poll loop, deadlines declared through the Sim, more loops than the sets hold inline and none on the heap, one chain per loop however often started, a new loop allocates only itself, one loop per core and none whose idle poll takes no time, up to two watched inputs per loop, any number of lazy registrations, chained items read lazily, steps counted by kind (stale timer fires too, the multi-NF run's too), event budgets (idle body runs per packet of testbed cores that watch their queues), 10 s fuzz)"
+targeted -run 'PollLoopEquivalence|SetOverflow|StartTwiceRunsOneChain|AllocatesOnlyTheLoop|RefusesNoPeriod|SecondLoopOnCoreRefused|WatchesTwoInputs|AddLazyTakesAnyNumber|QuietStep|EventBudget|FlushTimeoutPoke|PoolHotSlab|FreeBulk|SetupBytesOpen' -count=1 \
     ./internal/eventsim ./internal/harness ./internal/core ./internal/mbuf .
 # One ^…$ pattern each, so that deleting or renaming one fails the step.
 targeted -run '^TestSimWakeByOnlyInsideABody$' -count=1 ./internal/eventsim
@@ -100,12 +100,14 @@ targeted -run '^TestPollLoopStartTwiceRunsOneChain$' -count=1 ./internal/eventsi
 targeted -run '^TestNewPollLoopAllocatesOnlyTheLoop$' -count=1 ./internal/eventsim
 targeted -run '^TestNewPollLoopRefusesNoPeriod$' -count=1 ./internal/eventsim
 targeted -run '^TestSecondLoopOnCoreRefused$' -count=1 ./internal/eventsim
+targeted -run '^TestPollLoopWatchesTwoInputs$' -count=1 ./internal/eventsim
 targeted -run '^TestAddLazyTakesAnyNumber$' -count=1 ./internal/eventsim
 targeted -run '^TestEventBudgetFlowScale$' -count=1 ./internal/harness
+targeted -run '^TestEventBudgetIdleBodyRuns$' -count=1 ./internal/harness
 targeted -run '^TestRunMultiNFReportsSimSteps$' -count=1 ./internal/harness
 go test -run '^$' -fuzz FuzzPollLoopEquivalence -fuzztime 10s ./internal/eventsim
 
-echo "==> traffic generator (one generator per port and none without a port or a pool, lazy arrival against an eager reference, a waiting reader wakes when an event per frame would wake it and costs no event, churn applied where flows are drawn against an event per step and costs no event, one burst chain per generator, frame written when taken equals the full build, drops go back unbuilt, four 5 s fuzzes)"
+echo "==> traffic generator (one generator per port and none without a port or a pool, lazy arrival against an eager reference, a waiting reader, whether it watches its port or not, wakes when an event per frame would wake it and costs no event, churn applied where flows are drawn against an event per step and costs no event, one burst chain per generator, frame written when taken equals the full build, drops go back unbuilt, four 5 s fuzzes)"
 targeted -run 'SecondGeneratorOnPortRefused|RefusesMissingPortOrPool|DeliversInScheduleOrder|ArrivalMatchesEager|ReaderWakesAsEager|RxWaitIsNotAnEvent|ChurnMatchesEager|StartTwiceKeepsOnePace|FrameMatchesFullBuild|DropsUnbuiltOnFullQueue' -count=1 ./internal/netdev
 targeted -run '^TestSecondGeneratorOnPortRefused$' -count=1 ./internal/netdev
 targeted -run '^TestNewGeneratorRefusesMissingPortOrPool$' -count=1 ./internal/netdev
@@ -120,7 +122,7 @@ go test -run '^$' -fuzz FuzzReaderWakesAsEager -fuzztime 5s ./internal/netdev
 go test -run '^$' -fuzz FuzzChurnMatchesEager -fuzztime 5s ./internal/netdev
 go test -run '^$' -fuzz FuzzGeneratorFrameMatchesFullBuild -fuzztime 5s ./internal/netdev
 
-echo "==> equivalence coverage floor (every function of the quiet-step path, the busy set, deadlines declared through the Sim, the seqs drawn for chained items and the heap push at 100 %)"
+echo "==> equivalence coverage floor (every function of the quiet-step path, the busy set, declared inputs read where a loop's cleanness is, deadlines declared through the Sim, the seqs drawn for chained items and the heap push at 100 %)"
 # The sweep checks the quiet path (Sim.hush) only where its scenarios leave
 # loops deferred between two reads; with a probe after every slice it
 # passed while landAll never found a loop to land.
@@ -129,8 +131,8 @@ go test -short -count=1 -run '^TestPollLoopEquivalence$' -coverprofile "$cover_o
 cover_func=$(go tool cover -func "$cover_out")
 rm -f "$cover_out"
 floor_failed=""
-for fn in sim.go:quiet sim.go:hush sim.go:stillHushed sim.go:redraw \
-    sim.go:land sim.go:landAll core.go:land \
+for fn in sim.go:quiet sim.go:loopsQuiet sim.go:hush sim.go:stillHushed sim.go:redraw \
+    sim.go:land sim.go:landAll core.go:land sim.go:settle core.go:unproduced core.go:nextReal \
     sim.go:firstBusy core.go:beforeFinish core.go:beforeNext sim.go:WakeBy sim.go:DrawSeq sim.go:push; do
     pct=$(awk -v file="/${fn%%:*}:" -v name="${fn#*:}" 'index($1, file) && $2 == name { print $3 }' <<<"$cover_func")
     if [[ "$pct" != "100.0%" ]]; then
