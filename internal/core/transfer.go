@@ -218,7 +218,7 @@ func (r *Runtime) attachCores(node int) error {
 			"Batch-arena segments ever grown on the node (freelist high-water mark).",
 			func() float64 { return float64(tx.arena.grown) })
 		tel.RegisterGauge("dhl_watchdog_watched", nodeLabel,
-			"Inflight batches currently under the RX watchdog's deadline watch.",
+			"Inflight batches currently on the TX engine's watchdog watch list.",
 			func() float64 { return float64(tx.watched) })
 	}
 	r.nodeTx[node] = tx

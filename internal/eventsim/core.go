@@ -89,16 +89,38 @@ func (c *Core) String() string {
 // the meantime does not run it.
 type PollBody func() (cycles float64, commit func())
 
+// Waker is what an Input wakes when something is produced into it.
+type Waker = interface{ Wake() }
+
 // Input is something a poll body reads to decide whether it is idle, as
-// PollLoop.Watch takes it: Produced counts everything ever put into it and
-// only grows. ring.Ring's producer tail is one, and netdev.Port's count of
-// the frames its generator put on the wire another.
-type Input interface{ Produced() uint64 }
+// PollLoop.Watch takes it: whatever puts something into it wakes the Waker
+// it was last handed. OnProduce hands it one and returns the one it held,
+// which the new one wakes in turn, so that several loops may watch one
+// input. ring.Ring is one, and netdev.Port, which its generator's frames
+// going on the wire produce into, another.
+type Input interface{ OnProduce(w Waker) (prev Waker) }
 
 // maxWatched is how many inputs a loop declares at most: the two queues
 // Figure 7's per-port core polls, its NIC and its NF's OBQ. They live in
 // the PollLoop, so that Watch allocates nothing.
 const maxWatched = 2
+
+// watch is the Waker a loop hands an input it declares.
+type watch struct {
+	loop *PollLoop
+	next Waker // what the input held before
+}
+
+// Wake pokes the loop, unless its own body is running: what the body
+// produces into its inputs it has seen when it reports idle.
+func (w *watch) Wake() {
+	if l := w.loop; l.sim.polling != l {
+		l.Poke()
+	}
+	if w.next != nil {
+		w.next.Wake()
+	}
+}
 
 // PollLoop runs a poll-mode body on its core forever (until the simulation
 // horizon). If the body reports 0 cycles the loop charges idleCycles
@@ -108,14 +130,18 @@ const maxWatched = 2
 //
 // A loop runs one chain of iterations. Its first iteration is an event
 // (Start); from then on its next poll or its iteration's finish is kept in
-// the Sim's parked or busy set, never on the heap.
+// the Sim's parked or busy set, never on the heap, or, for an idle loop
+// that declared its inputs whose pending poll has come and is a no-op,
+// nowhere Run looks: such a loop is dormant until an input it watches is
+// produced into, it is poked, its deadline comes, or its accounting is
+// read, and only then lands where its polls would have taken it.
 //
 // Every poll is accounted for — virtual time, the core's busy time,
 // Iterations — but the body only runs when it could see something new
 // (see PollBody). Iterations, Core.FreeAt, Core.Utilization and
 // Sim.Stats read after Run(until) returns include every idle poll up
-// to until; after a Run with nothing due they are what bring that
-// accounting up to date, so reading them costs a division the Run did not.
+// to until; for a dormant loop they are what brings that accounting up
+// to date.
 type PollLoop struct {
 	sim        *Sim
 	core       *Core
@@ -130,36 +156,36 @@ type PollLoop struct {
 	// pendingCommit is the commit of the iteration the core is spending.
 	pendingCommit func()
 
-	// After an idle iteration the loop is parked in its Sim, and (nextAt,
-	// seq) is the pending poll; after a busy one it is busy there, and
-	// (nextAt, seq) is the iteration's finish. Either way the pair is what
-	// the heap would have held, and nextAt is when the core is next free.
-	parked bool
-	nextAt Time
-	seq    uint64 // order among events at nextAt
-	stamp  uint64 // Sim.executed when the body last ran, or was last found unconcerned
-	wakeBy Time   // the last iteration's declared deadline, or never
-	// While parked: nextAt modulo the period (-1 until a skip first asks,
-	// see inPhase), and wakeAt, the first poll at or after wakeBy (never
-	// without a deadline), set by Sim.park. Every skip and landing keeps
-	// both, so the peers a skip scans cost it no division.
-	phase  Time
+	// After an idle iteration the loop is parked or dormant in its Sim,
+	// and (nextAt, seq) is the pending poll (for a dormant loop, the one it
+	// last landed on); after a busy one it is busy there, and (nextAt,
+	// seq) is the iteration's finish. Either way the pair is what the heap
+	// would have held, and nextAt is when the core is next free.
+	parked  bool
+	dormant bool
+	nextAt  Time
+	seq     uint64 // order among events at nextAt
+	stamp   uint64 // Sim.executed when the body last ran
+	wakeBy  Time   // the last iteration's declared deadline, or never
+	// While idle: wakeAt, the first poll at or after wakeBy (never without
+	// a deadline), set by Sim.park, and the loop's place among the idle
+	// loops polling its instants, those of its period with nextAt equal to
+	// phase modulo it: idle polls at one instant run in rank order, which
+	// stays what it was when each of them last became idle (Sim.join).
 	wakeAt Time
+	phase  Time
+	rank   uint64
+	slot   int // its index in the parked or the dormant set
 
-	// What the loop declared with Watch, each input's count as read when
-	// the body last returned idle (Sim.park), and whether the loop was
-	// poked since. An idle body changed nothing it reads, so that is the
-	// count it saw; a busy iteration reads none, as it parks no loop.
+	// What the loop declared with Watch.
 	nWatched int
-	poked    bool
-	watched  [maxWatched]Input
-	seen     [maxWatched]uint64
+	watches  [maxWatched]watch
 }
 
 // NewPollLoop creates (but does not start) the poll loop of core, and keeps
-// room for it in the Sim's parked and busy sets. A core runs one loop, and
-// an idle poll takes time: NewPollLoop panics on a core that has a loop,
-// and on an idle cost that the core's clock turns into no time.
+// room for it in the Sim's sets. A core runs one loop, and an idle poll
+// takes time: NewPollLoop panics on a core that has a loop, and on an idle
+// cost that the core's clock turns into no time.
 func NewPollLoop(sim *Sim, core *Core, idleCycles float64, body PollBody) *PollLoop {
 	if core.loop != nil {
 		panic("eventsim: NewPollLoop: the core already runs a loop")
@@ -186,9 +212,13 @@ func (p *PollLoop) Start() {
 // Stop halts the loop after the current iteration.
 func (p *PollLoop) Stop() {
 	p.stopped = true
+	s := p.sim
+	if p.dormant {
+		s.land(p)
+		s.dropDormant(p)
+	}
 	if p.parked {
-		p.land()
-		p.sim.unpark(p)
+		s.unpark(p)
 	}
 }
 
@@ -201,29 +231,30 @@ func (p *PollLoop) Iterations() uint64 {
 	return p.iterations
 }
 
-// land brings a loop a quiet Run left behind to where it is (Sim.hush).
+// land brings a dormant loop's accounting up to date (Sim.land).
 func (p *PollLoop) land() {
-	if p.parked && p.nextAt < p.sim.deferTo {
+	if p.dormant {
 		p.sim.land(p)
 	}
 }
 
 // Watch declares an input the body reads: from now on an idle result
 // stands until in (or an input declared before it) has been produced into,
-// the loop is poked, or a WakeBy deadline comes — see PollBody. The loop
-// reads the input's own count, so whoever produces into it, inside Run or
+// the loop is poked, or a WakeBy deadline comes — see PollBody. The input
+// wakes the loop itself, so whoever produces into it, inside Run or
 // between two Run calls, needs to know nothing about the loop; a port's
-// RxBurst that finds nothing declares when its next frame on the wire falls
-// due. A loop that never calls Watch is woken by anything that executes. A
-// loop watches at most two inputs, kept in the loop: Watch allocates
-// nothing, and panics on a nil input and on a third.
+// RxBurst that finds nothing declares when its next frame on the wire
+// falls due. A loop that never calls Watch is woken by anything that
+// executes. A loop watches at most two inputs, kept in the loop: Watch
+// allocates nothing, and panics on a nil input and on a third.
 func (p *PollLoop) Watch(in Input) {
 	if in == nil || p.nWatched == maxWatched {
 		panic("eventsim: PollLoop.Watch: a loop watches one or two inputs")
 	}
-	p.watched[p.nWatched] = in
+	w := &p.watches[p.nWatched]
+	w.loop, w.next = p, in.OnProduce(w)
 	p.nWatched++
-	p.poked = true // its last park recorded nothing of it
+	p.Poke() // an idle result took no account of in
 }
 
 // Poke ends the loop's idle result: the body runs at the next poll. It is
@@ -231,9 +262,16 @@ func (p *PollLoop) Watch(in Input) {
 // the body reads that somebody else changed without producing into
 // anything, such as a timeout the body had turned into a WakeBy deadline.
 // Like producing into an input it is something only code that executes
-// does — an event, a commit, a busy iteration, code between two Run calls
-// — after which Sim.settle looks again.
-func (p *PollLoop) Poke() { p.poked = true }
+// does — an event, a commit, a busy iteration, code between two Run calls.
+// A parked loop's next poll runs its body; a dormant loop lands and parks
+// at once, to run its body at the poll it lands on.
+func (p *PollLoop) Poke() {
+	if p.dormant {
+		p.sim.wake(p)
+	} else {
+		p.wakeBy = min(p.wakeBy, p.nextAt)
+	}
+}
 
 // WakeBy is called by the body during an iteration it is about to report
 // idle, to declare that the idle result expires by itself at time t: the
@@ -256,7 +294,6 @@ func (p *PollLoop) iterate() {
 	}
 	p.iterations++
 	p.wakeBy = never
-	p.poked = false
 	s := p.sim
 	s.polling = p
 	cycles, commit := p.body()
@@ -280,7 +317,7 @@ func (p *PollLoop) iterate() {
 	d := p.core.CycleTime(cycles)
 	p.busy += d
 	p.nextAt = s.now + d
-	s.seq++
+	s.seq += 2
 	p.seq = s.seq
 	s.busy = append(s.busy, p)
 }
@@ -295,24 +332,13 @@ func (p *PollLoop) finish() {
 	p.iterate()
 }
 
-// clean reports whether parked loop p's next poll is a no-op: its stamp is
-// current and its deadline is not due. For a loop that declared nothing the
-// stamp is current while nothing at all has executed since its body last
-// ran; a declared loop's stamp is carried forward by Sim.settle for as long
-// as nothing has been produced into what it watches. Either way this is one
-// inlined comparison, which every core of a testbed pays at every event.
+// clean reports whether parked loop p's next poll is a no-op: its deadline
+// is not due, and, for a loop that declared nothing, nothing at all has
+// executed since its body last ran. A declared loop's inputs and Poke make
+// the deadline its next poll instead. This is inlined into Run and into
+// skip's scan of the peers.
 func (p *PollLoop) clean() bool {
-	return p.stamp == p.sim.executed && p.nextAt < p.wakeBy
-}
-
-// unproduced reports whether a parked loop with declared inputs may keep
-// its idle result: it has not been poked, and every input still reads the
-// count recorded when the loop parked.
-func (p *PollLoop) unproduced() bool {
-	if p.poked || p.watched[0].Produced() != p.seen[0] {
-		return false
-	}
-	return p.nWatched == 1 || p.watched[1].Produced() == p.seen[1]
+	return (p.stamp == p.sim.executed || p.nWatched != 0) && p.nextAt < p.wakeBy
 }
 
 // nextReal reports the instant at which parked loop p next runs its body
@@ -325,20 +351,11 @@ func (p *PollLoop) nextReal() Time {
 	return p.wakeAt
 }
 
-// inPhase reports parked loop p's phase, working it out the first time it
-// is asked for after p parked: most parks come after a busy iteration and
-// are over before any skip compares phases.
-func (p *PollLoop) inPhase() Time {
-	if p.phase < 0 {
-		p.phase = p.nextAt % p.period
-	}
-	return p.phase
-}
-
 // beforeLoop orders two parked loops' pending polls. At equal instants the
 // poll whose predecessor ran earlier — the longer period — goes first, as
-// its seq would have been drawn earlier; a skip draws seq ahead of that
-// time, so periods are compared before seq.
+// its seq would have been drawn earlier, and two of one period go in rank
+// order: a skip or a landing puts a poll's seq in the gap before the step
+// its predecessor ran ahead of, where several may share one.
 func (p *PollLoop) beforeLoop(q *PollLoop) bool {
 	if p.nextAt != q.nextAt {
 		return p.nextAt < q.nextAt
@@ -346,7 +363,7 @@ func (p *PollLoop) beforeLoop(q *PollLoop) bool {
 	if p.period != q.period {
 		return p.period > q.period
 	}
-	return p.seq < q.seq
+	return p.rank < q.rank
 }
 
 func (p *PollLoop) beforeEvent(e *event) bool {

@@ -97,42 +97,54 @@ func (r rec) String() string {
 // as two inputs (a per-port core watching its NIC and its OBQ) or as one
 // that counts both (stageAndChain).
 type stage struct {
+	producer
 	sc    *scenario
 	id    int
 	core  *Core
 	loop  poller
 	books books
 
-	inbox    int
-	produced uint64  // everything ever put into inbox
-	next     int     // stage fed by this one's commits, -1 for none
-	burst    int     // items taken per iteration
-	cost     float64 // cycles per busy iteration; 0 exercises (0, commit)
-	stages   bool    // keeps items until timeout or cap
-	held     int
-	heldAt   Time
-	timeout  Time
-	cap      int
-	blocked  bool
-	direct   bool // hands its output on from the body, not from commit
-	posts    bool // its commit also Posts an item back to itself
-	simWake  bool // declares its deadlines through Sim.WakeBy
+	inbox   int
+	next    int     // stage fed by this one's commits, -1 for none
+	burst   int     // items taken per iteration
+	cost    float64 // cycles per busy iteration; 0 exercises (0, commit)
+	stages  bool    // keeps items until timeout or cap
+	held    int
+	heldAt  Time
+	timeout Time
+	cap     int
+	blocked bool
+	direct  bool // hands its output on from the body, not from commit
+	posts   bool // its commit also Posts an item back to itself
+	simWake bool // declares its deadlines through Sim.WakeBy
 }
 
 func (st *stage) put(k int) {
 	st.inbox += k
-	st.produced += uint64(k)
+	st.sc.produced(&st.producer)
 }
 
-// Produced counts what was put into the inbox. A declared stage watches the
-// chain too, whose bursts may aim at any stage: it looks again when either
-// grows.
-func (st *stage) Produced() uint64 { return st.produced }
-
-// stageAndChain is a stage's inbox and the chain as one Input.
+// stageAndChain is a stage's inbox and the chain as one Input: the waker
+// handed to it is the inbox's, and a relay wakes it when the chain grows.
+// A declared stage watches the chain too, whose bursts may aim at any
+// stage: it looks again when either grows.
 type stageAndChain struct{ st *stage }
 
-func (in stageAndChain) Produced() uint64 { return in.st.produced + in.st.sc.chain.drawn }
+func (in stageAndChain) OnProduce(w Waker) Waker {
+	r := &relay{to: w}
+	r.next = in.st.sc.chain.OnProduce(r)
+	return in.st.OnProduce(w)
+}
+
+// relay wakes to, and what the input it was handed to held before it.
+type relay struct{ to, next Waker }
+
+func (r *relay) Wake() {
+	r.to.Wake()
+	if r.next != nil {
+		r.next.Wake()
+	}
+}
 
 // wakeBy declares the body's deadline: to its loop, or through the Sim, as
 // code a body calls that does not know the loop does (a port's RxBurst).
@@ -150,7 +162,12 @@ func (st *stage) wakeBy(t Time) {
 func (st *stage) retune() {
 	st.sc.log(rec{st.sc.sim.Now(), "retune", st.id, int64(st.timeout), 0})
 	st.timeout = max(st.timeout/2, 10*Nanosecond)
+	l, dormant := st.loop.(*PollLoop)
+	dormant = dormant && l.dormant
 	st.loop.Poke()
+	if dormant {
+		st.sc.landed(l)
+	}
 }
 
 func (st *stage) body() (float64, func()) {
@@ -219,6 +236,57 @@ type scenario struct {
 	chain  *chain
 	trace  []rec
 	fed    []rec // the chain's items, as they reach their stages
+
+	// coincide counts the dormant loops an input or a Poke brought back
+	// that landed on an instant where an event, a busy loop's finish or an
+	// idle loop polling the same instants is due too.
+	coincide int
+}
+
+// produced wakes what p holds, noting where the loops it brings back from
+// dormancy land.
+func (sc *scenario) produced(p *producer) {
+	var woken []*PollLoop
+	dormantIn(p.w, &woken)
+	p.produced()
+	for _, l := range woken {
+		sc.landed(l)
+	}
+}
+
+// dormantIn appends the dormant loops that w wakes to loops.
+func dormantIn(w Waker, loops *[]*PollLoop) {
+	switch w := w.(type) {
+	case *watch:
+		if w.loop.dormant {
+			*loops = append(*loops, w.loop)
+		}
+		dormantIn(w.next, loops)
+	case *relay:
+		dormantIn(w.to, loops)
+		dormantIn(w.next, loops)
+	}
+}
+
+// landed notes whether loop l, just brought back from dormancy, landed on
+// an instant that an event, a finish or a same-phase peer shares.
+func (sc *scenario) landed(l *PollLoop) {
+	s, at := sc.sim, l.nextAt
+	hit := false
+	for _, e := range s.events {
+		hit = hit || e.at == at
+	}
+	for _, q := range s.busy {
+		hit = hit || q.nextAt == at
+	}
+	for _, set := range [2][]*PollLoop{s.parked, s.dormant} {
+		for _, q := range set {
+			hit = hit || q != l && q.period == l.period && q.phase == l.phase && q.nextAt <= at
+		}
+	}
+	if hit {
+		sc.coincide++
+	}
 }
 
 // chain is a source of items due at non-decreasing times, drawn in bursts,
@@ -228,13 +296,13 @@ type scenario struct {
 // stage's body, a probe or the Sim's catch-up (Lazy) takes the due ones,
 // and a body that finds nothing to do declares the next item's instant
 // through Sim.WakeBy, as Port.RxBurst does. The chain is an Input that
-// counts the items drawn, so that a stage that declared its inbox looks
+// every burst produces into, so that a stage that declared its inbox looks
 // again when a burst adds to the chain.
 type chain struct {
+	producer
 	sc      *scenario
 	lazy    bool
 	pend    []chained
-	drawn   uint64
 	lastDue Time
 }
 
@@ -253,7 +321,6 @@ func (ch *chain) burst(n int, gap, lead Time, target int) {
 	for i := 0; i < n; i++ {
 		ch.lastDue = max(ch.lastDue, base+Time(i)*gap)
 		it := chained{at: ch.lastDue, target: (target + i) % len(ch.sc.stages)}
-		ch.drawn++
 		if !ch.lazy {
 			sim.At(it.at, func() { ch.put(it) })
 			continue
@@ -261,9 +328,8 @@ func (ch *chain) burst(n int, gap, lead Time, target int) {
 		it.seq = sim.DrawSeq()
 		ch.pend = append(ch.pend, it)
 	}
+	ch.sc.produced(&ch.producer)
 }
-
-func (ch *chain) Produced() uint64 { return ch.drawn }
 
 // take puts every lazy item due before the step being run (Sim.Running)
 // into its stage.
@@ -311,8 +377,8 @@ func (sc *scenario) probe(tag string) {
 }
 
 // read is one reader of a loop's accounting, issued between two Run calls,
-// in a posted function or in an event; after a quiet Run each has to land
-// the loops it reads (Sim.hush).
+// in a posted function or in an event; each has to land the dormant loops
+// it reads (Sim.land).
 func (sc *scenario) read(st *stage, what int) {
 	now := sc.sim.Now()
 	switch what {
@@ -363,10 +429,10 @@ const (
 func kindSeed(kind int, seed uint64) uint64 { return uint64(kind)<<61 | seed }
 
 // runScenario plays the scenario drawn from seed with real PollLoops
-// (lazy) or naive ones and returns its trace and the chain's items as
+// (lazy) or naive ones and returns it, its trace and the chain's items as
 // they reached their stages. Every random choice is made from seed alone,
 // in an order that does not depend on which loop is used.
-func runScenario(seed uint64, lazy bool) (trace, fed []rec) {
+func runScenario(seed uint64, lazy bool) *scenario {
 	rng := rand.New(rand.NewSource(int64(seed)))
 	kind := int(seed>>61) % numKinds
 	sim := New()
@@ -518,8 +584,7 @@ func runScenario(seed uint64, lazy bool) (trace, fed []rec) {
 	}
 
 	// soon draws the time of an event scheduled from outside Run: mostly on
-	// the half-nanosecond grid within a few steps, where the loops a quiet
-	// step left behind land.
+	// the half-nanosecond grid within a few steps, where dormant loops land.
 	soon := func() Time {
 		if rng.Intn(5) == 0 {
 			return sim.Now() + Time(rng.Int63n(int64(4*Microsecond)))
@@ -529,8 +594,8 @@ func runScenario(seed uint64, lazy bool) (trace, fed []rec) {
 	// Run in uneven slices, changing state between them the way callers of
 	// SendPackets, serve.go's paced loop and tests do. A reader of the
 	// loops' accounting lands them, so the probe reads after only some
-	// slices: after every one, nothing but the probe would ever land a loop
-	// a quiet step left behind.
+	// slices: after every one, nothing but the probe would ever land a
+	// dormant loop.
 	span := horizon / 4
 	if kind == kindStepped {
 		span = 2 * Microsecond
@@ -591,14 +656,13 @@ func runScenario(seed uint64, lazy bool) (trace, fed []rec) {
 		}
 	}
 	sc.log(rec{sim.Now(), "end", 0, 0, 0})
-	return sc.trace, sc.fed
+	return sc
 }
 
 func checkEquivalent(t *testing.T, seed uint64) {
 	t.Helper()
-	want, wantFed := runScenario(seed, false)
-	got, gotFed := runScenario(seed, true)
-	want, got = append(want, wantFed...), append(got, gotFed...)
+	naive, lazy := runScenario(seed, false), runScenario(seed, true)
+	want, got := append(naive.trace, naive.fed...), append(lazy.trace, lazy.fed...)
 	for i := 0; i < len(want) || i < len(got); i++ {
 		if i >= len(want) || i >= len(got) || want[i] != got[i] {
 			w, g := "<end of trace>", "<end of trace>"
@@ -630,17 +694,24 @@ func FuzzPollLoopEquivalence(f *testing.F) {
 	f.Fuzz(checkEquivalent)
 }
 
+// kindNames names the kinds of scenario, as TestPollLoopEquivalence's
+// subtests.
+var kindNames = [numKinds]string{"mixed", "stepped", "retuned", "quiet", "chained"}
+
 // TestPollLoopEquivalence runs a wider fixed sweep than the fuzz corpus,
-// over every kind of scenario.
+// over every kind of scenario, one parallel subtest per kind.
 func TestPollLoopEquivalence(t *testing.T) {
 	n := uint64(500)
 	if testing.Short() {
 		n = 150
 	}
 	for kind := 0; kind < numKinds; kind++ {
-		for seed := uint64(1000); seed < 1000+n; seed++ {
-			checkEquivalent(t, kindSeed(kind, seed))
-		}
+		t.Run(kindNames[kind], func(t *testing.T) {
+			t.Parallel()
+			for seed := uint64(1000); seed < 1000+n; seed++ {
+				checkEquivalent(t, kindSeed(kind, seed))
+			}
+		})
 	}
 }
 
@@ -652,8 +723,8 @@ func TestPollLoopEquivalenceChainedCoincide(t *testing.T) {
 	hits := 0
 	for seed := uint64(1000); seed < 1000+seeds; seed++ {
 		seen := map[Time]int{}
-		trace, fed := runScenario(kindSeed(kindChained, seed), true)
-		for _, r := range append(trace, fed...) {
+		sc := runScenario(kindSeed(kindChained, seed), true)
+		for _, r := range append(sc.trace, sc.fed...) {
 			switch r.what {
 			case "chain":
 				seen[r.at] |= 1
@@ -672,5 +743,26 @@ func TestPollLoopEquivalenceChainedCoincide(t *testing.T) {
 	}
 	if hits < seeds/4 {
 		t.Fatalf("%d of %d chained scenarios put a chain item, an event and a finish on one instant", hits, seeds)
+	}
+}
+
+// TestPollLoopEquivalenceDormantCoincide checks that the sweep reaches what
+// dormancy has to get right: a dormant loop brought back by an input or a
+// Poke that lands on an instant where an event, a busy loop's finish or an
+// idle loop polling the same instants is due too, so that its place among
+// them comes from its landing's seq or its rank.
+func TestPollLoopEquivalenceDormantCoincide(t *testing.T) {
+	for kind := 0; kind < numKinds; kind++ {
+		const seeds = 40
+		hits := 0
+		for seed := uint64(1000); seed < 1000+seeds; seed++ {
+			if runScenario(kindSeed(kind, seed), true).coincide > 0 {
+				hits++
+			}
+		}
+		t.Logf("%s: %d of %d scenarios", kindNames[kind], hits, seeds)
+		if hits < seeds/4 {
+			t.Errorf("%s: %d of %d scenarios land a woken dormant loop where an event, a finish or a same-phase peer is due", kindNames[kind], hits, seeds)
+		}
 	}
 }

@@ -9,6 +9,7 @@
 package eventsim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -82,7 +83,7 @@ const inlineSlots = 32
 // operations into a live system without locking against the data path.
 type Sim struct {
 	now     Time
-	seq     uint64
+	seq     uint64  // the last seq drawn; drawn seqs are even (see step)
 	cur     uint64  // seq of the step being run; maxSeq outside Run
 	events  []event // binary min-heap on (at, seq)
 	stats   Stats
@@ -91,21 +92,18 @@ type Sim struct {
 	// Poll loops out of the heap (see PollLoop): each idle one parked with
 	// its next poll as its pending (nextAt, seq), each busy one with its
 	// iteration's finish, the pair the heap would have held; Run merges
-	// both sets with the heap. NewPollLoop keeps room in each for every
-	// loop. executed counts everything that may have changed what a
-	// poll body sees: a parked loop that last polled at the current value
-	// has nothing new to look at.
+	// both sets with the heap. A declared loop whose pending poll comes
+	// first and is a no-op goes dormant, in no set Run walks, its pending
+	// poll left where it was until it wakes or is read (see step);
+	// wakeNext is at or before the earliest dormant deadline poll.
+	// NewPollLoop keeps room in each set for every loop. executed counts
+	// everything that may have changed what an undeclared loop's body sees:
+	// one that last polled at the current value has nothing new to look at.
 	parked   []*PollLoop
 	busy     []*PollLoop
+	dormant  []*PollLoop
+	wakeNext Time
 	executed uint64
-
-	// Quiet stretches (see hush). A parked loop short of deferTo, when that
-	// is not zero, is at its first poll at or after it, and its nextAt,
-	// iterations and busy time have yet to follow; its seq already is that
-	// poll's. The last quiet pass that drew seqs drew (hushFrom, hushTo].
-	deferTo  Time
-	hushFrom uint64
-	hushTo   uint64
 
 	// External mailbox (Post). postPending lets Run's inner loop check for
 	// posted work with a single atomic load per event, so the data path
@@ -121,10 +119,18 @@ type Sim struct {
 
 	// loops counts the poll loops made; the sets' first inlineSlots slots.
 	// Last, so that what every Run step reads stays on a few cache lines.
-	loops      int
-	parkedBack [inlineSlots]*PollLoop
-	busyBack   [inlineSlots]*PollLoop
-	lazyBack   [inlineSlots]Lazy
+	loops       int
+	parkedBack  [inlineSlots]*PollLoop
+	busyBack    [inlineSlots]*PollLoop
+	dormantBack [inlineSlots]*PollLoop
+	lazyBack    [inlineSlots]Lazy
+	group       []*PollLoop // scratch for join, room for every loop
+	groupBack   [inlineSlots]*PollLoop
+
+	// The steps run since every dormant loop was last landed, while one
+	// was dormant (see step).
+	nsteps int
+	steps  [stepLog]step
 }
 
 // maxSeq is the seq Running reports outside Run: every pending event at
@@ -133,16 +139,20 @@ const maxSeq = math.MaxUint64
 
 // New creates an empty simulation with the clock at zero.
 func New() *Sim {
-	s := &Sim{cur: maxSeq}
-	s.parked, s.busy, s.lazy = s.parkedBack[:0], s.busyBack[:0], s.lazyBack[:0]
+	s := &Sim{cur: maxSeq, wakeNext: never}
+	s.parked, s.busy, s.dormant = s.parkedBack[:0], s.busyBack[:0], s.dormantBack[:0]
+	s.lazy, s.group = s.lazyBack[:0], s.groupBack[:0]
 	return s
 }
 
-// addLoop keeps room for one more poll loop in the parked and busy sets.
+// addLoop keeps room for one more poll loop in the parked, busy and
+// dormant sets.
 func (s *Sim) addLoop() {
 	s.loops++
 	s.parked = slices.Grow(s.parked, s.loops-len(s.parked))
 	s.busy = slices.Grow(s.busy, s.loops-len(s.busy))
+	s.dormant = slices.Grow(s.dormant, s.loops-len(s.dormant))
+	s.group = slices.Grow(s.group, s.loops-len(s.group))
 }
 
 // Now reports the current virtual time.
@@ -185,12 +195,12 @@ type Stats struct {
 	// IdleRuns counts body runs, wherever they ran, that found nothing to
 	// do and returned (0, nil).
 	IdleRuns uint64
-	// Skips counts the steps that accounted for a run of a parked loop's
-	// no-op polls at once.
+	// Skips counts the steps that accounted for a run of an idle loop's
+	// no-op polls at once: an undeclared parked loop's skip, and a dormant
+	// loop's landing, when it wakes or its accounting is read.
 	Skips uint64
 	// PollsSkipped counts idle polls accounted for (time, core
-	// utilization, PollLoop.Iterations) without running the body, by
-	// skips and by quiet Runs.
+	// utilization, PollLoop.Iterations) without running the body.
 	PollsSkipped uint64
 	// StaleFires counts the heap events that were a Timer's stale fire:
 	// the timer had been stopped or re-armed since. HeapEvents counts
@@ -208,7 +218,9 @@ func (s *Sim) Processed() uint64 {
 // Stats reports the steps taken so far by kind. Read after Run(until)
 // returns, PollsSkipped includes every idle poll up to until.
 func (s *Sim) Stats() Stats {
-	s.landAll()
+	for _, q := range s.dormant {
+		s.land(q)
+	}
 	return s.stats
 }
 
@@ -238,7 +250,7 @@ func (s *Sim) At(t Time, fn func()) {
 	if t < s.now {
 		t = s.now
 	}
-	s.seq++
+	s.seq += 2
 	s.push(t, s.seq, fn)
 }
 
@@ -247,7 +259,7 @@ func (s *Sim) At(t Time, fn func()) {
 // due in that place: a frame on the wire, which a port takes when the
 // step being run (Running) goes after it.
 func (s *Sim) DrawSeq() uint64 {
-	s.seq++
+	s.seq += 2
 	return s.seq
 }
 
@@ -368,7 +380,8 @@ func (s *Sim) Run(until Time) {
 	for {
 		// f is the busy loop whose finish is due first, if that goes
 		// before the heap top; the first parked poll is compared with
-		// whichever of the two goes first.
+		// whichever of the two goes first. next is when the first of all
+		// three is due.
 		f, fi := (*PollLoop)(nil), -1
 		if len(s.busy) != 0 {
 			fi = s.firstBusy()
@@ -376,34 +389,44 @@ func (s *Sim) Run(until Time) {
 				f = nil
 			}
 		}
-		if p := s.firstParked(); p != nil && p.beforeNext(f, s.events) {
-			if p.nextAt > until {
-				break
-			}
-			if s.quiet(until) {
-				s.hush(until)
-				break
-			}
-			if s.deferTo != 0 {
-				s.landAll()
-				continue
-			}
-			if s.settle(p); p.clean() {
+		p, next := s.firstParked(), never
+		switch {
+		case p != nil && p.beforeNext(f, s.events):
+			next = p.nextAt
+		case f != nil:
+			p, next = nil, f.nextAt
+		case len(s.events) > 0:
+			p, next = nil, s.events[0].at
+		default:
+			p = nil
+		}
+		if w := s.wakeNext; w != never && w <= until && w <= next {
+			s.wakeDue(min(next, until))
+			continue
+		}
+		if next > until || next == never {
+			break
+		}
+		if s.nsteps == stepLog {
+			s.flush()
+		}
+		if p != nil {
+			if p.clean() {
+				if p.nWatched != 0 {
+					s.sleep(p)
+					continue
+				}
 				if !s.skip(p, until) {
 					break
 				}
 				continue
 			}
+			s.record(p.nextAt, p.seq, p.period, p.rank)
 			s.now, s.cur = p.nextAt, p.seq
 			s.stats.ParkedRuns++
 			p.iterate()
 		} else if f != nil {
-			if f.nextAt > until {
-				break
-			}
-			if s.deferTo != 0 {
-				s.landAll()
-			}
+			s.record(f.nextAt, f.seq, 0, 0)
 			last := len(s.busy) - 1
 			s.busy[fi] = s.busy[last]
 			s.busy[last] = nil
@@ -412,17 +435,13 @@ func (s *Sim) Run(until Time) {
 			s.executed++
 			s.stats.Finishes++
 			f.finish()
-		} else if len(s.events) > 0 && s.events[0].at <= until {
-			if s.deferTo != 0 {
-				s.landAll()
-			}
+		} else {
+			s.record(s.events[0].at, s.events[0].seq, 0, 0)
 			ev := s.pop()
 			s.now, s.cur = ev.at, ev.seq
 			s.executed++
 			s.stats.HeapEvents++
 			ev.fn()
-		} else {
-			break
 		}
 		if s.postPending.Load() {
 			s.drainPosted()
@@ -434,6 +453,12 @@ func (s *Sim) Run(until Time) {
 		s.now = until
 	}
 	s.cur = maxSeq
+	if until != never {
+		if s.nsteps == stepLog {
+			s.flush()
+		}
+		s.record(s.now, maxSeq, 0, 0) // every poll up to now has run
+	}
 	s.catchUp()
 }
 
@@ -443,30 +468,246 @@ func (s *Sim) RunAll() { s.Run(never) }
 // --- Idle poll loops ------------------------------------------------------
 //
 // A PollLoop whose body returned idle does not schedule its next poll on
-// the heap: it parks here as a pending (nextAt, seq) pair, merged with the
-// heap by Run. While nothing has executed since it last polled, its polls
-// are no-ops by the PollBody contract, and skip accounts for a whole run
-// of them in one step.
+// the heap: it parks as a pending (nextAt, seq), merged with the heap by
+// Run. When that poll comes first and is a no-op by the PollBody
+// contract, a loop that declared its inputs goes dormant: it waits, out of
+// every set Run walks, until an input it watches is produced into, it is
+// poked, its deadline comes or its accounting is read, and then lands
+// where its polls would have taken it. Any other loop's polls are no-ops
+// while nothing has executed since it last polled, and skip accounts for
+// a whole run of them in one step. See DESIGN.md, "Lazy idle polls".
+
+// step is one entry of the Sim's log of what Run executed: a heap event, a
+// busy loop's finish, a parked loop's body run (period and rank are that
+// loop's, else 0), or the end of a Run (seq maxSeq: it goes after every
+// poll at its instant). gap is Sim.seq when the step began. An idle poll
+// that ran between two steps scheduled the next as the last thing before
+// the later one, so that poll's seq is gap+1 of the later step: above
+// every seq drawn before, below every one drawn by the step or after, which
+// is why drawn seqs are even. The log is what lets a dormant loop land
+// exactly, so Run keeps it only while a loop is dormant; it is emptied,
+// once every dormant loop has landed, when it is full, when ranks are
+// spaced out again and when the last dormant loop wakes.
+type step struct {
+	at     Time
+	seq    uint64
+	gap    uint64
+	period Time
+	rank   uint64
+}
+
+// stepLog is how many steps the log holds.
+const stepLog = 512
+
+// after reports whether step e ran after loop p's poll at e's instant,
+// whose seq is k. Polls at one instant go in the order PollLoop.beforeLoop
+// gives, whatever their seqs say.
+func (e *step) after(p *PollLoop, k uint64) bool {
+	if e.period == 0 {
+		return e.seq > k
+	}
+	if e.period != p.period {
+		return e.period < p.period
+	}
+	return e.rank > p.rank
+}
+
+// record appends the step about to run at (at, seq) to the log, if a
+// loop is dormant. Run flushes a full log before it, which keeps record
+// inlined.
+//
+//dhl:hotpath
+func (s *Sim) record(at Time, seq uint64, period Time, rank uint64) {
+	if len(s.dormant) == 0 {
+		return
+	}
+	// Field by field: a composite literal is built on the stack and copied
+	// in 16-byte moves, which stall on the 8-byte stores that built it.
+	e := &s.steps[s.nsteps]
+	e.at, e.seq, e.gap, e.period, e.rank = at, seq, s.seq, period, rank
+	s.nsteps++
+}
+
+// flush lands every dormant loop and empties the log but for its last
+// step, which every dormant loop is now after. A loop goes dormant between
+// two steps, and flush runs between two steps or inside one, so while one
+// is dormant there is a step to land behind; while none is, the log is
+// empty.
+func (s *Sim) flush() {
+	if len(s.dormant) == 0 {
+		return
+	}
+	for _, q := range s.dormant {
+		s.land(q)
+	}
+	s.steps[0] = s.steps[s.nsteps-1]
+	s.nsteps = 1
+}
+
+// stepAt returns the index of the first logged step at or after t.
+func (s *Sim) stepAt(t Time) int {
+	lo, hi := 0, s.nsteps
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if s.steps[m].at < t {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// gapAfter returns the seq of the poll that dormant loop p's poll at x,
+// whose seq is k, schedules: one past the gap of the first step after it,
+// or, if no step has run since, of the one about to run.
+func (s *Sim) gapAfter(p *PollLoop, x Time, k uint64) uint64 {
+	i := s.stepAt(x)
+	for ; i < s.nsteps && s.steps[i].at == x; i++ {
+		if s.steps[i].after(p, k) {
+			break
+		}
+	}
+	if i == s.nsteps {
+		return s.seq + 1
+	}
+	return s.steps[i].gap + 1
+}
+
+// seqMatters reports whether a logged step at x is ordered against a poll
+// there by the poll's seq: an event or a finish.
+func (s *Sim) seqMatters(x Time) bool {
+	for i := s.stepAt(x); i < s.nsteps && s.steps[i].at == x; i++ {
+		if e := &s.steps[i]; e.period == 0 && e.seq != maxSeq {
+			return true
+		}
+	}
+	return false
+}
+
+// keyAt returns the seq of dormant loop p's poll at t, one of its poll
+// instants at or after nextAt. Each poll's seq follows from the one before
+// through gapAfter, which reads it only where an event or a finish shares
+// its instant, so the walk starts at the last poll before t that nothing
+// orders by seq, or at nextAt.
+func (s *Sim) keyAt(p *PollLoop, t Time) uint64 {
+	d := p.period
+	x := p.nextAt
+	if t > x {
+		x = t - d
+		for x > p.nextAt && s.seqMatters(x) {
+			x -= d
+		}
+	}
+	k := p.seq // p's seq at x if x is nextAt; else gapAfter does not read it
+	for ; x < t; x += d {
+		k = s.gapAfter(p, x, k)
+	}
+	return k
+}
+
+// account moves idle loop p to its poll at t, whose seq is k, accounting
+// for the polls before it as if each had run.
+func (s *Sim) account(p *PollLoop, t Time, k uint64) {
+	n := (t - p.nextAt) / p.period
+	if n == 0 {
+		return
+	}
+	p.iterations += uint64(n)
+	p.busy += t - p.nextAt
+	s.stats.Skips++
+	s.stats.PollsSkipped += uint64(n)
+	p.nextAt, p.seq = t, k
+}
+
+// land moves dormant loop p to its first poll after the last logged step:
+// where it is as the step runs, or, after a Run, at the first poll past
+// its horizon. Near the end of time, where no poll lands behind the step,
+// and where no step has run since p went dormant (a RunAll that found
+// nothing else to do), it leaves p where it is.
+func (s *Sim) land(p *PollLoop) {
+	if s.nsteps == 0 {
+		return
+	}
+	e := &s.steps[s.nsteps-1]
+	t, d := p.nextAt, p.period
+	if t > e.at || e.at > never-d {
+		return
+	}
+	if t < e.at {
+		t += (e.at - t + d - 1) / d * d
+	}
+	k := s.keyAt(p, t)
+	if t == e.at && e.after(p, k) {
+		k = s.gapAfter(p, t, k)
+		t += d
+	}
+	s.account(p, t, k)
+}
+
+// wake brings dormant loop p back: it lands and parks, and runs its body at
+// the poll it lands on.
+func (s *Sim) wake(p *PollLoop) {
+	s.land(p)
+	s.dropDormant(p)
+	p.wakeBy = p.nextAt
+	s.toParked(p)
+}
+
+// wakeDue parks the dormant loops whose deadline poll comes first, at
+// that poll, if it is at or before t, and works out wakeNext again.
+// Everything Run executes from now on is at or after t, and the first of
+// it may be one of these loops' body runs, which may wake any other: so
+// every poll before the deadline ran before it, after the last logged
+// step, and no loop with a later deadline lands yet.
+func (s *Sim) wakeDue(t Time) {
+	w := never
+	for _, q := range s.dormant {
+		w = min(w, q.wakeAt)
+	}
+	s.wakeNext = w
+	if w > t {
+		return
+	}
+	s.wakeNext = never
+	for i := 0; i < len(s.dormant); {
+		q := s.dormant[i]
+		if q.wakeAt != w {
+			s.wakeNext = min(s.wakeNext, q.wakeAt)
+			i++
+			continue
+		}
+		s.account(q, w, s.keyAt(q, w))
+		s.dropDormant(q)
+		s.toParked(q)
+	}
+}
+
+// dropDormant takes p out of the dormant set.
+func (s *Sim) dropDormant(p *PollLoop) {
+	p.dormant = false
+	i, last := p.slot, len(s.dormant)-1
+	s.dormant[i] = s.dormant[last]
+	s.dormant[i].slot = i
+	s.dormant[last] = nil
+	s.dormant = s.dormant[:last]
+	if last == 0 {
+		s.nsteps = 0
+	}
+}
 
 // park books p's idle iteration, one period from now, and keeps its next
-// poll in the parked set. It reports false for a stopped loop, which spends
-// the iteration busy instead. A loop that was parked polled at its nextAt,
-// so its phase stays what it was.
+// poll in the parked set. It reports false for a stopped loop, which
+// spends the iteration busy instead. A loop that was parked polled at its
+// nextAt, so its place among the loops polling its instants stays what it
+// was; any other joins them.
 func (s *Sim) park(p *PollLoop) bool {
 	if p.stopped {
 		return false
 	}
-	if !p.parked {
-		s.parked = append(s.parked, p)
-		p.parked = true
-		p.phase = -1
-	}
 	p.busy += p.period
-	s.seq++
+	s.seq += 2
 	p.nextAt, p.seq, p.stamp = s.now+p.period, s.seq, s.executed
-	for i, in := range p.watched[:p.nWatched] {
-		p.seen[i] = in.Produced()
-	}
 	// A deadline not after nextAt leaves the loop unclean until its body
 	// runs again: wakeAt is then never read. One within a period, a port
 	// reader's usual one, costs no division.
@@ -478,36 +719,95 @@ func (s *Sim) park(p *PollLoop) bool {
 			p.wakeAt = p.nextAt + (p.wakeBy-p.nextAt+p.period-1)/p.period*p.period
 		}
 	}
+	if !p.parked {
+		s.join(p)
+		s.toParked(p)
+	}
 	return true
 }
 
+// sleep makes p dormant: a parked loop that declared its inputs, whose
+// pending poll comes before anything else and is a no-op. It is left at
+// that poll, and every step from now on is logged.
+func (s *Sim) sleep(p *PollLoop) {
+	s.unpark(p)
+	p.dormant, p.slot = true, len(s.dormant)
+	s.dormant = append(s.dormant, p)
+	s.wakeNext = min(s.wakeNext, p.wakeAt)
+}
+
+// toParked adds p to the parked set.
+func (s *Sim) toParked(p *PollLoop) {
+	p.parked, p.slot = true, len(s.parked)
+	s.parked = append(s.parked, p)
+}
+
+// unpark takes p out of the parked set.
 func (s *Sim) unpark(p *PollLoop) {
-	for i, q := range s.parked {
-		if q == p {
-			last := len(s.parked) - 1
-			s.parked[i] = s.parked[last]
-			s.parked[last] = nil
-			s.parked = s.parked[:last]
-			break
-		}
-	}
+	i, last := p.slot, len(s.parked)-1
+	s.parked[i] = s.parked[last]
+	s.parked[i].slot = i
+	s.parked[last] = nil
+	s.parked = s.parked[:last]
 	p.parked = false
 }
 
-// settle carries the stamp of parked loop q, if it declared its inputs,
-// forward to the current count, unless something was produced into one of
-// them (or the loop was poked): what executed since the loop last looked
-// is then none of its business, and clean stays the same comparison for
-// both kinds of loop. Whatever produces into an input has executed — also
-// code between two Run calls, which Run's entry counts — and the counts
-// only grow, so looking when the count has moved, and only at a loop whose
-// cleanness is about to be read (the first parked poll, the peers a skip
-// scans, the loops a quiet step finds due), misses nothing; a loop left
-// behind runs its body at its next poll.
-func (s *Sim) settle(q *PollLoop) {
-	if q.stamp != s.executed && q.nWatched != 0 && q.unproduced() {
-		q.stamp = s.executed
+// join gives p, idle after a busy iteration or its first, its rank among
+// the idle loops that poll its instants: ahead of it those whose poll at
+// this instant ran before the step running now (one that has parked is
+// past it), behind it the rest. Idle polls at one instant keep that order
+// from then on (see PollLoop.rank).
+func (s *Sim) join(p *PollLoop) {
+	p.phase = p.nextAt % p.period
+	lo, hi := uint64(0), uint64(math.MaxUint64)
+	for _, q := range s.parked {
+		if q.period == p.period && q.phase == p.phase {
+			if q.nextAt > s.now {
+				lo = max(lo, q.rank)
+			} else {
+				hi = min(hi, q.rank)
+			}
+		}
 	}
+	for _, q := range s.dormant {
+		if q.period == p.period && q.phase == p.phase {
+			if q.nextAt > s.now || s.keyAt(q, s.now) < s.cur {
+				lo = max(lo, q.rank)
+			} else {
+				hi = min(hi, q.rank)
+			}
+		}
+	}
+	if hi-lo < 2 {
+		s.respace(p, lo)
+		return
+	}
+	p.rank = lo + (hi-lo)/2
+}
+
+// respace spaces out the ranks of the group p joins, p behind the loop of
+// rank lo, once the log, which holds ranks, is flushed.
+func (s *Sim) respace(p *PollLoop, lo uint64) {
+	s.flush()
+	group := s.group[:0]
+	for _, set := range [2][]*PollLoop{s.parked, s.dormant} {
+		for _, q := range set {
+			if q.period == p.period && q.phase == p.phase {
+				group = append(group, q)
+			}
+		}
+	}
+	slices.SortFunc(group, func(a, b *PollLoop) int { return cmp.Compare(a.rank, b.rank) })
+	i := 0
+	for i < len(group) && group[i].rank <= lo {
+		i++
+	}
+	group = slices.Insert(group, i, p)
+	space := math.MaxUint64 / uint64(len(group)+1)
+	for i, q := range group {
+		q.rank = uint64(i+1) * space
+	}
+	clear(group)
 }
 
 // firstBusy returns the index of the busy loop whose finish is due first;
@@ -534,16 +834,18 @@ func (s *Sim) firstParked() *PollLoop {
 }
 
 // skip moves clean parked loop p, the earliest pending item of the whole
-// simulation, forward over every poll that cannot see anything new, and
-// accounts for them as if each had run. It reports false when nothing
-// bounds the skip: nothing will ever happen again.
+// simulation and a loop that declared no inputs, forward over every poll
+// that cannot see anything new, and accounts for them as if each had run.
+// It reports false when nothing bounds the skip: nothing will ever happen
+// again.
 //
 // p stops at its first poll instant at or after the horizon: the earliest
-// time at which anything else executes. Two ordering rules keep the
-// execution order at every instant what it would be had every poll run:
-// see DESIGN.md, "Lazy idle polls".
+// time at which anything else may execute. Its last skipped poll ran after
+// every step so far, so its seq is one past Sim.seq; where it lands on a
+// peer's instant, the two go in rank order. See DESIGN.md, "Lazy idle
+// polls".
 func (s *Sim) skip(p *PollLoop, until Time) bool {
-	horizon := p.wakeBy
+	horizon := min(p.wakeBy, s.wakeNext)
 	if until < never {
 		horizon = min(horizon, until+1)
 	}
@@ -553,171 +855,24 @@ func (s *Sim) skip(p *PollLoop, until Time) bool {
 	for _, q := range s.busy {
 		horizon = min(horizon, q.nextAt)
 	}
-	// A peer polling the same instants keeps its place in the order there
-	// from poll to poll: p may catch up with one that is ahead, not pass it.
-	land, d := never, p.period
+	d := p.period
 	for _, q := range s.parked {
 		if horizon-p.nextAt <= d {
 			break
 		}
-		if q == p {
-			continue
-		}
-		s.settle(q)
-		horizon = min(horizon, q.nextReal())
-		if q.period == d && q.nextAt > p.nextAt && q.inPhase() == p.inPhase() {
-			land = min(land, q.nextAt)
+		if q != p {
+			horizon = min(horizon, q.nextReal())
 		}
 	}
+	// Something acts by p's next poll — the usual case — and p moves one
+	// period without a division.
 	k := Time(1)
-	if horizon-p.nextAt <= d {
-		// Something acts by p's next poll — the usual case for a loop that
-		// sleeps through what its peers act on: p moves one period, which
-		// no peer ahead of it on the same instants can be short of, and no
-		// division is paid.
-		land = p.nextAt + d
-	} else {
-		k = 0 // the polls to land, once known
-		if horizon <= never-d {
-			if n := (horizon - p.nextAt + d - 1) / d; p.nextAt+n*d <= land {
-				land, k = p.nextAt+n*d, n
-			}
-		}
-		if land == never {
+	if horizon-p.nextAt > d {
+		if horizon > never-d {
 			return false
 		}
-		if k == 0 { // on a same-phase peer ahead, before the horizon
-			k = (land - p.nextAt) / d
-		}
+		k = (horizon - p.nextAt + d - 1) / d
 	}
-	p.iterations += uint64(k)
-	p.busy += k * d
-	s.stats.Skips++
-	s.stats.PollsSkipped += uint64(k)
-	s.seq++
-	p.nextAt, p.seq = land, s.seq
+	s.account(p, p.nextAt+k*d, s.seq+1)
 	return true
-}
-
-// --- Quiet stretches ------------------------------------------------------
-//
-// When nothing is due at or before until, skip would move every parked loop
-// that is due to its first poll after until, one fresh seq each. hush draws
-// those seqs in the order the skips would, but leaves where the loops land
-// (and the divisions that says) for whoever needs it: Sim.deferTo becomes
-// until+1, and a parked loop short of it lands later, on its first poll at
-// or after it, with the same accounting. See DESIGN.md, "Lazy idle polls".
-
-// quiet reports whether nothing is due at or before until: no heap event
-// or busy loop's finish, and every parked loop due by then clean with its
-// deadline after until. A loop short of deferTo counts as due (where it
-// lands is not looked at); its deadline and stamp are its own either way.
-// Work posted since Run last drained the mailbox waits for the next Run,
-// as it would behind skips.
-func (s *Sim) quiet(until Time) bool {
-	if len(s.events) > 0 && s.events[0].at <= until {
-		return false
-	}
-	return s.loopsQuiet(until)
-}
-
-// loopsQuiet is the rest of quiet, once no heap event is due by until, out
-// of line so that the heap test inlines into Run: no busy loop finishes by
-// until, and every parked loop due by then is clean, with its deadline
-// after until.
-func (s *Sim) loopsQuiet(until Time) bool {
-	for _, q := range s.busy {
-		if q.nextAt <= until {
-			return false
-		}
-	}
-	for _, q := range s.parked {
-		if q.nextAt > until {
-			continue
-		}
-		s.settle(q)
-		if q.stamp != s.executed || q.wakeBy <= until || until >= never-q.period {
-			return false
-		}
-	}
-	return true
-}
-
-// hush ends a quiet Run: it gives every parked loop due by until the seq
-// skip would leave it with and defers its landing to until+1. A horizon
-// already passed keeps the later deferTo, which every loop due by until is
-// short of.
-//
-// The skips would move a same-phase peer that is ahead first, then go in
-// seq order (rule 2), and draw above every pending event. If the last pass
-// drew the seqs of all the loops due now and nothing has drawn one since,
-// they already are in that order and above every pending event, and hush
-// draws nothing.
-func (s *Sim) hush(until Time) {
-	if !s.stillHushed(until) {
-		s.redraw(until)
-	}
-	s.deferTo = max(s.deferTo, until+1)
-}
-
-// stillHushed reports whether the last pass that drew seqs drew those of
-// every loop due by until, and nothing has drawn one since.
-func (s *Sim) stillHushed(until Time) bool {
-	if s.seq != s.hushTo {
-		return false
-	}
-	for _, q := range s.parked {
-		if q.nextAt <= until && q.seq <= s.hushFrom {
-			return false
-		}
-	}
-	return true
-}
-
-// redraw lands every loop and draws a fresh seq for each loop due by
-// until: the one furthest ahead first, equal instants in seq order.
-// Across loops that never share an instant the order does not matter, so
-// one order serves every group of same-phase peers at once.
-func (s *Sim) redraw(until Time) {
-	s.landAll()
-	s.hushFrom = s.seq
-	for {
-		var next *PollLoop
-		for _, q := range s.parked {
-			if q.nextAt <= until && q.seq <= s.hushFrom &&
-				(next == nil || q.nextAt > next.nextAt || q.nextAt == next.nextAt && q.seq < next.seq) {
-				next = q
-			}
-		}
-		if next == nil {
-			break
-		}
-		s.seq++
-		next.seq = s.seq
-	}
-	s.hushTo = s.seq
-}
-
-// land moves parked loop p, short of deferTo, to its first poll at or after
-// it and accounts for the polls it passes, as skip does.
-func (s *Sim) land(p *PollLoop) {
-	d := p.period
-	k := (s.deferTo - p.nextAt + d - 1) / d
-	p.iterations += uint64(k)
-	p.busy += k * d
-	p.nextAt += k * d
-	s.stats.PollsSkipped += uint64(k)
-}
-
-// landAll lands every parked loop and ends the deferral.
-func (s *Sim) landAll() {
-	if s.deferTo == 0 {
-		return
-	}
-	for _, q := range s.parked {
-		if q.nextAt < s.deferTo {
-			s.land(q)
-		}
-	}
-	s.deferTo = 0
 }

@@ -264,11 +264,29 @@ func TestPollLoopSkippedPollsAreAccounted(t *testing.T) {
 // nothing is an Input nobody ever produces into.
 type nothing struct{}
 
-func (nothing) Produced() uint64 { return 0 }
+func (nothing) OnProduce(Waker) Waker { return nil }
 
-// A Run with nothing due leaves the idle loops' accounting where it was
-// (Sim.hush). Read only after 1 000 such steps, and again after an event
-// between two of them, it must still be every poll up to until.
+// producer is the waking half of this package's test Inputs: like
+// ring.Ring it holds the last Waker handed to it and wakes it whenever
+// something is produced into it.
+type producer struct{ w Waker }
+
+func (p *producer) OnProduce(w Waker) Waker {
+	prev := p.w
+	p.w = w
+	return prev
+}
+
+func (p *producer) produced() {
+	if p.w != nil {
+		p.w.Wake()
+	}
+}
+
+// A Run with nothing due leaves a dormant loop's accounting where it was,
+// and an undeclared loop's is skipped past until. Read only after 1 000
+// such steps, and again after an event between two of them, it must still
+// be every poll up to until.
 func TestPollLoopQuietStepsAreAccounted(t *testing.T) {
 	s := New()
 	cores := []*Core{NewCore(s, 0, 0, 1e9), NewCore(s, 1, 0, 1e9)}
@@ -343,9 +361,10 @@ func TestPollLoopQuietStepsAreAccounted(t *testing.T) {
 // inbox is what a declared loop in the tests below watches: put grows it,
 // and its loop's body takes everything and notes when.
 type inbox struct {
-	n, produced uint64
-	seen        []Time
-	loop        *PollLoop
+	producer
+	n    uint64
+	seen []Time
+	loop *PollLoop
 }
 
 func newInbox(s *Sim, core *Core) *inbox {
@@ -362,16 +381,14 @@ func newInbox(s *Sim, core *Core) *inbox {
 	return in
 }
 
-func (in *inbox) Produced() uint64 { return in.produced }
-func (in *inbox) put()             { in.n++; in.produced++ }
+func (in *inbox) put() { in.n++; in.produced() }
 
-// A quiet step draws nothing only if the last one drew the seqs of every
-// loop due now and nobody has drawn one since. Each half of that has a
-// counter-example: a loop at a poll instant an event was scheduled for
-// after the loop's seq was drawn must poll after the event, as the poll
-// that scheduled it ran after the event was scheduled.
+// A dormant loop lands behind every event scheduled before its poll there
+// would have been: the poll that scheduled it ran after the event was
+// scheduled. Each of two cases is a counter-example to a landing seq drawn
+// at the wrong step (a quiet Run's end, a step the loop was not due at).
 func TestQuietStepOrdersLoopsBehindLaterEvents(t *testing.T) {
-	// An event scheduled between two Run calls for where a deferred loop
+	// An event scheduled between two Run calls for where a dormant loop
 	// lands: polls at 0, 10, ... ns, the event at 120 ns, Run(100ns) and
 	// Run(110ns) both quiet.
 	s := New()
@@ -385,10 +402,10 @@ func TestQuietStepOrdersLoopsBehindLaterEvents(t *testing.T) {
 		t.Errorf("event scheduled between steps: the loop found it at %v, want at 120ns", in.seen)
 	}
 
-	// A loop the last quiet pass did not move, because it was not due yet,
-	// behind an event scheduled after its seq was drawn: polls at 5, 15,
-	// ... ns, the event scheduled at 97 ns for 115 ns, Run(100ns) quiet
-	// from 100 ns on (the loop is at 105 ns) and Run(110ns) quiet.
+	// A loop not due when a Run ends, behind an event scheduled after its
+	// seq was drawn: polls at 5, 15, ... ns, the event scheduled at 97 ns
+	// for 115 ns, Run(100ns) quiet from 100 ns on (the loop is at 105 ns)
+	// and Run(110ns) quiet.
 	s = New()
 	ahead := newInbox(s, NewCore(s, 0, 0, 1e9))
 	late := newInbox(s, NewCore(s, 1, 0, 1e9))
@@ -400,6 +417,24 @@ func TestQuietStepOrdersLoopsBehindLaterEvents(t *testing.T) {
 	s.Run(200 * Nanosecond)
 	if len(late.seen) != 1 || late.seen[0] != 115*Nanosecond {
 		t.Errorf("loop not moved by the last quiet step: it found the event's item at %v, want at 115ns", late.seen)
+	}
+}
+
+// A loop that goes dormant where no step follows before RunAll returns has
+// nothing to land behind: it stays at the poll it slept at, and an item
+// put in between two RunAll calls is found there. Polls at 0, 10, ... ns.
+func TestDormantLoopAfterRunAll(t *testing.T) {
+	s := New()
+	in := newInbox(s, NewCore(s, 0, 0, 1e9))
+	in.loop.Start()
+	s.RunAll()
+	if got := in.loop.Iterations(); got != 1 {
+		t.Errorf("after RunAll: %d iterations, want 1", got)
+	}
+	in.put()
+	s.RunAll()
+	if len(in.seen) != 1 || in.seen[0] != 10*Nanosecond {
+		t.Errorf("item put between two RunAll calls found at %v, want at 10ns", in.seen)
 	}
 }
 
@@ -427,10 +462,8 @@ func TestPollLoopWakeBy(t *testing.T) {
 	}
 }
 
-// counter is an Input whose count a test bumps by hand.
-type counter struct{ n uint64 }
-
-func (c *counter) Produced() uint64 { return c.n }
+// counter is an Input a test produces into by hand.
+type counter struct{ producer }
 
 // Sim.WakeBy declares the deadline of the loop whose body is running, and
 // of nothing else: called from a heap event, from a commit or between two
@@ -464,7 +497,7 @@ func TestSimWakeByOnlyInsideABody(t *testing.T) {
 	})
 	a.Start()
 	b.Start()
-	produce := func() { in.n++ }
+	produce := in.produced
 	s.At(50*Nanosecond, func() { work = true })
 	s.At(100*Nanosecond, produce)
 	s.At(500*Nanosecond, produce)
@@ -511,9 +544,9 @@ func TestPollLoopWatchesTwoInputs(t *testing.T) {
 		t.Error("a nil input was accepted")
 	}
 	loops[0].Start()
-	s.At(100*Nanosecond, func() { obq.n++ })
+	s.At(100*Nanosecond, obq.produced)
 	s.At(300*Nanosecond, func() {})
-	s.At(500*Nanosecond, func() { nic.n++ })
+	s.At(500*Nanosecond, nic.produced)
 	s.Run(Microsecond)
 	want := []Time{0, 100 * Nanosecond, 500 * Nanosecond}
 	if fmt.Sprint(ran) != fmt.Sprint(want) {
@@ -663,6 +696,39 @@ func TestPollLoopParkedSetOverflow(t *testing.T) {
 	}
 	if s.Pending() != n {
 		t.Errorf("pending %d, want %d", s.Pending(), n)
+	}
+}
+
+// A loop that becomes idle takes its rank between the loops polling its
+// instants whose poll there ran before it and those whose poll did not;
+// where their ranks leave no room, the group's ranks are spaced out again
+// in the same order. Loops a, c and b start at 0 in that order: a and b
+// idle, c busy until 10 ns, where a has polled (its body runs: c's
+// iteration executed) and b has not.
+func TestPollLoopRanksSpacedOut(t *testing.T) {
+	s := New()
+	idle := func() (float64, func()) { return 0, nil }
+	busy := true
+	a := NewPollLoop(s, NewCore(s, 0, 0, 1e9), 10, idle)
+	c := NewPollLoop(s, NewCore(s, 1, 0, 1e9), 10, func() (float64, func()) {
+		if busy {
+			busy = false
+			return 10, nil
+		}
+		return 0, nil
+	})
+	b := NewPollLoop(s, NewCore(s, 2, 0, 1e9), 10, idle)
+	a.Start()
+	c.Start()
+	b.Start()
+	s.Run(5 * Nanosecond)
+	if a.rank >= b.rank {
+		t.Fatalf("ranks a %d, b %d: b became idle behind a", a.rank, b.rank)
+	}
+	a.rank, b.rank = 5, 6
+	s.Run(15 * Nanosecond)
+	if !(a.rank < c.rank && c.rank < b.rank) || b.rank-a.rank < 2 {
+		t.Errorf("ranks a %d, c %d, b %d: want c between a and b, spaced out", a.rank, c.rank, b.rank)
 	}
 }
 

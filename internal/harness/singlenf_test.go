@@ -134,24 +134,19 @@ func TestEventBudgetSingleNFSetup(t *testing.T) {
 	}
 }
 
-// TestEventBudgetIdleBodyRuns bounds the idle body runs per delivered
-// packet of three bench workloads, on a 2 ms window (each phase of the
-// diurnal sweep) of their rep configurations, set-up and a 1 ms warm-up
-// included. Every testbed core watches the queues it polls, so a core runs
-// its body when one of them is produced into or a frame it waits for falls
-// due, not after every event. The counts are deterministic: 3.37 (IPsec
-// 1500 B), 1.99 (mixed 512 B) and 3.39 (diurnal), where cores that watched
-// nothing ran 12.13, 6.82 and 13.25.
-func TestEventBudgetIdleBodyRuns(t *testing.T) {
+// budgetWindow is one 2 ms window (each phase of the diurnal sweep) of a
+// bench workload's rep configuration, set-up and a 1 ms warm-up included:
+// the simulator's step counts and the packets delivered.
+type budgetWindow struct {
+	name string
+	sim  eventsim.Stats
+	pkts uint64
+}
+
+// budgetWindows runs the windows of ipsec1500, mixed512 and diurnal.
+func budgetWindows(t *testing.T) []budgetWindow {
+	t.Helper()
 	const ms = eventsim.Millisecond
-	check := func(name string, st eventsim.Stats, pkts uint64, bound float64) {
-		t.Helper()
-		perPkt := float64(st.IdleRuns) / float64(pkts)
-		t.Logf("%s: %.3f idle body runs per delivered packet (%+v, %d packets)", name, perPkt, st, pkts)
-		if pkts == 0 || perPkt > bound {
-			t.Errorf("%s: %.3f idle body runs per delivered packet, want <= %.2f", name, perPkt, bound)
-		}
-	}
 	single, err := RunSingleNF(SingleNFConfig{
 		Kind: IPsecGateway, Mode: DHL, FrameSize: 1500, OfferedWireBps: perf.NIC40GBps,
 		Warmup: ms, Window: 2 * ms,
@@ -159,12 +154,10 @@ func TestEventBudgetIdleBodyRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("ipsec1500", single.Sim, single.Throughput.Pkts, 3.5)
 	multi, err := RunMultiNF(MultiNFConfig{FrameSize: 512, Warmup: ms, Window: 2 * ms})
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("mixed512", multi.Sim, multi.NF1.Pkts+multi.NF2.Pkts, 2.1)
 	diurnal, err := RunDiurnal(DiurnalConfig{
 		AutoTune: true, FrameSize: 1024, PeakWireBps: 20e9, TroughWireBps: 0.4e9,
 		Warmup: ms, Window: 2 * ms,
@@ -172,7 +165,60 @@ func TestEventBudgetIdleBodyRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("diurnal", diurnal.Sim, diurnal.Peak.Throughput.Pkts+diurnal.Trough.Throughput.Pkts, 3.6)
+	return []budgetWindow{
+		{"ipsec1500", single.Sim, single.Throughput.Pkts},
+		{"mixed512", multi.Sim, multi.NF1.Pkts + multi.NF2.Pkts},
+		{"diurnal", diurnal.Sim, diurnal.Peak.Throughput.Pkts + diurnal.Trough.Throughput.Pkts},
+	}
+}
+
+// TestEventBudgetIdleBodyRuns bounds the idle body runs per delivered
+// packet of three bench workloads (budgetWindows). Every testbed core
+// watches the queues it polls, so a core runs its body when one of them is
+// produced into or a frame it waits for falls due, not after every event.
+// The counts are deterministic: 3.37 (IPsec 1500 B), 1.99 (mixed 512 B)
+// and 3.39 (diurnal), where cores that watched nothing ran 12.13, 6.82 and
+// 13.25.
+func TestEventBudgetIdleBodyRuns(t *testing.T) {
+	bound := map[string]float64{"ipsec1500": 3.5, "mixed512": 2.1, "diurnal": 3.6}
+	for _, w := range budgetWindows(t) {
+		perPkt := float64(w.sim.IdleRuns) / float64(w.pkts)
+		t.Logf("%s: %.3f idle body runs per delivered packet (%+v, %d packets)", w.name, perPkt, w.sim, w.pkts)
+		if w.pkts == 0 || perPkt > bound[w.name] {
+			t.Errorf("%s: %.3f idle body runs per delivered packet, want <= %.2f", w.name, perPkt, bound[w.name])
+		}
+	}
+}
+
+// TestEventBudgetSkips bounds the steps that account for idle polls
+// without running the body, per delivered packet, on the windows of
+// TestEventBudgetIdleBodyRuns. A sleeping core is dormant: it lands once,
+// when one of its queues is produced into, its deadline comes or its books
+// are read, where it was skipped again after every step anywhere (14.81,
+// 6.81 and 19.79 skips per packet). The rest of the counts are pinned
+// exactly: dormancy changes when idle polls are accounted for, never
+// which bodies run.
+func TestEventBudgetSkips(t *testing.T) {
+	want := map[string]struct {
+		skips float64
+		sim   eventsim.Stats
+	}{
+		"ipsec1500": {5.0, eventsim.Stats{HeapEvents: 7683, Finishes: 24596, ParkedRuns: 22146, IdleRuns: 22150, PollsSkipped: 8683942}},
+		"mixed512":  {2.5, eventsim.Stats{HeapEvents: 8500, Finishes: 41395, ParkedRuns: 36931, IdleRuns: 36935, PollsSkipped: 6015814}},
+		"diurnal":   {6.5, eventsim.Stats{HeapEvents: 12067, Finishes: 17896, ParkedRuns: 16478, IdleRuns: 16482, PollsSkipped: 9287309}},
+	}
+	for _, w := range budgetWindows(t) {
+		perPkt := float64(w.sim.Skips) / float64(w.pkts)
+		t.Logf("%s: %.3f skips per delivered packet (%+v, %d packets)", w.name, perPkt, w.sim, w.pkts)
+		if w.pkts == 0 || perPkt > want[w.name].skips {
+			t.Errorf("%s: %.3f skips per delivered packet, want <= %.1f", w.name, perPkt, want[w.name].skips)
+		}
+		got := w.sim
+		got.Skips = 0
+		if got != want[w.name].sim {
+			t.Errorf("%s: steps %+v, want %+v", w.name, got, want[w.name].sim)
+		}
+	}
 }
 
 // allocsPerPkt is every heap allocation of one RunSingleNF call, system

@@ -32,9 +32,10 @@ func newStageSource(t *testing.T, tb *testbed, n int) *stageSource {
 	return src
 }
 
-// Produced counts every packet the source holds: all of them were put in
-// before the stage's loop started (eventsim.Input).
-func (s *stageSource) Produced() uint64 { return uint64(s.n) }
+// OnProduce holds no waker: every packet the source holds was put in
+// before the stage's loop started, and nothing is put in after
+// (eventsim.Input).
+func (s *stageSource) OnProduce(eventsim.Waker) eventsim.Waker { return nil }
 
 // src is the source a stage under test pulls from.
 func (s *stageSource) src() source { return source{in: s, pull: s.pull} }

@@ -416,6 +416,7 @@ func (g *Generator) burst() {
 	// wire serializes them even when the average offered load is lower),
 	// so each frame arrives at its own serialization boundary.
 	frameWire := eventsim.Time(float64(g.cfg.FrameSize+eth.WireOverhead) * 8 / p.RateBps() * 1e12)
+	sent := g.sent
 	for i := 0; i < g.cfg.Burst; i++ {
 		// A frame holds its mbuf from here until it is taken, so where
 		// the pool runs dry does not depend on when its bytes are written.
@@ -436,6 +437,9 @@ func (g *Generator) burst() {
 		g.sent++
 	}
 	p.setHead()
+	if g.sent != sent && p.waker != nil {
+		p.waker.Wake()
+	}
 	g.burstOrd = g.arm()
 	g.sim.After(g.interBurst, g.burstFn)
 }

@@ -67,8 +67,8 @@ type PortStats struct {
 // or after it, as a DPDK rx_burst loop would; a busy reader takes its
 // frames when it looks again.
 //
-// A Port is an eventsim.Input: Produced counts the frames its generator
-// has put on the wire, so a reader's poll loop may watch it
+// A Port is an eventsim.Input: every burst of its generator that puts
+// frames on the wire wakes it, so a reader's poll loop may watch it
 // (eventsim.PollLoop.Watch). Between a burst onto the wire, which produces
 // into the port, and the deadline an empty RxBurst declared, nothing can
 // put a frame in a queue the reader has not been told of.
@@ -85,6 +85,7 @@ type Port struct {
 	gen     *Generator
 	headAt  eventsim.Time
 	headSeq uint64
+	waker   eventsim.Waker // woken by every burst of gen (OnProduce)
 
 	// Measurement window for throughput/latency series (set by the
 	// harness after warm-up).
@@ -190,13 +191,12 @@ func (p *Port) RxBurst(q int, dst []*mbuf.Mbuf) int {
 // CatchUp takes every frame due by now off the wire (eventsim.Lazy).
 func (p *Port) CatchUp() { p.take() }
 
-// Produced reports how many frames the port's generator has put on the
-// wire towards it, 0 without one (eventsim.Input).
-func (p *Port) Produced() uint64 {
-	if p.gen == nil {
-		return 0
-	}
-	return p.gen.sent
+// OnProduce hands the port w, which its generator wakes whenever it puts
+// frames on the wire towards it, and returns the one it held before, which
+// w is to wake in turn (eventsim.Input).
+func (p *Port) OnProduce(w eventsim.Waker) (prev eventsim.Waker) {
+	prev, p.waker = p.waker, w
+	return prev
 }
 
 // take hands every frame due by the step being run to its RX queue, in

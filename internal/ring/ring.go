@@ -59,6 +59,9 @@ type Ring[T any] struct {
 	prod, cons uint64
 
 	slots []T
+
+	// waker is woken by every burst that enqueues something (OnProduce).
+	waker interface{ Wake() }
 }
 
 // New creates a ring holding up to size-1 elements (one slot is sacrificed,
@@ -93,10 +96,14 @@ func (r *Ring[T]) Capacity() int { return int(r.mask) }
 // Len reports the number of queued elements.
 func (r *Ring[T]) Len() int { return int(r.prod - r.cons) }
 
-// Produced reports how many elements have ever been enqueued, a count
-// that only grows. A consumer that remembers the value can tell
-// later, without dequeuing, whether anything has been put in since.
-func (r *Ring[T]) Produced() uint64 { return r.prod }
+// OnProduce hands the ring w, which every burst that enqueues something
+// wakes from then on, and returns the one it held before, which w is to
+// wake in turn: a consumer that sleeps until something is put in needs
+// nothing from the producers.
+func (r *Ring[T]) OnProduce(w interface{ Wake() }) (prev interface{ Wake() }) {
+	prev, r.waker = r.waker, w
+	return prev
+}
 
 // Enqueue adds a single element, reporting success: a burst of one.
 //
@@ -116,6 +123,9 @@ func (r *Ring[T]) EnqueueBurst(objs []T) int {
 		r.slots[(head+i)&r.mask] = objs[i]
 	}
 	r.prod = head + n
+	if n != 0 && r.waker != nil {
+		r.waker.Wake()
+	}
 	return int(n)
 }
 

@@ -88,8 +88,8 @@ echo "==> autotuner smoke (control law, backpressure edges, zero-alloc with tune
 targeted -short -run 'Tuner|AutoTune|Pressure|CopySince|PerAccTuning|AccBatch' -count=1 \
     ./internal/tuner ./internal/core ./internal/telemetry .
 
-echo "==> event-engine equivalence (lazy idle polls vs a naive poll loop, deadlines declared through the Sim, more loops than the sets hold inline and none on the heap, one chain per loop however often started, a new loop allocates only itself, one loop per core and none whose idle poll takes no time, up to two watched inputs per loop, any number of lazy registrations, chained items read lazily, steps counted by kind (stale timer fires too, the multi-NF run's too), event budgets (idle body runs per packet of testbed cores that watch their queues), 10 s fuzz)"
-targeted -run 'PollLoopEquivalence|SetOverflow|StartTwiceRunsOneChain|AllocatesOnlyTheLoop|RefusesNoPeriod|SecondLoopOnCoreRefused|WatchesTwoInputs|AddLazyTakesAnyNumber|QuietStep|EventBudget|FlushTimeoutPoke|PoolHotSlab|FreeBulk|SetupBytesOpen' -count=1 \
+echo "==> event-engine equivalence (lazy idle polls vs a naive poll loop, dormant loops landing where events, finishes and same-phase peers are due, ranks spaced out, deadlines declared through the Sim, more loops than the sets hold inline and none on the heap, one chain per loop however often started, a new loop allocates only itself, one loop per core and none whose idle poll takes no time, up to two watched inputs per loop, any number of lazy registrations, chained items read lazily, steps counted by kind (stale timer fires too, the multi-NF run's too), event budgets (idle body runs and skips per packet of testbed cores that watch their queues), 10 s fuzz)"
+targeted -run 'PollLoopEquivalence|RanksSpacedOut|SetOverflow|StartTwiceRunsOneChain|AllocatesOnlyTheLoop|RefusesNoPeriod|SecondLoopOnCoreRefused|WatchesTwoInputs|AddLazyTakesAnyNumber|QuietStep|EventBudget|FlushTimeoutPoke|PoolHotSlab|FreeBulk|SetupBytesOpen' -count=1 \
     ./internal/eventsim ./internal/harness ./internal/core ./internal/mbuf .
 # One ^…$ pattern each, so that deleting or renaming one fails the step.
 targeted -run '^TestSimWakeByOnlyInsideABody$' -count=1 ./internal/eventsim
@@ -104,6 +104,10 @@ targeted -run '^TestPollLoopWatchesTwoInputs$' -count=1 ./internal/eventsim
 targeted -run '^TestAddLazyTakesAnyNumber$' -count=1 ./internal/eventsim
 targeted -run '^TestEventBudgetFlowScale$' -count=1 ./internal/harness
 targeted -run '^TestEventBudgetIdleBodyRuns$' -count=1 ./internal/harness
+targeted -run '^TestEventBudgetSkips$' -count=1 ./internal/harness
+targeted -run '^TestPollLoopEquivalenceDormantCoincide$' -count=1 ./internal/eventsim
+targeted -run '^TestPollLoopRanksSpacedOut$' -count=1 ./internal/eventsim
+targeted -run '^TestDormantLoopAfterRunAll$' -count=1 ./internal/eventsim
 targeted -run '^TestRunMultiNFReportsSimSteps$' -count=1 ./internal/harness
 go test -run '^$' -fuzz FuzzPollLoopEquivalence -fuzztime 10s ./internal/eventsim
 
@@ -122,21 +126,24 @@ go test -run '^$' -fuzz FuzzReaderWakesAsEager -fuzztime 5s ./internal/netdev
 go test -run '^$' -fuzz FuzzChurnMatchesEager -fuzztime 5s ./internal/netdev
 go test -run '^$' -fuzz FuzzGeneratorFrameMatchesFullBuild -fuzztime 5s ./internal/netdev
 
-echo "==> equivalence coverage floor (every function of the quiet-step path, the busy set, declared inputs read where a loop's cleanness is, deadlines declared through the Sim, the seqs drawn for chained items and the heap push at 100 %)"
-# The sweep checks the quiet path (Sim.hush) only where its scenarios leave
-# loops deferred between two reads; with a probe after every slice it
-# passed while landAll never found a loop to land.
+echo "==> equivalence coverage floor (every function of dormancy and its step log, the busy set, deadlines declared through the Sim, the seqs drawn for chained items and the heap push at 100 %)"
+# The sweep checks a dormant loop's landing only where its scenarios wake
+# one; the rank test and the RunAll test add the two paths they do not
+# reach, a group's ranks spaced out again and a loop read with no step
+# logged since it went dormant.
 cover_out=$(mktemp)
-go test -short -count=1 -run '^TestPollLoopEquivalence$' -coverprofile "$cover_out" ./internal/eventsim
+go test -short -count=1 -run '^(TestPollLoopEquivalence|TestPollLoopRanksSpacedOut|TestDormantLoopAfterRunAll)$' -coverprofile "$cover_out" ./internal/eventsim
 cover_func=$(go tool cover -func "$cover_out")
 rm -f "$cover_out"
 floor_failed=""
-for fn in sim.go:quiet sim.go:loopsQuiet sim.go:hush sim.go:stillHushed sim.go:redraw \
-    sim.go:land sim.go:landAll core.go:land sim.go:settle core.go:unproduced core.go:nextReal \
-    sim.go:firstBusy core.go:beforeFinish core.go:beforeNext sim.go:WakeBy sim.go:DrawSeq sim.go:push; do
+for fn in sim.go:record sim.go:flush sim.go:stepAt sim.go:after sim.go:gapAfter \
+    sim.go:seqMatters sim.go:keyAt sim.go:account sim.go:land sim.go:wake sim.go:wakeDue \
+    sim.go:dropDormant sim.go:sleep sim.go:join sim.go:respace core.go:land core.go:Poke core.go:Wake \
+    core.go:nextReal sim.go:firstBusy core.go:beforeFinish core.go:beforeNext sim.go:WakeBy \
+    sim.go:DrawSeq sim.go:push; do
     pct=$(awk -v file="/${fn%%:*}:" -v name="${fn#*:}" 'index($1, file) && $2 == name { print $3 }' <<<"$cover_func")
     if [[ "$pct" != "100.0%" ]]; then
-        echo "check.sh: TestPollLoopEquivalence -short covers ${pct:-nothing} of $fn, want 100.0%" >&2
+        echo "check.sh: TestPollLoopEquivalence -short, the rank test and the RunAll test cover ${pct:-nothing} of $fn, want 100.0%" >&2
         floor_failed=1
     fi
 done
